@@ -5,67 +5,13 @@
 //! publishes immutable store versions batch by batch while reader
 //! threads pin snapshots lock-free and a checker validates invariants
 //! on pinned versions; the final published state must equal a serial
-//! replay. For comparison the bin also runs the pre-snapshot design —
-//! a global `RwLock` with per-event write locking and per-read read
-//! locking — as a labelled baseline, so the table shows what the
-//! lock-free read path buys under the same stream and bindings.
+//! replay.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 use snb_datagen::dictionaries::StaticWorld;
 use snb_driver::run_concurrent;
-use snb_engine::QueryContext;
-use snb_interactive::{run_complex_with, IcParams};
+use snb_interactive::IcParams;
 use snb_params::ParamGen;
-use snb_store::{bulk_store_and_stream, Store};
-
-/// The retired lock-based SUT, kept here (and only here) as the E11
-/// comparison baseline: per-event write lock, per-read read lock.
-fn run_rwlock_baseline(
-    mut store: Store,
-    world: &StaticWorld,
-    events: &[snb_datagen::stream::TimedEvent],
-    bindings: &[IcParams],
-    reader_threads: usize,
-) -> (usize, usize, Duration) {
-    store.rebuild_date_index();
-    let lock = RwLock::new(store);
-    let done = AtomicBool::new(false);
-    let reads = AtomicUsize::new(0);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for r in 0..reader_threads.max(1) {
-            let lock = &lock;
-            let done = &done;
-            let reads = &reads;
-            scope.spawn(move || {
-                let ctx = QueryContext::single_threaded();
-                let mut i = r;
-                while !done.load(Ordering::Acquire) {
-                    if bindings.is_empty() {
-                        break;
-                    }
-                    let guard = lock.read();
-                    let _ = run_complex_with(&guard, &ctx, &bindings[i % bindings.len()]);
-                    drop(guard);
-                    reads.fetch_add(1, Ordering::Relaxed);
-                    i += reader_threads;
-                }
-            });
-        }
-        for e in events {
-            let mut guard = lock.write();
-            guard.apply_event(e, world).expect("baseline apply");
-            if !guard.date_index_fresh() {
-                guard.rebuild_date_index();
-            }
-        }
-        done.store(true, Ordering::Release);
-    });
-    (events.len(), reads.load(Ordering::Relaxed), started.elapsed())
-}
+use snb_store::bulk_store_and_stream;
 
 fn main() {
     let config = snb_bench::cli_config();
@@ -78,7 +24,6 @@ fn main() {
             (1..=14u8).flat_map(|q| gen.ic_params(q, 2)).collect()
         };
 
-        // Snapshot SUT (the shipping design).
         let (store, events) = bulk_store_and_stream(&config);
         let (final_store, report) =
             run_concurrent(store, &world, &events, &bindings, readers).expect("run succeeds");
@@ -93,24 +38,9 @@ fn main() {
             snb_bench::fmt_duration(report.wall),
             format!("{:.0}", report.updates_applied as f64 / report.wall.as_secs_f64()),
         ]);
-
-        // Labelled comparison baseline: the retired RwLock design.
-        let (store, events) = bulk_store_and_stream(&config);
-        let (updates, reads, wall) =
-            run_rwlock_baseline(store, &world, &events, &bindings, readers);
-        rows.push(vec![
-            "rwlock-baseline".to_string(),
-            readers.to_string(),
-            updates.to_string(),
-            reads.to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            snb_bench::fmt_duration(wall),
-            format!("{:.0}", updates as f64 / wall.as_secs_f64()),
-        ]);
     }
     snb_bench::print_table(
-        "E11: concurrent updates + reads (snapshot SUT vs RwLock baseline, §6.4)",
+        "E11: concurrent updates + reads (snapshot SUT, §6.4)",
         &["sut", "readers", "updates", "reads", "versions", "blocked", "wall", "updates/s"],
         &rows,
     );

@@ -13,11 +13,17 @@
 //!    append. The server answers `store_poisoned` (typed, no hang),
 //!    refuses further traffic, and after restart the WAL'd batch is
 //!    replayed; the resubmission dedupes.
-//! 4. `image.write.torn` — with `--image`, the store-image replacement
-//!    at a compaction point tears mid-write (temp file abandoned, no
-//!    rename). The write is non-fatal, so the server keeps acking; the
-//!    SIGKILL then proves recovery falls back to the *previous* intact
-//!    image plus the WAL tail — never a torn or lost image.
+//! 4. `image.write.torn` — the store-image replacement at a compaction
+//!    point tears mid-write (temp file abandoned, no rename, segments
+//!    left untruncated). The write is non-fatal, so the server keeps
+//!    acking; the SIGKILL then proves recovery falls back to the
+//!    *previous* intact image plus the WAL tail — never a torn or lost
+//!    image.
+//!
+//! Every process runs with `--snapshot-every 5`: once the log holds
+//! five records an append writes a store image and truncates the
+//! segments. The first three faults keep the log just short of that, so
+//! the first image lands in the drain that follows them.
 //!
 //! After the last restart the harness quiesces and proves the recovered
 //! store answers **all 25 BI queries** with the same row counts and
@@ -84,7 +90,6 @@ pub fn carve_batches(config: &GeneratorConfig, chunks: usize) -> Vec<WriteOps> {
 #[derive(Clone, Copy, Debug, Default)]
 struct Recovery {
     seq: u64,
-    snapshot_entries: u64,
     wal_entries: u64,
     truncated_bytes: u64,
     image_seq: u64,
@@ -98,13 +103,7 @@ struct ChaosServer {
 }
 
 impl ChaosServer {
-    fn spawn(
-        args: &Args,
-        bin: &str,
-        wal_dir: &std::path::Path,
-        faults: Option<&str>,
-        image: bool,
-    ) -> Self {
+    fn spawn(args: &Args, bin: &str, wal_dir: &std::path::Path, faults: Option<&str>) -> Self {
         let mut cmd = Command::new(bin);
         cmd.arg(&args.scale)
             .arg(args.config.seed.to_string())
@@ -114,9 +113,6 @@ impl ChaosServer {
             .env_remove("SNB_FAULTS")
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
-        if image {
-            cmd.arg("--image");
-        }
         if let Some(spec) = faults {
             cmd.env("SNB_FAULTS", spec).env("SNB_FAULT_SEED", "42");
         }
@@ -132,7 +128,6 @@ impl ChaosServer {
                     let value: u64 = value.parse().unwrap_or(0);
                     match key {
                         "seq" => recovery.seq = value,
-                        "snapshot_entries" => recovery.snapshot_entries = value,
                         "wal_entries" => recovery.wal_entries = value,
                         "truncated_bytes" => recovery.truncated_bytes = value,
                         "image_seq" => recovery.image_seq = value,
@@ -257,7 +252,6 @@ pub fn run(args: &Args) {
         &bin,
         &wal_dir,
         Some("wal.append.short_write=short:8,stall:600000@h3"),
-        false,
     );
     assert_eq!(server.recovery.seq, 0, "fresh directory recovers to the bulk image");
     let mut conn = server.connect();
@@ -273,13 +267,8 @@ pub fn run(args: &Args) {
     // ---- Phase 2: restart, verify truncation, resubmit seq 3 (first
     // apply), then die after a durable append of seq 4 (pre-apply).
     eprintln!("# chaos phase 2: recover; SIGKILL at wal.append.post_append (seq 4)");
-    let server = ChaosServer::spawn(
-        args,
-        &bin,
-        &wal_dir,
-        Some("wal.append.post_append=stall:600000@h2"),
-        false,
-    );
+    let server =
+        ChaosServer::spawn(args, &bin, &wal_dir, Some("wal.append.post_append=stall:600000@h2"));
     // (effects in one clause are comma-separated; `@h2` because the
     // resubmitted seq 3 consumes this fresh process's first append.)
     assert_eq!(server.recovery.seq, 2, "torn seq 3 must not be replayed");
@@ -303,8 +292,7 @@ pub fn run(args: &Args) {
     // WAL; its resubmission dedupes. Then seq 5 panics mid-apply: the
     // server answers store_poisoned (typed, no hang) and refuses reads.
     eprintln!("# chaos phase 3: recover; SIGKILL after writer.apply.panic (seq 5)");
-    let server =
-        ChaosServer::spawn(args, &bin, &wal_dir, Some("writer.apply.panic=panic@h1"), false);
+    let server = ChaosServer::spawn(args, &bin, &wal_dir, Some("writer.apply.panic=panic@h1"));
     assert_eq!(server.recovery.seq, 4, "durable seq 4 must be replayed, not lost");
     assert_eq!(server.recovery.truncated_bytes, 0, "seq 4's append was clean");
     let mut conn = server.connect();
@@ -334,15 +322,17 @@ pub fn run(args: &Args) {
     }
     server.sigkill();
 
-    // ---- Phase 4: recovery with `--image`. Seq 5 was WAL-appended
-    // before the injected panic, so replay (which sees no fault)
-    // applies it; the resubmission dedupes. Drain most of the schedule
-    // normally — each compaction point (every 5 appends) now also
-    // writes a store image, so by the kill an image anchors the WAL.
-    eprintln!("# chaos phase 4: recover; drain under --image; SIGKILL");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, None, true);
+    // ---- Phase 4: seq 5 was WAL-appended before the injected panic,
+    // so replay (which sees no fault) applies it; the resubmission
+    // dedupes. No append has succeeded with five records in the log
+    // yet, so there is no image. Drain most of the schedule normally —
+    // each compaction point writes a store image and truncates the
+    // segments, so by the kill an image anchors the WAL.
+    eprintln!("# chaos phase 4: recover; drain across compaction points; SIGKILL");
+    let server = ChaosServer::spawn(args, &bin, &wal_dir, None);
     assert_eq!(server.recovery.seq, 5, "seq 5 was durable before the panic: replayed");
     assert_eq!(server.recovery.image_seq, 0, "no image exists yet: full-history replay");
+    assert_eq!(server.recovery.wal_entries, 5, "the segments hold the whole history");
     let mut conn = server.connect();
     let (flavor, rows) = submit(&mut conn, 5, seq_ops(5)).expect("resubmit seq 5");
     assert_eq!((flavor, rows), ("deduped", 0), "replayed seq 5 must dedupe");
@@ -366,13 +356,13 @@ pub fn run(args: &Args) {
     // Recovery must start from the store image the previous process
     // wrote, replaying only the WAL tail past it — not full history.
     // Every image *replacement* in this process tears (`@p1` fires on
-    // each hit): a partial temp file, never renamed over `store.img`.
-    // The write is non-fatal, so the acks keep flowing; the SIGKILL
-    // then leaves a directory whose newest durable state lives only in
-    // the WAL tail past the old image.
+    // each hit): a partial temp file, never renamed over `store.img`,
+    // and the segments are left untruncated. The write is non-fatal, so
+    // the acks keep flowing; the SIGKILL then leaves a directory whose
+    // newest durable state lives only in the WAL tail past the old
+    // image.
     eprintln!("# chaos phase 5: recover from image; SIGKILL after image.write.torn");
-    let server =
-        ChaosServer::spawn(args, &bin, &wal_dir, Some("image.write.torn=short:120@p1"), true);
+    let server = ChaosServer::spawn(args, &bin, &wal_dir, Some("image.write.torn=short:120@p1"));
     assert!(server.recovery.image_seq > 0, "recovery must anchor on the store image");
     assert_eq!(server.recovery.seq, image_drain, "every acked batch survives the kill");
     assert_eq!(
@@ -401,7 +391,7 @@ pub fn run(args: &Args) {
     // which now includes the post-image batches. The last batch was
     // durable before the kill, so its resubmission dedupes.
     eprintln!("# chaos phase 6: recover; verify fallback to previous image + WAL tail");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, None, true);
+    let server = ChaosServer::spawn(args, &bin, &wal_dir, None);
     assert_eq!(server.recovery.image_seq, anchor, "fallback to the intact previous image");
     assert_eq!(server.recovery.seq, total, "WAL tail past the image replays in full");
     assert_eq!(server.recovery.tail_replayed, total - anchor, "tail = everything past the image");

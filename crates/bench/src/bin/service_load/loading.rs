@@ -20,11 +20,11 @@
 //!    peaks are attributable per phase.
 //! 4. **Recovery vs history length.** The same update history is
 //!    pushed through in-process durable servers at three lengths, with
-//!    and without store-image writing. With images the replayed tail
+//!    compaction on (`snapshot_every = 4`: an image every four batches)
+//!    and off (`snapshot_every = 0`). With compaction the replayed tail
 //!    is bounded by `snapshot_every` no matter the history (asserted);
-//!    without, replay grows linearly. The longest image recovery is
-//!    proven equal to a direct-apply oracle before anything is
-//!    reported.
+//!    without, replay grows linearly. The longest recoveries are proven
+//!    equal to a direct-apply oracle before anything is reported.
 
 use std::time::Instant;
 
@@ -39,8 +39,8 @@ use crate::Args;
 /// Events per write batch in the recovery curve (matches the chaos
 /// harness carve).
 const EVENTS_PER_BATCH: usize = 10;
-/// Compaction cadence for the recovery curve: an image (when armed)
-/// every four batches.
+/// Compaction cadence for the "compaction on" half of the recovery
+/// curve: an image every four batches.
 const SNAPSHOT_EVERY: u64 = 4;
 
 /// Rows and logical payload bytes for one entity type.
@@ -128,18 +128,18 @@ impl ActivitySink for CountingSink<'_, '_> {
 /// One point on the recovery-vs-history curve.
 struct RecPoint {
     history: usize,
+    /// Compaction was on, so recovery started from an image.
     image: bool,
     recovery_us: u64,
     image_seq: u64,
     tail_replayed: u64,
-    snapshot_entries: u64,
     /// Recovered node/edge counts, for the oracle gate at the longest
-    /// image history.
+    /// history.
     stats: (u64, u64),
 }
 
 /// Drives `history` batches through an in-process durable server
-/// (image writing on or off), kills it cleanly, and measures a cold
+/// (compaction on or off), shuts it down cleanly, and measures a cold
 /// recovery of the directory.
 fn recovery_point(args: &Args, batches: &[WriteOps], history: usize, image: bool) -> RecPoint {
     let dir = std::env::temp_dir().join(format!(
@@ -150,8 +150,7 @@ fn recovery_point(args: &Args, batches: &[WriteOps], history: usize, image: bool
     let _ = std::fs::remove_dir_all(&dir);
     let options = WalOptions {
         fsync_every: 1,
-        snapshot_every: SNAPSHOT_EVERY,
-        image,
+        snapshot_every: if image { SNAPSHOT_EVERY } else { 0 },
         ..WalOptions::default()
     };
     let recovered = snb_server::recover(&dir, &args.config, &args.scale, options)
@@ -160,8 +159,8 @@ fn recovery_point(args: &Args, batches: &[WriteOps], history: usize, image: bool
     let server = Server::start_durable(store, args.server.clone(), durability);
     let client = server.client();
     for (i, ops) in batches.iter().take(history).enumerate() {
-        let resp =
-            client.call(ServiceParams::Write(WriteBatch { seq: i as u64 + 1, ops: ops.clone() }), 0);
+        let resp = client
+            .call(ServiceParams::Write(WriteBatch { seq: i as u64 + 1, ops: ops.clone() }), 0);
         assert!(resp.body.is_ok(), "loading: batch {} refused: {:?}", i + 1, resp.body.err());
     }
     server.shutdown();
@@ -184,7 +183,6 @@ fn recovery_point(args: &Args, batches: &[WriteOps], history: usize, image: bool
         recovery_us: rec.report.recovery_us,
         image_seq: rec.report.image_seq,
         tail_replayed: rec.report.tail_replayed,
-        snapshot_entries: rec.report.snapshot_entries,
         stats: (stats.nodes as u64, stats.edges as u64),
     };
     let _ = std::fs::remove_dir_all(&dir);
@@ -303,11 +301,9 @@ pub fn run(args: &Args) {
     drop(bulk_store);
     drop(bulk_stream);
 
-    // ---- Phase 4: recovery vs history length, image on and off.
-    let batches: Vec<WriteOps> = stream
-        .chunks(EVENTS_PER_BATCH)
-        .map(|chunk| WriteOps::Updates(chunk.to_vec()))
-        .collect();
+    // ---- Phase 4: recovery vs history length, compaction on and off.
+    let batches: Vec<WriteOps> =
+        stream.chunks(EVENTS_PER_BATCH).map(|chunk| WriteOps::Updates(chunk.to_vec())).collect();
     let mut histories: Vec<usize> =
         [4usize, 8, 12].into_iter().map(|h| h.min(batches.len())).collect();
     histories.dedup();
@@ -320,8 +316,8 @@ pub fn run(args: &Args) {
         }
     }
 
-    // Oracle: the longest image recovery equals direct application of
-    // the same batches onto a fresh bulk store.
+    // Oracle: the longest recoveries equal direct application of the
+    // same batches onto a fresh bulk store.
     let oracle_stats = {
         let (mut store, _) = snb_store::bulk_store_and_stream(config);
         for ops in batches.iter().take(longest) {
@@ -334,7 +330,7 @@ pub fn run(args: &Args) {
             store.rebuild_date_index();
         }
         let s = store.stats();
-        (s.nodes as u64, s.edges as u64)
+        (s.nodes, s.edges)
     };
     for p in points.iter().filter(|p| p.history == longest) {
         assert_eq!(
@@ -414,13 +410,12 @@ pub fn run(args: &Args) {
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "      {{\"history\": {}, \"image\": {}, \"recovery_us\": {}, \"image_seq\": {}, \
-             \"tail_replayed\": {}, \"snapshot_entries\": {}}}{}\n",
+             \"tail_replayed\": {}}}{}\n",
             p.history,
             p.image,
             p.recovery_us,
             p.image_seq,
             p.tail_replayed,
-            p.snapshot_entries,
             if i + 1 < points.len() { "," } else { "" },
         ));
     }

@@ -49,8 +49,8 @@
 //! streaming datagen→ingest pipeline with per-entity rows/sec and
 //! MB/sec, the packed-vs-`String` string-footprint gate (hard failure
 //! below 2×), peak-RSS attribution for the streaming vs materialised
-//! builds, and a recovery-time-vs-history-length curve with and
-//! without store-image snapshots, oracle-verified (see `loading.rs`).
+//! builds, and a recovery-time-vs-history-length curve with WAL
+//! compaction on and off, oracle-verified (see `loading.rs`).
 //!
 //! `--replication` runs experiment E17 instead of the load window: it
 //! spawns one primary `snb-server` plus `--followers N` follower

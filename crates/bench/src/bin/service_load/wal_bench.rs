@@ -74,13 +74,7 @@ fn bench_group(args: &Args) -> BenchRun {
     let dir = std::env::temp_dir().join(format!("snb_walbench_group_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let options =
-        WalOptions {
-            fsync_every: 32,
-            snapshot_every: 0,
-            partitions: 2,
-            group_commit: true,
-            ..WalOptions::default()
-        };
+        WalOptions { fsync_every: 32, snapshot_every: 0, partitions: 2, group_commit: true };
     let recovered = snb_server::recover(&dir, &args.config, &args.scale, options)
         .expect("wal-bench group-commit recovery on a fresh directory");
     let (store, durability, _) = recovered.into_durability();

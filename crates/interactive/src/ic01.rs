@@ -101,7 +101,8 @@ pub fn run(store: &Store, params: &Params) -> Vec<Row> {
         if store.persons.first_name[p as usize] != params.first_name {
             continue;
         }
-        let key = (d, store.persons.last_name[p as usize].to_string(), store.persons.id[p as usize]);
+        let key =
+            (d, store.persons.last_name[p as usize].to_string(), store.persons.id[p as usize]);
         if !tk.would_accept(&key) {
             continue;
         }

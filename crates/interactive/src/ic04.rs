@@ -91,7 +91,8 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
         .into_iter()
         .filter(|(tag, _)| !before.contains(tag))
         .map(|(tag, count)| {
-            let row = Row { tag_name: store.tags.name[tag as usize].to_string(), post_count: count };
+            let row =
+                Row { tag_name: store.tags.name[tag as usize].to_string(), post_count: count };
             ((std::cmp::Reverse(count), row.tag_name.clone()), row)
         })
         .collect();

@@ -52,7 +52,8 @@ pub fn run(store: &Store, params: &Params) -> Vec<Row> {
             .targets_of(f)
             .filter(|&post| members.contains(&store.messages.creator[post as usize]))
             .count() as u64;
-        let row = Row { forum_title: store.forums.title[f as usize].to_string(), post_count: count };
+        let row =
+            Row { forum_title: store.forums.title[f as usize].to_string(), post_count: count };
         tk.push((std::cmp::Reverse(count), store.forums.id[f as usize]), row);
     }
     tk.into_sorted()
@@ -82,7 +83,8 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
                     && members.contains(&store.messages.creator[m as usize])
             })
             .count() as u64;
-        let row = Row { forum_title: store.forums.title[f as usize].to_string(), post_count: count };
+        let row =
+            Row { forum_title: store.forums.title[f as usize].to_string(), post_count: count };
         items.push(((std::cmp::Reverse(count), store.forums.id[f as usize]), row));
     }
     snb_engine::topk::sort_truncate(items, LIMIT)

@@ -7,7 +7,7 @@
 //!            [--write-cap N] [--short-weight N] [--shed-oldest]
 //!            [--deadline-ms N] [--short-deadline-ms N] [--profile]
 //!            [--wal-dir PATH] [--fsync-every N] [--snapshot-every N]
-//!            [--image] [--conn-timeout-ms N] [--partitions N] [--group-commit]
+//!            [--conn-timeout-ms N] [--partitions N] [--group-commit]
 //!            [--repl-port N] [--follower] [--replicate-from ADDR]
 //! snb-server --promote REPL_ADDR [--announce-repl ADDR]
 //!            [--announce-client ADDR] [--siblings A,B,..] [--epoch-floor N]
@@ -30,18 +30,18 @@
 //! flushed (to `$SNB_ACCESS_LOG` when set), and the process exits 0.
 //!
 //! `--wal-dir` enables the write workload: the directory is recovered
-//! (snapshot + WAL tail, torn records truncated) before the listener
-//! opens, and every acknowledged batch is WAL-appended first. The
-//! recovery summary is printed as `recovered seq=N ...` on stdout
-//! (including `replayed=`, `recovery_ms=`, and — when a store image
-//! anchored the rebuild — `image_seq=`/`image_ms=`/`tail_replayed=`)
-//! so chaos harnesses can assert on it, and the same numbers open the
-//! access log as its preamble record. `--image` writes a checksummed
-//! store image (`store.img`) at every compaction point and truncates
-//! the snapshot log behind it, bounding recovery by the image plus the
-//! WAL tail instead of the full history; recovery *uses* any existing
-//! image regardless of the flag. Fault injection arms from
-//! `$SNB_FAULTS` / `$SNB_FAULT_SEED` (see `snb_fault`).
+//! (store image if present, else the bulk store; then the WAL tail,
+//! torn records truncated) before the listener opens, and every
+//! acknowledged batch is WAL-appended first. The recovery summary is
+//! printed as `recovered seq=N wal_entries=N truncated_bytes=N
+//! recovery_ms=N epoch=N image_seq=N image_ms=N tail_replayed=N` on
+//! stdout so chaos harnesses can assert on it, and the same numbers
+//! open the access log as its preamble record. `--snapshot-every N`
+//! sets the compaction point: once the log holds N records the server
+//! writes a checksummed store image (`store.img`) and truncates the
+//! segments behind it, bounding recovery by the image plus the WAL tail
+//! instead of the full history (0 = never compact). Fault injection
+//! arms from `$SNB_FAULTS` / `$SNB_FAULT_SEED` (see `snb_fault`).
 //!
 //! Replication (requires `--wal-dir`): `--repl-port N` opens the
 //! log-shipping listener, announced as `replication on 127.0.0.1:PORT`
@@ -167,7 +167,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--fsync-every" => wal.fsync_every = parse("--fsync-every", argv.next())?.max(1),
             "--snapshot-every" => wal.snapshot_every = parse("--snapshot-every", argv.next())?,
-            "--image" => wal.image = true,
             "--partitions" => {
                 server.partitions = parse("--partitions", argv.next())?.max(1) as usize;
             }
@@ -302,13 +301,11 @@ fn main() {
         eprintln!("# store ready in {:.2?}", started.elapsed());
         // Harness contract: one recovery summary line on stdout.
         println!(
-            "recovered seq={} snapshot_entries={} wal_entries={} truncated_bytes={} \
-             replayed={} recovery_ms={} epoch={} image_seq={} image_ms={} tail_replayed={}",
+            "recovered seq={} wal_entries={} truncated_bytes={} recovery_ms={} epoch={} \
+             image_seq={} image_ms={} tail_replayed={}",
             report.last_seq,
-            report.snapshot_entries,
             report.wal_entries,
             report.truncated_bytes,
-            report.replayed(),
             report.recovery_us / 1000,
             report.epoch,
             report.image_seq,
@@ -319,7 +316,7 @@ fn main() {
         // The same numbers open the access log, so catch-up time is
         // measurable from the log alone.
         server.access_log().push_recovery_preamble(
-            report.replayed(),
+            report.tail_replayed,
             report.recovery_us,
             report.last_seq,
             report.image_seq,

@@ -1,15 +1,18 @@
-//! Store-image snapshot files: bounded recovery and follower bootstrap.
+//! Store images: the compaction artifact, the recovery starting point
+//! and the follower bootstrap payload.
 //!
-//! The WAL's compaction "snapshot" (`snapshot.log`) is *log* compaction:
-//! replaying it still costs time proportional to history. A **store
-//! image** (`store.img`) is the other durability artifact: the full
-//! [`Store`] serialised through [`snb_store::image`]'s checksummed
-//! codec at a known sequence number. Recovery that finds a valid image
-//! decodes it and replays only the WAL tail written after `seq` — cost
-//! bounded by live-data size plus tail length, flat in history. The
-//! same file is what a cold follower is offered over the replication
-//! socket ([`crate::proto::ReplFrame::ImageOffer`]), so bootstrap also
-//! skips history replay.
+//! A **store image** (`store.img`) is the full [`Store`] serialised
+//! through [`snb_store::image`]'s checksummed codec at a known write
+//! sequence number. It is the only thing WAL compaction produces
+//! ([`crate::wal::SegmentedWal::compact`] writes one and truncates the
+//! log segments behind it), so a WAL directory holds the segments and
+//! at most one image. Recovery that finds an image decodes it and
+//! replays only the segment records written after `seq` — cost bounded
+//! by live-data size plus tail length, flat in history. The same file
+//! is what a follower whose cursor is at or below `seq` is offered over
+//! the replication socket ([`crate::proto::ReplFrame::ImageOffer`]):
+//! the segments no longer hold those records, so the image is the only
+//! way to catch such a follower up.
 //!
 //! ## File format
 //!
@@ -29,12 +32,14 @@
 //! ## Crash safety
 //!
 //! Images are written temp + fsync + rename, so `store.img` is always
-//! either the previous complete image or the new complete image. Any
-//! header/body checksum mismatch or truncation is a **hard error**: a
-//! directory with a corrupt image refuses to recover rather than
-//! silently falling back to full replay and masking the corruption. A
-//! leftover `store.img.tmp` (crash mid-write) is ignored and
-//! overwritten by the next write.
+//! either the previous complete image or the new complete image. The
+//! rename is durable only once the directory is fsynced (`sync_dir`);
+//! whoever truncates log records behind a new image does that first.
+//! Any header/body checksum mismatch or truncation is a **hard error**:
+//! the segments behind an image no longer hold the history it covers,
+//! so a directory with a corrupt image refuses to recover rather than
+//! silently starting from the bulk store. A leftover `store.img.tmp`
+//! (crash mid-write) is ignored and overwritten by the next write.
 //!
 //! Fault point: `image.write.torn` (partial temp write, no rename).
 
@@ -93,7 +98,12 @@ fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
 /// Parses and verifies the header, returning `(body_offset, header)`.
 /// Every mismatch — magic, scale, seed, checksum, truncation — is a
 /// hard error.
-fn decode_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<(usize, ImageHeader)> {
+fn decode_header(
+    bytes: &[u8],
+    scale: &str,
+    seed: u64,
+    path: &Path,
+) -> SnbResult<(usize, ImageHeader)> {
     let need = |n: usize, at: usize| -> SnbResult<()> {
         if at + n > bytes.len() {
             Err(image_err(path, "truncated image header"))
@@ -111,7 +121,10 @@ fn decode_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult
     let got_scale = std::str::from_utf8(&bytes[at..at + scale_len])
         .map_err(|_| image_err(path, "scale name is not UTF-8"))?;
     if got_scale != scale {
-        return Err(image_err(path, format!("scale mismatch: image {got_scale:?}, store {scale:?}")));
+        return Err(image_err(
+            path,
+            format!("scale mismatch: image {got_scale:?}, store {scale:?}"),
+        ));
     }
     at += scale_len;
     need(8 * 5 + 4 + 8, at)?;
@@ -142,6 +155,7 @@ fn decode_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult
 /// (`seq`, `epoch`). Returns the file size in bytes. Crash-safe: the
 /// image lands via temp + fsync + rename, so a SIGKILL at any point
 /// leaves either the previous image or the new one, never a torn file.
+/// Call `sync_dir` before relying on the new image over the old one.
 pub fn write_image(
     dir: &Path,
     scale: &str,
@@ -189,6 +203,18 @@ pub fn write_image(
     Ok((header.len() + body.len()) as u64)
 }
 
+/// Fsyncs the directory itself, making a rename inside it durable: until
+/// then a power loss may bring back the directory entry the rename
+/// replaced.
+pub(crate) fn sync_dir(dir: &Path) -> SnbResult<()> {
+    // Only Unix lets a directory be opened and fsynced as a file.
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
+}
+
 /// Reads only the header of `dir`'s image. `Ok(None)` when no image
 /// exists; a present-but-corrupt header is a hard error.
 pub fn image_info(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<ImageHeader>> {
@@ -234,7 +260,12 @@ pub fn peek_header(bytes: &[u8], scale: &str, seed: u64) -> SnbResult<ImageHeade
 
 /// Verifies and decodes a complete image byte buffer (a local file or a
 /// shipped bootstrap blob) into a store plus its header.
-pub fn decode_image(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<(Store, ImageHeader)> {
+pub fn decode_image(
+    bytes: &[u8],
+    scale: &str,
+    seed: u64,
+    path: &Path,
+) -> SnbResult<(Store, ImageHeader)> {
     let (off, header) = decode_header(bytes, scale, seed, path)?;
     let body = &bytes[off..];
     if body.len() as u64 != header.body_len {
@@ -262,8 +293,9 @@ pub fn load_image(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<(Store
 }
 
 /// Persists a shipped image blob into `dir` (atomic, like
-/// [`write_image`]) after verifying it decodes — the follower bootstrap
-/// landing step. Returns the decoded store and header.
+/// [`write_image`], and like it not durable until `sync_dir`) after
+/// verifying it decodes — the follower bootstrap landing step. Returns
+/// the decoded store and header.
 pub fn install_image_bytes(
     dir: &Path,
     scale: &str,
@@ -288,8 +320,7 @@ mod tests {
     use snb_datagen::GeneratorConfig;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("snb-image-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("snb-image-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -361,31 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_write_fault_leaves_previous_image_intact() {
-        let dir = tmp_dir("torn");
-        let store = small_store();
-        write_image(&dir, "0.001", 7, 0, 5, 1, &store).unwrap();
-        snb_fault::arm(
-            "image.write.torn",
-            snb_fault::Fault { short_write: Some(100), ..Default::default() },
-            snb_fault::Trigger::OnHit(1),
-            0,
-        );
-        let err = write_image(&dir, "0.001", 7, 0, 6, 1, &store);
-        snb_fault::disarm_all();
-        assert!(err.is_err(), "torn write must surface an error");
-        // The previous image still loads at its original seq; the torn
-        // temp file is inert.
-        let (_, header) = load_image(&dir, "0.001", 7).unwrap().expect("previous image");
-        assert_eq!(header.seq, 5, "previous image must be untouched");
-        // And the next un-faulted write supersedes it atomically.
-        write_image(&dir, "0.001", 7, 0, 6, 1, &store).unwrap();
-        let (_, header) = load_image(&dir, "0.001", 7).unwrap().expect("new image");
-        assert_eq!(header.seq, 6);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn install_bytes_verifies_before_landing() {
         let dir = tmp_dir("install-src");
         let dst = tmp_dir("install-dst");
@@ -402,7 +408,11 @@ mod tests {
         bad[mid] ^= 0xff;
         let before = std::fs::read(dst.join(IMAGE_FILE)).unwrap();
         assert!(install_image_bytes(&dst, "0.001", 7, &bad).is_err());
-        assert_eq!(std::fs::read(dst.join(IMAGE_FILE)).unwrap(), before, "corrupt blob must not land");
+        assert_eq!(
+            std::fs::read(dst.join(IMAGE_FILE)).unwrap(),
+            before,
+            "corrupt blob must not land"
+        );
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dst);
     }

@@ -16,9 +16,9 @@
 //! - [`server`] — the service core: lane-classified admission, deadline
 //!   checks at dequeue and at completion, worker pool over
 //!   [`snb_engine::QueryContext`], a readiness-driven epoll reactor for
-//!   TCP (thread-per-connection off Linux) plus the in-process
-//!   transport, graceful drain-then-shutdown, and a concurrent-write
-//!   path for update-stream replay;
+//!   TCP (Linux only) plus the portable in-process transport, graceful
+//!   drain-then-shutdown, and a concurrent-write path for update-stream
+//!   replay;
 //! - [`log`] — the structured access log (query id, binding hash,
 //!   queue/exec split, outcome, optional per-request
 //!   [`snb_engine::QueryProfile`]).
@@ -55,7 +55,7 @@ pub use server::{
     ServiceReport, StoreWriter,
 };
 pub use wal::{
-    recover, Recovered, RecoveryReport, SegmentedWal, ShippedRecord, Wal, WalOptions, WalTailer,
+    recover, Recovered, RecoveryReport, SegmentedWal, ShippedRecord, WalOptions, WalTailer,
 };
 
 #[cfg(test)]

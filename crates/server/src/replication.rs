@@ -2,16 +2,22 @@
 //!
 //! A **primary** exposes a replication listener (a separate port from
 //! query traffic) and streams its acked WAL records — tail-read through
-//! [`crate::wal::WalTailer`], so compaction never disturbs the cursor —
-//! to any number of **followers**. A follower connects with
-//! [`ReplFrame::Hello`] carrying its applied high-water mark, replays
-//! the backlog through its own [`crate::server::ServerInner::submit_batch`]
-//! write path (same WAL append + apply + snapshot publication as a
-//! primary, so a follower's on-disk state is a primary's), and then
-//! applies the live tail as it arrives. Because apply goes through the
-//! seq-dedupe gate, delivery is at-least-once but application is
-//! exactly-once: a follower restart or a rewound cursor re-ships
-//! records that are simply re-acked as duplicates.
+//! [`crate::wal::WalTailer`] — to any number of **followers**. A
+//! follower connects with [`ReplFrame::Hello`] carrying its applied
+//! high-water mark, replays the backlog through its own
+//! [`crate::server::ServerInner::submit_batch`] write path (same WAL
+//! append + apply + snapshot publication as a primary, so a follower's
+//! on-disk state is a primary's), and then applies the live tail as it
+//! arrives. Because apply goes through the seq-dedupe gate, delivery is
+//! at-least-once but application is exactly-once: a follower restart or
+//! a rewound cursor re-ships records that are simply re-acked as
+//! duplicates.
+//!
+//! The log reaches back only to the last compaction. A follower whose
+//! cursor is at or below the store image's sequence number — cold, or
+//! lapped by a compaction while subscribed — is sent the image
+//! ([`ReplFrame::ImageOffer`] + chunks), installs it, and tails from
+//! its sequence.
 //!
 //! **Staleness contract.** Followers serve reads lock-free from their
 //! published snapshots; every response carries `applied_seq`, and a
@@ -494,6 +500,13 @@ fn announce_once(addr: &str, frame: &[u8]) -> std::io::Result<()> {
 /// shipper's current epoch. Exits on any write failure (dead peer),
 /// when the node is fenced (a stale term must stop shipping), or when
 /// the server stops accepting.
+///
+/// The log does not reach back past the store image, so one rule
+/// covers cold and lapped subscribers alike: whenever the cursor's
+/// `next_seq` is at or below the on-disk image's sequence number — at
+/// subscribe time, or because a compaction truncated records the cursor
+/// had not read yet — the subscriber is offered the image and the
+/// cursor restarts from the image's sequence.
 fn ship_loop(
     inner: &Arc<ServerInner>,
     stream: &mut TcpStream,
@@ -501,16 +514,13 @@ fn ship_loop(
     from_seq: u64,
     group_commit: bool,
 ) {
-    // Cold (or far-behind) subscriber with a store image on disk:
-    // ship the image first and tail from its sequence instead of
-    // replaying the whole history — the snapshot log behind the image
-    // has been truncated, so the log alone can't reach back that far.
-    let from_seq = match ship_image(inner, stream, config, from_seq) {
-        Some(seq) => seq,
-        None => return, // dead peer mid-bootstrap
+    let tailer_from = |seq: u64| {
+        WalTailer::new(&config.wal_dir, &config.scale, config.seed, config.partitions, seq)
     };
-    let mut tailer =
-        WalTailer::new(&config.wal_dir, &config.scale, config.seed, config.partitions, from_seq);
+    let Some(from_seq) = ship_image(inner, stream, config, from_seq) else {
+        return; // dead peer mid-bootstrap
+    };
+    let mut tailer = tailer_from(from_seq);
     // The backlog target is pinned at subscribe time: once the cursor
     // passes it, the follower has everything that predated its Hello
     // and `CaughtUp` marks the live edge.
@@ -547,6 +557,20 @@ fn ship_loop(
             }
             last_beat = Instant::now();
         }
+        if idle && tailer.next_seq() <= bound {
+            // Acked records the segments no longer yield: a compaction
+            // truncated them, and the image that covers them is on disk.
+            let behind = tailer.next_seq() - 1;
+            match ship_image(inner, stream, config, behind) {
+                Some(seq) if seq > behind => {
+                    tailer = tailer_from(seq);
+                    last_beat = Instant::now();
+                    continue;
+                }
+                Some(_) => {}
+                None => return,
+            }
+        }
         if !caught_up_sent && tailer.next_seq() > target {
             let through_seq = tailer.next_seq() - 1;
             if write_frame(stream, &encode_repl(&ReplFrame::CaughtUp { through_seq })).is_err() {
@@ -569,7 +593,8 @@ fn ship_loop(
 }
 
 /// Offers this node's store image to a subscriber whose `from_seq`
-/// predates it: the raw file bytes go out as one
+/// predates it (the segments no longer hold the records in between):
+/// the raw file bytes go out as one
 /// [`ReplFrame::ImageOffer`] followed by in-order
 /// [`ReplFrame::ImageChunk`]s. Returns the sequence to tail records
 /// from — the image's if one was shipped, the subscriber's own

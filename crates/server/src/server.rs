@@ -145,9 +145,8 @@ pub struct ServerConfig {
     pub threads_per_worker: usize,
     /// Close a TCP connection that makes no read progress for this long
     /// (slowloris protection: a half-open or stalled client must not pin
-    /// a thread-per-connection handler forever). `None` disables the
-    /// idle check. Stalled closes are logged with outcome
-    /// `conn_stalled`.
+    /// its fd and buffer forever). `None` disables the idle check.
+    /// Stalled closes are logged with outcome `conn_stalled`.
     pub conn_read_timeout: Option<Duration>,
     /// Horizontal partition count: the store is wrapped in a
     /// [`PartitionedStore`] with this many shards, worker
@@ -1145,20 +1144,17 @@ impl ServerInner {
                     }
                     self.note_flushed(state.wal.last_seq());
                 }
-                // Rotation failure is not fatal: the live WAL keeps
-                // growing and recovery still replays everything.
-                match state.wal.maybe_snapshot() {
-                    Ok(rotated) => {
-                        if rotated && group {
-                            // Compaction sealed every segment first.
-                            self.note_flushed(state.wal.last_seq());
+                // The durability lock is held, so the published store is
+                // exactly the state at `batch.seq`. A failed compaction
+                // is not fatal: the segments still hold every record and
+                // the next append retries.
+                if state.wal.compaction_due() {
+                    match state.wal.compact(self.store.snapshot().store()) {
+                        // The image covers every append so far.
+                        Ok(()) => self.note_flushed(batch.seq),
+                        Err(_) => {
+                            self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
                         }
-                        if rotated && state.wal.options().image {
-                            self.write_store_image(&mut state, batch.seq);
-                        }
-                    }
-                    Err(_) => {
-                        self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 drop(state);
@@ -1200,36 +1196,9 @@ impl ServerInner {
         }
     }
 
-    /// Writes a store image at a compaction point. Called under the
-    /// durability lock right after `maybe_snapshot` rotated, so the
-    /// published store is exactly the state at `seq` (no other writer
-    /// can publish while the lock is held) and the just-compacted
-    /// `snapshot.log` is fully covered by the image — it gets truncated
-    /// behind it. Failure is non-fatal: the log-only layout remains
-    /// complete and recovery still replays everything.
-    fn write_store_image(&self, state: &mut DurableState, seq: u64) {
-        let snapshot = self.store.snapshot();
-        let store: &Store = snapshot.store();
-        let (dir, scale, seed) =
-            (state.wal.dir().to_path_buf(), state.wal.scale().to_string(), state.wal.seed());
-        let result = crate::image::write_image(
-            &dir,
-            &scale,
-            seed,
-            state.wal.epoch(),
-            seq,
-            state.wal.segment_count(),
-            store,
-        )
-        .and_then(|_| state.wal.reset_snapshot_log());
-        if result.is_err() {
-            self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Installs a shipped store image (follower bootstrap): verifies and
-    /// persists the blob into the WAL directory, resets the log behind
-    /// it (every held record is at or below the image's sequence), and
+    /// Installs a shipped store image (follower bootstrap): lands the
+    /// blob as the WAL directory's image, truncates the log behind it
+    /// (every held record is at or below the image's sequence), and
     /// publishes the decoded store wholesale. After this the node
     /// resumes applying shipped records from `header.seq + 1`.
     pub(crate) fn install_image(&self, bytes: &[u8]) -> SnbResult<crate::image::ImageHeader> {
@@ -1239,21 +1208,7 @@ impl ServerInner {
             ));
         };
         let mut state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let dir = state.wal.dir().to_path_buf();
-        let scale = state.wal.scale().to_string();
-        let seed = state.wal.seed();
-        // Land the image atomically first: a crash between this and the
-        // WAL reset recovers image + stale log records, all of which
-        // dedupe away (every held seq <= image seq).
-        let (store, header) = crate::image::install_image_bytes(&dir, &scale, seed, bytes)?;
-        if header.seq < self.applied_seq() {
-            return Err(SnbError::Config(format!(
-                "refusing image at seq {} older than applied seq {}",
-                header.seq,
-                self.applied_seq()
-            )));
-        }
-        state.wal.reset_for_image(header.seq, header.epoch)?;
+        let (store, header) = state.wal.install_image(bytes)?;
         let parts = self.store.snapshot().store().partitions();
         self.store.publish_with(|next| {
             *next = PartitionedStore::new(store, parts);
@@ -1598,7 +1553,6 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
     write_workers: Vec<std::thread::JoinHandle<()>>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     local_addr: Option<SocketAddr>,
 }
 
@@ -1702,66 +1656,40 @@ impl Server {
                 })
             })
             .collect();
-        Server {
-            inner,
-            workers,
-            write_workers,
-            acceptor: None,
-            connections: Arc::new(Mutex::new(Vec::new())),
-            local_addr: None,
-        }
+        Server { inner, workers, write_workers, acceptor: None, local_addr: None }
     }
 
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts accepting connections; returns the bound address.
     ///
-    /// On Linux the transport is a readiness-driven reactor: a single
-    /// thread `epoll_wait`s on the listener plus every connection, so
-    /// an idle connection costs one registered fd and a buffer rather
-    /// than an OS thread — the property that lets `service_load
-    /// --sweep` hold a thousand connections open against a fixed
-    /// thread count. Elsewhere it falls back to thread-per-connection.
+    /// The transport is a readiness-driven reactor: a single thread
+    /// `epoll_wait`s on the listener plus every connection, so an idle
+    /// connection costs one registered fd and a buffer rather than an
+    /// OS thread — the property that lets `service_load --sweep` hold a
+    /// thousand connections open against a fixed thread count. epoll is
+    /// Linux-only: elsewhere this returns
+    /// [`std::io::ErrorKind::Unsupported`] and the in-process transport
+    /// ([`Server::client`]) is the way in.
+    #[cfg(target_os = "linux")]
     pub fn listen(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         self.local_addr = Some(local);
         let inner = Arc::clone(&self.inner);
-        #[cfg(target_os = "linux")]
-        {
-            let poller = crate::reactor::Poller::new()?;
-            self.acceptor =
-                Some(std::thread::spawn(move || reactor_loop(&inner, listener, poller)));
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let connections = Arc::clone(&self.connections);
-            self.acceptor = Some(std::thread::spawn(move || {
-                while inner.accepting.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            inner.counters.conn_accepted.fetch_add(1, Ordering::Relaxed);
-                            let inner = Arc::clone(&inner);
-                            let handle =
-                                std::thread::spawn(move || connection_loop(&inner, stream));
-                            let mut conns = connections
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            conns.push(handle);
-                            inner
-                                .counters
-                                .conn_peak
-                                .fetch_max(conns.len() as u64, Ordering::Relaxed);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }));
-        }
+        let poller = crate::reactor::Poller::new()?;
+        self.acceptor = Some(std::thread::spawn(move || reactor_loop(&inner, listener, poller)));
         Ok(local)
+    }
+
+    /// See the Linux build's documentation: there is no TCP transport
+    /// without epoll.
+    #[cfg(not(target_os = "linux"))]
+    pub fn listen(&mut self, _addr: &str) -> std::io::Result<SocketAddr> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the TCP transport needs epoll (Linux); use the in-process client",
+        ))
     }
 
     /// The bound TCP address, when listening.
@@ -1906,12 +1834,6 @@ impl Server {
         }
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
-        }
-        let handles: Vec<_> = std::mem::take(
-            &mut *self.connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        for h in handles {
-            let _ = h.join();
         }
         // Seal the WAL: any fsync-batched tail becomes durable before
         // the process exits.
@@ -2101,95 +2023,6 @@ fn reactor_loop(
                     profile: None,
                 });
             }
-        }
-    }
-}
-
-/// Reads frames off one TCP connection and admits them (the non-Linux
-/// fallback transport — one thread per connection). The read half uses
-/// a timeout poll so the thread notices shutdown; the write half is
-/// shared (behind a mutex) with the workers answering this
-/// connection's requests, so responses may interleave in completion
-/// order — clients match on the correlation id.
-#[cfg(not(target_os = "linux"))]
-fn connection_loop(inner: &Arc<ServerInner>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    // A stalled peer must not pin the shared write half either: a full
-    // socket buffer on a dead client fails the write instead of
-    // blocking a worker forever.
-    let _ = stream.set_write_timeout(inner.config.conn_read_timeout);
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 16 * 1024];
-    let mut last_progress = Instant::now();
-    loop {
-        loop {
-            match proto::take_frame(&mut buf) {
-                // Decode happens on a lane worker: this thread only peeks
-                // the fixed header for routing.
-                Ok(Some(payload)) => {
-                    inner.admit_frame(payload, Responder::Tcp(Arc::clone(&writer)));
-                }
-                Ok(None) => break,
-                // Unrecoverable framing violation: drop the connection.
-                Err(_) => return,
-            }
-        }
-        if let Some(fault) = snb_fault::check("conn.read.stall") {
-            // Simulates a handler wedged in the read path (the hazard
-            // the idle deadline exists for).
-            fault.trip("conn.read.stall");
-        }
-        match reader.read(&mut tmp) {
-            Ok(0) => return,
-            Ok(n) => {
-                if snb_fault::partition_active() {
-                    // Black-holed: the peer's bytes vanish in transit —
-                    // no decode, no response, and the socket stays open.
-                    buf.clear();
-                    last_progress = Instant::now();
-                    continue;
-                }
-                buf.extend_from_slice(&tmp[..n]);
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if !inner.accepting.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(limit) = inner.config.conn_read_timeout {
-                    if last_progress.elapsed() > limit {
-                        // Slowloris / half-open peer: close with a typed
-                        // outcome instead of pinning this thread.
-                        inner.counters.conn_stalled.fetch_add(1, Ordering::Relaxed);
-                        inner.log.push(AccessRecord {
-                            seq: inner.log.next_seq(),
-                            workload: "",
-                            query: 0,
-                            binding_hash: 0,
-                            lane: "",
-                            queue_us: limit.as_micros() as u64,
-                            exec_us: 0,
-                            outcome: "conn_stalled",
-                            rows: 0,
-                            fingerprint: 0,
-                            store_version: inner.store.version(),
-                            snapshot_age_us: 0,
-                            profile: None,
-                        });
-                        return;
-                    }
-                }
-            }
-            Err(_) => return,
         }
     }
 }

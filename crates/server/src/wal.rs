@@ -1,30 +1,32 @@
-//! Write-ahead log and snapshot recovery for the update-stream write
+//! Write-ahead log, compaction and recovery for the update-stream write
 //! path.
 //!
 //! ## Durability contract
 //!
 //! Every accepted write batch is serialised (via [`crate::events`]),
-//! appended to `wal.log`, and flushed *before* it is applied to the
-//! in-memory store and acknowledged. An acknowledged batch therefore
+//! appended to its log segment, and flushed *before* it is applied to
+//! the in-memory store and acknowledged. An acknowledged batch therefore
 //! survives a SIGKILL at any instruction (with `fsync_every = 1`; larger
 //! values batch the fsync and weaken the contract to "survives process
 //! death but not power loss", which the service benchmark records as the
 //! cheap mode).
 //!
+//! A WAL directory holds exactly two kinds of file: the log segments
+//! (`wal*.log`) and at most one store image (`store.img`, see
+//! [`crate::image`]).
+//!
 //! ## Segments
 //!
-//! With `partitions = N > 1` the live log is split into per-partition
+//! With `partitions = N > 1` the log is split into per-partition
 //! **segments** `wal-0.log … wal-{N-1}.log`; a batch is routed to the
 //! segment of [`crate::events::route_key`]'s owning shard
-//! ([`snb_store::partition_of_raw`]). Sequence numbers stay globally
-//! contiguous across segments — the order of record *within* the whole
-//! log is the sequence number, not file position — so recovery scans
-//! every segment (truncating each torn tail independently), merges the
-//! entries by `seq`, and replays them in one monotonic pass: shards
-//! recover independently but converge to the identical store. The
-//! compaction snapshot stays a single file holding the seq-merged view
-//! of all segments. With `partitions = 1` the layout is byte-identical
-//! to the original single `wal.log`.
+//! ([`snb_store::partition_of_raw`]). With `partitions = 1` the single
+//! segment is `wal.log`. Sequence numbers stay globally contiguous
+//! across segments — the order of records *within* the whole log is the
+//! sequence number, not file position — so recovery scans every segment
+//! (truncating each torn tail independently), merges the entries by
+//! `seq`, and replays them in one monotonic pass: shards recover
+//! independently but converge to the identical store.
 //!
 //! ## Group commit
 //!
@@ -37,13 +39,13 @@
 //!
 //! ## File format
 //!
-//! Both `wal.log` and `snapshot.log` start with an 8-byte magic, the
-//! scale name (`u16`-length string), the generator seed (`u64`) and the
-//! **fencing epoch** (`u64`) — scale and seed name the deterministic
-//! bulk image the log is relative to, and the epoch is the replication
-//! term the node last served under ([`SegmentedWal::bump_epoch`] is
-//! called on promotion, before the node goes writable, so a restarted
-//! ex-primary recovers the term it was fenced at). Each record is:
+//! A segment starts with an 8-byte magic, the scale name (`u16`-length
+//! string), the generator seed (`u64`) and the **fencing epoch** (`u64`)
+//! — scale and seed name the deterministic bulk store the log is
+//! relative to, and the epoch is the replication term the node last
+//! served under ([`SegmentedWal::bump_epoch`] is called on promotion,
+//! before the node goes writable, so a restarted ex-primary recovers the
+//! term it was fenced at). Each record is:
 //!
 //! ```text
 //! [u32 payload_len][u64 fnv64(payload)][payload]
@@ -56,15 +58,30 @@
 //! acknowledged, so dropping it is correct, and the retrying client will
 //! re-submit it.
 //!
-//! ## Snapshots
+//! ## Compaction
 //!
-//! A "snapshot" here is log compaction, not a serialised store image:
-//! `snapshot.log` absorbs the live WAL's records (atomic
-//! write-temp + fsync + rename), after which `wal.log` is reset to a bare
-//! header. This bounds the live WAL — the file an append must seek past
-//! and the only region where torn records can appear — while keeping
-//! replay byte-exact: recovery rebuilds the bulk store from (scale,
-//! seed), replays `snapshot.log`, then the `wal.log` tail, through the
+//! Once the segments jointly hold `snapshot_every` records
+//! ([`SegmentedWal::compaction_due`]), [`SegmentedWal::compact`] writes
+//! the store as it stands at the log's last sequence number to
+//! `store.img` and then truncates every segment to a bare header. Both
+//! the cost of a compaction and the cost of the recovery after it are
+//! bounded by live-data size, not by history length. The order is what
+//! makes it crash-safe:
+//!
+//! 1. the image lands (temp file + fsync + rename),
+//! 2. the directory is fsynced, so the rename itself is durable,
+//! 3. the segments are truncated.
+//!
+//! A crash after 1 or 2 leaves the image beside segments whose records
+//! are all at or below the image's sequence number; recovery skips them
+//! by sequence, so nothing is applied twice. A crash during 3 leaves
+//! some segments truncated, which is the same case. An image write that
+//! fails leaves the segments untouched: the log keeps growing and the
+//! next append retries.
+//!
+//! Recovery is one pass: start from the image if there is one, else from
+//! the deterministic bulk store for (scale, seed); then replay the
+//! seq-merged segment records past the starting sequence through the
 //! *same* `apply_event`/`apply_deletes` path the original writes took.
 //!
 //! Fault points: `wal.append.short_write` (torn write at append),
@@ -80,13 +97,11 @@ use snb_datagen::GeneratorConfig;
 use snb_store::Store;
 
 use crate::events::{decode_write_ops, encode_write_ops};
+use crate::image::ImageHeader;
 use crate::proto::{put_str, put_u64, put_u8, Reader, WriteOps};
 
 const WAL_MAGIC: &[u8; 8] = b"SNBWAL1\n";
-const SNAP_MAGIC: &[u8; 8] = b"SNBSNAP\n";
 const WAL_FILE: &str = "wal.log";
-const SNAP_FILE: &str = "snapshot.log";
-const SNAP_TMP: &str = "snapshot.tmp";
 
 /// FNV-1a 64-bit over a byte slice — the per-record checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
@@ -106,40 +121,26 @@ pub struct WalOptions {
     /// the flush (still `write(2)`-complete before the ack, so a plain
     /// process kill loses nothing the page cache survives).
     pub fsync_every: u64,
-    /// Compact the live WAL into the snapshot once it holds this many
-    /// records. `0` disables rotation.
+    /// Write a store image and truncate the segments once the log holds
+    /// this many records. `0` = never compact.
     pub snapshot_every: u64,
-    /// Number of per-partition WAL segments (`0`/`1` = the classic
-    /// single `wal.log`). Must match the directory's existing layout.
+    /// Number of per-partition WAL segments (`0`/`1` = the single
+    /// `wal.log`). Must match the directory's existing layout.
     pub partitions: usize,
     /// Defer per-append fsyncs to explicit [`SegmentedWal::sync_all`]
     /// calls so the server can share one flush across many concurrent
-    /// acknowledgements. Off, appends sync per `fsync_every` exactly as
-    /// before.
+    /// acknowledgements. Off, appends sync per `fsync_every`.
     pub group_commit: bool,
-    /// Write a store image (`store.img`, see [`crate::image`]) at every
-    /// compaction point and truncate `snapshot.log` behind it, so
-    /// recovery cost is bounded by live-data size instead of history
-    /// length. Off by default: the classic log-only layout (recovery
-    /// replays full history) is unchanged, and any *existing* image in
-    /// the directory is still used by [`recover`].
-    pub image: bool,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions {
-            fsync_every: 1,
-            snapshot_every: 4096,
-            partitions: 1,
-            group_commit: false,
-            image: false,
-        }
+        WalOptions { fsync_every: 1, snapshot_every: 4096, partitions: 1, group_commit: false }
     }
 }
 
-/// The live-log file name of segment `p` under `parts` partitions: the
-/// classic `wal.log` single-segment layout, or `wal-{p}.log`.
+/// The file name of segment `p` under `parts` partitions: `wal.log` for
+/// the single-segment layout, else `wal-{p}.log`.
 fn segment_file(p: usize, parts: usize) -> String {
     if parts <= 1 {
         WAL_FILE.to_string()
@@ -161,22 +162,23 @@ pub struct WalEntry {
 /// and asserted on by the chaos tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Records replayed from `snapshot.log`.
-    pub snapshot_entries: u64,
-    /// Records replayed from the live `wal.log`.
+    /// Valid records found in the segments. Includes records at or
+    /// below `image_seq` (a crash between "image landed" and "segments
+    /// truncated" leaves them behind); those are scanned, not applied.
     pub wal_entries: u64,
-    /// Bytes cut from the WAL tail (torn or checksum-failed records).
+    /// Bytes cut from segment tails (torn or checksum-failed records).
     pub truncated_bytes: u64,
     /// Highest batch sequence number recovered; the server resumes
     /// deduplication from here.
     pub last_seq: u64,
-    /// Recovery wall-clock, microseconds (store rebuild + replay) —
-    /// the baseline a replication catch-up is measured against.
+    /// Recovery wall-clock, microseconds (image load or bulk rebuild,
+    /// plus replay) — the baseline a replication catch-up is measured
+    /// against.
     pub recovery_us: u64,
-    /// Fencing epoch recovered from the log headers (the maximum across
-    /// the snapshot and every segment — a crash mid-[`SegmentedWal::
-    /// bump_epoch`] may leave mixed headers, and the bumped value must
-    /// win to keep the term monotonic).
+    /// Fencing epoch recovered: the maximum across the image and every
+    /// segment header — a crash mid-[`SegmentedWal::bump_epoch`] may
+    /// leave mixed headers, and the bumped value must win to keep the
+    /// term monotonic.
     pub epoch: u64,
     /// Sequence number of the store image recovery started from (0 when
     /// no image was found and the bulk store was rebuilt from scratch).
@@ -184,73 +186,38 @@ pub struct RecoveryReport {
     /// Wall-clock microseconds spent loading and decoding the store
     /// image (0 when no image was used).
     pub image_us: u64,
-    /// Records actually applied on top of the starting point (image or
-    /// bulk rebuild). Without an image this equals [`RecoveryReport::
-    /// replayed`]; with one, scanned-but-stale records (`seq <=
-    /// image_seq`, e.g. a `snapshot.log` not yet truncated behind the
-    /// image) are counted by `snapshot_entries`/`wal_entries` but not
-    /// here.
+    /// Records applied on top of the starting point (image or bulk
+    /// rebuild): the segment records with `seq > image_seq`.
     pub tail_replayed: u64,
-}
-
-impl RecoveryReport {
-    /// Total records replayed through the real apply path (snapshot
-    /// plus live WAL tail).
-    pub fn replayed(&self) -> u64 {
-        self.snapshot_entries + self.wal_entries
-    }
-}
-
-/// An append-only write-ahead log rooted at a directory — one segment
-/// file. [`SegmentedWal`] composes several under a global sequence.
-pub struct Wal {
-    dir: PathBuf,
-    file_name: String,
-    file: File,
-    options: WalOptions,
-    scale: String,
-    seed: u64,
-    live_entries: u64,
-    appends_since_sync: u64,
-    last_seq: u64,
-    /// Fencing epoch recorded in this segment's header.
-    epoch: u64,
-    /// Set after a failed (torn) append: the file tail is garbage, so
-    /// further appends must be refused until restart-and-recover.
-    broken: bool,
 }
 
 fn parse_err(context: &str, detail: impl Into<String>) -> SnbError {
     SnbError::Parse { context: context.to_string(), detail: detail.into() }
 }
 
-fn write_header(buf: &mut Vec<u8>, magic: &[u8; 8], scale: &str, seed: u64, epoch: u64) {
-    buf.extend_from_slice(magic);
-    put_str(buf, scale);
-    put_u64(buf, seed);
-    put_u64(buf, epoch);
+fn segment_header(scale: &str, seed: u64, epoch: u64) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + 2 + scale.len() + 16);
+    buf.extend_from_slice(WAL_MAGIC);
+    put_str(&mut buf, scale);
+    put_u64(&mut buf, seed);
+    put_u64(&mut buf, epoch);
+    buf
 }
 
-/// Byte offset of the `u64` epoch field inside a log header — fixed
+/// Byte offset of the `u64` epoch field inside a segment header — fixed
 /// once the scale name is known, so [`SegmentedWal::bump_epoch`] can
 /// overwrite it in place without rewriting the log.
 fn header_epoch_offset(scale: &str) -> u64 {
     (8 + 2 + scale.len() + 8) as u64
 }
 
-/// Reads and validates a log header; returns the offset of the first
-/// record and the fencing epoch the header carries. Scale and seed are
-/// match requirements (a log for a different world must not replay);
-/// the epoch is data — recovery takes the maximum it sees.
-fn check_header(
-    bytes: &[u8],
-    magic: &[u8; 8],
-    scale: &str,
-    seed: u64,
-    path: &Path,
-) -> SnbResult<(usize, u64)> {
+/// Reads and validates a segment header; returns the offset of the
+/// first record and the fencing epoch the header carries. Scale and
+/// seed are match requirements (a log for a different world must not
+/// replay); the epoch is data — recovery takes the maximum it sees.
+fn check_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<(usize, u64)> {
     let ctx = path.display().to_string();
-    if bytes.len() < 8 || &bytes[..8] != magic {
+    if bytes.len() < 8 || &bytes[..8] != WAL_MAGIC {
         return Err(parse_err(&ctx, "bad or missing log magic"));
     }
     let mut r = Reader::new(&bytes[8..]);
@@ -269,19 +236,13 @@ fn check_header(
     Ok((8 + r.pos(), epoch))
 }
 
-/// Scans records from `bytes[offset..]`. Returns the parsed entries plus
-/// the offset one past the last *valid* record — anything beyond it is a
+/// Scans records from `bytes[offset..]`. Returns each parsed entry with
+/// the byte offset its record starts at (recovery truncates a segment
+/// mid-file when a global sequence gap invalidates a suffix), plus the
+/// offset one past the last *valid* record — anything beyond it is a
 /// torn tail (incomplete length/checksum/payload, or a checksum
 /// mismatch) that the caller should truncate away.
-fn scan_records(bytes: &[u8], offset: usize, ctx: &str) -> SnbResult<(Vec<WalEntry>, usize)> {
-    let (located, valid_end) = scan_records_located(bytes, offset, ctx)?;
-    Ok((located.into_iter().map(|(_, e)| e).collect(), valid_end))
-}
-
-/// [`scan_records`], but each entry carries the byte offset its record
-/// starts at — recovery needs it to truncate a segment mid-file when a
-/// global sequence gap invalidates a suffix.
-fn scan_records_located(
+fn scan_records(
     bytes: &[u8],
     mut offset: usize,
     ctx: &str,
@@ -331,84 +292,49 @@ fn encode_record(seq: u64, ops: &WriteOps) -> Vec<u8> {
     record
 }
 
-impl Wal {
-    /// Opens (or creates) the live WAL under `dir` for appending. The
-    /// header must match `(scale, seed)`; recovery is the caller's job —
-    /// this is the post-recovery append handle.
-    pub fn open(
-        dir: &Path,
-        scale: &str,
-        seed: u64,
-        options: WalOptions,
-        last_seq: u64,
-        live_entries: u64,
-    ) -> SnbResult<Wal> {
-        Wal::open_segment(dir, WAL_FILE, scale, seed, options, last_seq, live_entries, 0)
-    }
+fn broken_log_error() -> SnbError {
+    SnbError::Io(std::io::Error::other(
+        "WAL has a torn tail from a failed append; restart to recover",
+    ))
+}
 
-    /// Opens one named segment file (see [`segment_file`]). A fresh
-    /// file is created at `epoch`; an existing file keeps the epoch its
-    /// header carries (the param is a creation default, not a match
+/// One segment file of the log, open for appending.
+struct Segment {
+    path: PathBuf,
+    file: File,
+    /// Appends since this segment's last fsync (non-zero = dirty).
+    appends_since_sync: u64,
+    /// Set after a failed (torn) append: the file tail is garbage, so
+    /// further appends must be refused until restart-and-recover.
+    broken: bool,
+}
+
+impl Segment {
+    /// Opens (or creates) one segment file. A fresh file is created at
+    /// `epoch`; an existing file keeps the epoch its header carries,
+    /// which is returned (the param is a creation default, not a match
     /// requirement).
-    #[allow(clippy::too_many_arguments)]
-    fn open_segment(
-        dir: &Path,
-        file_name: &str,
-        scale: &str,
-        seed: u64,
-        options: WalOptions,
-        last_seq: u64,
-        live_entries: u64,
-        epoch: u64,
-    ) -> SnbResult<Wal> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(file_name);
+    fn open(path: PathBuf, scale: &str, seed: u64, epoch: u64) -> SnbResult<(Segment, u64)> {
         let fresh = !path.exists();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let mut epoch = epoch;
         if fresh {
-            let mut header = Vec::new();
-            write_header(&mut header, WAL_MAGIC, scale, seed, epoch);
-            file.write_all(&header)?;
+            file.write_all(&segment_header(scale, seed, epoch))?;
             file.sync_data()?;
         } else {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
-            let (_, stored) = check_header(&bytes, WAL_MAGIC, scale, seed, &path)?;
-            epoch = stored;
+            (_, epoch) = check_header(&bytes, scale, seed, &path)?;
             file.seek(SeekFrom::End(0))?;
         }
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            file_name: file_name.to_string(),
-            file,
-            options,
-            scale: scale.to_string(),
-            seed,
-            live_entries,
-            appends_since_sync: 0,
-            last_seq,
-            epoch,
-            broken: false,
-        })
-    }
-
-    /// Highest sequence number durably appended.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
-
-    fn path(&self) -> PathBuf {
-        self.dir.join(&self.file_name)
+        Ok((Segment { path, file, appends_since_sync: 0, broken: false }, epoch))
     }
 
     /// Writes one encoded record to the segment file, honouring the
     /// short-write fault point. No fsync — the caller owns the policy.
     fn write_record(&mut self, record: &[u8]) -> SnbResult<()> {
         if self.broken {
-            return Err(SnbError::Io(std::io::Error::other(
-                "WAL has a torn tail from a failed append; restart to recover",
-            )));
+            return Err(broken_log_error());
         }
         if let Some(fault) = snb_fault::check("wal.append.short_write") {
             let n = fault.short_write.unwrap_or(0).min(record.len());
@@ -421,11 +347,11 @@ impl Wal {
             )));
         }
         if let Err(e) = self.file.write_all(record) {
-            // The record may be partially on disk: a torn tail. Refuse
-            // further appends until restart-and-recover truncates it.
+            // The record may be partially on disk: a torn tail.
             self.broken = true;
             return Err(e.into());
         }
+        self.appends_since_sync += 1;
         Ok(())
     }
 
@@ -439,92 +365,15 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the segment back to a bare header (post-compaction).
-    fn reset_to_header(&mut self) -> SnbResult<()> {
-        // set_len + seek keeps the same append handle valid.
-        let mut header = Vec::new();
-        write_header(&mut header, WAL_MAGIC, &self.scale, self.seed, self.epoch);
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&header)?;
-        self.file.sync_data()?;
-        self.live_entries = 0;
-        self.appends_since_sync = 0;
-        Ok(())
-    }
-
-    /// Appends one batch and makes it durable per the fsync policy.
-    /// Returns only after the bytes are at least `write(2)`-complete; an
-    /// error means nothing may be acknowledged and the log must be
-    /// considered torn until restart.
-    pub fn append(&mut self, seq: u64, ops: &WriteOps) -> SnbResult<()> {
-        let record = encode_record(seq, ops);
-        self.write_record(&record)?;
-        self.appends_since_sync += 1;
-        if self.appends_since_sync >= self.options.fsync_every {
-            self.sync_data()?;
-        }
-        if let Some(fault) = snb_fault::check("wal.append.post_append") {
-            // The batch is durable but not yet applied or acknowledged —
-            // the recovery-vs-retry dedupe window the chaos test aims
-            // at. The log is marked broken so a still-running process
-            // cannot append the same sequence number a second time (the
-            // record IS on disk; a duplicate would replay twice).
-            if fault.trip("wal.append.post_append") {
-                self.broken = true;
-                return Err(SnbError::Io(std::io::Error::other(
-                    "injected post-append failure (batch is durable, ack lost)",
-                )));
-            }
-        }
-        self.live_entries += 1;
-        self.last_seq = seq;
-        Ok(())
-    }
-
-    /// Forces any batched writes to disk (shutdown seal).
-    pub fn sync(&mut self) -> SnbResult<()> {
+    /// Truncates the segment to its header (compaction). The header
+    /// bytes are never rewritten, so a crash at any point leaves a
+    /// segment recovery accepts.
+    fn truncate_to_header(&mut self, header_len: u64) -> SnbResult<()> {
+        // The append handle keeps writing at the new end of file.
+        self.file.set_len(header_len)?;
         self.file.sync_data()?;
         self.appends_since_sync = 0;
         Ok(())
-    }
-
-    /// Compacts the live WAL into `snapshot.log` when it has grown past
-    /// `snapshot_every` records. Returns whether a rotation happened.
-    ///
-    /// The rotation is crash-safe: the combined snapshot is written to a
-    /// temp file, fsynced, and renamed over `snapshot.log` before the
-    /// live WAL is reset — a kill anywhere leaves either the old
-    /// (snapshot, wal) pair or the new one, never a mix that loses
-    /// records.
-    pub fn maybe_snapshot(&mut self) -> SnbResult<bool> {
-        if self.options.snapshot_every == 0 || self.live_entries < self.options.snapshot_every {
-            return Ok(false);
-        }
-        self.sync()?;
-        let snap_path = self.dir.join(SNAP_FILE);
-        let tmp_path = self.dir.join(SNAP_TMP);
-
-        let mut combined = Vec::new();
-        write_header(&mut combined, SNAP_MAGIC, &self.scale, self.seed, self.epoch);
-        if snap_path.exists() {
-            let bytes = std::fs::read(&snap_path)?;
-            let (off, _) = check_header(&bytes, SNAP_MAGIC, &self.scale, self.seed, &snap_path)?;
-            combined.extend_from_slice(&bytes[off..]);
-        }
-        let wal_path = self.path();
-        let bytes = std::fs::read(&wal_path)?;
-        let (off, _) = check_header(&bytes, WAL_MAGIC, &self.scale, self.seed, &wal_path)?;
-        combined.extend_from_slice(&bytes[off..]);
-
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(&combined)?;
-        tmp.sync_data()?;
-        drop(tmp);
-        std::fs::rename(&tmp_path, &snap_path)?;
-
-        self.reset_to_header()?;
-        Ok(true)
     }
 }
 
@@ -567,21 +416,21 @@ fn guard_layout(dir: &Path, parts: usize) -> SnbResult<()> {
     Ok(())
 }
 
-/// N per-partition [`Wal`] segments composed under one global sequence —
-/// the server's append handle. Each batch is routed to its owning
-/// shard's segment ([`crate::events::route_key`] hashed with
+/// The write-ahead log: N per-partition segments under one global
+/// sequence — the server's append handle. Each batch is routed to its
+/// owning shard's segment ([`crate::events::route_key`] hashed with
 /// [`snb_store::partition_of_raw`]); the fsync policy, the group-commit
-/// deferral, and snapshot compaction are global across segments. With
-/// `partitions <= 1` this is exactly the classic single-file [`Wal`].
+/// deferral, and compaction are global across segments.
 pub struct SegmentedWal {
     dir: PathBuf,
     scale: String,
     seed: u64,
     options: WalOptions,
-    segments: Vec<Wal>,
+    segments: Vec<Segment>,
     last_seq: u64,
+    /// Records the segments hold (the compaction trigger).
     live_entries: u64,
-    appends_since_sync: u64,
+    /// Appends not yet covered by a flush.
     unsynced: u64,
     syncs: u64,
     /// Fencing epoch the log is at (max across segment headers and the
@@ -591,12 +440,13 @@ pub struct SegmentedWal {
 
 impl SegmentedWal {
     /// Opens (or creates) every segment under `dir` for appending.
-    /// `seg_live` carries recovery's per-segment live-record counts (a
-    /// missing entry means a fresh segment). `epoch` is a floor: fresh
-    /// segments are created at it, and the log's effective epoch is the
-    /// max of the floor and every stored header (a crash mid-bump may
-    /// leave mixed headers — the bumped value wins). Refuses a directory
-    /// laid out for a different partition count.
+    /// `seg_live` carries the live-record counts recovery found in the
+    /// segments (empty for a fresh log); their sum seeds the compaction
+    /// trigger. `epoch` is a floor: fresh segments are created at it,
+    /// and the log's effective epoch is the max of the floor and every
+    /// stored header (a crash mid-bump may leave mixed headers — the
+    /// bumped value wins). Refuses a directory laid out for a different
+    /// partition count.
     #[allow(clippy::too_many_arguments)]
     pub fn open(
         dir: &Path,
@@ -611,22 +461,11 @@ impl SegmentedWal {
         std::fs::create_dir_all(dir)?;
         guard_layout(dir, parts)?;
         let mut segments = Vec::with_capacity(parts);
-        let mut live_entries = 0u64;
         let mut max_epoch = epoch;
         for p in 0..parts {
-            let live = seg_live.get(p).copied().unwrap_or(0);
-            live_entries += live;
-            let seg = Wal::open_segment(
-                dir,
-                &segment_file(p, parts),
-                scale,
-                seed,
-                options,
-                last_seq,
-                live,
-                epoch,
-            )?;
-            max_epoch = max_epoch.max(seg.epoch);
+            let (seg, stored) =
+                Segment::open(dir.join(segment_file(p, parts)), scale, seed, epoch)?;
+            max_epoch = max_epoch.max(stored);
             segments.push(seg);
         }
         Ok(SegmentedWal {
@@ -636,8 +475,7 @@ impl SegmentedWal {
             options,
             segments,
             last_seq,
-            live_entries,
-            appends_since_sync: 0,
+            live_entries: seg_live.iter().sum(),
             unsynced: 0,
             syncs: 0,
             epoch: max_epoch,
@@ -655,81 +493,34 @@ impl SegmentedWal {
     }
 
     /// Durably raises the fencing epoch to `new_epoch`, overwriting the
-    /// 8-byte epoch field in every segment header (and the snapshot's,
-    /// if one exists) in place and fsyncing each file. Called on
-    /// promotion *before* the node goes writable, so a crash at any
-    /// point either leaves the old term (promotion never happened) or a
-    /// term at least as high as announced (recovery takes the max across
-    /// headers, so mixed headers resolve to the bumped value). A no-op
-    /// if the log is already at or past `new_epoch`.
+    /// 8-byte epoch field in every segment header in place and fsyncing
+    /// each file. Called on promotion *before* the node goes writable,
+    /// so a crash at any point either leaves the old term (promotion
+    /// never happened) or a term at least as high as announced (recovery
+    /// takes the max across headers, so mixed headers resolve to the
+    /// bumped value). Compaction rewrites the headers at the current
+    /// epoch and stamps it into the image, so the term survives it. A
+    /// no-op if the log is already at or past `new_epoch`.
     pub fn bump_epoch(&mut self, new_epoch: u64) -> SnbResult<()> {
         if new_epoch <= self.epoch {
             return Ok(());
         }
         let offset = header_epoch_offset(&self.scale);
-        let mut paths: Vec<PathBuf> = self.segments.iter().map(|s| s.path()).collect();
-        let snap_path = self.dir.join(SNAP_FILE);
-        if snap_path.exists() {
-            paths.push(snap_path);
-        }
-        for path in paths {
+        for seg in &self.segments {
             // The append handles ignore seeks, so patch the header
             // through a separate write-mode handle.
-            let mut f = OpenOptions::new().write(true).open(&path)?;
+            let mut f = OpenOptions::new().write(true).open(&seg.path)?;
             f.seek(SeekFrom::Start(offset))?;
             f.write_all(&new_epoch.to_le_bytes())?;
             f.sync_data()?;
-        }
-        for seg in &mut self.segments {
-            seg.epoch = new_epoch;
         }
         self.epoch = new_epoch;
         Ok(())
     }
 
-    /// Number of per-partition segment files.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// The options the log was opened with.
     pub fn options(&self) -> WalOptions {
         self.options
-    }
-
-    /// The directory the log (and any store image) lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The scale name the log's headers are bound to.
-    pub fn scale(&self) -> &str {
-        &self.scale
-    }
-
-    /// The generator seed the log's headers are bound to.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Truncates `snapshot.log` back to a bare header. Called after a
-    /// store image lands: the image supersedes the compacted history, so
-    /// keeping it would only make the next recovery scan-and-skip it. A
-    /// crash *before* this truncation is benign — recovery dedupes
-    /// every snapshot record at or below the image's sequence number.
-    pub fn reset_snapshot_log(&mut self) -> SnbResult<()> {
-        let snap_path = self.dir.join(SNAP_FILE);
-        if !snap_path.exists() {
-            return Ok(());
-        }
-        let mut header = Vec::new();
-        write_header(&mut header, SNAP_MAGIC, &self.scale, self.seed, self.epoch);
-        let mut f = OpenOptions::new().write(true).open(&snap_path)?;
-        f.set_len(0)?;
-        f.seek(SeekFrom::Start(0))?;
-        f.write_all(&header)?;
-        f.sync_data()?;
-        Ok(())
     }
 
     /// Total `fsync(2)` calls issued for appended records (the
@@ -748,29 +539,29 @@ impl SegmentedWal {
         self.segments.iter().any(|s| s.broken)
     }
 
-    /// Appends one batch to its owning shard's segment. In the default
-    /// mode the global fsync policy runs inline exactly as the
-    /// single-file [`Wal::append`] did; with `group_commit` the flush is
+    /// Appends one batch to its owning shard's segment and makes it
+    /// durable per the fsync policy. With `group_commit` the flush is
     /// deferred to [`SegmentedWal::sync_all`] and the caller must not
-    /// acknowledge until a covering flush has run.
+    /// acknowledge until a covering flush has run. An error means
+    /// nothing may be acknowledged and the log must be considered torn
+    /// until restart.
     pub fn append(&mut self, seq: u64, ops: &WriteOps) -> SnbResult<()> {
         if self.broken() {
-            return Err(SnbError::Io(std::io::Error::other(
-                "WAL has a torn tail from a failed append; restart to recover",
-            )));
+            return Err(broken_log_error());
         }
         let parts = self.segments.len();
         let p = snb_store::partition_of_raw(crate::events::route_key(ops), parts);
-        let record = encode_record(seq, ops);
-        self.segments[p].write_record(&record)?;
-        self.segments[p].appends_since_sync += 1;
-        self.appends_since_sync += 1;
+        self.segments[p].write_record(&encode_record(seq, ops))?;
         self.unsynced += 1;
-        if !self.options.group_commit && self.appends_since_sync >= self.options.fsync_every {
+        if !self.options.group_commit && self.unsynced >= self.options.fsync_every {
             self.sync_all()?;
         }
         if let Some(fault) = snb_fault::check("wal.append.post_append") {
-            // Durable but not applied/acknowledged — see [`Wal::append`].
+            // The batch is durable but not yet applied or acknowledged —
+            // the recovery-vs-retry dedupe window the chaos test aims
+            // at. The log is marked broken so a still-running process
+            // cannot append the same sequence number a second time (the
+            // record IS on disk; a duplicate would replay twice).
             if fault.trip("wal.append.post_append") {
                 self.segments[p].broken = true;
                 return Err(SnbError::Io(std::io::Error::other(
@@ -778,9 +569,6 @@ impl SegmentedWal {
                 )));
             }
         }
-        let seg = &mut self.segments[p];
-        seg.live_entries += 1;
-        seg.last_seq = seq;
         self.live_entries += 1;
         self.last_seq = seq;
         Ok(())
@@ -790,13 +578,12 @@ impl SegmentedWal {
     /// segments cost nothing. After it returns, every append so far is
     /// durable and may be acknowledged.
     pub fn sync_all(&mut self) -> SnbResult<()> {
-        for p in 0..self.segments.len() {
-            if self.segments[p].appends_since_sync > 0 {
-                self.segments[p].sync_data()?;
+        for seg in &mut self.segments {
+            if seg.appends_since_sync > 0 {
+                seg.sync_data()?;
                 self.syncs += 1;
             }
         }
-        self.appends_since_sync = 0;
         self.unsynced = 0;
         Ok(())
     }
@@ -804,84 +591,73 @@ impl SegmentedWal {
     /// Forces every segment to disk unconditionally (shutdown seal).
     pub fn sync(&mut self) -> SnbResult<()> {
         for seg in &mut self.segments {
-            seg.sync()?;
+            seg.file.sync_data()?;
+            seg.appends_since_sync = 0;
         }
-        self.appends_since_sync = 0;
         self.unsynced = 0;
         Ok(())
     }
 
-    /// Resets the whole log behind a freshly installed store image at
-    /// `image_seq` (follower bootstrap): every segment and the snapshot
-    /// drop to a bare header — each record they held is at or below the
-    /// image's sequence and superseded by it — the epoch is raised to
-    /// the image's, and appends resume from `image_seq`. Crash-safe in
-    /// either order with the image landing: image + stale records
-    /// recovers by dedupe, image + bare log recovers directly.
-    pub fn reset_for_image(&mut self, image_seq: u64, epoch: u64) -> SnbResult<()> {
-        self.bump_epoch(epoch)?;
-        for seg in &mut self.segments {
-            seg.reset_to_header()?;
-            seg.last_seq = image_seq;
+    /// Whether the segments hold enough records that the caller should
+    /// [`SegmentedWal::compact`] (never, with `snapshot_every = 0`).
+    pub fn compaction_due(&self) -> bool {
+        self.options.snapshot_every != 0 && self.live_entries >= self.options.snapshot_every
+    }
+
+    /// Compacts the log: writes `store` — which must be the state at
+    /// exactly [`SegmentedWal::last_seq`] — to `store.img`, makes the
+    /// rename durable, and only then truncates every segment (module
+    /// docs, "Compaction"). Afterwards every record appended so far is
+    /// durable, flushed or not. On error the segments are untouched and
+    /// still hold every record.
+    pub fn compact(&mut self, store: &Store) -> SnbResult<()> {
+        crate::image::write_image(
+            &self.dir,
+            &self.scale,
+            self.seed,
+            self.epoch,
+            self.last_seq,
+            self.segments.len(),
+            store,
+        )?;
+        crate::image::sync_dir(&self.dir)?;
+        self.truncate_behind_image(self.last_seq, self.epoch)
+    }
+
+    /// Installs a shipped store image (follower bootstrap): verifies and
+    /// lands the blob as this directory's `store.img`, then truncates
+    /// the segments behind it in the same order [`SegmentedWal::compact`]
+    /// uses. An image older than the log is refused. Appends resume
+    /// from the image's sequence.
+    pub fn install_image(&mut self, bytes: &[u8]) -> SnbResult<(Store, ImageHeader)> {
+        // Refuse before anything lands: behind an older image the
+        // records the segments hold would sit past a sequence gap.
+        let offered = crate::image::peek_header(bytes, &self.scale, self.seed)?;
+        if offered.seq < self.last_seq {
+            return Err(SnbError::Config(format!(
+                "refusing image at seq {} older than the log's seq {}",
+                offered.seq, self.last_seq
+            )));
         }
-        self.reset_snapshot_log()?;
+        let (store, header) =
+            crate::image::install_image_bytes(&self.dir, &self.scale, self.seed, bytes)?;
+        crate::image::sync_dir(&self.dir)?;
+        self.truncate_behind_image(header.seq, header.epoch)?;
+        Ok((store, header))
+    }
+
+    /// Truncates every segment to its header behind a durable image at
+    /// (`image_seq`, `epoch`) and resumes appends from `image_seq`.
+    fn truncate_behind_image(&mut self, image_seq: u64, epoch: u64) -> SnbResult<()> {
+        self.bump_epoch(epoch)?;
+        let header_len = header_epoch_offset(&self.scale) + 8;
+        for seg in &mut self.segments {
+            seg.truncate_to_header(header_len)?;
+        }
         self.last_seq = image_seq;
         self.live_entries = 0;
-        self.appends_since_sync = 0;
         self.unsynced = 0;
         Ok(())
-    }
-
-    /// Compacts all live segments into the single `snapshot.log` when
-    /// they jointly hold `snapshot_every` records. The combined snapshot
-    /// holds the **seq-merged** view of every segment — record order in
-    /// the snapshot is the global sequence order, not file position — so
-    /// replaying it is identical to replaying the segments themselves.
-    pub fn maybe_snapshot(&mut self) -> SnbResult<bool> {
-        if self.options.snapshot_every == 0 || self.live_entries < self.options.snapshot_every {
-            return Ok(false);
-        }
-        self.sync()?;
-        let snap_path = self.dir.join(SNAP_FILE);
-        let tmp_path = self.dir.join(SNAP_TMP);
-
-        let mut combined = Vec::new();
-        write_header(&mut combined, SNAP_MAGIC, &self.scale, self.seed, self.epoch);
-        if snap_path.exists() {
-            let bytes = std::fs::read(&snap_path)?;
-            let (off, _) = check_header(&bytes, SNAP_MAGIC, &self.scale, self.seed, &snap_path)?;
-            combined.extend_from_slice(&bytes[off..]);
-        }
-        let mut entries = Vec::new();
-        for seg in &self.segments {
-            let path = seg.path();
-            let bytes = std::fs::read(&path)?;
-            let (off, _) = check_header(&bytes, WAL_MAGIC, &self.scale, self.seed, &path)?;
-            let ctx = path.display().to_string();
-            let (seg_entries, valid_end) = scan_records(&bytes, off, &ctx)?;
-            if valid_end != bytes.len() {
-                return Err(parse_err(&ctx, "live segment has a torn tail during compaction"));
-            }
-            entries.extend(seg_entries);
-        }
-        entries.sort_by_key(|e| e.seq);
-        for entry in &entries {
-            combined.extend_from_slice(&encode_record(entry.seq, &entry.ops));
-        }
-
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(&combined)?;
-        tmp.sync_data()?;
-        drop(tmp);
-        std::fs::rename(&tmp_path, &snap_path)?;
-
-        for seg in &mut self.segments {
-            seg.reset_to_header()?;
-        }
-        self.live_entries = 0;
-        self.appends_since_sync = 0;
-        self.unsynced = 0;
-        Ok(true)
     }
 }
 
@@ -889,8 +665,8 @@ impl SegmentedWal {
 /// needed to apply further updates, an open append handle positioned
 /// after the recovered tail, and the numbers.
 pub struct Recovered {
-    /// The store with snapshot + WAL tail replayed, date index repaired
-    /// and invariants validated.
+    /// The store with the log tail replayed, date index repaired and
+    /// invariants validated.
     pub store: Store,
     /// Seeded dictionaries for applying further update events.
     pub world: StaticWorld,
@@ -914,15 +690,16 @@ impl Recovered {
     }
 }
 
-/// Recovers the durable state under `dir`: rebuilds the deterministic
-/// bulk store for `config`, replays `snapshot.log` then the live WAL
-/// segments' entries **merged by sequence number** (verifying
-/// per-record checksums, truncating each segment's torn tail, and
-/// cutting any suffix past a global sequence gap — an acknowledged
-/// batch's covering flush syncs *all* dirty segments, so entries past a
-/// gap were never acknowledged and dropping them is correct). Repairs
-/// the date index and validates store invariants. Works on an empty or
-/// absent directory (fresh start, zero entries).
+/// Recovers the durable state under `dir` in one pass: start from
+/// `store.img` if present (else rebuild the deterministic bulk store
+/// for `config`), then replay the segments' entries past the starting
+/// sequence **merged by sequence number** — verifying per-record
+/// checksums, truncating each segment's torn tail, and cutting any
+/// suffix past a global sequence gap (an acknowledged batch's covering
+/// flush syncs *all* dirty segments, so entries past a gap were never
+/// acknowledged and dropping them is correct). Repairs the date index
+/// and validates store invariants. Works on an empty or absent
+/// directory (fresh start, zero entries).
 pub fn recover(
     dir: &Path,
     config: &GeneratorConfig,
@@ -930,20 +707,19 @@ pub fn recover(
     options: WalOptions,
 ) -> SnbResult<Recovered> {
     let recovery_started = std::time::Instant::now();
+    let parts = options.partitions.max(1);
     std::fs::create_dir_all(dir)?;
-    guard_layout(dir, options.partitions.max(1))?;
+    guard_layout(dir, parts)?;
     let world = StaticWorld::build(config.seed);
     let mut report = RecoveryReport::default();
 
-    // Image-first: a valid `store.img` replaces both the deterministic
-    // bulk rebuild *and* the history replay up to its sequence number —
-    // everything at or before `image_seq` dedupes away below, so
-    // recovery cost is image size + WAL tail, flat in history length. A
-    // present-but-corrupt image is a hard refusal (never a silent
-    // fallback); an absent one takes the classic full-replay path.
+    // A valid image replaces both the bulk rebuild and the replay up to
+    // its sequence number, so recovery cost is image size + log tail,
+    // flat in history length. A present-but-corrupt image is a hard
+    // refusal, never a silent fallback to the bulk store: the segments
+    // behind an image no longer hold the history it covers.
     let mut store = match crate::image::load_image(dir, scale, config.seed)? {
         Some((store, header)) => {
-            let parts = options.partitions.max(1);
             if header.partitions != parts {
                 return Err(SnbError::Config(format!(
                     "store image was written for {} partition(s), directory opened with {parts}",
@@ -959,52 +735,8 @@ pub fn recover(
         None => snb_store::bulk_store_and_stream(config).0,
     };
 
-    let apply =
-        |store: &mut Store, entry: &WalEntry, last_seq: &mut u64, applied: &mut u64| -> SnbResult<()> {
-            // Replay is monotonic by sequence number: a duplicate record
-            // (an appended-but-unacked batch whose retry landed in a later
-            // log segment) is applied once, never twice. Records already
-            // covered by the store image dedupe away the same way.
-            if entry.seq <= *last_seq {
-                return Ok(());
-            }
-            match &entry.ops {
-                WriteOps::Updates(events) => {
-                    for ev in events {
-                        store.apply_event(ev, &world)?;
-                    }
-                }
-                WriteOps::Deletes(dels) => {
-                    store.apply_deletes(dels)?;
-                }
-            }
-            *last_seq = entry.seq;
-            *applied += 1;
-            Ok(())
-        };
-
-    let snap_path = dir.join(SNAP_FILE);
-    if snap_path.exists() {
-        let bytes = std::fs::read(&snap_path)?;
-        let (off, epoch) = check_header(&bytes, SNAP_MAGIC, scale, config.seed, &snap_path)?;
-        report.epoch = report.epoch.max(epoch);
-        let ctx = snap_path.display().to_string();
-        let (entries, valid_end) = scan_records(&bytes, off, &ctx)?;
-        if valid_end != bytes.len() {
-            // Snapshots are written atomically, so a torn one means the
-            // rename itself was interrupted by something worse than a
-            // crash; refuse to guess.
-            return Err(parse_err(&ctx, "snapshot has a torn record (atomic write violated)"));
-        }
-        for entry in &entries {
-            apply(&mut store, entry, &mut report.last_seq, &mut report.tail_replayed)?;
-        }
-        report.snapshot_entries = entries.len() as u64;
-    }
-
     // Scan every segment: truncate torn tails in place, remember each
     // surviving entry's (segment, start offset) for the gap cut below.
-    let parts = options.partitions.max(1);
     let mut located: Vec<(usize, usize, WalEntry)> = Vec::new();
     for p in 0..parts {
         let path = dir.join(segment_file(p, parts));
@@ -1012,10 +744,10 @@ pub fn recover(
             continue;
         }
         let bytes = std::fs::read(&path)?;
-        let (off, epoch) = check_header(&bytes, WAL_MAGIC, scale, config.seed, &path)?;
+        let (off, epoch) = check_header(&bytes, scale, config.seed, &path)?;
         report.epoch = report.epoch.max(epoch);
         let ctx = path.display().to_string();
-        let (entries, valid_end) = scan_records_located(&bytes, off, &ctx)?;
+        let (entries, valid_end) = scan_records(&bytes, off, &ctx)?;
         if valid_end != bytes.len() {
             report.truncated_bytes += (bytes.len() - valid_end) as u64;
             let f = OpenOptions::new().write(true).open(&path)?;
@@ -1026,7 +758,7 @@ pub fn recover(
     }
     // Global order is the sequence number, not file position. The sort
     // is stable, so a duplicate seq (append-then-retry) keeps file order
-    // within its segment and the monotonic `apply` drops the retry.
+    // within its segment and the monotonic replay drops the retry.
     located.sort_by_key(|(_, _, e)| e.seq);
 
     // A torn tail in one segment may orphan later, never-acknowledged
@@ -1037,7 +769,7 @@ pub fn recover(
     let mut replay_last = report.last_seq;
     for (i, (_, _, entry)) in located.iter().enumerate() {
         if entry.seq <= replay_last {
-            continue; // duplicate: dedupe, not a gap
+            continue; // duplicate or covered by the image: not a gap
         }
         if entry.seq != replay_last + 1 {
             keep = i;
@@ -1064,10 +796,26 @@ pub fn recover(
         located.truncate(keep);
     }
 
-    let mut seg_live = vec![0u64; parts];
-    for (p, _, entry) in &located {
-        apply(&mut store, entry, &mut report.last_seq, &mut report.tail_replayed)?;
-        seg_live[*p] += 1;
+    // Replay is monotonic by sequence number: a record at or below the
+    // starting point (covered by the image) or a duplicate (an
+    // appended-but-unacked batch whose retry landed later) is skipped,
+    // so nothing is ever applied twice.
+    for (_, _, entry) in &located {
+        if entry.seq <= report.last_seq {
+            continue;
+        }
+        match &entry.ops {
+            WriteOps::Updates(events) => {
+                for ev in events {
+                    store.apply_event(ev, &world)?;
+                }
+            }
+            WriteOps::Deletes(dels) => {
+                store.apply_deletes(dels)?;
+            }
+        }
+        report.last_seq = entry.seq;
+        report.tail_replayed += 1;
     }
     report.wal_entries = located.len() as u64;
 
@@ -1082,7 +830,7 @@ pub fn recover(
         config.seed,
         options,
         report.last_seq,
-        &seg_live,
+        &[report.wal_entries],
         report.epoch,
     )?;
     report.epoch = wal.epoch();
@@ -1103,18 +851,18 @@ pub struct ShippedRecord {
     pub ops: WriteOps,
 }
 
-/// Byte cursor into one log file (the snapshot or a segment).
+/// Byte cursor into one segment file.
 #[derive(Clone, Copy, Debug, Default)]
 struct FileCursor {
     /// Offset one past the last valid record already scanned (0 = the
-    /// file has not been scanned yet, or was reset).
+    /// file has not been scanned yet, or was truncated).
     offset: u64,
-    /// File length at the last poll — a shrink means compaction rewrote
-    /// or reset the file and the cursor must rescan from 0.
+    /// File length at the last poll — a shrink means compaction
+    /// truncated the file and the cursor must rescan from 0.
     last_len: u64,
     /// Consecutive polls that saw the file grow past `offset` without
     /// yielding a single new valid record — a persistent misalignment
-    /// (reset-then-regrow to a larger size between polls) that a full
+    /// (truncate-then-regrow to a larger size between polls) that a full
     /// rescan repairs.
     stuck: u32,
 }
@@ -1122,28 +870,29 @@ struct FileCursor {
 /// The log-shipping cursor: reads acked records out of a WAL directory
 /// in global sequence order, for streaming to followers.
 ///
-/// Each [`WalTailer::poll`] checks `snapshot.log` plus every live
-/// segment, merges new entries by sequence, and returns the contiguous
-/// run `(next_seq, upto]`. The cursor keeps a **per-file byte offset**
-/// so an idle poll is O(`stat(2)` per file) and an active poll reads
-/// only bytes appended since the last one — not the whole history.
-/// Compaction safety comes from two facts: the snapshot rewrite only
-/// *appends* records past its previous contents (the seq-merged view
-/// never reorders what was already there), and a segment reset shrinks
-/// the file, which the cursor detects via the length and answers with a
-/// rescan from 0. Records already shipped re-read during a rescan are
-/// dropped by the seq filter, mirroring replay's dedupe. The caller
-/// bounds `upto` by the server's flushed (acked) high-water mark so
-/// only durable, acknowledged records ever ship; records past a gap are
-/// buffered until the gap fills. Torn tails are skipped (never
-/// truncated — recovery owns repair).
+/// Each [`WalTailer::poll`] checks every segment, merges new entries by
+/// sequence, and returns the contiguous run `(next_seq, upto]`. The
+/// cursor keeps a **per-segment byte offset** so an idle poll is
+/// O(`stat(2)` per file) and an active poll reads only bytes appended
+/// since the last one. Compaction truncates a segment, which the cursor
+/// detects via the length and answers with a rescan from 0; records
+/// re-read during a rescan are dropped by the seq filter, mirroring
+/// replay's dedupe. The log does not reach back past the store image:
+/// records compaction truncated before the cursor read them never
+/// surface, `next_seq` stays at or below the image's sequence number,
+/// and the caller offers the image instead (see
+/// [`crate::replication`]). The caller bounds `upto` by the server's
+/// flushed (acked) high-water mark so only durable, acknowledged
+/// records ever ship; records past a gap are buffered until the gap
+/// fills. Torn tails are skipped (never truncated — recovery owns
+/// repair).
 pub struct WalTailer {
     dir: PathBuf,
     scale: String,
     seed: u64,
     parts: usize,
     next_seq: u64,
-    /// Cursor 0 is `snapshot.log`; cursor `1 + p` is segment `p`.
+    /// One cursor per segment.
     cursors: Vec<FileCursor>,
     /// Scanned-but-not-yet-shipped records (beyond a gap, or past a
     /// bounded `upto`), keyed by seq; first copy wins.
@@ -1166,7 +915,7 @@ impl WalTailer {
             seed,
             parts,
             next_seq: from_seq + 1,
-            cursors: vec![FileCursor::default(); 1 + parts],
+            cursors: vec![FileCursor::default(); parts],
             pending: std::collections::BTreeMap::new(),
             bytes_scanned: 0,
         }
@@ -1183,16 +932,17 @@ impl WalTailer {
         self.bytes_scanned
     }
 
-    /// Scans one file from its cursor, buffering new entries into
+    /// Scans segment `p` from its cursor, buffering new entries into
     /// `pending`.
-    fn scan_file(&mut self, cursor_ix: usize, path: &Path, magic: &[u8; 8]) -> SnbResult<()> {
+    fn scan_segment(&mut self, p: usize) -> SnbResult<()> {
+        let path = self.dir.join(segment_file(p, self.parts));
         if !path.exists() {
             return Ok(());
         }
-        let len = std::fs::metadata(path)?.len();
-        let cur = &mut self.cursors[cursor_ix];
+        let len = std::fs::metadata(&path)?.len();
+        let cur = &mut self.cursors[p];
         if len < cur.last_len || len < cur.offset {
-            // Compaction reset/rewrote the file: rescan from the top.
+            // Compaction truncated the file: rescan from the top.
             cur.offset = 0;
             cur.stuck = 0;
         }
@@ -1201,7 +951,7 @@ impl WalTailer {
             return Ok(()); // idle: nothing appended since last poll
         }
         let start = cur.offset;
-        let mut file = File::open(path)?;
+        let mut file = File::open(&path)?;
         file.seek(SeekFrom::Start(start))?;
         let mut bytes = Vec::with_capacity((len - start) as usize);
         file.read_to_end(&mut bytes)?;
@@ -1209,17 +959,17 @@ impl WalTailer {
 
         let ctx = path.display().to_string();
         let scan_from = if start == 0 {
-            let (off, _) = check_header(&bytes, magic, &self.scale, self.seed, path)?;
+            let (off, _) = check_header(&bytes, &self.scale, self.seed, &path)?;
             off
         } else {
             0
         };
         let (entries, valid_end) = scan_records(&bytes, scan_from, &ctx)?;
-        let cur = &mut self.cursors[cursor_ix];
+        let cur = &mut self.cursors[p];
         if entries.is_empty() && valid_end == scan_from && start > 0 {
             // The file grew but nothing at our offset parses — the file
-            // was reset and regrew past our cursor between polls, so the
-            // offset no longer sits on a record boundary. A boundary
+            // was truncated and regrew past our cursor between polls, so
+            // the offset no longer sits on a record boundary. A boundary
             // mid-flush looks the same for a poll or two (torn tail), so
             // only a *persistent* stall triggers the full rescan.
             cur.stuck += 1;
@@ -1231,7 +981,7 @@ impl WalTailer {
         }
         cur.stuck = 0;
         cur.offset = start + valid_end as u64;
-        for entry in entries {
+        for (_, entry) in entries {
             if entry.seq >= self.next_seq {
                 self.pending.entry(entry.seq).or_insert(entry.ops);
             }
@@ -1241,15 +991,12 @@ impl WalTailer {
 
     /// Returns every not-yet-shipped record with `seq <= upto`, in
     /// sequence order, and advances the cursor past them. Stops at a
-    /// sequence gap (ships only the contiguous prefix) — with `upto`
-    /// bounded by the acked high-water mark a gap cannot happen, but a
-    /// cursor must never invent order it didn't observe.
+    /// sequence gap (ships only the contiguous prefix): a cursor must
+    /// never invent order it didn't observe, and a gap below `upto` is
+    /// how records truncated behind an image show up.
     pub fn poll(&mut self, upto: u64) -> SnbResult<Vec<ShippedRecord>> {
-        let snap_path = self.dir.join(SNAP_FILE);
-        self.scan_file(0, &snap_path, SNAP_MAGIC)?;
         for p in 0..self.parts {
-            let path = self.dir.join(segment_file(p, self.parts));
-            self.scan_file(1 + p, &path, WAL_MAGIC)?;
+            self.scan_segment(p)?;
         }
         // Anything below the ship frontier is already delivered (a
         // rescan re-read it); drop it so `pending` stays bounded by the
@@ -1277,6 +1024,7 @@ impl WalTailer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::{image_info, write_image, IMAGE_FILE};
     use snb_datagen::stream::UpdateEvent;
     use snb_store::DeleteOp;
 
@@ -1317,26 +1065,71 @@ mod tests {
         format!("{}/{}", stats.nodes, stats.edges)
     }
 
+    fn seg_opts(partitions: usize) -> WalOptions {
+        WalOptions { partitions, ..WalOptions::default() }
+    }
+
+    fn open(dir: &Path, opts: WalOptions) -> SegmentedWal {
+        SegmentedWal::open(dir, SCALE, config().seed, opts, 0, &[], 0).unwrap()
+    }
+
+    /// The direct-apply oracle: the bulk store plus a world to apply
+    /// batches to it with, no log involved.
+    struct Oracle {
+        store: Store,
+        world: StaticWorld,
+    }
+
+    impl Oracle {
+        fn new() -> Oracle {
+            let cfg = config();
+            Oracle {
+                store: snb_store::bulk_store_and_stream(&cfg).0,
+                world: StaticWorld::build(cfg.seed),
+            }
+        }
+
+        fn apply(&mut self, ops: &WriteOps) {
+            match ops {
+                WriteOps::Updates(events) => {
+                    for ev in events {
+                        self.store.apply_event(ev, &self.world).unwrap();
+                    }
+                }
+                WriteOps::Deletes(dels) => {
+                    self.store.apply_deletes(dels).unwrap();
+                }
+            }
+        }
+
+        fn fingerprint(mut self) -> String {
+            if !self.store.date_index_fresh() {
+                self.store.rebuild_date_index();
+            }
+            store_fingerprint(&self.store)
+        }
+    }
+
+    /// The files a WAL directory holds, sorted.
+    fn dir_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn append_recover_roundtrip_matches_direct_apply() {
         let dir = tmp_dir("roundtrip");
         let cfg = config();
-        let world = StaticWorld::build(cfg.seed);
-        let (mut oracle, _) = snb_store::bulk_store_and_stream(&cfg);
+        let mut oracle = Oracle::new();
 
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal = open(&dir, WalOptions::default());
         for (i, ops) in batches(4).iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
-            match ops {
-                WriteOps::Updates(events) => {
-                    for ev in events {
-                        oracle.apply_event(ev, &world).unwrap();
-                    }
-                }
-                WriteOps::Deletes(dels) => {
-                    oracle.apply_deletes(dels).unwrap();
-                }
-            }
+            oracle.apply(ops);
         }
         let appended = wal.last_seq();
         drop(wal); // simulated crash: no graceful shutdown
@@ -1344,10 +1137,7 @@ mod tests {
         let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
         assert_eq!(rec.report.last_seq, appended);
         assert_eq!(rec.report.truncated_bytes, 0);
-        if !oracle.date_index_fresh() {
-            oracle.rebuild_date_index();
-        }
-        assert_eq!(store_fingerprint(&rec.store), store_fingerprint(&oracle));
+        assert_eq!(store_fingerprint(&rec.store), oracle.fingerprint());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1356,7 +1146,7 @@ mod tests {
         let dir = tmp_dir("torn");
         let cfg = config();
         let all = batches(4);
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal = open(&dir, WalOptions::default());
         for (i, ops) in all.iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
         }
@@ -1386,7 +1176,7 @@ mod tests {
         let dir = tmp_dir("cksum");
         let cfg = config();
         let all = batches(4);
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal = open(&dir, WalOptions::default());
         let mut offsets = vec![std::fs::metadata(dir.join(WAL_FILE)).unwrap().len()];
         for (i, ops) in all.iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
@@ -1412,76 +1202,149 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rotation_bounds_the_live_wal_and_preserves_state() {
-        let dir = tmp_dir("rotate");
+    fn compaction_bounds_the_log_and_preserves_state() {
         let cfg = config();
         let all = batches(6);
-        let opts = WalOptions { fsync_every: 1, snapshot_every: 2, ..WalOptions::default() };
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, opts, 0, 0).unwrap();
-        let mut rotations = 0;
+        let n = all.len() as u64;
+        let mut control = Oracle::new();
+        for ops in &all {
+            control.apply(ops);
+        }
+        let control = control.fingerprint();
+
+        for parts in [1usize, 2] {
+            let dir = tmp_dir(&format!("compact{parts}"));
+            let opts = WalOptions { snapshot_every: 2, ..seg_opts(parts) };
+            let mut wal = open(&dir, opts);
+            let mut live = Oracle::new();
+            let mut compacted_at = Vec::new();
+            for (i, ops) in all.iter().enumerate() {
+                let seq = i as u64 + 1;
+                wal.append(seq, ops).unwrap();
+                live.apply(ops);
+                if wal.compaction_due() {
+                    wal.compact(&live.store).unwrap();
+                    compacted_at.push(seq);
+                }
+            }
+            drop(wal);
+            assert_eq!(compacted_at, (1..=n / 2).map(|k| 2 * k).collect::<Vec<_>>());
+            let image_seq = *compacted_at.last().unwrap();
+
+            // Segments plus one image, nothing else.
+            let mut expected: Vec<String> = (0..parts).map(|p| segment_file(p, parts)).collect();
+            expected.push(IMAGE_FILE.to_string());
+            expected.sort();
+            assert_eq!(dir_files(&dir), expected);
+
+            // The segments hold only what was appended after the last
+            // compaction, and that is all recovery replays.
+            let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
+            assert_eq!(rec.report.last_seq, n);
+            assert_eq!(rec.report.image_seq, image_seq);
+            assert_eq!(rec.report.wal_entries, n - image_seq);
+            assert_eq!(rec.report.tail_replayed, n - image_seq);
+            assert_eq!(store_fingerprint(&rec.store), control, "{parts} partition(s)");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn image_beside_untruncated_segments_applies_nothing_twice() {
+        // The crash window inside a compaction: the image at seq S has
+        // landed, the segments still hold every record.
+        let dir = tmp_dir("window");
+        let cfg = config();
+        let all = batches(6);
+        let n = all.len() as u64;
+        let image_at = 3u64;
+        let mut wal = open(&dir, seg_opts(2));
+        let mut oracle = Oracle::new();
         for (i, ops) in all.iter().enumerate() {
-            wal.append(i as u64 + 1, ops).unwrap();
-            if wal.maybe_snapshot().unwrap() {
-                rotations += 1;
+            let seq = i as u64 + 1;
+            wal.append(seq, ops).unwrap();
+            oracle.apply(ops);
+            if seq == image_at {
+                write_image(&dir, SCALE, cfg.seed, 0, seq, 2, &oracle.store).unwrap();
             }
         }
         drop(wal);
-        assert!(rotations >= 2, "snapshot_every=2 over {} batches: {rotations}", all.len());
-        assert!(dir.join(SNAP_FILE).exists());
 
-        let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
-        assert_eq!(rec.report.last_seq, all.len() as u64);
-        assert_eq!(
-            rec.report.snapshot_entries + rec.report.wal_entries,
-            all.len() as u64,
-            "every record is in exactly one of snapshot/wal"
-        );
-        assert!(
-            rec.report.wal_entries < all.len() as u64,
-            "rotation left everything in the live WAL"
-        );
+        let rec = recover(&dir, &cfg, SCALE, seg_opts(2)).unwrap();
+        assert_eq!(rec.report.image_seq, image_at);
+        assert_eq!(rec.report.wal_entries, n, "stale records are still scanned");
+        assert_eq!(rec.report.tail_replayed, n - image_at, "only seq > S applies");
+        assert_eq!(rec.report.last_seq, n);
+        assert_eq!(rec.report.truncated_bytes, 0, "stale records are not a gap");
+        assert_eq!(store_fingerprint(&rec.store), oracle.fingerprint());
 
-        // Against a no-snapshot control with identical appends.
-        let dir2 = tmp_dir("rotate_control");
-        let mut wal2 = Wal::open(&dir2, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
-        for (i, ops) in all.iter().enumerate() {
-            wal2.append(i as u64 + 1, ops).unwrap();
-        }
-        drop(wal2);
-        let rec2 = recover(&dir2, &cfg, SCALE, WalOptions::default()).unwrap();
-        assert_eq!(store_fingerprint(&rec.store), store_fingerprint(&rec2.store));
+        // The reopened log counts the stale records as live, so the next
+        // compaction point clears them.
+        assert_eq!(rec.wal.live_entries, n);
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn install_image_refuses_an_image_older_than_the_log() {
+        let cfg = config();
+        let all: Vec<WriteOps> = batches(2).into_iter().take(2).collect();
+        let src = tmp_dir("stale_src");
+        std::fs::create_dir_all(&src).unwrap();
+        let mut oracle = Oracle::new();
+        oracle.apply(&all[0]);
+        write_image(&src, SCALE, cfg.seed, 0, 1, 1, &oracle.store).unwrap();
+        let image_at_1 = crate::image::read_image_bytes(&src).unwrap();
+
+        let dir = tmp_dir("stale_dst");
+        let mut wal = open(&dir, WalOptions::default());
+        for (i, ops) in all.iter().enumerate() {
+            wal.append(i as u64 + 1, ops).unwrap();
+        }
+        assert!(wal.install_image(&image_at_1).is_err(), "seq 1 image behind a log at seq 2");
+        assert!(!dir.join(IMAGE_FILE).exists(), "a refused image must not land");
+        drop(wal);
+        let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
+        assert_eq!((rec.report.image_seq, rec.report.last_seq), (0, 2), "the log is intact");
+
+        // At or past the log's sequence the same call installs.
+        let mut wal = rec.wal;
+        oracle.apply(&all[1]);
+        write_image(&src, SCALE, cfg.seed, 0, 2, 1, &oracle.store).unwrap();
+        let (_, header) =
+            wal.install_image(&crate::image::read_image_bytes(&src).unwrap()).unwrap();
+        assert_eq!((header.seq, wal.last_seq()), (2, 2));
+        drop(wal);
+        let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
+        assert_eq!((rec.report.image_seq, rec.report.wal_entries), (2, 0));
+        let _ = std::fs::remove_dir_all(&src);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn header_mismatch_is_refused() {
         let dir = tmp_dir("header");
         let cfg = config();
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal = open(&dir, WalOptions::default());
         wal.append(1, &batches(1)[0]).unwrap();
         drop(wal);
-        // Different seed ⇒ different bulk image ⇒ replay would corrupt.
-        assert!(Wal::open(&dir, SCALE, cfg.seed + 1, WalOptions::default(), 0, 0).is_err());
+        // Different seed ⇒ different bulk store ⇒ replay would corrupt.
+        let reopen = |seed| SegmentedWal::open(&dir, SCALE, seed, WalOptions::default(), 0, &[], 0);
+        assert!(reopen(cfg.seed + 1).is_err());
+        assert!(reopen(cfg.seed).is_ok());
         assert!(recover(&dir, &cfg, "0.003", WalOptions::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn fresh_directory_recovers_to_the_bulk_image() {
+    fn fresh_directory_recovers_to_the_bulk_store() {
         let dir = tmp_dir("fresh");
         let cfg = config();
         let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
         // Everything but the wall-clock stamp is zero on a fresh start.
         assert_eq!(RecoveryReport { recovery_us: 0, ..rec.report }, RecoveryReport::default());
-        assert_eq!(rec.report.replayed(), 0);
         let (bulk, _) = snb_store::bulk_store_and_stream(&cfg);
         assert_eq!(store_fingerprint(&rec.store), store_fingerprint(&bulk));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn seg_opts(partitions: usize) -> WalOptions {
-        WalOptions { partitions, ..WalOptions::default() }
     }
 
     #[test]
@@ -1491,9 +1354,8 @@ mod tests {
         let mut fingerprints = Vec::new();
         for parts in [1usize, 2, 4] {
             let dir = tmp_dir(&format!("seg{parts}"));
-            let mut wal =
-                SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(parts), 0, &[], 0).unwrap();
-            assert_eq!(wal.segment_count(), parts);
+            let mut wal = open(&dir, seg_opts(parts));
+            assert_eq!(wal.segments.len(), parts);
             for (i, ops) in all.iter().enumerate() {
                 wal.append(i as u64 + 1, ops).unwrap();
             }
@@ -1522,17 +1384,12 @@ mod tests {
         let cfg = config();
         let dir = tmp_dir("spread");
         let parts = 2;
-        let mut wal =
-            SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(parts), 0, &[], 0).unwrap();
+        let mut wal = open(&dir, seg_opts(parts));
         for (i, ops) in batches(8).iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
         }
         drop(wal);
-        let header = {
-            let mut h = Vec::new();
-            write_header(&mut h, WAL_MAGIC, SCALE, cfg.seed, 0);
-            h.len() as u64
-        };
+        let header = segment_header(SCALE, cfg.seed, 0).len() as u64;
         let grew: Vec<bool> = (0..parts)
             .map(|p| std::fs::metadata(dir.join(segment_file(p, parts))).unwrap().len() > header)
             .collect();
@@ -1546,8 +1403,7 @@ mod tests {
         let dir = tmp_dir("seggap");
         let parts = 2;
         let all = batches(8);
-        let mut wal =
-            SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(parts), 0, &[], 0).unwrap();
+        let mut wal = open(&dir, seg_opts(parts));
         // Track which segment got each seq so we can tear a record that
         // is *not* globally last.
         let mut seq_seg = Vec::new();
@@ -1598,50 +1454,15 @@ mod tests {
     fn partition_count_mismatch_is_refused() {
         let cfg = config();
         let dir = tmp_dir("layout");
-        let mut wal = SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(2), 0, &[], 0).unwrap();
+        let reopen = |parts| SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(parts), 0, &[], 0);
+        let mut wal = reopen(2).unwrap();
         wal.append(1, &batches(1)[0]).unwrap();
         drop(wal);
-        assert!(SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(1), 0, &[], 0).is_err());
-        assert!(SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(4), 0, &[], 0).is_err());
+        assert!(reopen(1).is_err());
+        assert!(reopen(4).is_err());
         assert!(recover(&dir, &cfg, SCALE, seg_opts(1)).is_err());
-        assert!(SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(2), 0, &[], 0).is_ok());
+        assert!(reopen(2).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn segmented_snapshot_compacts_in_sequence_order() {
-        let cfg = config();
-        let dir = tmp_dir("segrotate");
-        let parts = 2;
-        let all = batches(6);
-        let opts = WalOptions { snapshot_every: 2, ..seg_opts(parts) };
-        let mut wal = SegmentedWal::open(&dir, SCALE, cfg.seed, opts, 0, &[], 0).unwrap();
-        let mut rotations = 0;
-        for (i, ops) in all.iter().enumerate() {
-            wal.append(i as u64 + 1, ops).unwrap();
-            if wal.maybe_snapshot().unwrap() {
-                rotations += 1;
-            }
-        }
-        drop(wal);
-        assert!(rotations >= 1, "snapshot_every=2 never rotated");
-        assert!(dir.join(SNAP_FILE).exists());
-
-        let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
-        assert_eq!(rec.report.last_seq, all.len() as u64);
-        assert_eq!(rec.report.snapshot_entries + rec.report.wal_entries, all.len() as u64);
-
-        // Same appends, no snapshots, single segment: identical state.
-        let dir2 = tmp_dir("segrotate_control");
-        let mut wal2 = SegmentedWal::open(&dir2, SCALE, cfg.seed, seg_opts(1), 0, &[], 0).unwrap();
-        for (i, ops) in all.iter().enumerate() {
-            wal2.append(i as u64 + 1, ops).unwrap();
-        }
-        drop(wal2);
-        let rec2 = recover(&dir2, &cfg, SCALE, seg_opts(1)).unwrap();
-        assert_eq!(store_fingerprint(&rec.store), store_fingerprint(&rec2.store));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
     }
 
     #[test]
@@ -1650,7 +1471,7 @@ mod tests {
         let dir = tmp_dir("group");
         let opts = WalOptions { group_commit: true, partitions: 2, ..WalOptions::default() };
         let all = batches(6);
-        let mut wal = SegmentedWal::open(&dir, SCALE, cfg.seed, opts, 0, &[], 0).unwrap();
+        let mut wal = open(&dir, opts);
         for (i, ops) in all.iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
         }
@@ -1675,24 +1496,22 @@ mod tests {
         let dir = tmp_dir("tailer");
         let parts = 2;
         let all = batches(6);
-        let opts = WalOptions { snapshot_every: 3, ..seg_opts(parts) };
-        let mut wal = SegmentedWal::open(&dir, SCALE, cfg.seed, opts, 0, &[], 0).unwrap();
+        let n = all.len() as u64;
+        let compact_at = 3u64;
+        let mut wal = open(&dir, seg_opts(parts));
+        let mut live = Oracle::new();
         let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
 
         // Nothing acked yet: nothing ships.
         assert!(tailer.poll(0).unwrap().is_empty());
 
+        // A cursor that has read a record before compaction truncates
+        // it keeps shipping in order across the truncation.
         let mut shipped: Vec<u64> = Vec::new();
-        let mut rotations = 0;
         for (i, ops) in all.iter().enumerate() {
             let seq = i as u64 + 1;
             wal.append(seq, ops).unwrap();
-            if wal.maybe_snapshot().unwrap() {
-                rotations += 1;
-            }
-            // Poll after every append: records keep shipping in order
-            // even as compaction moves them from segments to the
-            // snapshot between polls.
+            live.apply(ops);
             for rec in tailer.poll(wal.last_seq()).unwrap() {
                 shipped.push(rec.seq);
                 assert_eq!(
@@ -1700,25 +1519,30 @@ mod tests {
                     snb_store::partition_of_raw(crate::events::route_key(&rec.ops), parts)
                 );
             }
+            if seq == compact_at {
+                wal.compact(&live.store).unwrap();
+            }
         }
-        assert!(rotations >= 1, "snapshot_every=3 never rotated");
-        assert_eq!(shipped, (1..=all.len() as u64).collect::<Vec<_>>());
+        assert_eq!(shipped, (1..=n).collect::<Vec<_>>());
 
-        // A cursor behind the compaction point replays out of the
-        // snapshot: a fresh tailer from 0 re-ships everything.
-        let mut fresh = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
-        let replayed: Vec<u64> =
-            fresh.poll(wal.last_seq()).unwrap().iter().map(|r| r.seq).collect();
-        assert_eq!(replayed, shipped);
+        // A cursor behind the compaction point gets nothing: the log no
+        // longer reaches back past the image, and `next_seq` at or
+        // below the image's sequence is the caller's cue to offer it.
+        let image_seq = image_info(&dir, SCALE, cfg.seed).unwrap().expect("image").seq;
+        assert_eq!(image_seq, compact_at);
+        let mut lapped = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
+        assert!(lapped.poll(wal.last_seq()).unwrap().is_empty());
+        assert!(lapped.next_seq() <= image_seq);
 
-        // `upto` bounds shipping: a cursor asked for less ships less,
-        // then resumes exactly where it stopped.
-        let mut bounded = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
-        let first: Vec<u64> = bounded.poll(2).unwrap().iter().map(|r| r.seq).collect();
-        assert_eq!(first, vec![1, 2]);
-        assert_eq!(bounded.next_seq(), 3);
+        // From the image's sequence the tail ships, and `upto` bounds
+        // it: a cursor asked for less ships less, then resumes exactly
+        // where it stopped.
+        let mut bounded = WalTailer::new(&dir, SCALE, cfg.seed, parts, image_seq);
+        let first: Vec<u64> = bounded.poll(image_seq + 2).unwrap().iter().map(|r| r.seq).collect();
+        assert_eq!(first, vec![image_seq + 1, image_seq + 2]);
+        assert_eq!(bounded.next_seq(), image_seq + 3);
         let rest: Vec<u64> = bounded.poll(wal.last_seq()).unwrap().iter().map(|r| r.seq).collect();
-        assert_eq!(rest, (3..=all.len() as u64).collect::<Vec<_>>());
+        assert_eq!(rest, (image_seq + 3..=n).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1728,9 +1552,7 @@ mod tests {
         let dir = tmp_dir("tailcost");
         let parts = 2;
         let all = batches(6);
-        // No compaction: this pins the pure append-tail cost.
-        let opts = WalOptions { snapshot_every: 0, ..seg_opts(parts) };
-        let mut wal = SegmentedWal::open(&dir, SCALE, cfg.seed, opts, 0, &[], 0).unwrap();
+        let mut wal = open(&dir, seg_opts(parts));
         let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
 
         for (i, ops) in all.iter().take(5).enumerate() {
@@ -1776,29 +1598,45 @@ mod tests {
         let parts = 2;
         let all = batches(6);
         let opts = WalOptions { snapshot_every: 3, ..seg_opts(parts) };
-        let mut wal = SegmentedWal::open(&dir, SCALE, cfg.seed, opts, 0, &[], 0).unwrap();
+        let mut wal = open(&dir, opts);
+        let mut live = Oracle::new();
         assert_eq!(wal.epoch(), 0);
-        for (i, ops) in all.iter().take(3).enumerate() {
+        for (i, ops) in all.iter().take(2).enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
+            live.apply(ops);
         }
         // Promotion: bump in place, with records already in the log.
         wal.bump_epoch(3).unwrap();
         assert_eq!(wal.epoch(), 3);
         wal.bump_epoch(1).unwrap(); // stale bump is a no-op
         assert_eq!(wal.epoch(), 3);
-        for (i, ops) in all.iter().enumerate().skip(3) {
-            wal.append(i as u64 + 1, ops).unwrap();
-            wal.maybe_snapshot().unwrap();
-        }
         drop(wal); // crash, no graceful shutdown
 
         let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
         assert_eq!(rec.report.epoch, 3, "bumped epoch survives restart");
-        assert_eq!(rec.wal.epoch(), 3);
-        assert_eq!(rec.report.last_seq, all.len() as u64, "records survive the bump");
+        assert_eq!(rec.report.last_seq, 2, "records survive the bump");
+        let mut wal = rec.wal;
+        assert_eq!(wal.epoch(), 3);
 
-        // The epoch rides compaction into the snapshot header too: even
-        // with every live segment reset, recovery still sees the term.
+        // Compaction truncates every segment; the term rides both the
+        // image and the segment headers across it.
+        let mut compactions = 0;
+        for (i, ops) in all.iter().enumerate().skip(2) {
+            wal.append(i as u64 + 1, ops).unwrap();
+            live.apply(ops);
+            if wal.compaction_due() {
+                wal.compact(&live.store).unwrap();
+                compactions += 1;
+            }
+        }
+        assert!(compactions >= 1, "snapshot_every=3 never compacted");
+        drop(wal);
+        assert_eq!(image_info(&dir, SCALE, cfg.seed).unwrap().expect("image").epoch, 3);
+        let header = std::fs::read(dir.join(segment_file(0, parts))).unwrap();
+        assert_eq!(check_header(&header, SCALE, cfg.seed, &dir).unwrap().1, 3);
+
+        let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
+        assert_eq!(rec.report.last_seq, all.len() as u64);
         let (_, durability, report) = rec.into_durability();
         assert_eq!(durability.epoch, 3);
         assert_eq!(report.epoch, 3);

@@ -17,8 +17,8 @@ use snb_bi::BiParams;
 use snb_datagen::stream::UpdateEvent;
 use snb_datagen::GeneratorConfig;
 use snb_server::{
-    recover, ErrorKind, OkBody, Server, ServerConfig, ServiceParams, WalOptions, WriteBatch,
-    WriteOps,
+    image_info, recover, ErrorKind, OkBody, Server, ServerConfig, ServiceParams, WalOptions,
+    WriteBatch, WriteOps,
 };
 use snb_store::DeleteOp;
 
@@ -65,10 +65,36 @@ fn server_config() -> ServerConfig {
 }
 
 fn start(dir: &std::path::Path) -> Server {
-    let recovered =
-        recover(dir, &config(), SCALE, WalOptions::default()).expect("recovery succeeds");
+    start_with(dir, WalOptions::default())
+}
+
+fn start_with(dir: &std::path::Path, options: WalOptions) -> Server {
+    let recovered = recover(dir, &config(), SCALE, options).expect("recovery succeeds");
     let (store, durability, _) = recovered.into_durability();
     Server::start_durable(store, server_config(), durability)
+}
+
+/// Direct-apply oracle: `batches` applied straight to a bulk store.
+fn oracle(batches: &[WriteOps]) -> snb_store::Store {
+    let cfg = config();
+    let world = snb_datagen::dictionaries::StaticWorld::build(cfg.seed);
+    let (mut store, _) = snb_store::bulk_store_and_stream(&cfg);
+    for ops in batches {
+        match ops {
+            WriteOps::Updates(events) => {
+                for ev in events {
+                    store.apply_event(ev, &world).unwrap();
+                }
+            }
+            WriteOps::Deletes(dels) => {
+                store.apply_deletes(dels).unwrap();
+            }
+        }
+    }
+    if !store.date_index_fresh() {
+        store.rebuild_date_index();
+    }
+    store
 }
 
 fn submit(server: &Server, seq: u64, ops: &WriteOps) -> Result<OkBody, (ErrorKind, String)> {
@@ -243,24 +269,7 @@ fn multi_partition_wal_recovers_to_oracle_after_torn_append() {
     assert_eq!(rec.report.last_seq, 6, "exactly the acked prefix replays");
     assert!(rec.report.truncated_bytes > 0, "the torn record was cut");
 
-    let cfg = config();
-    let world = snb_datagen::dictionaries::StaticWorld::build(cfg.seed);
-    let (mut oracle, _) = snb_store::bulk_store_and_stream(&cfg);
-    for ops in &batches[..6] {
-        match ops {
-            WriteOps::Updates(events) => {
-                for ev in events {
-                    oracle.apply_event(ev, &world).unwrap();
-                }
-            }
-            WriteOps::Deletes(dels) => {
-                oracle.apply_deletes(dels).unwrap();
-            }
-        }
-    }
-    if !oracle.date_index_fresh() {
-        oracle.rebuild_date_index();
-    }
+    let oracle = oracle(&batches[..6]);
     let (r, o) = (rec.store.stats(), oracle.stats());
     assert_eq!((r.nodes, r.edges), (o.nodes, o.edges), "recovered store equals the oracle");
 
@@ -271,6 +280,57 @@ fn multi_partition_wal_recovers_to_oracle_after_torn_append() {
     let ok = submit(&server, 8, &batches[7]).expect("stream continues");
     assert_eq!(ok.fingerprint, 8);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
+    let _g = fault_lock();
+    snb_fault::disarm_all();
+    let dir = tmp_dir("image_torn");
+    let batches = batches(5);
+    let opts = WalOptions { snapshot_every: 2, ..WalOptions::default() };
+    let seed = config().seed;
+    let image_seq = || image_info(&dir, SCALE, seed).expect("readable header").map(|h| h.seq);
+
+    // Seqs 1-2 reach the first compaction point: an image lands.
+    let server = start_with(&dir, opts);
+    for seq in 1..=2u64 {
+        submit(&server, seq, &batches[seq as usize - 1]).expect("ack");
+    }
+    assert_eq!(image_seq(), Some(2));
+
+    // The image write at the next compaction point tears: a partial
+    // temp file, never renamed. The write is not fatal, so seq 4 is
+    // still acknowledged.
+    snb_fault::arm_from_spec("image.write.torn=short:100@h1", 7).unwrap();
+    for seq in 3..=4u64 {
+        submit(&server, seq, &batches[seq as usize - 1]).expect("ack despite the torn image");
+    }
+    snb_fault::disarm_all();
+    let report = server.shutdown();
+    assert_eq!(report.internal_errors, 1, "the failed compaction is counted");
+    assert_eq!(image_seq(), Some(2), "the previous image is untouched");
+
+    // Nothing was truncated behind the image that never landed.
+    let rec = recover(&dir, &config(), SCALE, opts).unwrap();
+    assert_eq!((rec.report.image_seq, rec.report.last_seq), (2, 4));
+    assert_eq!(rec.report.wal_entries, 2, "seqs 3-4 are still in the segments");
+    assert_eq!(rec.report.tail_replayed, 2);
+    drop(rec);
+
+    // The log is past its compaction point, so the next append retries
+    // and this time the image lands and the segments are truncated.
+    let server = start_with(&dir, opts);
+    submit(&server, 5, &batches[4]).expect("ack");
+    let report = server.shutdown();
+    assert_eq!(report.internal_errors, 0);
+    assert_eq!(image_seq(), Some(5));
+    let rec = recover(&dir, &config(), SCALE, opts).unwrap();
+    assert_eq!((rec.report.image_seq, rec.report.last_seq), (5, 5));
+    assert_eq!(rec.report.wal_entries, 0, "the segments were truncated behind the image");
+    let (r, o) = (rec.store.stats(), oracle(&batches[..5]).stats());
+    assert_eq!((r.nodes, r.edges), (o.nodes, o.edges), "recovered store equals the oracle");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -330,7 +390,7 @@ fn group_commit_concurrent_acks_are_durable() {
     // Every acknowledged batch survives recovery exactly once.
     let rec = recover(&dir, &config(), SCALE, opts).unwrap();
     assert_eq!(rec.report.last_seq, n);
-    assert_eq!(rec.report.snapshot_entries + rec.report.wal_entries, n);
+    assert_eq!(rec.report.wal_entries, n);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

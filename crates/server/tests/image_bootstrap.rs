@@ -1,17 +1,17 @@
 //! Store-image integration tests: recovery bounded by the image (not
-//! the history), and cold-follower bootstrap over the replication
-//! channel.
+//! the history), and follower bootstrap over the replication channel.
 //!
-//! Invariants under test: a primary running with `image: true` writes
-//! `store.img` at compaction points and truncates the snapshot log
-//! behind it, so a restart decodes the image and replays only the WAL
-//! tail; the image is presence-driven on recovery (a later restart
-//! with image *writing* off still loads it); and a follower
-//! subscribing from seq 0 receives the image as
-//! `ImageOffer`/`ImageChunk` frames, installs it atomically, applies
-//! only the tail first-hand, and equals the primary on queries — with
-//! its own durable state restartable from the installed image.
+//! Invariants under test: a primary writes `store.img` at every
+//! compaction point and truncates the log segments behind it, so a
+//! restart decodes the image and replays only the WAL tail; a follower
+//! whose cursor is at or below the image's sequence — subscribing cold
+//! from seq 0, or lapped by a compaction while subscribed — receives
+//! the image as `ImageOffer`/`ImageChunk` frames, installs it
+//! atomically, applies only the tail first-hand, and equals the primary
+//! on queries — with its own durable state restartable from the
+//! installed image.
 
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use snb_bi::BiParams;
@@ -39,10 +39,17 @@ fn batches(n: usize) -> Vec<WriteOps> {
     stream.chunks(10).take(n).map(|chunk| WriteOps::Updates(chunk.to_vec())).collect()
 }
 
-/// WAL options for an image-writing primary: compact (and image) every
-/// four batches.
+/// WAL options for the primary: compact every four batches.
 fn image_options() -> WalOptions {
-    WalOptions { fsync_every: 1, snapshot_every: 4, image: true, ..WalOptions::default() }
+    WalOptions { fsync_every: 1, snapshot_every: 4, ..WalOptions::default() }
+}
+
+/// The injected network partition is process-global; the tests that
+/// replicate serialize so one test's partition cannot lap another's
+/// follower.
+fn net_lock() -> MutexGuard<'static, ()> {
+    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
+    GUARD.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn server_config(read_only: bool) -> ServerConfig {
@@ -104,9 +111,8 @@ fn image_recovery_replays_only_the_tail_and_equals_the_oracle() {
     let dir = tmp_dir("recov");
     let all = batches(10);
 
-    // Ten batches through an image-writing primary: compactions at 4
-    // and 8, each superseding the image and truncating the snapshot
-    // log behind it.
+    // Ten batches through the primary: compactions at 4 and 8, each
+    // superseding the image and truncating the segments behind it.
     let primary = start(&dir, false, image_options());
     for (i, ops) in all.iter().enumerate() {
         submit(&primary, i as u64 + 1, ops);
@@ -116,19 +122,21 @@ fn image_recovery_replays_only_the_tail_and_equals_the_oracle() {
     let header = image_info(&dir, SCALE, config().seed)
         .expect("image header readable")
         .expect("an image was written at the compaction point");
-    assert_eq!(header.seq, 8, "latest image covers through the last rotation");
+    assert_eq!(header.seq, 8, "latest image covers through the last compaction");
     assert_eq!(header.partitions, 1);
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["store.img", "wal.log"], "segments and one image, nothing else");
 
-    // Restart with image *writing* off: recovery is presence-driven,
-    // so the image still anchors the rebuild and only 9..=10 replay.
+    // The image anchors the rebuild and only 9..=10 replay.
     let rec = recover(&dir, &config(), SCALE, WalOptions::default()).expect("image recovery");
     assert_eq!(rec.report.image_seq, 8, "recovery started from the image");
     assert_eq!(rec.report.last_seq, 10);
     assert_eq!(rec.report.tail_replayed, 2, "only the post-image tail applies");
-    assert_eq!(
-        rec.report.snapshot_entries, 0,
-        "the snapshot log was truncated behind the image"
-    );
+    assert_eq!(rec.report.wal_entries, 2, "the segments were truncated behind the image");
 
     // Exact state: the image + tail equals a direct-apply oracle.
     let (r, o) = (rec.store.stats(), oracle(&all).stats());
@@ -166,6 +174,7 @@ fn image_recovery_time_is_flat_in_history_length() {
 
 #[test]
 fn cold_follower_bootstraps_from_the_image_offer() {
+    let _net = net_lock();
     let p_dir = tmp_dir("boot_p");
     let f_dir = tmp_dir("boot_f");
     let all = batches(10);
@@ -182,9 +191,8 @@ fn cold_follower_bootstraps_from_the_image_offer() {
     );
 
     // A cold follower (fresh directory, from_seq 0): the ship loop
-    // must offer the image rather than replaying the whole history —
-    // the snapshot log behind the image is gone, so it *couldn't*
-    // replay from zero.
+    // must offer the image — the segments behind it were truncated, so
+    // the log *couldn't* replay from zero.
     let follower = start(&f_dir, true, WalOptions::default());
     let handle = follower.replicate_from(&repl_addr.to_string(), repl_cfg(&f_dir));
     assert!(handle.wait_caught_up(Duration::from_secs(10)), "catch-up: {:?}", handle.status());
@@ -217,6 +225,7 @@ fn cold_follower_bootstraps_from_the_image_offer() {
 
 #[test]
 fn warm_follower_is_not_offered_the_image() {
+    let _net = net_lock();
     let p_dir = tmp_dir("warm_p");
     let f_dir = tmp_dir("warm_f");
     let all = batches(10);
@@ -239,6 +248,56 @@ fn warm_follower_is_not_offered_the_image() {
 
     let (p, f) = (q5(&primary), q5(&follower));
     assert_eq!((p.rows, p.fingerprint), (f.rows, f.fingerprint));
+
+    handle.stop();
+    follower.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&p_dir);
+    let _ = std::fs::remove_dir_all(&f_dir);
+}
+
+#[test]
+fn lapped_live_follower_is_offered_the_image_then_the_tail() {
+    let _net = net_lock();
+    let p_dir = tmp_dir("lap_p");
+    let f_dir = tmp_dir("lap_f");
+    let all = batches(10);
+
+    let primary = start(&p_dir, false, image_options());
+    let repl_addr = primary.listen_replication("127.0.0.1:0", repl_cfg(&p_dir)).expect("repl bind");
+    let follower = start(&f_dir, true, WalOptions::default());
+    let handle = follower.replicate_from(&repl_addr.to_string(), repl_cfg(&f_dir));
+    for (i, ops) in all.iter().enumerate().take(2) {
+        submit(&primary, i as u64 + 1, ops);
+    }
+    wait_applied(&follower, 2, Duration::from_secs(10));
+
+    // Park the subscription at seq 2: under the partition the ship loop
+    // stays subscribed but ships nothing, while the primary compacts at
+    // 4 and 8 and truncates seqs 3..=8 out of the log.
+    snb_fault::start_partition(60_000);
+    for (i, ops) in all.iter().enumerate().skip(2) {
+        submit(&primary, i as u64 + 1, ops);
+    }
+    assert_eq!(image_info(&p_dir, SCALE, config().seed).unwrap().map(|h| h.seq), Some(8));
+    snb_fault::heal_partition();
+
+    // The parked cursor wants seq 3, which only the image still covers:
+    // the follower must get the image, then 9..=10 as records.
+    wait_applied(&follower, 10, Duration::from_secs(10));
+    let status = handle.status();
+    assert_eq!(status.image_bootstraps, 1, "lapped follower got the image: {status:?}");
+    assert_eq!(status.records_applied, 4, "1..=2 before, 9..=10 after the image: {status:?}");
+    assert_eq!(status.apply_errors, 0, "no record arrived across a gap: {status:?}");
+    assert_eq!(
+        status.heartbeat_timeouts, 0,
+        "the subscription stayed up, so the offer came from the ship loop itself: {status:?}"
+    );
+
+    let (p, f) = (q5(&primary), q5(&follower));
+    assert_eq!((p.rows, p.fingerprint), (f.rows, f.fingerprint), "follower equals primary");
+    let (r, o) = (follower.snapshot().stats(), oracle(&all).stats());
+    assert_eq!((r.nodes, r.edges), (o.nodes, o.edges), "follower equals the oracle");
 
     handle.stop();
     follower.shutdown();

@@ -217,7 +217,7 @@ fn follower_restart_mid_catch_up_reapplies_idempotently() {
     follower.shutdown();
     let report = recover(&f_dir, &config(), SCALE, WalOptions::default()).unwrap().report;
     assert_eq!(report.last_seq, 3, "follower WAL persisted the shipped prefix");
-    assert_eq!(report.replayed(), 3);
+    assert_eq!(report.tail_replayed, 3);
 
     let follower = start(&f_dir, true);
     assert_eq!(follower.last_applied_seq(), 3);

@@ -27,7 +27,9 @@ use snb_core::datetime::DateTime;
 use snb_core::model::MessageKind;
 
 use snb_datagen::dictionaries::{StaticWorld, BROWSERS};
-use snb_datagen::graph::{RawForum, RawGraph, RawKnows, RawLike, RawMembership, RawMessage, RawPerson};
+use snb_datagen::graph::{
+    RawForum, RawGraph, RawKnows, RawLike, RawMembership, RawMessage, RawPerson,
+};
 use snb_datagen::stream::TimedEvent;
 use snb_datagen::{ActivitySink, GeneratorConfig};
 
@@ -142,7 +144,9 @@ impl<'w> StreamBuilder<'w> {
             let city = s.place_ix[&p.city.0];
             s.persons.city.push(city);
             s.persons.emails.push_row(&p.emails);
-            s.persons.speaks.push_row(p.languages.iter().map(|&l| self.world.languages[l as usize]));
+            s.persons
+                .speaks
+                .push_row(p.languages.iter().map(|&l| self.world.languages[l as usize]));
             for t in &p.interests {
                 self.interest_edges.push((ix, s.tag_ix[&t.0], ()));
             }
@@ -165,8 +169,7 @@ impl<'w> StreamBuilder<'w> {
                 }
                 continue;
             }
-            let (Some(&a), Some(&b)) =
-                (self.s.person_ix.get(&k.a.0), self.s.person_ix.get(&k.b.0))
+            let (Some(&a), Some(&b)) = (self.s.person_ix.get(&k.a.0), self.s.person_ix.get(&k.b.0))
             else {
                 continue;
             };
@@ -340,10 +343,7 @@ impl ActivitySink for StreamBuilder<'_> {
 /// Runs the generation pipeline chunk-at-a-time, ingesting into the
 /// store as records appear. Returns the store plus the update-event
 /// tail when `cut` is set.
-fn streaming_build(
-    config: &GeneratorConfig,
-    cut: Option<DateTime>,
-) -> (Store, Vec<TimedEvent>) {
+fn streaming_build(config: &GeneratorConfig, cut: Option<DateTime>) -> (Store, Vec<TimedEvent>) {
     let world = StaticWorld::build(config.seed);
     let mut builder = StreamBuilder::new(&world, cut);
 
@@ -371,9 +371,7 @@ pub fn streaming_store_for_config(config: &GeneratorConfig) -> Store {
 /// Streaming twin of [`crate::build::bulk_store_and_stream`]: the bulk
 /// store plus the sorted update-event tail, with only the tail records
 /// (~10%) ever materialised in raw form.
-pub fn streaming_bulk_store_and_stream(
-    config: &GeneratorConfig,
-) -> (Store, Vec<TimedEvent>) {
+pub fn streaming_bulk_store_and_stream(config: &GeneratorConfig) -> (Store, Vec<TimedEvent>) {
     streaming_build(config, Some(config.stream_cut()))
 }
 
