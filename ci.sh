@@ -15,6 +15,15 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark smoke (frozen benchmark/ package: fmt, clippy, tests, 4 workloads traced at SF 0.003)"
+# The repo benchmark verifies every workload against its own oracle
+# (naive engine, direct-apply store, direct run_short); a change to a
+# string column or a BI row builder must keep those checks green here,
+# not first in the driver's benchmark run.
+smoke_started=$SECONDS
+benchmark/smoke.sh
+echo "benchmark smoke wall time: $((SECONDS - smoke_started)) s"
+
 echo "==> bi_runtimes profile smoke-run"
 SMOKE_JSON="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
 SERVICE_JSON="$(mktemp /tmp/service_smoke.XXXXXX.json)"

@@ -58,11 +58,11 @@ type Key = (Ix, u32, Gender, i32, Ix); // (country, month, gender, ageGroup, tag
 fn sort_key(store: &Store, key: &Key, count: u64) -> impl Ord + Clone {
     (
         std::cmp::Reverse(count),
-        store.tags.name[key.4 as usize].to_string(),
+        store.tags.name.get(key.4 as usize),
         key.3,
         key.1,
         key.2 == Gender::Male, // female < male alphabetically
-        store.places.name[key.0 as usize].to_string(),
+        store.places.name.get(key.0 as usize),
     )
 }
 
@@ -121,11 +121,11 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let mut tk = TopK::new(LIMIT);
     for (key, count) in groups {
         if count > params.min_count {
-            tk.push(sort_key(store, &key, count), to_row(store, key, count));
+            tk.offer(sort_key(store, &key, count), (key, count));
         }
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (key, count)| to_row(store, key, count))
 }
 
 /// Naive reference: person-major nested loops, full sort.

@@ -35,8 +35,17 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, String) {
-    (std::cmp::Reverse(row.diff), row.tag_name.clone())
+fn sort_key(store: &Store, tag: Ix, c1: u64, c2: u64) -> (std::cmp::Reverse<u64>, &'static str) {
+    (std::cmp::Reverse(c1.abs_diff(c2)), store.tags.name.get(tag as usize))
+}
+
+fn to_row(store: &Store, tag: Ix, c1: u64, c2: u64) -> Row {
+    Row {
+        tag_name: store.tags.name[tag as usize].to_string(),
+        count_month1: c1,
+        count_month2: c2,
+        diff: c1.abs_diff(c2),
+    }
 }
 
 /// Optimized implementation: per-tag counters over a single scan of the
@@ -82,16 +91,10 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     }
     let mut tk = TopK::new(LIMIT);
     for (tag, (c1, c2)) in counts {
-        let row = Row {
-            tag_name: store.tags.name[tag as usize].to_string(),
-            count_month1: c1,
-            count_month2: c2,
-            diff: c1.abs_diff(c2),
-        };
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(store, tag, c1, c2), (tag, c1, c2));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (tag, c1, c2)| to_row(store, tag, c1, c2))
 }
 
 /// Naive reference: tag-major scan through the reverse tag index.
@@ -115,13 +118,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
         if c1 == 0 && c2 == 0 {
             continue;
         }
-        let row = Row {
-            tag_name: store.tags.name[tag as usize].to_string(),
-            count_month1: c1,
-            count_month2: c2,
-            diff: c1.abs_diff(c2),
-        };
-        items.push((sort_key(&row), row));
+        items.push((sort_key(store, tag, c1, c2), to_row(store, tag, c1, c2)));
     }
     sort_truncate(items, LIMIT)
 }

@@ -39,8 +39,19 @@ const LIMIT: usize = 20;
 
 type Key = (std::cmp::Reverse<u64>, u64);
 
-fn sort_key(row: &Row) -> Key {
-    (std::cmp::Reverse(row.post_count), row.forum_id)
+fn sort_key(store: &Store, f: Ix, count: u64) -> Key {
+    (std::cmp::Reverse(count), store.forums.id[f as usize])
+}
+
+fn to_row(store: &Store, f: Ix, count: u64) -> Row {
+    let moderator = store.forums.moderator[f as usize];
+    Row {
+        forum_id: store.forums.id[f as usize],
+        forum_title: store.forums.title[f as usize].to_string(),
+        forum_creation_date: store.forums.creation_date[f as usize],
+        moderator_id: store.persons.id[moderator as usize],
+        post_count: count,
+    }
 }
 
 /// Optimized implementation: iterate forums moderated from the country,
@@ -72,18 +83,11 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
             if count == 0 {
                 continue;
             }
-            let row = Row {
-                forum_id: store.forums.id[f as usize],
-                forum_title: store.forums.title[f as usize].to_string(),
-                forum_creation_date: store.forums.creation_date[f as usize],
-                moderator_id: store.persons.id[moderator as usize],
-                post_count: count,
-            };
-            tk.push(sort_key(&row), row);
+            tk.offer(sort_key(store, f, count), (f, count));
         }
     });
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (f, count)| to_row(store, f, count))
 }
 
 /// Naive reference: post-major scan, aggregating per forum.
@@ -109,17 +113,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     }
     let items: Vec<(Key, Row)> = counts
         .into_iter()
-        .map(|(f, count)| {
-            let moderator = store.forums.moderator[f as usize];
-            let row = Row {
-                forum_id: store.forums.id[f as usize],
-                forum_title: store.forums.title[f as usize].to_string(),
-                forum_creation_date: store.forums.creation_date[f as usize],
-                moderator_id: store.persons.id[moderator as usize],
-                post_count: count,
-            };
-            (sort_key(&row), row)
-        })
+        .map(|(f, count)| (sort_key(store, f, count), to_row(store, f, count)))
         .collect();
     sort_truncate(items, LIMIT)
 }

@@ -54,8 +54,8 @@ fn popular_forums(store: &Store, ctx: &QueryContext, country: Ix) -> FxHashSet<I
     tk.into_sorted().into_iter().collect()
 }
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64) {
-    (std::cmp::Reverse(row.post_count), row.person_id)
+fn sort_key(store: &Store, p: Ix, count: u64) -> (std::cmp::Reverse<u64>, u64) {
+    (std::cmp::Reverse(count), store.persons.id[p as usize])
 }
 
 fn to_row(store: &Store, p: Ix, count: u64) -> Row {
@@ -97,11 +97,10 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let mut tk = TopK::new(LIMIT);
     for &p in &members {
         let count = counts.get(&p).copied().unwrap_or(0);
-        let row = to_row(store, p, count);
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(store, p, count), (p, count));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (p, count)| to_row(store, p, count))
 }
 
 /// Naive reference: per-member scan of all their messages.
@@ -123,8 +122,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
                 store.messages.is_post(m) && forums.contains(&store.messages.forum[m as usize])
             })
             .count() as u64;
-        let row = to_row(store, p, count);
-        items.push((sort_key(&row), row));
+        items.push((sort_key(store, p, count), to_row(store, p, count)));
     }
     sort_truncate(items, LIMIT)
 }

@@ -37,17 +37,24 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64) {
-    (std::cmp::Reverse(row.score), row.person_id)
+/// Per-person `(messages, replies, likes)` over the tagged messages.
+type Counts = (u64, u64, u64);
+
+fn score((msgs, replies, likes): Counts) -> u64 {
+    msgs + 2 * replies + 10 * likes
 }
 
-fn make_row(store: &Store, p: Ix, msgs: u64, replies: u64, likes: u64) -> Row {
+fn sort_key(store: &Store, p: Ix, counts: Counts) -> (std::cmp::Reverse<u64>, u64) {
+    (std::cmp::Reverse(score(counts)), store.persons.id[p as usize])
+}
+
+fn make_row(store: &Store, p: Ix, counts: Counts) -> Row {
     Row {
         person_id: store.persons.id[p as usize],
-        message_count: msgs,
-        reply_count: replies,
-        like_count: likes,
-        score: msgs + 2 * replies + 10 * likes,
+        message_count: counts.0,
+        reply_count: counts.1,
+        like_count: counts.2,
+        score: score(counts),
     }
 }
 
@@ -63,7 +70,7 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let tagged: Vec<Ix> = store.tag_message.targets_of(tag).collect();
     let acc = ctx.par_map_reduce(
         tagged.len(),
-        FxHashMap::<Ix, (u64, u64, u64)>::default,
+        FxHashMap::<Ix, Counts>::default,
         |acc, range| {
             for &m in &tagged[range] {
                 let p = store.messages.creator[m as usize];
@@ -83,18 +90,17 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
         },
     );
     let mut tk = TopK::new(LIMIT);
-    for (p, (msgs, replies, likes)) in acc {
-        let row = make_row(store, p, msgs, replies, likes);
-        tk.push(sort_key(&row), row);
+    for (p, counts) in acc {
+        tk.offer(sort_key(store, p, counts), (p, counts));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (p, counts)| make_row(store, p, counts))
 }
 
 /// Naive reference: full message scan with per-message tag test.
 pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     let Ok(tag) = store.tag_named(&params.tag) else { return Vec::new() };
-    let mut acc: FxHashMap<Ix, (u64, u64, u64)> = FxHashMap::default();
+    let mut acc: FxHashMap<Ix, Counts> = FxHashMap::default();
     for m in 0..store.messages.len() as Ix {
         if !has_tag(store, m, tag) {
             continue;
@@ -109,10 +115,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     }
     let items: Vec<_> = acc
         .into_iter()
-        .map(|(p, (m, r, l))| {
-            let row = make_row(store, p, m, r, l);
-            (sort_key(&row), row)
-        })
+        .map(|(p, counts)| (sort_key(store, p, counts), make_row(store, p, counts)))
         .collect();
     sort_truncate(items, LIMIT)
 }

@@ -31,8 +31,12 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64) {
-    (std::cmp::Reverse(row.authority_score), row.person_id)
+fn sort_key(store: &Store, p: Ix, score: u64) -> (std::cmp::Reverse<u64>, u64) {
+    (std::cmp::Reverse(score), store.persons.id[p as usize])
+}
+
+fn to_row(store: &Store, p: Ix, score: u64) -> Row {
+    Row { person_id: store.persons.id[p as usize], authority_score: score }
 }
 
 /// Total likes received by any of `p`'s messages.
@@ -76,11 +80,10 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let mut tk = TopK::new(LIMIT);
     let scores = scores.0;
     for (p, score) in scores {
-        let row = Row { person_id: store.persons.id[p as usize], authority_score: score };
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(store, p, score), (p, score));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (p, score)| to_row(store, p, score))
 }
 
 /// Naive reference: message-major scan, popularity recomputed per like.
@@ -99,10 +102,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     }
     let items: Vec<_> = scores
         .into_iter()
-        .map(|(p, score)| {
-            let row = Row { person_id: store.persons.id[p as usize], authority_score: score };
-            (sort_key(&row), row)
-        })
+        .map(|(p, score)| (sort_key(store, p, score), to_row(store, p, score)))
         .collect();
     sort_truncate(items, LIMIT)
 }

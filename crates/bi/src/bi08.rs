@@ -30,8 +30,12 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, String) {
-    (std::cmp::Reverse(row.count), row.related_tag_name.clone())
+fn sort_key(store: &Store, t: Ix, count: u64) -> (std::cmp::Reverse<u64>, &'static str) {
+    (std::cmp::Reverse(count), store.tags.name.get(t as usize))
+}
+
+fn to_row(store: &Store, t: Ix, count: u64) -> Row {
+    Row { related_tag_name: store.tags.name[t as usize].to_string(), count }
 }
 
 /// Optimized implementation: walk the tag's messages, then their direct
@@ -69,11 +73,10 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     );
     let mut tk = TopK::new(LIMIT);
     for (t, count) in counts {
-        let row = Row { related_tag_name: store.tags.name[t as usize].to_string(), count };
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(store, t, count), (t, count));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (t, count)| to_row(store, t, count))
 }
 
 /// Naive reference: comment-major scan testing the parent's tags.
@@ -94,10 +97,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     }
     let items: Vec<_> = counts
         .into_iter()
-        .map(|(t, count)| {
-            let row = Row { related_tag_name: store.tags.name[t as usize].to_string(), count };
-            (sort_key(&row), row)
-        })
+        .map(|(t, count)| (sort_key(store, t, count), to_row(store, t, count)))
         .collect();
     sort_truncate(items, LIMIT)
 }

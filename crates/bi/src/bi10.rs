@@ -37,8 +37,12 @@ pub struct Row {
 const LIMIT: usize = 100;
 const INTEREST_BONUS: u64 = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64) {
-    (std::cmp::Reverse(row.score + row.friends_score), row.person_id)
+fn sort_key(store: &Store, p: Ix, own: u64, friends: u64) -> (std::cmp::Reverse<u64>, u64) {
+    (std::cmp::Reverse(own + friends), store.persons.id[p as usize])
+}
+
+fn to_row(store: &Store, p: Ix, own: u64, friends: u64) -> Row {
+    Row { person_id: store.persons.id[p as usize], score: own, friends_score: friends }
 }
 
 /// Computes the per-person own scores (shared by both engines; the
@@ -76,13 +80,11 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
             if own == 0 && friends == 0 {
                 continue;
             }
-            let row =
-                Row { person_id: store.persons.id[p as usize], score: own, friends_score: friends };
-            tk.push(sort_key(&row), row);
+            tk.offer(sort_key(store, p, own, friends), (p, own, friends));
         }
     });
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (p, own, friends)| to_row(store, p, own, friends))
 }
 
 /// Naive reference: per-person message scans.
@@ -111,9 +113,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
         if own == 0 && friends == 0 {
             continue;
         }
-        let row =
-            Row { person_id: store.persons.id[p as usize], score: own, friends_score: friends };
-        items.push((sort_key(&row), row));
+        items.push((sort_key(store, p, own, friends), to_row(store, p, own, friends)));
     }
     sort_truncate(items, LIMIT)
 }

@@ -34,10 +34,22 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (std::cmp::Reverse<u64>, u64, String);
+type Key = (std::cmp::Reverse<u64>, u64, &'static str);
 
-fn sort_key(row: &Row) -> Key {
-    (std::cmp::Reverse(row.like_count), row.person_id, row.tag_name.clone())
+/// One aggregated group: `((person, tag), (likes, replies))`.
+type Group = ((Ix, Ix), (u64, u64));
+
+fn sort_key(store: &Store, &((p, t), (likes, _)): &Group) -> Key {
+    (std::cmp::Reverse(likes), store.persons.id[p as usize], store.tags.name.get(t as usize))
+}
+
+fn to_row(store: &Store, ((p, t), (likes, replies)): Group) -> Row {
+    Row {
+        person_id: store.persons.id[p as usize],
+        tag_name: store.tags.name[t as usize].to_string(),
+        like_count: likes,
+        reply_count: replies,
+    }
 }
 
 /// Whether comment `c` is an "unrelated, clean" reply.
@@ -107,17 +119,11 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let Ok(country) = store.country_by_name(&params.country) else { return Vec::new() };
     let groups = aggregate(store, ctx, country, &params.blacklist);
     let mut tk = TopK::new(LIMIT);
-    for ((p, t), (likes, replies)) in groups {
-        let row = Row {
-            person_id: store.persons.id[p as usize],
-            tag_name: store.tags.name[t as usize].to_string(),
-            like_count: likes,
-            reply_count: replies,
-        };
-        tk.push(sort_key(&row), row);
+    for group in groups {
+        tk.offer(sort_key(store, &group), group);
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, group| to_row(store, group))
 }
 
 /// Naive reference: person-major, recomputing qualification per
@@ -142,14 +148,8 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
             }
         }
     }
-    for ((p, t), (likes, replies)) in groups {
-        let row = Row {
-            person_id: store.persons.id[p as usize],
-            tag_name: store.tags.name[t as usize].to_string(),
-            like_count: likes,
-            reply_count: replies,
-        };
-        items.push((sort_key(&row), row));
+    for group in groups {
+        items.push((sort_key(store, &group), to_row(store, group)));
     }
     sort_truncate(items, LIMIT)
 }
@@ -206,8 +206,9 @@ mod tests {
     fn sorted_by_likes() {
         let s = testutil::store();
         let rows = run(s, &params());
+        let key = |r: &Row| (std::cmp::Reverse(r.like_count), r.person_id, r.tag_name.clone());
         for w in rows.windows(2) {
-            assert!(sort_key(&w[0]) < sort_key(&w[1]));
+            assert!(key(&w[0]) < key(&w[1]));
         }
     }
 }

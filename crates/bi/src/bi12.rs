@@ -35,8 +35,8 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64) {
-    (std::cmp::Reverse(row.like_count), row.message_id)
+fn sort_key(store: &Store, m: Ix, likes: u64) -> (std::cmp::Reverse<u64>, u64) {
+    (std::cmp::Reverse(likes), store.messages.id[m as usize])
 }
 
 fn to_row(store: &Store, m: Ix, likes: u64) -> Row {
@@ -68,15 +68,11 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
             if likes <= params.like_threshold {
                 continue;
             }
-            let key = (std::cmp::Reverse(likes), store.messages.id[m as usize]);
-            if !tk.would_accept(&key) {
-                continue; // CP-1.3: skip row construction entirely
-            }
-            tk.push(key, to_row(store, m, likes));
+            tk.offer(sort_key(store, m, likes), (m, likes));
         }
     });
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (m, likes)| to_row(store, m, likes))
 }
 
 /// Naive reference: materialise all candidates, count likes by
@@ -90,8 +86,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
         }
         let likes = store.message_likes.targets_of(m).count() as u64;
         if likes > params.like_threshold {
-            let row = to_row(store, m, likes);
-            items.push((sort_key(&row), row));
+            items.push((sort_key(store, m, likes), to_row(store, m, likes)));
         }
     }
     sort_truncate(items, LIMIT)

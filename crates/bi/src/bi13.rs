@@ -31,18 +31,17 @@ pub struct Row {
 const LIMIT: usize = 100;
 const TAGS_PER_GROUP: usize = 5;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<i32>, u32) {
+fn sort_key(year: i32, month: u32) -> (std::cmp::Reverse<i32>, u32) {
     // Spec sort: year descending, month ascending.
-    (std::cmp::Reverse(row.year), row.month)
+    (std::cmp::Reverse(year), month)
 }
 
 fn top_tags(store: &Store, counts: FxHashMap<Ix, u64>) -> Vec<(String, u64)> {
     let mut tk = TopK::new(TAGS_PER_GROUP);
     for (t, c) in counts {
-        let name = store.tags.name[t as usize].to_string();
-        tk.push((std::cmp::Reverse(c), name.clone()), (name, c));
+        tk.offer((std::cmp::Reverse(c), store.tags.name.get(t as usize)), c);
     }
-    tk.into_sorted()
+    tk.into_rows(|(_, name), c| (name.to_string(), c))
 }
 
 /// Optimized implementation: single scan over messages of the country.
@@ -81,11 +80,14 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     );
     let mut tk = TopK::new(LIMIT);
     for ((year, month), counts) in groups {
-        let row = Row { year, month, popular_tags: top_tags(store, counts) };
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(year, month), (year, month, counts));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (year, month, counts)| Row {
+        year,
+        month,
+        popular_tags: top_tags(store, counts),
+    })
 }
 
 /// Naive reference: group keys first, then per-group rescans.
@@ -114,8 +116,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
             counts.into_iter().map(|(t, c)| (store.tags.name[t as usize].to_string(), c)).collect();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         pairs.truncate(TAGS_PER_GROUP);
-        let row = Row { year, month, popular_tags: pairs };
-        items.push((sort_key(&row), row));
+        items.push((sort_key(year, month), Row { year, month, popular_tags: pairs }));
     }
     sort_truncate(items, LIMIT)
 }

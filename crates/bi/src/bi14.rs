@@ -38,8 +38,18 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64) {
-    (std::cmp::Reverse(row.message_count), row.person_id)
+fn sort_key(store: &Store, p: Ix, msgs: u64) -> (std::cmp::Reverse<u64>, u64) {
+    (std::cmp::Reverse(msgs), store.persons.id[p as usize])
+}
+
+fn to_row(store: &Store, p: Ix, threads: u64, msgs: u64) -> Row {
+    Row {
+        person_id: store.persons.id[p as usize],
+        first_name: store.persons.first_name[p as usize].to_string(),
+        last_name: store.persons.last_name[p as usize].to_string(),
+        thread_count: threads,
+        message_count: msgs,
+    }
 }
 
 /// Optimized implementation: post scan + recursive thread counting via
@@ -84,17 +94,10 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     );
     let mut tk = TopK::new(LIMIT);
     for (p, (threads, msgs)) in acc {
-        let row = Row {
-            person_id: store.persons.id[p as usize],
-            first_name: store.persons.first_name[p as usize].to_string(),
-            last_name: store.persons.last_name[p as usize].to_string(),
-            thread_count: threads,
-            message_count: msgs,
-        };
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(store, p, msgs), (p, threads, msgs));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (p, threads, msgs)| to_row(store, p, threads, msgs))
 }
 
 /// Naive reference: counts thread membership through the `root_post`
@@ -129,14 +132,8 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     let items: Vec<_> = threads
         .into_iter()
         .map(|(p, threads)| {
-            let row = Row {
-                person_id: store.persons.id[p as usize],
-                first_name: store.persons.first_name[p as usize].to_string(),
-                last_name: store.persons.last_name[p as usize].to_string(),
-                thread_count: threads,
-                message_count: msgs.get(&p).copied().unwrap_or(0),
-            };
-            (sort_key(&row), row)
+            let msgs = msgs.get(&p).copied().unwrap_or(0);
+            (sort_key(store, p, msgs), to_row(store, p, threads, msgs))
         })
         .collect();
     sort_truncate(items, LIMIT)
@@ -174,8 +171,9 @@ mod tests {
         let rows = run(s, &params());
         assert!(!rows.is_empty());
         assert!(rows.len() <= 100);
+        let key = |r: &Row| (std::cmp::Reverse(r.message_count), r.person_id);
         for w in rows.windows(2) {
-            assert!(sort_key(&w[0]) < sort_key(&w[1]));
+            assert!(key(&w[0]) < key(&w[1]));
         }
     }
 

@@ -48,10 +48,18 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (std::cmp::Reverse<u64>, String, u64);
+type Key = (std::cmp::Reverse<u64>, &'static str, u64);
 
-fn sort_key(row: &Row) -> Key {
-    (std::cmp::Reverse(row.message_count), row.tag_name.clone(), row.person_id)
+fn sort_key(store: &Store, p: Ix, t: Ix, count: u64) -> Key {
+    (std::cmp::Reverse(count), store.tags.name.get(t as usize), store.persons.id[p as usize])
+}
+
+fn to_row(store: &Store, p: Ix, t: Ix, count: u64) -> Row {
+    Row {
+        person_id: store.persons.id[p as usize],
+        tag_name: store.tags.name[t as usize].to_string(),
+        message_count: count,
+    }
 }
 
 fn collect_rows(
@@ -119,15 +127,10 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     );
     let mut tk = TopK::new(LIMIT);
     for ((p, t), count) in groups {
-        let row = Row {
-            person_id: store.persons.id[p as usize],
-            tag_name: store.tags.name[t as usize].to_string(),
-            message_count: count,
-        };
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(store, p, t, count), (p, t, count));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (p, t, count)| to_row(store, p, t, count))
 }
 
 /// Naive reference: same trail semantics, full sort (trail enumeration
@@ -151,14 +154,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     let groups = collect_rows(store, reachable.into_iter().filter(|&p| p != start), country, class);
     let items: Vec<_> = groups
         .into_iter()
-        .map(|((p, t), count)| {
-            let row = Row {
-                person_id: store.persons.id[p as usize],
-                tag_name: store.tags.name[t as usize].to_string(),
-                message_count: count,
-            };
-            (sort_key(&row), row)
-        })
+        .map(|((p, t), count)| (sort_key(store, p, t, count), to_row(store, p, t, count)))
         .collect();
     sort_truncate(items, LIMIT)
 }

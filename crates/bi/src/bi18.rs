@@ -13,7 +13,7 @@ use rustc_hash::FxHashMap;
 use snb_core::Date;
 use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
-use snb_store::{Ix, Store};
+use snb_store::{interner, Ix, Store, Sym};
 
 use crate::common::{messages_after, thread_language};
 
@@ -43,11 +43,37 @@ fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, std::cmp::Reverse<u64>) {
     (std::cmp::Reverse(row.person_count), std::cmp::Reverse(row.message_count))
 }
 
+/// The string form of the predicate: what the spec says, and the
+/// oracle [`qualifies_sym`] is tested against.
 fn qualifies(store: &Store, m: Ix, cutoff: snb_core::DateTime, p: &Params) -> bool {
     store.messages.creation_date[m as usize] > cutoff
         && !store.messages.content[m as usize].is_empty()
         && store.messages.length[m as usize] < p.length_threshold
         && p.languages.iter().any(|l| l == thread_language(store, m))
+}
+
+/// The requested languages as dictionary symbols, resolved once per
+/// query. A language absent from the dictionary occurs in no row, so it
+/// is dropped — and never interned: the parameter is client-supplied.
+fn language_syms(p: &Params) -> Vec<Sym> {
+    p.languages.iter().filter_map(|l| interner().lookup(l)).collect()
+}
+
+/// The scan form of [`qualifies`], cheapest test first: three integer
+/// compares, an offset subtraction, then a `u32` membership test on
+/// the thread's language symbol. No string is resolved or validated.
+fn qualifies_sym(
+    store: &Store,
+    m: Ix,
+    cutoff: snb_core::DateTime,
+    p: &Params,
+    langs: &[Sym],
+) -> bool {
+    let msgs = &store.messages;
+    msgs.creation_date[m as usize] > cutoff
+        && msgs.length[m as usize] < p.length_threshold
+        && !msgs.content.row_is_empty(m as usize)
+        && langs.contains(&msgs.language.sym(msgs.root_post[m as usize] as usize))
 }
 
 fn histogram(per_person: &[u64]) -> FxHashMap<u64, u64> {
@@ -70,12 +96,13 @@ pub fn run(store: &Store, params: &Params) -> Vec<Row> {
 pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let cutoff = params.date.at_midnight();
     let window = messages_after(store, ctx.metrics(), cutoff);
+    let langs = language_syms(params);
     let per_person = ctx.par_map_reduce(
         window.len(),
         || vec![0u64; store.persons.len()],
         |acc, range| {
             for &m in &window[range] {
-                if qualifies(store, m, cutoff, params) {
+                if qualifies_sym(store, m, cutoff, params, &langs) {
                     acc[store.messages.creator[m as usize] as usize] += 1;
                 }
             }
@@ -121,6 +148,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
 mod tests {
     use super::*;
     use crate::common::testutil;
+    use proptest::prelude::*;
 
     fn params() -> Params {
         Params {
@@ -154,12 +182,54 @@ mod tests {
     fn language_filter_excludes() {
         let s = testutil::store();
         let mut p = params();
-        p.languages = vec!["xx".into()];
+        p.languages = vec!["xx-unknown".into()];
         let rows = run(s, &p);
         // Nothing qualifies, so everyone lands in the zero bucket.
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].message_count, 0);
         assert_eq!(rows[0].person_count as usize, s.persons.len());
+        assert_eq!(rows, run_naive(s, &p));
+        // The parameter was looked up, not interned.
+        assert_eq!(interner().lookup("xx-unknown"), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The symbol predicate the scan runs agrees with the string
+        /// predicate of the spec on every message, for any cutoff,
+        /// threshold and language subset — including the empty
+        /// language and languages absent from the dictionary.
+        #[test]
+        fn sym_predicate_matches_string_predicate(
+            day in 0i32..1100,
+            length_threshold in 0u32..400,
+            subset in 0u32..512
+        ) {
+            const LANGS: [&str; 9] =
+                ["zh", "en", "hi", "es", "de", "pt", "", "xx-absent", "tlh-absent"];
+            let s = testutil::store();
+            let p = Params {
+                date: Date::from_ymd(2010, 1, 1).plus_days(day),
+                length_threshold,
+                languages: LANGS
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| subset & (1 << i) != 0)
+                    .map(|(_, l)| l.to_string())
+                    .collect(),
+            };
+            let cutoff = p.date.at_midnight();
+            let langs = language_syms(&p);
+            for m in 0..s.messages.len() as Ix {
+                prop_assert_eq!(
+                    qualifies_sym(s, m, cutoff, &p, &langs),
+                    qualifies(s, m, cutoff, &p),
+                    "message {} under {:?}", m, p
+                );
+            }
+            prop_assert_eq!(interner().lookup("xx-absent"), None);
+        }
     }
 
     #[test]

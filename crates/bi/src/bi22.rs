@@ -43,8 +43,21 @@ const W_REPLY: u64 = 4;
 const W_KNOWS: u64 = 10;
 const W_LIKE: u64 = 1;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64, u64) {
-    (std::cmp::Reverse(row.score), row.person1_id, row.person2_id)
+/// A scored pair `(country-1 person, country-2 person, score)`.
+type Pair = (Ix, Ix, u64);
+
+fn sort_key(store: &Store, &(a, b, score): &Pair) -> (std::cmp::Reverse<u64>, u64, u64) {
+    (std::cmp::Reverse(score), store.persons.id[a as usize], store.persons.id[b as usize])
+}
+
+fn to_row(store: &Store, (a, b, score): Pair) -> Row {
+    let city = store.persons.city[a as usize];
+    Row {
+        person1_id: store.persons.id[a as usize],
+        person2_id: store.persons.id[b as usize],
+        city1_name: store.places.name[city as usize].to_string(),
+        score,
+    }
 }
 
 /// Accumulates pairwise scores between residents of the two countries,
@@ -109,25 +122,19 @@ fn pair_scores(store: &Store, ctx: &QueryContext, c1: Ix, c2: Ix) -> FxHashMap<(
     scores
 }
 
-fn rows_from_scores(store: &Store, scores: FxHashMap<(Ix, Ix), u64>) -> Vec<Row> {
+fn best_pairs(store: &Store, scores: FxHashMap<(Ix, Ix), u64>) -> Vec<Pair> {
     // Best pair per city of country1.
-    let mut best: FxHashMap<Ix, Row> = FxHashMap::default();
+    let mut best: FxHashMap<Ix, Pair> = FxHashMap::default();
     let mut entries: Vec<((Ix, Ix), u64)> = scores.into_iter().collect();
     // Deterministic iteration for tie handling: lowest ids win ties.
     entries
         .sort_by_key(|&((a, b), _)| (store.persons.id[a as usize], store.persons.id[b as usize]));
     for ((a, b), score) in entries {
         let city = store.persons.city[a as usize];
-        let row = Row {
-            person1_id: store.persons.id[a as usize],
-            person2_id: store.persons.id[b as usize],
-            city1_name: store.places.name[city as usize].to_string(),
-            score,
-        };
         match best.get(&city) {
-            Some(cur) if cur.score >= score => {}
+            Some(cur) if cur.2 >= score => {}
             _ => {
-                best.insert(city, row);
+                best.insert(city, (a, b, score));
             }
         }
     }
@@ -147,11 +154,11 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
         return Vec::new();
     };
     let mut tk = TopK::new(LIMIT);
-    for row in rows_from_scores(store, pair_scores(store, ctx, c1, c2)) {
-        tk.push(sort_key(&row), row);
+    for pair in best_pairs(store, pair_scores(store, ctx, c1, c2)) {
+        tk.offer(sort_key(store, &pair), pair);
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, pair| to_row(store, pair))
 }
 
 /// Naive reference: scores every candidate pair by direct probing.
@@ -190,8 +197,10 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
             }
         }
     }
-    let items: Vec<_> =
-        rows_from_scores(store, scores).into_iter().map(|r| (sort_key(&r), r)).collect();
+    let items: Vec<_> = best_pairs(store, scores)
+        .into_iter()
+        .map(|pair| (sort_key(store, &pair), to_row(store, pair)))
+        .collect();
     sort_truncate(items, LIMIT)
 }
 

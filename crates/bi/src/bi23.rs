@@ -28,10 +28,18 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (std::cmp::Reverse<u64>, String, u32);
+type Key = (std::cmp::Reverse<u64>, &'static str, u32);
 
-fn sort_key(row: &Row) -> Key {
-    (std::cmp::Reverse(row.message_count), row.destination_name.clone(), row.month)
+fn sort_key(store: &Store, dest: Ix, month: u32, count: u64) -> Key {
+    (std::cmp::Reverse(count), store.places.name.get(dest as usize), month)
+}
+
+fn to_row(store: &Store, dest: Ix, month: u32, count: u64) -> Row {
+    Row {
+        message_count: count,
+        destination_name: store.places.name[dest as usize].to_string(),
+        month,
+    }
 }
 
 /// Optimized implementation: start from the selective side — residents
@@ -71,15 +79,10 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     );
     let mut tk = TopK::new(LIMIT);
     for ((dest, month), count) in groups {
-        let row = Row {
-            message_count: count,
-            destination_name: store.places.name[dest as usize].to_string(),
-            month,
-        };
-        tk.push(sort_key(&row), row);
+        tk.offer(sort_key(store, dest, month, count), (dest, month, count));
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, (dest, month, count)| to_row(store, dest, month, count))
 }
 
 /// Naive reference: full message-table scan with per-message creator
@@ -102,12 +105,7 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
     let items: Vec<_> = groups
         .into_iter()
         .map(|((dest, month), count)| {
-            let row = Row {
-                message_count: count,
-                destination_name: store.places.name[dest as usize].to_string(),
-                month,
-            };
-            (sort_key(&row), row)
+            (sort_key(store, dest, month, count), to_row(store, dest, month, count))
         })
         .collect();
     sort_truncate(items, LIMIT)
@@ -141,8 +139,10 @@ mod tests {
     fn sorted_by_count_then_destination() {
         let s = testutil::store();
         let rows = run(s, &Params { country: "India".into() });
+        let key =
+            |r: &Row| (std::cmp::Reverse(r.message_count), r.destination_name.clone(), r.month);
         for w in rows.windows(2) {
-            assert!(sort_key(&w[0]) < sort_key(&w[1]));
+            assert!(key(&w[0]) < key(&w[1]));
         }
     }
 

@@ -36,26 +36,23 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (i32, u32, String);
+type Key = (i32, u32, &'static str);
 
-fn sort_key(row: &Row) -> Key {
-    (row.year, row.month, row.continent_name.clone())
+/// One aggregated group: `((year, month, continent), (messages, likes))`.
+type Group = ((i32, u32, Ix), (u64, u64));
+
+fn sort_key(store: &Store, &((year, month, continent), _): &Group) -> Key {
+    (year, month, store.places.name.get(continent as usize))
 }
 
-fn group_rows(store: &Store, groups: FxHashMap<(i32, u32, Ix), (u64, u64)>) -> Vec<(Key, Row)> {
-    groups
-        .into_iter()
-        .map(|((year, month, continent), (msgs, likes))| {
-            let row = Row {
-                message_count: msgs,
-                like_count: likes,
-                year,
-                month,
-                continent_name: store.places.name[continent as usize].to_string(),
-            };
-            (sort_key(&row), row)
-        })
-        .collect()
+fn to_row(store: &Store, ((year, month, continent), (msgs, likes)): Group) -> Row {
+    Row {
+        message_count: msgs,
+        like_count: likes,
+        year,
+        month,
+        continent_name: store.places.name[continent as usize].to_string(),
+    }
 }
 
 /// Optimized implementation: start from the class's tags via the
@@ -95,11 +92,11 @@ pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
         },
     );
     let mut tk = TopK::new(LIMIT);
-    for (key, row) in group_rows(store, groups) {
-        tk.push(key, row);
+    for group in groups {
+        tk.offer(sort_key(store, &group), group);
     }
     ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    tk.into_rows(|_, group| to_row(store, group))
 }
 
 /// Naive reference: full message scan with the class test per message.
@@ -116,7 +113,9 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
         e.0 += 1;
         e.1 += store.message_likes.targets_of(m).count() as u64;
     }
-    sort_truncate(group_rows(store, groups), LIMIT)
+    let items: Vec<_> =
+        groups.into_iter().map(|group| (sort_key(store, &group), to_row(store, group))).collect();
+    sort_truncate(items, LIMIT)
 }
 
 #[cfg(test)]
@@ -138,8 +137,9 @@ mod tests {
         let s = testutil::store();
         let rows = run(s, &Params { tag_class: "MusicalArtist".into() });
         assert!(!rows.is_empty());
+        let key = |r: &Row| (r.year, r.month, r.continent_name.clone());
         for w in rows.windows(2) {
-            assert!(sort_key(&w[0]) < sort_key(&w[1]));
+            assert!(key(&w[0]) < key(&w[1]));
         }
     }
 

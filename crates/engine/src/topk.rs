@@ -10,6 +10,13 @@
 //!
 //! Keys are "smaller is better": encode descending orders with
 //! [`std::cmp::Reverse`] inside the key tuple.
+//!
+//! Late projection (choke point CP-2.2): a query offers each group as
+//! a compact value — dense indices and counts, with any string in the
+//! sort key borrowed from the dictionary as `&'static str` — through
+//! [`TopK::offer`], which prunes before anything is stored, and builds
+//! its output rows (the `String`s) only for the ≤ `k` survivors in
+//! [`TopK::into_rows`].
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
@@ -40,8 +47,9 @@ impl<K: Ord, T> Ord for Entry<K, T> {
 /// Keeps the `k` smallest-keyed items seen.
 ///
 /// The collector also counts its own operator work for the metrics
-/// layer: candidates offered via [`TopK::push`] and candidates pruned
-/// by [`TopK::would_accept`] (the CP-1.3 hook). Queries fold these into
+/// layer: candidates that reached [`TopK::push`] and candidates pruned
+/// by [`TopK::would_accept`] (the CP-1.3 hook, which [`TopK::offer`]
+/// applies to every candidate). Queries fold these into
 /// their context with `ctx.metrics().note_topk(&tk)` once the final
 /// collector is assembled; merging partial collectors carries their
 /// counters along.
@@ -97,6 +105,16 @@ impl<K: Ord + Clone, T> TopK<K, T> {
         }
     }
 
+    /// Offers a candidate through the pruning hook: a key that cannot
+    /// enter the top-k is counted as pruned and dropped, anything else
+    /// is pushed. Keeps exactly what an unconditional [`TopK::push`]
+    /// would keep.
+    pub fn offer(&mut self, key: K, value: T) {
+        if self.would_accept(&key) {
+            self.push(key, value);
+        }
+    }
+
     /// Offers an item; keeps it only if it beats the current top-k.
     pub fn push(&mut self, key: K, value: T) {
         self.offered += 1;
@@ -149,6 +167,13 @@ impl<K: Ord + Clone, T> TopK<K, T> {
         let mut entries = self.heap.into_vec();
         entries.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
         entries.into_iter().map(|e| e.value).collect()
+    }
+
+    /// Consumes the collector, projecting each kept `(key, value)` to
+    /// an output row in ORDER BY order — the only place a query that
+    /// offers compact values builds its rows.
+    pub fn into_rows<R>(self, mut project: impl FnMut(K, T) -> R) -> Vec<R> {
+        self.into_sorted_entries().into_iter().map(|(key, value)| project(key, value)).collect()
     }
 
     /// Like [`TopK::into_sorted`] but returns `(key, value)` pairs.
@@ -239,6 +264,63 @@ mod tests {
         // Merge carries counters but does not re-count the moved entry.
         assert_eq!((tk.offered(), tk.pruned()), (3, 2));
         assert_eq!(tk.into_sorted(), vec!["c", "a"]);
+    }
+
+    #[test]
+    fn offer_keeps_what_push_keeps_and_projects_survivors_only() {
+        // Late projection must be invisible: same survivors, same
+        // order (first-seen wins a tie on the key), rows built only for
+        // what is kept.
+        let items = [(5u32, 'a'), (1, 'b'), (5, 'c'), (3, 'd'), (1, 'e'), (9, 'f'), (3, 'g')];
+        for k in 0..=items.len() + 1 {
+            let mut pushed = TopK::new(k);
+            let mut offered = TopK::new(k);
+            for &(key, v) in &items {
+                pushed.push(key, v);
+                offered.offer(key, v);
+            }
+            assert_eq!(offered.offered() + offered.pruned(), items.len() as u64, "k={k}");
+            let mut built = 0;
+            let rows = offered.into_rows(|key, v| {
+                built += 1;
+                format!("{key}{v}")
+            });
+            let expect: Vec<String> = pushed
+                .into_sorted_entries()
+                .into_iter()
+                .map(|(key, v)| format!("{key}{v}"))
+                .collect();
+            assert_eq!(rows, expect, "k={k}");
+            assert_eq!(built, k.min(items.len()), "k={k}");
+        }
+        let mut tk = TopK::new(3);
+        for &(key, v) in &items {
+            tk.offer(key, v);
+        }
+        assert_eq!(tk.into_rows(|_, v| v), vec!['b', 'e', 'd'], "ties keep arrival order");
+    }
+
+    #[test]
+    fn zero_k_offer_prunes_everything() {
+        let mut tk: TopK<i32, i32> = TopK::new(0);
+        tk.offer(1, 10);
+        tk.offer(2, 20);
+        assert_eq!((tk.offered(), tk.pruned()), (0, 2));
+        assert!(tk.into_rows(|_, v| v).is_empty());
+    }
+
+    #[test]
+    fn merged_offer_collectors_keep_counter_sums() {
+        let (left, right) = ([4, 8, 1, 9, 7], [3, 6, 2, 5]);
+        let mut a = TopK::new(2);
+        let mut b = TopK::new(2);
+        left.iter().for_each(|&key| a.offer(key, key * 10));
+        right.iter().for_each(|&key| b.offer(key, key * 10));
+        let (offered, pruned) = (a.offered() + b.offered(), a.pruned() + b.pruned());
+        assert_eq!(offered + pruned, (left.len() + right.len()) as u64);
+        a.merge_from(b);
+        assert_eq!((a.offered(), a.pruned()), (offered, pruned), "merge re-counts nothing");
+        assert_eq!(a.into_rows(|key, v| (key, v)), vec![(1, 10), (2, 20)]);
     }
 
     #[test]

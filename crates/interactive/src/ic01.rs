@@ -6,7 +6,7 @@
 
 use snb_engine::traverse::khop_neighborhood;
 use snb_engine::TopK;
-use snb_store::{Ix, Store};
+use snb_store::{interner, Ix, Store};
 
 /// Parameters of IC 1.
 #[derive(Clone, Debug)]
@@ -96,19 +96,18 @@ fn to_row(store: &Store, p: Ix, distance: u32) -> Row {
 /// Runs IC 1.
 pub fn run(store: &Store, params: &Params) -> Vec<Row> {
     let Ok(start) = store.person(params.person_id) else { return Vec::new() };
+    // The name is client-supplied: looked up, never interned. A name
+    // absent from the dictionary belongs to no person.
+    let Some(name) = interner().lookup(&params.first_name) else { return Vec::new() };
     let mut tk = TopK::new(LIMIT);
     for (p, d) in khop_neighborhood(store, snb_engine::QueryMetrics::sink(), start, 3) {
-        if store.persons.first_name[p as usize] != params.first_name {
+        if store.persons.first_name.sym(p as usize) != name {
             continue;
         }
-        let key =
-            (d, store.persons.last_name[p as usize].to_string(), store.persons.id[p as usize]);
-        if !tk.would_accept(&key) {
-            continue;
-        }
-        tk.push(key, to_row(store, p, d));
+        let key = (d, store.persons.last_name.get(p as usize), store.persons.id[p as usize]);
+        tk.offer(key, (p, d));
     }
-    tk.into_sorted()
+    tk.into_rows(|_, (p, d)| to_row(store, p, d))
 }
 
 /// Naive reference: tests every person's name, then recomputes their

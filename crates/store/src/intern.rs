@@ -16,40 +16,78 @@
 //!   columns (message content, IPs) where interning would only bloat
 //!   the dictionary: 4 bytes per row of overhead instead of 24+.
 //!
-//! Both index as `&str` (`col[i]`), so query plans compile against them
-//! exactly as they did against `Vec<String>`. Multi-valued columns get
-//! the same treatment via [`SymListCol`] / [`PackListCol`].
+//! Both index as `&str` (`col[i]`), so cold callers compile against
+//! them exactly as they did against `Vec<String>`. Multi-valued columns
+//! get the same treatment via [`SymListCol`] / [`PackListCol`].
+//!
+//! Scans do not go through `&str` at all: a string predicate resolves
+//! its parameter to a [`Sym`] once per query with
+//! [`StrInterner::lookup`] (which never inserts — an unknown string
+//! matches nothing) and compares [`SymCol::sym`] values; emptiness and
+//! length of a packed row come from the offsets
+//! ([`PackCol::row_is_empty`] / [`PackCol::row_len`]) without touching
+//! the bytes. When a string is needed, [`StrInterner::resolve`] is two
+//! acquire loads on an append-only table — no lock, so a write batch
+//! interning new strings never stalls a reader.
 //!
 //! Trade-offs, stated honestly: the interner is append-only and leaks
 //! its dictionary for the process lifetime (symbols must stay valid in
 //! every published copy-on-write store version, and the SNB dictionary
-//! space is bounded); a `PackCol` arena is capped at 4 GiB per column
-//! by its `u32` offsets (one column of one entity type — far beyond
-//! what a single in-memory partition holds).
+//! space is bounded — only the build, insert and image-decode paths
+//! intern; query parameters use `lookup`); a `PackCol` arena is capped
+//! at 4 GiB per column by its `u32` offsets (one column of one entity
+//! type — far beyond what a single in-memory partition holds).
 
 use std::ops::Index;
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use rustc_hash::FxHashMap;
 
 /// A symbol: an index into the global interner's dictionary.
 pub type Sym = u32;
 
+/// Symbols `[0, 2^FIRST_BUCKET_BITS)` live in bucket 0; every later
+/// bucket doubles the table, so 23 buckets cover the whole `u32` range
+/// and at most half of the allocated slots are ever unused.
+const FIRST_BUCKET_BITS: u32 = 10;
+const BUCKETS: usize = (32 - FIRST_BUCKET_BITS) as usize + 1;
+
+/// One slot of the resolve table: written once by the interning
+/// thread, read by anyone with an acquire load.
+type Slot = OnceLock<&'static str>;
+
+/// `(bucket, offset)` of a symbol in the resolve table.
+fn locate(sym: Sym) -> (usize, usize) {
+    let n = u64::from(sym) + (1 << FIRST_BUCKET_BITS);
+    let top = 63 - n.leading_zeros();
+    ((top - FIRST_BUCKET_BITS) as usize, (n - (1 << top)) as usize)
+}
+
 /// The process-global append-only string dictionary.
 ///
-/// `intern` is O(1) amortised under a mutex (write path only: bulk
-/// load, inserts); `resolve` takes a read lock and returns the
-/// `&'static str` leaked at intern time, so readers never contend with
-/// each other and the returned reference outlives every store version.
+/// `intern` and `lookup` take the `map` mutex (write path and once per
+/// query respectively). `resolve` takes no lock: the symbol → string
+/// table is a fixed array of lazily allocated buckets whose slots are
+/// each set exactly once, by the thread holding `map`, before the
+/// symbol is handed out. A slot never moves, so a reader needs only the
+/// two acquire loads `OnceLock::get` performs (bucket, then slot), and
+/// the returned `&'static str` outlives every store version.
 pub struct StrInterner {
     map: Mutex<FxHashMap<&'static str, Sym>>,
-    strings: RwLock<Vec<&'static str>>,
+    table: [OnceLock<Box<[Slot]>>; BUCKETS],
+    /// Symbols handed out so far; stored with `Release` after the slot
+    /// is set, so `len()` never runs ahead of `resolve`.
+    len: AtomicUsize,
 }
 
 impl StrInterner {
     fn new() -> StrInterner {
-        let interner =
-            StrInterner { map: Mutex::new(FxHashMap::default()), strings: RwLock::new(Vec::new()) };
+        let interner = StrInterner {
+            map: Mutex::new(FxHashMap::default()),
+            table: [const { OnceLock::new() }; BUCKETS],
+            len: AtomicUsize::new(0),
+        };
         // Symbol 0 is always the empty string: `Default`-constructed
         // rows and "absent" optional attributes resolve without ever
         // touching the map.
@@ -64,23 +102,43 @@ impl StrInterner {
         if let Some(&sym) = map.get(s) {
             return sym;
         }
+        // Only the holder of `map` appends, so `len` cannot change
+        // under us and the slot below is still unset.
+        let next = self.len.load(Ordering::Relaxed);
+        let sym = u32::try_from(next).expect("interner dictionary overflow");
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let mut strings = self.strings.write().unwrap_or_else(|e| e.into_inner());
-        let sym = u32::try_from(strings.len()).expect("interner dictionary overflow");
-        strings.push(leaked);
+        let (bucket, offset) = locate(sym);
+        let slots = self.table[bucket].get_or_init(|| {
+            (0..1usize << (bucket as u32 + FIRST_BUCKET_BITS)).map(|_| Slot::new()).collect()
+        });
+        slots[offset].set(leaked).expect("resolve-table slot written twice");
+        self.len.store(next + 1, Ordering::Release);
         map.insert(leaked, sym);
         sym
     }
 
-    /// Resolves a symbol back to its string. Panics on a symbol that
-    /// was never handed out (a corrupted column, not a user error).
+    /// The symbol of `s` if it was ever interned; never inserts. This
+    /// is the entry point for client-supplied strings (query
+    /// parameters): a string absent from the dictionary occurs in no
+    /// column, and looking it up must not grow the dictionary.
+    pub fn lookup(&self, s: &str) -> Option<Sym> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner()).get(s).copied()
+    }
+
+    /// Resolves a symbol back to its string without taking a lock.
+    /// Panics on a symbol that was never handed out (a corrupted
+    /// column, not a user error).
     pub fn resolve(&self, sym: Sym) -> &'static str {
-        self.strings.read().unwrap_or_else(|e| e.into_inner())[sym as usize]
+        let (bucket, offset) = locate(sym);
+        self.table[bucket]
+            .get()
+            .and_then(|slots| slots[offset].get())
+            .expect("symbol was never handed out by this interner")
     }
 
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
-        self.strings.read().unwrap_or_else(|e| e.into_inner()).len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// True when only the empty string is interned.
@@ -88,11 +146,12 @@ impl StrInterner {
         self.len() <= 1
     }
 
-    /// Bytes held by the dictionary itself (leaked strings + index).
+    /// Bytes held by the dictionary itself (leaked strings + resolve
+    /// table; the lookup map is not counted).
     pub fn dictionary_bytes(&self) -> usize {
-        let strings = self.strings.read().unwrap_or_else(|e| e.into_inner());
-        strings.iter().map(|s| s.len()).sum::<usize>()
-            + strings.capacity() * std::mem::size_of::<&'static str>()
+        let strings: usize = (0..self.len() as Sym).map(|sym| self.resolve(sym).len()).sum();
+        let slots: usize = self.table.iter().filter_map(|b| b.get()).map(|b| b.len()).sum();
+        strings + slots * std::mem::size_of::<Slot>()
     }
 }
 
@@ -129,9 +188,16 @@ impl SymCol {
         self.syms.push(sym);
     }
 
-    /// The symbol at row `i`.
+    /// The symbol at row `i` — what scan predicates compare.
     pub fn sym(&self, i: usize) -> Sym {
         self.syms[i]
+    }
+
+    /// The value at row `i`, borrowed from the dictionary rather than
+    /// from the column: sort keys and group keys can hold it without
+    /// allocating or pinning the store version.
+    pub fn get(&self, i: usize) -> &'static str {
+        interner().resolve(self.syms[i])
     }
 
     /// Number of rows.
@@ -146,7 +212,8 @@ impl SymCol {
 
     /// Iterates the resolved values in row order.
     pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.syms.iter().map(|&s| interner().resolve(s))
+        let dict = interner();
+        self.syms.iter().map(move |&s| dict.resolve(s))
     }
 
     /// The raw symbol slice (image serialization).
@@ -184,7 +251,7 @@ impl SymCol {
 impl Index<usize> for SymCol {
     type Output = str;
     fn index(&self, i: usize) -> &str {
-        interner().resolve(self.syms[i])
+        self.get(i)
     }
 }
 
@@ -222,6 +289,19 @@ impl PackCol {
         (start, self.ends[i] as usize)
     }
 
+    /// Byte length of row `i`, from the offsets alone.
+    pub fn row_len(&self, i: usize) -> usize {
+        let (start, end) = self.range(i);
+        end - start
+    }
+
+    /// Whether row `i` is the empty string, from the offsets alone —
+    /// the scan-path form of `col[i].is_empty()`, which would validate
+    /// the row's UTF-8 first.
+    pub fn row_is_empty(&self, i: usize) -> bool {
+        self.row_len(i) == 0
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -238,13 +318,14 @@ impl PackCol {
     }
 
     /// Keeps only rows whose index passes `keep`, rebuilding the arena
-    /// so deleted rows free their bytes.
+    /// so deleted rows free their bytes. Surviving rows are copied as
+    /// byte ranges; they were validated when pushed.
     pub fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool) {
         let mut next = PackCol::default();
-        for i in 0..self.len() {
-            if keep(i) {
-                next.push(&self[i]);
-            }
+        for i in (0..self.len()).filter(|&i| keep(i)) {
+            let (start, end) = self.range(i);
+            next.bytes.extend_from_slice(&self.bytes[start..end]);
+            next.ends.push(next.bytes.len() as u32);
         }
         *self = next;
     }
@@ -318,7 +399,8 @@ impl SymListCol {
     /// The values of row `i`, resolved.
     pub fn row(&self, i: usize) -> impl Iterator<Item = &'static str> + '_ {
         let (start, end) = self.range(i);
-        self.syms[start..end].iter().map(|&s| interner().resolve(s))
+        let dict = interner();
+        self.syms[start..end].iter().map(move |&s| dict.resolve(s))
     }
 
     /// The values of row `i` as owned strings (query results).
@@ -371,11 +453,10 @@ impl SymListCol {
 
     /// Estimated heap bytes of the `Vec<Vec<String>>` this replaced.
     pub fn string_baseline_bytes(&self) -> usize {
+        let dict = interner();
+        let content_bytes = self.syms.iter().map(|&s| dict.resolve(s).len()).sum();
         self.row_ends.len() * std::mem::size_of::<Vec<String>>()
-            + string_baseline(
-                self.syms.len(),
-                self.syms.iter().map(|&s| interner().resolve(s).len()).sum(),
-            )
+            + string_baseline(self.syms.len(), content_bytes)
     }
 }
 
@@ -409,13 +490,22 @@ impl PackListCol {
         (start, self.row_ends[i] as usize)
     }
 
+    /// Byte offset where value `v` starts — the end of value `v - 1`,
+    /// so `val_start(len)` is the end of the arena.
+    fn val_start(&self, v: usize) -> usize {
+        if v == 0 {
+            0
+        } else {
+            self.val_ends[v - 1] as usize
+        }
+    }
+
     /// The values of row `i`.
     pub fn row(&self, i: usize) -> impl Iterator<Item = &str> + '_ {
         let (start, end) = self.row_range(i);
         (start..end).map(move |v| {
-            let b0 = if v == 0 { 0 } else { self.val_ends[v - 1] as usize };
-            let b1 = self.val_ends[v] as usize;
-            std::str::from_utf8(&self.bytes[b0..b1]).expect("PackListCol arena holds valid UTF-8")
+            std::str::from_utf8(&self.bytes[self.val_start(v)..self.val_start(v + 1)])
+                .expect("PackListCol arena holds valid UTF-8")
         })
     }
 
@@ -424,10 +514,15 @@ impl PackListCol {
         self.row(i).map(str::to_string).collect()
     }
 
-    /// Number of values in row `i`.
+    /// Number of values in row `i`, from the offsets alone.
     pub fn row_len(&self, i: usize) -> usize {
         let (start, end) = self.row_range(i);
         end - start
+    }
+
+    /// Whether row `i` holds no values, from the offsets alone.
+    pub fn row_is_empty(&self, i: usize) -> bool {
+        self.row_len(i) == 0
     }
 
     /// Number of rows.
@@ -441,12 +536,18 @@ impl PackListCol {
     }
 
     /// Keeps only rows whose index passes `keep`, rebuilding the arena.
+    /// A surviving row's values are contiguous, so it moves as one byte
+    /// range with its value offsets rebased.
     pub fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool) {
         let mut next = PackListCol::default();
-        for i in 0..self.len() {
-            if keep(i) {
-                next.push_row(self.row(i));
-            }
+        for i in (0..self.len()).filter(|&i| keep(i)) {
+            let (v0, v1) = self.row_range(i);
+            let (b0, b1) = (self.val_start(v0), self.val_start(v1));
+            let moved_to = next.bytes.len();
+            next.bytes.extend_from_slice(&self.bytes[b0..b1]);
+            next.val_ends
+                .extend(self.val_ends[v0..v1].iter().map(|&e| (e as usize - b0 + moved_to) as u32));
+            next.row_ends.push(next.val_ends.len() as u32);
         }
         *self = next;
     }
@@ -586,6 +687,120 @@ mod tests {
     }
 
     #[test]
+    fn lookup_finds_interned_strings_and_never_inserts() {
+        let it = interner();
+        let sym = it.intern("lookup-present");
+        assert_eq!(it.lookup("lookup-present"), Some(sym));
+        assert_eq!(it.lookup(""), Some(0));
+        assert_eq!(it.lookup("lookup-absent"), None);
+        assert_eq!(it.lookup("lookup-absent"), None, "a miss must not insert");
+    }
+
+    #[test]
+    fn locate_tiles_the_symbol_space_without_gaps() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(1023), (0, 1023));
+        assert_eq!(locate(1024), (1, 0));
+        assert_eq!(locate(3071), (1, 2047));
+        assert_eq!(locate(3072), (2, 0));
+        assert_eq!(locate(u32::MAX), (BUCKETS - 1, 1023));
+        let mut expect = (0usize, 0usize);
+        for sym in 0..20_000u32 {
+            assert_eq!(locate(sym), expect, "sym {sym}");
+            expect.1 += 1;
+            if expect.1 == 1 << (expect.0 as u32 + FIRST_BUCKET_BITS) {
+                expect = (expect.0 + 1, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn readers_resolve_every_issued_symbol_while_a_writer_interns() {
+        use std::sync::atomic::{AtomicBool, AtomicU32};
+        use std::sync::Barrier;
+
+        const FRESH: usize = 100_000;
+        const READERS: usize = 3;
+        const UNSET: u32 = u32::MAX;
+        let it = interner();
+        // issued[i] is the symbol the writer got for "conc-{i}".
+        let issued: Vec<AtomicU32> = (0..FRESH).map(|_| AtomicU32::new(UNSET)).collect();
+        let done = AtomicBool::new(false);
+        // Two rendezvous force the interleaving: every reader completes
+        // a sweep while the writer is in its first half, and all of them
+        // keep sweeping while the second half grows the table through
+        // further bucket allocations.
+        let start = Barrier::new(READERS + 1);
+        let halfway = Barrier::new(READERS + 1);
+        let sweep = |last_len: &mut usize| {
+            let len = it.len();
+            assert!(len >= *last_len, "len() went back: {last_len} -> {len}");
+            *last_len = len;
+            assert_eq!(it.resolve(0), "", "symbol 0 must stay the empty string");
+            // Every symbol below len() was handed out, so it resolves.
+            for sym in 0..len as Sym {
+                let s = it.resolve(sym);
+                let Some(i) = s.strip_prefix("conc-").and_then(|i| i.parse::<usize>().ok()) else {
+                    continue; // another test's string
+                };
+                let want = issued[i].load(Ordering::Acquire);
+                assert!(want == UNSET || want == sym, "sym {sym} resolved to {s:?}, issued {want}");
+            }
+        };
+        // The scope joins the readers and re-raises a reader's panic.
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut last_len = 0usize;
+                    sweep(&mut last_len);
+                    halfway.wait();
+                    while !done.load(Ordering::Acquire) {
+                        sweep(&mut last_len);
+                    }
+                    sweep(&mut last_len);
+                });
+            }
+            start.wait();
+            for (i, slot) in issued.iter().enumerate() {
+                if i == FRESH / 2 {
+                    halfway.wait();
+                }
+                slot.store(it.intern(&format!("conc-{i}")), Ordering::Release);
+            }
+            done.store(true, Ordering::Release);
+        });
+        // After the fact: every fresh string has its own symbol, and
+        // both directions agree.
+        let mut syms: Vec<Sym> = issued.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+        for (i, &sym) in syms.iter().enumerate() {
+            assert_eq!(it.resolve(sym), format!("conc-{i}"));
+            assert_eq!(it.lookup(&format!("conc-{i}")), Some(sym));
+        }
+        syms.sort_unstable();
+        syms.dedup();
+        assert_eq!(syms.len(), FRESH);
+        assert!(it.len() > FRESH);
+    }
+
+    #[test]
+    fn row_len_and_emptiness_come_from_offsets() {
+        let mut col = PackCol::default();
+        for s in ["", "hello", "héllo", ""] {
+            col.push(s);
+        }
+        for i in 0..col.len() {
+            assert_eq!(col.row_len(i), col[i].len());
+            assert_eq!(col.row_is_empty(i), col[i].is_empty());
+        }
+        let mut list = PackListCol::default();
+        list.push_row(["a@x.org"]);
+        list.push_row(Vec::<String>::new());
+        assert!(!list.row_is_empty(0));
+        assert!(list.row_is_empty(1));
+    }
+
+    #[test]
     fn sym_col_indexes_and_filters() {
         let mut col = SymCol::default();
         for s in ["alpha", "beta", "alpha", "gamma"] {
@@ -640,6 +855,14 @@ mod tests {
         assert_eq!(pl.len(), 2);
         assert_eq!(pl.row_len(0), 0);
         assert_eq!(pl.row_vec(1), vec!["c@z.org"]);
+        // Rows after a dropped one are rebased, not just copied.
+        pl.push_row(["d@w.org", "é@v.org"]);
+        pl.push_row(["f@u.org"]);
+        pl.filter_in_place(|i| i >= 2);
+        let mut expect = PackListCol::default();
+        expect.push_row(["d@w.org", "é@v.org"]);
+        expect.push_row(["f@u.org"]);
+        assert_eq!(pl, expect);
     }
 
     #[test]
