@@ -98,10 +98,13 @@ echo "==> interference smoke (lock-free read path under concurrent writes)"
 # (asserted in-process), a version must be published in the write
 # window (ditto), and no snapshot reader may ever hit the retry safety
 # valve — reader_blocked > 0 means the read path regressed to blocking.
+# A version lives only while it is current or pinned, so at most one
+# pinned version per client plus the current and the next one exist.
 INTERF_JSON="$(mktemp /tmp/interf_smoke.XXXXXX.json)"
+INTERF_CLIENTS=2
 SNB_SERVICE_OUT="$INTERF_JSON" \
   cargo run -q --release -p snb-bench --bin service_load -- 0.001 \
-  --interference --clients 2 --duration 1500ms > /dev/null
+  --interference --clients "$INTERF_CLIENTS" --duration 1500ms > /dev/null
 for key in interference baseline with_writes read_p99_ratio \
            versions_published peak_live_snapshots store_version; do
   grep -q "\"$key\":" "$INTERF_JSON" || {
@@ -110,6 +113,10 @@ for key in interference baseline with_writes read_p99_ratio \
 done
 grep -q '"reader_blocked": 0' "$INTERF_JSON" || {
   echo "a snapshot reader hit the blocked safety valve during interference" >&2
+  rm -f "$INTERF_JSON"; exit 1; }
+PEAK_LIVE="$(grep -o '"peak_live_snapshots": [0-9]*' "$INTERF_JSON" | grep -o '[0-9]*$')"
+[ "$PEAK_LIVE" -le $((INTERF_CLIENTS + 2)) ] || {
+  echo "peak_live_snapshots $PEAK_LIVE > clients + 2: the ring retains unpinned versions" >&2
   rm -f "$INTERF_JSON"; exit 1; }
 rm -f "$INTERF_JSON"
 

@@ -9,8 +9,10 @@
 //!
 //! The Interactive workload's inserts (IU 1–8) append into a sparse
 //! per-source *overflow* map instead of rebuilding the CSR; neighbour
-//! iteration chains base slice + overflow. `compact()` merges the
-//! overflow back into the base arrays.
+//! iteration chains base slice + overflow. [`Adj::compact`] merges the
+//! overflow into fresh base arrays.
+
+use std::ops::Range;
 
 use rustc_hash::FxHashMap;
 
@@ -102,6 +104,19 @@ impl<P: Copy> Adj<P> {
             .chain(self.overflow.get(&u).into_iter().flatten().copied())
     }
 
+    /// Every edge as `(source, target, payload)`: the base arrays in
+    /// source order, then the overflow in no particular order — for
+    /// checks that look at the edge multiset, not at per-source order.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (u32, u32, P)> + '_ {
+        let base = (0..self.sources()).flat_map(move |u| {
+            let range = self.offsets[u] as usize..self.offsets[u + 1] as usize;
+            range.map(move |i| (u as u32, self.targets[i], self.payloads[i]))
+        });
+        let overflow =
+            self.overflow.iter().flat_map(|(&u, extra)| extra.iter().map(move |&(t, p)| (u, t, p)));
+        base.chain(overflow)
+    }
+
     /// Iterates targets only.
     pub fn targets_of(&self, u: u32) -> impl Iterator<Item = u32> + '_ {
         self.neighbors(u).map(|(t, _)| t)
@@ -160,20 +175,101 @@ impl<P: Copy> Adj<P> {
         }
     }
 
-    /// Merges overflow edges into the base CSR.
-    pub fn compact(&mut self) {
-        if self.overflow.is_empty() {
+    /// Rewrites the adjacency in one pass into fresh CSR arrays. `source`
+    /// says what happens to each source's edges ([`Rewrite`]); dropped
+    /// sources vanish and the survivors renumber to `0, 1, 2, …` in
+    /// order. Per-source order is preserved (base slice, then overflow)
+    /// and the result has no overflow — the delete path's
+    /// filter-and-remap and the overflow fold, with no edge list
+    /// collected and no sort.
+    pub(crate) fn rewrite(
+        &self,
+        source: impl Fn(u32) -> Rewrite,
+        mut edge: impl FnMut(u32, u32, P) -> Option<u32>,
+    ) -> Adj<P> {
+        let mut out = Adj {
+            offsets: Vec::with_capacity(self.offsets.len()),
+            targets: Vec::with_capacity(self.edge_count()),
+            payloads: Vec::with_capacity(self.edge_count()),
+            overflow: FxHashMap::default(),
+            overflow_len: 0,
+        };
+        out.offsets.push(0);
+        // The overflow lists in ascending source order, walked beside the
+        // base arrays without a hash probe per source.
+        let mut lists: Vec<(u32, &[(u32, P)])> =
+            self.overflow.iter().map(|(&u, extra)| (u, &extra[..])).collect();
+        lists.sort_unstable_by_key(|&(u, _)| u);
+        let mut overflow = lists.into_iter().peekable();
+        // Kept sources `run..u` are pending: their base runs are copied
+        // as one slice when the stretch ends.
+        let mut run = 0;
+        for u in 0..self.sources() as u32 {
+            let extra = overflow.next_if(|&(v, _)| v == u).map_or(&[][..], |(_, extra)| extra);
+            match source(u) {
+                Rewrite::Keep if extra.is_empty() => continue,
+                Rewrite::Keep => {
+                    self.copy_base(run..u + 1, &mut out);
+                    out.targets.extend(extra.iter().map(|&(t, _)| t));
+                    out.payloads.extend(extra.iter().map(|&(_, p)| p));
+                    *out.offsets.last_mut().expect("offsets non-empty") += extra.len() as u32;
+                }
+                Rewrite::Drop => self.copy_base(run..u, &mut out),
+                Rewrite::Filter => {
+                    self.copy_base(run..u, &mut out);
+                    let (ts, ps) = self.base(u);
+                    let mut keep = |t: u32, p: P| {
+                        if let Some(t) = edge(u, t, p) {
+                            out.targets.push(t);
+                            out.payloads.push(p);
+                        }
+                    };
+                    ts.iter().zip(ps).for_each(|(&t, &p)| keep(t, p));
+                    extra.iter().for_each(|&(t, p)| keep(t, p));
+                    out.offsets.push(out.targets.len() as u32);
+                }
+            }
+            run = u + 1;
+        }
+        self.copy_base(run..self.sources() as u32, &mut out);
+        out
+    }
+
+    /// Appends the base edges of sources `range` to `out` as one slice,
+    /// with their offsets shifted to where they land.
+    fn copy_base(&self, range: Range<u32>, out: &mut Adj<P>) {
+        if range.is_empty() {
             return;
         }
-        let n = self.sources();
-        let mut edges: Vec<(u32, u32, P)> = Vec::with_capacity(self.edge_count());
-        for u in 0..n as u32 {
-            for (t, p) in self.neighbors(u) {
-                edges.push((u, t, p));
-            }
-        }
-        *self = Adj::from_edges(n, &edges);
+        let (lo, hi) = (self.offsets[range.start as usize], self.offsets[range.end as usize]);
+        let shift = out.targets.len() as u32;
+        out.offsets.extend(
+            self.offsets[range.start as usize + 1..=range.end as usize]
+                .iter()
+                .map(|&o| o - lo + shift),
+        );
+        out.targets.extend_from_slice(&self.targets[lo as usize..hi as usize]);
+        out.payloads.extend_from_slice(&self.payloads[lo as usize..hi as usize]);
     }
+
+    /// The adjacency with its overflow merged into fresh base arrays
+    /// (base slice, then overflow, per source): `rewrite` keeping every
+    /// source.
+    #[must_use]
+    pub fn compact(&self) -> Adj<P> {
+        self.rewrite(|_| Rewrite::Keep, |_, t, _| Some(t))
+    }
+}
+
+/// What [`Adj::rewrite`] does with one source's edges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Rewrite {
+    /// Drop the source and all its edges.
+    Drop,
+    /// Keep every edge as it is (targets unchanged).
+    Keep,
+    /// Pass each edge through the `edge` callback.
+    Filter,
 }
 
 impl<P: Copy> Default for Adj<P> {
@@ -227,9 +323,49 @@ mod tests {
         assert_eq!(adj.edge_count(), 3);
         assert_eq!(adj.targets_of(0).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(adj.targets_of(1).collect::<Vec<_>>(), vec![0]);
-        adj.compact();
+        let adj = adj.compact();
+        assert!(!adj.has_overflow());
         assert_eq!(adj.edge_count(), 3);
         assert_eq!(adj.targets_of(0).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(adj.targets_of(1).collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn rewrite_drops_and_renumbers_in_one_pass() {
+        let mut adj = Adj::from_edges(3, &[(0u32, 1u32, 10u8), (0, 2, 20), (1, 0, 30), (2, 2, 40)]);
+        adj.insert(0, 0, 50);
+        adj.insert(2, 1, 60);
+        // Vertex 1 goes (as a source and as a target); 2 renumbers to 1.
+        let map = [Some(0), None, Some(1)];
+        let mode = |u: u32| if map[u as usize].is_some() { Rewrite::Filter } else { Rewrite::Drop };
+        let out = adj.rewrite(mode, |_, t, _| map[t as usize]);
+        assert!(!out.has_overflow());
+        assert_eq!(out.sources(), 2);
+        // Base first, then overflow, with the survivors renumbered.
+        assert_eq!(out.neighbors(0).collect::<Vec<_>>(), vec![(1, 20), (0, 50)]);
+        assert_eq!(out.neighbors(1).collect::<Vec<_>>(), vec![(1, 40)]);
+        assert_eq!(out.edge_count(), 3);
+    }
+
+    #[test]
+    fn rewrite_mixes_kept_filtered_and_dropped_sources() {
+        let edges: Vec<(u32, u32, u32)> = (0..60).map(|i| (i * 7 % 9, i, i)).collect();
+        let mut adj = Adj::from_edges(9, &edges);
+        for (u, v) in [(0u32, 100u32), (8, 101), (4, 102), (4, 103), (11, 104), (0, 105), (1, 106)]
+        {
+            adj.insert(u, v, v * 2);
+        }
+        let mode =
+            |u: u32| [Rewrite::Keep, Rewrite::Keep, Rewrite::Filter, Rewrite::Drop][u as usize % 4];
+        let out = adj.rewrite(mode, |_, t, _| (t % 2 == 0).then_some(t));
+        assert!(!out.has_overflow());
+        let survivors: Vec<u32> = (0..12).filter(|&u| mode(u) != Rewrite::Drop).collect();
+        assert_eq!(out.sources(), survivors.len());
+        for (new, &u) in survivors.iter().enumerate() {
+            let want: Vec<(u32, u32)> =
+                adj.neighbors(u).filter(|&(t, _)| mode(u) == Rewrite::Keep || t % 2 == 0).collect();
+            assert_eq!(out.neighbors(new as u32).collect::<Vec<_>>(), want, "source {u}");
+        }
     }
 
     #[test]

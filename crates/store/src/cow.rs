@@ -16,8 +16,11 @@ use std::sync::Arc;
 /// A copy-on-write box: shared on clone, deep-copied on first mutable
 /// access when shared. `Deref`/`DerefMut` make it transparent at every
 /// field-access and method-call site, so wrapping a struct field in
-/// `CowBox` does not change the code that reads or mutates it — only
-/// whole-value assignment sites need a `*` deref or [`CowBox::set`].
+/// `CowBox` does not change the code that reads or mutates it. Whole-value
+/// replacement is the exception: `*b = v` goes through `DerefMut`, so on
+/// a shared box it first deep-copies the value it is about to overwrite.
+/// Anything that may run on a published version's clone must use
+/// [`CowBox::set`]; `*b = v` is only free while building a new store.
 pub struct CowBox<T>(Arc<T>);
 
 impl<T> CowBox<T> {
@@ -26,9 +29,10 @@ impl<T> CowBox<T> {
         CowBox(Arc::new(value))
     }
 
-    /// Replaces the contents without cloning the old value first (a
-    /// plain `*b = v` would `make_mut` — i.e. deep-copy — the value
-    /// about to be discarded when the box is shared).
+    /// Replaces the contents without cloning the old value first — the
+    /// only right way to store a freshly built value (`*b = v` would
+    /// `make_mut`, i.e. deep-copy, the value about to be discarded when
+    /// the box is shared).
     pub fn set(&mut self, value: T) {
         self.0 = Arc::new(value);
     }

@@ -18,18 +18,37 @@
 //! | DEL 8 | friendship | the edge only |
 //!
 //! Deletes are **batch-applied**: tombstones are collected with their
-//! transitive closure, then the store is rebuilt without the victims.
-//! This trades per-operation latency for zero read-path overhead — the
-//! CSR hot loops never test tombstones — which suits the BI usage
-//! pattern (bulk refresh between analytical sessions). The insert
-//! overflow path (IU 1–8) remains the low-latency write mechanism.
+//! transitive closure, then every component the victims touch is
+//! rewritten without them, in one pass each, and nothing else is. The
+//! cost is per touched component, not per store:
+//!
+//! * a column group and its id map are rewritten only if that class
+//!   lost rows (or, for the columns, a class they point into did);
+//! * an adjacency is rewritten only if its source or target class lost
+//!   rows or it has edge victims — one filter-and-remap pass
+//!   (`Adj::rewrite`; a surviving source's edges are copied as a slice
+//!   unless a target may be renumbered or an edge is a victim) into a
+//!   fresh `Adj` stored with [`CowBox::set`](crate::cow::CowBox::set),
+//!   so a published version is never deep-copied just to be
+//!   overwritten;
+//! * the date index is remapped only if messages went.
+//!
+//! A like-only batch therefore writes `person_likes` + `message_likes`
+//! and shares everything else with the previous version. The one extra:
+//! a batch leaves no insert overflow behind — adjacencies still holding
+//! some are folded ([`Store::compact`]'s merge), because the BI scans
+//! run measurably slower on the overflow form. The CSR hot loops never
+//! test tombstones, which suits the BI usage pattern (bulk refresh
+//! between analytical sessions); the insert overflow path (IU 1–8)
+//! remains the low-latency write mechanism.
 
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use snb_core::SnbResult;
 
-use crate::adj::Adj;
+use crate::adj::{Adj, Rewrite};
 use crate::columns::{Ix, NONE};
+use crate::cow::CowBox;
 use crate::store::Store;
 
 /// One delete operation, addressed by raw ids.
@@ -78,9 +97,9 @@ struct Victims {
 }
 
 impl Store {
-    /// Applies a batch of delete operations with full cascades and
-    /// rebuilds the store in place. Returns what was removed. Unknown
-    /// ids error without mutating anything.
+    /// Applies a batch of delete operations with full cascades,
+    /// rewriting only the components the victims touch. Returns what was
+    /// removed. Unknown ids error without mutating anything.
     pub fn apply_deletes(&mut self, ops: &[DeleteOp]) -> SnbResult<DeleteStats> {
         let mut v = Victims::default();
         // Seed the tombstones from the explicit operations.
@@ -116,7 +135,7 @@ impl Store {
             memberships: v.memberships.len(),
             knows: v.knows.len(),
         };
-        self.rebuild_without(&v);
+        self.remove(&v);
         Ok(stats)
     }
 
@@ -173,201 +192,198 @@ impl Store {
         }
     }
 
-    /// Rebuilds every column and adjacency without the victims.
-    #[allow(clippy::too_many_lines)]
-    fn rebuild_without(&mut self, v: &Victims) {
-        // Old-index → new-index maps (NONE = deleted).
-        let person_map = remap(self.persons.len(), &v.persons);
-        let forum_map = remap(self.forums.len(), &v.forums);
-        let message_map = remap(self.messages.len(), &v.messages);
+    /// Rewrites every component the victims touch, and only those.
+    fn remove(&mut self, v: &Victims) {
+        let date_index_fresh = self.date_index_fresh();
+        let persons = Remap::new(self.persons.len(), &v.persons);
+        let forums = Remap::new(self.forums.len(), &v.forums);
+        let messages = Remap::new(self.messages.len(), &v.messages);
+        let kept = Remap::default();
 
-        // --- person columns ---
-        let keep_p = |i: usize| person_map[i] != NONE;
-        filter_in_place(&mut self.persons.id, keep_p);
-        self.persons.first_name.filter_in_place(keep_p);
-        self.persons.last_name.filter_in_place(keep_p);
-        filter_in_place(&mut self.persons.gender, keep_p);
-        filter_in_place(&mut self.persons.birthday, keep_p);
-        filter_in_place(&mut self.persons.creation_date, keep_p);
-        self.persons.location_ip.filter_in_place(keep_p);
-        self.persons.browser.filter_in_place(keep_p);
-        filter_in_place(&mut self.persons.city, keep_p);
-        self.persons.emails.filter_in_place(keep_p);
-        self.persons.speaks.filter_in_place(keep_p);
-
-        // --- forum columns ---
-        let keep_f = |i: usize| forum_map[i] != NONE;
-        filter_in_place(&mut self.forums.id, keep_f);
-        self.forums.title.filter_in_place(keep_f);
-        filter_in_place(&mut self.forums.creation_date, keep_f);
-        filter_in_place(&mut self.forums.moderator, keep_f);
-        for m in &mut self.forums.moderator {
-            *m = person_map[*m as usize];
+        // --- columns and id maps ---
+        if let Some(keep) = persons.keep() {
+            let p = &mut *self.persons;
+            filter_in_place(&mut p.id, keep);
+            p.first_name.filter_in_place(keep);
+            p.last_name.filter_in_place(keep);
+            filter_in_place(&mut p.gender, keep);
+            filter_in_place(&mut p.birthday, keep);
+            filter_in_place(&mut p.creation_date, keep);
+            p.location_ip.filter_in_place(keep);
+            p.browser.filter_in_place(keep);
+            filter_in_place(&mut p.city, keep);
+            p.emails.filter_in_place(keep);
+            p.speaks.filter_in_place(keep);
+            self.person_ix.set(id_map(&self.persons.id));
         }
-
-        // --- message columns ---
-        let keep_m = |i: usize| message_map[i] != NONE;
-        filter_in_place(&mut self.messages.id, keep_m);
-        filter_in_place(&mut self.messages.kind, keep_m);
-        filter_in_place(&mut self.messages.creation_date, keep_m);
-        filter_in_place(&mut self.messages.creator, keep_m);
-        filter_in_place(&mut self.messages.country, keep_m);
-        self.messages.browser.filter_in_place(keep_m);
-        self.messages.location_ip.filter_in_place(keep_m);
-        self.messages.content.filter_in_place(keep_m);
-        filter_in_place(&mut self.messages.length, keep_m);
-        self.messages.image_file.filter_in_place(keep_m);
-        self.messages.language.filter_in_place(keep_m);
-        filter_in_place(&mut self.messages.forum, keep_m);
-        filter_in_place(&mut self.messages.reply_of, keep_m);
-        filter_in_place(&mut self.messages.root_post, keep_m);
-        for c in &mut self.messages.creator {
-            *c = person_map[*c as usize];
-        }
-        for f in &mut self.messages.forum {
-            if *f != NONE {
-                *f = forum_map[*f as usize];
+        if forums.touched() || persons.touched() {
+            let f = &mut *self.forums;
+            if let Some(keep) = forums.keep() {
+                filter_in_place(&mut f.id, keep);
+                f.title.filter_in_place(keep);
+                filter_in_place(&mut f.creation_date, keep);
+                filter_in_place(&mut f.moderator, keep);
+            }
+            persons.apply(&mut f.moderator);
+            if forums.touched() {
+                self.forum_ix.set(id_map(&self.forums.id));
             }
         }
-        for r in &mut self.messages.reply_of {
-            if *r != NONE {
-                *r = message_map[*r as usize];
+        if messages.touched() || persons.touched() || forums.touched() {
+            let m = &mut *self.messages;
+            if let Some(keep) = messages.keep() {
+                filter_in_place(&mut m.id, keep);
+                filter_in_place(&mut m.kind, keep);
+                filter_in_place(&mut m.creation_date, keep);
+                filter_in_place(&mut m.creator, keep);
+                filter_in_place(&mut m.country, keep);
+                m.browser.filter_in_place(keep);
+                m.location_ip.filter_in_place(keep);
+                m.content.filter_in_place(keep);
+                filter_in_place(&mut m.length, keep);
+                m.image_file.filter_in_place(keep);
+                m.language.filter_in_place(keep);
+                filter_in_place(&mut m.forum, keep);
+                filter_in_place(&mut m.reply_of, keep);
+                filter_in_place(&mut m.root_post, keep);
+            }
+            persons.apply(&mut m.creator);
+            forums.apply(&mut m.forum);
+            messages.apply(&mut m.reply_of);
+            messages.apply(&mut m.root_post);
+            if messages.touched() {
+                self.message_ix.set(id_map(&self.messages.id));
             }
         }
-        for r in &mut self.messages.root_post {
-            *r = message_map[*r as usize];
-        }
 
-        // --- id maps ---
-        *self.person_ix =
-            self.persons.id.iter().enumerate().map(|(i, &id)| (id, i as Ix)).collect();
-        *self.forum_ix = self.forums.id.iter().enumerate().map(|(i, &id)| (id, i as Ix)).collect();
-        *self.message_ix =
-            self.messages.id.iter().enumerate().map(|(i, &id)| (id, i as Ix)).collect();
-
-        let np = self.persons.len();
-        let nf = self.forums.len();
-        let nm = self.messages.len();
-        let nt = self.tags.len();
-
-        // --- adjacency rebuilds ---
-        let knows_edges = collect_edges(&self.knows, |a, b, _| {
-            person_map[a as usize] != NONE
-                && person_map[b as usize] != NONE
-                && !v.knows.contains(&(a.min(b), a.max(b)))
+        // --- adjacencies: (source class, target class, edge victims) ---
+        let none = |_: Ix, _: Ix| false;
+        let knows = !v.knows.is_empty();
+        rewrite(&mut self.knows, &persons, &persons, knows, |a, b| {
+            v.knows.contains(&(a.min(b), a.max(b)))
         });
-        *self.knows = Adj::from_edges(
-            np,
-            &knows_edges
-                .iter()
-                .map(|&(a, b, d)| (person_map[a as usize], person_map[b as usize], d))
-                .collect::<Vec<_>>(),
-        );
-
-        let like_edges = collect_edges(&self.person_likes, |p, m, _| {
-            person_map[p as usize] != NONE
-                && message_map[m as usize] != NONE
-                && !v.likes.contains(&(p, m))
+        let likes = !v.likes.is_empty();
+        rewrite(&mut self.person_likes, &persons, &messages, likes, |p, m| {
+            v.likes.contains(&(p, m))
         });
-        let mapped: Vec<_> = like_edges
-            .iter()
-            .map(|&(p, m, d)| (person_map[p as usize], message_map[m as usize], d))
-            .collect();
-        *self.person_likes = Adj::from_edges(np, &mapped);
-        let rev: Vec<_> = mapped.iter().map(|&(p, m, d)| (m, p, d)).collect();
-        *self.message_likes = Adj::from_edges(nm, &rev);
-
-        let member_edges = collect_edges(&self.forum_member, |f, p, _| {
-            forum_map[f as usize] != NONE
-                && person_map[p as usize] != NONE
-                && !v.memberships.contains(&(p, f))
+        rewrite(&mut self.message_likes, &messages, &persons, likes, |m, p| {
+            v.likes.contains(&(p, m))
         });
-        let mapped: Vec<_> = member_edges
-            .iter()
-            .map(|&(f, p, d)| (forum_map[f as usize], person_map[p as usize], d))
-            .collect();
-        *self.forum_member = Adj::from_edges(nf, &mapped);
-        let rev: Vec<_> = mapped.iter().map(|&(f, p, d)| (p, f, d)).collect();
-        *self.member_forum = Adj::from_edges(np, &rev);
+        let members = !v.memberships.is_empty();
+        rewrite(&mut self.forum_member, &forums, &persons, members, |f, p| {
+            v.memberships.contains(&(p, f))
+        });
+        rewrite(&mut self.member_forum, &persons, &forums, members, |p, f| {
+            v.memberships.contains(&(p, f))
+        });
+        rewrite(&mut self.person_interest, &persons, &kept, false, none);
+        rewrite(&mut self.interest_person, &kept, &persons, false, none);
+        rewrite(&mut self.person_study, &persons, &kept, false, none);
+        rewrite(&mut self.person_work, &persons, &kept, false, none);
+        rewrite(&mut self.message_tag, &messages, &kept, false, none);
+        rewrite(&mut self.tag_message, &kept, &messages, false, none);
+        rewrite(&mut self.forum_tag, &forums, &kept, false, none);
+        rewrite(&mut self.tag_forum, &kept, &forums, false, none);
+        rewrite(&mut self.person_messages, &persons, &messages, false, none);
+        rewrite(&mut self.forum_posts, &forums, &messages, false, none);
+        rewrite(&mut self.message_replies, &messages, &messages, false, none);
+        rewrite(&mut self.person_moderates, &persons, &forums, false, none);
+        rewrite(&mut self.city_person, &kept, &persons, false, none);
+        self.fold_overflow();
 
-        let interest_edges =
-            collect_edges(&self.person_interest, |p, _, _| person_map[p as usize] != NONE);
-        let mapped: Vec<_> =
-            interest_edges.iter().map(|&(p, t, d)| (person_map[p as usize], t, d)).collect();
-        *self.person_interest = Adj::from_edges(np, &mapped);
-        let rev: Vec<_> = mapped.iter().map(|&(p, t, d)| (t, p, d)).collect();
-        *self.interest_person = Adj::from_edges(nt, &rev);
-
-        let study = collect_edges(&self.person_study, |p, _, _| person_map[p as usize] != NONE);
-        *self.person_study = Adj::from_edges(
-            np,
-            &study.iter().map(|&(p, o, y)| (person_map[p as usize], o, y)).collect::<Vec<_>>(),
-        );
-        let work = collect_edges(&self.person_work, |p, _, _| person_map[p as usize] != NONE);
-        *self.person_work = Adj::from_edges(
-            np,
-            &work.iter().map(|&(p, o, y)| (person_map[p as usize], o, y)).collect::<Vec<_>>(),
-        );
-
-        let tag_edges = collect_edges(&self.message_tag, |m, _, _| message_map[m as usize] != NONE);
-        let mapped: Vec<_> =
-            tag_edges.iter().map(|&(m, t, d)| (message_map[m as usize], t, d)).collect();
-        *self.message_tag = Adj::from_edges(nm, &mapped);
-        let rev: Vec<_> = mapped.iter().map(|&(m, t, d)| (t, m, d)).collect();
-        *self.tag_message = Adj::from_edges(nt, &rev);
-
-        let forum_tag = collect_edges(&self.forum_tag, |f, _, _| forum_map[f as usize] != NONE);
-        let mapped: Vec<_> =
-            forum_tag.iter().map(|&(f, t, d)| (forum_map[f as usize], t, d)).collect();
-        *self.forum_tag = Adj::from_edges(nf, &mapped);
-        let rev: Vec<_> = mapped.iter().map(|&(f, t, d)| (t, f, d)).collect();
-        *self.tag_forum = Adj::from_edges(nt, &rev);
-
-        // Derived adjacency from the rewritten columns.
-        let mut creator_edges = Vec::with_capacity(nm);
-        let mut forum_posts = Vec::new();
-        let mut replies = Vec::new();
-        for m in 0..nm {
-            creator_edges.push((self.messages.creator[m], m as Ix, ()));
-            if self.messages.is_post(m as Ix) {
-                forum_posts.push((self.messages.forum[m], m as Ix, ()));
-            }
-            let parent = self.messages.reply_of[m];
-            if parent != NONE {
-                replies.push((parent, m as Ix, ()));
-            }
+        // --- date index: survivors keep their (date, ix) order ---
+        if !date_index_fresh {
+            self.rebuild_date_index();
+        } else if messages.touched() {
+            let remapped = self.message_by_date.iter().filter_map(|&m| messages.get(m)).collect();
+            self.message_by_date.set(remapped);
         }
-        *self.person_messages = Adj::from_edges(np, &creator_edges);
-        *self.forum_posts = Adj::from_edges(nf, &forum_posts);
-        *self.message_replies = Adj::from_edges(nm, &replies);
-
-        let mut moderates = Vec::with_capacity(nf);
-        for f in 0..nf {
-            moderates.push((self.forums.moderator[f], f as Ix, ()));
-        }
-        *self.person_moderates = Adj::from_edges(np, &moderates);
-
-        let mut city_person = Vec::with_capacity(np);
-        for p in 0..np {
-            city_person.push((self.persons.city[p], p as Ix, ()));
-        }
-        *self.city_person = Adj::from_edges(self.places.len(), &city_person);
-
-        self.rebuild_date_index();
     }
 }
 
-/// Old→new dense-index map with `NONE` for victims.
-fn remap(len: usize, victims: &FxHashSet<Ix>) -> Vec<Ix> {
-    let mut map = vec![NONE; len];
-    let mut next = 0;
-    for (i, slot) in map.iter_mut().enumerate() {
-        if !victims.contains(&(i as Ix)) {
-            *slot = next;
-            next += 1;
+/// Old → new dense index of one entity class; `None` (the default)
+/// when the class lost no rows, i.e. the identity.
+#[derive(Default)]
+struct Remap(Option<Vec<Ix>>);
+
+impl Remap {
+    fn new(len: usize, victims: &FxHashSet<Ix>) -> Remap {
+        if victims.is_empty() {
+            return Remap(None);
+        }
+        let mut next = 0;
+        let map = (0..len as Ix)
+            .map(|i| {
+                if victims.contains(&i) {
+                    NONE
+                } else {
+                    next += 1;
+                    next - 1
+                }
+            })
+            .collect();
+        Remap(Some(map))
+    }
+
+    /// Whether the class lost rows (its indices shift).
+    fn touched(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// The new index of old row `i`, `None` if it was removed.
+    fn get(&self, i: Ix) -> Option<Ix> {
+        match &self.0 {
+            None => Some(i),
+            Some(map) => Some(map[i as usize]).filter(|&n| n != NONE),
         }
     }
-    map
+
+    /// The row filter of a touched class.
+    fn keep(&self) -> Option<impl Fn(usize) -> bool + Copy + '_> {
+        self.0.as_ref().map(|map| move |i: usize| map[i] != NONE)
+    }
+
+    /// Remaps a reference column in place (`NONE` stays `NONE`); a
+    /// no-op for an untouched class.
+    fn apply(&self, col: &mut [Ix]) {
+        if let Some(map) = &self.0 {
+            for ix in col.iter_mut().filter(|ix| **ix != NONE) {
+                *ix = map[*ix as usize];
+            }
+        }
+    }
+}
+
+/// Rewrites one adjacency without removed sources, removed targets and
+/// the edges `dropped` names, in one pass into a fresh `Adj` — if any
+/// of those can exist; otherwise the adjacency stays shared.
+fn rewrite<P: Copy>(
+    adj: &mut CowBox<Adj<P>>,
+    sources: &Remap,
+    targets: &Remap,
+    edge_victims: bool,
+    dropped: impl Fn(Ix, Ix) -> bool,
+) {
+    if !(sources.touched() || targets.touched() || edge_victims) {
+        return;
+    }
+    // Surviving sources copy their edges as they are unless a target may
+    // be renumbered or removed, or an edge may be a victim.
+    let filter = targets.touched() || edge_victims;
+    let fresh = adj.rewrite(
+        |u| match sources.get(u) {
+            None => Rewrite::Drop,
+            Some(_) if filter => Rewrite::Filter,
+            Some(_) => Rewrite::Keep,
+        },
+        |u, t, _| if dropped(u, t) { None } else { targets.get(t) },
+    );
+    adj.set(fresh);
+}
+
+/// Raw id → dense index over an id column.
+fn id_map(ids: &[u64]) -> FxHashMap<u64, Ix> {
+    ids.iter().enumerate().map(|(i, &id)| (id, i as Ix)).collect()
 }
 
 /// Keeps only elements whose index passes `keep`.
@@ -378,21 +394,6 @@ fn filter_in_place<T>(items: &mut Vec<T>, keep: impl Fn(usize) -> bool) {
         i += 1;
         k
     });
-}
-
-/// Collects all `(source, target, payload)` edges passing `keep` (in
-/// source-major order; sources whose halves are dropped by `keep` just
-/// produce no edges).
-fn collect_edges<P: Copy>(adj: &Adj<P>, keep: impl Fn(Ix, Ix, P) -> bool) -> Vec<(Ix, Ix, P)> {
-    let mut out = Vec::with_capacity(adj.edge_count());
-    for u in 0..adj.sources() as Ix {
-        for (t, p) in adj.neighbors(u) {
-            if keep(u, t, p) {
-                out.push((u, t, p));
-            }
-        }
-    }
-    out
 }
 
 /// Convenience constructor validating that the ids exist is done inside
@@ -521,6 +522,7 @@ mod tests {
         let likes_before = s.person_likes.edge_count();
         s.apply_deletes(&[DeleteOp::Like(pid, mid)]).unwrap();
         assert_eq!(s.person_likes.edge_count(), likes_before - 1);
+        s.validate_invariants().unwrap();
 
         let (p, f) = {
             let p = (0..s.persons.len() as Ix).find(|&p| s.member_forum.degree(p) > 0).unwrap();
@@ -543,6 +545,7 @@ mod tests {
         assert!(s.apply_deletes(&[DeleteOp::Message(987_654_321)]).is_err());
         assert_eq!(s.persons.len(), persons);
         assert_eq!(s.messages.len(), messages);
+        s.validate_invariants().unwrap();
     }
 
     #[test]
@@ -550,6 +553,7 @@ mod tests {
         let mut s = store();
         let victim = s.persons.id[10];
         s.apply_deletes(&[DeleteOp::Person(victim)]).unwrap();
+        s.validate_invariants().unwrap();
         // Reuse the freed id: a fresh person may take it.
         let city = s.places.id[s.persons.city[0] as usize];
         s.insert_person(crate::insert::PersonInsert {

@@ -305,7 +305,7 @@ fn get_packlist(cur: &mut Cur<'_>) -> SnbResult<PackListCol> {
 
 /// Writes one adjacency: source count, per-source degrees, targets, then
 /// the payload run (payload encoding differs per type). Adjacencies with
-/// insert overflow are compacted into a clone first — the image always
+/// insert overflow are compacted into a fresh copy first — the image always
 /// holds pure CSR.
 fn put_adj<P: Copy>(
     out: &mut Vec<u8>,
@@ -314,9 +314,7 @@ fn put_adj<P: Copy>(
 ) {
     let compacted;
     let adj = if adj.has_overflow() {
-        let mut c = adj.clone();
-        c.compact();
-        compacted = c;
+        compacted = adj.compact();
         &compacted
     } else {
         adj

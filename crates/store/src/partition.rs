@@ -65,6 +65,15 @@ pub fn partition_of_raw(id: u64, parts: usize) -> usize {
     (id.wrapping_mul(FIB) >> 32) as usize % parts
 }
 
+/// Splits `ixs` into per-shard lists by owner, keeping their order.
+fn shard(ixs: impl Iterator<Item = Ix>, parts: usize) -> Vec<CowBox<Vec<Ix>>> {
+    let mut shards = vec![Vec::new(); parts];
+    for ix in ixs {
+        shards[partition_of(ix, parts)].push(ix);
+    }
+    shards.into_iter().map(CowBox::new).collect()
+}
+
 /// The per-shard overlay: ownership lists plus per-shard date indexes.
 ///
 /// Each shard's lists sit in their own [`CowBox`], so cloning a layout
@@ -90,34 +99,24 @@ impl PartitionLayout {
         let parts = parts.max(1);
         let mut layout = PartitionLayout {
             parts,
-            person_shards: vec![CowBox::default(); parts],
-            message_shards: vec![CowBox::default(); parts],
-            date_shards: vec![CowBox::default(); parts],
+            person_shards: shard(0..store.persons.len() as Ix, parts),
+            message_shards: shard(0..store.messages.len() as Ix, parts),
+            date_shards: Vec::new(),
             date_indexed: 0,
         };
-        for p in 0..store.persons.len() as Ix {
-            layout.person_shards[partition_of(p, parts)].push(p);
-        }
-        for m in 0..store.messages.len() as Ix {
-            layout.message_shards[partition_of(m, parts)].push(m);
-        }
         layout.rebuild_date_shards(store);
         layout
     }
 
     /// Re-derives the per-shard date lists by splitting the global
-    /// permutation by owner; a no-op marker when the global index is
-    /// stale (the shard lists then report stale too).
+    /// permutation by owner; empty lists marked stale when the global
+    /// index is stale (the shard lists then report stale too).
     fn rebuild_date_shards(&mut self, store: &Store) {
-        for shard in &mut self.date_shards {
-            shard.clear();
-        }
         if store.date_index_fresh() {
-            for &m in &store.message_by_date {
-                self.date_shards[partition_of(m, self.parts)].push(m);
-            }
+            self.date_shards = shard(store.message_by_date.iter().copied(), self.parts);
             self.date_indexed = store.messages.len();
         } else {
+            self.date_shards = shard(std::iter::empty(), self.parts);
             self.date_indexed = 0;
         }
     }
@@ -193,11 +192,22 @@ impl PartitionedStore {
         result
     }
 
-    /// Applies a delete batch. Deletes rebuild the store with remapped
-    /// dense ids, so the overlay is rebuilt wholesale afterwards.
+    /// Applies a delete batch. Removed persons or messages renumber the
+    /// dense ids after them, so their ownership lists are re-split, and
+    /// the date shards follow the global index whenever it changed; a
+    /// batch that removes only edges leaves every shard shared.
     pub fn apply_deletes(&mut self, ops: &[DeleteOp]) -> SnbResult<DeleteStats> {
         let stats = self.store.apply_deletes(ops)?;
-        self.layout = PartitionLayout::build(&self.store, self.layout.parts);
+        let parts = self.layout.parts;
+        if stats.persons > 0 {
+            self.layout.person_shards = shard(0..self.store.persons.len() as Ix, parts);
+        }
+        if stats.messages > 0 {
+            self.layout.message_shards = shard(0..self.store.messages.len() as Ix, parts);
+        }
+        if stats.messages > 0 || !self.shard_date_fresh() {
+            self.layout.rebuild_date_shards(&self.store);
+        }
         Ok(stats)
     }
 
@@ -429,6 +439,76 @@ mod tests {
         ps.apply_deletes(&[DeleteOp::Person(victim)]).unwrap();
         assert!(ps.persons.len() < before);
         assert!(ps.shard_date_fresh());
+        ps.validate_invariants().unwrap();
+        ps.validate_partition_invariants().unwrap();
+    }
+
+    #[test]
+    fn like_only_delete_shares_everything_but_the_likes() {
+        let c = small_config();
+        let h = crate::StoreHandle::new(PartitionedStore::new(crate::store_for_config(&c), 2));
+        let before = h.snapshot();
+        let p = (0..before.persons.len() as Ix).find(|&p| before.person_likes.degree(p) > 0);
+        let p = p.expect("a person with a like");
+        let (m, _) = before.person_likes.neighbors(p).next().unwrap();
+        let op = DeleteOp::Like(before.persons.id[p as usize], before.messages.id[m as usize]);
+        h.publish_with(|next| next.apply_deletes(&[op])).unwrap();
+        let after = h.snapshot();
+        after.validate_invariants().unwrap();
+        after.validate_partition_invariants().unwrap();
+        let (a, b): (&Store, &Store) = (&before, &after);
+        macro_rules! shared {
+            ($($field:ident),*) => {$(
+                assert!(CowBox::ptr_eq(&a.$field, &b.$field), "{} was copied", stringify!($field));
+            )*};
+        }
+        shared!(persons, forums, messages, places, tags, tag_classes, organisations);
+        shared!(person_ix, forum_ix, message_ix, place_ix, tag_ix, tag_class_ix, org_ix);
+        shared!(knows, person_interest, interest_person, person_study, person_work);
+        shared!(forum_member, member_forum, forum_tag, tag_forum, message_tag, tag_message);
+        shared!(person_messages, forum_posts, message_replies, place_children, city_person);
+        shared!(tagclass_children, tagclass_tags, person_moderates);
+        shared!(message_by_date, place_by_name, tag_by_name, tag_class_by_name);
+        assert!(!CowBox::ptr_eq(&a.person_likes, &b.person_likes));
+        assert!(!CowBox::ptr_eq(&a.message_likes, &b.message_likes));
+        assert_eq!(b.person_likes.edge_count(), a.person_likes.edge_count() - 1);
+        let (la, lb) = (before.layout(), after.layout());
+        for (x, y) in [
+            (&la.person_shards, &lb.person_shards),
+            (&la.message_shards, &lb.message_shards),
+            (&la.date_shards, &lb.date_shards),
+        ] {
+            assert!(x.iter().zip(y).all(|(x, y)| CowBox::ptr_eq(x, y)), "a shard was copied");
+        }
+    }
+
+    #[test]
+    fn delete_batches_fold_all_insert_overflow() {
+        let c = small_config();
+        let (store, events) = crate::bulk_store_and_stream(&c);
+        let world = StaticWorld::build(c.seed);
+        let mut ps = PartitionedStore::new(store, 3);
+        let (half, rest) = events.split_at(events.len() / 2);
+        for e in half {
+            ps.apply_event(e, &world).unwrap();
+        }
+        assert!(!ps.store.clone().fold_overflow().is_empty(), "inserts must overflow");
+        // An edge-only batch, then (after more inserts) an entity batch.
+        let p = (0..ps.persons.len() as Ix).find(|&p| ps.knows.degree(p) > 0).unwrap();
+        let q = ps.knows.targets_of(p).next().unwrap();
+        let op = DeleteOp::Knows(ps.persons.id[p as usize], ps.persons.id[q as usize]);
+        ps.apply_deletes(&[op]).unwrap();
+        assert_eq!(ps.store.clone().fold_overflow(), Vec::<&str>::new());
+        ps.validate_invariants().unwrap();
+        ps.validate_partition_invariants().unwrap();
+        for e in rest {
+            ps.apply_event(e, &world).unwrap();
+        }
+        let post = (0..ps.messages.len() as Ix).rev().find(|&m| ps.messages.is_post(m)).unwrap();
+        ps.apply_deletes(&[DeleteOp::Message(ps.messages.id[post as usize])]).unwrap();
+        assert_eq!(ps.store.clone().fold_overflow(), Vec::<&str>::new());
+        assert!(ps.shard_date_fresh());
+        ps.validate_invariants().unwrap();
         ps.validate_partition_invariants().unwrap();
     }
 

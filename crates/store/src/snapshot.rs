@@ -33,10 +33,11 @@ use snb_core::SnbResult;
 
 use crate::partition::PartitionedStore;
 
-/// Slot-ring size of the [`SnapshotCell`]. A publish reuses the slot
-/// `SLOTS` generations old, so the ring itself retains at most `SLOTS`
-/// recent versions (readers can retain older ones via their snapshots).
-const SLOTS: usize = 8;
+/// Slot-ring size of the [`SnapshotCell`]: the current version and the
+/// one being published. A publish releases the slot it superseded, so
+/// the ring itself keeps only the current version alive (readers keep
+/// older ones alive through their snapshots).
+const SLOTS: usize = 2;
 
 /// Reader attempts before a retry loop is counted as *blocked* (the
 /// safety valve the interference CI stage asserts never fires).
@@ -54,9 +55,8 @@ struct Slot<T> {
 /// → clone → unpin sequence that retries only if a publish raced it
 /// (bounded in practice by the publish rate, and counted honestly in
 /// [`reader_retries`](SnapshotCell::reader_retries)). The writer waits
-/// only for stragglers pinning the slot it is about to *reuse* — a
-/// reader from `SLOTS` publishes ago that is mid-clone, a window of a
-/// few instructions.
+/// only for stragglers pinning the slot it is about to write or release
+/// — a reader mid-clone, a window of a few instructions.
 ///
 /// Publishes must be serialized by the caller ([`StoreHandle`] holds a
 /// mutex); a concurrent publish is a programming error and panics.
@@ -107,11 +107,12 @@ impl<T> SnapshotCell<T> {
             let slot = &self.slots[(cur as usize) % SLOTS];
             slot.pins.fetch_add(1, Ordering::SeqCst);
             if self.current.load(Ordering::SeqCst) == cur {
-                // The pin is visible (SeqCst RMW) and the version did
-                // not move: a writer can next touch this slot only when
-                // publishing `cur + SLOTS`, which requires `current` to
-                // have advanced first — so it will observe our pin and
-                // wait. Reading the cell here cannot race a write.
+                // SAFETY: the pin is visible (SeqCst RMW) and the
+                // version did not move. The writer touches this slot
+                // again only after advancing `current` past `cur` (to
+                // release it, later to reuse it) and drains pins first
+                // each time — so it will observe ours and wait. Reading
+                // the cell here cannot race a write.
                 let value =
                     unsafe { (*slot.value.get()).as_ref().expect("published slot").clone() };
                 slot.pins.fetch_sub(1, Ordering::SeqCst);
@@ -123,9 +124,10 @@ impl<T> SnapshotCell<T> {
             self.reader_retries.fetch_add(1, Ordering::Relaxed);
             attempts += 1;
             if attempts >= BLOCKED_AFTER {
-                // Safety valve: only reachable if publishes lap readers
-                // SLOTS times within one pin attempt. Counted so the CI
-                // interference stage can assert it stays at zero.
+                // Safety valve: only reachable if a publish lands between
+                // the version read and the recheck 64 times in a row.
+                // Counted so the CI interference stage can assert it
+                // stays at zero.
                 self.reader_blocked.fetch_add(1, Ordering::Relaxed);
                 attempts = 0;
                 std::thread::yield_now();
@@ -135,18 +137,38 @@ impl<T> SnapshotCell<T> {
         }
     }
 
-    /// Publishes `value` as the next version and returns its counter.
-    /// Caller must serialize publishes.
+    /// Publishes `value` as the next version and returns its counter,
+    /// then releases the version it superseded — a version outlives its
+    /// publish only while some reader's clone holds it. Caller must
+    /// serialize publishes.
     pub fn publish(&self, value: Arc<T>) -> u64 {
         assert!(
             !self.publishing.swap(true, Ordering::SeqCst),
             "concurrent SnapshotCell::publish — publishes must be serialized"
         );
-        let next = self.current.load(Ordering::SeqCst) + 1;
+        let prev = self.current.load(Ordering::SeqCst);
+        let next = prev + 1;
         let slot = &self.slots[(next as usize) % SLOTS];
-        // Drain stragglers still cloning the SLOTS-generations-old value
-        // out of the slot we are about to reuse. Readers hold pins only
-        // across an Arc clone, so this wait is a few instructions long.
+        self.drain(slot);
+        // SAFETY: pins are zero, and any reader that pins from here on
+        // rechecks `current`, which names `prev`, not a version stored
+        // in this slot, so it unpins without touching the cell.
+        unsafe { *slot.value.get() = Some(value) };
+        self.current.store(next, Ordering::SeqCst);
+        let old = &self.slots[(prev as usize) % SLOTS];
+        self.drain(old);
+        // SAFETY: the same argument one version later — a reader still
+        // cloning `prev` pinned before `current` moved, so the drain
+        // waited for it, and any later pin rechecks and sees `next`.
+        let released = unsafe { (*old.value.get()).take() };
+        self.publishing.store(false, Ordering::SeqCst);
+        drop(released);
+        next
+    }
+
+    /// Waits out readers pinning `slot`. Readers hold pins only across
+    /// an `Arc` clone, so this wait is a few instructions long.
+    fn drain(&self, slot: &Slot<T>) {
         let mut spins = 0u32;
         while slot.pins.load(Ordering::SeqCst) != 0 {
             spins += 1;
@@ -156,13 +178,6 @@ impl<T> SnapshotCell<T> {
                 std::hint::spin_loop();
             }
         }
-        // Safety: pins are zero and any reader that pins from here on
-        // rechecks `current`, which still names an older version, so it
-        // unpins without touching the cell.
-        unsafe { *slot.value.get() = Some(value) };
-        self.current.store(next, Ordering::SeqCst);
-        self.publishing.store(false, Ordering::SeqCst);
-        next
     }
 
     /// Reader retry count (pin attempts that lost a race to a publish).
@@ -278,7 +293,8 @@ impl std::fmt::Debug for StoreSnapshot {
 pub struct SnapshotStats {
     /// Latest published version (equals versions published; 0 = base).
     pub version: u64,
-    /// Store versions currently alive (ring slots + reader snapshots).
+    /// Store versions currently alive: the current one plus those
+    /// reader snapshots still pin (and, mid-publish, the next one).
     pub live_versions: u64,
     /// High-water mark of `live_versions`.
     pub peak_live_versions: u64,
@@ -428,14 +444,41 @@ mod tests {
         let s = h.stats();
         assert_eq!(s.version, 0);
         assert_eq!(s.live_versions, 1);
-        for _ in 0..20 {
+        for i in 1..=20 {
             h.publish_with(|_s| Ok(())).unwrap();
+            // Nobody pins a superseded version, so only the current one
+            // is alive after each publish.
+            assert_eq!(h.stats().live_versions, 1, "after publish {i}");
         }
         let s = h.stats();
         assert_eq!(s.version, 20);
-        // The ring retains at most SLOTS versions once publishes wrap.
-        assert!(s.live_versions <= SLOTS as u64 + 1, "live={}", s.live_versions);
-        assert!(s.peak_live_versions >= s.live_versions);
+        // Mid-publish the current and the next version coexist.
+        assert_eq!(s.peak_live_versions, 2);
+    }
+
+    #[test]
+    fn pinned_snapshot_outlives_publishes_and_is_released_on_drop() {
+        let mut c = snb_datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
+        c.persons = 60;
+        let h = StoreHandle::new(PartitionedStore::new(crate::store_for_config(&c), 2));
+        let pinned = h.snapshot();
+        let image = crate::encode_store(&pinned);
+        for i in 1..=12u64 {
+            // Each publish deletes a person, rewriting columns, id maps,
+            // adjacencies and the shard overlay of the next version.
+            h.publish_with(|next| {
+                let victim = crate::delete::DeleteOp::Person(next.persons.id[0]);
+                next.apply_deletes(&[victim]).map(|_| ())
+            })
+            .unwrap();
+            assert_eq!(h.stats().live_versions, 2, "pinned + current after publish {i}");
+        }
+        assert_eq!(pinned.version(), 0);
+        assert!(crate::encode_store(&pinned) == image, "a pinned version must stay byte-identical");
+        pinned.validate_partition_invariants().unwrap();
+        drop(pinned);
+        assert_eq!(h.stats().live_versions, 1, "dropping the last pin frees the version");
+        assert_eq!(h.snapshot().persons.len(), 60 - 12);
     }
 
     #[test]

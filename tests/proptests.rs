@@ -70,7 +70,8 @@ proptest! {
             prop_assert_eq!(&got, &oracle[u as usize], "vertex {}", u);
             prop_assert_eq!(adj.degree(u), oracle[u as usize].len());
         }
-        adj.compact();
+        let adj = adj.compact();
+        prop_assert!(!adj.has_overflow());
         for u in 0..20u32 {
             let got: Vec<u32> = adj.targets_of(u).collect();
             prop_assert_eq!(&got, &oracle[u as usize], "post-compact vertex {}", u);
