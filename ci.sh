@@ -269,6 +269,14 @@ done
 grep -q '"short_shed": 0' "$SWEEP_JSON" || {
   echo "short reads were shed during the BI-flood phase" >&2
   rm -f "$SWEEP_JSON"; exit 1; }
+# Every ladder level answers every request ok: an inline IS path that
+# loses, misroutes or refuses a response fails here, not just a shed.
+LEVELS="$(grep -c '"connections":' "$SWEEP_JSON")"
+CLEAN="$(grep -o '"errors": 0,' "$SWEEP_JSON" | wc -l)"
+if [ "$LEVELS" -eq 0 ] || [ "$CLEAN" -ne "$LEVELS" ]; then
+  echo "sweep: $((LEVELS - CLEAN)) of $LEVELS ladder levels answered errors" >&2
+  rm -f "$SWEEP_JSON"; exit 1
+fi
 grep -q '"reader_blocked": 0' "$SWEEP_JSON" || {
   echo "a snapshot reader hit the blocked safety valve during the sweep" >&2
   rm -f "$SWEEP_JSON"; exit 1; }

@@ -13,12 +13,15 @@
 //!   BI, writes) whose overload policy is *shed, don't buffer*, drained
 //!   by a weighted scheduler that keeps short reads progressing under a
 //!   BI flood;
-//! - [`server`] — the service core: lane-classified admission, deadline
-//!   checks at dequeue and at completion, worker pool over
-//!   [`snb_engine::QueryContext`], a readiness-driven epoll reactor for
-//!   TCP (Linux only) plus the portable in-process transport, graceful
-//!   drain-then-shutdown, and a concurrent-write path for update-stream
-//!   replay;
+//! - [`server`] — the service core: one lane-classified admission gate,
+//!   deadline checks before and after execution, IS reads run on the
+//!   thread that admitted them and a worker pool over
+//!   [`snb_engine::QueryContext`] for the rest, the portable in-process
+//!   transport, graceful drain-then-shutdown, and a concurrent-write
+//!   path for update-stream replay;
+//! - `transport` — the readiness-driven epoll reactor for TCP (Linux
+//!   only), with one bounded outbox per connection
+//!   ([`OUTBOX_LIMIT`]);
 //! - [`log`] — the structured access log (query id, binding hash,
 //!   queue/exec split, outcome, optional per-request
 //!   [`snb_engine::QueryProfile`]).
@@ -39,6 +42,7 @@ pub(crate) mod reactor;
 pub mod replication;
 pub mod retry;
 pub mod server;
+pub(crate) mod transport;
 pub mod wal;
 
 pub use image::{image_info, load_image, write_image, ImageHeader, IMAGE_FILE};
@@ -54,6 +58,7 @@ pub use server::{
     Durability, InProcClient, LaneSettings, LanesConfig, LogHandle, Server, ServerConfig,
     ServiceReport, StoreWriter,
 };
+pub use transport::OUTBOX_LIMIT;
 pub use wal::{
     recover, Recovered, RecoveryReport, SegmentedWal, ShippedRecord, WalOptions, WalTailer,
 };

@@ -51,8 +51,9 @@ pub struct AccessRecord {
     /// (0 when not executed) — how far behind the publish frontier this
     /// read was allowed to run.
     pub snapshot_age_us: u64,
-    /// Operator counters for this request, when profiling was on.
-    pub profile: Option<QueryProfile>,
+    /// Operator counters for this request, when profiling was on —
+    /// boxed, because every request is logged and most carry none.
+    pub profile: Option<Box<QueryProfile>>,
 }
 
 impl AccessRecord {
@@ -242,9 +243,21 @@ mod tests {
     }
 
     #[test]
+    fn records_stay_small() {
+        // One record per request, never dropped: the unprofiled record
+        // must not carry an inline `QueryProfile` (≈ 100 B of zeros).
+        assert!(
+            std::mem::size_of::<AccessRecord>() <= 128,
+            "AccessRecord is {} B",
+            std::mem::size_of::<AccessRecord>()
+        );
+    }
+
+    #[test]
     fn profiled_record_includes_counters() {
         let mut r = record(0, "ok");
-        r.profile = Some(QueryProfile { rows_scanned: 77, index_hits: 3, ..Default::default() });
+        r.profile =
+            Some(Box::new(QueryProfile { rows_scanned: 77, index_hits: 3, ..Default::default() }));
         let json = r.to_json();
         assert!(json.contains("\"rows_scanned\": 77"));
         assert!(json.contains("\"index_hits\": 3"));

@@ -195,6 +195,20 @@ pub struct Request {
     pub params: ServiceParams,
 }
 
+impl Request {
+    /// The fixed-offset fields [`peek_header`] reads from this request's
+    /// frame.
+    pub fn header(&self) -> RequestHeader {
+        RequestHeader {
+            id: self.id,
+            deadline_us: self.deadline_us,
+            min_seq: self.min_seq,
+            lane: self.params.lane(),
+            workload: self.params.label().0,
+        }
+    }
+}
+
 /// The service error taxonomy — every non-OK outcome a request can
 /// have, as a closed set so clients can switch on it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -304,8 +318,9 @@ pub struct OkBody {
     /// freshness with [`Request::min_seq`].
     pub applied_seq: u64,
     /// Operator counters for this request (present when the server runs
-    /// with per-request profiling enabled).
-    pub profile: Option<QueryProfile>,
+    /// with per-request profiling enabled; boxed, since most responses
+    /// carry none).
+    pub profile: Option<Box<QueryProfile>>,
 }
 
 /// One server response.
@@ -765,10 +780,12 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     buf
 }
 
-/// Everything the reactor needs before handing a raw frame to a lane
-/// worker: the correlation id (for typed error replies), the header
-/// fields admission gates on, and the lane (which queue to enqueue the
-/// undecoded frame into). Full binding decode happens on the worker.
+/// Everything the reactor needs before it either runs a frame itself or
+/// hands it to a lane worker: the correlation id (for typed error
+/// replies), the header fields admission gates on, the lane (which
+/// queue an undecoded frame goes to) and the workload tag (IS frames are
+/// the ones the reactor decodes and runs). BI, IC and write bindings are
+/// decoded on the worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RequestHeader {
     /// Client correlation id.
@@ -779,15 +796,18 @@ pub struct RequestHeader {
     pub min_seq: u64,
     /// Admission lane, derived from the workload tag byte.
     pub lane: Lane,
+    /// The workload tag as [`ServiceParams::label`] names it: `"BI"`,
+    /// `"IC"`, `"IS"` or `"WR"`.
+    pub workload: &'static str,
 }
 
 /// Parses just the fixed-offset request header — version, id, deadline,
 /// staleness floor, and the workload byte that determines the lane —
-/// without touching the binding payload. This is the reactor's entire
-/// per-frame parse: a few bounds-checked reads, so a peer sending
-/// parse-heavy bindings cannot stall transport reads for everyone else.
-/// The binding itself is decoded later on a lane worker, which still
-/// answers a typed `bad_request` on failure.
+/// without touching the binding payload: a few bounds-checked reads, so
+/// a peer sending parse-heavy bindings cannot stall transport reads for
+/// everyone else. Only IS bindings (a query number and one id) are then
+/// decoded on the reactor; the rest are decoded on a lane worker, which
+/// still answers a typed `bad_request` on failure.
 pub fn peek_header(payload: &[u8]) -> Result<RequestHeader, DecodeError> {
     let mut r = Reader::new(payload);
     let version = r.u8()?;
@@ -798,13 +818,14 @@ pub fn peek_header(payload: &[u8]) -> Result<RequestHeader, DecodeError> {
     r.id = Some(id);
     let deadline_us = r.u64()?;
     let min_seq = r.u64()?;
-    let lane = match r.u8()? {
-        WORKLOAD_BI => Lane::Heavy,
-        WORKLOAD_IC | WORKLOAD_IS => Lane::Short,
-        WORKLOAD_WR => Lane::Write,
+    let (lane, workload) = match r.u8()? {
+        WORKLOAD_BI => (Lane::Heavy, "BI"),
+        WORKLOAD_IC => (Lane::Short, "IC"),
+        WORKLOAD_IS => (Lane::Short, "IS"),
+        WORKLOAD_WR => (Lane::Write, "WR"),
         other => return Err(r.err(format!("unknown workload tag {other}"))),
     };
-    Ok(RequestHeader { id, deadline_us, min_seq, lane })
+    Ok(RequestHeader { id, deadline_us, min_seq, lane, workload })
 }
 
 /// Parses a request frame payload.
@@ -843,7 +864,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
 
 const STATUS_OK: u8 = 0;
 
-fn encode_profile(buf: &mut Vec<u8>, profile: &Option<QueryProfile>) {
+fn encode_profile(buf: &mut Vec<u8>, profile: Option<&QueryProfile>) {
     match profile {
         None => put_u8(buf, 0),
         Some(p) => {
@@ -866,11 +887,11 @@ fn encode_profile(buf: &mut Vec<u8>, profile: &Option<QueryProfile>) {
     }
 }
 
-fn decode_profile(r: &mut Reader<'_>) -> Result<Option<QueryProfile>, DecodeError> {
+fn decode_profile(r: &mut Reader<'_>) -> Result<Option<Box<QueryProfile>>, DecodeError> {
     if r.u8()? == 0 {
         return Ok(None);
     }
-    Ok(Some(QueryProfile {
+    Ok(Some(Box::new(QueryProfile {
         par_calls: r.u64()?,
         morsels: r.u64()?,
         rows_scanned: r.u64()?,
@@ -882,31 +903,46 @@ fn decode_profile(r: &mut Reader<'_>) -> Result<Option<QueryProfile>, DecodeErro
         topk_pruned: r.u64()?,
         edges_traversed: r.u64()?,
         worker_busy_ns: Vec::new(),
-    }))
+    })))
 }
 
 /// Serialises a response into a frame payload (no length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    put_u8(&mut buf, PROTO_VERSION);
-    put_u64(&mut buf, resp.id);
+    put_response(&mut buf, resp);
+    buf
+}
+
+/// Appends one whole response frame — length prefix and payload — to
+/// `buf`: the server encodes straight into a connection's outbox, with
+/// no per-response buffer.
+pub fn append_response_frame(buf: &mut Vec<u8>, resp: &Response) {
+    let start = buf.len();
+    put_u32(buf, 0);
+    put_response(buf, resp);
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn put_response(buf: &mut Vec<u8>, resp: &Response) {
+    put_u8(buf, PROTO_VERSION);
+    put_u64(buf, resp.id);
     match &resp.body {
         Ok(ok) => {
-            put_u8(&mut buf, STATUS_OK);
-            put_u64(&mut buf, ok.rows);
-            put_u64(&mut buf, ok.fingerprint);
-            put_u64(&mut buf, ok.queue_us);
-            put_u64(&mut buf, ok.exec_us);
-            put_u64(&mut buf, ok.applied_seq);
-            encode_profile(&mut buf, &ok.profile);
+            put_u8(buf, STATUS_OK);
+            put_u64(buf, ok.rows);
+            put_u64(buf, ok.fingerprint);
+            put_u64(buf, ok.queue_us);
+            put_u64(buf, ok.exec_us);
+            put_u64(buf, ok.applied_seq);
+            encode_profile(buf, ok.profile.as_deref());
         }
         Err(e) => {
-            put_u8(&mut buf, e.kind.code());
-            put_u64(&mut buf, e.queue_us);
-            put_str(&mut buf, &e.detail);
+            put_u8(buf, e.kind.code());
+            put_u64(buf, e.queue_us);
+            put_str(buf, &e.detail);
         }
     }
-    buf
 }
 
 /// Parses a response frame payload.
@@ -949,27 +985,50 @@ pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Resu
     w.flush()
 }
 
-/// Extracts the next complete frame from `buf`, draining its bytes.
-/// Returns `Ok(None)` when the buffer does not yet hold a full frame,
-/// and an error for oversized length prefixes (protocol violation).
-pub fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, DecodeError> {
-    if buf.len() < 4 {
-        return Ok(None);
+/// A read cursor that cuts complete frames off the front of a receive
+/// buffer without copying or moving them: each
+/// [`next_frame`](Frames::next_frame) is a slice of the buffer, and the
+/// owner drops [`consumed`](Frames::consumed) bytes once afterwards —
+/// one compaction per read, where draining frame by frame moved
+/// everything buffered behind each frame (quadratic in frames per read).
+pub struct Frames<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Frames { buf, pos: 0 }
     }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME {
-        return Err(DecodeError {
-            id: None,
-            detail: format!("frame length {len} exceeds maximum {MAX_FRAME}"),
-        });
+
+    /// The next complete frame's payload. `Ok(None)` when what is left
+    /// is not yet a full frame; an error for an oversized length prefix
+    /// (a protocol violation — the cursor does not move past it).
+    pub fn next_frame(&mut self) -> Result<Option<&'a [u8]>, DecodeError> {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < 4 {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+        if len > MAX_FRAME {
+            return Err(DecodeError {
+                id: None,
+                detail: format!("frame length {len} exceeds maximum {MAX_FRAME}"),
+            });
+        }
+        let total = 4 + len as usize;
+        if rest.len() < total {
+            return Ok(None);
+        }
+        self.pos += total;
+        Ok(Some(&rest[4..total]))
     }
-    let total = 4 + len as usize;
-    if buf.len() < total {
-        return Ok(None);
+
+    /// Bytes of whole frames returned so far.
+    pub fn consumed(&self) -> usize {
+        self.pos
     }
-    let payload = buf[4..total].to_vec();
-    buf.drain(..total);
-    Ok(Some(payload))
 }
 
 /// Reads one length-prefixed frame from a blocking reader.
@@ -1391,8 +1450,10 @@ mod tests {
                     deadline_us: req.deadline_us,
                     min_seq: req.min_seq,
                     lane: req.params.lane(),
+                    workload: req.params.label().0,
                 }
             );
+            assert_eq!(head, req.header());
         }
     }
 
@@ -1418,13 +1479,13 @@ mod tests {
                     queue_us: 1,
                     exec_us: 2,
                     applied_seq: 0,
-                    profile: Some(QueryProfile {
+                    profile: Some(Box::new(QueryProfile {
                         par_calls: 4,
                         morsels: 8,
                         rows_scanned: 100,
                         topk_offered: 10,
                         ..Default::default()
-                    }),
+                    })),
                 }),
             },
             Response {
@@ -1565,34 +1626,67 @@ mod tests {
     }
 
     #[test]
-    fn frame_buffer_reassembly() {
-        let payload_a = encode_response(&Response { id: 1, body: Ok(OkBody::default()) });
-        let payload_b = encode_response(&Response {
-            id: 2,
-            body: Err(ErrorBody { kind: ErrorKind::ShuttingDown, queue_us: 0, detail: "".into() }),
-        });
+    fn frame_cursor_reassembles_split_streams() {
+        // 2 000 frames of varying sizes (responses with and without a
+        // detail string, requests with bindings, one empty payload).
+        let bindings = sample_bindings();
+        let payloads: Vec<Vec<u8>> = (0..2_000u64)
+            .map(|i| match i % 4 {
+                0 => encode_response(&Response { id: i, body: Ok(OkBody::default()) }),
+                1 => encode_response(&Response {
+                    id: i,
+                    body: Err(ErrorBody {
+                        kind: ErrorKind::ShuttingDown,
+                        queue_us: i,
+                        detail: "x".repeat(i as usize % 97),
+                    }),
+                }),
+                2 => encode_request(&Request {
+                    id: i,
+                    deadline_us: 0,
+                    min_seq: 0,
+                    params: bindings[i as usize % bindings.len()].clone(),
+                }),
+                _ => Vec::new(),
+            })
+            .collect();
         let mut wire = Vec::new();
-        write_frame(&mut wire, &payload_a).unwrap();
-        write_frame(&mut wire, &payload_b).unwrap();
-
-        // Feed the wire bytes one at a time; frames must pop out intact.
-        let mut buf = Vec::new();
-        let mut got = Vec::new();
-        for b in wire {
-            buf.push(b);
-            while let Some(frame) = take_frame(&mut buf).unwrap() {
-                got.push(frame);
-            }
+        for p in &payloads {
+            write_frame(&mut wire, p).unwrap();
         }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], payload_a);
-        assert_eq!(got[1], payload_b);
-        assert!(buf.is_empty());
+        // The outbox encoder writes the same bytes as `write_frame`.
+        let mut appended = Vec::new();
+        append_response_frame(&mut appended, &Response { id: 0, body: Ok(OkBody::default()) });
+        assert_eq!(appended[..], wire[..appended.len()]);
 
-        // Oversized length prefix is a protocol error.
-        let mut bad = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        // Fed one byte at a time the stream is split at every byte
+        // boundary; larger feeds split it everywhere else that matters.
+        for feed in [1usize, 3, 61, 4_096, wire.len()] {
+            let mut buf = Vec::new();
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            for chunk in wire.chunks(feed) {
+                buf.extend_from_slice(chunk);
+                let mut frames = Frames::new(&buf);
+                while let Some(frame) = frames.next_frame().unwrap() {
+                    got.push(frame.to_vec());
+                }
+                let consumed = frames.consumed();
+                buf.drain(..consumed);
+            }
+            assert!(buf.is_empty(), "feed {feed}: {} bytes left over", buf.len());
+            assert_eq!(got, payloads, "feed {feed}: frames differ");
+        }
+
+        // An oversized length prefix is a typed protocol error, and the
+        // cursor keeps the frames before it.
+        let mut bad = wire[..appended.len()].to_vec();
+        bad.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         bad.extend_from_slice(&[0; 8]);
-        assert!(take_frame(&mut bad).is_err());
+        let mut frames = Frames::new(&bad);
+        assert!(frames.next_frame().unwrap().is_some());
+        let err = frames.next_frame().unwrap_err();
+        assert!(err.detail.contains("exceeds maximum"), "{err}");
+        assert_eq!(frames.consumed(), appended.len());
     }
 
     #[test]

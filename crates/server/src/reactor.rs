@@ -7,15 +7,18 @@
 //! blocking reads, so 1K mostly-idle connections cost 1K OS threads
 //! (stacks, scheduler load, context switches). With a reactor an idle
 //! connection costs one registered fd and ~a buffer: a single thread
-//! `epoll_wait`s on every connection plus the listener, accepts and
-//! drains readable sockets, and hands decoded requests to the
-//! admission lanes. Worker counts stay fixed while connection counts
-//! sweep to the thousands — the property `service_load --sweep`
+//! `epoll_wait`s on every connection plus the listener, accepts, drains
+//! readable sockets and writes pending responses (the loop itself is
+//! `crate::transport`). Worker counts stay fixed while connection
+//! counts sweep to the thousands — the property `service_load --sweep`
 //! measures.
 //!
 //! The wrapper is level-triggered on purpose: if a wakeup leaves bytes
 //! unread (e.g. the per-wakeup fairness cap), the next `epoll_wait`
-//! reports the fd again, so no readiness is ever lost to an edge.
+//! reports the fd again, so no readiness is ever lost to an edge. For
+//! the same reason interest is explicit ([`Poller::modify`]): a
+//! connection asks for write readiness only while its outbox holds
+//! bytes, and drops read readiness while it is being held back.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -24,9 +27,11 @@ use std::time::Duration;
 // epoll_ctl ops.
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
 
 // Event masks.
 const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
@@ -63,6 +68,26 @@ pub(crate) struct Event {
     pub closed: bool,
 }
 
+/// Which readiness a registered fd is watched for. Hangups and errors
+/// are reported under any interest, read-only included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Interest {
+    /// Bytes to read, or the peer's half-close.
+    pub read: bool,
+    /// Room in the send buffer.
+    pub write: bool,
+}
+
+impl Interest {
+    /// What [`Poller::add`] registers.
+    pub const READ: Interest = Interest { read: true, write: false };
+
+    fn mask(self) -> u32 {
+        let read = if self.read { EPOLLIN | EPOLLRDHUP } else { 0 };
+        read | if self.write { EPOLLOUT } else { 0 }
+    }
+}
+
 /// An owned epoll instance.
 pub(crate) struct Poller {
     epfd: RawFd,
@@ -83,8 +108,22 @@ impl Poller {
     /// Registers `fd` for level-triggered read/hangup readiness under
     /// `token`.
     pub fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
-        let mut ev = EpollEvent { events: EPOLLIN | EPOLLRDHUP, data: token };
+        let mut ev = EpollEvent { events: Interest::READ.mask(), data: token };
         let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Replaces the interest of the registered `fd` (still
+    /// level-triggered, same `token`).
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent { events: interest.mask(), data: token };
+        // SAFETY: `epfd` is this poller's open epoll fd and `ev` is a
+        // live, correctly laid out `epoll_event` the kernel only reads
+        // during the call; a bad `fd` is reported as an error, not UB.
+        let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -133,11 +172,6 @@ impl Drop for Poller {
         unsafe { close(self.epfd) };
     }
 }
-
-// The epoll fd is only ever touched from the reactor thread, but the
-// Poller is created on the thread that calls `listen` and moved into
-// the reactor thread, which requires Send.
-unsafe impl Send for Poller {}
 
 #[cfg(test)]
 mod tests {
@@ -219,6 +253,55 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(Duration::from_millis(10), &mut events).unwrap();
         assert!(events.is_empty(), "deregistered fd must not notify");
+    }
+
+    #[test]
+    fn write_interest_is_reported_until_withdrawn() {
+        let (mut client, server) = loopback_pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(server.as_raw_fd(), 4).unwrap();
+        let mut events = Vec::new();
+
+        // Read interest only: an idle, writable socket is quiet.
+        poller.wait(Duration::from_millis(10), &mut events).unwrap();
+        assert!(events.is_empty(), "read-only interest reported {events:?}");
+
+        // Write interest: the empty send buffer is writable at once, and
+        // (level-triggered) again on the next wait — with nothing to
+        // read, that is the only thing an event can report.
+        let both = Interest { read: true, write: true };
+        poller.modify(server.as_raw_fd(), 4, both).unwrap();
+        for _ in 0..2 {
+            poller.wait(Duration::from_millis(500), &mut events).unwrap();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].token, 4);
+            assert!(!events[0].readable && !events[0].closed);
+        }
+
+        // Write-only interest hides pending input (a held-back
+        // connection is not read) ...
+        let write_only = Interest { read: false, write: true };
+        poller.modify(server.as_raw_fd(), 4, write_only).unwrap();
+        client.write_all(b"held").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        poller.wait(Duration::from_millis(500), &mut events).unwrap();
+        assert_eq!(events.len(), 1);
+        assert!(!events[0].readable, "{events:?}");
+
+        // ... and withdrawing it brings back the read readiness alone:
+        // the writable socket stays quiet once the input is drained.
+        poller.modify(server.as_raw_fd(), 4, Interest::READ).unwrap();
+        poller.wait(Duration::from_millis(500), &mut events).unwrap();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].readable, "{events:?}");
+        let mut held = [0u8; 4];
+        (&server).read_exact(&mut held).unwrap();
+        poller.wait(Duration::from_millis(10), &mut events).unwrap();
+        assert!(events.is_empty(), "read-only interest on a drained fd: {events:?}");
+
+        // Modifying an fd that was never registered is an error.
+        let (_c2, unregistered) = loopback_pair();
+        assert!(poller.modify(unregistered.as_raw_fd(), 5, Interest::READ).is_err());
     }
 
     #[test]

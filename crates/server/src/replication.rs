@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::proto::{decode_repl, encode_repl, take_frame, write_frame, ReplFrame, WriteBatch};
+use crate::proto::{decode_repl, encode_repl, write_frame, Frames, ReplFrame, WriteBatch};
 use crate::server::{Server, ServerInner};
 use crate::wal::WalTailer;
 
@@ -67,8 +67,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(2);
 /// Idle heartbeat period: keeps the follower's view of the primary's
 /// high-water mark fresh and surfaces dead peers via write failures.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(150);
-/// Read timeout on replication sockets; reads buffer through
-/// [`take_frame`], so a timeout mid-frame loses nothing.
+/// Read timeout on replication sockets; reads buffer and cut frames
+/// with [`Frames`], so a timeout mid-frame loses nothing.
 const READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// A subscribed follower that hears *nothing* (no records, no
 /// heartbeats) for this long presumes the primary dead and reconnects.
@@ -731,13 +731,14 @@ fn apply_stream(
     // offer plus the bytes assembled so far.
     let mut image: Option<(u64, u64, Vec<u8>)> = None;
     loop {
+        let mut frames = Frames::new(&buf);
         loop {
-            let payload = match take_frame(&mut buf) {
+            let payload = match frames.next_frame() {
                 Ok(Some(p)) => p,
                 Ok(None) => break,
                 Err(_) => return,
             };
-            let Ok(frame) = decode_repl(&payload) else { return };
+            let Ok(frame) = decode_repl(payload) else { return };
             match frame {
                 ReplFrame::Record { seq, ops, epoch, .. } => {
                     if epoch < inner.epoch() {
@@ -877,6 +878,8 @@ fn apply_stream(
                 _ => return,
             }
         }
+        let consumed = frames.consumed();
+        buf.drain(..consumed);
         if !active(state) {
             return;
         }
@@ -926,8 +929,8 @@ fn read_one_frame(inner: &Arc<ServerInner>, stream: &mut TcpStream) -> Option<Ve
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 4 * 1024];
     loop {
-        match take_frame(&mut buf) {
-            Ok(Some(payload)) => return Some(payload),
+        match Frames::new(&buf).next_frame() {
+            Ok(Some(payload)) => return Some(payload.to_vec()),
             Ok(None) => {}
             Err(_) => return None,
         }

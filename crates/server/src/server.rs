@@ -2,32 +2,39 @@
 //!
 //! Life of a request:
 //!
-//! 1. a transport (the epoll reactor draining TCP connections, or an
-//!    in-process client) decodes a [`Request`] and calls `admit`;
-//! 2. admission classifies the request into a [`Lane`] (IS/IC short
-//!    reads, heavy BI, writes) and either queues a [`Job`] on that
-//!    lane's bounded queue or responds immediately — `Overloaded` when
-//!    the lane is full (the shed detail names the lane and the
-//!    observed depths), `ShuttingDown` during drain, `BadRequest` for
-//!    undecodable frames;
-//! 3. a read worker pops under the weighted lane scheduler
-//!    ([`LaneQueues::pop_read`] — short reads cannot be starved by a
-//!    BI flood), **checks the deadline at dequeue** (a request whose
-//!    deadline passed while queued is answered `DeadlineExceeded`
-//!    without touching the store), binds its [`QueryContext`] to the
-//!    **store snapshot pinned at admission**, executes, **re-checks
-//!    the deadline at completion** (a job that starts inside its
-//!    budget but overruns mid-execution is answered — and counted —
-//!    `deadline_overrun`, not `ok`), and writes the response through
-//!    the job's responder; write batches drain on dedicated write
-//!    workers so a WAL fsync never stalls a read worker;
+//! 1. a transport — the epoll reactor (`transport.rs`) cutting
+//!    frames out of TCP connection buffers, or an in-process client —
+//!    hands the request to the **one admission gate** (`admit`), which
+//!    classifies it into a [`Lane`] (IS/IC short reads, heavy BI,
+//!    writes), refuses it (`ShuttingDown` during drain,
+//!    `StorePoisoned`, `StaleRead`, `NotPrimary`/`Fenced` for writes;
+//!    `BadRequest` for undecodable frames) or admits it with its
+//!    deadline and the **store snapshot pinned at admission**;
+//! 2. placement (`dispatch`): an IS read — microseconds of work — runs
+//!    right away on the thread that admitted it (the reactor, or the
+//!    in-process caller), as in-process write batches already did;
+//!    IC and BI reads and TCP write batches queue on their lane's
+//!    bounded queue (`Overloaded` when full; the shed detail names the
+//!    lane and the observed depths);
+//! 3. execution, inline or on a worker popping under the weighted lane
+//!    scheduler ([`LaneQueues::pop_read`] — short reads cannot be
+//!    starved by a BI flood), **checks the deadline first** (a request
+//!    whose deadline passed while queued is answered
+//!    `DeadlineExceeded` without touching the store), binds a
+//!    [`QueryContext`] to the pinned snapshot, executes, and
+//!    **re-checks the deadline at completion** (a job that starts
+//!    inside its budget but overruns is answered — and counted —
+//!    `deadline_overrun`, not `ok`); write batches drain on dedicated
+//!    write workers so a WAL fsync never stalls a read worker;
 //! 4. every path appends exactly one access-log record (carrying the
 //!    lane, the `store_version` read, and the snapshot's age at
-//!    execution).
+//!    execution) and yields one [`Response`], which goes back through
+//!    the connection's outbox or to the waiting caller.
 //!
-//! Graceful shutdown ([`Server::shutdown`]): stop accepting (transport
-//! rejections + acceptor exit), close the queue, let workers drain the
-//! already-admitted jobs, join every thread, and hand back the final
+//! Graceful shutdown ([`Server::shutdown`]): stop accepting (new
+//! requests on either transport are refused `shutting_down`), close
+//! the queue, let workers drain the already-admitted jobs, then stop
+//! the reactor, join every thread, and hand back the final
 //! [`ServiceReport`] with the access log intact.
 //!
 //! **Concurrency model** — there is no lock anywhere on the read path.
@@ -43,8 +50,7 @@
 //! the WAL holds a batch the published store does not (restart +
 //! recovery re-converges them).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::time::{Duration, Instant};
@@ -63,6 +69,7 @@ use crate::proto::{
     WriteOps,
 };
 use crate::queue::{Admitted, LaneQueues, PushError, ShedPolicy};
+use crate::transport::Outbox;
 use crate::wal::SegmentedWal;
 
 /// Group-commit formation window: how long an ack-waiter parks before
@@ -72,12 +79,8 @@ use crate::wal::SegmentedWal;
 /// extra ack latency when the waiter turns out to be alone.
 const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(250);
 
-/// How long a response write to a slow TCP peer may retry on a full
-/// socket buffer before the response is dropped (the request outcome
-/// is already logged). The reactor's connections are non-blocking, so
-/// the dup'd write halves are too; this bounds how long a dead or
-/// stalled client can pin a worker in the write loop.
-const WRITE_STALL_BUDGET: Duration = Duration::from_secs(2);
+const POISONED_DETAIL: &str =
+    "store poisoned by a mid-apply panic; restart to recover from the WAL";
 
 /// Per-lane admission settings. Zero / `None` fields inherit the
 /// server-wide `queue_capacity` / `default_deadline`, so existing
@@ -277,6 +280,12 @@ pub struct ServiceReport {
     pub conn_accepted: u64,
     /// High-water mark of simultaneously open TCP connections.
     pub conn_peak: u64,
+    /// High-water mark of response bytes waiting in one connection's
+    /// outbox. A connection is not read while its outbox holds more
+    /// than [`crate::OUTBOX_LIMIT`], so this stays within
+    /// that bound plus one event's last response and the replies of
+    /// work already queued.
+    pub outbox_peak: u64,
     /// Write batches refused because the node was a read-only follower
     /// (`not_primary` — the client must redirect to the primary).
     pub not_primary_rejects: u64,
@@ -308,105 +317,67 @@ struct Counters {
     shed_by_lane: [AtomicU64; 3],
     conn_accepted: AtomicU64,
     conn_peak: AtomicU64,
+    outbox_peak: AtomicU64,
     not_primary_rejects: AtomicU64,
     stale_read_rejects: AtomicU64,
     fenced_rejects: AtomicU64,
 }
 
-/// Where a job's response goes.
+/// Where a queued job's response goes.
 enum Responder {
-    /// Write a response frame to the connection's shared write half.
-    Tcp(Arc<Mutex<TcpStream>>),
-    /// Hand the response to a waiting in-process caller.
+    /// The connection's outbox, shared with the reactor.
+    Tcp(Arc<Outbox>),
+    /// A waiting in-process caller.
     InProc(crossbeam::channel::Sender<Response>),
 }
 
-impl Responder {
-    fn send(&self, resp: Response) {
-        match self {
-            Responder::Tcp(stream) => {
-                let payload = proto::encode_response(&resp);
-                let mut guard = stream.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                // A write error means the client hung up or stalled past
-                // the budget; the request outcome is already logged, so
-                // drop it silently.
-                let _ = send_frame_resilient(&mut guard, &payload);
-            }
-            Responder::InProc(tx) => {
-                let _ = tx.send(resp);
-            }
-        }
-    }
-}
-
-/// Writes one length-prefixed frame to a possibly *non-blocking*
-/// stream. The reactor puts connections in non-blocking mode, and
-/// `O_NONBLOCK` lives on the open file description — shared with every
-/// `try_clone`d write half — so a plain `write_all` could return
-/// `WouldBlock` mid-frame and corrupt the framing for good. This
-/// helper serialises the whole frame into one buffer and retries from
-/// the exact offset on `WouldBlock`, bounded by [`WRITE_STALL_BUDGET`].
-fn send_frame_resilient(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    if snb_fault::partition_active() {
-        // `net.partition` black-holes the wire: the write "succeeds"
-        // locally but the peer never sees the bytes, and the socket
-        // stays open — exactly a mid-network drop, not a close.
-        return Ok(());
-    }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let started = Instant::now();
-    let mut off = 0usize;
-    while off < frame.len() {
-        match stream.write(&frame[off..]) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => off += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if started.elapsed() > WRITE_STALL_BUDGET {
-                    return Err(std::io::ErrorKind::TimedOut.into());
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// What a queued job carries: a fully decoded request (in-process
-/// transport), or the raw frame payload plus its peeked header (TCP
-/// transports). Raw frames are decoded on the lane worker that pops
-/// them — the reactor thread only ever runs the cheap fixed-offset
-/// [`proto::peek_header`], so a peer flooding parse-heavy bindings
-/// burns worker time, never transport-read time.
-enum JobPayload {
+/// What a request carries through admission and the queue: decoded
+/// (in-process calls, and IS frames, which the reactor decodes and runs
+/// itself), or a BI, IC or write frame whose binding is decoded later on
+/// the worker that pops it — so a peer flooding parse-heavy bindings
+/// burns worker time, never reactor time. `B` holds the raw frame:
+/// borrowed from the connection buffer at the gate, owned once queued.
+enum Payload<B> {
     Decoded(Request),
-    Raw { payload: Vec<u8>, header: proto::RequestHeader },
+    Raw { frame: B, header: proto::RequestHeader },
 }
 
-impl JobPayload {
-    fn id(&self) -> u64 {
+impl<B: AsRef<[u8]>> Payload<B> {
+    fn header(&self) -> proto::RequestHeader {
         match self {
-            JobPayload::Decoded(req) => req.id,
-            JobPayload::Raw { header, .. } => header.id,
+            Payload::Decoded(req) => req.header(),
+            Payload::Raw { header, .. } => *header,
         }
     }
 
     /// `(workload, query, binding_hash)` for access-log records. Raw
-    /// frames are unlabelled until decoded — shed records for them
+    /// frames are unlabelled until decoded — refusal records for them
     /// carry empty labels, exactly like the garbage path.
     fn labels(&self) -> (&'static str, u8, u64) {
         match self {
-            JobPayload::Decoded(req) => {
+            Payload::Decoded(req) => {
                 let (w, q) = req.params.label();
                 (w, q, req.params.binding_hash())
             }
-            JobPayload::Raw { .. } => ("", 0, 0),
+            Payload::Raw { .. } => ("", 0, 0),
+        }
+    }
+
+    fn decode(self) -> Result<Request, proto::DecodeError> {
+        match self {
+            Payload::Decoded(req) => Ok(req),
+            Payload::Raw { frame, .. } => proto::decode_request(frame.as_ref()),
+        }
+    }
+}
+
+impl Payload<&[u8]> {
+    /// The queued form: a raw frame is copied out of the connection
+    /// buffer here, once.
+    fn into_owned(self) -> Payload<Vec<u8>> {
+        match self {
+            Payload::Decoded(req) => Payload::Decoded(req),
+            Payload::Raw { frame, header } => Payload::Raw { frame: frame.to_vec(), header },
         }
     }
 }
@@ -415,17 +386,17 @@ impl JobPayload {
 /// admission: whatever the writer publishes while this job is queued,
 /// the job reads the version that was current when it was admitted.
 struct Job {
-    payload: JobPayload,
+    payload: Payload<Vec<u8>>,
     seq: u64,
     lane: Lane,
     admitted: Instant,
     deadline: Option<Instant>,
-    snapshot: StoreSnapshot,
+    /// Pinned for reads; writes build the next version instead.
+    snapshot: Option<StoreSnapshot>,
     /// The node's applied write sequence loaded at admission — stamped
     /// into the response as the bounded-staleness contract: the pinned
     /// snapshot contains every write at or below it.
     applied_seq: u64,
-    responder: Responder,
 }
 
 /// The durable-write machinery a server starts with when it owns a WAL:
@@ -453,9 +424,11 @@ struct DurableState {
 
 pub(crate) struct ServerInner {
     store: Arc<StoreHandle>,
-    queue: LaneQueues<Job>,
+    queue: LaneQueues<(Job, Responder)>,
     log: AccessLog,
     accepting: AtomicBool,
+    /// See [`ServerInner::transport_open`].
+    transport_open: AtomicBool,
     config: ServerConfig,
     counters: Counters,
     durable: Option<Mutex<DurableState>>,
@@ -623,22 +596,19 @@ impl ServerInner {
     }
 
     /// The single refusal path behind every admission rejection:
-    /// counters, one access-log record, and a typed error response.
+    /// counters, one access-log record, and the typed error response.
     /// `labels` is `(workload, query, binding_hash)` — empty for raw
-    /// frames that were never decoded. `min_seq` feeds the `stale_read`
-    /// detail so the client sees its lag.
-    #[allow(clippy::too_many_arguments)]
+    /// frames that were never decoded; the header's `min_seq` feeds the
+    /// `stale_read` detail so the client sees its lag.
     fn refuse(
         &self,
         seq: u64,
-        id: u64,
+        header: &proto::RequestHeader,
         labels: (&'static str, u8, u64),
-        lane: Lane,
         kind: ErrorKind,
-        min_seq: u64,
-        responder: &Responder,
-    ) {
+    ) -> Response {
         let (workload, query, binding_hash) = labels;
+        let lane = header.lane;
         match kind {
             ErrorKind::Overloaded => {
                 self.counters.shed_by_lane[lane.index()].fetch_add(1, Ordering::Relaxed);
@@ -686,9 +656,7 @@ impl ServerInner {
             ErrorKind::ShuttingDown => {
                 format!("server is draining for shutdown ({})", self.depths_detail())
             }
-            ErrorKind::StorePoisoned => {
-                "store poisoned by a mid-apply panic; restart to recover from the WAL".to_string()
-            }
+            ErrorKind::StorePoisoned => POISONED_DETAIL.to_string(),
             ErrorKind::NotPrimary => {
                 let hint = self.primary_hint();
                 if hint.is_empty() {
@@ -708,6 +676,7 @@ impl ServerInner {
             }
             ErrorKind::StaleRead => {
                 let applied = self.last_applied_seq.load(Ordering::Acquire);
+                let min_seq = header.min_seq;
                 format!(
                     "min_seq {min_seq}, applied {applied} (lag {})",
                     min_seq.saturating_sub(applied)
@@ -715,86 +684,42 @@ impl ServerInner {
             }
             other => other.name().to_string(),
         };
-        responder.send(Response { id, body: Err(ErrorBody { kind, queue_us: 0, detail }) });
+        Response { id: header.id, body: Err(ErrorBody { kind, queue_us: 0, detail }) }
     }
 
-    fn reject(
-        &self,
-        seq: u64,
-        request: &Request,
-        lane: Lane,
-        kind: ErrorKind,
-        responder: &Responder,
-    ) {
-        let (workload, query) = request.params.label();
-        self.refuse(
-            seq,
-            request.id,
-            (workload, query, request.params.binding_hash()),
-            lane,
-            kind,
-            request.min_seq,
-            responder,
-        );
+    /// Refuses one job the lane would not keep (shed victim or
+    /// closed-queue push-back), whichever payload form it carries.
+    fn refuse_job(&self, job: &Job, kind: ErrorKind) -> Response {
+        self.refuse(job.seq, &job.payload.header(), job.payload.labels(), kind)
     }
 
-    /// Refuses one already-queued job (shed victim or closed-queue
-    /// push-back) whichever payload form it carries.
-    fn reject_job(&self, job: Job, kind: ErrorKind) {
-        let min_seq = match &job.payload {
-            JobPayload::Decoded(req) => req.min_seq,
-            JobPayload::Raw { header, .. } => header.min_seq,
-        };
-        self.refuse(
-            job.seq,
-            job.payload.id(),
-            job.payload.labels(),
-            job.lane,
-            kind,
-            min_seq,
-            &job.responder,
-        );
-    }
-
-    /// Admission control: queue the request on its lane or answer
-    /// immediately. In-process write batches are applied on the
-    /// submitting thread (they serialize on the durability lock anyway,
-    /// and the group-commit formation window wants concurrent
-    /// submitters parked *in* `submit_batch`); TCP write batches are
-    /// queued on the write lane and drained by the dedicated write
-    /// workers, so a WAL fsync never stalls the reactor or a read
-    /// worker.
-    fn admit(&self, request: Request, responder: Responder) {
-        let lane = request.params.lane();
+    /// The one admission gate, for both transports and for queued and
+    /// inline execution alike: follower and fencing refusals for writes,
+    /// `shutting_down`, `store_poisoned`, the `stale_read` floor, then
+    /// the deadline and — for reads — the store version pinned at
+    /// admission. Exactly one access-log sequence number is claimed; a
+    /// refusal is logged and answered here.
+    fn admit(&self, payload: Payload<&[u8]>) -> Result<Job, Response> {
+        let header = payload.header();
+        let lane = header.lane;
+        let seq = self.log.next_seq();
+        let refuse = |kind| Err(self.refuse(seq, &header, payload.labels(), kind));
         if lane == Lane::Write && self.read_only.load(Ordering::Acquire) {
             // Follower: client writes can never succeed here (the
             // replication applier is the only writer) — terminal with
-            // redirect, checked before anything queues.
-            let seq = self.log.next_seq();
-            self.reject(seq, &request, lane, ErrorKind::NotPrimary, &responder);
-            return;
+            // redirect.
+            return refuse(ErrorKind::NotPrimary);
         }
         if lane == Lane::Write && self.is_fenced() {
             // Zombie ex-primary: a newer term exists, so acking this
             // write would fork history — terminal with redirect.
-            let seq = self.log.next_seq();
-            self.reject(seq, &request, lane, ErrorKind::Fenced, &responder);
-            return;
+            return refuse(ErrorKind::Fenced);
         }
-        if lane == Lane::Write {
-            if let Responder::InProc(_) = responder {
-                self.admit_write(request, responder);
-                return;
-            }
-        }
-        let seq = self.log.next_seq();
         if !self.accepting.load(Ordering::Acquire) {
-            self.reject(seq, &request, lane, ErrorKind::ShuttingDown, &responder);
-            return;
+            return refuse(ErrorKind::ShuttingDown);
         }
         if self.degraded.load(Ordering::Acquire) {
-            self.reject(seq, &request, lane, ErrorKind::StorePoisoned, &responder);
-            return;
+            return refuse(ErrorKind::StorePoisoned);
         }
         // Bounded-staleness gate: load the applied high-water mark
         // *before* pinning the snapshot. `submit_batch` publishes the
@@ -802,76 +727,8 @@ impl ServerInner {
         // snapshot pinned after this load necessarily contains every
         // write at or below it.
         let applied_seq = self.last_applied_seq.load(Ordering::Acquire);
-        if request.min_seq > applied_seq {
-            self.reject(seq, &request, lane, ErrorKind::StaleRead, &responder);
-            return;
-        }
-        let admitted = Instant::now();
-        let deadline = if request.deadline_us > 0 {
-            Some(admitted + Duration::from_micros(request.deadline_us))
-        } else {
-            self.config.lane_deadline(lane).map(|d| admitted + d)
-        };
-        // Pin the store version here, at admission: the job reads this
-        // version no matter how many publishes land while it queues.
-        let snapshot = self.store.snapshot();
-        let job = Job {
-            payload: JobPayload::Decoded(request),
-            seq,
-            lane,
-            admitted,
-            deadline,
-            snapshot,
-            applied_seq,
-            responder,
-        };
-        self.push_job(lane, job);
-    }
-
-    /// Admission for a raw TCP frame: peek the fixed-offset header (id,
-    /// deadline, staleness floor, lane), run every admission gate on
-    /// it, and queue the *undecoded* payload — the lane worker that
-    /// pops it does the full binding decode. This keeps the reactor
-    /// thread's per-frame cost flat regardless of binding complexity.
-    fn admit_frame(&self, payload: Vec<u8>, responder: Responder) {
-        let header = match proto::peek_header(&payload) {
-            Ok(h) => h,
-            Err(e) => {
-                self.admit_garbage(e.id, e.detail, responder);
-                return;
-            }
-        };
-        let lane = header.lane;
-        let seq = self.log.next_seq();
-        let labels = ("", 0, 0);
-        if lane == Lane::Write && self.read_only.load(Ordering::Acquire) {
-            self.refuse(seq, header.id, labels, lane, ErrorKind::NotPrimary, 0, &responder);
-            return;
-        }
-        if lane == Lane::Write && self.is_fenced() {
-            self.refuse(seq, header.id, labels, lane, ErrorKind::Fenced, 0, &responder);
-            return;
-        }
-        if !self.accepting.load(Ordering::Acquire) {
-            self.refuse(seq, header.id, labels, lane, ErrorKind::ShuttingDown, 0, &responder);
-            return;
-        }
-        if self.degraded.load(Ordering::Acquire) {
-            self.refuse(seq, header.id, labels, lane, ErrorKind::StorePoisoned, 0, &responder);
-            return;
-        }
-        let applied_seq = self.last_applied_seq.load(Ordering::Acquire);
         if header.min_seq > applied_seq {
-            self.refuse(
-                seq,
-                header.id,
-                labels,
-                lane,
-                ErrorKind::StaleRead,
-                header.min_seq,
-                &responder,
-            );
-            return;
+            return refuse(ErrorKind::StaleRead);
         }
         let admitted = Instant::now();
         let deadline = if header.deadline_us > 0 {
@@ -879,38 +736,134 @@ impl ServerInner {
         } else {
             self.config.lane_deadline(lane).map(|d| admitted + d)
         };
-        let snapshot = self.store.snapshot();
-        let job = Job {
-            payload: JobPayload::Raw { payload, header },
+        // Pin the store version here, at admission: a read runs against
+        // this version no matter how many publishes land while it queues.
+        let snapshot = (lane != Lane::Write).then(|| self.store.snapshot());
+        Ok(Job {
+            payload: payload.into_owned(),
             seq,
             lane,
             admitted,
             deadline,
             snapshot,
             applied_seq,
-            responder,
-        };
-        self.push_job(lane, job);
+        })
     }
 
-    fn push_job(&self, lane: Lane, job: Job) {
-        match self.queue.try_push(lane, job) {
-            Ok(Admitted::Queued) => {}
-            Ok(Admitted::QueuedEvicting(victim)) => {
-                // DropOldest lane: the newcomer is queued and the stalest
-                // entry is shed in its place — answered Overloaded like
-                // any other shed, never silently dropped.
-                self.reject_job(victim, ErrorKind::Overloaded);
+    /// Runs an admitted job where it belongs: IS reads on the calling
+    /// thread — the reactor that decoded the frame, or the in-process
+    /// caller — and in-process write batches on the submitting thread
+    /// (they serialize on the durability lock anyway, and the
+    /// group-commit window wants concurrent submitters parked in
+    /// `submit_batch`). IC and BI reads, which can run for milliseconds,
+    /// and TCP write batches, which can wait on an fsync, queue on their
+    /// lane with `to` as the responder. Returns the response when the
+    /// job ran here.
+    fn dispatch(
+        &self,
+        ctx: &QueryContext,
+        job: Job,
+        to: impl FnOnce() -> Responder,
+    ) -> Option<Response> {
+        match &job.payload {
+            Payload::Decoded(Request { params: ServiceParams::Is(_), .. }) => {
+                Some(self.execute(ctx, job))
             }
-            Err(PushError::Full(job)) => self.reject_job(job, ErrorKind::Overloaded),
-            Err(PushError::Closed(job)) => self.reject_job(job, ErrorKind::ShuttingDown),
+            Payload::Decoded(Request { params: ServiceParams::Write(_), .. }) => {
+                Some(self.execute_write(job))
+            }
+            _ => {
+                self.push_job(job, to());
+                None
+            }
         }
     }
 
-    /// Handles one undecodable frame. The rejection carries the lane
+    /// The TCP entry point for one frame cut from a connection buffer:
+    /// only the fixed header is parsed before admission. IS frames are
+    /// decoded in place and run on the reactor with its `ctx`; the rest
+    /// are copied once and queued with the connection's outbox as
+    /// responder. Returns the response when the frame was answered here.
+    pub(crate) fn admit_frame(
+        &self,
+        ctx: &QueryContext,
+        frame: &[u8],
+        out: &Arc<Outbox>,
+    ) -> Option<Response> {
+        let payload = match proto::peek_header(frame) {
+            Ok(header) if header.workload == "IS" => match proto::decode_request(frame) {
+                Ok(request) => Payload::Decoded(request),
+                Err(e) => return Some(self.bad_request(e)),
+            },
+            Ok(header) => Payload::Raw { frame, header },
+            Err(e) => return Some(self.bad_request(e)),
+        };
+        match self.admit(payload) {
+            Ok(job) => self.dispatch(ctx, job, || Responder::Tcp(Arc::clone(out))),
+            Err(refusal) => Some(refusal),
+        }
+    }
+
+    /// The in-process entry point: the TCP gate and placement rule, with
+    /// the caller blocking for a queued job's response.
+    fn call(&self, request: Request) -> Response {
+        let id = request.id;
+        let job = match self.admit(Payload::Decoded(request)) {
+            Ok(job) => job,
+            Err(refusal) => return refusal,
+        };
+        let mut waiting = None;
+        let ran = self.dispatch(&self.context(1), job, || {
+            let (tx, rx) = crossbeam::channel::bounded(1);
+            waiting = Some(rx);
+            Responder::InProc(tx)
+        });
+        ran.or_else(|| waiting?.recv().ok()).unwrap_or(Response {
+            id,
+            body: Err(ErrorBody {
+                kind: ErrorKind::ShuttingDown,
+                queue_us: 0,
+                detail: "server terminated before responding".into(),
+            }),
+        })
+    }
+
+    fn push_job(&self, job: Job, to: Responder) {
+        let lane = job.lane;
+        match self.queue.try_push(lane, (job, to)) {
+            Ok(Admitted::Queued) => {}
+            Ok(Admitted::QueuedEvicting((victim, victim_to))) => {
+                // DropOldest lane: the newcomer is queued and the stalest
+                // entry is shed in its place — answered Overloaded like
+                // any other shed, never silently dropped.
+                self.respond(&victim_to, self.refuse_job(&victim, ErrorKind::Overloaded), false);
+            }
+            Err(PushError::Full((job, to))) => {
+                self.respond(&to, self.refuse_job(&job, ErrorKind::Overloaded), false)
+            }
+            Err(PushError::Closed((job, to))) => {
+                self.respond(&to, self.refuse_job(&job, ErrorKind::ShuttingDown), false)
+            }
+        }
+    }
+
+    /// Delivers a queued job's response. A lane worker (`may_wait`)
+    /// gives a slow TCP peer up to the stall budget to take it;
+    /// admission, which may run on the reactor, never waits — what the
+    /// socket does not take stays in the outbox for the reactor.
+    fn respond(&self, to: &Responder, resp: Response, may_wait: bool) {
+        match to {
+            Responder::Tcp(out) => self.note_outbox(out.deliver(&resp, may_wait)),
+            Responder::InProc(tx) => {
+                let _ = tx.send(resp);
+            }
+        }
+    }
+
+    /// Answers one undecodable frame. The rejection carries the lane
     /// depths so a flooding client can tell protocol failure apart from
     /// overload even on the garbage path.
-    fn admit_garbage(&self, id: Option<u64>, detail: String, responder: Responder) {
+    fn bad_request(&self, e: proto::DecodeError) -> Response {
         let seq = self.log.next_seq();
         self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
         self.log.push(AccessRecord {
@@ -928,47 +881,28 @@ impl ServerInner {
             snapshot_age_us: 0,
             profile: None,
         });
-        let detail = format!("{detail} ({})", self.depths_detail());
-        responder.send(Response {
-            id: id.unwrap_or(u64::MAX),
+        let detail = format!("{} ({})", e.detail, self.depths_detail());
+        Response {
+            id: e.id.unwrap_or(u64::MAX),
             body: Err(ErrorBody { kind: ErrorKind::BadRequest, queue_us: 0, detail }),
-        });
+        }
     }
 
-    /// Handles one sequenced write batch on the submitting thread
-    /// (in-process transport) and answers it.
-    fn admit_write(&self, request: Request, responder: Responder) {
-        let seq = self.log.next_seq();
-        self.run_write(request, responder, seq, 0);
-    }
-
-    /// Drains one write-lane job on a write worker. Raw TCP frames are
-    /// decoded here — a decode failure still answers a typed
-    /// `bad_request`, it just does so off the reactor thread.
-    fn execute_write(&self, job: Job) {
+    /// Runs one admitted write batch — on a write worker, or inline for
+    /// an in-process submitter — and answers it (ack ⇔ the batch is
+    /// durable and applied, or was already applied and is being
+    /// re-acknowledged). Raw TCP frames are decoded here: a decode
+    /// failure still answers a typed `bad_request`, off the reactor.
+    fn execute_write(&self, job: Job) -> Response {
         let queue_us = job.admitted.elapsed().as_micros() as u64;
-        let request = match job.payload {
-            JobPayload::Decoded(req) => req,
-            JobPayload::Raw { payload, .. } => match proto::decode_request(&payload) {
-                Ok(req) => req,
-                Err(e) => {
-                    self.admit_garbage(e.id, e.detail, job.responder);
-                    return;
-                }
-            },
+        let request = match job.payload.decode() {
+            Ok(req) => req,
+            Err(e) => return self.bad_request(e),
         };
-        self.run_write(request, job.responder, job.seq, queue_us);
-    }
-
-    /// Runs one sequenced write batch and answers it (ack ⇔ the batch
-    /// is durable and applied, or was already applied and is being
-    /// re-acknowledged). `queue_us` is 0 on the inline in-process path
-    /// and the observed lane wait on the write-worker path.
-    fn run_write(&self, request: Request, responder: Responder, seq: u64, queue_us: u64) {
         let (workload, query) = request.params.label();
         let binding_hash = request.params.binding_hash();
         let ServiceParams::Write(batch) = &request.params else {
-            unreachable!("run_write is only called for Write params");
+            unreachable!("the write lane only carries Write params");
         };
         let started = Instant::now();
         let result = self.submit_batch(batch);
@@ -981,7 +915,7 @@ impl ServerInner {
             self.counters.served_by_lane[Lane::Write.index()].fetch_add(1, Ordering::Relaxed);
         }
         self.log.push(AccessRecord {
-            seq,
+            seq: job.seq,
             workload,
             query,
             binding_hash,
@@ -1006,7 +940,7 @@ impl ServerInner {
                 Err(e)
             }
         };
-        responder.send(Response { id: request.id, body });
+        Response { id: request.id, body }
     }
 
     /// The durable write path: dedupe check → WAL append (flushed) →
@@ -1043,10 +977,7 @@ impl ServerInner {
         }
         if self.degraded.load(Ordering::Acquire) {
             self.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed);
-            return Err(err(
-                ErrorKind::StorePoisoned,
-                "store poisoned by a mid-apply panic; restart to recover from the WAL".into(),
-            ));
+            return Err(err(ErrorKind::StorePoisoned, POISONED_DETAIL.into()));
         }
         if !self.accepting.load(Ordering::Acquire) {
             self.counters.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
@@ -1292,109 +1223,63 @@ impl ServerInner {
         }
     }
 
-    /// Executes one dequeued read job on `ctx`: deadline check at
-    /// dequeue (don't execute work the client gave up on), execution
+    /// Executes one admitted read job on `ctx` — on a lane worker, or
+    /// inline on the thread that admitted it: deadline check before
+    /// execution (don't execute work the client gave up on), execution
     /// against the admission-pinned snapshot, then a second deadline
     /// check at completion — a job that started inside its budget but
-    /// overran mid-execution is answered `deadline_overrun`, not `ok`
-    /// (before this check, overruns were silently miscounted as
-    /// served).
-    fn execute(&self, ctx: &QueryContext, job: Job) {
-        let Job {
-            payload,
-            seq,
-            lane: job_lane,
-            admitted,
-            deadline,
-            snapshot,
-            applied_seq,
-            responder,
-        } = job;
+    /// overran mid-execution is answered `deadline_overrun`, not `ok`.
+    /// Every outcome appends exactly one access-log record.
+    fn execute(&self, ctx: &QueryContext, job: Job) -> Response {
+        let Job { payload, seq, lane, admitted, deadline, snapshot, applied_seq } = job;
         let queue_us = admitted.elapsed().as_micros() as u64;
-        // Raw TCP frames decode here, on the worker: a parse-heavy
-        // binding costs worker time, never reactor time, and a decode
-        // failure still answers a typed `bad_request`.
-        let request = match payload {
-            JobPayload::Decoded(req) => req,
-            JobPayload::Raw { payload, .. } => match proto::decode_request(&payload) {
-                Ok(req) => req,
-                Err(e) => {
-                    self.admit_garbage(e.id, e.detail, responder);
-                    return;
-                }
-            },
+        // Raw frames decode here, on the worker: a parse-heavy binding
+        // costs worker time, never reactor time, and a decode failure
+        // still answers a typed `bad_request`.
+        let request = match payload.decode() {
+            Ok(req) => req,
+            Err(e) => return self.bad_request(e),
         };
-        let lane = job_lane.name();
+        let snapshot = snapshot.expect("reads pin a snapshot at admission");
+        let id = request.id;
         let (workload, query) = request.params.label();
-        let binding_hash = request.params.binding_hash();
+        let mut record = AccessRecord {
+            seq,
+            workload,
+            query,
+            binding_hash: request.params.binding_hash(),
+            lane: lane.name(),
+            queue_us,
+            exec_us: 0,
+            outcome: "ok",
+            rows: 0,
+            fingerprint: 0,
+            store_version: snapshot.version(),
+            snapshot_age_us: 0,
+            profile: None,
+        };
+        let fail = |mut record: AccessRecord, kind: ErrorKind, detail: String| {
+            record.outcome = kind.name();
+            self.log.push(record);
+            Response { id, body: Err(ErrorBody { kind, queue_us, detail }) }
+        };
         // A poisoning write may have landed while this job was queued.
         if self.degraded.load(Ordering::Acquire) {
             self.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed);
-            self.log.push(AccessRecord {
-                seq,
-                workload,
-                query,
-                binding_hash,
-                lane,
-                queue_us,
-                exec_us: 0,
-                outcome: ErrorKind::StorePoisoned.name(),
-                rows: 0,
-                fingerprint: 0,
-                store_version: snapshot.version(),
-                snapshot_age_us: 0,
-                profile: None,
-            });
-            responder.send(Response {
-                id: request.id,
-                body: Err(ErrorBody {
-                    kind: ErrorKind::StorePoisoned,
-                    queue_us,
-                    detail: "store poisoned by a mid-apply panic; restart to recover from the WAL"
-                        .into(),
-                }),
-            });
-            return;
+            return fail(record, ErrorKind::StorePoisoned, POISONED_DETAIL.into());
         }
-        if let Some(deadline) = deadline {
-            if Instant::now() > deadline {
-                self.counters.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                self.log.push(AccessRecord {
-                    seq,
-                    workload,
-                    query,
-                    binding_hash,
-                    lane,
-                    queue_us,
-                    exec_us: 0,
-                    outcome: ErrorKind::DeadlineExceeded.name(),
-                    rows: 0,
-                    fingerprint: 0,
-                    store_version: snapshot.version(),
-                    snapshot_age_us: 0,
-                    profile: None,
-                });
-                responder.send(Response {
-                    id: request.id,
-                    body: Err(ErrorBody {
-                        kind: ErrorKind::DeadlineExceeded,
-                        queue_us,
-                        detail: format!(
-                            "deadline passed after {queue_us}us in queue; not executed"
-                        ),
-                    }),
-                });
-                return;
-            }
+        if deadline.is_some_and(|d| Instant::now() > d) {
+            self.counters.deadline_missed.fetch_add(1, Ordering::Relaxed);
+            let detail = format!("deadline passed after {queue_us}us in queue; not executed");
+            return fail(record, ErrorKind::DeadlineExceeded, detail);
         }
         ctx.metrics().reset();
         let started = Instant::now();
-        let store_version = snapshot.version();
-        let snapshot_age_us = snapshot.age().as_micros() as u64;
-        // Bind the worker's context to the version pinned at admission:
-        // the query reads that immutable snapshot — no lock, no
+        record.snapshot_age_us = snapshot.age().as_micros() as u64;
+        // Bind the context to the version pinned at admission: the
+        // query reads that immutable snapshot — no lock, no
         // interference from concurrent publishes.
-        let bound = ctx.clone().with_snapshot(snapshot.clone());
+        let bound = ctx.clone().with_snapshot(snapshot);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match &request.params {
                 ServiceParams::Bi(p) => {
@@ -1403,109 +1288,93 @@ impl ServerInner {
                 }
                 ServiceParams::Ic(p) => (snb_interactive::run_complex_bound(&bound, p) as u64, 0),
                 ServiceParams::Is(p) => (snb_interactive::run_short_bound(&bound, p) as u64, 0),
-                // Write batches ride the write lane, never the read
-                // lanes; the unwind turns a slipped-through one into
-                // `internal`.
+                // Write batches never reach read execution; the unwind
+                // turns a slipped-through one into `internal`.
                 ServiceParams::Write(_) => unreachable!("write batches bypass the read lanes"),
             }
         }));
         let exec_us = started.elapsed().as_micros() as u64;
-        match outcome {
-            Ok((rows, fingerprint)) => {
-                // Completion-time deadline check: the work is done (and
-                // its cost is visible in exec_us), but the client's
-                // budget is spent — report it as an overrun, never as
-                // a success.
-                let overran = deadline.is_some_and(|d| Instant::now() > d);
-                if overran {
-                    self.counters.deadline_overrun.fetch_add(1, Ordering::Relaxed);
-                    self.log.push(AccessRecord {
-                        seq,
-                        workload,
-                        query,
-                        binding_hash,
-                        lane,
-                        queue_us,
-                        exec_us,
-                        outcome: ErrorKind::DeadlineOverrun.name(),
-                        rows,
-                        fingerprint,
-                        store_version,
-                        snapshot_age_us,
-                        profile: None,
-                    });
-                    responder.send(Response {
-                        id: request.id,
-                        body: Err(ErrorBody {
-                            kind: ErrorKind::DeadlineOverrun,
-                            queue_us,
-                            detail: format!(
-                                "started inside the budget but overran it: {queue_us}us queued \
-                                 + {exec_us}us executing"
-                            ),
-                        }),
-                    });
-                    return;
-                }
-                let profile = self.config.profiling.then(|| ctx.metrics().snapshot());
-                self.counters.served.fetch_add(1, Ordering::Relaxed);
-                self.counters.served_by_lane[job_lane.index()].fetch_add(1, Ordering::Relaxed);
-                self.log.push(AccessRecord {
-                    seq,
-                    workload,
-                    query,
-                    binding_hash,
-                    lane,
-                    queue_us,
-                    exec_us,
-                    outcome: "ok",
-                    rows,
-                    fingerprint,
-                    store_version,
-                    snapshot_age_us,
-                    profile: profile.clone(),
-                });
-                responder.send(Response {
-                    id: request.id,
-                    body: Ok(OkBody { rows, fingerprint, queue_us, exec_us, applied_seq, profile }),
-                });
-            }
-            Err(_) => {
-                self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
-                self.log.push(AccessRecord {
-                    seq,
-                    workload,
-                    query,
-                    binding_hash,
-                    lane,
-                    queue_us,
-                    exec_us,
-                    outcome: ErrorKind::Internal.name(),
-                    rows: 0,
-                    fingerprint: 0,
-                    store_version,
-                    snapshot_age_us,
-                    profile: None,
-                });
-                responder.send(Response {
-                    id: request.id,
-                    body: Err(ErrorBody {
-                        kind: ErrorKind::Internal,
-                        queue_us,
-                        detail: format!("{workload} {query} panicked during execution"),
-                    }),
-                });
-            }
+        record.exec_us = exec_us;
+        let Ok((rows, fingerprint)) = outcome else {
+            self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
+            let detail = format!("{workload} {query} panicked during execution");
+            return fail(record, ErrorKind::Internal, detail);
+        };
+        (record.rows, record.fingerprint) = (rows, fingerprint);
+        // Completion-time deadline check: the work is done (and its cost
+        // is visible in exec_us), but the client's budget is spent —
+        // report it as an overrun, never as a success.
+        if deadline.is_some_and(|d| Instant::now() > d) {
+            self.counters.deadline_overrun.fetch_add(1, Ordering::Relaxed);
+            let detail = format!(
+                "started inside the budget but overran it: {queue_us}us queued + {exec_us}us \
+                 executing"
+            );
+            return fail(record, ErrorKind::DeadlineOverrun, detail);
+        }
+        let profile = self.config.profiling.then(|| Box::new(ctx.metrics().snapshot()));
+        self.counters.served.fetch_add(1, Ordering::Relaxed);
+        self.counters.served_by_lane[lane.index()].fetch_add(1, Ordering::Relaxed);
+        record.profile = profile.clone();
+        self.log.push(record);
+        Response {
+            id,
+            body: Ok(OkBody { rows, fingerprint, queue_us, exec_us, applied_seq, profile }),
         }
     }
 
-    fn worker_context(&self) -> QueryContext {
-        let ctx = if self.config.threads_per_worker <= 1 {
-            QueryContext::single_threaded()
-        } else {
-            QueryContext::new(self.config.threads_per_worker)
-        };
+    /// A query context `threads` wide with the server's partition count
+    /// and profiling: `threads_per_worker` for a lane worker, one for
+    /// inline execution (the reactor's own, or an in-process caller's).
+    pub(crate) fn context(&self, threads: usize) -> QueryContext {
+        let ctx =
+            if threads <= 1 { QueryContext::single_threaded() } else { QueryContext::new(threads) };
         ctx.with_partitions(self.config.partitions.max(1)).with_profiling(self.config.profiling)
+    }
+
+    /// Server configuration (the transport reads its idle timeout).
+    pub(crate) fn config(&self) -> &ServerConfig {
+        &self.config
+    }
+
+    /// Whether the TCP reactor keeps running. It outlives `accepting` —
+    /// frames arriving while shutdown drains are answered
+    /// `shutting_down`, and queued responses still leave — until the
+    /// admitted work has drained.
+    pub(crate) fn transport_open(&self) -> bool {
+        self.transport_open.load(Ordering::Acquire)
+    }
+
+    /// Counts one accepted connection; `open` is how many are open now.
+    pub(crate) fn conn_opened(&self, open: usize) {
+        self.counters.conn_accepted.fetch_add(1, Ordering::Relaxed);
+        self.counters.conn_peak.fetch_max(open as u64, Ordering::Relaxed);
+    }
+
+    /// Logs a connection closed for making no progress within `limit`
+    /// (outcome `conn_stalled`).
+    pub(crate) fn conn_stalled(&self, limit: Duration) {
+        self.counters.conn_stalled.fetch_add(1, Ordering::Relaxed);
+        self.log.push(AccessRecord {
+            seq: self.log.next_seq(),
+            workload: "",
+            query: 0,
+            binding_hash: 0,
+            lane: "",
+            queue_us: limit.as_micros() as u64,
+            exec_us: 0,
+            outcome: "conn_stalled",
+            rows: 0,
+            fingerprint: 0,
+            store_version: self.store.version(),
+            snapshot_age_us: 0,
+            profile: None,
+        });
+    }
+
+    /// Records how many bytes one connection's outbox held.
+    pub(crate) fn note_outbox(&self, pending: usize) {
+        self.counters.outbox_peak.fetch_max(pending as u64, Ordering::Relaxed);
     }
 
     fn report(&self) -> ServiceReport {
@@ -1535,6 +1404,7 @@ impl ServerInner {
             conn_stalled: self.counters.conn_stalled.load(Ordering::Relaxed),
             conn_accepted: self.counters.conn_accepted.load(Ordering::Relaxed),
             conn_peak: self.counters.conn_peak.load(Ordering::Relaxed),
+            outbox_peak: self.counters.outbox_peak.load(Ordering::Relaxed),
             not_primary_rejects: self.counters.not_primary_rejects.load(Ordering::Relaxed),
             stale_read_rejects: self.counters.stale_read_rejects.load(Ordering::Relaxed),
             fenced_rejects: self.counters.fenced_rejects.load(Ordering::Relaxed),
@@ -1616,6 +1486,7 @@ impl Server {
             queue,
             log: AccessLog::new(),
             accepting: AtomicBool::new(true),
+            transport_open: AtomicBool::new(true),
             config,
             counters: Counters::default(),
             durable,
@@ -1634,9 +1505,9 @@ impl Server {
             .map(|_| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || {
-                    let ctx = inner.worker_context();
-                    while let Some((_lane, job)) = inner.queue.pop_read() {
-                        inner.execute(&ctx, job);
+                    let ctx = inner.context(inner.config.threads_per_worker);
+                    while let Some((_lane, (job, to))) = inner.queue.pop_read() {
+                        inner.respond(&to, inner.execute(&ctx, job), true);
                     }
                 })
             })
@@ -1650,8 +1521,8 @@ impl Server {
             .map(|_| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || {
-                    while let Some(job) = inner.queue.pop_write() {
-                        inner.execute_write(job);
+                    while let Some((job, to)) = inner.queue.pop_write() {
+                        inner.respond(&to, inner.execute_write(job), true);
                     }
                 })
             })
@@ -1662,12 +1533,13 @@ impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts accepting connections; returns the bound address.
     ///
-    /// The transport is a readiness-driven reactor: a single thread
-    /// `epoll_wait`s on the listener plus every connection, so an idle
-    /// connection costs one registered fd and a buffer rather than an
-    /// OS thread — the property that lets `service_load --sweep` hold a
-    /// thousand connections open against a fixed thread count. epoll is
-    /// Linux-only: elsewhere this returns
+    /// The transport is a readiness-driven reactor
+    /// (`transport.rs`): a single thread `epoll_wait`s on the
+    /// listener plus every connection, so an idle connection costs one
+    /// registered fd and a buffer rather than an OS thread — the
+    /// property that lets `service_load --sweep` hold a thousand
+    /// connections open against a fixed thread count — and IS reads run
+    /// on that thread. epoll is Linux-only: elsewhere this returns
     /// [`std::io::ErrorKind::Unsupported`] and the in-process transport
     /// ([`Server::client`]) is the way in.
     #[cfg(target_os = "linux")]
@@ -1678,7 +1550,8 @@ impl Server {
         self.local_addr = Some(local);
         let inner = Arc::clone(&self.inner);
         let poller = crate::reactor::Poller::new()?;
-        self.acceptor = Some(std::thread::spawn(move || reactor_loop(&inner, listener, poller)));
+        self.acceptor =
+            Some(std::thread::spawn(move || crate::transport::run(&inner, listener, poller)));
         Ok(local)
     }
 
@@ -1815,15 +1688,16 @@ impl Server {
         // No background workers (test mode): drain both read lanes and
         // the write lane inline so admitted jobs still complete before
         // the report is cut.
+        let inner = &self.inner;
         if self.workers.is_empty() {
-            let ctx = self.inner.worker_context();
-            while let Some((_lane, job)) = self.inner.queue.pop_read() {
-                self.inner.execute(&ctx, job);
+            let ctx = inner.context(inner.config.threads_per_worker);
+            while let Some((_lane, (job, to))) = inner.queue.pop_read() {
+                inner.respond(&to, inner.execute(&ctx, job), true);
             }
         }
         if self.write_workers.is_empty() {
-            while let Some(job) = self.inner.queue.pop_write() {
-                self.inner.execute_write(job);
+            while let Some((job, to)) = inner.queue.pop_write() {
+                inner.respond(&to, inner.execute_write(job), true);
             }
         }
         for w in self.workers.drain(..) {
@@ -1832,6 +1706,8 @@ impl Server {
         for w in self.write_workers.drain(..) {
             let _ = w.join();
         }
+        // Everything admitted is answered: now the transport may go.
+        inner.transport_open.store(false, Ordering::Release);
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -1848,182 +1724,11 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         // Belt-and-braces for servers dropped without `shutdown()`:
-        // unblock workers so their threads exit instead of leaking.
+        // unblock workers and the reactor so their threads exit instead
+        // of leaking.
         self.inner.accepting.store(false, Ordering::Release);
+        self.inner.transport_open.store(false, Ordering::Release);
         self.inner.queue.close();
-    }
-}
-
-/// The readiness-driven transport: one thread owns the listener and
-/// every connection, multiplexed through [`crate::reactor::Poller`].
-/// Accepts, drains readable sockets into per-connection buffers,
-/// decodes frames, and admits them; responses are written by the
-/// workers through each connection's shared (mutexed) write half, so
-/// they may interleave in completion order — clients match on the
-/// correlation id. Writer clones held by in-flight jobs keep a socket
-/// open after the reactor drops a connection, which is what lets
-/// shutdown drain admitted work to the wire.
-#[cfg(target_os = "linux")]
-fn reactor_loop(
-    inner: &Arc<ServerInner>,
-    listener: TcpListener,
-    mut poller: crate::reactor::Poller,
-) {
-    use std::collections::HashMap;
-    use std::os::fd::AsRawFd;
-
-    struct Conn {
-        reader: TcpStream,
-        writer: Arc<Mutex<TcpStream>>,
-        buf: Vec<u8>,
-        last_progress: Instant,
-    }
-
-    const LISTENER: u64 = 0;
-    // Per-connection read budget per wakeup: bounds how long one chatty
-    // peer can monopolize the reactor. Level-triggered registration
-    // re-reports an undrained fd on the next wait, so no data is lost.
-    const READS_PER_WAKE: usize = 4;
-
-    if poller.add(listener.as_raw_fd(), LISTENER).is_err() {
-        return;
-    }
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = LISTENER + 1;
-    let mut events = Vec::new();
-    let mut tmp = [0u8; 16 * 1024];
-    while inner.accepting.load(Ordering::Acquire) {
-        if poller.wait(Duration::from_millis(25), &mut events).is_err() {
-            break;
-        }
-        if let Some(fault) = snb_fault::check("conn.read.stall") {
-            // Simulates a handler wedged in the read path (the hazard
-            // the idle deadline exists for).
-            fault.trip("conn.read.stall");
-        }
-        for ev in &events {
-            if ev.token == LISTENER {
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let Ok(writer) = stream.try_clone() else { continue };
-                            if poller.add(stream.as_raw_fd(), next_token).is_err() {
-                                continue;
-                            }
-                            inner.counters.conn_accepted.fetch_add(1, Ordering::Relaxed);
-                            conns.insert(
-                                next_token,
-                                Conn {
-                                    reader: stream,
-                                    writer: Arc::new(Mutex::new(writer)),
-                                    buf: Vec::new(),
-                                    last_progress: Instant::now(),
-                                },
-                            );
-                            inner
-                                .counters
-                                .conn_peak
-                                .fetch_max(conns.len() as u64, Ordering::Relaxed);
-                            next_token += 1;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.token) else { continue };
-            let mut drop_conn = ev.closed && !ev.readable;
-            if ev.readable && snb_fault::partition_active() {
-                // Black-holed: drain and discard so the peer's bytes
-                // vanish in transit (no decode, no response, no close).
-                // `last_progress` advances so the idle sweep does not
-                // turn a partition into a connection close.
-                while let Ok(n) = conn.reader.read(&mut tmp) {
-                    if n == 0 {
-                        drop_conn = true;
-                        break;
-                    }
-                }
-                conn.buf.clear();
-                conn.last_progress = Instant::now();
-            } else if ev.readable {
-                for _ in 0..READS_PER_WAKE {
-                    match conn.reader.read(&mut tmp) {
-                        Ok(0) => {
-                            drop_conn = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.buf.extend_from_slice(&tmp[..n]);
-                            conn.last_progress = Instant::now();
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            drop_conn = true;
-                            break;
-                        }
-                    }
-                }
-                loop {
-                    match proto::take_frame(&mut conn.buf) {
-                        // Decode happens on a lane worker, not here: the
-                        // reactor only peeks the fixed header for routing,
-                        // so a parse-heavy peer cannot stall transport
-                        // reads for every other connection.
-                        Ok(Some(payload)) => {
-                            inner.admit_frame(payload, Responder::Tcp(Arc::clone(&conn.writer)));
-                        }
-                        Ok(None) => break,
-                        // Unrecoverable framing violation: drop the
-                        // connection.
-                        Err(_) => {
-                            drop_conn = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if drop_conn {
-                if let Some(conn) = conns.remove(&ev.token) {
-                    poller.delete(conn.reader.as_raw_fd());
-                }
-            }
-        }
-        // Idle sweep: a Slowloris / half-open peer is closed with a
-        // typed outcome instead of pinning its fd forever.
-        if let Some(limit) = inner.config.conn_read_timeout {
-            let stalled: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| c.last_progress.elapsed() > limit)
-                .map(|(t, _)| *t)
-                .collect();
-            for token in stalled {
-                let Some(conn) = conns.remove(&token) else { continue };
-                poller.delete(conn.reader.as_raw_fd());
-                inner.counters.conn_stalled.fetch_add(1, Ordering::Relaxed);
-                inner.log.push(AccessRecord {
-                    seq: inner.log.next_seq(),
-                    workload: "",
-                    query: 0,
-                    binding_hash: 0,
-                    lane: "",
-                    queue_us: limit.as_micros() as u64,
-                    exec_us: 0,
-                    outcome: "conn_stalled",
-                    rows: 0,
-                    fingerprint: 0,
-                    store_version: inner.store.version(),
-                    snapshot_age_us: 0,
-                    profile: None,
-                });
-            }
-        }
     }
 }
 
@@ -2046,7 +1751,9 @@ impl LogHandle {
 }
 
 /// Deterministic in-process transport: submits through the same
-/// admission path as TCP, blocks for the response.
+/// admission gate as TCP and follows the same placement rule — IS reads
+/// (and write batches) run on the calling thread, IC and BI reads block
+/// for a lane worker's response.
 pub struct InProcClient {
     inner: Arc<ServerInner>,
     next_id: AtomicU64,
@@ -2063,16 +1770,7 @@ impl InProcClient {
     /// applied at least write sequence `min_seq`.
     pub fn call_min_seq(&self, params: ServiceParams, deadline_us: u64, min_seq: u64) -> Response {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        self.inner.admit(Request { id, deadline_us, min_seq, params }, Responder::InProc(tx));
-        rx.recv().unwrap_or(Response {
-            id,
-            body: Err(ErrorBody {
-                kind: ErrorKind::ShuttingDown,
-                queue_us: 0,
-                detail: "server terminated before responding".into(),
-            }),
-        })
+        self.inner.call(Request { id, deadline_us, min_seq, params })
     }
 }
 

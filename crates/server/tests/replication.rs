@@ -215,6 +215,13 @@ fn follower_restart_mid_catch_up_reapplies_idempotently() {
     // prefix, recovered through the real replay path.
     handle.stop();
     follower.shutdown();
+    // The applier may have reconnected (and sent a valid `Hello`) between
+    // seeing the drop and seeing the stop; that socket is dead now but
+    // still queued on the listener — drop it so the restarted follower's
+    // subscription is the one accepted next.
+    listener.set_nonblocking(true).unwrap();
+    while listener.accept().is_ok() {}
+    listener.set_nonblocking(false).unwrap();
     let report = recover(&f_dir, &config(), SCALE, WalOptions::default()).unwrap().report;
     assert_eq!(report.last_seq, 3, "follower WAL persisted the shipped prefix");
     assert_eq!(report.tail_replayed, 3);
