@@ -2,9 +2,8 @@
 //! per-query runtime tables): min / mean / median / max latency and row
 //! volume for all 25 BI queries over curated parameter bindings, swept
 //! over the intra-query thread count, plus the inter-query throughput
-//! sweep. Emits `BENCH_bi.json` (path overridable via the
-//! `SNB_BENCH_OUT` env var) with the raw numbers and per-query operator
-//! counters.
+//! sweep and a partition-count sweep that must leave every result
+//! unchanged (the run panics if it does not).
 //!
 //! Pass `--profile` for the EXPLAIN-ANALYZE-shaped per-query operator
 //! breakdown (morsels, index hits vs. fallbacks, top-k prune rate, CSR
@@ -16,8 +15,7 @@ use snb_engine::QueryContext;
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 const BINDINGS_PER_QUERY: usize = 8;
 
-/// Store partition counts swept by the determinism check — the same
-/// values the `SNB_PARTITIONS` knob accepts in CI.
+/// Store partition counts swept by the determinism check.
 const PARTITION_SWEEP: [usize; 3] = [1, 2, 4];
 
 /// One point of the partition sweep: every query over the same
@@ -112,20 +110,20 @@ fn main() {
 
     // Inter-query throughput sweep (streams, one single-threaded
     // context each).
-    let mut throughput = Vec::new();
-    let mut t_rows = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let r = snb_driver::throughput_test(&store, &ALL_BI_QUERIES, 4, threads, config.seed);
-        t_rows.push(vec![
-            threads.to_string(),
-            r.queries_executed.to_string(),
-            snb_bench::fmt_duration(r.wall),
-            format!("{:.1}", r.qps),
-            snb_bench::fmt_duration(r.mean_queue_wait),
-            snb_bench::fmt_duration(r.mean_exec),
-        ]);
-        throughput.push(r);
-    }
+    let t_rows: Vec<Vec<String>> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|threads| {
+            let r = snb_driver::throughput_test(&store, &ALL_BI_QUERIES, 4, threads, config.seed);
+            vec![
+                threads.to_string(),
+                r.queries_executed.to_string(),
+                snb_bench::fmt_duration(r.wall),
+                format!("{:.1}", r.qps),
+                snb_bench::fmt_duration(r.mean_queue_wait),
+                snb_bench::fmt_duration(r.mean_exec),
+            ]
+        })
+        .collect();
     snb_bench::print_table(
         "E5: BI throughput test (stream sweep)",
         &["threads", "queries", "wall", "qps", "mean wait", "mean exec"],
@@ -133,8 +131,7 @@ fn main() {
     );
 
     // Partition sweep: sharded morsel plans must be invisible in the
-    // results — every partition count folds to the same fingerprint
-    // (CI greps this block and asserts exactly one distinct value).
+    // results — every partition count folds to the same fingerprint.
     let partition_points = partition_sweep(&store, config.seed);
     let p_rows: Vec<Vec<String>> = partition_points
         .iter()
@@ -160,12 +157,6 @@ fn main() {
             p.partitions
         );
     }
-
-    // Machine-readable dump for downstream tooling / CI trend lines.
-    let json = render_json(&config, cores, &sweep, &throughput, &partition_points);
-    let path = std::env::var("SNB_BENCH_OUT").unwrap_or_else(|_| "BENCH_bi.json".into());
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("\nwrote {path}");
 }
 
 /// The `--profile` operator breakdown — one row per query, counters
@@ -233,91 +224,4 @@ fn partition_sweep(store: &snb_store::Store, seed: u64) -> Vec<PartitionPoint> {
             PartitionPoint { partitions, fingerprint, rows, wall: started.elapsed() }
         })
         .collect()
-}
-
-/// Hand-rolled JSON (the container has no serde): every value is a
-/// number or a plain integer-keyed record, so escaping is not needed.
-fn render_json(
-    config: &snb_datagen::GeneratorConfig,
-    cores: usize,
-    sweep: &[(usize, Vec<QueryStats>)],
-    throughput: &[snb_driver::ThroughputReport],
-    partition_points: &[PartitionPoint],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(config)));
-    out.push_str(&format!("  \"persons\": {},\n  \"seed\": {},\n", config.persons, config.seed));
-    out.push_str(&format!("  \"hardware_cores\": {cores},\n"));
-    out.push_str(&format!("  \"bindings_per_query\": {BINDINGS_PER_QUERY},\n"));
-    out.push_str("  \"power\": [\n");
-    let mut first = true;
-    for (threads, stats) in sweep {
-        for s in stats {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let p = &s.profile;
-            out.push_str(&format!(
-                "    {{\"query\": {}, \"threads\": {}, \"runs\": {}, \"min_us\": {}, \
-                 \"mean_us\": {}, \"p50_us\": {}, \"max_us\": {}, \"cv\": {:.4}, \
-                 \"rows\": {}, \"morsels\": {}, \"rows_scanned\": {}, \"index_hits\": {}, \
-                 \"index_fallbacks\": {}, \"fallback_rows\": {}, \"topk_offered\": {}, \
-                 \"topk_pruned\": {}, \"prune_rate\": {:.4}, \"edges_traversed\": {}}}",
-                s.query,
-                threads,
-                s.executions,
-                s.min.as_micros(),
-                s.mean.as_micros(),
-                s.p50.as_micros(),
-                s.max.as_micros(),
-                s.cv,
-                s.total_rows,
-                p.morsels,
-                p.rows_scanned,
-                p.index_hits,
-                p.index_fallbacks,
-                p.fallback_rows,
-                p.topk_offered,
-                p.topk_pruned,
-                p.prune_rate(),
-                p.edges_traversed,
-            ));
-        }
-    }
-    out.push_str("\n  ],\n  \"throughput\": [\n");
-    for (i, r) in throughput.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"queries\": {}, \"wall_us\": {}, \"qps\": {:.2}, \
-             \"mean_queue_wait_us\": {}, \"mean_exec_us\": {}, \"total_queue_wait_us\": {}, \
-             \"total_exec_us\": {}}}",
-            r.threads,
-            r.queries_executed,
-            r.wall.as_micros(),
-            r.qps,
-            r.mean_queue_wait.as_micros(),
-            r.mean_exec.as_micros(),
-            r.total_queue_wait.as_micros(),
-            r.total_exec.as_micros(),
-        ));
-    }
-    out.push_str("\n  ],\n  \"partition_sweep\": [\n");
-    for (i, p) in partition_points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"partitions\": {}, \"threads\": 2, \"fingerprint\": \"{:#018x}\", \
-             \"rows\": {}, \"wall_us\": {}}}",
-            p.partitions,
-            p.fingerprint,
-            p.rows,
-            p.wall.as_micros(),
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
 }

@@ -39,26 +39,18 @@
 //! `Child::kill`, so the process dies exactly at the armed point with
 //! no destructors run.
 
-use std::io::BufRead;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
 
 use snb_datagen::dictionaries::StaticWorld;
 use snb_datagen::stream::UpdateEvent;
 use snb_datagen::GeneratorConfig;
 use snb_engine::QueryContext;
 use snb_params::ParamGen;
-use snb_server::proto::{self, Request};
-use snb_server::{ErrorKind, Response, ServiceParams, WriteBatch, WriteOps};
-use snb_store::DeleteOp;
+use snb_server::{ErrorKind, ServiceParams, WriteOps};
+use snb_store::{DeleteOp, Store};
 
+use crate::node::{call, submit, Node, Refusal};
 use crate::Args;
-
-/// How long a client waits for an ack before declaring the server
-/// stalled at a fault point and SIGKILLing it. The injected stalls
-/// sleep for 600 s, so this cleanly separates "stalled" from "slow".
-const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Sequenced batches carved from a real update stream: chunks of
 /// inserts in stream order, with a like-delete batch interleaved after
@@ -86,142 +78,80 @@ pub fn carve_batches(config: &GeneratorConfig, chunks: usize) -> Vec<WriteOps> {
     carve_stream(&stream, chunks)
 }
 
-/// Parsed `recovered seq=...` startup line.
-#[derive(Clone, Copy, Debug, Default)]
-struct Recovery {
-    seq: u64,
-    wal_entries: u64,
-    truncated_bytes: u64,
-    image_seq: u64,
-    tail_replayed: u64,
-}
-
-struct ChaosServer {
-    child: Child,
-    addr: String,
-    recovery: Recovery,
-}
-
-impl ChaosServer {
-    fn spawn(args: &Args, bin: &str, wal_dir: &std::path::Path, faults: Option<&str>) -> Self {
-        let mut cmd = Command::new(bin);
-        cmd.arg(&args.scale)
-            .arg(args.config.seed.to_string())
-            .args(["--port", "0", "--workers", "2", "--snapshot-every", "5", "--partitions", "2"])
-            .arg("--wal-dir")
-            .arg(wal_dir)
-            .env_remove("SNB_FAULTS")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(spec) = faults {
-            cmd.env("SNB_FAULTS", spec).env("SNB_FAULT_SEED", "42");
+/// `base` with every batch applied exactly once, in order: what a node
+/// that lost no acked write and applied none twice must hold.
+pub fn every_batch_oracle(mut base: Store, batches: &[WriteOps], seed: u64) -> Store {
+    let world = StaticWorld::build(seed);
+    for ops in batches {
+        match ops {
+            WriteOps::Updates(events) => {
+                for ev in events {
+                    base.apply_event(ev, &world).expect("oracle apply");
+                }
+            }
+            WriteOps::Deletes(dels) => {
+                base.apply_deletes(dels).expect("oracle delete");
+            }
         }
-        let mut child = cmd.spawn().unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut recovery = Recovery::default();
-        let mut addr = None;
-        for line in std::io::BufReader::new(stdout).lines() {
-            let line = line.expect("server stdout");
-            if let Some(rest) = line.strip_prefix("recovered ") {
-                for field in rest.split_whitespace() {
-                    let (key, value) = field.split_once('=').unwrap_or((field, "0"));
-                    let value: u64 = value.parse().unwrap_or(0);
-                    match key {
-                        "seq" => recovery.seq = value,
-                        "wal_entries" => recovery.wal_entries = value,
-                        "truncated_bytes" => recovery.truncated_bytes = value,
-                        "image_seq" => recovery.image_seq = value,
-                        "tail_replayed" => recovery.tail_replayed = value,
-                        _ => {}
+    }
+    if !base.date_index_fresh() {
+        base.rebuild_date_index();
+    }
+    base.validate_invariants().expect("oracle invariants");
+    base
+}
+
+/// Reads two bindings of each of the 25 BI queries at `min_seq` from
+/// every `(connection, node name)` and compares each answer's rows and
+/// fingerprint with `oracle`. Returns (answers checked, mismatches);
+/// every mismatch is printed.
+pub fn verify_bi(
+    oracle: &Store,
+    seed: u64,
+    min_seq: u64,
+    nodes: &mut [(&mut TcpStream, &str)],
+) -> (u64, u64) {
+    let gen = ParamGen::new(oracle, seed);
+    let ctx = QueryContext::single_threaded();
+    let (mut verified, mut mismatches) = (0u64, 0u64);
+    for q in 1..=25u8 {
+        for params in gen.bi_params(q, 2) {
+            let want = snb_bi::run_with(oracle, &ctx, &params);
+            for (conn, who) in nodes.iter_mut() {
+                let resp =
+                    call(conn, 10_000_000 + verified, min_seq, ServiceParams::Bi(params.clone()))
+                        .expect("verify read");
+                verified += 1;
+                match resp.body {
+                    Ok(ok) if ok.rows == want.rows as u64 && ok.fingerprint == want.fingerprint => {
+                    }
+                    Ok(ok) => {
+                        mismatches += 1;
+                        eprintln!(
+                            "VERIFY FAILURE: BI {q} on {who}: rows {} fp {:#x}, \
+                             oracle rows {} fp {:#x}",
+                            ok.rows, ok.fingerprint, want.rows, want.fingerprint
+                        );
+                    }
+                    Err(e) => {
+                        mismatches += 1;
+                        eprintln!(
+                            "VERIFY FAILURE: BI {q} on {who}: {}: {}",
+                            e.kind.name(),
+                            e.detail
+                        );
                     }
                 }
-            } else if let Some(a) = line.strip_prefix("listening on ") {
-                addr = Some(a.trim().to_string());
-                break;
             }
         }
-        let addr = addr.expect("server exited before printing its address");
-        ChaosServer { child, addr, recovery }
     }
-
-    fn connect(&self) -> TcpStream {
-        for _ in 0..100 {
-            if let Ok(s) = TcpStream::connect(&self.addr) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(ACK_TIMEOUT));
-                return s;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        panic!("could not connect to {}", self.addr);
-    }
-
-    /// SIGKILL — no drain, no destructors; the crash we are testing.
-    fn sigkill(mut self) {
-        self.child.kill().expect("SIGKILL server");
-        self.child.wait().expect("reap server");
-    }
-
-    /// Graceful stop (SIGTERM, drain, exit 0) for the final teardown.
-    #[cfg(unix)]
-    fn terminate(mut self) {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        unsafe {
-            kill(self.child.id() as i32, 15);
-        }
-        let _ = self.child.wait();
-    }
-
-    #[cfg(not(unix))]
-    fn terminate(self) {
-        self.sigkill();
-    }
-}
-
-fn call(stream: &mut TcpStream, id: u64, params: ServiceParams) -> Result<Response, String> {
-    let req = Request { id, deadline_us: 0, min_seq: 0, params };
-    proto::write_frame(stream, &proto::encode_request(&req)).map_err(|e| format!("write: {e}"))?;
-    let payload = proto::read_frame(stream).map_err(|e| format!("read: {e}"))?;
-    proto::decode_response(&payload).map_err(|e| format!("decode: {}", e.detail))
-}
-
-/// Submits batch `seq`; `Ok((flavor, rows))` where flavor is `"ok"`
-/// or `"deduped"` (rows must be 0 for the latter), `Err` when the ack
-/// never arrived (stall → timeout) or came back as a typed error.
-fn submit(stream: &mut TcpStream, seq: u64, ops: &WriteOps) -> Result<(&'static str, u64), String> {
-    let params = ServiceParams::Write(WriteBatch { seq, ops: ops.clone() });
-    let resp = call(stream, seq, params)?;
-    match resp.body {
-        // The ack contract: `rows` is the number of operations applied
-        // by *this* call — zero exactly when the batch was already
-        // applied and the server merely re-acknowledged it.
-        Ok(ok) if ok.rows == 0 => Ok(("deduped", 0)),
-        Ok(ok) => Ok(("ok", ok.rows)),
-        Err(e) => Err(format!("{}: {}", e.kind.name(), e.detail)),
-    }
-}
-
-struct PhaseOutcome {
-    name: &'static str,
-    killed_at_seq: u64,
-    recovered_seq: u64,
-    truncated_bytes: u64,
-    resubmit_flavor: &'static str,
+    (verified, mismatches)
 }
 
 pub fn run(args: &Args) {
-    let bin = args.server_bin.clone().unwrap_or_else(|| {
-        let exe = std::env::current_exe().expect("current_exe");
-        exe.parent().expect("target dir").join("snb-server").display().to_string()
-    });
-    assert!(
-        std::path::Path::new(&bin).exists(),
-        "snb-server binary not found at {bin} (build it or pass --server-bin)"
-    );
     let wal_dir = std::env::temp_dir().join(format!("snb_chaos_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
+    let spawn = |faults: Option<&str>| Node::spawn(args, "server", &wal_dir, &[], faults);
 
     eprintln!("# chaos: carving write batches (scale {}, seed {})", args.scale, args.config.seed);
     let (base_store, stream) = snb_store::bulk_store_and_stream(&args.config);
@@ -239,26 +169,21 @@ pub fn run(args: &Args) {
     assert!(total >= 16, "need at least 16 batches for the four phases, got {total}");
     // Everything after this seq exercises the store-image fault.
     let image_drain = total - 5;
-    let mut ack_flavor: Vec<Option<&'static str>> = vec![None; batches.len()];
+    let mut acked = vec![false; batches.len()];
     let mut dedupes = 0u64;
-    let mut phases: Vec<PhaseOutcome> = Vec::new();
+    let mut faults = 0u64;
     let seq_ops = |seq: u64| &batches[(seq - 1) as usize];
 
     // ---- Phase 1: torn append. The 3rd WAL append writes 8 bytes and
     // stalls; seqs 1-2 are acked, seq 3 is neither durable nor applied.
     eprintln!("# chaos phase 1: SIGKILL at wal.append.short_write (seq 3)");
-    let server = ChaosServer::spawn(
-        args,
-        &bin,
-        &wal_dir,
-        Some("wal.append.short_write=short:8,stall:600000@h3"),
-    );
+    let server = spawn(Some("wal.append.short_write=short:8,stall:600000@h3"));
     assert_eq!(server.recovery.seq, 0, "fresh directory recovers to the bulk image");
     let mut conn = server.connect();
     for seq in 1..=2u64 {
         let (flavor, _) = submit(&mut conn, seq, seq_ops(seq)).expect("pre-fault ack");
         assert_eq!(flavor, "ok");
-        ack_flavor[seq as usize - 1] = Some("ok");
+        acked[seq as usize - 1] = true;
     }
     let stalled = submit(&mut conn, 3, seq_ops(3));
     assert!(stalled.is_err(), "seq 3 must stall at the torn append, got {stalled:?}");
@@ -267,8 +192,7 @@ pub fn run(args: &Args) {
     // ---- Phase 2: restart, verify truncation, resubmit seq 3 (first
     // apply), then die after a durable append of seq 4 (pre-apply).
     eprintln!("# chaos phase 2: recover; SIGKILL at wal.append.post_append (seq 4)");
-    let server =
-        ChaosServer::spawn(args, &bin, &wal_dir, Some("wal.append.post_append=stall:600000@h2"));
+    let server = spawn(Some("wal.append.post_append=stall:600000@h2"));
     // (effects in one clause are comma-separated; `@h2` because the
     // resubmitted seq 3 consumes this fresh process's first append.)
     assert_eq!(server.recovery.seq, 2, "torn seq 3 must not be replayed");
@@ -276,14 +200,8 @@ pub fn run(args: &Args) {
     let mut conn = server.connect();
     let (flavor, rows) = submit(&mut conn, 3, seq_ops(3)).expect("resubmit seq 3");
     assert_eq!((flavor, rows > 0), ("ok", true), "seq 3 was never durable: first apply");
-    ack_flavor[2] = Some("ok");
-    phases.push(PhaseOutcome {
-        name: "wal.append.short_write",
-        killed_at_seq: 3,
-        recovered_seq: server.recovery.seq,
-        truncated_bytes: server.recovery.truncated_bytes,
-        resubmit_flavor: flavor,
-    });
+    acked[2] = true;
+    faults += 1;
     let stalled = submit(&mut conn, 4, seq_ops(4));
     assert!(stalled.is_err(), "seq 4 must stall after the durable append, got {stalled:?}");
     server.sigkill();
@@ -292,30 +210,23 @@ pub fn run(args: &Args) {
     // WAL; its resubmission dedupes. Then seq 5 panics mid-apply: the
     // server answers store_poisoned (typed, no hang) and refuses reads.
     eprintln!("# chaos phase 3: recover; SIGKILL after writer.apply.panic (seq 5)");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, Some("writer.apply.panic=panic@h1"));
+    let server = spawn(Some("writer.apply.panic=panic@h1"));
     assert_eq!(server.recovery.seq, 4, "durable seq 4 must be replayed, not lost");
     assert_eq!(server.recovery.truncated_bytes, 0, "seq 4's append was clean");
     let mut conn = server.connect();
     let (flavor, rows) = submit(&mut conn, 4, seq_ops(4)).expect("resubmit seq 4");
     assert_eq!((flavor, rows), ("deduped", 0), "durable+replayed seq 4 must dedupe");
-    ack_flavor[3] = Some("deduped");
+    acked[3] = true;
     dedupes += 1;
-    phases.push(PhaseOutcome {
-        name: "wal.append.post_append",
-        killed_at_seq: 4,
-        recovered_seq: server.recovery.seq,
-        truncated_bytes: server.recovery.truncated_bytes,
-        resubmit_flavor: flavor,
-    });
-    let poisoned = submit(&mut conn, 5, seq_ops(5));
-    match &poisoned {
-        Err(detail) if detail.starts_with("store_poisoned") => {}
+    faults += 1;
+    match submit(&mut conn, 5, seq_ops(5)) {
+        Err(Refusal::Typed(ErrorKind::StorePoisoned, _)) => {}
         other => panic!("seq 5 must be refused store_poisoned, got {other:?}"),
     }
     // The degraded store refuses reads too — with a typed error, not a
     // hang or a poisoned-lock panic cascade.
     let read =
-        call(&mut conn, 9_999, ServiceParams::Bi(probe.clone())).expect("probe read answers");
+        call(&mut conn, 9_999, 0, ServiceParams::Bi(probe.clone())).expect("probe read answers");
     match read.body {
         Err(e) if e.kind == ErrorKind::StorePoisoned => {}
         other => panic!("degraded server must refuse reads store_poisoned, got {other:?}"),
@@ -329,26 +240,20 @@ pub fn run(args: &Args) {
     // each compaction point writes a store image and truncates the
     // segments, so by the kill an image anchors the WAL.
     eprintln!("# chaos phase 4: recover; drain across compaction points; SIGKILL");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, None);
+    let server = spawn(None);
     assert_eq!(server.recovery.seq, 5, "seq 5 was durable before the panic: replayed");
     assert_eq!(server.recovery.image_seq, 0, "no image exists yet: full-history replay");
     assert_eq!(server.recovery.wal_entries, 5, "the segments hold the whole history");
     let mut conn = server.connect();
     let (flavor, rows) = submit(&mut conn, 5, seq_ops(5)).expect("resubmit seq 5");
     assert_eq!((flavor, rows), ("deduped", 0), "replayed seq 5 must dedupe");
-    ack_flavor[4] = Some("deduped");
+    acked[4] = true;
     dedupes += 1;
-    phases.push(PhaseOutcome {
-        name: "writer.apply.panic",
-        killed_at_seq: 5,
-        recovered_seq: server.recovery.seq,
-        truncated_bytes: server.recovery.truncated_bytes,
-        resubmit_flavor: flavor,
-    });
+    faults += 1;
     for seq in 6..=image_drain {
         let (flavor, _) = submit(&mut conn, seq, seq_ops(seq)).expect("drain ack");
         assert_eq!(flavor, "ok");
-        ack_flavor[seq as usize - 1] = Some("ok");
+        acked[seq as usize - 1] = true;
     }
     server.sigkill();
 
@@ -362,7 +267,7 @@ pub fn run(args: &Args) {
     // newest durable state lives only in the WAL tail past the old
     // image.
     eprintln!("# chaos phase 5: recover from image; SIGKILL after image.write.torn");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, Some("image.write.torn=short:120@p1"));
+    let server = spawn(Some("image.write.torn=short:120@p1"));
     assert!(server.recovery.image_seq > 0, "recovery must anchor on the store image");
     assert_eq!(server.recovery.seq, image_drain, "every acked batch survives the kill");
     assert_eq!(
@@ -375,7 +280,7 @@ pub fn run(args: &Args) {
     for seq in image_drain + 1..=total {
         let (flavor, _) = submit(&mut conn, seq, seq_ops(seq)).expect("post-image ack");
         assert_eq!(flavor, "ok");
-        ack_flavor[seq as usize - 1] = Some("ok");
+        acked[seq as usize - 1] = true;
     }
     server.sigkill();
     // Five appends crossed a compaction point, so the server tried to
@@ -391,7 +296,7 @@ pub fn run(args: &Args) {
     // which now includes the post-image batches. The last batch was
     // durable before the kill, so its resubmission dedupes.
     eprintln!("# chaos phase 6: recover; verify fallback to previous image + WAL tail");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, None);
+    let server = spawn(None);
     assert_eq!(server.recovery.image_seq, anchor, "fallback to the intact previous image");
     assert_eq!(server.recovery.seq, total, "WAL tail past the image replays in full");
     assert_eq!(server.recovery.tail_replayed, total - anchor, "tail = everything past the image");
@@ -399,109 +304,36 @@ pub fn run(args: &Args) {
     let (flavor, rows) = submit(&mut conn, total, seq_ops(total)).expect("resubmit last batch");
     assert_eq!((flavor, rows), ("deduped", 0), "durable post-image batch must dedupe");
     dedupes += 1;
-    phases.push(PhaseOutcome {
-        name: "image.write.torn",
-        killed_at_seq: total,
-        recovered_seq: server.recovery.seq,
-        truncated_bytes: server.recovery.truncated_bytes,
-        resubmit_flavor: flavor,
-    });
-    let lost_acks = ack_flavor.iter().filter(|f| f.is_none()).count() as u64;
+    faults += 1;
+    let lost_acks = acked.iter().filter(|&&a| !a).count() as u64;
     assert_eq!(lost_acks, 0, "every batch must end acknowledged");
 
     // ---- Oracle: a quiesced in-process store that applied exactly the
     // acknowledged batches once each, compared over all 25 BI queries.
     eprintln!("# chaos: building acked-batches oracle and verifying 25 BI queries");
-    let mut oracle = base_store;
-    let world = StaticWorld::build(args.config.seed);
-    for ops in &batches {
-        match ops {
-            WriteOps::Updates(events) => {
-                for ev in events {
-                    oracle.apply_event(ev, &world).expect("oracle apply");
-                }
-            }
-            WriteOps::Deletes(dels) => {
-                oracle.apply_deletes(dels).expect("oracle delete");
-            }
-        }
-    }
-    if !oracle.date_index_fresh() {
-        oracle.rebuild_date_index();
-    }
-    oracle.validate_invariants().expect("oracle invariants");
-
-    let gen = ParamGen::new(&oracle, args.config.seed);
-    let ctx = QueryContext::single_threaded();
-    let mut verified = 0u64;
-    let mut mismatches = 0u64;
-    for q in 1..=25u8 {
-        for params in gen.bi_params(q, 2) {
-            let want = snb_bi::run_with(&oracle, &ctx, &params);
-            let resp =
-                call(&mut conn, 10_000 + verified, ServiceParams::Bi(params)).expect("verify read");
-            verified += 1;
-            match resp.body {
-                Ok(ok) if ok.rows == want.rows as u64 && ok.fingerprint == want.fingerprint => {}
-                Ok(ok) => {
-                    mismatches += 1;
-                    eprintln!(
-                        "CHAOS VERIFY FAILURE: BI {q}: rows {} fp {:#x}, oracle rows {} fp {:#x}",
-                        ok.rows, ok.fingerprint, want.rows, want.fingerprint
-                    );
-                }
-                Err(e) => {
-                    mismatches += 1;
-                    eprintln!("CHAOS VERIFY FAILURE: BI {q}: {}: {}", e.kind.name(), e.detail);
-                }
-            }
-        }
-    }
+    let oracle = every_batch_oracle(base_store, &batches, args.config.seed);
+    let (verified, mismatches) =
+        verify_bi(&oracle, args.config.seed, 0, &mut [(&mut conn, "recovered server")]);
+    drop(conn);
     server.terminate();
     let _ = std::fs::remove_dir_all(&wal_dir);
     assert_eq!(mismatches, 0, "recovered store diverges from the acked-batches oracle");
 
-    // ---- Report.
     snb_bench::print_table(
         "E13: chaos recovery",
-        &["batches", "faults", "dedupes", "queries verified", "mismatches"],
+        &["batches", "faults", "dedupes", "image anchor", "lost acks", "verified", "mismatches"],
         &[vec![
             total.to_string(),
-            phases.len().to_string(),
+            faults.to_string(),
             dedupes.to_string(),
+            anchor.to_string(),
+            lost_acks.to_string(),
             verified.to_string(),
             mismatches.to_string(),
         ]],
     );
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
-    out.push_str("  \"chaos\": {\n");
-    out.push_str(&format!("    \"batches\": {total},\n    \"phases\": [\n"));
-    for (i, p) in phases.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"fault\": \"{}\", \"killed_at_seq\": {}, \"recovered_seq\": {}, \
-             \"truncated_bytes\": {}, \"resubmit\": \"{}\"}}{}\n",
-            p.name,
-            p.killed_at_seq,
-            p.recovered_seq,
-            p.truncated_bytes,
-            p.resubmit_flavor,
-            if i + 1 < phases.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"image\": {{\"anchor_seq\": {anchor}, \"tail_replayed\": {}}},\n",
-        total - anchor
-    ));
-    out.push_str(&format!(
-        "    \"dedupes\": {dedupes}, \"lost_acks\": {lost_acks}, \
-         \"queries_verified\": {verified}, \"mismatches\": {mismatches}\n"
-    ));
-    out.push_str("  }\n}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
     eprintln!(
-        "# chaos: PASS ({total} batches, 4 faults, 5 kills, {dedupes} dedupes, {verified} queries)"
+        "# chaos: PASS ({total} batches, {faults} faults, 5 kills, {dedupes} dedupes, \
+         {verified} queries)"
     );
 }

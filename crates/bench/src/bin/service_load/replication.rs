@@ -36,153 +36,28 @@
 //!    all 25 BI queries identically to an oracle that applied every
 //!    batch exactly once — a lost shipped record or a double apply is
 //!    a fingerprint divergence and a hard failure.
-//!
-//! Results land in a `"replication"` block of `BENCH_service.json`.
 
-use std::io::BufRead;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use snb_bi::BiParams;
-use snb_datagen::dictionaries::StaticWorld;
-use snb_engine::QueryContext;
 use snb_params::ParamGen;
-use snb_server::proto::{self, Request};
-use snb_server::{replication, Response, ServiceParams, WriteBatch, WriteOps};
+use snb_server::{replication, ErrorKind, ServiceParams};
 
+use crate::chaos::{carve_stream, every_batch_oracle, verify_bi};
+use crate::node::{call, percentile, submit, wait_min_seq, Node, ACK_TIMEOUT};
 use crate::Args;
 
-/// Read timeout on client connections: long enough for a slow CI BI
-/// query, short enough to notice a dead process.
-const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// Closed-loop read window per ladder rung.
 const WINDOW: Duration = Duration::from_millis(1500);
 /// Clients per node in the read ladder (same on both rungs, so the
 /// cluster rung offers proportionally more concurrency — that is the
 /// point: capacity must come from the added nodes).
 const CLIENTS_PER_NODE: usize = 4;
+/// Curated bindings per BI query in the read ladder's pool.
+const LADDER_BINDINGS: usize = 4;
 /// Batches held back from the lag stream for the failover phase.
 const FAILOVER_TAIL: u64 = 3;
-
-/// One spawned `snb-server` process (primary or follower).
-struct Node {
-    child: Child,
-    /// Client (query) endpoint.
-    addr: String,
-    /// Replication (log-shipping / promotion) endpoint.
-    repl_addr: String,
-    recovered_seq: u64,
-    name: String,
-}
-
-impl Node {
-    fn spawn(
-        args: &Args,
-        bin: &str,
-        name: &str,
-        wal_dir: &std::path::Path,
-        replicate_from: Option<&str>,
-    ) -> Node {
-        let mut cmd = Command::new(bin);
-        cmd.arg(&args.scale)
-            .arg(args.config.seed.to_string())
-            .args(["--port", "0", "--repl-port", "0", "--workers", "2"])
-            .args(["--snapshot-every", "5", "--partitions", "2"])
-            .arg("--wal-dir")
-            .arg(wal_dir)
-            .env_remove("SNB_FAULTS")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(primary) = replicate_from {
-            cmd.args(["--follower", "--replicate-from", primary]);
-        }
-        let mut child = cmd.spawn().unwrap_or_else(|e| panic!("spawn {name} ({bin}): {e}"));
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut recovered_seq = 0;
-        let mut repl_addr = None;
-        let mut addr = None;
-        let mut reader = std::io::BufReader::new(stdout);
-        for line in (&mut reader).lines() {
-            let line = line.expect("server stdout");
-            if let Some(rest) = line.strip_prefix("recovered seq=") {
-                let seq = rest.split_whitespace().next().unwrap_or("0");
-                recovered_seq = seq.parse().unwrap_or(0);
-            } else if let Some(a) = line.strip_prefix("replication on ") {
-                repl_addr = Some(a.trim().to_string());
-            } else if let Some(a) = line.strip_prefix("listening on ") {
-                addr = Some(a.trim().to_string());
-                break;
-            }
-        }
-        // Keep draining stdout for the process lifetime: the node keeps
-        // talking (e.g. `promoted writable_from=`) and must never block
-        // — or die with EPIPE — on a full or closed pipe.
-        std::thread::spawn(move || for _ in reader.lines() {});
-        let addr = addr.unwrap_or_else(|| panic!("{name} exited before listening"));
-        let repl_addr = repl_addr.unwrap_or_else(|| panic!("{name} printed no replication port"));
-        Node { child, addr, repl_addr, recovered_seq, name: name.to_string() }
-    }
-
-    fn connect(&self) -> TcpStream {
-        for _ in 0..100 {
-            if let Ok(s) = TcpStream::connect(&self.addr) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(ACK_TIMEOUT));
-                return s;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        panic!("could not connect to {} at {}", self.name, self.addr);
-    }
-
-    /// SIGKILL — the crash under test; no drain, no destructors.
-    fn sigkill(mut self) {
-        self.child.kill().expect("SIGKILL node");
-        self.child.wait().expect("reap node");
-    }
-
-    /// Graceful stop for teardown.
-    #[cfg(unix)]
-    fn terminate(mut self) {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        unsafe {
-            kill(self.child.id() as i32, 15);
-        }
-        let _ = self.child.wait();
-    }
-
-    #[cfg(not(unix))]
-    fn terminate(self) {
-        self.sigkill();
-    }
-}
-
-fn call(
-    stream: &mut TcpStream,
-    id: u64,
-    min_seq: u64,
-    params: ServiceParams,
-) -> Result<Response, String> {
-    let req = Request { id, deadline_us: 0, min_seq, params };
-    proto::write_frame(stream, &proto::encode_request(&req)).map_err(|e| format!("write: {e}"))?;
-    let payload = proto::read_frame(stream).map_err(|e| format!("read: {e}"))?;
-    proto::decode_response(&payload).map_err(|e| format!("decode: {}", e.detail))
-}
-
-/// Submits batch `seq`; `Ok((flavor, rows))` mirrors the chaos harness:
-/// `"deduped"` exactly when the ack applied nothing.
-fn submit(stream: &mut TcpStream, seq: u64, ops: &WriteOps) -> Result<(&'static str, u64), String> {
-    let params = ServiceParams::Write(WriteBatch { seq, ops: ops.clone() });
-    let resp = call(stream, seq, 0, params)?;
-    match resp.body {
-        Ok(ok) if ok.rows == 0 => Ok(("deduped", 0)),
-        Ok(ok) => Ok(("ok", ok.rows)),
-        Err(e) => Err(format!("{}: {}", e.kind.name(), e.detail)),
-    }
-}
 
 /// One probe read; returns the responding node's `applied_seq` stamp.
 fn probe_applied(stream: &mut TcpStream, id: u64, probe: &BiParams) -> u64 {
@@ -192,39 +67,12 @@ fn probe_applied(stream: &mut TcpStream, id: u64, probe: &BiParams) -> u64 {
     }
 }
 
-/// Polls `min_seq = target` reads until one serves, counting the typed
-/// `stale_read` refusals along the way. Returns (wall-clock, refusals).
-fn wait_min_seq(stream: &mut TcpStream, target: u64, probe: &BiParams) -> (Duration, u64) {
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs(60);
-    let mut stale = 0u64;
-    let mut id = 1_000_000;
-    loop {
-        id += 1;
-        let resp = call(stream, id, target, ServiceParams::Bi(probe.clone())).expect("probe");
-        match resp.body {
-            Ok(ok) => {
-                assert!(ok.applied_seq >= target, "served below min_seq: {}", ok.applied_seq);
-                return (started.elapsed(), stale);
-            }
-            Err(e) if e.kind == snb_server::ErrorKind::StaleRead => {
-                stale += 1;
-                assert!(Instant::now() < deadline, "catch-up stuck below seq {target}");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("catch-up probe refused: {}: {}", e.kind.name(), e.detail),
-        }
-    }
-}
-
 /// A closed-loop read window: `CLIENTS_PER_NODE` clients per address,
-/// every read pinned to `min_seq`. Returns (ok count, stale-read
-/// retries, achieved QPS).
-fn read_window(addrs: &[&str], min_seq: u64, pool: &[(u8, BiParams)]) -> (u64, u64, f64) {
+/// every read pinned to `min_seq`. Returns the achieved QPS.
+fn read_window(addrs: &[&str], min_seq: u64, pool: &[BiParams]) -> f64 {
     let started = Instant::now();
     let end = started + WINDOW;
-    let (mut ok_total, mut stale_total) = (0u64, 0u64);
-    std::thread::scope(|scope| {
+    let ok_total: u64 = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (n, addr) in addrs.iter().enumerate() {
             for c in 0..CLIENTS_PER_NODE {
@@ -232,11 +80,11 @@ fn read_window(addrs: &[&str], min_seq: u64, pool: &[(u8, BiParams)]) -> (u64, u
                     let mut stream = TcpStream::connect(addr).expect("ladder connect");
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(ACK_TIMEOUT));
-                    let (mut ok, mut stale) = (0u64, 0u64);
+                    let mut ok = 0u64;
                     let mut i = n * 131 + c * 17;
                     let mut id = ((n * CLIENTS_PER_NODE + c) as u64) << 32;
                     while Instant::now() < end {
-                        let (_, params) = &pool[i % pool.len()];
+                        let params = &pool[i % pool.len()];
                         i += 1;
                         id += 1;
                         let resp =
@@ -244,40 +92,20 @@ fn read_window(addrs: &[&str], min_seq: u64, pool: &[(u8, BiParams)]) -> (u64, u
                                 .expect("ladder read");
                         match resp.body {
                             Ok(_) => ok += 1,
-                            Err(e) if e.kind == snb_server::ErrorKind::StaleRead => stale += 1,
+                            Err(e) if e.kind == ErrorKind::StaleRead => {}
                             Err(e) => panic!("ladder read: {}: {}", e.kind.name(), e.detail),
                         }
                     }
-                    (ok, stale)
+                    ok
                 }));
             }
         }
-        for h in handles {
-            let (ok, stale) = h.join().expect("ladder client");
-            ok_total += ok;
-            stale_total += stale;
-        }
+        handles.into_iter().map(|h| h.join().expect("ladder client")).sum()
     });
-    (ok_total, stale_total, ok_total as f64 / started.elapsed().as_secs_f64())
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
+    ok_total as f64 / started.elapsed().as_secs_f64()
 }
 
 pub fn run(args: &Args) {
-    let bin = args.server_bin.clone().unwrap_or_else(|| {
-        let exe = std::env::current_exe().expect("current_exe");
-        exe.parent().expect("target dir").join("snb-server").display().to_string()
-    });
-    assert!(
-        std::path::Path::new(&bin).exists(),
-        "snb-server binary not found at {bin} (build it or pass --server-bin)"
-    );
     let base_dir = std::env::temp_dir().join(format!("snb_repl_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base_dir);
     let wal_dir = |name: &str| base_dir.join(name);
@@ -287,7 +115,7 @@ pub fn run(args: &Args) {
         args.scale, args.config.seed
     );
     let (base_store, stream) = snb_store::bulk_store_and_stream(&args.config);
-    let batches = crate::chaos::carve_stream(&stream, 16);
+    let batches = carve_stream(&stream, 16);
     let total = batches.len() as u64;
     assert!(total >= 12, "need at least 12 batches for the three phases, got {total}");
     let seq_ops = |seq: u64| &batches[(seq - 1) as usize];
@@ -296,18 +124,14 @@ pub fn run(args: &Args) {
     // oracle pass, the ladder only counts).
     let gen = ParamGen::new(&base_store, args.config.seed);
     let probe = gen.bi_params(1, 1).pop().expect("one BI 1 binding");
-    let pool: Vec<(u8, BiParams)> = args
-        .queries
-        .iter()
-        .flat_map(|&q| gen.bi_params(q, args.bindings_per_query).into_iter().map(move |p| (q, p)))
-        .collect();
+    let pool: Vec<BiParams> = (1..=25u8).flat_map(|q| gen.bi_params(q, LADDER_BINDINGS)).collect();
     assert!(!pool.is_empty(), "no ladder bindings generated");
 
     // ---- Phase 1: backlog + cold-follower catch-up.
     let backlog = total / 3;
     eprintln!("# replication phase 1: primary + {} batch backlog, then catch-up", backlog);
-    let primary = Node::spawn(args, &bin, "primary", &wal_dir("primary"), None);
-    assert_eq!(primary.recovered_seq, 0, "fresh primary recovers to the bulk image");
+    let primary = Node::spawn(args, "primary", &wal_dir("primary"), &["--repl-port", "0"], None);
+    assert_eq!(primary.recovery.seq, 0, "fresh primary recovers to the bulk image");
     let mut pconn = primary.connect();
     for seq in 1..=backlog {
         let (flavor, _) = submit(&mut pconn, seq, seq_ops(seq)).expect("backlog ack");
@@ -316,21 +140,21 @@ pub fn run(args: &Args) {
 
     let mut followers = Vec::new();
     let mut fconns = Vec::new();
-    let mut catch_up = Vec::new();
+    let mut catch_up_ms = 0u64;
     for i in 0..args.followers {
         let name = format!("follower{i}");
         let spawned = Instant::now();
-        let node =
-            Node::spawn(args, &bin, &name, &wal_dir(&name), Some(primary.repl_addr.as_str()));
+        let follow = ["--repl-port", "0", "--follower", "--replicate-from", primary.repl_addr()];
+        let node = Node::spawn(args, &name, &wal_dir(&name), &follow, None);
         let mut conn = node.connect();
-        let (waited, stale_retries) = wait_min_seq(&mut conn, backlog, &probe);
-        let catch_up_ms = spawned.elapsed().as_millis() as u64;
+        let (waited, stale_retries) = wait_min_seq(&mut conn, backlog, &probe, &name);
+        let ms = spawned.elapsed().as_millis() as u64;
         eprintln!(
-            "# replication: {name} caught up to seq {backlog} in {catch_up_ms} ms \
+            "# replication: {name} caught up to seq {backlog} in {ms} ms \
              ({stale_retries} stale_read refusals, {} ms behind min_seq)",
             waited.as_millis()
         );
-        catch_up.push((name, catch_up_ms, stale_retries));
+        catch_up_ms = catch_up_ms.max(ms);
         followers.push(node);
         fconns.push(conn);
     }
@@ -350,22 +174,20 @@ pub fn run(args: &Args) {
         lag_samples.push(seq.saturating_sub(applied));
     }
     lag_samples.sort_unstable();
-    let (lag_p50, lag_p99) = (percentile(&lag_samples, 0.50), percentile(&lag_samples, 0.99));
-    let lag_max = lag_samples.last().copied().unwrap_or(0);
+    let lag_p99 = percentile(&lag_samples, 0.99);
 
     // Drain: every follower reaches the streamed high-water mark before
     // the ladder, so ladder reads pinned there never wait out lag.
     for conn in fconns.iter_mut() {
-        let _ = wait_min_seq(conn, streamed_to, &probe);
+        wait_min_seq(conn, streamed_to, &probe, "follower drain");
     }
 
     // ---- Phase 3: read-scaling ladder.
     eprintln!("# replication phase 3: read ladder (1 node, then {} nodes)", 1 + followers.len());
-    let (single_ok, single_stale, single_qps) =
-        read_window(&[primary.addr.as_str()], streamed_to, &pool);
+    let single_qps = read_window(&[primary.addr.as_str()], streamed_to, &pool);
     let mut cluster_addrs: Vec<&str> = vec![primary.addr.as_str()];
     cluster_addrs.extend(followers.iter().map(|f| f.addr.as_str()));
-    let (cluster_ok, cluster_stale, cluster_qps) = read_window(&cluster_addrs, streamed_to, &pool);
+    let cluster_qps = read_window(&cluster_addrs, streamed_to, &pool);
     let scaling = if single_qps > 0.0 { cluster_qps / single_qps } else { 0.0 };
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // 1-core physics: a single core timeslicing three processes cannot
@@ -398,7 +220,7 @@ pub fn run(args: &Args) {
     let new_primary = followers.remove(0);
     drop(fconns.remove(0));
     let writable_from =
-        replication::promote(&new_primary.repl_addr).expect("promote over the repl port");
+        replication::promote(new_primary.repl_addr()).expect("promote over the repl port");
     assert!(
         writable_from <= killed_at,
         "promoted above the primary's ack frontier: {writable_from} > {killed_at}"
@@ -425,56 +247,11 @@ pub fn run(args: &Args) {
 
     // ---- Oracle: every batch applied exactly once, all 25 BI queries.
     eprintln!("# replication: verifying 25 BI queries against the every-batch oracle");
-    let mut oracle = base_store;
-    let world = StaticWorld::build(args.config.seed);
-    for ops in &batches {
-        match ops {
-            WriteOps::Updates(events) => {
-                for ev in events {
-                    oracle.apply_event(ev, &world).expect("oracle apply");
-                }
-            }
-            WriteOps::Deletes(dels) => {
-                oracle.apply_deletes(dels).expect("oracle delete");
-            }
-        }
-    }
-    if !oracle.date_index_fresh() {
-        oracle.rebuild_date_index();
-    }
-    oracle.validate_invariants().expect("oracle invariants");
-    let gen = ParamGen::new(&oracle, args.config.seed);
-    let ctx = QueryContext::single_threaded();
-    let mut verified = 0u64;
-    let mut mismatches = 0u64;
-    for q in 1..=25u8 {
-        for params in gen.bi_params(q, 2) {
-            let want = snb_bi::run_with(&oracle, &ctx, &params);
-            let resp = call(&mut conn, 10_000_000 + verified, total, ServiceParams::Bi(params))
-                .expect("verify read");
-            verified += 1;
-            match resp.body {
-                Ok(ok) if ok.rows == want.rows as u64 && ok.fingerprint == want.fingerprint => {}
-                Ok(ok) => {
-                    mismatches += 1;
-                    eprintln!(
-                        "REPLICATION VERIFY FAILURE: BI {q}: rows {} fp {:#x}, \
-                         oracle rows {} fp {:#x}",
-                        ok.rows, ok.fingerprint, want.rows, want.fingerprint
-                    );
-                }
-                Err(e) => {
-                    mismatches += 1;
-                    eprintln!(
-                        "REPLICATION VERIFY FAILURE: BI {q}: {}: {}",
-                        e.kind.name(),
-                        e.detail
-                    );
-                }
-            }
-        }
-    }
+    let oracle = every_batch_oracle(base_store, &batches, args.config.seed);
+    let (verified, mismatches) =
+        verify_bi(&oracle, args.config.seed, total, &mut [(&mut conn, "promoted node")]);
     drop(conn);
+    drop(fconns);
     new_primary.terminate();
     for f in followers {
         f.terminate();
@@ -482,7 +259,6 @@ pub fn run(args: &Args) {
     let _ = std::fs::remove_dir_all(&base_dir);
     assert_eq!(mismatches, 0, "promoted node diverges from the every-batch oracle");
 
-    // ---- Report.
     snb_bench::print_table(
         "E17: replication",
         &[
@@ -495,58 +271,21 @@ pub fn run(args: &Args) {
             "scaling",
             "failover",
             "verified",
+            "mismatches",
         ],
         &[vec![
             args.followers.to_string(),
             total.to_string(),
-            format!("{} ms", catch_up.iter().map(|(_, ms, _)| *ms).max().unwrap_or(0)),
+            format!("{catch_up_ms} ms"),
             format!("{lag_p99} rec"),
             format!("{single_qps:.1}"),
             format!("{cluster_qps:.1}"),
             format!("{scaling:.2}x{}", if scaling_gated { " (gated)" } else { "" }),
             format!("{failover_ms} ms"),
             verified.to_string(),
+            mismatches.to_string(),
         ]],
     );
-
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
-    out.push_str("  \"replication\": {\n");
-    out.push_str(&format!(
-        "    \"followers\": {}, \"total_batches\": {total}, \"backlog_batches\": {backlog},\n",
-        args.followers
-    ));
-    out.push_str("    \"catch_up\": [\n");
-    for (i, (name, ms, stale)) in catch_up.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"node\": \"{name}\", \"ms\": {ms}, \"stale_read_refusals\": {stale}}}{}\n",
-            if i + 1 < catch_up.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"lag_records\": {{\"samples\": {}, \"p50\": {lag_p50}, \"p99\": {lag_p99}, \
-         \"max\": {lag_max}}},\n",
-        lag_samples.len()
-    ));
-    out.push_str(&format!(
-        "    \"read_scaling\": {{\"clients_per_node\": {CLIENTS_PER_NODE}, \
-         \"window_us\": {}, \"min_seq\": {streamed_to}, \"single_ok\": {single_ok}, \
-         \"single_qps\": {single_qps:.2}, \"cluster_ok\": {cluster_ok}, \
-         \"cluster_qps\": {cluster_qps:.2}, \"scaling\": {scaling:.3}, \"cores\": {cores}, \
-         \"scaling_gated\": {scaling_gated}, \"stale_reads\": {}}},\n",
-        WINDOW.as_micros(),
-        single_stale + cluster_stale,
-    ));
-    out.push_str(&format!(
-        "    \"failover\": {{\"killed_at_seq\": {killed_at}, \"writable_from\": {writable_from}, \
-         \"failover_ms\": {failover_ms}, \"resubmitted\": {resubmitted}, \
-         \"rededuped\": {rededuped}, \"queries_verified\": {verified}, \
-         \"mismatches\": {mismatches}}}\n"
-    ));
-    out.push_str("  }\n}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
     eprintln!(
         "# replication: PASS ({} followers, {total} batches, {failover_ms} ms failover, \
          {verified} queries)",

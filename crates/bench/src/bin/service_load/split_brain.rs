@@ -42,29 +42,20 @@
 //!    batch exactly once.
 //!
 //! Hard gates: `zombie_acks_after_promotion == 0`,
-//! `lost_acked_writes == 0`, `mismatches == 0`. Results land in a
-//! `"failover"` block of `BENCH_service.json` with the
-//! partition→promote→re-subscribe→first-ack timings; `ci.sh` greps the
-//! gates.
+//! `lost_acked_writes == 0`, `mismatches == 0`, and every node exits 0
+//! on SIGTERM at the end — the fenced zombie included. The table
+//! carries the partition → promote → re-subscribe → first-ack timings.
 
-use std::io::BufRead;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use snb_bi::BiParams;
-use snb_datagen::dictionaries::StaticWorld;
-use snb_engine::QueryContext;
 use snb_params::ParamGen;
-use snb_server::proto::{self, Request};
-use snb_server::{replication, retry, ErrorKind, Response, ServiceParams, WriteBatch, WriteOps};
+use snb_server::{replication, retry, ErrorKind, WriteOps};
 
+use crate::chaos::{carve_stream, every_batch_oracle, verify_bi};
+use crate::node::{submit, wait_min_seq, Node, Refusal, ACK_TIMEOUT};
 use crate::Args;
 
-/// Read timeout on healthy-node client connections.
-const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// Read timeout on connections to the (possibly black-holed) zombie: a
 /// partitioned node answers nothing, so probes must give up fast.
 const ZOMBIE_TIMEOUT: Duration = Duration::from_millis(1000);
@@ -76,193 +67,18 @@ const PARTITION_MS: u64 = 6_000;
 /// heal (the announce retry cadence is 200ms, so this is generous).
 const FENCE_DEADLINE: Duration = Duration::from_secs(40);
 
-/// One spawned `snb-server` process, with a stdout scraper that keeps
-/// watching for the promotion/fencing lines after startup.
-struct Node {
-    child: Child,
-    /// Client (query) endpoint.
-    addr: String,
-    /// Replication (log-shipping / promotion / announce) endpoint.
-    repl_addr: String,
-    name: String,
-    fenced: Arc<AtomicBool>,
-    fenced_epoch: Arc<AtomicU64>,
-}
-
-impl Node {
-    fn spawn(
-        args: &Args,
-        bin: &str,
-        name: &str,
-        wal_dir: &std::path::Path,
-        replicate_from: Option<&str>,
-        faults: Option<&str>,
-    ) -> Node {
-        let mut cmd = Command::new(bin);
-        cmd.arg(&args.scale)
-            .arg(args.config.seed.to_string())
-            .args(["--port", "0", "--repl-port", "0", "--workers", "2"])
-            .args(["--snapshot-every", "5", "--partitions", "2"])
-            .arg("--wal-dir")
-            .arg(wal_dir)
-            .env_remove("SNB_FAULTS")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(spec) = faults {
-            cmd.env("SNB_FAULTS", spec);
-        }
-        if let Some(primary) = replicate_from {
-            cmd.args(["--follower", "--replicate-from", primary]);
-        }
-        let mut child = cmd.spawn().unwrap_or_else(|e| panic!("spawn {name} ({bin}): {e}"));
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut repl_addr = None;
-        let mut addr = None;
-        let mut reader = std::io::BufReader::new(stdout);
-        for line in (&mut reader).lines() {
-            let line = line.expect("server stdout");
-            if let Some(a) = line.strip_prefix("replication on ") {
-                repl_addr = Some(a.trim().to_string());
-            } else if let Some(a) = line.strip_prefix("listening on ") {
-                addr = Some(a.trim().to_string());
-                break;
-            }
-        }
-        // Keep scraping stdout for the process lifetime: the fencing
-        // line arrives minutes after startup, and the pipe must never
-        // fill up and block the server.
-        let fenced = Arc::new(AtomicBool::new(false));
-        let fenced_epoch = Arc::new(AtomicU64::new(0));
-        {
-            let fenced = Arc::clone(&fenced);
-            let fenced_epoch = Arc::clone(&fenced_epoch);
-            std::thread::spawn(move || {
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    if let Some(rest) = line.strip_prefix("fenced epoch=") {
-                        fenced_epoch.store(rest.trim().parse().unwrap_or(0), Ordering::Release);
-                        fenced.store(true, Ordering::Release);
-                    }
-                }
-            });
-        }
-        let addr = addr.unwrap_or_else(|| panic!("{name} exited before listening"));
-        let repl_addr = repl_addr.unwrap_or_else(|| panic!("{name} printed no replication port"));
-        Node { child, addr, repl_addr, name: name.to_string(), fenced, fenced_epoch }
-    }
-
-    fn connect_with(&self, timeout: Duration) -> TcpStream {
-        for _ in 0..100 {
-            if let Ok(s) = TcpStream::connect(&self.addr) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(timeout));
-                return s;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        panic!("could not connect to {} at {}", self.name, self.addr);
-    }
-
-    fn connect(&self) -> TcpStream {
-        self.connect_with(ACK_TIMEOUT)
-    }
-
-    /// Graceful stop for teardown.
-    #[cfg(unix)]
-    fn terminate(mut self) {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        unsafe {
-            kill(self.child.id() as i32, 15);
-        }
-        let _ = self.child.wait();
-    }
-
-    #[cfg(not(unix))]
-    fn terminate(mut self) {
-        self.child.kill().expect("kill node");
-        let _ = self.child.wait();
-    }
-}
-
-fn call(
-    stream: &mut TcpStream,
-    id: u64,
-    min_seq: u64,
-    params: ServiceParams,
-) -> Result<Response, String> {
-    let req = Request { id, deadline_us: 0, min_seq, params };
-    proto::write_frame(stream, &proto::encode_request(&req)).map_err(|e| format!("write: {e}"))?;
-    let payload = proto::read_frame(stream).map_err(|e| format!("read: {e}"))?;
-    proto::decode_response(&payload).map_err(|e| format!("decode: {}", e.detail))
-}
-
-/// A submit attempt's three distinguishable fates at a possibly
-/// partitioned or fenced node.
-enum SubmitOutcome {
-    /// Acked (`"deduped"` exactly when the ack applied nothing).
-    Acked(&'static str),
-    /// A typed refusal came back — kind plus the full detail.
-    Refused(ErrorKind, String),
-    /// No answer at all (black-holed / timeout / dead socket).
-    Silent(String),
-}
-
-fn submit(stream: &mut TcpStream, seq: u64, ops: &WriteOps) -> SubmitOutcome {
-    let params = ServiceParams::Write(WriteBatch { seq, ops: ops.clone() });
-    match call(stream, seq, 0, params) {
-        Ok(resp) => match resp.body {
-            Ok(ok) if ok.rows == 0 => SubmitOutcome::Acked("deduped"),
-            Ok(_) => SubmitOutcome::Acked("ok"),
-            Err(e) => SubmitOutcome::Refused(e.kind, e.detail),
-        },
-        Err(detail) => SubmitOutcome::Silent(detail),
-    }
-}
-
+/// Submits batch `seq` to a healthy node, which must ack it.
 fn submit_acked(stream: &mut TcpStream, seq: u64, ops: &WriteOps) -> &'static str {
     match submit(stream, seq, ops) {
-        SubmitOutcome::Acked(flavor) => flavor,
-        SubmitOutcome::Refused(kind, detail) => {
+        Ok((flavor, _)) => flavor,
+        Err(Refusal::Typed(kind, detail)) => {
             panic!("write seq {seq} refused: {}: {detail}", kind.name())
         }
-        SubmitOutcome::Silent(detail) => panic!("write seq {seq} got no answer: {detail}"),
-    }
-}
-
-/// Polls `min_seq = target` reads until one serves. Returns wall-clock.
-fn wait_min_seq(stream: &mut TcpStream, target: u64, probe: &BiParams, what: &str) -> Duration {
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs(60);
-    let mut id = 1_000_000;
-    loop {
-        id += 1;
-        let resp = call(stream, id, target, ServiceParams::Bi(probe.clone()))
-            .unwrap_or_else(|e| panic!("{what}: probe: {e}"));
-        match resp.body {
-            Ok(ok) => {
-                assert!(ok.applied_seq >= target, "{what}: served below min_seq");
-                return started.elapsed();
-            }
-            Err(e) if e.kind == ErrorKind::StaleRead => {
-                assert!(Instant::now() < deadline, "{what}: stuck below seq {target}");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("{what}: probe refused: {}: {}", e.kind.name(), e.detail),
-        }
+        Err(Refusal::Silent(detail)) => panic!("write seq {seq} got no answer: {detail}"),
     }
 }
 
 pub fn run(args: &Args) {
-    let bin = args.server_bin.clone().unwrap_or_else(|| {
-        let exe = std::env::current_exe().expect("current_exe");
-        exe.parent().expect("target dir").join("snb-server").display().to_string()
-    });
-    assert!(
-        std::path::Path::new(&bin).exists(),
-        "snb-server binary not found at {bin} (build it or pass --server-bin)"
-    );
     let base_dir = std::env::temp_dir().join(format!("snb_splitbrain_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base_dir);
     let wal_dir = |name: &str| base_dir.join(name);
@@ -272,7 +88,7 @@ pub fn run(args: &Args) {
         args.scale, args.config.seed
     );
     let (base_store, stream) = snb_store::bulk_store_and_stream(&args.config);
-    let batches = crate::chaos::carve_stream(&stream, 16);
+    let batches = carve_stream(&stream, 16);
     let total = batches.len() as u64;
     assert!(total >= 8, "need at least 8 batches for the phases, got {total}");
     let seq_ops = |seq: u64| &batches[(seq - 1) as usize];
@@ -291,23 +107,11 @@ pub fn run(args: &Args) {
 
     // ---- Phase 1: cluster up, pre-partition convergence ladder.
     eprintln!("# split-brain phase 1: primary (fault: {fault_spec}) + 2 followers");
-    let primary = Node::spawn(args, &bin, "primary", &wal_dir("primary"), None, Some(&fault_spec));
-    let f1 = Node::spawn(
-        args,
-        &bin,
-        "follower1",
-        &wal_dir("follower1"),
-        Some(primary.repl_addr.as_str()),
-        None,
-    );
-    let f2 = Node::spawn(
-        args,
-        &bin,
-        "follower2",
-        &wal_dir("follower2"),
-        Some(primary.repl_addr.as_str()),
-        None,
-    );
+    let primary =
+        Node::spawn(args, "primary", &wal_dir("primary"), &["--repl-port", "0"], Some(&fault_spec));
+    let follow = ["--repl-port", "0", "--follower", "--replicate-from", primary.repl_addr()];
+    let f1 = Node::spawn(args, "follower1", &wal_dir("follower1"), &follow, None);
+    let f2 = Node::spawn(args, "follower2", &wal_dir("follower2"), &follow, None);
     let mut pconn = primary.connect();
     let mut f1conn = f1.connect();
     let mut f2conn = f2.connect();
@@ -326,21 +130,18 @@ pub fn run(args: &Args) {
     let mut trigger_conn = primary.connect_with(ZOMBIE_TIMEOUT);
     let t_partition = Instant::now();
     match submit(&mut trigger_conn, partitioned_at, seq_ops(partitioned_at)) {
-        SubmitOutcome::Silent(_) => {} // applied, ack black-holed — as designed
-        SubmitOutcome::Acked(f) => {
-            panic!("partition never fired: seq {partitioned_at} acked ({f})")
-        }
-        SubmitOutcome::Refused(kind, detail) => {
-            panic!("trigger write refused: {}: {detail}", kind.name())
-        }
+        Err(Refusal::Silent(_)) => {} // applied, ack black-holed — as designed
+        Ok((flavor, _)) => panic!("partition never fired: seq {partitioned_at} acked ({flavor})"),
+        Err(refusal) => panic!("trigger write refused: {refusal:?}"),
     }
     drop(pconn);
 
     // ---- Phase 3: promote follower 1, siblings = follower 2 + zombie.
     eprintln!("# split-brain phase 3: promoting follower1 (announce to sibling + zombie)");
-    let siblings = vec![f2.repl_addr.clone(), primary.repl_addr.clone()];
-    let promotion = replication::promote_with(&f1.repl_addr, 0, &f1.repl_addr, &f1.addr, &siblings)
-        .expect("promote follower1");
+    let siblings = vec![f2.repl_addr().to_string(), primary.repl_addr().to_string()];
+    let promotion =
+        replication::promote_with(f1.repl_addr(), 0, f1.repl_addr(), &f1.addr, &siblings)
+            .expect("promote follower1");
     let promote_ms = t_partition.elapsed().as_millis() as u64;
     let t_promoted = Instant::now();
     assert_eq!(
@@ -375,9 +176,8 @@ pub fn run(args: &Args) {
 
     // Follower 2 must re-point itself at the announced primary and
     // converge on writes the zombie never shipped.
-    let resubscribe_ms = (t_promoted.elapsed()
-        + wait_min_seq(&mut f2conn, driven_to, &probe, "follower2 failover"))
-    .as_millis() as u64;
+    wait_min_seq(&mut f2conn, driven_to, &probe, "follower2 failover");
+    let resubscribe_ms = t_promoted.elapsed().as_millis() as u64;
     eprintln!("# split-brain: follower2 re-subscribed and converged in {resubscribe_ms} ms");
 
     // Zombie traffic, leg 1: keep throwing writes at the black-holed
@@ -395,15 +195,15 @@ pub fn run(args: &Args) {
         let mut zconn = primary.connect_with(ZOMBIE_TIMEOUT);
         zombie_attempts += 1;
         match submit(&mut zconn, driven_to + 1, seq_ops(driven_to + 1)) {
-            SubmitOutcome::Acked(flavor) => {
+            Ok((flavor, _)) => {
                 zombie_acks += 1;
                 eprintln!("SPLIT-BRAIN: zombie acked seq {} ({flavor})", driven_to + 1);
             }
-            SubmitOutcome::Refused(ErrorKind::Fenced, _) => break, // fenced early: fine
-            SubmitOutcome::Refused(kind, detail) => {
+            Err(Refusal::Typed(ErrorKind::Fenced, _)) => break, // fenced early: fine
+            Err(Refusal::Typed(kind, detail)) => {
                 panic!("zombie refused with {} (want silence or fenced): {detail}", kind.name())
             }
-            SubmitOutcome::Silent(_) => zombie_silent += 1,
+            Err(Refusal::Silent(_)) => zombie_silent += 1,
         }
         assert_eq!(submit_acked(&mut f1conn, driven_to, seq_ops(driven_to)), "deduped");
     }
@@ -420,14 +220,16 @@ pub fn run(args: &Args) {
     // announce is best-effort delivery, not a lease — the gap is
     // closed by the fence landing, not by wall-clock.
     let fence_deadline = Instant::now() + FENCE_DEADLINE;
-    while !primary.fenced.load(Ordering::Acquire) {
+    let zombie_epoch = loop {
+        if let Some(epoch) = primary.fenced_epoch() {
+            break epoch;
+        }
         assert!(
             Instant::now() < fence_deadline,
             "zombie never fenced after the heal ({zombie_attempts} in-window attempts)"
         );
         std::thread::sleep(Duration::from_millis(25));
-    }
-    let zombie_epoch = primary.fenced_epoch.load(Ordering::Acquire);
+    };
     assert_eq!(
         zombie_epoch, promotion.epoch,
         "zombie fenced at a different epoch than the promotion"
@@ -440,23 +242,13 @@ pub fn run(args: &Args) {
 
     // Leg 3: the fenced zombie must now refuse with the typed terminal
     // error, carrying the new primary's address.
-    let mut fenced_rejects = 0u64;
-    let fenced_detail;
     let mut zconn = primary.connect_with(ACK_TIMEOUT);
     zombie_attempts += 1;
-    match submit(&mut zconn, driven_to + 1, seq_ops(driven_to + 1)) {
-        SubmitOutcome::Refused(ErrorKind::Fenced, detail) => {
-            fenced_rejects += 1;
-            fenced_detail = detail;
-        }
-        SubmitOutcome::Acked(flavor) => {
-            panic!("fenced zombie acked seq {} ({flavor})", driven_to + 1)
-        }
-        SubmitOutcome::Refused(kind, detail) => {
-            panic!("fenced zombie refused with {} (want fenced): {detail}", kind.name())
-        }
-        SubmitOutcome::Silent(detail) => panic!("fenced zombie went silent: {detail}"),
-    }
+    let fenced_detail = match submit(&mut zconn, driven_to + 1, seq_ops(driven_to + 1)) {
+        Err(Refusal::Typed(ErrorKind::Fenced, detail)) => detail,
+        Ok((flavor, _)) => panic!("fenced zombie acked seq {} ({flavor})", driven_to + 1),
+        Err(refusal) => panic!("fenced zombie must refuse `fenced`, got {refusal:?}"),
+    };
 
     // ---- Phase 5: follow the fenced redirect with the same batch seq.
     let redirect = retry::redirect_target(&fenced_detail)
@@ -471,7 +263,6 @@ pub fn run(args: &Args) {
         "ok",
         "redirected resubmit must apply fresh on the new primary"
     );
-    let redirect_followed = 1u64;
     eprintln!("# split-brain phase 5: fenced redirect followed to {redirect}, seq {} acked", total);
 
     // Every acked write must live on the new primary: the pre-partition
@@ -486,65 +277,15 @@ pub fn run(args: &Args) {
     // follower answers from the same history).
     wait_min_seq(&mut f2conn, acked_frontier, &probe, "follower2 final");
     eprintln!("# split-brain phase 6: verifying 25 BI queries on both survivors");
-    let mut oracle = base_store;
-    let world = StaticWorld::build(args.config.seed);
-    for ops in &batches {
-        match ops {
-            WriteOps::Updates(events) => {
-                for ev in events {
-                    oracle.apply_event(ev, &world).expect("oracle apply");
-                }
-            }
-            WriteOps::Deletes(dels) => {
-                oracle.apply_deletes(dels).expect("oracle delete");
-            }
-        }
-    }
-    if !oracle.date_index_fresh() {
-        oracle.rebuild_date_index();
-    }
-    oracle.validate_invariants().expect("oracle invariants");
-    let gen = ParamGen::new(&oracle, args.config.seed);
-    let ctx = QueryContext::single_threaded();
-    let mut verified = 0u64;
-    let mut mismatches = 0u64;
-    for q in 1..=25u8 {
-        for params in gen.bi_params(q, 2) {
-            let want = snb_bi::run_with(&oracle, &ctx, &params);
-            for (conn, who) in [(&mut f1conn, "new-primary"), (&mut f2conn, "follower2")] {
-                let resp = call(
-                    conn,
-                    10_000_000 + verified,
-                    acked_frontier,
-                    ServiceParams::Bi(params.clone()),
-                )
-                .expect("verify read");
-                verified += 1;
-                match resp.body {
-                    Ok(ok) if ok.rows == want.rows as u64 && ok.fingerprint == want.fingerprint => {
-                    }
-                    Ok(ok) => {
-                        mismatches += 1;
-                        eprintln!(
-                            "SPLIT-BRAIN VERIFY FAILURE: BI {q} on {who}: rows {} fp {:#x}, \
-                             oracle rows {} fp {:#x}",
-                            ok.rows, ok.fingerprint, want.rows, want.fingerprint
-                        );
-                    }
-                    Err(e) => {
-                        mismatches += 1;
-                        eprintln!(
-                            "SPLIT-BRAIN VERIFY FAILURE: BI {q} on {who}: {}: {}",
-                            e.kind.name(),
-                            e.detail
-                        );
-                    }
-                }
-            }
-        }
-    }
+    let oracle = every_batch_oracle(base_store, &batches, args.config.seed);
+    let (verified, mismatches) = verify_bi(
+        &oracle,
+        args.config.seed,
+        acked_frontier,
+        &mut [(&mut f1conn, "new-primary"), (&mut f2conn, "follower2")],
+    );
 
-    drop((f1conn, f2conn, redirected, trigger_conn));
+    drop((f1conn, f2conn, redirected, trigger_conn, zconn));
     primary.terminate();
     f1.terminate();
     f2.terminate();
@@ -554,7 +295,6 @@ pub fn run(args: &Args) {
     assert_eq!(lost_acked_writes, 0, "acked writes missing from the new primary");
     assert_eq!(mismatches, 0, "survivors diverge from the every-batch oracle");
 
-    // ---- Report.
     snb_bench::print_table(
         "E18: split-brain",
         &[
@@ -564,9 +304,11 @@ pub fn run(args: &Args) {
             "promote",
             "first ack",
             "resubscribe",
+            "fenced",
             "zombie acks",
             "lost acked",
             "verified",
+            "mismatches",
         ],
         &[vec![
             total.to_string(),
@@ -575,30 +317,13 @@ pub fn run(args: &Args) {
             format!("{promote_ms} ms"),
             format!("{first_ack_ms} ms"),
             format!("{resubscribe_ms} ms"),
+            format!("{fenced_after_ms} ms"),
             zombie_acks.to_string(),
             lost_acked_writes.to_string(),
             verified.to_string(),
+            mismatches.to_string(),
         ]],
     );
-
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
-    out.push_str(&format!(
-        "  \"failover\": {{\"total_batches\": {total}, \"partitioned_at_seq\": {partitioned_at}, \
-         \"partition_ms\": {PARTITION_MS}, \"writable_from\": {}, \"epoch\": {}, \
-         \"promote_ms\": {promote_ms}, \"first_ack_ms\": {first_ack_ms}, \
-         \"resubscribe_ms\": {resubscribe_ms}, \"fenced_after_ms\": {fenced_after_ms}, \
-         \"resubmitted\": {resubmitted}, \
-         \"rededuped\": {rededuped}, \"zombie_write_attempts\": {zombie_attempts}, \
-         \"zombie_silent\": {zombie_silent}, \"zombie_acks_after_promotion\": {zombie_acks}, \
-         \"fenced_rejects_observed\": {fenced_rejects}, \"redirect_followed\": {redirect_followed}, \
-         \"lost_acked_writes\": {lost_acked_writes}, \"queries_verified\": {verified}, \
-         \"mismatches\": {mismatches}}}\n",
-        promotion.writable_from, promotion.epoch,
-    ));
-    out.push_str("}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
     eprintln!(
         "# split-brain: PASS (epoch {}, {zombie_attempts} zombie attempts all refused or \
          black-holed, {verified} queries verified)",

@@ -13,15 +13,17 @@
 //! `min(level, 32)` driver threads each own a slice of connections and
 //! run write-all / read-all rounds, so the number of in-flight
 //! requests equals the connection count. Each ladder level reports
-//! achieved QPS, latency percentiles (overall and per lane), the
-//! client-observed error rate, and the server's per-lane served/shed
-//! deltas.
+//! achieved QPS, p50/p99 (overall, and p99 of the short reads), the
+//! server's per-lane shed deltas, errors and blocked readers.
 //!
 //! After the ladder, a BI-flood phase pipelines a deep heavy backlog
 //! on dedicated connections and probes with short reads: the weighted
-//! lane scheduler must keep every probe fast and shed none of them —
-//! the head-of-line-blocking regression this PR fixes. The phase is a
-//! hard gate (exit 1), not just a measurement.
+//! lane scheduler must answer every probe and shed none of them.
+//!
+//! The run fails (exit 1) when any ladder level answers an error or
+//! sees a snapshot reader hit the blocked safety valve, when the
+//! reactor never held the widest level's connections at once, on any
+//! protocol error, or when the flood gate is violated.
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -30,16 +32,23 @@ use snb_bi::BiParams;
 use snb_interactive::IsParams;
 use snb_params::ParamGen;
 use snb_server::proto::{self, Request};
-use snb_server::{Response, Server, ServiceParams, ServiceReport};
+use snb_server::{Server, ServerConfig, ServiceParams};
 
-use crate::{percentile, Args};
+use crate::node::{call, percentile};
+use crate::Args;
 
 /// Heavy-lane queries for the mix: mid-weight BI reads (not the
 /// heaviest tail, which would collapse a 1-core ladder to a handful of
 /// requests per level).
 const HEAVY_QUERIES: [u8; 3] = [2, 5, 13];
+/// Curated bindings per heavy query.
+const HEAVY_BINDINGS: usize = 4;
 /// One request in `MIX_PERIOD` is heavy; the rest are short reads.
 const MIX_PERIOD: u64 = 5;
+/// Heavy requests pipelined by the flood phase.
+const FLOOD: usize = 256;
+/// Short-read probes issued while the flood is queued.
+const PROBES: usize = 50;
 /// Driver threads are capped: beyond this, connections share a driver
 /// (the server side is what the ladder scales, not the client).
 const MAX_DRIVERS: usize = 32;
@@ -86,13 +95,6 @@ impl LevelStats {
         self.heavy_lat.sort_unstable();
         all
     }
-}
-
-fn call(conn: &mut TcpStream, id: u64, params: ServiceParams) -> Result<Response, String> {
-    let req = Request { id, deadline_us: 0, min_seq: 0, params };
-    proto::write_frame(conn, &proto::encode_request(&req)).map_err(|e| format!("write: {e}"))?;
-    let payload = proto::read_frame(conn).map_err(|e| format!("read: {e}"))?;
-    proto::decode_response(&payload).map_err(|e| format!("decode: {}", e.detail))
 }
 
 /// One ladder level: `level` concurrent connections, closed-loop
@@ -180,17 +182,18 @@ fn run_level(
     total
 }
 
-/// The BI-flood starvation gate: pipeline a deep heavy backlog, probe
-/// with short reads, demand zero short sheds and every probe answered.
-fn run_flood(
-    addr: std::net::SocketAddr,
-    pools: &Pools,
-    server: &Server,
-    before: &ServiceReport,
-) -> (String, bool) {
-    const FLOOD: usize = 256;
-    const PROBES: usize = 50;
+/// What the BI-flood phase observed.
+struct Flood {
+    heavy_ok: u64,
+    short_ok: u64,
+    short_shed: u64,
+    short_p99: u64,
+}
 
+/// The BI-flood starvation gate: pipeline a deep heavy backlog, probe
+/// with short reads, count the probes answered and the short-lane sheds.
+fn run_flood(addr: std::net::SocketAddr, pools: &Pools, server: &Server) -> Flood {
+    let before = server.report_now();
     let mut flood_conn = TcpStream::connect(addr).expect("flood connect");
     let _ = flood_conn.set_nodelay(true);
     for i in 0..FLOOD as u64 {
@@ -205,42 +208,29 @@ fn run_flood(
     let mut probe_conn = TcpStream::connect(addr).expect("probe connect");
     let _ = probe_conn.set_nodelay(true);
     let mut short_lat: Vec<u64> = Vec::with_capacity(PROBES);
-    let mut short_ok = 0u64;
     for i in 0..PROBES as u64 {
         let t0 = Instant::now();
-        match call(&mut probe_conn, i + 1, short_params(pools, i)) {
-            Ok(resp) if resp.body.is_ok() => {
-                short_ok += 1;
+        if let Ok(resp) = call(&mut probe_conn, i + 1, 0, short_params(pools, i)) {
+            if resp.body.is_ok() {
                 short_lat.push(t0.elapsed().as_micros() as u64);
             }
-            _ => {}
         }
     }
-    let mut flood_ok = 0u64;
+    let mut heavy_ok = 0u64;
     for _ in 0..FLOOD {
         let payload = proto::read_frame(&mut flood_conn).expect("flood read");
         let resp = proto::decode_response(&payload).expect("flood decode");
         if resp.body.is_ok() {
-            flood_ok += 1;
+            heavy_ok += 1;
         }
     }
     short_lat.sort_unstable();
-    let after = server.report_now();
-    let short_shed = after.shed_by_lane[0] - before.shed_by_lane[0];
-    let p99 = percentile(&short_lat, 0.99);
-    let ok = short_ok == PROBES as u64 && short_shed == 0;
-    eprintln!(
-        "# flood phase: {FLOOD} heavy pipelined ({flood_ok} ok), {short_ok}/{PROBES} probes ok, \
-         short p99 {p99}us, short_shed {short_shed}{}",
-        if ok { "" } else { "  <-- STARVATION GATE FAILED" }
-    );
-    let json = format!(
-        "{{\"heavy_pipelined\": {FLOOD}, \"heavy_ok\": {flood_ok}, \"short_issued\": {PROBES}, \
-         \"short_ok\": {short_ok}, \"short_shed\": {short_shed}, \"short_p50_us\": {}, \
-         \"short_p99_us\": {p99}}}",
-        percentile(&short_lat, 0.50),
-    );
-    (json, ok)
+    Flood {
+        heavy_ok,
+        short_ok: short_lat.len() as u64,
+        short_shed: server.report_now().shed_by_lane[0] - before.shed_by_lane[0],
+        short_p99: percentile(&short_lat, 0.99),
+    }
 }
 
 pub fn run(args: &Args) {
@@ -249,23 +239,24 @@ pub fn run(args: &Args) {
     let pools = {
         let gen = ParamGen::new(&store, args.config.seed);
         let heavy: Vec<BiParams> =
-            HEAVY_QUERIES.iter().flat_map(|&q| gen.bi_params(q, args.bindings_per_query)).collect();
+            HEAVY_QUERIES.iter().flat_map(|&q| gen.bi_params(q, HEAVY_BINDINGS)).collect();
         let short_keys: Vec<u64> =
             gen.person_pairs(64).into_iter().flat_map(|(a, b)| [a, b]).collect();
         assert!(!heavy.is_empty() && !short_keys.is_empty(), "sweep pools empty");
         std::sync::Arc::new(Pools { heavy, short_keys })
     };
 
-    let mut server = Server::start(store, args.server.clone());
-    let addr = server.listen("127.0.0.1:0").expect("bind loopback");
-    let max_level = args.sweep_levels.iter().copied().max().unwrap_or(1);
+    let config = ServerConfig::default();
     eprintln!(
         "# sweeping {:?} connections ({:?} per level, {} read workers, heavy cap {}) ...",
-        args.sweep_levels, args.sweep_duration, args.server.workers, args.server.queue_capacity,
+        args.sweep_levels, args.sweep_duration, config.workers, config.queue_capacity,
     );
+    let mut server = Server::start(store, config);
+    let addr = server.listen("127.0.0.1:0").expect("bind loopback");
+    let max_level = args.sweep_levels.iter().copied().max().unwrap_or(1);
 
+    let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut level_json: Vec<String> = Vec::new();
     let mut protocol_errors = 0u64;
     for &level in &args.sweep_levels {
         let before = server.report_now();
@@ -274,109 +265,80 @@ pub fn run(args: &Args) {
         let wall = t0.elapsed();
         let after = server.report_now();
         protocol_errors += stats.protocol_errors;
+        let blocked = after.reader_blocked - before.reader_blocked;
+        if stats.errors > 0 {
+            failures.push(format!("{level} connections: {} errors", stats.errors));
+        }
 
         let all = stats.all_sorted();
         let qps = stats.ok as f64 / wall.as_secs_f64();
-        let error_rate =
-            if stats.issued == 0 { 0.0 } else { stats.errors as f64 / stats.issued as f64 };
-        let (p50, p90, p99) =
-            (percentile(&all, 0.50), percentile(&all, 0.90), percentile(&all, 0.99));
         rows.push(vec![
             level.to_string(),
             stats.issued.to_string(),
             format!("{qps:.0}"),
-            snb_bench::fmt_duration(Duration::from_micros(p50)),
-            snb_bench::fmt_duration(Duration::from_micros(p99)),
-            format!("{:.4}", error_rate),
+            snb_bench::fmt_duration(Duration::from_micros(percentile(&all, 0.50))),
+            snb_bench::fmt_duration(Duration::from_micros(percentile(&all, 0.99))),
+            snb_bench::fmt_duration(Duration::from_micros(percentile(&stats.short_lat, 0.99))),
+            (after.shed_by_lane[0] - before.shed_by_lane[0]).to_string(),
+            (after.shed_by_lane[1] - before.shed_by_lane[1]).to_string(),
+            stats.errors.to_string(),
+            blocked.to_string(),
         ]);
-        level_json.push(format!(
-            "      {{\"connections\": {level}, \"issued\": {}, \"ok\": {}, \"errors\": {}, \
-             \"error_rate\": {error_rate:.6}, \"qps\": {qps:.2}, \"wall_us\": {}, \
-             \"p50_us\": {p50}, \"p90_us\": {p90}, \"p99_us\": {p99}, \"lanes\": {{\
-             \"short\": {{\"ok\": {}, \"served\": {}, \"shed\": {}, \"p50_us\": {}, \"p99_us\": {}}}, \
-             \"heavy\": {{\"ok\": {}, \"served\": {}, \"shed\": {}, \"p50_us\": {}, \"p99_us\": {}}}, \
-             \"write\": {{\"served\": {}, \"shed\": {}}}}}}}",
-            stats.issued,
-            stats.ok,
-            stats.errors,
-            wall.as_micros(),
-            stats.short_lat.len(),
-            after.served_by_lane[0] - before.served_by_lane[0],
-            after.shed_by_lane[0] - before.shed_by_lane[0],
-            percentile(&stats.short_lat, 0.50),
-            percentile(&stats.short_lat, 0.99),
-            stats.heavy_lat.len(),
-            after.served_by_lane[1] - before.served_by_lane[1],
-            after.shed_by_lane[1] - before.shed_by_lane[1],
-            percentile(&stats.heavy_lat, 0.50),
-            percentile(&stats.heavy_lat, 0.99),
-            after.served_by_lane[2] - before.served_by_lane[2],
-            after.shed_by_lane[2] - before.shed_by_lane[2],
-        ));
     }
     snb_bench::print_table(
         "E16: connection sweep (80/20 short/heavy)",
-        &["conns", "issued", "qps", "p50", "p99", "error rate"],
+        &[
+            "conns",
+            "issued",
+            "qps",
+            "p50",
+            "p99",
+            "short p99",
+            "short shed",
+            "heavy shed",
+            "errors",
+            "blocked",
+        ],
         &rows,
     );
 
-    let before_flood = server.report_now();
-    let (flood_json, flood_ok) = run_flood(addr, &pools, &server, &before_flood);
+    let flood = run_flood(addr, &pools, &server);
+    snb_bench::print_table(
+        "E16: BI-flood starvation gate",
+        &["heavy pipelined", "heavy ok", "probes", "probes ok", "short shed", "short p99"],
+        &[vec![
+            FLOOD.to_string(),
+            flood.heavy_ok.to_string(),
+            PROBES.to_string(),
+            flood.short_ok.to_string(),
+            flood.short_shed.to_string(),
+            snb_bench::fmt_duration(Duration::from_micros(flood.short_p99)),
+        ]],
+    );
+    if flood.short_ok < PROBES as u64 || flood.short_shed > 0 {
+        failures.push(format!(
+            "flood gate: {}/{PROBES} probes answered, {} short reads shed",
+            flood.short_ok, flood.short_shed
+        ));
+    }
 
     let report = server.shutdown();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
-    out.push_str(&format!(
-        "  \"config\": {{\"mode\": \"sweep\", \"levels\": {:?}, \"level_duration_us\": {}, \
-         \"mix\": \"{}:{} short:heavy\", \"workers\": {}, \"queue_capacity\": {}, \
-         \"partitions\": {}}},\n",
-        args.sweep_levels,
-        args.sweep_duration.as_micros(),
-        MIX_PERIOD - 1,
-        1,
-        args.server.workers,
-        args.server.queue_capacity,
-        args.server.partitions,
-    ));
-    out.push_str("  \"sweep\": {\n    \"levels\": [\n");
-    out.push_str(&level_json.join(",\n"));
-    out.push_str("\n    ],\n");
-    out.push_str(&format!("    \"flood\": {flood_json}\n  }},\n"));
-    out.push_str(&format!(
-        "  \"server\": {{\"served\": {}, \"shed\": {}, \"served_by_lane\": [{}, {}, {}], \
-         \"shed_by_lane\": [{}, {}, {}], \"deadline_overrun\": {}, \"conn_accepted\": {}, \
-         \"conn_peak\": {}, \"conn_stalled\": {}, \"reader_retries\": {}, \"reader_blocked\": {}}}\n",
-        report.served,
-        report.shed,
-        report.served_by_lane[0],
-        report.served_by_lane[1],
-        report.served_by_lane[2],
-        report.shed_by_lane[0],
-        report.shed_by_lane[1],
-        report.shed_by_lane[2],
-        report.deadline_overrun,
-        report.conn_accepted,
-        report.conn_peak,
-        report.conn_stalled,
-        report.reader_retries,
-        report.reader_blocked,
-    ));
-    out.push_str("}\n");
-    std::fs::write(&args.out, &out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
-
+    println!(
+        "conn_peak {}, reader_blocked {}, protocol errors {protocol_errors}",
+        report.conn_peak, report.reader_blocked
+    );
     if report.conn_peak < max_level as u64 {
-        eprintln!(
-            "service_load --sweep: FAILED (peak {} connections, ladder reached {max_level})",
-            report.conn_peak
-        );
-        std::process::exit(1);
+        failures.push(format!("peak {} connections, ladder reached {max_level}", report.conn_peak));
     }
-    if protocol_errors > 0 || !flood_ok {
-        eprintln!(
-            "service_load --sweep: FAILED ({protocol_errors} protocol errors, flood gate {})",
-            if flood_ok { "ok" } else { "violated" }
-        );
+    if report.reader_blocked > 0 {
+        failures
+            .push(format!("{} snapshot reads hit the blocked safety valve", report.reader_blocked));
+    }
+    if protocol_errors > 0 {
+        failures.push(format!("{protocol_errors} protocol errors"));
+    }
+    if !failures.is_empty() {
+        eprintln!("service_load --sweep: FAILED ({})", failures.join("; "));
         std::process::exit(1);
     }
 }

@@ -7,16 +7,16 @@
 //! record is still `write(2)`-complete before the ack), and one in
 //! group-commit mode (concurrent clients, acks released only after the
 //! covering flush, many acks sharing one `fsync(2)`). The same
-//! deterministic batch schedule is replayed through all three and the
-//! ack latency distributions, per-run fsync counts, and the
-//! group-commit throughput delta land in the JSON as the `"wal"`
-//! block.
+//! deterministic batch schedule is replayed through all three; the
+//! table compares their ack latency distributions, fsync counts and
+//! throughput. Every run must apply the whole schedule.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use snb_server::{Server, ServerConfig, ServiceParams, WalOptions, WriteBatch, WriteOps};
 
-use crate::{percentile, Args};
+use crate::node::percentile;
+use crate::Args;
 
 /// Clients driving the group-commit run concurrently. Each owns the
 /// sequence numbers `i % GROUP_CLIENTS == t` and retries on the
@@ -40,7 +40,7 @@ fn bench_one(args: &Args, fsync_every: u64) -> BenchRun {
     let recovered = snb_server::recover(&dir, &args.config, &args.scale, options)
         .expect("wal-bench recovery on a fresh directory");
     let (store, durability, _) = recovered.into_durability();
-    let server = Server::start_durable(store, args.server.clone(), durability);
+    let server = Server::start_durable(store, ServerConfig::default(), durability);
     let client = server.client();
 
     let batches = crate::chaos::carve_batches(&args.config, 64);
@@ -78,7 +78,7 @@ fn bench_group(args: &Args) -> BenchRun {
     let recovered = snb_server::recover(&dir, &args.config, &args.scale, options)
         .expect("wal-bench group-commit recovery on a fresh directory");
     let (store, durability, _) = recovered.into_durability();
-    let server_config = ServerConfig { partitions: 2, ..args.server.clone() };
+    let server_config = ServerConfig { partitions: 2, ..ServerConfig::default() };
     let server = Server::start_durable(store, server_config, durability);
 
     let batches = crate::chaos::carve_batches(&args.config, 64);
@@ -125,41 +125,46 @@ fn bench_group(args: &Args) -> BenchRun {
     BenchRun { latencies_us, applied: report.batches_applied, wall_us, fsyncs }
 }
 
-fn run_json(run: &BenchRun) -> String {
-    let lat = &run.latencies_us;
-    let mean = if lat.is_empty() { 0 } else { lat.iter().sum::<u64>() / lat.len() as u64 };
-    format!(
-        "{{\"count\": {}, \"mean_us\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}, \
-         \"wall_us\": {}, \"fsyncs\": {}}}",
-        lat.len(),
-        mean,
-        percentile(lat, 0.50),
-        percentile(lat, 0.99),
-        lat.last().copied().unwrap_or(0),
-        run.wall_us,
-        run.fsyncs,
-    )
-}
-
-/// Runs all three configurations and renders the `"wal"` JSON block
-/// (no surrounding braces; the caller owns the document).
-pub fn run(args: &Args) -> String {
+/// Runs all three configurations and prints their table.
+pub fn run(args: &Args) {
+    eprintln!("# measuring WAL ack latency ...");
     let every_ack = bench_one(args, 1);
     let batched = bench_one(args, 64);
     let group = bench_group(args);
     assert_eq!(every_ack.applied, batched.applied, "both runs must apply the same schedule");
     assert_eq!(every_ack.applied, group.applied, "group-commit run must apply the same schedule");
     let qps = |r: &BenchRun| r.applied as f64 / (r.wall_us.max(1) as f64 / 1e6);
-    let acks_per_fsync = group.applied as f64 / group.fsyncs.max(1) as f64;
-    format!(
-        "  \"wal\": {{\"batches\": {}, \"fsync_every_1\": {}, \"fsync_every_64\": {}, \
-         \"group_commit\": {}, \"group_clients\": {GROUP_CLIENTS}, \
-         \"group_acks_per_fsync\": {:.2}, \"group_throughput_delta\": {:.2}}}",
-        every_ack.applied,
-        run_json(&every_ack),
-        run_json(&batched),
-        run_json(&group),
-        acks_per_fsync,
+    let us = |v: u64| snb_bench::fmt_duration(Duration::from_micros(v));
+    let group_name = format!("group commit x{GROUP_CLIENTS}");
+    let rows: Vec<Vec<String>> = [
+        ("fsync_every 1", &every_ack),
+        ("fsync_every 64", &batched),
+        (group_name.as_str(), &group),
+    ]
+    .into_iter()
+    .map(|(name, r)| {
+        let lat = &r.latencies_us;
+        let mean = if lat.is_empty() { 0 } else { lat.iter().sum::<u64>() / lat.len() as u64 };
+        vec![
+            name.to_string(),
+            r.applied.to_string(),
+            us(mean),
+            us(percentile(lat, 0.50)),
+            us(percentile(lat, 0.99)),
+            us(lat.last().copied().unwrap_or(0)),
+            r.fsyncs.to_string(),
+            format!("{:.0}", qps(r)),
+        ]
+    })
+    .collect();
+    snb_bench::print_table(
+        "E13/E14: write-ack latency through the WAL",
+        &["config", "batches", "mean", "p50", "p99", "max", "fsyncs", "batches/s"],
+        &rows,
+    );
+    println!(
+        "group commit: {:.2} acks per fsync, {:.2}x the throughput of fsync_every 1",
+        group.applied as f64 / group.fsyncs.max(1) as f64,
         qps(&group) / qps(&every_ack).max(1e-9),
-    )
+    );
 }

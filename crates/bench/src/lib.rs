@@ -2,9 +2,11 @@
 
 //! # snb-bench
 //!
-//! The benchmark harness: report binaries regenerating every table and
-//! figure of the reproduced evaluation (experiment ids E1–E10, see
-//! `DESIGN.md` §4) plus Criterion micro-benchmarks.
+//! The experiment harness: report binaries regenerating the tables of
+//! the reproduced evaluation (experiment ids E1–E10, see `DESIGN.md`
+//! §4), the thread / stream / partition sweep, and the service's
+//! pass/fail gates (`service_load`). Performance numbers come from the
+//! repo benchmark (`benchmark/`).
 //!
 //! Every binary takes an optional scale-factor name argument (default
 //! `0.003`) and an optional seed, e.g.
@@ -79,82 +81,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Environment knobs recorded in benchmark metadata (the ones that
-/// change what a benchmark run measures).
-pub const META_ENV_KEYS: [&str; 5] =
-    ["SNB_THREADS", "SNB_PARTITIONS", "SNB_BENCH_OUT", "SNB_SERVICE_OUT", "SNB_ACCESS_LOG"];
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// The partition count the `SNB_PARTITIONS` knob resolves to (unset or
-/// invalid → 1, the unpartitioned layout).
-pub fn partitions_resolved() -> usize {
-    std::env::var("SNB_PARTITIONS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&p| p > 0)
-        .unwrap_or(1)
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`), or 0 where that interface does not exist
-/// (non-Linux). The high-water mark is sticky for the process
-/// lifetime, so phase-level attribution needs the phases ordered
-/// smallest-footprint first (or a `clear_refs` reset between them).
-pub fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<u64>().ok())
-        })
-        .map(|kb| kb * 1024)
-        .unwrap_or(0)
-}
-
-/// Renders the run-metadata JSON object embedded in `BENCH_bi.json`
-/// and `BENCH_service.json`: git commit, scale, seed, hardware core
-/// count, the resolved `SNB_THREADS` and `SNB_PARTITIONS` values, the
-/// process peak RSS at render time, and every set `SNB_*` knob —
-/// enough to tell two result files apart without provenance guesswork.
-pub fn meta_json(config: &GeneratorConfig) -> String {
-    let git_commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads_resolved = std::env::var("SNB_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or(cores);
-    let env_entries: Vec<String> = META_ENV_KEYS
-        .iter()
-        .filter_map(|key| {
-            std::env::var(key).ok().map(|v| format!("\"{key}\": \"{}\"", json_escape(&v)))
-        })
-        .collect();
-    format!(
-        "{{\"git_commit\": \"{}\", \"scale_persons\": {}, \"datagen_seed\": {}, \
-         \"hardware_cores\": {cores}, \"threads_resolved\": {threads_resolved}, \
-         \"partitions_resolved\": {}, \"peak_rss_bytes\": {}, \
-         \"env\": {{{}}}}}",
-        json_escape(&git_commit),
-        config.persons,
-        config.seed,
-        partitions_resolved(),
-        peak_rss_bytes(),
-        env_entries.join(", "),
-    )
-}
-
 /// Formats a `Duration` in adaptive units.
 pub fn fmt_duration(d: std::time::Duration) -> String {
     let us = d.as_micros();
@@ -170,41 +96,6 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meta_json_is_wellformed_and_complete() {
-        let config = GeneratorConfig::for_scale_name("0.001").unwrap();
-        let meta = meta_json(&config);
-        assert!(meta.starts_with('{') && meta.ends_with('}'));
-        for key in [
-            "git_commit",
-            "scale_persons",
-            "datagen_seed",
-            "hardware_cores",
-            "threads_resolved",
-            "partitions_resolved",
-            "peak_rss_bytes",
-            "env",
-        ] {
-            assert!(meta.contains(&format!("\"{key}\":")), "meta missing {key}: {meta}");
-        }
-        assert!(meta.contains(&format!("\"scale_persons\": {}", config.persons)));
-    }
-
-    #[test]
-    fn peak_rss_is_nonzero_on_linux() {
-        let rss = peak_rss_bytes();
-        if cfg!(target_os = "linux") {
-            // A running test process has touched well over a megabyte.
-            assert!(rss > 1 << 20, "implausible VmHWM {rss}");
-        }
-    }
-
-    #[test]
-    fn json_escaping_for_meta_values() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-    }
 
     #[test]
     fn duration_formatting() {

@@ -5,7 +5,9 @@
 //! staleness. At every batch boundary the writes quiesce and each
 //! query's service response must equal a direct single-threaded run
 //! against the same (now quiescent) store: the service layer may add
-//! queueing, but never nondeterminism.
+//! queueing, but never nondeterminism. The read path stays lock-free
+//! throughout: no reader ever hits the blocked safety valve, and a
+//! version outlives its publish only while a reader pins it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,6 +22,8 @@ use snb_server::{Server, ServerConfig, ServiceParams};
 use snb_store::DeleteOp;
 
 const BATCH: usize = 50;
+/// Reader threads racing the writes.
+const READERS: usize = 2;
 
 #[test]
 fn responses_match_quiesced_oracle_at_batch_boundaries() {
@@ -48,7 +52,7 @@ fn responses_match_quiesced_oracle_at_batch_boundaries() {
     // so only well-formedness is asserted; the count proves overlap.
     let stop = Arc::new(AtomicBool::new(false));
     let chaos_ok = Arc::new(AtomicU64::new(0));
-    let chaos: Vec<_> = (0..2)
+    let chaos: Vec<_> = (0..READERS)
         .map(|_| {
             let client = server.client();
             let stop = Arc::clone(&stop);
@@ -115,4 +119,12 @@ fn responses_match_quiesced_oracle_at_batch_boundaries() {
     assert!(chaos_ok.load(Ordering::Relaxed) > 0, "chaos readers never overlapped the writes");
     assert_eq!(report.internal_errors, 0);
     assert_eq!(report.bad_requests, 0);
+    assert_eq!(report.reader_blocked, 0, "a snapshot reader hit the blocked safety valve");
+    // At most one pinned version per reader, plus the current one and
+    // the one being published.
+    assert!(
+        report.peak_live_snapshots <= READERS as u64 + 2,
+        "{} live versions with {READERS} readers: the ring retains unpinned versions",
+        report.peak_live_snapshots
+    );
 }

@@ -3,8 +3,9 @@
 //! reactor never blocks on. These tests pin what that must not break —
 //! a peer that never reads is held back (its outbox stays bounded)
 //! without slowing anyone else, a half-closed peer still gets every
-//! answer, and IS, IC and BI responses sharing one outbox never tear
-//! each other's frames.
+//! answer, IS, IC and BI responses sharing one outbox never tear each
+//! other's frames, and a pipelined burst past the admission queue is
+//! shed, not buffered, with every request still answered once.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -14,7 +15,7 @@ use std::time::{Duration, Instant};
 use snb_datagen::GeneratorConfig;
 use snb_interactive::IsParams;
 use snb_server::proto::{self, Request};
-use snb_server::{OkBody, Response, Server, ServerConfig, ServiceParams, OUTBOX_LIMIT};
+use snb_server::{ErrorKind, OkBody, Response, Server, ServerConfig, ServiceParams, OUTBOX_LIMIT};
 use snb_store::{store_for_config, Ix};
 
 fn start(workers: usize) -> (Server, SocketAddr, Vec<u64>) {
@@ -47,16 +48,24 @@ fn wire(requests: impl Iterator<Item = Request>) -> Vec<u8> {
 }
 
 /// Reads `n` responses and checks every id in `1..=n` is answered
-/// exactly once, ok.
-fn expect_answers(conn: &mut TcpStream, n: u64) -> HashMap<u64, Response> {
+/// exactly once.
+fn answers(conn: &mut TcpStream, n: u64) -> HashMap<u64, Response> {
     let mut seen = HashMap::new();
     for _ in 0..n {
         let payload = proto::read_frame(conn).expect("read a response");
         let resp = proto::decode_response(&payload).expect("every frame decodes");
-        assert!(resp.body.is_ok(), "request {} failed: {resp:?}", resp.id);
         assert!((1..=n).contains(&resp.id), "unknown id {}", resp.id);
         let id = resp.id;
         assert!(seen.insert(id, resp).is_none(), "id {id} answered twice");
+    }
+    seen
+}
+
+/// [`answers`], each of them ok.
+fn expect_answers(conn: &mut TcpStream, n: u64) -> HashMap<u64, Response> {
+    let seen = answers(conn, n);
+    for resp in seen.values() {
+        assert!(resp.body.is_ok(), "request {} failed: {resp:?}", resp.id);
     }
     seen
 }
@@ -173,4 +182,45 @@ fn inline_and_worker_responses_share_one_connection_intact() {
     assert_eq!(report.served, PIPELINED);
     // IS and IC both count as short-lane reads; BI as heavy.
     assert_eq!(report.served_by_lane, [PIPELINED / 3 * 2, PIPELINED / 3, 0]);
+}
+
+#[test]
+fn an_overload_burst_sheds_and_tiny_deadlines_miss() {
+    let config = GeneratorConfig::for_scale_name("0.001").unwrap();
+    let store = store_for_config(&config);
+    let gen = snb_params::ParamGen::new(&store, config.seed);
+    let bi: Vec<_> = (1..=25).flat_map(|q| gen.bi_params(q, 4)).collect();
+    drop(gen);
+    // One worker behind an eight-deep queue: a pipelined burst outruns
+    // it at once.
+    let mut server = Server::start(
+        store,
+        ServerConfig { workers: 1, queue_capacity: 8, ..ServerConfig::default() },
+    );
+    let addr = server.listen("127.0.0.1:0").expect("bind ephemeral port");
+
+    // Pipelines `n` BI requests with `deadline_us` on a fresh connection
+    // and counts the answers of each error kind in `kinds`.
+    let burst = |n: u64, deadline_us: u64, kinds: &[ErrorKind]| -> usize {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut writer = conn.try_clone().unwrap();
+        let bytes = wire((1..=n).map(|id| Request {
+            id,
+            deadline_us,
+            min_seq: 0,
+            params: ServiceParams::Bi(bi[id as usize % bi.len()].clone()),
+        }));
+        let sender = std::thread::spawn(move || writer.write_all(&bytes).unwrap());
+        let seen = answers(&mut conn, n);
+        sender.join().unwrap();
+        seen.values().filter(|r| matches!(&r.body, Err(e) if kinds.contains(&e.kind))).count()
+    };
+
+    let shed = burst(512, 0, &[ErrorKind::Overloaded]);
+    assert!(shed >= 1, "512 pipelined BI requests past an 8-deep queue shed nothing");
+    // A 1 µs deadline either expires in the queue or, if the job is
+    // dequeued inside the window, at the completion-time check.
+    let missed = burst(64, 1, &[ErrorKind::DeadlineExceeded, ErrorKind::DeadlineOverrun]);
+    assert!(missed >= 1, "64 requests with a 1 µs deadline all met it");
+    server.shutdown();
 }

@@ -353,4 +353,26 @@ mod tests {
         let (packed, baseline) = p.string_bytes();
         assert!(packed > 0 && baseline > packed);
     }
+
+    #[test]
+    fn packed_person_strings_at_datagen_scale() {
+        let config = snb_datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
+        let streamed = crate::streaming_store_for_config(&config);
+        let materialised = crate::store_for_config(&config);
+        let (packed, baseline) = streamed.persons.string_bytes();
+        assert_eq!(
+            (packed, baseline),
+            materialised.persons.string_bytes(),
+            "both builders must pack person strings alike"
+        );
+        assert!(
+            packed * 2 <= baseline,
+            "packed person strings are {packed} B, not half the String-per-row {baseline} B"
+        );
+        let persons = streamed.persons.len();
+        assert!(
+            packed <= 120 * persons,
+            "{packed} B of person strings for {persons} persons (ceiling 120 B per person)"
+        );
+    }
 }
