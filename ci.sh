@@ -31,11 +31,21 @@ echo "==> chaos recovery (WAL + SIGKILL + dedupe + oracle equality)"
 # full chaos run — a broken record format makes the rest meaningless.
 cargo test -q --release -p snb-server --lib wal:: > /dev/null
 # The harness spawns snb-server itself (ephemeral port, temp WAL dir,
-# two partitions), SIGKILLs it at four injected fault points (WAL tears,
+# one wal.log), SIGKILLs it at four injected fault points (WAL tears,
 # apply panic, torn store-image write), restarts it, resubmits unacked
 # batches, verifies the recovered store against an acked-batches oracle
 # over all 25 BI queries, and requires a clean exit on SIGTERM.
 target/release/service_load 0.001 --chaos --server-bin target/release/snb-server
+
+echo "==> the partition knob is gone (snb-server --partitions 2 -> unknown flag, exit 2)"
+set +e
+PARTS_ERR="$(target/release/snb-server 0.001 --partitions 2 2>&1 >/dev/null)"
+PARTS_STATUS=$?
+set -e
+if [ "$PARTS_STATUS" -ne 2 ] || ! printf '%s' "$PARTS_ERR" | grep -q 'unknown flag --partitions'; then
+  echo "snb-server --partitions 2 exited $PARTS_STATUS ($PARTS_ERR); want 2 and unknown flag" >&2
+  exit 1
+fi
 
 echo "==> read-path chaos (conn.read.stall -> typed conn_stalled outcome)"
 # A connection goes quiet while the armed stall wedges its handler in

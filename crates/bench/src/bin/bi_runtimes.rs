@@ -2,8 +2,7 @@
 //! per-query runtime tables): min / mean / median / max latency and row
 //! volume for all 25 BI queries over curated parameter bindings, swept
 //! over the intra-query thread count, plus the inter-query throughput
-//! sweep and a partition-count sweep that must leave every result
-//! unchanged (the run panics if it does not).
+//! sweep.
 //!
 //! Pass `--profile` for the EXPLAIN-ANALYZE-shaped per-query operator
 //! breakdown (morsels, index hits vs. fallbacks, top-k prune rate, CSR
@@ -14,18 +13,6 @@ use snb_engine::QueryContext;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 const BINDINGS_PER_QUERY: usize = 8;
-
-/// Store partition counts swept by the determinism check.
-const PARTITION_SWEEP: [usize; 3] = [1, 2, 4];
-
-/// One point of the partition sweep: every query over the same
-/// bindings, results folded into an order-sensitive fingerprint.
-struct PartitionPoint {
-    partitions: usize,
-    fingerprint: u64,
-    rows: usize,
-    wall: std::time::Duration,
-}
 
 fn main() {
     let profile_mode = snb_bench::cli_flag("--profile");
@@ -129,34 +116,6 @@ fn main() {
         &["threads", "queries", "wall", "qps", "mean wait", "mean exec"],
         &t_rows,
     );
-
-    // Partition sweep: sharded morsel plans must be invisible in the
-    // results — every partition count folds to the same fingerprint.
-    let partition_points = partition_sweep(&store, config.seed);
-    let p_rows: Vec<Vec<String>> = partition_points
-        .iter()
-        .map(|p| {
-            vec![
-                p.partitions.to_string(),
-                format!("{:#018x}", p.fingerprint),
-                p.rows.to_string(),
-                snb_bench::fmt_duration(p.wall),
-            ]
-        })
-        .collect();
-    snb_bench::print_table(
-        "E14: partition sweep (2 threads, all 25 queries)",
-        &["partitions", "fingerprint", "rows", "wall"],
-        &p_rows,
-    );
-    for p in &partition_points[1..] {
-        assert_eq!(
-            (p.fingerprint, p.rows),
-            (partition_points[0].fingerprint, partition_points[0].rows),
-            "partition count {} changed the results",
-            p.partitions
-        );
-    }
 }
 
 /// The `--profile` operator breakdown — one row per query, counters
@@ -198,30 +157,4 @@ fn print_profile_breakdown(base: &[QueryStats], peak: &[QueryStats], peak_thread
         ],
         &rows,
     );
-}
-
-/// Runs the determinism sweep over [`PARTITION_SWEEP`]: the same
-/// curated bindings for all 25 queries through a 2-thread context per
-/// partition count, results folded into one order-sensitive
-/// fingerprint (rotate-xor, so a swapped pair of summaries cannot
-/// cancel out the way plain xor would).
-fn partition_sweep(store: &snb_store::Store, seed: u64) -> Vec<PartitionPoint> {
-    let gen = snb_params::ParamGen::new(store, seed);
-    let bindings: Vec<snb_bi::BiParams> =
-        ALL_BI_QUERIES.iter().flat_map(|&q| gen.bi_params(q, 2)).collect();
-    PARTITION_SWEEP
-        .iter()
-        .map(|&partitions| {
-            let ctx = QueryContext::new(2).with_partitions(partitions);
-            let started = std::time::Instant::now();
-            let mut fingerprint = 0u64;
-            let mut rows = 0usize;
-            for b in &bindings {
-                let s = snb_bi::run_with(store, &ctx, b);
-                fingerprint = fingerprint.rotate_left(7) ^ s.fingerprint;
-                rows += s.rows;
-            }
-            PartitionPoint { partitions, fingerprint, rows, wall: started.elapsed() }
-        })
-        .collect()
 }

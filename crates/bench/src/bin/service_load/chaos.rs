@@ -14,15 +14,15 @@
 //!    refuses further traffic, and after restart the WAL'd batch is
 //!    replayed; the resubmission dedupes.
 //! 4. `image.write.torn` — the store-image replacement at a compaction
-//!    point tears mid-write (temp file abandoned, no rename, segments
-//!    left untruncated). The write is non-fatal, so the server keeps
+//!    point tears mid-write (temp file abandoned, no rename, log left
+//!    untruncated). The write is non-fatal, so the server keeps
 //!    acking; the SIGKILL then proves recovery falls back to the
 //!    *previous* intact image plus the WAL tail — never a torn or lost
 //!    image.
 //!
 //! Every process runs with `--snapshot-every 5`: once the log holds
 //! five records an append writes a store image and truncates the
-//! segments. The first three faults keep the log just short of that, so
+//! log. The first three faults keep the log just short of that, so
 //! the first image lands in the drain that follows them.
 //!
 //! After the last restart the harness quiesces and proves the recovered
@@ -238,12 +238,12 @@ pub fn run(args: &Args) {
     // dedupes. No append has succeeded with five records in the log
     // yet, so there is no image. Drain most of the schedule normally —
     // each compaction point writes a store image and truncates the
-    // segments, so by the kill an image anchors the WAL.
+    // log, so by the kill an image anchors the WAL.
     eprintln!("# chaos phase 4: recover; drain across compaction points; SIGKILL");
     let server = spawn(None);
     assert_eq!(server.recovery.seq, 5, "seq 5 was durable before the panic: replayed");
     assert_eq!(server.recovery.image_seq, 0, "no image exists yet: full-history replay");
-    assert_eq!(server.recovery.wal_entries, 5, "the segments hold the whole history");
+    assert_eq!(server.recovery.wal_entries, 5, "the log holds the whole history");
     let mut conn = server.connect();
     let (flavor, rows) = submit(&mut conn, 5, seq_ops(5)).expect("resubmit seq 5");
     assert_eq!((flavor, rows), ("deduped", 0), "replayed seq 5 must dedupe");
@@ -262,7 +262,7 @@ pub fn run(args: &Args) {
     // wrote, replaying only the WAL tail past it — not full history.
     // Every image *replacement* in this process tears (`@p1` fires on
     // each hit): a partial temp file, never renamed over `store.img`,
-    // and the segments are left untruncated. The write is non-fatal, so
+    // and the log is left untruncated. The write is non-fatal, so
     // the acks keep flowing; the SIGKILL then leaves a directory whose
     // newest durable state lives only in the WAL tail past the old
     // image.

@@ -58,7 +58,7 @@ pub struct Node {
 
 impl Node {
     /// Spawns `snb-server` at `args`' scale and seed with an ephemeral
-    /// client port, two workers, two partitions, a compaction every five
+    /// client port, two workers, a compaction every five
     /// records, and its WAL in `wal_dir`. `extra` is appended to the
     /// command line (`--repl-port 0`, `--follower --replicate-from …`);
     /// `faults` arms `$SNB_FAULTS`.
@@ -77,7 +77,7 @@ impl Node {
         let mut cmd = Command::new(bin);
         cmd.arg(&args.scale)
             .arg(args.config.seed.to_string())
-            .args(["--port", "0", "--workers", "2", "--snapshot-every", "5", "--partitions", "2"])
+            .args(["--port", "0", "--workers", "2", "--snapshot-every", "5"])
             .arg("--wal-dir")
             .arg(wal_dir)
             .args(extra)

@@ -66,20 +66,18 @@ fn bench_one(args: &Args, fsync_every: u64) -> BenchRun {
 }
 
 /// Group-commit run: the same schedule, pushed by [`GROUP_CLIENTS`]
-/// concurrent clients through a two-segment WAL. Acks block on the
+/// concurrent clients through the WAL. Acks block on the
 /// covering flush (flusher election inside the server), so one fsync
 /// releases every waiter it covers — the fsync count, not the ack
 /// count, is what the disk sees.
 fn bench_group(args: &Args) -> BenchRun {
     let dir = std::env::temp_dir().join(format!("snb_walbench_group_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let options =
-        WalOptions { fsync_every: 32, snapshot_every: 0, partitions: 2, group_commit: true };
+    let options = WalOptions { fsync_every: 32, snapshot_every: 0, group_commit: true };
     let recovered = snb_server::recover(&dir, &args.config, &args.scale, options)
         .expect("wal-bench group-commit recovery on a fresh directory");
     let (store, durability, _) = recovered.into_durability();
-    let server_config = ServerConfig { partitions: 2, ..ServerConfig::default() };
-    let server = Server::start_durable(store, server_config, durability);
+    let server = Server::start_durable(store, ServerConfig::default(), durability);
 
     let batches = crate::chaos::carve_batches(&args.config, 64);
     let started = Instant::now();
@@ -158,7 +156,7 @@ pub fn run(args: &Args) {
     })
     .collect();
     snb_bench::print_table(
-        "E13/E14: write-ack latency through the WAL",
+        "E13: write-ack latency through the WAL",
         &["config", "batches", "mean", "p50", "p99", "max", "fsyncs", "batches/s"],
         &rows,
     );

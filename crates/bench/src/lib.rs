@@ -4,7 +4,7 @@
 //!
 //! The experiment harness: report binaries regenerating the tables of
 //! the reproduced evaluation (experiment ids E1–E10, see `DESIGN.md`
-//! §4), the thread / stream / partition sweep, and the service's
+//! §4), the thread / stream sweep, and the service's
 //! pass/fail gates (`service_load`). Performance numbers come from the
 //! repo benchmark (`benchmark/`).
 //!

@@ -5,7 +5,7 @@ use std::borrow::Cow;
 use snb_core::datetime::DateTime;
 use snb_core::Date;
 use snb_engine::QueryMetrics;
-use snb_store::{Ix, PartitionedStore, Store, NONE};
+use snb_store::{Ix, Store, NONE};
 
 /// The language of a message per BI 18: a Post's own `language`
 /// attribute; a Comment inherits the language of the Post at the root
@@ -107,49 +107,6 @@ pub fn messages_in<'s>(
             )
         }
     }
-}
-
-/// The `[lo, hi)` message window of a partitioned store, composed from
-/// the per-shard date indexes: each shard contributes its
-/// binary-searched range and the ranges k-way-merge on the global
-/// `(creation_date, ix)` key — byte-identical to [`messages_in`] over
-/// the same store, for any partition count.
-///
-/// With one shard the global index is the shard index, so this
-/// delegates to the borrowed fast path; with stale shard indexes it
-/// falls back exactly like [`messages_in`] does. Index hits are
-/// recorded with the summed per-shard window sizes.
-pub fn messages_in_sharded<'s>(
-    store: &'s PartitionedStore,
-    metrics: &QueryMetrics,
-    lo: DateTime,
-    hi: DateTime,
-) -> Cow<'s, [Ix]> {
-    if store.partitions() <= 1 {
-        return messages_in(store, metrics, lo, hi);
-    }
-    match store.merged_window(lo, hi) {
-        Some(window) => {
-            metrics.note_index_hit(window.len() as u64);
-            Cow::Owned(window)
-        }
-        None => messages_in(store, metrics, lo, hi),
-    }
-}
-
-/// Per-shard slice of [`messages_in_sharded`]'s window for shard `p` —
-/// what a shard-local operator scans. `None` when the shard date
-/// indexes are stale (callers fall back to the global helpers).
-pub fn shard_messages_in<'s>(
-    store: &'s PartitionedStore,
-    metrics: &QueryMetrics,
-    p: usize,
-    lo: DateTime,
-    hi: DateTime,
-) -> Option<&'s [Ix]> {
-    let window = store.shard_messages_in(p, lo, hi)?;
-    metrics.note_index_hit(window.len() as u64);
-    Some(window)
 }
 
 /// Half-open `[lo, hi)` timestamp window covering the *inclusive* day
@@ -281,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn messages_before_after_partition() {
+    fn messages_before_and_after_cover_every_message() {
         let s = store();
         let t = testutil::mid_date().at_midnight();
         let m = QueryMetrics::sink();
@@ -309,46 +266,6 @@ mod tests {
             })
             .count();
         assert_eq!(in_window, scanned);
-    }
-
-    #[test]
-    fn sharded_window_is_byte_identical_to_global() {
-        let mut c = snb_datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
-        c.persons = 150;
-        let (lo, hi) = month_window(2011, 6);
-        let m = QueryMetrics::sink();
-        for parts in [1usize, 2, 4] {
-            let ps = PartitionedStore::new(snb_store::store_for_config(&c), parts);
-            let global = messages_in(&ps, m, lo, hi).into_owned();
-            let sharded = messages_in_sharded(&ps, m, lo, hi).into_owned();
-            assert_eq!(sharded, global, "parts={parts}");
-            // The per-shard slices cover the window exactly once.
-            let total: usize =
-                (0..parts).map(|p| shard_messages_in(&ps, m, p, lo, hi).unwrap().len()).sum();
-            assert_eq!(total, global.len(), "parts={parts}");
-            // Degenerate window stays empty through the sharded path.
-            assert!(messages_in_sharded(&ps, m, hi, lo).is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_window_falls_back_when_stale() {
-        // Streamed inserts without a rebuild leave both index levels
-        // stale; the sharded helper must agree with the global fallback.
-        let mut c = snb_datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
-        c.persons = 100;
-        let (s, events) = snb_store::bulk_store_and_stream(&c);
-        let world = snb_datagen::dictionaries::StaticWorld::build(c.seed);
-        let mut ps = PartitionedStore::new(s, 2);
-        for e in events.iter().take(events.len() / 2) {
-            ps.apply_event(e, &world).unwrap();
-        }
-        let (lo, hi) = month_window(2012, 1);
-        let m = QueryMetrics::sink();
-        let global = messages_in(&ps, m, lo, hi).into_owned();
-        let sharded = messages_in_sharded(&ps, m, lo, hi).into_owned();
-        assert_eq!(sharded, global);
-        assert!(shard_messages_in(&ps, m, 0, lo, hi).is_none() || ps.shard_date_fresh());
     }
 
     #[test]

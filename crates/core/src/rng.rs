@@ -4,7 +4,7 @@
 //! seed produce the same dataset regardless of thread count. We achieve
 //! this by deriving an independent generator per `(seed, entity id,
 //! stream tag)` triple: no generator state is ever shared across work
-//! items, so the partitioning of work over threads cannot change the
+//! items, so how work is split over threads cannot change the
 //! output.
 //!
 //! The generator is xoshiro256** seeded through splitmix64 — both public

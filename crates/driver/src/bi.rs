@@ -404,10 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_thread_matrix_matches_naive_oracle() {
-        // The tentpole determinism contract: every (partitions,
-        // threads) point of the {1,2,4}² matrix agrees byte-for-byte
-        // (rows + fingerprint) with the naive single-threaded oracle.
+    fn thread_matrix_matches_naive_oracle() {
+        // The determinism contract: every thread count in {1,2,4}
+        // agrees byte-for-byte (rows + fingerprint) with the naive
+        // single-threaded oracle.
         let s = store();
         let gen = ParamGen::new(s, 7);
         let bindings: Vec<BiParams> =
@@ -419,26 +419,19 @@ mod tests {
             .iter()
             .map(|b| snb_interactive::validate_complex(s, b).expect("IC engines agree"))
             .collect();
-        for partitions in [1usize, 2, 4] {
-            for threads in [1usize, 2, 4] {
-                let ctx = QueryContext::new(threads).with_partitions(partitions);
-                for (b, want) in bindings.iter().zip(&oracle) {
-                    let got = snb_bi::run_with(s, &ctx, b);
-                    assert_eq!(
-                        (got.rows, got.fingerprint),
-                        (want.rows, want.fingerprint),
-                        "{b:?} diverged at partitions={partitions} threads={threads}"
-                    );
-                }
-                for (b, &want) in ic_bindings.iter().zip(&ic_oracle) {
-                    let got = snb_interactive::run_complex_with(s, &ctx, b);
-                    assert_eq!(
-                        got,
-                        want,
-                        "IC {} diverged at partitions={partitions} threads={threads}",
-                        b.query()
-                    );
-                }
+        for threads in [1usize, 2, 4] {
+            let ctx = QueryContext::new(threads);
+            for (b, want) in bindings.iter().zip(&oracle) {
+                let got = snb_bi::run_with(s, &ctx, b);
+                assert_eq!(
+                    (got.rows, got.fingerprint),
+                    (want.rows, want.fingerprint),
+                    "{b:?} diverged at threads={threads}"
+                );
+            }
+            for (b, &want) in ic_bindings.iter().zip(&ic_oracle) {
+                let got = snb_interactive::run_complex_with(s, &ctx, b);
+                assert_eq!(got, want, "IC {} diverged at threads={threads}", b.query());
             }
         }
     }

@@ -28,7 +28,7 @@ use snb_core::SnbResult;
 use snb_datagen::dictionaries::StaticWorld;
 use snb_datagen::stream::TimedEvent;
 use snb_interactive::IcParams;
-use snb_store::{PartitionedStore, Store, StoreHandle};
+use snb_store::{Store, StoreHandle};
 
 /// Events per published version on the writer side: big enough to
 /// amortize the copy-on-write clone of the touched columns, small
@@ -67,7 +67,7 @@ pub fn run_concurrent(
     bindings: &[IcParams],
     reader_threads: usize,
 ) -> SnbResult<(Store, ConcurrentReport)> {
-    let handle = StoreHandle::new(PartitionedStore::new(store, 1));
+    let handle = StoreHandle::new(store);
     let done = AtomicBool::new(false);
     let reads = AtomicUsize::new(0);
     let checks = AtomicUsize::new(0);
@@ -177,7 +177,7 @@ pub fn run_concurrent(
     // The final published version is the run's result; an owned store
     // comes out of a (cheap, copy-on-write) clone of it.
     let final_store = handle.snapshot().store().clone();
-    Ok((final_store.into_store(), report))
+    Ok((final_store, report))
 }
 
 #[cfg(test)]

@@ -27,18 +27,14 @@
 //!   total (the spec's composite keys all end in a unique id or name
 //!   tie-breaker).
 //!
-//! Morsels are **partition-aligned and contiguous**: `0..n` is first
-//! split into `partitions` contiguous spans (the scan-side view of the
-//! store's horizontal shards — `SNB_PARTITIONS`), each span is cut
-//! into morsels, and worker `w` takes the contiguous morsel run
-//! `[w·M/T, (w+1)·M/T)`. No morsel straddles a partition boundary, so
-//! a worker touches one dense locality region instead of striding the
-//! whole column (the NUMA-friendly replacement for the earlier
-//! round-robin assignment). The assignment — and therefore each
-//! worker's partial — is a pure function of `(n, threads, partitions,
-//! morsel)`, never of thread timing, and each worker's elements form
-//! one ascending contiguous range, so `par_scan`'s stitch is plain
-//! concatenation in worker order.
+//! Morsels are **contiguous**: `0..n` is cut into morsels
+//! ([`chunk_ranges`]), and worker `w` takes the contiguous morsel run
+//! `[w·M/T, (w+1)·M/T)`, so a worker touches one dense locality region
+//! instead of striding the whole column. The assignment — and
+//! therefore each worker's partial — is a pure function of `(n,
+//! threads, morsel)`, never of thread timing, and each worker's
+//! elements form one ascending contiguous range, so `par_scan`'s
+//! stitch is plain concatenation in worker order.
 
 use crate::metrics::QueryMetrics;
 use crate::topk::TopK;
@@ -55,11 +51,6 @@ pub const DEFAULT_MORSEL: usize = 4096;
 /// Environment variable overriding the worker count (`0` = all cores).
 pub const THREADS_ENV: &str = "SNB_THREADS";
 
-/// Environment variable setting the scan partition count (unset/`0` =
-/// `1`). Morsels never straddle a partition boundary; results are
-/// identical for any value.
-pub const PARTITIONS_ENV: &str = "SNB_PARTITIONS";
-
 /// Per-stream execution context: worker count + morsel size + the
 /// persistent worker pool.
 ///
@@ -70,7 +61,6 @@ pub const PARTITIONS_ENV: &str = "SNB_PARTITIONS";
 #[derive(Clone)]
 pub struct QueryContext {
     threads: usize,
-    partitions: usize,
     morsel: usize,
     profiling: bool,
     pool: Option<Arc<Pool>>,
@@ -85,7 +75,6 @@ impl std::fmt::Debug for QueryContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryContext")
             .field("threads", &self.threads)
-            .field("partitions", &self.partitions)
             .field("morsel", &self.morsel)
             .field("profiling", &self.profiling)
             .finish()
@@ -99,7 +88,6 @@ impl QueryContext {
         let pool = (threads > 1).then(|| Arc::new(Pool::start(threads - 1)));
         QueryContext {
             threads,
-            partitions: 1,
             morsel: DEFAULT_MORSEL,
             profiling: false,
             pool,
@@ -112,7 +100,6 @@ impl QueryContext {
     pub fn single_threaded() -> Self {
         QueryContext {
             threads: 1,
-            partitions: 1,
             morsel: DEFAULT_MORSEL,
             profiling: false,
             pool: None,
@@ -121,18 +108,13 @@ impl QueryContext {
         }
     }
 
-    /// Context configured from `SNB_THREADS` (unset/`0` = all cores)
-    /// and `SNB_PARTITIONS` (unset/`0` = one partition).
+    /// Context configured from `SNB_THREADS` (unset/`0` = all cores).
     pub fn from_env() -> Self {
         let threads = std::env::var(THREADS_ENV)
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .unwrap_or(0);
-        let partitions = std::env::var(PARTITIONS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        QueryContext::new(threads).with_partitions(partitions)
+        QueryContext::new(threads)
     }
 
     /// The process-wide default context (first `from_env` wins), used by
@@ -146,19 +128,6 @@ impl QueryContext {
     pub fn with_morsel(mut self, morsel: usize) -> Self {
         self.morsel = morsel.max(1);
         self
-    }
-
-    /// Sets the scan partition count (`0` = `1`). Scans are split into
-    /// this many contiguous spans before morselisation; results are
-    /// identical for any value — only locality changes.
-    pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions.max(1);
-        self
-    }
-
-    /// Scan partition count.
-    pub fn partitions(&self) -> usize {
-        self.partitions
     }
 
     /// Enables profiling: per-worker busy times are measured around
@@ -211,29 +180,10 @@ impl QueryContext {
         self.morsel
     }
 
-    /// The morsel ranges a scan over `n` elements is split into:
-    /// `0..n` is cut into `partitions` contiguous spans, each span into
-    /// morsels, so no morsel straddles a partition boundary. With one
-    /// partition this is exactly [`chunk_ranges`]`(n, morsel)`.
-    pub fn morsels(&self, n: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        self.plan(n).into_iter()
-    }
-
-    /// The partition-aligned morsel plan for `n` elements, ascending
-    /// and contiguous (`plan[i].end == plan[i+1].start`).
-    fn plan(&self, n: usize) -> Vec<Range<usize>> {
-        let parts = self.partitions;
-        let mut morsels = Vec::with_capacity(n.div_ceil(self.morsel) + parts);
-        for p in 0..parts {
-            let span_hi = (p + 1) * n / parts;
-            let mut lo = p * n / parts;
-            while lo < span_hi {
-                let hi = (lo + self.morsel).min(span_hi);
-                morsels.push(lo..hi);
-                lo = hi;
-            }
-        }
-        morsels
+    /// The morsel ranges a scan over `n` elements is split into,
+    /// ascending and contiguous: [`chunk_ranges`]`(n, morsel)`.
+    pub fn morsels(&self, n: usize) -> impl Iterator<Item = Range<usize>> {
+        chunk_ranges(n, self.morsel)
     }
 
     /// Number of workers actually used for a plan of `m` morsels
@@ -244,14 +194,13 @@ impl QueryContext {
 
     /// Morsel-parallel fold + deterministic merge.
     ///
-    /// Each worker folds its contiguous partition-aligned run of
-    /// morsels into its own accumulator (created by `identity`, reused
-    /// across the worker's morsels — the per-worker scratch arena); the
-    /// calling thread then merges the partials in ascending worker
-    /// order. The result is identical for every thread and partition
-    /// count iff `merge` is associative and commutative in exact
-    /// arithmetic — keep floats out of the accumulator and finalise
-    /// after the call.
+    /// Each worker folds its contiguous run of morsels into its own
+    /// accumulator (created by `identity`, reused across the worker's
+    /// morsels — the per-worker scratch arena); the calling thread then
+    /// merges the partials in ascending worker order. The result is
+    /// identical for every thread count iff `merge` is associative and
+    /// commutative in exact arithmetic — keep floats out of the
+    /// accumulator and finalise after the call.
     pub fn par_map_reduce<A, I, F, M>(&self, n: usize, identity: I, fold: F, merge: M) -> A
     where
         A: Send,
@@ -259,7 +208,7 @@ impl QueryContext {
         F: Fn(&mut A, Range<usize>) + Sync,
         M: Fn(&mut A, A),
     {
-        let plan = self.plan(n);
+        let plan: Vec<_> = self.morsels(n).collect();
         let workers = self.workers_for(plan.len());
         self.metrics.note_par_call(plan.len() as u64, n as u64);
         if workers == 1 {
@@ -286,14 +235,14 @@ impl QueryContext {
     /// produces; each worker's morsel run is contiguous and ascending,
     /// so its output Vec is already in scan order and the stitch is
     /// plain concatenation in worker order. The result equals the
-    /// sequential scan **exactly**, for any thread and partition count
-    /// — no merge-semantics caveat.
+    /// sequential scan **exactly**, for any thread count — no
+    /// merge-semantics caveat.
     pub fn par_scan<T, F>(&self, n: usize, emit: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut Vec<T>, Range<usize>) + Sync,
     {
-        let plan = self.plan(n);
+        let plan: Vec<_> = self.morsels(n).collect();
         let workers = self.workers_for(plan.len());
         self.metrics.note_par_call(plan.len() as u64, n as u64);
         if workers == 1 {
@@ -317,9 +266,8 @@ impl QueryContext {
 
     /// Morsel-parallel top-k: each worker fills a bounded heap over its
     /// morsels; partial heaps merge in worker order. Deterministic for
-    /// any thread and partition count iff the key is total (ends in a
-    /// unique tie-breaker), which the spec's composite sort keys
-    /// guarantee.
+    /// any thread count iff the key is total (ends in a unique
+    /// tie-breaker), which the spec's composite sort keys guarantee.
     pub fn par_topk<K, T, F>(&self, n: usize, k: usize, fill: F) -> TopK<K, T>
     where
         K: Ord + Clone + Send,
@@ -683,67 +631,26 @@ mod tests {
     }
 
     #[test]
-    fn partition_matrix_is_deterministic() {
-        // The tentpole contract: every (partitions, threads) pair in
-        // {1,2,4}×{1,2,4} must yield results identical to sequential.
+    fn thread_matrix_is_deterministic() {
+        // Every thread count in {1,2,4} must yield results identical to
+        // sequential.
         let n = 1003usize;
         let seq_scan: Vec<usize> = (0..n).filter(|x| x % 5 == 0).collect();
         let seq_sum: u64 = (0..n as u64).map(|x| x * x % 251).sum();
-        for parts in [1, 2, 4] {
-            for threads in [1, 2, 4] {
-                let c = ctx(threads).with_partitions(parts);
-                let scanned = c.par_scan(n, |out, range| {
-                    out.extend(range.filter(|x| x % 5 == 0));
-                });
-                assert_eq!(scanned, seq_scan, "scan parts={parts} threads={threads}");
-                let summed = c.par_map_reduce(
-                    n,
-                    || 0u64,
-                    |acc, range| *acc += range.map(|x| (x as u64) * (x as u64) % 251).sum::<u64>(),
-                    |acc, p| *acc += p,
-                );
-                assert_eq!(summed, seq_sum, "sum parts={parts} threads={threads}");
-            }
+        for threads in [1, 2, 4] {
+            let c = ctx(threads);
+            let scanned = c.par_scan(n, |out, range| {
+                out.extend(range.filter(|x| x % 5 == 0));
+            });
+            assert_eq!(scanned, seq_scan, "scan threads={threads}");
+            let summed = c.par_map_reduce(
+                n,
+                || 0u64,
+                |acc, range| *acc += range.map(|x| (x as u64) * (x as u64) % 251).sum::<u64>(),
+                |acc, p| *acc += p,
+            );
+            assert_eq!(summed, seq_sum, "sum threads={threads}");
         }
-    }
-
-    #[test]
-    fn morsels_never_straddle_partition_boundaries() {
-        let c = QueryContext::new(2).with_morsel(10).with_partitions(3);
-        let ms: Vec<_> = c.morsels(25).collect();
-        // Spans are [0,8), [8,16), [16,25); each under the morsel size,
-        // so one morsel per span — and the plan covers 0..25 exactly.
-        assert_eq!(ms, vec![0..8, 8..16, 16..25]);
-        for parts in [1usize, 2, 3, 4, 7] {
-            for n in [0usize, 1, 5, 100, 1003] {
-                let c = QueryContext::new(1).with_morsel(16).with_partitions(parts);
-                let plan: Vec<_> = c.morsels(n).collect();
-                let mut expect_lo = 0;
-                for m in &plan {
-                    assert_eq!(m.start, expect_lo, "gap in plan n={n} parts={parts}");
-                    assert!(m.len() <= 16);
-                    // No morsel crosses a span boundary p*n/parts.
-                    for p in 1..parts {
-                        let b = p * n / parts;
-                        assert!(
-                            m.end <= b || m.start >= b,
-                            "morsel {m:?} straddles boundary {b} (n={n} parts={parts})"
-                        );
-                    }
-                    expect_lo = m.end;
-                }
-                assert_eq!(expect_lo, n, "plan must cover 0..{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_knob_defaults_and_clamps() {
-        assert_eq!(QueryContext::new(2).partitions(), 1);
-        assert_eq!(QueryContext::single_threaded().partitions(), 1);
-        assert_eq!(QueryContext::new(2).with_partitions(0).partitions(), 1);
-        assert_eq!(QueryContext::new(2).with_partitions(4).partitions(), 4);
-        assert_eq!(PARTITIONS_ENV, "SNB_PARTITIONS");
     }
 
     #[test]

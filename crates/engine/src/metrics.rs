@@ -30,8 +30,8 @@
 //! [`QueryContext`](crate::QueryContext) (clones share it, matching
 //! the one-context-per-stream driver design). The driver resets it
 //! per query and snapshots it into a [`QueryProfile`] attached to the
-//! query's stats — the record `bi_runtimes` emits into `BENCH_bi.json`
-//! and renders in `--profile` mode.
+//! query's stats — the record `bi_runtimes` prints in its tables and
+//! renders in `--profile` mode.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -7,7 +7,7 @@
 //!            [--write-cap N] [--short-weight N] [--shed-oldest]
 //!            [--deadline-ms N] [--short-deadline-ms N] [--profile]
 //!            [--wal-dir PATH] [--fsync-every N] [--snapshot-every N]
-//!            [--conn-timeout-ms N] [--partitions N] [--group-commit]
+//!            [--conn-timeout-ms N] [--group-commit]
 //!            [--repl-port N] [--follower] [--replicate-from ADDR]
 //! snb-server --promote REPL_ADDR [--announce-repl ADDR]
 //!            [--announce-client ADDR] [--siblings A,B,..] [--epoch-floor N]
@@ -39,7 +39,7 @@
 //! open the access log as its preamble record. `--snapshot-every N`
 //! sets the compaction point: once the log holds N records the server
 //! writes a checksummed store image (`store.img`) and truncates the
-//! segments behind it, bounding recovery by the image plus the WAL tail
+//! log behind it, bounding recovery by the image plus the WAL tail
 //! instead of the full history (0 = never compact). Fault injection
 //! arms from `$SNB_FAULTS` / `$SNB_FAULT_SEED` (see `snb_fault`).
 //!
@@ -167,9 +167,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--fsync-every" => wal.fsync_every = parse("--fsync-every", argv.next())?.max(1),
             "--snapshot-every" => wal.snapshot_every = parse("--snapshot-every", argv.next())?,
-            "--partitions" => {
-                server.partitions = parse("--partitions", argv.next())?.max(1) as usize;
-            }
             "--group-commit" => wal.group_commit = true,
             "--repl-port" => repl_port = Some(parse("--repl-port", argv.next())? as u16),
             "--follower" => server.read_only = true,
@@ -201,19 +198,6 @@ fn parse_args() -> Result<Args, String> {
             other => positionals.push(other.to_string()),
         }
     }
-    // The store sharding and the WAL segmenting share one knob:
-    // `--partitions`, defaulting to `$SNB_PARTITIONS` like the bench
-    // binaries.
-    if server.partitions <= 1 {
-        if let Some(parts) = std::env::var("SNB_PARTITIONS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|p| *p > 0)
-        {
-            server.partitions = parts;
-        }
-    }
-    wal.partitions = server.partitions.max(1);
     let sf = positionals.first().map(String::as_str).unwrap_or("0.01");
     let mut config = GeneratorConfig::for_scale_name(sf)
         .ok_or_else(|| format!("unknown scale factor {sf:?}; try 0.001/0.003/0.01/0.03/0.1"))?;
@@ -332,7 +316,6 @@ fn main() {
         wal_dir: dir.clone(),
         scale: args.scale.clone(),
         seed: args.config.seed,
-        partitions: args.server.partitions.max(1),
     });
     // Announced before `listening on` so harnesses can scrape both in
     // order.
@@ -363,11 +346,8 @@ fn main() {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "# serving with {} workers, queue capacity {}, partitions {}, profiling {}",
-        args.server.workers,
-        args.server.queue_capacity,
-        args.server.partitions,
-        args.server.profiling
+        "# serving with {} workers, queue capacity {}, profiling {}",
+        args.server.workers, args.server.queue_capacity, args.server.profiling
     );
 
     let mut was_read_only = server.is_read_only();

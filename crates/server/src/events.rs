@@ -392,34 +392,6 @@ pub fn encode_write_ops(buf: &mut Vec<u8>, ops: &WriteOps) {
     }
 }
 
-/// The shard-routing key of a write batch: the primary raw id of its
-/// first operation (the entity being created, or the first endpoint of
-/// the edge being touched). Raw ids are globally stable and known
-/// before the store assigns a dense id, so the server can pick a WAL
-/// segment purely from the wire payload. An empty batch routes to key
-/// `0` — its apply is a no-op, so any segment is correct.
-pub fn route_key(ops: &WriteOps) -> u64 {
-    match ops {
-        WriteOps::Updates(events) => match events.first().map(|ev| &ev.event) {
-            Some(UpdateEvent::AddPerson(p)) => p.id.0,
-            Some(UpdateEvent::AddLikePost(l)) | Some(UpdateEvent::AddLikeComment(l)) => l.person.0,
-            Some(UpdateEvent::AddForum(f)) => f.id.0,
-            Some(UpdateEvent::AddMembership(m)) => m.person.0,
-            Some(UpdateEvent::AddPost(m)) | Some(UpdateEvent::AddComment(m)) => m.id.0,
-            Some(UpdateEvent::AddKnows(k)) => k.a.0,
-            None => 0,
-        },
-        WriteOps::Deletes(dels) => match dels.first() {
-            Some(DeleteOp::Person(id))
-            | Some(DeleteOp::Forum(id))
-            | Some(DeleteOp::Message(id)) => *id,
-            Some(DeleteOp::Like(person, _)) | Some(DeleteOp::Membership(person, _)) => *person,
-            Some(DeleteOp::Knows(a, _)) => *a,
-            None => 0,
-        },
-    }
-}
-
 /// Parses a write-batch payload for the given family tag (1 = updates,
 /// 2 = deletes).
 pub(crate) fn decode_write_ops(r: &mut Reader<'_>, tag: u8) -> Result<WriteOps, DecodeError> {

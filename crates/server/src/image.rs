@@ -5,29 +5,30 @@
 //! through [`snb_store::image`]'s checksummed codec at a known write
 //! sequence number. It is the only thing WAL compaction produces
 //! ([`crate::wal::SegmentedWal::compact`] writes one and truncates the
-//! log segments behind it), so a WAL directory holds the segments and
-//! at most one image. Recovery that finds an image decodes it and
-//! replays only the segment records written after `seq` — cost bounded
+//! log behind it), so a WAL directory holds the log and at most one
+//! image. Recovery that finds an image decodes it and replays only the
+//! log records written after `seq` — cost bounded
 //! by live-data size plus tail length, flat in history. The same file
 //! is what a follower whose cursor is at or below `seq` is offered over
 //! the replication socket ([`crate::proto::ReplFrame::ImageOffer`]):
-//! the segments no longer hold those records, so the image is the only
+//! the log no longer holds those records, so the image is the only
 //! way to catch such a follower up.
 //!
 //! ## File format
 //!
 //! ```text
 //! [8B magic "SNBIMG1\n"][u16 scale_len][scale][u64 seed][u64 epoch]
-//! [u64 seq][u32 partitions][u64 body_len][u64 fnv64(body)]
+//! [u64 seq][u32 shards = 1][u64 body_len][u64 fnv64(body)]
 //! [u64 fnv64(header bytes above)][body = snb_store::image payload]
 //! ```
 //!
 //! Scale and seed bind the image to its dataset exactly like the WAL
-//! headers do; `seq` is the write sequence the image captures; `epoch`
-//! the fencing term it was written under; `partitions` the WAL/shard
-//! layout of the directory (the image itself is a single file — the
-//! partition count is recorded so a mismatched directory is refused,
-//! not silently re-sharded).
+//! header does; `seq` is the write sequence the image captures; `epoch`
+//! the fencing term it was written under. The `u32` is always 1: older
+//! builds recorded how many shards their log was split across there,
+//! and an image with any other value is refused with an error naming
+//! the file, since the log it belongs beside is one this build cannot
+//! read.
 //!
 //! ## Crash safety
 //!
@@ -36,7 +37,7 @@
 //! rename is durable only once the directory is fsynced (`sync_dir`);
 //! whoever truncates log records behind a new image does that first.
 //! Any header/body checksum mismatch or truncation is a **hard error**:
-//! the segments behind an image no longer hold the history it covers,
+//! the log behind an image no longer holds the history it covers,
 //! so a directory with a corrupt image refuses to recover rather than
 //! silently starting from the bulk store. A leftover `store.img.tmp`
 //! (crash mid-write) is ignored and overwritten by the next write.
@@ -67,8 +68,6 @@ pub struct ImageHeader {
     /// Write sequence number the image captures (recovery replays the
     /// WAL strictly after this).
     pub seq: u64,
-    /// WAL/shard layout of the directory the image belongs to.
-    pub partitions: usize,
     /// Body (codec payload) length in bytes.
     pub body_len: u64,
     /// FNV-1a of the body.
@@ -87,7 +86,7 @@ fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
     out.extend_from_slice(&seed.to_le_bytes());
     out.extend_from_slice(&h.epoch.to_le_bytes());
     out.extend_from_slice(&h.seq.to_le_bytes());
-    out.extend_from_slice(&(h.partitions as u32).to_le_bytes());
+    out.extend_from_slice(&1u32.to_le_bytes());
     out.extend_from_slice(&h.body_len.to_le_bytes());
     out.extend_from_slice(&h.body_fnv.to_le_bytes());
     let sum = fnv64(&out);
@@ -96,8 +95,8 @@ fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
 }
 
 /// Parses and verifies the header, returning `(body_offset, header)`.
-/// Every mismatch — magic, scale, seed, checksum, truncation — is a
-/// hard error.
+/// Every mismatch — magic, scale, seed, checksum, truncation, a shard
+/// count other than 1 — is a hard error.
 fn decode_header(
     bytes: &[u8],
     scale: &str,
@@ -136,7 +135,7 @@ fn decode_header(
     let got_seed = u64_at(&mut at);
     let epoch = u64_at(&mut at);
     let seq = u64_at(&mut at);
-    let partitions = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+    let shards = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
     at += 4;
     let body_len = u64_at(&mut at);
     let body_fnv = u64_at(&mut at);
@@ -148,7 +147,13 @@ fn decode_header(
     if got_seed != seed {
         return Err(image_err(path, format!("seed mismatch: image {got_seed}, store {seed}")));
     }
-    Ok((at, ImageHeader { epoch, seq, partitions, body_len, body_fnv }))
+    if shards != 1 {
+        return Err(image_err(
+            path,
+            format!("image belongs beside a log split across {shards} shards by an older build"),
+        ));
+    }
+    Ok((at, ImageHeader { epoch, seq, body_len, body_fnv }))
 }
 
 /// Atomically writes `store.img` under `dir` capturing `store` at
@@ -156,26 +161,28 @@ fn decode_header(
 /// image lands via temp + fsync + rename, so a SIGKILL at any point
 /// leaves either the previous image or the new one, never a torn file.
 /// Call `sync_dir` before relying on the new image over the old one.
+/// `partitions` must be 1; anything else is refused before a byte is
+/// written.
 pub fn write_image(
     dir: &Path,
     scale: &str,
     seed: u64,
     epoch: u64,
     seq: u64,
+    // Kept only because the frozen `benchmark/` package passes it.
     partitions: usize,
     store: &Store,
 ) -> SnbResult<u64> {
+    if partitions != 1 {
+        return Err(SnbError::Config(format!(
+            "write_image takes a shard count of 1, got {partitions}"
+        )));
+    }
     let body = encode_store(store);
     let header = encode_header(
         scale,
         seed,
-        &ImageHeader {
-            epoch,
-            seq,
-            partitions,
-            body_len: body.len() as u64,
-            body_fnv: fnv64(&body),
-        },
+        &ImageHeader { epoch, seq, body_len: body.len() as u64, body_fnv: fnv64(&body) },
     );
     let tmp_path = dir.join(IMAGE_TMP);
     let final_path = dir.join(IMAGE_FILE);
@@ -336,15 +343,23 @@ mod tests {
     fn write_then_load_round_trips() {
         let dir = tmp_dir("roundtrip");
         let store = small_store();
-        let bytes = write_image(&dir, "0.001", 7, 3, 42, 2, &store).unwrap();
+        let bytes = write_image(&dir, "0.001", 7, 3, 42, 1, &store).unwrap();
         assert!(bytes > 0);
         let info = image_info(&dir, "0.001", 7).unwrap().expect("image present");
         assert_eq!(info.seq, 42);
         assert_eq!(info.epoch, 3);
-        assert_eq!(info.partitions, 2);
         let (loaded, header) = load_image(&dir, "0.001", 7).unwrap().expect("image present");
         assert_eq!(header, info);
         assert_eq!(encode_store(&loaded), encode_store(&store));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_image_refuses_a_shard_count_other_than_one() {
+        let dir = tmp_dir("shards");
+        let refused = write_image(&dir, "0.001", 7, 0, 1, 2, &small_store());
+        assert!(matches!(refused, Err(SnbError::Config(_))), "{refused:?}");
+        assert!(std::fs::read_dir(&dir).unwrap().next().is_none(), "nothing may be written");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

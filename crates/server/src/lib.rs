@@ -53,7 +53,6 @@ pub use proto::{
 };
 pub use queue::{Admitted, LaneQueues, PushError, ShedPolicy};
 pub use replication::{FollowerHandle, FollowerStatus, Promotion, ReplicationConfig};
-pub use retry::RetryPolicy;
 pub use server::{
     Durability, InProcClient, LaneSettings, LanesConfig, LogHandle, Server, ServerConfig,
     ServiceReport, StoreWriter,
@@ -129,15 +128,15 @@ mod tests {
     fn overload_sheds_deterministically() {
         // No workers: nothing drains the queue, so pushes past capacity
         // must shed — deterministically.
-        let server = Server::start(
-            tiny_store(),
-            ServerConfig {
-                workers: 0,
-                queue_capacity: 3,
-                default_deadline: None,
-                ..ServerConfig::default()
-            },
-        );
+        let config = ServerConfig {
+            workers: 0,
+            queue_capacity: 3,
+            default_deadline: None,
+            ..ServerConfig::default()
+        };
+        // A lane left at its default settings inherits `queue_capacity`.
+        assert_eq!(config.lane_capacity(Lane::Heavy), 3);
+        let server = Server::start(tiny_store(), config);
         let (tx, rx) = std::sync::mpsc::channel();
         let mut pending = Vec::new();
         for i in 0..5u64 {

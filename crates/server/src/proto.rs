@@ -1053,8 +1053,10 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
 
 /// Version byte leading every replication frame payload. Separate from
 /// [`PROTO_VERSION`] so the shipping protocol can evolve without
-/// breaking query clients.
-pub const REPL_VERSION: u8 = 1;
+/// breaking query clients. Version 2 dropped the shard count from
+/// `Hello` and the segment number from `Record`; a version-1 peer gets
+/// the version refusal.
+pub const REPL_VERSION: u8 = 2;
 
 const REPL_HELLO: u8 = 1;
 const REPL_RECORD: u8 = 2;
@@ -1090,7 +1092,7 @@ pub const IMAGE_CHUNK_BYTES: usize = 256 * 1024;
 pub enum ReplFrame {
     /// Follower → primary: subscribe to the log from `from_seq`
     /// (exclusive — the follower already has everything at or below
-    /// it). Scale/seed/partitions must match the primary's or it
+    /// it). Scale and seed must match the primary's or it
     /// answers `Deny`: shipping records into a store built from a
     /// different deterministic world would corrupt it silently.
     Hello {
@@ -1098,8 +1100,6 @@ pub enum ReplFrame {
         scale: String,
         /// The follower's datagen seed.
         seed: u64,
-        /// The follower's partition count.
-        partitions: u32,
         /// Ship records with `seq > from_seq`.
         from_seq: u64,
         /// The highest fencing epoch the follower has observed. A
@@ -1107,16 +1107,12 @@ pub enum ReplFrame {
         /// refuse the subscription (and stop acking writes).
         epoch: u64,
     },
-    /// Primary → follower: one acked WAL record. `partition` is the
-    /// segment the record lives in on the primary — followers write it
-    /// to the same segment so their WAL layout mirrors the primary's
-    /// and a promoted follower's log is indistinguishable from a
-    /// primary's.
+    /// Primary → follower: one acked WAL record. Followers append it
+    /// to their own log, so a promoted follower's log is
+    /// indistinguishable from a primary's.
     Record {
         /// Global write sequence number.
         seq: u64,
-        /// Originating WAL partition.
-        partition: u32,
         /// The batch payload.
         ops: WriteOps,
         /// The shipping primary's fencing epoch.
@@ -1234,18 +1230,16 @@ pub fn encode_repl(frame: &ReplFrame) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     put_u8(&mut buf, REPL_VERSION);
     match frame {
-        ReplFrame::Hello { scale, seed, partitions, from_seq, epoch } => {
+        ReplFrame::Hello { scale, seed, from_seq, epoch } => {
             put_u8(&mut buf, REPL_HELLO);
             put_str(&mut buf, scale);
             put_u64(&mut buf, *seed);
-            put_u32(&mut buf, *partitions);
             put_u64(&mut buf, *from_seq);
             put_u64(&mut buf, *epoch);
         }
-        ReplFrame::Record { seq, partition, ops, epoch } => {
+        ReplFrame::Record { seq, ops, epoch } => {
             put_u8(&mut buf, REPL_RECORD);
             put_u64(&mut buf, *seq);
-            put_u32(&mut buf, *partition);
             put_u64(&mut buf, *epoch);
             put_u8(&mut buf, ops.query_tag());
             crate::events::encode_write_ops(&mut buf, ops);
@@ -1314,17 +1308,15 @@ pub fn decode_repl(payload: &[u8]) -> Result<ReplFrame, DecodeError> {
         REPL_HELLO => ReplFrame::Hello {
             scale: r.string()?,
             seed: r.u64()?,
-            partitions: r.u32()?,
             from_seq: r.u64()?,
             epoch: r.u64()?,
         },
         REPL_RECORD => {
             let seq = r.u64()?;
-            let partition = r.u32()?;
             let epoch = r.u64()?;
             let family = r.u8()?;
             let ops = crate::events::decode_write_ops(&mut r, family)?;
-            ReplFrame::Record { seq, partition, ops, epoch }
+            ReplFrame::Record { seq, ops, epoch }
         }
         REPL_CAUGHT_UP => ReplFrame::CaughtUp { through_seq: r.u64()? },
         REPL_HEARTBEAT => ReplFrame::Heartbeat { last_seq: r.u64()?, epoch: r.u64()? },
@@ -1716,22 +1708,10 @@ mod tests {
         let (_, stream) = snb_store::bulk_store_and_stream(&config);
         assert!(stream.len() >= 3, "stream too short for repl samples");
         vec![
-            ReplFrame::Hello {
-                scale: "0.001".into(),
-                seed: 42,
-                partitions: 2,
-                from_seq: 17,
-                epoch: 3,
-            },
-            ReplFrame::Record {
-                seq: 18,
-                partition: 1,
-                ops: WriteOps::Updates(stream[..3].to_vec()),
-                epoch: 3,
-            },
+            ReplFrame::Hello { scale: "0.001".into(), seed: 42, from_seq: 17, epoch: 3 },
+            ReplFrame::Record { seq: 18, ops: WriteOps::Updates(stream[..3].to_vec()), epoch: 3 },
             ReplFrame::Record {
                 seq: 19,
-                partition: 0,
                 ops: WriteOps::Deletes(vec![
                     snb_store::DeleteOp::Like(7, 9),
                     snb_store::DeleteOp::Forum(3),
@@ -1805,6 +1785,19 @@ mod tests {
         let mut bytes = encode_repl(&ReplFrame::CaughtUp { through_seq: 1 });
         bytes[0] = 9;
         assert!(decode_repl(&bytes).is_err());
+
+        // A version-1 peer's `Hello` (it still carried a shard count)
+        // gets the typed version refusal, not a misparse.
+        let mut v1 = Vec::new();
+        put_u8(&mut v1, 1);
+        put_u8(&mut v1, REPL_HELLO);
+        put_str(&mut v1, "0.001");
+        put_u64(&mut v1, 42);
+        put_u32(&mut v1, 1);
+        put_u64(&mut v1, 17);
+        put_u64(&mut v1, 3);
+        let refused = decode_repl(&v1).expect_err("a version-1 frame must be refused");
+        assert!(refused.detail.contains("unsupported replication version 1"), "{refused:?}");
 
         // Unknown frame tag.
         let mut buf = Vec::new();

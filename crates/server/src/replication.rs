@@ -1,4 +1,4 @@
-//! Cross-process replication: per-partition WAL log shipping.
+//! Cross-process replication: WAL log shipping.
 //!
 //! A **primary** exposes a replication listener (a separate port from
 //! query traffic) and streams its acked WAL records — tail-read through
@@ -84,7 +84,7 @@ const ANNOUNCE_RETRY_EVERY: Duration = Duration::from_millis(200);
 
 /// What a node needs to know about its own WAL/world to ship or
 /// subscribe: the shipping cursor reads `wal_dir` directly, and
-/// scale/seed/partitions fence `Hello` against a mismatched
+/// scale/seed fence `Hello` against a mismatched
 /// deterministic world (applying another world's records would corrupt
 /// the store silently, not loudly).
 #[derive(Clone, Debug)]
@@ -95,8 +95,6 @@ pub struct ReplicationConfig {
     pub scale: String,
     /// Datagen seed.
     pub seed: u64,
-    /// WAL partition count.
-    pub partitions: usize,
 }
 
 /// Internal follower-side gauges, shared between the applier thread and
@@ -347,7 +345,7 @@ fn serve_peer(inner: &Arc<ServerInner>, mut stream: TcpStream, config: &Replicat
         let _ = write_frame(stream, &encode_repl(&ReplFrame::Deny { detail, epoch }));
     };
     match decode_repl(&first) {
-        Ok(ReplFrame::Hello { scale, seed, partitions, from_seq, epoch }) => {
+        Ok(ReplFrame::Hello { scale, seed, from_seq, epoch }) => {
             if epoch > inner.epoch() {
                 if inner.read_only_flag() {
                     inner.observe_epoch(epoch);
@@ -370,16 +368,13 @@ fn serve_peer(inner: &Arc<ServerInner>, mut stream: TcpStream, config: &Replicat
                 );
                 return;
             }
-            if scale != config.scale
-                || seed != config.seed
-                || partitions as usize != config.partitions
-            {
+            if scale != config.scale || seed != config.seed {
                 deny(
                     &mut stream,
                     format!(
-                        "world mismatch: primary is scale={} seed={} partitions={}, \
-                         follower sent scale={scale} seed={seed} partitions={partitions}",
-                        config.scale, config.seed, config.partitions
+                        "world mismatch: primary is scale={} seed={}, \
+                         follower sent scale={scale} seed={seed}",
+                        config.scale, config.seed
                     ),
                     inner.epoch(),
                 );
@@ -514,9 +509,7 @@ fn ship_loop(
     from_seq: u64,
     group_commit: bool,
 ) {
-    let tailer_from = |seq: u64| {
-        WalTailer::new(&config.wal_dir, &config.scale, config.seed, config.partitions, seq)
-    };
+    let tailer_from = |seq: u64| WalTailer::new(&config.wal_dir, &config.scale, config.seed, seq);
     let Some(from_seq) = ship_image(inner, stream, config, from_seq) else {
         return; // dead peer mid-bootstrap
     };
@@ -546,19 +539,14 @@ fn ship_loop(
         };
         let idle = records.is_empty();
         for rec in records {
-            let frame = ReplFrame::Record {
-                seq: rec.seq,
-                partition: rec.partition as u32,
-                ops: rec.ops,
-                epoch: inner.epoch(),
-            };
+            let frame = ReplFrame::Record { seq: rec.seq, ops: rec.ops, epoch: inner.epoch() };
             if write_frame(stream, &encode_repl(&frame)).is_err() {
                 return;
             }
             last_beat = Instant::now();
         }
         if idle && tailer.next_seq() <= bound {
-            // Acked records the segments no longer yield: a compaction
+            // Acked records the log no longer yields: a compaction
             // truncated them, and the image that covers them is on disk.
             let behind = tailer.next_seq() - 1;
             match ship_image(inner, stream, config, behind) {
@@ -593,7 +581,7 @@ fn ship_loop(
 }
 
 /// Offers this node's store image to a subscriber whose `from_seq`
-/// predates it (the segments no longer hold the records in between):
+/// predates it (the log no longer holds the records in between):
 /// the raw file bytes go out as one
 /// [`ReplFrame::ImageOffer`] followed by in-order
 /// [`ReplFrame::ImageChunk`]s. Returns the sequence to tail records
@@ -692,7 +680,6 @@ fn follower_loop(
         let hello = ReplFrame::Hello {
             scale: config.scale.clone(),
             seed: config.seed,
-            partitions: config.partitions as u32,
             from_seq: inner.applied_seq(),
             epoch: inner.epoch(),
         };
@@ -740,7 +727,7 @@ fn apply_stream(
             };
             let Ok(frame) = decode_repl(payload) else { return };
             match frame {
-                ReplFrame::Record { seq, ops, epoch, .. } => {
+                ReplFrame::Record { seq, ops, epoch } => {
                     if epoch < inner.epoch() {
                         // A deposed primary still shipping its old term:
                         // never apply a stale-epoch record.

@@ -1,112 +1,13 @@
-//! Client-side resilience: capped exponential backoff with full jitter.
+//! Client-side redirect hint for writes refused by a non-primary.
 //!
-//! The policy follows the standard full-jitter scheme: attempt `k`
-//! sleeps `uniform(0, min(cap, base·2^k))`, drawn from a seeded
-//! splitmix64 stream so a benchmark run's retry schedule is
-//! reproducible. Retryable outcomes are the transient taxonomy entries —
-//! `overloaded` (admission shed; pressure passes), `shutting_down` /
-//! lost-connection (the chaos harness restarts the server), and
-//! `stale_read` (a follower behind the requested `min_seq`; replication
-//! catches up). Permanent outcomes (`bad_request`, `internal`,
-//! `store_poisoned`) are returned immediately: retrying them without
-//! operator action is wasted load. `not_primary` and `fenced` are
-//! **terminal-with-redirect**: resending a write to a read-only
-//! follower (or a fenced ex-primary) can never succeed no matter how
-//! long the client waits — the correct reaction is to re-route to the
-//! primary, so the retry loop must not burn its budget on them. The
-//! refusal's detail may carry the current primary's address as a
-//! `(primary=HOST:PORT)` suffix; [`redirect_target`] extracts it so a
-//! networked client can reconnect and resubmit the same batch seq
-//! (dedupe-protected) without operator help. The deadline kinds —
-//! `deadline_exceeded` (never executed) and `deadline_overrun`
-//! (executed but finished late) — are terminal too: the client's time
-//! budget is spent, so resubmitting the same deadline only burns
-//! capacity on an answer that will again arrive too late.
-
-use std::time::Duration;
-
-use crate::proto::{ErrorKind, Response, ServiceParams};
-use crate::server::InProcClient;
-
-/// Capped exponential backoff + full jitter.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total tries (first attempt included). `1` disables retries.
-    pub max_attempts: u32,
-    /// Backoff base; attempt `k`'s ceiling is `base * 2^k`.
-    pub base: Duration,
-    /// Upper bound on any single sleep.
-    pub cap: Duration,
-    /// Seed for the jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(200),
-            seed: 0x5eed_cafe,
-        }
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A stateful jitter stream over one policy.
-#[derive(Clone, Debug)]
-pub struct Backoff {
-    policy: RetryPolicy,
-    attempt: u32,
-    rng: u64,
-}
-
-impl Backoff {
-    /// Starts a fresh stream (attempt counter at 0).
-    pub fn new(policy: RetryPolicy) -> Backoff {
-        Backoff { rng: policy.seed, policy, attempt: 0 }
-    }
-
-    /// Whether another attempt is allowed.
-    pub fn attempts_left(&self) -> bool {
-        self.attempt + 1 < self.policy.max_attempts
-    }
-
-    /// Attempts consumed so far.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// The next sleep: full jitter under the capped exponential
-    /// ceiling. Advances the attempt counter.
-    pub fn next_delay(&mut self) -> Duration {
-        let exp = self.attempt.min(30);
-        let ceiling = self
-            .policy
-            .cap
-            .min(self.policy.base.saturating_mul(1u32.checked_shl(exp).unwrap_or(u32::MAX)));
-        self.attempt += 1;
-        let nanos = ceiling.as_nanos() as u64;
-        if nanos == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(splitmix64(&mut self.rng) % nanos)
-    }
-}
-
-/// Whether this error kind is worth retrying from a client.
-/// `not_primary` and `fenced` are deliberately absent: they redirect
-/// (re-route the write to the primary), they never heal in place.
-pub fn retryable(kind: ErrorKind) -> bool {
-    matches!(kind, ErrorKind::Overloaded | ErrorKind::ShuttingDown | ErrorKind::StaleRead)
-}
+//! `not_primary` and `fenced` are **terminal-with-redirect**: resending
+//! a write to a read-only follower (or a fenced ex-primary) can never
+//! succeed no matter how long the client waits — the correct reaction
+//! is to re-route to the primary. The refusal's detail may carry the
+//! current primary's address as a `(primary=HOST:PORT)` suffix;
+//! [`redirect_target`] extracts it so a networked client can reconnect
+//! and resubmit the same batch seq (dedupe-protected) without operator
+//! help.
 
 /// Extracts the redirect target from a `not_primary`/`fenced` refusal
 /// detail. Servers that know the current primary append
@@ -125,94 +26,9 @@ pub fn redirect_target(detail: &str) -> Option<&str> {
     }
 }
 
-impl InProcClient {
-    /// Like [`InProcClient::call`], but retries transient rejections
-    /// (`overloaded`, `shutting_down`) with capped exponential backoff
-    /// and full jitter. Returns the last response when attempts run
-    /// out.
-    pub fn call_with_retries(
-        &self,
-        params: ServiceParams,
-        deadline_us: u64,
-        policy: RetryPolicy,
-    ) -> Response {
-        let mut backoff = Backoff::new(policy);
-        loop {
-            let resp = self.call(params.clone(), deadline_us);
-            match &resp.body {
-                Err(e) if retryable(e.kind) && backoff.attempts_left() => {
-                    std::thread::sleep(backoff.next_delay());
-                }
-                _ => return resp,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delays_are_capped_jittered_and_deterministic() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base: Duration::from_millis(4),
-            cap: Duration::from_millis(64),
-            seed: 9,
-        };
-        let run = |policy| {
-            let mut b = Backoff::new(policy);
-            (0..9).map(|_| b.next_delay()).collect::<Vec<_>>()
-        };
-        let a = run(policy);
-        let b = run(policy);
-        assert_eq!(a, b, "same seed, same schedule");
-        for (k, d) in a.iter().enumerate() {
-            let ceiling = policy.cap.min(policy.base * 2u32.pow(k as u32));
-            assert!(*d < ceiling, "attempt {k}: {d:?} under ceiling {ceiling:?}");
-        }
-        // Jitter: the schedule is not a constant sequence.
-        assert!(a.iter().any(|d| *d != a[0]), "no jitter at all: {a:?}");
-        // Later ceilings allow longer sleeps than the first could.
-        assert!(
-            a.iter().any(|d| *d >= policy.base),
-            "every delay under base — ceiling never grew: {a:?}"
-        );
-    }
-
-    #[test]
-    fn attempts_budget_is_respected() {
-        let mut b = Backoff::new(RetryPolicy { max_attempts: 3, ..RetryPolicy::default() });
-        assert!(b.attempts_left());
-        b.next_delay();
-        assert!(b.attempts_left());
-        b.next_delay();
-        assert!(!b.attempts_left(), "3 attempts = 2 retries");
-    }
-
-    #[test]
-    fn taxonomy_split_between_transient_and_permanent() {
-        assert!(retryable(ErrorKind::Overloaded));
-        assert!(retryable(ErrorKind::ShuttingDown));
-        // A follower behind the requested `min_seq` heals as shipping
-        // catches up — transient.
-        assert!(retryable(ErrorKind::StaleRead));
-        assert!(!retryable(ErrorKind::BadRequest));
-        assert!(!retryable(ErrorKind::Internal));
-        assert!(!retryable(ErrorKind::StorePoisoned));
-        // Terminal-with-redirect: a write refused by a read-only
-        // follower will be refused forever; the client must re-route to
-        // the primary, not burn retry budget here. Same for a fenced
-        // ex-primary — its term is over, no retry revives it.
-        assert!(!retryable(ErrorKind::NotPrimary));
-        assert!(!retryable(ErrorKind::Fenced));
-        // Both deadline kinds are terminal: the budget is spent whether
-        // the query never ran (`deadline_exceeded`) or ran and finished
-        // late (`deadline_overrun`).
-        assert!(!retryable(ErrorKind::DeadlineExceeded));
-        assert!(!retryable(ErrorKind::DeadlineOverrun));
-    }
 
     #[test]
     fn redirect_target_parses_the_primary_suffix() {
@@ -231,67 +47,5 @@ mod tests {
         assert_eq!(redirect_target("read-only follower"), None, "no hint, no redirect");
         assert_eq!(redirect_target("oops (primary=)"), None, "empty hint is no hint");
         assert_eq!(redirect_target("oops (primary=unterminated"), None);
-    }
-
-    #[test]
-    fn overloaded_is_retried_until_attempts_run_out() {
-        use crate::server::{LaneSettings, LanesConfig, Server, ServerConfig};
-        use snb_datagen::GeneratorConfig;
-        use snb_store::store_for_config;
-
-        // No workers and a one-slot heavy lane: the first BI request
-        // parks in the queue and every later one sheds `overloaded`.
-        let server = Server::start(
-            store_for_config(&GeneratorConfig::for_scale_name("0.001").unwrap()),
-            ServerConfig {
-                workers: 0,
-                queue_capacity: 1,
-                default_deadline: None,
-                ..ServerConfig::default()
-            },
-        );
-        let blocker = server.client();
-        let parked = std::thread::spawn(move || {
-            blocker.call(
-                ServiceParams::Bi(snb_bi::BiParams::Q13(snb_bi::bi13::Params {
-                    country: "India".into(),
-                })),
-                0,
-            )
-        });
-        while server.queued() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let client = server.client();
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_micros(50),
-            cap: Duration::from_micros(200),
-            ..RetryPolicy::default()
-        };
-        let resp = client.call_with_retries(
-            ServiceParams::Bi(snb_bi::BiParams::Q13(snb_bi::bi13::Params {
-                country: "India".into(),
-            })),
-            0,
-            policy,
-        );
-        let err = resp.body.expect_err("queue stays full; retries must exhaust");
-        assert_eq!(err.kind, ErrorKind::Overloaded);
-        // All 3 attempts reached the server and were shed — the retry
-        // loop really re-submitted, it didn't give up after one try.
-        assert_eq!(server.report_now().shed, 3);
-        // Lane config plumbs through the same path; sanity-check the
-        // config helpers used above resolved to the inherited capacity.
-        let cfg = ServerConfig {
-            queue_capacity: 1,
-            lanes: LanesConfig { heavy: LaneSettings::default(), ..LanesConfig::default() },
-            ..ServerConfig::default()
-        };
-        assert_eq!(cfg.lane_capacity(crate::proto::Lane::Heavy), 1);
-        let report = server.shutdown();
-        let parked = parked.join().expect("parked caller");
-        assert!(parked.body.is_ok(), "queued job drains at shutdown: {parked:?}");
-        assert_eq!(report.served, 1);
     }
 }

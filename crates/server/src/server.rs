@@ -59,9 +59,7 @@ use snb_core::{SnbError, SnbResult};
 use snb_datagen::dictionaries::StaticWorld;
 use snb_datagen::stream::TimedEvent;
 use snb_engine::QueryContext;
-use snb_store::{
-    DeleteOp, DeleteStats, PartitionedStore, SnapshotStats, Store, StoreHandle, StoreSnapshot,
-};
+use snb_store::{DeleteOp, DeleteStats, SnapshotStats, Store, StoreHandle, StoreSnapshot};
 
 use crate::log::{AccessLog, AccessRecord};
 use crate::proto::{
@@ -151,12 +149,6 @@ pub struct ServerConfig {
     /// its fd and buffer forever). `None` disables the idle check.
     /// Stalled closes are logged with outcome `conn_stalled`.
     pub conn_read_timeout: Option<Duration>,
-    /// Horizontal partition count: the store is wrapped in a
-    /// [`PartitionedStore`] with this many shards, worker
-    /// `QueryContext`s emit partition-aligned morsels, and (when the
-    /// server owns a WAL opened with the same count) write batches are
-    /// routed to per-partition log segments. `0`/`1` = unpartitioned.
-    pub partitions: usize,
     /// Per-lane capacities, deadlines, and shed policies (fields left
     /// at their defaults inherit `queue_capacity` /
     /// `default_deadline`).
@@ -183,7 +175,6 @@ impl Default for ServerConfig {
             profiling: false,
             threads_per_worker: 1,
             conn_read_timeout: Some(Duration::from_secs(30)),
-            partitions: 1,
             lanes: LanesConfig::default(),
             write_workers: 2,
             read_only: false,
@@ -268,7 +259,7 @@ pub struct ServiceReport {
     pub reader_retries: u64,
     /// Snapshot-reader retry loops that hit the safety valve and
     /// yielded — must be zero under any sane publish rate (asserted by
-    /// the interference CI stage).
+    /// `crates/server/tests/concurrent_stress.rs`).
     pub reader_blocked: u64,
     /// Requests served per lane, indexed by [`Lane::index`]
     /// (`[short, heavy, write]`; the write slot counts applied +
@@ -403,7 +394,7 @@ struct Job {
 /// typically built from [`crate::wal::Recovered`] via
 /// [`Recovered::into_durability`](crate::wal::Recovered).
 pub struct Durability {
-    /// Open append handle (post-recovery), one segment per partition.
+    /// Open append handle (post-recovery).
     pub wal: SegmentedWal,
     /// Seeded dictionaries needed by `apply_event`.
     pub world: StaticWorld,
@@ -1077,7 +1068,7 @@ impl ServerInner {
                 }
                 // The durability lock is held, so the published store is
                 // exactly the state at `batch.seq`. A failed compaction
-                // is not fatal: the segments still hold every record and
+                // is not fatal: the log still holds every record and
                 // the next append retries.
                 if state.wal.compaction_due() {
                     match state.wal.compact(self.store.snapshot().store()) {
@@ -1140,9 +1131,8 @@ impl ServerInner {
         };
         let mut state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let (store, header) = state.wal.install_image(bytes)?;
-        let parts = self.store.snapshot().store().partitions();
         self.store.publish_with(|next| {
-            *next = PartitionedStore::new(store, parts);
+            *next = store;
             Ok(())
         })?;
         self.last_applied_seq.store(header.seq, Ordering::Release);
@@ -1323,13 +1313,13 @@ impl ServerInner {
         }
     }
 
-    /// A query context `threads` wide with the server's partition count
-    /// and profiling: `threads_per_worker` for a lane worker, one for
+    /// A query context `threads` wide with the server's profiling
+    /// setting: `threads_per_worker` for a lane worker, one for
     /// inline execution (the reactor's own, or an in-process caller's).
     pub(crate) fn context(&self, threads: usize) -> QueryContext {
         let ctx =
             if threads <= 1 { QueryContext::single_threaded() } else { QueryContext::new(threads) };
-        ctx.with_partitions(self.config.partitions.max(1)).with_profiling(self.config.profiling)
+        ctx.with_profiling(self.config.profiling)
     }
 
     /// Server configuration (the transport reads its idle timeout).
@@ -1427,14 +1417,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the service over an exclusively-owned store, sharding it
-    /// into `config.partitions` partitions.
+    /// Starts the service over an exclusively-owned store.
     pub fn start(store: Store, config: ServerConfig) -> Server {
-        let parts = config.partitions.max(1);
-        Server::start_shared(
-            Arc::new(StoreHandle::new(PartitionedStore::new(store, parts))),
-            config,
-        )
+        Server::start_shared(Arc::new(StoreHandle::new(store)), config)
     }
 
     /// Starts the service over a shared snapshot-publication handle —
@@ -1450,12 +1435,7 @@ impl Server {
     /// appended + flushed before apply and ack, and deduplicated against
     /// `durability.last_seq` (the recovered high-water mark).
     pub fn start_durable(store: Store, config: ServerConfig, durability: Durability) -> Server {
-        let parts = config.partitions.max(1);
-        Server::start_shared_durable(
-            Arc::new(StoreHandle::new(PartitionedStore::new(store, parts))),
-            config,
-            Some(durability),
-        )
+        Server::start_shared_durable(Arc::new(StoreHandle::new(store)), config, Some(durability))
     }
 
     /// The general constructor behind [`Server::start`],
@@ -1802,7 +1782,7 @@ impl StoreWriter {
     fn publish_guarded<R>(
         &self,
         doing: &'static str,
-        f: impl FnOnce(&mut PartitionedStore) -> SnbResult<R>,
+        f: impl FnOnce(&mut Store) -> SnbResult<R>,
     ) -> SnbResult<R> {
         let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.inner.store.publish_with(|next| {

@@ -4,42 +4,33 @@
 //! ## Durability contract
 //!
 //! Every accepted write batch is serialised (via [`crate::events`]),
-//! appended to its log segment, and flushed *before* it is applied to
-//! the in-memory store and acknowledged. An acknowledged batch therefore
+//! appended to the log, and flushed *before* it is applied to the
+//! in-memory store and acknowledged. An acknowledged batch therefore
 //! survives a SIGKILL at any instruction (with `fsync_every = 1`; larger
 //! values batch the fsync and weaken the contract to "survives process
 //! death but not power loss", which the service benchmark records as the
 //! cheap mode).
 //!
-//! A WAL directory holds exactly two kinds of file: the log segments
-//! (`wal*.log`) and at most one store image (`store.img`, see
-//! [`crate::image`]).
-//!
-//! ## Segments
-//!
-//! With `partitions = N > 1` the log is split into per-partition
-//! **segments** `wal-0.log … wal-{N-1}.log`; a batch is routed to the
-//! segment of [`crate::events::route_key`]'s owning shard
-//! ([`snb_store::partition_of_raw`]). With `partitions = 1` the single
-//! segment is `wal.log`. Sequence numbers stay globally contiguous
-//! across segments — the order of records *within* the whole log is the
-//! sequence number, not file position — so recovery scans every segment
-//! (truncating each torn tail independently), merges the entries by
-//! `seq`, and replays them in one monotonic pass: shards recover
-//! independently but converge to the identical store.
+//! A WAL directory holds exactly two kinds of file: the log (`wal.log`)
+//! and at most one store image (`store.img`, see [`crate::image`]). A
+//! directory that also holds `wal-*.log` files was written by a build
+//! that split the log across shards; [`recover`] and
+//! [`SegmentedWal::open`] refuse it with an error naming the file
+//! instead of starting beside records they would never read.
 //!
 //! ## Group commit
 //!
 //! `group_commit = true` defers every per-append fsync to an explicit
-//! [`SegmentedWal::sync_all`], which flushes only dirty segments. The
-//! server layers the ack protocol on top: an append's acknowledgement
-//! is released only once a covering flush has run, so many concurrent
-//! submitters share one fsync without weakening the "acknowledged ⇒
-//! durable" contract (the `--wal-bench` harness measures the delta).
+//! [`SegmentedWal::sync_all`], which flushes only if the log is dirty.
+//! The server layers the ack protocol on top: an append's
+//! acknowledgement is released only once a covering flush has run, so
+//! many concurrent submitters share one fsync without weakening the
+//! "acknowledged ⇒ durable" contract (the `--wal-bench` harness
+//! measures the delta).
 //!
 //! ## File format
 //!
-//! A segment starts with an 8-byte magic, the scale name (`u16`-length
+//! The log starts with an 8-byte magic, the scale name (`u16`-length
 //! string), the generator seed (`u64`) and the **fencing epoch** (`u64`)
 //! — scale and seed name the deterministic bulk store the log is
 //! relative to, and the epoch is the replication term the node last
@@ -56,33 +47,33 @@
 //! *torn tail*: recovery truncates the file at the record boundary and
 //! replays nothing from it — a torn batch was by definition never
 //! acknowledged, so dropping it is correct, and the retrying client will
-//! re-submit it.
+//! re-submit it. Replay also stops at the first sequence gap, and the
+//! records past it are cut with the torn tail in one truncation.
 //!
 //! ## Compaction
 //!
-//! Once the segments jointly hold `snapshot_every` records
+//! Once the log holds `snapshot_every` records
 //! ([`SegmentedWal::compaction_due`]), [`SegmentedWal::compact`] writes
 //! the store as it stands at the log's last sequence number to
-//! `store.img` and then truncates every segment to a bare header. Both
-//! the cost of a compaction and the cost of the recovery after it are
+//! `store.img` and then truncates the log to a bare header. Both the
+//! cost of a compaction and the cost of the recovery after it are
 //! bounded by live-data size, not by history length. The order is what
 //! makes it crash-safe:
 //!
 //! 1. the image lands (temp file + fsync + rename),
 //! 2. the directory is fsynced, so the rename itself is durable,
-//! 3. the segments are truncated.
+//! 3. the log is truncated.
 //!
-//! A crash after 1 or 2 leaves the image beside segments whose records
-//! are all at or below the image's sequence number; recovery skips them
-//! by sequence, so nothing is applied twice. A crash during 3 leaves
-//! some segments truncated, which is the same case. An image write that
-//! fails leaves the segments untouched: the log keeps growing and the
-//! next append retries.
+//! A crash after 1 or 2 leaves the image beside a log whose records are
+//! all at or below the image's sequence number; recovery skips them by
+//! sequence, so nothing is applied twice. An image write that fails
+//! leaves the log untouched: it keeps growing and the next append
+//! retries.
 //!
 //! Recovery is one pass: start from the image if there is one, else from
-//! the deterministic bulk store for (scale, seed); then replay the
-//! seq-merged segment records past the starting sequence through the
-//! *same* `apply_event`/`apply_deletes` path the original writes took.
+//! the deterministic bulk store for (scale, seed); then replay the log
+//! records past the starting sequence through the *same*
+//! `apply_event`/`apply_deletes` path the original writes took.
 //!
 //! Fault points: `wal.append.short_write` (torn write at append),
 //! `wal.append.post_append` (crash window between durability and apply).
@@ -121,12 +112,9 @@ pub struct WalOptions {
     /// the flush (still `write(2)`-complete before the ack, so a plain
     /// process kill loses nothing the page cache survives).
     pub fsync_every: u64,
-    /// Write a store image and truncate the segments once the log holds
-    /// this many records. `0` = never compact.
+    /// Write a store image and truncate the log once it holds this many
+    /// records. `0` = never compact.
     pub snapshot_every: u64,
-    /// Number of per-partition WAL segments (`0`/`1` = the single
-    /// `wal.log`). Must match the directory's existing layout.
-    pub partitions: usize,
     /// Defer per-append fsyncs to explicit [`SegmentedWal::sync_all`]
     /// calls so the server can share one flush across many concurrent
     /// acknowledgements. Off, appends sync per `fsync_every`.
@@ -135,17 +123,7 @@ pub struct WalOptions {
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions { fsync_every: 1, snapshot_every: 4096, partitions: 1, group_commit: false }
-    }
-}
-
-/// The file name of segment `p` under `parts` partitions: `wal.log` for
-/// the single-segment layout, else `wal-{p}.log`.
-fn segment_file(p: usize, parts: usize) -> String {
-    if parts <= 1 {
-        WAL_FILE.to_string()
-    } else {
-        format!("wal-{p}.log")
+        WalOptions { fsync_every: 1, snapshot_every: 4096, group_commit: false }
     }
 }
 
@@ -162,11 +140,12 @@ pub struct WalEntry {
 /// and asserted on by the chaos tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Valid records found in the segments. Includes records at or
-    /// below `image_seq` (a crash between "image landed" and "segments
-    /// truncated" leaves them behind); those are scanned, not applied.
+    /// Valid records found in the log. Includes records at or below
+    /// `image_seq` (a crash between "image landed" and "log truncated"
+    /// leaves them behind); those are scanned, not applied.
     pub wal_entries: u64,
-    /// Bytes cut from segment tails (torn or checksum-failed records).
+    /// Bytes cut from the log's tail (torn or checksum-failed records,
+    /// and anything past a sequence gap).
     pub truncated_bytes: u64,
     /// Highest batch sequence number recovered; the server resumes
     /// deduplication from here.
@@ -175,10 +154,8 @@ pub struct RecoveryReport {
     /// plus replay) — the baseline a replication catch-up is measured
     /// against.
     pub recovery_us: u64,
-    /// Fencing epoch recovered: the maximum across the image and every
-    /// segment header — a crash mid-[`SegmentedWal::bump_epoch`] may
-    /// leave mixed headers, and the bumped value must win to keep the
-    /// term monotonic.
+    /// Fencing epoch recovered: the maximum of the image's and the log
+    /// header's.
     pub epoch: u64,
     /// Sequence number of the store image recovery started from (0 when
     /// no image was found and the bulk store was rebuilt from scratch).
@@ -187,7 +164,7 @@ pub struct RecoveryReport {
     /// image (0 when no image was used).
     pub image_us: u64,
     /// Records applied on top of the starting point (image or bulk
-    /// rebuild): the segment records with `seq > image_seq`.
+    /// rebuild): the log records with `seq > image_seq`.
     pub tail_replayed: u64,
 }
 
@@ -195,7 +172,7 @@ fn parse_err(context: &str, detail: impl Into<String>) -> SnbError {
     SnbError::Parse { context: context.to_string(), detail: detail.into() }
 }
 
-fn segment_header(scale: &str, seed: u64, epoch: u64) -> Vec<u8> {
+fn log_header(scale: &str, seed: u64, epoch: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + 2 + scale.len() + 16);
     buf.extend_from_slice(WAL_MAGIC);
     put_str(&mut buf, scale);
@@ -204,17 +181,17 @@ fn segment_header(scale: &str, seed: u64, epoch: u64) -> Vec<u8> {
     buf
 }
 
-/// Byte offset of the `u64` epoch field inside a segment header — fixed
+/// Byte offset of the `u64` epoch field inside the log header — fixed
 /// once the scale name is known, so [`SegmentedWal::bump_epoch`] can
 /// overwrite it in place without rewriting the log.
 fn header_epoch_offset(scale: &str) -> u64 {
     (8 + 2 + scale.len() + 8) as u64
 }
 
-/// Reads and validates a segment header; returns the offset of the
-/// first record and the fencing epoch the header carries. Scale and
-/// seed are match requirements (a log for a different world must not
-/// replay); the epoch is data — recovery takes the maximum it sees.
+/// Reads and validates the log header; returns the offset of the first
+/// record and the fencing epoch the header carries. Scale and seed are
+/// match requirements (a log for a different world must not replay);
+/// the epoch is data — recovery takes the maximum it sees.
 fn check_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<(usize, u64)> {
     let ctx = path.display().to_string();
     if bytes.len() < 8 || &bytes[..8] != WAL_MAGIC {
@@ -237,11 +214,11 @@ fn check_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<
 }
 
 /// Scans records from `bytes[offset..]`. Returns each parsed entry with
-/// the byte offset its record starts at (recovery truncates a segment
-/// mid-file when a global sequence gap invalidates a suffix), plus the
-/// offset one past the last *valid* record — anything beyond it is a
-/// torn tail (incomplete length/checksum/payload, or a checksum
-/// mismatch) that the caller should truncate away.
+/// the byte offset its record starts at (recovery cuts the log there
+/// when a sequence gap invalidates a suffix), plus the offset one past
+/// the last *valid* record — anything beyond it is a torn tail
+/// (incomplete length/checksum/payload, or a checksum mismatch) that the
+/// caller should truncate away.
 fn scan_records(
     bytes: &[u8],
     mut offset: usize,
@@ -298,28 +275,45 @@ fn broken_log_error() -> SnbError {
     ))
 }
 
-/// One segment file of the log, open for appending.
-struct Segment {
+/// Refuses a directory holding `wal-*.log` files. A build that split the
+/// log across shards wrote them; this one reads only `wal.log`, so
+/// starting beside them would silently drop their records.
+fn refuse_sharded_log(dir: &Path) -> SnbResult<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.starts_with("wal-") && name.ends_with(".log") {
+            return Err(parse_err(
+                &dir.join(&name).display().to_string(),
+                "a per-shard log segment from an older build; this build reads only wal.log, \
+                 so recover the directory with the build that wrote it",
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The log file, open for appending.
+struct LogFile {
     path: PathBuf,
     file: File,
-    /// Appends since this segment's last fsync (non-zero = dirty).
+    /// Appends since the last fsync (non-zero = dirty).
     appends_since_sync: u64,
     /// Set after a failed (torn) append: the file tail is garbage, so
     /// further appends must be refused until restart-and-recover.
     broken: bool,
 }
 
-impl Segment {
-    /// Opens (or creates) one segment file. A fresh file is created at
+impl LogFile {
+    /// Opens (or creates) the log file. A fresh file is created at
     /// `epoch`; an existing file keeps the epoch its header carries,
     /// which is returned (the param is a creation default, not a match
     /// requirement).
-    fn open(path: PathBuf, scale: &str, seed: u64, epoch: u64) -> SnbResult<(Segment, u64)> {
+    fn open(path: PathBuf, scale: &str, seed: u64, epoch: u64) -> SnbResult<(LogFile, u64)> {
         let fresh = !path.exists();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let mut epoch = epoch;
         if fresh {
-            file.write_all(&segment_header(scale, seed, epoch))?;
+            file.write_all(&log_header(scale, seed, epoch))?;
             file.sync_data()?;
         } else {
             let mut bytes = Vec::new();
@@ -327,11 +321,11 @@ impl Segment {
             (_, epoch) = check_header(&bytes, scale, seed, &path)?;
             file.seek(SeekFrom::End(0))?;
         }
-        Ok((Segment { path, file, appends_since_sync: 0, broken: false }, epoch))
+        Ok((LogFile { path, file, appends_since_sync: 0, broken: false }, epoch))
     }
 
-    /// Writes one encoded record to the segment file, honouring the
-    /// short-write fault point. No fsync — the caller owns the policy.
+    /// Writes one encoded record to the file, honouring the short-write
+    /// fault point. No fsync — the caller owns the policy.
     fn write_record(&mut self, record: &[u8]) -> SnbResult<()> {
         if self.broken {
             return Err(broken_log_error());
@@ -355,7 +349,7 @@ impl Segment {
         Ok(())
     }
 
-    /// Flushes the segment file, marking the segment broken on failure.
+    /// Flushes the file, marking the log broken on failure.
     fn sync_data(&mut self) -> SnbResult<()> {
         if let Err(e) = self.file.sync_data() {
             self.broken = true;
@@ -365,9 +359,9 @@ impl Segment {
         Ok(())
     }
 
-    /// Truncates the segment to its header (compaction). The header
-    /// bytes are never rewritten, so a crash at any point leaves a
-    /// segment recovery accepts.
+    /// Truncates the file to its header (compaction). The header bytes
+    /// are never rewritten, so a crash at any point leaves a log
+    /// recovery accepts.
     fn truncate_to_header(&mut self, header_len: u64) -> SnbResult<()> {
         // The append handle keeps writing at the new end of file.
         self.file.set_len(header_len)?;
@@ -377,76 +371,33 @@ impl Segment {
     }
 }
 
-/// Refuses to open a directory whose existing segment files disagree
-/// with `parts` — reusing a log under a different partition count would
-/// silently orphan (and later clobber) the other layout's segments.
-fn guard_layout(dir: &Path, parts: usize) -> SnbResult<()> {
-    let expected: Vec<String> = (0..parts).map(|p| segment_file(p, parts)).collect();
-    let mut present = 0usize;
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        let looks_like_segment =
-            name == WAL_FILE || (name.starts_with("wal-") && name.ends_with(".log"));
-        if !looks_like_segment {
-            continue;
-        }
-        if !expected.contains(&name) {
-            return Err(parse_err(
-                &dir.display().to_string(),
-                format!(
-                    "segment file {name:?} does not belong to the {parts}-partition \
-                     layout; the directory was written under a different partition count"
-                ),
-            ));
-        }
-        present += 1;
-    }
-    // Opening creates every segment at once, so a proper subset of the
-    // expected files means a smaller layout wrote them (e.g. wal-0/wal-1
-    // reopened with 4 partitions would silently mis-route records).
-    if present > 0 && present < parts {
-        return Err(parse_err(
-            &dir.display().to_string(),
-            format!(
-                "directory holds {present} of {parts} expected segment files; \
-                 it was written under a different partition count"
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// The write-ahead log: N per-partition segments under one global
-/// sequence — the server's append handle. Each batch is routed to its
-/// owning shard's segment ([`crate::events::route_key`] hashed with
-/// [`snb_store::partition_of_raw`]); the fsync policy, the group-commit
-/// deferral, and compaction are global across segments.
+/// The write-ahead log (`wal.log`) — the server's append handle: the
+/// fsync policy, the group-commit deferral, and compaction.
+// This name and `open`'s `seg_live` slice are kept only for the frozen `benchmark/` package.
 pub struct SegmentedWal {
     dir: PathBuf,
     scale: String,
     seed: u64,
     options: WalOptions,
-    segments: Vec<Segment>,
+    log: LogFile,
     last_seq: u64,
-    /// Records the segments hold (the compaction trigger).
+    /// Records the log holds (the compaction trigger).
     live_entries: u64,
     /// Appends not yet covered by a flush.
     unsynced: u64,
     syncs: u64,
-    /// Fencing epoch the log is at (max across segment headers and the
-    /// open-time floor; see [`SegmentedWal::bump_epoch`]).
+    /// Fencing epoch the log is at (max of the header and the open-time
+    /// floor; see [`SegmentedWal::bump_epoch`]).
     epoch: u64,
 }
 
 impl SegmentedWal {
-    /// Opens (or creates) every segment under `dir` for appending.
-    /// `seg_live` carries the live-record counts recovery found in the
-    /// segments (empty for a fresh log); their sum seeds the compaction
-    /// trigger. `epoch` is a floor: fresh segments are created at it,
-    /// and the log's effective epoch is the max of the floor and every
-    /// stored header (a crash mid-bump may leave mixed headers — the
-    /// bumped value wins). Refuses a directory laid out for a different
-    /// partition count.
+    /// Opens (or creates) `dir`'s log for appending. `seg_live` carries
+    /// the live-record count recovery found in the log (empty for a
+    /// fresh log); its sum seeds the compaction trigger. `epoch` is a
+    /// floor: a fresh log is created at it, and the log's effective
+    /// epoch is the max of the floor and the stored header. Refuses a
+    /// directory holding `wal-*.log` files.
     #[allow(clippy::too_many_arguments)]
     pub fn open(
         dir: &Path,
@@ -457,32 +408,24 @@ impl SegmentedWal {
         seg_live: &[u64],
         epoch: u64,
     ) -> SnbResult<SegmentedWal> {
-        let parts = options.partitions.max(1);
         std::fs::create_dir_all(dir)?;
-        guard_layout(dir, parts)?;
-        let mut segments = Vec::with_capacity(parts);
-        let mut max_epoch = epoch;
-        for p in 0..parts {
-            let (seg, stored) =
-                Segment::open(dir.join(segment_file(p, parts)), scale, seed, epoch)?;
-            max_epoch = max_epoch.max(stored);
-            segments.push(seg);
-        }
+        refuse_sharded_log(dir)?;
+        let (log, stored) = LogFile::open(dir.join(WAL_FILE), scale, seed, epoch)?;
         Ok(SegmentedWal {
             dir: dir.to_path_buf(),
             scale: scale.to_string(),
             seed,
             options,
-            segments,
+            log,
             last_seq,
             live_entries: seg_live.iter().sum(),
             unsynced: 0,
             syncs: 0,
-            epoch: max_epoch,
+            epoch: epoch.max(stored),
         })
     }
 
-    /// Highest sequence number durably appended across all segments.
+    /// Highest sequence number durably appended.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
     }
@@ -493,27 +436,22 @@ impl SegmentedWal {
     }
 
     /// Durably raises the fencing epoch to `new_epoch`, overwriting the
-    /// 8-byte epoch field in every segment header in place and fsyncing
-    /// each file. Called on promotion *before* the node goes writable,
-    /// so a crash at any point either leaves the old term (promotion
-    /// never happened) or a term at least as high as announced (recovery
-    /// takes the max across headers, so mixed headers resolve to the
-    /// bumped value). Compaction rewrites the headers at the current
-    /// epoch and stamps it into the image, so the term survives it. A
+    /// 8-byte epoch field in the log header in place and fsyncing the
+    /// file. Called on promotion *before* the node goes writable, so a
+    /// crash at any point either leaves the old term (promotion never
+    /// happened) or the bumped one. Compaction keeps the header and
+    /// stamps the epoch into the image, so the term survives it. A
     /// no-op if the log is already at or past `new_epoch`.
     pub fn bump_epoch(&mut self, new_epoch: u64) -> SnbResult<()> {
         if new_epoch <= self.epoch {
             return Ok(());
         }
-        let offset = header_epoch_offset(&self.scale);
-        for seg in &self.segments {
-            // The append handles ignore seeks, so patch the header
-            // through a separate write-mode handle.
-            let mut f = OpenOptions::new().write(true).open(&seg.path)?;
-            f.seek(SeekFrom::Start(offset))?;
-            f.write_all(&new_epoch.to_le_bytes())?;
-            f.sync_data()?;
-        }
+        // The append handle ignores seeks, so patch the header through
+        // a separate write-mode handle.
+        let mut f = OpenOptions::new().write(true).open(&self.log.path)?;
+        f.seek(SeekFrom::Start(header_epoch_offset(&self.scale)))?;
+        f.write_all(&new_epoch.to_le_bytes())?;
+        f.sync_data()?;
         self.epoch = new_epoch;
         Ok(())
     }
@@ -534,24 +472,18 @@ impl SegmentedWal {
         self.unsynced
     }
 
-    /// Whether any segment has a torn tail and the log refuses appends.
+    /// Whether the log has a torn tail and refuses appends.
     pub fn broken(&self) -> bool {
-        self.segments.iter().any(|s| s.broken)
+        self.log.broken
     }
 
-    /// Appends one batch to its owning shard's segment and makes it
-    /// durable per the fsync policy. With `group_commit` the flush is
-    /// deferred to [`SegmentedWal::sync_all`] and the caller must not
-    /// acknowledge until a covering flush has run. An error means
-    /// nothing may be acknowledged and the log must be considered torn
-    /// until restart.
+    /// Appends one batch and makes it durable per the fsync policy. With
+    /// `group_commit` the flush is deferred to
+    /// [`SegmentedWal::sync_all`] and the caller must not acknowledge
+    /// until a covering flush has run. An error means nothing may be
+    /// acknowledged and the log must be considered torn until restart.
     pub fn append(&mut self, seq: u64, ops: &WriteOps) -> SnbResult<()> {
-        if self.broken() {
-            return Err(broken_log_error());
-        }
-        let parts = self.segments.len();
-        let p = snb_store::partition_of_raw(crate::events::route_key(ops), parts);
-        self.segments[p].write_record(&encode_record(seq, ops))?;
+        self.log.write_record(&encode_record(seq, ops))?;
         self.unsynced += 1;
         if !self.options.group_commit && self.unsynced >= self.options.fsync_every {
             self.sync_all()?;
@@ -563,7 +495,7 @@ impl SegmentedWal {
             // cannot append the same sequence number a second time (the
             // record IS on disk; a duplicate would replay twice).
             if fault.trip("wal.append.post_append") {
-                self.segments[p].broken = true;
+                self.log.broken = true;
                 return Err(SnbError::Io(std::io::Error::other(
                     "injected post-append failure (batch is durable, ack lost)",
                 )));
@@ -574,31 +506,27 @@ impl SegmentedWal {
         Ok(())
     }
 
-    /// Flushes every *dirty* segment (one fsync per dirty file); clean
-    /// segments cost nothing. After it returns, every append so far is
-    /// durable and may be acknowledged.
+    /// Flushes the log if it is dirty (one fsync); a clean log costs
+    /// nothing. After it returns, every append so far is durable and
+    /// may be acknowledged.
     pub fn sync_all(&mut self) -> SnbResult<()> {
-        for seg in &mut self.segments {
-            if seg.appends_since_sync > 0 {
-                seg.sync_data()?;
-                self.syncs += 1;
-            }
+        if self.log.appends_since_sync > 0 {
+            self.log.sync_data()?;
+            self.syncs += 1;
         }
         self.unsynced = 0;
         Ok(())
     }
 
-    /// Forces every segment to disk unconditionally (shutdown seal).
+    /// Forces the log to disk unconditionally (shutdown seal).
     pub fn sync(&mut self) -> SnbResult<()> {
-        for seg in &mut self.segments {
-            seg.file.sync_data()?;
-            seg.appends_since_sync = 0;
-        }
+        self.log.file.sync_data()?;
+        self.log.appends_since_sync = 0;
         self.unsynced = 0;
         Ok(())
     }
 
-    /// Whether the segments hold enough records that the caller should
+    /// Whether the log holds enough records that the caller should
     /// [`SegmentedWal::compact`] (never, with `snapshot_every = 0`).
     pub fn compaction_due(&self) -> bool {
         self.options.snapshot_every != 0 && self.live_entries >= self.options.snapshot_every
@@ -606,10 +534,10 @@ impl SegmentedWal {
 
     /// Compacts the log: writes `store` — which must be the state at
     /// exactly [`SegmentedWal::last_seq`] — to `store.img`, makes the
-    /// rename durable, and only then truncates every segment (module
-    /// docs, "Compaction"). Afterwards every record appended so far is
-    /// durable, flushed or not. On error the segments are untouched and
-    /// still hold every record.
+    /// rename durable, and only then truncates the log (module docs,
+    /// "Compaction"). Afterwards every record appended so far is
+    /// durable, flushed or not. On error the log is untouched and still
+    /// holds every record.
     pub fn compact(&mut self, store: &Store) -> SnbResult<()> {
         crate::image::write_image(
             &self.dir,
@@ -617,7 +545,7 @@ impl SegmentedWal {
             self.seed,
             self.epoch,
             self.last_seq,
-            self.segments.len(),
+            1,
             store,
         )?;
         crate::image::sync_dir(&self.dir)?;
@@ -626,12 +554,12 @@ impl SegmentedWal {
 
     /// Installs a shipped store image (follower bootstrap): verifies and
     /// lands the blob as this directory's `store.img`, then truncates
-    /// the segments behind it in the same order [`SegmentedWal::compact`]
+    /// the log behind it in the same order [`SegmentedWal::compact`]
     /// uses. An image older than the log is refused. Appends resume
     /// from the image's sequence.
     pub fn install_image(&mut self, bytes: &[u8]) -> SnbResult<(Store, ImageHeader)> {
         // Refuse before anything lands: behind an older image the
-        // records the segments hold would sit past a sequence gap.
+        // records the log holds would sit past a sequence gap.
         let offered = crate::image::peek_header(bytes, &self.scale, self.seed)?;
         if offered.seq < self.last_seq {
             return Err(SnbError::Config(format!(
@@ -646,14 +574,11 @@ impl SegmentedWal {
         Ok((store, header))
     }
 
-    /// Truncates every segment to its header behind a durable image at
+    /// Truncates the log to its header behind a durable image at
     /// (`image_seq`, `epoch`) and resumes appends from `image_seq`.
     fn truncate_behind_image(&mut self, image_seq: u64, epoch: u64) -> SnbResult<()> {
         self.bump_epoch(epoch)?;
-        let header_len = header_epoch_offset(&self.scale) + 8;
-        for seg in &mut self.segments {
-            seg.truncate_to_header(header_len)?;
-        }
+        self.log.truncate_to_header(header_epoch_offset(&self.scale) + 8)?;
         self.last_seq = image_seq;
         self.live_entries = 0;
         self.unsynced = 0;
@@ -670,7 +595,7 @@ pub struct Recovered {
     pub store: Store,
     /// Seeded dictionaries for applying further update events.
     pub world: StaticWorld,
-    /// Append handle continuing the recovered log (all segments open).
+    /// Append handle continuing the recovered log.
     pub wal: SegmentedWal,
     /// What was replayed/truncated.
     pub report: RecoveryReport,
@@ -692,14 +617,15 @@ impl Recovered {
 
 /// Recovers the durable state under `dir` in one pass: start from
 /// `store.img` if present (else rebuild the deterministic bulk store
-/// for `config`), then replay the segments' entries past the starting
-/// sequence **merged by sequence number** — verifying per-record
-/// checksums, truncating each segment's torn tail, and cutting any
-/// suffix past a global sequence gap (an acknowledged batch's covering
-/// flush syncs *all* dirty segments, so entries past a gap were never
-/// acknowledged and dropping them is correct). Repairs the date index
-/// and validates store invariants. Works on an empty or absent
-/// directory (fresh start, zero entries).
+/// for `config`), then replay the log's entries past the starting
+/// sequence — verifying per-record checksums and cutting the torn tail
+/// and any suffix past a sequence gap in one truncation (an
+/// acknowledged batch's covering flush synced everything before it, so
+/// entries past a gap were never acknowledged and dropping them is
+/// correct). Repairs the date index and validates store invariants.
+/// Works on an empty or absent directory (fresh start, zero entries).
+/// Refuses a directory holding `wal-*.log` files, or an image written
+/// for a sharded log, before it reads or truncates anything.
 pub fn recover(
     dir: &Path,
     config: &GeneratorConfig,
@@ -707,25 +633,18 @@ pub fn recover(
     options: WalOptions,
 ) -> SnbResult<Recovered> {
     let recovery_started = std::time::Instant::now();
-    let parts = options.partitions.max(1);
     std::fs::create_dir_all(dir)?;
-    guard_layout(dir, parts)?;
+    refuse_sharded_log(dir)?;
     let world = StaticWorld::build(config.seed);
     let mut report = RecoveryReport::default();
 
     // A valid image replaces both the bulk rebuild and the replay up to
     // its sequence number, so recovery cost is image size + log tail,
     // flat in history length. A present-but-corrupt image is a hard
-    // refusal, never a silent fallback to the bulk store: the segments
-    // behind an image no longer hold the history it covers.
+    // refusal, never a silent fallback to the bulk store: the log
+    // behind an image no longer holds the history it covers.
     let mut store = match crate::image::load_image(dir, scale, config.seed)? {
         Some((store, header)) => {
-            if header.partitions != parts {
-                return Err(SnbError::Config(format!(
-                    "store image was written for {} partition(s), directory opened with {parts}",
-                    header.partitions
-                )));
-            }
             report.image_seq = header.seq;
             report.last_seq = header.seq;
             report.epoch = header.epoch;
@@ -735,72 +654,46 @@ pub fn recover(
         None => snb_store::bulk_store_and_stream(config).0,
     };
 
-    // Scan every segment: truncate torn tails in place, remember each
-    // surviving entry's (segment, start offset) for the gap cut below.
-    let mut located: Vec<(usize, usize, WalEntry)> = Vec::new();
-    for p in 0..parts {
-        let path = dir.join(segment_file(p, parts));
-        if !path.exists() {
-            continue;
-        }
+    let path = dir.join(WAL_FILE);
+    let mut entries = Vec::new();
+    if path.exists() {
         let bytes = std::fs::read(&path)?;
         let (off, epoch) = check_header(&bytes, scale, config.seed, &path)?;
         report.epoch = report.epoch.max(epoch);
-        let ctx = path.display().to_string();
-        let (entries, valid_end) = scan_records(&bytes, off, &ctx)?;
-        if valid_end != bytes.len() {
-            report.truncated_bytes += (bytes.len() - valid_end) as u64;
+        let (scanned, valid_end) = scan_records(&bytes, off, &path.display().to_string())?;
+        // Replay stops at the first sequence gap. A record at or below
+        // the high-water mark (covered by the image, or an
+        // appended-but-unacked batch whose retry landed later) is not a
+        // gap.
+        let mut keep = scanned.len();
+        let mut replay_last = report.last_seq;
+        for (i, (_, entry)) in scanned.iter().enumerate() {
+            if entry.seq <= replay_last {
+                continue;
+            }
+            if entry.seq != replay_last + 1 {
+                keep = i;
+                break;
+            }
+            replay_last = entry.seq;
+        }
+        // The torn tail and the records past a gap go in one cut, so a
+        // retried batch can't coexist with an orphaned first appearance.
+        let cut = scanned.get(keep).map_or(valid_end, |(start, _)| *start);
+        if cut != bytes.len() {
+            report.truncated_bytes = (bytes.len() - cut) as u64;
             let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(valid_end as u64)?;
+            f.set_len(cut as u64)?;
             f.sync_data()?;
         }
-        located.extend(entries.into_iter().map(|(start, e)| (p, start, e)));
-    }
-    // Global order is the sequence number, not file position. The sort
-    // is stable, so a duplicate seq (append-then-retry) keeps file order
-    // within its segment and the monotonic replay drops the retry.
-    located.sort_by_key(|(_, _, e)| e.seq);
-
-    // A torn tail in one segment may orphan later, never-acknowledged
-    // sequence numbers in the others. Replay stops at the first gap; the
-    // orphaned suffix is cut from every segment so a retried batch can't
-    // coexist with its orphaned first appearance.
-    let mut keep = located.len();
-    let mut replay_last = report.last_seq;
-    for (i, (_, _, entry)) in located.iter().enumerate() {
-        if entry.seq <= replay_last {
-            continue; // duplicate or covered by the image: not a gap
-        }
-        if entry.seq != replay_last + 1 {
-            keep = i;
-            break;
-        }
-        replay_last = entry.seq;
-    }
-    if keep < located.len() {
-        let mut cut_at: Vec<Option<u64>> = vec![None; parts];
-        for (p, start, _) in &located[keep..] {
-            let at = cut_at[*p].get_or_insert(*start as u64);
-            *at = (*at).min(*start as u64);
-        }
-        for (p, at) in cut_at.iter().enumerate() {
-            if let Some(at) = at {
-                let path = dir.join(segment_file(p, parts));
-                let len = std::fs::metadata(&path)?.len();
-                report.truncated_bytes += len - at;
-                let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(*at)?;
-                f.sync_data()?;
-            }
-        }
-        located.truncate(keep);
+        entries = scanned;
+        entries.truncate(keep);
     }
 
     // Replay is monotonic by sequence number: a record at or below the
-    // starting point (covered by the image) or a duplicate (an
-    // appended-but-unacked batch whose retry landed later) is skipped,
+    // starting point (covered by the image) or a duplicate is skipped,
     // so nothing is ever applied twice.
-    for (_, _, entry) in &located {
+    for (_, entry) in &entries {
         if entry.seq <= report.last_seq {
             continue;
         }
@@ -817,7 +710,7 @@ pub fn recover(
         report.last_seq = entry.seq;
         report.tail_replayed += 1;
     }
-    report.wal_entries = located.len() as u64;
+    report.wal_entries = entries.len() as u64;
 
     if !store.date_index_fresh() {
         store.rebuild_date_index();
@@ -838,62 +731,48 @@ pub fn recover(
     Ok(Recovered { store, world, wal, report })
 }
 
-/// One record the shipping cursor surfaced: its global sequence, the
-/// partition it routes to, and the batch payload.
+/// One record the shipping cursor surfaced: its sequence number and the
+/// batch payload.
 pub struct ShippedRecord {
     /// Global write sequence number.
     pub seq: u64,
-    /// Owning WAL partition ([`crate::events::route_key`] hashed with
-    /// [`snb_store::partition_of_raw`] — the same routing the append
-    /// used, so it names the segment the record lives in).
-    pub partition: usize,
     /// The batch payload.
     pub ops: WriteOps,
 }
 
-/// Byte cursor into one segment file.
-#[derive(Clone, Copy, Debug, Default)]
-struct FileCursor {
+/// The log-shipping cursor: reads acked records out of a WAL directory
+/// in sequence order, for streaming to followers.
+///
+/// Each [`WalTailer::poll`] scans the log from a byte offset and returns
+/// the contiguous run `(next_seq, upto]`, so an idle poll is one
+/// `stat(2)` and an active poll reads only bytes appended since the
+/// last one. Compaction truncates the log, which the cursor detects via
+/// the length and answers with a rescan from 0; records re-read during a
+/// rescan are dropped by the seq filter, mirroring replay's dedupe. The
+/// log does not reach back past the store image: records compaction
+/// truncated before the cursor read them never surface, `next_seq`
+/// stays at or below the image's sequence number, and the caller offers
+/// the image instead (see [`crate::replication`]). The caller bounds
+/// `upto` by the server's flushed (acked) high-water mark so only
+/// durable, acknowledged records ever ship; records past a gap are
+/// buffered until the gap fills. Torn tails are skipped (never
+/// truncated — recovery owns repair).
+pub struct WalTailer {
+    path: PathBuf,
+    scale: String,
+    seed: u64,
+    next_seq: u64,
     /// Offset one past the last valid record already scanned (0 = the
-    /// file has not been scanned yet, or was truncated).
+    /// log has not been scanned yet, or was truncated).
     offset: u64,
     /// File length at the last poll — a shrink means compaction
-    /// truncated the file and the cursor must rescan from 0.
+    /// truncated the log and the cursor must rescan from 0.
     last_len: u64,
-    /// Consecutive polls that saw the file grow past `offset` without
+    /// Consecutive polls that saw the log grow past `offset` without
     /// yielding a single new valid record — a persistent misalignment
     /// (truncate-then-regrow to a larger size between polls) that a full
     /// rescan repairs.
     stuck: u32,
-}
-
-/// The log-shipping cursor: reads acked records out of a WAL directory
-/// in global sequence order, for streaming to followers.
-///
-/// Each [`WalTailer::poll`] checks every segment, merges new entries by
-/// sequence, and returns the contiguous run `(next_seq, upto]`. The
-/// cursor keeps a **per-segment byte offset** so an idle poll is
-/// O(`stat(2)` per file) and an active poll reads only bytes appended
-/// since the last one. Compaction truncates a segment, which the cursor
-/// detects via the length and answers with a rescan from 0; records
-/// re-read during a rescan are dropped by the seq filter, mirroring
-/// replay's dedupe. The log does not reach back past the store image:
-/// records compaction truncated before the cursor read them never
-/// surface, `next_seq` stays at or below the image's sequence number,
-/// and the caller offers the image instead (see
-/// [`crate::replication`]). The caller bounds `upto` by the server's
-/// flushed (acked) high-water mark so only durable, acknowledged
-/// records ever ship; records past a gap are buffered until the gap
-/// fills. Torn tails are skipped (never truncated — recovery owns
-/// repair).
-pub struct WalTailer {
-    dir: PathBuf,
-    scale: String,
-    seed: u64,
-    parts: usize,
-    next_seq: u64,
-    /// One cursor per segment.
-    cursors: Vec<FileCursor>,
     /// Scanned-but-not-yet-shipped records (beyond a gap, or past a
     /// bounded `upto`), keyed by seq; first copy wins.
     pending: std::collections::BTreeMap<u64, WriteOps>,
@@ -904,18 +783,18 @@ pub struct WalTailer {
 
 impl WalTailer {
     /// A cursor over the WAL directory `dir`, positioned to ship
-    /// records with `seq > from_seq`. The `(scale, seed, partitions)`
-    /// triple must match the directory's layout (headers are verified
-    /// whenever a file is scanned from its start).
-    pub fn new(dir: &Path, scale: &str, seed: u64, partitions: usize, from_seq: u64) -> WalTailer {
-        let parts = partitions.max(1);
+    /// records with `seq > from_seq`. The `(scale, seed)` pair must
+    /// match the log (its header is verified whenever the file is
+    /// scanned from its start).
+    pub fn new(dir: &Path, scale: &str, seed: u64, from_seq: u64) -> WalTailer {
         WalTailer {
-            dir: dir.to_path_buf(),
+            path: dir.join(WAL_FILE),
             scale: scale.to_string(),
             seed,
-            parts,
             next_seq: from_seq + 1,
-            cursors: vec![FileCursor::default(); parts],
+            offset: 0,
+            last_len: 0,
+            stuck: 0,
             pending: std::collections::BTreeMap::new(),
             bytes_scanned: 0,
         }
@@ -932,55 +811,51 @@ impl WalTailer {
         self.bytes_scanned
     }
 
-    /// Scans segment `p` from its cursor, buffering new entries into
+    /// Scans the log from the cursor, buffering new entries into
     /// `pending`.
-    fn scan_segment(&mut self, p: usize) -> SnbResult<()> {
-        let path = self.dir.join(segment_file(p, self.parts));
-        if !path.exists() {
+    fn scan(&mut self) -> SnbResult<()> {
+        if !self.path.exists() {
             return Ok(());
         }
-        let len = std::fs::metadata(&path)?.len();
-        let cur = &mut self.cursors[p];
-        if len < cur.last_len || len < cur.offset {
+        let len = std::fs::metadata(&self.path)?.len();
+        if len < self.last_len || len < self.offset {
             // Compaction truncated the file: rescan from the top.
-            cur.offset = 0;
-            cur.stuck = 0;
+            self.offset = 0;
+            self.stuck = 0;
         }
-        cur.last_len = len;
-        if len <= cur.offset {
+        self.last_len = len;
+        if len <= self.offset {
             return Ok(()); // idle: nothing appended since last poll
         }
-        let start = cur.offset;
-        let mut file = File::open(&path)?;
+        let start = self.offset;
+        let mut file = File::open(&self.path)?;
         file.seek(SeekFrom::Start(start))?;
         let mut bytes = Vec::with_capacity((len - start) as usize);
         file.read_to_end(&mut bytes)?;
         self.bytes_scanned += bytes.len() as u64;
 
-        let ctx = path.display().to_string();
         let scan_from = if start == 0 {
-            let (off, _) = check_header(&bytes, &self.scale, self.seed, &path)?;
-            off
+            check_header(&bytes, &self.scale, self.seed, &self.path)?.0
         } else {
             0
         };
-        let (entries, valid_end) = scan_records(&bytes, scan_from, &ctx)?;
-        let cur = &mut self.cursors[p];
+        let (entries, valid_end) =
+            scan_records(&bytes, scan_from, &self.path.display().to_string())?;
         if entries.is_empty() && valid_end == scan_from && start > 0 {
             // The file grew but nothing at our offset parses — the file
             // was truncated and regrew past our cursor between polls, so
             // the offset no longer sits on a record boundary. A boundary
             // mid-flush looks the same for a poll or two (torn tail), so
             // only a *persistent* stall triggers the full rescan.
-            cur.stuck += 1;
-            if cur.stuck >= 4 {
-                cur.offset = 0;
-                cur.stuck = 0;
+            self.stuck += 1;
+            if self.stuck >= 4 {
+                self.offset = 0;
+                self.stuck = 0;
             }
             return Ok(());
         }
-        cur.stuck = 0;
-        cur.offset = start + valid_end as u64;
+        self.stuck = 0;
+        self.offset = start + valid_end as u64;
         for (_, entry) in entries {
             if entry.seq >= self.next_seq {
                 self.pending.entry(entry.seq).or_insert(entry.ops);
@@ -995,9 +870,7 @@ impl WalTailer {
     /// never invent order it didn't observe, and a gap below `upto` is
     /// how records truncated behind an image show up.
     pub fn poll(&mut self, upto: u64) -> SnbResult<Vec<ShippedRecord>> {
-        for p in 0..self.parts {
-            self.scan_segment(p)?;
-        }
+        self.scan()?;
         // Anything below the ship frontier is already delivered (a
         // rescan re-read it); drop it so `pending` stays bounded by the
         // unshipped window.
@@ -1013,8 +886,7 @@ impl WalTailer {
             let Some(ops) = self.pending.remove(&self.next_seq) else {
                 break; // gap (or not yet written): ship the prefix only
             };
-            let partition = snb_store::partition_of_raw(crate::events::route_key(&ops), self.parts);
-            out.push(ShippedRecord { seq: self.next_seq, partition, ops });
+            out.push(ShippedRecord { seq: self.next_seq, ops });
             self.next_seq += 1;
         }
         Ok(out)
@@ -1063,10 +935,6 @@ mod tests {
     fn store_fingerprint(store: &Store) -> String {
         let stats = store.stats();
         format!("{}/{}", stats.nodes, stats.edges)
-    }
-
-    fn seg_opts(partitions: usize) -> WalOptions {
-        WalOptions { partitions, ..WalOptions::default() }
     }
 
     fn open(dir: &Path, opts: WalOptions) -> SegmentedWal {
@@ -1212,65 +1080,60 @@ mod tests {
         }
         let control = control.fingerprint();
 
-        for parts in [1usize, 2] {
-            let dir = tmp_dir(&format!("compact{parts}"));
-            let opts = WalOptions { snapshot_every: 2, ..seg_opts(parts) };
-            let mut wal = open(&dir, opts);
-            let mut live = Oracle::new();
-            let mut compacted_at = Vec::new();
-            for (i, ops) in all.iter().enumerate() {
-                let seq = i as u64 + 1;
-                wal.append(seq, ops).unwrap();
-                live.apply(ops);
-                if wal.compaction_due() {
-                    wal.compact(&live.store).unwrap();
-                    compacted_at.push(seq);
-                }
+        let dir = tmp_dir("compact");
+        let opts = WalOptions { snapshot_every: 2, ..WalOptions::default() };
+        let mut wal = open(&dir, opts);
+        let mut live = Oracle::new();
+        let mut compacted_at = Vec::new();
+        for (i, ops) in all.iter().enumerate() {
+            let seq = i as u64 + 1;
+            wal.append(seq, ops).unwrap();
+            live.apply(ops);
+            if wal.compaction_due() {
+                wal.compact(&live.store).unwrap();
+                compacted_at.push(seq);
             }
-            drop(wal);
-            assert_eq!(compacted_at, (1..=n / 2).map(|k| 2 * k).collect::<Vec<_>>());
-            let image_seq = *compacted_at.last().unwrap();
-
-            // Segments plus one image, nothing else.
-            let mut expected: Vec<String> = (0..parts).map(|p| segment_file(p, parts)).collect();
-            expected.push(IMAGE_FILE.to_string());
-            expected.sort();
-            assert_eq!(dir_files(&dir), expected);
-
-            // The segments hold only what was appended after the last
-            // compaction, and that is all recovery replays.
-            let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
-            assert_eq!(rec.report.last_seq, n);
-            assert_eq!(rec.report.image_seq, image_seq);
-            assert_eq!(rec.report.wal_entries, n - image_seq);
-            assert_eq!(rec.report.tail_replayed, n - image_seq);
-            assert_eq!(store_fingerprint(&rec.store), control, "{parts} partition(s)");
-            let _ = std::fs::remove_dir_all(&dir);
         }
+        drop(wal);
+        assert_eq!(compacted_at, (1..=n / 2).map(|k| 2 * k).collect::<Vec<_>>());
+        let image_seq = *compacted_at.last().unwrap();
+
+        // The log plus one image, nothing else.
+        assert_eq!(dir_files(&dir), [IMAGE_FILE, WAL_FILE]);
+
+        // The log holds only what was appended after the last
+        // compaction, and that is all recovery replays.
+        let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
+        assert_eq!(rec.report.last_seq, n);
+        assert_eq!(rec.report.image_seq, image_seq);
+        assert_eq!(rec.report.wal_entries, n - image_seq);
+        assert_eq!(rec.report.tail_replayed, n - image_seq);
+        assert_eq!(store_fingerprint(&rec.store), control);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn image_beside_untruncated_segments_applies_nothing_twice() {
+    fn image_beside_an_untruncated_log_applies_nothing_twice() {
         // The crash window inside a compaction: the image at seq S has
-        // landed, the segments still hold every record.
+        // landed, the log still holds every record.
         let dir = tmp_dir("window");
         let cfg = config();
         let all = batches(6);
         let n = all.len() as u64;
         let image_at = 3u64;
-        let mut wal = open(&dir, seg_opts(2));
+        let mut wal = open(&dir, WalOptions::default());
         let mut oracle = Oracle::new();
         for (i, ops) in all.iter().enumerate() {
             let seq = i as u64 + 1;
             wal.append(seq, ops).unwrap();
             oracle.apply(ops);
             if seq == image_at {
-                write_image(&dir, SCALE, cfg.seed, 0, seq, 2, &oracle.store).unwrap();
+                write_image(&dir, SCALE, cfg.seed, 0, seq, 1, &oracle.store).unwrap();
             }
         }
         drop(wal);
 
-        let rec = recover(&dir, &cfg, SCALE, seg_opts(2)).unwrap();
+        let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
         assert_eq!(rec.report.image_seq, image_at);
         assert_eq!(rec.report.wal_entries, n, "stale records are still scanned");
         assert_eq!(rec.report.tail_replayed, n - image_at, "only seq > S applies");
@@ -1348,128 +1211,123 @@ mod tests {
     }
 
     #[test]
-    fn segmented_roundtrip_matches_single_segment_control() {
+    fn sequence_gap_cuts_the_suffix_in_one_truncation() {
         let cfg = config();
-        let all = batches(6);
-        let mut fingerprints = Vec::new();
-        for parts in [1usize, 2, 4] {
-            let dir = tmp_dir(&format!("seg{parts}"));
-            let mut wal = open(&dir, seg_opts(parts));
-            assert_eq!(wal.segments.len(), parts);
-            for (i, ops) in all.iter().enumerate() {
-                wal.append(i as u64 + 1, ops).unwrap();
-            }
-            drop(wal); // simulated crash
-            if parts > 1 {
-                let named: Vec<bool> =
-                    (0..parts).map(|p| dir.join(segment_file(p, parts)).exists()).collect();
-                assert!(named.iter().all(|e| *e), "every segment file exists: {named:?}");
-                assert!(!dir.join(WAL_FILE).exists(), "no stray single-segment file");
-            }
-            let rec = recover(&dir, &cfg, SCALE, seg_opts(parts)).unwrap();
-            assert_eq!(rec.report.last_seq, all.len() as u64);
-            assert_eq!(rec.report.wal_entries, all.len() as u64);
-            assert_eq!(rec.report.truncated_bytes, 0);
-            fingerprints.push(store_fingerprint(&rec.store));
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        assert!(
-            fingerprints.windows(2).all(|w| w[0] == w[1]),
-            "partition count changed recovered state: {fingerprints:?}"
-        );
-    }
-
-    #[test]
-    fn routing_spreads_batches_across_segments() {
-        let cfg = config();
-        let dir = tmp_dir("spread");
-        let parts = 2;
-        let mut wal = open(&dir, seg_opts(parts));
-        for (i, ops) in batches(8).iter().enumerate() {
-            wal.append(i as u64 + 1, ops).unwrap();
+        let dir = tmp_dir("gap");
+        let all = batches(5);
+        let mut wal = open(&dir, WalOptions::default());
+        // Seq 4 never lands: 5 and 6 sit past a gap.
+        for (seq, ops) in [1u64, 2, 3, 5, 6].into_iter().zip(&all) {
+            wal.append(seq, ops).unwrap();
         }
         drop(wal);
-        let header = segment_header(SCALE, cfg.seed, 0).len() as u64;
-        let grew: Vec<bool> = (0..parts)
-            .map(|p| std::fs::metadata(dir.join(segment_file(p, parts))).unwrap().len() > header)
-            .collect();
-        assert!(grew.iter().all(|g| *g), "a segment never received a batch: {grew:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_segment_cuts_the_orphaned_suffix_in_other_segments() {
-        let cfg = config();
-        let dir = tmp_dir("seggap");
-        let parts = 2;
-        let all = batches(8);
-        let mut wal = open(&dir, seg_opts(parts));
-        // Track which segment got each seq so we can tear a record that
-        // is *not* globally last.
-        let mut seq_seg = Vec::new();
-        let mut offsets: Vec<Vec<u64>> = (0..parts)
-            .map(|p| vec![std::fs::metadata(dir.join(segment_file(p, parts))).unwrap().len()])
-            .collect();
-        for (i, ops) in all.iter().enumerate() {
-            let p = snb_store::partition_of_raw(crate::events::route_key(ops), parts);
-            wal.append(i as u64 + 1, ops).unwrap();
-            seq_seg.push(p);
-            for (q, offs) in offsets.iter_mut().enumerate() {
-                offs.push(std::fs::metadata(dir.join(segment_file(q, parts))).unwrap().len());
-            }
+        let mut oracle = Oracle::new();
+        for ops in &all[..3] {
+            oracle.apply(ops);
         }
-        drop(wal);
-        // Find a seq whose segment differs from the last batch's segment
-        // (so tearing it orphans later seqs in the other segment).
-        let last_seg = *seq_seg.last().unwrap();
-        let victim = seq_seg.iter().rposition(|p| *p != last_seg).unwrap();
-        let victim_seg = seq_seg[victim];
-        // Truncate the victim segment to just before the victim record.
-        let path = dir.join(segment_file(victim_seg, parts));
-        OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(offsets[victim_seg][victim] + 3) // leave a torn stub
-            .unwrap();
+        // A torn stub after the orphans: the cut must take it too.
+        let path = dir.join(WAL_FILE);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[7, 0, 0]).unwrap();
+        drop(f);
+        let len = std::fs::metadata(&path).unwrap().len();
+        let suffix = (encode_record(5, &all[3]).len() + encode_record(6, &all[4]).len() + 3) as u64;
 
-        let rec = recover(&dir, &cfg, SCALE, seg_opts(parts)).unwrap();
-        assert_eq!(rec.report.last_seq, victim as u64, "replay stops before the torn seq");
-        assert!(rec.report.truncated_bytes > 0);
-        assert!(
-            rec.report.wal_entries < all.len() as u64,
-            "orphaned post-gap entries must not replay"
-        );
+        let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
+        assert_eq!(rec.report.last_seq, 3, "replay stops before the gap");
+        assert_eq!(rec.report.wal_entries, 3, "post-gap entries must not replay");
+        assert_eq!(rec.report.truncated_bytes, suffix);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len - suffix);
+        assert_eq!(store_fingerprint(&rec.store), oracle.fingerprint());
 
         // The cut is durable and gap-free: a second recovery is clean
         // and byte-identical.
-        let rec2 = recover(&dir, &cfg, SCALE, seg_opts(parts)).unwrap();
+        let rec2 = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
         assert_eq!(rec2.report.truncated_bytes, 0);
-        assert_eq!(rec2.report.last_seq, rec.report.last_seq);
+        assert_eq!(rec2.report.last_seq, 3);
         assert_eq!(store_fingerprint(&rec2.store), store_fingerprint(&rec.store));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every file in `dir` with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        dir_files(dir)
+            .into_iter()
+            .map(|f| (f.clone(), std::fs::read(dir.join(f)).unwrap()))
+            .collect()
+    }
+
     #[test]
-    fn partition_count_mismatch_is_refused() {
+    fn sharded_layout_is_refused_untouched() {
         let cfg = config();
-        let dir = tmp_dir("layout");
-        let reopen = |parts| SegmentedWal::open(&dir, SCALE, cfg.seed, seg_opts(parts), 0, &[], 0);
-        let mut wal = reopen(2).unwrap();
-        wal.append(1, &batches(1)[0]).unwrap();
-        drop(wal);
-        assert!(reopen(1).is_err());
-        assert!(reopen(4).is_err());
-        assert!(recover(&dir, &cfg, SCALE, seg_opts(1)).is_err());
-        assert!(reopen(2).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
+        let all = batches(2);
+        let named = |e: SnbError, file: &str| match e {
+            SnbError::Parse { context, .. } => assert!(context.contains(file), "{context}"),
+            other => panic!("expected a parse error naming {file}, got {other:?}"),
+        };
+
+        // A log split across two shards, as an older build wrote it: one
+        // header and one record per file.
+        let dir = tmp_dir("sharded_log");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (p, ops) in all.iter().take(2).enumerate() {
+            let mut bytes = log_header(SCALE, cfg.seed, 0);
+            bytes.extend_from_slice(&encode_record(p as u64 + 1, ops));
+            std::fs::write(dir.join(format!("wal-{p}.log")), bytes).unwrap();
+        }
+        let before = dir_bytes(&dir);
+        named(recover(&dir, &cfg, SCALE, WalOptions::default()).err().unwrap(), "wal-");
+        let reopen = SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
+        named(reopen.err().unwrap(), "wal-");
+        assert_eq!(dir_bytes(&dir), before, "nothing may be created or truncated");
+
+        // An image stamped for a two-shard log, built from raw header
+        // bytes, beside a one-file log with a torn tail.
+        let image = |shards: u32| {
+            let body = snb_store::encode_store(&Oracle::new().store);
+            let mut img = crate::image::IMAGE_MAGIC.to_vec();
+            img.extend_from_slice(&(SCALE.len() as u16).to_le_bytes());
+            img.extend_from_slice(SCALE.as_bytes());
+            for v in [cfg.seed, 0, 1] {
+                img.extend_from_slice(&v.to_le_bytes()); // seed, epoch, seq
+            }
+            img.extend_from_slice(&shards.to_le_bytes());
+            img.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            img.extend_from_slice(&fnv64(&body).to_le_bytes());
+            let sum = fnv64(&img);
+            img.extend_from_slice(&sum.to_le_bytes());
+            img.extend_from_slice(&body);
+            img
+        };
+        assert!(crate::image::peek_header(&image(1), SCALE, cfg.seed).is_ok(), "well-formed bytes");
+        let dir2 = tmp_dir("sharded_image");
+        std::fs::create_dir_all(&dir2).unwrap();
+        std::fs::write(dir2.join(IMAGE_FILE), image(2)).unwrap();
+        let mut log = log_header(SCALE, cfg.seed, 0);
+        log.extend_from_slice(&encode_record(2, &all[1]));
+        log.extend_from_slice(&[9, 9, 9]);
+        std::fs::write(dir2.join(WAL_FILE), log).unwrap();
+        let before = dir_bytes(&dir2);
+        named(recover(&dir2, &cfg, SCALE, WalOptions::default()).err().unwrap(), IMAGE_FILE);
+        named(crate::image::load_image(&dir2, SCALE, cfg.seed).err().unwrap(), IMAGE_FILE);
+        named(crate::image::peek_header(&image(2), SCALE, cfg.seed).unwrap_err(), "image");
+        assert_eq!(dir_bytes(&dir2), before, "nothing may be truncated or replaced");
+
+        // A follower offered that image refuses it before anything lands.
+        let dst = tmp_dir("sharded_install");
+        let mut wal = open(&dst, WalOptions::default());
+        assert!(wal.install_image(&image(2)).is_err());
+        assert!(!dst.join(IMAGE_FILE).exists(), "a refused image must not land");
+        for d in [&dir, &dir2, &dst] {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 
     #[test]
     fn group_commit_defers_and_shares_fsyncs() {
         let cfg = config();
         let dir = tmp_dir("group");
-        let opts = WalOptions { group_commit: true, partitions: 2, ..WalOptions::default() };
+        let opts = WalOptions { group_commit: true, ..WalOptions::default() };
         let all = batches(6);
         let mut wal = open(&dir, opts);
         for (i, ops) in all.iter().enumerate() {
@@ -1478,12 +1336,10 @@ mod tests {
         assert_eq!(wal.syncs(), 0, "group commit must not fsync inside append");
         assert_eq!(wal.unsynced(), all.len() as u64);
         wal.sync_all().unwrap();
-        assert!(
-            wal.syncs() as usize <= 2,
-            "one shared flush costs at most one fsync per dirty segment, got {}",
-            wal.syncs()
-        );
+        assert_eq!(wal.syncs(), 1, "one shared flush is one fsync");
         assert_eq!(wal.unsynced(), 0);
+        wal.sync_all().unwrap();
+        assert_eq!(wal.syncs(), 1, "a clean log costs no fsync");
         drop(wal);
         let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
         assert_eq!(rec.report.last_seq, all.len() as u64);
@@ -1494,13 +1350,12 @@ mod tests {
     fn tailer_ships_contiguously_across_compaction() {
         let cfg = config();
         let dir = tmp_dir("tailer");
-        let parts = 2;
         let all = batches(6);
         let n = all.len() as u64;
         let compact_at = 3u64;
-        let mut wal = open(&dir, seg_opts(parts));
+        let mut wal = open(&dir, WalOptions::default());
         let mut live = Oracle::new();
-        let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
+        let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, 0);
 
         // Nothing acked yet: nothing ships.
         assert!(tailer.poll(0).unwrap().is_empty());
@@ -1512,13 +1367,7 @@ mod tests {
             let seq = i as u64 + 1;
             wal.append(seq, ops).unwrap();
             live.apply(ops);
-            for rec in tailer.poll(wal.last_seq()).unwrap() {
-                shipped.push(rec.seq);
-                assert_eq!(
-                    rec.partition,
-                    snb_store::partition_of_raw(crate::events::route_key(&rec.ops), parts)
-                );
-            }
+            shipped.extend(tailer.poll(wal.last_seq()).unwrap().iter().map(|r| r.seq));
             if seq == compact_at {
                 wal.compact(&live.store).unwrap();
             }
@@ -1530,14 +1379,14 @@ mod tests {
         // below the image's sequence is the caller's cue to offer it.
         let image_seq = image_info(&dir, SCALE, cfg.seed).unwrap().expect("image").seq;
         assert_eq!(image_seq, compact_at);
-        let mut lapped = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
+        let mut lapped = WalTailer::new(&dir, SCALE, cfg.seed, 0);
         assert!(lapped.poll(wal.last_seq()).unwrap().is_empty());
         assert!(lapped.next_seq() <= image_seq);
 
         // From the image's sequence the tail ships, and `upto` bounds
         // it: a cursor asked for less ships less, then resumes exactly
         // where it stopped.
-        let mut bounded = WalTailer::new(&dir, SCALE, cfg.seed, parts, image_seq);
+        let mut bounded = WalTailer::new(&dir, SCALE, cfg.seed, image_seq);
         let first: Vec<u64> = bounded.poll(image_seq + 2).unwrap().iter().map(|r| r.seq).collect();
         assert_eq!(first, vec![image_seq + 1, image_seq + 2]);
         assert_eq!(bounded.next_seq(), image_seq + 3);
@@ -1550,10 +1399,9 @@ mod tests {
     fn tailer_idle_polls_read_zero_bytes() {
         let cfg = config();
         let dir = tmp_dir("tailcost");
-        let parts = 2;
         let all = batches(6);
-        let mut wal = open(&dir, seg_opts(parts));
-        let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, parts, 0);
+        let mut wal = open(&dir, WalOptions::default());
+        let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, 0);
 
         for (i, ops) in all.iter().take(5).enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
@@ -1574,14 +1422,10 @@ mod tests {
         );
 
         // One more append: the poll reads exactly the file growth.
-        let sizes = |dir: &Path| -> u64 {
-            (0..parts)
-                .map(|p| std::fs::metadata(dir.join(segment_file(p, parts))).unwrap().len())
-                .sum()
-        };
-        let before = sizes(&dir);
+        let size = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let before = size();
         wal.append(6, &all[5]).unwrap();
-        let grew = sizes(&dir) - before;
+        let grew = size() - before;
         assert_eq!(tailer.poll(wal.last_seq()).unwrap().len(), 1);
         assert_eq!(
             tailer.bytes_scanned() - after_catchup,
@@ -1595,9 +1439,8 @@ mod tests {
     fn bumped_epoch_survives_recovery_and_compaction() {
         let cfg = config();
         let dir = tmp_dir("epoch");
-        let parts = 2;
         let all = batches(6);
-        let opts = WalOptions { snapshot_every: 3, ..seg_opts(parts) };
+        let opts = WalOptions { snapshot_every: 3, ..WalOptions::default() };
         let mut wal = open(&dir, opts);
         let mut live = Oracle::new();
         assert_eq!(wal.epoch(), 0);
@@ -1618,8 +1461,8 @@ mod tests {
         let mut wal = rec.wal;
         assert_eq!(wal.epoch(), 3);
 
-        // Compaction truncates every segment; the term rides both the
-        // image and the segment headers across it.
+        // Compaction truncates the log; the term rides both the image
+        // and the log header across it.
         let mut compactions = 0;
         for (i, ops) in all.iter().enumerate().skip(2) {
             wal.append(i as u64 + 1, ops).unwrap();
@@ -1632,7 +1475,7 @@ mod tests {
         assert!(compactions >= 1, "snapshot_every=3 never compacted");
         drop(wal);
         assert_eq!(image_info(&dir, SCALE, cfg.seed).unwrap().expect("image").epoch, 3);
-        let header = std::fs::read(dir.join(segment_file(0, parts))).unwrap();
+        let header = std::fs::read(dir.join(WAL_FILE)).unwrap();
         assert_eq!(check_header(&header, SCALE, cfg.seed, &dir).unwrap().1, 3);
 
         let rec = recover(&dir, &cfg, SCALE, opts).unwrap();

@@ -233,57 +233,6 @@ fn mid_apply_panic_poisons_store_until_recovery() {
 }
 
 #[test]
-fn multi_partition_wal_recovers_to_oracle_after_torn_append() {
-    let _g = fault_lock();
-    snb_fault::disarm_all();
-    let dir = tmp_dir("multi_part");
-    let batches = batches(8);
-    let opts = WalOptions { partitions: 2, ..WalOptions::default() };
-    let sc = ServerConfig { partitions: 2, ..server_config() };
-    let start2 = |dir: &std::path::Path| -> Server {
-        let recovered = recover(dir, &config(), SCALE, opts).expect("segmented recovery succeeds");
-        let (store, durability, _) = recovered.into_durability();
-        Server::start_durable(store, sc.clone(), durability)
-    };
-
-    let server = start2(&dir);
-    for seq in 1..=6u64 {
-        let ok = submit(&server, seq, &batches[seq as usize - 1]).expect("pre-fault ack");
-        assert_eq!(ok.fingerprint, seq);
-    }
-    // Seq 7 tears mid-record in whichever segment owns it: not durable,
-    // not applied, not acknowledged.
-    snb_fault::arm_from_spec("wal.append.short_write=short:8@h1", 7).unwrap();
-    let (kind, _) = submit(&server, 7, &batches[6]).expect_err("torn append must fail");
-    assert_eq!(kind, ErrorKind::Internal);
-    snb_fault::disarm_all();
-    server.shutdown();
-
-    // The log really spans two segments.
-    assert!(dir.join("wal-0.log").exists(), "segment 0 exists");
-    assert!(dir.join("wal-1.log").exists(), "segment 1 exists");
-
-    // Recovery over the segmented log equals a direct-apply oracle of
-    // exactly the acknowledged prefix: 0 lost acks, 0 duplicates.
-    let rec = recover(&dir, &config(), SCALE, opts).unwrap();
-    assert_eq!(rec.report.last_seq, 6, "exactly the acked prefix replays");
-    assert!(rec.report.truncated_bytes > 0, "the torn record was cut");
-
-    let oracle = oracle(&batches[..6]);
-    let (r, o) = (rec.store.stats(), oracle.stats());
-    assert_eq!((r.nodes, r.edges), (o.nodes, o.edges), "recovered store equals the oracle");
-
-    // The lost batch resubmits as a first apply; the stream continues.
-    let server = start2(&dir);
-    let ok = submit(&server, 7, &batches[6]).expect("resubmission applies");
-    assert!(ok.rows > 0, "seq 7 was never durable: first apply, not a dedupe");
-    let ok = submit(&server, 8, &batches[7]).expect("stream continues");
-    assert_eq!(ok.fingerprint, 8);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
     let _g = fault_lock();
     snb_fault::disarm_all();
@@ -315,12 +264,12 @@ fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
     // Nothing was truncated behind the image that never landed.
     let rec = recover(&dir, &config(), SCALE, opts).unwrap();
     assert_eq!((rec.report.image_seq, rec.report.last_seq), (2, 4));
-    assert_eq!(rec.report.wal_entries, 2, "seqs 3-4 are still in the segments");
+    assert_eq!(rec.report.wal_entries, 2, "seqs 3-4 are still in the log");
     assert_eq!(rec.report.tail_replayed, 2);
     drop(rec);
 
     // The log is past its compaction point, so the next append retries
-    // and this time the image lands and the segments are truncated.
+    // and this time the image lands and the log is truncated.
     let server = start_with(&dir, opts);
     submit(&server, 5, &batches[4]).expect("ack");
     let report = server.shutdown();
@@ -328,7 +277,7 @@ fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
     assert_eq!(image_seq(), Some(5));
     let rec = recover(&dir, &config(), SCALE, opts).unwrap();
     assert_eq!((rec.report.image_seq, rec.report.last_seq), (5, 5));
-    assert_eq!(rec.report.wal_entries, 0, "the segments were truncated behind the image");
+    assert_eq!(rec.report.wal_entries, 0, "the log was truncated behind the image");
     let (r, o) = (rec.store.stats(), oracle(&batches[..5]).stats());
     assert_eq!((r.nodes, r.edges), (o.nodes, o.edges), "recovered store equals the oracle");
     let _ = std::fs::remove_dir_all(&dir);
@@ -341,12 +290,10 @@ fn group_commit_concurrent_acks_are_durable() {
     let dir = tmp_dir("group_commit");
     let all = batches(8);
     let n = all.len() as u64;
-    let opts =
-        WalOptions { group_commit: true, fsync_every: 4, partitions: 2, ..WalOptions::default() };
+    let opts = WalOptions { group_commit: true, fsync_every: 4, ..WalOptions::default() };
     let recovered = recover(&dir, &config(), SCALE, opts).expect("fresh recovery");
     let (store, durability, _) = recovered.into_durability();
-    let server =
-        Server::start_durable(store, ServerConfig { partitions: 2, ..server_config() }, durability);
+    let server = Server::start_durable(store, server_config(), durability);
 
     // Four submitters own interleaved sequence numbers and retry on the
     // gap rejection until their predecessor lands — every ack they see

@@ -2,7 +2,7 @@
 //! the history), and follower bootstrap over the replication channel.
 //!
 //! Invariants under test: a primary writes `store.img` at every
-//! compaction point and truncates the log segments behind it, so a
+//! compaction point and truncates the log behind it, so a
 //! restart decodes the image and replays only the WAL tail; a follower
 //! whose cursor is at or below the image's sequence — subscribing cold
 //! from seq 0, or lapped by a compaction while subscribed — receives
@@ -63,12 +63,7 @@ fn start(dir: &std::path::Path, read_only: bool, options: WalOptions) -> Server 
 }
 
 fn repl_cfg(dir: &std::path::Path) -> ReplicationConfig {
-    ReplicationConfig {
-        wal_dir: dir.to_path_buf(),
-        scale: SCALE.to_string(),
-        seed: config().seed,
-        partitions: 1,
-    }
+    ReplicationConfig { wal_dir: dir.to_path_buf(), scale: SCALE.to_string(), seed: config().seed }
 }
 
 fn submit(server: &Server, seq: u64, ops: &WriteOps) {
@@ -112,7 +107,7 @@ fn image_recovery_replays_only_the_tail_and_equals_the_oracle() {
     let all = batches(10);
 
     // Ten batches through the primary: compactions at 4 and 8, each
-    // superseding the image and truncating the segments behind it.
+    // superseding the image and truncating the log behind it.
     let primary = start(&dir, false, image_options());
     for (i, ops) in all.iter().enumerate() {
         submit(&primary, i as u64 + 1, ops);
@@ -123,20 +118,19 @@ fn image_recovery_replays_only_the_tail_and_equals_the_oracle() {
         .expect("image header readable")
         .expect("an image was written at the compaction point");
     assert_eq!(header.seq, 8, "latest image covers through the last compaction");
-    assert_eq!(header.partitions, 1);
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     files.sort();
-    assert_eq!(files, ["store.img", "wal.log"], "segments and one image, nothing else");
+    assert_eq!(files, ["store.img", "wal.log"], "the log and one image, nothing else");
 
     // The image anchors the rebuild and only 9..=10 replay.
     let rec = recover(&dir, &config(), SCALE, WalOptions::default()).expect("image recovery");
     assert_eq!(rec.report.image_seq, 8, "recovery started from the image");
     assert_eq!(rec.report.last_seq, 10);
     assert_eq!(rec.report.tail_replayed, 2, "only the post-image tail applies");
-    assert_eq!(rec.report.wal_entries, 2, "the segments were truncated behind the image");
+    assert_eq!(rec.report.wal_entries, 2, "the log was truncated behind the image");
 
     // Exact state: the image + tail equals a direct-apply oracle.
     let (r, o) = (rec.store.stats(), oracle(&all).stats());
@@ -191,7 +185,7 @@ fn cold_follower_bootstraps_from_the_image_offer() {
     );
 
     // A cold follower (fresh directory, from_seq 0): the ship loop
-    // must offer the image — the segments behind it were truncated, so
+    // must offer the image — the log behind it was truncated, so
     // the log *couldn't* replay from zero.
     let follower = start(&f_dir, true, WalOptions::default());
     let handle = follower.replicate_from(&repl_addr.to_string(), repl_cfg(&f_dir));

@@ -52,12 +52,7 @@ fn start(dir: &std::path::Path, read_only: bool) -> Server {
 }
 
 fn repl_cfg(dir: &std::path::Path) -> ReplicationConfig {
-    ReplicationConfig {
-        wal_dir: dir.to_path_buf(),
-        scale: SCALE.to_string(),
-        seed: config().seed,
-        partitions: 1,
-    }
+    ReplicationConfig { wal_dir: dir.to_path_buf(), scale: SCALE.to_string(), seed: config().seed }
 }
 
 fn submit(server: &Server, seq: u64, ops: &WriteOps) -> u64 {
@@ -138,13 +133,8 @@ fn follower_converges_serves_bounded_staleness_and_promotes() {
     let f_repl_addr =
         follower.listen_replication("127.0.0.1:0", repl_cfg(&f_dir)).expect("follower repl bind");
     let mut probe = TcpStream::connect(f_repl_addr).expect("connect follower repl");
-    let hello = ReplFrame::Hello {
-        scale: SCALE.into(),
-        seed: config().seed,
-        partitions: 1,
-        from_seq: 0,
-        epoch: 0,
-    };
+    let hello =
+        ReplFrame::Hello { scale: SCALE.into(), seed: config().seed, from_seq: 0, epoch: 0 };
     write_frame(&mut probe, &encode_repl(&hello)).unwrap();
     match decode_repl(&read_frame(&mut probe).unwrap()).unwrap() {
         ReplFrame::Deny { detail, .. } => assert!(detail.contains("not a primary"), "{detail}"),
@@ -184,7 +174,7 @@ fn accept_subscriber(listener: &TcpListener) -> (TcpStream, u64) {
 }
 
 fn ship(stream: &mut TcpStream, seq: u64, ops: &WriteOps) {
-    let frame = ReplFrame::Record { seq, partition: 0, ops: ops.clone(), epoch: 0 };
+    let frame = ReplFrame::Record { seq, ops: ops.clone(), epoch: 0 };
     write_frame(stream, &encode_repl(&frame)).expect("ship record");
 }
 

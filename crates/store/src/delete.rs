@@ -576,4 +576,61 @@ mod tests {
         assert_eq!(&s.persons.first_name[s.person(victim).unwrap() as usize], "Reborn");
         s.validate_invariants().unwrap();
     }
+
+    #[test]
+    fn like_only_delete_shares_everything_but_the_likes() {
+        let h = crate::StoreHandle::new(store());
+        let before = h.snapshot();
+        let p = (0..before.persons.len() as Ix).find(|&p| before.person_likes.degree(p) > 0);
+        let p = p.expect("a person with a like");
+        let (m, _) = before.person_likes.neighbors(p).next().unwrap();
+        let op = DeleteOp::Like(before.persons.id[p as usize], before.messages.id[m as usize]);
+        h.publish_with(|next| next.apply_deletes(&[op])).unwrap();
+        let after = h.snapshot();
+        after.validate_invariants().unwrap();
+        let (a, b): (&Store, &Store) = (&before, &after);
+        macro_rules! shared {
+            ($($field:ident),*) => {$(
+                assert!(CowBox::ptr_eq(&a.$field, &b.$field), "{} was copied", stringify!($field));
+            )*};
+        }
+        shared!(persons, forums, messages, places, tags, tag_classes, organisations);
+        shared!(person_ix, forum_ix, message_ix, place_ix, tag_ix, tag_class_ix, org_ix);
+        shared!(knows, person_interest, interest_person, person_study, person_work);
+        shared!(forum_member, member_forum, forum_tag, tag_forum, message_tag, tag_message);
+        shared!(person_messages, forum_posts, message_replies, place_children, city_person);
+        shared!(tagclass_children, tagclass_tags, person_moderates);
+        shared!(message_by_date, place_by_name, tag_by_name, tag_class_by_name);
+        assert!(!CowBox::ptr_eq(&a.person_likes, &b.person_likes));
+        assert!(!CowBox::ptr_eq(&a.message_likes, &b.message_likes));
+        assert_eq!(b.person_likes.edge_count(), a.person_likes.edge_count() - 1);
+    }
+
+    #[test]
+    fn delete_batches_fold_all_insert_overflow() {
+        let mut c = GeneratorConfig::for_scale_name("0.001").unwrap();
+        c.persons = 100;
+        let (mut s, events) = crate::bulk_store_and_stream(&c);
+        let world = snb_datagen::dictionaries::StaticWorld::build(c.seed);
+        let (half, rest) = events.split_at(events.len() / 2);
+        for e in half {
+            s.apply_event(e, &world).unwrap();
+        }
+        assert!(!s.clone().fold_overflow().is_empty(), "inserts must overflow");
+        // An edge-only batch, then (after more inserts) an entity batch.
+        let p = (0..s.persons.len() as Ix).find(|&p| s.knows.degree(p) > 0).unwrap();
+        let q = s.knows.targets_of(p).next().unwrap();
+        let op = DeleteOp::Knows(s.persons.id[p as usize], s.persons.id[q as usize]);
+        s.apply_deletes(&[op]).unwrap();
+        assert_eq!(s.clone().fold_overflow(), Vec::<&str>::new());
+        s.validate_invariants().unwrap();
+        for e in rest {
+            s.apply_event(e, &world).unwrap();
+        }
+        let post = (0..s.messages.len() as Ix).rev().find(|&m| s.messages.is_post(m)).unwrap();
+        s.apply_deletes(&[DeleteOp::Message(s.messages.id[post as usize])]).unwrap();
+        assert_eq!(s.clone().fold_overflow(), Vec::<&str>::new());
+        assert!(s.date_index_fresh());
+        s.validate_invariants().unwrap();
+    }
 }

@@ -10,7 +10,7 @@
 //!
 //! * [`SymCol`] — a `Vec<u32>` of symbols into the process-global
 //!   [`StrInterner`]. Identical strings share one symbol across every
-//!   column and every partition, so a dictionary value costs 4 bytes
+//!   column and every store version, so a dictionary value costs 4 bytes
 //!   per row no matter how often it repeats.
 //! * [`PackCol`] — a byte arena plus `u32` offsets for high-cardinality
 //!   columns (message content, IPs) where interning would only bloat
@@ -36,7 +36,7 @@
 //! space is bounded — only the build, insert and image-decode paths
 //! intern; query parameters use `lookup`); a `PackCol` arena is capped
 //! at 4 GiB per column by its `u32` offsets (one column of one entity
-//! type — far beyond what a single in-memory partition holds).
+//! type — far beyond what a single in-memory store holds).
 
 use std::ops::Index;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,7 +96,7 @@ impl StrInterner {
     }
 
     /// Interns `s`, returning its symbol. Identical strings — from any
-    /// column, partition, or thread — always yield the same symbol.
+    /// column, store version, or thread — always yield the same symbol.
     pub fn intern(&self, s: &str) -> Sym {
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(&sym) = map.get(s) {
@@ -156,7 +156,7 @@ impl StrInterner {
 }
 
 /// The global interner (one dictionary per process, shared by every
-/// store version and partition).
+/// store version).
 pub fn interner() -> &'static StrInterner {
     static INTERNER: OnceLock<StrInterner> = OnceLock::new();
     INTERNER.get_or_init(StrInterner::new)
@@ -659,8 +659,8 @@ mod tests {
         // A minimal property test (the workspace's proptest stub has no
         // shrinking, so the loop is explicit): random strings from a
         // pseudo-random generator must round-trip intern→resolve, and
-        // the same string interned via two independent columns (the
-        // "two partitions" case) must share one symbol.
+        // the same string interned via two independent columns must
+        // share one symbol.
         let mut seed = 0x243f_6a88_85a3_08d3u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -680,7 +680,7 @@ mod tests {
             assert_eq!(
                 cols.0.sym(i),
                 cols.1.sym(i),
-                "identical strings must share a symbol across columns/partitions"
+                "identical strings must share a symbol across columns"
             );
             assert_eq!(&cols.0[i], &cols.1[i]);
         }

@@ -18,9 +18,8 @@
 //!   bytes) backing the server's snapshot files and follower bootstrap;
 //! * [`load`] — bulk load from a CsvBasic dataset directory;
 //! * [`insert`] — the IU 1–8 write operations and update-stream replay;
-//! * [`partition`] — horizontal hash shards behind the
-//!   [`PartitionedStore`] facade (ownership lists + per-shard date
-//!   indexes), preserving the monolithic read API and determinism.
+//! * [`snapshot`] — immutable published store versions for lock-free
+//!   readers beside one writer.
 
 pub mod adj;
 pub mod build;
@@ -31,7 +30,6 @@ pub mod image;
 pub mod insert;
 pub mod intern;
 pub mod load;
-pub mod partition;
 pub mod snapshot;
 mod store;
 pub mod stream_build;
@@ -44,9 +42,11 @@ pub use delete::{DeleteOp, DeleteStats};
 pub use image::{decode_store, encode_store, fnv64 as image_fnv64};
 pub use insert::{CommentInsert, ForumInsert, PersonInsert, PostInsert};
 pub use intern::{interner, PackCol, PackListCol, StrInterner, Sym, SymCol, SymListCol};
-pub use partition::{partition_of, partition_of_raw, PartitionLayout, PartitionedStore};
 pub use snapshot::{SnapshotCell, SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
 pub use store::Store;
+
+/// Kept only because the frozen `benchmark/` package still names it.
+pub type PartitionedStore = Store;
 pub use stream_build::{
     streaming_bulk_store_and_stream, streaming_store_for_config, StreamBuilder,
 };

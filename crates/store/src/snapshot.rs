@@ -1,12 +1,12 @@
 //! Epoch/snapshot concurrency: immutable published store versions.
 //!
 //! The service tier used to funnel every request — including pure
-//! reads — through one `RwLock<PartitionedStore>`, the exact
+//! reads — through one `RwLock<Store>`, the exact
 //! anti-pattern the LDBC benchmarking literature flags as the reason
 //! "parallel" engines show negative scaling under mixed load. This
 //! module replaces the lock with version publication:
 //!
-//! * a **writer** clones the latest [`PartitionedStore`] (near-free:
+//! * a **writer** clones the latest [`Store`] (near-free:
 //!   every component is a [`CowBox`](crate::cow::CowBox), so the clone
 //!   is ~40 `Arc` bumps), mutates the private clone (copy-on-write
 //!   deep-copies only the components the batch touches), and publishes
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use snb_core::SnbResult;
 
-use crate::partition::PartitionedStore;
+use crate::store::Store;
 
 /// Slot-ring size of the [`SnapshotCell`]: the current version and the
 /// one being published. A publish releases the slot it superseded, so
@@ -40,7 +40,8 @@ use crate::partition::PartitionedStore;
 const SLOTS: usize = 2;
 
 /// Reader attempts before a retry loop is counted as *blocked* (the
-/// safety valve the interference CI stage asserts never fires).
+/// safety valve `crates/server/tests/concurrent_stress.rs` asserts never
+/// fires).
 const BLOCKED_AFTER: u32 = 64;
 
 struct Slot<T> {
@@ -126,8 +127,8 @@ impl<T> SnapshotCell<T> {
             if attempts >= BLOCKED_AFTER {
                 // Safety valve: only reachable if a publish lands between
                 // the version read and the recheck 64 times in a row.
-                // Counted so the CI interference stage can assert it
-                // stays at zero.
+                // Counted so `crates/server/tests/concurrent_stress.rs`
+                // can assert it stays at zero.
                 self.reader_blocked.fetch_add(1, Ordering::Relaxed);
                 attempts = 0;
                 std::thread::yield_now();
@@ -187,7 +188,8 @@ impl<T> SnapshotCell<T> {
 
     /// Reader safety-valve count — loops that exceeded
     /// [`BLOCKED_AFTER`] attempts and yielded. Zero under any sane
-    /// publish rate; the CI interference smoke asserts exactly that.
+    /// publish rate; `crates/server/tests/concurrent_stress.rs` asserts
+    /// exactly that.
     pub fn reader_blocked(&self) -> u64 {
         self.reader_blocked.load(Ordering::Relaxed)
     }
@@ -211,13 +213,12 @@ impl LiveGauge {
     }
 }
 
-/// One immutable published version of the partitioned store.
+/// One immutable published version of the store.
 ///
-/// Dereferences to [`PartitionedStore`] (and transitively to
-/// [`Store`](crate::Store)), so query code takes a version exactly
+/// Dereferences to [`Store`], so query code takes a version exactly
 /// where it used to take a store reference.
 pub struct StoreVersion {
-    store: PartitionedStore,
+    store: Store,
     version: u64,
     published_at: Instant,
     gauge: Arc<LiveGauge>,
@@ -236,8 +237,8 @@ impl StoreVersion {
 }
 
 impl std::ops::Deref for StoreVersion {
-    type Target = PartitionedStore;
-    fn deref(&self) -> &PartitionedStore {
+    type Target = Store;
+    fn deref(&self) -> &Store {
         &self.store
     }
 }
@@ -268,14 +269,14 @@ impl StoreSnapshot {
     }
 
     /// The pinned store version.
-    pub fn store(&self) -> &PartitionedStore {
+    pub fn store(&self) -> &Store {
         &self.0.store
     }
 }
 
 impl std::ops::Deref for StoreSnapshot {
-    type Target = PartitionedStore;
-    fn deref(&self) -> &PartitionedStore {
+    type Target = Store;
+    fn deref(&self) -> &Store {
         &self.0.store
     }
 }
@@ -322,7 +323,7 @@ pub struct StoreHandle {
 
 impl StoreHandle {
     /// Publishes `store` as version 0 and returns the handle.
-    pub fn new(store: PartitionedStore) -> StoreHandle {
+    pub fn new(store: Store) -> StoreHandle {
         let gauge = Arc::new(LiveGauge::default());
         gauge.inc();
         let base = StoreVersion {
@@ -349,10 +350,7 @@ impl StoreHandle {
     /// publishes it only if `f` returns `Ok`. On `Err` — or if `f`
     /// panics — the clone is discarded and readers keep seeing the
     /// current version; a half-applied batch is unpublishable.
-    pub fn publish_with<R>(
-        &self,
-        f: impl FnOnce(&mut PartitionedStore) -> SnbResult<R>,
-    ) -> SnbResult<R> {
+    pub fn publish_with<R>(&self, f: impl FnOnce(&mut Store) -> SnbResult<R>) -> SnbResult<R> {
         // A writer panic poisons the std mutex; the store itself cannot
         // be torn (the clone died with the panic), so later writers may
         // keep going — the service layer decides separately whether to
@@ -392,11 +390,10 @@ impl std::fmt::Debug for StoreHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Store;
     use snb_core::SnbError;
 
     fn handle() -> StoreHandle {
-        StoreHandle::new(PartitionedStore::new(Store::default(), 2))
+        StoreHandle::new(Store::default())
     }
 
     #[test]
@@ -460,12 +457,12 @@ mod tests {
     fn pinned_snapshot_outlives_publishes_and_is_released_on_drop() {
         let mut c = snb_datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
         c.persons = 60;
-        let h = StoreHandle::new(PartitionedStore::new(crate::store_for_config(&c), 2));
+        let h = StoreHandle::new(crate::store_for_config(&c));
         let pinned = h.snapshot();
         let image = crate::encode_store(&pinned);
         for i in 1..=12u64 {
-            // Each publish deletes a person, rewriting columns, id maps,
-            // adjacencies and the shard overlay of the next version.
+            // Each publish deletes a person, rewriting columns, id maps
+            // and adjacencies of the next version.
             h.publish_with(|next| {
                 let victim = crate::delete::DeleteOp::Person(next.persons.id[0]);
                 next.apply_deletes(&[victim]).map(|_| ())
@@ -475,7 +472,7 @@ mod tests {
         }
         assert_eq!(pinned.version(), 0);
         assert!(crate::encode_store(&pinned) == image, "a pinned version must stay byte-identical");
-        pinned.validate_partition_invariants().unwrap();
+        pinned.validate_invariants().unwrap();
         drop(pinned);
         assert_eq!(h.stats().live_versions, 1, "dropping the last pin frees the version");
         assert_eq!(h.snapshot().persons.len(), 60 - 12);

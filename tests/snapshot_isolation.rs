@@ -1,8 +1,8 @@
 //! Snapshot isolation, end to end: a reader pinned to a published
 //! store version must see *exactly* that version — byte-identical
 //! results over all 25 BI queries — no matter how hard a concurrent
-//! writer churns inserts and deletes, and no matter how the store is
-//! partitioned or how many other readers race it. The property is the
+//! writer churns inserts and deletes, and no matter how many other
+//! readers race it. The property is the
 //! contract the whole lock-free read path rests on: versions are
 //! immutable once published, and pinning one keeps it alive unchanged.
 
@@ -16,7 +16,7 @@ use ldbc_snb::datagen::stream::UpdateEvent;
 use ldbc_snb::datagen::GeneratorConfig;
 use ldbc_snb::engine::QueryContext;
 use ldbc_snb::params::ParamGen;
-use ldbc_snb::store::{bulk_store_and_stream, DeleteOp, PartitionedStore, StoreHandle};
+use ldbc_snb::store::{bulk_store_and_stream, DeleteOp, StoreHandle};
 
 /// All 25 BI query summaries on a pinned snapshot (rows + result
 /// fingerprint — the repo's byte-identity proxy for result sets).
@@ -34,10 +34,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn pinned_reader_is_isolated_from_churn(
-        partitions in 1usize..4,
-        reader_threads in 1usize..4,
-    ) {
+    fn pinned_reader_is_isolated_from_churn(reader_threads in 1usize..4) {
         let mut config = GeneratorConfig::for_scale_name("0.001").unwrap();
         config.persons = 70;
         let world = StaticWorld::build(config.seed);
@@ -48,7 +45,7 @@ proptest! {
         };
         prop_assert_eq!(pool.len(), 25);
 
-        let handle = StoreHandle::new(PartitionedStore::new(store, partitions));
+        let handle = StoreHandle::new(store);
 
         // Pin the base version and fingerprint it before any write.
         let pinned = handle.snapshot();
