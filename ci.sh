@@ -17,6 +17,9 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -- -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> benchmark smoke (frozen benchmark/ package: fmt, clippy, tests, 4 workloads traced at SF 0.003)"
 # The repo benchmark verifies every workload against its own oracle
 # (naive engine, direct-apply store, direct run_short); a change to a

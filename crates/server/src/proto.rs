@@ -13,9 +13,9 @@
 //!
 //! The codec is hand-rolled (the container has no serde): integers are
 //! little-endian, strings are `u16` length + UTF-8 bytes, string lists
-//! are `u16` count + strings. [`encode_params`]/[`decode_params`] are
-//! exact inverses for every binding the parameter generator can
-//! produce, which the round-trip tests pin down.
+//! are `u16` count + strings. [`encode_params`] and the binding half of
+//! [`decode_request`] are exact inverses for every binding the parameter
+//! generator can produce, which the round-trip tests pin down.
 
 use snb_bi::BiParams;
 use snb_core::Date;

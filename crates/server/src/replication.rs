@@ -5,7 +5,7 @@
 //! [`crate::wal::WalTailer`] — to any number of **followers**. A
 //! follower connects with [`ReplFrame::Hello`] carrying its applied
 //! high-water mark, replays the backlog through its own
-//! [`crate::server::ServerInner::submit_batch`] write path (same WAL
+//! `ServerInner::submit_batch` write path (same WAL
 //! append + apply + snapshot publication as a primary, so a follower's
 //! on-disk state is a primary's), and then applies the live tail as it
 //! arrives. Because apply goes through the seq-dedupe gate, delivery is
@@ -47,7 +47,7 @@
 //! on its next pass — no operator re-pointing. The old primary is a
 //! sibling too: the announce that finally lands after the partition
 //! heals is what fences it. Followers additionally watch for primary
-//! silence (no bytes for [`HEARTBEAT_TIMEOUT`]) and drop the dead
+//! silence (no bytes for `HEARTBEAT_TIMEOUT`) and drop the dead
 //! subscription with a typed log line instead of waiting forever.
 
 use std::io::Read;
@@ -141,7 +141,7 @@ pub struct FollowerStatus {
     /// This node's own applied high-water mark.
     pub applied_seq: u64,
     /// Subscriptions dropped because the primary went silent past
-    /// [`HEARTBEAT_TIMEOUT`] (dead-primary detection).
+    /// `HEARTBEAT_TIMEOUT` (dead-primary detection).
     pub heartbeat_timeouts: u64,
     /// Times the applier re-subscribed to a *different* primary than
     /// the one it was following (automatic failover re-pointing).

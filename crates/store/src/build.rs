@@ -1,86 +1,178 @@
-//! Bulk-loading a [`Store`] from the generator's in-memory output.
+//! Bulk-loading a [`Store`] from the generator's output: one builder,
+//! [`StreamBuilder`], fed from either of the generator's two shapes.
+//!
+//! * **Streamed** ([`store_for_config`], [`bulk_store_and_stream`]): the
+//!   generator runs chunk-at-a-time and every record goes straight into
+//!   columnar form. Only persons and `knows` edges stay resident — both
+//!   O(persons), a sliver of the data — because the activity pass draws
+//!   repliers and likers from the whole friendship graph. Every forum,
+//!   membership, message and like flows from the [`ActivitySink`] into
+//!   the columns and is dropped, so peak RSS is the store plus one chunk,
+//!   not the store plus the raw graph (which message content dominates).
+//!   With a stream cut, the driver also keeps what the update stream
+//!   needs: the tail records (about a tenth of the data) and three dense
+//!   creation-date ledgers (a few bytes per entity).
+//! * **From vectors** ([`build_store`]): a materialised [`RawGraph`] —
+//!   the serializers' input — fed through the same builder in vector
+//!   order.
+//!
+//! Records arrive in the generator's dependency order: persons, then
+//! `knows`, then activity in which a post's forum and a comment's parent
+//! are always emitted first. Ingestion is therefore single-pass, and the
+//! per-relation edge lists come out in the same order either way, so
+//! both shapes build the same store.
 
 use snb_core::datetime::DateTime;
 use snb_core::model::{MessageKind, OrganisationKind, PlaceKind};
 
 use snb_datagen::dictionaries::{StaticWorld, BROWSERS, COUNTRIES, TAGS, TAG_CLASSES};
-use snb_datagen::graph::RawGraph;
-use snb_datagen::GeneratorConfig;
+use snb_datagen::graph::{
+    RawForum, RawGraph, RawKnows, RawLike, RawMembership, RawMessage, RawPerson,
+};
+use snb_datagen::stream::TimedEvent;
+use snb_datagen::{ActivitySink, GeneratorConfig};
 
 use crate::adj::Adj;
 use crate::columns::{Ix, NONE};
 use crate::store::Store;
+
+/// How many persons each generation chunk holds. Small enough that a
+/// chunk is a rounding error next to the store, large enough that the
+/// per-chunk overhead vanishes.
+const PERSON_CHUNK: usize = 4096;
 
 /// Builds a store from a generated graph, optionally excluding records
 /// at/after `cut` (pass `None` to load everything, or
 /// `Some(config.stream_cut())` to load only the bulk dataset and replay
 /// the tail through the insert API).
 pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>) -> Store {
-    let mut s = Store::default();
-    let keep = |t: DateTime| cut.is_none_or(|c| t < c);
+    let mut b = StreamBuilder::new(world, cut);
+    b.add_persons(&graph.persons);
+    b.add_knows(&graph.knows);
+    graph.forums.iter().for_each(|f| b.add_forum(f));
+    graph.memberships.iter().for_each(|m| b.add_membership(m));
+    graph.messages.iter().for_each(|m| b.add_message(m));
+    graph.likes.iter().for_each(|l| b.add_like(l));
+    b.finish()
+}
 
-    load_static(&mut s, world);
+/// Incremental store builder: records in, columns and CSR adjacency out.
+///
+/// Records must arrive in the generator's dependency order: all persons,
+/// then all `knows` edges, then activity (forums, memberships, messages
+/// and likes, interleaved as emitted or one kind after another). Records
+/// at/after the cut are skipped.
+pub struct StreamBuilder<'w> {
+    world: &'w StaticWorld,
+    cut: Option<DateTime>,
+    s: Store,
 
-    // --- persons ---
-    for p in graph.persons.iter().filter(|p| keep(p.creation_date)) {
-        let ix = s.persons.len() as Ix;
-        s.person_ix.insert(p.id.0, ix);
-        s.persons.id.push(p.id.0);
-        s.persons.first_name.push(p.first_name);
-        s.persons.last_name.push(p.last_name);
-        s.persons.gender.push(p.gender);
-        s.persons.birthday.push(p.birthday);
-        s.persons.creation_date.push(p.creation_date);
-        s.persons.location_ip.push(&p.location_ip);
-        s.persons.browser.push(BROWSERS[p.browser as usize].0);
-        s.persons.city.push(s.place_ix[&p.city.0]);
-        s.persons.emails.push_row(&p.emails);
-        s.persons.speaks.push_row(p.languages.iter().map(|&l| world.languages[l as usize]));
-    }
-    let np = s.persons.len();
+    // Edge accumulators; the stable CSR counting sort in `finish` keeps
+    // each source's neighbours in arrival order.
+    interest_edges: Vec<(Ix, Ix, ())>,
+    study_edges: Vec<(Ix, Ix, i32)>,
+    work_edges: Vec<(Ix, Ix, i32)>,
+    city_edges: Vec<(Ix, Ix, ())>,
+    knows_edges: Vec<(Ix, Ix, DateTime)>,
+    forum_tag_edges: Vec<(Ix, Ix, ())>,
+    moderates: Vec<(Ix, Ix, ())>,
+    member_edges: Vec<(Ix, Ix, DateTime)>,
+    tag_edges: Vec<(Ix, Ix, ())>,
+    creator_edges: Vec<(Ix, Ix, ())>,
+    forum_post_edges: Vec<(Ix, Ix, ())>,
+    reply_edges: Vec<(Ix, Ix, ())>,
+    like_edges: Vec<(Ix, Ix, DateTime)>,
+}
 
-    // Person edge lists.
-    let mut interest_edges = Vec::new();
-    let mut study_edges = Vec::new();
-    let mut work_edges = Vec::new();
-    let mut city_edges = Vec::new();
-    for p in graph.persons.iter().filter(|p| keep(p.creation_date)) {
-        let ix = s.person_ix[&p.id.0];
-        for t in &p.interests {
-            interest_edges.push((ix, s.tag_ix[&t.0], ()));
+impl<'w> StreamBuilder<'w> {
+    /// A builder with the static world loaded. Pass `Some(cut)` to skip
+    /// the stream tail (records at/after the cut).
+    pub fn new(world: &'w StaticWorld, cut: Option<DateTime>) -> Self {
+        let mut s = Store::default();
+        load_static(&mut s, world);
+        StreamBuilder {
+            world,
+            cut,
+            s,
+            interest_edges: Vec::new(),
+            study_edges: Vec::new(),
+            work_edges: Vec::new(),
+            city_edges: Vec::new(),
+            knows_edges: Vec::new(),
+            forum_tag_edges: Vec::new(),
+            moderates: Vec::new(),
+            member_edges: Vec::new(),
+            tag_edges: Vec::new(),
+            creator_edges: Vec::new(),
+            forum_post_edges: Vec::new(),
+            reply_edges: Vec::new(),
+            like_edges: Vec::new(),
         }
-        if let Some((org, year)) = p.study_at {
-            study_edges.push((ix, s.org_ix[&org.0], year));
-        }
-        for &(org, from) in &p.work_at {
-            work_edges.push((ix, s.org_ix[&org.0], from));
-        }
-        city_edges.push((s.persons.city[ix as usize], ix, ()));
     }
-    let nt = s.tags.len();
-    let (pi, ip) = crate::adj::forward_reverse(np, nt, &interest_edges);
-    *s.person_interest = pi;
-    *s.interest_person = ip;
-    *s.person_study = Adj::from_edges(np, &study_edges);
-    *s.person_work = Adj::from_edges(np, &work_edges);
-    *s.city_person = Adj::from_edges(s.places.len(), &city_edges);
 
-    // knows (symmetric; store both directions).
-    let mut knows_edges = Vec::new();
-    for k in graph.knows.iter().filter(|k| keep(k.creation_date)) {
-        let (Some(&a), Some(&b)) = (s.person_ix.get(&k.a.0), s.person_ix.get(&k.b.0)) else {
-            continue;
-        };
-        knows_edges.push((a, b, k.creation_date));
-        knows_edges.push((b, a, k.creation_date));
+    fn keep(&self, t: DateTime) -> bool {
+        self.cut.is_none_or(|c| t < c)
     }
-    *s.knows = Adj::from_edges(np, &knows_edges);
 
-    // --- forums ---
-    let mut forum_tag_edges = Vec::new();
-    let mut moderates = Vec::new();
-    for f in graph.forums.iter().filter(|f| keep(f.creation_date)) {
-        let Some(&moderator) = s.person_ix.get(&f.moderator.0) else { continue };
+    /// Ingests persons (columns + static edges), in one or many chunks.
+    pub fn add_persons(&mut self, chunk: &[RawPerson]) {
+        for p in chunk {
+            if !self.keep(p.creation_date) {
+                continue;
+            }
+            let s = &mut self.s;
+            let ix = s.persons.len() as Ix;
+            s.person_ix.insert(p.id.0, ix);
+            s.persons.id.push(p.id.0);
+            s.persons.first_name.push(p.first_name);
+            s.persons.last_name.push(p.last_name);
+            s.persons.gender.push(p.gender);
+            s.persons.birthday.push(p.birthday);
+            s.persons.creation_date.push(p.creation_date);
+            s.persons.location_ip.push(&p.location_ip);
+            s.persons.browser.push(BROWSERS[p.browser as usize].0);
+            let city = s.place_ix[&p.city.0];
+            s.persons.city.push(city);
+            s.persons.emails.push_row(&p.emails);
+            s.persons
+                .speaks
+                .push_row(p.languages.iter().map(|&l| self.world.languages[l as usize]));
+            for t in &p.interests {
+                self.interest_edges.push((ix, s.tag_ix[&t.0], ()));
+            }
+            if let Some((org, year)) = p.study_at {
+                self.study_edges.push((ix, s.org_ix[&org.0], year));
+            }
+            for &(org, from) in &p.work_at {
+                self.work_edges.push((ix, s.org_ix[&org.0], from));
+            }
+            self.city_edges.push((city, ix, ()));
+        }
+    }
+
+    /// Ingests the `knows` edges (call after all persons); both
+    /// directions are stored.
+    pub fn add_knows(&mut self, knows: &[RawKnows]) {
+        for k in knows {
+            if !self.keep(k.creation_date) {
+                continue;
+            }
+            let (Some(&a), Some(&b)) = (self.s.person_ix.get(&k.a.0), self.s.person_ix.get(&k.b.0))
+            else {
+                continue;
+            };
+            self.knows_edges.push((a, b, k.creation_date));
+            self.knows_edges.push((b, a, k.creation_date));
+        }
+    }
+
+    /// Ingests one forum; one whose moderator is not loaded is skipped.
+    pub fn add_forum(&mut self, f: &RawForum) {
+        if !self.keep(f.creation_date) {
+            return;
+        }
+        let s = &mut self.s;
+        let Some(&moderator) = s.person_ix.get(&f.moderator.0) else { return };
         let ix = s.forums.len() as Ix;
         s.forum_ix.insert(f.id.0, ix);
         s.forums.id.push(f.id.0);
@@ -88,39 +180,39 @@ pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>)
         s.forums.creation_date.push(f.creation_date);
         s.forums.moderator.push(moderator);
         for t in &f.tags {
-            forum_tag_edges.push((ix, s.tag_ix[&t.0], ()));
+            self.forum_tag_edges.push((ix, s.tag_ix[&t.0], ()));
         }
-        moderates.push((moderator, ix, ()));
+        self.moderates.push((moderator, ix, ()));
     }
-    let nf = s.forums.len();
-    let (ft, tf) = crate::adj::forward_reverse(nf, nt, &forum_tag_edges);
-    *s.forum_tag = ft;
-    *s.tag_forum = tf;
-    *s.person_moderates = Adj::from_edges(np, &moderates);
 
-    // memberships
-    let mut member_edges = Vec::new();
-    for m in graph.memberships.iter().filter(|m| keep(m.join_date)) {
-        let (Some(&f), Some(&p)) = (s.forum_ix.get(&m.forum.0), s.person_ix.get(&m.person.0))
+    /// Ingests one forum membership.
+    pub fn add_membership(&mut self, m: &RawMembership) {
+        if !self.keep(m.join_date) {
+            return;
+        }
+        let (Some(&f), Some(&p)) =
+            (self.s.forum_ix.get(&m.forum.0), self.s.person_ix.get(&m.person.0))
         else {
-            continue;
+            return;
         };
-        member_edges.push((f, p, m.join_date));
+        self.member_edges.push((f, p, m.join_date));
     }
-    let fm = Adj::from_edges(nf, &member_edges);
-    let rev: Vec<(u32, u32, DateTime)> = member_edges.iter().map(|&(f, p, d)| (p, f, d)).collect();
-    *s.forum_member = fm;
-    *s.member_forum = Adj::from_edges(np, &rev);
 
-    // --- messages ---
-    // First pass: allocate indices for kept messages.
-    for m in graph.messages.iter().filter(|m| keep(m.creation_date)) {
+    /// Ingests one post or comment. Its forum, creator and parent must
+    /// already be loaded (a parent always has a smaller id and is
+    /// emitted first).
+    pub fn add_message(&mut self, m: &RawMessage) {
+        if !self.keep(m.creation_date) {
+            return;
+        }
+        let s = &mut self.s;
         let ix = s.messages.len() as Ix;
         s.message_ix.insert(m.id.0, ix);
         s.messages.id.push(m.id.0);
         s.messages.kind.push(m.kind);
         s.messages.creation_date.push(m.creation_date);
-        s.messages.creator.push(s.person_ix[&m.creator.0]);
+        let creator = s.person_ix[&m.creator.0];
+        s.messages.creator.push(creator);
         s.messages.country.push(s.place_ix[&m.country.0]);
         s.messages.browser.push(BROWSERS[m.browser as usize].0);
         s.messages.location_ip.push(&m.location_ip);
@@ -129,59 +221,85 @@ pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>)
         s.messages.image_file.push(m.image_file.as_deref().unwrap_or_default());
         s.messages
             .language
-            .push(m.language.map(|l| world.languages[l as usize]).unwrap_or_default());
-        s.messages.forum.push(match m.forum {
+            .push(m.language.map(|l| self.world.languages[l as usize]).unwrap_or_default());
+        let forum_ix = match m.forum {
             Some(f) => s.forum_ix[&f.0],
             None => NONE,
-        });
-        s.messages.reply_of.push(NONE); // second pass
-        s.messages.root_post.push(NONE);
-    }
-    // Second pass: intra-message references + edge lists.
-    let nm = s.messages.len();
-    let mut tag_edges = Vec::new();
-    let mut creator_edges = Vec::new();
-    let mut forum_post_edges = Vec::new();
-    let mut reply_edges = Vec::new();
-    for m in graph.messages.iter().filter(|m| keep(m.creation_date)) {
-        let ix = s.message_ix[&m.id.0];
-        if let Some(parent) = m.reply_of {
-            let parent_ix = s.message_ix[&parent.0];
-            s.messages.reply_of[ix as usize] = parent_ix;
-            reply_edges.push((parent_ix, ix, ()));
-        }
-        s.messages.root_post[ix as usize] = s.message_ix[&m.root_post.0];
-        for t in &m.tags {
-            tag_edges.push((ix, s.tag_ix[&t.0], ()));
-        }
-        creator_edges.push((s.messages.creator[ix as usize], ix, ()));
-        if m.kind == MessageKind::Post {
-            forum_post_edges.push((s.messages.forum[ix as usize], ix, ()));
-        }
-    }
-    let (mt, tm) = crate::adj::forward_reverse(nm, nt, &tag_edges);
-    *s.message_tag = mt;
-    *s.tag_message = tm;
-    *s.person_messages = Adj::from_edges(np, &creator_edges);
-    *s.forum_posts = Adj::from_edges(nf, &forum_post_edges);
-    *s.message_replies = Adj::from_edges(nm, &reply_edges);
-
-    // --- likes ---
-    let mut like_edges = Vec::new();
-    for l in graph.likes.iter().filter(|l| keep(l.creation_date)) {
-        let (Some(&p), Some(&m)) = (s.person_ix.get(&l.person.0), s.message_ix.get(&l.message.0))
-        else {
-            continue;
         };
-        like_edges.push((p, m, l.creation_date));
+        s.messages.forum.push(forum_ix);
+        let parent_ix = match m.reply_of {
+            Some(parent) => {
+                let p = s.message_ix[&parent.0];
+                self.reply_edges.push((p, ix, ()));
+                p
+            }
+            None => NONE,
+        };
+        s.messages.reply_of.push(parent_ix);
+        s.messages.root_post.push(s.message_ix[&m.root_post.0]);
+        for t in &m.tags {
+            self.tag_edges.push((ix, s.tag_ix[&t.0], ()));
+        }
+        self.creator_edges.push((creator, ix, ()));
+        if m.kind == MessageKind::Post {
+            self.forum_post_edges.push((forum_ix, ix, ()));
+        }
     }
-    *s.person_likes = Adj::from_edges(np, &like_edges);
-    let rev: Vec<(u32, u32, DateTime)> = like_edges.iter().map(|&(p, m, d)| (m, p, d)).collect();
-    *s.message_likes = Adj::from_edges(nm, &rev);
 
-    s.rebuild_date_index();
-    s.shrink_columns();
-    s
+    /// Ingests one like.
+    pub fn add_like(&mut self, l: &RawLike) {
+        if !self.keep(l.creation_date) {
+            return;
+        }
+        let (Some(&p), Some(&m)) =
+            (self.s.person_ix.get(&l.person.0), self.s.message_ix.get(&l.message.0))
+        else {
+            return;
+        };
+        self.like_edges.push((p, m, l.creation_date));
+    }
+
+    /// Assembles adjacency, rebuilds the date index and returns the store.
+    pub fn finish(self) -> Store {
+        let mut s = self.s;
+        let np = s.persons.len();
+        let nt = s.tags.len();
+        let nf = s.forums.len();
+        let nm = s.messages.len();
+
+        let (pi, ip) = crate::adj::forward_reverse(np, nt, &self.interest_edges);
+        *s.person_interest = pi;
+        *s.interest_person = ip;
+        *s.person_study = Adj::from_edges(np, &self.study_edges);
+        *s.person_work = Adj::from_edges(np, &self.work_edges);
+        *s.city_person = Adj::from_edges(s.places.len(), &self.city_edges);
+        *s.knows = Adj::from_edges(np, &self.knows_edges);
+
+        let (ft, tf) = crate::adj::forward_reverse(nf, nt, &self.forum_tag_edges);
+        *s.forum_tag = ft;
+        *s.tag_forum = tf;
+        *s.person_moderates = Adj::from_edges(np, &self.moderates);
+        *s.forum_member = Adj::from_edges(nf, &self.member_edges);
+        let rev: Vec<(u32, u32, DateTime)> =
+            self.member_edges.iter().map(|&(f, p, d)| (p, f, d)).collect();
+        *s.member_forum = Adj::from_edges(np, &rev);
+
+        let (mt, tm) = crate::adj::forward_reverse(nm, nt, &self.tag_edges);
+        *s.message_tag = mt;
+        *s.tag_message = tm;
+        *s.person_messages = Adj::from_edges(np, &self.creator_edges);
+        *s.forum_posts = Adj::from_edges(nf, &self.forum_post_edges);
+        *s.message_replies = Adj::from_edges(nm, &self.reply_edges);
+
+        *s.person_likes = Adj::from_edges(np, &self.like_edges);
+        let rev: Vec<(u32, u32, DateTime)> =
+            self.like_edges.iter().map(|&(p, m, d)| (m, p, d)).collect();
+        *s.message_likes = Adj::from_edges(nm, &rev);
+
+        s.rebuild_date_index();
+        s.shrink_columns();
+        s
+    }
 }
 
 /// Loads the static part of the schema (places, tags, tag classes,
@@ -279,26 +397,130 @@ pub(crate) fn load_static(s: &mut Store, world: &StaticWorld) {
     }
 }
 
-/// Convenience: generate a scale factor and load everything (no
-/// bulk/stream split). The workhorse constructor for tests, examples
-/// and benchmarks.
-pub fn store_for_config(config: &GeneratorConfig) -> Store {
+/// What the update stream needs from a streamed generation: the records
+/// at/after the cut, and creation-date ledgers over every entity, indexed
+/// by id (generator ids are sequential; a tail event may depend on a bulk
+/// entity).
+struct Tail {
+    cut: DateTime,
+    records: RawGraph,
+    person_created: Vec<DateTime>,
+    forum_created: Vec<DateTime>,
+    message_created: Vec<(DateTime, MessageKind)>,
+}
+
+impl Tail {
+    fn new(cut: DateTime) -> Self {
+        Tail {
+            cut,
+            records: RawGraph::default(),
+            person_created: Vec::new(),
+            forum_created: Vec::new(),
+            message_created: Vec::new(),
+        }
+    }
+
+    fn events(self) -> Vec<TimedEvent> {
+        snb_datagen::stream::build_update_streams_dense(
+            &self.records,
+            &self.person_created,
+            &self.forum_created,
+            &self.message_created,
+            self.cut,
+        )
+    }
+}
+
+/// The streaming driver's activity sink: records before the cut go to
+/// the builder by reference; with a cut, the tail is kept.
+struct Sink<'w> {
+    builder: StreamBuilder<'w>,
+    tail: Option<Tail>,
+}
+
+impl ActivitySink for Sink<'_> {
+    fn forum(&mut self, f: RawForum) {
+        if let Some(t) = &mut self.tail {
+            t.forum_created.push(f.creation_date);
+            if f.creation_date >= t.cut {
+                t.records.forums.push(f);
+                return;
+            }
+        }
+        self.builder.add_forum(&f);
+    }
+
+    fn membership(&mut self, m: RawMembership) {
+        if let Some(t) = self.tail.as_mut().filter(|t| m.join_date >= t.cut) {
+            t.records.memberships.push(m);
+            return;
+        }
+        self.builder.add_membership(&m);
+    }
+
+    fn message(&mut self, m: RawMessage) {
+        if let Some(t) = &mut self.tail {
+            t.message_created.push((m.creation_date, m.kind));
+            if m.creation_date >= t.cut {
+                t.records.messages.push(m);
+                return;
+            }
+        }
+        self.builder.add_message(&m);
+    }
+
+    fn like(&mut self, l: RawLike) {
+        if let Some(t) = self.tail.as_mut().filter(|t| l.creation_date >= t.cut) {
+            t.records.likes.push(l);
+            return;
+        }
+        self.builder.add_like(&l);
+    }
+}
+
+/// Runs the generation pipeline `chunk` persons at a time, ingesting
+/// records as they appear. Returns the store plus, when `cut` is set,
+/// the update-event tail.
+fn streaming_build(
+    config: &GeneratorConfig,
+    cut: Option<DateTime>,
+    chunk: usize,
+) -> (Store, Vec<TimedEvent>) {
     let world = StaticWorld::build(config.seed);
-    let graph = snb_datagen::generate(config);
-    build_store(&graph, &world, None)
+    let mut sink = Sink { builder: StreamBuilder::new(&world, cut), tail: cut.map(Tail::new) };
+
+    let mut persons: Vec<RawPerson> = Vec::with_capacity(config.persons as usize);
+    for chunk in snb_datagen::person_chunks(config, &world, chunk) {
+        if let Some(t) = &mut sink.tail {
+            t.person_created.extend(chunk.iter().map(|p| p.creation_date));
+            t.records.persons.extend(chunk.iter().filter(|p| p.creation_date >= t.cut).cloned());
+        }
+        sink.builder.add_persons(&chunk);
+        persons.extend(chunk);
+    }
+    let knows = snb_datagen::knows::generate_knows(config, &persons);
+    if let Some(t) = &mut sink.tail {
+        t.records.knows.extend(knows.iter().filter(|k| k.creation_date >= t.cut));
+    }
+    sink.builder.add_knows(&knows);
+    snb_datagen::generate_activity_into(config, &world, &persons, &knows, &mut sink);
+
+    let store = sink.builder.finish();
+    (store, sink.tail.map_or_else(Vec::new, Tail::events))
+}
+
+/// Generates a scale factor and loads everything (no bulk/stream split),
+/// streaming. The workhorse constructor for tests, examples and
+/// benchmarks.
+pub fn store_for_config(config: &GeneratorConfig) -> Store {
+    streaming_build(config, None, PERSON_CHUNK).0
 }
 
 /// Like [`store_for_config`] but split at the stream cut, returning the
-/// bulk store together with the update events for replay.
-pub fn bulk_store_and_stream(
-    config: &GeneratorConfig,
-) -> (Store, Vec<snb_datagen::stream::TimedEvent>) {
-    let world = StaticWorld::build(config.seed);
-    let graph = snb_datagen::generate(config);
-    let cut = config.stream_cut();
-    let store = build_store(&graph, &world, Some(cut));
-    let events = snb_datagen::stream::build_update_streams(&graph, cut);
-    (store, events)
+/// bulk store together with the sorted update events for replay. Only
+/// the tail records are ever materialised in raw form.
+pub fn bulk_store_and_stream(config: &GeneratorConfig) -> (Store, Vec<TimedEvent>) {
+    streaming_build(config, Some(config.stream_cut()), PERSON_CHUNK)
 }
 
 /// Summary counts used by experiment E1 (scale statistics).
@@ -371,6 +593,61 @@ mod tests {
         let mut c = GeneratorConfig::for_scale(ScaleFactor::by_name("0.001").unwrap());
         c.persons = n;
         c
+    }
+
+    /// The generator's materialised graph fed through [`build_store`],
+    /// with the update events from `build_update_streams`: the path the
+    /// streaming pipeline must agree with.
+    fn materialised(c: &GeneratorConfig, cut: Option<DateTime>) -> (Store, Vec<TimedEvent>) {
+        let graph = snb_datagen::generate(c);
+        let store = build_store(&graph, &StaticWorld::build(c.seed), cut);
+        let events =
+            cut.map_or_else(Vec::new, |cut| snb_datagen::stream::build_update_streams(&graph, cut));
+        (store, events)
+    }
+
+    /// Both stores are valid and identical: every column group and
+    /// adjacency (the image bytes) plus the date index.
+    fn assert_same_store(a: &Store, b: &Store) {
+        a.validate_invariants().unwrap();
+        b.validate_invariants().unwrap();
+        assert_eq!(*a.message_by_date, *b.message_by_date);
+        assert!(crate::encode_store(a) == crate::encode_store(b), "store images differ");
+    }
+
+    fn assert_same_events(a: &[TimedEvent], b: &[TimedEvent]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(format!("{x:?}"), format!("{y:?}"));
+        }
+    }
+
+    #[test]
+    fn streaming_build_matches_bulk() {
+        let c = config(150);
+        assert_same_store(&materialised(&c, None).0, &store_for_config(&c));
+    }
+
+    #[test]
+    fn streaming_split_matches_bulk_split() {
+        let c = config(150);
+        let (bulk, bulk_events) = materialised(&c, Some(c.stream_cut()));
+        let (streamed, stream_events) = bulk_store_and_stream(&c);
+        assert_same_store(&bulk, &streamed);
+        assert!(!stream_events.is_empty());
+        assert_same_events(&bulk_events, &stream_events);
+    }
+
+    #[test]
+    fn streaming_chunk_boundary_has_no_effect() {
+        // Chunked person generation is index-derived, so chunk size is
+        // invisible; drive the pipeline with a tiny chunk.
+        let c = config(90);
+        let cut = Some(c.stream_cut());
+        let (bulk, bulk_events) = materialised(&c, cut);
+        let (streamed, stream_events) = streaming_build(&c, cut, 7);
+        assert_same_store(&bulk, &streamed);
+        assert_same_events(&bulk_events, &stream_events);
     }
 
     #[test]

@@ -357,13 +357,14 @@ mod tests {
     #[test]
     fn packed_person_strings_at_datagen_scale() {
         let config = snb_datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
-        let streamed = crate::streaming_store_for_config(&config);
-        let materialised = crate::store_for_config(&config);
+        let streamed = crate::store_for_config(&config);
+        let world = snb_datagen::dictionaries::StaticWorld::build(config.seed);
+        let materialised = crate::build_store(&snb_datagen::generate(&config), &world, None);
         let (packed, baseline) = streamed.persons.string_bytes();
         assert_eq!(
             (packed, baseline),
             materialised.persons.string_bytes(),
-            "both builders must pack person strings alike"
+            "the streamed and vector-fed stores must pack person strings alike"
         );
         assert!(
             packed * 2 <= baseline,

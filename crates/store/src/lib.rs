@@ -12,8 +12,9 @@
 //! * [`adj`] — CSR adjacency (forward + reverse) for every relation,
 //!   with an insert overflow so the Interactive workload's IU 1–8 don't
 //!   rebuild anything on the write path;
-//! * [`build`] — bulk load from the generator's in-memory output (with
-//!   optional bulk/stream split);
+//! * [`build`] — the one store builder, [`StreamBuilder`], fed by the
+//!   streaming generator (with optional bulk/stream split) or from a
+//!   materialised graph's vectors;
 //! * [`image`] — the checksummed store-image codec (full store ⇄ packed
 //!   bytes) backing the server's snapshot files and follower bootstrap;
 //! * [`load`] — bulk load from a CsvBasic dataset directory;
@@ -32,10 +33,9 @@ pub mod intern;
 pub mod load;
 pub mod snapshot;
 mod store;
-pub mod stream_build;
 
 pub use adj::Adj;
-pub use build::{build_store, bulk_store_and_stream, store_for_config, StoreStats};
+pub use build::{build_store, bulk_store_and_stream, store_for_config, StoreStats, StreamBuilder};
 pub use columns::{Ix, NONE};
 pub use cow::CowBox;
 pub use delete::{DeleteOp, DeleteStats};
@@ -47,6 +47,5 @@ pub use store::Store;
 
 /// Kept only because the frozen `benchmark/` package still names it.
 pub type PartitionedStore = Store;
-pub use stream_build::{
-    streaming_bulk_store_and_stream, streaming_store_for_config, StreamBuilder,
-};
+/// Kept only because the frozen `benchmark/` package still names it.
+pub use build::bulk_store_and_stream as streaming_bulk_store_and_stream;

@@ -186,8 +186,8 @@ impl<T> SnapshotCell<T> {
         self.reader_retries.load(Ordering::Relaxed)
     }
 
-    /// Reader safety-valve count — loops that exceeded
-    /// [`BLOCKED_AFTER`] attempts and yielded. Zero under any sane
+    /// Reader safety-valve count — loops that exceeded `BLOCKED_AFTER`
+    /// attempts and yielded. Zero under any sane
     /// publish rate; `crates/server/tests/concurrent_stress.rs` asserts
     /// exactly that.
     pub fn reader_blocked(&self) -> u64 {
