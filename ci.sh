@@ -40,15 +40,17 @@ cargo test -q --release -p snb-server --lib wal:: > /dev/null
 # over all 25 BI queries, and requires a clean exit on SIGTERM.
 target/release/service_load 0.001 --chaos --server-bin target/release/snb-server
 
-echo "==> the partition knob is gone (snb-server --partitions 2 -> unknown flag, exit 2)"
-set +e
-PARTS_ERR="$(target/release/snb-server 0.001 --partitions 2 2>&1 >/dev/null)"
-PARTS_STATUS=$?
-set -e
-if [ "$PARTS_STATUS" -ne 2 ] || ! printf '%s' "$PARTS_ERR" | grep -q 'unknown flag --partitions'; then
-  echo "snb-server --partitions 2 exited $PARTS_STATUS ($PARTS_ERR); want 2 and unknown flag" >&2
-  exit 1
-fi
+echo "==> removed knobs stay gone (--partitions, --shed-oldest -> unknown flag, exit 2)"
+for FLAG in --partitions --shed-oldest; do
+  set +e
+  FLAG_ERR="$(target/release/snb-server 0.001 "$FLAG" 2>&1 >/dev/null)"
+  FLAG_STATUS=$?
+  set -e
+  if [ "$FLAG_STATUS" -ne 2 ] || ! printf '%s' "$FLAG_ERR" | grep -q "unknown flag $FLAG"; then
+    echo "snb-server $FLAG exited $FLAG_STATUS ($FLAG_ERR); want 2 and unknown flag" >&2
+    exit 1
+  fi
+done
 
 echo "==> read-path chaos (conn.read.stall -> typed conn_stalled outcome)"
 # A connection goes quiet while the armed stall wedges its handler in

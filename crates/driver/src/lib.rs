@@ -16,7 +16,6 @@
 //!   start within 1 s of schedule).
 
 pub mod bi;
-pub mod concurrent;
 pub mod disclosure;
 pub mod interactive;
 pub mod log;
@@ -26,6 +25,5 @@ pub use bi::{
     power_test, power_test_ctx, throughput_test, validate_all, Engine, QueryStats,
     ThroughputReport, ALL_BI_QUERIES,
 };
-pub use concurrent::{run_concurrent, ConcurrentReport};
 pub use interactive::{run_interactive, InteractiveConfig, InteractiveReport, Pacing};
 pub use log::{LogRecord, ResultsLog};

@@ -4,7 +4,7 @@
 //! ```text
 //! snb-server [SF] [SEED] [--port N] [--workers N] [--write-workers N]
 //!            [--queue-cap N] [--short-cap N] [--heavy-cap N]
-//!            [--write-cap N] [--short-weight N] [--shed-oldest]
+//!            [--write-cap N] [--short-weight N]
 //!            [--deadline-ms N] [--short-deadline-ms N] [--profile]
 //!            [--wal-dir PATH] [--fsync-every N] [--snapshot-every N]
 //!            [--conn-timeout-ms N] [--group-commit]
@@ -17,9 +17,8 @@
 //! heavy BI reads, and writes. `--short-cap` / `--heavy-cap` /
 //! `--write-cap` bound each lane (0 = inherit `--queue-cap`),
 //! `--short-weight` sets how many short reads the scheduler prefers
-//! per heavy one, `--short-deadline-ms` gives short reads a tighter
-//! default deadline, and `--shed-oldest` makes the heavy lane evict
-//! its oldest queued request instead of rejecting the newcomer.
+//! per heavy one, and `--short-deadline-ms` gives short reads a tighter
+//! default deadline. A full lane refuses the newcomer `overloaded`.
 //!
 //! Positional arguments mirror the bench binaries: scale-factor name
 //! (default `0.01`) and datagen seed. `--port 0` (the default) binds an
@@ -147,7 +146,6 @@ fn parse_args() -> Result<Args, String> {
             "--short-weight" => {
                 server.lanes.short_weight = parse("--short-weight", argv.next())?;
             }
-            "--shed-oldest" => server.lanes.heavy.shed = snb_server::ShedPolicy::DropOldest,
             "--deadline-ms" => {
                 server.default_deadline =
                     Some(Duration::from_millis(parse("--deadline-ms", argv.next())?));

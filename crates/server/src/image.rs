@@ -49,9 +49,7 @@ use std::io::Write;
 use std::path::Path;
 
 use snb_core::{SnbError, SnbResult};
-use snb_store::{decode_store, encode_store, Store};
-
-use crate::wal::fnv64;
+use snb_store::{decode_store, encode_store, image_fnv64 as fnv64, Store};
 
 /// Magic prefix of `store.img`.
 pub const IMAGE_MAGIC: &[u8; 8] = b"SNBIMG1\n";

@@ -17,8 +17,8 @@
 //!   deadline checks before and after execution, IS reads run on the
 //!   thread that admitted them and a worker pool over
 //!   [`snb_engine::QueryContext`] for the rest, the portable in-process
-//!   transport, graceful drain-then-shutdown, and a concurrent-write
-//!   path for update-stream replay;
+//!   transport, graceful drain-then-shutdown, and the durable write
+//!   path (WAL append, then one published store version per batch);
 //! - `transport` — the readiness-driven epoll reactor for TCP (Linux
 //!   only), with one bounded outbox per connection
 //!   ([`OUTBOX_LIMIT`]);
@@ -51,11 +51,11 @@ pub use proto::{
     ErrorBody, ErrorKind, Lane, OkBody, ReplFrame, Request, RequestHeader, Response, ServiceParams,
     WriteBatch, WriteOps,
 };
-pub use queue::{Admitted, LaneQueues, PushError, ShedPolicy};
+pub use queue::{LaneQueues, PushError};
 pub use replication::{FollowerHandle, FollowerStatus, Promotion, ReplicationConfig};
 pub use server::{
     Durability, InProcClient, LaneSettings, LanesConfig, LogHandle, Server, ServerConfig,
-    ServiceReport, StoreWriter,
+    ServiceReport,
 };
 pub use transport::OUTBOX_LIMIT;
 pub use wal::{
@@ -330,31 +330,5 @@ mod tests {
         }
         let report = handle.join().unwrap();
         assert_eq!(report.served, 4);
-    }
-
-    #[test]
-    fn writer_applies_updates_under_readers() {
-        let config = GeneratorConfig::for_scale_name("0.001").unwrap();
-        let (store, stream) = snb_store::bulk_store_and_stream(&config);
-        let world = snb_datagen::dictionaries::StaticWorld::build(config.seed);
-        let server = Server::start(
-            store,
-            ServerConfig { workers: 2, queue_capacity: 64, ..ServerConfig::default() },
-        );
-        let writer = server.writer();
-        let client = server.client();
-        let events: Vec<_> = stream.into_iter().take(200).collect();
-        let mut applied = 0u64;
-        for (i, ev) in events.iter().enumerate() {
-            writer.apply_update(ev, &world).expect("apply update");
-            applied += 1;
-            if i % 40 == 0 {
-                let resp = client.call(ServiceParams::Bi(q13_india()), 0);
-                assert!(resp.body.is_ok());
-            }
-        }
-        writer.validate_invariants().expect("invariants hold under interleaved writes");
-        let report = server.shutdown();
-        assert_eq!(report.updates_applied, applied);
     }
 }

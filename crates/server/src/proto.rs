@@ -45,10 +45,10 @@ pub enum ServiceParams {
 }
 
 /// The admission lane a request is classified into. Each lane has its
-/// own bounded queue, capacity, default deadline, and shed policy
-/// (see [`crate::queue::LaneQueues`]); the read lanes are drained by a
-/// weighted scheduler that guarantees short-read progress while heavy
-/// analytical queries flood the service.
+/// own bounded queue, capacity and default deadline, and a full lane
+/// answers `overloaded` (see [`crate::queue::LaneQueues`]); the read
+/// lanes are drained by a weighted scheduler that guarantees short-read
+/// progress while heavy analytical queries flood the service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lane {
     /// IS/IC short reads: sublinear point lookups and bounded
@@ -150,7 +150,7 @@ impl ServiceParams {
     /// reads ride the short lane, BI analytics the heavy lane, write
     /// batches the write lane. Classification is static — it depends
     /// only on the workload family, so a client can predict the lane
-    /// (and its shed policy) from the request alone.
+    /// from the request alone.
     pub fn lane(&self) -> Lane {
         match self {
             ServiceParams::Is(_) | ServiceParams::Ic(_) => Lane::Short,

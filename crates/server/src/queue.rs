@@ -20,11 +20,8 @@
 //! batches get dedicated consumers via [`LaneQueues::pop_write`] so a
 //! WAL fsync never stalls a read worker.
 //!
-//! Each lane also chooses a shed policy: [`ShedPolicy::Reject`] (refuse
-//! the newcomer — right for reads, where the caller retries with
-//! backoff) or [`ShedPolicy::DropOldest`] (evict the stalest queued
-//! item to admit the newcomer — right when the newest request is the
-//! most likely to still meet its deadline).
+//! A full lane refuses the newcomer and leaves queued work untouched,
+//! which keeps the outcome predictable for a retrying client.
 //!
 //! Shutdown semantics implement the drain phase of graceful shutdown:
 //! [`LaneQueues::close`] refuses new work but lets consumers pop
@@ -36,18 +33,6 @@ use std::sync::{Condvar, Mutex};
 
 use crate::proto::Lane;
 
-/// What a lane does when a push arrives and the lane is at capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Refuse the newcomer; queued work is untouched. The default for
-    /// every lane — predictable for retrying clients.
-    Reject,
-    /// Evict the oldest queued item to admit the newcomer. The evicted
-    /// item is handed back so the caller can answer it `Overloaded`;
-    /// nothing is silently dropped.
-    DropOldest,
-}
-
 /// Why a push was refused, carrying the rejected item back to the
 /// caller so it can respond to the client.
 #[derive(Debug)]
@@ -56,17 +41,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queues were closed for shutdown — no new work is admitted.
     Closed(T),
-}
-
-/// A successful push, possibly carrying an evicted victim (DropOldest
-/// lanes only) that the caller must answer `Overloaded`.
-#[derive(Debug)]
-pub enum Admitted<T> {
-    /// The item was queued; nothing was displaced.
-    Queued,
-    /// The item was queued and the lane's oldest entry was evicted to
-    /// make room — the caller owns responding to the victim.
-    QueuedEvicting(T),
 }
 
 struct LanesState<T> {
@@ -86,16 +60,14 @@ pub struct LaneQueues<T> {
     /// Wakes write workers (write arrivals).
     write_ready: Condvar,
     caps: [usize; 3],
-    sheds: [ShedPolicy; 3],
     /// Short pops per heavy pop when both read lanes are non-empty.
     short_weight: u64,
 }
 
 impl<T> LaneQueues<T> {
-    /// Queues with per-lane capacities (minimum 1 each), per-lane shed
-    /// policies, and a short:heavy drain ratio of `short_weight`:1
-    /// (minimum 1).
-    pub fn new(caps: [usize; 3], sheds: [ShedPolicy; 3], short_weight: u64) -> Self {
+    /// Queues with per-lane capacities (minimum 1 each) and a
+    /// short:heavy drain ratio of `short_weight`:1 (minimum 1).
+    pub fn new(caps: [usize; 3], short_weight: u64) -> Self {
         LaneQueues {
             state: Mutex::new(LanesState {
                 lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -105,7 +77,6 @@ impl<T> LaneQueues<T> {
             read_ready: Condvar::new(),
             write_ready: Condvar::new(),
             caps: caps.map(|c| c.max(1)),
-            sheds,
             short_weight: short_weight.max(1),
         }
     }
@@ -113,11 +84,6 @@ impl<T> LaneQueues<T> {
     /// The admission capacity of one lane.
     pub fn capacity(&self, lane: Lane) -> usize {
         self.caps[lane.index()]
-    }
-
-    /// The shed policy of one lane.
-    pub fn shed_policy(&self, lane: Lane) -> ShedPolicy {
-        self.sheds[lane.index()]
     }
 
     /// Items currently queued across all lanes.
@@ -139,21 +105,15 @@ impl<T> LaneQueues<T> {
         [st.lanes[0].len(), st.lanes[1].len(), st.lanes[2].len()]
     }
 
-    /// Attempts to admit an item to its lane without blocking. On a
-    /// full `DropOldest` lane the oldest queued item is evicted and
-    /// returned inside [`Admitted::QueuedEvicting`].
-    pub fn try_push(&self, lane: Lane, item: T) -> Result<Admitted<T>, PushError<T>> {
+    /// Attempts to admit an item to its lane without blocking.
+    pub fn try_push(&self, lane: Lane, item: T) -> Result<(), PushError<T>> {
         let i = lane.index();
         let mut st = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if st.closed {
             return Err(PushError::Closed(item));
         }
-        let mut evicted = None;
         if st.lanes[i].len() >= self.caps[i] {
-            match self.sheds[i] {
-                ShedPolicy::Reject => return Err(PushError::Full(item)),
-                ShedPolicy::DropOldest => evicted = st.lanes[i].pop_front(),
-            }
+            return Err(PushError::Full(item));
         }
         st.lanes[i].push_back(item);
         drop(st);
@@ -161,10 +121,7 @@ impl<T> LaneQueues<T> {
             Lane::Short | Lane::Heavy => self.read_ready.notify_one(),
             Lane::Write => self.write_ready.notify_one(),
         }
-        Ok(match evicted {
-            None => Admitted::Queued,
-            Some(v) => Admitted::QueuedEvicting(v),
-        })
+        Ok(())
     }
 
     /// Blocks until a read-lane item is available or the queues are
@@ -240,22 +197,22 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn reads_only(caps: [usize; 3], weight: u64) -> LaneQueues<u32> {
-        LaneQueues::new(caps, [ShedPolicy::Reject; 3], weight)
+    fn queues(caps: [usize; 3], weight: u64) -> LaneQueues<u32> {
+        LaneQueues::new(caps, weight)
     }
 
     #[test]
     fn sheds_exactly_past_lane_capacity() {
-        let q = reads_only([8, 3, 8], 4);
+        let q = queues([8, 3, 8], 4);
         for v in 1..=3 {
-            assert!(matches!(q.try_push(Lane::Heavy, v), Ok(Admitted::Queued)));
+            assert!(q.try_push(Lane::Heavy, v).is_ok());
         }
         match q.try_push(Lane::Heavy, 4) {
             Err(PushError::Full(v)) => assert_eq!(v, 4),
             other => panic!("expected Full, got {other:?}"),
         }
         // Lane capacities are independent: heavy full, short still open.
-        assert!(matches!(q.try_push(Lane::Short, 99), Ok(Admitted::Queued)));
+        assert!(q.try_push(Lane::Short, 99).is_ok());
         assert_eq!(q.depths(), [1, 3, 0]);
         // A pop frees one slot exactly.
         assert_eq!(q.pop_read().map(|(l, v)| (l.name(), v)), Some(("short", 99)));
@@ -265,27 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_evicts_head_not_newcomer() {
-        let q = LaneQueues::new(
-            [2, 2, 2],
-            [ShedPolicy::Reject, ShedPolicy::Reject, ShedPolicy::DropOldest],
-            4,
-        );
-        assert!(matches!(q.try_push(Lane::Write, 1), Ok(Admitted::Queued)));
-        assert!(matches!(q.try_push(Lane::Write, 2), Ok(Admitted::Queued)));
-        match q.try_push(Lane::Write, 3) {
-            Ok(Admitted::QueuedEvicting(v)) => assert_eq!(v, 1, "oldest evicted"),
-            other => panic!("expected eviction, got {other:?}"),
-        }
-        assert_eq!(q.pop_write(), Some(2));
-        assert_eq!(q.pop_write(), Some(3));
-    }
-
-    #[test]
     fn weighted_pop_interleaves_but_never_starves_heavy() {
         // 10 in each read lane, weight 4: the contended drain order must
         // give heavy one pop per 4 short pops, then drain the remainder.
-        let q = reads_only([64, 64, 64], 4);
+        let q = queues([64, 64, 64], 4);
         for v in 0..10 {
             q.try_push(Lane::Short, v).unwrap();
             q.try_push(Lane::Heavy, 100 + v).unwrap();
@@ -310,7 +250,7 @@ mod tests {
 
     #[test]
     fn pop_read_is_work_conserving_when_one_lane_empty() {
-        let q = reads_only([8, 8, 8], 4);
+        let q = queues([8, 8, 8], 4);
         for v in 0..5 {
             q.try_push(Lane::Heavy, v).unwrap();
         }
@@ -322,7 +262,7 @@ mod tests {
 
     #[test]
     fn close_drains_all_lanes_then_ends() {
-        let q = reads_only([8, 8, 8], 4);
+        let q = queues([8, 8, 8], 4);
         q.try_push(Lane::Short, 1).unwrap();
         q.try_push(Lane::Heavy, 2).unwrap();
         q.try_push(Lane::Write, 3).unwrap();
@@ -341,7 +281,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_consumers_on_both_paths() {
-        let q = Arc::new(reads_only([1, 1, 1], 4));
+        let q = Arc::new(queues([1, 1, 1], 4));
         let qr = Arc::clone(&q);
         let qw = Arc::clone(&q);
         let hr = std::thread::spawn(move || qr.pop_read());
@@ -354,7 +294,7 @@ mod tests {
 
     #[test]
     fn mpmc_under_contention_loses_nothing() {
-        let q = Arc::new(reads_only([32, 32, 32], 4));
+        let q = Arc::new(queues([32, 32, 32], 4));
         let total = 4_000u32;
         let readers: Vec<std::thread::JoinHandle<u64>> = (0..3)
             .map(|_| {
@@ -387,11 +327,10 @@ mod tests {
             };
             loop {
                 match q.try_push(lane, i) {
-                    Ok(Admitted::Queued) => {
+                    Ok(()) => {
                         pushed_sum += i as u64;
                         break;
                     }
-                    Ok(Admitted::QueuedEvicting(_)) => unreachable!("Reject lanes never evict"),
                     Err(PushError::Full(_)) => std::thread::yield_now(),
                     Err(PushError::Closed(_)) => unreachable!(),
                 }

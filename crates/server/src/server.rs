@@ -38,10 +38,11 @@
 //! [`ServiceReport`] with the access log intact.
 //!
 //! **Concurrency model** — there is no lock anywhere on the read path.
-//! The store lives behind a [`StoreHandle`]: writes (update-stream
-//! replay through [`StoreWriter`], durable batches through the WAL
-//! path) build the next immutable store version on a private
-//! copy-on-write clone and publish it with an atomic swap
+//! The store lives behind a [`StoreHandle`]. After the bulk load every
+//! write is a sequenced batch on the durable path (`submit_batch`: WAL
+//! append, then apply) or, on a bootstrapping follower, a shipped
+//! image. Either builds the next immutable store version on a private
+//! copy-on-write clone and publishes it with one atomic swap
 //! ([`StoreHandle::publish_with`]); reads pin the current version at
 //! admission and run the whole query against it, unaffected by — and
 //! never blocking — concurrent publishes. A failed or panicking apply
@@ -52,21 +53,20 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use snb_core::{SnbError, SnbResult};
 use snb_datagen::dictionaries::StaticWorld;
-use snb_datagen::stream::TimedEvent;
 use snb_engine::QueryContext;
-use snb_store::{DeleteOp, DeleteStats, SnapshotStats, Store, StoreHandle, StoreSnapshot};
+use snb_store::{SnapshotStats, Store, StoreHandle, StoreSnapshot};
 
 use crate::log::{AccessLog, AccessRecord};
 use crate::proto::{
     self, ErrorBody, ErrorKind, Lane, OkBody, Request, Response, ServiceParams, WriteBatch,
     WriteOps,
 };
-use crate::queue::{Admitted, LaneQueues, PushError, ShedPolicy};
+use crate::queue::{LaneQueues, PushError};
 use crate::transport::Outbox;
 use crate::wal::SegmentedWal;
 
@@ -83,21 +83,13 @@ const POISONED_DETAIL: &str =
 /// Per-lane admission settings. Zero / `None` fields inherit the
 /// server-wide `queue_capacity` / `default_deadline`, so existing
 /// callers that only set the global knobs keep their exact semantics.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LaneSettings {
     /// Lane queue capacity; `0` inherits [`ServerConfig::queue_capacity`].
     pub capacity: usize,
     /// Deadline for requests on this lane that carry none; `None`
     /// inherits [`ServerConfig::default_deadline`].
     pub deadline: Option<Duration>,
-    /// What to do when the lane is full.
-    pub shed: ShedPolicy,
-}
-
-impl Default for LaneSettings {
-    fn default() -> Self {
-        LaneSettings { capacity: 0, deadline: None, shed: ShedPolicy::Reject }
-    }
 }
 
 /// Admission-lane configuration: one [`LaneSettings`] per lane plus
@@ -149,9 +141,8 @@ pub struct ServerConfig {
     /// its fd and buffer forever). `None` disables the idle check.
     /// Stalled closes are logged with outcome `conn_stalled`.
     pub conn_read_timeout: Option<Duration>,
-    /// Per-lane capacities, deadlines, and shed policies (fields left
-    /// at their defaults inherit `queue_capacity` /
-    /// `default_deadline`).
+    /// Per-lane capacities and deadlines (fields left at their defaults
+    /// inherit `queue_capacity` / `default_deadline`).
     pub lanes: LanesConfig,
     /// Dedicated threads draining the write lane (TCP write batches),
     /// so a WAL fsync never stalls a read worker. Clamped to at least
@@ -230,9 +221,9 @@ pub struct ServiceReport {
     pub bad_requests: u64,
     /// Requests that failed during execution.
     pub internal_errors: u64,
-    /// Update events applied through [`StoreWriter`].
+    /// Update events applied by write batches on the durable path.
     pub updates_applied: u64,
-    /// Delete operations applied through [`StoreWriter`].
+    /// Delete operations applied by write batches on the durable path.
     pub deletes_applied: u64,
     /// Sequenced write batches applied through the durable write path.
     pub batches_applied: u64,
@@ -319,7 +310,7 @@ enum Responder {
     /// The connection's outbox, shared with the reactor.
     Tcp(Arc<Outbox>),
     /// A waiting in-process caller.
-    InProc(crossbeam::channel::Sender<Response>),
+    InProc(mpsc::SyncSender<Response>),
 }
 
 /// What a request carries through admission and the queue: decoded
@@ -678,8 +669,8 @@ impl ServerInner {
         Response { id: header.id, body: Err(ErrorBody { kind, queue_us: 0, detail }) }
     }
 
-    /// Refuses one job the lane would not keep (shed victim or
-    /// closed-queue push-back), whichever payload form it carries.
+    /// Refuses one job the lane would not keep (lane full, or closed
+    /// for shutdown), whichever payload form it carries.
     fn refuse_job(&self, job: &Job, kind: ErrorKind) -> Response {
         self.refuse(job.seq, &job.payload.header(), job.payload.labels(), kind)
     }
@@ -805,7 +796,7 @@ impl ServerInner {
         };
         let mut waiting = None;
         let ran = self.dispatch(&self.context(1), job, || {
-            let (tx, rx) = crossbeam::channel::bounded(1);
+            let (tx, rx) = mpsc::sync_channel(1);
             waiting = Some(rx);
             Responder::InProc(tx)
         });
@@ -822,13 +813,7 @@ impl ServerInner {
     fn push_job(&self, job: Job, to: Responder) {
         let lane = job.lane;
         match self.queue.try_push(lane, (job, to)) {
-            Ok(Admitted::Queued) => {}
-            Ok(Admitted::QueuedEvicting((victim, victim_to))) => {
-                // DropOldest lane: the newcomer is queued and the stalest
-                // entry is shed in its place — answered Overloaded like
-                // any other shed, never silently dropped.
-                self.respond(&victim_to, self.refuse_job(&victim, ErrorKind::Overloaded), false);
-            }
+            Ok(()) => {}
             Err(PushError::Full((job, to))) => {
                 self.respond(&to, self.refuse_job(&job, ErrorKind::Overloaded), false)
             }
@@ -1417,17 +1402,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the service over an exclusively-owned store.
+    /// Starts the service over an exclusively-owned store without a
+    /// write-ahead log: write batches are refused `bad_request`, since
+    /// nothing could make them durable.
     pub fn start(store: Store, config: ServerConfig) -> Server {
-        Server::start_shared(Arc::new(StoreHandle::new(store)), config)
-    }
-
-    /// Starts the service over a shared snapshot-publication handle —
-    /// what other threads use for concurrent update replay and pinned
-    /// oracle reads. The handle exposes only publish/snapshot, so no
-    /// caller can bypass the writer or observe mid-batch state.
-    pub fn start_shared(store: Arc<StoreHandle>, config: ServerConfig) -> Server {
-        Server::start_shared_durable(store, config, None)
+        Server::start_with(store, config, None)
     }
 
     /// Starts the service with a write-ahead log: sequenced write
@@ -1435,16 +1414,13 @@ impl Server {
     /// appended + flushed before apply and ack, and deduplicated against
     /// `durability.last_seq` (the recovered high-water mark).
     pub fn start_durable(store: Store, config: ServerConfig, durability: Durability) -> Server {
-        Server::start_shared_durable(Arc::new(StoreHandle::new(store)), config, Some(durability))
+        Server::start_with(store, config, Some(durability))
     }
 
-    /// The general constructor behind [`Server::start`],
-    /// [`Server::start_shared`] and [`Server::start_durable`].
-    pub fn start_shared_durable(
-        store: Arc<StoreHandle>,
-        config: ServerConfig,
-        durability: Option<Durability>,
-    ) -> Server {
+    /// The one constructor behind [`Server::start`] and
+    /// [`Server::start_durable`].
+    fn start_with(store: Store, config: ServerConfig, durability: Option<Durability>) -> Server {
+        let store = Arc::new(StoreHandle::new(store));
         let (durable, last_seq, epoch) = match durability {
             None => (None, 0, 0),
             Some(d) => {
@@ -1457,7 +1433,6 @@ impl Server {
                 config.lane_capacity(Lane::Heavy),
                 config.lane_capacity(Lane::Write),
             ],
-            [config.lanes.short.shed, config.lanes.heavy.shed, config.lanes.write.shed],
             config.short_weight(),
         );
         let read_only = config.read_only;
@@ -1555,13 +1530,7 @@ impl Server {
         InProcClient { inner: Arc::clone(&self.inner), next_id: AtomicU64::new(1) }
     }
 
-    /// A write handle for concurrent update replay.
-    pub fn writer(&self) -> StoreWriter {
-        StoreWriter { inner: Arc::clone(&self.inner) }
-    }
-
-    /// The snapshot-publication handle (for oracles pinning versions
-    /// and for external writers sharing this server's store).
+    /// The snapshot-publication handle (for oracles pinning versions).
     pub fn store_handle(&self) -> Arc<StoreHandle> {
         Arc::clone(&self.inner.store)
     }
@@ -1751,102 +1720,6 @@ impl InProcClient {
     pub fn call_min_seq(&self, params: ServiceParams, deadline_us: u64, min_seq: u64) -> Response {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.inner.call(Request { id, deadline_us, min_seq, params })
-    }
-}
-
-/// Write handle: applies update-stream events and delete operations by
-/// building and publishing new store versions — each successful call
-/// publishes exactly one version with the date index repaired, so
-/// readers admitted afterwards see it fresh and readers admitted
-/// before keep their pinned version untouched.
-pub struct StoreWriter {
-    inner: Arc<ServerInner>,
-}
-
-impl StoreWriter {
-    /// Refuses writes once the store is poisoned, so an unacknowledged
-    /// failed batch cannot be compounded.
-    fn check_degraded(&self, doing: &str) -> SnbResult<()> {
-        if self.inner.degraded.load(Ordering::Acquire) {
-            return Err(SnbError::Poisoned { detail: format!("refusing {doing}") });
-        }
-        Ok(())
-    }
-
-    /// Runs one publish attempt with the writer's panic-to-poisoned
-    /// conversion: a panic inside the apply (including an injected
-    /// `writer.apply.panic` fault) discards the private clone — the
-    /// *published* store stays consistent — but the write is lost
-    /// unacknowledged, so the server degrades and refuses requests
-    /// until restart-and-replay from the WAL re-converges state.
-    fn publish_guarded<R>(
-        &self,
-        doing: &'static str,
-        f: impl FnOnce(&mut Store) -> SnbResult<R>,
-    ) -> SnbResult<R> {
-        let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.inner.store.publish_with(|next| {
-                if let Some(fault) = snb_fault::check("writer.apply.panic") {
-                    fault.trip("writer.apply.panic");
-                }
-                let r = f(next)?;
-                if !next.date_index_fresh() {
-                    next.rebuild_date_index();
-                }
-                Ok(r)
-            })
-        }));
-        match applied {
-            Ok(r) => r,
-            Err(_) => {
-                self.inner.degraded.store(true, Ordering::Release);
-                self.inner.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed);
-                Err(SnbError::Poisoned {
-                    detail: format!("panic while applying {doing}; restart to recover"),
-                })
-            }
-        }
-    }
-
-    /// Applies one insert event (IU 1–8), publishing one store version.
-    pub fn apply_update(&self, event: &TimedEvent, world: &StaticWorld) -> SnbResult<()> {
-        self.check_degraded("an update on a poisoned store")?;
-        self.publish_guarded("an update event", |next| next.apply_event(event, world))?;
-        self.inner.counters.updates_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Applies a slice of insert events as **one** published version —
-    /// the batched replay path: the copy-on-write cost of cloning the
-    /// touched columns is paid once per batch instead of once per
-    /// event. All-or-nothing: an error on any event publishes nothing.
-    pub fn apply_update_batch(&self, events: &[TimedEvent], world: &StaticWorld) -> SnbResult<u64> {
-        self.check_degraded("an update batch on a poisoned store")?;
-        let n = self.publish_guarded("an update batch", |next| {
-            let mut n = 0u64;
-            for ev in events {
-                next.apply_event(ev, world)?;
-                n += 1;
-            }
-            Ok(n)
-        })?;
-        self.inner.counters.updates_applied.fetch_add(n, Ordering::Relaxed);
-        Ok(n)
-    }
-
-    /// Applies a batch of delete operations (DEL 1–8), publishing one
-    /// store version.
-    pub fn apply_deletes(&self, ops: &[DeleteOp]) -> SnbResult<DeleteStats> {
-        self.check_degraded("a delete batch on a poisoned store")?;
-        let stats = self.publish_guarded("a delete batch", |next| next.apply_deletes(ops))?;
-        self.inner.counters.deletes_applied.fetch_add(ops.len() as u64, Ordering::Relaxed);
-        Ok(stats)
-    }
-
-    /// Validates store invariants on the latest published version (the
-    /// serializability probe of the concurrent harness).
-    pub fn validate_invariants(&self) -> SnbResult<()> {
-        self.inner.store.snapshot().validate_invariants()
     }
 }
 

@@ -85,7 +85,7 @@ use std::path::{Path, PathBuf};
 use snb_core::{SnbError, SnbResult};
 use snb_datagen::dictionaries::StaticWorld;
 use snb_datagen::GeneratorConfig;
-use snb_store::Store;
+use snb_store::{image_fnv64 as fnv64, Store};
 
 use crate::events::{decode_write_ops, encode_write_ops};
 use crate::image::ImageHeader;
@@ -93,16 +93,6 @@ use crate::proto::{put_str, put_u64, put_u8, Reader, WriteOps};
 
 const WAL_MAGIC: &[u8; 8] = b"SNBWAL1\n";
 const WAL_FILE: &str = "wal.log";
-
-/// FNV-1a 64-bit over a byte slice — the per-record checksum.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Tuning knobs for the log.
 #[derive(Clone, Copy, Debug)]

@@ -14,15 +14,13 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use snb_bi::BiParams;
-use snb_datagen::stream::UpdateEvent;
-use snb_datagen::GeneratorConfig;
 use snb_server::{
     image_info, recover, ErrorKind, OkBody, Server, ServerConfig, ServiceParams, WalOptions,
     WriteBatch, WriteOps,
 };
-use snb_store::DeleteOp;
 
-const SCALE: &str = "0.001";
+mod common;
+use common::{config, server_config, submit, tmp_dir, SCALE};
 
 /// The fault registry is process-global; tests that arm it serialize.
 fn fault_lock() -> MutexGuard<'static, ()> {
@@ -30,48 +28,8 @@ fn fault_lock() -> MutexGuard<'static, ()> {
     GUARD.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn config() -> GeneratorConfig {
-    GeneratorConfig::for_scale_name(SCALE).unwrap()
-}
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("snb_chaosit_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Sequenced batches carved from the real update stream (inserts in
-/// stream order plus interleaved like-deletes).
-fn batches(n: usize) -> Vec<WriteOps> {
-    let (_, stream) = snb_store::bulk_store_and_stream(&config());
-    let mut out = Vec::new();
-    let mut likes = Vec::new();
-    for chunk in stream.chunks(20).take(n) {
-        for ev in chunk {
-            if let UpdateEvent::AddLikePost(l) = &ev.event {
-                likes.push(DeleteOp::Like(l.person.0, l.message.0));
-            }
-        }
-        out.push(WriteOps::Updates(chunk.to_vec()));
-        if !likes.is_empty() {
-            out.push(WriteOps::Deletes(std::mem::take(&mut likes)));
-        }
-    }
-    out
-}
-
-fn server_config() -> ServerConfig {
-    ServerConfig { workers: 2, threads_per_worker: 1, ..ServerConfig::default() }
-}
-
 fn start(dir: &std::path::Path) -> Server {
-    start_with(dir, WalOptions::default())
-}
-
-fn start_with(dir: &std::path::Path, options: WalOptions) -> Server {
-    let recovered = recover(dir, &config(), SCALE, options).expect("recovery succeeds");
-    let (store, durability, _) = recovered.into_durability();
-    Server::start_durable(store, server_config(), durability)
+    common::start(dir, WalOptions::default())
 }
 
 /// Direct-apply oracle: `batches` applied straight to a bulk store.
@@ -80,38 +38,15 @@ fn oracle(batches: &[WriteOps]) -> snb_store::Store {
     let world = snb_datagen::dictionaries::StaticWorld::build(cfg.seed);
     let (mut store, _) = snb_store::bulk_store_and_stream(&cfg);
     for ops in batches {
-        match ops {
-            WriteOps::Updates(events) => {
-                for ev in events {
-                    store.apply_event(ev, &world).unwrap();
-                }
-            }
-            WriteOps::Deletes(dels) => {
-                store.apply_deletes(dels).unwrap();
-            }
-        }
-    }
-    if !store.date_index_fresh() {
-        store.rebuild_date_index();
+        common::apply(&mut store, ops, &world);
     }
     store
-}
-
-fn submit(server: &Server, seq: u64, ops: &WriteOps) -> Result<OkBody, (ErrorKind, String)> {
-    let resp = server.client().call(ServiceParams::Write(WriteBatch { seq, ops: ops.clone() }), 0);
-    match resp.body {
-        Ok(ok) => Ok(ok),
-        Err(e) => Err((e.kind, e.detail)),
-    }
 }
 
 fn probe_read(server: &Server) -> Result<OkBody, (ErrorKind, String)> {
     let params = BiParams::Q5(snb_bi::bi05::Params { country: "China".into() });
     let resp = server.client().call(ServiceParams::Bi(params), 0);
-    match resp.body {
-        Ok(ok) => Ok(ok),
-        Err(e) => Err((e.kind, e.detail)),
-    }
+    resp.body.map_err(|e| (e.kind, e.detail))
 }
 
 #[test]
@@ -119,7 +54,7 @@ fn torn_append_is_refused_then_truncated_on_recovery() {
     let _g = fault_lock();
     snb_fault::disarm_all();
     let dir = tmp_dir("torn");
-    let batches = batches(4);
+    let batches = common::batches(20, 4);
 
     let server = start(&dir);
     for seq in 1..=2u64 {
@@ -160,7 +95,7 @@ fn durable_unacked_batch_replays_and_dedupes() {
     let _g = fault_lock();
     snb_fault::disarm_all();
     let dir = tmp_dir("durable_unacked");
-    let batches = batches(3);
+    let batches = common::batches(20, 3);
 
     let server = start(&dir);
     submit(&server, 1, &batches[0]).expect("first ack");
@@ -195,7 +130,7 @@ fn mid_apply_panic_poisons_store_until_recovery() {
     let _g = fault_lock();
     snb_fault::disarm_all();
     let dir = tmp_dir("poison");
-    let batches = batches(3);
+    let batches = common::batches(20, 3);
 
     let server = start(&dir);
     submit(&server, 1, &batches[0]).expect("first ack");
@@ -237,13 +172,13 @@ fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
     let _g = fault_lock();
     snb_fault::disarm_all();
     let dir = tmp_dir("image_torn");
-    let batches = batches(5);
+    let batches = common::batches(20, 5);
     let opts = WalOptions { snapshot_every: 2, ..WalOptions::default() };
     let seed = config().seed;
     let image_seq = || image_info(&dir, SCALE, seed).expect("readable header").map(|h| h.seq);
 
     // Seqs 1-2 reach the first compaction point: an image lands.
-    let server = start_with(&dir, opts);
+    let server = common::start(&dir, opts);
     for seq in 1..=2u64 {
         submit(&server, seq, &batches[seq as usize - 1]).expect("ack");
     }
@@ -270,7 +205,7 @@ fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
 
     // The log is past its compaction point, so the next append retries
     // and this time the image lands and the log is truncated.
-    let server = start_with(&dir, opts);
+    let server = common::start(&dir, opts);
     submit(&server, 5, &batches[4]).expect("ack");
     let report = server.shutdown();
     assert_eq!(report.internal_errors, 0);
@@ -288,12 +223,10 @@ fn group_commit_concurrent_acks_are_durable() {
     let _g = fault_lock();
     snb_fault::disarm_all();
     let dir = tmp_dir("group_commit");
-    let all = batches(8);
+    let all = common::batches(20, 8);
     let n = all.len() as u64;
     let opts = WalOptions { group_commit: true, fsync_every: 4, ..WalOptions::default() };
-    let recovered = recover(&dir, &config(), SCALE, opts).expect("fresh recovery");
-    let (store, durability, _) = recovered.into_durability();
-    let server = Server::start_durable(store, server_config(), durability);
+    let server = common::start(&dir, opts);
 
     // Four submitters own interleaved sequence numbers and retry on the
     // gap rejection until their predecessor lands — every ack they see

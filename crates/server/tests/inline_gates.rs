@@ -9,15 +9,15 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use snb_datagen::GeneratorConfig;
 use snb_interactive::IsParams;
 use snb_server::proto::{self, Request};
-use snb_server::{AccessRecord, ErrorKind, Response, Server, ServerConfig, ServiceParams};
+use snb_server::{
+    AccessRecord, ErrorKind, Response, Server, ServerConfig, ServiceParams, WalOptions,
+};
 use snb_store::Ix;
 
-fn config() -> GeneratorConfig {
-    GeneratorConfig::for_scale_name("0.001").unwrap()
-}
+mod common;
+use common::config;
 
 /// The person with the most messages: IS 2 on them does real work.
 fn busiest_person(store: &snb_store::Store) -> u64 {
@@ -85,20 +85,21 @@ fn stale_reads_are_refused_inline() {
 
 #[test]
 fn a_poisoned_store_refuses_inline_reads() {
-    let config = config();
-    let (store, stream) = snb_store::bulk_store_and_stream(&config);
-    let world = snb_datagen::dictionaries::StaticWorld::build(config.seed);
-    let person = busiest_person(&store);
-    let (server, addr) = start(store, 1);
+    let dir = common::tmp_dir("inline_poison");
+    let mut server = common::start(&dir, WalOptions::default());
+    let person = busiest_person(server.snapshot().store());
+    let batch = &common::batches(1, 1)[0];
+    let addr = server.listen("127.0.0.1:0").expect("bind ephemeral port");
     let client = server.client();
     let mut conn = TcpStream::connect(addr).unwrap();
 
     // Only this test in the binary touches the (process-global) fault
     // registry, and it disarms before anything else can write.
     snb_fault::arm_from_spec("writer.apply.panic=panic@h1", 7).unwrap();
-    let applied = server.writer().apply_update(&stream[0], &world);
+    let applied = common::submit(&server, 1, batch);
     snb_fault::disarm_all();
-    assert!(applied.is_err() && server.is_degraded(), "the panic must poison the store");
+    assert!(matches!(applied, Err((ErrorKind::StorePoisoned, _))), "{applied:?}");
+    assert!(server.is_degraded(), "the panic must poison the store");
 
     let poisoned = client.call(is2(person), 0);
     assert_eq!(kind(&poisoned), Some(ErrorKind::StorePoisoned), "{poisoned:?}");
@@ -106,10 +107,14 @@ fn a_poisoned_store_refuses_inline_reads() {
     let poisoned = tcp_call(&mut conn, &req);
     assert_eq!((poisoned.id, kind(&poisoned)), (3, Some(ErrorKind::StorePoisoned)));
 
+    // One record per request: the failed batch on the write lane, then
+    // the two refused reads on the short lane.
     let log = server.access_log().snapshot();
-    assert_eq!(log.len(), 2, "one record per request: {log:?}");
+    assert_eq!(log.len(), 3, "one record per request: {log:?}");
+    assert_eq!((log[0].lane, log[0].outcome), ("write", "store_poisoned"));
     assert_eq!(is_records(&log, "store_poisoned"), 2);
     assert_eq!(server.shutdown().served_by_lane, [0, 0, 0]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
