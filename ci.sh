@@ -5,6 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> one byte codec (no from_le_bytes in crates/*/src outside crates/core/src/bytes.rs)"
+# Every length, integer and checksum a format reads goes through
+# snb_core::bytes, where the count rule lives; a second reader would
+# bring back the panics and oversized allocations that rule refuses.
+if grep -rn --include='*.rs' 'from_le_bytes' crates/*/src | grep -v '^crates/core/src/bytes\.rs:'; then
+  echo "from_le_bytes outside crates/core/src/bytes.rs: read through snb_core::bytes::Reader" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -15,8 +15,11 @@
 //!   degree distribution);
 //! * [`scale`] — the scale-factor table (spec Table 2.12) plus the
 //!   laptop-scale factors this reproduction adds below SF 0.1;
-//! * [`model`] — entity/relation vocabulary and raw-id newtypes.
+//! * [`model`] — entity/relation vocabulary and raw-id newtypes;
+//! * [`bytes`] — the one byte codec every wire and durable format
+//!   reads and writes through.
 
+pub mod bytes;
 pub mod datetime;
 pub mod dist;
 pub mod error;

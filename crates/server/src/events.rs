@@ -2,13 +2,16 @@
 //! payload format shared by the wire protocol's `Write` workload and the
 //! write-ahead log.
 //!
-//! The encoding reuses the proto primitives (little-endian integers,
-//! `u16`-length strings) and is an exact inverse pair: every field of
-//! every `Raw*` record round-trips, which `events::tests` pins down over
+//! The encoding uses the [`snb_core::bytes`] primitives (little-endian
+//! integers, `u16`-length strings) and is an exact inverse pair: every
+//! field of every `Raw*` record round-trips, which `events::tests` pins down over
 //! a real generated stream. Exactness matters more than compactness here
 //! — WAL replay must rebuild *the same* store the original apply
 //! produced, byte for byte of query results.
 
+use snb_core::bytes::{
+    put_i32, put_i64, put_str, put_strs, put_u16, put_u32, put_u64, put_u8, Malformed, Reader,
+};
 use snb_core::datetime::DateTime;
 use snb_core::model::{
     ForumId, ForumKind, Gender, MessageId, MessageKind, OrganisationId, PersonId, PlaceId, TagId,
@@ -17,10 +20,7 @@ use snb_datagen::graph::{RawForum, RawKnows, RawLike, RawMembership, RawMessage,
 use snb_datagen::stream::{TimedEvent, UpdateEvent};
 use snb_store::DeleteOp;
 
-use crate::proto::{
-    put_i32, put_i64, put_str, put_strs, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
-    WriteOps,
-};
+use crate::proto::WriteOps;
 
 // ---------------------------------------------------------------------
 // Small composite helpers.
@@ -44,7 +44,7 @@ fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, DecodeError> {
+fn opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, Malformed> {
     Ok(match r.u8()? {
         0 => None,
         _ => Some(r.u64()?),
@@ -61,7 +61,7 @@ fn put_opt_str(buf: &mut Vec<u8>, v: &Option<String>) {
     }
 }
 
-fn opt_str(r: &mut Reader<'_>) -> Result<Option<String>, DecodeError> {
+fn opt_str(r: &mut Reader<'_>) -> Result<Option<String>, Malformed> {
     Ok(match r.u8()? {
         0 => None,
         _ => Some(r.string()?),
@@ -75,9 +75,9 @@ fn put_tag_ids(buf: &mut Vec<u8>, tags: &[TagId]) {
     }
 }
 
-fn tag_ids(r: &mut Reader<'_>) -> Result<Vec<TagId>, DecodeError> {
-    let n = r.u16()? as usize;
-    (0..n).map(|_| Ok(TagId(r.u64()?))).collect()
+fn tag_ids(r: &mut Reader<'_>) -> Result<Vec<TagId>, Malformed> {
+    let n = r.u16()?;
+    r.many(n.into(), 8, |r| Ok(TagId(r.u64()?)))
 }
 
 // ---------------------------------------------------------------------
@@ -120,7 +120,7 @@ fn encode_person(buf: &mut Vec<u8>, p: &RawPerson) {
     }
 }
 
-fn decode_person(r: &mut Reader<'_>) -> Result<RawPerson, DecodeError> {
+fn decode_person(r: &mut Reader<'_>) -> Result<RawPerson, Malformed> {
     Ok(RawPerson {
         id: PersonId(r.u64()?),
         // Names come from the generator's static pools, so routing the
@@ -131,7 +131,7 @@ fn decode_person(r: &mut Reader<'_>) -> Result<RawPerson, DecodeError> {
         gender: match r.u8()? {
             0 => Gender::Male,
             1 => Gender::Female,
-            other => return Err(r.err(format!("bad gender tag {other}"))),
+            other => return Err(Malformed(format!("bad gender tag {other}"))),
         },
         birthday: snb_core::Date(r.i32()?),
         creation_date: DateTime(r.i64()?),
@@ -150,8 +150,8 @@ fn decode_person(r: &mut Reader<'_>) -> Result<RawPerson, DecodeError> {
             _ => Some((OrganisationId(r.u64()?), r.i32()?)),
         },
         work_at: {
-            let n = r.u16()? as usize;
-            (0..n).map(|_| Ok((OrganisationId(r.u64()?), r.i32()?))).collect::<Result<_, _>>()?
+            let n = r.u16()?;
+            r.many(n.into(), 12, |r| Ok((OrganisationId(r.u64()?), r.i32()?)))?
         },
     })
 }
@@ -163,7 +163,7 @@ fn encode_knows(buf: &mut Vec<u8>, k: &RawKnows) {
     put_u8(buf, k.dimension);
 }
 
-fn decode_knows(r: &mut Reader<'_>) -> Result<RawKnows, DecodeError> {
+fn decode_knows(r: &mut Reader<'_>) -> Result<RawKnows, Malformed> {
     Ok(RawKnows {
         a: PersonId(r.u64()?),
         b: PersonId(r.u64()?),
@@ -188,14 +188,14 @@ fn encode_forum(buf: &mut Vec<u8>, f: &RawForum) {
     put_tag_ids(buf, &f.tags);
 }
 
-fn decode_forum(r: &mut Reader<'_>) -> Result<RawForum, DecodeError> {
+fn decode_forum(r: &mut Reader<'_>) -> Result<RawForum, Malformed> {
     Ok(RawForum {
         id: ForumId(r.u64()?),
         kind: match r.u8()? {
             0 => ForumKind::Wall,
             1 => ForumKind::Album,
             2 => ForumKind::Group,
-            other => return Err(r.err(format!("bad forum kind {other}"))),
+            other => return Err(Malformed(format!("bad forum kind {other}"))),
         },
         title: r.string()?,
         creation_date: DateTime(r.i64()?),
@@ -210,7 +210,7 @@ fn encode_membership(buf: &mut Vec<u8>, m: &RawMembership) {
     put_i64(buf, m.join_date.0);
 }
 
-fn decode_membership(r: &mut Reader<'_>) -> Result<RawMembership, DecodeError> {
+fn decode_membership(r: &mut Reader<'_>) -> Result<RawMembership, Malformed> {
     Ok(RawMembership {
         forum: ForumId(r.u64()?),
         person: PersonId(r.u64()?),
@@ -248,13 +248,13 @@ fn encode_message(buf: &mut Vec<u8>, m: &RawMessage) {
     put_tag_ids(buf, &m.tags);
 }
 
-fn decode_message(r: &mut Reader<'_>) -> Result<RawMessage, DecodeError> {
+fn decode_message(r: &mut Reader<'_>) -> Result<RawMessage, Malformed> {
     Ok(RawMessage {
         id: MessageId(r.u64()?),
         kind: match r.u8()? {
             0 => MessageKind::Post,
             1 => MessageKind::Comment,
-            other => return Err(r.err(format!("bad message kind {other}"))),
+            other => return Err(Malformed(format!("bad message kind {other}"))),
         },
         creation_date: DateTime(r.i64()?),
         creator: PersonId(r.u64()?),
@@ -281,7 +281,7 @@ fn encode_like(buf: &mut Vec<u8>, l: &RawLike) {
     put_i64(buf, l.creation_date.0);
 }
 
-fn decode_like(r: &mut Reader<'_>) -> Result<RawLike, DecodeError> {
+fn decode_like(r: &mut Reader<'_>) -> Result<RawLike, Malformed> {
     Ok(RawLike {
         person: PersonId(r.u64()?),
         message: MessageId(r.u64()?),
@@ -310,7 +310,7 @@ pub fn encode_event(buf: &mut Vec<u8>, ev: &TimedEvent) {
 }
 
 /// Parses one timed event.
-pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<TimedEvent, DecodeError> {
+pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<TimedEvent, Malformed> {
     let timestamp = DateTime(r.i64()?);
     let dependent = DateTime(r.i64()?);
     let event = match r.u8()? {
@@ -322,7 +322,7 @@ pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<TimedEvent, DecodeError
         6 => UpdateEvent::AddPost(decode_message(r)?),
         7 => UpdateEvent::AddComment(decode_message(r)?),
         8 => UpdateEvent::AddKnows(decode_knows(r)?),
-        other => return Err(r.err(format!("unknown operation id {other}"))),
+        other => return Err(Malformed(format!("unknown operation id {other}"))),
     };
     Ok(TimedEvent { timestamp, dependent, event })
 }
@@ -361,7 +361,7 @@ pub fn encode_delete(buf: &mut Vec<u8>, op: &DeleteOp) {
 }
 
 /// Parses one delete op.
-pub(crate) fn decode_delete(r: &mut Reader<'_>) -> Result<DeleteOp, DecodeError> {
+pub(crate) fn decode_delete(r: &mut Reader<'_>) -> Result<DeleteOp, Malformed> {
     Ok(match r.u8()? {
         1 => DeleteOp::Person(r.u64()?),
         2 => DeleteOp::Like(r.u64()?, r.u64()?),
@@ -369,7 +369,7 @@ pub(crate) fn decode_delete(r: &mut Reader<'_>) -> Result<DeleteOp, DecodeError>
         4 => DeleteOp::Membership(r.u64()?, r.u64()?),
         5 => DeleteOp::Message(r.u64()?),
         6 => DeleteOp::Knows(r.u64()?, r.u64()?),
-        other => return Err(r.err(format!("unknown delete tag {other}"))),
+        other => return Err(Malformed(format!("unknown delete tag {other}"))),
     })
 }
 
@@ -394,12 +394,13 @@ pub fn encode_write_ops(buf: &mut Vec<u8>, ops: &WriteOps) {
 
 /// Parses a write-batch payload for the given family tag (1 = updates,
 /// 2 = deletes).
-pub(crate) fn decode_write_ops(r: &mut Reader<'_>, tag: u8) -> Result<WriteOps, DecodeError> {
-    let n = r.u32()? as usize;
+pub(crate) fn decode_write_ops(r: &mut Reader<'_>, tag: u8) -> Result<WriteOps, Malformed> {
+    let n = r.u32()?;
+    let n = r.count(n.into(), 1)?;
     match tag {
         1 => Ok(WriteOps::Updates((0..n).map(|_| decode_event(r)).collect::<Result<_, _>>()?)),
         2 => Ok(WriteOps::Deletes((0..n).map(|_| decode_delete(r)).collect::<Result<_, _>>()?)),
-        other => Err(r.err(format!("unknown write family tag {other}"))),
+        other => Err(Malformed(format!("unknown write family tag {other}"))),
     }
 }
 

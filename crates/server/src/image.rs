@@ -16,6 +16,8 @@
 //!
 //! ## File format
 //!
+//! Every field goes through [`snb_core::bytes`]:
+//!
 //! ```text
 //! [8B magic "SNBIMG1\n"][u16 scale_len][scale][u64 seed][u64 epoch]
 //! [u64 seq][u32 shards = 1][u64 body_len][u64 fnv64(body)]
@@ -45,11 +47,12 @@
 //! Fault point: `image.write.torn` (partial temp write, no rename).
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 
+use snb_core::bytes::{fnv64, put_str, put_u32, put_u64, Malformed, Reader};
 use snb_core::{SnbError, SnbResult};
-use snb_store::{decode_store, encode_store, image_fnv64 as fnv64, Store};
+use snb_store::{decode_store, encode_store, Store};
 
 /// Magic prefix of `store.img`.
 pub const IMAGE_MAGIC: &[u8; 8] = b"SNBIMG1\n";
@@ -72,86 +75,56 @@ pub struct ImageHeader {
     pub body_fnv: u64,
 }
 
-fn image_err(path: &Path, detail: impl Into<String>) -> SnbError {
-    SnbError::Parse { context: path.display().to_string(), detail: detail.into() }
-}
-
 fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + scale.len());
     out.extend_from_slice(IMAGE_MAGIC);
-    out.extend_from_slice(&(scale.len() as u16).to_le_bytes());
-    out.extend_from_slice(scale.as_bytes());
-    out.extend_from_slice(&seed.to_le_bytes());
-    out.extend_from_slice(&h.epoch.to_le_bytes());
-    out.extend_from_slice(&h.seq.to_le_bytes());
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&h.body_len.to_le_bytes());
-    out.extend_from_slice(&h.body_fnv.to_le_bytes());
+    put_str(&mut out, scale);
+    put_u64(&mut out, seed);
+    put_u64(&mut out, h.epoch);
+    put_u64(&mut out, h.seq);
+    put_u32(&mut out, 1);
+    put_u64(&mut out, h.body_len);
+    put_u64(&mut out, h.body_fnv);
     let sum = fnv64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    put_u64(&mut out, sum);
     out
 }
 
-/// Parses and verifies the header, returning `(body_offset, header)`.
-/// Every mismatch — magic, scale, seed, checksum, truncation, a shard
-/// count other than 1 — is a hard error.
-fn decode_header(
-    bytes: &[u8],
+/// Parses and verifies the header, returning it and the bytes after it
+/// (the body). Every mismatch — magic, scale, seed, checksum,
+/// truncation, a shard count other than 1 — is a hard error.
+fn decode_header<'a>(
+    bytes: &'a [u8],
     scale: &str,
     seed: u64,
-    path: &Path,
-) -> SnbResult<(usize, ImageHeader)> {
-    let need = |n: usize, at: usize| -> SnbResult<()> {
-        if at + n > bytes.len() {
-            Err(image_err(path, "truncated image header"))
-        } else {
-            Ok(())
-        }
-    };
-    need(10, 0)?;
-    if &bytes[..8] != IMAGE_MAGIC {
-        return Err(image_err(path, "bad magic (not a store image)"));
+) -> Result<(ImageHeader, &'a [u8]), Malformed> {
+    let mut r = Reader::new(bytes);
+    if r.take(IMAGE_MAGIC.len()).ok() != Some(IMAGE_MAGIC) {
+        return Err(Malformed("bad magic (not a store image)".into()));
     }
-    let scale_len = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes")) as usize;
-    let mut at = 10;
-    need(scale_len, at)?;
-    let got_scale = std::str::from_utf8(&bytes[at..at + scale_len])
-        .map_err(|_| image_err(path, "scale name is not UTF-8"))?;
+    let got_scale = r.str()?;
     if got_scale != scale {
-        return Err(image_err(
-            path,
-            format!("scale mismatch: image {got_scale:?}, store {scale:?}"),
-        ));
+        return Err(Malformed(format!("scale mismatch: image {got_scale:?}, store {scale:?}")));
     }
-    at += scale_len;
-    need(8 * 5 + 4 + 8, at)?;
-    let u64_at = |at: &mut usize| {
-        let v = u64::from_le_bytes(bytes[*at..*at + 8].try_into().expect("8 bytes"));
-        *at += 8;
-        v
-    };
-    let got_seed = u64_at(&mut at);
-    let epoch = u64_at(&mut at);
-    let seq = u64_at(&mut at);
-    let shards = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-    at += 4;
-    let body_len = u64_at(&mut at);
-    let body_fnv = u64_at(&mut at);
-    let stored_sum = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    if fnv64(&bytes[..at]) != stored_sum {
-        return Err(image_err(path, "header checksum mismatch"));
+    let got_seed = r.u64()?;
+    let epoch = r.u64()?;
+    let seq = r.u64()?;
+    let shards = r.u32()?;
+    let body_len = r.u64()?;
+    let body_fnv = r.u64()?;
+    let summed = fnv64(&bytes[..r.pos()]);
+    if r.u64()? != summed {
+        return Err(Malformed("header checksum mismatch".into()));
     }
-    at += 8;
     if got_seed != seed {
-        return Err(image_err(path, format!("seed mismatch: image {got_seed}, store {seed}")));
+        return Err(Malformed(format!("seed mismatch: image {got_seed}, store {seed}")));
     }
     if shards != 1 {
-        return Err(image_err(
-            path,
-            format!("image belongs beside a log split across {shards} shards by an older build"),
-        ));
+        return Err(Malformed(format!(
+            "image belongs beside a log split across {shards} shards by an older build"
+        )));
     }
-    Ok((at, ImageHeader { epoch, seq, body_len, body_fnv }))
+    Ok((ImageHeader { epoch, seq, body_len, body_fnv }, &bytes[r.pos()..]))
 }
 
 /// Atomically writes `store.img` under `dir` capturing `store` at
@@ -229,24 +202,9 @@ pub fn image_info(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<ImageH
     }
     // Headers are tiny; reading the whole file header-first would cost
     // the body too, so read a bounded prefix.
-    let mut buf = vec![0u8; 128 + scale.len()];
-    let mut f = File::open(&path)?;
-    let n = read_up_to(&mut f, &mut buf)?;
-    buf.truncate(n);
-    decode_header(&buf, scale, seed, &path).map(|(_, h)| Some(h))
-}
-
-fn read_up_to(f: &mut File, buf: &mut [u8]) -> SnbResult<usize> {
-    use std::io::Read;
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = f.read(&mut buf[filled..])?;
-        if n == 0 {
-            break;
-        }
-        filled += n;
-    }
-    Ok(filled)
+    let mut buf = Vec::new();
+    File::open(&path)?.take(128 + scale.len() as u64).read_to_end(&mut buf)?;
+    decode_header(&buf, scale, seed).map(|(h, _)| Some(h)).map_err(|e| e.at(path.display()))
 }
 
 /// Reads the raw bytes of `dir`'s image file (the replication shipping
@@ -260,7 +218,7 @@ pub fn read_image_bytes(dir: &Path) -> SnbResult<Vec<u8>> {
 /// it is about to send — the on-disk file can be superseded (atomic
 /// rename) between a stat and a read, so the bytes are the truth.
 pub fn peek_header(bytes: &[u8], scale: &str, seed: u64) -> SnbResult<ImageHeader> {
-    decode_header(bytes, scale, seed, Path::new("<shipped image>")).map(|(_, h)| h)
+    decode_header(bytes, scale, seed).map(|(h, _)| h).map_err(|e| e.at("<shipped image>"))
 }
 
 /// Verifies and decodes a complete image byte buffer (a local file or a
@@ -271,19 +229,19 @@ pub fn decode_image(
     seed: u64,
     path: &Path,
 ) -> SnbResult<(Store, ImageHeader)> {
-    let (off, header) = decode_header(bytes, scale, seed, path)?;
-    let body = &bytes[off..];
-    if body.len() as u64 != header.body_len {
-        return Err(image_err(
-            path,
-            format!("body length {} != header {}", body.len(), header.body_len),
-        ));
-    }
-    if fnv64(body) != header.body_fnv {
-        return Err(image_err(path, "body checksum mismatch"));
-    }
-    let store = decode_store(body)?;
-    Ok((store, header))
+    let (header, body) = decode_header(bytes, scale, seed)
+        .and_then(|(header, body)| {
+            let (got, want) = (body.len(), header.body_len);
+            if got as u64 != want {
+                return Err(Malformed(format!("body length {got} != header {want}")));
+            }
+            if fnv64(body) != header.body_fnv {
+                return Err(Malformed("body checksum mismatch".into()));
+            }
+            Ok((header, body))
+        })
+        .map_err(|e| e.at(path.display()))?;
+    Ok((decode_store(body)?, header))
 }
 
 /// Loads and decodes `dir`'s image. `Ok(None)` when absent; any
@@ -299,8 +257,10 @@ pub fn load_image(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<(Store
 
 /// Persists a shipped image blob into `dir` (atomic, like
 /// [`write_image`], and like it not durable until `sync_dir`) after
-/// verifying it decodes — the follower bootstrap landing step. Returns
-/// the decoded store and header.
+/// verifying it decodes to a store that passes
+/// [`Store::validate_invariants`] — the follower bootstrap landing step,
+/// so a checksummed but inconsistent store is neither landed nor
+/// published. Returns the decoded store and header.
 pub fn install_image_bytes(
     dir: &Path,
     scale: &str,
@@ -309,6 +269,7 @@ pub fn install_image_bytes(
 ) -> SnbResult<(Store, ImageHeader)> {
     let final_path = dir.join(IMAGE_FILE);
     let (store, header) = decode_image(bytes, scale, seed, &final_path)?;
+    store.validate_invariants()?;
     std::fs::create_dir_all(dir)?;
     let tmp_path = dir.join(IMAGE_TMP);
     let mut tmp = File::create(&tmp_path)?;

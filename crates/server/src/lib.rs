@@ -58,9 +58,7 @@ pub use server::{
     ServiceReport,
 };
 pub use transport::OUTBOX_LIMIT;
-pub use wal::{
-    recover, Recovered, RecoveryReport, SegmentedWal, ShippedRecord, WalOptions, WalTailer,
-};
+pub use wal::{recover, Recovered, RecoveryReport, SegmentedWal, WalEntry, WalOptions, WalTailer};
 
 #[cfg(test)]
 mod tests {
@@ -297,6 +295,42 @@ mod tests {
         let report = server.shutdown();
         assert_eq!(report.served, 5);
         assert_eq!(report.bad_requests, 1);
+    }
+
+    #[test]
+    fn shipped_image_that_fails_its_invariants_is_not_installed() {
+        let cfg = GeneratorConfig::for_scale_name("0.001").unwrap();
+        let dir = |tag: &str| {
+            let d = std::env::temp_dir().join(format!("snb_lib_{tag}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&d);
+            std::fs::create_dir_all(&d).unwrap();
+            d
+        };
+        let (src, dst) = (dir("bad_image_src"), dir("bad_image_dst"));
+        let image = |store: &snb_store::Store| {
+            write_image(&src, "0.001", cfg.seed, 0, 1, 1, store).unwrap();
+            image::read_image_bytes(&src).unwrap()
+        };
+        let good = tiny_store();
+        let mut bad = good.clone();
+        bad.persons.city[0] = bad.places.len() as snb_store::Ix;
+
+        let recovered = recover(&dst, &cfg, "0.001", WalOptions::default()).unwrap();
+        let (store, durability, _) = recovered.into_durability();
+        let server = Server::start_durable(store, ServerConfig::default(), durability);
+        let before = (server.snapshot().version(), server.last_applied_seq());
+        let refused = server.inner().install_image(&image(&bad));
+        assert!(matches!(refused, Err(snb_core::SnbError::Config(_))), "{refused:?}");
+        assert_eq!((server.snapshot().version(), server.last_applied_seq()), before);
+        assert!(!dst.join(IMAGE_FILE).exists(), "a refused image must not land");
+
+        // The same image without the dangling city installs.
+        assert_eq!(server.inner().install_image(&image(&good)).unwrap().seq, 1);
+        assert_eq!(server.last_applied_seq(), 1);
+        assert!(server.snapshot().version() > before.0);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&src);
+        let _ = std::fs::remove_dir_all(&dst);
     }
 
     #[test]

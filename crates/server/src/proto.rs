@@ -11,13 +11,17 @@
 //! queue wait, execution time, optional operator profile) or a typed
 //! error from the service taxonomy ([`ErrorKind`]).
 //!
-//! The codec is hand-rolled (the container has no serde): integers are
-//! little-endian, strings are `u16` length + UTF-8 bytes, string lists
-//! are `u16` count + strings. [`encode_params`] and the binding half of
-//! [`decode_request`] are exact inverses for every binding the parameter
-//! generator can produce, which the round-trip tests pin down.
+//! Every integer, string and length goes through [`snb_core::bytes`]:
+//! integers are little-endian, strings are `u16` length + UTF-8 bytes,
+//! string lists are `u16` count + strings. [`encode_params`] and the
+//! binding half of [`decode_request`] are exact inverses for every
+//! binding the parameter generator can produce, which the round-trip
+//! tests pin down.
 
 use snb_bi::BiParams;
+use snb_core::bytes::{
+    fnv64, put_i32, put_str, put_strs, put_u32, put_u64, put_u8, Malformed, Reader,
+};
 use snb_core::Date;
 use snb_engine::QueryProfile;
 use snb_interactive::{IcParams, IsParams};
@@ -164,16 +168,10 @@ impl ServiceParams {
     /// batches hash to their sequence number: the identity that matters
     /// for dedupe tracing, and far cheaper than formatting the payload.
     pub fn binding_hash(&self) -> u64 {
-        let s = match self {
-            ServiceParams::Write(b) => return b.seq,
-            other => format!("{other:?}"),
-        };
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for b in s.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
+        match self {
+            ServiceParams::Write(b) => b.seq,
+            other => fnv64(format!("{other:?}").as_bytes()),
         }
-        hash
     }
 }
 
@@ -360,131 +358,9 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
-// ---------------------------------------------------------------------
-// Primitive put/get helpers.
-// ---------------------------------------------------------------------
-
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i32(buf: &mut Vec<u8>, v: i32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    put_u16(buf, bytes.len().min(u16::MAX as usize) as u16);
-    buf.extend_from_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
-}
-
-pub(crate) fn put_strs(buf: &mut Vec<u8>, ss: &[String]) {
-    put_u16(buf, ss.len().min(u16::MAX as usize) as u16);
-    for s in ss {
-        put_str(buf, s);
-    }
-}
-
-pub(crate) fn put_date(buf: &mut Vec<u8>, d: Date) {
-    put_i32(buf, d.0);
-}
-
-/// A bounds-checked read cursor over a frame payload.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// Correlation id once parsed, for error attribution.
-    id: Option<u64>,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0, id: None }
-    }
-
-    pub(crate) fn err(&self, detail: impl Into<String>) -> DecodeError {
-        DecodeError { id: self.id, detail: detail.into() }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
-            return Err(self.err(format!(
-                "truncated frame: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn i32(&mut self) -> Result<i32, DecodeError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("invalid UTF-8 in string"))
-    }
-
-    pub(crate) fn strings(&mut self) -> Result<Vec<String>, DecodeError> {
-        let n = self.u16()? as usize;
-        (0..n).map(|_| self.string()).collect()
-    }
-
-    pub(crate) fn date(&mut self) -> Result<Date, DecodeError> {
-        Ok(Date(self.i32()?))
-    }
-
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-
-    pub(crate) fn finish(&self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
-            return Err(
-                self.err(format!("{} trailing bytes after payload", self.buf.len() - self.pos))
-            );
-        }
-        Ok(())
+impl From<Malformed> for DecodeError {
+    fn from(e: Malformed) -> DecodeError {
+        DecodeError { id: None, detail: e.0 }
     }
 }
 
@@ -527,10 +403,10 @@ pub fn encode_params(buf: &mut Vec<u8>, params: &ServiceParams) {
 fn encode_bi(buf: &mut Vec<u8>, p: &BiParams) {
     use snb_bi::*;
     match p {
-        BiParams::Q1(q) => put_date(buf, q.date),
+        BiParams::Q1(q) => put_i32(buf, q.date.0),
         BiParams::Q2(q) => {
-            put_date(buf, q.start_date);
-            put_date(buf, q.end_date);
+            put_i32(buf, q.start_date.0);
+            put_i32(buf, q.end_date.0);
             put_str(buf, &q.country1);
             put_str(buf, &q.country2);
             put_u64(buf, q.min_count);
@@ -554,20 +430,20 @@ fn encode_bi(buf: &mut Vec<u8>, p: &BiParams) {
         }
         BiParams::Q10(q) => {
             put_str(buf, &q.tag);
-            put_date(buf, q.date);
+            put_i32(buf, q.date.0);
         }
         BiParams::Q11(q) => {
             put_str(buf, &q.country);
             put_strs(buf, &q.blacklist);
         }
         BiParams::Q12(q) => {
-            put_date(buf, q.date);
+            put_i32(buf, q.date.0);
             put_u64(buf, q.like_threshold);
         }
         BiParams::Q13(q) => put_str(buf, &q.country),
         BiParams::Q14(q) => {
-            put_date(buf, q.begin);
-            put_date(buf, q.end);
+            put_i32(buf, q.begin.0);
+            put_i32(buf, q.end.0);
         }
         BiParams::Q15(q) => put_str(buf, &q.country),
         BiParams::Q16(q) => {
@@ -579,19 +455,19 @@ fn encode_bi(buf: &mut Vec<u8>, p: &BiParams) {
         }
         BiParams::Q17(q) => put_str(buf, &q.country),
         BiParams::Q18(q) => {
-            put_date(buf, q.date);
+            put_i32(buf, q.date.0);
             put_u32(buf, q.length_threshold);
             put_strs(buf, &q.languages);
         }
         BiParams::Q19(q) => {
-            put_date(buf, q.date);
+            put_i32(buf, q.date.0);
             put_str(buf, &q.tag_class1);
             put_str(buf, &q.tag_class2);
         }
         BiParams::Q20(q) => put_strs(buf, &q.tag_classes),
         BiParams::Q21(q) => {
             put_str(buf, &q.country);
-            put_date(buf, q.end_date);
+            put_i32(buf, q.end_date.0);
         }
         BiParams::Q22(q) => {
             put_str(buf, &q.country1);
@@ -602,8 +478,8 @@ fn encode_bi(buf: &mut Vec<u8>, p: &BiParams) {
         BiParams::Q25(q) => {
             put_u64(buf, q.person1_id);
             put_u64(buf, q.person2_id);
-            put_date(buf, q.start_date);
-            put_date(buf, q.end_date);
+            put_i32(buf, q.start_date.0);
+            put_i32(buf, q.end_date.0);
         }
     }
 }
@@ -617,23 +493,23 @@ fn encode_ic(buf: &mut Vec<u8>, p: &IcParams) {
         }
         IcParams::Q2(q) => {
             put_u64(buf, q.person_id);
-            put_date(buf, q.max_date);
+            put_i32(buf, q.max_date.0);
         }
         IcParams::Q3(q) => {
             put_u64(buf, q.person_id);
             put_str(buf, &q.country_x);
             put_str(buf, &q.country_y);
-            put_date(buf, q.start_date);
+            put_i32(buf, q.start_date.0);
             put_u32(buf, q.duration_days);
         }
         IcParams::Q4(q) => {
             put_u64(buf, q.person_id);
-            put_date(buf, q.start_date);
+            put_i32(buf, q.start_date.0);
             put_u32(buf, q.duration_days);
         }
         IcParams::Q5(q) => {
             put_u64(buf, q.person_id);
-            put_date(buf, q.min_date);
+            put_i32(buf, q.min_date.0);
         }
         IcParams::Q6(q) => {
             put_u64(buf, q.person_id);
@@ -643,7 +519,7 @@ fn encode_ic(buf: &mut Vec<u8>, p: &IcParams) {
         IcParams::Q8(q) => put_u64(buf, q.person_id),
         IcParams::Q9(q) => {
             put_u64(buf, q.person_id);
-            put_date(buf, q.max_date);
+            put_i32(buf, q.max_date.0);
         }
         IcParams::Q10(q) => {
             put_u64(buf, q.person_id);
@@ -669,13 +545,16 @@ fn encode_ic(buf: &mut Vec<u8>, p: &IcParams) {
     }
 }
 
-fn decode_bi(r: &mut Reader<'_>, query: u8) -> Result<BiParams, DecodeError> {
+// BI and IC bindings are decoded on lane workers and are kept out of
+// line, so the IS decode the reactor runs stays a few straight reads.
+#[inline(never)]
+fn decode_bi(r: &mut Reader<'_>, query: u8) -> Result<BiParams, Malformed> {
     use snb_bi::*;
     Ok(match query {
-        1 => BiParams::Q1(bi01::Params { date: r.date()? }),
+        1 => BiParams::Q1(bi01::Params { date: Date(r.i32()?) }),
         2 => BiParams::Q2(bi02::Params {
-            start_date: r.date()?,
-            end_date: r.date()?,
+            start_date: Date(r.i32()?),
+            end_date: Date(r.i32()?),
             country1: r.string()?,
             country2: r.string()?,
             min_count: r.u64()?,
@@ -691,11 +570,11 @@ fn decode_bi(r: &mut Reader<'_>, query: u8) -> Result<BiParams, DecodeError> {
             tag_class2: r.string()?,
             threshold: r.u64()?,
         }),
-        10 => BiParams::Q10(bi10::Params { tag: r.string()?, date: r.date()? }),
+        10 => BiParams::Q10(bi10::Params { tag: r.string()?, date: Date(r.i32()?) }),
         11 => BiParams::Q11(bi11::Params { country: r.string()?, blacklist: r.strings()? }),
-        12 => BiParams::Q12(bi12::Params { date: r.date()?, like_threshold: r.u64()? }),
+        12 => BiParams::Q12(bi12::Params { date: Date(r.i32()?), like_threshold: r.u64()? }),
         13 => BiParams::Q13(bi13::Params { country: r.string()? }),
-        14 => BiParams::Q14(bi14::Params { begin: r.date()?, end: r.date()? }),
+        14 => BiParams::Q14(bi14::Params { begin: Date(r.i32()?), end: Date(r.i32()?) }),
         15 => BiParams::Q15(bi15::Params { country: r.string()? }),
         16 => BiParams::Q16(bi16::Params {
             person_id: r.u64()?,
@@ -706,52 +585,53 @@ fn decode_bi(r: &mut Reader<'_>, query: u8) -> Result<BiParams, DecodeError> {
         }),
         17 => BiParams::Q17(bi17::Params { country: r.string()? }),
         18 => BiParams::Q18(bi18::Params {
-            date: r.date()?,
+            date: Date(r.i32()?),
             length_threshold: r.u32()?,
             languages: r.strings()?,
         }),
         19 => BiParams::Q19(bi19::Params {
-            date: r.date()?,
+            date: Date(r.i32()?),
             tag_class1: r.string()?,
             tag_class2: r.string()?,
         }),
         20 => BiParams::Q20(bi20::Params { tag_classes: r.strings()? }),
-        21 => BiParams::Q21(bi21::Params { country: r.string()?, end_date: r.date()? }),
+        21 => BiParams::Q21(bi21::Params { country: r.string()?, end_date: Date(r.i32()?) }),
         22 => BiParams::Q22(bi22::Params { country1: r.string()?, country2: r.string()? }),
         23 => BiParams::Q23(bi23::Params { country: r.string()? }),
         24 => BiParams::Q24(bi24::Params { tag_class: r.string()? }),
         25 => BiParams::Q25(bi25::Params {
             person1_id: r.u64()?,
             person2_id: r.u64()?,
-            start_date: r.date()?,
-            end_date: r.date()?,
+            start_date: Date(r.i32()?),
+            end_date: Date(r.i32()?),
         }),
-        other => return Err(r.err(format!("unknown BI query {other}"))),
+        other => return Err(Malformed(format!("unknown BI query {other}"))),
     })
 }
 
-fn decode_ic(r: &mut Reader<'_>, query: u8) -> Result<IcParams, DecodeError> {
+#[inline(never)]
+fn decode_ic(r: &mut Reader<'_>, query: u8) -> Result<IcParams, Malformed> {
     use snb_interactive::*;
     Ok(match query {
         1 => IcParams::Q1(ic01::Params { person_id: r.u64()?, first_name: r.string()? }),
-        2 => IcParams::Q2(ic02::Params { person_id: r.u64()?, max_date: r.date()? }),
+        2 => IcParams::Q2(ic02::Params { person_id: r.u64()?, max_date: Date(r.i32()?) }),
         3 => IcParams::Q3(ic03::Params {
             person_id: r.u64()?,
             country_x: r.string()?,
             country_y: r.string()?,
-            start_date: r.date()?,
+            start_date: Date(r.i32()?),
             duration_days: r.u32()?,
         }),
         4 => IcParams::Q4(ic04::Params {
             person_id: r.u64()?,
-            start_date: r.date()?,
+            start_date: Date(r.i32()?),
             duration_days: r.u32()?,
         }),
-        5 => IcParams::Q5(ic05::Params { person_id: r.u64()?, min_date: r.date()? }),
+        5 => IcParams::Q5(ic05::Params { person_id: r.u64()?, min_date: Date(r.i32()?) }),
         6 => IcParams::Q6(ic06::Params { person_id: r.u64()?, tag_name: r.string()? }),
         7 => IcParams::Q7(ic07::Params { person_id: r.u64()? }),
         8 => IcParams::Q8(ic08::Params { person_id: r.u64()? }),
-        9 => IcParams::Q9(ic09::Params { person_id: r.u64()?, max_date: r.date()? }),
+        9 => IcParams::Q9(ic09::Params { person_id: r.u64()?, max_date: Date(r.i32()?) }),
         10 => IcParams::Q10(ic10::Params { person_id: r.u64()?, month: r.u32()? }),
         11 => IcParams::Q11(ic11::Params {
             person_id: r.u64()?,
@@ -761,7 +641,7 @@ fn decode_ic(r: &mut Reader<'_>, query: u8) -> Result<IcParams, DecodeError> {
         12 => IcParams::Q12(ic12::Params { person_id: r.u64()?, tag_class_name: r.string()? }),
         13 => IcParams::Q13(ic13::Params { person1_id: r.u64()?, person2_id: r.u64()? }),
         14 => IcParams::Q14(ic14::Params { person1_id: r.u64()?, person2_id: r.u64()? }),
-        other => return Err(r.err(format!("unknown IC query {other}"))),
+        other => return Err(Malformed(format!("unknown IC query {other}"))),
     })
 }
 
@@ -809,46 +689,68 @@ pub struct RequestHeader {
 /// decoded on the reactor; the rest are decoded on a lane worker, which
 /// still answers a typed `bad_request` on failure.
 pub fn peek_header(payload: &[u8]) -> Result<RequestHeader, DecodeError> {
+    with_id(payload, read_header(payload))
+}
+
+fn read_header(payload: &[u8]) -> Result<RequestHeader, DecodeError> {
     let mut r = Reader::new(payload);
-    let version = r.u8()?;
-    if version != PROTO_VERSION {
-        return Err(r.err(format!("unsupported protocol version {version}")));
-    }
-    let id = r.u64()?;
-    r.id = Some(id);
-    let deadline_us = r.u64()?;
-    let min_seq = r.u64()?;
+    let (id, deadline_us, min_seq) = read_prefix(&mut r)?;
     let (lane, workload) = match r.u8()? {
         WORKLOAD_BI => (Lane::Heavy, "BI"),
         WORKLOAD_IC => (Lane::Short, "IC"),
         WORKLOAD_IS => (Lane::Short, "IS"),
         WORKLOAD_WR => (Lane::Write, "WR"),
-        other => return Err(r.err(format!("unknown workload tag {other}"))),
+        other => return Err(Malformed(format!("unknown workload tag {other}")).into()),
     };
     Ok(RequestHeader { id, deadline_us, min_seq, lane, workload })
 }
 
-/// Parses a request frame payload.
-pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
-    let mut r = Reader::new(payload);
+/// Reads a request's id, deadline and staleness floor.
+#[inline]
+fn read_prefix(r: &mut Reader<'_>) -> Result<(u64, u64, u64), Malformed> {
+    Ok((read_id(r)?, r.u64()?, r.u64()?))
+}
+
+/// Reads the version byte and the correlation id that lead every
+/// request and response payload.
+#[inline]
+fn read_id(r: &mut Reader<'_>) -> Result<u64, Malformed> {
     let version = r.u8()?;
     if version != PROTO_VERSION {
-        return Err(r.err(format!("unsupported protocol version {version}")));
+        return Err(Malformed(format!("unsupported protocol version {version}")));
     }
-    let id = r.u64()?;
-    r.id = Some(id);
-    let deadline_us = r.u64()?;
-    let min_seq = r.u64()?;
-    let workload = r.u8()?;
+    r.u64()
+}
+
+/// Gives a request or response decode failure the frame's correlation
+/// id, when the version byte and the id are readable. A decoded value
+/// is passed through in place, not converted.
+#[inline]
+fn with_id<T>(payload: &[u8], mut decoded: Result<T, DecodeError>) -> Result<T, DecodeError> {
+    if let Err(e) = &mut decoded {
+        e.id = read_id(&mut Reader::new(payload)).ok();
+    }
+    decoded
+}
+
+/// Parses a request frame payload.
+pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
+    with_id(payload, read_request(payload))
+}
+
+fn read_request(payload: &[u8]) -> Result<Request, DecodeError> {
+    let mut r = Reader::new(payload);
+    let (id, deadline_us, min_seq) = read_prefix(&mut r)?;
+    let tag = r.u8()?;
     let query = r.u8()?;
-    let params = match workload {
+    let params = match tag {
         WORKLOAD_BI => ServiceParams::Bi(decode_bi(&mut r, query)?),
         WORKLOAD_IC => ServiceParams::Ic(decode_ic(&mut r, query)?),
         WORKLOAD_IS => {
             let id = r.u64()?;
             ServiceParams::Is(
                 IsParams::from_parts(query, id)
-                    .ok_or_else(|| r.err(format!("unknown IS query {query}")))?,
+                    .ok_or_else(|| Malformed(format!("unknown IS query {query}")))?,
             )
         }
         WORKLOAD_WR => {
@@ -856,7 +758,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
             let ops = crate::events::decode_write_ops(&mut r, query)?;
             ServiceParams::Write(WriteBatch { seq, ops })
         }
-        other => return Err(r.err(format!("unknown workload tag {other}"))),
+        other => return Err(Malformed(format!("unknown workload tag {other}")).into()),
     };
     r.finish()?;
     Ok(Request { id, deadline_us, min_seq, params })
@@ -887,7 +789,7 @@ fn encode_profile(buf: &mut Vec<u8>, profile: Option<&QueryProfile>) {
     }
 }
 
-fn decode_profile(r: &mut Reader<'_>) -> Result<Option<Box<QueryProfile>>, DecodeError> {
+fn decode_profile(r: &mut Reader<'_>) -> Result<Option<Box<QueryProfile>>, Malformed> {
     if r.u8()? == 0 {
         return Ok(None);
     }
@@ -947,13 +849,12 @@ fn put_response(buf: &mut Vec<u8>, resp: &Response) {
 
 /// Parses a response frame payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
+    with_id(payload, read_response(payload))
+}
+
+fn read_response(payload: &[u8]) -> Result<Response, DecodeError> {
     let mut r = Reader::new(payload);
-    let version = r.u8()?;
-    if version != PROTO_VERSION {
-        return Err(r.err(format!("unsupported protocol version {version}")));
-    }
-    let id = r.u64()?;
-    r.id = Some(id);
+    let id = read_id(&mut r)?;
     let status = r.u8()?;
     let body = if status == STATUS_OK {
         Ok(OkBody {
@@ -966,7 +867,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
         })
     } else {
         let kind = ErrorKind::from_code(status)
-            .ok_or_else(|| r.err(format!("unknown status code {status}")))?;
+            .ok_or_else(|| Malformed(format!("unknown status code {status}")))?;
         Err(ErrorBody { kind, queue_us: r.u64()?, detail: r.string()? })
     };
     r.finish()?;
@@ -1006,23 +907,18 @@ impl<'a> Frames<'a> {
     /// is not yet a full frame; an error for an oversized length prefix
     /// (a protocol violation — the cursor does not move past it).
     pub fn next_frame(&mut self) -> Result<Option<&'a [u8]>, DecodeError> {
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 4 {
+        // Sizes are checked before each read: an incomplete frame is the
+        // common case here, not an error to build.
+        let mut r = Reader::new(&self.buf[self.pos..]);
+        if r.remaining() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-        if len > MAX_FRAME {
-            return Err(DecodeError {
-                id: None,
-                detail: format!("frame length {len} exceeds maximum {MAX_FRAME}"),
-            });
-        }
-        let total = 4 + len as usize;
-        if rest.len() < total {
+        let len = frame_len(r.u32()?)?;
+        if r.remaining() < len {
             return Ok(None);
         }
-        self.pos += total;
-        Ok(Some(&rest[4..total]))
+        self.pos += 4 + len;
+        Ok(Some(r.take(len)?))
     }
 
     /// Bytes of whole frames returned so far.
@@ -1031,18 +927,24 @@ impl<'a> Frames<'a> {
     }
 }
 
+/// A frame's length prefix, refused past [`MAX_FRAME`] before anything is
+/// sized from it.
+fn frame_len(len: u32) -> Result<usize, Malformed> {
+    if len > MAX_FRAME {
+        return Err(Malformed(format!("frame length {len} exceeds maximum {MAX_FRAME}")));
+    }
+    Ok(len as usize)
+}
+
 /// Reads one length-prefixed frame from a blocking reader.
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds maximum {MAX_FRAME}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let len = Reader::new(&prefix)
+        .u32()
+        .and_then(frame_len)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.0))?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(payload)
 }
@@ -1299,10 +1201,14 @@ pub fn encode_repl(frame: &ReplFrame) -> Vec<u8> {
 
 /// Parses a replication frame payload.
 pub fn decode_repl(payload: &[u8]) -> Result<ReplFrame, DecodeError> {
+    read_repl(payload).map_err(DecodeError::from)
+}
+
+fn read_repl(payload: &[u8]) -> Result<ReplFrame, Malformed> {
     let mut r = Reader::new(payload);
     let version = r.u8()?;
     if version != REPL_VERSION {
-        return Err(r.err(format!("unsupported replication version {version}")));
+        return Err(Malformed(format!("unsupported replication version {version}")));
     }
     let frame = match r.u8()? {
         REPL_HELLO => ReplFrame::Hello {
@@ -1326,12 +1232,9 @@ pub fn decode_repl(payload: &[u8]) -> Result<ReplFrame, DecodeError> {
             let client_addr = r.string()?;
             let n = r.u32()? as usize;
             if n > 1024 {
-                return Err(r.err(format!("implausible sibling count {n}")));
+                return Err(Malformed(format!("implausible sibling count {n}")));
             }
-            let mut siblings = Vec::with_capacity(n);
-            for _ in 0..n {
-                siblings.push(r.string()?);
-            }
+            let siblings = r.many(n, 2, Reader::string)?;
             ReplFrame::Promote { epoch, repl_addr, client_addr, siblings }
         }
         REPL_PROMOTED => ReplFrame::Promoted { seq: r.u64()?, epoch: r.u64()? },
@@ -1352,14 +1255,14 @@ pub fn decode_repl(payload: &[u8]) -> Result<ReplFrame, DecodeError> {
             let offset = r.u64()?;
             let n = r.u32()? as usize;
             if n > IMAGE_CHUNK_BYTES {
-                return Err(
-                    r.err(format!("image chunk of {n} bytes exceeds maximum {IMAGE_CHUNK_BYTES}"))
-                );
+                return Err(Malformed(format!(
+                    "image chunk of {n} bytes exceeds maximum {IMAGE_CHUNK_BYTES}"
+                )));
             }
             let data = r.take(n)?.to_vec();
             ReplFrame::ImageChunk { offset, data }
         }
-        other => return Err(r.err(format!("unknown replication frame tag {other}"))),
+        other => return Err(Malformed(format!("unknown replication frame tag {other}"))),
     };
     r.finish()?;
     Ok(frame)
@@ -1615,6 +1518,20 @@ mod tests {
         torn.extend_from_slice(&[1, 2, 3]);
         let err = read_frame(&mut std::io::Cursor::new(&torn)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+
+        // A `Record` whose op count cannot fit in the frame is refused
+        // by the count rule before any op is decoded.
+        let mut record = Vec::new();
+        put_u8(&mut record, REPL_VERSION);
+        put_u8(&mut record, REPL_RECORD);
+        put_u64(&mut record, 18); // seq
+        put_u64(&mut record, 3); // epoch
+        put_u8(&mut record, 2); // deletes
+        put_u32(&mut record, u32::MAX);
+        put_u8(&mut record, 5); // one message delete
+        put_u64(&mut record, 9);
+        let err = decode_repl(&record).unwrap_err();
+        assert!(err.detail.contains("count 4294967295"), "{err:?}");
     }
 
     #[test]

@@ -614,7 +614,7 @@ fn ship_image(
         seq: header.seq,
         epoch: header.epoch,
         len: bytes.len() as u64,
-        checksum: snb_store::image_fnv64(&bytes),
+        checksum: snb_core::bytes::fnv64(&bytes),
         primary_epoch: inner.epoch(),
     };
     if write_frame(stream, &encode_repl(&offer)).is_err() {
@@ -817,7 +817,9 @@ fn apply_stream(
                         return;
                     }
                     state.primary_seq.fetch_max(seq, Ordering::AcqRel);
-                    image = Some((len, checksum, Vec::with_capacity(len as usize)));
+                    // The buffer grows with the chunks that arrive, not
+                    // with what the offer claims.
+                    image = Some((len, checksum, Vec::new()));
                 }
                 ReplFrame::ImageChunk { offset, data } => {
                     let complete = {
@@ -837,7 +839,7 @@ fn apply_stream(
                     };
                     if complete {
                         let (len, checksum, assembled) = image.take().expect("complete image");
-                        if snb_store::image_fnv64(&assembled) != checksum {
+                        if snb_core::bytes::fnv64(&assembled) != checksum {
                             eprintln!(
                                 "repl: shipped image failed its checksum after reassembly; re-subscribing"
                             );

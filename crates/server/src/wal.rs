@@ -39,8 +39,8 @@
 //! term it was fenced at). Each record is:
 //!
 //! ```text
-//! [u32 payload_len][u64 fnv64(payload)][payload]
-//! payload = [u64 seq][u8 family][count + ops]   (events codec)
+//! [u32 payload_len][u64 fnv64(payload)][payload]   (a snb_core::bytes checked frame)
+//! payload = [u64 seq][u8 family][count + ops]     (events codec)
 //! ```
 //!
 //! A record whose bytes are incomplete or whose checksum mismatches is a
@@ -82,14 +82,15 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use snb_core::bytes::{put_checked, put_str, put_u64, put_u8, Malformed, Reader};
 use snb_core::{SnbError, SnbResult};
 use snb_datagen::dictionaries::StaticWorld;
 use snb_datagen::GeneratorConfig;
-use snb_store::{image_fnv64 as fnv64, Store};
+use snb_store::Store;
 
 use crate::events::{decode_write_ops, encode_write_ops};
 use crate::image::ImageHeader;
-use crate::proto::{put_str, put_u64, put_u8, Reader, WriteOps};
+use crate::proto::WriteOps;
 
 const WAL_MAGIC: &[u8; 8] = b"SNBWAL1\n";
 const WAL_FILE: &str = "wal.log";
@@ -158,10 +159,6 @@ pub struct RecoveryReport {
     pub tail_replayed: u64,
 }
 
-fn parse_err(context: &str, detail: impl Into<String>) -> SnbError {
-    SnbError::Parse { context: context.to_string(), detail: detail.into() }
-}
-
 fn log_header(scale: &str, seed: u64, epoch: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + 2 + scale.len() + 16);
     buf.extend_from_slice(WAL_MAGIC);
@@ -178,73 +175,46 @@ fn header_epoch_offset(scale: &str) -> u64 {
     (8 + 2 + scale.len() + 8) as u64
 }
 
-/// Reads and validates the log header; returns the offset of the first
-/// record and the fencing epoch the header carries. Scale and seed are
+/// Reads and validates the log header, leaving `r` at the first record;
+/// returns the fencing epoch the header carries. Scale and seed are
 /// match requirements (a log for a different world must not replay);
 /// the epoch is data — recovery takes the maximum it sees.
-fn check_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<(usize, u64)> {
-    let ctx = path.display().to_string();
-    if bytes.len() < 8 || &bytes[..8] != WAL_MAGIC {
-        return Err(parse_err(&ctx, "bad or missing log magic"));
+fn read_header(r: &mut Reader<'_>, scale: &str, seed: u64) -> Result<u64, Malformed> {
+    if r.take(WAL_MAGIC.len()).ok() != Some(WAL_MAGIC) {
+        return Err(Malformed("bad or missing log magic".into()));
     }
-    let mut r = Reader::new(&bytes[8..]);
-    let got_scale = r.string().map_err(|e| parse_err(&ctx, e.detail))?;
-    let got_seed = r.u64().map_err(|e| parse_err(&ctx, e.detail))?;
-    let epoch = r.u64().map_err(|e| parse_err(&ctx, e.detail))?;
+    let got_scale = r.str()?;
+    let got_seed = r.u64()?;
+    let epoch = r.u64()?;
     if got_scale != scale || got_seed != seed {
-        return Err(parse_err(
-            &ctx,
-            format!(
-                "log is for scale {got_scale:?} seed {got_seed}, \
-                 server configured for scale {scale:?} seed {seed}"
-            ),
-        ));
+        return Err(Malformed(format!(
+            "log is for scale {got_scale:?} seed {got_seed}, \
+             server configured for scale {scale:?} seed {seed}"
+        )));
     }
-    Ok((8 + r.pos(), epoch))
+    Ok(epoch)
 }
 
-/// Scans records from `bytes[offset..]`. Returns each parsed entry with
-/// the byte offset its record starts at (recovery cuts the log there
-/// when a sequence gap invalidates a suffix), plus the offset one past
-/// the last *valid* record — anything beyond it is a torn tail
-/// (incomplete length/checksum/payload, or a checksum mismatch) that the
-/// caller should truncate away.
-fn scan_records(
-    bytes: &[u8],
-    mut offset: usize,
-    ctx: &str,
-) -> SnbResult<(Vec<(usize, WalEntry)>, usize)> {
+/// Scans records from the cursor. Returns each parsed entry with the
+/// byte offset its record starts at (recovery cuts the log there when a
+/// sequence gap invalidates a suffix) and leaves the cursor one past the
+/// last *valid* record — anything beyond it is a torn tail (incomplete
+/// length/checksum/payload, or a checksum mismatch) that the caller
+/// should truncate away. A record whose checksum holds but whose payload
+/// does not decode is an error, not a torn tail.
+fn scan_records(r: &mut Reader<'_>) -> Result<Vec<(usize, WalEntry)>, Malformed> {
     let mut entries = Vec::new();
-    while offset < bytes.len() {
-        if bytes.len() - offset < 12 {
-            break; // torn length/checksum prefix
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"));
-        let sum = u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().expect("8 bytes"));
-        let start = offset + 12;
-        let end = start + len as usize;
-        if end > bytes.len() {
-            break; // torn payload
-        }
-        let payload = &bytes[start..end];
-        if fnv64(payload) != sum {
-            break; // bit rot or a torn overwrite; nothing past it is trustworthy
-        }
-        let mut r = Reader::new(payload);
-        let entry = (|| -> Result<WalEntry, crate::proto::DecodeError> {
-            let seq = r.u64()?;
-            let family = r.u8()?;
-            let ops = decode_write_ops(&mut r, family)?;
-            r.finish()?;
-            Ok(WalEntry { seq, ops })
-        })()
-        .map_err(|e| {
-            parse_err(ctx, format!("checksummed record failed to decode: {}", e.detail))
-        })?;
-        entries.push((offset, entry));
-        offset = end;
+    while r.remaining() > 0 {
+        let start = r.pos();
+        // Torn or rotted: nothing past it is trustworthy.
+        let Ok(mut payload) = r.checked() else { break };
+        let seq = payload.u64()?;
+        let family = payload.u8()?;
+        let ops = decode_write_ops(&mut payload, family)?;
+        payload.finish()?;
+        entries.push((start, WalEntry { seq, ops }));
     }
-    Ok((entries, offset))
+    Ok(entries)
 }
 
 fn encode_record(seq: u64, ops: &WriteOps) -> Vec<u8> {
@@ -253,9 +223,7 @@ fn encode_record(seq: u64, ops: &WriteOps) -> Vec<u8> {
     put_u8(&mut payload, ops.query_tag());
     encode_write_ops(&mut payload, ops);
     let mut record = Vec::with_capacity(payload.len() + 12);
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
+    put_checked(&mut record, &payload);
     record
 }
 
@@ -272,8 +240,8 @@ fn refuse_sharded_log(dir: &Path) -> SnbResult<()> {
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name().to_string_lossy().into_owned();
         if name.starts_with("wal-") && name.ends_with(".log") {
-            return Err(parse_err(
-                &dir.join(&name).display().to_string(),
+            return Err(SnbError::parse(
+                dir.join(&name).display().to_string(),
                 "a per-shard log segment from an older build; this build reads only wal.log, \
                  so recover the directory with the build that wrote it",
             ));
@@ -308,7 +276,8 @@ impl LogFile {
         } else {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
-            (_, epoch) = check_header(&bytes, scale, seed, &path)?;
+            epoch = read_header(&mut Reader::new(&bytes), scale, seed)
+                .map_err(|e| e.at(path.display()))?;
             file.seek(SeekFrom::End(0))?;
         }
         Ok((LogFile { path, file, appends_since_sync: 0, broken: false }, epoch))
@@ -648,9 +617,12 @@ pub fn recover(
     let mut entries = Vec::new();
     if path.exists() {
         let bytes = std::fs::read(&path)?;
-        let (off, epoch) = check_header(&bytes, scale, config.seed, &path)?;
+        let mut r = Reader::new(&bytes);
+        let (epoch, scanned) = read_header(&mut r, scale, config.seed)
+            .and_then(|epoch| Ok((epoch, scan_records(&mut r)?)))
+            .map_err(|e| e.at(path.display()))?;
+        let valid_end = r.pos();
         report.epoch = report.epoch.max(epoch);
-        let (scanned, valid_end) = scan_records(&bytes, off, &path.display().to_string())?;
         // Replay stops at the first sequence gap. A record at or below
         // the high-water mark (covered by the image, or an
         // appended-but-unacked batch whose retry landed later) is not a
@@ -719,15 +691,6 @@ pub fn recover(
     report.epoch = wal.epoch();
     report.recovery_us = recovery_started.elapsed().as_micros() as u64;
     Ok(Recovered { store, world, wal, report })
-}
-
-/// One record the shipping cursor surfaced: its sequence number and the
-/// batch payload.
-pub struct ShippedRecord {
-    /// Global write sequence number.
-    pub seq: u64,
-    /// The batch payload.
-    pub ops: WriteOps,
 }
 
 /// The log-shipping cursor: reads acked records out of a WAL directory
@@ -824,14 +787,15 @@ impl WalTailer {
         file.read_to_end(&mut bytes)?;
         self.bytes_scanned += bytes.len() as u64;
 
-        let scan_from = if start == 0 {
-            check_header(&bytes, &self.scale, self.seed, &self.path)?.0
-        } else {
-            0
+        let mut r = Reader::new(&bytes);
+        let scanned = match start {
+            // Only a scan from the top of the file starts at the header.
+            0 => read_header(&mut r, &self.scale, self.seed).and_then(|_| scan_records(&mut r)),
+            _ => scan_records(&mut r),
         };
-        let (entries, valid_end) =
-            scan_records(&bytes, scan_from, &self.path.display().to_string())?;
-        if entries.is_empty() && valid_end == scan_from && start > 0 {
+        let entries = scanned.map_err(|e| e.at(self.path.display()))?;
+        let valid_end = r.pos();
+        if entries.is_empty() && valid_end == 0 && start > 0 {
             // The file grew but nothing at our offset parses — the file
             // was truncated and regrew past our cursor between polls, so
             // the offset no longer sits on a record boundary. A boundary
@@ -859,7 +823,7 @@ impl WalTailer {
     /// sequence gap (ships only the contiguous prefix): a cursor must
     /// never invent order it didn't observe, and a gap below `upto` is
     /// how records truncated behind an image show up.
-    pub fn poll(&mut self, upto: u64) -> SnbResult<Vec<ShippedRecord>> {
+    pub fn poll(&mut self, upto: u64) -> SnbResult<Vec<WalEntry>> {
         self.scan()?;
         // Anything below the ship frontier is already delivered (a
         // rescan re-read it); drop it so `pending` stays bounded by the
@@ -876,7 +840,7 @@ impl WalTailer {
             let Some(ops) = self.pending.remove(&self.next_seq) else {
                 break; // gap (or not yet written): ship the prefix only
             };
-            out.push(ShippedRecord { seq: self.next_seq, ops });
+            out.push(WalEntry { seq: self.next_seq, ops });
             self.next_seq += 1;
         }
         Ok(out)
@@ -887,6 +851,7 @@ impl WalTailer {
 mod tests {
     use super::*;
     use crate::image::{image_info, write_image, IMAGE_FILE};
+    use snb_core::bytes::{fnv64, put_u32};
     use snb_datagen::stream::UpdateEvent;
     use snb_store::DeleteOp;
 
@@ -1276,16 +1241,15 @@ mod tests {
         let image = |shards: u32| {
             let body = snb_store::encode_store(&Oracle::new().store);
             let mut img = crate::image::IMAGE_MAGIC.to_vec();
-            img.extend_from_slice(&(SCALE.len() as u16).to_le_bytes());
-            img.extend_from_slice(SCALE.as_bytes());
+            put_str(&mut img, SCALE);
             for v in [cfg.seed, 0, 1] {
-                img.extend_from_slice(&v.to_le_bytes()); // seed, epoch, seq
+                put_u64(&mut img, v); // seed, epoch, seq
             }
-            img.extend_from_slice(&shards.to_le_bytes());
-            img.extend_from_slice(&(body.len() as u64).to_le_bytes());
-            img.extend_from_slice(&fnv64(&body).to_le_bytes());
+            put_u32(&mut img, shards);
+            put_u64(&mut img, body.len() as u64);
+            put_u64(&mut img, fnv64(&body));
             let sum = fnv64(&img);
-            img.extend_from_slice(&sum.to_le_bytes());
+            put_u64(&mut img, sum);
             img.extend_from_slice(&body);
             img
         };
@@ -1466,7 +1430,7 @@ mod tests {
         drop(wal);
         assert_eq!(image_info(&dir, SCALE, cfg.seed).unwrap().expect("image").epoch, 3);
         let header = std::fs::read(dir.join(WAL_FILE)).unwrap();
-        assert_eq!(check_header(&header, SCALE, cfg.seed, &dir).unwrap().1, 3);
+        assert_eq!(read_header(&mut Reader::new(&header), SCALE, cfg.seed), Ok(3));
 
         let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
         assert_eq!(rec.report.last_seq, all.len() as u64);

@@ -8,8 +8,9 @@
 //! history length: a recovered process decodes this image and replays
 //! only the WAL tail written after it.
 //!
-//! Layout: a fixed sequence of tagged sections, each
-//! `[u8 tag][u32 len][u64 fnv64(body)][body]`. Sections cover the seven
+//! Layout: a fixed sequence of tagged sections, each a tag byte and a
+//! [`snb_core::bytes`] checked frame (`[u32 len][u64 fnv64(body)][body]`).
+//! Sections cover the seven
 //! entity column groups and all 21 adjacencies. Hash indexes, the
 //! name→index maps, and the date permutation index are *not* stored —
 //! they are deterministic functions of the columns and are rebuilt at
@@ -22,34 +23,26 @@
 //! local dictionary plus per-row dictionary indices and re-interned into
 //! the process-global dictionary at load (symbols are process-local and
 //! must never cross a process boundary). Any length/checksum mismatch,
-//! unknown tag, or trailing bytes decodes to a hard
-//! [`SnbError::Parse`] — a corrupt image is refused, never half-loaded.
+//! unknown tag, count too large for its section, or trailing bytes
+//! decodes to a hard [`SnbError::Parse`] — a corrupt image is refused,
+//! never half-loaded.
+//!
+//! [`SnbError::Parse`]: snb_core::SnbError::Parse
 
 use rustc_hash::FxHashMap;
+use snb_core::bytes::{
+    put_checked, put_deltas, put_u8, put_varint, put_varint_str, Malformed, Reader,
+};
 use snb_core::datetime::{Date, DateTime};
 use snb_core::model::{Gender, MessageKind, OrganisationKind, PlaceKind};
-use snb_core::{SnbError, SnbResult};
+use snb_core::SnbResult;
 
 use crate::adj::Adj;
 use crate::columns::{
     ForumCols, Ix, MessageCols, OrganisationCols, PersonCols, PlaceCols, TagClassCols, TagCols,
 };
-use crate::intern::{
-    get_varint, interner, pack_deltas, put_varint, unpack_deltas, PackCol, PackListCol, SymCol,
-    SymListCol,
-};
+use crate::intern::{interner, PackCol, PackListCol, SymCol, SymListCol};
 use crate::store::Store;
-
-/// FNV-1a 64-bit — the same checksum the WAL uses for its records, so
-/// one corruption-detection story covers both durability artifacts.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // Section tags, in the exact order they appear in the image. Decode
 // enforces this order: a permuted or truncated image is corrupt.
@@ -63,65 +56,20 @@ const SECT_ORGANISATIONS: u8 = 7;
 const SECT_ADJ_BASE: u8 = 10; // 10..=30: the 21 adjacencies in Store field order.
 const ADJ_COUNT: u8 = 21;
 
-fn corrupt(detail: impl Into<String>) -> SnbError {
-    SnbError::Parse { context: "store image".into(), detail: detail.into() }
-}
-
-/// A bounds-checked read cursor over one section body.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn varint(&mut self) -> SnbResult<u64> {
-        get_varint(self.buf, &mut self.pos).ok_or_else(|| corrupt("truncated varint"))
-    }
-
-    fn len(&mut self) -> SnbResult<usize> {
-        usize::try_from(self.varint()?).map_err(|_| corrupt("length overflow"))
-    }
-
-    fn ix(&mut self) -> SnbResult<Ix> {
-        u32::try_from(self.varint()?).map_err(|_| corrupt("u32 overflow"))
-    }
-
-    fn bytes(&mut self, n: usize) -> SnbResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| corrupt("truncated byte run"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn str(&mut self) -> SnbResult<&'a str> {
-        let n = self.len()?;
-        std::str::from_utf8(self.bytes(n)?).map_err(|_| corrupt("invalid UTF-8 in string"))
-    }
-
-    fn deltas(&mut self, n: usize) -> SnbResult<Vec<i64>> {
-        unpack_deltas(self.buf, &mut self.pos, n).ok_or_else(|| corrupt("truncated delta run"))
-    }
-
-    fn finish(&self) -> SnbResult<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt(format!("{} trailing bytes in section", self.buf.len() - self.pos)))
-        }
-    }
+fn ix(r: &mut Reader<'_>) -> Result<Ix, Malformed> {
+    u32::try_from(r.varint()?).map_err(|_| Malformed("u32 overflow".into()))
 }
 
 // ---- scalar column helpers -------------------------------------------------
 
 fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
     put_varint(out, values.len() as u64);
-    pack_deltas(values.iter().map(|&v| v as i64), out);
+    put_deltas(out, values.iter().map(|&v| v as i64));
 }
 
-fn get_u64s(cur: &mut Cur<'_>) -> SnbResult<Vec<u64>> {
-    let n = cur.len()?;
-    Ok(cur.deltas(n)?.into_iter().map(|v| v as u64).collect())
+fn get_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, Malformed> {
+    let n = r.varint_count(1)?;
+    Ok(r.deltas(n)?.into_iter().map(|v| v as u64).collect())
 }
 
 fn put_ixs(out: &mut Vec<u8>, values: &[Ix]) {
@@ -131,40 +79,32 @@ fn put_ixs(out: &mut Vec<u8>, values: &[Ix]) {
     }
 }
 
-fn get_ixs(cur: &mut Cur<'_>) -> SnbResult<Vec<Ix>> {
-    let n = cur.len()?;
-    (0..n).map(|_| cur.ix()).collect()
-}
-
-fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
-    put_ixs(out, values);
-}
-
-fn get_u32s(cur: &mut Cur<'_>) -> SnbResult<Vec<u32>> {
-    get_ixs(cur)
+fn get_ixs(r: &mut Reader<'_>) -> Result<Vec<Ix>, Malformed> {
+    let n = r.varint_count(1)?;
+    r.many(n, 1, ix)
 }
 
 fn put_dates(out: &mut Vec<u8>, values: &[Date]) {
     put_varint(out, values.len() as u64);
-    pack_deltas(values.iter().map(|d| i64::from(d.0)), out);
+    put_deltas(out, values.iter().map(|d| i64::from(d.0)));
 }
 
-fn get_dates(cur: &mut Cur<'_>) -> SnbResult<Vec<Date>> {
-    let n = cur.len()?;
-    cur.deltas(n)?
+fn get_dates(r: &mut Reader<'_>) -> Result<Vec<Date>, Malformed> {
+    let n = r.varint_count(1)?;
+    r.deltas(n)?
         .into_iter()
-        .map(|v| i32::try_from(v).map(Date).map_err(|_| corrupt("date out of range")))
+        .map(|v| i32::try_from(v).map(Date).map_err(|_| Malformed("date out of range".into())))
         .collect()
 }
 
 fn put_datetimes(out: &mut Vec<u8>, values: &[DateTime]) {
     put_varint(out, values.len() as u64);
-    pack_deltas(values.iter().map(|d| d.0), out);
+    put_deltas(out, values.iter().map(|d| d.0));
 }
 
-fn get_datetimes(cur: &mut Cur<'_>) -> SnbResult<Vec<DateTime>> {
-    let n = cur.len()?;
-    Ok(cur.deltas(n)?.into_iter().map(DateTime).collect())
+fn get_datetimes(r: &mut Reader<'_>) -> Result<Vec<DateTime>, Malformed> {
+    let n = r.varint_count(1)?;
+    Ok(r.deltas(n)?.into_iter().map(DateTime).collect())
 }
 
 fn put_enums<T: Copy>(out: &mut Vec<u8>, values: &[T], enc: impl Fn(T) -> u8) {
@@ -172,11 +112,11 @@ fn put_enums<T: Copy>(out: &mut Vec<u8>, values: &[T], enc: impl Fn(T) -> u8) {
     out.extend(values.iter().map(|&v| enc(v)));
 }
 
-fn get_enums<T>(cur: &mut Cur<'_>, dec: impl Fn(u8) -> Option<T>) -> SnbResult<Vec<T>> {
-    let n = cur.len()?;
-    cur.bytes(n)?
+fn get_enums<T>(r: &mut Reader<'_>, dec: impl Fn(u8) -> Option<T>) -> Result<Vec<T>, Malformed> {
+    let n = r.varint_count(1)?;
+    r.take(n)?
         .iter()
-        .map(|&b| dec(b).ok_or_else(|| corrupt(format!("invalid enum byte {b}"))))
+        .map(|&b| dec(b).ok_or_else(|| Malformed(format!("invalid enum byte {b}"))))
         .collect()
 }
 
@@ -210,24 +150,22 @@ fn localize(syms: impl Iterator<Item = u32>) -> (Vec<&'static str>, Vec<u32>) {
 fn put_dict(out: &mut Vec<u8>, dict: &[&str]) {
     put_varint(out, dict.len() as u64);
     for s in dict {
-        put_varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
+        put_varint_str(out, s);
     }
 }
 
-fn get_dict(cur: &mut Cur<'_>) -> SnbResult<Vec<u32>> {
-    let n = cur.len()?;
-    (0..n).map(|_| cur.str().map(|s| interner().intern(s))).collect()
+fn get_dict(r: &mut Reader<'_>) -> Result<Vec<u32>, Malformed> {
+    let n = r.varint_count(1)?;
+    r.many(n, 1, |r| r.varint_str().map(|s| interner().intern(s)))
 }
 
-fn get_symcol(cur: &mut Cur<'_>) -> SnbResult<SymCol> {
-    let rows = cur.len()?;
-    let dict = get_dict(cur)?;
+fn get_symcol(r: &mut Reader<'_>) -> Result<SymCol, Malformed> {
+    let rows = r.varint_count(1)?;
+    let dict = get_dict(r)?;
     let mut col = SymCol::default();
     for _ in 0..rows {
-        let local = cur.len()?;
-        let sym = *dict.get(local).ok_or_else(|| corrupt("dictionary index out of range"))?;
-        col.push_sym(sym);
+        let local = usize::try_from(r.varint()?).ok().and_then(|i| dict.get(i));
+        col.push_sym(*local.ok_or_else(|| Malformed("dictionary index out of range".into()))?);
     }
     Ok(col)
 }
@@ -235,69 +173,60 @@ fn get_symcol(cur: &mut Cur<'_>) -> SnbResult<SymCol> {
 fn put_packcol(out: &mut Vec<u8>, col: &PackCol) {
     put_varint(out, col.len() as u64);
     for s in col.iter() {
-        put_varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
+        put_varint_str(out, s);
     }
 }
 
-fn get_packcol(cur: &mut Cur<'_>) -> SnbResult<PackCol> {
-    let rows = cur.len()?;
+fn get_packcol(r: &mut Reader<'_>) -> Result<PackCol, Malformed> {
+    let rows = r.varint_count(1)?;
     let mut col = PackCol::default();
     for _ in 0..rows {
-        col.push(cur.str()?);
+        col.push(r.varint_str()?);
     }
     Ok(col)
 }
 
-fn put_symlist(out: &mut Vec<u8>, col: &SymListCol) {
-    put_varint(out, col.len() as u64);
-    for i in 0..col.len() {
-        put_varint(out, col.row_len(i) as u64);
-        for s in col.row(i) {
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
+/// Writes a list column of `rows` rows: the row count, then each row's
+/// value count and strings, as `row(i)` gives them.
+fn put_rows<'s, R: Iterator<Item = &'s str>>(
+    out: &mut Vec<u8>,
+    rows: usize,
+    row: impl Fn(usize) -> (usize, R),
+) {
+    put_varint(out, rows as u64);
+    for i in 0..rows {
+        let (n, values) = row(i);
+        put_varint(out, n as u64);
+        for s in values {
+            put_varint_str(out, s);
         }
     }
 }
 
-fn get_symlist(cur: &mut Cur<'_>) -> SnbResult<SymListCol> {
-    let rows = cur.len()?;
+/// Reads a [`put_rows`] list column, handing each row to `push_row`.
+fn get_rows<'a>(r: &mut Reader<'a>, mut push_row: impl FnMut(&[&'a str])) -> Result<(), Malformed> {
+    let rows = r.varint_count(1)?;
+    let mut row = Vec::new();
+    for _ in 0..rows {
+        let k = r.varint_count(1)?;
+        row.clear();
+        for _ in 0..k {
+            row.push(r.varint_str()?);
+        }
+        push_row(&row);
+    }
+    Ok(())
+}
+
+fn get_symlist(r: &mut Reader<'_>) -> Result<SymListCol, Malformed> {
     let mut col = SymListCol::default();
-    let mut row: Vec<&str> = Vec::new();
-    for _ in 0..rows {
-        let k = cur.len()?;
-        row.clear();
-        for _ in 0..k {
-            row.push(cur.str()?);
-        }
-        col.push_row(&row);
-    }
+    get_rows(r, |row| col.push_row(row))?;
     Ok(col)
 }
 
-fn put_packlist(out: &mut Vec<u8>, col: &PackListCol) {
-    put_varint(out, col.len() as u64);
-    for i in 0..col.len() {
-        put_varint(out, col.row_len(i) as u64);
-        for s in col.row(i) {
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-fn get_packlist(cur: &mut Cur<'_>) -> SnbResult<PackListCol> {
-    let rows = cur.len()?;
+fn get_packlist(r: &mut Reader<'_>) -> Result<PackListCol, Malformed> {
     let mut col = PackListCol::default();
-    let mut row: Vec<&str> = Vec::new();
-    for _ in 0..rows {
-        let k = cur.len()?;
-        row.clear();
-        for _ in 0..k {
-            row.push(cur.str()?);
-        }
-        col.push_row(&row);
-    }
+    get_rows(r, |row| col.push_row(row))?;
     Ok(col)
 }
 
@@ -332,26 +261,27 @@ fn put_adj<P: Copy>(
 }
 
 fn get_adj<P: Copy>(
-    cur: &mut Cur<'_>,
-    get_payloads: impl FnOnce(&mut Cur<'_>, usize) -> SnbResult<Vec<P>>,
-) -> SnbResult<Adj<P>> {
-    let sources = cur.len()?;
-    let mut offsets = Vec::with_capacity(sources + 1);
-    offsets.push(0u32);
-    let mut total = 0u64;
-    for _ in 0..sources {
-        total += cur.varint()?;
-        let off = u32::try_from(total).map_err(|_| corrupt("adjacency edge count overflow"))?;
-        offsets.push(off);
-    }
-    let edge_count = cur.len()?;
+    r: &mut Reader<'_>,
+    get_payloads: impl FnOnce(&mut Reader<'_>, usize) -> Result<Vec<P>, Malformed>,
+) -> Result<Adj<P>, Malformed> {
+    let sources = r.varint_count(1)?;
+    let mut offsets = vec![0u32];
+    let mut total = 0u32;
+    r.read_into(&mut offsets, sources, 1, |r| {
+        let degree = u32::try_from(r.varint()?).ok();
+        total = degree
+            .and_then(|d| total.checked_add(d))
+            .ok_or_else(|| Malformed("adjacency edge count overflow".into()))?;
+        Ok(total)
+    })?;
+    let edge_count = r.varint_count(1)?;
     if edge_count != total as usize {
-        return Err(corrupt(format!("adjacency degrees sum {total} != edge count {edge_count}")));
+        return Err(Malformed(format!("adjacency degrees sum {total} != edge count {edge_count}")));
     }
-    let targets: Vec<u32> = (0..edge_count).map(|_| cur.ix()).collect::<SnbResult<_>>()?;
-    let payloads = get_payloads(cur, edge_count)?;
+    let targets = r.many(edge_count, 1, ix)?;
+    let payloads = get_payloads(r, edge_count)?;
     if payloads.len() != edge_count {
-        return Err(corrupt("adjacency payload count mismatch"));
+        return Err(Malformed("adjacency payload count mismatch".into()));
     }
     Ok(Adj::from_csr_parts(offsets, targets, payloads))
 }
@@ -360,31 +290,27 @@ fn put_adj_unit(out: &mut Vec<u8>, adj: &Adj<()>) {
     put_adj(out, adj, |_, _| {});
 }
 
-fn get_adj_unit(cur: &mut Cur<'_>) -> SnbResult<Adj<()>> {
-    get_adj(cur, |_, n| Ok(vec![(); n]))
+fn get_adj_unit(r: &mut Reader<'_>) -> Result<Adj<()>, Malformed> {
+    get_adj(r, |_, n| Ok(vec![(); n]))
 }
 
 fn put_adj_datetime(out: &mut Vec<u8>, adj: &Adj<DateTime>) {
-    put_adj(out, adj, |out, p| {
-        pack_deltas(p.iter().map(|d| d.0), out);
-    });
+    put_adj(out, adj, |out, p| put_deltas(out, p.iter().map(|d| d.0)));
 }
 
-fn get_adj_datetime(cur: &mut Cur<'_>) -> SnbResult<Adj<DateTime>> {
-    get_adj(cur, |cur, n| Ok(cur.deltas(n)?.into_iter().map(DateTime).collect()))
+fn get_adj_datetime(r: &mut Reader<'_>) -> Result<Adj<DateTime>, Malformed> {
+    get_adj(r, |r, n| Ok(r.deltas(n)?.into_iter().map(DateTime).collect()))
 }
 
 fn put_adj_i32(out: &mut Vec<u8>, adj: &Adj<i32>) {
-    put_adj(out, adj, |out, p| {
-        pack_deltas(p.iter().map(|&v| i64::from(v)), out);
-    });
+    put_adj(out, adj, |out, p| put_deltas(out, p.iter().map(|&v| i64::from(v))));
 }
 
-fn get_adj_i32(cur: &mut Cur<'_>) -> SnbResult<Adj<i32>> {
-    get_adj(cur, |cur, n| {
-        cur.deltas(n)?
+fn get_adj_i32(r: &mut Reader<'_>) -> Result<Adj<i32>, Malformed> {
+    get_adj(r, |r, n| {
+        r.deltas(n)?
             .into_iter()
-            .map(|v| i32::try_from(v).map_err(|_| corrupt("i32 payload out of range")))
+            .map(|v| i32::try_from(v).map_err(|_| Malformed("i32 payload out of range".into())))
             .collect()
     })
 }
@@ -455,32 +381,18 @@ fn org_kind_dec(b: u8) -> Option<OrganisationKind> {
 
 // ---- sections --------------------------------------------------------------
 
-fn section(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
-    out.push(tag);
-    out.extend_from_slice(&(u32::try_from(body.len()).expect("section over 4 GiB")).to_le_bytes());
-    out.extend_from_slice(&fnv64(body).to_le_bytes());
-    out.extend_from_slice(body);
+fn put_section(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
+    put_u8(out, tag);
+    put_checked(out, body);
 }
 
-/// Reads the next section, enforcing the expected tag and verifying the
-/// body checksum.
-fn read_section<'a>(buf: &'a [u8], pos: &mut usize, want_tag: u8) -> SnbResult<Cur<'a>> {
-    let head_end = pos.checked_add(13).filter(|&e| e <= buf.len());
-    let head_end = head_end.ok_or_else(|| corrupt("truncated section header"))?;
-    let tag = buf[*pos];
-    if tag != want_tag {
-        return Err(corrupt(format!("expected section {want_tag}, found {tag}")));
+/// The body of the next section, which must carry `want`.
+fn open_section<'a>(r: &mut Reader<'a>, want: u8) -> Result<Reader<'a>, Malformed> {
+    let tag = r.u8()?;
+    if tag != want {
+        return Err(Malformed(format!("expected section {want}, found {tag}")));
     }
-    let len = u32::from_le_bytes(buf[*pos + 1..*pos + 5].try_into().expect("4 bytes")) as usize;
-    let sum = u64::from_le_bytes(buf[*pos + 5..*pos + 13].try_into().expect("8 bytes"));
-    let body_end = head_end.checked_add(len).filter(|&e| e <= buf.len());
-    let body_end = body_end.ok_or_else(|| corrupt(format!("section {tag} body truncated")))?;
-    let body = &buf[head_end..body_end];
-    if fnv64(body) != sum {
-        return Err(corrupt(format!("section {tag} checksum mismatch")));
-    }
-    *pos = body_end;
-    Ok(Cur { buf: body, pos: 0 })
+    r.checked().map_err(|e| Malformed(format!("section {tag}: {}", e.0)))
 }
 
 fn encode_persons(c: &PersonCols) -> Vec<u8> {
@@ -494,26 +406,26 @@ fn encode_persons(c: &PersonCols) -> Vec<u8> {
     put_packcol(&mut b, &c.location_ip);
     put_symcol(&mut b, &c.browser);
     put_ixs(&mut b, &c.city);
-    put_packlist(&mut b, &c.emails);
-    put_symlist(&mut b, &c.speaks);
+    put_rows(&mut b, c.emails.len(), move |i| (c.emails.row_len(i), c.emails.row(i)));
+    put_rows(&mut b, c.speaks.len(), move |i| (c.speaks.row_len(i), c.speaks.row(i)));
     b
 }
 
-fn decode_persons(cur: &mut Cur<'_>) -> SnbResult<PersonCols> {
+fn decode_persons(r: &mut Reader<'_>) -> Result<PersonCols, Malformed> {
     let c = PersonCols {
-        id: get_u64s(cur)?,
-        first_name: get_symcol(cur)?,
-        last_name: get_symcol(cur)?,
-        gender: get_enums(cur, gender_dec)?,
-        birthday: get_dates(cur)?,
-        creation_date: get_datetimes(cur)?,
-        location_ip: get_packcol(cur)?,
-        browser: get_symcol(cur)?,
-        city: get_ixs(cur)?,
-        emails: get_packlist(cur)?,
-        speaks: get_symlist(cur)?,
+        id: get_u64s(r)?,
+        first_name: get_symcol(r)?,
+        last_name: get_symcol(r)?,
+        gender: get_enums(r, gender_dec)?,
+        birthday: get_dates(r)?,
+        creation_date: get_datetimes(r)?,
+        location_ip: get_packcol(r)?,
+        browser: get_symcol(r)?,
+        city: get_ixs(r)?,
+        emails: get_packlist(r)?,
+        speaks: get_symlist(r)?,
     };
-    cur.finish()?;
+    r.finish()?;
     Ok(c)
 }
 
@@ -526,14 +438,14 @@ fn encode_forums(c: &ForumCols) -> Vec<u8> {
     b
 }
 
-fn decode_forums(cur: &mut Cur<'_>) -> SnbResult<ForumCols> {
+fn decode_forums(r: &mut Reader<'_>) -> Result<ForumCols, Malformed> {
     let c = ForumCols {
-        id: get_u64s(cur)?,
-        title: get_packcol(cur)?,
-        creation_date: get_datetimes(cur)?,
-        moderator: get_ixs(cur)?,
+        id: get_u64s(r)?,
+        title: get_packcol(r)?,
+        creation_date: get_datetimes(r)?,
+        moderator: get_ixs(r)?,
     };
-    cur.finish()?;
+    r.finish()?;
     Ok(c)
 }
 
@@ -547,7 +459,7 @@ fn encode_messages(c: &MessageCols) -> Vec<u8> {
     put_symcol(&mut b, &c.browser);
     put_packcol(&mut b, &c.location_ip);
     put_packcol(&mut b, &c.content);
-    put_u32s(&mut b, &c.length);
+    put_ixs(&mut b, &c.length);
     put_packcol(&mut b, &c.image_file);
     put_symcol(&mut b, &c.language);
     put_ixs(&mut b, &c.forum);
@@ -556,24 +468,24 @@ fn encode_messages(c: &MessageCols) -> Vec<u8> {
     b
 }
 
-fn decode_messages(cur: &mut Cur<'_>) -> SnbResult<MessageCols> {
+fn decode_messages(r: &mut Reader<'_>) -> Result<MessageCols, Malformed> {
     let c = MessageCols {
-        id: get_u64s(cur)?,
-        kind: get_enums(cur, msg_kind_dec)?,
-        creation_date: get_datetimes(cur)?,
-        creator: get_ixs(cur)?,
-        country: get_ixs(cur)?,
-        browser: get_symcol(cur)?,
-        location_ip: get_packcol(cur)?,
-        content: get_packcol(cur)?,
-        length: get_u32s(cur)?,
-        image_file: get_packcol(cur)?,
-        language: get_symcol(cur)?,
-        forum: get_ixs(cur)?,
-        reply_of: get_ixs(cur)?,
-        root_post: get_ixs(cur)?,
+        id: get_u64s(r)?,
+        kind: get_enums(r, msg_kind_dec)?,
+        creation_date: get_datetimes(r)?,
+        creator: get_ixs(r)?,
+        country: get_ixs(r)?,
+        browser: get_symcol(r)?,
+        location_ip: get_packcol(r)?,
+        content: get_packcol(r)?,
+        length: get_ixs(r)?,
+        image_file: get_packcol(r)?,
+        language: get_symcol(r)?,
+        forum: get_ixs(r)?,
+        reply_of: get_ixs(r)?,
+        root_post: get_ixs(r)?,
     };
-    cur.finish()?;
+    r.finish()?;
     Ok(c)
 }
 
@@ -586,14 +498,14 @@ fn encode_places(c: &PlaceCols) -> Vec<u8> {
     b
 }
 
-fn decode_places(cur: &mut Cur<'_>) -> SnbResult<PlaceCols> {
+fn decode_places(r: &mut Reader<'_>) -> Result<PlaceCols, Malformed> {
     let c = PlaceCols {
-        id: get_u64s(cur)?,
-        name: get_symcol(cur)?,
-        kind: get_enums(cur, place_kind_dec)?,
-        part_of: get_ixs(cur)?,
+        id: get_u64s(r)?,
+        name: get_symcol(r)?,
+        kind: get_enums(r, place_kind_dec)?,
+        part_of: get_ixs(r)?,
     };
-    cur.finish()?;
+    r.finish()?;
     Ok(c)
 }
 
@@ -605,9 +517,9 @@ fn encode_tags(c: &TagCols) -> Vec<u8> {
     b
 }
 
-fn decode_tags(cur: &mut Cur<'_>) -> SnbResult<TagCols> {
-    let c = TagCols { id: get_u64s(cur)?, name: get_symcol(cur)?, class: get_ixs(cur)? };
-    cur.finish()?;
+fn decode_tags(r: &mut Reader<'_>) -> Result<TagCols, Malformed> {
+    let c = TagCols { id: get_u64s(r)?, name: get_symcol(r)?, class: get_ixs(r)? };
+    r.finish()?;
     Ok(c)
 }
 
@@ -619,9 +531,9 @@ fn encode_tag_classes(c: &TagClassCols) -> Vec<u8> {
     b
 }
 
-fn decode_tag_classes(cur: &mut Cur<'_>) -> SnbResult<TagClassCols> {
-    let c = TagClassCols { id: get_u64s(cur)?, name: get_symcol(cur)?, parent: get_ixs(cur)? };
-    cur.finish()?;
+fn decode_tag_classes(r: &mut Reader<'_>) -> Result<TagClassCols, Malformed> {
+    let c = TagClassCols { id: get_u64s(r)?, name: get_symcol(r)?, parent: get_ixs(r)? };
+    r.finish()?;
     Ok(c)
 }
 
@@ -634,14 +546,14 @@ fn encode_organisations(c: &OrganisationCols) -> Vec<u8> {
     b
 }
 
-fn decode_organisations(cur: &mut Cur<'_>) -> SnbResult<OrganisationCols> {
+fn decode_organisations(r: &mut Reader<'_>) -> Result<OrganisationCols, Malformed> {
     let c = OrganisationCols {
-        id: get_u64s(cur)?,
-        name: get_symcol(cur)?,
-        kind: get_enums(cur, org_kind_dec)?,
-        place: get_ixs(cur)?,
+        id: get_u64s(r)?,
+        name: get_symcol(r)?,
+        kind: get_enums(r, org_kind_dec)?,
+        place: get_ixs(r)?,
     };
-    cur.finish()?;
+    r.finish()?;
     Ok(c)
 }
 
@@ -650,18 +562,18 @@ fn decode_organisations(cur: &mut Cur<'_>) -> SnbResult<OrganisationCols> {
 /// Serialises the full store into the tagged-section image payload.
 pub fn encode_store(s: &Store) -> Vec<u8> {
     let mut out = Vec::new();
-    section(&mut out, SECT_PERSONS, &encode_persons(&s.persons));
-    section(&mut out, SECT_FORUMS, &encode_forums(&s.forums));
-    section(&mut out, SECT_MESSAGES, &encode_messages(&s.messages));
-    section(&mut out, SECT_PLACES, &encode_places(&s.places));
-    section(&mut out, SECT_TAGS, &encode_tags(&s.tags));
-    section(&mut out, SECT_TAG_CLASSES, &encode_tag_classes(&s.tag_classes));
-    section(&mut out, SECT_ORGANISATIONS, &encode_organisations(&s.organisations));
+    put_section(&mut out, SECT_PERSONS, &encode_persons(&s.persons));
+    put_section(&mut out, SECT_FORUMS, &encode_forums(&s.forums));
+    put_section(&mut out, SECT_MESSAGES, &encode_messages(&s.messages));
+    put_section(&mut out, SECT_PLACES, &encode_places(&s.places));
+    put_section(&mut out, SECT_TAGS, &encode_tags(&s.tags));
+    put_section(&mut out, SECT_TAG_CLASSES, &encode_tag_classes(&s.tag_classes));
+    put_section(&mut out, SECT_ORGANISATIONS, &encode_organisations(&s.organisations));
     let mut body = Vec::new();
     let mut adj_section = |out: &mut Vec<u8>, i: u8, write: &mut dyn FnMut(&mut Vec<u8>)| {
         body.clear();
         write(&mut body);
-        section(out, SECT_ADJ_BASE + i, &body);
+        put_section(out, SECT_ADJ_BASE + i, &body);
     };
     adj_section(&mut out, 0, &mut |b| put_adj_datetime(b, &s.knows));
     adj_section(&mut out, 1, &mut |b| put_adj_unit(b, &s.person_interest));
@@ -691,63 +603,56 @@ pub fn encode_store(s: &Store) -> Vec<u8> {
 /// derived structures (id hash indexes, name→index maps, date
 /// permutation index) the image deliberately omits. Refuses — with a
 /// hard error, never a partial store — any checksum mismatch,
-/// truncation, or layout violation.
+/// truncation, count too large for its section, or layout violation.
 pub fn decode_store(buf: &[u8]) -> SnbResult<Store> {
-    let mut pos = 0usize;
+    read_store(buf).map_err(|e| e.at("store image"))
+}
+
+fn read_store(buf: &[u8]) -> Result<Store, Malformed> {
+    let mut r = Reader::new(buf);
     let mut s = Store::default();
 
-    let mut cur = read_section(buf, &mut pos, SECT_PERSONS)?;
-    s.persons.set(decode_persons(&mut cur)?);
-    let mut cur = read_section(buf, &mut pos, SECT_FORUMS)?;
-    s.forums.set(decode_forums(&mut cur)?);
-    let mut cur = read_section(buf, &mut pos, SECT_MESSAGES)?;
-    s.messages.set(decode_messages(&mut cur)?);
-    let mut cur = read_section(buf, &mut pos, SECT_PLACES)?;
-    s.places.set(decode_places(&mut cur)?);
-    let mut cur = read_section(buf, &mut pos, SECT_TAGS)?;
-    s.tags.set(decode_tags(&mut cur)?);
-    let mut cur = read_section(buf, &mut pos, SECT_TAG_CLASSES)?;
-    s.tag_classes.set(decode_tag_classes(&mut cur)?);
-    let mut cur = read_section(buf, &mut pos, SECT_ORGANISATIONS)?;
-    s.organisations.set(decode_organisations(&mut cur)?);
+    s.persons.set(decode_persons(&mut open_section(&mut r, SECT_PERSONS)?)?);
+    s.forums.set(decode_forums(&mut open_section(&mut r, SECT_FORUMS)?)?);
+    s.messages.set(decode_messages(&mut open_section(&mut r, SECT_MESSAGES)?)?);
+    s.places.set(decode_places(&mut open_section(&mut r, SECT_PLACES)?)?);
+    s.tags.set(decode_tags(&mut open_section(&mut r, SECT_TAGS)?)?);
+    s.tag_classes.set(decode_tag_classes(&mut open_section(&mut r, SECT_TAG_CLASSES)?)?);
+    s.organisations.set(decode_organisations(&mut open_section(&mut r, SECT_ORGANISATIONS)?)?);
 
     fn adj_sect<P: Copy>(
-        buf: &[u8],
-        pos: &mut usize,
+        r: &mut Reader<'_>,
         i: u8,
-        get: impl FnOnce(&mut Cur<'_>) -> SnbResult<Adj<P>>,
-    ) -> SnbResult<Adj<P>> {
-        let mut cur = read_section(buf, pos, SECT_ADJ_BASE + i)?;
-        let adj = get(&mut cur)?;
-        cur.finish()?;
+        get: impl FnOnce(&mut Reader<'_>) -> Result<Adj<P>, Malformed>,
+    ) -> Result<Adj<P>, Malformed> {
+        let mut body = open_section(r, SECT_ADJ_BASE + i)?;
+        let adj = get(&mut body)?;
+        body.finish()?;
         Ok(adj)
     }
     debug_assert_eq!(SECT_ADJ_BASE + ADJ_COUNT - 1, 30);
-    s.knows.set(adj_sect(buf, &mut pos, 0, get_adj_datetime)?);
-    s.person_interest.set(adj_sect(buf, &mut pos, 1, get_adj_unit)?);
-    s.interest_person.set(adj_sect(buf, &mut pos, 2, get_adj_unit)?);
-    s.person_study.set(adj_sect(buf, &mut pos, 3, get_adj_i32)?);
-    s.person_work.set(adj_sect(buf, &mut pos, 4, get_adj_i32)?);
-    s.forum_member.set(adj_sect(buf, &mut pos, 5, get_adj_datetime)?);
-    s.member_forum.set(adj_sect(buf, &mut pos, 6, get_adj_datetime)?);
-    s.forum_tag.set(adj_sect(buf, &mut pos, 7, get_adj_unit)?);
-    s.tag_forum.set(adj_sect(buf, &mut pos, 8, get_adj_unit)?);
-    s.message_tag.set(adj_sect(buf, &mut pos, 9, get_adj_unit)?);
-    s.tag_message.set(adj_sect(buf, &mut pos, 10, get_adj_unit)?);
-    s.person_messages.set(adj_sect(buf, &mut pos, 11, get_adj_unit)?);
-    s.forum_posts.set(adj_sect(buf, &mut pos, 12, get_adj_unit)?);
-    s.message_replies.set(adj_sect(buf, &mut pos, 13, get_adj_unit)?);
-    s.person_likes.set(adj_sect(buf, &mut pos, 14, get_adj_datetime)?);
-    s.message_likes.set(adj_sect(buf, &mut pos, 15, get_adj_datetime)?);
-    s.place_children.set(adj_sect(buf, &mut pos, 16, get_adj_unit)?);
-    s.city_person.set(adj_sect(buf, &mut pos, 17, get_adj_unit)?);
-    s.tagclass_children.set(adj_sect(buf, &mut pos, 18, get_adj_unit)?);
-    s.tagclass_tags.set(adj_sect(buf, &mut pos, 19, get_adj_unit)?);
-    s.person_moderates.set(adj_sect(buf, &mut pos, 20, get_adj_unit)?);
-
-    if pos != buf.len() {
-        return Err(corrupt(format!("{} trailing bytes after last section", buf.len() - pos)));
-    }
+    s.knows.set(adj_sect(&mut r, 0, get_adj_datetime)?);
+    s.person_interest.set(adj_sect(&mut r, 1, get_adj_unit)?);
+    s.interest_person.set(adj_sect(&mut r, 2, get_adj_unit)?);
+    s.person_study.set(adj_sect(&mut r, 3, get_adj_i32)?);
+    s.person_work.set(adj_sect(&mut r, 4, get_adj_i32)?);
+    s.forum_member.set(adj_sect(&mut r, 5, get_adj_datetime)?);
+    s.member_forum.set(adj_sect(&mut r, 6, get_adj_datetime)?);
+    s.forum_tag.set(adj_sect(&mut r, 7, get_adj_unit)?);
+    s.tag_forum.set(adj_sect(&mut r, 8, get_adj_unit)?);
+    s.message_tag.set(adj_sect(&mut r, 9, get_adj_unit)?);
+    s.tag_message.set(adj_sect(&mut r, 10, get_adj_unit)?);
+    s.person_messages.set(adj_sect(&mut r, 11, get_adj_unit)?);
+    s.forum_posts.set(adj_sect(&mut r, 12, get_adj_unit)?);
+    s.message_replies.set(adj_sect(&mut r, 13, get_adj_unit)?);
+    s.person_likes.set(adj_sect(&mut r, 14, get_adj_datetime)?);
+    s.message_likes.set(adj_sect(&mut r, 15, get_adj_datetime)?);
+    s.place_children.set(adj_sect(&mut r, 16, get_adj_unit)?);
+    s.city_person.set(adj_sect(&mut r, 17, get_adj_unit)?);
+    s.tagclass_children.set(adj_sect(&mut r, 18, get_adj_unit)?);
+    s.tagclass_tags.set(adj_sect(&mut r, 19, get_adj_unit)?);
+    s.person_moderates.set(adj_sect(&mut r, 20, get_adj_unit)?);
+    r.finish()?;
 
     rebuild_derived(&mut s);
     Ok(s)

@@ -573,72 +573,6 @@ impl PackListCol {
     }
 }
 
-/// Zigzag-encodes a signed delta for varint packing.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Appends a LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads a LEB128 varint, advancing `pos`. `None` on truncation.
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return None;
-        }
-    }
-}
-
-/// Delta+varint packs a sequence of `i64` values (sorted id and date
-/// columns delta-encode to ~1–2 bytes per row; unsorted ones still
-/// round-trip, just with larger deltas).
-pub fn pack_deltas(values: impl IntoIterator<Item = i64>, out: &mut Vec<u8>) -> usize {
-    let mut prev = 0i64;
-    let mut n = 0usize;
-    for v in values {
-        put_varint(out, zigzag(v.wrapping_sub(prev)));
-        prev = v;
-        n += 1;
-    }
-    n
-}
-
-/// Unpacks `n` delta+varint values. `None` on truncation.
-pub fn unpack_deltas(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<i64>> {
-    let mut out = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        prev = prev.wrapping_add(unzigzag(get_varint(buf, pos)?));
-        out.push(prev);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -909,32 +843,5 @@ mod tests {
             col.heap_bytes(),
             col.string_baseline_bytes()
         );
-    }
-
-    #[test]
-    fn varint_and_delta_round_trip() {
-        let mut buf = Vec::new();
-        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
-            buf.clear();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
-        // Sorted ids pack to ~1 byte per row; negatives round-trip too.
-        let values: Vec<i64> = (0..1000).map(|i| 1_000_000 + i * 3).collect();
-        let mut packed = Vec::new();
-        let n = pack_deltas(values.iter().copied(), &mut packed);
-        assert_eq!(n, values.len());
-        assert!(packed.len() < values.len() * 2, "sorted deltas must pack tightly");
-        let mut pos = 0;
-        assert_eq!(unpack_deltas(&packed, &mut pos, n).unwrap(), values);
-        let wild = vec![i64::MIN, i64::MAX, 0, -1, 42];
-        packed.clear();
-        pack_deltas(wild.iter().copied(), &mut packed);
-        let mut pos = 0;
-        assert_eq!(unpack_deltas(&packed, &mut pos, wild.len()).unwrap(), wild);
-        // Truncation is detected, not misread.
-        assert_eq!(unpack_deltas(&packed[..packed.len() - 1], &mut 0, wild.len()), None);
     }
 }

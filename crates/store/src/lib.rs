@@ -39,7 +39,7 @@ pub use build::{build_store, bulk_store_and_stream, store_for_config, StoreStats
 pub use columns::{Ix, NONE};
 pub use cow::CowBox;
 pub use delete::{DeleteOp, DeleteStats};
-pub use image::{decode_store, encode_store, fnv64 as image_fnv64};
+pub use image::{decode_store, encode_store};
 pub use insert::{CommentInsert, ForumInsert, PersonInsert, PostInsert};
 pub use intern::{interner, PackCol, PackListCol, StrInterner, Sym, SymCol, SymListCol};
 pub use snapshot::{SnapshotCell, SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
