@@ -49,8 +49,9 @@ cargo test -q --release -p snb-server --lib wal:: > /dev/null
 # over all 25 BI queries, and requires a clean exit on SIGTERM.
 target/release/service_load 0.001 --chaos --server-bin target/release/snb-server
 
-echo "==> removed knobs stay gone (--partitions, --shed-oldest -> unknown flag, exit 2)"
-for FLAG in --partitions --shed-oldest; do
+echo "==> removed knobs stay gone (--partitions, --shed-oldest, the lane knobs -> unknown flag, exit 2)"
+for FLAG in --partitions --shed-oldest --short-cap --heavy-cap --write-cap --short-weight \
+  --short-deadline-ms --deadline-ms; do
   set +e
   FLAG_ERR="$(target/release/snb-server 0.001 "$FLAG" 2>&1 >/dev/null)"
   FLAG_STATUS=$?

@@ -3,9 +3,7 @@
 //!
 //! ```text
 //! snb-server [SF] [SEED] [--port N] [--workers N] [--write-workers N]
-//!            [--queue-cap N] [--short-cap N] [--heavy-cap N]
-//!            [--write-cap N] [--short-weight N]
-//!            [--deadline-ms N] [--short-deadline-ms N] [--profile]
+//!            [--queue-cap N] [--profile]
 //!            [--wal-dir PATH] [--fsync-every N] [--snapshot-every N]
 //!            [--conn-timeout-ms N] [--group-commit]
 //!            [--repl-port N] [--follower] [--replicate-from ADDR]
@@ -14,19 +12,19 @@
 //! ```
 //!
 //! Admission is split into three priority lanes — IS/IC short reads,
-//! heavy BI reads, and writes. `--short-cap` / `--heavy-cap` /
-//! `--write-cap` bound each lane (0 = inherit `--queue-cap`),
-//! `--short-weight` sets how many short reads the scheduler prefers
-//! per heavy one, and `--short-deadline-ms` gives short reads a tighter
-//! default deadline. A full lane refuses the newcomer `overloaded`.
+//! heavy BI reads, and writes — each bounded by `--queue-cap`; the
+//! scheduler pops four short reads per heavy one while both wait. A full
+//! lane refuses the newcomer `overloaded`. A request's only deadline is
+//! the one it carries.
 //!
 //! Positional arguments mirror the bench binaries: scale-factor name
 //! (default `0.01`) and datagen seed. `--port 0` (the default) binds an
 //! ephemeral port; the bound address is printed as
 //! `listening on 127.0.0.1:PORT` so harnesses can scrape it. SIGTERM or
 //! SIGINT triggers graceful drain-then-shutdown: in-flight requests
-//! finish, new ones are rejected `shutting_down`, the access log is
-//! flushed (to `$SNB_ACCESS_LOG` when set), and the process exits 0.
+//! finish, new ones are rejected `shutting_down`, the access log's
+//! ring — the most recent `LOG_CAPACITY` requests — is flushed (to
+//! `$SNB_ACCESS_LOG` when set), and the process exits 0.
 //!
 //! `--wal-dir` enables the write workload: the directory is recovered
 //! (store image if present, else the bulk store; then the WAL tail,
@@ -34,8 +32,7 @@
 //! acknowledged batch is WAL-appended first. The recovery summary is
 //! printed as `recovered seq=N wal_entries=N truncated_bytes=N
 //! recovery_ms=N epoch=N image_seq=N image_ms=N tail_replayed=N` on
-//! stdout so chaos harnesses can assert on it, and the same numbers
-//! open the access log as its preamble record. `--snapshot-every N`
+//! stdout so chaos harnesses can assert on it. `--snapshot-every N`
 //! sets the compaction point: once the log holds N records the server
 //! writes a checksummed store image (`store.img`) and truncates the
 //! log behind it, bounding recovery by the image plus the WAL tail
@@ -133,26 +130,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--queue-cap" => {
                 server.queue_capacity = parse("--queue-cap", argv.next())? as usize;
-            }
-            "--short-cap" => {
-                server.lanes.short.capacity = parse("--short-cap", argv.next())? as usize;
-            }
-            "--heavy-cap" => {
-                server.lanes.heavy.capacity = parse("--heavy-cap", argv.next())? as usize;
-            }
-            "--write-cap" => {
-                server.lanes.write.capacity = parse("--write-cap", argv.next())? as usize;
-            }
-            "--short-weight" => {
-                server.lanes.short_weight = parse("--short-weight", argv.next())?;
-            }
-            "--deadline-ms" => {
-                server.default_deadline =
-                    Some(Duration::from_millis(parse("--deadline-ms", argv.next())?));
-            }
-            "--short-deadline-ms" => {
-                server.lanes.short.deadline =
-                    Some(Duration::from_millis(parse("--short-deadline-ms", argv.next())?));
             }
             "--conn-timeout-ms" => {
                 let ms = parse("--conn-timeout-ms", argv.next())?;
@@ -294,17 +271,7 @@ fn main() {
             report.image_us / 1000,
             report.tail_replayed,
         );
-        let server = Server::start_durable(store, args.server.clone(), durability);
-        // The same numbers open the access log, so catch-up time is
-        // measurable from the log alone.
-        server.access_log().push_recovery_preamble(
-            report.tail_replayed,
-            report.recovery_us,
-            report.last_seq,
-            report.image_seq,
-            report.image_us,
-        );
-        server
+        Server::start_durable(store, args.server.clone(), durability)
     } else {
         let store = snb_store::store_for_config(&args.config);
         eprintln!("# store ready in {:.2?}", started.elapsed());

@@ -22,9 +22,10 @@
 //! - `transport` — the readiness-driven epoll reactor for TCP (Linux
 //!   only), with one bounded outbox per connection
 //!   ([`OUTBOX_LIMIT`]);
-//! - [`log`] — the structured access log (query id, binding hash,
-//!   queue/exec split, outcome, optional per-request
-//!   [`snb_engine::QueryProfile`]).
+//! - [`log`] — the structured access log, a ring of the most recent
+//!   [`LOG_CAPACITY`] requests (query id, queue/exec split, outcome,
+//!   optional per-request [`snb_engine::QueryProfile`]); every request's
+//!   outcome is also counted in the tally [`ServiceReport`] reads.
 //!
 //! Determinism note: the in-process transport runs requests through
 //! the exact admission path TCP uses, so a test can assert that
@@ -46,17 +47,14 @@ pub(crate) mod transport;
 pub mod wal;
 
 pub use image::{image_info, load_image, write_image, ImageHeader, IMAGE_FILE};
-pub use log::{AccessLog, AccessRecord};
+pub use log::{AccessLog, AccessRecord, LOG_CAPACITY};
 pub use proto::{
     ErrorBody, ErrorKind, Lane, OkBody, ReplFrame, Request, RequestHeader, Response, ServiceParams,
     WriteBatch, WriteOps,
 };
 pub use queue::{LaneQueues, PushError};
 pub use replication::{FollowerHandle, FollowerStatus, Promotion, ReplicationConfig};
-pub use server::{
-    Durability, InProcClient, LaneSettings, LanesConfig, LogHandle, Server, ServerConfig,
-    ServiceReport,
-};
+pub use server::{Durability, InProcClient, LogHandle, Server, ServerConfig, ServiceReport};
 pub use transport::OUTBOX_LIMIT;
 pub use wal::{recover, Recovered, RecoveryReport, SegmentedWal, WalEntry, WalOptions, WalTailer};
 
@@ -126,15 +124,10 @@ mod tests {
     fn overload_sheds_deterministically() {
         // No workers: nothing drains the queue, so pushes past capacity
         // must shed — deterministically.
-        let config = ServerConfig {
-            workers: 0,
-            queue_capacity: 3,
-            default_deadline: None,
-            ..ServerConfig::default()
-        };
-        // A lane left at its default settings inherits `queue_capacity`.
-        assert_eq!(config.lane_capacity(Lane::Heavy), 3);
-        let server = Server::start(tiny_store(), config);
+        let server = Server::start(
+            tiny_store(),
+            ServerConfig { workers: 0, queue_capacity: 3, ..ServerConfig::default() },
+        );
         let (tx, rx) = std::sync::mpsc::channel();
         let mut pending = Vec::new();
         for i in 0..5u64 {

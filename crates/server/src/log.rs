@@ -1,33 +1,38 @@
 //! Structured per-request access log.
 //!
-//! Every request that reaches the server produces exactly one record —
-//! including the ones that never execute (sheds, deadline misses,
-//! shutdown rejections, undecodable frames) — so the log is a complete
-//! account of offered load, not just of served load. Records carry the
-//! query identity, the binding hash (joinable against the parameter
-//! files), the queue-wait / execution split, the outcome from the
-//! service error taxonomy, and (when the server runs with profiling
-//! on) the per-request operator profile from
-//! [`snb_engine::QueryProfile`] — the same counters `--profile` power
-//! runs report, now per served request.
+//! Every request that reaches the server ends in one place, which
+//! counts its outcome in the server's tally (lane × outcome) and cuts
+//! one record here — including the requests that never execute (sheds,
+//! deadline misses, shutdown rejections, undecodable frames). The
+//! *tally* is the complete account of offered load
+//! ([`crate::ServiceReport`] reads it); this log is a ring holding the
+//! detail of the most recent [`LOG_CAPACITY`] requests, so it never
+//! grows without bound under sustained traffic. Records carry the query
+//! identity, the queue-wait / execution split, the outcome from the
+//! service error taxonomy, and (when the server runs with profiling on)
+//! the per-request operator profile from [`snb_engine::QueryProfile`] —
+//! the same counters `--profile` power runs report, per served request.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use snb_engine::QueryProfile;
 
+/// Records the access log keeps: the most recent `LOG_CAPACITY`
+/// requests, about 8 MB. Pushing past it drops the oldest record.
+pub const LOG_CAPACITY: usize = 1 << 16;
+
 /// One access-log record.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AccessRecord {
     /// Monotone sequence number (admission order within the server).
     pub seq: u64,
-    /// Workload tag: `"BI"`, `"IC"`, `"IS"` or `"Write"` (empty for
+    /// Workload tag: `"BI"`, `"IC"`, `"IS"` or `"WR"` (empty for
     /// undecodable frames).
     pub workload: &'static str,
     /// Query number within the workload (0 for undecodable frames).
     pub query: u8,
-    /// FNV-1a hash of the parameter binding.
-    pub binding_hash: u64,
     /// Admission lane the request was classified into (`"short"`,
     /// `"heavy"` or `"write"`; empty for undecodable frames and
     /// connection-level records, which never reach a lane).
@@ -36,8 +41,8 @@ pub struct AccessRecord {
     pub queue_us: u64,
     /// Pure execution time, microseconds (0 when not executed).
     pub exec_us: u64,
-    /// Outcome name: `"ok"` or an [`ErrorKind`](crate::proto::ErrorKind)
-    /// name.
+    /// Outcome name: `"ok"`, `"deduped"`, `"conn_stalled"` or an
+    /// [`ErrorKind`](crate::proto::ErrorKind) name.
     pub outcome: &'static str,
     /// Result rows (0 when not executed).
     pub rows: u64,
@@ -61,13 +66,12 @@ impl AccessRecord {
     /// is numeric or a fixed identifier, so no escaping is needed).
     pub fn to_json(&self) -> String {
         let mut s = format!(
-            "{{\"seq\": {}, \"workload\": \"{}\", \"query\": {}, \"binding_hash\": {}, \
-             \"lane\": \"{}\", \"queue_us\": {}, \"exec_us\": {}, \"outcome\": \"{}\", \
-             \"rows\": {}, \"fingerprint\": {}, \"store_version\": {}, \"snapshot_age_us\": {}",
+            "{{\"seq\": {}, \"workload\": \"{}\", \"query\": {}, \"lane\": \"{}\", \
+             \"queue_us\": {}, \"exec_us\": {}, \"outcome\": \"{}\", \"rows\": {}, \
+             \"fingerprint\": {}, \"store_version\": {}, \"snapshot_age_us\": {}",
             self.seq,
             self.workload,
             self.query,
-            self.binding_hash,
             self.lane,
             self.queue_us,
             self.exec_us,
@@ -94,11 +98,12 @@ impl AccessRecord {
     }
 }
 
-/// Append-only in-memory access log shared by transports and workers.
+/// The most recent [`LOG_CAPACITY`] records, shared by transports and
+/// workers. The ring grows on demand, so an idle server holds nothing.
 #[derive(Default)]
 pub struct AccessLog {
     seq: AtomicU64,
-    records: Mutex<Vec<AccessRecord>>,
+    records: Mutex<VecDeque<AccessRecord>>,
 }
 
 impl AccessLog {
@@ -112,45 +117,16 @@ impl AccessLog {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Appends one record.
+    /// Appends one record, dropping the oldest when the ring is full.
     pub fn push(&self, record: AccessRecord) {
-        self.records.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(record);
+        let mut ring = self.records.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if ring.len() == LOG_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(record);
     }
 
-    /// Records the startup-recovery summary as the log's preamble:
-    /// `outcome: "recovered"`, `rows` = records replayed through the
-    /// apply path, `exec_us` = recovery wall-clock, `fingerprint` = the
-    /// recovered sequence high-water mark, `store_version` = the store
-    /// image's sequence (0 when recovery rebuilt from scratch), and
-    /// `queue_us` = the image decode time within the recovery
-    /// wall-clock. Replication catch-up time is measured against this
-    /// baseline, so it lives in the same log the requests do.
-    pub fn push_recovery_preamble(
-        &self,
-        replayed: u64,
-        recovery_us: u64,
-        last_seq: u64,
-        image_seq: u64,
-        image_us: u64,
-    ) {
-        self.push(AccessRecord {
-            seq: self.next_seq(),
-            workload: "",
-            query: 0,
-            binding_hash: 0,
-            lane: "",
-            queue_us: image_us,
-            exec_us: recovery_us,
-            outcome: "recovered",
-            rows: replayed,
-            fingerprint: last_seq,
-            store_version: image_seq,
-            snapshot_age_us: 0,
-            profile: None,
-        });
-    }
-
-    /// Number of records so far.
+    /// Number of records the ring holds (at most [`LOG_CAPACITY`]).
     pub fn len(&self) -> usize {
         self.records.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
@@ -160,15 +136,20 @@ impl AccessLog {
         self.len() == 0
     }
 
-    /// Snapshot of all records in admission order.
+    /// Snapshot of the held records in admission order.
     pub fn snapshot(&self) -> Vec<AccessRecord> {
-        let mut v: Vec<AccessRecord> =
-            self.records.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
+        let mut v: Vec<AccessRecord> = self
+            .records
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .iter()
+            .cloned()
+            .collect();
         v.sort_by_key(|r| r.seq);
         v
     }
 
-    /// Renders the whole log as JSON Lines.
+    /// Renders the held records as JSON Lines.
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         for r in self.snapshot() {
@@ -178,7 +159,7 @@ impl AccessLog {
         out
     }
 
-    /// Writes the log as JSON Lines to `path`.
+    /// Writes the held records as JSON Lines to `path`.
     pub fn flush_to(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.render_jsonl())
     }
@@ -193,7 +174,6 @@ mod tests {
             seq,
             workload: "BI",
             query: 4,
-            binding_hash: 0x1234,
             lane: "heavy",
             queue_us: 10,
             exec_us: 250,
@@ -228,26 +208,25 @@ mod tests {
     }
 
     #[test]
-    fn recovery_preamble_is_a_normal_record() {
+    fn the_ring_keeps_the_most_recent_records() {
         let log = AccessLog::new();
-        log.push_recovery_preamble(42, 1_500, 37, 30, 800);
+        for _ in 0..LOG_CAPACITY + 10 {
+            log.push(record(log.next_seq(), "ok"));
+        }
+        assert_eq!(log.len(), LOG_CAPACITY);
         let snap = log.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].outcome, "recovered");
-        assert_eq!(snap[0].rows, 42, "rows carries the replayed-record count");
-        assert_eq!(snap[0].exec_us, 1_500, "exec_us carries the recovery wall-clock");
-        assert_eq!(snap[0].fingerprint, 37, "fingerprint carries the recovered seq");
-        assert_eq!(snap[0].store_version, 30, "store_version carries the image seq");
-        assert_eq!(snap[0].queue_us, 800, "queue_us carries the image decode time");
-        assert!(log.render_jsonl().contains("\"outcome\": \"recovered\""));
+        assert_eq!(snap.len(), LOG_CAPACITY);
+        assert_eq!(snap[0].seq, 10, "the first 10 pushed are gone");
+        assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq), "ascending by seq");
+        assert_eq!(snap[LOG_CAPACITY - 1].seq, (LOG_CAPACITY + 9) as u64);
     }
 
     #[test]
     fn records_stay_small() {
-        // One record per request, never dropped: the unprofiled record
+        // The ring holds `LOG_CAPACITY` of these: the unprofiled record
         // must not carry an inline `QueryProfile` (≈ 100 B of zeros).
         assert!(
-            std::mem::size_of::<AccessRecord>() <= 128,
+            std::mem::size_of::<AccessRecord>() <= 120,
             "AccessRecord is {} B",
             std::mem::size_of::<AccessRecord>()
         );

@@ -19,9 +19,7 @@
 //! tests pin down.
 
 use snb_bi::BiParams;
-use snb_core::bytes::{
-    fnv64, put_i32, put_str, put_strs, put_u32, put_u64, put_u8, Malformed, Reader,
-};
+use snb_core::bytes::{put_i32, put_str, put_strs, put_u32, put_u64, put_u8, Malformed, Reader};
 use snb_core::Date;
 use snb_engine::QueryProfile;
 use snb_interactive::{IcParams, IsParams};
@@ -49,10 +47,11 @@ pub enum ServiceParams {
 }
 
 /// The admission lane a request is classified into. Each lane has its
-/// own bounded queue, capacity and default deadline, and a full lane
-/// answers `overloaded` (see [`crate::queue::LaneQueues`]); the read
-/// lanes are drained by a weighted scheduler that guarantees short-read
-/// progress while heavy analytical queries flood the service.
+/// own bounded queue, every one `ServerConfig::queue_capacity` deep, and
+/// a full lane answers `overloaded` (see [`crate::queue::LaneQueues`]);
+/// the read lanes are drained by a weighted scheduler that guarantees
+/// short-read progress while heavy analytical queries flood the service.
+/// A request's only deadline is its own `deadline_us`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lane {
     /// IS/IC short reads: sublinear point lookups and bounded
@@ -162,17 +161,6 @@ impl ServiceParams {
             ServiceParams::Write(_) => Lane::Write,
         }
     }
-
-    /// A stable FNV-1a hash of the binding (over its `Debug` form) —
-    /// the access-log key tying latency records back to bindings. Write
-    /// batches hash to their sequence number: the identity that matters
-    /// for dedupe tracing, and far cheaper than formatting the payload.
-    pub fn binding_hash(&self) -> u64 {
-        match self {
-            ServiceParams::Write(b) => b.seq,
-            other => fnv64(format!("{other:?}").as_bytes()),
-        }
-    }
 }
 
 /// One client request.
@@ -181,7 +169,7 @@ pub struct Request {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: u64,
     /// Relative deadline in microseconds from server admission; `0`
-    /// means "no deadline" (the server default applies).
+    /// means no deadline.
     pub deadline_us: u64,
     /// Bounded-staleness floor: the server must have applied at least
     /// this write sequence number before serving the read, else it
@@ -250,7 +238,8 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    fn code(self) -> u8 {
+    /// The wire code, 1–10.
+    pub(crate) fn code(self) -> u8 {
         match self {
             ErrorKind::Overloaded => 1,
             ErrorKind::DeadlineExceeded => 2,
@@ -670,7 +659,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 pub struct RequestHeader {
     /// Client correlation id.
     pub id: u64,
-    /// Relative deadline in microseconds (`0` = server default).
+    /// Relative deadline in microseconds (`0` = none).
     pub deadline_us: u64,
     /// Bounded-staleness floor (`0` = any version).
     pub min_seq: u64,
@@ -1745,18 +1734,5 @@ mod tests {
         torn.extend_from_slice(&encode_repl(&ReplFrame::Heartbeat { last_seq: 1, epoch: 0 }));
         let err = read_frame(&mut std::io::Cursor::new(&torn)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn binding_hash_distinguishes_bindings() {
-        let hashes: Vec<u64> = sample_bindings().iter().map(ServiceParams::binding_hash).collect();
-        let mut uniq = hashes.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), hashes.len(), "hash collision among sample bindings");
-        // Stable across calls.
-        for (p, h) in sample_bindings().iter().zip(&hashes) {
-            assert_eq!(p.binding_hash(), *h);
-        }
     }
 }

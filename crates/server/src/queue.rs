@@ -1,7 +1,7 @@
 //! Priority-lane admission with explicit overload shedding.
 //!
 //! The service's backpressure policy is *reject, don't buffer*: every
-//! lane has a hard capacity, and a push against a full lane fails
+//! lane has the same hard capacity, and a push against a full lane fails
 //! immediately so the transport can answer `Overloaded` while the
 //! client's timeout budget is still intact. Unbounded buffering would
 //! instead convert overload into unbounded latency (and eventually
@@ -15,7 +15,7 @@
 //! microsecond point lookup makes the lookup pay the burst's full
 //! drain time. With lanes, short reads never sit behind heavy ones —
 //! [`LaneQueues::pop_read`] drains the two read lanes under a weighted
-//! scheduler (`short_weight` short pops for every heavy pop when both
+//! scheduler (`SHORT_WEIGHT` short pops for every heavy pop when both
 //! are non-empty, work-conserving when either is empty), and write
 //! batches get dedicated consumers via [`LaneQueues::pop_write`] so a
 //! WAL fsync never stalls a read worker.
@@ -32,6 +32,11 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 use crate::proto::Lane;
+
+/// Short pops per heavy pop when both read lanes hold work: short reads
+/// never wait behind more than one heavy dispatch, and heavies still get
+/// every fifth pop.
+const SHORT_WEIGHT: u64 = 4;
 
 /// Why a push was refused, carrying the rejected item back to the
 /// caller so it can respond to the client.
@@ -59,15 +64,13 @@ pub struct LaneQueues<T> {
     read_ready: Condvar,
     /// Wakes write workers (write arrivals).
     write_ready: Condvar,
-    caps: [usize; 3],
-    /// Short pops per heavy pop when both read lanes are non-empty.
-    short_weight: u64,
+    /// Capacity of each lane.
+    capacity: usize,
 }
 
 impl<T> LaneQueues<T> {
-    /// Queues with per-lane capacities (minimum 1 each) and a
-    /// short:heavy drain ratio of `short_weight`:1 (minimum 1).
-    pub fn new(caps: [usize; 3], short_weight: u64) -> Self {
+    /// Queues holding up to `capacity` items per lane (minimum 1).
+    pub fn new(capacity: usize) -> Self {
         LaneQueues {
             state: Mutex::new(LanesState {
                 lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -76,14 +79,13 @@ impl<T> LaneQueues<T> {
             }),
             read_ready: Condvar::new(),
             write_ready: Condvar::new(),
-            caps: caps.map(|c| c.max(1)),
-            short_weight: short_weight.max(1),
+            capacity: capacity.max(1),
         }
     }
 
-    /// The admission capacity of one lane.
-    pub fn capacity(&self, lane: Lane) -> usize {
-        self.caps[lane.index()]
+    /// The admission capacity of each lane.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Items currently queued across all lanes.
@@ -112,7 +114,7 @@ impl<T> LaneQueues<T> {
         if st.closed {
             return Err(PushError::Closed(item));
         }
-        if st.lanes[i].len() >= self.caps[i] {
+        if st.lanes[i].len() >= self.capacity {
             return Err(PushError::Full(item));
         }
         st.lanes[i].push_back(item);
@@ -127,7 +129,7 @@ impl<T> LaneQueues<T> {
     /// Blocks until a read-lane item is available or the queues are
     /// closed and the read lanes drained; `None` means "no more read
     /// work will ever arrive". When both read lanes hold work the
-    /// weighted scheduler takes `short_weight` short items per heavy
+    /// weighted scheduler takes `SHORT_WEIGHT` short items per heavy
     /// item; when only one lane holds work it is drained directly
     /// (work-conserving — the ratio shapes contention, it never idles
     /// a worker).
@@ -140,11 +142,9 @@ impl<T> LaneQueues<T> {
                 (false, true) => Some(Lane::Short),
                 (true, false) => Some(Lane::Heavy),
                 (false, false) => {
-                    // Of every short_weight+1 contended pops, short_weight
-                    // go to the short lane: heavy progress is guaranteed
-                    // (no total starvation) but short reads never wait
-                    // behind more than one heavy dispatch.
-                    if st.tick % (self.short_weight + 1) < self.short_weight {
+                    // Of every SHORT_WEIGHT + 1 contended pops,
+                    // SHORT_WEIGHT go to the short lane.
+                    if st.tick % (SHORT_WEIGHT + 1) < SHORT_WEIGHT {
                         Some(Lane::Short)
                     } else {
                         Some(Lane::Heavy)
@@ -197,13 +197,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn queues(caps: [usize; 3], weight: u64) -> LaneQueues<u32> {
-        LaneQueues::new(caps, weight)
-    }
-
     #[test]
-    fn sheds_exactly_past_lane_capacity() {
-        let q = queues([8, 3, 8], 4);
+    fn sheds_exactly_past_capacity() {
+        let q = LaneQueues::new(3);
         for v in 1..=3 {
             assert!(q.try_push(Lane::Heavy, v).is_ok());
         }
@@ -225,7 +221,7 @@ mod tests {
     fn weighted_pop_interleaves_but_never_starves_heavy() {
         // 10 in each read lane, weight 4: the contended drain order must
         // give heavy one pop per 4 short pops, then drain the remainder.
-        let q = queues([64, 64, 64], 4);
+        let q = LaneQueues::new(64);
         for v in 0..10 {
             q.try_push(Lane::Short, v).unwrap();
             q.try_push(Lane::Heavy, 100 + v).unwrap();
@@ -250,7 +246,7 @@ mod tests {
 
     #[test]
     fn pop_read_is_work_conserving_when_one_lane_empty() {
-        let q = queues([8, 8, 8], 4);
+        let q = LaneQueues::new(8);
         for v in 0..5 {
             q.try_push(Lane::Heavy, v).unwrap();
         }
@@ -262,7 +258,7 @@ mod tests {
 
     #[test]
     fn close_drains_all_lanes_then_ends() {
-        let q = queues([8, 8, 8], 4);
+        let q = LaneQueues::new(8);
         q.try_push(Lane::Short, 1).unwrap();
         q.try_push(Lane::Heavy, 2).unwrap();
         q.try_push(Lane::Write, 3).unwrap();
@@ -281,7 +277,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_consumers_on_both_paths() {
-        let q = Arc::new(queues([1, 1, 1], 4));
+        let q = Arc::new(LaneQueues::<u32>::new(1));
         let qr = Arc::clone(&q);
         let qw = Arc::clone(&q);
         let hr = std::thread::spawn(move || qr.pop_read());
@@ -294,7 +290,7 @@ mod tests {
 
     #[test]
     fn mpmc_under_contention_loses_nothing() {
-        let q = Arc::new(queues([32, 32, 32], 4));
+        let q = Arc::new(LaneQueues::new(32));
         let total = 4_000u32;
         let readers: Vec<std::thread::JoinHandle<u64>> = (0..3)
             .map(|_| {

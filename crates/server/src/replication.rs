@@ -58,7 +58,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::proto::{decode_repl, encode_repl, write_frame, Frames, ReplFrame, WriteBatch};
-use crate::server::{Server, ServerInner};
+use crate::server::{Outcome, Server, ServerInner};
 use crate::wal::WalTailer;
 
 /// How often an idle ship loop re-polls the WAL for new acked records.
@@ -740,7 +740,7 @@ fn apply_stream(
                     inner.observe_epoch(epoch);
                     let batch = WriteBatch { seq, ops };
                     match inner.submit_batch(&batch) {
-                        Ok(("deduped", _)) => {
+                        Ok((Outcome::Deduped, _)) => {
                             state.records_deduped.fetch_add(1, Ordering::Relaxed);
                         }
                         Ok(_) => {

@@ -26,10 +26,12 @@
 //!    inside its budget but overruns is answered — and counted —
 //!    `deadline_overrun`, not `ok`); write batches drain on dedicated
 //!    write workers so a WAL fsync never stalls a read worker;
-//! 4. every path appends exactly one access-log record (carrying the
-//!    lane, the `store_version` read, and the snapshot's age at
-//!    execution) and yields one [`Response`], which goes back through
-//!    the connection's outbox or to the waiting caller.
+//! 4. every path ends in `ServerInner::finish`, which counts the
+//!    outcome in the lane × outcome tally that [`ServiceReport`] reads
+//!    and cuts exactly one access-log record (carrying the lane, the
+//!    `store_version` read, and the snapshot's age at execution), and
+//!    yields one [`Response`], which goes back through the connection's
+//!    outbox or to the waiting caller.
 //!
 //! Graceful shutdown ([`Server::shutdown`]): stop accepting (new
 //! requests on either transport are refused `shutting_down`), close
@@ -80,44 +82,6 @@ const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(250);
 const POISONED_DETAIL: &str =
     "store poisoned by a mid-apply panic; restart to recover from the WAL";
 
-/// Per-lane admission settings. Zero / `None` fields inherit the
-/// server-wide `queue_capacity` / `default_deadline`, so existing
-/// callers that only set the global knobs keep their exact semantics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LaneSettings {
-    /// Lane queue capacity; `0` inherits [`ServerConfig::queue_capacity`].
-    pub capacity: usize,
-    /// Deadline for requests on this lane that carry none; `None`
-    /// inherits [`ServerConfig::default_deadline`].
-    pub deadline: Option<Duration>,
-}
-
-/// Admission-lane configuration: one [`LaneSettings`] per lane plus
-/// the read-scheduler weight.
-#[derive(Clone, Debug, Default)]
-pub struct LanesConfig {
-    /// IS/IC short reads.
-    pub short: LaneSettings,
-    /// Heavy BI analytics.
-    pub heavy: LaneSettings,
-    /// Sequenced write batches.
-    pub write: LaneSettings,
-    /// Short pops per heavy pop when both read lanes hold work; `0`
-    /// means the default (4:1).
-    pub short_weight: u64,
-}
-
-impl LanesConfig {
-    /// The settings for one lane.
-    pub fn lane(&self, lane: Lane) -> &LaneSettings {
-        match lane {
-            Lane::Short => &self.short,
-            Lane::Heavy => &self.heavy,
-            Lane::Write => &self.write,
-        }
-    }
-}
-
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -125,10 +89,8 @@ pub struct ServerConfig {
     /// background workers: queued jobs run inline during `shutdown`
     /// (deterministic unit-test mode).
     pub workers: usize,
-    /// Admission-queue capacity; pushes beyond it are shed.
+    /// Capacity of each admission lane; pushes beyond it are shed.
     pub queue_capacity: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
     /// Attach a per-request operator profile to responses and log
     /// records (the `--profile` seam).
     pub profiling: bool,
@@ -141,9 +103,6 @@ pub struct ServerConfig {
     /// its fd and buffer forever). `None` disables the idle check.
     /// Stalled closes are logged with outcome `conn_stalled`.
     pub conn_read_timeout: Option<Duration>,
-    /// Per-lane capacities and deadlines (fields left at their defaults
-    /// inherit `queue_capacity` / `default_deadline`).
-    pub lanes: LanesConfig,
     /// Dedicated threads draining the write lane (TCP write batches),
     /// so a WAL fsync never stalls a read worker. Clamped to at least
     /// 1 when `workers > 0`; with `workers == 0` (deterministic test
@@ -162,46 +121,19 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             queue_capacity: 1024,
-            default_deadline: None,
             profiling: false,
             threads_per_worker: 1,
             conn_read_timeout: Some(Duration::from_secs(30)),
-            lanes: LanesConfig::default(),
             write_workers: 2,
             read_only: false,
         }
     }
 }
 
-impl ServerConfig {
-    /// The resolved capacity of one lane (its own, or the inherited
-    /// `queue_capacity`).
-    pub fn lane_capacity(&self, lane: Lane) -> usize {
-        let own = self.lanes.lane(lane).capacity;
-        if own > 0 {
-            own
-        } else {
-            self.queue_capacity
-        }
-    }
-
-    /// The resolved no-deadline default of one lane (its own, or the
-    /// inherited `default_deadline`).
-    pub fn lane_deadline(&self, lane: Lane) -> Option<Duration> {
-        self.lanes.lane(lane).deadline.or(self.default_deadline)
-    }
-
-    /// The resolved short:heavy drain ratio.
-    pub fn short_weight(&self) -> u64 {
-        if self.lanes.short_weight > 0 {
-            self.lanes.short_weight
-        } else {
-            4
-        }
-    }
-}
-
-/// Aggregate outcome counters, returned by [`Server::shutdown`].
+/// Aggregate outcome counters, returned by [`Server::shutdown`]. The
+/// request-outcome fields are read from the server's lane × outcome
+/// tally, so they count every request the server ended — also those
+/// the access log's ring no longer holds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceReport {
     /// Requests executed to completion.
@@ -212,14 +144,15 @@ pub struct ServiceReport {
     pub deadline_missed: u64,
     /// Requests that started inside their budget but finished past the
     /// deadline — executed, then answered `deadline_overrun` instead of
-    /// `ok` (the satellite bugfix: overruns used to be miscounted as
-    /// served).
+    /// `ok`.
     pub deadline_overrun: u64,
     /// Requests rejected because the server was draining.
     pub rejected_shutdown: u64,
-    /// Frames that failed to decode.
+    /// Frames that failed to decode, and client write batches refused
+    /// `bad_request` (no WAL, sequence gap).
     pub bad_requests: u64,
-    /// Requests that failed during execution.
+    /// Requests that failed during execution, plus compactions whose
+    /// store image could not be written.
     pub internal_errors: u64,
     /// Update events applied by write batches on the durable path.
     pub updates_applied: u64,
@@ -237,8 +170,9 @@ pub struct ServiceReport {
     /// TCP connections closed for making no read progress within the
     /// configured timeout.
     pub conn_stalled: u64,
-    /// Total access-log records (one per request that reached the
-    /// server).
+    /// Requests the server ended, each of which cut one access-log
+    /// record (the log itself keeps only the most recent
+    /// [`crate::LOG_CAPACITY`]).
     pub log_records: u64,
     /// Store versions published over the server's lifetime (0 = the
     /// bulk-loaded base version was never superseded).
@@ -280,29 +214,85 @@ pub struct ServiceReport {
     pub fenced_rejects: u64,
 }
 
+/// How a request ended: an outcome slot of the tally, and the
+/// `outcome` of its access-log record.
+#[derive(Clone, Copy)]
+pub(crate) enum Outcome {
+    Ok,
+    /// A write batch at or below the applied sequence, re-acknowledged
+    /// without applying it again.
+    Deduped,
+    /// A TCP connection closed for making no read progress.
+    ConnStalled,
+    Err(ErrorKind),
+}
+
+impl Outcome {
+    /// `ok`, `deduped`, `conn_stalled`, then one slot per error code.
+    const SLOTS: usize = 13;
+
+    fn slot(self) -> usize {
+        match self {
+            Outcome::Ok => 0,
+            Outcome::Deduped => 1,
+            Outcome::ConnStalled => 2,
+            Outcome::Err(kind) => 2 + kind.code() as usize,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Outcome::Ok => "ok",
+            Outcome::Deduped => "deduped",
+            Outcome::ConnStalled => "conn_stalled",
+            Outcome::Err(kind) => kind.name(),
+        }
+    }
+}
+
+/// Requests ended, by lane slot — `short`, `heavy`, `write`, then
+/// [`NO_LANE`] for undecodable frames and connection-level records —
+/// and by [`Outcome`]. [`ServerInner::finish`] is its only writer.
+#[derive(Default)]
+struct Tally([[AtomicU64; Outcome::SLOTS]; 4]);
+
+/// The tally's lane slot for requests that never reached a lane.
+const NO_LANE: usize = 3;
+
+impl Tally {
+    fn get(&self, lane: usize, outcome: Outcome) -> u64 {
+        self.0[lane][outcome.slot()].load(Ordering::Relaxed)
+    }
+
+    /// `outcome` on each of the three lanes.
+    fn by_lane(&self, outcome: Outcome) -> [u64; 3] {
+        [self.get(0, outcome), self.get(1, outcome), self.get(2, outcome)]
+    }
+
+    /// `outcome` over every lane slot.
+    fn total(&self, outcome: Outcome) -> u64 {
+        (0..=NO_LANE).map(|lane| self.get(lane, outcome)).sum()
+    }
+
+    /// Every request ended.
+    fn all(&self) -> u64 {
+        self.0.iter().flatten().map(|n| n.load(Ordering::Relaxed)).sum()
+    }
+}
+
+/// Counts of store and connection state; request outcomes live in the
+/// [`Tally`].
 #[derive(Default)]
 struct Counters {
-    served: AtomicU64,
-    shed: AtomicU64,
-    deadline_missed: AtomicU64,
-    deadline_overrun: AtomicU64,
-    rejected_shutdown: AtomicU64,
-    bad_requests: AtomicU64,
-    internal_errors: AtomicU64,
     updates_applied: AtomicU64,
     deletes_applied: AtomicU64,
     batches_applied: AtomicU64,
     batches_deduped: AtomicU64,
-    poisoned_rejects: AtomicU64,
-    conn_stalled: AtomicU64,
-    served_by_lane: [AtomicU64; 3],
-    shed_by_lane: [AtomicU64; 3],
     conn_accepted: AtomicU64,
     conn_peak: AtomicU64,
     outbox_peak: AtomicU64,
-    not_primary_rejects: AtomicU64,
-    stale_read_rejects: AtomicU64,
-    fenced_rejects: AtomicU64,
+    /// Compactions whose store image could not be written.
+    compactions_failed: AtomicU64,
 }
 
 /// Where a queued job's response goes.
@@ -332,16 +322,13 @@ impl<B: AsRef<[u8]>> Payload<B> {
         }
     }
 
-    /// `(workload, query, binding_hash)` for access-log records. Raw
-    /// frames are unlabelled until decoded — refusal records for them
-    /// carry empty labels, exactly like the garbage path.
-    fn labels(&self) -> (&'static str, u8, u64) {
+    /// `(workload, query)` for access-log records. Raw frames are
+    /// unlabelled until decoded — refusal records for them carry empty
+    /// labels, exactly like the garbage path.
+    fn labels(&self) -> (&'static str, u8) {
         match self {
-            Payload::Decoded(req) => {
-                let (w, q) = req.params.label();
-                (w, q, req.params.binding_hash())
-            }
-            Payload::Raw { .. } => ("", 0, 0),
+            Payload::Decoded(req) => req.params.label(),
+            Payload::Raw { .. } => ("", 0),
         }
     }
 
@@ -412,6 +399,7 @@ pub(crate) struct ServerInner {
     /// See [`ServerInner::transport_open`].
     transport_open: AtomicBool,
     config: ServerConfig,
+    tally: Tally,
     counters: Counters,
     durable: Option<Mutex<DurableState>>,
     last_applied_seq: AtomicU64,
@@ -570,102 +558,93 @@ impl ServerInner {
 
     /// Renders the consistent per-lane depth snapshot that admission
     /// refusals carry, so clients and the chaos harness can distinguish
-    /// lane-full from global overload (the satellite bugfix for shed
-    /// responses that used to report nothing but `queue_us: 0`).
+    /// lane-full from global overload.
     fn depths_detail(&self) -> String {
         let d = self.queue.depths();
         format!("lanes short={} heavy={} write={}", d[0], d[1], d[2])
     }
 
-    /// The single refusal path behind every admission rejection:
-    /// counters, one access-log record, and the typed error response.
-    /// `labels` is `(workload, query, binding_hash)` — empty for raw
-    /// frames that were never decoded; the header's `min_seq` feeds the
-    /// `stale_read` detail so the client sees its lag.
-    fn refuse(
+    /// The one way a request ends: counts `outcome` on `lane` in the
+    /// tally (`None` for undecodable frames and connection-level
+    /// records, which never reach a lane) and cuts the request's one
+    /// access-log record. The record starts with `seq`, the lane, the
+    /// outcome and the store version current now; `fill` adds what the
+    /// request did.
+    fn finish(
         &self,
         seq: u64,
-        header: &proto::RequestHeader,
-        labels: (&'static str, u8, u64),
-        kind: ErrorKind,
-    ) -> Response {
-        let (workload, query, binding_hash) = labels;
-        let lane = header.lane;
-        match kind {
-            ErrorKind::Overloaded => {
-                self.counters.shed_by_lane[lane.index()].fetch_add(1, Ordering::Relaxed);
-                self.counters.shed.fetch_add(1, Ordering::Relaxed)
-            }
-            ErrorKind::ShuttingDown => {
-                self.counters.rejected_shutdown.fetch_add(1, Ordering::Relaxed)
-            }
-            ErrorKind::StorePoisoned => {
-                self.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed)
-            }
-            ErrorKind::NotPrimary => {
-                self.counters.not_primary_rejects.fetch_add(1, Ordering::Relaxed)
-            }
-            ErrorKind::StaleRead => {
-                self.counters.stale_read_rejects.fetch_add(1, Ordering::Relaxed)
-            }
-            ErrorKind::Fenced => self.counters.fenced_rejects.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
-        self.log.push(AccessRecord {
+        lane: Option<Lane>,
+        outcome: Outcome,
+        fill: impl FnOnce(&mut AccessRecord),
+    ) {
+        let slot = lane.map_or(NO_LANE, Lane::index);
+        self.tally.0[slot][outcome.slot()].fetch_add(1, Ordering::Relaxed);
+        let mut record = AccessRecord {
             seq,
-            workload,
-            query,
-            binding_hash,
-            lane: lane.name(),
-            queue_us: 0,
-            exec_us: 0,
-            outcome: kind.name(),
-            rows: 0,
-            fingerprint: 0,
+            lane: lane.map_or("", Lane::name),
+            outcome: outcome.name(),
             store_version: self.store.version(),
-            snapshot_age_us: 0,
-            profile: None,
-        });
-        let detail = match kind {
-            ErrorKind::Overloaded => {
-                format!(
-                    "{} lane full (capacity {}; {})",
-                    lane.name(),
-                    self.queue.capacity(lane),
-                    self.depths_detail()
-                )
-            }
+            ..AccessRecord::default()
+        };
+        fill(&mut record);
+        self.log.push(record);
+    }
+
+    /// The detail text of a refusal: the refusing lane and the live
+    /// depths for `overloaded` and `shutting_down`, the redirect hint
+    /// for `not_primary` and `fenced`, the lag against `min_seq` for
+    /// `stale_read`.
+    fn refusal_detail(&self, kind: ErrorKind, lane: Lane, min_seq: u64) -> String {
+        match kind {
+            ErrorKind::Overloaded => format!(
+                "{} lane full (capacity {}; {})",
+                lane.name(),
+                self.queue.capacity(),
+                self.depths_detail()
+            ),
             ErrorKind::ShuttingDown => {
                 format!("server is draining for shutdown ({})", self.depths_detail())
             }
             ErrorKind::StorePoisoned => POISONED_DETAIL.to_string(),
-            ErrorKind::NotPrimary => {
+            ErrorKind::NotPrimary | ErrorKind::Fenced => {
+                let role = match kind {
+                    ErrorKind::Fenced => {
+                        format!("fenced: a newer primary exists at epoch {}", self.epoch())
+                    }
+                    _ => "read-only follower; route writes to the primary".to_string(),
+                };
                 let hint = self.primary_hint();
                 if hint.is_empty() {
-                    "read-only follower; route writes to the primary".to_string()
+                    role
                 } else {
-                    format!("read-only follower; route writes to the primary (primary={hint})")
-                }
-            }
-            ErrorKind::Fenced => {
-                let hint = self.primary_hint();
-                let epoch = self.epoch();
-                if hint.is_empty() {
-                    format!("fenced: a newer primary exists at epoch {epoch}")
-                } else {
-                    format!("fenced: a newer primary exists at epoch {epoch} (primary={hint})")
+                    format!("{role} (primary={hint})")
                 }
             }
             ErrorKind::StaleRead => {
                 let applied = self.last_applied_seq.load(Ordering::Acquire);
-                let min_seq = header.min_seq;
                 format!(
                     "min_seq {min_seq}, applied {applied} (lag {})",
                     min_seq.saturating_sub(applied)
                 )
             }
             other => other.name().to_string(),
-        };
+        }
+    }
+
+    /// The single refusal path behind every admission rejection: one
+    /// `finish` and the typed error response. `labels` is `(workload,
+    /// query)` — empty for raw frames that were never decoded.
+    fn refuse(
+        &self,
+        seq: u64,
+        header: &proto::RequestHeader,
+        labels: (&'static str, u8),
+        kind: ErrorKind,
+    ) -> Response {
+        self.finish(seq, Some(header.lane), Outcome::Err(kind), |r| {
+            (r.workload, r.query) = labels;
+        });
+        let detail = self.refusal_detail(kind, header.lane, header.min_seq);
         Response { id: header.id, body: Err(ErrorBody { kind, queue_us: 0, detail }) }
     }
 
@@ -713,11 +692,8 @@ impl ServerInner {
             return refuse(ErrorKind::StaleRead);
         }
         let admitted = Instant::now();
-        let deadline = if header.deadline_us > 0 {
-            Some(admitted + Duration::from_micros(header.deadline_us))
-        } else {
-            self.config.lane_deadline(lane).map(|d| admitted + d)
-        };
+        let deadline =
+            (header.deadline_us > 0).then(|| admitted + Duration::from_micros(header.deadline_us));
         // Pin the store version here, at admission: a read runs against
         // this version no matter how many publishes land while it queues.
         let snapshot = (lane != Lane::Write).then(|| self.store.snapshot());
@@ -775,10 +751,10 @@ impl ServerInner {
         let payload = match proto::peek_header(frame) {
             Ok(header) if header.workload == "IS" => match proto::decode_request(frame) {
                 Ok(request) => Payload::Decoded(request),
-                Err(e) => return Some(self.bad_request(e)),
+                Err(e) => return Some(self.bad_request(self.log.next_seq(), e)),
             },
             Ok(header) => Payload::Raw { frame, header },
-            Err(e) => return Some(self.bad_request(e)),
+            Err(e) => return Some(self.bad_request(self.log.next_seq(), e)),
         };
         match self.admit(payload) {
             Ok(job) => self.dispatch(ctx, job, || Responder::Tcp(Arc::clone(out))),
@@ -836,27 +812,11 @@ impl ServerInner {
         }
     }
 
-    /// Answers one undecodable frame. The rejection carries the lane
-    /// depths so a flooding client can tell protocol failure apart from
-    /// overload even on the garbage path.
-    fn bad_request(&self, e: proto::DecodeError) -> Response {
-        let seq = self.log.next_seq();
-        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        self.log.push(AccessRecord {
-            seq,
-            workload: "",
-            query: 0,
-            binding_hash: 0,
-            lane: "",
-            queue_us: 0,
-            exec_us: 0,
-            outcome: ErrorKind::BadRequest.name(),
-            rows: 0,
-            fingerprint: 0,
-            store_version: self.store.version(),
-            snapshot_age_us: 0,
-            profile: None,
-        });
+    /// Answers one undecodable frame, logged under `seq` on no lane. The
+    /// rejection carries the lane depths so a flooding client can tell
+    /// protocol failure apart from overload even on the garbage path.
+    fn bad_request(&self, seq: u64, e: proto::DecodeError) -> Response {
+        self.finish(seq, None, Outcome::Err(ErrorKind::BadRequest), |_| {});
         let detail = format!("{} ({})", e.detail, self.depths_detail());
         Response {
             id: e.id.unwrap_or(u64::MAX),
@@ -873,10 +833,9 @@ impl ServerInner {
         let queue_us = job.admitted.elapsed().as_micros() as u64;
         let request = match job.payload.decode() {
             Ok(req) => req,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return self.bad_request(job.seq, e),
         };
         let (workload, query) = request.params.label();
-        let binding_hash = request.params.binding_hash();
         let ServiceParams::Write(batch) = &request.params else {
             unreachable!("the write lane only carries Write params");
         };
@@ -885,25 +844,11 @@ impl ServerInner {
         let exec_us = started.elapsed().as_micros() as u64;
         let (outcome, rows, fingerprint) = match &result {
             Ok((outcome, ok)) => (*outcome, ok.rows, ok.fingerprint),
-            Err(e) => (e.kind.name(), 0, 0),
+            Err(e) => (Outcome::Err(e.kind), 0, 0),
         };
-        if result.is_ok() {
-            self.counters.served_by_lane[Lane::Write.index()].fetch_add(1, Ordering::Relaxed);
-        }
-        self.log.push(AccessRecord {
-            seq: job.seq,
-            workload,
-            query,
-            binding_hash,
-            lane: Lane::Write.name(),
-            queue_us,
-            exec_us,
-            outcome,
-            rows,
-            fingerprint,
-            store_version: self.store.version(),
-            snapshot_age_us: 0,
-            profile: None,
+        self.finish(job.seq, Some(Lane::Write), outcome, |r| {
+            (r.workload, r.query, r.queue_us, r.exec_us) = (workload, query, queue_us, exec_us);
+            (r.rows, r.fingerprint) = (rows, fingerprint);
         });
         let body = match result {
             Ok((_, mut ok)) => {
@@ -921,17 +866,16 @@ impl ServerInner {
 
     /// The durable write path: dedupe check → WAL append (flushed) →
     /// build + publish the next store version → bump the applied
-    /// sequence → maybe rotate the snapshot. Returns the log outcome
-    /// label with the ack body.
+    /// sequence → maybe rotate the snapshot. Returns the outcome (`Ok`
+    /// or `Deduped`) with the ack body. It counts no outcome itself: the
+    /// client path's `execute_write` ends the request, and the
+    /// replication applier counts its own in `FollowerStatus`.
     ///
     /// The ack body encodes the contract: `fingerprint` is the highest
     /// applied sequence number after this call, and `rows` is the
     /// number of operations applied *by this call* — `0` for a dedupe
     /// re-ack, so a client can tell first-apply from replay.
-    pub(crate) fn submit_batch(
-        &self,
-        batch: &WriteBatch,
-    ) -> Result<(&'static str, OkBody), ErrorBody> {
+    pub(crate) fn submit_batch(&self, batch: &WriteBatch) -> Result<(Outcome, OkBody), ErrorBody> {
         let err = |kind: ErrorKind, detail: String| ErrorBody { kind, queue_us: 0, detail };
         // The split-brain chaos point: firing it opens the process-wide
         // partition window (`partition:MS@hN` = at the N-th submitted
@@ -941,26 +885,19 @@ impl ServerInner {
         if let Some(fault) = snb_fault::check("net.partition") {
             fault.trip("net.partition");
         }
-        if self.is_fenced() {
-            self.counters.fenced_rejects.fetch_add(1, Ordering::Relaxed);
-            let hint = self.primary_hint();
-            let detail = if hint.is_empty() {
-                format!("fenced: a newer primary exists at epoch {}", self.epoch())
-            } else {
-                format!("fenced: a newer primary exists at epoch {} (primary={hint})", self.epoch())
-            };
-            return Err(err(ErrorKind::Fenced, detail));
-        }
-        if self.degraded.load(Ordering::Acquire) {
-            self.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed);
-            return Err(err(ErrorKind::StorePoisoned, POISONED_DETAIL.into()));
-        }
-        if !self.accepting.load(Ordering::Acquire) {
-            self.counters.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-            return Err(err(ErrorKind::ShuttingDown, "server is draining for shutdown".into()));
+        let refused = if self.is_fenced() {
+            Some(ErrorKind::Fenced)
+        } else if self.degraded.load(Ordering::Acquire) {
+            Some(ErrorKind::StorePoisoned)
+        } else if !self.accepting.load(Ordering::Acquire) {
+            Some(ErrorKind::ShuttingDown)
+        } else {
+            None
+        };
+        if let Some(kind) = refused {
+            return Err(err(kind, self.refusal_detail(kind, Lane::Write, 0)));
         }
         let Some(durable) = &self.durable else {
-            self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
             return Err(err(
                 ErrorKind::BadRequest,
                 "server has no write-ahead log (start with --wal-dir)".into(),
@@ -976,19 +913,17 @@ impl ServerInner {
             // would have waited for.
             if group && self.flushed_seq.load(Ordering::Acquire) < batch.seq {
                 if let Err(e) = state.wal.sync_all() {
-                    self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
                     return Err(err(ErrorKind::Internal, format!("WAL flush failed: {e}")));
                 }
                 self.note_flushed(state.wal.last_seq());
             }
             self.counters.batches_deduped.fetch_add(1, Ordering::Relaxed);
             return Ok((
-                "deduped",
+                Outcome::Deduped,
                 OkBody { rows: 0, fingerprint: last, applied_seq: last, ..OkBody::default() },
             ));
         }
         if batch.seq != last + 1 {
-            self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
             return Err(err(
                 ErrorKind::BadRequest,
                 format!("sequence gap: got batch {}, expected {}", batch.seq, last + 1),
@@ -997,7 +932,6 @@ impl ServerInner {
         if let Err(e) = state.wal.append(batch.seq, &batch.ops) {
             // Not durable ⇒ not applied, not acknowledged. The store is
             // still consistent; the client retries after restart.
-            self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
             return Err(err(ErrorKind::Internal, format!("WAL append failed: {e}")));
         }
         // Build the next store version on a private copy-on-write clone
@@ -1046,7 +980,6 @@ impl ServerInner {
                 // waiter gets the lock first.
                 if group && state.wal.unsynced() >= state.wal.options().fsync_every.max(1) {
                     if let Err(e) = state.wal.sync_all() {
-                        self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
                         return Err(err(ErrorKind::Internal, format!("WAL flush failed: {e}")));
                     }
                     self.note_flushed(state.wal.last_seq());
@@ -1060,7 +993,7 @@ impl ServerInner {
                         // The image covers every append so far.
                         Ok(()) => self.note_flushed(batch.seq),
                         Err(_) => {
-                            self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
+                            self.counters.compactions_failed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -1069,7 +1002,7 @@ impl ServerInner {
                     self.wait_for_flush(durable, batch.seq)?;
                 }
                 Ok((
-                    "ok",
+                    Outcome::Ok,
                     OkBody {
                         rows: batch.ops.len() as u64,
                         fingerprint: batch.seq,
@@ -1086,7 +1019,6 @@ impl ServerInner {
                 // server must refuse further work until restart-recovery
                 // re-converges them.
                 self.degraded.store(true, Ordering::Release);
-                self.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed);
                 Err(err(
                     ErrorKind::StorePoisoned,
                     format!("apply failed mid-batch ({apply_err}); restart to recover"),
@@ -1094,7 +1026,6 @@ impl ServerInner {
             }
             Err(_) => {
                 self.degraded.store(true, Ordering::Release);
-                self.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed);
                 Err(err(
                     ErrorKind::StorePoisoned,
                     format!("panic while applying batch {}; restart to recover", batch.seq),
@@ -1166,7 +1097,6 @@ impl ServerInner {
                         return Ok(());
                     }
                     if let Err(e) = state.wal.sync_all() {
-                        self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
                         return Err(ErrorBody {
                             kind: ErrorKind::Internal,
                             queue_us: 0,
@@ -1204,7 +1134,7 @@ impl ServerInner {
     /// against the admission-pinned snapshot, then a second deadline
     /// check at completion — a job that started inside its budget but
     /// overran mid-execution is answered `deadline_overrun`, not `ok`.
-    /// Every outcome appends exactly one access-log record.
+    /// Every outcome ends in one `finish`.
     fn execute(&self, ctx: &QueryContext, job: Job) -> Response {
         let Job { payload, seq, lane, admitted, deadline, snapshot, applied_seq } = job;
         let queue_us = admitted.elapsed().as_micros() as u64;
@@ -1213,89 +1143,78 @@ impl ServerInner {
         // still answers a typed `bad_request`.
         let request = match payload.decode() {
             Ok(req) => req,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return self.bad_request(seq, e),
         };
         let snapshot = snapshot.expect("reads pin a snapshot at admission");
-        let id = request.id;
+        let store_version = snapshot.version();
         let (workload, query) = request.params.label();
-        let mut record = AccessRecord {
-            seq,
-            workload,
-            query,
-            binding_hash: request.params.binding_hash(),
-            lane: lane.name(),
-            queue_us,
-            exec_us: 0,
-            outcome: "ok",
-            rows: 0,
-            fingerprint: 0,
-            store_version: snapshot.version(),
-            snapshot_age_us: 0,
-            profile: None,
-        };
-        let fail = |mut record: AccessRecord, kind: ErrorKind, detail: String| {
-            record.outcome = kind.name();
-            self.log.push(record);
-            Response { id, body: Err(ErrorBody { kind, queue_us, detail }) }
-        };
-        // A poisoning write may have landed while this job was queued.
-        if self.degraded.load(Ordering::Acquire) {
-            self.counters.poisoned_rejects.fetch_add(1, Ordering::Relaxed);
-            return fail(record, ErrorKind::StorePoisoned, POISONED_DETAIL.into());
-        }
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            self.counters.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            let detail = format!("deadline passed after {queue_us}us in queue; not executed");
-            return fail(record, ErrorKind::DeadlineExceeded, detail);
-        }
-        ctx.metrics().reset();
-        let started = Instant::now();
-        record.snapshot_age_us = snapshot.age().as_micros() as u64;
-        // Bind the context to the version pinned at admission: the
-        // query reads that immutable snapshot — no lock, no
-        // interference from concurrent publishes.
-        let bound = ctx.clone().with_snapshot(snapshot);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match &request.params {
-                ServiceParams::Bi(p) => {
-                    let s = snb_bi::run_bound(&bound, p);
-                    (s.rows as u64, s.fingerprint)
-                }
-                ServiceParams::Ic(p) => (snb_interactive::run_complex_bound(&bound, p) as u64, 0),
-                ServiceParams::Is(p) => (snb_interactive::run_short_bound(&bound, p) as u64, 0),
-                // Write batches never reach read execution; the unwind
-                // turns a slipped-through one into `internal`.
-                ServiceParams::Write(_) => unreachable!("write batches bypass the read lanes"),
+        let (mut exec_us, mut snapshot_age_us, mut rows, mut fingerprint) = (0, 0, 0, 0);
+        let result = 'run: {
+            // A poisoning write may have landed while this job was queued.
+            if self.degraded.load(Ordering::Acquire) {
+                break 'run Err((ErrorKind::StorePoisoned, POISONED_DETAIL.to_string()));
             }
-        }));
-        let exec_us = started.elapsed().as_micros() as u64;
-        record.exec_us = exec_us;
-        let Ok((rows, fingerprint)) = outcome else {
-            self.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
-            let detail = format!("{workload} {query} panicked during execution");
-            return fail(record, ErrorKind::Internal, detail);
+            if deadline.is_some_and(|d| Instant::now() > d) {
+                let detail = format!("deadline passed after {queue_us}us in queue; not executed");
+                break 'run Err((ErrorKind::DeadlineExceeded, detail));
+            }
+            ctx.metrics().reset();
+            let started = Instant::now();
+            snapshot_age_us = snapshot.age().as_micros() as u64;
+            // Bind the context to the version pinned at admission: the
+            // query reads that immutable snapshot — no lock, no
+            // interference from concurrent publishes.
+            let bound = ctx.clone().with_snapshot(snapshot);
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                match &request.params {
+                    ServiceParams::Bi(p) => {
+                        let s = snb_bi::run_bound(&bound, p);
+                        (s.rows as u64, s.fingerprint)
+                    }
+                    ServiceParams::Ic(p) => {
+                        (snb_interactive::run_complex_bound(&bound, p) as u64, 0)
+                    }
+                    ServiceParams::Is(p) => (snb_interactive::run_short_bound(&bound, p) as u64, 0),
+                    // Write batches never reach read execution; the unwind
+                    // turns a slipped-through one into `internal`.
+                    ServiceParams::Write(_) => unreachable!("write batches bypass the read lanes"),
+                }
+            }));
+            exec_us = started.elapsed().as_micros() as u64;
+            let Ok(ran) = ran else {
+                let detail = format!("{workload} {query} panicked during execution");
+                break 'run Err((ErrorKind::Internal, detail));
+            };
+            (rows, fingerprint) = ran;
+            // Completion-time deadline check: the work is done (and its
+            // cost is visible in exec_us), but the client's budget is
+            // spent — report it as an overrun, never as a success.
+            if deadline.is_some_and(|d| Instant::now() > d) {
+                let detail = format!(
+                    "started inside the budget but overran it: {queue_us}us queued + {exec_us}us \
+                     executing"
+                );
+                break 'run Err((ErrorKind::DeadlineOverrun, detail));
+            }
+            Ok(self.config.profiling.then(|| Box::new(ctx.metrics().snapshot())))
         };
-        (record.rows, record.fingerprint) = (rows, fingerprint);
-        // Completion-time deadline check: the work is done (and its cost
-        // is visible in exec_us), but the client's budget is spent —
-        // report it as an overrun, never as a success.
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            self.counters.deadline_overrun.fetch_add(1, Ordering::Relaxed);
-            let detail = format!(
-                "started inside the budget but overran it: {queue_us}us queued + {exec_us}us \
-                 executing"
-            );
-            return fail(record, ErrorKind::DeadlineOverrun, detail);
-        }
-        let profile = self.config.profiling.then(|| Box::new(ctx.metrics().snapshot()));
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        self.counters.served_by_lane[lane.index()].fetch_add(1, Ordering::Relaxed);
-        record.profile = profile.clone();
-        self.log.push(record);
-        Response {
-            id,
-            body: Ok(OkBody { rows, fingerprint, queue_us, exec_us, applied_seq, profile }),
-        }
+        let outcome = match &result {
+            Ok(_) => Outcome::Ok,
+            Err((kind, _)) => Outcome::Err(*kind),
+        };
+        self.finish(seq, Some(lane), outcome, |r| {
+            (r.workload, r.query, r.queue_us, r.exec_us) = (workload, query, queue_us, exec_us);
+            (r.rows, r.fingerprint) = (rows, fingerprint);
+            (r.store_version, r.snapshot_age_us) = (store_version, snapshot_age_us);
+            r.profile = result.as_ref().ok().cloned().flatten();
+        });
+        let body = match result {
+            Ok(profile) => {
+                Ok(OkBody { rows, fingerprint, queue_us, exec_us, applied_seq, profile })
+            }
+            Err((kind, detail)) => Err(ErrorBody { kind, queue_us, detail }),
+        };
+        Response { id: request.id, body }
     }
 
     /// A query context `threads` wide with the server's profiling
@@ -1329,21 +1248,8 @@ impl ServerInner {
     /// Logs a connection closed for making no progress within `limit`
     /// (outcome `conn_stalled`).
     pub(crate) fn conn_stalled(&self, limit: Duration) {
-        self.counters.conn_stalled.fetch_add(1, Ordering::Relaxed);
-        self.log.push(AccessRecord {
-            seq: self.log.next_seq(),
-            workload: "",
-            query: 0,
-            binding_hash: 0,
-            lane: "",
-            queue_us: limit.as_micros() as u64,
-            exec_us: 0,
-            outcome: "conn_stalled",
-            rows: 0,
-            fingerprint: 0,
-            store_version: self.store.version(),
-            snapshot_age_us: 0,
-            profile: None,
+        self.finish(self.log.next_seq(), None, Outcome::ConnStalled, |r| {
+            r.queue_us = limit.as_micros() as u64;
         });
     }
 
@@ -1354,36 +1260,36 @@ impl ServerInner {
 
     fn report(&self) -> ServiceReport {
         let snap = self.store.stats();
-        let by = |a: &[AtomicU64; 3]| {
-            [
-                a[0].load(Ordering::Relaxed),
-                a[1].load(Ordering::Relaxed),
-                a[2].load(Ordering::Relaxed),
-            ]
-        };
+        let (tally, counters) = (&self.tally, &self.counters);
+        let refused = |kind| tally.total(Outcome::Err(kind));
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let [short, heavy, write] = tally.by_lane(Outcome::Ok);
+        let served_by_lane =
+            [short, heavy, write + tally.get(Lane::Write.index(), Outcome::Deduped)];
+        let shed_by_lane = tally.by_lane(Outcome::Err(ErrorKind::Overloaded));
         ServiceReport {
-            served: self.counters.served.load(Ordering::Relaxed),
-            shed: self.counters.shed.load(Ordering::Relaxed),
-            served_by_lane: by(&self.counters.served_by_lane),
-            shed_by_lane: by(&self.counters.shed_by_lane),
-            deadline_missed: self.counters.deadline_missed.load(Ordering::Relaxed),
-            deadline_overrun: self.counters.deadline_overrun.load(Ordering::Relaxed),
-            rejected_shutdown: self.counters.rejected_shutdown.load(Ordering::Relaxed),
-            bad_requests: self.counters.bad_requests.load(Ordering::Relaxed),
-            internal_errors: self.counters.internal_errors.load(Ordering::Relaxed),
-            updates_applied: self.counters.updates_applied.load(Ordering::Relaxed),
-            deletes_applied: self.counters.deletes_applied.load(Ordering::Relaxed),
-            batches_applied: self.counters.batches_applied.load(Ordering::Relaxed),
-            batches_deduped: self.counters.batches_deduped.load(Ordering::Relaxed),
-            poisoned_rejects: self.counters.poisoned_rejects.load(Ordering::Relaxed),
-            conn_stalled: self.counters.conn_stalled.load(Ordering::Relaxed),
-            conn_accepted: self.counters.conn_accepted.load(Ordering::Relaxed),
-            conn_peak: self.counters.conn_peak.load(Ordering::Relaxed),
-            outbox_peak: self.counters.outbox_peak.load(Ordering::Relaxed),
-            not_primary_rejects: self.counters.not_primary_rejects.load(Ordering::Relaxed),
-            stale_read_rejects: self.counters.stale_read_rejects.load(Ordering::Relaxed),
-            fenced_rejects: self.counters.fenced_rejects.load(Ordering::Relaxed),
-            log_records: self.log.len() as u64,
+            served: short + heavy,
+            shed: shed_by_lane.iter().sum(),
+            served_by_lane,
+            shed_by_lane,
+            deadline_missed: refused(ErrorKind::DeadlineExceeded),
+            deadline_overrun: refused(ErrorKind::DeadlineOverrun),
+            rejected_shutdown: refused(ErrorKind::ShuttingDown),
+            bad_requests: refused(ErrorKind::BadRequest),
+            internal_errors: refused(ErrorKind::Internal) + load(&counters.compactions_failed),
+            poisoned_rejects: refused(ErrorKind::StorePoisoned),
+            conn_stalled: tally.total(Outcome::ConnStalled),
+            not_primary_rejects: refused(ErrorKind::NotPrimary),
+            stale_read_rejects: refused(ErrorKind::StaleRead),
+            fenced_rejects: refused(ErrorKind::Fenced),
+            log_records: tally.all(),
+            updates_applied: load(&counters.updates_applied),
+            deletes_applied: load(&counters.deletes_applied),
+            batches_applied: load(&counters.batches_applied),
+            batches_deduped: load(&counters.batches_deduped),
+            conn_accepted: load(&counters.conn_accepted),
+            conn_peak: load(&counters.conn_peak),
+            outbox_peak: load(&counters.outbox_peak),
             versions_published: snap.version,
             peak_live_snapshots: snap.peak_live_versions,
             reader_retries: snap.reader_retries,
@@ -1427,14 +1333,7 @@ impl Server {
                 (Some(Mutex::new(DurableState { wal: d.wal, world: d.world })), d.last_seq, d.epoch)
             }
         };
-        let queue = LaneQueues::new(
-            [
-                config.lane_capacity(Lane::Short),
-                config.lane_capacity(Lane::Heavy),
-                config.lane_capacity(Lane::Write),
-            ],
-            config.short_weight(),
-        );
+        let queue = LaneQueues::new(config.queue_capacity);
         let read_only = config.read_only;
         let inner = Arc::new(ServerInner {
             store,
@@ -1443,6 +1342,7 @@ impl Server {
             accepting: AtomicBool::new(true),
             transport_open: AtomicBool::new(true),
             config,
+            tally: Tally::default(),
             counters: Counters::default(),
             durable,
             last_applied_seq: AtomicU64::new(last_seq),
@@ -1554,7 +1454,7 @@ impl Server {
         state.wal.syncs()
     }
 
-    /// The access log.
+    /// The access log: the most recent [`crate::LOG_CAPACITY`] records.
     pub fn access_log(&self) -> &AccessLog {
         &self.inner.log
     }
@@ -1709,7 +1609,7 @@ pub struct InProcClient {
 }
 
 impl InProcClient {
-    /// Executes one request; `deadline_us = 0` means "server default".
+    /// Executes one request; `deadline_us = 0` means no deadline.
     pub fn call(&self, params: ServiceParams, deadline_us: u64) -> Response {
         self.call_min_seq(params, deadline_us, 0)
     }

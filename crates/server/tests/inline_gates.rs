@@ -3,7 +3,9 @@
 //! admission gate as queued work. For each refusal the gate can give, a
 //! request over either transport gets the typed error and leaves exactly
 //! one access-log record on the `short` lane; only `ok` answers count as
-//! short-lane service.
+//! short-lane service. The access log keeps the most recent
+//! `LOG_CAPACITY` records while the report counts every request, and
+//! every outcome the report counts equals the records with that outcome.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -12,12 +14,13 @@ use std::time::Duration;
 use snb_interactive::IsParams;
 use snb_server::proto::{self, Request};
 use snb_server::{
-    AccessRecord, ErrorKind, Response, Server, ServerConfig, ServiceParams, WalOptions,
+    recover, AccessRecord, ErrorKind, Response, Server, ServerConfig, ServiceParams, WalOptions,
+    WriteBatch, LOG_CAPACITY,
 };
 use snb_store::Ix;
 
 mod common;
-use common::config;
+use common::{config, SCALE};
 
 /// The person with the most messages: IS 2 on them does real work.
 fn busiest_person(store: &snb_store::Store) -> u64 {
@@ -188,4 +191,114 @@ fn requests_while_shutdown_drains_are_refused_inline() {
     assert_eq!(is_records(&records, "ok"), served_before);
     assert_eq!(report.served_by_lane[0], served_before as u64);
     assert_eq!(report.served_by_lane[1], BACKLOG as u64, "the admitted backlog drains");
+}
+
+#[test]
+fn the_log_keeps_the_last_reads_and_the_report_counts_them_all() {
+    let store = snb_store::store_for_config(&config());
+    let person = busiest_person(&store);
+    let server = Server::start(store, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let client = server.client();
+    let is1 = ServiceParams::Is(IsParams::from_parts(1, person).expect("IS 1"));
+    let sent = LOG_CAPACITY + 100;
+    for _ in 0..sent {
+        assert!(client.call(is1.clone(), 0).body.is_ok());
+    }
+    assert_eq!(server.access_log().len(), LOG_CAPACITY);
+    assert_eq!(server.access_log().snapshot()[0].seq, 100, "the oldest records went first");
+    let report = server.shutdown();
+    assert_eq!(report.log_records, sent as u64);
+    assert_eq!(report.served_by_lane[0], sent as u64);
+}
+
+#[test]
+fn every_outcome_the_report_counts_matches_the_log() {
+    let dir = common::tmp_dir("inline_every_outcome");
+    let (store, durability, _) = recover(&dir, &config(), SCALE, WalOptions::default())
+        .expect("recovery succeeds")
+        .into_durability();
+    let person = busiest_person(&store);
+    let heavy = snb_params::ParamGen::new(&store, 7).bi_params(2, 1);
+    // No workers and one slot per lane: queued work waits for the
+    // shutdown drain, and a second heavy read finds its lane full.
+    let config =
+        ServerConfig { workers: 0, queue_capacity: 1, read_only: true, ..ServerConfig::default() };
+    let mut server = Server::start_durable(store, config, durability);
+    let addr = server.listen("127.0.0.1:0").expect("bind ephemeral port");
+    let log = server.log_handle();
+    let client = server.client();
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let ops = common::batches(5, 1).remove(0);
+    let write = |seq| ServiceParams::Write(WriteBatch { seq, ops: ops.clone() });
+    let request = |id, deadline_us, params| Request { id, deadline_us, min_seq: 0, params };
+
+    // A follower refuses client writes; promoted, it applies one, then
+    // re-acknowledges it.
+    let refused = tcp_call(&mut conn, &request(1, 0, write(1)));
+    assert_eq!(kind(&refused), Some(ErrorKind::NotPrimary), "{refused:?}");
+    server.promote();
+    assert_eq!(client.call(write(1), 0).body.expect("first apply").fingerprint, 1);
+    assert_eq!(client.call(write(1), 0).body.expect("re-ack").rows, 0, "deduped");
+    assert!(client.call(is2(person), 0).body.is_ok());
+    assert_eq!(kind(&client.call_min_seq(is2(person), 0, 99)), Some(ErrorKind::StaleRead));
+    proto::write_frame(&mut conn, &[0xFF, 0xFF, 0xFF]).unwrap();
+    let garbage = proto::decode_response(&proto::read_frame(&mut conn).unwrap()).unwrap();
+    assert_eq!(kind(&garbage), Some(ErrorKind::BadRequest));
+
+    // Queued for the drain: a heavy read whose 1 µs deadline passes
+    // while it waits, and a write batch the draining server refuses.
+    // Between them, a second heavy read is shed.
+    let mut frames = Vec::new();
+    for req in [
+        request(10, 1, ServiceParams::Bi(heavy[0].clone())),
+        request(11, 0, ServiceParams::Bi(heavy[0].clone())),
+        request(12, 0, write(2)),
+    ] {
+        proto::write_frame(&mut frames, &proto::encode_request(&req)).unwrap();
+    }
+    conn.write_all(&frames).unwrap();
+    let shed = proto::decode_response(&proto::read_frame(&mut conn).unwrap()).unwrap();
+    assert_eq!((shed.id, kind(&shed)), (11, Some(ErrorKind::Overloaded)), "{shed:?}");
+    while server.queued() < 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let report = server.shutdown();
+
+    let records = log.log().snapshot();
+    let on = |lane: &str, outcome: &str| {
+        records.iter().filter(|r| r.lane == lane && r.outcome == outcome).count() as u64
+    };
+    let count = |outcome: &str| records.iter().filter(|r| r.outcome == outcome).count() as u64;
+    for (outcome, want) in [
+        ("ok", 2),
+        ("deduped", 1),
+        ("not_primary", 1),
+        ("stale_read", 1),
+        ("bad_request", 1),
+        ("overloaded", 1),
+        ("deadline_exceeded", 1),
+        ("shutting_down", 1),
+    ] {
+        assert_eq!(count(outcome), want, "{outcome}: {records:?}");
+    }
+    assert_eq!(report.served, on("short", "ok") + on("heavy", "ok"));
+    assert_eq!(
+        report.served_by_lane,
+        [on("short", "ok"), on("heavy", "ok"), on("write", "ok") + on("write", "deduped")]
+    );
+    assert_eq!(report.shed, count("overloaded"));
+    let shed_on = |lane| on(lane, "overloaded");
+    assert_eq!(report.shed_by_lane, [shed_on("short"), shed_on("heavy"), shed_on("write")]);
+    assert_eq!(report.deadline_missed, count("deadline_exceeded"));
+    assert_eq!(report.deadline_overrun, count("deadline_overrun"));
+    assert_eq!(report.rejected_shutdown, count("shutting_down"));
+    assert_eq!(report.bad_requests, count("bad_request"));
+    assert_eq!(report.internal_errors, count("internal"));
+    assert_eq!(report.poisoned_rejects, count("store_poisoned"));
+    assert_eq!(report.conn_stalled, count("conn_stalled"));
+    assert_eq!(report.not_primary_rejects, count("not_primary"));
+    assert_eq!(report.stale_read_rejects, count("stale_read"));
+    assert_eq!(report.fenced_rejects, count("fenced"));
+    assert_eq!(report.log_records, records.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
 }
