@@ -6,6 +6,9 @@
 //!
 //! Reconstruction note: the supplied extraction elides this query; the
 //! sort order used here is `count1` desc, `count2` desc, forum id asc.
+//!
+//! The optimized plan is class-driven: it walks the messages of the
+//! classes' tags, not every post of every forum.
 
 use snb_engine::topk::sort_truncate;
 use snb_engine::QueryContext;
@@ -43,40 +46,55 @@ fn sort_key(row: &Row) -> Key {
     (std::cmp::Reverse(row.count1), std::cmp::Reverse(row.count2), row.forum_id)
 }
 
-fn count_forum(store: &Store, f: Ix, c1: Ix, c2: Ix) -> (u64, u64) {
-    let mut n1 = 0;
-    let mut n2 = 0;
-    for post in store.forum_posts.targets_of(f) {
-        if has_tag_of_class(store, post, c1) {
-            n1 += 1;
-        }
-        if has_tag_of_class(store, post, c2) {
-            n2 += 1;
+/// Per-forum post counts of the two classes, driven from each class's
+/// tags: `tag_message` of every tag of the class, posts only. A post
+/// carrying two tags of one class is met twice, so `counted` keeps one
+/// bit per class per message and a post counts once per class. Returns
+/// the counts and the number of CSR edges walked.
+fn class_post_counts(store: &Store, classes: [Ix; 2]) -> (Vec<[u64; 2]>, u64) {
+    let mut counts = vec![[0u64; 2]; store.forums.len()];
+    let mut counted = vec![0u8; store.messages.len()];
+    let mut edges = 0u64;
+    for (k, class) in classes.into_iter().enumerate() {
+        let bit = 1u8 << k;
+        for t in store.tagclass_tags.targets_of(class) {
+            edges += 1;
+            for m in store.tag_message.targets_of(t) {
+                edges += 1;
+                if !store.messages.is_post(m) || counted[m as usize] & bit != 0 {
+                    continue;
+                }
+                counted[m as usize] |= bit;
+                counts[store.messages.forum[m as usize] as usize][k] += 1;
+            }
         }
     }
-    (n1, n2)
+    (counts, edges)
 }
 
-/// Optimized implementation: forum scan with early member-count filter.
+/// Optimized implementation: class-driven post counts, then a forum
+/// scan with the member-count filter.
 pub fn run(store: &Store, params: &Params) -> Vec<Row> {
     run_ctx(store, QueryContext::global(), params)
 }
 
-/// Optimized implementation on an explicit execution context: parallel
-/// forum scan with per-worker bounded top-k heaps.
+/// Optimized implementation on an explicit execution context: the
+/// posts of each class are reached through its tags (a class has a few
+/// of the tags, so most posts are never touched), counted per forum,
+/// then a parallel forum scan applies the member-count filter into
+/// per-worker bounded top-k heaps.
 pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let (Ok(c1), Ok(c2)) =
         (store.tag_class_named(&params.tag_class1), store.tag_class_named(&params.tag_class2))
     else {
         return Vec::new();
     };
+    let (counts, edges) = class_post_counts(store, [c1, c2]);
+    ctx.metrics().note_edges(edges);
     let tk = ctx.par_topk(store.forums.len(), LIMIT, |tk, range| {
         for f in range.start as Ix..range.end as Ix {
-            if (store.forum_member.degree(f) as u64) <= params.threshold {
-                continue;
-            }
-            let (n1, n2) = count_forum(store, f, c1, c2);
-            if n1 == 0 || n2 == 0 {
+            let [n1, n2] = counts[f as usize];
+            if n1 == 0 || n2 == 0 || (store.forum_member.degree(f) as u64) <= params.threshold {
                 continue;
             }
             let row = Row { forum_id: store.forums.id[f as usize], count1: n1, count2: n2 };

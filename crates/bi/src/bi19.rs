@@ -7,8 +7,13 @@
 //! their direct reply Comments to strangers' Messages and the number of
 //! distinct strangers interacted with; report persons with at least
 //! one interaction.
+//!
+//! The optimized plan is replier-major: the candidate strangers come
+//! from the two classes' tags, and each replier walks only their own
+//! messages, with friendship and distinctness answered by stamp arrays
+//! instead of a friend-list scan or a hash set per person.
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use snb_core::Date;
 use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
@@ -38,33 +43,42 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, u64) {
+type Key = (std::cmp::Reverse<u64>, u64);
+
+fn sort_key(row: &Row) -> Key {
     (std::cmp::Reverse(row.interaction_count), row.person_id)
 }
 
-/// Marks persons who are members of ≥1 forum tagged with each class.
-fn class_members(store: &Store, c1: Ix, c2: Ix) -> Vec<bool> {
-    let forum_has_class = |f: Ix, class: Ix| {
-        store.forum_tag.targets_of(f).any(|t| store.tags.class[t as usize] == class)
-    };
-    let mut in1 = vec![false; store.persons.len()];
-    let mut in2 = vec![false; store.persons.len()];
-    for f in 0..store.forums.len() as Ix {
-        let h1 = forum_has_class(f, c1);
-        let h2 = forum_has_class(f, c2);
-        if !h1 && !h2 {
-            continue;
-        }
-        for p in store.forum_member.targets_of(f) {
-            if h1 {
-                in1[p as usize] = true;
-            }
-            if h2 {
-                in2[p as usize] = true;
+/// Marks persons who are members of ≥1 forum tagged with each class,
+/// walking class → its tags → their forums → members, so only forums
+/// that carry a tag of either class are visited. Returns the bitmap and
+/// the number of CSR edges walked.
+fn class_members(store: &Store, c1: Ix, c2: Ix) -> (Vec<bool>, u64) {
+    let mut mark = vec![0u8; store.persons.len()];
+    let mut edges = 0u64;
+    for (bit, class) in [(1u8, c1), (2u8, c2)] {
+        for t in store.tagclass_tags.targets_of(class) {
+            edges += 1;
+            for f in store.tag_forum.targets_of(t) {
+                edges += 1;
+                for p in store.forum_member.targets_of(f) {
+                    mark[p as usize] |= bit;
+                    edges += 1;
+                }
             }
         }
     }
-    in1.iter().zip(&in2).map(|(&a, &b)| a && b).collect()
+    (mark.into_iter().map(|m| m == 3).collect(), edges)
+}
+
+/// One worker's scratch: `friend[f] == r` while replier `r` is counted
+/// and `f` knows `r`; `seen[a] == r` once `r` has replied to stranger
+/// `a`. Person indices never repeat across a scan, so neither array is
+/// ever cleared.
+struct Replier {
+    friend: Vec<Ix>,
+    seen: Vec<Ix>,
+    tk: TopK<Key, Row>,
 }
 
 /// Optimized implementation.
@@ -73,59 +87,73 @@ pub fn run(store: &Store, params: &Params) -> Vec<Row> {
 }
 
 /// Optimized implementation on an explicit execution context: the
-/// stranger-candidate bitmap is built once, then the comment scan runs
-/// as parallel morsels merging (stranger set, interaction count) pairs.
+/// stranger-candidate bitmap is built from the two classes' tags, then
+/// persons born after the date are scanned as parallel morsels. Each
+/// replier walks their messages to the replied-to author; their friends
+/// are stamped once, on the first reply that reaches a candidate, and a
+/// stranger counts as distinct the first time it is stamped `seen`.
+/// Worker top-k heaps merge in worker order.
 pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let (Ok(c1), Ok(c2)) =
         (store.tag_class_named(&params.tag_class1), store.tag_class_named(&params.tag_class2))
     else {
         return Vec::new();
     };
-    let candidate_stranger = class_members(store, c1, c2);
+    let (candidate_stranger, edges) = class_members(store, c1, c2);
+    ctx.metrics().note_edges(edges);
+    let n = store.persons.len();
     let acc = ctx.par_map_reduce(
-        store.messages.len(),
-        FxHashMap::<Ix, (FxHashSet<Ix>, u64)>::default,
+        n,
+        || Replier { friend: vec![NONE; n], seen: vec![NONE; n], tk: TopK::new(LIMIT) },
         |acc, range| {
-            for c in range.start as Ix..range.end as Ix {
-                let parent = store.messages.reply_of[c as usize];
-                if parent == NONE {
+            let mut edges = 0u64;
+            for r in range.start as Ix..range.end as Ix {
+                if store.persons.birthday[r as usize] <= params.date {
                     continue;
                 }
-                let replier = store.messages.creator[c as usize];
-                if store.persons.birthday[replier as usize] <= params.date {
-                    continue;
+                let mut friends_stamped = false;
+                let (mut strangers, mut interactions) = (0u64, 0u64);
+                for c in store.person_messages.targets_of(r) {
+                    edges += 1;
+                    let parent = store.messages.reply_of[c as usize];
+                    if parent == NONE {
+                        continue;
+                    }
+                    let author = store.messages.creator[parent as usize];
+                    if author == r || !candidate_stranger[author as usize] {
+                        continue;
+                    }
+                    if !friends_stamped {
+                        for f in store.knows.targets_of(r) {
+                            acc.friend[f as usize] = r;
+                            edges += 1;
+                        }
+                        friends_stamped = true;
+                    }
+                    if acc.friend[author as usize] == r {
+                        continue;
+                    }
+                    interactions += 1;
+                    if acc.seen[author as usize] != r {
+                        acc.seen[author as usize] = r;
+                        strangers += 1;
+                    }
                 }
-                let author = store.messages.creator[parent as usize];
-                if author == replier || !candidate_stranger[author as usize] {
-                    continue;
+                if interactions > 0 {
+                    let row = Row {
+                        person_id: store.persons.id[r as usize],
+                        stranger_count: strangers,
+                        interaction_count: interactions,
+                    };
+                    acc.tk.push(sort_key(&row), row);
                 }
-                if store.knows.contains(replier, author) {
-                    continue;
-                }
-                let e = acc.entry(replier).or_default();
-                e.0.insert(author);
-                e.1 += 1;
             }
+            ctx.metrics().note_edges(edges);
         },
-        |into, from| {
-            for (k, (strangers, n)) in from {
-                let e = into.entry(k).or_default();
-                e.0.extend(strangers);
-                e.1 += n;
-            }
-        },
+        |into, from| into.tk.merge_from(from.tk),
     );
-    let mut tk = TopK::new(LIMIT);
-    for (p, (strangers, interactions)) in acc {
-        let row = Row {
-            person_id: store.persons.id[p as usize],
-            stranger_count: strangers.len() as u64,
-            interaction_count: interactions,
-        };
-        tk.push(sort_key(&row), row);
-    }
-    ctx.metrics().note_topk(&tk);
-    tk.into_sorted()
+    ctx.metrics().note_topk(&acc.tk);
+    acc.tk.into_sorted()
 }
 
 /// Naive reference: person-major with per-pair stranger re-testing.

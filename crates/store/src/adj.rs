@@ -54,9 +54,9 @@ impl<P: Copy> Adj<P> {
         let mut cursor = counts;
         let mut targets = vec![0u32; edges.len()];
         let mut payloads = Vec::with_capacity(edges.len());
-        // SAFETY-free approach: fill with placeholder clones via unsafe
-        // avoided; use MaybeUninit-free two-pass with Option? Simpler:
-        // collect payloads positionally after computing slots.
+        // Two passes: place each target and remember its slot, then
+        // scatter the payloads into those slots (`P` has no default, so
+        // the payload array starts as copies of the first payload).
         let mut slots = vec![0usize; edges.len()];
         for (i, &(s, t, _)) in edges.iter().enumerate() {
             let slot = cursor[s as usize] as usize;
