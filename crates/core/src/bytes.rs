@@ -285,14 +285,21 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// A [`put_deltas`] run of `n` values.
-    pub fn deltas(&mut self, n: usize) -> Result<Vec<i64>, Malformed> {
+    /// Hands each value of a [`put_deltas`] run of `n` values to `each`,
+    /// in order, so a caller stores them in a collection of its own.
+    pub fn each_delta(
+        &mut self,
+        n: usize,
+        mut each: impl FnMut(i64) -> Result<(), Malformed>,
+    ) -> Result<(), Malformed> {
+        self.count(n as u64, 1)?;
         let mut prev = 0i64;
-        self.many(n, 1, |r| {
-            let v = r.varint()?;
+        for _ in 0..n {
+            let v = self.varint()?;
             prev = prev.wrapping_add(((v >> 1) as i64) ^ -((v & 1) as i64));
-            Ok(prev)
-        })
+            each(prev)?;
+        }
+        Ok(())
     }
 
     /// A [`put_checked`] frame's body, once the length fits and the
@@ -323,6 +330,16 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// A delta run of `n` values read from the start of `bytes`.
+    fn deltas(bytes: &[u8], n: usize) -> Result<Vec<i64>, Malformed> {
+        let mut out = Vec::new();
+        Reader::new(bytes).each_delta(n, |v| {
+            out.push(v);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
     #[test]
     fn varint_and_delta_round_trip() {
         let mut buf = Vec::new();
@@ -338,13 +355,13 @@ mod tests {
         let mut packed = Vec::new();
         put_deltas(&mut packed, values.iter().copied());
         assert!(packed.len() < values.len() * 2, "sorted deltas must pack tightly");
-        assert_eq!(Reader::new(&packed).deltas(values.len()).unwrap(), values);
+        assert_eq!(deltas(&packed, values.len()).unwrap(), values);
         let wild = vec![i64::MIN, i64::MAX, 0, -1, 42];
         packed.clear();
         put_deltas(&mut packed, wild.iter().copied());
-        assert_eq!(Reader::new(&packed).deltas(wild.len()).unwrap(), wild);
+        assert_eq!(deltas(&packed, wild.len()).unwrap(), wild);
         // Truncation is detected, not misread.
-        assert!(Reader::new(&packed[..packed.len() - 1]).deltas(wild.len()).is_err());
+        assert!(deltas(&packed[..packed.len() - 1], wild.len()).is_err());
     }
 
     #[test]
@@ -402,7 +419,7 @@ mod tests {
         // Multiplying the count by the element size cannot overflow.
         assert!(Reader::new(&[]).count(u64::MAX, usize::MAX).is_err());
         // The allocating readers apply the rule themselves.
-        assert!(Reader::new(&[1; 8]).deltas(9).is_err());
+        assert!(deltas(&[1; 8], 9).is_err());
         assert!(Reader::new(&[1; 8]).many(usize::MAX, 1, Reader::u8).is_err());
     }
 

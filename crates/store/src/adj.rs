@@ -11,18 +11,24 @@
 //! per-source *overflow* map instead of rebuilding the CSR; neighbour
 //! iteration chains base slice + overflow. [`Adj::compact`] merges the
 //! overflow into fresh base arrays.
+//!
+//! The base arrays are [`AppendVec`]s: a store version and the writer's
+//! next version share them, and the offsets a vertex insert appends go
+//! into the shared buffer in place.
 
 use std::ops::Range;
 
 use rustc_hash::FxHashMap;
 
+use crate::append_vec::AppendVec;
+
 /// CSR adjacency from `u32` dense source indices to `u32` dense target
 /// indices, with a `Copy` payload per edge.
 #[derive(Clone, Debug)]
 pub struct Adj<P: Copy = ()> {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    payloads: Vec<P>,
+    offsets: AppendVec<u32>,
+    targets: AppendVec<u32>,
+    payloads: AppendVec<P>,
     overflow: FxHashMap<u32, Vec<(u32, P)>>,
     overflow_len: usize,
 }
@@ -35,9 +41,9 @@ impl<P: Copy> Adj<P> {
     pub fn from_edges(sources: usize, edges: &[(u32, u32, P)]) -> Self {
         if edges.is_empty() {
             return Adj {
-                offsets: vec![0; sources + 1],
-                targets: Vec::new(),
-                payloads: Vec::new(),
+                offsets: AppendVec::from_elem(0, sources + 1),
+                targets: AppendVec::new(),
+                payloads: AppendVec::new(),
                 overflow: FxHashMap::default(),
                 overflow_len: 0,
             };
@@ -50,23 +56,24 @@ impl<P: Copy> Adj<P> {
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
-        let offsets = counts.clone();
+        let offsets = AppendVec::from(&counts[..]);
         let mut cursor = counts;
-        let mut targets = vec![0u32; edges.len()];
-        let mut payloads = Vec::with_capacity(edges.len());
+        let mut targets = AppendVec::from_elem(0u32, edges.len());
         // Two passes: place each target and remember its slot, then
         // scatter the payloads into those slots (`P` has no default, so
         // the payload array starts as copies of the first payload).
         let mut slots = vec![0usize; edges.len()];
+        let ts = &mut targets[..];
         for (i, &(s, t, _)) in edges.iter().enumerate() {
             let slot = cursor[s as usize] as usize;
             cursor[s as usize] += 1;
-            targets[slot] = t;
+            ts[slot] = t;
             slots[i] = slot;
         }
-        payloads.resize(edges.len(), edges[0].2);
+        let mut payloads = AppendVec::from_elem(edges[0].2, edges.len());
+        let ps = &mut payloads[..];
         for (i, &(_, _, p)) in edges.iter().enumerate() {
-            payloads[slots[i]] = p;
+            ps[slots[i]] = p;
         }
         Adj { offsets, targets, payloads, overflow: FxHashMap::default(), overflow_len: 0 }
     }
@@ -158,12 +165,25 @@ impl<P: Copy> Adj<P> {
     /// Rebuilds an adjacency from raw CSR arrays (the store-image load
     /// path). `offsets` must be monotonic with `offsets[0] == 0` and
     /// `targets`/`payloads` must both match its final value.
-    pub fn from_csr_parts(offsets: Vec<u32>, targets: Vec<u32>, payloads: Vec<P>) -> Self {
+    pub fn from_csr_parts(
+        offsets: AppendVec<u32>,
+        targets: AppendVec<u32>,
+        payloads: AppendVec<P>,
+    ) -> Self {
         assert!(!offsets.is_empty() && offsets[0] == 0, "offsets must start at 0");
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be monotonic");
         assert_eq!(*offsets.last().expect("non-empty") as usize, targets.len());
         assert_eq!(targets.len(), payloads.len());
         Adj { offsets, targets, payloads, overflow: FxHashMap::default(), overflow_len: 0 }
+    }
+
+    /// Whether two adjacencies share all three base arrays — the
+    /// observable property the sharing tests assert on.
+    #[cfg(test)]
+    pub(crate) fn shares_base(a: &Adj<P>, b: &Adj<P>) -> bool {
+        AppendVec::ptr_eq(&a.offsets, &b.offsets)
+            && AppendVec::ptr_eq(&a.targets, &b.targets)
+            && AppendVec::ptr_eq(&a.payloads, &b.payloads)
     }
 
     /// Ensures at least `n` source vertices exist (for vertex inserts
@@ -188,9 +208,9 @@ impl<P: Copy> Adj<P> {
         mut edge: impl FnMut(u32, u32, P) -> Option<u32>,
     ) -> Adj<P> {
         let mut out = Adj {
-            offsets: Vec::with_capacity(self.offsets.len()),
-            targets: Vec::with_capacity(self.edge_count()),
-            payloads: Vec::with_capacity(self.edge_count()),
+            offsets: AppendVec::with_capacity(self.offsets.len()),
+            targets: AppendVec::with_capacity(self.edge_count()),
+            payloads: AppendVec::with_capacity(self.edge_count()),
             overflow: FxHashMap::default(),
             overflow_len: 0,
         };

@@ -1,9 +1,13 @@
 //! Struct-of-arrays column groups for every entity type.
 //!
 //! Entities are addressed by dense `u32` indices assigned at load time;
-//! raw 64-bit ids are kept in an `id` column and a hash index maps them
+//! raw 64-bit ids are kept in an `id` column and an [`IdMap`] maps them
 //! back (id→index lookups use `FxHashMap`, per the perf guidance for
 //! integer keys). `NONE` marks absent optional references.
+//!
+//! Every column is an [`AppendVec`]: a store version and the writer's
+//! next version share each column's buffer, and an insert batch appends
+//! into it in place instead of copying the column.
 //!
 //! String-valued attributes no longer store `Vec<String>`: dictionary
 //! values (names, browsers, languages) live in [`SymCol`] columns of
@@ -13,9 +17,14 @@
 //! `cols.first_name[i]` reads exactly as it did — only `.clone()`
 //! became `.to_string()` at the call sites that need ownership.
 
+use std::ops::Index;
+use std::sync::Arc;
+
+use rustc_hash::FxHashMap;
 use snb_core::datetime::{Date, DateTime};
 use snb_core::model::{Gender, MessageKind, OrganisationKind, PlaceKind};
 
+use crate::append_vec::AppendVec;
 use crate::intern::{PackCol, PackListCol, SymCol, SymListCol};
 
 /// Dense entity index.
@@ -24,27 +33,115 @@ pub type Ix = u32;
 /// Sentinel for absent optional references.
 pub const NONE: Ix = u32::MAX;
 
+/// An [`IdMap`] folds its delta into a fresh base once the delta holds
+/// more than one entry per `FOLD_RATIO` base entries.
+const FOLD_RATIO: usize = 8;
+
+/// Raw id → dense index, as a shared base map plus a small owned delta.
+///
+/// A clone shares the base and copies the delta, so a write batch that
+/// inserts a few ids into a big map copies a few entries, not the map.
+/// A lookup probes the delta first, then the base. Once the delta
+/// outgrows an eighth of the base it folds into a fresh base (in place
+/// when nobody else holds the base), which keeps the delta — and so the
+/// per-batch copy — small. A map nobody shares inserts straight into
+/// its base.
+#[derive(Clone, Debug, Default)]
+pub struct IdMap {
+    base: Arc<FxHashMap<u64, Ix>>,
+    delta: FxHashMap<u64, Ix>,
+}
+
+impl IdMap {
+    /// The map of an id column: `ids[i]` → `i`.
+    pub fn of_column(ids: &[u64]) -> IdMap {
+        ids.iter().enumerate().map(|(i, &id)| (id, i as Ix)).collect()
+    }
+
+    /// The dense index of `id`, if known.
+    #[inline]
+    pub fn get(&self, id: &u64) -> Option<&Ix> {
+        if !self.delta.is_empty() {
+            if let Some(ix) = self.delta.get(id) {
+                return Some(ix);
+            }
+        }
+        self.base.get(id)
+    }
+
+    /// Whether `id` is known.
+    pub fn contains_key(&self, id: &u64) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        self.base.len() + self.delta.len()
+    }
+
+    /// True when no ids are known.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Maps `id` to `ix`, replacing an earlier mapping of `id`. An id
+    /// the base already holds is replaced in the base (copying a shared
+    /// base), so the delta never shadows the base and `len` stays exact.
+    pub fn insert(&mut self, id: u64, ix: Ix) {
+        let alone = self.delta.is_empty() && Arc::get_mut(&mut self.base).is_some();
+        if alone || self.base.contains_key(&id) {
+            Arc::make_mut(&mut self.base).insert(id, ix);
+            return;
+        }
+        self.delta.insert(id, ix);
+        if self.delta.len() * FOLD_RATIO > self.base.len() {
+            let delta = std::mem::take(&mut self.delta);
+            Arc::make_mut(&mut self.base).extend(delta);
+        }
+    }
+
+    /// Whether two maps share one base — the observable property the
+    /// sharing tests assert on.
+    #[cfg(test)]
+    pub(crate) fn shares_base(a: &IdMap, b: &IdMap) -> bool {
+        Arc::ptr_eq(&a.base, &b.base)
+    }
+}
+
+impl Index<&u64> for IdMap {
+    type Output = Ix;
+    fn index(&self, id: &u64) -> &Ix {
+        self.get(id).expect("IdMap: unknown id")
+    }
+}
+
+impl FromIterator<(u64, Ix)> for IdMap {
+    fn from_iter<I: IntoIterator<Item = (u64, Ix)>>(iter: I) -> IdMap {
+        IdMap { base: Arc::new(iter.into_iter().collect()), delta: FxHashMap::default() }
+    }
+}
+
 /// Person columns (spec Table 2.5).
 #[derive(Clone, Default)]
 pub struct PersonCols {
     /// Raw ids.
-    pub id: Vec<u64>,
+    pub id: AppendVec<u64>,
     /// First names (interned — drawn from the name dictionaries).
     pub first_name: SymCol,
     /// Surnames (interned).
     pub last_name: SymCol,
     /// Genders.
-    pub gender: Vec<Gender>,
+    pub gender: AppendVec<Gender>,
     /// Birthdays.
-    pub birthday: Vec<Date>,
+    pub birthday: AppendVec<Date>,
     /// Join dates.
-    pub creation_date: Vec<DateTime>,
+    pub creation_date: AppendVec<DateTime>,
     /// Registration IPs (packed — high cardinality).
     pub location_ip: PackCol,
     /// Browser names (interned — tiny dictionary).
     pub browser: SymCol,
     /// Home city (place index).
-    pub city: Vec<Ix>,
+    pub city: AppendVec<Ix>,
     /// Email addresses (multi-valued, packed — unique per person).
     pub emails: PackListCol,
     /// Spoken languages (multi-valued, interned).
@@ -100,14 +197,14 @@ impl PersonCols {
 #[derive(Clone, Default)]
 pub struct ForumCols {
     /// Raw ids.
-    pub id: Vec<u64>,
+    pub id: AppendVec<u64>,
     /// Titles ("Wall of …" / "Album …" / "Group for …") — packed,
     /// unique per forum.
     pub title: PackCol,
     /// Creation timestamps.
-    pub creation_date: Vec<DateTime>,
+    pub creation_date: AppendVec<DateTime>,
     /// Moderator (person index).
-    pub moderator: Vec<Ix>,
+    pub moderator: AppendVec<Ix>,
 }
 
 impl ForumCols {
@@ -140,15 +237,15 @@ impl ForumCols {
 #[derive(Clone, Default)]
 pub struct MessageCols {
     /// Raw ids.
-    pub id: Vec<u64>,
+    pub id: AppendVec<u64>,
     /// Post or Comment.
-    pub kind: Vec<MessageKind>,
+    pub kind: AppendVec<MessageKind>,
     /// Creation timestamps.
-    pub creation_date: Vec<DateTime>,
+    pub creation_date: AppendVec<DateTime>,
     /// Author (person index).
-    pub creator: Vec<Ix>,
+    pub creator: AppendVec<Ix>,
     /// Country the message was issued from (place index).
-    pub country: Vec<Ix>,
+    pub country: AppendVec<Ix>,
     /// Browser names (interned).
     pub browser: SymCol,
     /// Origin IPs (packed).
@@ -156,17 +253,17 @@ pub struct MessageCols {
     /// Content (empty iff image post) — packed.
     pub content: PackCol,
     /// Content length.
-    pub length: Vec<u32>,
+    pub length: AppendVec<u32>,
     /// Image file name (empty string when absent) — packed.
     pub image_file: PackCol,
     /// Language (Posts; empty string when absent) — interned.
     pub language: SymCol,
     /// Containing forum (Posts; `NONE` for comments).
-    pub forum: Vec<Ix>,
+    pub forum: AppendVec<Ix>,
     /// Replied-to message (Comments; `NONE` for posts).
-    pub reply_of: Vec<Ix>,
+    pub reply_of: AppendVec<Ix>,
     /// Root post of the thread (self for posts).
-    pub root_post: Vec<Ix>,
+    pub root_post: AppendVec<Ix>,
 }
 
 impl MessageCols {
@@ -224,13 +321,13 @@ impl MessageCols {
 #[derive(Clone, Default)]
 pub struct PlaceCols {
     /// Raw ids.
-    pub id: Vec<u64>,
+    pub id: AppendVec<u64>,
     /// Names (interned).
     pub name: SymCol,
     /// City / country / continent.
-    pub kind: Vec<PlaceKind>,
+    pub kind: AppendVec<PlaceKind>,
     /// `isPartOf` parent (`NONE` for continents).
-    pub part_of: Vec<Ix>,
+    pub part_of: AppendVec<Ix>,
 }
 
 impl PlaceCols {
@@ -249,11 +346,11 @@ impl PlaceCols {
 #[derive(Clone, Default)]
 pub struct TagCols {
     /// Raw ids.
-    pub id: Vec<u64>,
+    pub id: AppendVec<u64>,
     /// Names (interned).
     pub name: SymCol,
     /// `hasType` tag class (index).
-    pub class: Vec<Ix>,
+    pub class: AppendVec<Ix>,
 }
 
 impl TagCols {
@@ -272,11 +369,11 @@ impl TagCols {
 #[derive(Clone, Default)]
 pub struct TagClassCols {
     /// Raw ids.
-    pub id: Vec<u64>,
+    pub id: AppendVec<u64>,
     /// Names (interned).
     pub name: SymCol,
     /// `isSubclassOf` parent (`NONE` for the root).
-    pub parent: Vec<Ix>,
+    pub parent: AppendVec<Ix>,
 }
 
 impl TagClassCols {
@@ -295,13 +392,13 @@ impl TagClassCols {
 #[derive(Clone, Default)]
 pub struct OrganisationCols {
     /// Raw ids.
-    pub id: Vec<u64>,
+    pub id: AppendVec<u64>,
     /// Names (interned).
     pub name: SymCol,
     /// University or company.
-    pub kind: Vec<OrganisationKind>,
+    pub kind: AppendVec<OrganisationKind>,
     /// Location (city for universities, country for companies).
-    pub place: Vec<Ix>,
+    pub place: AppendVec<Ix>,
 }
 
 impl OrganisationCols {
@@ -323,6 +420,24 @@ mod tests {
     #[test]
     fn none_sentinel_is_max() {
         assert_eq!(NONE, u32::MAX);
+    }
+
+    #[test]
+    fn id_map_delta_folds_at_an_eighth_and_overwrites_like_a_hash_map() {
+        let mut map = IdMap::of_column(&(0..64).collect::<Vec<u64>>());
+        let pinned = map.clone();
+        // Up to 64 / 8 ids stay in the delta, beside the shared base.
+        for id in 100..108 {
+            map.insert(id, id as Ix);
+        }
+        assert!(IdMap::shares_base(&map, &pinned));
+        map.insert(108, 108);
+        assert!(!IdMap::shares_base(&map, &pinned), "the ninth id folds the delta");
+        map.insert(5, 500);
+        map.insert(100, 1000);
+        assert_eq!((map[&5], map[&100], map[&108]), (500, 1000, 108));
+        assert_eq!((map.len(), pinned.len()), (73, 64));
+        assert_eq!((pinned[&5], pinned.get(&100)), (5, None));
     }
 
     #[test]

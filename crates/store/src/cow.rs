@@ -9,6 +9,12 @@
 //! write batch triggers `Arc::make_mut` — cloning exactly the touched
 //! component and nothing else. Components whose `Arc` is unique (the
 //! common case while bulk-loading) mutate in place with no copy at all.
+//!
+//! Cloning a touched component is itself shallow: its columns and
+//! adjacency arrays are [`AppendVec`](crate::append_vec::AppendVec)s
+//! and its id maps [`IdMap`](crate::columns::IdMap)s, whose clones
+//! share their buffers. So an insert batch pays one refcount bump per
+//! buffer plus the rows it appends, not a copy of each component.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;

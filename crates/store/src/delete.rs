@@ -42,12 +42,13 @@
 //! between analytical sessions); the insert overflow path (IU 1–8)
 //! remains the low-latency write mechanism.
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 
 use snb_core::SnbResult;
 
 use crate::adj::{Adj, Rewrite};
-use crate::columns::{Ix, NONE};
+use crate::append_vec::AppendVec;
+use crate::columns::{IdMap, Ix, NONE};
 use crate::cow::CowBox;
 use crate::store::Store;
 
@@ -203,56 +204,56 @@ impl Store {
         // --- columns and id maps ---
         if let Some(keep) = persons.keep() {
             let p = &mut *self.persons;
-            filter_in_place(&mut p.id, keep);
+            p.id.filter_in_place(keep);
             p.first_name.filter_in_place(keep);
             p.last_name.filter_in_place(keep);
-            filter_in_place(&mut p.gender, keep);
-            filter_in_place(&mut p.birthday, keep);
-            filter_in_place(&mut p.creation_date, keep);
+            p.gender.filter_in_place(keep);
+            p.birthday.filter_in_place(keep);
+            p.creation_date.filter_in_place(keep);
             p.location_ip.filter_in_place(keep);
             p.browser.filter_in_place(keep);
-            filter_in_place(&mut p.city, keep);
+            p.city.filter_in_place(keep);
             p.emails.filter_in_place(keep);
             p.speaks.filter_in_place(keep);
-            self.person_ix.set(id_map(&self.persons.id));
+            self.person_ix.set(IdMap::of_column(&self.persons.id));
         }
         if forums.touched() || persons.touched() {
             let f = &mut *self.forums;
             if let Some(keep) = forums.keep() {
-                filter_in_place(&mut f.id, keep);
+                f.id.filter_in_place(keep);
                 f.title.filter_in_place(keep);
-                filter_in_place(&mut f.creation_date, keep);
-                filter_in_place(&mut f.moderator, keep);
+                f.creation_date.filter_in_place(keep);
+                f.moderator.filter_in_place(keep);
             }
             persons.apply(&mut f.moderator);
             if forums.touched() {
-                self.forum_ix.set(id_map(&self.forums.id));
+                self.forum_ix.set(IdMap::of_column(&self.forums.id));
             }
         }
         if messages.touched() || persons.touched() || forums.touched() {
             let m = &mut *self.messages;
             if let Some(keep) = messages.keep() {
-                filter_in_place(&mut m.id, keep);
-                filter_in_place(&mut m.kind, keep);
-                filter_in_place(&mut m.creation_date, keep);
-                filter_in_place(&mut m.creator, keep);
-                filter_in_place(&mut m.country, keep);
+                m.id.filter_in_place(keep);
+                m.kind.filter_in_place(keep);
+                m.creation_date.filter_in_place(keep);
+                m.creator.filter_in_place(keep);
+                m.country.filter_in_place(keep);
                 m.browser.filter_in_place(keep);
                 m.location_ip.filter_in_place(keep);
                 m.content.filter_in_place(keep);
-                filter_in_place(&mut m.length, keep);
+                m.length.filter_in_place(keep);
                 m.image_file.filter_in_place(keep);
                 m.language.filter_in_place(keep);
-                filter_in_place(&mut m.forum, keep);
-                filter_in_place(&mut m.reply_of, keep);
-                filter_in_place(&mut m.root_post, keep);
+                m.forum.filter_in_place(keep);
+                m.reply_of.filter_in_place(keep);
+                m.root_post.filter_in_place(keep);
             }
             persons.apply(&mut m.creator);
             forums.apply(&mut m.forum);
             messages.apply(&mut m.reply_of);
             messages.apply(&mut m.root_post);
             if messages.touched() {
-                self.message_ix.set(id_map(&self.messages.id));
+                self.message_ix.set(IdMap::of_column(&self.messages.id));
             }
         }
 
@@ -344,8 +345,8 @@ impl Remap {
     }
 
     /// Remaps a reference column in place (`NONE` stays `NONE`); a
-    /// no-op for an untouched class.
-    fn apply(&self, col: &mut [Ix]) {
+    /// no-op for an untouched class, which leaves a shared column shared.
+    fn apply(&self, col: &mut AppendVec<Ix>) {
         if let Some(map) = &self.0 {
             for ix in col.iter_mut().filter(|ix| **ix != NONE) {
                 *ix = map[*ix as usize];
@@ -379,21 +380,6 @@ fn rewrite<P: Copy>(
         |u, t, _| if dropped(u, t) { None } else { targets.get(t) },
     );
     adj.set(fresh);
-}
-
-/// Raw id → dense index over an id column.
-fn id_map(ids: &[u64]) -> FxHashMap<u64, Ix> {
-    ids.iter().enumerate().map(|(i, &id)| (id, i as Ix)).collect()
-}
-
-/// Keeps only elements whose index passes `keep`.
-fn filter_in_place<T>(items: &mut Vec<T>, keep: impl Fn(usize) -> bool) {
-    let mut i = 0;
-    items.retain(|_| {
-        let k = keep(i);
-        i += 1;
-        k
-    });
 }
 
 /// Convenience constructor validating that the ids exist is done inside

@@ -38,8 +38,10 @@ use snb_core::model::{Gender, MessageKind, OrganisationKind, PlaceKind};
 use snb_core::SnbResult;
 
 use crate::adj::Adj;
+use crate::append_vec::AppendVec;
 use crate::columns::{
-    ForumCols, Ix, MessageCols, OrganisationCols, PersonCols, PlaceCols, TagClassCols, TagCols,
+    ForumCols, IdMap, Ix, MessageCols, OrganisationCols, PersonCols, PlaceCols, TagClassCols,
+    TagCols,
 };
 use crate::intern::{interner, PackCol, PackListCol, SymCol, SymListCol};
 use crate::store::Store;
@@ -67,9 +69,37 @@ fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
     put_deltas(out, values.iter().map(|&v| v as i64));
 }
 
-fn get_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, Malformed> {
+/// `n` values read by `read`, `n` having passed the count rule.
+fn column<T: Copy>(
+    r: &mut Reader<'_>,
+    n: usize,
+    mut read: impl FnMut(&mut Reader<'_>) -> Result<T, Malformed>,
+) -> Result<AppendVec<T>, Malformed> {
+    let mut out = AppendVec::with_capacity(n);
+    for _ in 0..n {
+        out.push(read(r)?);
+    }
+    Ok(out)
+}
+
+/// A [`put_deltas`] run of `n` values (`n` having passed the count
+/// rule), each mapped by `value`.
+fn delta_column<T: Copy>(
+    r: &mut Reader<'_>,
+    n: usize,
+    value: impl Fn(i64) -> Result<T, Malformed>,
+) -> Result<AppendVec<T>, Malformed> {
+    let mut out = AppendVec::with_capacity(n);
+    r.each_delta(n, |v| {
+        out.push(value(v)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+fn get_u64s(r: &mut Reader<'_>) -> Result<AppendVec<u64>, Malformed> {
     let n = r.varint_count(1)?;
-    Ok(r.deltas(n)?.into_iter().map(|v| v as u64).collect())
+    delta_column(r, n, |v| Ok(v as u64))
 }
 
 fn put_ixs(out: &mut Vec<u8>, values: &[Ix]) {
@@ -79,9 +109,9 @@ fn put_ixs(out: &mut Vec<u8>, values: &[Ix]) {
     }
 }
 
-fn get_ixs(r: &mut Reader<'_>) -> Result<Vec<Ix>, Malformed> {
+fn get_ixs(r: &mut Reader<'_>) -> Result<AppendVec<Ix>, Malformed> {
     let n = r.varint_count(1)?;
-    r.many(n, 1, ix)
+    column(r, n, ix)
 }
 
 fn put_dates(out: &mut Vec<u8>, values: &[Date]) {
@@ -89,12 +119,11 @@ fn put_dates(out: &mut Vec<u8>, values: &[Date]) {
     put_deltas(out, values.iter().map(|d| i64::from(d.0)));
 }
 
-fn get_dates(r: &mut Reader<'_>) -> Result<Vec<Date>, Malformed> {
+fn get_dates(r: &mut Reader<'_>) -> Result<AppendVec<Date>, Malformed> {
     let n = r.varint_count(1)?;
-    r.deltas(n)?
-        .into_iter()
-        .map(|v| i32::try_from(v).map(Date).map_err(|_| Malformed("date out of range".into())))
-        .collect()
+    delta_column(r, n, |v| {
+        i32::try_from(v).map(Date).map_err(|_| Malformed("date out of range".into()))
+    })
 }
 
 fn put_datetimes(out: &mut Vec<u8>, values: &[DateTime]) {
@@ -102,9 +131,9 @@ fn put_datetimes(out: &mut Vec<u8>, values: &[DateTime]) {
     put_deltas(out, values.iter().map(|d| d.0));
 }
 
-fn get_datetimes(r: &mut Reader<'_>) -> Result<Vec<DateTime>, Malformed> {
+fn get_datetimes(r: &mut Reader<'_>) -> Result<AppendVec<DateTime>, Malformed> {
     let n = r.varint_count(1)?;
-    Ok(r.deltas(n)?.into_iter().map(DateTime).collect())
+    delta_column(r, n, |v| Ok(DateTime(v)))
 }
 
 fn put_enums<T: Copy>(out: &mut Vec<u8>, values: &[T], enc: impl Fn(T) -> u8) {
@@ -112,12 +141,16 @@ fn put_enums<T: Copy>(out: &mut Vec<u8>, values: &[T], enc: impl Fn(T) -> u8) {
     out.extend(values.iter().map(|&v| enc(v)));
 }
 
-fn get_enums<T>(r: &mut Reader<'_>, dec: impl Fn(u8) -> Option<T>) -> Result<Vec<T>, Malformed> {
+fn get_enums<T: Copy>(
+    r: &mut Reader<'_>,
+    dec: impl Fn(u8) -> Option<T>,
+) -> Result<AppendVec<T>, Malformed> {
     let n = r.varint_count(1)?;
-    r.take(n)?
-        .iter()
-        .map(|&b| dec(b).ok_or_else(|| Malformed(format!("invalid enum byte {b}"))))
-        .collect()
+    let mut out = AppendVec::with_capacity(n);
+    for &b in r.take(n)? {
+        out.push(dec(b).ok_or_else(|| Malformed(format!("invalid enum byte {b}")))?);
+    }
+    Ok(out)
 }
 
 // ---- string column helpers -------------------------------------------------
@@ -262,23 +295,24 @@ fn put_adj<P: Copy>(
 
 fn get_adj<P: Copy>(
     r: &mut Reader<'_>,
-    get_payloads: impl FnOnce(&mut Reader<'_>, usize) -> Result<Vec<P>, Malformed>,
+    get_payloads: impl FnOnce(&mut Reader<'_>, usize) -> Result<AppendVec<P>, Malformed>,
 ) -> Result<Adj<P>, Malformed> {
     let sources = r.varint_count(1)?;
-    let mut offsets = vec![0u32];
+    let mut offsets = AppendVec::with_capacity(sources + 1);
+    offsets.push(0);
     let mut total = 0u32;
-    r.read_into(&mut offsets, sources, 1, |r| {
+    for _ in 0..sources {
         let degree = u32::try_from(r.varint()?).ok();
         total = degree
             .and_then(|d| total.checked_add(d))
             .ok_or_else(|| Malformed("adjacency edge count overflow".into()))?;
-        Ok(total)
-    })?;
+        offsets.push(total);
+    }
     let edge_count = r.varint_count(1)?;
     if edge_count != total as usize {
         return Err(Malformed(format!("adjacency degrees sum {total} != edge count {edge_count}")));
     }
-    let targets = r.many(edge_count, 1, ix)?;
+    let targets = column(r, edge_count, ix)?;
     let payloads = get_payloads(r, edge_count)?;
     if payloads.len() != edge_count {
         return Err(Malformed("adjacency payload count mismatch".into()));
@@ -291,7 +325,7 @@ fn put_adj_unit(out: &mut Vec<u8>, adj: &Adj<()>) {
 }
 
 fn get_adj_unit(r: &mut Reader<'_>) -> Result<Adj<()>, Malformed> {
-    get_adj(r, |_, n| Ok(vec![(); n]))
+    get_adj(r, |_, n| Ok(AppendVec::from_elem((), n)))
 }
 
 fn put_adj_datetime(out: &mut Vec<u8>, adj: &Adj<DateTime>) {
@@ -299,7 +333,7 @@ fn put_adj_datetime(out: &mut Vec<u8>, adj: &Adj<DateTime>) {
 }
 
 fn get_adj_datetime(r: &mut Reader<'_>) -> Result<Adj<DateTime>, Malformed> {
-    get_adj(r, |r, n| Ok(r.deltas(n)?.into_iter().map(DateTime).collect()))
+    get_adj(r, |r, n| delta_column(r, n, |v| Ok(DateTime(v))))
 }
 
 fn put_adj_i32(out: &mut Vec<u8>, adj: &Adj<i32>) {
@@ -308,10 +342,9 @@ fn put_adj_i32(out: &mut Vec<u8>, adj: &Adj<i32>) {
 
 fn get_adj_i32(r: &mut Reader<'_>) -> Result<Adj<i32>, Malformed> {
     get_adj(r, |r, n| {
-        r.deltas(n)?
-            .into_iter()
-            .map(|v| i32::try_from(v).map_err(|_| Malformed("i32 payload out of range".into())))
-            .collect()
+        delta_column(r, n, |v| {
+            i32::try_from(v).map_err(|_| Malformed("i32 payload out of range".into()))
+        })
     })
 }
 
@@ -661,16 +694,13 @@ fn read_store(buf: &[u8]) -> Result<Store, Malformed> {
 /// Rebuilds everything the image omits, in the same insert order as the
 /// bulk loader so id/name lookups behave identically.
 fn rebuild_derived(s: &mut Store) {
-    fn index(ids: &[u64]) -> FxHashMap<u64, Ix> {
-        ids.iter().enumerate().map(|(i, &id)| (id, i as Ix)).collect()
-    }
-    s.person_ix.set(index(&s.persons.id));
-    s.forum_ix.set(index(&s.forums.id));
-    s.message_ix.set(index(&s.messages.id));
-    s.place_ix.set(index(&s.places.id));
-    s.tag_ix.set(index(&s.tags.id));
-    s.tag_class_ix.set(index(&s.tag_classes.id));
-    s.org_ix.set(index(&s.organisations.id));
+    s.person_ix.set(IdMap::of_column(&s.persons.id));
+    s.forum_ix.set(IdMap::of_column(&s.forums.id));
+    s.message_ix.set(IdMap::of_column(&s.messages.id));
+    s.place_ix.set(IdMap::of_column(&s.places.id));
+    s.tag_ix.set(IdMap::of_column(&s.tags.id));
+    s.tag_class_ix.set(IdMap::of_column(&s.tag_classes.id));
+    s.org_ix.set(IdMap::of_column(&s.organisations.id));
 
     fn by_name(names: &SymCol) -> FxHashMap<String, Ix> {
         names.iter().enumerate().map(|(i, n)| (n.to_string(), i as Ix)).collect()

@@ -4,6 +4,12 @@
 //! (see [`crate::adj::Adj::insert`]); no CSR rebuild happens on the
 //! write path, which keeps update latency flat — [`Store::compact`]
 //! can fold the overflow back in between benchmark phases.
+//!
+//! No insert writes a row that already exists: every column change is
+//! an append. The columns are [`AppendVec`](crate::append_vec::AppendVec)s,
+//! so on a clone of a published version those appends go into the
+//! buffers the version shares, and an insert batch copies what it
+//! appends rather than the store.
 
 use snb_core::datetime::{Date, DateTime};
 use snb_core::model::{Gender, MessageKind};
@@ -243,8 +249,8 @@ impl Store {
             post.language,
             forum,
             NONE,
+            None,
         );
-        self.messages.root_post[ix as usize] = ix;
         self.forum_posts.insert(forum, ix, ());
         for t in post.tag_ids {
             let tix = *self.tag_ix.get(&t).ok_or(SnbError::UnknownId { entity: "Tag", id: t })?;
@@ -270,6 +276,7 @@ impl Store {
             c.reply_to_comment_id as u64
         };
         let parent = self.message(parent_id)?;
+        let root = self.messages.root_post[parent as usize];
         let ix = self.push_message_row(
             c.id,
             MessageKind::Comment,
@@ -284,8 +291,8 @@ impl Store {
             String::new(),
             NONE,
             parent,
+            Some(root),
         );
-        self.messages.root_post[ix as usize] = self.messages.root_post[parent as usize];
         self.message_replies.insert(parent, ix, ());
         for t in c.tag_ids {
             let tix = *self.tag_ix.get(&t).ok_or(SnbError::UnknownId { entity: "Tag", id: t })?;
@@ -304,6 +311,8 @@ impl Store {
         Ok(())
     }
 
+    /// Appends one message row and its creator edge; `root_post` is
+    /// the thread's root, `None` for a post (its own root).
     #[allow(clippy::too_many_arguments)]
     fn push_message_row(
         &mut self,
@@ -320,6 +329,7 @@ impl Store {
         language: String,
         forum: Ix,
         reply_of: Ix,
+        root_post: Option<Ix>,
     ) -> Ix {
         let ix = self.messages.len() as Ix;
         self.message_ix.insert(id, ix);
@@ -336,7 +346,7 @@ impl Store {
         self.messages.language.push(language);
         self.messages.forum.push(forum);
         self.messages.reply_of.push(reply_of);
-        self.messages.root_post.push(NONE);
+        self.messages.root_post.push(root_post.unwrap_or(ix));
         let n = self.messages.len();
         self.message_tag.grow_sources(n);
         self.message_replies.grow_sources(n);
@@ -453,6 +463,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::build::{bulk_store_and_stream, store_for_config};
+    use crate::intern::{PackCol, SymCol};
     use snb_core::scale::ScaleFactor;
     use snb_datagen::GeneratorConfig;
 
@@ -610,6 +621,222 @@ mod tests {
             assert!(bulk.date_index_fresh(), "index went stale after event {i}");
         }
         bulk.validate_invariants().unwrap();
+    }
+
+    /// A copy of `s` that shares no buffer with it.
+    fn independent(s: &Store) -> Store {
+        crate::decode_store(&crate::encode_store(s)).unwrap()
+    }
+
+    fn applied(s: &mut Store, events: &[TimedEvent], world: &StaticWorld) -> SnbResult<()> {
+        events.iter().try_for_each(|e| s.apply_event(e, world))
+    }
+
+    fn assert_same(a: &Store, b: &Store) {
+        a.validate_invariants().unwrap();
+        assert!(crate::encode_store(a) == crate::encode_store(b), "store images differ");
+        assert_eq!(*a.message_by_date, *b.message_by_date);
+    }
+
+    /// A bulk store with the first half of its update stream applied
+    /// (so every column has appended once and has room to spare), and
+    /// the rest of the stream.
+    fn half_streamed() -> (Store, Vec<TimedEvent>, StaticWorld) {
+        let c = config(120);
+        let (mut s, events) = bulk_store_and_stream(&c);
+        let world = StaticWorld::build(c.seed);
+        let (first, rest) = events.split_at(events.len() / 2);
+        applied(&mut s, first, &world).unwrap();
+        (s, rest.to_vec(), world)
+    }
+
+    #[test]
+    fn two_clones_of_one_store_append_apart() {
+        let (base, _, _) = half_streamed();
+        let base_image = crate::encode_store(&base);
+        let forum = base.forums.id[0];
+        let country = base.places.id[base.messages.country[0] as usize];
+        let city = base.places.id[base.persons.city[0] as usize];
+        let grow = |s: &mut Store, id: u64| {
+            let mut p = person(id, city);
+            p.first_name = format!("clone-{id}");
+            s.insert_person(p).unwrap();
+            s.insert_post(post(id, id, forum, country)).unwrap();
+        };
+        let (mut a, mut b) = (base.clone(), base.clone());
+        let (mut a_oracle, mut b_oracle) = (independent(&base), independent(&base));
+        for id in [7_000_001, 7_000_002] {
+            grow(&mut a, id);
+            grow(&mut a_oracle, id);
+        }
+        for id in [8_000_001, 8_000_002, 8_000_003] {
+            grow(&mut b, id);
+            grow(&mut b_oracle, id);
+        }
+        assert_same(&a, &a_oracle);
+        assert_same(&b, &b_oracle);
+        assert!(a.person(8_000_001).is_err() && b.person(7_000_001).is_err());
+        let n = base.persons.len();
+        assert_eq!(&a.persons.first_name[n], "clone-7000001");
+        assert_eq!(&b.persons.first_name[n], "clone-8000001");
+        assert!(crate::encode_store(&base) == base_image, "the shared base must not change");
+    }
+
+    #[test]
+    fn a_failed_or_panicked_batch_then_a_good_one_equals_direct_apply() {
+        let (base, rest, world) = half_streamed();
+        let batch = &rest[..rest.len().min(80)];
+        let mut oracle = independent(&base);
+        let h = crate::StoreHandle::new(base);
+        let failed = h.publish_with(|next| {
+            applied(next, &batch[..batch.len() / 2], &world)?;
+            Err::<(), _>(SnbError::Config("abandoned mid-batch".into()))
+        });
+        assert!(failed.is_err());
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    h.publish_with(|next| -> SnbResult<()> {
+                        applied(next, &batch[..batch.len() * 2 / 3], &world)?;
+                        panic!("mid-batch")
+                    })
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        h.publish_with(|next| applied(next, batch, &world)).unwrap();
+        applied(&mut oracle, batch, &world).unwrap();
+        assert_same(&h.snapshot(), &oracle);
+    }
+
+    #[test]
+    fn an_insert_publish_shares_every_message_column_adjacency_and_id_map() {
+        use crate::append_vec::AppendVec;
+        use crate::columns::IdMap;
+        use crate::Adj;
+
+        let (base, rest, world) = half_streamed();
+        let h = crate::StoreHandle::new(base);
+        let pinned = h.snapshot();
+        let batch = &rest[..24];
+        h.publish_with(|next| applied(next, batch, &world)).unwrap();
+        let after = h.snapshot();
+        let (a, b): (&Store, &Store) = (&pinned, &after);
+        assert!(b.messages.len() > a.messages.len(), "the batch must add messages");
+        let mut copied = Vec::new();
+        macro_rules! shared {
+            ($same:expr, $($field:ident).+) => {
+                if !$same(&a.$($field).+, &b.$($field).+) {
+                    copied.push(stringify!($($field).+));
+                }
+            };
+        }
+        shared!(AppendVec::ptr_eq, messages.id);
+        shared!(AppendVec::ptr_eq, messages.kind);
+        shared!(AppendVec::ptr_eq, messages.creation_date);
+        shared!(AppendVec::ptr_eq, messages.creator);
+        shared!(AppendVec::ptr_eq, messages.country);
+        shared!(SymCol::shares_buffer, messages.browser);
+        shared!(PackCol::shares_buffers, messages.location_ip);
+        shared!(PackCol::shares_buffers, messages.content);
+        shared!(AppendVec::ptr_eq, messages.length);
+        shared!(PackCol::shares_buffers, messages.image_file);
+        shared!(SymCol::shares_buffer, messages.language);
+        shared!(AppendVec::ptr_eq, messages.forum);
+        shared!(AppendVec::ptr_eq, messages.reply_of);
+        shared!(AppendVec::ptr_eq, messages.root_post);
+        shared!(AppendVec::ptr_eq, message_by_date);
+        for (name, x, y) in [
+            ("person_ix", &a.person_ix, &b.person_ix),
+            ("forum_ix", &a.forum_ix, &b.forum_ix),
+            ("message_ix", &a.message_ix, &b.message_ix),
+            ("place_ix", &a.place_ix, &b.place_ix),
+            ("tag_ix", &a.tag_ix, &b.tag_ix),
+            ("tag_class_ix", &a.tag_class_ix, &b.tag_class_ix),
+            ("org_ix", &a.org_ix, &b.org_ix),
+        ] {
+            if !IdMap::shares_base(x, y) {
+                copied.push(name);
+            }
+        }
+        shared!(Adj::shares_base, knows);
+        shared!(Adj::shares_base, person_interest);
+        shared!(Adj::shares_base, interest_person);
+        shared!(Adj::shares_base, person_study);
+        shared!(Adj::shares_base, person_work);
+        shared!(Adj::shares_base, forum_member);
+        shared!(Adj::shares_base, member_forum);
+        shared!(Adj::shares_base, forum_tag);
+        shared!(Adj::shares_base, tag_forum);
+        shared!(Adj::shares_base, message_tag);
+        shared!(Adj::shares_base, tag_message);
+        shared!(Adj::shares_base, person_messages);
+        shared!(Adj::shares_base, forum_posts);
+        shared!(Adj::shares_base, message_replies);
+        shared!(Adj::shares_base, person_likes);
+        shared!(Adj::shares_base, message_likes);
+        shared!(Adj::shares_base, place_children);
+        shared!(Adj::shares_base, city_person);
+        shared!(Adj::shares_base, tagclass_children);
+        shared!(Adj::shares_base, tagclass_tags);
+        shared!(Adj::shares_base, person_moderates);
+        assert!(copied.is_empty(), "an insert publish copied {copied:?}");
+    }
+
+    fn person(id: u64, city_id: u64) -> PersonInsert {
+        PersonInsert {
+            id,
+            first_name: "Ada".into(),
+            last_name: "Lovelace".into(),
+            gender: Gender::Female,
+            birthday: Date::from_ymd(1990, 5, 5),
+            creation_date: DateTime::from_parts(2013, 6, 1, 12, 0, 0, 0),
+            location_ip: "1.2.3.4".into(),
+            browser_used: "Firefox".into(),
+            city_id,
+            speaks: vec!["en".into()],
+            emails: vec![format!("{id}@example.com")],
+            tag_ids: vec![0, 1],
+            study_at: vec![],
+            work_at: vec![],
+        }
+    }
+
+    fn post(id: u64, author: u64, forum_id: u64, country_id: u64) -> PostInsert {
+        PostInsert {
+            id,
+            image_file: String::new(),
+            creation_date: DateTime::from_parts(2013, 6, 2, 12, 0, 0, 0),
+            location_ip: "1.2.3.4".into(),
+            browser_used: "Firefox".into(),
+            language: "en".into(),
+            content: format!("post {id}"),
+            length: 9,
+            author_person_id: author,
+            forum_id,
+            country_id,
+            tag_ids: vec![2],
+        }
+    }
+
+    #[test]
+    fn a_corrupted_root_post_fails_validation() {
+        let s = store_for_config(&config(40));
+        s.validate_invariants().unwrap();
+        let comment = (0..s.messages.len()).find(|&m| !s.messages.is_post(m as Ix)).unwrap();
+        let other_post = (0..s.messages.len() as Ix)
+            .find(|&m| s.messages.is_post(m) && m != s.messages.root_post[comment])
+            .unwrap();
+        let mut bad = s.clone();
+        bad.messages.root_post[comment] = other_post;
+        assert!(bad.validate_invariants().is_err(), "a comment rooted at another thread");
+        let mut bad = s.clone();
+        bad.messages.root_post[comment] = comment as Ix;
+        assert!(bad.validate_invariants().is_err(), "a comment rooted at itself");
+        let post = s.messages.root_post[comment] as usize;
+        let mut bad = s;
+        bad.messages.root_post[post] = other_post;
+        assert!(bad.validate_invariants().is_err(), "a post rooted elsewhere");
     }
 
     #[test]

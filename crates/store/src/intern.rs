@@ -18,7 +18,9 @@
 //!
 //! Both index as `&str` (`col[i]`), so cold callers compile against
 //! them exactly as they did against `Vec<String>`. Multi-valued columns
-//! get the same treatment via [`SymListCol`] / [`PackListCol`].
+//! get the same treatment via [`SymListCol`] / [`PackListCol`]. Their
+//! buffers are [`AppendVec`]s, so a store version and the writer's next
+//! version share them and an insert batch appends in place.
 //!
 //! Scans do not go through `&str` at all: a string predicate resolves
 //! its parameter to a [`Sym`] once per query with
@@ -43,6 +45,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use rustc_hash::FxHashMap;
+
+use crate::append_vec::AppendVec;
 
 /// A symbol: an index into the global interner's dictionary.
 pub type Sym = u32;
@@ -173,7 +177,7 @@ fn string_baseline(rows: usize, content_bytes: usize) -> usize {
 /// An interned string column: one `u32` symbol per row.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SymCol {
-    syms: Vec<Sym>,
+    syms: AppendVec<Sym>,
 }
 
 impl SymCol {
@@ -223,12 +227,14 @@ impl SymCol {
 
     /// Keeps only rows whose index passes `keep` (delete rebuilds).
     pub fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool) {
-        let mut i = 0;
-        self.syms.retain(|_| {
-            let k = keep(i);
-            i += 1;
-            k
-        });
+        self.syms.filter_in_place(keep);
+    }
+
+    /// Whether two columns share their buffer (see
+    /// [`AppendVec::ptr_eq`]).
+    #[cfg(test)]
+    pub(crate) fn shares_buffer(&self, other: &SymCol) -> bool {
+        AppendVec::ptr_eq(&self.syms, &other.syms)
     }
 
     /// Releases push-growth slack after an append-once bulk build.
@@ -270,10 +276,10 @@ impl<S: AsRef<str>> FromIterator<S> for SymCol {
 /// not deduplicate anything.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackCol {
-    bytes: Vec<u8>,
+    bytes: AppendVec<u8>,
     /// `ends[i]` is the exclusive end of row `i`; row `i` starts at
     /// `ends[i-1]` (0 for the first row).
-    ends: Vec<u32>,
+    ends: AppendVec<u32>,
 }
 
 impl PackCol {
@@ -330,6 +336,13 @@ impl PackCol {
         *self = next;
     }
 
+    /// Whether two columns share their buffers (see
+    /// [`AppendVec::ptr_eq`]).
+    #[cfg(test)]
+    pub(crate) fn shares_buffers(&self, other: &PackCol) -> bool {
+        AppendVec::ptr_eq(&self.bytes, &other.bytes) && AppendVec::ptr_eq(&self.ends, &other.ends)
+    }
+
     /// Releases push-growth slack after an append-once bulk build.
     pub fn shrink_to_fit(&mut self) {
         self.bytes.shrink_to_fit();
@@ -376,9 +389,9 @@ impl<S: AsRef<str>> FromIterator<S> for PackCol {
 /// losing to it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SymListCol {
-    syms: Vec<Sym>,
+    syms: AppendVec<Sym>,
     /// `row_ends[i]` is the exclusive end of row `i` in `syms`.
-    row_ends: Vec<u32>,
+    row_ends: AppendVec<u32>,
 }
 
 impl SymListCol {
@@ -466,11 +479,11 @@ impl SymListCol {
 /// interning would only grow the global dictionary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackListCol {
-    bytes: Vec<u8>,
+    bytes: AppendVec<u8>,
     /// `val_ends[v]` is the exclusive byte end of value `v` in `bytes`.
-    val_ends: Vec<u32>,
+    val_ends: AppendVec<u32>,
     /// `row_ends[i]` is the exclusive end of row `i` in `val_ends`.
-    row_ends: Vec<u32>,
+    row_ends: AppendVec<u32>,
 }
 
 impl PackListCol {

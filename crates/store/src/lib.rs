@@ -6,7 +6,11 @@
 //! property-graph store purpose-built for the SNB schema.
 //!
 //! * [`columns`] — struct-of-arrays attribute storage per entity type,
-//!   dense `u32` indices, raw-id hash indexes;
+//!   dense `u32` indices, raw-id hash indexes (base + delta
+//!   [`IdMap`](columns::IdMap)s);
+//! * [`append_vec`] — the buffer behind every column and adjacency
+//!   array: store versions share it, and inserts append into it in
+//!   place;
 //! * [`intern`] — the global string interner plus packed string
 //!   columns (`u32` symbols / byte arenas instead of `Vec<String>`);
 //! * [`adj`] — CSR adjacency (forward + reverse) for every relation,
@@ -23,6 +27,7 @@
 //!   readers beside one writer.
 
 pub mod adj;
+pub mod append_vec;
 pub mod build;
 pub mod columns;
 pub mod cow;

@@ -8,9 +8,13 @@
 //!
 //! * a **writer** clones the latest [`Store`] (near-free:
 //!   every component is a [`CowBox`](crate::cow::CowBox), so the clone
-//!   is ~40 `Arc` bumps), mutates the private clone (copy-on-write
-//!   deep-copies only the components the batch touches), and publishes
-//!   it as the next [`StoreVersion`] with an atomic swap;
+//!   is one `Arc` bump per component), mutates the private clone, and
+//!   publishes it as the next [`StoreVersion`] with an atomic swap. The
+//!   first write to a component clones it, and that clone shares the
+//!   component's buffers ([`AppendVec`](crate::append_vec::AppendVec),
+//!   [`IdMap`](crate::columns::IdMap)): an insert appends into them in
+//!   place past every published version's `len`, and only an in-place
+//!   edit (a delete) copies a buffer;
 //! * a **reader** grabs a [`StoreSnapshot`] pointer at admission —
 //!   wait-free in the common case, never taking a lock — and runs its
 //!   whole query against that immutable version, unaffected by any

@@ -9,9 +9,10 @@ use snb_core::model::PlaceKind;
 use snb_core::{SnbError, SnbResult};
 
 use crate::adj::Adj;
+use crate::append_vec::AppendVec;
 use crate::columns::{
-    ForumCols, Ix, MessageCols, OrganisationCols, PersonCols, PlaceCols, TagClassCols, TagCols,
-    NONE,
+    ForumCols, IdMap, Ix, MessageCols, OrganisationCols, PersonCols, PlaceCols, TagClassCols,
+    TagCols, NONE,
 };
 use crate::cow::CowBox;
 
@@ -36,19 +37,19 @@ pub struct Store {
     pub organisations: CowBox<OrganisationCols>,
 
     /// Raw person id → dense index.
-    pub person_ix: CowBox<FxHashMap<u64, Ix>>,
+    pub person_ix: CowBox<IdMap>,
     /// Raw forum id → dense index.
-    pub forum_ix: CowBox<FxHashMap<u64, Ix>>,
+    pub forum_ix: CowBox<IdMap>,
     /// Raw message id → dense index.
-    pub message_ix: CowBox<FxHashMap<u64, Ix>>,
+    pub message_ix: CowBox<IdMap>,
     /// Raw place id → dense index.
-    pub place_ix: CowBox<FxHashMap<u64, Ix>>,
+    pub place_ix: CowBox<IdMap>,
     /// Raw tag id → dense index.
-    pub tag_ix: CowBox<FxHashMap<u64, Ix>>,
+    pub tag_ix: CowBox<IdMap>,
     /// Raw tag-class id → dense index.
-    pub tag_class_ix: CowBox<FxHashMap<u64, Ix>>,
+    pub tag_class_ix: CowBox<IdMap>,
     /// Raw organisation id → dense index.
-    pub org_ix: CowBox<FxHashMap<u64, Ix>>,
+    pub org_ix: CowBox<IdMap>,
 
     /// Symmetric `knows` adjacency with creation dates (each edge stored
     /// in both directions).
@@ -99,7 +100,7 @@ pub struct Store {
     /// and left fresh by deletes; out-of-order inserts leave it stale
     /// (shorter than `messages`), in which case the windowed accessors
     /// return `None` and callers fall back to a full scan.
-    pub message_by_date: CowBox<Vec<Ix>>,
+    pub message_by_date: CowBox<AppendVec<Ix>>,
 
     /// Place name → index.
     pub place_by_name: CowBox<FxHashMap<String, Ix>>,
@@ -113,7 +114,10 @@ impl Store {
     /// Releases push-growth slack in the big column groups. Bulk loads
     /// are append-once, so capacity beyond `len` is pure waste; every
     /// build path (datagen, streaming, image decode) calls this before
-    /// handing the store out. Runtime inserts re-grow as needed.
+    /// handing the store out. The first insert batch after it copies each
+    /// column it appends to once, into a buffer twice the column's
+    /// length; later batches append into that buffer in place, shared
+    /// with the versions before them.
     pub fn shrink_columns(&mut self) {
         self.persons.shrink_to_fit();
         self.forums.shrink_to_fit();
@@ -216,7 +220,7 @@ impl Store {
     /// Rebuilds the `(creation_date, ix)` message permutation index.
     pub fn rebuild_date_index(&mut self) {
         let dates = &self.messages.creation_date;
-        let mut perm: Vec<Ix> = (0..self.messages.len() as Ix).collect();
+        let mut perm: AppendVec<Ix> = (0..self.messages.len() as Ix).collect();
         perm.sort_unstable_by_key(|&m| (dates[m as usize], m));
         self.message_by_date.set(perm);
     }
@@ -332,7 +336,9 @@ impl Store {
 
     /// Consistency check used by tests after every write: column
     /// lengths agree, every id map inverts its id column, no dense index
-    /// dangles, every forward/reverse adjacency pair holds the same edge
+    /// dangles, root posts close over the reply tree (a post is its own
+    /// root, a comment shares its parent's), every forward/reverse
+    /// adjacency pair holds the same edge
     /// multiset, every adjacency derived from a column agrees with it,
     /// and a fresh date index is the `(creation_date, ix)` permutation.
     pub fn validate_invariants(&self) -> SnbResult<()> {
@@ -394,6 +400,21 @@ impl Store {
         for (what, col, n, none_ok) in refs {
             if col.iter().any(|&ix| ix as usize >= n && !(none_ok && ix == NONE)) {
                 return bad(format!("{what} dangles"));
+            }
+        }
+
+        // Root posts close over the reply tree: a post is its own root, a
+        // comment shares its parent's root, and every root is a post.
+        let m = &self.messages;
+        for i in 0..nm {
+            let (root, parent) = (m.root_post[i], m.reply_of[i]);
+            let closed = if m.is_post(i as Ix) {
+                root == i as Ix
+            } else {
+                parent != NONE && root == m.root_post[parent as usize]
+            };
+            if !closed || !m.is_post(root) {
+                return bad(format!("message {i} has root_post {root}, which breaks the closure"));
             }
         }
 

@@ -1,10 +1,16 @@
 //! Snapshot isolation, end to end: a reader pinned to a published
 //! store version must see *exactly* that version — byte-identical
-//! results over all 25 BI queries — no matter how hard a concurrent
-//! writer churns inserts and deletes, and no matter how many other
-//! readers race it. The property is the
+//! results over all 25 BI queries and a byte-identical store image — no
+//! matter how hard a concurrent writer churns inserts and deletes, and
+//! no matter how many other readers race it. The property is the
 //! contract the whole lock-free read path rests on: versions are
 //! immutable once published, and pinning one keeps it alive unchanged.
+//!
+//! Two versions are pinned. The base version's columns are shrunk to
+//! their length, so the first insert batch copies them. The version
+//! published after that batch has room to spare, so every later insert
+//! batch appends into the very buffers it reads: the pin that checks
+//! in-place appends.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -16,7 +22,7 @@ use ldbc_snb::datagen::stream::UpdateEvent;
 use ldbc_snb::datagen::GeneratorConfig;
 use ldbc_snb::engine::QueryContext;
 use ldbc_snb::params::ParamGen;
-use ldbc_snb::store::{bulk_store_and_stream, DeleteOp, StoreHandle};
+use ldbc_snb::store::{bulk_store_and_stream, encode_store, DeleteOp, Store, StoreHandle};
 
 /// All 25 BI query summaries on a pinned snapshot (rows + result
 /// fingerprint — the repo's byte-identity proxy for result sets).
@@ -46,11 +52,28 @@ proptest! {
         prop_assert_eq!(pool.len(), 25);
 
         let handle = StoreHandle::new(store);
+        let insert = |next: &mut Store, events: &[ldbc_snb::datagen::stream::TimedEvent]| {
+            for event in events {
+                next.apply_event(event, &world)?;
+            }
+            if !next.date_index_fresh() {
+                next.rebuild_date_index();
+            }
+            Ok(())
+        };
 
         // Pin the base version and fingerprint it before any write.
         let pinned = handle.snapshot();
         let pinned_version = pinned.version();
         let baseline = run_all_25(&pinned, &pool);
+        let base_image = encode_store(&pinned);
+
+        // Pin the version after the first insert batch too.
+        let (first, stream) = stream.split_at(16);
+        handle.publish_with(|next| insert(next, first)).expect("first insert batch");
+        let appended = handle.snapshot();
+        let appended_baseline = run_all_25(&appended, &pool);
+        let appended_image = encode_store(&appended);
 
         let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -83,17 +106,7 @@ proptest! {
                             }
                         }
                     }
-                    handle
-                        .publish_with(|next| {
-                            for event in chunk {
-                                next.apply_event(event, &world)?;
-                            }
-                            if !next.date_index_fresh() {
-                                next.rebuild_date_index();
-                            }
-                            Ok(())
-                        })
-                        .expect("churn insert batch");
+                    handle.publish_with(|next| insert(next, chunk)).expect("churn insert batch");
                     if pending.len() >= 24 {
                         let ops = std::mem::take(&mut pending);
                         handle
@@ -102,18 +115,21 @@ proptest! {
                     }
                 }
             });
-            // The probe: while the writer churns, the pinned snapshot
-            // keeps answering with the base version's exact results.
+            // The probe: while the writer churns, each pinned snapshot
+            // keeps answering with its own version's exact results.
             let mut probes = 0usize;
             while !writer.is_finished() || probes == 0 {
-                let mid = run_all_25(&pinned, &pool);
-                for (q, (got, want)) in mid.iter().zip(&baseline).enumerate() {
-                    assert_eq!(
-                        (got.rows, got.fingerprint),
-                        (want.rows, want.fingerprint),
-                        "pinned reader drifted on BI {} during churn",
-                        q + 1
-                    );
+                for (snap, want) in [(&pinned, &baseline), (&appended, &appended_baseline)] {
+                    let mid = run_all_25(snap, &pool);
+                    for (q, (got, want)) in mid.iter().zip(want).enumerate() {
+                        assert_eq!(
+                            (got.rows, got.fingerprint),
+                            (want.rows, want.fingerprint),
+                            "reader pinned at version {} drifted on BI {} during churn",
+                            snap.version(),
+                            q + 1
+                        );
+                    }
                 }
                 probes += 1;
             }
@@ -123,19 +139,29 @@ proptest! {
             Ok(())
         })?;
 
-        // The world did move on: churn published new versions past the
-        // pin, and the pinned version id never changed.
-        prop_assert!(handle.version() > pinned_version, "writer never published");
+        // The world did move on: churn published at least 20 insert and
+        // delete versions past both pins, and neither pin moved.
+        prop_assert!(
+            handle.version() >= appended.version() + 20,
+            "only {} versions published", handle.version()
+        );
         prop_assert_eq!(pinned.version(), pinned_version);
-        // One final full pass after the churn is over.
-        let after = run_all_25(&pinned, &pool);
-        for (q, (got, want)) in after.iter().zip(&baseline).enumerate() {
-            prop_assert_eq!(
-                (got.rows, got.fingerprint),
-                (want.rows, want.fingerprint),
-                "pinned reader drifted on BI {} after churn", q + 1
-            );
+        // One final full pass after the churn is over, and both pinned
+        // versions are byte for byte the store they were.
+        for (snap, want) in [(&pinned, &baseline), (&appended, &appended_baseline)] {
+            let after = run_all_25(snap, &pool);
+            for (q, (got, want)) in after.iter().zip(want).enumerate() {
+                prop_assert_eq!(
+                    (got.rows, got.fingerprint),
+                    (want.rows, want.fingerprint),
+                    "reader pinned at version {} drifted on BI {} after churn",
+                    snap.version(),
+                    q + 1
+                );
+            }
         }
+        prop_assert!(encode_store(&pinned) == base_image, "the base version's image changed");
+        prop_assert!(encode_store(&appended) == appended_image, "the appended version's image changed");
         // Lock-free means lock-free: nobody ever hit the safety valve.
         prop_assert_eq!(handle.stats().reader_blocked, 0);
     }

@@ -38,7 +38,7 @@ fn all_bi_queries_survive_a_three_person_world() {
 #[test]
 fn interactive_queries_survive_isolated_persons() {
     let s = tiny(5);
-    for pid in s.persons.id.clone() {
+    for pid in s.persons.id.iter().copied() {
         let _ = short::is1::run(&s, &short::is1::Params { person_id: pid });
         let _ = short::is2::run(&s, &short::is2::Params { person_id: pid });
         let _ = short::is3::run(&s, &short::is3::Params { person_id: pid });
@@ -80,7 +80,7 @@ fn validation_holds_even_on_degenerate_worlds() {
 fn deleting_everything_leaves_a_queryable_store() {
     use ldbc_snb::store::DeleteOp;
     let mut s = tiny(6);
-    let victims: Vec<DeleteOp> = s.persons.id.clone().into_iter().map(DeleteOp::Person).collect();
+    let victims: Vec<DeleteOp> = s.persons.id.iter().copied().map(DeleteOp::Person).collect();
     s.apply_deletes(&victims).unwrap();
     assert_eq!(s.persons.len(), 0);
     assert_eq!(s.messages.len(), 0);
