@@ -24,6 +24,18 @@ if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|impl\b|fn\b)' crates/stor
   exit 1
 fi
 
+echo "==> one write record (the IU parameter structs and insert_* entity methods stay gone)"
+# Every insert reaches a store as an update-stream event through
+# Store::apply_event, whose row writers the bulk builder shares; a second
+# insert record would bring back the field-by-field conversion. (`\b`
+# keeps the tests named insert_person_then_lookup and the like.)
+if grep -rnE --include='*.rs' \
+  'PersonInsert|PostInsert|CommentInsert|ForumInsert|fn insert_(person|post|comment|forum)\b' \
+  crates/ src/ tests/ examples/; then
+  echo "a second insert record is back: write through Store::apply_event" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -9,10 +9,10 @@
 //! 2. `wal.append.post_append` — the record is durable (synced) but the
 //!    server dies before applying/acking. Recovery must replay it; the
 //!    resubmission is acknowledged `deduped` with zero rows.
-//! 3. `writer.apply.panic` — the apply panics mid-batch after the
-//!    append. The server answers `store_poisoned` (typed, no hang),
-//!    refuses further traffic, and after restart the WAL'd batch is
-//!    replayed; the resubmission dedupes.
+//! 3. `writer.apply.panic` — the write path panics after the append,
+//!    before the publish. The server answers `store_poisoned` (typed,
+//!    no hang), refuses further traffic, and after restart the WAL'd
+//!    batch is replayed; the resubmission dedupes.
 //! 4. `image.write.torn` — the store-image replacement at a compaction
 //!    point tears mid-write (temp file abandoned, no rename, log left
 //!    untruncated). The write is non-fatal, so the server keeps

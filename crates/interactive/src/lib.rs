@@ -3,12 +3,13 @@
 //! # snb-interactive
 //!
 //! The LDBC SNB **Interactive workload** (spec chapter 4): complex
-//! reads IC 1–14, short reads IS 1–7, and updates IU 1–8.
+//! reads IC 1–14 and short reads IS 1–7.
 //!
 //! Complex reads traverse the two-hop neighbourhood of a start person
 //! and are sublinear in dataset size; short reads are single-entity
-//! lookups the driver chains after complex reads; updates insert single
-//! nodes or edges through the store's overflow write path.
+//! lookups the driver chains after complex reads. The updates IU 1–8
+//! are update-stream events, which `snb_store::Store::apply_event`
+//! writes.
 
 pub mod common;
 pub mod ic01;
@@ -26,12 +27,9 @@ pub mod ic12;
 pub mod ic13;
 pub mod ic14;
 pub mod short;
-pub mod updates;
 
 use snb_engine::QueryContext;
 use snb_store::Store;
-
-pub use updates::Update;
 
 /// A parameter binding for any complex read — the uniform currency for
 /// the driver and benches.

@@ -206,13 +206,17 @@ pub enum ErrorKind {
     DeadlineExceeded,
     /// The server is draining for shutdown and accepts no new work.
     ShuttingDown,
-    /// The request frame failed to decode.
+    /// The request frame failed to decode, or a write batch cannot be
+    /// taken: out of sequence, or refused by the store (an unknown id, a
+    /// hostile field) — a refused batch is never logged and leaves the
+    /// store as it was.
     BadRequest,
     /// The query itself failed (store-level error).
     Internal,
-    /// A write panicked mid-apply and the store may hold a half-applied
-    /// batch; all requests are refused until the operator restarts the
-    /// server, which recovers a consistent image from the WAL.
+    /// A write panicked after its batch reached the WAL, so the log may
+    /// hold a batch the store does not; all requests are refused until
+    /// the operator restarts the server, which recovers a consistent
+    /// image from the WAL.
     StorePoisoned,
     /// The request started inside its budget but overran the deadline
     /// mid-execution: the work was done (and is reflected in exec

@@ -8,7 +8,8 @@
 //!    classifies it into a [`Lane`] (IS/IC short reads, heavy BI,
 //!    writes), refuses it (`ShuttingDown` during drain,
 //!    `StorePoisoned`, `StaleRead`, `NotPrimary`/`Fenced` for writes;
-//!    `BadRequest` for undecodable frames) or admits it with its
+//!    `BadRequest` for undecodable frames and, later, for a write batch
+//!    the store refuses) or admits it with its
 //!    deadline and the **store snapshot pinned at admission**;
 //! 2. placement (`dispatch`): an IS read — microseconds of work — runs
 //!    right away on the thread that admitted it (the reactor, or the
@@ -41,17 +42,18 @@
 //!
 //! **Concurrency model** — there is no lock anywhere on the read path.
 //! The store lives behind a [`StoreHandle`]. After the bulk load every
-//! write is a sequenced batch on the durable path (`submit_batch`: WAL
-//! append, then apply) or, on a bootstrapping follower, a shipped
-//! image. Either builds the next immutable store version on a private
-//! copy-on-write clone and publishes it with one atomic swap
+//! write is a sequenced batch on the durable path (`submit_batch`:
+//! apply, WAL append, publish) or, on a bootstrapping follower, a
+//! shipped image. Either builds the next immutable store version on a
+//! private copy-on-write clone and publishes it with one atomic swap
 //! ([`StoreHandle::publish_with`]); reads pin the current version at
 //! admission and run the whole query against it, unaffected by — and
-//! never blocking — concurrent publishes. A failed or panicking apply
-//! discards the private clone, so mid-batch state is unpublishable;
-//! the server still degrades to `store_poisoned` in that case because
-//! the WAL holds a batch the published store does not (restart +
-//! recovery re-converges them).
+//! never blocking — concurrent publishes. A batch the store refuses
+//! discards the private clone before the append, so it is never logged
+//! and is answered `bad_request`. A panic discards the clone too, so
+//! mid-batch state is unpublishable; the server still degrades to
+//! `store_poisoned` in that case because the WAL may hold a batch the
+//! published store does not (restart + recovery re-converges them).
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -864,8 +866,8 @@ impl ServerInner {
         Response { id: request.id, body }
     }
 
-    /// The durable write path: dedupe check → WAL append (flushed) →
-    /// build + publish the next store version → bump the applied
+    /// The durable write path: dedupe check → build the next store
+    /// version → WAL append (flushed) → publish it → bump the applied
     /// sequence → maybe rotate the snapshot. Returns the outcome (`Ok`
     /// or `Deduped`) with the ack body. It counts no outcome itself: the
     /// client path's `execute_write` ends the request, and the
@@ -929,43 +931,37 @@ impl ServerInner {
                 format!("sequence gap: got batch {}, expected {}", batch.seq, last + 1),
             ));
         }
-        if let Err(e) = state.wal.append(batch.seq, &batch.ops) {
-            // Not durable ⇒ not applied, not acknowledged. The store is
-            // still consistent; the client retries after restart.
-            return Err(err(ErrorKind::Internal, format!("WAL append failed: {e}")));
-        }
-        // Build the next store version on a private copy-on-write clone
-        // and publish it atomically; an error or panic discards the
-        // clone, so readers can never observe the batch half-applied.
+        // Build the next store version on a private copy-on-write clone,
+        // log the batch, then publish the clone atomically. A batch the
+        // store refuses (an unknown id, a hostile field) is discarded
+        // with the clone before it reaches the log, so it is a bad
+        // request that uses up no sequence number. A failed append
+        // discards the clone too: not durable ⇒ not applied, not
+        // acknowledged. Readers never observe a batch half-applied.
+        let mut logging = false;
         let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.store.publish_with(|next| {
-                let r = match &batch.ops {
+                let counts = match &batch.ops {
                     WriteOps::Updates(events) => {
-                        let mut n = 0u64;
-                        let mut result = Ok(());
-                        for ev in events {
-                            if let Some(fault) = snb_fault::check("writer.apply.panic") {
-                                fault.trip("writer.apply.panic");
-                            }
-                            if let Err(e) = next.apply_event(ev, &state.world) {
-                                result = Err(e);
-                                break;
-                            }
-                            n += 1;
-                        }
-                        result.map(|()| (n, 0u64))
+                        events.iter().try_for_each(|ev| next.apply_event(ev, &state.world))?;
+                        (events.len() as u64, 0u64)
                     }
                     WriteOps::Deletes(dels) => {
-                        if let Some(fault) = snb_fault::check("writer.apply.panic") {
-                            fault.trip("writer.apply.panic");
-                        }
-                        next.apply_deletes(dels).map(|_| (0u64, dels.len() as u64))
+                        next.apply_deletes(dels)?;
+                        (0, dels.len() as u64)
                     }
                 };
                 if !next.date_index_fresh() {
                     next.rebuild_date_index();
                 }
-                r
+                logging = true;
+                state.wal.append(batch.seq, &batch.ops)?;
+                // The window a crash between the append and the publish
+                // leaves: the log holds a batch the store does not.
+                if let Some(fault) = snb_fault::check("writer.apply.panic") {
+                    fault.trip("writer.apply.panic");
+                }
+                Ok(counts)
             })
         }));
         match applied {
@@ -1011,20 +1007,17 @@ impl ServerInner {
                     },
                 ))
             }
-            Ok(Err(apply_err)) => {
-                // A semantic failure part-way through a batch (e.g. an
-                // unknown id on the third event) discarded the private
-                // clone — readers keep a consistent store — but the WAL
-                // now holds a batch the published store does not, so the
-                // server must refuse further work until restart-recovery
-                // re-converges them.
-                self.degraded.store(true, Ordering::Release);
-                Err(err(
-                    ErrorKind::StorePoisoned,
-                    format!("apply failed mid-batch ({apply_err}); restart to recover"),
-                ))
-            }
+            Ok(Err(refused)) if !logging => Err(err(
+                ErrorKind::BadRequest,
+                format!("batch {} refused, not logged: {refused}", batch.seq),
+            )),
+            // The store is still consistent; the client retries after
+            // restart.
+            Ok(Err(e)) => Err(err(ErrorKind::Internal, format!("WAL append failed: {e}"))),
             Err(_) => {
+                // The log may hold a batch the published store does not,
+                // so the server refuses further work until
+                // restart-recovery re-converges them.
                 self.degraded.store(true, Ordering::Release);
                 Err(err(
                     ErrorKind::StorePoisoned,

@@ -14,10 +14,14 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use snb_bi::BiParams;
+use snb_core::model::MessageId;
+use snb_datagen::graph::{RawLike, RawMessage};
+use snb_datagen::stream::{TimedEvent, UpdateEvent};
 use snb_server::{
     image_info, recover, ErrorKind, OkBody, Server, ServerConfig, ServiceParams, WalOptions,
     WriteBatch, WriteOps,
 };
+use snb_store::DeleteOp;
 
 mod common;
 use common::{config, server_config, submit, tmp_dir, SCALE};
@@ -136,8 +140,9 @@ fn mid_apply_panic_poisons_store_until_recovery() {
     submit(&server, 1, &batches[0]).expect("first ack");
     probe_read(&server).expect("healthy store answers reads");
 
-    // Seq 2 panics mid-apply, after the WAL append: the store may hold
-    // half a batch, so everything is refused with a typed error.
+    // Seq 2 panics after the WAL append, before the publish: the log
+    // holds a batch the store does not, so everything is refused with a
+    // typed error.
     snb_fault::arm_from_spec("writer.apply.panic=panic@h1", 7).unwrap();
     let (kind, _) = submit(&server, 2, &batches[1]).expect_err("apply panic must be caught");
     assert_eq!(kind, ErrorKind::StorePoisoned);
@@ -164,6 +169,69 @@ fn mid_apply_panic_poisons_store_until_recovery() {
     assert!(ok.rows > 0);
     probe_read(&server).expect("recovered store answers reads");
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The update events of `batches`, in order.
+fn events(batches: &[WriteOps]) -> impl Iterator<Item = &TimedEvent> {
+    batches.iter().flat_map(|ops| match ops {
+        WriteOps::Updates(events) => events.as_slice(),
+        WriteOps::Deletes(_) => &[],
+    })
+}
+
+#[test]
+fn a_batch_the_store_refuses_is_never_logged() {
+    let _g = fault_lock();
+    snb_fault::disarm_all();
+    let dir = tmp_dir("refused");
+    let batches = common::batches(20, 3);
+    let like = events(&batches).find_map(|ev| match &ev.event {
+        UpdateEvent::AddLikePost(l) | UpdateEvent::AddLikeComment(l) => Some((ev, *l)),
+        _ => None,
+    });
+    let (like_event, like) = like.expect("the stream holds a like");
+    let post = events(&batches).find_map(|ev| match &ev.event {
+        UpdateEvent::AddPost(m) => Some((ev, m.clone())),
+        _ => None,
+    });
+    let (post_event, post) = post.expect("the stream holds a post");
+    let with = |ev: &TimedEvent, event| TimedEvent { event, ..ev.clone() };
+    // Good events first, so the refusal comes part-way through a batch.
+    let mut unknown_like = events(&batches[2..]).take(5).cloned().collect::<Vec<_>>();
+    let like = RawLike { message: MessageId(u64::MAX), ..like };
+    unknown_like.push(with(like_event, UpdateEvent::AddLikePost(like)));
+    let hostile_post = RawMessage { browser: 250, ..post };
+    let refused = [
+        ("an insert batch liking an unknown message", WriteOps::Updates(unknown_like)),
+        (
+            "a delete batch naming an unknown person",
+            WriteOps::Deletes(vec![DeleteOp::Person(u64::MAX)]),
+        ),
+        (
+            "a post whose browser index is 250",
+            WriteOps::Updates(vec![with(post_event, UpdateEvent::AddPost(hostile_post))]),
+        ),
+    ];
+
+    let server = start(&dir);
+    submit(&server, 1, &batches[0]).expect("first ack");
+    for (what, ops) in &refused {
+        let (kind, detail) = submit(&server, 2, ops).expect_err(what);
+        assert_eq!(kind, ErrorKind::BadRequest, "{what}: {detail}");
+        assert!(!server.is_degraded(), "{what} must not degrade the server");
+        probe_read(&server).expect("reads still answer");
+    }
+    let ok = submit(&server, 2, &batches[1]).expect("a good batch takes the refused seq");
+    assert_eq!((ok.rows, ok.fingerprint), (batches[1].len() as u64, 2));
+    let report = server.shutdown();
+    assert_eq!(report.bad_requests, refused.len() as u64);
+
+    // The log holds exactly the two acknowledged batches.
+    let rec = recover(&dir, &config(), SCALE, WalOptions::default()).unwrap();
+    assert_eq!((rec.report.last_seq, rec.report.wal_entries), (2, 2));
+    let oracle = oracle(&batches[..2]);
+    assert!(snb_store::encode_store(&rec.store) == snb_store::encode_store(&oracle));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

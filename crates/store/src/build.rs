@@ -24,8 +24,9 @@
 
 use snb_core::datetime::DateTime;
 use snb_core::model::{MessageKind, OrganisationKind, PlaceKind};
+use snb_core::SnbError;
 
-use snb_datagen::dictionaries::{StaticWorld, BROWSERS, COUNTRIES, TAGS, TAG_CLASSES};
+use snb_datagen::dictionaries::{StaticWorld, COUNTRIES, TAGS, TAG_CLASSES};
 use snb_datagen::graph::{
     RawForum, RawGraph, RawKnows, RawLike, RawMembership, RawMessage, RawPerson,
 };
@@ -34,6 +35,7 @@ use snb_datagen::{ActivitySink, GeneratorConfig};
 
 use crate::adj::Adj;
 use crate::columns::{Ix, NONE};
+use crate::insert::ListEdges;
 use crate::store::Store;
 
 /// How many persons each generation chunk holds. Small enough that a
@@ -44,7 +46,7 @@ const PERSON_CHUNK: usize = 4096;
 /// Builds a store from a generated graph, optionally excluding records
 /// at/after `cut` (pass `None` to load everything, or
 /// `Some(config.stream_cut())` to load only the bulk dataset and replay
-/// the tail through the insert API).
+/// the tail through [`Store::apply_event`]).
 pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>) -> Store {
     let mut b = StreamBuilder::new(world, cut);
     b.add_persons(&graph.persons);
@@ -61,7 +63,10 @@ pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>)
 /// Records must arrive in the generator's dependency order: all persons,
 /// then all `knows` edges, then activity (forums, memberships, messages
 /// and likes, interleaved as emitted or one kind after another). Records
-/// at/after the cut are skipped.
+/// at/after the cut are skipped. Each row goes through the row writer
+/// [`Store::apply_event`] uses; a row whose reference does not resolve
+/// panics, except a forum without its moderator, which is skipped like
+/// an edge with a missing end.
 pub struct StreamBuilder<'w> {
     world: &'w StaticWorld,
     cut: Option<DateTime>,
@@ -69,19 +74,21 @@ pub struct StreamBuilder<'w> {
 
     // Edge accumulators; the stable CSR counting sort in `finish` keeps
     // each source's neighbours in arrival order.
-    interest_edges: Vec<(Ix, Ix, ())>,
-    study_edges: Vec<(Ix, Ix, i32)>,
-    work_edges: Vec<(Ix, Ix, i32)>,
+    lists: ListEdges,
     city_edges: Vec<(Ix, Ix, ())>,
     knows_edges: Vec<(Ix, Ix, DateTime)>,
-    forum_tag_edges: Vec<(Ix, Ix, ())>,
     moderates: Vec<(Ix, Ix, ())>,
     member_edges: Vec<(Ix, Ix, DateTime)>,
-    tag_edges: Vec<(Ix, Ix, ())>,
     creator_edges: Vec<(Ix, Ix, ())>,
     forum_post_edges: Vec<(Ix, Ix, ())>,
     reply_edges: Vec<(Ix, Ix, ())>,
     like_edges: Vec<(Ix, Ix, DateTime)>,
+}
+
+/// A row the bulk load could not write: the generator broke its own
+/// dependency order.
+fn unloadable(e: SnbError) -> ! {
+    panic!("bulk load: {e}")
 }
 
 impl<'w> StreamBuilder<'w> {
@@ -94,15 +101,11 @@ impl<'w> StreamBuilder<'w> {
             world,
             cut,
             s,
-            interest_edges: Vec::new(),
-            study_edges: Vec::new(),
-            work_edges: Vec::new(),
+            lists: ListEdges::default(),
             city_edges: Vec::new(),
             knows_edges: Vec::new(),
-            forum_tag_edges: Vec::new(),
             moderates: Vec::new(),
             member_edges: Vec::new(),
-            tag_edges: Vec::new(),
             creator_edges: Vec::new(),
             forum_post_edges: Vec::new(),
             reply_edges: Vec::new(),
@@ -120,33 +123,11 @@ impl<'w> StreamBuilder<'w> {
             if !self.keep(p.creation_date) {
                 continue;
             }
-            let s = &mut self.s;
-            let ix = s.persons.len() as Ix;
-            s.person_ix.insert(p.id.0, ix);
-            s.persons.id.push(p.id.0);
-            s.persons.first_name.push(p.first_name);
-            s.persons.last_name.push(p.last_name);
-            s.persons.gender.push(p.gender);
-            s.persons.birthday.push(p.birthday);
-            s.persons.creation_date.push(p.creation_date);
-            s.persons.location_ip.push(&p.location_ip);
-            s.persons.browser.push(BROWSERS[p.browser as usize].0);
-            let city = s.place_ix[&p.city.0];
-            s.persons.city.push(city);
-            s.persons.emails.push_row(&p.emails);
-            s.persons
-                .speaks
-                .push_row(p.languages.iter().map(|&l| self.world.languages[l as usize]));
-            for t in &p.interests {
-                self.interest_edges.push((ix, s.tag_ix[&t.0], ()));
-            }
-            if let Some((org, year)) = p.study_at {
-                self.study_edges.push((ix, s.org_ix[&org.0], year));
-            }
-            for &(org, from) in &p.work_at {
-                self.work_edges.push((ix, s.org_ix[&org.0], from));
-            }
-            self.city_edges.push((city, ix, ()));
+            let ix = self
+                .s
+                .push_person(p, self.world, &mut self.lists)
+                .unwrap_or_else(|e| unloadable(e));
+            self.city_edges.push((self.s.persons.city[ix as usize], ix, ()));
         }
     }
 
@@ -171,18 +152,11 @@ impl<'w> StreamBuilder<'w> {
         if !self.keep(f.creation_date) {
             return;
         }
-        let s = &mut self.s;
-        let Some(&moderator) = s.person_ix.get(&f.moderator.0) else { return };
-        let ix = s.forums.len() as Ix;
-        s.forum_ix.insert(f.id.0, ix);
-        s.forums.id.push(f.id.0);
-        s.forums.title.push(&f.title);
-        s.forums.creation_date.push(f.creation_date);
-        s.forums.moderator.push(moderator);
-        for t in &f.tags {
-            self.forum_tag_edges.push((ix, s.tag_ix[&t.0], ()));
+        match self.s.push_forum(f, &mut self.lists) {
+            Ok(ix) => self.moderates.push((self.s.forums.moderator[ix as usize], ix, ())),
+            Err(SnbError::UnknownId { entity: "Person", .. }) => {}
+            Err(e) => unloadable(e),
         }
-        self.moderates.push((moderator, ix, ()));
     }
 
     /// Ingests one forum membership.
@@ -205,44 +179,13 @@ impl<'w> StreamBuilder<'w> {
         if !self.keep(m.creation_date) {
             return;
         }
-        let s = &mut self.s;
-        let ix = s.messages.len() as Ix;
-        s.message_ix.insert(m.id.0, ix);
-        s.messages.id.push(m.id.0);
-        s.messages.kind.push(m.kind);
-        s.messages.creation_date.push(m.creation_date);
-        let creator = s.person_ix[&m.creator.0];
-        s.messages.creator.push(creator);
-        s.messages.country.push(s.place_ix[&m.country.0]);
-        s.messages.browser.push(BROWSERS[m.browser as usize].0);
-        s.messages.location_ip.push(&m.location_ip);
-        s.messages.content.push(&m.content);
-        s.messages.length.push(m.length);
-        s.messages.image_file.push(m.image_file.as_deref().unwrap_or_default());
-        s.messages
-            .language
-            .push(m.language.map(|l| self.world.languages[l as usize]).unwrap_or_default());
-        let forum_ix = match m.forum {
-            Some(f) => s.forum_ix[&f.0],
-            None => NONE,
-        };
-        s.messages.forum.push(forum_ix);
-        let parent_ix = match m.reply_of {
-            Some(parent) => {
-                let p = s.message_ix[&parent.0];
-                self.reply_edges.push((p, ix, ()));
-                p
-            }
-            None => NONE,
-        };
-        s.messages.reply_of.push(parent_ix);
-        s.messages.root_post.push(s.message_ix[&m.root_post.0]);
-        for t in &m.tags {
-            self.tag_edges.push((ix, s.tag_ix[&t.0], ()));
-        }
-        self.creator_edges.push((creator, ix, ()));
-        if m.kind == MessageKind::Post {
-            self.forum_post_edges.push((forum_ix, ix, ()));
+        let ix =
+            self.s.push_message(m, self.world, &mut self.lists).unwrap_or_else(|e| unloadable(e));
+        let (cols, i) = (&self.s.messages, ix as usize);
+        self.creator_edges.push((cols.creator[i], ix, ()));
+        match cols.reply_of[i] {
+            NONE => self.forum_post_edges.push((cols.forum[i], ix, ())),
+            parent => self.reply_edges.push((parent, ix, ())),
         }
     }
 
@@ -267,15 +210,16 @@ impl<'w> StreamBuilder<'w> {
         let nf = s.forums.len();
         let nm = s.messages.len();
 
-        let (pi, ip) = crate::adj::forward_reverse(np, nt, &self.interest_edges);
+        let lists = &self.lists;
+        let (pi, ip) = crate::adj::forward_reverse(np, nt, &lists.interest);
         *s.person_interest = pi;
         *s.interest_person = ip;
-        *s.person_study = Adj::from_edges(np, &self.study_edges);
-        *s.person_work = Adj::from_edges(np, &self.work_edges);
+        *s.person_study = Adj::from_edges(np, &lists.study);
+        *s.person_work = Adj::from_edges(np, &lists.work);
         *s.city_person = Adj::from_edges(s.places.len(), &self.city_edges);
         *s.knows = Adj::from_edges(np, &self.knows_edges);
 
-        let (ft, tf) = crate::adj::forward_reverse(nf, nt, &self.forum_tag_edges);
+        let (ft, tf) = crate::adj::forward_reverse(nf, nt, &lists.forum_tag);
         *s.forum_tag = ft;
         *s.tag_forum = tf;
         *s.person_moderates = Adj::from_edges(np, &self.moderates);
@@ -284,7 +228,7 @@ impl<'w> StreamBuilder<'w> {
             self.member_edges.iter().map(|&(f, p, d)| (p, f, d)).collect();
         *s.member_forum = Adj::from_edges(np, &rev);
 
-        let (mt, tm) = crate::adj::forward_reverse(nm, nt, &self.tag_edges);
+        let (mt, tm) = crate::adj::forward_reverse(nm, nt, &lists.message_tag);
         *s.message_tag = mt;
         *s.tag_message = tm;
         *s.person_messages = Adj::from_edges(np, &self.creator_edges);

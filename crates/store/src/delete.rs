@@ -542,23 +542,31 @@ mod tests {
         s.validate_invariants().unwrap();
         // Reuse the freed id: a fresh person may take it.
         let city = s.places.id[s.persons.city[0] as usize];
-        s.insert_person(crate::insert::PersonInsert {
-            id: victim,
-            first_name: "Reborn".into(),
-            last_name: "User".into(),
+        let seed = GeneratorConfig::for_scale_name("0.001").unwrap().seed;
+        let world = snb_datagen::dictionaries::StaticWorld::build(seed);
+        let reborn = snb_datagen::graph::RawPerson {
+            id: snb_core::model::PersonId(victim),
+            first_name: "Reborn",
+            last_name: "User",
             gender: snb_core::model::Gender::Female,
             birthday: snb_core::Date::from_ymd(1991, 2, 3),
             creation_date: snb_core::DateTime(1_000_000),
             location_ip: "8.8.8.8".into(),
-            browser_used: "Safari".into(),
-            city_id: city,
-            speaks: vec!["en".into()],
+            browser: 3,
+            city: snb_core::model::PlaceId(city),
+            country: 0,
+            languages: vec![world.languages.iter().position(|&l| l == "en").unwrap() as u8],
             emails: vec![],
-            tag_ids: vec![0],
-            study_at: vec![],
+            interests: vec![snb_core::model::TagId(0)],
+            study_at: None,
             work_at: vec![],
-        })
-        .unwrap();
+        };
+        let event = snb_datagen::stream::TimedEvent {
+            timestamp: reborn.creation_date,
+            dependent: reborn.creation_date,
+            event: snb_datagen::stream::UpdateEvent::AddPerson(reborn),
+        };
+        s.apply_event(&event, &world).unwrap();
         assert_eq!(&s.persons.first_name[s.person(victim).unwrap() as usize], "Reborn");
         s.validate_invariants().unwrap();
     }

@@ -1,9 +1,18 @@
-//! Insert operations (Interactive updates IU 1–8).
+//! The write path: every insert reaches a [`Store`] as an update-stream
+//! event — the generator's `Raw*` records — through
+//! [`Store::apply_event`].
 //!
-//! Inserts append to the entity columns and to the adjacency overflow
-//! (see [`crate::adj::Adj::insert`]); no CSR rebuild happens on the
-//! write path, which keeps update latency flat — [`Store::compact`]
-//! can fold the overflow back in between benchmark phases.
+//! One row writer per entity (person, forum, message) serves both this
+//! path and the bulk builder ([`crate::StreamBuilder`]). A row writer
+//! resolves every reference of its record — ids, dictionary indices, the
+//! fields a post or a comment must (not) carry — to a typed
+//! [`SnbError`] before it writes anything, then appends the id-map
+//! entry and every column, and hands the record's list-valued edges back
+//! in a [`ListEdges`]. The builder keeps those for its CSR sort;
+//! `apply_event` appends them to the adjacency overflow (see
+//! [`crate::adj::Adj::insert`]), so no CSR rebuild happens on the write
+//! path, which keeps update latency flat — [`Store::compact`] can fold
+//! the overflow back in between benchmark phases.
 //!
 //! No insert writes a row that already exists: every column change is
 //! an append. The columns are [`AppendVec`](crate::append_vec::AppendVec)s,
@@ -11,449 +20,277 @@
 //! buffers the version shares, and an insert batch copies what it
 //! appends rather than the store.
 
-use snb_core::datetime::{Date, DateTime};
-use snb_core::model::{Gender, MessageKind};
+use snb_core::model::{MessageKind, PlaceKind};
 use snb_core::{SnbError, SnbResult};
 
 use snb_datagen::dictionaries::{StaticWorld, BROWSERS};
+use snb_datagen::graph::{RawForum, RawMessage, RawPerson};
 use snb_datagen::stream::{TimedEvent, UpdateEvent};
 
-use crate::columns::{Ix, NONE};
+use crate::columns::{IdMap, Ix, NONE};
 use crate::store::Store;
 
-/// Parameters of IU 1 (add Person).
-#[derive(Clone, Debug)]
-pub struct PersonInsert {
-    /// New person id (must be fresh).
-    pub id: u64,
-    /// First name.
-    pub first_name: String,
-    /// Surname.
-    pub last_name: String,
-    /// Gender.
-    pub gender: Gender,
-    /// Birthday.
-    pub birthday: Date,
-    /// Join timestamp.
-    pub creation_date: DateTime,
-    /// Registration IP.
-    pub location_ip: String,
-    /// Browser name.
-    pub browser_used: String,
-    /// Home city (raw place id).
-    pub city_id: u64,
-    /// Spoken languages.
-    pub speaks: Vec<String>,
-    /// Email addresses.
-    pub emails: Vec<String>,
-    /// Interest tag ids (raw).
-    pub tag_ids: Vec<u64>,
-    /// `(university id, classYear)` pairs.
-    pub study_at: Vec<(u64, i32)>,
-    /// `(company id, workFrom)` pairs.
-    pub work_at: Vec<(u64, i32)>,
+/// The list-valued edges of the rows the row writers append, each as
+/// `(row, target, payload)`.
+#[derive(Default)]
+pub(crate) struct ListEdges {
+    pub(crate) interest: Vec<(Ix, Ix, ())>,
+    pub(crate) study: Vec<(Ix, Ix, i32)>,
+    pub(crate) work: Vec<(Ix, Ix, i32)>,
+    pub(crate) forum_tag: Vec<(Ix, Ix, ())>,
+    pub(crate) message_tag: Vec<(Ix, Ix, ())>,
 }
 
-/// Parameters of IU 6 (add Post).
-#[derive(Clone, Debug)]
-pub struct PostInsert {
-    /// New post id.
-    pub id: u64,
-    /// Image file (empty for text posts).
-    pub image_file: String,
-    /// Creation timestamp.
-    pub creation_date: DateTime,
-    /// Origin IP.
-    pub location_ip: String,
-    /// Browser name.
-    pub browser_used: String,
-    /// Language (empty if none).
-    pub language: String,
-    /// Content (empty for image posts).
-    pub content: String,
-    /// Content length.
-    pub length: u32,
-    /// Author (raw person id).
-    pub author_person_id: u64,
-    /// Containing forum (raw id).
-    pub forum_id: u64,
-    /// Country (raw place id).
-    pub country_id: u64,
-    /// Tags (raw ids).
-    pub tag_ids: Vec<u64>,
+/// The dense index of `id` in `map`.
+fn lookup(map: &IdMap, entity: &'static str, id: u64) -> SnbResult<Ix> {
+    map.get(&id).copied().ok_or(SnbError::UnknownId { entity, id })
 }
 
-/// Parameters of IU 7 (add Comment).
-#[derive(Clone, Debug)]
-pub struct CommentInsert {
-    /// New comment id.
-    pub id: u64,
-    /// Creation timestamp.
-    pub creation_date: DateTime,
-    /// Origin IP.
-    pub location_ip: String,
-    /// Browser name.
-    pub browser_used: String,
-    /// Content.
-    pub content: String,
-    /// Content length.
-    pub length: u32,
-    /// Author (raw person id).
-    pub author_person_id: u64,
-    /// Country (raw place id).
-    pub country_id: u64,
-    /// Replied-to post id, or `-1` (spec encoding).
-    pub reply_to_post_id: i64,
-    /// Replied-to comment id, or `-1`.
-    pub reply_to_comment_id: i64,
-    /// Tags (raw ids).
-    pub tag_ids: Vec<u64>,
+/// Dictionary entry `ix` of `what` on the record `owner` names.
+fn entry<T: Copy>(entries: &[T], ix: u8, what: &str, owner: impl Fn() -> String) -> SnbResult<T> {
+    entries.get(ix as usize).copied().ok_or_else(|| {
+        SnbError::parse(owner(), format!("{what} index {ix} is past the dictionary's end"))
+    })
 }
 
-/// Parameters of IU 4 (add Forum).
-#[derive(Clone, Debug)]
-pub struct ForumInsert {
-    /// New forum id.
-    pub id: u64,
-    /// Title.
-    pub title: String,
-    /// Creation timestamp.
-    pub creation_date: DateTime,
-    /// Moderator (raw person id).
-    pub moderator_person_id: u64,
-    /// Topic tags (raw ids).
-    pub tag_ids: Vec<u64>,
+/// An error if `map` holds `id`: an insert never rewrites a row.
+fn fresh(map: &IdMap, entity: &str, id: u64) -> SnbResult<()> {
+    if map.contains_key(&id) {
+        return Err(SnbError::Config(format!("{entity} {id} already exists")));
+    }
+    Ok(())
 }
 
 impl Store {
-    /// IU 1 — inserts a Person node with its edges.
-    pub fn insert_person(&mut self, p: PersonInsert) -> SnbResult<Ix> {
-        if self.person_ix.contains_key(&p.id) {
-            return Err(SnbError::Config(format!("person {} already exists", p.id)));
-        }
-        let city = *self
-            .place_ix
-            .get(&p.city_id)
-            .ok_or(SnbError::UnknownId { entity: "Place", id: p.city_id })?;
-        let ix = self.persons.len() as Ix;
-        self.person_ix.insert(p.id, ix);
-        self.persons.id.push(p.id);
-        self.persons.first_name.push(p.first_name);
-        self.persons.last_name.push(p.last_name);
-        self.persons.gender.push(p.gender);
-        self.persons.birthday.push(p.birthday);
-        self.persons.creation_date.push(p.creation_date);
-        self.persons.location_ip.push(p.location_ip);
-        self.persons.browser.push(p.browser_used);
-        self.persons.city.push(city);
-        self.persons.emails.push_row(p.emails);
-        self.persons.speaks.push_row(p.speaks);
-
-        let n = self.persons.len();
-        self.knows.grow_sources(n);
-        self.person_interest.grow_sources(n);
-        self.person_study.grow_sources(n);
-        self.person_work.grow_sources(n);
-        self.member_forum.grow_sources(n);
-        self.person_messages.grow_sources(n);
-        self.person_likes.grow_sources(n);
-        self.person_moderates.grow_sources(n);
-        self.city_person.insert(city, ix, ());
-        for t in p.tag_ids {
-            let tix = *self.tag_ix.get(&t).ok_or(SnbError::UnknownId { entity: "Tag", id: t })?;
-            self.person_interest.insert(ix, tix, ());
-            self.interest_person.insert(tix, ix, ());
-        }
-        for (org, year) in p.study_at {
-            let o = *self
-                .org_ix
-                .get(&org)
-                .ok_or(SnbError::UnknownId { entity: "Organisation", id: org })?;
-            self.person_study.insert(ix, o, year);
-        }
-        for (org, from) in p.work_at {
-            let o = *self
-                .org_ix
-                .get(&org)
-                .ok_or(SnbError::UnknownId { entity: "Organisation", id: org })?;
-            self.person_work.insert(ix, o, from);
+    /// A place of the given kind.
+    fn place_of_kind(&self, id: u64, kind: PlaceKind) -> SnbResult<Ix> {
+        let ix = lookup(&self.place_ix, "Place", id)?;
+        if self.places.kind[ix as usize] != kind {
+            return Err(SnbError::parse(format!("Place {id}"), format!("is not a {kind:?}")));
         }
         Ok(ix)
     }
 
-    /// IU 2 / IU 3 — inserts a like.
-    pub fn insert_like(&mut self, person: u64, message: u64, date: DateTime) -> SnbResult<()> {
-        let p = self.person(person)?;
-        let m = self.message(message)?;
-        self.person_likes.insert(p, m, date);
-        self.message_likes.insert(m, p, date);
-        Ok(())
-    }
-
-    /// IU 4 — inserts a Forum.
-    pub fn insert_forum(&mut self, f: ForumInsert) -> SnbResult<Ix> {
-        if self.forum_ix.contains_key(&f.id) {
-            return Err(SnbError::Config(format!("forum {} already exists", f.id)));
-        }
-        let moderator = self.person(f.moderator_person_id)?;
-        let ix = self.forums.len() as Ix;
-        self.forum_ix.insert(f.id, ix);
-        self.forums.id.push(f.id);
-        self.forums.title.push(f.title);
-        self.forums.creation_date.push(f.creation_date);
-        self.forums.moderator.push(moderator);
-        let n = self.forums.len();
-        self.forum_member.grow_sources(n);
-        self.forum_tag.grow_sources(n);
-        self.forum_posts.grow_sources(n);
-        self.person_moderates.insert(moderator, ix, ());
-        for t in f.tag_ids {
-            let tix = *self.tag_ix.get(&t).ok_or(SnbError::UnknownId { entity: "Tag", id: t })?;
-            self.forum_tag.insert(ix, tix, ());
-            self.tag_forum.insert(tix, ix, ());
-        }
-        Ok(ix)
-    }
-
-    /// IU 5 — inserts a forum membership.
-    pub fn insert_membership(&mut self, person: u64, forum: u64, join: DateTime) -> SnbResult<()> {
-        let p = self.person(person)?;
-        let f = self.forum(forum)?;
-        self.forum_member.insert(f, p, join);
-        self.member_forum.insert(p, f, join);
-        Ok(())
-    }
-
-    /// IU 6 — inserts a Post.
-    pub fn insert_post(&mut self, post: PostInsert) -> SnbResult<Ix> {
-        if self.message_ix.contains_key(&post.id) {
-            return Err(SnbError::Config(format!("message {} already exists", post.id)));
-        }
-        let creator = self.person(post.author_person_id)?;
-        let forum = self.forum(post.forum_id)?;
-        let country = *self
-            .place_ix
-            .get(&post.country_id)
-            .ok_or(SnbError::UnknownId { entity: "Place", id: post.country_id })?;
-        let ix = self.push_message_row(
-            post.id,
-            MessageKind::Post,
-            post.creation_date,
-            creator,
-            country,
-            post.browser_used,
-            post.location_ip,
-            post.content,
-            post.length,
-            post.image_file,
-            post.language,
-            forum,
-            NONE,
-            None,
-        );
-        self.forum_posts.insert(forum, ix, ());
-        for t in post.tag_ids {
-            let tix = *self.tag_ix.get(&t).ok_or(SnbError::UnknownId { entity: "Tag", id: t })?;
-            self.message_tag.insert(ix, tix, ());
-            self.tag_message.insert(tix, ix, ());
-        }
-        Ok(ix)
-    }
-
-    /// IU 7 — inserts a Comment replying to a Post or Comment.
-    pub fn insert_comment(&mut self, c: CommentInsert) -> SnbResult<Ix> {
-        if self.message_ix.contains_key(&c.id) {
-            return Err(SnbError::Config(format!("message {} already exists", c.id)));
-        }
-        let creator = self.person(c.author_person_id)?;
-        let country = *self
-            .place_ix
-            .get(&c.country_id)
-            .ok_or(SnbError::UnknownId { entity: "Place", id: c.country_id })?;
-        let parent_id = if c.reply_to_post_id >= 0 {
-            c.reply_to_post_id as u64
-        } else {
-            c.reply_to_comment_id as u64
-        };
-        let parent = self.message(parent_id)?;
-        let root = self.messages.root_post[parent as usize];
-        let ix = self.push_message_row(
-            c.id,
-            MessageKind::Comment,
-            c.creation_date,
-            creator,
-            country,
-            c.browser_used,
-            c.location_ip,
-            c.content,
-            c.length,
-            String::new(),
-            String::new(),
-            NONE,
-            parent,
-            Some(root),
-        );
-        self.message_replies.insert(parent, ix, ());
-        for t in c.tag_ids {
-            let tix = *self.tag_ix.get(&t).ok_or(SnbError::UnknownId { entity: "Tag", id: t })?;
-            self.message_tag.insert(ix, tix, ());
-            self.tag_message.insert(tix, ix, ());
-        }
-        Ok(ix)
-    }
-
-    /// IU 8 — inserts a friendship (both directions).
-    pub fn insert_knows(&mut self, p1: u64, p2: u64, date: DateTime) -> SnbResult<()> {
-        let a = self.person(p1)?;
-        let b = self.person(p2)?;
-        self.knows.insert(a, b, date);
-        self.knows.insert(b, a, date);
-        Ok(())
-    }
-
-    /// Appends one message row and its creator edge; `root_post` is
-    /// the thread's root, `None` for a post (its own root).
-    #[allow(clippy::too_many_arguments)]
-    fn push_message_row(
+    /// Appends a person row (id-map entry and every column); its
+    /// interests, university and employers go to `edges`.
+    pub(crate) fn push_person(
         &mut self,
-        id: u64,
-        kind: MessageKind,
-        creation_date: DateTime,
-        creator: Ix,
-        country: Ix,
-        browser: String,
-        location_ip: String,
-        content: String,
-        length: u32,
-        image_file: String,
-        language: String,
-        forum: Ix,
-        reply_of: Ix,
-        root_post: Option<Ix>,
-    ) -> Ix {
+        p: &RawPerson,
+        world: &StaticWorld,
+        edges: &mut ListEdges,
+    ) -> SnbResult<Ix> {
+        let owner = || format!("Person {}", p.id.0);
+        let city = self.place_of_kind(p.city.0, PlaceKind::City)?;
+        let browser = entry(BROWSERS, p.browser, "browser", owner)?.0;
+        for &l in &p.languages {
+            entry(&world.languages, l, "language", owner)?;
+        }
+        let ix = self.persons.len() as Ix;
+        for t in &p.interests {
+            edges.interest.push((ix, lookup(&self.tag_ix, "Tag", t.0)?, ()));
+        }
+        if let Some((org, year)) = p.study_at {
+            edges.study.push((ix, lookup(&self.org_ix, "Organisation", org.0)?, year));
+        }
+        for &(org, from) in &p.work_at {
+            edges.work.push((ix, lookup(&self.org_ix, "Organisation", org.0)?, from));
+        }
+        self.person_ix.insert(p.id.0, ix);
+        let cols = &mut *self.persons;
+        cols.id.push(p.id.0);
+        cols.first_name.push(p.first_name);
+        cols.last_name.push(p.last_name);
+        cols.gender.push(p.gender);
+        cols.birthday.push(p.birthday);
+        cols.creation_date.push(p.creation_date);
+        cols.location_ip.push(&p.location_ip);
+        cols.browser.push(browser);
+        cols.city.push(city);
+        cols.emails.push_row(&p.emails);
+        cols.speaks.push_row(p.languages.iter().map(|&l| world.languages[l as usize]));
+        Ok(ix)
+    }
+
+    /// Appends a forum row; its topic tags go to `edges`.
+    pub(crate) fn push_forum(&mut self, f: &RawForum, edges: &mut ListEdges) -> SnbResult<Ix> {
+        let moderator = self.person(f.moderator.0)?;
+        let ix = self.forums.len() as Ix;
+        for t in &f.tags {
+            edges.forum_tag.push((ix, lookup(&self.tag_ix, "Tag", t.0)?, ()));
+        }
+        self.forum_ix.insert(f.id.0, ix);
+        let cols = &mut *self.forums;
+        cols.id.push(f.id.0);
+        cols.title.push(&f.title);
+        cols.creation_date.push(f.creation_date);
+        cols.moderator.push(moderator);
+        Ok(ix)
+    }
+
+    /// Appends a post or comment row; its tags go to `edges`. A post
+    /// needs a forum and no parent, a comment a parent and no forum; a
+    /// comment's root post is its parent's.
+    pub(crate) fn push_message(
+        &mut self,
+        m: &RawMessage,
+        world: &StaticWorld,
+        edges: &mut ListEdges,
+    ) -> SnbResult<Ix> {
+        let owner = || format!("Message {}", m.id.0);
+        let creator = self.person(m.creator.0)?;
+        let country = self.place_of_kind(m.country.0, PlaceKind::Country)?;
+        let browser = entry(BROWSERS, m.browser, "browser", owner)?.0;
+        let language = match m.language {
+            Some(l) => entry(&world.languages, l, "language", owner)?,
+            None => "",
+        };
         let ix = self.messages.len() as Ix;
-        self.message_ix.insert(id, ix);
-        self.messages.id.push(id);
-        self.messages.kind.push(kind);
-        self.messages.creation_date.push(creation_date);
-        self.messages.creator.push(creator);
-        self.messages.country.push(country);
-        self.messages.browser.push(browser);
-        self.messages.location_ip.push(location_ip);
-        self.messages.content.push(content);
-        self.messages.length.push(length);
-        self.messages.image_file.push(image_file);
-        self.messages.language.push(language);
-        self.messages.forum.push(forum);
-        self.messages.reply_of.push(reply_of);
-        self.messages.root_post.push(root_post.unwrap_or(ix));
+        let (forum, reply_of, root_post) = match (m.kind, m.forum, m.reply_of) {
+            (MessageKind::Post, Some(forum), None) => (self.forum(forum.0)?, NONE, ix),
+            (MessageKind::Comment, None, Some(parent)) => {
+                let parent = self.message(parent.0)?;
+                (NONE, parent, self.messages.root_post[parent as usize])
+            }
+            (kind, ..) => {
+                let want = match kind {
+                    MessageKind::Post => "a forum and no parent",
+                    MessageKind::Comment => "a parent and no forum",
+                };
+                return Err(SnbError::parse(owner(), format!("a {kind:?} needs {want}")));
+            }
+        };
+        for t in &m.tags {
+            edges.message_tag.push((ix, lookup(&self.tag_ix, "Tag", t.0)?, ()));
+        }
+        self.message_ix.insert(m.id.0, ix);
+        let cols = &mut *self.messages;
+        cols.id.push(m.id.0);
+        cols.kind.push(m.kind);
+        cols.creation_date.push(m.creation_date);
+        cols.creator.push(creator);
+        cols.country.push(country);
+        cols.browser.push(browser);
+        cols.location_ip.push(&m.location_ip);
+        cols.content.push(&m.content);
+        cols.length.push(m.length);
+        cols.image_file.push(m.image_file.as_deref().unwrap_or_default());
+        cols.language.push(language);
+        cols.forum.push(forum);
+        cols.reply_of.push(reply_of);
+        cols.root_post.push(root_post);
+        Ok(ix)
+    }
+
+    /// Applies one update-stream event (IU 1–8). Every reference must
+    /// resolve and a new entity's id must be fresh; an event that fails
+    /// either check returns a typed error and writes nothing.
+    pub fn apply_event(&mut self, event: &TimedEvent, world: &StaticWorld) -> SnbResult<()> {
+        let mut edges = ListEdges::default();
+        match &event.event {
+            UpdateEvent::AddPerson(p) => {
+                fresh(&self.person_ix, "person", p.id.0)?;
+                let ix = self.push_person(p, world, &mut edges)?;
+                let n = self.persons.len();
+                self.knows.grow_sources(n);
+                self.person_interest.grow_sources(n);
+                self.person_study.grow_sources(n);
+                self.person_work.grow_sources(n);
+                self.member_forum.grow_sources(n);
+                self.person_messages.grow_sources(n);
+                self.person_likes.grow_sources(n);
+                self.person_moderates.grow_sources(n);
+                self.city_person.insert(self.persons.city[ix as usize], ix, ());
+                for &(_, tag, ()) in &edges.interest {
+                    self.person_interest.insert(ix, tag, ());
+                    self.interest_person.insert(tag, ix, ());
+                }
+                for &(_, org, year) in &edges.study {
+                    self.person_study.insert(ix, org, year);
+                }
+                for &(_, org, from) in &edges.work {
+                    self.person_work.insert(ix, org, from);
+                }
+            }
+            UpdateEvent::AddLikePost(l) | UpdateEvent::AddLikeComment(l) => {
+                let p = self.person(l.person.0)?;
+                let m = self.message(l.message.0)?;
+                self.person_likes.insert(p, m, l.creation_date);
+                self.message_likes.insert(m, p, l.creation_date);
+            }
+            UpdateEvent::AddForum(f) => {
+                fresh(&self.forum_ix, "forum", f.id.0)?;
+                let ix = self.push_forum(f, &mut edges)?;
+                let n = self.forums.len();
+                self.forum_member.grow_sources(n);
+                self.forum_tag.grow_sources(n);
+                self.forum_posts.grow_sources(n);
+                self.person_moderates.insert(self.forums.moderator[ix as usize], ix, ());
+                for &(_, tag, ()) in &edges.forum_tag {
+                    self.forum_tag.insert(ix, tag, ());
+                    self.tag_forum.insert(tag, ix, ());
+                }
+            }
+            UpdateEvent::AddMembership(m) => {
+                let p = self.person(m.person.0)?;
+                let f = self.forum(m.forum.0)?;
+                self.forum_member.insert(f, p, m.join_date);
+                self.member_forum.insert(p, f, m.join_date);
+            }
+            UpdateEvent::AddPost(m) => self.add_message(m, MessageKind::Post, world)?,
+            UpdateEvent::AddComment(m) => self.add_message(m, MessageKind::Comment, world)?,
+            UpdateEvent::AddKnows(k) => {
+                let a = self.person(k.a.0)?;
+                let b = self.person(k.b.0)?;
+                self.knows.insert(a, b, k.creation_date);
+                self.knows.insert(b, a, k.creation_date);
+            }
+        }
+        Ok(())
+    }
+
+    /// Inserts a message whose event says it is a `kind`: the row, then
+    /// its adjacency sources, its edges and its place in the date index.
+    fn add_message(
+        &mut self,
+        m: &RawMessage,
+        kind: MessageKind,
+        world: &StaticWorld,
+    ) -> SnbResult<()> {
+        if m.kind != kind {
+            let detail = format!("a {:?} record in an add-{kind:?} event", m.kind);
+            return Err(SnbError::parse(format!("Message {}", m.id.0), detail));
+        }
+        fresh(&self.message_ix, "message", m.id.0)?;
+        let mut edges = ListEdges::default();
+        let ix = self.push_message(m, world, &mut edges)?;
         let n = self.messages.len();
         self.message_tag.grow_sources(n);
         self.message_replies.grow_sources(n);
         self.message_likes.grow_sources(n);
-        self.person_messages.insert(creator, ix, ());
+        let m = ix as usize;
+        self.person_messages.insert(self.messages.creator[m], ix, ());
         // Keep the date permutation index fresh when the insert arrives
         // in `(creation_date, ix)` order — true for the time-ordered
         // update stream — so steady-state reads never hit the O(n)
         // linear-scan fallback. Out-of-order inserts leave the index
         // stale for the driver's batch-boundary rebuild to repair.
-        if self.message_by_date.len() == ix as usize {
+        if self.message_by_date.len() == m {
+            let date = self.messages.creation_date[m];
             let in_order = match self.message_by_date.last() {
                 None => true,
-                Some(&prev) => {
-                    (self.messages.creation_date[prev as usize], prev) < (creation_date, ix)
-                }
+                Some(&prev) => (self.messages.creation_date[prev as usize], prev) < (date, ix),
             };
             if in_order {
                 self.message_by_date.push(ix);
             }
         }
-        ix
-    }
-
-    /// Applies one datagen update-stream event (used by the driver to
-    /// replay the withheld tail against the bulk-loaded store).
-    pub fn apply_event(&mut self, event: &TimedEvent, world: &StaticWorld) -> SnbResult<()> {
-        match &event.event {
-            UpdateEvent::AddPerson(p) => {
-                self.insert_person(PersonInsert {
-                    id: p.id.0,
-                    first_name: p.first_name.to_string(),
-                    last_name: p.last_name.to_string(),
-                    gender: p.gender,
-                    birthday: p.birthday,
-                    creation_date: p.creation_date,
-                    location_ip: p.location_ip.clone(),
-                    browser_used: BROWSERS[p.browser as usize].0.to_string(),
-                    city_id: p.city.0,
-                    speaks: p
-                        .languages
-                        .iter()
-                        .map(|&l| world.languages[l as usize].to_string())
-                        .collect(),
-                    emails: p.emails.clone(),
-                    tag_ids: p.interests.iter().map(|t| t.0).collect(),
-                    study_at: p.study_at.map(|(o, y)| (o.0, y)).into_iter().collect(),
-                    work_at: p.work_at.iter().map(|&(o, y)| (o.0, y)).collect(),
-                })?;
-            }
-            UpdateEvent::AddLikePost(l) | UpdateEvent::AddLikeComment(l) => {
-                self.insert_like(l.person.0, l.message.0, l.creation_date)?;
-            }
-            UpdateEvent::AddForum(f) => {
-                self.insert_forum(ForumInsert {
-                    id: f.id.0,
-                    title: f.title.clone(),
-                    creation_date: f.creation_date,
-                    moderator_person_id: f.moderator.0,
-                    tag_ids: f.tags.iter().map(|t| t.0).collect(),
-                })?;
-            }
-            UpdateEvent::AddMembership(m) => {
-                self.insert_membership(m.person.0, m.forum.0, m.join_date)?;
-            }
-            UpdateEvent::AddPost(p) => {
-                self.insert_post(PostInsert {
-                    id: p.id.0,
-                    image_file: p.image_file.clone().unwrap_or_default(),
-                    creation_date: p.creation_date,
-                    location_ip: p.location_ip.clone(),
-                    browser_used: BROWSERS[p.browser as usize].0.to_string(),
-                    language: p
-                        .language
-                        .map(|l| world.languages[l as usize].to_string())
-                        .unwrap_or_default(),
-                    content: p.content.clone(),
-                    length: p.length,
-                    author_person_id: p.creator.0,
-                    forum_id: p.forum.expect("post has forum").0,
-                    country_id: p.country.0,
-                    tag_ids: p.tags.iter().map(|t| t.0).collect(),
-                })?;
-            }
-            UpdateEvent::AddComment(c) => {
-                let parent = c.reply_of.expect("comment has parent").0;
-                // The raw graph keeps posts and comments in one id space;
-                // resolve which side the parent is on.
-                let parent_ix = self.message(parent)?;
-                let parent_is_post = self.messages.is_post(parent_ix);
-                self.insert_comment(CommentInsert {
-                    id: c.id.0,
-                    creation_date: c.creation_date,
-                    location_ip: c.location_ip.clone(),
-                    browser_used: BROWSERS[c.browser as usize].0.to_string(),
-                    content: c.content.clone(),
-                    length: c.length,
-                    author_person_id: c.creator.0,
-                    country_id: c.country.0,
-                    reply_to_post_id: if parent_is_post { parent as i64 } else { -1 },
-                    reply_to_comment_id: if parent_is_post { -1 } else { parent as i64 },
-                    tag_ids: c.tags.iter().map(|t| t.0).collect(),
-                })?;
-            }
-            UpdateEvent::AddKnows(k) => {
-                self.insert_knows(k.a.0, k.b.0, k.creation_date)?;
-            }
+        match self.messages.reply_of[m] {
+            NONE => self.forum_posts.insert(self.messages.forum[m], ix, ()),
+            parent => self.message_replies.insert(parent, ix, ()),
+        }
+        for &(_, tag, ()) in &edges.message_tag {
+            self.message_tag.insert(ix, tag, ());
+            self.tag_message.insert(tag, ix, ());
         }
         Ok(())
     }
@@ -464,7 +301,11 @@ mod tests {
     use super::*;
     use crate::build::{bulk_store_and_stream, store_for_config};
     use crate::intern::{PackCol, SymCol};
+    use crate::Adj;
+    use snb_core::datetime::{Date, DateTime};
+    use snb_core::model::{ForumId, Gender, MessageId, PersonId, PlaceId, TagId};
     use snb_core::scale::ScaleFactor;
+    use snb_datagen::graph::RawKnows;
     use snb_datagen::GeneratorConfig;
 
     fn config(n: u64) -> GeneratorConfig {
@@ -473,28 +314,111 @@ mod tests {
         c
     }
 
+    fn world() -> StaticWorld {
+        StaticWorld::build(config(0).seed)
+    }
+
+    /// The index of language `code` in the world's dictionary.
+    fn language(world: &StaticWorld, code: &str) -> u8 {
+        world.languages.iter().position(|&l| l == code).expect("known language") as u8
+    }
+
+    fn event(event: UpdateEvent) -> TimedEvent {
+        TimedEvent { timestamp: DateTime(0), dependent: DateTime(0), event }
+    }
+
+    fn add_person(s: &mut Store, p: RawPerson, world: &StaticWorld) -> SnbResult<Ix> {
+        let id = p.id.0;
+        s.apply_event(&event(UpdateEvent::AddPerson(p)), world)?;
+        s.person(id)
+    }
+
+    fn add_message(s: &mut Store, m: RawMessage, world: &StaticWorld) -> SnbResult<Ix> {
+        let id = m.id.0;
+        let e = match m.kind {
+            MessageKind::Post => UpdateEvent::AddPost(m),
+            MessageKind::Comment => UpdateEvent::AddComment(m),
+        };
+        s.apply_event(&event(e), world)?;
+        s.message(id)
+    }
+
+    fn person(id: u64, city_id: u64, world: &StaticWorld) -> RawPerson {
+        RawPerson {
+            id: PersonId(id),
+            first_name: "Ada",
+            last_name: "Lovelace",
+            gender: Gender::Female,
+            birthday: Date::from_ymd(1990, 5, 5),
+            creation_date: DateTime::from_parts(2013, 6, 1, 12, 0, 0, 0),
+            location_ip: "1.2.3.4".into(),
+            browser: 0,
+            city: PlaceId(city_id),
+            country: 0,
+            languages: vec![language(world, "en")],
+            emails: vec![format!("{id}@example.com")],
+            interests: vec![TagId(0), TagId(1)],
+            study_at: None,
+            work_at: vec![],
+        }
+    }
+
+    fn post(
+        id: u64,
+        author: u64,
+        forum_id: u64,
+        country_id: u64,
+        world: &StaticWorld,
+    ) -> RawMessage {
+        RawMessage {
+            id: MessageId(id),
+            kind: MessageKind::Post,
+            creation_date: DateTime::from_parts(2013, 6, 2, 12, 0, 0, 0),
+            creator: PersonId(author),
+            country: PlaceId(country_id),
+            location_ip: "1.2.3.4".into(),
+            browser: 0,
+            content: format!("post {id}"),
+            length: 9,
+            image_file: None,
+            language: Some(language(world, "en")),
+            forum: Some(ForumId(forum_id)),
+            reply_of: None,
+            root_post: MessageId(id),
+            tags: vec![TagId(2)],
+        }
+    }
+
+    /// A comment replying to `parent`; the store takes its root post
+    /// from the parent's row, not from the record's `root_post`.
+    fn comment(id: u64, author: u64, parent: u64, country_id: u64, date: DateTime) -> RawMessage {
+        RawMessage {
+            id: MessageId(id),
+            kind: MessageKind::Comment,
+            creation_date: date,
+            creator: PersonId(author),
+            country: PlaceId(country_id),
+            location_ip: "9.9.9.9".into(),
+            browser: 4,
+            content: "interesting".into(),
+            length: 11,
+            image_file: None,
+            language: None,
+            forum: None,
+            reply_of: Some(MessageId(parent)),
+            root_post: MessageId(parent),
+            tags: vec![TagId(3)],
+        }
+    }
+
     #[test]
     fn insert_person_then_lookup() {
         let mut s = store_for_config(&config(40));
+        let world = world();
         let city = s.places.id[s.persons.city[0] as usize];
-        let ix = s
-            .insert_person(PersonInsert {
-                id: 999_999,
-                first_name: "Ada".into(),
-                last_name: "Lovelace".into(),
-                gender: Gender::Female,
-                birthday: Date::from_ymd(1990, 5, 5),
-                creation_date: DateTime::from_parts(2012, 6, 1, 12, 0, 0, 0),
-                location_ip: "1.2.3.4".into(),
-                browser_used: "Firefox".into(),
-                city_id: city,
-                speaks: vec!["en".into()],
-                emails: vec!["ada@example.com".into()],
-                tag_ids: vec![0, 1],
-                study_at: vec![],
-                work_at: vec![(s.organisations.id[0], 2010)],
-            })
-            .unwrap();
+        let mut p = person(999_999, city, &world);
+        p.work_at = vec![(snb_core::model::OrganisationId(s.organisations.id[0]), 2010)];
+        let ix = add_person(&mut s, p, &world).unwrap();
         assert_eq!(s.person(999_999).unwrap(), ix);
         assert_eq!(s.person_interest.targets_of(ix).count(), 2);
         assert!(s.interest_person.targets_of(0).any(|p| p == ix));
@@ -504,24 +428,10 @@ mod tests {
     #[test]
     fn duplicate_person_rejected() {
         let mut s = store_for_config(&config(40));
+        let world = world();
         let existing = s.persons.id[0];
         let city = s.places.id[s.persons.city[0] as usize];
-        let err = s.insert_person(PersonInsert {
-            id: existing,
-            first_name: "X".into(),
-            last_name: "Y".into(),
-            gender: Gender::Male,
-            birthday: Date::from_ymd(1990, 1, 1),
-            creation_date: DateTime(0),
-            location_ip: String::new(),
-            browser_used: String::new(),
-            city_id: city,
-            speaks: vec![],
-            emails: vec![],
-            tag_ids: vec![],
-            study_at: vec![],
-            work_at: vec![],
-        });
+        let err = add_person(&mut s, person(existing, city, &world), &world);
         assert!(err.is_err());
     }
 
@@ -530,7 +440,9 @@ mod tests {
         let mut s = store_for_config(&config(40));
         let (a, b) = (s.persons.id[0], s.persons.id[1]);
         let before = s.knows.edge_count();
-        s.insert_knows(a, b, DateTime(123)).unwrap();
+        let k =
+            RawKnows { a: PersonId(a), b: PersonId(b), creation_date: DateTime(123), dimension: 0 };
+        s.apply_event(&event(UpdateEvent::AddKnows(k)), &world()).unwrap();
         assert_eq!(s.knows.edge_count(), before + 2);
         let ai = s.person(a).unwrap();
         let bi = s.person(b).unwrap();
@@ -541,46 +453,83 @@ mod tests {
     #[test]
     fn insert_comment_threads_correctly() {
         let mut s = store_for_config(&config(40));
+        let world = world();
         // Find a post.
         let post = (0..s.messages.len() as Ix).find(|&m| s.messages.is_post(m)).unwrap();
         let post_id = s.messages.id[post as usize];
         let author = s.persons.id[0];
         let country = s.places.id[s.messages.country[post as usize] as usize];
-        let cix = s
-            .insert_comment(CommentInsert {
-                id: 5_000_000,
-                creation_date: DateTime(s.messages.creation_date[post as usize].0 + 1000),
-                location_ip: "9.9.9.9".into(),
-                browser_used: "Opera".into(),
-                content: "interesting".into(),
-                length: 11,
-                author_person_id: author,
-                country_id: country,
-                reply_to_post_id: post_id as i64,
-                reply_to_comment_id: -1,
-                tag_ids: vec![3],
-            })
+        let date = DateTime(s.messages.creation_date[post as usize].0 + 1000);
+        let cix = add_message(&mut s, comment(5_000_000, author, post_id, country, date), &world)
             .unwrap();
         assert_eq!(s.messages.reply_of[cix as usize], post);
         assert_eq!(s.messages.root_post[cix as usize], post);
         assert!(s.message_replies.targets_of(post).any(|r| r == cix));
         // Reply to the new comment: root must stay the post.
-        let c2 = s
-            .insert_comment(CommentInsert {
-                id: 5_000_001,
-                creation_date: DateTime(s.messages.creation_date[cix as usize].0 + 1000),
-                location_ip: "9.9.9.9".into(),
-                browser_used: "Opera".into(),
-                content: "agree".into(),
-                length: 5,
-                author_person_id: author,
-                country_id: country,
-                reply_to_post_id: -1,
-                reply_to_comment_id: 5_000_000,
-                tag_ids: vec![],
-            })
-            .unwrap();
+        let date = DateTime(s.messages.creation_date[cix as usize].0 + 1000);
+        let mut reply = comment(5_000_001, author, 5_000_000, country, date);
+        reply.tags.clear();
+        let c2 = add_message(&mut s, reply, &world).unwrap();
         assert_eq!(s.messages.root_post[c2 as usize], post);
+    }
+
+    #[test]
+    fn hostile_record_fields_are_typed_errors_that_write_nothing() {
+        let s = store_for_config(&config(40));
+        let world = world();
+        let image = crate::encode_store(&s);
+        let city = s.places.id[s.persons.city[0] as usize];
+        let country = s.places.id[s.messages.country[0] as usize];
+        let (author, forum) = (s.persons.id[0], s.forums.id[0]);
+        let good_post = || post(7_000_000, author, forum, country, &world);
+        let parent = s.messages.id[0];
+        let good_comment = || comment(7_000_001, author, parent, country, DateTime(0));
+        let with = |f: &dyn Fn(&mut RawPerson)| {
+            let mut p = person(7_000_002, city, &world);
+            f(&mut p);
+            UpdateEvent::AddPerson(p)
+        };
+        let post_with = |f: &dyn Fn(&mut RawMessage)| {
+            let mut m = good_post();
+            f(&mut m);
+            UpdateEvent::AddPost(m)
+        };
+        let cases = [
+            ("person browser past the dictionary", with(&|p| p.browser = BROWSERS.len() as u8)),
+            ("person browser 250", with(&|p| p.browser = 250)),
+            ("person language out of range", with(&|p| p.languages.push(250))),
+            ("person city is a country", with(&|p| p.city = PlaceId(country))),
+            ("person interest unknown", with(&|p| p.interests.push(TagId(u64::MAX)))),
+            ("post browser 250", post_with(&|m| m.browser = 250)),
+            ("post language out of range", post_with(&|m| m.language = Some(250))),
+            ("post without a forum", post_with(&|m| m.forum = None)),
+            ("post with a parent", post_with(&|m| m.reply_of = Some(MessageId(parent)))),
+            ("post carrying MessageKind::Comment", post_with(&|m| m.kind = MessageKind::Comment)),
+            ("post in an unknown forum", post_with(&|m| m.forum = Some(ForumId(u64::MAX)))),
+            ("post tag unknown", post_with(&|m| m.tags.push(TagId(u64::MAX)))),
+            ("comment without a parent", {
+                let mut c = good_comment();
+                c.reply_of = None;
+                UpdateEvent::AddComment(c)
+            }),
+            ("comment replying to an unknown message", {
+                let mut c = good_comment();
+                c.reply_of = Some(MessageId(u64::MAX));
+                UpdateEvent::AddComment(c)
+            }),
+            ("comment carrying MessageKind::Post", UpdateEvent::AddComment(good_post())),
+        ];
+        for (what, e) in cases {
+            let mut t = s.clone();
+            assert!(t.apply_event(&event(e), &world).is_err(), "{what} must be refused");
+            assert!(crate::encode_store(&t) == image, "{what} wrote to the store");
+        }
+        // The unmodified records apply.
+        let mut t = s.clone();
+        add_person(&mut t, person(7_000_002, city, &world), &world).unwrap();
+        add_message(&mut t, good_post(), &world).unwrap();
+        add_message(&mut t, good_comment(), &world).unwrap();
+        t.validate_invariants().unwrap();
     }
 
     #[test]
@@ -605,10 +554,121 @@ mod tests {
         bulk.validate_invariants().unwrap();
     }
 
+    /// `u`'s neighbours in `adj` as sorted `(raw id, payload)` pairs.
+    fn neighbours<P: Copy + Ord>(adj: &Adj<P>, u: Ix, ids: &[u64]) -> Vec<(u64, P)> {
+        let mut out: Vec<(u64, P)> = adj.neighbors(u).map(|(v, p)| (ids[v as usize], p)).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The raw id at `ix`, `None` for an absent reference.
+    fn raw(ids: &[u64], ix: Ix) -> Option<u64> {
+        (ix != NONE).then(|| ids[ix as usize])
+    }
+
+    /// Every column and neighbour set of the person, forum and message
+    /// with raw id `id`, each reference as a raw id, so that two stores
+    /// that number their rows apart compare.
+    fn rows(s: &Store, id: u64) -> [Option<String>; 3] {
+        let (people, forums, messages) = (&s.persons.id, &s.forums.id, &s.messages.id);
+        let (tags, orgs) = (&s.tags.id, &s.organisations.id);
+        let person = s.person_ix.get(&id).map(|&p| {
+            let (c, i) = (&s.persons, p as usize);
+            format!(
+                "{:?}",
+                (
+                    (&c.first_name[i], &c.last_name[i], c.gender[i], c.birthday[i]),
+                    (
+                        c.creation_date[i],
+                        &c.location_ip[i],
+                        &c.browser[i],
+                        s.places.id[c.city[i] as usize]
+                    ),
+                    (c.emails.row_vec(i), c.speaks.row_vec(i)),
+                    (neighbours(&s.knows, p, people), neighbours(&s.person_interest, p, tags)),
+                    (neighbours(&s.person_study, p, orgs), neighbours(&s.person_work, p, orgs)),
+                    (
+                        neighbours(&s.member_forum, p, forums),
+                        neighbours(&s.person_messages, p, messages)
+                    ),
+                    (
+                        neighbours(&s.person_likes, p, messages),
+                        neighbours(&s.person_moderates, p, forums)
+                    ),
+                )
+            )
+        });
+        let forum = s.forum_ix.get(&id).map(|&f| {
+            let (c, i) = (&s.forums, f as usize);
+            format!(
+                "{:?}",
+                (
+                    (&c.title[i], c.creation_date[i], people[c.moderator[i] as usize]),
+                    (neighbours(&s.forum_member, f, people), neighbours(&s.forum_tag, f, tags)),
+                    neighbours(&s.forum_posts, f, messages),
+                )
+            )
+        });
+        let message = s.message_ix.get(&id).map(|&m| {
+            let (c, i) = (&s.messages, m as usize);
+            format!(
+                "{:?}",
+                (
+                    (c.kind[i], c.creation_date[i], people[c.creator[i] as usize]),
+                    (s.places.id[c.country[i] as usize], &c.browser[i], &c.location_ip[i]),
+                    (&c.content[i], c.length[i], &c.image_file[i], &c.language[i]),
+                    (
+                        raw(forums, c.forum[i]),
+                        raw(messages, c.reply_of[i]),
+                        messages[c.root_post[i] as usize]
+                    ),
+                    (
+                        neighbours(&s.message_tag, m, tags),
+                        neighbours(&s.message_replies, m, messages)
+                    ),
+                    neighbours(&s.message_likes, m, people),
+                )
+            )
+        });
+        [person, forum, message]
+    }
+
+    #[test]
+    fn bulk_plus_replay_rows_equal_the_full_build() {
+        let c = config(120);
+        let full = store_for_config(&c);
+        let (mut replayed, events) = bulk_store_and_stream(&c);
+        let world = StaticWorld::build(c.seed);
+        let bulk_messages = replayed.messages.len();
+        for e in &events {
+            replayed.apply_event(e, &world).unwrap();
+        }
+        assert!(replayed.messages.len() > bulk_messages + 100, "the tail must insert rows");
+        let ids = full.persons.id.iter().chain(&full.forums.id[..]).chain(&full.messages.id[..]);
+        for &id in ids {
+            assert_eq!(rows(&replayed, id), rows(&full, id), "rows of raw id {id}");
+        }
+        // The static side's reverse relations hold the same neighbours.
+        let reverse = |s: &Store, t: Ix| {
+            (
+                neighbours(&s.interest_person, t, &s.persons.id),
+                neighbours(&s.tag_forum, t, &s.forums.id),
+                neighbours(&s.tag_message, t, &s.messages.id),
+            )
+        };
+        for t in 0..full.tags.len() as Ix {
+            assert_eq!(reverse(&replayed, t), reverse(&full, t), "tag {t}");
+        }
+        for p in 0..full.places.len() as Ix {
+            let city = |s: &Store| neighbours(&s.city_person, p, &s.persons.id);
+            assert_eq!(city(&replayed), city(&full), "place {p}");
+        }
+    }
+
     #[test]
     fn time_ordered_stream_keeps_date_index_fresh() {
         // The update stream arrives in timestamp order, so the O(1)
-        // incremental append in `push_message_row` (plus the rebuild in
+        // incremental append in `index_message` (plus the rebuild in
         // the delete path) must keep the date permutation index fresh
         // after every single event — no read may ever pay the O(n)
         // linear-scan fallback during steady-state streaming.
@@ -652,16 +712,16 @@ mod tests {
 
     #[test]
     fn two_clones_of_one_store_append_apart() {
-        let (base, _, _) = half_streamed();
+        let (base, _, world) = half_streamed();
         let base_image = crate::encode_store(&base);
         let forum = base.forums.id[0];
         let country = base.places.id[base.messages.country[0] as usize];
         let city = base.places.id[base.persons.city[0] as usize];
         let grow = |s: &mut Store, id: u64| {
-            let mut p = person(id, city);
-            p.first_name = format!("clone-{id}");
-            s.insert_person(p).unwrap();
-            s.insert_post(post(id, id, forum, country)).unwrap();
+            let mut p = person(id, city, &world);
+            p.first_name = Box::leak(format!("clone-{id}").into_boxed_str());
+            add_person(s, p, &world).unwrap();
+            add_message(s, post(id, id, forum, country, &world), &world).unwrap();
         };
         let (mut a, mut b) = (base.clone(), base.clone());
         let (mut a_oracle, mut b_oracle) = (independent(&base), independent(&base));
@@ -783,42 +843,6 @@ mod tests {
         assert!(copied.is_empty(), "an insert publish copied {copied:?}");
     }
 
-    fn person(id: u64, city_id: u64) -> PersonInsert {
-        PersonInsert {
-            id,
-            first_name: "Ada".into(),
-            last_name: "Lovelace".into(),
-            gender: Gender::Female,
-            birthday: Date::from_ymd(1990, 5, 5),
-            creation_date: DateTime::from_parts(2013, 6, 1, 12, 0, 0, 0),
-            location_ip: "1.2.3.4".into(),
-            browser_used: "Firefox".into(),
-            city_id,
-            speaks: vec!["en".into()],
-            emails: vec![format!("{id}@example.com")],
-            tag_ids: vec![0, 1],
-            study_at: vec![],
-            work_at: vec![],
-        }
-    }
-
-    fn post(id: u64, author: u64, forum_id: u64, country_id: u64) -> PostInsert {
-        PostInsert {
-            id,
-            image_file: String::new(),
-            creation_date: DateTime::from_parts(2013, 6, 2, 12, 0, 0, 0),
-            location_ip: "1.2.3.4".into(),
-            browser_used: "Firefox".into(),
-            language: "en".into(),
-            content: format!("post {id}"),
-            length: 9,
-            author_person_id: author,
-            forum_id,
-            country_id,
-            tag_ids: vec![2],
-        }
-    }
-
     #[test]
     fn a_corrupted_root_post_fails_validation() {
         let s = store_for_config(&config(40));
@@ -849,20 +873,10 @@ mod tests {
         let post_id = s.messages.id[post as usize];
         let country = s.places.id[s.messages.country[post as usize] as usize];
         assert!(s.date_index_fresh());
-        s.insert_comment(CommentInsert {
-            id: 6_000_000,
-            creation_date: DateTime(0),
-            location_ip: "9.9.9.9".into(),
-            browser_used: "Opera".into(),
-            content: "late arrival".into(),
-            length: 12,
-            author_person_id: s.persons.id[0],
-            country_id: country,
-            reply_to_post_id: post_id as i64,
-            reply_to_comment_id: -1,
-            tag_ids: vec![],
-        })
-        .unwrap();
+        let mut late = comment(6_000_000, s.persons.id[0], post_id, country, DateTime(0));
+        late.content = "late arrival".into();
+        late.tags.clear();
+        add_message(&mut s, late, &world()).unwrap();
         assert!(!s.date_index_fresh());
         s.rebuild_date_index();
         assert!(s.date_index_fresh());

@@ -14,15 +14,18 @@
 //! * [`intern`] — the global string interner plus packed string
 //!   columns (`u32` symbols / byte arenas instead of `Vec<String>`);
 //! * [`adj`] — CSR adjacency (forward + reverse) for every relation,
-//!   with an insert overflow so the Interactive workload's IU 1–8 don't
-//!   rebuild anything on the write path;
+//!   with an insert overflow so inserts don't rebuild anything on the
+//!   write path;
 //! * [`build`] — the one store builder, [`StreamBuilder`], fed by the
 //!   streaming generator (with optional bulk/stream split) or from a
 //!   materialised graph's vectors;
+//! * `insert` — the one write record: [`Store::apply_event`] applies an
+//!   update-stream event (IU 1–8, the generator's `Raw*` records)
+//!   through the per-entity row writers [`StreamBuilder`] also uses;
 //! * [`image`] — the checksummed store-image codec (full store ⇄ packed
 //!   bytes) backing the server's snapshot files and follower bootstrap;
 //! * [`load`] — bulk load from a CsvBasic dataset directory;
-//! * [`insert`] — the IU 1–8 write operations and update-stream replay;
+//! * [`delete`] — the cascading deletes (DEL 1–8);
 //! * [`snapshot`] — immutable published store versions for lock-free
 //!   readers beside one writer.
 
@@ -33,7 +36,7 @@ pub mod columns;
 pub mod cow;
 pub mod delete;
 pub mod image;
-pub mod insert;
+mod insert;
 pub mod intern;
 pub mod load;
 pub mod snapshot;
@@ -45,7 +48,6 @@ pub use columns::{Ix, NONE};
 pub use cow::CowBox;
 pub use delete::{DeleteOp, DeleteStats};
 pub use image::{decode_store, encode_store};
-pub use insert::{CommentInsert, ForumInsert, PersonInsert, PostInsert};
 pub use intern::{interner, PackCol, PackListCol, StrInterner, Sym, SymCol, SymListCol};
 pub use snapshot::{SnapshotCell, SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
 pub use store::Store;

@@ -1,90 +1,155 @@
 //! Exact-value tests on a hand-crafted subgraph: a controlled cast of
-//! persons, posts, comments and likes inserted through the IU path on
-//! top of an *empty* generated world, so query results are fully
-//! predictable (no generated noise).
+//! persons, posts, comments and likes inserted as update-stream events
+//! (`Store::apply_event`, the one write record) on top of an *empty*
+//! generated world, so query results are fully predictable (no
+//! generated noise).
+
+use std::sync::OnceLock;
 
 use ldbc_snb::bi::{bi06, bi12, bi14};
+use ldbc_snb::datagen::dictionaries::StaticWorld;
+use ldbc_snb::datagen::graph::{RawForum, RawKnows, RawLike, RawMessage, RawPerson};
+use ldbc_snb::datagen::stream::{TimedEvent, UpdateEvent};
 use ldbc_snb::datagen::GeneratorConfig;
 use ldbc_snb::interactive::{ic07, ic08, short};
-use ldbc_snb::store::{store_for_config, CommentInsert, PersonInsert, PostInsert, Store};
-use snb_core::model::Gender;
+use ldbc_snb::store::{store_for_config, Store};
+use snb_core::model::{
+    ForumId, ForumKind, Gender, MessageId, MessageKind, PersonId, PlaceId, TagId,
+};
 use snb_core::{Date, DateTime};
+
+fn config() -> GeneratorConfig {
+    GeneratorConfig::for_scale_name("0.001").unwrap()
+}
+
+/// The dictionaries `apply_event` resolves browser and language indices in.
+fn world() -> &'static StaticWorld {
+    static WORLD: OnceLock<StaticWorld> = OnceLock::new();
+    WORLD.get_or_init(|| StaticWorld::build(config().seed))
+}
 
 /// An empty dynamic world: static entities only.
 fn empty_world() -> Store {
-    let mut c = GeneratorConfig::for_scale_name("0.001").unwrap();
+    let mut c = config();
     c.persons = 0;
     store_for_config(&c)
 }
 
-fn add_person(s: &mut Store, id: u64, name: &str, t: i64) {
+fn apply(s: &mut Store, t: DateTime, event: UpdateEvent) {
+    s.apply_event(&TimedEvent { timestamp: t, dependent: t, event }, world()).unwrap();
+}
+
+fn language(code: &str) -> u8 {
+    world().languages.iter().position(|&l| l == code).expect("known language") as u8
+}
+
+/// Firefox, in the browser dictionary.
+const FIREFOX: u8 = 0;
+
+fn china(s: &Store) -> PlaceId {
+    PlaceId(s.places.id[s.country_by_name("China").unwrap() as usize])
+}
+
+fn add_person(s: &mut Store, id: u64, name: &'static str, t: i64) {
     let city =
         s.places.id[s.place_by_name.get("Beijing").map(|&c| c as usize).expect("Beijing exists")];
-    s.insert_person(PersonInsert {
-        id,
-        first_name: name.into(),
-        last_name: "Fixture".into(),
+    let person = RawPerson {
+        id: PersonId(id),
+        first_name: name,
+        last_name: "Fixture",
         gender: Gender::Female,
         birthday: Date::from_ymd(1990, 3, 15),
         creation_date: DateTime(t),
         location_ip: "1.2.3.4".into(),
-        browser_used: "Firefox".into(),
-        city_id: city,
-        speaks: vec!["zh".into()],
+        browser: FIREFOX,
+        city: PlaceId(city),
+        country: 0,
+        languages: vec![language("zh")],
         emails: vec![format!("{name}@example.com")],
-        tag_ids: vec![0],
-        study_at: vec![],
+        interests: vec![TagId(0)],
+        study_at: None,
         work_at: vec![],
-    })
-    .unwrap();
+    };
+    apply(s, DateTime(t), UpdateEvent::AddPerson(person));
 }
 
 fn add_wall(s: &mut Store, id: u64, moderator: u64, t: i64) {
-    s.insert_forum(ldbc_snb::store::ForumInsert {
-        id,
+    let forum = RawForum {
+        id: ForumId(id),
+        kind: ForumKind::Wall,
         title: format!("Wall {id}"),
         creation_date: DateTime(t),
-        moderator_person_id: moderator,
-        tag_ids: vec![0],
-    })
-    .unwrap();
+        moderator: PersonId(moderator),
+        tags: vec![TagId(0)],
+    };
+    apply(s, DateTime(t), UpdateEvent::AddForum(forum));
+}
+
+fn post(s: &Store, id: u64, author: u64, forum: u64, t: i64, tags: Vec<u64>) -> RawMessage {
+    RawMessage {
+        id: MessageId(id),
+        kind: MessageKind::Post,
+        creation_date: DateTime(t),
+        creator: PersonId(author),
+        country: china(s),
+        location_ip: "1.2.3.4".into(),
+        browser: FIREFOX,
+        content: format!("post {id}"),
+        length: 7,
+        image_file: None,
+        language: Some(language("zh")),
+        forum: Some(ForumId(forum)),
+        reply_of: None,
+        root_post: MessageId(id),
+        tags: tags.into_iter().map(TagId).collect(),
+    }
 }
 
 fn add_post(s: &mut Store, id: u64, author: u64, forum: u64, t: i64, tags: Vec<u64>) {
-    let country = s.places.id[s.country_by_name("China").unwrap() as usize];
-    s.insert_post(PostInsert {
-        id,
-        image_file: String::new(),
-        creation_date: DateTime(t),
-        location_ip: "1.2.3.4".into(),
-        browser_used: "Firefox".into(),
-        language: "zh".into(),
-        content: format!("post {id}"),
-        length: 7,
-        author_person_id: author,
-        forum_id: forum,
-        country_id: country,
-        tag_ids: tags,
-    })
-    .unwrap();
+    let post = post(s, id, author, forum, t, tags);
+    apply(s, DateTime(t), UpdateEvent::AddPost(post));
 }
 
-fn add_comment(s: &mut Store, id: u64, author: u64, parent_post: i64, parent_comment: i64, t: i64) {
-    let country = s.places.id[s.country_by_name("China").unwrap() as usize];
-    s.insert_comment(CommentInsert {
-        id,
+/// A comment replying to `parent` (a post or a comment); the store takes
+/// the thread's root from the parent's row.
+fn add_comment(s: &mut Store, id: u64, author: u64, parent: u64, t: i64) {
+    let comment = RawMessage {
+        id: MessageId(id),
+        kind: MessageKind::Comment,
         creation_date: DateTime(t),
+        creator: PersonId(author),
+        country: china(s),
         location_ip: "1.2.3.4".into(),
-        browser_used: "Firefox".into(),
+        browser: FIREFOX,
         content: format!("comment {id}"),
         length: 9,
-        author_person_id: author,
-        country_id: country,
-        reply_to_post_id: parent_post,
-        reply_to_comment_id: parent_comment,
-        tag_ids: vec![],
-    })
-    .unwrap();
+        image_file: None,
+        language: None,
+        forum: None,
+        reply_of: Some(MessageId(parent)),
+        root_post: MessageId(parent),
+        tags: vec![],
+    };
+    apply(s, DateTime(t), UpdateEvent::AddComment(comment));
+}
+
+fn add_knows(s: &mut Store, a: u64, b: u64, t: i64) {
+    let knows =
+        RawKnows { a: PersonId(a), b: PersonId(b), creation_date: DateTime(t), dimension: 0 };
+    apply(s, DateTime(t), UpdateEvent::AddKnows(knows));
+}
+
+fn add_like(s: &mut Store, person: u64, message: u64, t: i64) {
+    let like = RawLike {
+        person: PersonId(person),
+        message: MessageId(message),
+        creation_date: DateTime(t),
+    };
+    let event = match s.messages.kind[s.message(message).unwrap() as usize] {
+        MessageKind::Post => UpdateEvent::AddLikePost(like),
+        MessageKind::Comment => UpdateEvent::AddLikeComment(like),
+    };
+    apply(s, DateTime(t), event);
 }
 
 /// The shared cast: Alice (1), Bob (2), Carol (3); Alice's wall (10);
@@ -96,15 +161,15 @@ fn fixture() -> Store {
     add_person(&mut s, 1, "Alice", 1_000);
     add_person(&mut s, 2, "Bob", 1_000);
     add_person(&mut s, 3, "Carol", 1_000);
-    s.insert_knows(1, 2, DateTime(2_000)).unwrap();
+    add_knows(&mut s, 1, 2, 2_000);
     add_wall(&mut s, 10, 1, 2_000);
     add_post(&mut s, 100, 1, 10, 10_000, vec![0]);
     add_post(&mut s, 101, 1, 10, 20_000, vec![1]);
-    add_comment(&mut s, 200, 2, 100, -1, 11_000);
-    add_comment(&mut s, 201, 3, -1, 200, 12_000);
-    s.insert_like(2, 100, DateTime(13_000)).unwrap();
-    s.insert_like(3, 100, DateTime(14_000)).unwrap();
-    s.insert_like(2, 101, DateTime(21_000)).unwrap();
+    add_comment(&mut s, 200, 2, 100, 11_000);
+    add_comment(&mut s, 201, 3, 200, 12_000);
+    add_like(&mut s, 2, 100, 13_000);
+    add_like(&mut s, 3, 100, 14_000);
+    add_like(&mut s, 2, 101, 21_000);
     s
 }
 
@@ -224,4 +289,52 @@ fn empty_generated_world_is_sound() {
     assert_eq!(s.messages.len(), 0);
     assert!(!s.places.is_empty(), "static world present");
     s.validate_invariants().unwrap();
+}
+
+/// A generated store of 60 persons.
+fn generated() -> Store {
+    let mut c = config();
+    c.persons = 60;
+    store_for_config(&c)
+}
+
+#[test]
+fn friendship_update_visible_to_is3() {
+    let mut s = generated();
+    // Pick two persons that do not know each other.
+    let (a, b) = {
+        let mut found = None;
+        'outer: for a in 0..s.persons.len() as u32 {
+            for b in a + 1..s.persons.len() as u32 {
+                if !s.knows.contains(a, b) {
+                    found = Some((s.persons.id[a as usize], s.persons.id[b as usize]));
+                    break 'outer;
+                }
+            }
+        }
+        found.expect("non-friends exist")
+    };
+    let before = short::is3::run(&s, &short::is3::Params { person_id: a });
+    add_knows(&mut s, a, b, 1_000);
+    let after = short::is3::run(&s, &short::is3::Params { person_id: a });
+    assert_eq!(after.len(), before.len() + 1);
+    assert!(after.iter().any(|r| r.person_id == b));
+}
+
+#[test]
+fn post_then_like_then_is4() {
+    let mut s = generated();
+    let author = s.persons.id[0];
+    let forum = s.forums.id[0];
+    let mut fresh = post(&s, 7_000_000, author, forum, 5_000, vec![1]);
+    fresh.content = "fresh post".into();
+    fresh.length = 10;
+    apply(&mut s, DateTime(5_000), UpdateEvent::AddPost(fresh));
+    let rows = short::is4::run(&s, &short::is4::Params { message_id: 7_000_000 });
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].message_content, "fresh post");
+    let liker = s.persons.id[1];
+    add_like(&mut s, liker, 7_000_000, 6_000);
+    let m = s.message(7_000_000).unwrap();
+    assert_eq!(s.message_likes.degree(m), 1);
 }

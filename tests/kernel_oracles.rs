@@ -15,12 +15,15 @@
 //! `cargo test --release --test kernel_oracles -- --ignored`.
 
 use ldbc_snb::bi::{bi02, bi09, bi18, bi19, BiParams};
+use ldbc_snb::core::model::{ForumId, MessageId, MessageKind, PersonId, PlaceId, TagId};
 use ldbc_snb::core::Date;
 use ldbc_snb::datagen::dictionaries::StaticWorld;
+use ldbc_snb::datagen::graph::RawMessage;
+use ldbc_snb::datagen::stream::{TimedEvent, UpdateEvent};
 use ldbc_snb::datagen::GeneratorConfig;
 use ldbc_snb::engine::QueryContext;
 use ldbc_snb::params::ParamGen;
-use ldbc_snb::store::{bulk_store_and_stream, DeleteOp, Ix, PostInsert, Store};
+use ldbc_snb::store::{bulk_store_and_stream, DeleteOp, Ix, Store};
 
 /// Curated bindings per query and store state.
 const BINDINGS: usize = 16;
@@ -51,22 +54,26 @@ fn store_states(c: &GeneratorConfig) -> Vec<(&'static str, Store)> {
     // insert) leaves it stale until a rebuild.
     let first = bulk.message_by_date[0];
     let author = bulk.messages.creator[first as usize];
-    inserted
-        .insert_post(PostInsert {
-            id: u64::MAX / 2,
-            image_file: String::new(),
-            creation_date: bulk.messages.creation_date[first as usize],
-            location_ip: "10.0.0.1".into(),
-            browser_used: "Firefox".into(),
-            language: "en".into(),
-            content: "an early post".into(),
-            length: 13,
-            author_person_id: bulk.persons.id[author as usize],
-            forum_id: bulk.forums.id[bulk.thread_forum(first) as usize],
-            country_id: bulk.places.id[bulk.person_country(author) as usize],
-            tag_ids: bulk.tags.id.iter().take(2).copied().collect(),
-        })
-        .unwrap();
+    let early = RawMessage {
+        id: MessageId(u64::MAX / 2),
+        kind: MessageKind::Post,
+        creation_date: bulk.messages.creation_date[first as usize],
+        creator: PersonId(bulk.persons.id[author as usize]),
+        country: PlaceId(bulk.places.id[bulk.person_country(author) as usize]),
+        location_ip: "10.0.0.1".into(),
+        browser: 0,
+        content: "an early post".into(),
+        length: 13,
+        image_file: None,
+        language: world.languages.iter().position(|&l| l == "en").map(|l| l as u8),
+        forum: Some(ForumId(bulk.forums.id[bulk.thread_forum(first) as usize])),
+        reply_of: None,
+        root_post: MessageId(u64::MAX / 2),
+        tags: bulk.tags.id.iter().take(2).map(|&t| TagId(t)).collect(),
+    };
+    let at = early.creation_date;
+    let event = TimedEvent { timestamp: at, dependent: at, event: UpdateEvent::AddPost(early) };
+    inserted.apply_event(&event, &world).unwrap();
     assert!(!inserted.date_index_fresh(), "the insert batch must leave the date index stale");
     assert!(
         !inserted.clone().fold_overflow().is_empty(),

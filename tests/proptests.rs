@@ -237,39 +237,48 @@ fn window_test_store(stale: bool) -> &'static ldbc_snb::store::Store {
 /// whose own edges are removed by construction (fresh persons only).
 #[test]
 fn bfs_agrees_with_floyd_warshall_on_random_graphs() {
+    use ldbc_snb::core::model::{PersonId, PlaceId};
     use ldbc_snb::core::rng::Rng;
     use ldbc_snb::core::Date as CDate;
     use ldbc_snb::core::DateTime;
+    use ldbc_snb::datagen::dictionaries::StaticWorld;
+    use ldbc_snb::datagen::graph::{RawKnows, RawPerson};
+    use ldbc_snb::datagen::stream::{TimedEvent, UpdateEvent};
     use ldbc_snb::datagen::GeneratorConfig;
-    use ldbc_snb::store::{store_for_config, PersonInsert};
+    use ldbc_snb::store::store_for_config;
 
     let mut c = GeneratorConfig::for_scale_name("0.001").unwrap();
     c.persons = 10;
     let mut store = store_for_config(&c);
+    let world = StaticWorld::build(c.seed);
+    let apply = |store: &mut ldbc_snb::store::Store, event| {
+        let event = TimedEvent { timestamp: DateTime(0), dependent: DateTime(0), event };
+        store.apply_event(&event, &world).unwrap();
+    };
     // Add an isolated cohort of fresh persons and wire random edges
     // among them only.
     let city = store.places.id[store.persons.city[0] as usize];
     let base_ix = store.persons.len();
     let n = 24usize;
     for i in 0..n {
-        store
-            .insert_person(PersonInsert {
-                id: 1_000_000 + i as u64,
-                first_name: format!("P{i}"),
-                last_name: "Prop".into(),
-                gender: ldbc_snb::core::model::Gender::Male,
-                birthday: CDate::from_ymd(1990, 1, 1),
-                creation_date: DateTime(0),
-                location_ip: String::new(),
-                browser_used: "Firefox".into(),
-                city_id: city,
-                speaks: vec![],
-                emails: vec![],
-                tag_ids: vec![],
-                study_at: vec![],
-                work_at: vec![],
-            })
-            .unwrap();
+        let person = RawPerson {
+            id: PersonId(1_000_000 + i as u64),
+            first_name: "P",
+            last_name: "Prop",
+            gender: ldbc_snb::core::model::Gender::Male,
+            birthday: CDate::from_ymd(1990, 1, 1),
+            creation_date: DateTime(0),
+            location_ip: String::new(),
+            browser: 0,
+            city: PlaceId(city),
+            country: 0,
+            languages: vec![],
+            emails: vec![],
+            interests: vec![],
+            study_at: None,
+            work_at: vec![],
+        };
+        apply(&mut store, UpdateEvent::AddPerson(person));
     }
     let mut rng = Rng::new(12345);
     let mut edges = Vec::new();
@@ -277,9 +286,9 @@ fn bfs_agrees_with_floyd_warshall_on_random_graphs() {
         for b in a + 1..n {
             if rng.chance(0.12) {
                 edges.push((a, b));
-                store
-                    .insert_knows(1_000_000 + a as u64, 1_000_000 + b as u64, DateTime(1))
-                    .unwrap();
+                let (a, b) = (PersonId(1_000_000 + a as u64), PersonId(1_000_000 + b as u64));
+                let knows = RawKnows { a, b, creation_date: DateTime(1), dimension: 0 };
+                apply(&mut store, UpdateEvent::AddKnows(knows));
             }
         }
     }
