@@ -47,6 +47,9 @@ echo "==> kernel oracle sweep at SF 0.03 (BI 2, 9, 18, 19 against run_naive)"
 # message lists close to the benchmark's.
 cargo test --release --test kernel_oracles -- --ignored
 
+echo "==> refresh microbatch image equality at SF 0.03 (a like delete against never inserting)"
+cargo test --release --test refresh_deletes -- --ignored
+
 echo "==> snapshot isolation and the concurrent stress gates in release"
 # In-place appends share buffers with pinned readers; the release build
 # runs the writer fast enough to overlap the readers' scans.

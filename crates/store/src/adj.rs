@@ -10,7 +10,10 @@
 //! The Interactive workload's inserts (IU 1–8) append into a sparse
 //! per-source *overflow* map instead of rebuilding the CSR; neighbour
 //! iteration chains base slice + overflow. [`Adj::compact`] merges the
-//! overflow into fresh base arrays.
+//! overflow into fresh base arrays. Both it and the delete path go
+//! through one walk, `Adj::rewrite`, which visits only the sources it is
+//! given plus those with overflow and copies every stretch in between
+//! as one slice.
 //!
 //! The base arrays are [`AppendVec`]s: a store version and the writer's
 //! next version share them, and the offsets a vertex insert appends go
@@ -195,16 +198,21 @@ impl<P: Copy> Adj<P> {
         }
     }
 
-    /// Rewrites the adjacency in one pass into fresh CSR arrays. `source`
-    /// says what happens to each source's edges ([`Rewrite`]); dropped
-    /// sources vanish and the survivors renumber to `0, 1, 2, …` in
-    /// order. Per-source order is preserved (base slice, then overflow)
-    /// and the result has no overflow — the delete path's
+    /// Rewrites the adjacency into fresh CSR arrays, visiting only the
+    /// `listed` sources (ascending, each once) and the sources holding
+    /// overflow. `source` says what happens to a listed source's edges
+    /// ([`Rewrite`]); dropped sources vanish and the survivors renumber to
+    /// `0, 1, 2, …` in order. An unlisted source keeps its base slice,
+    /// then its overflow. The untouched sources between two visited ones
+    /// are copied as one slice, so a rewrite costs O(listed sources +
+    /// overflow + one slice copy per stretch) — the delete path's
     /// filter-and-remap and the overflow fold, with no edge list
-    /// collected and no sort.
+    /// collected and no sort. Per-source order is preserved (base slice,
+    /// then overflow) and the result has no overflow.
     pub(crate) fn rewrite(
         &self,
-        source: impl Fn(u32) -> Rewrite,
+        listed: impl IntoIterator<Item = u32>,
+        mut source: impl FnMut(u32) -> Rewrite,
         mut edge: impl FnMut(u32, u32, P) -> Option<u32>,
     ) -> Adj<P> {
         let mut out = Adj {
@@ -215,28 +223,33 @@ impl<P: Copy> Adj<P> {
             overflow_len: 0,
         };
         out.offsets.push(0);
-        // The overflow lists in ascending source order, walked beside the
-        // base arrays without a hash probe per source.
+        // The overflow lists in ascending source order, merged with the
+        // listed sources without a hash probe per source.
         let mut lists: Vec<(u32, &[(u32, P)])> =
             self.overflow.iter().map(|(&u, extra)| (u, &extra[..])).collect();
         lists.sort_unstable_by_key(|&(u, _)| u);
         let mut overflow = lists.into_iter().peekable();
-        // Kept sources `run..u` are pending: their base runs are copied
-        // as one slice when the stretch ends.
+        let mut listed = listed.into_iter().peekable();
+        // Sources `run..u` are untouched: their base runs are copied as
+        // one slice when the stretch ends.
         let mut run = 0;
-        for u in 0..self.sources() as u32 {
+        loop {
+            let u = match (listed.peek(), overflow.peek()) {
+                (Some(&l), Some(&(o, _))) => l.min(o),
+                (Some(&l), None) => l,
+                (None, Some(&(o, _))) => o,
+                (None, None) => break,
+            };
+            debug_assert!(u >= run && (u as usize) < self.sources(), "source {u} out of order");
             let extra = overflow.next_if(|&(v, _)| v == u).map_or(&[][..], |(_, extra)| extra);
-            match source(u) {
-                Rewrite::Keep if extra.is_empty() => continue,
-                Rewrite::Keep => {
-                    self.copy_base(run..u + 1, &mut out);
-                    out.targets.extend(extra.iter().map(|&(t, _)| t));
-                    out.payloads.extend(extra.iter().map(|&(_, p)| p));
-                    *out.offsets.last_mut().expect("offsets non-empty") += extra.len() as u32;
-                }
-                Rewrite::Drop => self.copy_base(run..u, &mut out),
-                Rewrite::Filter => {
-                    self.copy_base(run..u, &mut out);
+            if listed.next_if_eq(&u).is_none() {
+                self.copy_base(run..u + 1, &mut out);
+                out.targets.extend(extra.iter().map(|&(t, _)| t));
+                out.payloads.extend(extra.iter().map(|&(_, p)| p));
+                *out.offsets.last_mut().expect("offsets non-empty") += extra.len() as u32;
+            } else {
+                self.copy_base(run..u, &mut out);
+                if source(u) == Rewrite::Filter {
                     let (ts, ps) = self.base(u);
                     let mut keep = |t: u32, p: P| {
                         if let Some(t) = edge(u, t, p) {
@@ -273,21 +286,19 @@ impl<P: Copy> Adj<P> {
     }
 
     /// The adjacency with its overflow merged into fresh base arrays
-    /// (base slice, then overflow, per source): `rewrite` keeping every
+    /// (base slice, then overflow, per source): `rewrite` listing no
     /// source.
     #[must_use]
     pub fn compact(&self) -> Adj<P> {
-        self.rewrite(|_| Rewrite::Keep, |_, t, _| Some(t))
+        self.rewrite([], |_| unreachable!("compact lists no source"), |_, t, _| Some(t))
     }
 }
 
-/// What [`Adj::rewrite`] does with one source's edges.
+/// What [`Adj::rewrite`] does with one listed source's edges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Rewrite {
     /// Drop the source and all its edges.
     Drop,
-    /// Keep every edge as it is (targets unchanged).
-    Keep,
     /// Pass each edge through the `edge` callback.
     Filter,
 }
@@ -358,7 +369,7 @@ mod tests {
         // Vertex 1 goes (as a source and as a target); 2 renumbers to 1.
         let map = [Some(0), None, Some(1)];
         let mode = |u: u32| if map[u as usize].is_some() { Rewrite::Filter } else { Rewrite::Drop };
-        let out = adj.rewrite(mode, |_, t, _| map[t as usize]);
+        let out = adj.rewrite(0..3, mode, |_, t, _| map[t as usize]);
         assert!(!out.has_overflow());
         assert_eq!(out.sources(), 2);
         // Base first, then overflow, with the survivors renumbered.
@@ -367,24 +378,79 @@ mod tests {
         assert_eq!(out.edge_count(), 3);
     }
 
+    /// A seeded model test of the walk: random base edges and overflow,
+    /// random listed sources answering `Drop` or `Filter`, and a random
+    /// target map, against `from_edges` of the edge list filtered source
+    /// by source. `source` runs once per listed source, in order, and
+    /// `edge` once per edge of a filtered source.
     #[test]
     fn rewrite_mixes_kept_filtered_and_dropped_sources() {
-        let edges: Vec<(u32, u32, u32)> = (0..60).map(|i| (i * 7 % 9, i, i)).collect();
-        let mut adj = Adj::from_edges(9, &edges);
-        for (u, v) in [(0u32, 100u32), (8, 101), (4, 102), (4, 103), (11, 104), (0, 105), (1, 106)]
-        {
-            adj.insert(u, v, v * 2);
-        }
-        let mode =
-            |u: u32| [Rewrite::Keep, Rewrite::Keep, Rewrite::Filter, Rewrite::Drop][u as usize % 4];
-        let out = adj.rewrite(mode, |_, t, _| (t % 2 == 0).then_some(t));
-        assert!(!out.has_overflow());
-        let survivors: Vec<u32> = (0..12).filter(|&u| mode(u) != Rewrite::Drop).collect();
-        assert_eq!(out.sources(), survivors.len());
-        for (new, &u) in survivors.iter().enumerate() {
-            let want: Vec<(u32, u32)> =
-                adj.neighbors(u).filter(|&(t, _)| mode(u) == Rewrite::Keep || t % 2 == 0).collect();
-            assert_eq!(out.neighbors(new as u32).collect::<Vec<_>>(), want, "source {u}");
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        for round in 0..400u64 {
+            let sources = 1 + next(40) as u32;
+            let edges: Vec<(u32, u32, u32)> = (0..next(120))
+                .map(|i| (next(u64::from(sources)) as u32, next(50) as u32, i as u32))
+                .collect();
+            let mut adj = Adj::from_edges(sources as usize, &edges);
+            for i in 0..next(30) {
+                // Some overflow lands on sources the inserts create.
+                let u = next(u64::from(sources) + 4) as u32;
+                adj.insert(u, next(50) as u32, 1000 + i as u32);
+            }
+            let map: Vec<Option<u32>> =
+                (0..50).map(|_| (next(3) > 0).then(|| next(100) as u32)).collect();
+            let modes: Vec<Option<Rewrite>> = (0..adj.sources())
+                .map(|_| match (round % 5, next(6)) {
+                    (0, _) | (_, 0) => Some(Rewrite::Filter),
+                    (1, _) => None,
+                    (_, 1) => Some(Rewrite::Drop),
+                    _ => None,
+                })
+                .collect();
+            let listed: Vec<u32> =
+                (0..adj.sources() as u32).filter(|&u| modes[u as usize].is_some()).collect();
+
+            let (mut asked, mut edge_calls) = (Vec::new(), 0);
+            let out = adj.rewrite(
+                listed.iter().copied(),
+                |u| {
+                    asked.push(u);
+                    modes[u as usize].expect("only listed sources are asked")
+                },
+                |u, t, _| {
+                    assert_eq!(modes[u as usize], Some(Rewrite::Filter), "edge of source {u}");
+                    edge_calls += 1;
+                    map[t as usize]
+                },
+            );
+
+            let mut want = Vec::new();
+            let mut kept = 0;
+            let mut filtered_edges = 0;
+            for u in 0..adj.sources() as u32 {
+                match modes[u as usize] {
+                    Some(Rewrite::Drop) => continue,
+                    Some(Rewrite::Filter) => {
+                        filtered_edges += adj.degree(u);
+                        want.extend(
+                            adj.neighbors(u).filter_map(|(t, p)| Some((kept, map[t as usize]?, p))),
+                        );
+                    }
+                    None => want.extend(adj.neighbors(u).map(|(t, p)| (kept, t, p))),
+                }
+                kept += 1;
+            }
+            let want = Adj::from_edges(kept as usize, &want);
+            assert!(!out.has_overflow());
+            assert_eq!(out.csr_parts(), want.csr_parts(), "round {round}");
+            assert_eq!(asked, listed, "round {round}");
+            assert_eq!(edge_calls, filtered_edges, "round {round}");
         }
     }
 

@@ -19,28 +19,31 @@
 //!
 //! Deletes are **batch-applied**: tombstones are collected with their
 //! transitive closure, then every component the victims touch is
-//! rewritten without them, in one pass each, and nothing else is. The
-//! cost is per touched component, not per store:
+//! rewritten without them, in one pass each, and nothing else is. An
+//! edge op naming an edge the store does not hold removes nothing and
+//! touches nothing. The cost is per touched component, not per store:
 //!
 //! * a column group and its id map are rewritten only if that class
 //!   lost rows (or, for the columns, a class they point into did);
 //! * an adjacency is rewritten only if its source or target class lost
-//!   rows or it has edge victims — one filter-and-remap pass
-//!   (`Adj::rewrite`; a surviving source's edges are copied as a slice
-//!   unless a target may be renumbered or an edge is a victim) into a
+//!   rows or it has edge victims, by one `Adj::rewrite` walk into a
 //!   fresh `Adj` stored with [`CowBox::set`](crate::cow::CowBox::set),
 //!   so a published version is never deep-copied just to be
-//!   overwritten;
+//!   overwritten. When the target class renumbers, the walk visits
+//!   every source. Otherwise it visits only the removed sources and the
+//!   sources that own a victim edge, tests only their edges, and copies
+//!   each stretch of untouched sources as one slice: O(listed sources +
+//!   overflow + one slice copy per stretch);
 //! * the date index is remapped only if messages went.
 //!
 //! A like-only batch therefore writes `person_likes` + `message_likes`
 //! and shares everything else with the previous version. The one extra:
 //! a batch leaves no insert overflow behind — adjacencies still holding
-//! some are folded ([`Store::compact`]'s merge), because the BI scans
-//! run measurably slower on the overflow form. The CSR hot loops never
-//! test tombstones, which suits the BI usage pattern (bulk refresh
-//! between analytical sessions); the insert overflow path (IU 1–8)
-//! remains the low-latency write mechanism.
+//! some are folded ([`Store::compact`]'s merge, the same walk listing no
+//! source), because the BI scans run measurably slower on the overflow
+//! form. The CSR hot loops never test tombstones, which suits the BI
+//! usage pattern (bulk refresh between analytical sessions); the insert
+//! overflow path (IU 1–8) remains the low-latency write mechanism.
 
 use rustc_hash::FxHashSet;
 
@@ -78,11 +81,13 @@ pub struct DeleteStats {
     pub forums: usize,
     /// Messages removed (including cascaded reply subtrees).
     pub messages: usize,
-    /// Like edges removed (cascades included).
+    /// Like edges removed (cascades included; an absent edge counts 0).
     pub likes: usize,
-    /// Membership edges removed (cascades included).
+    /// Membership edges removed (cascades included; an absent edge
+    /// counts 0).
     pub memberships: usize,
-    /// Knows edges removed (cascades included; undirected count).
+    /// Knows edges removed (cascades included; undirected count; an
+    /// absent edge counts 0).
     pub knows: usize,
 }
 
@@ -103,41 +108,55 @@ impl Store {
     /// removed. Unknown ids error without mutating anything.
     pub fn apply_deletes(&mut self, ops: &[DeleteOp]) -> SnbResult<DeleteStats> {
         let mut v = Victims::default();
-        // Seed the tombstones from the explicit operations.
+        // Seed the tombstones from the explicit operations; an edge the
+        // store does not hold is no victim.
         for op in ops {
             match *op {
                 DeleteOp::Person(id) => {
                     v.persons.insert(self.person(id)?);
                 }
                 DeleteOp::Like(p, m) => {
-                    v.likes.insert((self.person(p)?, self.message(m)?));
+                    let (p, m) = (self.person(p)?, self.message(m)?);
+                    if self.person_likes.contains(p, m) {
+                        v.likes.insert((p, m));
+                    }
                 }
                 DeleteOp::Forum(id) => {
                     v.forums.insert(self.forum(id)?);
                 }
                 DeleteOp::Membership(p, f) => {
-                    v.memberships.insert((self.person(p)?, self.forum(f)?));
+                    let (p, f) = (self.person(p)?, self.forum(f)?);
+                    if self.member_forum.contains(p, f) {
+                        v.memberships.insert((p, f));
+                    }
                 }
                 DeleteOp::Message(id) => {
                     v.messages.insert(self.message(id)?);
                 }
                 DeleteOp::Knows(a, b) => {
                     let (a, b) = (self.person(a)?, self.person(b)?);
-                    v.knows.insert((a.min(b), a.max(b)));
+                    if self.knows.contains(a, b) {
+                        v.knows.insert((a.min(b), a.max(b)));
+                    }
                 }
             }
         }
         self.expand_cascades(&mut v);
-        let stats = DeleteStats {
+        // The edge counts are what the rewrites dropped.
+        let edges = |s: &Store| {
+            (s.person_likes.edge_count(), s.forum_member.edge_count(), s.knows.edge_count())
+        };
+        let (likes, memberships, knows) = edges(self);
+        self.remove(&v);
+        let after = edges(self);
+        Ok(DeleteStats {
             persons: v.persons.len(),
             forums: v.forums.len(),
             messages: v.messages.len(),
-            likes: v.likes.len(),
-            memberships: v.memberships.len(),
-            knows: v.knows.len(),
-        };
-        self.remove(&v);
-        Ok(stats)
+            likes: likes - after.0,
+            memberships: memberships - after.1,
+            knows: (knows - after.2) / 2,
+        })
     }
 
     /// Expands seeds to their transitive closure.
@@ -257,39 +276,42 @@ impl Store {
             }
         }
 
-        // --- adjacencies: (source class, target class, edge victims) ---
+        // --- adjacencies: (source class, target class, the sources
+        // owning a victim edge, the victim test) ---
         let none = |_: Ix, _: Ix| false;
-        let knows = !v.knows.is_empty();
+        let knows = v.knows.iter().flat_map(|&(a, b)| [a, b]).collect();
         rewrite(&mut self.knows, &persons, &persons, knows, |a, b| {
             v.knows.contains(&(a.min(b), a.max(b)))
         });
-        let likes = !v.likes.is_empty();
-        rewrite(&mut self.person_likes, &persons, &messages, likes, |p, m| {
+        let likers = v.likes.iter().map(|&(p, _)| p).collect();
+        rewrite(&mut self.person_likes, &persons, &messages, likers, |p, m| {
             v.likes.contains(&(p, m))
         });
-        rewrite(&mut self.message_likes, &messages, &persons, likes, |m, p| {
+        let liked = v.likes.iter().map(|&(_, m)| m).collect();
+        rewrite(&mut self.message_likes, &messages, &persons, liked, |m, p| {
             v.likes.contains(&(p, m))
         });
-        let members = !v.memberships.is_empty();
-        rewrite(&mut self.forum_member, &forums, &persons, members, |f, p| {
+        let groups = v.memberships.iter().map(|&(_, f)| f).collect();
+        rewrite(&mut self.forum_member, &forums, &persons, groups, |f, p| {
             v.memberships.contains(&(p, f))
         });
+        let members = v.memberships.iter().map(|&(p, _)| p).collect();
         rewrite(&mut self.member_forum, &persons, &forums, members, |p, f| {
             v.memberships.contains(&(p, f))
         });
-        rewrite(&mut self.person_interest, &persons, &kept, false, none);
-        rewrite(&mut self.interest_person, &kept, &persons, false, none);
-        rewrite(&mut self.person_study, &persons, &kept, false, none);
-        rewrite(&mut self.person_work, &persons, &kept, false, none);
-        rewrite(&mut self.message_tag, &messages, &kept, false, none);
-        rewrite(&mut self.tag_message, &kept, &messages, false, none);
-        rewrite(&mut self.forum_tag, &forums, &kept, false, none);
-        rewrite(&mut self.tag_forum, &kept, &forums, false, none);
-        rewrite(&mut self.person_messages, &persons, &messages, false, none);
-        rewrite(&mut self.forum_posts, &forums, &messages, false, none);
-        rewrite(&mut self.message_replies, &messages, &messages, false, none);
-        rewrite(&mut self.person_moderates, &persons, &forums, false, none);
-        rewrite(&mut self.city_person, &kept, &persons, false, none);
+        rewrite(&mut self.person_interest, &persons, &kept, vec![], none);
+        rewrite(&mut self.interest_person, &kept, &persons, vec![], none);
+        rewrite(&mut self.person_study, &persons, &kept, vec![], none);
+        rewrite(&mut self.person_work, &persons, &kept, vec![], none);
+        rewrite(&mut self.message_tag, &messages, &kept, vec![], none);
+        rewrite(&mut self.tag_message, &kept, &messages, vec![], none);
+        rewrite(&mut self.forum_tag, &forums, &kept, vec![], none);
+        rewrite(&mut self.tag_forum, &kept, &forums, vec![], none);
+        rewrite(&mut self.person_messages, &persons, &messages, vec![], none);
+        rewrite(&mut self.forum_posts, &forums, &messages, vec![], none);
+        rewrite(&mut self.message_replies, &messages, &messages, vec![], none);
+        rewrite(&mut self.person_moderates, &persons, &forums, vec![], none);
+        rewrite(&mut self.city_person, &kept, &persons, vec![], none);
         self.fold_overflow();
 
         // --- date index: survivors keep their (date, ix) order ---
@@ -302,15 +324,19 @@ impl Store {
     }
 }
 
-/// Old → new dense index of one entity class; `None` (the default)
-/// when the class lost no rows, i.e. the identity.
+/// Old → new dense index of one entity class; `map` is `None` (the
+/// default) when the class lost no rows, i.e. the identity.
 #[derive(Default)]
-struct Remap(Option<Vec<Ix>>);
+struct Remap {
+    map: Option<Vec<Ix>>,
+    /// The removed rows, ascending.
+    removed: Vec<Ix>,
+}
 
 impl Remap {
     fn new(len: usize, victims: &FxHashSet<Ix>) -> Remap {
         if victims.is_empty() {
-            return Remap(None);
+            return Remap::default();
         }
         let mut next = 0;
         let map = (0..len as Ix)
@@ -323,17 +349,19 @@ impl Remap {
                 }
             })
             .collect();
-        Remap(Some(map))
+        let mut removed: Vec<Ix> = victims.iter().copied().collect();
+        removed.sort_unstable();
+        Remap { map: Some(map), removed }
     }
 
     /// Whether the class lost rows (its indices shift).
     fn touched(&self) -> bool {
-        self.0.is_some()
+        self.map.is_some()
     }
 
     /// The new index of old row `i`, `None` if it was removed.
     fn get(&self, i: Ix) -> Option<Ix> {
-        match &self.0 {
+        match &self.map {
             None => Some(i),
             Some(map) => Some(map[i as usize]).filter(|&n| n != NONE),
         }
@@ -341,13 +369,13 @@ impl Remap {
 
     /// The row filter of a touched class.
     fn keep(&self) -> Option<impl Fn(usize) -> bool + Copy + '_> {
-        self.0.as_ref().map(|map| move |i: usize| map[i] != NONE)
+        self.map.as_ref().map(|map| move |i: usize| map[i] != NONE)
     }
 
     /// Remaps a reference column in place (`NONE` stays `NONE`); a
     /// no-op for an untouched class, which leaves a shared column shared.
     fn apply(&self, col: &mut AppendVec<Ix>) {
-        if let Some(map) = &self.0 {
+        if let Some(map) = &self.map {
             for ix in col.iter_mut().filter(|ix| **ix != NONE) {
                 *ix = map[*ix as usize];
             }
@@ -356,36 +384,32 @@ impl Remap {
 }
 
 /// Rewrites one adjacency without removed sources, removed targets and
-/// the edges `dropped` names, in one pass into a fresh `Adj` — if any
-/// of those can exist; otherwise the adjacency stays shared.
+/// the edges `dropped` names, in one walk into a fresh `Adj` — if any of
+/// those can exist; otherwise the adjacency stays shared. `owners` are
+/// the sources of the victim edges, in any order. When the target class
+/// renumbers, every source is filtered; otherwise the walk visits only
+/// the removed sources and `owners`, and copies the rest as slices.
 fn rewrite<P: Copy>(
     adj: &mut CowBox<Adj<P>>,
     sources: &Remap,
     targets: &Remap,
-    edge_victims: bool,
+    mut owners: Vec<Ix>,
     dropped: impl Fn(Ix, Ix) -> bool,
 ) {
-    if !(sources.touched() || targets.touched() || edge_victims) {
+    if !(sources.touched() || targets.touched() || !owners.is_empty()) {
         return;
     }
-    // Surviving sources copy their edges as they are unless a target may
-    // be renumbered or removed, or an edge may be a victim.
-    let filter = targets.touched() || edge_victims;
-    let fresh = adj.rewrite(
-        |u| match sources.get(u) {
-            None => Rewrite::Drop,
-            Some(_) if filter => Rewrite::Filter,
-            Some(_) => Rewrite::Keep,
-        },
-        |u, t, _| if dropped(u, t) { None } else { targets.get(t) },
-    );
+    let source = |u| if sources.get(u).is_some() { Rewrite::Filter } else { Rewrite::Drop };
+    let edge = |u, t, _| if dropped(u, t) { None } else { targets.get(t) };
+    let fresh = if targets.touched() {
+        adj.rewrite(0..adj.sources() as Ix, source, edge)
+    } else {
+        owners.extend_from_slice(&sources.removed);
+        owners.sort_unstable();
+        owners.dedup();
+        adj.rewrite(owners, source, edge)
+    };
     adj.set(fresh);
-}
-
-/// Convenience constructor validating that the ids exist is done inside
-/// [`Store::apply_deletes`]; this free function only documents intent.
-pub fn delete_person(id: u64) -> DeleteOp {
-    DeleteOp::Person(id)
 }
 
 #[cfg(test)]
@@ -506,7 +530,8 @@ mod tests {
         };
         let (pid, mid) = (s.persons.id[p as usize], s.messages.id[m as usize]);
         let likes_before = s.person_likes.edge_count();
-        s.apply_deletes(&[DeleteOp::Like(pid, mid)]).unwrap();
+        let stats = s.apply_deletes(&[DeleteOp::Like(pid, mid)]).unwrap();
+        assert_eq!(stats, DeleteStats { likes: 1, ..DeleteStats::default() });
         assert_eq!(s.person_likes.edge_count(), likes_before - 1);
         s.validate_invariants().unwrap();
 
@@ -517,9 +542,35 @@ mod tests {
         };
         let (pid, fid) = (s.persons.id[p as usize], s.forums.id[f as usize]);
         let members_before = s.forum_member.edge_count();
-        s.apply_deletes(&[DeleteOp::Membership(pid, fid)]).unwrap();
+        let stats = s.apply_deletes(&[DeleteOp::Membership(pid, fid)]).unwrap();
+        assert_eq!(stats, DeleteStats { memberships: 1, ..DeleteStats::default() });
         assert_eq!(s.forum_member.edge_count(), members_before - 1);
         s.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn deleting_absent_edges_removes_and_rewrites_nothing() {
+        let mut s = store();
+        let p = (0..s.persons.len() as Ix).find(|&p| s.person_likes.degree(p) > 0).unwrap();
+        let m = (0..s.messages.len() as Ix).find(|&m| !s.person_likes.contains(p, m)).unwrap();
+        let f = (0..s.forums.len() as Ix).find(|&f| !s.member_forum.contains(p, f)).unwrap();
+        let q = (0..s.persons.len() as Ix).find(|&q| q != p && !s.knows.contains(p, q)).unwrap();
+        let pid = s.persons.id[p as usize];
+        let ops = [
+            DeleteOp::Like(pid, s.messages.id[m as usize]),
+            DeleteOp::Membership(pid, s.forums.id[f as usize]),
+            DeleteOp::Knows(pid, s.persons.id[q as usize]),
+        ];
+        let before = s.clone();
+        let stats = s.apply_deletes(&ops).unwrap();
+        assert_eq!(stats, DeleteStats::default());
+        assert_eq!(s.person_likes.edge_count(), before.person_likes.edge_count());
+        assert_eq!(s.forum_member.edge_count(), before.forum_member.edge_count());
+        assert_eq!(s.knows.edge_count(), before.knows.edge_count());
+        assert!(CowBox::ptr_eq(&before.person_likes, &s.person_likes));
+        assert!(CowBox::ptr_eq(&before.message_likes, &s.message_likes));
+        assert!(CowBox::ptr_eq(&before.forum_member, &s.forum_member));
+        assert!(CowBox::ptr_eq(&before.knows, &s.knows));
     }
 
     #[test]

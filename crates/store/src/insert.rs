@@ -20,7 +20,7 @@
 //! buffers the version shares, and an insert batch copies what it
 //! appends rather than the store.
 
-use snb_core::model::{MessageKind, PlaceKind};
+use snb_core::model::{MessageKind, OrganisationKind, PlaceKind};
 use snb_core::{SnbError, SnbResult};
 
 use snb_datagen::dictionaries::{StaticWorld, BROWSERS};
@@ -71,6 +71,18 @@ impl Store {
         Ok(ix)
     }
 
+    /// The dense index of organisation `id`, which must be a `kind`.
+    fn org_of_kind(&self, id: u64, kind: OrganisationKind) -> SnbResult<Ix> {
+        let ix = lookup(&self.org_ix, "Organisation", id)?;
+        if self.organisations.kind[ix as usize] != kind {
+            return Err(SnbError::parse(
+                format!("Organisation {id}"),
+                format!("is not a {kind:?}"),
+            ));
+        }
+        Ok(ix)
+    }
+
     /// Appends a person row (id-map entry and every column); its
     /// interests, university and employers go to `edges`.
     pub(crate) fn push_person(
@@ -90,10 +102,10 @@ impl Store {
             edges.interest.push((ix, lookup(&self.tag_ix, "Tag", t.0)?, ()));
         }
         if let Some((org, year)) = p.study_at {
-            edges.study.push((ix, lookup(&self.org_ix, "Organisation", org.0)?, year));
+            edges.study.push((ix, self.org_of_kind(org.0, OrganisationKind::University)?, year));
         }
         for &(org, from) in &p.work_at {
-            edges.work.push((ix, lookup(&self.org_ix, "Organisation", org.0)?, from));
+            edges.work.push((ix, self.org_of_kind(org.0, OrganisationKind::Company)?, from));
         }
         self.person_ix.insert(p.id.0, ix);
         let cols = &mut *self.persons;
@@ -303,7 +315,7 @@ mod tests {
     use crate::intern::{PackCol, SymCol};
     use crate::Adj;
     use snb_core::datetime::{Date, DateTime};
-    use snb_core::model::{ForumId, Gender, MessageId, PersonId, PlaceId, TagId};
+    use snb_core::model::{ForumId, Gender, MessageId, OrganisationId, PersonId, PlaceId, TagId};
     use snb_core::scale::ScaleFactor;
     use snb_datagen::graph::RawKnows;
     use snb_datagen::GeneratorConfig;
@@ -417,7 +429,10 @@ mod tests {
         let world = world();
         let city = s.places.id[s.persons.city[0] as usize];
         let mut p = person(999_999, city, &world);
-        p.work_at = vec![(snb_core::model::OrganisationId(s.organisations.id[0]), 2010)];
+        let company = (0..s.organisations.len())
+            .find(|&o| s.organisations.kind[o] == OrganisationKind::Company)
+            .unwrap();
+        p.work_at = vec![(OrganisationId(s.organisations.id[company]), 2010)];
         let ix = add_person(&mut s, p, &world).unwrap();
         assert_eq!(s.person(999_999).unwrap(), ix);
         assert_eq!(s.person_interest.targets_of(ix).count(), 2);
@@ -481,6 +496,12 @@ mod tests {
         let city = s.places.id[s.persons.city[0] as usize];
         let country = s.places.id[s.messages.country[0] as usize];
         let (author, forum) = (s.persons.id[0], s.forums.id[0]);
+        let org = |kind| {
+            let o = (0..s.organisations.len()).find(|&o| s.organisations.kind[o] == kind).unwrap();
+            OrganisationId(s.organisations.id[o])
+        };
+        let (university, company) =
+            (org(OrganisationKind::University), org(OrganisationKind::Company));
         let good_post = || post(7_000_000, author, forum, country, &world);
         let parent = s.messages.id[0];
         let good_comment = || comment(7_000_001, author, parent, country, DateTime(0));
@@ -500,6 +521,8 @@ mod tests {
             ("person language out of range", with(&|p| p.languages.push(250))),
             ("person city is a country", with(&|p| p.city = PlaceId(country))),
             ("person interest unknown", with(&|p| p.interests.push(TagId(u64::MAX)))),
+            ("person studies at a company", with(&|p| p.study_at = Some((company, 2010)))),
+            ("person works at a university", with(&|p| p.work_at.push((university, 2010)))),
             ("post browser 250", post_with(&|m| m.browser = 250)),
             ("post language out of range", post_with(&|m| m.language = Some(250))),
             ("post without a forum", post_with(&|m| m.forum = None)),

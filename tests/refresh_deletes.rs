@@ -1,9 +1,17 @@
 //! Metamorphic checks of the refresh delete path: a delete batch that
 //! removes exactly what an insert batch created restores every BI
-//! result, and a delete batch split in two answers like the whole. The
-//! delete path rewrites only the components its victims touch, so
-//! these relations are what proves it missed none; every store is also
-//! run through `validate_invariants` and must carry no insert overflow.
+//! result, a delete batch split in two answers like the whole, and the
+//! `bi_refresh` microbatch (an insert batch, then the delete of its post
+//! likes) encodes to the same store image, byte for byte, as the batch
+//! inserted without those likes and compacted. The delete path rewrites
+//! only the components and sources its victims touch, so these
+//! relations are what proves it missed none; the byte-level one also
+//! pins per-source edge order and payloads, which no BI result checks.
+//! Every store is also run through `validate_invariants` and must carry
+//! no insert overflow.
+//!
+//! The `#[ignore]`d byte-level variant runs at SF 0.03:
+//! `cargo test --release --test refresh_deletes -- --ignored`.
 
 use proptest::prelude::*;
 
@@ -12,7 +20,7 @@ use ldbc_snb::datagen::dictionaries::StaticWorld;
 use ldbc_snb::datagen::stream::{TimedEvent, UpdateEvent};
 use ldbc_snb::datagen::GeneratorConfig;
 use ldbc_snb::params::ParamGen;
-use ldbc_snb::store::{bulk_store_and_stream, DeleteOp, Ix, Store};
+use ldbc_snb::store::{bulk_store_and_stream, encode_store, DeleteOp, Ix, Store};
 
 fn config(seed: u64) -> GeneratorConfig {
     let mut c = GeneratorConfig::for_scale_name("0.001").unwrap();
@@ -66,6 +74,48 @@ fn undo(events: &[TimedEvent]) -> Vec<DeleteOp> {
             UpdateEvent::AddKnows(k) => DeleteOp::Knows(k.a.0, k.b.0),
         })
         .collect()
+}
+
+/// One `bi_refresh` microbatch at the byte level, on the store after
+/// `prefix` stream events: store A applies the next `batch` events and
+/// then deletes their `AddLikePost` likes; store B applies the same
+/// events without those likes and compacts. Both encode to equal bytes.
+fn like_delete_equals_never_inserting(c: &GeneratorConfig, prefix: usize, batch: usize) {
+    let (base, stream, world) = store_after(c, prefix);
+    assert!(!base.clone().fold_overflow().is_empty(), "the prefix must leave overflow");
+    let window = &stream[..batch.min(stream.len())];
+    let is_post_like = |e: &&TimedEvent| matches!(e.event, UpdateEvent::AddLikePost(_));
+    let likes = undo(&window.iter().filter(is_post_like).cloned().collect::<Vec<_>>());
+    assert!(!likes.is_empty(), "the batch must like a post");
+
+    let mut a = base.clone();
+    for e in window {
+        a.apply_event(e, &world).unwrap();
+    }
+    let stats = a.apply_deletes(&likes).unwrap();
+    assert_eq!(stats.likes, likes.len());
+    check_clean(&a);
+
+    let mut b = base;
+    for e in window.iter().filter(|e| !is_post_like(e)) {
+        b.apply_event(e, &world).unwrap();
+    }
+    b.compact();
+    assert!(encode_store(&a) == encode_store(&b), "seed {} prefix {prefix}", c.seed);
+}
+
+#[test]
+fn deleting_a_batchs_post_likes_equals_never_inserting_them() {
+    for seed in [3, 17, 531] {
+        like_delete_equals_never_inserting(&config(seed), 300, 400);
+    }
+}
+
+#[test]
+#[ignore = "SF 0.03; run with --release -- --ignored"]
+fn deleting_a_batchs_post_likes_equals_never_inserting_them_at_sf_003() {
+    let c = GeneratorConfig::for_scale_name("0.03").unwrap();
+    like_delete_equals_never_inserting(&c, 2_000, 1_200);
 }
 
 /// Splitmix64 — picks the mixed batch's victims from the case seed.
