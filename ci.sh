@@ -36,6 +36,19 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 
+echo "==> each column group is declared once (no per-field group passes, no per-group codec)"
+# A column group's fields are listed once, in its column_group! declaration
+# (crates/store/src/columns.rs), and the delete filter, shrink_to_fit and
+# the image codec derive from it; a hand-listed pass would bring back the
+# silent misalignment a forgotten column causes.
+if grep -nE '\b[a-z_]+\.[a-z_]+\.(filter_in_place|shrink_to_fit)\(' \
+  crates/store/src/delete.rs crates/store/src/store.rs crates/store/src/image.rs \
+  || grep -nE 'fn (encode|decode)_(persons|forums|messages|places|tags|tag_classes|organisations)\b' \
+    crates/store/src/image.rs; then
+  echo "a column group is listed by hand: derive the pass from its column_group! declaration" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

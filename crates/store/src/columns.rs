@@ -1,13 +1,30 @@
-//! Struct-of-arrays column groups for every entity type.
+//! Struct-of-arrays column groups for every entity type, each declared
+//! once.
 //!
 //! Entities are addressed by dense `u32` indices assigned at load time;
 //! raw 64-bit ids are kept in an `id` column and an [`IdMap`] maps them
 //! back (id→index lookups use `FxHashMap`, per the perf guidance for
 //! integer keys). `NONE` marks absent optional references.
 //!
-//! Every column is an [`AppendVec`]: a store version and the writer's
-//! next version share each column's buffer, and an insert batch appends
-//! into it in place instead of copying the column.
+//! A group's field list is written once, in a `column_group!`
+//! declaration below; a reference column also names the class it points
+//! into and whether it may be `NONE`. From that list come the struct,
+//! its heap-byte sums, and the `Group` passes the rest of the crate
+//! runs over whole groups: `shrink_to_fit`, the delete path's row filter
+//! and reference remaps, the image section encode and decode, and the
+//! length and dangling-reference checks of
+//! [`Store::validate_invariants`](crate::Store::validate_invariants).
+//! Each pass works column by column through the `Column` trait, which
+//! every column type implements. Reads stay plain field access
+//! (`messages.creator[i]`), and the row writers in `insert.rs` and
+//! `load.rs` push each column by hand, because they resolve references.
+//! Adding a column therefore means one line here, one push in each row
+//! writer, and nothing else.
+//!
+//! Every column is an [`AppendVec`] or a string column built on them: a
+//! store version and the writer's next version share each column's
+//! buffer, and an insert batch appends into it in place instead of
+//! copying the column.
 //!
 //! String-valued attributes no longer store `Vec<String>`: dictionary
 //! values (names, browsers, languages) live in [`SymCol`] columns of
@@ -21,11 +38,14 @@ use std::ops::Index;
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
+use snb_core::bytes::{Malformed, Reader};
 use snb_core::datetime::{Date, DateTime};
 use snb_core::model::{Gender, MessageKind, OrganisationKind, PlaceKind};
 
 use crate::append_vec::AppendVec;
+use crate::image::Scalar;
 use crate::intern::{PackCol, PackListCol, SymCol, SymListCol};
+use crate::store::Entity;
 
 /// Dense entity index.
 pub type Ix = u32;
@@ -121,295 +141,384 @@ impl FromIterator<(u64, Ix)> for IdMap {
     }
 }
 
-/// Person columns (spec Table 2.5).
-#[derive(Clone, Default)]
-pub struct PersonCols {
-    /// Raw ids.
-    pub id: AppendVec<u64>,
-    /// First names (interned — drawn from the name dictionaries).
-    pub first_name: SymCol,
-    /// Surnames (interned).
-    pub last_name: SymCol,
-    /// Genders.
-    pub gender: AppendVec<Gender>,
-    /// Birthdays.
-    pub birthday: AppendVec<Date>,
-    /// Join dates.
-    pub creation_date: AppendVec<DateTime>,
-    /// Registration IPs (packed — high cardinality).
-    pub location_ip: PackCol,
-    /// Browser names (interned — tiny dictionary).
-    pub browser: SymCol,
-    /// Home city (place index).
-    pub city: AppendVec<Ix>,
-    /// Email addresses (multi-valued, packed — unique per person).
-    pub emails: PackListCol,
-    /// Spoken languages (multi-valued, interned).
-    pub speaks: SymListCol,
-}
+/// One column of a column group, whatever it stores: what every
+/// whole-group pass (filter, shrink, string bytes, image section, checks)
+/// needs of it. Reads stay the column's own `Index` and slice access.
+pub(crate) trait Column: Default {
+    /// Number of rows.
+    fn len(&self) -> usize;
 
-impl PersonCols {
-    /// Number of persons.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// True when no persons are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
-    }
-
-    /// `(packed, string_baseline)` heap bytes of the string columns.
-    pub fn string_bytes(&self) -> (usize, usize) {
-        (
-            self.first_name.heap_bytes()
-                + self.last_name.heap_bytes()
-                + self.location_ip.heap_bytes()
-                + self.browser.heap_bytes()
-                + self.emails.heap_bytes()
-                + self.speaks.heap_bytes(),
-            self.first_name.string_baseline_bytes()
-                + self.last_name.string_baseline_bytes()
-                + self.location_ip.string_baseline_bytes()
-                + self.browser.string_baseline_bytes()
-                + self.emails.string_baseline_bytes()
-                + self.speaks.string_baseline_bytes(),
-        )
-    }
+    /// Keeps only the rows whose index passes `keep`, in order.
+    fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool + Copy);
 
     /// Releases push-growth slack after an append-once bulk build.
-    pub fn shrink_to_fit(&mut self) {
-        self.id.shrink_to_fit();
-        self.first_name.shrink_to_fit();
-        self.last_name.shrink_to_fit();
-        self.gender.shrink_to_fit();
-        self.birthday.shrink_to_fit();
-        self.creation_date.shrink_to_fit();
-        self.location_ip.shrink_to_fit();
-        self.browser.shrink_to_fit();
-        self.city.shrink_to_fit();
-        self.emails.shrink_to_fit();
-        self.speaks.shrink_to_fit();
+    fn shrink_to_fit(&mut self);
+
+    /// `(heap, String-per-row baseline)` bytes for a string column,
+    /// `(0, 0)` for any other.
+    fn string_bytes(&self) -> (usize, usize) {
+        (0, 0)
+    }
+
+    /// Writes the column's image form (see [`crate::image`]).
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads what `Column::put` wrote.
+    fn get(r: &mut Reader<'_>) -> Result<Self, Malformed>;
+
+    /// Whether two columns share their buffers.
+    #[cfg(test)]
+    fn shares_buffers(&self, other: &Self) -> bool;
+}
+
+/// A column of plain values; the element type picks the image encoding
+/// (`Scalar`).
+impl<T: Scalar> Column for AppendVec<T> {
+    fn len(&self) -> usize {
+        AppendVec::len(self)
+    }
+
+    fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool + Copy) {
+        AppendVec::filter_in_place(self, keep);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        AppendVec::shrink_to_fit(self);
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        crate::image::put_scalars(out, self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, Malformed> {
+        crate::image::get_scalars(r)
+    }
+
+    #[cfg(test)]
+    fn shares_buffers(&self, other: &Self) -> bool {
+        AppendVec::ptr_eq(self, other)
     }
 }
 
-/// Forum columns (spec Table 2.2 + moderator).
-#[derive(Clone, Default)]
-pub struct ForumCols {
-    /// Raw ids.
-    pub id: AppendVec<u64>,
-    /// Titles ("Wall of …" / "Album …" / "Group for …") — packed,
-    /// unique per forum.
-    pub title: PackCol,
-    /// Creation timestamps.
-    pub creation_date: AppendVec<DateTime>,
-    /// Moderator (person index).
-    pub moderator: AppendVec<Ix>,
+/// The string columns keep their own methods; their image forms are
+/// `image.rs`'s `put_*` / `get_*` pairs.
+macro_rules! string_column {
+    ($($ty:ident: $put:ident, $get:ident;)*) => {$(
+        impl Column for $ty {
+            fn len(&self) -> usize {
+                $ty::len(self)
+            }
+
+            fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool + Copy) {
+                $ty::filter_in_place(self, keep);
+            }
+
+            fn shrink_to_fit(&mut self) {
+                $ty::shrink_to_fit(self);
+            }
+
+            fn string_bytes(&self) -> (usize, usize) {
+                (self.heap_bytes(), self.string_baseline_bytes())
+            }
+
+            fn put(&self, out: &mut Vec<u8>) {
+                crate::image::$put(out, self);
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, Malformed> {
+                crate::image::$get(r)
+            }
+
+            #[cfg(test)]
+            fn shares_buffers(&self, other: &Self) -> bool {
+                $ty::shares_buffers(self, other)
+            }
+        }
+    )*};
 }
 
-impl ForumCols {
-    /// Number of forums.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
+string_column! {
+    SymCol: put_symcol, get_symcol;
+    PackCol: put_packcol, get_packcol;
+    SymListCol: put_symlist, get_symlist;
+    PackListCol: put_packlist, get_packlist;
+}
 
-    /// True when no forums are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
-    }
+/// What the passes over a store need of one column group; the
+/// `column_group!` declaration implements it.
+pub(crate) trait Group: Clone + Default {
+    /// The classes the group's reference columns point into.
+    const TARGETS: &'static [Entity];
 
-    /// `(packed, string_baseline)` heap bytes of the string columns.
-    pub fn string_bytes(&self) -> (usize, usize) {
-        (self.title.heap_bytes(), self.title.string_baseline_bytes())
-    }
+    /// The raw-id column, which its id map inverts.
+    fn ids(&self) -> &AppendVec<u64>;
 
-    /// Releases push-growth slack after an append-once bulk build.
-    pub fn shrink_to_fit(&mut self) {
-        self.id.shrink_to_fit();
-        self.title.shrink_to_fit();
-        self.creation_date.shrink_to_fit();
-        self.moderator.shrink_to_fit();
+    /// Every column's `Column::shrink_to_fit`.
+    fn shrink_to_fit(&mut self);
+
+    /// Keeps only the rows whose index passes `keep`, in every column.
+    fn filter_rows(&mut self, keep: impl Fn(usize) -> bool + Copy);
+
+    /// Hands each reference column to `remap` with the class it points
+    /// into.
+    fn remap_refs(&mut self, remap: impl FnMut(Entity, &mut AppendVec<Ix>));
+
+    /// Writes every column's image form, in declaration order.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Reads what `Group::encode` wrote.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Malformed>;
+
+    /// Every column has one row per id, then no reference dangles:
+    /// each points below `rows` of its class, or is `NONE` where the
+    /// declaration allows it. The lengths come first so that the
+    /// reference check never indexes past a short column.
+    fn check(&self, rows: impl Fn(Entity) -> usize) -> Result<(), String>;
+
+    /// The columns whose buffers `other`'s do not share.
+    #[cfg(test)]
+    fn unshared_columns(&self, other: &Self) -> Vec<&'static str>;
+}
+
+/// An error if a reference in `col` points at or past `rows` and is not
+/// the `none` sentinel the declaration allows.
+fn check_ref(what: &str, col: &[Ix], rows: usize, none: Option<Ix>) -> Result<(), String> {
+    match col.iter().find(|&&ix| ix as usize >= rows && Some(ix) != none) {
+        Some(ix) => Err(format!("{what} {ix} dangles ({rows} rows)")),
+        None => Ok(()),
     }
 }
 
-/// Message columns (Posts and Comments share the table; `kind`
-/// discriminates — spec Tables 2.3 / 2.7).
-#[derive(Clone, Default)]
-pub struct MessageCols {
-    /// Raw ids.
-    pub id: AppendVec<u64>,
-    /// Post or Comment.
-    pub kind: AppendVec<MessageKind>,
-    /// Creation timestamps.
-    pub creation_date: AppendVec<DateTime>,
-    /// Author (person index).
-    pub creator: AppendVec<Ix>,
-    /// Country the message was issued from (place index).
-    pub country: AppendVec<Ix>,
-    /// Browser names (interned).
-    pub browser: SymCol,
-    /// Origin IPs (packed).
-    pub location_ip: PackCol,
-    /// Content (empty iff image post) — packed.
-    pub content: PackCol,
-    /// Content length.
-    pub length: AppendVec<u32>,
-    /// Image file name (empty string when absent) — packed.
-    pub image_file: PackCol,
-    /// Language (Posts; empty string when absent) — interned.
-    pub language: SymCol,
-    /// Containing forum (Posts; `NONE` for comments).
-    pub forum: AppendVec<Ix>,
-    /// Replied-to message (Comments; `NONE` for posts).
-    pub reply_of: AppendVec<Ix>,
-    /// Root post of the thread (self for posts).
-    pub root_post: AppendVec<Ix>,
+/// Declares one column group: its struct, and the `Group` passes
+/// derived from the field list. A reference column names the class it
+/// points into (`creator: AppendVec<Ix> => Person`) and, when it may be
+/// absent, the sentinel (`=> Message | NONE`). Every group has an `id`
+/// column; columns are written to the image in the order declared.
+macro_rules! column_group {
+    (
+        $(#[$doc:meta])*
+        $name:ident {
+            $(
+                $(#[$field_doc:meta])*
+                $field:ident: $ty:ty $(=> $target:ident $(| $none:ident)?)?,
+            )*
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Default)]
+        pub struct $name {
+            $( $(#[$field_doc])* pub $field: $ty, )*
+        }
+
+        impl $name {
+            /// Number of rows.
+            pub fn len(&self) -> usize {
+                self.id.len()
+            }
+
+            /// True when the group holds no rows.
+            pub fn is_empty(&self) -> bool {
+                self.id.is_empty()
+            }
+
+            /// `(packed, string_baseline)` heap bytes of the string columns.
+            pub fn string_bytes(&self) -> (usize, usize) {
+                [$(Column::string_bytes(&self.$field)),*]
+                    .iter()
+                    .fold((0, 0), |(h, b), &(ch, cb)| (h + ch, b + cb))
+            }
+        }
+
+        impl Group for $name {
+            const TARGETS: &'static [Entity] = &[$($(Entity::$target,)?)*];
+
+            fn ids(&self) -> &AppendVec<u64> {
+                &self.id
+            }
+
+            fn shrink_to_fit(&mut self) {
+                $( Column::shrink_to_fit(&mut self.$field); )*
+            }
+
+            fn filter_rows(&mut self, keep: impl Fn(usize) -> bool + Copy) {
+                $( Column::filter_in_place(&mut self.$field, keep); )*
+            }
+
+            fn remap_refs(&mut self, mut remap: impl FnMut(Entity, &mut AppendVec<Ix>)) {
+                $($( remap(Entity::$target, &mut self.$field); )?)*
+            }
+
+            fn encode(&self, out: &mut Vec<u8>) {
+                $( Column::put(&self.$field, out); )*
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, Malformed> {
+                Ok($name { $( $field: Column::get(r)?, )* })
+            }
+
+            fn check(&self, rows: impl Fn(Entity) -> usize) -> Result<(), String> {
+                let n = self.id.len();
+                $(
+                    let len = Column::len(&self.$field);
+                    if len != n {
+                        return Err(format!("{} has {len} rows for {n} ids", stringify!($field)));
+                    }
+                )*
+                $($(
+                    let none: Option<Ix> = None $(.or(Some($none)))?;
+                    check_ref(stringify!($field), &self.$field, rows(Entity::$target), none)?;
+                )?)*
+                Ok(())
+            }
+
+            #[cfg(test)]
+            fn unshared_columns(&self, other: &Self) -> Vec<&'static str> {
+                let mut out = Vec::new();
+                $(
+                    if !Column::shares_buffers(&self.$field, &other.$field) {
+                        out.push(stringify!($field));
+                    }
+                )*
+                out
+            }
+        }
+    };
+}
+
+column_group! {
+    /// Person columns (spec Table 2.5).
+    PersonCols {
+        /// Raw ids.
+        id: AppendVec<u64>,
+        /// First names (interned — drawn from the name dictionaries).
+        first_name: SymCol,
+        /// Surnames (interned).
+        last_name: SymCol,
+        /// Genders.
+        gender: AppendVec<Gender>,
+        /// Birthdays.
+        birthday: AppendVec<Date>,
+        /// Join dates.
+        creation_date: AppendVec<DateTime>,
+        /// Registration IPs (packed — high cardinality).
+        location_ip: PackCol,
+        /// Browser names (interned — tiny dictionary).
+        browser: SymCol,
+        /// Home city (place index).
+        city: AppendVec<Ix> => Place,
+        /// Email addresses (multi-valued, packed — unique per person).
+        emails: PackListCol,
+        /// Spoken languages (multi-valued, interned).
+        speaks: SymListCol,
+    }
+}
+
+column_group! {
+    /// Forum columns (spec Table 2.2 + moderator).
+    ForumCols {
+        /// Raw ids.
+        id: AppendVec<u64>,
+        /// Titles ("Wall of …" / "Album …" / "Group for …") — packed,
+        /// unique per forum.
+        title: PackCol,
+        /// Creation timestamps.
+        creation_date: AppendVec<DateTime>,
+        /// Moderator (person index).
+        moderator: AppendVec<Ix> => Person,
+    }
+}
+
+column_group! {
+    /// Message columns (Posts and Comments share the table; `kind`
+    /// discriminates — spec Tables 2.3 / 2.7).
+    MessageCols {
+        /// Raw ids.
+        id: AppendVec<u64>,
+        /// Post or Comment.
+        kind: AppendVec<MessageKind>,
+        /// Creation timestamps.
+        creation_date: AppendVec<DateTime>,
+        /// Author (person index).
+        creator: AppendVec<Ix> => Person,
+        /// Country the message was issued from (place index).
+        country: AppendVec<Ix> => Place,
+        /// Browser names (interned).
+        browser: SymCol,
+        /// Origin IPs (packed).
+        location_ip: PackCol,
+        /// Content (empty iff image post) — packed.
+        content: PackCol,
+        /// Content length.
+        length: AppendVec<u32>,
+        /// Image file name (empty string when absent) — packed.
+        image_file: PackCol,
+        /// Language (Posts; empty string when absent) — interned.
+        language: SymCol,
+        /// Containing forum (Posts; `NONE` for comments).
+        forum: AppendVec<Ix> => Forum | NONE,
+        /// Replied-to message (Comments; `NONE` for posts).
+        reply_of: AppendVec<Ix> => Message | NONE,
+        /// Root post of the thread (self for posts).
+        root_post: AppendVec<Ix> => Message,
+    }
 }
 
 impl MessageCols {
-    /// Number of messages.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// True when no messages are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
-    }
-
     /// Whether message `m` is a Post.
     pub fn is_post(&self, m: Ix) -> bool {
         self.kind[m as usize] == MessageKind::Post
     }
+}
 
-    /// `(packed, string_baseline)` heap bytes of the string columns.
-    pub fn string_bytes(&self) -> (usize, usize) {
-        (
-            self.browser.heap_bytes()
-                + self.location_ip.heap_bytes()
-                + self.content.heap_bytes()
-                + self.image_file.heap_bytes()
-                + self.language.heap_bytes(),
-            self.browser.string_baseline_bytes()
-                + self.location_ip.string_baseline_bytes()
-                + self.content.string_baseline_bytes()
-                + self.image_file.string_baseline_bytes()
-                + self.language.string_baseline_bytes(),
-        )
-    }
-
-    /// Releases push-growth slack after an append-once bulk build.
-    pub fn shrink_to_fit(&mut self) {
-        self.id.shrink_to_fit();
-        self.kind.shrink_to_fit();
-        self.creation_date.shrink_to_fit();
-        self.creator.shrink_to_fit();
-        self.country.shrink_to_fit();
-        self.browser.shrink_to_fit();
-        self.location_ip.shrink_to_fit();
-        self.content.shrink_to_fit();
-        self.length.shrink_to_fit();
-        self.image_file.shrink_to_fit();
-        self.language.shrink_to_fit();
-        self.forum.shrink_to_fit();
-        self.reply_of.shrink_to_fit();
-        self.root_post.shrink_to_fit();
+column_group! {
+    /// Place columns.
+    PlaceCols {
+        /// Raw ids.
+        id: AppendVec<u64>,
+        /// Names (interned).
+        name: SymCol,
+        /// City / country / continent.
+        kind: AppendVec<PlaceKind>,
+        /// `isPartOf` parent (`NONE` for continents).
+        part_of: AppendVec<Ix> => Place | NONE,
     }
 }
 
-/// Place columns.
-#[derive(Clone, Default)]
-pub struct PlaceCols {
-    /// Raw ids.
-    pub id: AppendVec<u64>,
-    /// Names (interned).
-    pub name: SymCol,
-    /// City / country / continent.
-    pub kind: AppendVec<PlaceKind>,
-    /// `isPartOf` parent (`NONE` for continents).
-    pub part_of: AppendVec<Ix>,
-}
-
-impl PlaceCols {
-    /// Number of places.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// True when no places are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
+column_group! {
+    /// Tag columns.
+    TagCols {
+        /// Raw ids.
+        id: AppendVec<u64>,
+        /// Names (interned).
+        name: SymCol,
+        /// `hasType` tag class (index).
+        class: AppendVec<Ix> => TagClass,
     }
 }
 
-/// Tag columns.
-#[derive(Clone, Default)]
-pub struct TagCols {
-    /// Raw ids.
-    pub id: AppendVec<u64>,
-    /// Names (interned).
-    pub name: SymCol,
-    /// `hasType` tag class (index).
-    pub class: AppendVec<Ix>,
-}
-
-impl TagCols {
-    /// Number of tags.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// True when no tags are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
+column_group! {
+    /// TagClass columns.
+    TagClassCols {
+        /// Raw ids.
+        id: AppendVec<u64>,
+        /// Names (interned).
+        name: SymCol,
+        /// `isSubclassOf` parent (`NONE` for the root).
+        parent: AppendVec<Ix> => TagClass | NONE,
     }
 }
 
-/// TagClass columns.
-#[derive(Clone, Default)]
-pub struct TagClassCols {
-    /// Raw ids.
-    pub id: AppendVec<u64>,
-    /// Names (interned).
-    pub name: SymCol,
-    /// `isSubclassOf` parent (`NONE` for the root).
-    pub parent: AppendVec<Ix>,
-}
-
-impl TagClassCols {
-    /// Number of tag classes.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// True when no tag classes are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
-    }
-}
-
-/// Organisation columns.
-#[derive(Clone, Default)]
-pub struct OrganisationCols {
-    /// Raw ids.
-    pub id: AppendVec<u64>,
-    /// Names (interned).
-    pub name: SymCol,
-    /// University or company.
-    pub kind: AppendVec<OrganisationKind>,
-    /// Location (city for universities, country for companies).
-    pub place: AppendVec<Ix>,
-}
-
-impl OrganisationCols {
-    /// Number of organisations.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// True when no organisations are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
+column_group! {
+    /// Organisation columns.
+    OrganisationCols {
+        /// Raw ids.
+        id: AppendVec<u64>,
+        /// Names (interned).
+        name: SymCol,
+        /// University or company.
+        kind: AppendVec<OrganisationKind>,
+        /// Location (city for universities, country for companies).
+        place: AppendVec<Ix> => Place,
     }
 }
 

@@ -24,7 +24,9 @@
 //! touches nothing. The cost is per touched component, not per store:
 //!
 //! * a column group and its id map are rewritten only if that class
-//!   lost rows (or, for the columns, a class they point into did);
+//!   lost rows (or, for the columns, a class they point into did), by
+//!   `retain_group`, whose row filter and reference remaps come from the
+//!   group's declaration;
 //! * an adjacency is rewritten only if its source or target class lost
 //!   rows or it has edge victims, by one `Adj::rewrite` walk into a
 //!   fresh `Adj` stored with [`CowBox::set`](crate::cow::CowBox::set),
@@ -51,9 +53,9 @@ use snb_core::SnbResult;
 
 use crate::adj::{Adj, Rewrite};
 use crate::append_vec::AppendVec;
-use crate::columns::{IdMap, Ix, NONE};
+use crate::columns::{Group, IdMap, Ix, NONE};
 use crate::cow::CowBox;
-use crate::store::Store;
+use crate::store::{Entity, Store};
 
 /// One delete operation, addressed by raw ids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -215,103 +217,43 @@ impl Store {
     /// Rewrites every component the victims touch, and only those.
     fn remove(&mut self, v: &Victims) {
         let date_index_fresh = self.date_index_fresh();
-        let persons = Remap::new(self.persons.len(), &v.persons);
-        let forums = Remap::new(self.forums.len(), &v.forums);
-        let messages = Remap::new(self.messages.len(), &v.messages);
-        let kept = Remap::default();
+        let unchanged = FxHashSet::default();
+        let remaps = Entity::ALL.map(|class| {
+            let victims = match class {
+                Entity::Person => &v.persons,
+                Entity::Forum => &v.forums,
+                Entity::Message => &v.messages,
+                _ => &unchanged,
+            };
+            Remap::new(self.rows(class), victims)
+        });
+        self.retain_groups(&remaps);
 
-        // --- columns and id maps ---
-        if let Some(keep) = persons.keep() {
-            let p = &mut *self.persons;
-            p.id.filter_in_place(keep);
-            p.first_name.filter_in_place(keep);
-            p.last_name.filter_in_place(keep);
-            p.gender.filter_in_place(keep);
-            p.birthday.filter_in_place(keep);
-            p.creation_date.filter_in_place(keep);
-            p.location_ip.filter_in_place(keep);
-            p.browser.filter_in_place(keep);
-            p.city.filter_in_place(keep);
-            p.emails.filter_in_place(keep);
-            p.speaks.filter_in_place(keep);
-            self.person_ix.set(IdMap::of_column(&self.persons.id));
-        }
-        if forums.touched() || persons.touched() {
-            let f = &mut *self.forums;
-            if let Some(keep) = forums.keep() {
-                f.id.filter_in_place(keep);
-                f.title.filter_in_place(keep);
-                f.creation_date.filter_in_place(keep);
-                f.moderator.filter_in_place(keep);
-            }
-            persons.apply(&mut f.moderator);
-            if forums.touched() {
-                self.forum_ix.set(IdMap::of_column(&self.forums.id));
-            }
-        }
-        if messages.touched() || persons.touched() || forums.touched() {
-            let m = &mut *self.messages;
-            if let Some(keep) = messages.keep() {
-                m.id.filter_in_place(keep);
-                m.kind.filter_in_place(keep);
-                m.creation_date.filter_in_place(keep);
-                m.creator.filter_in_place(keep);
-                m.country.filter_in_place(keep);
-                m.browser.filter_in_place(keep);
-                m.location_ip.filter_in_place(keep);
-                m.content.filter_in_place(keep);
-                m.length.filter_in_place(keep);
-                m.image_file.filter_in_place(keep);
-                m.language.filter_in_place(keep);
-                m.forum.filter_in_place(keep);
-                m.reply_of.filter_in_place(keep);
-                m.root_post.filter_in_place(keep);
-            }
-            persons.apply(&mut m.creator);
-            forums.apply(&mut m.forum);
-            messages.apply(&mut m.reply_of);
-            messages.apply(&mut m.root_post);
-            if messages.touched() {
-                self.message_ix.set(IdMap::of_column(&self.messages.id));
-            }
-        }
-
-        // --- adjacencies: (source class, target class, the sources
-        // owning a victim edge, the victim test) ---
-        let none = |_: Ix, _: Ix| false;
+        // --- the adjacencies owning edge victims: (source class, target
+        // class, the sources owning a victim edge, the victim test) ---
+        let [persons, forums, messages] =
+            [Entity::Person, Entity::Forum, Entity::Message].map(|c| &remaps[c as usize]);
         let knows = v.knows.iter().flat_map(|&(a, b)| [a, b]).collect();
-        rewrite(&mut self.knows, &persons, &persons, knows, |a, b| {
+        rewrite(&mut self.knows, persons, persons, knows, |a, b| {
             v.knows.contains(&(a.min(b), a.max(b)))
         });
         let likers = v.likes.iter().map(|&(p, _)| p).collect();
-        rewrite(&mut self.person_likes, &persons, &messages, likers, |p, m| {
+        rewrite(&mut self.person_likes, persons, messages, likers, |p, m| {
             v.likes.contains(&(p, m))
         });
         let liked = v.likes.iter().map(|&(_, m)| m).collect();
-        rewrite(&mut self.message_likes, &messages, &persons, liked, |m, p| {
+        rewrite(&mut self.message_likes, messages, persons, liked, |m, p| {
             v.likes.contains(&(p, m))
         });
         let groups = v.memberships.iter().map(|&(_, f)| f).collect();
-        rewrite(&mut self.forum_member, &forums, &persons, groups, |f, p| {
+        rewrite(&mut self.forum_member, forums, persons, groups, |f, p| {
             v.memberships.contains(&(p, f))
         });
         let members = v.memberships.iter().map(|&(p, _)| p).collect();
-        rewrite(&mut self.member_forum, &persons, &forums, members, |p, f| {
+        rewrite(&mut self.member_forum, persons, forums, members, |p, f| {
             v.memberships.contains(&(p, f))
         });
-        rewrite(&mut self.person_interest, &persons, &kept, vec![], none);
-        rewrite(&mut self.interest_person, &kept, &persons, vec![], none);
-        rewrite(&mut self.person_study, &persons, &kept, vec![], none);
-        rewrite(&mut self.person_work, &persons, &kept, vec![], none);
-        rewrite(&mut self.message_tag, &messages, &kept, vec![], none);
-        rewrite(&mut self.tag_message, &kept, &messages, vec![], none);
-        rewrite(&mut self.forum_tag, &forums, &kept, vec![], none);
-        rewrite(&mut self.tag_forum, &kept, &forums, vec![], none);
-        rewrite(&mut self.person_messages, &persons, &messages, vec![], none);
-        rewrite(&mut self.forum_posts, &forums, &messages, vec![], none);
-        rewrite(&mut self.message_replies, &messages, &messages, vec![], none);
-        rewrite(&mut self.person_moderates, &persons, &forums, vec![], none);
-        rewrite(&mut self.city_person, &kept, &persons, vec![], none);
+        self.rewrite_victim_free(&remaps, &EDGE_VICTIM_OWNERS);
         self.fold_overflow();
 
         // --- date index: survivors keep their (date, ix) order ---
@@ -324,10 +266,39 @@ impl Store {
     }
 }
 
+/// The adjacencies `remove` rewrites with their edge victims; every
+/// other one only loses removed sources and targets.
+const EDGE_VICTIM_OWNERS: [&str; 5] =
+    ["knows", "person_likes", "message_likes", "forum_member", "member_forum"];
+
+/// Rewrites a column group, and its id map, for a delete batch: if
+/// `class` lost rows its rows are filtered and its id map rebuilt, and
+/// if it or a class its references point into lost rows those
+/// references are renumbered. Otherwise the group stays shared.
+pub(crate) fn retain_group<G: Group>(
+    group: &mut CowBox<G>,
+    ids: &mut CowBox<IdMap>,
+    class: Entity,
+    remaps: &[Remap],
+) {
+    let own = &remaps[class as usize];
+    if !own.touched() && !G::TARGETS.iter().any(|&c| remaps[c as usize].touched()) {
+        return;
+    }
+    let g = &mut **group;
+    if let Some(keep) = own.keep() {
+        g.filter_rows(keep);
+    }
+    g.remap_refs(|target, col| remaps[target as usize].apply(col));
+    if own.touched() {
+        ids.set(IdMap::of_column(g.ids()));
+    }
+}
+
 /// Old → new dense index of one entity class; `map` is `None` (the
 /// default) when the class lost no rows, i.e. the identity.
 #[derive(Default)]
-struct Remap {
+pub(crate) struct Remap {
     map: Option<Vec<Ix>>,
     /// The removed rows, ascending.
     removed: Vec<Ix>,
@@ -389,7 +360,7 @@ impl Remap {
 /// the sources of the victim edges, in any order. When the target class
 /// renumbers, every source is filtered; otherwise the walk visits only
 /// the removed sources and `owners`, and copies the rest as slices.
-fn rewrite<P: Copy>(
+pub(crate) fn rewrite<P: Copy>(
     adj: &mut CowBox<Adj<P>>,
     sources: &Remap,
     targets: &Remap,
@@ -639,15 +610,8 @@ mod tests {
                 assert!(CowBox::ptr_eq(&a.$field, &b.$field), "{} was copied", stringify!($field));
             )*};
         }
-        shared!(persons, forums, messages, places, tags, tag_classes, organisations);
-        shared!(person_ix, forum_ix, message_ix, place_ix, tag_ix, tag_class_ix, org_ix);
-        shared!(knows, person_interest, interest_person, person_study, person_work);
-        shared!(forum_member, member_forum, forum_tag, tag_forum, message_tag, tag_message);
-        shared!(person_messages, forum_posts, message_replies, place_children, city_person);
-        shared!(tagclass_children, tagclass_tags, person_moderates);
+        assert_eq!(a.unshared_boxes(b), ["person_likes", "message_likes"]);
         shared!(message_by_date, place_by_name, tag_by_name, tag_class_by_name);
-        assert!(!CowBox::ptr_eq(&a.person_likes, &b.person_likes));
-        assert!(!CowBox::ptr_eq(&a.message_likes, &b.message_likes));
         assert_eq!(b.person_likes.edge_count(), a.person_likes.edge_count() - 1);
     }
 

@@ -28,7 +28,7 @@ use snb_datagen::graph::{RawForum, RawMessage, RawPerson};
 use snb_datagen::stream::{TimedEvent, UpdateEvent};
 
 use crate::columns::{IdMap, Ix, NONE};
-use crate::store::Store;
+use crate::store::{Entity, Store};
 
 /// The list-valued edges of the rows the row writers append, each as
 /// `(row, target, payload)`.
@@ -202,15 +202,7 @@ impl Store {
             UpdateEvent::AddPerson(p) => {
                 fresh(&self.person_ix, "person", p.id.0)?;
                 let ix = self.push_person(p, world, &mut edges)?;
-                let n = self.persons.len();
-                self.knows.grow_sources(n);
-                self.person_interest.grow_sources(n);
-                self.person_study.grow_sources(n);
-                self.person_work.grow_sources(n);
-                self.member_forum.grow_sources(n);
-                self.person_messages.grow_sources(n);
-                self.person_likes.grow_sources(n);
-                self.person_moderates.grow_sources(n);
+                self.grow_sources(Entity::Person);
                 self.city_person.insert(self.persons.city[ix as usize], ix, ());
                 for &(_, tag, ()) in &edges.interest {
                     self.person_interest.insert(ix, tag, ());
@@ -232,10 +224,7 @@ impl Store {
             UpdateEvent::AddForum(f) => {
                 fresh(&self.forum_ix, "forum", f.id.0)?;
                 let ix = self.push_forum(f, &mut edges)?;
-                let n = self.forums.len();
-                self.forum_member.grow_sources(n);
-                self.forum_tag.grow_sources(n);
-                self.forum_posts.grow_sources(n);
+                self.grow_sources(Entity::Forum);
                 self.person_moderates.insert(self.forums.moderator[ix as usize], ix, ());
                 for &(_, tag, ()) in &edges.forum_tag {
                     self.forum_tag.insert(ix, tag, ());
@@ -275,10 +264,7 @@ impl Store {
         fresh(&self.message_ix, "message", m.id.0)?;
         let mut edges = ListEdges::default();
         let ix = self.push_message(m, world, &mut edges)?;
-        let n = self.messages.len();
-        self.message_tag.grow_sources(n);
-        self.message_replies.grow_sources(n);
-        self.message_likes.grow_sources(n);
+        self.grow_sources(Entity::Message);
         let m = ix as usize;
         self.person_messages.insert(self.messages.creator[m], ix, ());
         // Keep the date permutation index fresh when the insert arrives
@@ -312,7 +298,6 @@ impl Store {
 mod tests {
     use super::*;
     use crate::build::{bulk_store_and_stream, store_for_config};
-    use crate::intern::{PackCol, SymCol};
     use crate::Adj;
     use snb_core::datetime::{Date, DateTime};
     use snb_core::model::{ForumId, Gender, MessageId, OrganisationId, PersonId, PlaceId, TagId};
@@ -795,8 +780,7 @@ mod tests {
     #[test]
     fn an_insert_publish_shares_every_message_column_adjacency_and_id_map() {
         use crate::append_vec::AppendVec;
-        use crate::columns::IdMap;
-        use crate::Adj;
+        use crate::columns::Group;
 
         let (base, rest, world) = half_streamed();
         let h = crate::StoreHandle::new(base);
@@ -806,63 +790,11 @@ mod tests {
         let after = h.snapshot();
         let (a, b): (&Store, &Store) = (&pinned, &after);
         assert!(b.messages.len() > a.messages.len(), "the batch must add messages");
-        let mut copied = Vec::new();
-        macro_rules! shared {
-            ($same:expr, $($field:ident).+) => {
-                if !$same(&a.$($field).+, &b.$($field).+) {
-                    copied.push(stringify!($($field).+));
-                }
-            };
+        let mut copied = a.messages.unshared_columns(&b.messages);
+        if !AppendVec::ptr_eq(&a.message_by_date, &b.message_by_date) {
+            copied.push("message_by_date");
         }
-        shared!(AppendVec::ptr_eq, messages.id);
-        shared!(AppendVec::ptr_eq, messages.kind);
-        shared!(AppendVec::ptr_eq, messages.creation_date);
-        shared!(AppendVec::ptr_eq, messages.creator);
-        shared!(AppendVec::ptr_eq, messages.country);
-        shared!(SymCol::shares_buffer, messages.browser);
-        shared!(PackCol::shares_buffers, messages.location_ip);
-        shared!(PackCol::shares_buffers, messages.content);
-        shared!(AppendVec::ptr_eq, messages.length);
-        shared!(PackCol::shares_buffers, messages.image_file);
-        shared!(SymCol::shares_buffer, messages.language);
-        shared!(AppendVec::ptr_eq, messages.forum);
-        shared!(AppendVec::ptr_eq, messages.reply_of);
-        shared!(AppendVec::ptr_eq, messages.root_post);
-        shared!(AppendVec::ptr_eq, message_by_date);
-        for (name, x, y) in [
-            ("person_ix", &a.person_ix, &b.person_ix),
-            ("forum_ix", &a.forum_ix, &b.forum_ix),
-            ("message_ix", &a.message_ix, &b.message_ix),
-            ("place_ix", &a.place_ix, &b.place_ix),
-            ("tag_ix", &a.tag_ix, &b.tag_ix),
-            ("tag_class_ix", &a.tag_class_ix, &b.tag_class_ix),
-            ("org_ix", &a.org_ix, &b.org_ix),
-        ] {
-            if !IdMap::shares_base(x, y) {
-                copied.push(name);
-            }
-        }
-        shared!(Adj::shares_base, knows);
-        shared!(Adj::shares_base, person_interest);
-        shared!(Adj::shares_base, interest_person);
-        shared!(Adj::shares_base, person_study);
-        shared!(Adj::shares_base, person_work);
-        shared!(Adj::shares_base, forum_member);
-        shared!(Adj::shares_base, member_forum);
-        shared!(Adj::shares_base, forum_tag);
-        shared!(Adj::shares_base, tag_forum);
-        shared!(Adj::shares_base, message_tag);
-        shared!(Adj::shares_base, tag_message);
-        shared!(Adj::shares_base, person_messages);
-        shared!(Adj::shares_base, forum_posts);
-        shared!(Adj::shares_base, message_replies);
-        shared!(Adj::shares_base, person_likes);
-        shared!(Adj::shares_base, message_likes);
-        shared!(Adj::shares_base, place_children);
-        shared!(Adj::shares_base, city_person);
-        shared!(Adj::shares_base, tagclass_children);
-        shared!(Adj::shares_base, tagclass_tags);
-        shared!(Adj::shares_base, person_moderates);
+        copied.extend(a.unshared_bases(b));
         assert!(copied.is_empty(), "an insert publish copied {copied:?}");
     }
 
@@ -884,6 +816,30 @@ mod tests {
         let mut bad = s;
         bad.messages.root_post[post] = other_post;
         assert!(bad.validate_invariants().is_err(), "a post rooted elsewhere");
+    }
+
+    #[test]
+    fn every_short_column_and_dangling_reference_fails_validation() {
+        let s = store_for_config(&config(40));
+        s.validate_invariants().unwrap();
+        let n = s.messages.len();
+        let mut short_language = s.clone();
+        short_language.messages.language = s.messages.language.iter().take(n - 1).collect();
+        let mut short_kind = s.clone();
+        short_kind.messages.kind.pop();
+        let mut org_place = s.clone();
+        org_place.organisations.place[0] = s.places.len() as Ix;
+        let city = (0..s.places.len()).find(|&p| s.places.kind[p] == PlaceKind::City).unwrap();
+        let mut part_of = s.clone();
+        part_of.places.part_of[city] = s.places.len() as Ix;
+        for (what, bad) in [
+            ("messages.language one short", short_language),
+            ("messages.kind one short", short_kind),
+            ("an organisation placed past the last place", org_place),
+            ("a city part of a place past the last", part_of),
+        ] {
+            assert!(bad.validate_invariants().is_err(), "{what} must fail validation");
+        }
     }
 
     #[test]

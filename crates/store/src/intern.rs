@@ -233,7 +233,7 @@ impl SymCol {
     /// Whether two columns share their buffer (see
     /// [`AppendVec::ptr_eq`]).
     #[cfg(test)]
-    pub(crate) fn shares_buffer(&self, other: &SymCol) -> bool {
+    pub(crate) fn shares_buffers(&self, other: &SymCol) -> bool {
         AppendVec::ptr_eq(&self.syms, &other.syms)
     }
 
@@ -451,6 +451,14 @@ impl SymListCol {
         *self = next;
     }
 
+    /// Whether two columns share their buffers (see
+    /// [`AppendVec::ptr_eq`]).
+    #[cfg(test)]
+    pub(crate) fn shares_buffers(&self, other: &SymListCol) -> bool {
+        AppendVec::ptr_eq(&self.syms, &other.syms)
+            && AppendVec::ptr_eq(&self.row_ends, &other.row_ends)
+    }
+
     /// Releases push-growth slack (bulk builds are append-once, so
     /// capacity beyond `len` is pure waste after load).
     pub fn shrink_to_fit(&mut self) {
@@ -563,6 +571,15 @@ impl PackListCol {
             next.row_ends.push(next.val_ends.len() as u32);
         }
         *self = next;
+    }
+
+    /// Whether two columns share their buffers (see
+    /// [`AppendVec::ptr_eq`]).
+    #[cfg(test)]
+    pub(crate) fn shares_buffers(&self, other: &PackListCol) -> bool {
+        AppendVec::ptr_eq(&self.bytes, &other.bytes)
+            && AppendVec::ptr_eq(&self.val_ends, &other.val_ends)
+            && AppendVec::ptr_eq(&self.row_ends, &other.row_ends)
     }
 
     /// Releases push-growth slack after an append-once bulk build.

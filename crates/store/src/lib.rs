@@ -5,9 +5,16 @@
 //! The System Under Test of this reproduction: an in-memory columnar
 //! property-graph store purpose-built for the SNB schema.
 //!
+//! * `store` — the [`Store`] schema, declared once: the seven column
+//!   groups with their id maps, then the 21 adjacencies with payload,
+//!   source and target class. The struct and every pass over all groups
+//!   or all adjacencies (image sections, delete filter and rewrites,
+//!   overflow fold, `validate_invariants`' per-structure checks) derive
+//!   from it;
 //! * [`columns`] — struct-of-arrays attribute storage per entity type,
-//!   dense `u32` indices, raw-id hash indexes (base + delta
-//!   [`IdMap`](columns::IdMap)s);
+//!   each group's fields declared once (a reference column with the
+//!   class it points into); dense `u32` indices, raw-id hash indexes
+//!   (base + delta [`IdMap`](columns::IdMap)s);
 //! * [`append_vec`] — the buffer behind every column and adjacency
 //!   array: store versions share it, and inserts append into it in
 //!   place;

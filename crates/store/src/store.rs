@@ -1,9 +1,24 @@
 //! The columnar graph store: columns + CSR adjacency + id/name indexes.
+//!
+//! The store's schema is declared once, in the `schema!` invocation
+//! below: the seven column groups (each group's fields are declared in
+//! [`columns`](crate::columns)) with their classes and id maps, then the
+//! 21 adjacencies in field order, each with its payload type, source
+//! class and target class. The `Store` struct and every pass that walks
+//! all groups or all adjacencies derive from it: the image sections
+//! (groups at tags `1 + class`, adjacency `i` at `10 + i`), the id-map
+//! rebuild, `shrink_columns`, `fold_overflow`, the vertex inserts'
+//! `grow_sources`, the delete path's group filter and victim-free
+//! adjacency rewrites, and the length, reference, id-map and adjacency
+//! checks of [`Store::validate_invariants`]. Checks between relations
+//! (mirrored pairs, adjacencies derived from columns, the reply tree)
+//! stay hand-written below.
 
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use rustc_hash::{FxHashMap, FxHasher};
+use snb_core::bytes::{Malformed, Reader};
 use snb_core::datetime::DateTime;
 use snb_core::model::PlaceKind;
 use snb_core::{SnbError, SnbResult};
@@ -11,119 +26,288 @@ use snb_core::{SnbError, SnbResult};
 use crate::adj::Adj;
 use crate::append_vec::AppendVec;
 use crate::columns::{
-    ForumCols, IdMap, Ix, MessageCols, OrganisationCols, PersonCols, PlaceCols, TagClassCols,
-    TagCols, NONE,
+    ForumCols, Group, IdMap, Ix, MessageCols, OrganisationCols, PersonCols, PlaceCols,
+    TagClassCols, TagCols, NONE,
 };
 use crate::cow::CowBox;
+use crate::delete::{self, Remap};
+use crate::image;
 
-/// The System Under Test: an in-memory columnar property graph holding
-/// the full SNB schema with forward and reverse CSR adjacency for every
-/// relation the workloads traverse.
-#[derive(Clone, Default)]
-pub struct Store {
-    /// Person columns.
-    pub persons: CowBox<PersonCols>,
-    /// Forum columns.
-    pub forums: CowBox<ForumCols>,
-    /// Message columns (posts + comments).
-    pub messages: CowBox<MessageCols>,
-    /// Place columns.
-    pub places: CowBox<PlaceCols>,
-    /// Tag columns.
-    pub tags: CowBox<TagCols>,
-    /// TagClass columns.
-    pub tag_classes: CowBox<TagClassCols>,
-    /// Organisation columns.
-    pub organisations: CowBox<OrganisationCols>,
+/// Declares the store: its column groups (`field: Cols, Entity, id_map;`)
+/// and adjacencies (`field: Payload, Source -> Target;`), followed by
+/// the fields no pass walks. Generates `Entity`, `Store` and the passes
+/// over every group and every adjacency.
+macro_rules! schema {
+    (
+        $(#[$doc:meta])*
+        pub struct Store {
+            groups {
+                $( $(#[$group_doc:meta])* $group:ident: $cols:ident, $class:ident, $ix:ident; )*
+            }
+            adjacencies {
+                $( $(#[$adj_doc:meta])* $adj:ident: $payload:ty, $src:ident -> $dst:ident; )*
+            }
+            $( $(#[$field_doc:meta])* $field:ident: $ty:ty, )*
+        }
+    ) => {
+        /// The entity classes, one per column group, in image-section
+        /// order.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+        pub(crate) enum Entity {
+            $( $class, )*
+        }
 
-    /// Raw person id → dense index.
-    pub person_ix: CowBox<IdMap>,
-    /// Raw forum id → dense index.
-    pub forum_ix: CowBox<IdMap>,
-    /// Raw message id → dense index.
-    pub message_ix: CowBox<IdMap>,
-    /// Raw place id → dense index.
-    pub place_ix: CowBox<IdMap>,
-    /// Raw tag id → dense index.
-    pub tag_ix: CowBox<IdMap>,
-    /// Raw tag-class id → dense index.
-    pub tag_class_ix: CowBox<IdMap>,
-    /// Raw organisation id → dense index.
-    pub org_ix: CowBox<IdMap>,
+        impl Entity {
+            /// Every class, in declaration order (`ALL[c as usize] == c`).
+            pub(crate) const ALL: [Entity; [$(Entity::$class),*].len()] = [$(Entity::$class),*];
+        }
 
-    /// Symmetric `knows` adjacency with creation dates (each edge stored
-    /// in both directions).
-    pub knows: CowBox<Adj<DateTime>>,
-    /// Person → interest tags.
-    pub person_interest: CowBox<Adj>,
-    /// Tag → interested persons.
-    pub interest_person: CowBox<Adj>,
-    /// Person → university with class year.
-    pub person_study: CowBox<Adj<i32>>,
-    /// Person → companies with work-from year.
-    pub person_work: CowBox<Adj<i32>>,
-    /// Forum → members with join date.
-    pub forum_member: CowBox<Adj<DateTime>>,
-    /// Person → forums joined with join date.
-    pub member_forum: CowBox<Adj<DateTime>>,
-    /// Forum → topic tags.
-    pub forum_tag: CowBox<Adj>,
-    /// Tag → forums carrying it.
-    pub tag_forum: CowBox<Adj>,
-    /// Message → tags.
-    pub message_tag: CowBox<Adj>,
-    /// Tag → messages carrying it.
-    pub tag_message: CowBox<Adj>,
-    /// Person → created messages.
-    pub person_messages: CowBox<Adj>,
-    /// Forum → contained posts.
-    pub forum_posts: CowBox<Adj>,
-    /// Message → direct reply comments.
-    pub message_replies: CowBox<Adj>,
-    /// Person → liked messages with like date.
-    pub person_likes: CowBox<Adj<DateTime>>,
-    /// Message → likers with like date.
-    pub message_likes: CowBox<Adj<DateTime>>,
-    /// Place → child places (continent → countries, country → cities).
-    pub place_children: CowBox<Adj>,
-    /// City → resident persons.
-    pub city_person: CowBox<Adj>,
-    /// TagClass → direct subclasses.
-    pub tagclass_children: CowBox<Adj>,
-    /// TagClass → tags of exactly that class.
-    pub tagclass_tags: CowBox<Adj>,
-    /// Person → moderated forums.
-    pub person_moderates: CowBox<Adj>,
+        $(#[$doc])*
+        #[derive(Clone, Default)]
+        pub struct Store {
+            $( $(#[$group_doc])* pub $group: CowBox<$cols>, )*
+            $(
+                #[doc = concat!("Raw id → dense index of `", stringify!($group), "`.")]
+                pub $ix: CowBox<IdMap>,
+            )*
+            $( $(#[$adj_doc])* pub $adj: CowBox<Adj<$payload>>, )*
+            $( $(#[$field_doc])* pub $field: $ty, )*
+        }
 
-    /// Message indices permuted into ascending `(creation_date, ix)`
-    /// order. Built by the bulk loader, rebuilt by [`Store::compact`]
-    /// and left fresh by deletes; out-of-order inserts leave it stale
-    /// (shorter than `messages`), in which case the windowed accessors
-    /// return `None` and callers fall back to a full scan.
-    pub message_by_date: CowBox<AppendVec<Ix>>,
+        /// One edge-multiset digest per adjacency (see `check_adj`); the
+        /// mirrored and column-derived ones are compared.
+        #[allow(dead_code)]
+        struct AdjDigests {
+            $( $adj: u64, )*
+        }
 
-    /// Place name → index.
-    pub place_by_name: CowBox<FxHashMap<String, Ix>>,
-    /// Tag name → index.
-    pub tag_by_name: CowBox<FxHashMap<String, Ix>>,
-    /// TagClass name → index.
-    pub tag_class_by_name: CowBox<FxHashMap<String, Ix>>,
+        impl Store {
+            /// Rows of `class`'s column group.
+            pub(crate) fn rows(&self, class: Entity) -> usize {
+                match class {
+                    $( Entity::$class => self.$group.len(), )*
+                }
+            }
+
+            /// Releases push-growth slack in the dynamic column groups.
+            /// Bulk loads are append-once, so capacity beyond `len` is
+            /// pure waste; every build path (datagen, streaming, image
+            /// decode) calls this before handing the store out. The
+            /// first insert batch after it copies each column it appends
+            /// to once, into a buffer twice the column's length; later
+            /// batches append into that buffer in place, shared with the
+            /// versions before them.
+            pub fn shrink_columns(&mut self) {
+                $( if Entity::$class.is_dynamic() { self.$group.shrink_to_fit(); } )*
+            }
+
+            /// Maps every id column afresh.
+            pub(crate) fn rebuild_id_maps(&mut self) {
+                $( self.$ix.set(IdMap::of_column(&self.$group.id)); )*
+            }
+
+            /// Ensures every adjacency sourced at `class` has a source
+            /// per row (after a vertex insert).
+            pub(crate) fn grow_sources(&mut self, class: Entity) {
+                let n = self.rows(class);
+                $( if Entity::$src == class { self.$adj.grow_sources(n); } )*
+            }
+
+            /// Folds the insert overflow of every adjacency that has any
+            /// into a fresh CSR stored with [`CowBox::set`]: the old
+            /// version keeps its arrays, and adjacencies without
+            /// overflow stay shared. Returns the names of the
+            /// adjacencies it folded — none after [`Store::compact`] or
+            /// a delete batch.
+            pub fn fold_overflow(&mut self) -> Vec<&'static str> {
+                let mut folded = Vec::new();
+                $( if fold(&mut self.$adj) { folded.push(stringify!($adj)); } )*
+                folded
+            }
+
+            /// Writes every group's and adjacency's image section, in
+            /// image order.
+            pub(crate) fn put_sections(&self, out: &mut Vec<u8>) {
+                $( image::put_group(out, Entity::$class, &*self.$group); )*
+                let mut tag = image::SECT_ADJ_BASE - 1;
+                $( tag += 1; image::put_adj_section(out, tag, &self.$adj); )*
+            }
+
+            /// Reads what [`Store::put_sections`] wrote into a store
+            /// without id maps or derived indexes.
+            pub(crate) fn get_sections(r: &mut Reader<'_>) -> Result<Store, Malformed> {
+                let mut s = Store::default();
+                $( s.$group.set(image::get_group(r, Entity::$class)?); )*
+                let mut tag = image::SECT_ADJ_BASE - 1;
+                $( tag += 1; s.$adj.set(image::get_adj_section(r, tag)?); )*
+                Ok(s)
+            }
+
+            /// The delete path's group pass (`delete::retain_group`).
+            pub(crate) fn retain_groups(&mut self, remaps: &[Remap]) {
+                $( delete::retain_group(&mut self.$group, &mut self.$ix, Entity::$class, remaps); )*
+            }
+
+            /// The delete path's rewrite of every adjacency not in
+            /// `owners` (which own edge victims and are rewritten apart):
+            /// without the removed sources and targets.
+            pub(crate) fn rewrite_victim_free(&mut self, remaps: &[Remap], owners: &[&str]) {
+                $(
+                    if !owners.contains(&stringify!($adj)) {
+                        let (s, t) = (&remaps[Entity::$src as usize], &remaps[Entity::$dst as usize]);
+                        delete::rewrite(&mut self.$adj, s, t, Vec::new(), |_, _| false);
+                    }
+                )*
+            }
+
+            /// Every group's column lengths and references, then every id
+            /// map against its id column.
+            fn check_groups(&self) -> SnbResult<()> {
+                $(
+                    self.$group.check(|class| self.rows(class)).map_err(|e| {
+                        SnbError::Config(format!("{}.{e}", stringify!($group)))
+                    })?;
+                )*
+                $( check_id_map(stringify!($ix), &self.$ix, &self.$group.id)?; )*
+                Ok(())
+            }
+
+            /// Every adjacency's source and target counts against its
+            /// classes, and its digest. An edge is digested with its end
+            /// in the lower class first (its source first within one
+            /// class), so both directions of a relation digest alike.
+            fn adjacency_digests(&self) -> SnbResult<AdjDigests> {
+                Ok(AdjDigests {
+                    $(
+                        $adj: check_adj(
+                            stringify!($adj),
+                            &self.$adj,
+                            self.rows(Entity::$src),
+                            self.rows(Entity::$dst),
+                            Entity::$dst < Entity::$src,
+                        )?,
+                    )*
+                })
+            }
+
+            /// The groups, id maps and adjacencies `other` holds in
+            /// boxes of its own.
+            #[cfg(test)]
+            pub(crate) fn unshared_boxes(&self, other: &Store) -> Vec<&'static str> {
+                let mut out = Vec::new();
+                $( if !CowBox::ptr_eq(&self.$group, &other.$group) { out.push(stringify!($group)); } )*
+                $( if !CowBox::ptr_eq(&self.$ix, &other.$ix) { out.push(stringify!($ix)); } )*
+                $( if !CowBox::ptr_eq(&self.$adj, &other.$adj) { out.push(stringify!($adj)); } )*
+                out
+            }
+
+            /// The id maps and adjacencies whose base buffers `other`
+            /// does not share.
+            #[cfg(test)]
+            pub(crate) fn unshared_bases(&self, other: &Store) -> Vec<&'static str> {
+                let mut out = Vec::new();
+                $( if !IdMap::shares_base(&self.$ix, &other.$ix) { out.push(stringify!($ix)); } )*
+                $( if !Adj::shares_base(&self.$adj, &other.$adj) { out.push(stringify!($adj)); } )*
+                out
+            }
+        }
+    };
+}
+
+schema! {
+    /// The System Under Test: an in-memory columnar property graph holding
+    /// the full SNB schema with forward and reverse CSR adjacency for every
+    /// relation the workloads traverse.
+    pub struct Store {
+        groups {
+            /// Person columns.
+            persons: PersonCols, Person, person_ix;
+            /// Forum columns.
+            forums: ForumCols, Forum, forum_ix;
+            /// Message columns (posts + comments).
+            messages: MessageCols, Message, message_ix;
+            /// Place columns.
+            places: PlaceCols, Place, place_ix;
+            /// Tag columns.
+            tags: TagCols, Tag, tag_ix;
+            /// TagClass columns.
+            tag_classes: TagClassCols, TagClass, tag_class_ix;
+            /// Organisation columns.
+            organisations: OrganisationCols, Organisation, org_ix;
+        }
+        adjacencies {
+            /// Symmetric `knows` adjacency with creation dates (each edge
+            /// stored in both directions).
+            knows: DateTime, Person -> Person;
+            /// Person → interest tags.
+            person_interest: (), Person -> Tag;
+            /// Tag → interested persons.
+            interest_person: (), Tag -> Person;
+            /// Person → university with class year.
+            person_study: i32, Person -> Organisation;
+            /// Person → companies with work-from year.
+            person_work: i32, Person -> Organisation;
+            /// Forum → members with join date.
+            forum_member: DateTime, Forum -> Person;
+            /// Person → forums joined with join date.
+            member_forum: DateTime, Person -> Forum;
+            /// Forum → topic tags.
+            forum_tag: (), Forum -> Tag;
+            /// Tag → forums carrying it.
+            tag_forum: (), Tag -> Forum;
+            /// Message → tags.
+            message_tag: (), Message -> Tag;
+            /// Tag → messages carrying it.
+            tag_message: (), Tag -> Message;
+            /// Person → created messages.
+            person_messages: (), Person -> Message;
+            /// Forum → contained posts.
+            forum_posts: (), Forum -> Message;
+            /// Message → direct reply comments.
+            message_replies: (), Message -> Message;
+            /// Person → liked messages with like date.
+            person_likes: DateTime, Person -> Message;
+            /// Message → likers with like date.
+            message_likes: DateTime, Message -> Person;
+            /// Place → child places (continent → countries, country → cities).
+            place_children: (), Place -> Place;
+            /// City → resident persons.
+            city_person: (), Place -> Person;
+            /// TagClass → direct subclasses.
+            tagclass_children: (), TagClass -> TagClass;
+            /// TagClass → tags of exactly that class.
+            tagclass_tags: (), TagClass -> Tag;
+            /// Person → moderated forums.
+            person_moderates: (), Person -> Forum;
+        }
+
+        /// Message indices permuted into ascending `(creation_date, ix)`
+        /// order. Built by the bulk loader, rebuilt by [`Store::compact`]
+        /// and left fresh by deletes; out-of-order inserts leave it stale
+        /// (shorter than `messages`), in which case the windowed accessors
+        /// return `None` and callers fall back to a full scan.
+        message_by_date: CowBox<AppendVec<Ix>>,
+
+        /// Place name → index.
+        place_by_name: CowBox<FxHashMap<String, Ix>>,
+        /// Tag name → index.
+        tag_by_name: CowBox<FxHashMap<String, Ix>>,
+        /// TagClass name → index.
+        tag_class_by_name: CowBox<FxHashMap<String, Ix>>,
+    }
+}
+
+impl Entity {
+    /// Whether the class belongs to the schema's dynamic part: the
+    /// generated activity, which bulk loads append to and refreshes
+    /// insert into and delete from. The static part (places, tags, tag
+    /// classes, organisations) is the dictionaries'.
+    pub(crate) fn is_dynamic(self) -> bool {
+        matches!(self, Entity::Person | Entity::Forum | Entity::Message)
+    }
 }
 
 impl Store {
-    /// Releases push-growth slack in the big column groups. Bulk loads
-    /// are append-once, so capacity beyond `len` is pure waste; every
-    /// build path (datagen, streaming, image decode) calls this before
-    /// handing the store out. The first insert batch after it copies each
-    /// column it appends to once, into a buffer twice the column's
-    /// length; later batches append into that buffer in place, shared
-    /// with the versions before them.
-    pub fn shrink_columns(&mut self) {
-        self.persons.shrink_to_fit();
-        self.forums.shrink_to_fit();
-        self.messages.shrink_to_fit();
-    }
-
     /// Resolves a raw person id.
     pub fn person(&self, id: u64) -> SnbResult<Ix> {
         self.person_ix.get(&id).copied().ok_or(SnbError::UnknownId { entity: "Person", id })
@@ -291,49 +475,6 @@ impl Store {
         self.fold_overflow();
     }
 
-    /// Folds the insert overflow of every adjacency that has any into a
-    /// fresh CSR stored with [`CowBox::set`]: the old version keeps its
-    /// arrays, and adjacencies without overflow stay shared. Returns the
-    /// names of the adjacencies it folded — none after [`Store::compact`]
-    /// or a delete batch.
-    pub fn fold_overflow(&mut self) -> Vec<&'static str> {
-        fn fold<P: Copy>(
-            folded: &mut Vec<&'static str>,
-            name: &'static str,
-            adj: &mut CowBox<Adj<P>>,
-        ) {
-            if adj.has_overflow() {
-                let merged = adj.compact();
-                adj.set(merged);
-                folded.push(name);
-            }
-        }
-        let mut folded = Vec::new();
-        let f = &mut folded;
-        fold(f, "knows", &mut self.knows);
-        fold(f, "person_interest", &mut self.person_interest);
-        fold(f, "interest_person", &mut self.interest_person);
-        fold(f, "person_study", &mut self.person_study);
-        fold(f, "person_work", &mut self.person_work);
-        fold(f, "forum_member", &mut self.forum_member);
-        fold(f, "member_forum", &mut self.member_forum);
-        fold(f, "forum_tag", &mut self.forum_tag);
-        fold(f, "tag_forum", &mut self.tag_forum);
-        fold(f, "message_tag", &mut self.message_tag);
-        fold(f, "tag_message", &mut self.tag_message);
-        fold(f, "person_messages", &mut self.person_messages);
-        fold(f, "forum_posts", &mut self.forum_posts);
-        fold(f, "message_replies", &mut self.message_replies);
-        fold(f, "person_likes", &mut self.person_likes);
-        fold(f, "message_likes", &mut self.message_likes);
-        fold(f, "place_children", &mut self.place_children);
-        fold(f, "city_person", &mut self.city_person);
-        fold(f, "tagclass_children", &mut self.tagclass_children);
-        fold(f, "tagclass_tags", &mut self.tagclass_tags);
-        fold(f, "person_moderates", &mut self.person_moderates);
-        folded
-    }
-
     /// Consistency check used by tests after every write: column
     /// lengths agree, every id map inverts its id column, no dense index
     /// dangles, root posts close over the reply tree (a post is its own
@@ -343,69 +484,11 @@ impl Store {
     /// and a fresh date index is the `(creation_date, ix)` permutation.
     pub fn validate_invariants(&self) -> SnbResult<()> {
         let bad = |what: String| Err(SnbError::Config(what));
-        let (np, nf, nm) = (self.persons.len(), self.forums.len(), self.messages.len());
-        let (nt, npl, ntc) = (self.tags.len(), self.places.len(), self.tag_classes.len());
-        let cols = [
-            self.persons.first_name.len(),
-            self.persons.last_name.len(),
-            self.persons.birthday.len(),
-            self.persons.creation_date.len(),
-            self.persons.city.len(),
-            self.persons.emails.len(),
-            self.persons.speaks.len(),
-        ];
-        if cols.iter().any(|&c| c != np) {
-            return bad(format!("person column lengths differ: {cols:?}"));
-        }
-        if self.forums.moderator.len() != nf || self.forums.creation_date.len() != nf {
-            return bad("forum column lengths differ".into());
-        }
-        if self.messages.creator.len() != nm
-            || self.messages.reply_of.len() != nm
-            || self.messages.root_post.len() != nm
-            || self.messages.forum.len() != nm
-        {
-            return bad("message column lengths differ".into());
-        }
-
-        // Id maps invert their id columns.
-        for (what, map, ids) in [
-            ("person", &self.person_ix, &self.persons.id),
-            ("forum", &self.forum_ix, &self.forums.id),
-            ("message", &self.message_ix, &self.messages.id),
-            ("place", &self.place_ix, &self.places.id),
-            ("tag", &self.tag_ix, &self.tags.id),
-            ("tag class", &self.tag_class_ix, &self.tag_classes.id),
-            ("organisation", &self.org_ix, &self.organisations.id),
-        ] {
-            if map.len() != ids.len()
-                || ids.iter().enumerate().any(|(i, id)| map.get(id) != Some(&(i as Ix)))
-            {
-                return bad(format!("{what} id map disagrees with its id column"));
-            }
-        }
-
-        // No column reference dangles (NONE only where it means "none").
-        let refs: [(&str, &[Ix], usize, bool); 9] = [
-            ("person city", &self.persons.city, npl, false),
-            ("forum moderator", &self.forums.moderator, np, false),
-            ("message creator", &self.messages.creator, np, false),
-            ("message country", &self.messages.country, npl, false),
-            ("message forum", &self.messages.forum, nf, true),
-            ("message reply_of", &self.messages.reply_of, nm, true),
-            ("message root_post", &self.messages.root_post, nm, false),
-            ("tag class", &self.tags.class, ntc, false),
-            ("tag class parent", &self.tag_classes.parent, ntc, true),
-        ];
-        for (what, col, n, none_ok) in refs {
-            if col.iter().any(|&ix| ix as usize >= n && !(none_ok && ix == NONE)) {
-                return bad(format!("{what} dangles"));
-            }
-        }
+        self.check_groups()?;
+        let (m, nm, np) = (&self.messages, self.messages.len(), self.persons.len());
 
         // Root posts close over the reply tree: a post is its own root, a
         // comment shares its parent's root, and every root is a post.
-        let m = &self.messages;
         for i in 0..nm {
             let (root, parent) = (m.root_post[i], m.reply_of[i]);
             let closed = if m.is_post(i as Ix) {
@@ -420,61 +503,49 @@ impl Store {
 
         // No adjacency source or target dangles; digests of each edge
         // multiset for the pair and column checks below.
-        // `check_adj`'s digests are taken flipped for reverse relations.
-        let (fwd, rev) = (false, true);
-        let knows = check_adj("knows", &self.knows, np, np, fwd)?;
-        let knows_flipped = check_adj("knows", &self.knows, np, np, rev)?;
-        let person_interest = check_adj("person_interest", &self.person_interest, np, nt, fwd)?;
-        let interest_person = check_adj("interest_person", &self.interest_person, nt, np, rev)?;
-        let norg = self.organisations.len();
-        check_adj("person_study", &self.person_study, np, norg, fwd)?;
-        check_adj("person_work", &self.person_work, np, norg, fwd)?;
-        let forum_member = check_adj("forum_member", &self.forum_member, nf, np, rev)?;
-        let member_forum = check_adj("member_forum", &self.member_forum, np, nf, fwd)?;
-        let forum_tag = check_adj("forum_tag", &self.forum_tag, nf, nt, fwd)?;
-        let tag_forum = check_adj("tag_forum", &self.tag_forum, nt, nf, rev)?;
-        let message_tag = check_adj("message_tag", &self.message_tag, nm, nt, fwd)?;
-        let tag_message = check_adj("tag_message", &self.tag_message, nt, nm, rev)?;
-        let person_messages = check_adj("person_messages", &self.person_messages, np, nm, fwd)?;
-        let forum_posts = check_adj("forum_posts", &self.forum_posts, nf, nm, fwd)?;
-        let message_replies = check_adj("message_replies", &self.message_replies, nm, nm, fwd)?;
-        let person_likes = check_adj("person_likes", &self.person_likes, np, nm, fwd)?;
-        let message_likes = check_adj("message_likes", &self.message_likes, nm, np, rev)?;
-        check_adj("place_children", &self.place_children, npl, npl, fwd)?;
-        let city_person = check_adj("city_person", &self.city_person, npl, np, fwd)?;
-        check_adj("tagclass_children", &self.tagclass_children, ntc, ntc, fwd)?;
-        check_adj("tagclass_tags", &self.tagclass_tags, ntc, nt, fwd)?;
-        let person_moderates = check_adj("person_moderates", &self.person_moderates, np, nf, fwd)?;
+        let d = self.adjacency_digests()?;
+        let knows_flipped = check_adj("knows", &self.knows, np, np, true)?;
 
         // Forward/reverse pairs hold the same edge multiset.
         let mirrored = [
-            ("knows", knows == knows_flipped),
-            ("likes", person_likes == message_likes),
-            ("memberships", member_forum == forum_member),
-            ("interests", person_interest == interest_person),
-            ("message tags", message_tag == tag_message),
-            ("forum tags", forum_tag == tag_forum),
+            ("knows", d.knows == knows_flipped),
+            ("likes", d.person_likes == d.message_likes),
+            ("memberships", d.member_forum == d.forum_member),
+            ("interests", d.person_interest == d.interest_person),
+            ("message tags", d.message_tag == d.tag_message),
+            ("forum tags", d.forum_tag == d.tag_forum),
         ];
         if let Some((what, _)) = mirrored.iter().find(|(_, same)| !same) {
             return bad(format!("{what} forward and reverse adjacencies differ"));
         }
 
-        // Adjacencies derived from columns agree with them.
-        let (m, f, p) = (&self.messages, &self.forums, &self.persons);
+        // Adjacencies derived from columns agree with them (each edge
+        // digested as `adjacency_digests` takes it: person first for
+        // `city_person`).
+        let (f, p) = (&self.forums, &self.persons);
+        let row = |i: usize| i as Ix;
         let derived = [
-            ("person_messages", person_messages, column_digest(nm, |i| Some(m.creator[i]))),
+            (
+                "person_messages",
+                d.person_messages,
+                column_digest(nm, |i| Some((m.creator[i], row(i)))),
+            ),
             (
                 "forum_posts",
-                forum_posts,
-                column_digest(nm, |i| m.is_post(i as Ix).then(|| m.forum[i])),
+                d.forum_posts,
+                column_digest(nm, |i| m.is_post(row(i)).then(|| (m.forum[i], row(i)))),
             ),
             (
                 "message_replies",
-                message_replies,
-                column_digest(nm, |i| Some(m.reply_of[i]).filter(|&r| r != NONE)),
+                d.message_replies,
+                column_digest(nm, |i| (m.reply_of[i] != NONE).then(|| (m.reply_of[i], row(i)))),
             ),
-            ("person_moderates", person_moderates, column_digest(nf, |i| Some(f.moderator[i]))),
-            ("city_person", city_person, column_digest(np, |i| Some(p.city[i]))),
+            (
+                "person_moderates",
+                d.person_moderates,
+                column_digest(f.len(), |i| Some((f.moderator[i], row(i)))),
+            ),
+            ("city_person", d.city_person, column_digest(np, |i| Some((row(i), p.city[i])))),
         ];
         if let Some((what, ..)) = derived.iter().find(|(_, adj, col)| adj != col) {
             return bad(format!("{what} disagrees with the columns it derives from"));
@@ -501,6 +572,27 @@ impl Store {
         }
         Ok(())
     }
+}
+
+/// An error unless `map` maps each `ids[i]` to `i` and holds nothing
+/// else.
+fn check_id_map(what: &str, map: &IdMap, ids: &[u64]) -> SnbResult<()> {
+    if map.len() != ids.len()
+        || ids.iter().enumerate().any(|(i, id)| map.get(id) != Some(&(i as Ix)))
+    {
+        return Err(SnbError::Config(format!("{what} disagrees with its id column")));
+    }
+    Ok(())
+}
+
+/// Folds `adj`'s insert overflow into a fresh CSR if it has any.
+fn fold<P: Copy>(adj: &mut CowBox<Adj<P>>) -> bool {
+    let overflow = adj.has_overflow();
+    if overflow {
+        let merged = adj.compact();
+        adj.set(merged);
+    }
+    overflow
 }
 
 /// Checks that `adj` has exactly `sources` source vertices and no target
@@ -532,12 +624,11 @@ fn check_adj<P: Copy + Hash>(
     Ok(digest)
 }
 
-/// The digest of the payload-free edges `(source(i), i)` a
-/// column implies for rows `0..rows` (`None` = the row has no edge).
-fn column_digest(rows: usize, source: impl Fn(usize) -> Option<Ix>) -> u64 {
-    (0..rows)
-        .filter_map(|i| source(i).map(|s| edge_digest(s, i as Ix, ())))
-        .fold(0, u64::wrapping_add)
+/// The digest of the payload-free edges a column implies for rows
+/// `0..rows`, `edge(i)` giving row `i`'s as digested (`None` = the row
+/// has no edge).
+fn column_digest(rows: usize, edge: impl Fn(usize) -> Option<(Ix, Ix)>) -> u64 {
+    (0..rows).filter_map(|i| edge(i).map(|(a, b)| edge_digest(a, b, ()))).fold(0, u64::wrapping_add)
 }
 
 fn edge_digest(s: Ix, t: Ix, payload: impl Hash) -> u64 {
