@@ -49,6 +49,21 @@ if grep -nE '\b[a-z_]+\.[a-z_]+\.(filter_in_place|shrink_to_fit)\(' \
   exit 1
 fi
 
+echo "==> one store builder (CSR assembly only in crates/store/src/{adj,build}.rs, CsvBasic names only in the serializer)"
+# Every bulk load (the streaming generator, a materialised graph, the
+# CsvBasic files) feeds StreamBuilder, whose row writers the update
+# stream shares; a second CSR assembly or column push would bring back a
+# loader whose store differs from the built one. The CsvBasic layout is
+# known only by crates/datagen/src/serializer.rs, whose reader is the
+# writer's inverse.
+if grep -rnE --include='*.rs' 'Adj::from_edges\(|forward_reverse\(' crates/*/src \
+  | grep -vE '^crates/store/src/(adj|build)\.rs:' \
+  || grep -rn --include='*.rs' '_0_0\.csv' crates/*/src \
+    | grep -v '^crates/datagen/src/serializer\.rs:'; then
+  echo "a second store builder or CsvBasic reader: feed StreamBuilder through serializer::read_basic" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -62,6 +77,11 @@ cargo test --release --test kernel_oracles -- --ignored
 
 echo "==> refresh microbatch image equality at SF 0.03 (a like delete against never inserting)"
 cargo test --release --test refresh_deletes -- --ignored
+
+echo "==> CsvBasic load equals the built store at SF 0.01 (encode_store bytes)"
+# Tier-1 checks two SF 0.003 seeds; this one has a deeper reply forest
+# and more likes per message.
+cargo test --release --test csv_pipeline -- --ignored
 
 echo "==> snapshot isolation and the concurrent stress gates in release"
 # In-place appends share buffers with pinned readers; the release build

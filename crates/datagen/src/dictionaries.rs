@@ -17,7 +17,7 @@
 //! is documented in `DESIGN.md` §2.
 
 use snb_core::dist::RankedSampler;
-use snb_core::model::{PlaceId, TagClassId, TagId};
+use snb_core::model::{OrganisationKind, PlaceId, PlaceKind, TagClassId, TagId};
 use snb_core::rng::Rng;
 
 /// A continent entry.
@@ -870,6 +870,32 @@ impl StaticWorld {
     /// The country index of a city place id, if it is a city.
     pub fn country_of_city(&self, city: PlaceId) -> Option<usize> {
         self.city_country.iter().find(|(p, _)| *p == city).map(|&(_, c)| c)
+    }
+
+    /// Place `pid`'s kind and the place it is part of (none for a
+    /// continent): place ids run continents, then countries, then cities.
+    pub fn place(&self, pid: usize) -> (PlaceKind, Option<PlaceId>) {
+        let (continents, countries) = (self.continent_place.len(), self.country_place.len());
+        if pid < continents {
+            (PlaceKind::Continent, None)
+        } else if pid < continents + countries {
+            let continent = COUNTRIES[pid - continents].continent;
+            (PlaceKind::Country, Some(self.continent_place[continent]))
+        } else {
+            let country = self.country_of_city(PlaceId(pid as u64));
+            (PlaceKind::City, country.map(|c| self.country_place[c]))
+        }
+    }
+
+    /// Every organisation's kind, name and place, in raw-id order:
+    /// universities (in their city), then companies (in their country).
+    pub fn organisations(&self) -> impl Iterator<Item = (OrganisationKind, &str, PlaceId)> {
+        let universities =
+            self.universities.iter().map(|u| (OrganisationKind::University, &*u.name, u.city));
+        let companies = self.companies.iter().map(|(name, country)| {
+            (OrganisationKind::Company, &**name, self.country_place[*country])
+        });
+        universities.chain(companies)
     }
 
     /// Samples a tag correlated with the country ranking (the spec's

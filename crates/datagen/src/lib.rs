@@ -19,7 +19,8 @@
 //!   *flashmob events*), comment trees, likes, tag enrichment through a
 //!   tag-correlation matrix;
 //! * CSV serializers (CsvBasic, CsvMergeForeign, CsvComposite,
-//!   CsvCompositeMergeForeign — spec Tables 2.13–2.16);
+//!   CsvCompositeMergeForeign — spec Tables 2.13–2.16), and the CsvBasic
+//!   reader that is the writer's exact inverse;
 //! * update streams: the last ~10% of simulated time is withheld from
 //!   the bulk dataset and emitted as insert events IU 1–8 (spec §2.3.4).
 //!
@@ -32,7 +33,6 @@ pub mod knows;
 pub mod person;
 pub mod serializer;
 pub mod stream;
-pub mod turtle;
 
 use snb_core::datetime::Date;
 use snb_core::scale::ScaleFactor;

@@ -1,5 +1,5 @@
-//! Bulk-loading a [`Store`] from the generator's output: one builder,
-//! [`StreamBuilder`], fed from either of the generator's two shapes.
+//! Bulk-loading a [`Store`]: one builder, [`StreamBuilder`], with three
+//! feeders — the generator's two shapes and the CsvBasic files.
 //!
 //! * **Streamed** ([`store_for_config`], [`bulk_store_and_stream`]): the
 //!   generator runs chunk-at-a-time and every record goes straight into
@@ -15,21 +15,29 @@
 //! * **From vectors** ([`build_store`]): a materialised [`RawGraph`] —
 //!   the serializers' input — fed through the same builder in vector
 //!   order.
+//! * **From disk** ([`load_csv_basic`], spec §6.1.3): the records
+//!   [`read_basic`] reads back from a CsvBasic dataset, fed exactly as
+//!   [`build_store`] feeds a graph.
 //!
 //! Records arrive in the generator's dependency order: persons, then
 //! `knows`, then activity in which a post's forum and a comment's parent
 //! are always emitted first. Ingestion is therefore single-pass, and the
-//! per-relation edge lists come out in the same order either way, so
-//! both shapes build the same store.
+//! per-relation edge lists come out in the same order every way, so the
+//! three feeders build the same store: a loaded CsvBasic dataset encodes
+//! byte for byte like the graph it was serialized from, built with the
+//! same cut.
+
+use std::path::Path;
 
 use snb_core::datetime::DateTime;
-use snb_core::model::{MessageKind, OrganisationKind, PlaceKind};
-use snb_core::SnbError;
+use snb_core::model::MessageKind;
+use snb_core::{SnbError, SnbResult};
 
-use snb_datagen::dictionaries::{StaticWorld, COUNTRIES, TAGS, TAG_CLASSES};
+use snb_datagen::dictionaries::{StaticWorld, TAGS, TAG_CLASSES};
 use snb_datagen::graph::{
     RawForum, RawGraph, RawKnows, RawLike, RawMembership, RawMessage, RawPerson,
 };
+use snb_datagen::serializer::read_basic;
 use snb_datagen::stream::TimedEvent;
 use snb_datagen::{ActivitySink, GeneratorConfig};
 
@@ -48,14 +56,42 @@ const PERSON_CHUNK: usize = 4096;
 /// `Some(config.stream_cut())` to load only the bulk dataset and replay
 /// the tail through [`Store::apply_event`]).
 pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>) -> Store {
-    let mut b = StreamBuilder::new(world, cut);
-    b.add_persons(&graph.persons);
+    unloadable(feed(StreamBuilder::new(world, cut), graph))
+}
+
+/// Loads the CsvBasic dataset under `root` written for `world` (spec
+/// §6.1.3): [`read_basic`]'s records fed to the one builder in
+/// [`build_store`]'s order. A file the serializer could not have written
+/// (see [`read_basic`]) or a record the row writers refuse is a typed
+/// error, never a panic. `knows`, membership and like rows with an absent
+/// end, and a forum whose moderator is absent, are skipped: the skip rule
+/// every feeder shares.
+pub fn load_csv_basic(root: &Path, world: &StaticWorld) -> SnbResult<Store> {
+    let graph = read_basic(root, world)?;
+    feed(StreamBuilder::new(world, None), &graph)
+        .map_err(|e| SnbError::parse(root.display().to_string(), e.to_string()))
+}
+
+/// Feeds a materialised graph through `b` in generator order.
+fn feed(mut b: StreamBuilder<'_>, graph: &RawGraph) -> SnbResult<Store> {
+    b.add_persons(&graph.persons)?;
     b.add_knows(&graph.knows);
-    graph.forums.iter().for_each(|f| b.add_forum(f));
+    for f in &graph.forums {
+        b.add_forum(f)?;
+    }
     graph.memberships.iter().for_each(|m| b.add_membership(m));
-    graph.messages.iter().for_each(|m| b.add_message(m));
+    for m in &graph.messages {
+        b.add_message(m)?;
+    }
     graph.likes.iter().for_each(|l| b.add_like(l));
-    b.finish()
+    Ok(b.finish())
+}
+
+/// The store a generator-fed build made. A row the builder refused
+/// means the generator broke its own dependency order: a bug, not
+/// input.
+fn unloadable<T>(built: SnbResult<T>) -> T {
+    built.unwrap_or_else(|e| panic!("bulk load: {e}"))
 }
 
 /// Incremental store builder: records in, columns and CSR adjacency out.
@@ -65,8 +101,8 @@ pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>)
 /// and likes, interleaved as emitted or one kind after another). Records
 /// at/after the cut are skipped. Each row goes through the row writer
 /// [`Store::apply_event`] uses; a row whose reference does not resolve
-/// panics, except a forum without its moderator, which is skipped like
-/// an edge with a missing end.
+/// is a typed error, except a forum without its moderator, which is
+/// skipped like an edge with a missing end.
 pub struct StreamBuilder<'w> {
     world: &'w StaticWorld,
     cut: Option<DateTime>,
@@ -83,12 +119,6 @@ pub struct StreamBuilder<'w> {
     forum_post_edges: Vec<(Ix, Ix, ())>,
     reply_edges: Vec<(Ix, Ix, ())>,
     like_edges: Vec<(Ix, Ix, DateTime)>,
-}
-
-/// A row the bulk load could not write: the generator broke its own
-/// dependency order.
-fn unloadable(e: SnbError) -> ! {
-    panic!("bulk load: {e}")
 }
 
 impl<'w> StreamBuilder<'w> {
@@ -118,17 +148,15 @@ impl<'w> StreamBuilder<'w> {
     }
 
     /// Ingests persons (columns + static edges), in one or many chunks.
-    pub fn add_persons(&mut self, chunk: &[RawPerson]) {
+    pub fn add_persons(&mut self, chunk: &[RawPerson]) -> SnbResult<()> {
         for p in chunk {
             if !self.keep(p.creation_date) {
                 continue;
             }
-            let ix = self
-                .s
-                .push_person(p, self.world, &mut self.lists)
-                .unwrap_or_else(|e| unloadable(e));
+            let ix = self.s.push_person(p, self.world, &mut self.lists)?;
             self.city_edges.push((self.s.persons.city[ix as usize], ix, ()));
         }
+        Ok(())
     }
 
     /// Ingests the `knows` edges (call after all persons); both
@@ -148,15 +176,16 @@ impl<'w> StreamBuilder<'w> {
     }
 
     /// Ingests one forum; one whose moderator is not loaded is skipped.
-    pub fn add_forum(&mut self, f: &RawForum) {
+    pub fn add_forum(&mut self, f: &RawForum) -> SnbResult<()> {
         if !self.keep(f.creation_date) {
-            return;
+            return Ok(());
         }
         match self.s.push_forum(f, &mut self.lists) {
             Ok(ix) => self.moderates.push((self.s.forums.moderator[ix as usize], ix, ())),
             Err(SnbError::UnknownId { entity: "Person", .. }) => {}
-            Err(e) => unloadable(e),
+            Err(e) => return Err(e),
         }
+        Ok(())
     }
 
     /// Ingests one forum membership.
@@ -175,18 +204,18 @@ impl<'w> StreamBuilder<'w> {
     /// Ingests one post or comment. Its forum, creator and parent must
     /// already be loaded (a parent always has a smaller id and is
     /// emitted first).
-    pub fn add_message(&mut self, m: &RawMessage) {
+    pub fn add_message(&mut self, m: &RawMessage) -> SnbResult<()> {
         if !self.keep(m.creation_date) {
-            return;
+            return Ok(());
         }
-        let ix =
-            self.s.push_message(m, self.world, &mut self.lists).unwrap_or_else(|e| unloadable(e));
+        let ix = self.s.push_message(m, self.world, &mut self.lists)?;
         let (cols, i) = (&self.s.messages, ix as usize);
         self.creator_edges.push((cols.creator[i], ix, ()));
         match cols.reply_of[i] {
             NONE => self.forum_post_edges.push((cols.forum[i], ix, ())),
             parent => self.reply_edges.push((parent, ix, ())),
         }
+        Ok(())
     }
 
     /// Ingests one like.
@@ -249,48 +278,23 @@ impl<'w> StreamBuilder<'w> {
 /// Loads the static part of the schema (places, tags, tag classes,
 /// organisations) from the dictionary world.
 pub(crate) fn load_static(s: &mut Store, world: &StaticWorld) {
-    // Places: ids are the StaticWorld's dense layout (continents,
-    // countries, cities).
-    let continents = world.continent_place.len();
-    let countries = world.country_place.len();
+    // Places.
+    let mut child_edges = Vec::new();
     for (pid, name) in world.place_names.iter().enumerate() {
         let ix = pid as Ix;
+        let (kind, parent) = world.place(pid);
         s.place_ix.insert(pid as u64, ix);
         s.places.id.push(pid as u64);
         s.places.name.push(name);
-        let kind = if pid < continents {
-            PlaceKind::Continent
-        } else if pid < continents + countries {
-            PlaceKind::Country
-        } else {
-            PlaceKind::City
-        };
         s.places.kind.push(kind);
-        let parent = match kind {
-            PlaceKind::Continent => NONE,
-            PlaceKind::Country => {
-                let ci = pid - continents;
-                world.continent_place[COUNTRIES[ci].continent].0 as Ix
-            }
-            PlaceKind::City => {
-                let country = world
-                    .country_of_city(snb_core::model::PlaceId(pid as u64))
-                    .expect("city has country");
-                world.country_place[country].0 as Ix
-            }
-        };
-        s.places.part_of.push(parent);
+        s.places.part_of.push(parent.map_or(NONE, |p| p.0 as Ix));
         s.place_by_name.insert(name.clone(), ix);
-    }
-    let mut child_edges = Vec::new();
-    for (pid, &parent) in s.places.part_of.iter().enumerate() {
-        if parent != NONE {
-            child_edges.push((parent, pid as Ix, ()));
-        }
+        child_edges.extend(parent.map(|p| (p.0 as Ix, ix, ())));
     }
     *s.place_children = Adj::from_edges(s.places.len(), &child_edges);
 
-    // Tag classes.
+    // Tag classes (class 0 is the root).
+    let mut class_children = Vec::new();
     for (ci, &(name, parent)) in TAG_CLASSES.iter().enumerate() {
         let ix = ci as Ix;
         s.tag_class_ix.insert(ci as u64, ix);
@@ -298,11 +302,8 @@ pub(crate) fn load_static(s: &mut Store, world: &StaticWorld) {
         s.tag_classes.name.push(name);
         s.tag_classes.parent.push(if ci == 0 { NONE } else { parent as Ix });
         s.tag_class_by_name.insert(name.to_string(), ix);
-    }
-    let mut class_children = Vec::new();
-    for (ci, &parent) in s.tag_classes.parent.iter().enumerate() {
-        if parent != NONE {
-            class_children.push((parent, ci as Ix, ()));
+        if ci != 0 {
+            class_children.push((parent as Ix, ix, ()));
         }
     }
     *s.tagclass_children = Adj::from_edges(s.tag_classes.len(), &class_children);
@@ -320,24 +321,13 @@ pub(crate) fn load_static(s: &mut Store, world: &StaticWorld) {
     }
     *s.tagclass_tags = Adj::from_edges(s.tag_classes.len(), &class_tag_edges);
 
-    // Organisations: universities first, then companies (the raw-id
-    // convention shared with the serializer).
-    for (ui, u) in world.universities.iter().enumerate() {
-        let ix = s.organisations.len() as Ix;
-        s.org_ix.insert(ui as u64, ix);
-        s.organisations.id.push(ui as u64);
-        s.organisations.name.push(&u.name);
-        s.organisations.kind.push(OrganisationKind::University);
-        s.organisations.place.push(u.city.0 as Ix);
-    }
-    let base = world.universities.len() as u64;
-    for (ci, (name, country)) in world.companies.iter().enumerate() {
-        let ix = s.organisations.len() as Ix;
-        s.org_ix.insert(base + ci as u64, ix);
-        s.organisations.id.push(base + ci as u64);
+    // Organisations, numbered as the serializer numbers them.
+    for (id, (kind, name, place)) in world.organisations().enumerate() {
+        s.org_ix.insert(id as u64, id as Ix);
+        s.organisations.id.push(id as u64);
         s.organisations.name.push(name);
-        s.organisations.kind.push(OrganisationKind::Company);
-        s.organisations.place.push(world.country_place[*country].0 as Ix);
+        s.organisations.kind.push(kind);
+        s.organisations.place.push(place.0 as Ix);
     }
 }
 
@@ -376,10 +366,20 @@ impl Tail {
 }
 
 /// The streaming driver's activity sink: records before the cut go to
-/// the builder by reference; with a cut, the tail is kept.
+/// the builder by reference; with a cut, the tail is kept. After a row
+/// the builder refuses, nothing more is fed.
 struct Sink<'w> {
     builder: StreamBuilder<'w>,
     tail: Option<Tail>,
+    fed: SnbResult<()>,
+}
+
+impl<'w> Sink<'w> {
+    fn feed(&mut self, add: impl FnOnce(&mut StreamBuilder<'w>) -> SnbResult<()>) {
+        if self.fed.is_ok() {
+            self.fed = add(&mut self.builder);
+        }
+    }
 }
 
 impl ActivitySink for Sink<'_> {
@@ -391,7 +391,7 @@ impl ActivitySink for Sink<'_> {
                 return;
             }
         }
-        self.builder.add_forum(&f);
+        self.feed(|b| b.add_forum(&f));
     }
 
     fn membership(&mut self, m: RawMembership) {
@@ -410,7 +410,7 @@ impl ActivitySink for Sink<'_> {
                 return;
             }
         }
-        self.builder.add_message(&m);
+        self.feed(|b| b.add_message(&m));
     }
 
     fn like(&mut self, l: RawLike) {
@@ -431,7 +431,8 @@ fn streaming_build(
     chunk: usize,
 ) -> (Store, Vec<TimedEvent>) {
     let world = StaticWorld::build(config.seed);
-    let mut sink = Sink { builder: StreamBuilder::new(&world, cut), tail: cut.map(Tail::new) };
+    let mut sink =
+        Sink { builder: StreamBuilder::new(&world, cut), tail: cut.map(Tail::new), fed: Ok(()) };
 
     let mut persons: Vec<RawPerson> = Vec::with_capacity(config.persons as usize);
     for chunk in snb_datagen::person_chunks(config, &world, chunk) {
@@ -439,7 +440,7 @@ fn streaming_build(
             t.person_created.extend(chunk.iter().map(|p| p.creation_date));
             t.records.persons.extend(chunk.iter().filter(|p| p.creation_date >= t.cut).cloned());
         }
-        sink.builder.add_persons(&chunk);
+        sink.feed(|b| b.add_persons(&chunk));
         persons.extend(chunk);
     }
     let knows = snb_datagen::knows::generate_knows(config, &persons);
@@ -449,6 +450,7 @@ fn streaming_build(
     sink.builder.add_knows(&knows);
     snb_datagen::generate_activity_into(config, &world, &persons, &knows, &mut sink);
 
+    unloadable(sink.fed);
     let store = sink.builder.finish();
     (store, sink.tail.map_or_else(Vec::new, Tail::events))
 }
@@ -531,6 +533,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snb_core::model::PlaceKind;
     use snb_core::scale::ScaleFactor;
 
     fn config(n: u64) -> GeneratorConfig {

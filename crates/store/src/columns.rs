@@ -16,10 +16,11 @@
 //! [`Store::validate_invariants`](crate::Store::validate_invariants).
 //! Each pass works column by column through the `Column` trait, which
 //! every column type implements. Reads stay plain field access
-//! (`messages.creator[i]`), and the row writers in `insert.rs` and
-//! `load.rs` push each column by hand, because they resolve references.
-//! Adding a column therefore means one line here, one push in each row
-//! writer, and nothing else.
+//! (`messages.creator[i]`), and the row writers in `insert.rs` push
+//! each column by hand, because they resolve references. Every feeder
+//! of the store (the update stream, the generator, the CsvBasic loader)
+//! writes through them, so adding a column means one line here, one
+//! push in its row writer, and nothing else.
 //!
 //! Every column is an [`AppendVec`] or a string column built on them: a
 //! store version and the writer's next version share each column's

@@ -24,14 +24,14 @@
 //!   with an insert overflow so inserts don't rebuild anything on the
 //!   write path;
 //! * [`build`] — the one store builder, [`StreamBuilder`], fed by the
-//!   streaming generator (with optional bulk/stream split) or from a
-//!   materialised graph's vectors;
+//!   streaming generator (with optional bulk/stream split), from a
+//!   materialised graph's vectors, or from a CsvBasic dataset directory
+//!   ([`load_csv_basic`]);
 //! * `insert` — the one write record: [`Store::apply_event`] applies an
 //!   update-stream event (IU 1–8, the generator's `Raw*` records)
 //!   through the per-entity row writers [`StreamBuilder`] also uses;
 //! * [`image`] — the checksummed store-image codec (full store ⇄ packed
 //!   bytes) backing the server's snapshot files and follower bootstrap;
-//! * [`load`] — bulk load from a CsvBasic dataset directory;
 //! * [`delete`] — the cascading deletes (DEL 1–8);
 //! * [`snapshot`] — immutable published store versions for lock-free
 //!   readers beside one writer.
@@ -45,12 +45,13 @@ pub mod delete;
 pub mod image;
 mod insert;
 pub mod intern;
-pub mod load;
 pub mod snapshot;
 mod store;
 
 pub use adj::Adj;
-pub use build::{build_store, bulk_store_and_stream, store_for_config, StoreStats, StreamBuilder};
+pub use build::{
+    build_store, bulk_store_and_stream, load_csv_basic, store_for_config, StoreStats, StreamBuilder,
+};
 pub use columns::{Ix, NONE};
 pub use cow::CowBox;
 pub use delete::{DeleteOp, DeleteStats};

@@ -100,40 +100,6 @@ fn different_seeds_give_different_networks() {
 }
 
 #[test]
-fn turtle_and_csv_serializers_cover_the_same_records() {
-    use ldbc_snb::datagen::dictionaries::StaticWorld;
-    use ldbc_snb::datagen::serializer::{serialize, CsvVariant};
-    use ldbc_snb::datagen::turtle::serialize_turtle;
-
-    let c = config(3);
-    let world = StaticWorld::build(c.seed);
-    let graph = ldbc_snb::datagen::generate(&c);
-    let cut = c.stream_cut();
-    let dir = std::env::temp_dir().join(format!("snb_ttl_csv_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    serialize(&graph, &world, CsvVariant::Basic, cut, &dir).unwrap();
-    serialize_turtle(&graph, &world, cut, &dir).unwrap();
-
-    let csv_persons = std::fs::read_to_string(dir.join("social_network/dynamic/person_0_0.csv"))
-        .unwrap()
-        .lines()
-        .count()
-        - 1;
-    let ttl = std::fs::read_to_string(dir.join("social_network/0_ldbc_socialnet.ttl")).unwrap();
-    let ttl_persons = ttl.matches("rdf:type snvoc:Person").count();
-    assert_eq!(csv_persons, ttl_persons, "CSV and Turtle disagree on person count");
-    let csv_posts = std::fs::read_to_string(dir.join("social_network/dynamic/post_0_0.csv"))
-        .unwrap()
-        .lines()
-        .count()
-        - 1;
-    let ttl_posts = ttl.matches("rdf:type snvoc:Post").count();
-    assert_eq!(csv_posts, ttl_posts);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn deletes_then_queries_stay_consistent_with_rebuilt_world() {
     // Deleting an entity and re-running the workload must equal a world
     // that never contained what was deleted — checked structurally via
