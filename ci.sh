@@ -64,6 +64,17 @@ if grep -rnE --include='*.rs' 'Adj::from_edges\(|forward_reverse\(' crates/*/src
   exit 1
 fi
 
+echo "==> one write-ack contract (no group commit, no fsync batching, no flush gate in crates/*/src)"
+# Every write ack follows its own batch's fsync: submit_batch applies to a
+# private clone, SegmentedWal::append writes and fsyncs the record, then
+# the batch is published and acked. A deferred or shared flush would let
+# an ack, a publish or a shipped record get ahead of the disk.
+if grep -rnE --include='*.rs' 'group_commit|fsync_every|GROUP_COMMIT_WINDOW|wait_for_flush|flushed_seq' \
+  crates/*/src; then
+  echo "a second write-ack mode is back: ack only after the batch's own fsync" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -118,9 +129,9 @@ cargo test -q --release -p snb-server --lib wal:: > /dev/null
 # over all 25 BI queries, and requires a clean exit on SIGTERM.
 target/release/service_load 0.001 --chaos --server-bin target/release/snb-server
 
-echo "==> removed knobs stay gone (--partitions, --shed-oldest, the lane knobs -> unknown flag, exit 2)"
+echo "==> removed knobs stay gone (--partitions, --shed-oldest, the lane and write-ack knobs -> unknown flag, exit 2)"
 for FLAG in --partitions --shed-oldest --short-cap --heavy-cap --write-cap --short-weight \
-  --short-deadline-ms --deadline-ms; do
+  --short-deadline-ms --deadline-ms --fsync-every --group-commit --write-workers; do
   set +e
   FLAG_ERR="$(target/release/snb-server 0.001 "$FLAG" 2>&1 >/dev/null)"
   FLAG_STATUS=$?

@@ -43,7 +43,6 @@ use std::net::TcpStream;
 
 use snb_datagen::dictionaries::StaticWorld;
 use snb_datagen::stream::UpdateEvent;
-use snb_datagen::GeneratorConfig;
 use snb_engine::QueryContext;
 use snb_params::ParamGen;
 use snb_server::{ErrorKind, ServiceParams, WriteOps};
@@ -70,12 +69,6 @@ pub fn carve_stream(stream: &[snb_datagen::stream::TimedEvent], chunks: usize) -
         }
     }
     out
-}
-
-/// [`carve_stream`] over a freshly generated stream for `config`.
-pub fn carve_batches(config: &GeneratorConfig, chunks: usize) -> Vec<WriteOps> {
-    let (_, stream) = snb_store::bulk_store_and_stream(config);
-    carve_stream(&stream, chunks)
 }
 
 /// `base` with every batch applied exactly once, in order: what a node

@@ -1,7 +1,7 @@
 //! The service's pass/fail gates (experiments E13, E16–E18).
 //!
 //! ```text
-//! service_load [SF] [SEED] (--wal-bench | --chaos | --replication | --split-brain | --sweep)
+//! service_load [SF] [SEED] (--chaos | --replication | --split-brain | --sweep)
 //!              [--followers N] [--sweep-levels 1,2,...,1024] [--sweep-duration 2s]
 //!              [--server-bin PATH]
 //! ```
@@ -9,10 +9,6 @@
 //! Each mode runs one experiment, prints its table, and exits non-zero
 //! when one of its checks fails:
 //!
-//! - `--wal-bench` replays one write schedule through three in-process
-//!   durable servers — `fsync_every` 1, `fsync_every` 64 and group
-//!   commit — and compares their ack latency and fsync counts (see
-//!   `wal_bench.rs`).
 //! - `--chaos` SIGKILLs a real `snb-server` at four injected fault
 //!   points, restarts it, resubmits every unacked batch, and proves the
 //!   recovered store answers all 25 BI queries like an oracle that
@@ -43,11 +39,9 @@ mod node;
 mod replication;
 mod split_brain;
 mod sweep;
-mod wal_bench;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    WalBench,
     Chaos,
     Replication,
     SplitBrain,
@@ -84,7 +78,6 @@ fn parse_args() -> Result<Args, String> {
     let need = |name: &str, v: Option<String>| v.ok_or_else(|| format!("{name} needs a value"));
     while let Some(arg) = argv.next() {
         let picked = match arg.as_str() {
-            "--wal-bench" => Some(Mode::WalBench),
             "--chaos" => Some(Mode::Chaos),
             "--replication" => Some(Mode::Replication),
             "--split-brain" => Some(Mode::SplitBrain),
@@ -127,8 +120,7 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    let mode =
-        mode.ok_or("pick a mode: --wal-bench, --chaos, --replication, --split-brain or --sweep")?;
+    let mode = mode.ok_or("pick a mode: --chaos, --replication, --split-brain or --sweep")?;
     let scale = positionals.first().cloned().unwrap_or_else(|| "0.01".into());
     let mut config = GeneratorConfig::for_scale_name(&scale)
         .ok_or_else(|| format!("unknown scale factor {scale:?}"))?;
@@ -148,7 +140,6 @@ fn main() {
         std::process::exit(2);
     });
     match args.mode {
-        Mode::WalBench => wal_bench::run(&args),
         Mode::Chaos => chaos::run(&args),
         Mode::Replication => replication::run(&args),
         Mode::SplitBrain => split_brain::run(&args),

@@ -2,10 +2,8 @@
 //! the length-prefixed binary protocol on localhost TCP.
 //!
 //! ```text
-//! snb-server [SF] [SEED] [--port N] [--workers N] [--write-workers N]
-//!            [--queue-cap N] [--profile]
-//!            [--wal-dir PATH] [--fsync-every N] [--snapshot-every N]
-//!            [--conn-timeout-ms N] [--group-commit]
+//! snb-server [SF] [SEED] [--port N] [--workers N] [--queue-cap N] [--profile]
+//!            [--wal-dir PATH] [--snapshot-every N] [--conn-timeout-ms N]
 //!            [--repl-port N] [--follower] [--replicate-from ADDR]
 //! snb-server --promote REPL_ADDR [--announce-repl ADDR]
 //!            [--announce-client ADDR] [--siblings A,B,..] [--epoch-floor N]
@@ -29,7 +27,9 @@
 //! `--wal-dir` enables the write workload: the directory is recovered
 //! (store image if present, else the bulk store; then the WAL tail,
 //! torn records truncated) before the listener opens, and every
-//! acknowledged batch is WAL-appended first. The recovery summary is
+//! batch is WAL-appended and fsynced before it is published and
+//! acknowledged; TCP write batches apply one at a time, in arrival
+//! order. The recovery summary is
 //! printed as `recovered seq=N wal_entries=N truncated_bytes=N
 //! recovery_ms=N epoch=N image_seq=N image_ms=N tail_replayed=N` on
 //! stdout so chaos harnesses can assert on it. `--snapshot-every N`
@@ -125,9 +125,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--port" => port = parse("--port", argv.next())? as u16,
             "--workers" => server.workers = parse("--workers", argv.next())?.max(1) as usize,
-            "--write-workers" => {
-                server.write_workers = parse("--write-workers", argv.next())?.max(1) as usize;
-            }
             "--queue-cap" => {
                 server.queue_capacity = parse("--queue-cap", argv.next())? as usize;
             }
@@ -140,9 +137,7 @@ fn parse_args() -> Result<Args, String> {
                 wal_dir =
                     Some(std::path::PathBuf::from(argv.next().ok_or("--wal-dir needs a value")?));
             }
-            "--fsync-every" => wal.fsync_every = parse("--fsync-every", argv.next())?.max(1),
             "--snapshot-every" => wal.snapshot_every = parse("--snapshot-every", argv.next())?,
-            "--group-commit" => wal.group_commit = true,
             "--repl-port" => repl_port = Some(parse("--repl-port", argv.next())? as u16),
             "--follower" => server.read_only = true,
             "--replicate-from" => {

@@ -1023,7 +1023,7 @@ pub enum ReplFrame {
     /// Primary → follower: periodic liveness + lag beacon carrying the
     /// primary's current acked high-water mark.
     Heartbeat {
-        /// The primary's flushed (acked) sequence high-water mark.
+        /// The primary's applied (and so durable) sequence high-water mark.
         last_seq: u64,
         /// The sender's fencing epoch — a follower that knows a higher
         /// term treats the sender as a zombie and drops the stream.

@@ -17,7 +17,7 @@
 //! [`LaneQueues::pop_read`] drains the two read lanes under a weighted
 //! scheduler (`SHORT_WEIGHT` short pops for every heavy pop when both
 //! are non-empty, work-conserving when either is empty), and write
-//! batches get dedicated consumers via [`LaneQueues::pop_write`] so a
+//! batches get their own consumer via [`LaneQueues::pop_write`] so a
 //! WAL fsync never stalls a read worker.
 //!
 //! A full lane refuses the newcomer and leaves queued work untouched,
@@ -56,13 +56,13 @@ struct LanesState<T> {
 }
 
 /// Three bounded MPMC lanes behind one lock: transports push, read
-/// workers drain short+heavy under the weighted scheduler, write
-/// workers drain the write lane.
+/// workers drain short+heavy under the weighted scheduler, the write
+/// thread drains the write lane.
 pub struct LaneQueues<T> {
     state: Mutex<LanesState<T>>,
     /// Wakes read workers (short or heavy arrivals).
     read_ready: Condvar,
-    /// Wakes write workers (write arrivals).
+    /// Wakes the write thread (write arrivals).
     write_ready: Condvar,
     /// Capacity of each lane.
     capacity: usize,

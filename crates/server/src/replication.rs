@@ -380,15 +380,15 @@ fn serve_peer(inner: &Arc<ServerInner>, mut stream: TcpStream, config: &Replicat
                 );
                 return;
             }
-            let Some(group_commit) = inner.wal_group_commit() else {
+            if !inner.has_wal() {
                 deny(
                     &mut stream,
                     "primary has no write-ahead log; nothing to ship".into(),
                     inner.epoch(),
                 );
                 return;
-            };
-            ship_loop(inner, &mut stream, config, from_seq, group_commit);
+            }
+            ship_loop(inner, &mut stream, config, from_seq);
         }
         Ok(ReplFrame::Promote { epoch, repl_addr, client_addr, siblings }) => {
             match inner.promote_inner(epoch) {
@@ -507,7 +507,6 @@ fn ship_loop(
     stream: &mut TcpStream,
     config: &ReplicationConfig,
     from_seq: u64,
-    group_commit: bool,
 ) {
     let tailer_from = |seq: u64| WalTailer::new(&config.wal_dir, &config.scale, config.seed, seq);
     let Some(from_seq) = ship_image(inner, stream, config, from_seq) else {
@@ -517,7 +516,7 @@ fn ship_loop(
     // The backlog target is pinned at subscribe time: once the cursor
     // passes it, the follower has everything that predated its Hello
     // and `CaughtUp` marks the live edge.
-    let target = inner.acked_seq(group_commit);
+    let target = inner.applied_seq();
     let mut caught_up_sent = false;
     let mut last_beat = Instant::now();
     while inner.is_accepting() && !inner.is_fenced() {
@@ -527,7 +526,7 @@ fn ship_loop(
             std::thread::sleep(POLL_INTERVAL);
             continue;
         }
-        let bound = inner.acked_seq(group_commit);
+        let bound = inner.applied_seq();
         let records = match tailer.poll(bound) {
             Ok(r) => r,
             Err(_) => {

@@ -25,8 +25,9 @@
 //!    [`QueryContext`] to the pinned snapshot, executes, and
 //!    **re-checks the deadline at completion** (a job that starts
 //!    inside its budget but overruns is answered — and counted —
-//!    `deadline_overrun`, not `ok`); write batches drain on dedicated
-//!    write workers so a WAL fsync never stalls a read worker;
+//!    `deadline_overrun`, not `ok`); TCP write batches drain in
+//!    arrival order on the one write thread, so a WAL fsync never stalls
+//!    a read worker;
 //! 4. every path ends in `ServerInner::finish`, which counts the
 //!    outcome in the lane × outcome tally that [`ServiceReport`] reads
 //!    and cuts exactly one access-log record (carrying the lane, the
@@ -43,8 +44,8 @@
 //! **Concurrency model** — there is no lock anywhere on the read path.
 //! The store lives behind a [`StoreHandle`]. After the bulk load every
 //! write is a sequenced batch on the durable path (`submit_batch`:
-//! apply, WAL append, publish) or, on a bootstrapping follower, a
-//! shipped image. Either builds the next immutable store version on a
+//! apply, WAL append + fsync, publish, ack) or, on a bootstrapping
+//! follower, a shipped image. Either builds the next immutable store version on a
 //! private copy-on-write clone and publishes it with one atomic swap
 //! ([`StoreHandle::publish_with`]); reads pin the current version at
 //! admission and run the whole query against it, unaffected by — and
@@ -57,7 +58,7 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, TryLockError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use snb_core::{SnbError, SnbResult};
@@ -73,13 +74,6 @@ use crate::proto::{
 use crate::queue::{LaneQueues, PushError};
 use crate::transport::Outbox;
 use crate::wal::SegmentedWal;
-
-/// Group-commit formation window: how long an ack-waiter parks before
-/// volunteering as the flusher. Long enough for the successor batch
-/// (whose client is typically already retrying a sequence-gap
-/// rejection) to append and join the fsync; short enough to bound the
-/// extra ack latency when the waiter turns out to be alone.
-const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(250);
 
 const POISONED_DETAIL: &str =
     "store poisoned by a mid-apply panic; restart to recover from the WAL";
@@ -105,11 +99,10 @@ pub struct ServerConfig {
     /// its fd and buffer forever). `None` disables the idle check.
     /// Stalled closes are logged with outcome `conn_stalled`.
     pub conn_read_timeout: Option<Duration>,
-    /// Dedicated threads draining the write lane (TCP write batches),
-    /// so a WAL fsync never stalls a read worker. Clamped to at least
-    /// 1 when `workers > 0`; with `workers == 0` (deterministic test
-    /// mode) no write workers spawn either and both drains happen
-    /// inline at shutdown.
+    /// Read nowhere: the write lane always has exactly one drain
+    /// thread (none with `workers == 0`), so a connection's pipelined
+    /// batches apply in arrival order. A shim kept only because the
+    /// frozen `benchmark/` package sets it.
     pub write_workers: usize,
     /// Start in read-only (follower) mode: client write batches are
     /// refused with `not_primary` (terminal-with-redirect) while the
@@ -126,7 +119,7 @@ impl Default for ServerConfig {
             profiling: false,
             threads_per_worker: 1,
             conn_read_timeout: Some(Duration::from_secs(30)),
-            write_workers: 2,
+            write_workers: 1,
             read_only: false,
         }
     }
@@ -405,14 +398,6 @@ pub(crate) struct ServerInner {
     counters: Counters,
     durable: Option<Mutex<DurableState>>,
     last_applied_seq: AtomicU64,
-    /// Group-commit ack gate: the highest sequence number covered by a
-    /// completed flush. With `group_commit` on, a write's ack is held
-    /// until this reaches its sequence number — many submitters then
-    /// share one fsync without weakening "acknowledged ⇒ durable".
-    flushed_seq: AtomicU64,
-    /// Parking lot for ack-waiters ([`ServerInner::wait_for_flush`]).
-    flush_mutex: Mutex<()>,
-    flush_cv: Condvar,
     /// Set when a write failed or panicked mid-apply. The *published*
     /// store is still consistent (the failed version was discarded
     /// unpublished), but the WAL and the store have diverged — an
@@ -452,31 +437,18 @@ impl ServerInner {
         self.accepting.load(Ordering::Acquire)
     }
 
-    /// Highest applied write sequence (the follower's Hello cursor and
-    /// the non-group-commit ship bound).
+    /// Highest applied write sequence: the follower's Hello cursor and
+    /// the replication ship bound. A batch is applied only after its
+    /// fsync, so followers never see a record the primary could still
+    /// disavow.
     pub(crate) fn applied_seq(&self) -> u64 {
         self.last_applied_seq.load(Ordering::Acquire)
     }
 
-    /// The replication ship bound: the highest sequence whose ack has
-    /// been released. Under group commit an applied-but-unflushed batch
-    /// is not yet acked, so shipping stops at `flushed_seq`; otherwise
-    /// apply and ack coincide at `last_applied_seq`. Followers must
-    /// never see a record the primary could still disavow.
-    pub(crate) fn acked_seq(&self, group_commit: bool) -> u64 {
-        if group_commit {
-            self.flushed_seq.load(Ordering::Acquire)
-        } else {
-            self.last_applied_seq.load(Ordering::Acquire)
-        }
-    }
-
-    /// Whether the WAL runs group commit (`None` without a WAL) — read
-    /// once per replication listener, not per poll.
-    pub(crate) fn wal_group_commit(&self) -> Option<bool> {
-        let durable = self.durable.as_ref()?;
-        let state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Some(state.wal.options().group_commit)
+    /// Whether the server owns a write-ahead log (and so has records to
+    /// ship).
+    pub(crate) fn has_wal(&self) -> bool {
+        self.durable.is_some()
     }
 
     /// Whether client writes are refused (follower mode).
@@ -713,12 +685,10 @@ impl ServerInner {
     /// Runs an admitted job where it belongs: IS reads on the calling
     /// thread — the reactor that decoded the frame, or the in-process
     /// caller — and in-process write batches on the submitting thread
-    /// (they serialize on the durability lock anyway, and the
-    /// group-commit window wants concurrent submitters parked in
-    /// `submit_batch`). IC and BI reads, which can run for milliseconds,
-    /// and TCP write batches, which can wait on an fsync, queue on their
-    /// lane with `to` as the responder. Returns the response when the
-    /// job ran here.
+    /// (they serialize on the durability lock anyway). IC and BI reads,
+    /// which can run for milliseconds, and TCP write batches, which wait
+    /// on an fsync, queue on their lane with `to` as the responder.
+    /// Returns the response when the job ran here.
     fn dispatch(
         &self,
         ctx: &QueryContext,
@@ -826,8 +796,8 @@ impl ServerInner {
         }
     }
 
-    /// Runs one admitted write batch — on a write worker, or inline for
-    /// an in-process submitter — and answers it (ack ⇔ the batch is
+    /// Runs one admitted write batch — on the write thread, or inline
+    /// for an in-process submitter — and answers it (ack ⇔ the batch is
     /// durable and applied, or was already applied and is being
     /// re-acknowledged). Raw TCP frames are decoded here: a decode
     /// failure still answers a typed `bad_request`, off the reactor.
@@ -867,8 +837,8 @@ impl ServerInner {
     }
 
     /// The durable write path: dedupe check → build the next store
-    /// version → WAL append (flushed) → publish it → bump the applied
-    /// sequence → maybe rotate the snapshot. Returns the outcome (`Ok`
+    /// version → WAL append + fsync → publish it → bump the applied
+    /// sequence → maybe compact → ack. Returns the outcome (`Ok`
     /// or `Deduped`) with the ack body. It counts no outcome itself: the
     /// client path's `execute_write` ends the request, and the
     /// replication applier counts its own in `FollowerStatus`.
@@ -906,19 +876,10 @@ impl ServerInner {
             ));
         };
         let mut state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let group = state.wal.options().group_commit;
         let last = self.last_applied_seq.load(Ordering::Acquire);
         if batch.seq <= last {
-            // Already applied; the ack was lost somewhere. With group
-            // commit the covering flush may not have run yet — a re-ack
-            // must not get ahead of the durability the original ack
-            // would have waited for.
-            if group && self.flushed_seq.load(Ordering::Acquire) < batch.seq {
-                if let Err(e) = state.wal.sync_all() {
-                    return Err(err(ErrorKind::Internal, format!("WAL flush failed: {e}")));
-                }
-                self.note_flushed(state.wal.last_seq());
-            }
+            // Already applied, so already durable; the ack was lost
+            // somewhere.
             self.counters.batches_deduped.fetch_add(1, Ordering::Relaxed);
             return Ok((
                 Outcome::Deduped,
@@ -932,10 +893,10 @@ impl ServerInner {
             ));
         }
         // Build the next store version on a private copy-on-write clone,
-        // log the batch, then publish the clone atomically. A batch the
-        // store refuses (an unknown id, a hostile field) is discarded
-        // with the clone before it reaches the log, so it is a bad
-        // request that uses up no sequence number. A failed append
+        // log and fsync the batch, then publish the clone atomically. A
+        // batch the store refuses (an unknown id, a hostile field) is
+        // discarded with the clone before it reaches the log, so it is a
+        // bad request that uses up no sequence number. A failed append
         // discards the clone too: not durable ⇒ not applied, not
         // acknowledged. Readers never observe a batch half-applied.
         let mut logging = false;
@@ -970,32 +931,14 @@ impl ServerInner {
                 self.counters.deletes_applied.fetch_add(deletes, Ordering::Relaxed);
                 self.counters.batches_applied.fetch_add(1, Ordering::Relaxed);
                 self.last_applied_seq.store(batch.seq, Ordering::Release);
-                // Group commit: flush inline once the backlog reaches
-                // `fsync_every` (bounds how many unacked submitters can
-                // pile up); otherwise leave the flush to whichever
-                // waiter gets the lock first.
-                if group && state.wal.unsynced() >= state.wal.options().fsync_every.max(1) {
-                    if let Err(e) = state.wal.sync_all() {
-                        return Err(err(ErrorKind::Internal, format!("WAL flush failed: {e}")));
-                    }
-                    self.note_flushed(state.wal.last_seq());
-                }
                 // The durability lock is held, so the published store is
                 // exactly the state at `batch.seq`. A failed compaction
                 // is not fatal: the log still holds every record and
                 // the next append retries.
-                if state.wal.compaction_due() {
-                    match state.wal.compact(self.store.snapshot().store()) {
-                        // The image covers every append so far.
-                        Ok(()) => self.note_flushed(batch.seq),
-                        Err(_) => {
-                            self.counters.compactions_failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                drop(state);
-                if group {
-                    self.wait_for_flush(durable, batch.seq)?;
+                if state.wal.compaction_due()
+                    && state.wal.compact(self.store.snapshot().store()).is_err()
+                {
+                    self.counters.compactions_failed.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok((
                     Outcome::Ok,
@@ -1045,80 +988,8 @@ impl ServerInner {
             Ok(())
         })?;
         self.last_applied_seq.store(header.seq, Ordering::Release);
-        self.flushed_seq.fetch_max(header.seq, Ordering::AcqRel);
         self.observe_epoch(header.epoch);
         Ok(header)
-    }
-
-    /// Records a completed flush covering everything appended up to
-    /// `seq` and wakes the ack-waiters.
-    fn note_flushed(&self, seq: u64) {
-        self.flushed_seq.fetch_max(seq, Ordering::AcqRel);
-        let _parked = self.flush_mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.flush_cv.notify_all();
-    }
-
-    /// Group-commit ack gate: blocks until a flush covers `my_seq`.
-    /// Whichever waiter finds the durability lock free runs
-    /// [`SegmentedWal::sync_all`] for everyone — one fsync releases
-    /// every waiter whose append it covers; waiters that find the lock
-    /// busy park briefly (an appender or flusher is making progress).
-    fn wait_for_flush(&self, durable: &Mutex<DurableState>, my_seq: u64) -> Result<(), ErrorBody> {
-        // Group-formation window (the commit-delay trade): park briefly
-        // before volunteering to flush, so the successor batch — whose
-        // client is usually already retrying its sequence-gap rejection
-        // — can append first and share the fsync. A flush completing
-        // during the window wakes every waiter early; checking
-        // `flushed_seq` under `flush_mutex` pairs with `note_flushed`
-        // taking it before notifying, so the wakeup cannot be missed.
-        if self.flushed_seq.load(Ordering::Acquire) < my_seq {
-            let parked = self.flush_mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if self.flushed_seq.load(Ordering::Acquire) < my_seq {
-                match self.flush_cv.wait_timeout(parked, GROUP_COMMIT_WINDOW) {
-                    Ok((guard, _timed_out)) => drop(guard),
-                    Err(poisoned) => drop(poisoned.into_inner()),
-                }
-            }
-        }
-        loop {
-            if self.flushed_seq.load(Ordering::Acquire) >= my_seq {
-                return Ok(());
-            }
-            match durable.try_lock() {
-                Ok(mut state) => {
-                    if self.flushed_seq.load(Ordering::Acquire) >= my_seq {
-                        return Ok(());
-                    }
-                    if let Err(e) = state.wal.sync_all() {
-                        return Err(ErrorBody {
-                            kind: ErrorKind::Internal,
-                            queue_us: 0,
-                            detail: format!("WAL flush failed: {e}"),
-                        });
-                    }
-                    self.note_flushed(state.wal.last_seq());
-                    return Ok(());
-                }
-                Err(TryLockError::Poisoned(p)) => {
-                    drop(p);
-                    // A writer panicked holding the lock; the degraded
-                    // path owns recovery. Do not ack.
-                    return Err(ErrorBody {
-                        kind: ErrorKind::StorePoisoned,
-                        queue_us: 0,
-                        detail: "durability lock poisoned before the covering flush".into(),
-                    });
-                }
-                Err(TryLockError::WouldBlock) => {
-                    let parked =
-                        self.flush_mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    match self.flush_cv.wait_timeout(parked, Duration::from_micros(200)) {
-                        Ok((guard, _timed_out)) => drop(guard),
-                        Err(poisoned) => drop(poisoned.into_inner()),
-                    }
-                }
-            }
-        }
     }
 
     /// Executes one admitted read job on `ctx` — on a lane worker, or
@@ -1295,7 +1166,8 @@ impl ServerInner {
 pub struct Server {
     inner: Arc<ServerInner>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    write_workers: Vec<std::thread::JoinHandle<()>>,
+    /// The one write-lane drain thread (`None` with `workers == 0`).
+    writer: Option<std::thread::JoinHandle<()>>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
 }
@@ -1310,7 +1182,7 @@ impl Server {
 
     /// Starts the service with a write-ahead log: sequenced write
     /// batches submitted through the protocol's `Write` workload are
-    /// appended + flushed before apply and ack, and deduplicated against
+    /// appended + fsynced before publish and ack, and deduplicated against
     /// `durability.last_seq` (the recovered high-water mark).
     pub fn start_durable(store: Store, config: ServerConfig, durability: Durability) -> Server {
         Server::start_with(store, config, Some(durability))
@@ -1339,9 +1211,6 @@ impl Server {
             counters: Counters::default(),
             durable,
             last_applied_seq: AtomicU64::new(last_seq),
-            flushed_seq: AtomicU64::new(last_seq),
-            flush_mutex: Mutex::new(()),
-            flush_cv: Condvar::new(),
             degraded: AtomicBool::new(false),
             read_only: AtomicBool::new(read_only),
             epoch: AtomicU64::new(epoch),
@@ -1360,22 +1229,19 @@ impl Server {
                 })
             })
             .collect();
-        // The write lane gets its own drain threads so a WAL fsync in
-        // one batch never stalls read progress; with `workers == 0`
+        // The write lane gets one drain thread of its own, so a WAL
+        // fsync never stalls read progress and a connection's pipelined
+        // batches apply in the order they arrived; with `workers == 0`
         // (inline test mode) writes drain inline at shutdown too.
-        let write_worker_count =
-            if inner.config.workers == 0 { 0 } else { inner.config.write_workers.max(1) };
-        let write_workers = (0..write_worker_count)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || {
-                    while let Some((job, to)) = inner.queue.pop_write() {
-                        inner.respond(&to, inner.execute_write(job), true);
-                    }
-                })
+        let writer = (inner.config.workers > 0).then(|| {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || {
+                while let Some((job, to)) = inner.queue.pop_write() {
+                    inner.respond(&to, inner.execute_write(job), true);
+                }
             })
-            .collect();
-        Server { inner, workers, write_workers, acceptor: None, local_addr: None }
+        });
+        Server { inner, workers, writer, acceptor: None, local_addr: None }
     }
 
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
@@ -1439,8 +1305,8 @@ impl Server {
         self.inner.store.stats()
     }
 
-    /// `fsync(2)` calls issued by the WAL so far (0 without one) — the
-    /// group-commit sharing metric for `--wal-bench`.
+    /// `fsync(2)` calls issued by the WAL so far (0 without one): one
+    /// per appended batch.
     pub fn wal_syncs(&self) -> u64 {
         let Some(durable) = &self.inner.durable else { return 0 };
         let state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1510,12 +1376,6 @@ impl Server {
         }
     }
 
-    /// Highest WAL sequence known flushed (the replication shipping
-    /// bound: followers only ever see acked records).
-    pub fn flushed_seq(&self) -> u64 {
-        self.inner.flushed_seq.load(Ordering::Acquire)
-    }
-
     /// The shared server core, for the replication module's accept
     /// loop and follower applier.
     pub(crate) fn inner(&self) -> &Arc<ServerInner> {
@@ -1537,15 +1397,12 @@ impl Server {
                 inner.respond(&to, inner.execute(&ctx, job), true);
             }
         }
-        if self.write_workers.is_empty() {
+        if self.writer.is_none() {
             while let Some((job, to)) = inner.queue.pop_write() {
                 inner.respond(&to, inner.execute_write(job), true);
             }
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        for w in self.write_workers.drain(..) {
+        for w in self.workers.drain(..).chain(self.writer.take()) {
             let _ = w.join();
         }
         // Everything admitted is answered: now the transport may go.
@@ -1553,8 +1410,8 @@ impl Server {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        // Seal the WAL: any fsync-batched tail becomes durable before
-        // the process exits.
+        // Seal the WAL: the last word on the log before the process
+        // exits (every append is already fsynced).
         if let Some(durable) = &self.inner.durable {
             let mut state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             let _ = state.wal.sync();

@@ -4,12 +4,10 @@
 //! ## Durability contract
 //!
 //! Every accepted write batch is serialised (via [`crate::events`]),
-//! appended to the log, and flushed *before* it is applied to the
-//! in-memory store and acknowledged. An acknowledged batch therefore
-//! survives a SIGKILL at any instruction (with `fsync_every = 1`; larger
-//! values batch the fsync and weaken the contract to "survives process
-//! death but not power loss", which the service benchmark records as the
-//! cheap mode).
+//! appended to the log and fsynced *before* it is published to readers
+//! and acknowledged. An acknowledged batch therefore survives a SIGKILL
+//! or a power loss at any instruction: every append is its own fsync,
+//! and a fresh log's directory entry is fsynced too.
 //!
 //! A WAL directory holds exactly two kinds of file: the log (`wal.log`)
 //! and at most one store image (`store.img`, see [`crate::image`]). A
@@ -17,16 +15,6 @@
 //! that split the log across shards; [`recover`] and
 //! [`SegmentedWal::open`] refuse it with an error naming the file
 //! instead of starting beside records they would never read.
-//!
-//! ## Group commit
-//!
-//! `group_commit = true` defers every per-append fsync to an explicit
-//! [`SegmentedWal::sync_all`], which flushes only if the log is dirty.
-//! The server layers the ack protocol on top: an append's
-//! acknowledgement is released only once a covering flush has run, so
-//! many concurrent submitters share one fsync without weakening the
-//! "acknowledged ⇒ durable" contract (the `--wal-bench` harness
-//! measures the delta).
 //!
 //! ## File format
 //!
@@ -98,23 +86,14 @@ const WAL_FILE: &str = "wal.log";
 /// Tuning knobs for the log.
 #[derive(Clone, Copy, Debug)]
 pub struct WalOptions {
-    /// `fsync` after every N appends. `1` gives the full "acknowledged ⇒
-    /// survives SIGKILL and power loss" contract; larger values batch
-    /// the flush (still `write(2)`-complete before the ack, so a plain
-    /// process kill loses nothing the page cache survives).
-    pub fsync_every: u64,
     /// Write a store image and truncate the log once it holds this many
     /// records. `0` = never compact.
     pub snapshot_every: u64,
-    /// Defer per-append fsyncs to explicit [`SegmentedWal::sync_all`]
-    /// calls so the server can share one flush across many concurrent
-    /// acknowledgements. Off, appends sync per `fsync_every`.
-    pub group_commit: bool,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions { fsync_every: 1, snapshot_every: 4096, group_commit: false }
+        WalOptions { snapshot_every: 4096 }
     }
 }
 
@@ -254,8 +233,6 @@ fn refuse_sharded_log(dir: &Path) -> SnbResult<()> {
 struct LogFile {
     path: PathBuf,
     file: File,
-    /// Appends since the last fsync (non-zero = dirty).
-    appends_since_sync: u64,
     /// Set after a failed (torn) append: the file tail is garbage, so
     /// further appends must be refused until restart-and-recover.
     broken: bool,
@@ -265,7 +242,8 @@ impl LogFile {
     /// Opens (or creates) the log file. A fresh file is created at
     /// `epoch`; an existing file keeps the epoch its header carries,
     /// which is returned (the param is a creation default, not a match
-    /// requirement).
+    /// requirement). Creating the file also fsyncs its directory, so the
+    /// new name survives a power cut along with the records acked in it.
     fn open(path: PathBuf, scale: &str, seed: u64, epoch: u64) -> SnbResult<(LogFile, u64)> {
         let fresh = !path.exists();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
@@ -273,6 +251,7 @@ impl LogFile {
         if fresh {
             file.write_all(&log_header(scale, seed, epoch))?;
             file.sync_data()?;
+            crate::image::sync_dir(path.parent().unwrap_or(Path::new(".")))?;
         } else {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
@@ -280,11 +259,11 @@ impl LogFile {
                 .map_err(|e| e.at(path.display()))?;
             file.seek(SeekFrom::End(0))?;
         }
-        Ok((LogFile { path, file, appends_since_sync: 0, broken: false }, epoch))
+        Ok((LogFile { path, file, broken: false }, epoch))
     }
 
     /// Writes one encoded record to the file, honouring the short-write
-    /// fault point. No fsync — the caller owns the policy.
+    /// fault point. No fsync: [`LogFile::sync_data`] follows.
     fn write_record(&mut self, record: &[u8]) -> SnbResult<()> {
         if self.broken {
             return Err(broken_log_error());
@@ -304,7 +283,6 @@ impl LogFile {
             self.broken = true;
             return Err(e.into());
         }
-        self.appends_since_sync += 1;
         Ok(())
     }
 
@@ -314,7 +292,6 @@ impl LogFile {
             self.broken = true;
             return Err(e.into());
         }
-        self.appends_since_sync = 0;
         Ok(())
     }
 
@@ -325,13 +302,12 @@ impl LogFile {
         // The append handle keeps writing at the new end of file.
         self.file.set_len(header_len)?;
         self.file.sync_data()?;
-        self.appends_since_sync = 0;
         Ok(())
     }
 }
 
-/// The write-ahead log (`wal.log`) — the server's append handle: the
-/// fsync policy, the group-commit deferral, and compaction.
+/// The write-ahead log (`wal.log`) — the server's append handle: one
+/// fsync per append, and compaction.
 // This name and `open`'s `seg_live` slice are kept only for the frozen `benchmark/` package.
 pub struct SegmentedWal {
     dir: PathBuf,
@@ -342,8 +318,6 @@ pub struct SegmentedWal {
     last_seq: u64,
     /// Records the log holds (the compaction trigger).
     live_entries: u64,
-    /// Appends not yet covered by a flush.
-    unsynced: u64,
     syncs: u64,
     /// Fencing epoch the log is at (max of the header and the open-time
     /// floor; see [`SegmentedWal::bump_epoch`]).
@@ -378,7 +352,6 @@ impl SegmentedWal {
             log,
             last_seq,
             live_entries: seg_live.iter().sum(),
-            unsynced: 0,
             syncs: 0,
             epoch: epoch.max(stored),
         })
@@ -415,20 +388,10 @@ impl SegmentedWal {
         Ok(())
     }
 
-    /// The options the log was opened with.
-    pub fn options(&self) -> WalOptions {
-        self.options
-    }
-
-    /// Total `fsync(2)` calls issued for appended records (the
-    /// group-commit metric: appends ÷ syncs is the sharing factor).
+    /// Total `fsync(2)` calls issued for appended records: one per
+    /// append.
     pub fn syncs(&self) -> u64 {
         self.syncs
-    }
-
-    /// Appends not yet covered by a flush (group-commit mode).
-    pub fn unsynced(&self) -> u64 {
-        self.unsynced
     }
 
     /// Whether the log has a torn tail and refuses appends.
@@ -436,17 +399,13 @@ impl SegmentedWal {
         self.log.broken
     }
 
-    /// Appends one batch and makes it durable per the fsync policy. With
-    /// `group_commit` the flush is deferred to
-    /// [`SegmentedWal::sync_all`] and the caller must not acknowledge
-    /// until a covering flush has run. An error means nothing may be
+    /// Appends one batch and fsyncs it: when this returns `Ok` the batch
+    /// is durable and may be acknowledged. An error means nothing may be
     /// acknowledged and the log must be considered torn until restart.
     pub fn append(&mut self, seq: u64, ops: &WriteOps) -> SnbResult<()> {
         self.log.write_record(&encode_record(seq, ops))?;
-        self.unsynced += 1;
-        if !self.options.group_commit && self.unsynced >= self.options.fsync_every {
-            self.sync_all()?;
-        }
+        self.log.sync_data()?;
+        self.syncs += 1;
         if let Some(fault) = snb_fault::check("wal.append.post_append") {
             // The batch is durable but not yet applied or acknowledged —
             // the recovery-vs-retry dedupe window the chaos test aims
@@ -465,23 +424,10 @@ impl SegmentedWal {
         Ok(())
     }
 
-    /// Flushes the log if it is dirty (one fsync); a clean log costs
-    /// nothing. After it returns, every append so far is durable and
-    /// may be acknowledged.
-    pub fn sync_all(&mut self) -> SnbResult<()> {
-        if self.log.appends_since_sync > 0 {
-            self.log.sync_data()?;
-            self.syncs += 1;
-        }
-        self.unsynced = 0;
-        Ok(())
-    }
-
-    /// Forces the log to disk unconditionally (shutdown seal).
+    /// Forces the log to disk unconditionally (shutdown seal). Not
+    /// counted in [`SegmentedWal::syncs`].
     pub fn sync(&mut self) -> SnbResult<()> {
         self.log.file.sync_data()?;
-        self.log.appends_since_sync = 0;
-        self.unsynced = 0;
         Ok(())
     }
 
@@ -494,9 +440,8 @@ impl SegmentedWal {
     /// Compacts the log: writes `store` — which must be the state at
     /// exactly [`SegmentedWal::last_seq`] — to `store.img`, makes the
     /// rename durable, and only then truncates the log (module docs,
-    /// "Compaction"). Afterwards every record appended so far is
-    /// durable, flushed or not. On error the log is untouched and still
-    /// holds every record.
+    /// "Compaction"). On error the log is untouched and still holds
+    /// every record.
     pub fn compact(&mut self, store: &Store) -> SnbResult<()> {
         crate::image::write_image(
             &self.dir,
@@ -540,7 +485,6 @@ impl SegmentedWal {
         self.log.truncate_to_header(header_epoch_offset(&self.scale) + 8)?;
         self.last_seq = image_seq;
         self.live_entries = 0;
-        self.unsynced = 0;
         Ok(())
     }
 }
@@ -578,13 +522,13 @@ impl Recovered {
 /// `store.img` if present (else rebuild the deterministic bulk store
 /// for `config`), then replay the log's entries past the starting
 /// sequence — verifying per-record checksums and cutting the torn tail
-/// and any suffix past a sequence gap in one truncation (an
-/// acknowledged batch's covering flush synced everything before it, so
-/// entries past a gap were never acknowledged and dropping them is
-/// correct). Repairs the date index and validates store invariants.
-/// Works on an empty or absent directory (fresh start, zero entries).
-/// Refuses a directory holding `wal-*.log` files, or an image written
-/// for a sharded log, before it reads or truncates anything.
+/// and any suffix past a sequence gap in one truncation (every append
+/// is fsynced before the next is written, so entries past a gap were
+/// never acknowledged and dropping them is correct). Repairs the date
+/// index and validates store invariants. Works on an empty or absent
+/// directory (fresh start, zero entries). Refuses a directory holding
+/// `wal-*.log` files, or an image written for a sharded log, before it
+/// reads or truncates anything.
 pub fn recover(
     dir: &Path,
     config: &GeneratorConfig,
@@ -706,8 +650,8 @@ pub fn recover(
 /// truncated before the cursor read them never surface, `next_seq`
 /// stays at or below the image's sequence number, and the caller offers
 /// the image instead (see [`crate::replication`]). The caller bounds
-/// `upto` by the server's flushed (acked) high-water mark so only
-/// durable, acknowledged records ever ship; records past a gap are
+/// `upto` by the server's applied high-water mark, and a batch is
+/// applied only after its fsync, so only durable records ever ship; records past a gap are
 /// buffered until the gap fills. Torn tails are skipped (never
 /// truncated — recovery owns repair).
 pub struct WalTailer {
@@ -1036,7 +980,7 @@ mod tests {
         let control = control.fingerprint();
 
         let dir = tmp_dir("compact");
-        let opts = WalOptions { snapshot_every: 2, ..WalOptions::default() };
+        let opts = WalOptions { snapshot_every: 2 };
         let mut wal = open(&dir, opts);
         let mut live = Oracle::new();
         let mut compacted_at = Vec::new();
@@ -1278,24 +1222,19 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_defers_and_shares_fsyncs() {
+    fn every_append_is_one_fsync() {
         let cfg = config();
-        let dir = tmp_dir("group");
-        let opts = WalOptions { group_commit: true, ..WalOptions::default() };
+        let dir = tmp_dir("one_fsync");
         let all = batches(6);
-        let mut wal = open(&dir, opts);
+        let mut wal = open(&dir, WalOptions::default());
         for (i, ops) in all.iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
+            assert_eq!(wal.syncs(), i as u64 + 1, "append {} returned before its fsync", i + 1);
         }
-        assert_eq!(wal.syncs(), 0, "group commit must not fsync inside append");
-        assert_eq!(wal.unsynced(), all.len() as u64);
-        wal.sync_all().unwrap();
-        assert_eq!(wal.syncs(), 1, "one shared flush is one fsync");
-        assert_eq!(wal.unsynced(), 0);
-        wal.sync_all().unwrap();
-        assert_eq!(wal.syncs(), 1, "a clean log costs no fsync");
+        wal.sync().unwrap();
+        assert_eq!(wal.syncs(), all.len() as u64, "the shutdown seal is not an append fsync");
         drop(wal);
-        let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
+        let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
         assert_eq!(rec.report.last_seq, all.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1394,7 +1333,7 @@ mod tests {
         let cfg = config();
         let dir = tmp_dir("epoch");
         let all = batches(6);
-        let opts = WalOptions { snapshot_every: 3, ..WalOptions::default() };
+        let opts = WalOptions { snapshot_every: 3 };
         let mut wal = open(&dir, opts);
         let mut live = Oracle::new();
         assert_eq!(wal.epoch(), 0);

@@ -241,7 +241,7 @@ fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
     snb_fault::disarm_all();
     let dir = tmp_dir("image_torn");
     let batches = common::batches(20, 5);
-    let opts = WalOptions { snapshot_every: 2, ..WalOptions::default() };
+    let opts = WalOptions { snapshot_every: 2 };
     let seed = config().seed;
     let image_seq = || image_info(&dir, SCALE, seed).expect("readable header").map(|h| h.seq);
 
@@ -287,18 +287,17 @@ fn failed_image_write_keeps_the_log_and_the_next_compaction_succeeds() {
 }
 
 #[test]
-fn group_commit_concurrent_acks_are_durable() {
+fn concurrent_submitters_each_ack_after_their_own_fsync() {
     let _g = fault_lock();
     snb_fault::disarm_all();
-    let dir = tmp_dir("group_commit");
+    let dir = tmp_dir("concurrent_acks");
     let all = common::batches(20, 8);
     let n = all.len() as u64;
-    let opts = WalOptions { group_commit: true, fsync_every: 4, ..WalOptions::default() };
-    let server = common::start(&dir, opts);
+    let server = start(&dir);
 
     // Four submitters own interleaved sequence numbers and retry on the
-    // gap rejection until their predecessor lands — every ack they see
-    // must be covered by a flush.
+    // gap rejection until their predecessor lands. Every ack follows
+    // its own batch's fsync, so n acks cost exactly n fsyncs.
     let acked = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         for t in 0..4usize {
@@ -315,7 +314,8 @@ fn group_commit_concurrent_acks_are_durable() {
                         let resp = client
                             .call(ServiceParams::Write(WriteBatch { seq, ops: ops.clone() }), 0);
                         match resp.body {
-                            Ok(_) => {
+                            Ok(ok) => {
+                                assert_eq!(ok.applied_seq, seq, "an ack names its own batch");
                                 acked.fetch_add(1, Ordering::Relaxed);
                                 break;
                             }
@@ -330,15 +330,77 @@ fn group_commit_concurrent_acks_are_durable() {
         }
     });
     assert_eq!(acked.load(Ordering::Relaxed), n, "every batch acknowledged");
-    let syncs = server.wal_syncs();
-    assert!(syncs > 0, "acks require at least one covering flush");
+    assert_eq!(server.wal_syncs(), n, "one fsync per acknowledged batch");
     let report = server.shutdown();
     assert_eq!(report.batches_applied, n);
 
     // Every acknowledged batch survives recovery exactly once.
-    let rec = recover(&dir, &config(), SCALE, opts).unwrap();
+    let rec = recover(&dir, &config(), SCALE, WalOptions::default()).unwrap();
     assert_eq!(rec.report.last_seq, n);
     assert_eq!(rec.report.wal_entries, n);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_dedupe_re_ack_issues_no_fsync() {
+    let _g = fault_lock();
+    snb_fault::disarm_all();
+    let dir = tmp_dir("dedupe_no_fsync");
+    let batches = common::batches(20, 2);
+    let server = start(&dir);
+    for (i, ops) in batches.iter().enumerate() {
+        submit(&server, i as u64 + 1, ops).expect("first ack");
+    }
+    let last = batches.len() as u64;
+    assert_eq!(server.wal_syncs(), last);
+
+    // A lost ack's retry is answered from the applied state: no append,
+    // no fsync, and the current applied sequence, not the retried one.
+    let ok = submit(&server, 1, &batches[0]).expect("retry is re-acknowledged");
+    assert_eq!((ok.rows, ok.applied_seq, ok.fingerprint), (0, last, last));
+    assert_eq!(server.wal_syncs(), last, "a re-ack must not fsync");
+    let report = server.shutdown();
+    assert_eq!((report.batches_applied, report.batches_deduped), (last, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pipelined_writes_on_one_connection_apply_in_order() {
+    use snb_server::proto::{self, Request};
+    use std::io::Write;
+
+    let _g = fault_lock();
+    snb_fault::disarm_all();
+    let dir = tmp_dir("pipelined_writes");
+    let batches: Vec<WriteOps> = common::batches(10, 32).into_iter().take(32).collect();
+    assert_eq!(batches.len(), 32);
+    let mut server = start(&dir);
+    let addr = server.listen("127.0.0.1:0").expect("bind loopback");
+
+    // All 32 batches leave in one write, without waiting for an ack: the
+    // write lane must apply them in arrival order, so none is refused
+    // with a sequence gap.
+    let mut wire = Vec::new();
+    for (i, ops) in batches.iter().enumerate() {
+        let seq = i as u64 + 1;
+        let params = ServiceParams::Write(WriteBatch { seq, ops: ops.clone() });
+        let req = Request { id: seq, deadline_us: 0, min_seq: 0, params };
+        proto::write_frame(&mut wire, &proto::encode_request(&req)).unwrap();
+    }
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    conn.write_all(&wire).expect("pipeline every batch");
+    for _ in &batches {
+        let resp = proto::decode_response(&proto::read_frame(&mut conn).expect("an answer"))
+            .expect("every frame decodes");
+        let ok = resp.body.unwrap_or_else(|e| panic!("batch {} refused: {e:?}", resp.id));
+        assert_eq!(ok.applied_seq, resp.id, "batch {} acked at another seq", resp.id);
+    }
+    drop(conn);
+    server.shutdown();
+
+    let rec = recover(&dir, &config(), SCALE, WalOptions::default()).unwrap();
+    assert_eq!(rec.report.last_seq, 32);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -41,7 +41,7 @@ fn batches(n: usize) -> Vec<WriteOps> {
 
 /// WAL options for the primary: compact every four batches.
 fn image_options() -> WalOptions {
-    WalOptions { fsync_every: 1, snapshot_every: 4, ..WalOptions::default() }
+    WalOptions { snapshot_every: 4 }
 }
 
 /// The injected network partition is process-global; the tests that
