@@ -81,7 +81,7 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> kernel oracle sweep at SF 0.03 (BI 2, 9, 18, 19 against run_naive)"
+echo "==> kernel oracle sweep at SF 0.03 (BI 2, 9, 11, 12, 18, 19, 20 against run_naive)"
 # The tier-1 sweep runs on a 150-person store; this one has person and
 # message lists close to the benchmark's.
 cargo test --release --test kernel_oracles -- --ignored

@@ -2,12 +2,17 @@
 //!
 //! Find all Messages created after a given date (exclusive) that
 //! received more than `like_threshold` likes.
+//!
+//! The optimized plan scans every message in row order with the like
+//! and date tests inline: the curated windows cover nearly all
+//! messages, and walking them through the date index gathers each
+//! column read.
+
+use std::cmp::Reverse;
 
 use snb_engine::topk::sort_truncate;
 use snb_engine::QueryContext;
 use snb_store::{Ix, Store};
-
-use crate::common::messages_after;
 
 /// Parameters of BI 12.
 #[derive(Clone, Copy, Debug)]
@@ -35,8 +40,10 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(store: &Store, m: Ix, likes: u64) -> (std::cmp::Reverse<u64>, u64) {
-    (std::cmp::Reverse(likes), store.messages.id[m as usize])
+type TopK = snb_engine::TopK<(Reverse<u64>, u64), (Ix, u64)>;
+
+fn sort_key(store: &Store, m: Ix, likes: u64) -> (Reverse<u64>, u64) {
+    (Reverse(likes), store.messages.id[m as usize])
 }
 
 fn to_row(store: &Store, m: Ix, likes: u64) -> Row {
@@ -50,25 +57,33 @@ fn to_row(store: &Store, m: Ix, likes: u64) -> Row {
     }
 }
 
-/// Optimized implementation: date filter first, degree lookup, top-k
+/// Optimized implementation: like and date tests in row order, top-k
 /// pruning on the like count.
 pub fn run(store: &Store, params: &Params) -> Vec<Row> {
     run_ctx(store, QueryContext::global(), params)
 }
 
-/// Optimized implementation on an explicit execution context: the date
-/// filter becomes a binary-searched suffix of the permutation index,
-/// scanned as a parallel top-k with per-worker CP-1.3 pruning.
+/// Optimized implementation on an explicit execution context: a scan
+/// of every message in row order with the like and date tests inline,
+/// as a parallel top-k with per-worker CP-1.3 pruning. It touches
+/// neither the date index nor an index list. Once a worker's collector
+/// is full, a message with fewer likes than its worst row cannot enter,
+/// so the like floor rises to there: most rows then fail one
+/// predictable compare and never read their date.
 pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let cutoff = params.date.at_midnight();
-    let window = messages_after(store, ctx.metrics(), cutoff);
-    let tk = ctx.par_topk(window.len(), LIMIT, |tk, range| {
-        for &m in &window[range] {
+    let dates: &[snb_core::DateTime] = &store.messages.creation_date;
+    let floor_of =
+        |tk: &TopK, floor| tk.threshold().map_or(floor, |&(Reverse(worst), _)| worst - 1);
+    let tk = ctx.par_topk(store.messages.len(), LIMIT, |tk, range| {
+        let mut floor = floor_of(tk, params.like_threshold);
+        for m in range.start as Ix..range.end as Ix {
             let likes = store.message_likes.degree(m) as u64;
-            if likes <= params.like_threshold {
+            if likes <= floor || dates[m as usize] <= cutoff {
                 continue;
             }
             tk.offer(sort_key(store, m, likes), (m, likes));
+            floor = floor_of(tk, floor);
         }
     });
     ctx.metrics().note_topk(&tk);

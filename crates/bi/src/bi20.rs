@@ -3,8 +3,12 @@
 //! For each given TagClass, count the Messages carrying at least one
 //! Tag belonging to that class or any of its descendants (transitive
 //! `isSubclassOf` closure).
+//!
+//! The optimized plan walks each class subtree's tags and their
+//! messages, marking each message in a bitmap over the message rows:
+//! a message with two tags of one subtree is marked twice and counted
+//! once.
 
-use rustc_hash::FxHashSet;
 use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
 use snb_store::{Ix, Store};
@@ -34,34 +38,48 @@ fn sort_key(row: &Row) -> (std::cmp::Reverse<u64>, String) {
 }
 
 /// Optimized implementation: expand each class to its subtree's tags,
-/// union their reverse message lists.
+/// mark their reverse message lists in one bitmap per class.
 pub fn run(store: &Store, params: &Params) -> Vec<Row> {
     run_ctx(store, QueryContext::global(), params)
 }
 
-/// Optimized implementation on an explicit execution context: the
-/// subtree's tags fan out as morsels whose per-worker message sets are
-/// unioned at the merge (set union is order-insensitive).
+/// Optimized implementation on an explicit execution context: the tags
+/// of every requested subtree fan out as morsels of one parallel call.
+/// Each worker allocates its bitmap once per query, one run of
+/// `messages.len().div_ceil(64)` words per class; the merge ORs them,
+/// and a class's count is its run's popcount.
 pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
-    let mut tk = TopK::new(LIMIT);
-    for name in &params.tag_classes {
-        let Ok(class) = store.tag_class_named(name) else { continue };
-        let tags: Vec<Ix> = store
-            .tagclass_subtree(class)
-            .into_iter()
-            .flat_map(|c| store.tagclass_tags.targets_of(c))
-            .collect();
-        let messages = ctx.par_map_reduce(
-            tags.len(),
-            FxHashSet::<Ix>::default,
-            |acc, range| {
-                for &t in &tags[range] {
-                    acc.extend(store.tag_message.targets_of(t));
+    let classes: Vec<(&String, Ix)> = params
+        .tag_classes
+        .iter()
+        .filter_map(|name| Some((name, store.tag_class_named(name).ok()?)))
+        .collect();
+    let tags: Vec<(usize, Ix)> = classes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &(_, class))| {
+            let subtree = store.tagclass_subtree(class).into_iter();
+            subtree.flat_map(|c| store.tagclass_tags.targets_of(c)).map(move |t| (i, t))
+        })
+        .collect();
+    let words = store.messages.len().div_ceil(64);
+    let bits = ctx.par_map_reduce(
+        tags.len(),
+        || vec![0u64; classes.len() * words],
+        |acc, range| {
+            for &(i, t) in &tags[range] {
+                for m in store.tag_message.targets_of(t) {
+                    acc[i * words + m as usize / 64] |= 1 << (m % 64);
                 }
-            },
-            |into, from| into.extend(from),
-        );
-        let row = Row { tag_class_name: name.clone(), message_count: messages.len() as u64 };
+            }
+        },
+        |into, from| into.iter_mut().zip(from).for_each(|(a, b)| *a |= b),
+    );
+    let mut tk = TopK::new(LIMIT);
+    for (i, &(name, _)) in classes.iter().enumerate() {
+        let count =
+            bits[i * words..(i + 1) * words].iter().map(|w| u64::from(w.count_ones())).sum();
+        let row = Row { tag_class_name: name.clone(), message_count: count };
         tk.push(sort_key(&row), row);
     }
     ctx.metrics().note_topk(&tk);

@@ -5,7 +5,7 @@ use std::borrow::Cow;
 use snb_core::datetime::DateTime;
 use snb_core::Date;
 use snb_engine::QueryMetrics;
-use snb_store::{Ix, Store, NONE};
+use snb_store::{Ix, Store};
 
 /// The language of a message per BI 18: a Post's own `language`
 /// attribute; a Comment inherits the language of the Post at the root
@@ -13,11 +13,6 @@ use snb_store::{Ix, Store, NONE};
 pub fn thread_language(store: &Store, m: Ix) -> &str {
     let root = store.messages.root_post[m as usize];
     &store.messages.language[root as usize]
-}
-
-/// Number of likes a message has received.
-pub fn like_count(store: &Store, m: Ix) -> u64 {
-    store.message_likes.degree(m) as u64
 }
 
 /// Whether message `m` carries tag `t`.
@@ -56,25 +51,6 @@ pub fn messages_before<'s>(store: &'s Store, metrics: &QueryMetrics, t: DateTime
             Cow::Owned(
                 (0..store.messages.len() as Ix)
                     .filter(|&m| store.messages.creation_date[m as usize] < t)
-                    .collect(),
-            )
-        }
-    }
-}
-
-/// All message indices created strictly after `t` (same index-or-scan
-/// contract and metrics recording as [`messages_before`]).
-pub fn messages_after<'s>(store: &'s Store, metrics: &QueryMetrics, t: DateTime) -> Cow<'s, [Ix]> {
-    match store.messages_created_after(t) {
-        Some(window) => {
-            metrics.note_index_hit(window.len() as u64);
-            Cow::Borrowed(window)
-        }
-        None => {
-            metrics.note_index_fallback(store.messages.len() as u64);
-            Cow::Owned(
-                (0..store.messages.len() as Ix)
-                    .filter(|&m| store.messages.creation_date[m as usize] > t)
                     .collect(),
             )
         }
@@ -161,11 +137,6 @@ pub fn persons_of_country(store: &Store, country: Ix) -> Vec<Ix> {
     store.persons_in_country(country).collect()
 }
 
-/// Whether a person is located in `country`.
-pub fn person_in_country(store: &Store, p: Ix, country: Ix) -> bool {
-    store.person_country(p) == country
-}
-
 /// Size of the reply tree rooted at message `m` (inclusive), counting
 /// only messages that satisfy `keep`.
 pub fn thread_size(store: &Store, root: Ix, keep: impl Fn(Ix) -> bool) -> u64 {
@@ -178,11 +149,6 @@ pub fn thread_size(store: &Store, root: Ix, keep: impl Fn(Ix) -> bool) -> u64 {
         stack.extend(store.message_replies.targets_of(m));
     }
     count
-}
-
-/// Whether `forum` is a valid forum index (guards `NONE` columns).
-pub fn valid_forum(f: Ix) -> bool {
-    f != NONE
 }
 
 #[cfg(test)]
@@ -241,13 +207,11 @@ mod tests {
     fn messages_before_and_after_cover_every_message() {
         let s = store();
         let t = testutil::mid_date().at_midnight();
-        let m = QueryMetrics::sink();
-        let before = messages_before(s, m, t).len();
-        let after = messages_after(s, m, t).len();
-        let at = (0..s.messages.len() as Ix)
-            .filter(|&m| s.messages.creation_date[m as usize] == t)
-            .count();
-        assert_eq!(before + after + at, s.messages.len());
+        let before = messages_before(s, QueryMetrics::sink(), t).len();
+        let at_or_after =
+            (0..s.messages.len()).filter(|&m| s.messages.creation_date[m] >= t).count();
+        assert!(before > 0 && at_or_after > 0, "the cut splits the messages");
+        assert_eq!(before + at_or_after, s.messages.len());
     }
 
     #[test]

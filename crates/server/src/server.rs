@@ -1410,12 +1410,6 @@ impl Server {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        // Seal the WAL: the last word on the log before the process
-        // exits (every append is already fsynced).
-        if let Some(durable) = &self.inner.durable {
-            let mut state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = state.wal.sync();
-        }
         self.inner.report()
     }
 }

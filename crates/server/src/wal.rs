@@ -424,8 +424,9 @@ impl SegmentedWal {
         Ok(())
     }
 
-    /// Forces the log to disk unconditionally (shutdown seal). Not
-    /// counted in [`SegmentedWal::syncs`].
+    /// Forces the log to disk unconditionally. Every append is already
+    /// fsynced, so no server path calls it; the `benchmark/` probes do.
+    /// Not counted in [`SegmentedWal::syncs`].
     pub fn sync(&mut self) -> SnbResult<()> {
         self.log.file.sync_data()?;
         Ok(())
@@ -1232,7 +1233,7 @@ mod tests {
             assert_eq!(wal.syncs(), i as u64 + 1, "append {} returned before its fsync", i + 1);
         }
         wal.sync().unwrap();
-        assert_eq!(wal.syncs(), all.len() as u64, "the shutdown seal is not an append fsync");
+        assert_eq!(wal.syncs(), all.len() as u64, "an explicit sync is not an append fsync");
         drop(wal);
         let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
         assert_eq!(rec.report.last_seq, all.len() as u64);

@@ -444,18 +444,6 @@ impl Store {
         Some(&self.message_by_date[a..b])
     }
 
-    /// Message indices created strictly after `t`, as a binary-searched
-    /// suffix of the date permutation index. `None` when the index is
-    /// stale.
-    pub fn messages_created_after(&self, t: DateTime) -> Option<&[Ix]> {
-        if !self.date_index_fresh() {
-            return None;
-        }
-        let cut =
-            self.message_by_date.partition_point(|&m| self.messages.creation_date[m as usize] <= t);
-        Some(&self.message_by_date[cut..])
-    }
-
     /// Morsel ranges covering the message column block — the scan
     /// surface the parallel execution primitives consume.
     pub fn message_chunks(&self, morsel: usize) -> impl Iterator<Item = Range<usize>> {

@@ -6,11 +6,12 @@
 
 use std::sync::OnceLock;
 
-use ldbc_snb::bi::{bi06, bi12, bi14};
+use ldbc_snb::bi::{bi06, bi11, bi12, bi14};
 use ldbc_snb::datagen::dictionaries::StaticWorld;
 use ldbc_snb::datagen::graph::{RawForum, RawKnows, RawLike, RawMessage, RawPerson};
 use ldbc_snb::datagen::stream::{TimedEvent, UpdateEvent};
 use ldbc_snb::datagen::GeneratorConfig;
+use ldbc_snb::engine::QueryContext;
 use ldbc_snb::interactive::{ic07, ic08, short};
 use ldbc_snb::store::{store_for_config, Store};
 use snb_core::model::{
@@ -51,8 +52,11 @@ fn china(s: &Store) -> PlaceId {
 }
 
 fn add_person(s: &mut Store, id: u64, name: &'static str, t: i64) {
-    let city =
-        s.places.id[s.place_by_name.get("Beijing").map(|&c| c as usize).expect("Beijing exists")];
+    add_person_in(s, id, name, "Beijing", t);
+}
+
+fn add_person_in(s: &mut Store, id: u64, name: &'static str, city: &str, t: i64) {
+    let city = s.places.id[s.place_by_name.get(city).map(|&c| c as usize).expect("city exists")];
     let person = RawPerson {
         id: PersonId(id),
         first_name: name,
@@ -110,9 +114,14 @@ fn add_post(s: &mut Store, id: u64, author: u64, forum: u64, t: i64, tags: Vec<u
     apply(s, DateTime(t), UpdateEvent::AddPost(post));
 }
 
-/// A comment replying to `parent` (a post or a comment); the store takes
-/// the thread's root from the parent's row.
+/// An untagged comment replying to `parent` (a post or a comment).
 fn add_comment(s: &mut Store, id: u64, author: u64, parent: u64, t: i64) {
+    add_reply(s, id, author, parent, t, vec![], &format!("comment {id}"));
+}
+
+/// A comment replying to `parent` with the given tags and content; the
+/// store takes the thread's root from the parent's row.
+fn add_reply(s: &mut Store, id: u64, author: u64, parent: u64, t: i64, tags: Vec<u64>, text: &str) {
     let comment = RawMessage {
         id: MessageId(id),
         kind: MessageKind::Comment,
@@ -121,14 +130,14 @@ fn add_comment(s: &mut Store, id: u64, author: u64, parent: u64, t: i64) {
         country: china(s),
         location_ip: "1.2.3.4".into(),
         browser: FIREFOX,
-        content: format!("comment {id}"),
-        length: 9,
+        content: text.into(),
+        length: text.len() as u32,
         image_file: None,
         language: None,
         forum: None,
         reply_of: Some(MessageId(parent)),
         root_post: MessageId(parent),
-        tags: vec![],
+        tags: tags.into_iter().map(TagId).collect(),
     };
     apply(s, DateTime(t), UpdateEvent::AddComment(comment));
 }
@@ -188,6 +197,65 @@ fn bi12_exact_rows() {
         rows.iter().map(|r| (r.message_id, r.like_count)).collect::<Vec<_>>(),
         vec![(100, 2), (101, 1)]
     );
+}
+
+/// BI 11's cast: the shared fixture plus Dave (4), who lives in
+/// Mumbai, and five tagged replies. Post 100 carries tag 0, post 101
+/// tag 1.
+///
+/// - 300 (Bob → 100, tag 2) has a tag its parent lacks: it counts;
+/// - 301 (Carol → 100, tags 0 and 3) shares tag 0 with its parent;
+/// - 302 (Carol → 101, tag 2) contains the word "maybe";
+/// - 303 (Dave → 100, tag 2) counts for India, not for China;
+/// - 304 (Bob → 101, tags 2 and 3) counts once under each tag.
+///
+/// Alice and Carol like 300, Alice likes 304.
+fn bi11_fixture() -> Store {
+    let mut s = fixture();
+    add_person_in(&mut s, 4, "Dave", "Mumbai", 1_000);
+    add_reply(&mut s, 300, 2, 100, 30_000, vec![2], "a fresh angle");
+    add_reply(&mut s, 301, 3, 100, 31_000, vec![0, 3], "same topic");
+    add_reply(&mut s, 302, 3, 101, 32_000, vec![2], "maybe later");
+    add_reply(&mut s, 303, 4, 100, 33_000, vec![2], "from afar");
+    add_reply(&mut s, 304, 2, 101, 34_000, vec![2, 3], "two more angles");
+    add_like(&mut s, 1, 300, 35_000);
+    add_like(&mut s, 3, 300, 36_000);
+    add_like(&mut s, 1, 304, 37_000);
+    s
+}
+
+#[test]
+fn bi11_exact_rows() {
+    let s = bi11_fixture();
+    let row = |person_id, tag: usize, like_count, reply_count| {
+        assert_eq!(s.tags.id[tag], tag as u64, "tag ids are row indices");
+        bi11::Row { person_id, tag_name: s.tags.name[tag].to_string(), like_count, reply_count }
+    };
+    let params = |country: &str, blacklist: &[&str]| bi11::Params {
+        country: country.into(),
+        blacklist: blacklist.iter().map(|w| w.to_string()).collect(),
+    };
+    let cases = [
+        // Bob's 300 (2 likes) and 304 (1 like) under tag 2, his 304
+        // under tag 3; 301 shares a tag, 302 is blacklisted, 303 is
+        // Dave's.
+        (params("China", &["maybe"]), vec![row(2, 2, 3, 2), row(2, 3, 1, 1)]),
+        // Without the blacklist Carol's 302 counts as well.
+        (params("China", &[]), vec![row(2, 2, 3, 2), row(2, 3, 1, 1), row(3, 2, 0, 1)]),
+        (params("India", &["maybe"]), vec![row(4, 2, 0, 1)]),
+    ];
+    let contexts = [
+        QueryContext::single_threaded(),
+        QueryContext::new(2).with_morsel(1),
+        QueryContext::new(4).with_morsel(7),
+    ];
+    for (p, want) in &cases {
+        assert_eq!(&bi11::run(&s, p), want, "run, {p:?}");
+        for ctx in &contexts {
+            assert_eq!(&bi11::run_ctx(&s, ctx, p), want, "{} threads, {p:?}", ctx.threads());
+        }
+        assert_eq!(&bi11::run_naive(&s, p), want, "run_naive, {p:?}");
+    }
 }
 
 #[test]
