@@ -75,6 +75,21 @@ if grep -rnE --include='*.rs' 'group_commit|fsync_every|GROUP_COMMIT_WINDOW|wait
   exit 1
 fi
 
+echo "==> each query is declared once (no per-query arm in the wire codec or the parameter files)"
+# A query's fields and their spec keys are declared once, in its module's
+# query_params! declaration, and its number, variant and module once, in
+# the bi_queries! / ic_queries! table; the wire codec (proto.rs) and the
+# substitution files (files.rs) dispatch through the BiParams / IcParams
+# methods derived from them. A hand-listed arm would bring back the drift
+# that left BI 2's min_count out of its file. Only the code above each
+# file's test module is searched: the tests build sample bindings.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+  /(Bi|Ic)Params::Q[0-9]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+  END { exit !found }' crates/server/src/proto.rs crates/params/src/files.rs; then
+  echo "a query is listed by hand: dispatch through its query_params! / query_enum! declaration" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

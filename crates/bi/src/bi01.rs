@@ -14,11 +14,13 @@ use snb_store::{Ix, Store};
 
 use crate::common::messages_before;
 
-/// Parameters of BI 1.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Only messages created strictly before this date count.
-    pub date: Date,
+snb_core::query_params! {
+    /// Parameters of BI 1.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Only messages created strictly before this date count.
+        date: Date = "date",
+    }
 }
 
 /// One result row of BI 1.

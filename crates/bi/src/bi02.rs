@@ -25,19 +25,20 @@ use snb_store::{Ix, Store};
 
 use crate::common::{age_group, day_range_window};
 
-/// Parameters of BI 2.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Start of the window (inclusive).
-    pub start_date: Date,
-    /// End of the window (inclusive).
-    pub end_date: Date,
-    /// First country name.
-    pub country1: String,
-    /// Second country name.
-    pub country2: String,
-    /// Minimum group size (exclusive threshold; official value 100).
-    pub min_count: u64,
+snb_core::query_params! {
+    /// Parameters of BI 2.
+    pub struct Params {
+        /// Start of the window (inclusive).
+        start_date: Date = "startDate",
+        /// End of the window (inclusive).
+        end_date: Date = "endDate",
+        /// First country name.
+        country1: String = "country1",
+        /// Second country name.
+        country2: String = "country2",
+        /// Minimum group size (exclusive threshold; official value 100).
+        min_count: u64 = "minCount",
+    }
 }
 
 /// One result row of BI 2.

@@ -11,13 +11,15 @@ use snb_store::{Ix, Store};
 
 use crate::common::{messages_in, month_window, next_month};
 
-/// Parameters of BI 3.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Reference year.
-    pub year: i32,
-    /// Reference month (1–12).
-    pub month: u32,
+snb_core::query_params! {
+    /// Parameters of BI 3.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Reference year.
+        year: i32 = "year",
+        /// Reference month (1–12).
+        month: u32 = "month",
+    }
 }
 
 /// One result row of BI 3.

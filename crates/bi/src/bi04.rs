@@ -11,13 +11,14 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag_of_class;
 
-/// Parameters of BI 4.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Tag-class name.
-    pub tag_class: String,
-    /// Country name.
-    pub country: String,
+snb_core::query_params! {
+    /// Parameters of BI 4.
+    pub struct Params {
+        /// Tag-class name.
+        tag_class: String = "tagClass",
+        /// Country name.
+        country: String = "country",
+    }
 }
 
 /// One result row of BI 4.

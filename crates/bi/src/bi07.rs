@@ -13,11 +13,12 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag;
 
-/// Parameters of BI 7.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Tag name.
-    pub tag: String,
+snb_core::query_params! {
+    /// Parameters of BI 7.
+    pub struct Params {
+        /// Tag name.
+        tag: String = "tag",
+    }
 }
 
 /// One result row of BI 7.

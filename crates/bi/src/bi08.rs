@@ -12,11 +12,12 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag;
 
-/// Parameters of BI 8.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Tag name.
-    pub tag: String,
+snb_core::query_params! {
+    /// Parameters of BI 8.
+    pub struct Params {
+        /// Tag name.
+        tag: String = "tag",
+    }
 }
 
 /// One result row of BI 8.

@@ -16,15 +16,16 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag_of_class;
 
-/// Parameters of BI 9.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// First tag-class name.
-    pub tag_class1: String,
-    /// Second tag-class name.
-    pub tag_class2: String,
-    /// Minimum member count (exclusive).
-    pub threshold: u64,
+snb_core::query_params! {
+    /// Parameters of BI 9.
+    pub struct Params {
+        /// First tag-class name.
+        tag_class1: String = "tagClass1",
+        /// Second tag-class name.
+        tag_class2: String = "tagClass2",
+        /// Minimum member count (exclusive).
+        threshold: u64 = "threshold",
+    }
 }
 
 /// One result row of BI 9.

@@ -14,13 +14,14 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag;
 
-/// Parameters of BI 10.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Tag name.
-    pub tag: String,
-    /// Messages strictly after this date count toward the score.
-    pub date: Date,
+snb_core::query_params! {
+    /// Parameters of BI 10.
+    pub struct Params {
+        /// Tag name.
+        tag: String = "tag",
+        /// Messages strictly after this date count toward the score.
+        date: Date = "date",
+    }
 }
 
 /// One result row of BI 10.

@@ -16,13 +16,14 @@ use snb_store::{Ix, Store, NONE};
 
 use crate::common::has_tag;
 
-/// Parameters of BI 11.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Country name.
-    pub country: String,
-    /// Words that disqualify a reply.
-    pub blacklist: Vec<String>,
+snb_core::query_params! {
+    /// Parameters of BI 11.
+    pub struct Params {
+        /// Country name.
+        country: String = "country",
+        /// Words that disqualify a reply.
+        blacklist: Vec<String> = "blacklist",
+    }
 }
 
 /// One result row of BI 11.

@@ -14,13 +14,15 @@ use snb_engine::topk::sort_truncate;
 use snb_engine::QueryContext;
 use snb_store::{Ix, Store};
 
-/// Parameters of BI 12.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Messages strictly after this date qualify.
-    pub date: snb_core::Date,
-    /// Minimum like count (exclusive).
-    pub like_threshold: u64,
+snb_core::query_params! {
+    /// Parameters of BI 12.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Messages strictly after this date qualify.
+        date: snb_core::Date = "date",
+        /// Minimum like count (exclusive).
+        like_threshold: u64 = "likeThreshold",
+    }
 }
 
 /// One result row of BI 12.

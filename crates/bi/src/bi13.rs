@@ -10,11 +10,12 @@ use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
 use snb_store::{Ix, Store};
 
-/// Parameters of BI 13.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Country name.
-    pub country: String,
+snb_core::query_params! {
+    /// Parameters of BI 13.
+    pub struct Params {
+        /// Country name.
+        country: String = "country",
+    }
 }
 
 /// One result row of BI 13.

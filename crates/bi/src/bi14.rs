@@ -12,13 +12,15 @@ use snb_store::{Ix, Store};
 
 use crate::common::{day_range_window, messages_in, thread_size};
 
-/// Parameters of BI 14.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Window start (inclusive).
-    pub begin: Date,
-    /// Window end (inclusive).
-    pub end: Date,
+snb_core::query_params! {
+    /// Parameters of BI 14.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Window start (inclusive).
+        begin: Date = "begin",
+        /// Window end (inclusive).
+        end: Date = "end",
+    }
 }
 
 /// One result row of BI 14.

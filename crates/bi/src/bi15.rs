@@ -10,11 +10,12 @@ use snb_store::{Ix, Store};
 
 use crate::common::persons_of_country;
 
-/// Parameters of BI 15.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Country name.
-    pub country: String,
+snb_core::query_params! {
+    /// Parameters of BI 15.
+    pub struct Params {
+        /// Country name.
+        country: String = "country",
+    }
 }
 
 /// One result row of BI 15.

@@ -19,19 +19,20 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag_of_class;
 
-/// Parameters of BI 16.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Country name.
-    pub country: String,
-    /// Tag-class name.
-    pub tag_class: String,
-    /// Minimum trail length (inclusive).
-    pub min_path_distance: u32,
-    /// Maximum trail length (inclusive).
-    pub max_path_distance: u32,
+snb_core::query_params! {
+    /// Parameters of BI 16.
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Country name.
+        country: String = "country",
+        /// Tag-class name.
+        tag_class: String = "tagClass",
+        /// Minimum trail length (inclusive).
+        min_path_distance: u32 = "minPathDistance",
+        /// Maximum trail length (inclusive).
+        max_path_distance: u32 = "maxPathDistance",
+    }
 }
 
 /// One result row of BI 16.

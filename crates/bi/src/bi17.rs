@@ -8,11 +8,12 @@ use rustc_hash::FxHashSet;
 use snb_engine::QueryContext;
 use snb_store::{Ix, Store};
 
-/// Parameters of BI 17.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Country name.
-    pub country: String,
+snb_core::query_params! {
+    /// Parameters of BI 17.
+    pub struct Params {
+        /// Country name.
+        country: String = "country",
+    }
 }
 
 /// The single result row of BI 17.

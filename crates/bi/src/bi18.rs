@@ -22,15 +22,16 @@ use snb_store::{interner, Ix, Store, Sym};
 
 use crate::common::thread_language;
 
-/// Parameters of BI 18.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Messages strictly after this date qualify.
-    pub date: Date,
-    /// Maximum content length (exclusive).
-    pub length_threshold: u32,
-    /// Accepted (thread) languages.
-    pub languages: Vec<String>,
+snb_core::query_params! {
+    /// Parameters of BI 18.
+    pub struct Params {
+        /// Messages strictly after this date qualify.
+        date: Date = "date",
+        /// Maximum content length (exclusive).
+        length_threshold: u32 = "lengthThreshold",
+        /// Accepted (thread) languages.
+        languages: Vec<String> = "languages",
+    }
 }
 
 /// One result row of BI 18.

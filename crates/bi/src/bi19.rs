@@ -19,15 +19,16 @@ use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
 use snb_store::{Ix, Store, NONE};
 
-/// Parameters of BI 19.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Persons born strictly after this date qualify.
-    pub date: Date,
-    /// First tag-class name.
-    pub tag_class1: String,
-    /// Second tag-class name.
-    pub tag_class2: String,
+snb_core::query_params! {
+    /// Parameters of BI 19.
+    pub struct Params {
+        /// Persons born strictly after this date qualify.
+        date: Date = "date",
+        /// First tag-class name.
+        tag_class1: String = "tagClass1",
+        /// Second tag-class name.
+        tag_class2: String = "tagClass2",
+    }
 }
 
 /// One result row of BI 19.

@@ -15,11 +15,12 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag_in_class_subtree;
 
-/// Parameters of BI 20.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Tag-class names.
-    pub tag_classes: Vec<String>,
+snb_core::query_params! {
+    /// Parameters of BI 20.
+    pub struct Params {
+        /// Tag-class names.
+        tag_classes: Vec<String> = "tagClasses",
+    }
 }
 
 /// One result row of BI 20.

@@ -13,13 +13,14 @@ use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
 use snb_store::{Ix, Store};
 
-/// Parameters of BI 21.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Country name.
-    pub country: String,
-    /// End of the observation window.
-    pub end_date: Date,
+snb_core::query_params! {
+    /// Parameters of BI 21.
+    pub struct Params {
+        /// Country name.
+        country: String = "country",
+        /// End of the observation window.
+        end_date: Date = "endDate",
+    }
 }
 
 /// One result row of BI 21.

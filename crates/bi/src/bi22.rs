@@ -16,13 +16,14 @@ use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
 use snb_store::{Ix, Store, NONE};
 
-/// Parameters of BI 22.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// First country name (cities reported come from here).
-    pub country1: String,
-    /// Second country name.
-    pub country2: String,
+snb_core::query_params! {
+    /// Parameters of BI 22.
+    pub struct Params {
+        /// First country name (cities reported come from here).
+        country1: String = "country1",
+        /// Second country name.
+        country2: String = "country2",
+    }
 }
 
 /// One result row of BI 22.

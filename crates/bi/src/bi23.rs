@@ -8,11 +8,12 @@ use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
 use snb_store::{Ix, Store};
 
-/// Parameters of BI 23.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Home country name.
-    pub country: String,
+snb_core::query_params! {
+    /// Parameters of BI 23.
+    pub struct Params {
+        /// Home country name.
+        country: String = "country",
+    }
 }
 
 /// One result row of BI 23.

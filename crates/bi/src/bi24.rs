@@ -12,11 +12,12 @@ use snb_store::{Ix, Store};
 
 use crate::common::has_tag_of_class;
 
-/// Parameters of BI 24.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Tag-class name.
-    pub tag_class: String,
+snb_core::query_params! {
+    /// Parameters of BI 24.
+    pub struct Params {
+        /// Tag-class name.
+        tag_class: String = "tagClass",
+    }
 }
 
 /// One result row of BI 24.

@@ -12,17 +12,18 @@ use snb_engine::traverse::all_shortest_paths;
 use snb_engine::QueryContext;
 use snb_store::{Ix, Store, NONE};
 
-/// Parameters of BI 25.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// First endpoint (raw person id).
-    pub person1_id: u64,
-    /// Second endpoint (raw person id).
-    pub person2_id: u64,
-    /// Forum window start (inclusive).
-    pub start_date: Date,
-    /// Forum window end (inclusive).
-    pub end_date: Date,
+snb_core::query_params! {
+    /// Parameters of BI 25.
+    pub struct Params {
+        /// First endpoint (raw person id).
+        person1_id: u64 = "person1Id",
+        /// Second endpoint (raw person id).
+        person2_id: u64 = "person2Id",
+        /// Forum window start (inclusive).
+        start_date: Date = "startDate",
+        /// Forum window end (inclusive).
+        end_date: Date = "endDate",
+    }
 }
 
 /// One result row of BI 25.

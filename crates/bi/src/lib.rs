@@ -5,7 +5,9 @@
 //! The LDBC SNB **Business Intelligence workload**: all 25 read queries
 //! (spec chapter 5), each as a module with
 //!
-//! * a documented `Params` struct,
+//! * a documented `Params` struct, declared once with
+//!   `snb_core::query_params!` (each field's spec key, wire and JSON
+//!   forms),
 //! * a typed `Row` result with the spec's sort/limit semantics,
 //! * `run` — the optimized physical plan (CSR traversal, hash
 //!   aggregation, bounded top-k with pruning), and
@@ -49,94 +51,54 @@ pub mod meta;
 use snb_engine::QueryContext;
 use snb_store::Store;
 
-/// A parameter binding for any BI query — the uniform currency between
-/// the parameter-curation crate, the driver and the benchmark harness.
-#[derive(Clone, Debug)]
-pub enum BiParams {
-    /// BI 1 parameters.
-    Q1(bi01::Params),
-    /// BI 2 parameters.
-    Q2(bi02::Params),
-    /// BI 3 parameters.
-    Q3(bi03::Params),
-    /// BI 4 parameters.
-    Q4(bi04::Params),
-    /// BI 5 parameters.
-    Q5(bi05::Params),
-    /// BI 6 parameters.
-    Q6(bi06::Params),
-    /// BI 7 parameters.
-    Q7(bi07::Params),
-    /// BI 8 parameters.
-    Q8(bi08::Params),
-    /// BI 9 parameters.
-    Q9(bi09::Params),
-    /// BI 10 parameters.
-    Q10(bi10::Params),
-    /// BI 11 parameters.
-    Q11(bi11::Params),
-    /// BI 12 parameters.
-    Q12(bi12::Params),
-    /// BI 13 parameters.
-    Q13(bi13::Params),
-    /// BI 14 parameters.
-    Q14(bi14::Params),
-    /// BI 15 parameters.
-    Q15(bi15::Params),
-    /// BI 16 parameters.
-    Q16(bi16::Params),
-    /// BI 17 parameters.
-    Q17(bi17::Params),
-    /// BI 18 parameters.
-    Q18(bi18::Params),
-    /// BI 19 parameters.
-    Q19(bi19::Params),
-    /// BI 20 parameters.
-    Q20(bi20::Params),
-    /// BI 21 parameters.
-    Q21(bi21::Params),
-    /// BI 22 parameters.
-    Q22(bi22::Params),
-    /// BI 23 parameters.
-    Q23(bi23::Params),
-    /// BI 24 parameters.
-    Q24(bi24::Params),
-    /// BI 25 parameters.
-    Q25(bi25::Params),
+/// The BI query table, one entry per query: `number => Variant(module)`,
+/// the variant holding `module::Params`. Hands the table to the macro
+/// `$callback`; this crate's expands to [`BiParams`] (its wire codec and
+/// JSON line included), [`run_with`] and [`run_naive`], and a test can
+/// expand one of its own to reach each module's typed rows.
+#[macro_export]
+macro_rules! bi_queries {
+    ($callback:ident) => {
+        $callback! {
+            1 => Q1(bi01), 2 => Q2(bi02), 3 => Q3(bi03), 4 => Q4(bi04), 5 => Q5(bi05),
+            6 => Q6(bi06), 7 => Q7(bi07), 8 => Q8(bi08), 9 => Q9(bi09), 10 => Q10(bi10),
+            11 => Q11(bi11), 12 => Q12(bi12), 13 => Q13(bi13), 14 => Q14(bi14), 15 => Q15(bi15),
+            16 => Q16(bi16), 17 => Q17(bi17), 18 => Q18(bi18), 19 => Q19(bi19), 20 => Q20(bi20),
+            21 => Q21(bi21), 22 => Q22(bi22), 23 => Q23(bi23), 24 => Q24(bi24), 25 => Q25(bi25),
+        }
+    };
 }
 
-impl BiParams {
-    /// The query number (1–25).
-    pub fn query(&self) -> u8 {
-        match self {
-            BiParams::Q1(_) => 1,
-            BiParams::Q2(_) => 2,
-            BiParams::Q3(_) => 3,
-            BiParams::Q4(_) => 4,
-            BiParams::Q5(_) => 5,
-            BiParams::Q6(_) => 6,
-            BiParams::Q7(_) => 7,
-            BiParams::Q8(_) => 8,
-            BiParams::Q9(_) => 9,
-            BiParams::Q10(_) => 10,
-            BiParams::Q11(_) => 11,
-            BiParams::Q12(_) => 12,
-            BiParams::Q13(_) => 13,
-            BiParams::Q14(_) => 14,
-            BiParams::Q15(_) => 15,
-            BiParams::Q16(_) => 16,
-            BiParams::Q17(_) => 17,
-            BiParams::Q18(_) => 18,
-            BiParams::Q19(_) => 19,
-            BiParams::Q20(_) => 20,
-            BiParams::Q21(_) => 21,
-            BiParams::Q22(_) => 22,
-            BiParams::Q23(_) => 23,
-            BiParams::Q24(_) => 24,
-            BiParams::Q25(_) => 25,
+macro_rules! derive_bi {
+    ($($n:literal => $variant:ident($module:ident),)*) => {
+        snb_core::query_enum! {
+            /// A parameter binding for any BI query — the uniform currency
+            /// between the parameter-curation crate, the driver and the
+            /// benchmark harness.
+            pub enum BiParams = "BI" {
+                $($n => $variant($module),)*
+            }
         }
-    }
+
+        /// Runs a BI query through the optimized engine on an explicit
+        /// execution context — the entry point used by the driver, which
+        /// constructs one context per benchmark stream.
+        pub fn run_with(store: &Store, ctx: &QueryContext, params: &BiParams) -> QuerySummary {
+            match params {
+                $(BiParams::$variant(p) => summarize(&$module::run_ctx(store, ctx, p)),)*
+            }
+        }
+
+        /// Runs a BI query through the naive reference engine.
+        pub fn run_naive(store: &Store, params: &BiParams) -> QuerySummary {
+            match params {
+                $(BiParams::$variant(p) => summarize(&$module::run_naive(store, p)),)*
+            }
+        }
+    };
 }
+
+bi_queries!(derive_bi);
 
 /// A type-erased execution summary: the row count plus an
 /// order-sensitive fingerprint of the result, enough for validation
@@ -177,70 +139,6 @@ pub fn run(store: &Store, params: &BiParams) -> QuerySummary {
 pub fn run_bound(ctx: &QueryContext, params: &BiParams) -> QuerySummary {
     let snapshot = ctx.snapshot().expect("run_bound requires a snapshot-bound context").clone();
     run_with(&snapshot, ctx, params)
-}
-
-/// Runs a BI query through the optimized engine on an explicit
-/// execution context — the entry point used by the driver, which
-/// constructs one context per benchmark stream.
-pub fn run_with(store: &Store, ctx: &QueryContext, params: &BiParams) -> QuerySummary {
-    match params {
-        BiParams::Q1(p) => summarize(&bi01::run_ctx(store, ctx, p)),
-        BiParams::Q2(p) => summarize(&bi02::run_ctx(store, ctx, p)),
-        BiParams::Q3(p) => summarize(&bi03::run_ctx(store, ctx, p)),
-        BiParams::Q4(p) => summarize(&bi04::run_ctx(store, ctx, p)),
-        BiParams::Q5(p) => summarize(&bi05::run_ctx(store, ctx, p)),
-        BiParams::Q6(p) => summarize(&bi06::run_ctx(store, ctx, p)),
-        BiParams::Q7(p) => summarize(&bi07::run_ctx(store, ctx, p)),
-        BiParams::Q8(p) => summarize(&bi08::run_ctx(store, ctx, p)),
-        BiParams::Q9(p) => summarize(&bi09::run_ctx(store, ctx, p)),
-        BiParams::Q10(p) => summarize(&bi10::run_ctx(store, ctx, p)),
-        BiParams::Q11(p) => summarize(&bi11::run_ctx(store, ctx, p)),
-        BiParams::Q12(p) => summarize(&bi12::run_ctx(store, ctx, p)),
-        BiParams::Q13(p) => summarize(&bi13::run_ctx(store, ctx, p)),
-        BiParams::Q14(p) => summarize(&bi14::run_ctx(store, ctx, p)),
-        BiParams::Q15(p) => summarize(&bi15::run_ctx(store, ctx, p)),
-        BiParams::Q16(p) => summarize(&bi16::run_ctx(store, ctx, p)),
-        BiParams::Q17(p) => summarize(&bi17::run_ctx(store, ctx, p)),
-        BiParams::Q18(p) => summarize(&bi18::run_ctx(store, ctx, p)),
-        BiParams::Q19(p) => summarize(&bi19::run_ctx(store, ctx, p)),
-        BiParams::Q20(p) => summarize(&bi20::run_ctx(store, ctx, p)),
-        BiParams::Q21(p) => summarize(&bi21::run_ctx(store, ctx, p)),
-        BiParams::Q22(p) => summarize(&bi22::run_ctx(store, ctx, p)),
-        BiParams::Q23(p) => summarize(&bi23::run_ctx(store, ctx, p)),
-        BiParams::Q24(p) => summarize(&bi24::run_ctx(store, ctx, p)),
-        BiParams::Q25(p) => summarize(&bi25::run_ctx(store, ctx, p)),
-    }
-}
-
-/// Runs a BI query through the naive reference engine.
-pub fn run_naive(store: &Store, params: &BiParams) -> QuerySummary {
-    match params {
-        BiParams::Q1(p) => summarize(&bi01::run_naive(store, p)),
-        BiParams::Q2(p) => summarize(&bi02::run_naive(store, p)),
-        BiParams::Q3(p) => summarize(&bi03::run_naive(store, p)),
-        BiParams::Q4(p) => summarize(&bi04::run_naive(store, p)),
-        BiParams::Q5(p) => summarize(&bi05::run_naive(store, p)),
-        BiParams::Q6(p) => summarize(&bi06::run_naive(store, p)),
-        BiParams::Q7(p) => summarize(&bi07::run_naive(store, p)),
-        BiParams::Q8(p) => summarize(&bi08::run_naive(store, p)),
-        BiParams::Q9(p) => summarize(&bi09::run_naive(store, p)),
-        BiParams::Q10(p) => summarize(&bi10::run_naive(store, p)),
-        BiParams::Q11(p) => summarize(&bi11::run_naive(store, p)),
-        BiParams::Q12(p) => summarize(&bi12::run_naive(store, p)),
-        BiParams::Q13(p) => summarize(&bi13::run_naive(store, p)),
-        BiParams::Q14(p) => summarize(&bi14::run_naive(store, p)),
-        BiParams::Q15(p) => summarize(&bi15::run_naive(store, p)),
-        BiParams::Q16(p) => summarize(&bi16::run_naive(store, p)),
-        BiParams::Q17(p) => summarize(&bi17::run_naive(store, p)),
-        BiParams::Q18(p) => summarize(&bi18::run_naive(store, p)),
-        BiParams::Q19(p) => summarize(&bi19::run_naive(store, p)),
-        BiParams::Q20(p) => summarize(&bi20::run_naive(store, p)),
-        BiParams::Q21(p) => summarize(&bi21::run_naive(store, p)),
-        BiParams::Q22(p) => summarize(&bi22::run_naive(store, p)),
-        BiParams::Q23(p) => summarize(&bi23::run_naive(store, p)),
-        BiParams::Q24(p) => summarize(&bi24::run_naive(store, p)),
-        BiParams::Q25(p) => summarize(&bi25::run_naive(store, p)),
-    }
 }
 
 /// Validation mode (spec §6.2): runs both engines and errors on any

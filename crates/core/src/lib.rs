@@ -17,8 +17,11 @@
 //!   laptop-scale factors this reproduction adds below SF 0.1;
 //! * [`model`] — entity/relation vocabulary and raw-id newtypes;
 //! * [`bytes`] — the one byte codec every wire and durable format
-//!   reads and writes through.
+//!   reads and writes through;
+//! * [`binding`] — query bindings declared once: each field's spec key,
+//!   wire form and substitution-file JSON form.
 
+pub mod binding;
 pub mod bytes;
 pub mod datetime;
 pub mod dist;

@@ -8,13 +8,14 @@ use snb_engine::traverse::khop_neighborhood;
 use snb_engine::TopK;
 use snb_store::{interner, Ix, Store};
 
-/// Parameters of IC 1.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// First name to match.
-    pub first_name: String,
+snb_core::query_params! {
+    /// Parameters of IC 1.
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// First name to match.
+        first_name: String = "firstName",
+    }
 }
 
 /// One result row of IC 1.

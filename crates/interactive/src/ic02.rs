@@ -9,13 +9,15 @@ use snb_store::{Ix, Store};
 
 use crate::common::{content_or_image, friends};
 
-/// Parameters of IC 2.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Exclusive upper bound day.
-    pub max_date: snb_core::Date,
+snb_core::query_params! {
+    /// Parameters of IC 2.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Exclusive upper bound day.
+        max_date: snb_core::Date = "maxDate",
+    }
 }
 
 /// One result row of IC 2.

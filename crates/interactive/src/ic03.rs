@@ -11,19 +11,20 @@ use snb_store::Store;
 
 use crate::common::friends_within_2;
 
-/// Parameters of IC 3.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Country X name.
-    pub country_x: String,
-    /// Country Y name.
-    pub country_y: String,
-    /// Period start.
-    pub start_date: snb_core::Date,
-    /// Period length in days (closed-open interval).
-    pub duration_days: u32,
+snb_core::query_params! {
+    /// Parameters of IC 3.
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Country X name.
+        country_x: String = "countryXName",
+        /// Country Y name.
+        country_y: String = "countryYName",
+        /// Period start.
+        start_date: snb_core::Date = "startDate",
+        /// Period length in days (closed-open interval).
+        duration_days: u32 = "durationDays",
+    }
 }
 
 /// One result row of IC 3.

@@ -11,15 +11,17 @@ use snb_store::{Ix, Store};
 
 use crate::common::friends;
 
-/// Parameters of IC 4.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Window start.
-    pub start_date: snb_core::Date,
-    /// Window length in days (closed-open).
-    pub duration_days: u32,
+snb_core::query_params! {
+    /// Parameters of IC 4.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Window start.
+        start_date: snb_core::Date = "startDate",
+        /// Window length in days (closed-open).
+        duration_days: u32 = "durationDays",
+    }
 }
 
 /// One result row of IC 4.

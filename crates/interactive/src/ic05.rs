@@ -11,13 +11,15 @@ use snb_store::{Ix, Store};
 
 use crate::common::friends_within_2;
 
-/// Parameters of IC 5.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Memberships strictly after this date qualify.
-    pub min_date: snb_core::Date,
+snb_core::query_params! {
+    /// Parameters of IC 5.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Memberships strictly after this date qualify.
+        min_date: snb_core::Date = "minDate",
+    }
 }
 
 /// One result row of IC 5.

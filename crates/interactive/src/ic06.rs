@@ -11,13 +11,14 @@ use snb_store::{Ix, Store};
 
 use crate::common::friends_within_2;
 
-/// Parameters of IC 6.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Tag name.
-    pub tag_name: String,
+snb_core::query_params! {
+    /// Parameters of IC 6.
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Tag name.
+        tag_name: String = "tagName",
+    }
 }
 
 /// One result row of IC 6.

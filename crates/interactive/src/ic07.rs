@@ -13,11 +13,13 @@ use snb_store::{Ix, Store};
 
 use crate::common::content_or_image;
 
-/// Parameters of IC 7.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
+snb_core::query_params! {
+    /// Parameters of IC 7.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+    }
 }
 
 /// One result row of IC 7.

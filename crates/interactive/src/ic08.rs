@@ -7,11 +7,13 @@
 use snb_engine::TopK;
 use snb_store::Store;
 
-/// Parameters of IC 8.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
+snb_core::query_params! {
+    /// Parameters of IC 8.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+    }
 }
 
 /// One result row of IC 8.

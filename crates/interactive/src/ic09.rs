@@ -8,13 +8,15 @@ use snb_store::Store;
 
 use crate::common::{content_or_image, friends_within_2};
 
-/// Parameters of IC 9.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Exclusive upper bound day.
-    pub max_date: snb_core::Date,
+snb_core::query_params! {
+    /// Parameters of IC 9.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Exclusive upper bound day.
+        max_date: snb_core::Date = "maxDate",
+    }
 }
 
 /// One result row of IC 9.

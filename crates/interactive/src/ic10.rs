@@ -13,13 +13,15 @@ use snb_engine::traverse::khop_neighborhood;
 use snb_engine::TopK;
 use snb_store::{Ix, Store};
 
-/// Parameters of IC 10.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Month of interest, 1..=12.
-    pub month: u32,
+snb_core::query_params! {
+    /// Parameters of IC 10.
+    #[derive(Copy)]
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Month of interest, 1..=12.
+        month: u32 = "month",
+    }
 }
 
 /// One result row of IC 10.

@@ -12,15 +12,16 @@ use snb_store::Store;
 
 use crate::common::friends_within_2;
 
-/// Parameters of IC 11.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Country name.
-    pub country: String,
-    /// Exclusive upper bound on `workFrom`.
-    pub work_from_year: i32,
+snb_core::query_params! {
+    /// Parameters of IC 11.
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Country name.
+        country: String = "countryName",
+        /// Exclusive upper bound on `workFrom`.
+        work_from_year: i32 = "workFromYear",
+    }
 }
 
 /// One result row of IC 11.

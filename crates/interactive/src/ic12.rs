@@ -11,13 +11,14 @@ use snb_store::{Ix, Store, NONE};
 
 use crate::common::friends;
 
-/// Parameters of IC 12.
-#[derive(Clone, Debug)]
-pub struct Params {
-    /// Start person (raw id).
-    pub person_id: u64,
-    /// Tag-class name (subtree applies).
-    pub tag_class_name: String,
+snb_core::query_params! {
+    /// Parameters of IC 12.
+    pub struct Params {
+        /// Start person (raw id).
+        person_id: u64 = "personId",
+        /// Tag-class name (subtree applies).
+        tag_class_name: String = "tagClassName",
+    }
 }
 
 /// One result row of IC 12.

@@ -6,13 +6,15 @@
 use snb_engine::traverse::shortest_path_len;
 use snb_store::Store;
 
-/// Parameters of IC 13.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// First person (raw id).
-    pub person1_id: u64,
-    /// Second person (raw id).
-    pub person2_id: u64,
+snb_core::query_params! {
+    /// Parameters of IC 13.
+    #[derive(Copy)]
+    pub struct Params {
+        /// First person (raw id).
+        person1_id: u64 = "person1Id",
+        /// Second person (raw id).
+        person2_id: u64 = "person2Id",
+    }
 }
 
 /// The single result row of IC 13.

@@ -8,13 +8,15 @@
 use snb_engine::traverse::all_shortest_paths;
 use snb_store::{Ix, Store, NONE};
 
-/// Parameters of IC 14.
-#[derive(Clone, Copy, Debug)]
-pub struct Params {
-    /// First person (raw id).
-    pub person1_id: u64,
-    /// Second person (raw id).
-    pub person2_id: u64,
+snb_core::query_params! {
+    /// Parameters of IC 14.
+    #[derive(Copy)]
+    pub struct Params {
+        /// First person (raw id).
+        person1_id: u64 = "person1Id",
+        /// Second person (raw id).
+        person2_id: u64 = "person2Id",
+    }
 }
 
 /// One result row of IC 14.

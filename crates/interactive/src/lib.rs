@@ -31,60 +31,87 @@ pub mod short;
 use snb_engine::QueryContext;
 use snb_store::Store;
 
-/// A parameter binding for any complex read — the uniform currency for
-/// the driver and benches.
-#[derive(Clone, Debug)]
-pub enum IcParams {
-    /// IC 1 parameters.
-    Q1(ic01::Params),
-    /// IC 2 parameters.
-    Q2(ic02::Params),
-    /// IC 3 parameters.
-    Q3(ic03::Params),
-    /// IC 4 parameters.
-    Q4(ic04::Params),
-    /// IC 5 parameters.
-    Q5(ic05::Params),
-    /// IC 6 parameters.
-    Q6(ic06::Params),
-    /// IC 7 parameters.
-    Q7(ic07::Params),
-    /// IC 8 parameters.
-    Q8(ic08::Params),
-    /// IC 9 parameters.
-    Q9(ic09::Params),
-    /// IC 10 parameters.
-    Q10(ic10::Params),
-    /// IC 11 parameters.
-    Q11(ic11::Params),
-    /// IC 12 parameters.
-    Q12(ic12::Params),
-    /// IC 13 parameters.
-    Q13(ic13::Params),
-    /// IC 14 parameters.
-    Q14(ic14::Params),
+/// The IC query table, one entry per query: `number => Variant(module)`,
+/// the variant holding `module::Params`; `, ctx` marks the scan-heavy
+/// queries (IC 2, 3, 6, 9) whose `run_ctx` parallelizes over the
+/// execution context. Hands the table to the macro `$callback`; this
+/// crate's expands to [`IcParams`] (its wire codec and JSON line
+/// included), [`run_complex_with`] and [`validate_complex`], and a test
+/// can expand one of its own to reach each module's typed rows.
+#[macro_export]
+macro_rules! ic_queries {
+    ($callback:ident) => {
+        $callback! {
+            1 => Q1(ic01), 2 => Q2(ic02, ctx), 3 => Q3(ic03, ctx), 4 => Q4(ic04), 5 => Q5(ic05),
+            6 => Q6(ic06, ctx), 7 => Q7(ic07), 8 => Q8(ic08), 9 => Q9(ic09, ctx), 10 => Q10(ic10),
+            11 => Q11(ic11), 12 => Q12(ic12), 13 => Q13(ic13), 14 => Q14(ic14),
+        }
+    };
 }
 
-impl IcParams {
-    /// The query number (1–14).
-    pub fn query(&self) -> u8 {
-        match self {
-            IcParams::Q1(_) => 1,
-            IcParams::Q2(_) => 2,
-            IcParams::Q3(_) => 3,
-            IcParams::Q4(_) => 4,
-            IcParams::Q5(_) => 5,
-            IcParams::Q6(_) => 6,
-            IcParams::Q7(_) => 7,
-            IcParams::Q8(_) => 8,
-            IcParams::Q9(_) => 9,
-            IcParams::Q10(_) => 10,
-            IcParams::Q11(_) => 11,
-            IcParams::Q12(_) => 12,
-            IcParams::Q13(_) => 13,
-            IcParams::Q14(_) => 14,
+/// One complex read's rows: `run_ctx` on the context for a query marked
+/// `ctx`, the sequential `run` otherwise.
+macro_rules! complex_rows {
+    ($module:ident, $store:ident, $ctx:ident, $p:ident) => {
+        $module::run($store, $p)
+    };
+    ($module:ident ctx, $store:ident, $ctx:ident, $p:ident) => {
+        $module::run_ctx($store, $ctx, $p)
+    };
+}
+
+macro_rules! derive_ic {
+    ($($n:literal => $variant:ident($module:ident $(, $ctx:ident)?),)*) => {
+        snb_core::query_enum! {
+            /// A parameter binding for any complex read — the uniform
+            /// currency for the driver and benches.
+            pub enum IcParams = "IC" {
+                $($n => $variant($module),)*
+            }
         }
+
+        /// Runs a complex read on an explicit execution context. The
+        /// scan-heavy queries (IC 2, 3, 6, 9) parallelize over it; the
+        /// point lookups stay sequential regardless of the context's
+        /// thread count.
+        pub fn run_complex_with(store: &Store, ctx: &QueryContext, params: &IcParams) -> usize {
+            match params {
+                $(IcParams::$variant(p) => complex_rows!($module $($ctx)?, store, ctx, p).len(),)*
+            }
+        }
+
+        /// Validation mode for complex reads: executes both the optimized
+        /// and the independent naive engine and errors unless the full
+        /// row sequences match exactly (order included). Returns the row
+        /// count.
+        pub fn validate_complex(store: &Store, params: &IcParams) -> snb_core::SnbResult<usize> {
+            match params {
+                $(IcParams::$variant(p) => {
+                    check_complex($n, $module::run(store, p), $module::run_naive(store, p))
+                })*
+            }
+        }
+    };
+}
+
+ic_queries!(derive_ic);
+
+fn check_complex<T: std::fmt::Debug + PartialEq>(
+    q: u8,
+    optimized: Vec<T>,
+    naive: Vec<T>,
+) -> snb_core::SnbResult<usize> {
+    if optimized != naive {
+        return Err(snb_core::SnbError::Validation {
+            query: format!("IC {q}"),
+            detail: format!(
+                "optimized ({} rows) != naive ({} rows): {optimized:?} vs {naive:?}",
+                optimized.len(),
+                naive.len()
+            ),
+        });
     }
+    Ok(optimized.len())
 }
 
 /// A parameter binding for any short read — the uniform currency for
@@ -190,67 +217,6 @@ pub fn run_complex_bound(ctx: &QueryContext, params: &IcParams) -> usize {
     let snapshot =
         ctx.snapshot().expect("run_complex_bound requires a snapshot-bound context").clone();
     run_complex_with(&snapshot, ctx, params)
-}
-
-/// Runs a complex read on an explicit execution context. The scan-heavy
-/// queries (IC 2, 3, 6, 9) parallelize over it; the point lookups stay
-/// sequential regardless of the context's thread count.
-pub fn run_complex_with(store: &Store, ctx: &QueryContext, params: &IcParams) -> usize {
-    match params {
-        IcParams::Q1(p) => ic01::run(store, p).len(),
-        IcParams::Q2(p) => ic02::run_ctx(store, ctx, p).len(),
-        IcParams::Q3(p) => ic03::run_ctx(store, ctx, p).len(),
-        IcParams::Q4(p) => ic04::run(store, p).len(),
-        IcParams::Q5(p) => ic05::run(store, p).len(),
-        IcParams::Q6(p) => ic06::run_ctx(store, ctx, p).len(),
-        IcParams::Q7(p) => ic07::run(store, p).len(),
-        IcParams::Q8(p) => ic08::run(store, p).len(),
-        IcParams::Q9(p) => ic09::run_ctx(store, ctx, p).len(),
-        IcParams::Q10(p) => ic10::run(store, p).len(),
-        IcParams::Q11(p) => ic11::run(store, p).len(),
-        IcParams::Q12(p) => ic12::run(store, p).len(),
-        IcParams::Q13(p) => ic13::run(store, p).len(),
-        IcParams::Q14(p) => ic14::run(store, p).len(),
-    }
-}
-
-/// Validation mode for complex reads: executes both the optimized and
-/// the independent naive engine and errors unless the full row
-/// sequences match exactly (order included). Returns the row count.
-pub fn validate_complex(store: &Store, params: &IcParams) -> snb_core::SnbResult<usize> {
-    fn check<T: std::fmt::Debug + PartialEq>(
-        q: u8,
-        optimized: Vec<T>,
-        naive: Vec<T>,
-    ) -> snb_core::SnbResult<usize> {
-        if optimized != naive {
-            return Err(snb_core::SnbError::Validation {
-                query: format!("IC {q}"),
-                detail: format!(
-                    "optimized ({} rows) != naive ({} rows): {optimized:?} vs {naive:?}",
-                    optimized.len(),
-                    naive.len()
-                ),
-            });
-        }
-        Ok(optimized.len())
-    }
-    match params {
-        IcParams::Q1(p) => check(1, ic01::run(store, p), ic01::run_naive(store, p)),
-        IcParams::Q2(p) => check(2, ic02::run(store, p), ic02::run_naive(store, p)),
-        IcParams::Q3(p) => check(3, ic03::run(store, p), ic03::run_naive(store, p)),
-        IcParams::Q4(p) => check(4, ic04::run(store, p), ic04::run_naive(store, p)),
-        IcParams::Q5(p) => check(5, ic05::run(store, p), ic05::run_naive(store, p)),
-        IcParams::Q6(p) => check(6, ic06::run(store, p), ic06::run_naive(store, p)),
-        IcParams::Q7(p) => check(7, ic07::run(store, p), ic07::run_naive(store, p)),
-        IcParams::Q8(p) => check(8, ic08::run(store, p), ic08::run_naive(store, p)),
-        IcParams::Q9(p) => check(9, ic09::run(store, p), ic09::run_naive(store, p)),
-        IcParams::Q10(p) => check(10, ic10::run(store, p), ic10::run_naive(store, p)),
-        IcParams::Q11(p) => check(11, ic11::run(store, p), ic11::run_naive(store, p)),
-        IcParams::Q12(p) => check(12, ic12::run(store, p), ic12::run_naive(store, p)),
-        IcParams::Q13(p) => check(13, ic13::run(store, p), ic13::run_naive(store, p)),
-        IcParams::Q14(p) => check(14, ic14::run(store, p), ic14::run_naive(store, p)),
-    }
 }
 
 #[cfg(test)]

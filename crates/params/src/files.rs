@@ -4,194 +4,36 @@
 //! `substitution_parameters/bi_<q>_param.txt` and
 //! `substitution_parameters/interactive_<q>_param.txt`, mirroring the
 //! official Datagen layout ("Every line of a parameter file is a
-//! JSON-formatted collection of key-value pairs").
+//! JSON-formatted collection of key-value pairs"). Each key is the spec
+//! name a query's `query_params!` declaration gives its field, in
+//! declaration order; BI 2's group-size threshold is `minCount`.
+//! [`read_bi_params`] and [`read_ic_params`] read a file back, refusing
+//! a malformed line with an error naming the file and the line.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use snb_bi::BiParams;
+use snb_core::bytes::Malformed;
 use snb_core::SnbResult;
 use snb_interactive::IcParams;
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn bi_file(root: &Path, query: u8) -> PathBuf {
+    root.join("substitution_parameters").join(format!("bi_{query}_param.txt"))
 }
 
-fn json_line(pairs: &[(&str, String)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(k, v)| format!("{}: {v}", json_str(k))).collect();
-    format!("{{{}}}", body.join(", "))
+fn ic_file(root: &Path, query: u8) -> PathBuf {
+    root.join("substitution_parameters").join(format!("interactive_{query}_param.txt"))
 }
 
-/// Renders one BI binding as a JSON line.
-pub fn bi_binding_json(p: &BiParams) -> String {
-    match p {
-        BiParams::Q1(x) => json_line(&[("date", json_str(&x.date.to_string()))]),
-        BiParams::Q2(x) => json_line(&[
-            ("startDate", json_str(&x.start_date.to_string())),
-            ("endDate", json_str(&x.end_date.to_string())),
-            ("country1", json_str(&x.country1)),
-            ("country2", json_str(&x.country2)),
-        ]),
-        BiParams::Q3(x) => {
-            json_line(&[("year", x.year.to_string()), ("month", x.month.to_string())])
-        }
-        BiParams::Q4(x) => {
-            json_line(&[("tagClass", json_str(&x.tag_class)), ("country", json_str(&x.country))])
-        }
-        BiParams::Q5(x) => json_line(&[("country", json_str(&x.country))]),
-        BiParams::Q6(x) => json_line(&[("tag", json_str(&x.tag))]),
-        BiParams::Q7(x) => json_line(&[("tag", json_str(&x.tag))]),
-        BiParams::Q8(x) => json_line(&[("tag", json_str(&x.tag))]),
-        BiParams::Q9(x) => json_line(&[
-            ("tagClass1", json_str(&x.tag_class1)),
-            ("tagClass2", json_str(&x.tag_class2)),
-            ("threshold", x.threshold.to_string()),
-        ]),
-        BiParams::Q10(x) => {
-            json_line(&[("tag", json_str(&x.tag)), ("date", json_str(&x.date.to_string()))])
-        }
-        BiParams::Q11(x) => json_line(&[
-            ("country", json_str(&x.country)),
-            (
-                "blacklist",
-                format!(
-                    "[{}]",
-                    x.blacklist.iter().map(|w| json_str(w)).collect::<Vec<_>>().join(", ")
-                ),
-            ),
-        ]),
-        BiParams::Q12(x) => json_line(&[
-            ("date", json_str(&x.date.to_string())),
-            ("likeThreshold", x.like_threshold.to_string()),
-        ]),
-        BiParams::Q13(x) => json_line(&[("country", json_str(&x.country))]),
-        BiParams::Q14(x) => json_line(&[
-            ("begin", json_str(&x.begin.to_string())),
-            ("end", json_str(&x.end.to_string())),
-        ]),
-        BiParams::Q15(x) => json_line(&[("country", json_str(&x.country))]),
-        BiParams::Q16(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("country", json_str(&x.country)),
-            ("tagClass", json_str(&x.tag_class)),
-            ("minPathDistance", x.min_path_distance.to_string()),
-            ("maxPathDistance", x.max_path_distance.to_string()),
-        ]),
-        BiParams::Q17(x) => json_line(&[("country", json_str(&x.country))]),
-        BiParams::Q18(x) => json_line(&[
-            ("date", json_str(&x.date.to_string())),
-            ("lengthThreshold", x.length_threshold.to_string()),
-            (
-                "languages",
-                format!(
-                    "[{}]",
-                    x.languages.iter().map(|l| json_str(l)).collect::<Vec<_>>().join(", ")
-                ),
-            ),
-        ]),
-        BiParams::Q19(x) => json_line(&[
-            ("date", json_str(&x.date.to_string())),
-            ("tagClass1", json_str(&x.tag_class1)),
-            ("tagClass2", json_str(&x.tag_class2)),
-        ]),
-        BiParams::Q20(x) => json_line(&[(
-            "tagClasses",
-            format!(
-                "[{}]",
-                x.tag_classes.iter().map(|c| json_str(c)).collect::<Vec<_>>().join(", ")
-            ),
-        )]),
-        BiParams::Q21(x) => json_line(&[
-            ("country", json_str(&x.country)),
-            ("endDate", json_str(&x.end_date.to_string())),
-        ]),
-        BiParams::Q22(x) => {
-            json_line(&[("country1", json_str(&x.country1)), ("country2", json_str(&x.country2))])
-        }
-        BiParams::Q23(x) => json_line(&[("country", json_str(&x.country))]),
-        BiParams::Q24(x) => json_line(&[("tagClass", json_str(&x.tag_class))]),
-        BiParams::Q25(x) => json_line(&[
-            ("person1Id", x.person1_id.to_string()),
-            ("person2Id", x.person2_id.to_string()),
-            ("startDate", json_str(&x.start_date.to_string())),
-            ("endDate", json_str(&x.end_date.to_string())),
-        ]),
+fn write_lines(path: &Path, lines: impl Iterator<Item = String>) -> SnbResult<String> {
+    let mut f = std::io::BufWriter::new(fs::File::create(path)?);
+    for line in lines {
+        writeln!(f, "{line}")?;
     }
-}
-
-/// Renders one IC binding as a JSON line (person id plus the query's
-/// distinguishing parameters).
-pub fn ic_binding_json(p: &IcParams) -> String {
-    match p {
-        IcParams::Q1(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("firstName", json_str(&x.first_name)),
-        ]),
-        IcParams::Q2(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("maxDate", json_str(&x.max_date.to_string())),
-        ]),
-        IcParams::Q3(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("countryXName", json_str(&x.country_x)),
-            ("countryYName", json_str(&x.country_y)),
-            ("startDate", json_str(&x.start_date.to_string())),
-            ("durationDays", x.duration_days.to_string()),
-        ]),
-        IcParams::Q4(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("startDate", json_str(&x.start_date.to_string())),
-            ("durationDays", x.duration_days.to_string()),
-        ]),
-        IcParams::Q5(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("minDate", json_str(&x.min_date.to_string())),
-        ]),
-        IcParams::Q6(x) => {
-            json_line(&[("personId", x.person_id.to_string()), ("tagName", json_str(&x.tag_name))])
-        }
-        IcParams::Q7(x) => json_line(&[("personId", x.person_id.to_string())]),
-        IcParams::Q8(x) => json_line(&[("personId", x.person_id.to_string())]),
-        IcParams::Q9(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("maxDate", json_str(&x.max_date.to_string())),
-        ]),
-        IcParams::Q10(x) => {
-            json_line(&[("personId", x.person_id.to_string()), ("month", x.month.to_string())])
-        }
-        IcParams::Q11(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("countryName", json_str(&x.country)),
-            ("workFromYear", x.work_from_year.to_string()),
-        ]),
-        IcParams::Q12(x) => json_line(&[
-            ("personId", x.person_id.to_string()),
-            ("tagClassName", json_str(&x.tag_class_name)),
-        ]),
-        IcParams::Q13(x) => json_line(&[
-            ("person1Id", x.person1_id.to_string()),
-            ("person2Id", x.person2_id.to_string()),
-        ]),
-        IcParams::Q14(x) => json_line(&[
-            ("person1Id", x.person1_id.to_string()),
-            ("person2Id", x.person2_id.to_string()),
-        ]),
-    }
+    f.flush()?;
+    Ok(path.file_name().expect("a parameter file name").to_string_lossy().into_owned())
 }
 
 /// Writes the substitution-parameter directory for a store: one file
@@ -201,40 +43,51 @@ pub fn write_substitution_files(
     per_query: usize,
     root: &Path,
 ) -> SnbResult<Vec<String>> {
-    let dir = root.join("substitution_parameters");
-    fs::create_dir_all(&dir)?;
+    fs::create_dir_all(root.join("substitution_parameters"))?;
     let mut written = Vec::new();
     for q in 1..=25u8 {
-        let name = format!("bi_{q}_param.txt");
-        let mut f = std::io::BufWriter::new(fs::File::create(dir.join(&name))?);
-        for p in gen.bi_params(q, per_query) {
-            writeln!(f, "{}", bi_binding_json(&p))?;
-        }
-        written.push(name);
+        let lines = gen.bi_params(q, per_query).into_iter().map(|p| p.to_json());
+        written.push(write_lines(&bi_file(root, q), lines)?);
     }
     for q in 1..=14u8 {
-        let name = format!("interactive_{q}_param.txt");
-        let mut f = std::io::BufWriter::new(fs::File::create(dir.join(&name))?);
-        for p in gen.ic_params(q, per_query) {
-            writeln!(f, "{}", ic_binding_json(&p))?;
-        }
-        written.push(name);
+        let lines = gen.ic_params(q, per_query).into_iter().map(|p| p.to_json());
+        written.push(write_lines(&ic_file(root, q), lines)?);
     }
     Ok(written)
+}
+
+fn read_lines<T>(path: &Path, read: impl Fn(&str) -> Result<T, Malformed>) -> SnbResult<Vec<T>> {
+    let text = fs::read_to_string(path)?;
+    let lines = text.lines().enumerate();
+    lines
+        .map(|(i, line)| read(line).map_err(|e| e.at(format!("{}:{}", path.display(), i + 1))))
+        .collect()
+}
+
+/// Reads BI query `query`'s substitution file under `root`.
+pub fn read_bi_params(root: &Path, query: u8) -> SnbResult<Vec<BiParams>> {
+    read_lines(&bi_file(root, query), |line| BiParams::from_json(query, line))
+}
+
+/// Reads IC query `query`'s substitution file under `root`.
+pub fn read_ic_params(root: &Path, query: u8) -> SnbResult<Vec<IcParams>> {
+    read_lines(&ic_file(root, query), |line| IcParams::from_json(query, line))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ParamGen;
+    use snb_bi::bi05;
     use snb_datagen::GeneratorConfig;
     use snb_store::store_for_config;
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_str("back\\slash"), "\"back\\\\slash\"");
+        let p = BiParams::Q5(bi05::Params { country: "a\"b\\c\u{1}d".into() });
+        let line = p.to_json();
+        assert_eq!(line, r#"{"country": "a\"b\\c\u0001d"}"#);
+        assert_eq!(format!("{:?}", BiParams::from_json(5, &line).unwrap()), format!("{p:?}"));
     }
 
     #[test]
@@ -255,6 +108,11 @@ mod tests {
                 assert!(line.starts_with('{') && line.ends_with('}'), "{f}: {line}");
             }
         }
+        // A bad line is refused with its file and line number.
+        let path = bi_file(&dir, 5);
+        fs::write(&path, "{\"country\": \"Chile\"}\n{\"country\": 7}\n").unwrap();
+        let err = read_bi_params(&dir, 5).unwrap_err().to_string();
+        assert!(err.contains("bi_5_param.txt:2") && err.contains("\"country\": expected"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -12,4 +12,4 @@ pub mod files;
 
 pub use bindings::ParamGen;
 pub use curation::{curate, variance};
-pub use files::write_substitution_files;
+pub use files::{read_bi_params, read_ic_params, write_substitution_files};

@@ -13,14 +13,16 @@
 //!
 //! Every integer, string and length goes through [`snb_core::bytes`]:
 //! integers are little-endian, strings are `u16` length + UTF-8 bytes,
-//! string lists are `u16` count + strings. [`encode_params`] and the
-//! binding half of [`decode_request`] are exact inverses for every
-//! binding the parameter generator can produce, which the round-trip
-//! tests pin down.
+//! string lists are `u16` count + strings. A BI or IC binding's fields
+//! follow in the order its module's `query_params!` declaration lists
+//! them (`BiParams::put` / `BiParams::get`, the same for `IcParams`).
+//! [`encode_params`] and the binding half of [`decode_request`] are
+//! exact inverses for every binding the parameter generator can
+//! produce, which `tests/binding_pins.rs` checks for every curated
+//! binding of every query, and pins byte for byte.
 
 use snb_bi::BiParams;
-use snb_core::bytes::{put_i32, put_str, put_strs, put_u32, put_u64, put_u8, Malformed, Reader};
-use snb_core::Date;
+use snb_core::bytes::{put_str, put_u32, put_u64, put_u8, Malformed, Reader};
 use snb_engine::QueryProfile;
 use snb_interactive::{IcParams, IsParams};
 
@@ -372,12 +374,12 @@ pub fn encode_params(buf: &mut Vec<u8>, params: &ServiceParams) {
         ServiceParams::Bi(p) => {
             put_u8(buf, WORKLOAD_BI);
             put_u8(buf, p.query());
-            encode_bi(buf, p);
+            p.put(buf);
         }
         ServiceParams::Ic(p) => {
             put_u8(buf, WORKLOAD_IC);
             put_u8(buf, p.query());
-            encode_ic(buf, p);
+            p.put(buf);
         }
         ServiceParams::Is(p) => {
             put_u8(buf, WORKLOAD_IS);
@@ -391,251 +393,6 @@ pub fn encode_params(buf: &mut Vec<u8>, params: &ServiceParams) {
             crate::events::encode_write_ops(buf, &b.ops);
         }
     }
-}
-
-fn encode_bi(buf: &mut Vec<u8>, p: &BiParams) {
-    use snb_bi::*;
-    match p {
-        BiParams::Q1(q) => put_i32(buf, q.date.0),
-        BiParams::Q2(q) => {
-            put_i32(buf, q.start_date.0);
-            put_i32(buf, q.end_date.0);
-            put_str(buf, &q.country1);
-            put_str(buf, &q.country2);
-            put_u64(buf, q.min_count);
-        }
-        BiParams::Q3(q) => {
-            put_i32(buf, q.year);
-            put_u32(buf, q.month);
-        }
-        BiParams::Q4(q) => {
-            put_str(buf, &q.tag_class);
-            put_str(buf, &q.country);
-        }
-        BiParams::Q5(q) => put_str(buf, &q.country),
-        BiParams::Q6(q) => put_str(buf, &q.tag),
-        BiParams::Q7(q) => put_str(buf, &q.tag),
-        BiParams::Q8(q) => put_str(buf, &q.tag),
-        BiParams::Q9(q) => {
-            put_str(buf, &q.tag_class1);
-            put_str(buf, &q.tag_class2);
-            put_u64(buf, q.threshold);
-        }
-        BiParams::Q10(q) => {
-            put_str(buf, &q.tag);
-            put_i32(buf, q.date.0);
-        }
-        BiParams::Q11(q) => {
-            put_str(buf, &q.country);
-            put_strs(buf, &q.blacklist);
-        }
-        BiParams::Q12(q) => {
-            put_i32(buf, q.date.0);
-            put_u64(buf, q.like_threshold);
-        }
-        BiParams::Q13(q) => put_str(buf, &q.country),
-        BiParams::Q14(q) => {
-            put_i32(buf, q.begin.0);
-            put_i32(buf, q.end.0);
-        }
-        BiParams::Q15(q) => put_str(buf, &q.country),
-        BiParams::Q16(q) => {
-            put_u64(buf, q.person_id);
-            put_str(buf, &q.country);
-            put_str(buf, &q.tag_class);
-            put_u32(buf, q.min_path_distance);
-            put_u32(buf, q.max_path_distance);
-        }
-        BiParams::Q17(q) => put_str(buf, &q.country),
-        BiParams::Q18(q) => {
-            put_i32(buf, q.date.0);
-            put_u32(buf, q.length_threshold);
-            put_strs(buf, &q.languages);
-        }
-        BiParams::Q19(q) => {
-            put_i32(buf, q.date.0);
-            put_str(buf, &q.tag_class1);
-            put_str(buf, &q.tag_class2);
-        }
-        BiParams::Q20(q) => put_strs(buf, &q.tag_classes),
-        BiParams::Q21(q) => {
-            put_str(buf, &q.country);
-            put_i32(buf, q.end_date.0);
-        }
-        BiParams::Q22(q) => {
-            put_str(buf, &q.country1);
-            put_str(buf, &q.country2);
-        }
-        BiParams::Q23(q) => put_str(buf, &q.country),
-        BiParams::Q24(q) => put_str(buf, &q.tag_class),
-        BiParams::Q25(q) => {
-            put_u64(buf, q.person1_id);
-            put_u64(buf, q.person2_id);
-            put_i32(buf, q.start_date.0);
-            put_i32(buf, q.end_date.0);
-        }
-    }
-}
-
-fn encode_ic(buf: &mut Vec<u8>, p: &IcParams) {
-    use snb_interactive::*;
-    match p {
-        IcParams::Q1(q) => {
-            put_u64(buf, q.person_id);
-            put_str(buf, &q.first_name);
-        }
-        IcParams::Q2(q) => {
-            put_u64(buf, q.person_id);
-            put_i32(buf, q.max_date.0);
-        }
-        IcParams::Q3(q) => {
-            put_u64(buf, q.person_id);
-            put_str(buf, &q.country_x);
-            put_str(buf, &q.country_y);
-            put_i32(buf, q.start_date.0);
-            put_u32(buf, q.duration_days);
-        }
-        IcParams::Q4(q) => {
-            put_u64(buf, q.person_id);
-            put_i32(buf, q.start_date.0);
-            put_u32(buf, q.duration_days);
-        }
-        IcParams::Q5(q) => {
-            put_u64(buf, q.person_id);
-            put_i32(buf, q.min_date.0);
-        }
-        IcParams::Q6(q) => {
-            put_u64(buf, q.person_id);
-            put_str(buf, &q.tag_name);
-        }
-        IcParams::Q7(q) => put_u64(buf, q.person_id),
-        IcParams::Q8(q) => put_u64(buf, q.person_id),
-        IcParams::Q9(q) => {
-            put_u64(buf, q.person_id);
-            put_i32(buf, q.max_date.0);
-        }
-        IcParams::Q10(q) => {
-            put_u64(buf, q.person_id);
-            put_u32(buf, q.month);
-        }
-        IcParams::Q11(q) => {
-            put_u64(buf, q.person_id);
-            put_str(buf, &q.country);
-            put_i32(buf, q.work_from_year);
-        }
-        IcParams::Q12(q) => {
-            put_u64(buf, q.person_id);
-            put_str(buf, &q.tag_class_name);
-        }
-        IcParams::Q13(q) => {
-            put_u64(buf, q.person1_id);
-            put_u64(buf, q.person2_id);
-        }
-        IcParams::Q14(q) => {
-            put_u64(buf, q.person1_id);
-            put_u64(buf, q.person2_id);
-        }
-    }
-}
-
-// BI and IC bindings are decoded on lane workers and are kept out of
-// line, so the IS decode the reactor runs stays a few straight reads.
-#[inline(never)]
-fn decode_bi(r: &mut Reader<'_>, query: u8) -> Result<BiParams, Malformed> {
-    use snb_bi::*;
-    Ok(match query {
-        1 => BiParams::Q1(bi01::Params { date: Date(r.i32()?) }),
-        2 => BiParams::Q2(bi02::Params {
-            start_date: Date(r.i32()?),
-            end_date: Date(r.i32()?),
-            country1: r.string()?,
-            country2: r.string()?,
-            min_count: r.u64()?,
-        }),
-        3 => BiParams::Q3(bi03::Params { year: r.i32()?, month: r.u32()? }),
-        4 => BiParams::Q4(bi04::Params { tag_class: r.string()?, country: r.string()? }),
-        5 => BiParams::Q5(bi05::Params { country: r.string()? }),
-        6 => BiParams::Q6(bi06::Params { tag: r.string()? }),
-        7 => BiParams::Q7(bi07::Params { tag: r.string()? }),
-        8 => BiParams::Q8(bi08::Params { tag: r.string()? }),
-        9 => BiParams::Q9(bi09::Params {
-            tag_class1: r.string()?,
-            tag_class2: r.string()?,
-            threshold: r.u64()?,
-        }),
-        10 => BiParams::Q10(bi10::Params { tag: r.string()?, date: Date(r.i32()?) }),
-        11 => BiParams::Q11(bi11::Params { country: r.string()?, blacklist: r.strings()? }),
-        12 => BiParams::Q12(bi12::Params { date: Date(r.i32()?), like_threshold: r.u64()? }),
-        13 => BiParams::Q13(bi13::Params { country: r.string()? }),
-        14 => BiParams::Q14(bi14::Params { begin: Date(r.i32()?), end: Date(r.i32()?) }),
-        15 => BiParams::Q15(bi15::Params { country: r.string()? }),
-        16 => BiParams::Q16(bi16::Params {
-            person_id: r.u64()?,
-            country: r.string()?,
-            tag_class: r.string()?,
-            min_path_distance: r.u32()?,
-            max_path_distance: r.u32()?,
-        }),
-        17 => BiParams::Q17(bi17::Params { country: r.string()? }),
-        18 => BiParams::Q18(bi18::Params {
-            date: Date(r.i32()?),
-            length_threshold: r.u32()?,
-            languages: r.strings()?,
-        }),
-        19 => BiParams::Q19(bi19::Params {
-            date: Date(r.i32()?),
-            tag_class1: r.string()?,
-            tag_class2: r.string()?,
-        }),
-        20 => BiParams::Q20(bi20::Params { tag_classes: r.strings()? }),
-        21 => BiParams::Q21(bi21::Params { country: r.string()?, end_date: Date(r.i32()?) }),
-        22 => BiParams::Q22(bi22::Params { country1: r.string()?, country2: r.string()? }),
-        23 => BiParams::Q23(bi23::Params { country: r.string()? }),
-        24 => BiParams::Q24(bi24::Params { tag_class: r.string()? }),
-        25 => BiParams::Q25(bi25::Params {
-            person1_id: r.u64()?,
-            person2_id: r.u64()?,
-            start_date: Date(r.i32()?),
-            end_date: Date(r.i32()?),
-        }),
-        other => return Err(Malformed(format!("unknown BI query {other}"))),
-    })
-}
-
-#[inline(never)]
-fn decode_ic(r: &mut Reader<'_>, query: u8) -> Result<IcParams, Malformed> {
-    use snb_interactive::*;
-    Ok(match query {
-        1 => IcParams::Q1(ic01::Params { person_id: r.u64()?, first_name: r.string()? }),
-        2 => IcParams::Q2(ic02::Params { person_id: r.u64()?, max_date: Date(r.i32()?) }),
-        3 => IcParams::Q3(ic03::Params {
-            person_id: r.u64()?,
-            country_x: r.string()?,
-            country_y: r.string()?,
-            start_date: Date(r.i32()?),
-            duration_days: r.u32()?,
-        }),
-        4 => IcParams::Q4(ic04::Params {
-            person_id: r.u64()?,
-            start_date: Date(r.i32()?),
-            duration_days: r.u32()?,
-        }),
-        5 => IcParams::Q5(ic05::Params { person_id: r.u64()?, min_date: Date(r.i32()?) }),
-        6 => IcParams::Q6(ic06::Params { person_id: r.u64()?, tag_name: r.string()? }),
-        7 => IcParams::Q7(ic07::Params { person_id: r.u64()? }),
-        8 => IcParams::Q8(ic08::Params { person_id: r.u64()? }),
-        9 => IcParams::Q9(ic09::Params { person_id: r.u64()?, max_date: Date(r.i32()?) }),
-        10 => IcParams::Q10(ic10::Params { person_id: r.u64()?, month: r.u32()? }),
-        11 => IcParams::Q11(ic11::Params {
-            person_id: r.u64()?,
-            country: r.string()?,
-            work_from_year: r.i32()?,
-        }),
-        12 => IcParams::Q12(ic12::Params { person_id: r.u64()?, tag_class_name: r.string()? }),
-        13 => IcParams::Q13(ic13::Params { person1_id: r.u64()?, person2_id: r.u64()? }),
-        14 => IcParams::Q14(ic14::Params { person1_id: r.u64()?, person2_id: r.u64()? }),
-        other => return Err(Malformed(format!("unknown IC query {other}"))),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -737,8 +494,8 @@ fn read_request(payload: &[u8]) -> Result<Request, DecodeError> {
     let tag = r.u8()?;
     let query = r.u8()?;
     let params = match tag {
-        WORKLOAD_BI => ServiceParams::Bi(decode_bi(&mut r, query)?),
-        WORKLOAD_IC => ServiceParams::Ic(decode_ic(&mut r, query)?),
+        WORKLOAD_BI => ServiceParams::Bi(BiParams::get(query, &mut r)?),
+        WORKLOAD_IC => ServiceParams::Ic(IcParams::get(query, &mut r)?),
         WORKLOAD_IS => {
             let id = r.u64()?;
             ServiceParams::Is(
@@ -1265,6 +1022,7 @@ fn read_repl(payload: &[u8]) -> Result<ReplFrame, Malformed> {
 mod tests {
     use super::*;
     use snb_bi::{bi02, bi11, bi16, bi18, bi20, bi25};
+    use snb_core::Date;
     use snb_interactive::{ic03, ic11};
 
     fn sample_bindings() -> Vec<ServiceParams> {

@@ -37,35 +37,25 @@ fn pin<R: Debug>(rows: &[R]) -> (usize, u64) {
 /// Runs `params` on the optimized engine and pins its typed rows.
 fn answer(s: &Store, params: &BiParams) -> (usize, u64) {
     macro_rules! pin_each {
-        ($($variant:ident => $module:ident),* $(,)?) => {
+        ($($n:literal => $variant:ident($module:ident),)*) => {
             match params {
                 $(BiParams::$variant(p) => pin(&bi::$module::run(s, p)),)*
             }
         };
     }
-    pin_each!(
-        Q1 => bi01, Q2 => bi02, Q3 => bi03, Q4 => bi04, Q5 => bi05,
-        Q6 => bi06, Q7 => bi07, Q8 => bi08, Q9 => bi09, Q10 => bi10,
-        Q11 => bi11, Q12 => bi12, Q13 => bi13, Q14 => bi14, Q15 => bi15,
-        Q16 => bi16, Q17 => bi17, Q18 => bi18, Q19 => bi19, Q20 => bi20,
-        Q21 => bi21, Q22 => bi22, Q23 => bi23, Q24 => bi24, Q25 => bi25,
-    )
+    bi::bi_queries!(pin_each)
 }
 
 /// Runs `params` on the optimized engine and pins its typed rows.
 fn ic_answer(s: &Store, params: &IcParams) -> (usize, u64) {
     macro_rules! pin_each {
-        ($($variant:ident => $module:ident),* $(,)?) => {
+        ($($n:literal => $variant:ident($module:ident $(, $ctx:ident)?),)*) => {
             match params {
                 $(IcParams::$variant(p) => pin(&ic::$module::run(s, p)),)*
             }
         };
     }
-    pin_each!(
-        Q1 => ic01, Q2 => ic02, Q3 => ic03, Q4 => ic04, Q5 => ic05,
-        Q6 => ic06, Q7 => ic07, Q8 => ic08, Q9 => ic09, Q10 => ic10,
-        Q11 => ic11, Q12 => ic12, Q13 => ic13, Q14 => ic14,
-    )
+    ic::ic_queries!(pin_each)
 }
 
 fn store() -> &'static Store {

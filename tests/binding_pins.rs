@@ -5,16 +5,20 @@
 //!   same binding, and each query's payloads, concatenated, hash to the
 //!   pin in `tests/wire_pins.txt` (`qNN n=N fnv64=H` lines, `bi`/`ic`).
 //! * Substitution files: `write_substitution_files` hashes to the pins in
-//!   `tests/param_file_pins.txt`, one `fnv64` per file.
+//!   `tests/param_file_pins.txt`, one `fnv64` per file, and every line
+//!   reads back to the binding it was written from.
 //!
 //! A failure prints the whole current table.
 
 use std::fmt::Write;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use ldbc_snb::bi::{bi02, BiParams};
 use ldbc_snb::core::bytes::fnv64;
+use ldbc_snb::core::Date;
 use ldbc_snb::datagen::GeneratorConfig;
-use ldbc_snb::params::{write_substitution_files, ParamGen};
+use ldbc_snb::params::{read_bi_params, read_ic_params, write_substitution_files, ParamGen};
 use ldbc_snb::server::proto::{decode_request, encode_request, Request, ServiceParams};
 use ldbc_snb::store::{store_for_config, Store};
 
@@ -68,11 +72,17 @@ fn every_binding_round_trips_the_wire_and_matches_its_pin() {
     assert_table(&table, include_str!("wire_pins.txt"), "wire bytes");
 }
 
+/// A fresh directory for one test's substitution files.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("snb_{test}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
 fn every_substitution_file_matches_its_pin() {
     let gen = ParamGen::new(store(), SEED);
-    let dir = std::env::temp_dir().join(format!("snb_binding_pins_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("file_pins");
     let files = write_substitution_files(&gen, BINDINGS, &dir).unwrap();
     let mut table = String::new();
     for name in &files {
@@ -81,4 +91,50 @@ fn every_substitution_file_matches_its_pin() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_table(&table, include_str!("param_file_pins.txt"), "substitution files");
+}
+
+#[test]
+fn every_binding_round_trips_its_substitution_file() {
+    let gen = ParamGen::new(store(), SEED);
+    let dir = scratch("file_round_trip");
+    write_substitution_files(&gen, BINDINGS, &dir).unwrap();
+    for q in 1..=25u8 {
+        let read = read_bi_params(&dir, q).unwrap();
+        assert_eq!(format!("{read:?}"), format!("{:?}", gen.bi_params(q, BINDINGS)), "BI {q}");
+    }
+    for q in 1..=14u8 {
+        let read = read_ic_params(&dir, q).unwrap();
+        assert_eq!(format!("{read:?}"), format!("{:?}", gen.ic_params(q, BINDINGS)), "IC {q}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_substitution_lines_are_typed_errors() {
+    let p = BiParams::Q2(bi02::Params {
+        start_date: Date::from_ymd(2010, 1, 1),
+        end_date: Date::from_ymd(2010, 2, 1),
+        country1: "Chile".into(),
+        country2: "Peru".into(),
+        min_count: 100,
+    });
+    let line = p.to_json();
+    assert_eq!(
+        line,
+        r#"{"startDate": "2010-01-01", "endDate": "2010-02-01", "country1": "Chile", "country2": "Peru", "minCount": 100}"#
+    );
+    let cases = [
+        (line.replace(r#", "minCount": 100"#, ""), "missing key \"minCount\""),
+        (line.replace('}', r#", "tag": "x"}"#), "\"tag\": unknown key"),
+        (line.replace(r#""Peru""#, "7"), "\"country2\": expected '\"'"),
+        (line[..line.find("Peru").unwrap() + 4].to_string(), "unterminated string"),
+        (line.replace("Chile", r"Ch\u00zzle"), "bad escape"),
+        (format!("{line},"), "trailing bytes"),
+        (line.replace("100", "18446744073709551616"), "as u64"),
+    ];
+    for (hostile, want) in cases {
+        let err = BiParams::from_json(2, &hostile).expect_err(&hostile);
+        assert!(err.0.contains(want), "{hostile}: {err:?} lacks {want:?}");
+    }
+    assert!(BiParams::from_json(26, &line).unwrap_err().0.contains("unknown BI query 26"));
 }
