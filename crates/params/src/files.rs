@@ -19,12 +19,9 @@ use snb_core::bytes::Malformed;
 use snb_core::SnbResult;
 use snb_interactive::IcParams;
 
-fn bi_file(root: &Path, query: u8) -> PathBuf {
-    root.join("substitution_parameters").join(format!("bi_{query}_param.txt"))
-}
-
-fn ic_file(root: &Path, query: u8) -> PathBuf {
-    root.join("substitution_parameters").join(format!("interactive_{query}_param.txt"))
+/// `substitution_parameters/<workload>_<query>_param.txt` under `root`.
+fn param_file(root: &Path, workload: &str, query: u8) -> PathBuf {
+    root.join("substitution_parameters").join(format!("{workload}_{query}_param.txt"))
 }
 
 fn write_lines(path: &Path, lines: impl Iterator<Item = String>) -> SnbResult<String> {
@@ -47,11 +44,11 @@ pub fn write_substitution_files(
     let mut written = Vec::new();
     for q in 1..=25u8 {
         let lines = gen.bi_params(q, per_query).into_iter().map(|p| p.to_json());
-        written.push(write_lines(&bi_file(root, q), lines)?);
+        written.push(write_lines(&param_file(root, "bi", q), lines)?);
     }
     for q in 1..=14u8 {
         let lines = gen.ic_params(q, per_query).into_iter().map(|p| p.to_json());
-        written.push(write_lines(&ic_file(root, q), lines)?);
+        written.push(write_lines(&param_file(root, "interactive", q), lines)?);
     }
     Ok(written)
 }
@@ -66,12 +63,12 @@ fn read_lines<T>(path: &Path, read: impl Fn(&str) -> Result<T, Malformed>) -> Sn
 
 /// Reads BI query `query`'s substitution file under `root`.
 pub fn read_bi_params(root: &Path, query: u8) -> SnbResult<Vec<BiParams>> {
-    read_lines(&bi_file(root, query), |line| BiParams::from_json(query, line))
+    read_lines(&param_file(root, "bi", query), |line| BiParams::from_json(query, line))
 }
 
 /// Reads IC query `query`'s substitution file under `root`.
 pub fn read_ic_params(root: &Path, query: u8) -> SnbResult<Vec<IcParams>> {
-    read_lines(&ic_file(root, query), |line| IcParams::from_json(query, line))
+    read_lines(&param_file(root, "interactive", query), |line| IcParams::from_json(query, line))
 }
 
 #[cfg(test)]
@@ -109,7 +106,7 @@ mod tests {
             }
         }
         // A bad line is refused with its file and line number.
-        let path = bi_file(&dir, 5);
+        let path = param_file(&dir, "bi", 5);
         fs::write(&path, "{\"country\": \"Chile\"}\n{\"country\": 7}\n").unwrap();
         let err = read_bi_params(&dir, 5).unwrap_err().to_string();
         assert!(err.contains("bi_5_param.txt:2") && err.contains("\"country\": expected"), "{err}");

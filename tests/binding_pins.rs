@@ -109,8 +109,11 @@ fn every_binding_round_trips_its_substitution_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The JSON reader's hostile cases are `snb_core::binding`'s unit tests;
+/// here BI 2's `minCount`, which the parent's writer left out, and an
+/// unknown query number.
 #[test]
-fn hostile_substitution_lines_are_typed_errors() {
+fn bi2_min_count_has_its_key_and_unknown_queries_are_refused() {
     let p = BiParams::Q2(bi02::Params {
         start_date: Date::from_ymd(2010, 1, 1),
         end_date: Date::from_ymd(2010, 2, 1),
@@ -123,18 +126,9 @@ fn hostile_substitution_lines_are_typed_errors() {
         line,
         r#"{"startDate": "2010-01-01", "endDate": "2010-02-01", "country1": "Chile", "country2": "Peru", "minCount": 100}"#
     );
-    let cases = [
-        (line.replace(r#", "minCount": 100"#, ""), "missing key \"minCount\""),
-        (line.replace('}', r#", "tag": "x"}"#), "\"tag\": unknown key"),
-        (line.replace(r#""Peru""#, "7"), "\"country2\": expected '\"'"),
-        (line[..line.find("Peru").unwrap() + 4].to_string(), "unterminated string"),
-        (line.replace("Chile", r"Ch\u00zzle"), "bad escape"),
-        (format!("{line},"), "trailing bytes"),
-        (line.replace("100", "18446744073709551616"), "as u64"),
-    ];
-    for (hostile, want) in cases {
-        let err = BiParams::from_json(2, &hostile).expect_err(&hostile);
-        assert!(err.0.contains(want), "{hostile}: {err:?} lacks {want:?}");
-    }
-    assert!(BiParams::from_json(26, &line).unwrap_err().0.contains("unknown BI query 26"));
+    assert_eq!(format!("{:?}", BiParams::from_json(2, &line).unwrap()), format!("{p:?}"));
+    let err = BiParams::from_json(2, &line.replace(r#", "minCount": 100"#, "")).unwrap_err();
+    assert_eq!(err.0, r#"missing key "minCount""#);
+    let err = BiParams::from_json(26, &line).unwrap_err();
+    assert_eq!(err.0, "unknown BI query 26");
 }
