@@ -68,7 +68,7 @@ echo "==> one write-ack contract (no group commit, no fsync batching, no flush g
 # Every write ack follows its own batch's fsync: submit_batch applies to a
 # private clone, SegmentedWal::append writes and fsyncs the record, then
 # the batch is published and acked. A deferred or shared flush would let
-# an ack, a publish or a shipped record get ahead of the disk.
+# an ack or a publish get ahead of the disk.
 if grep -rnE --include='*.rs' 'group_commit|fsync_every|GROUP_COMMIT_WINDOW|wait_for_flush|flushed_seq' \
   crates/*/src; then
   echo "a second write-ack mode is back: ack only after the batch's own fsync" >&2
@@ -144,9 +144,11 @@ cargo test -q --release -p snb-server --lib wal:: > /dev/null
 # over all 25 BI queries, and requires a clean exit on SIGTERM.
 target/release/service_load 0.001 --chaos --server-bin target/release/snb-server
 
-echo "==> removed knobs stay gone (--partitions, --shed-oldest, the lane and write-ack knobs -> unknown flag, exit 2)"
+echo "==> removed knobs stay gone (--partitions, --shed-oldest, the lane, write-ack and replication knobs -> unknown flag, exit 2)"
 for FLAG in --partitions --shed-oldest --short-cap --heavy-cap --write-cap --short-weight \
-  --short-deadline-ms --deadline-ms --fsync-every --group-commit --write-workers; do
+  --short-deadline-ms --deadline-ms --fsync-every --group-commit --write-workers \
+  --repl-port --follower --replicate-from --promote --announce-repl --announce-client \
+  --siblings --epoch-floor; do
   set +e
   FLAG_ERR="$(target/release/snb-server 0.001 "$FLAG" 2>&1 >/dev/null)"
   FLAG_STATUS=$?
@@ -202,21 +204,5 @@ echo "==> connection sweep (reactor ladder + starvation gate)"
 # error, the reactor holds every level's connections at once, the
 # BI-flood phase sheds no short read, and no snapshot reader blocks.
 target/release/service_load 0.001 --sweep --sweep-levels 1,8,64 --sweep-duration 500ms
-
-echo "==> replication (log shipping, SIGKILL failover, oracle equality)"
-# E17: one primary + two follower processes: cold-WAL catch-up, lag
-# sampling, a read ladder (its 1.8x gate self-waives below 4 cores), a
-# SIGKILL failover with outbox replay, and all 25 BI queries on the
-# promoted node against an every-batch oracle.
-target/release/service_load 0.001 --replication --followers 2 \
-  --server-bin target/release/snb-server
-
-echo "==> split-brain (net.partition, fencing epochs, auto re-subscribe)"
-# E18: the primary is black-holed mid-traffic, a follower is promoted at
-# a bumped fencing epoch, and writes keep hitting both nodes. The zombie
-# must ack nothing after the promotion, no acked write may be lost, the
-# surviving follower re-subscribes on its own, and both survivors answer
-# all 25 BI queries like an every-batch oracle.
-target/release/service_load 0.001 --split-brain --server-bin target/release/snb-server
 
 echo "CI OK"

@@ -45,10 +45,10 @@ use snb_datagen::dictionaries::StaticWorld;
 use snb_datagen::stream::UpdateEvent;
 use snb_engine::QueryContext;
 use snb_params::ParamGen;
-use snb_server::{ErrorKind, ServiceParams, WriteOps};
+use snb_server::{ErrorKind, ServiceParams, WriteBatch, WriteOps};
 use snb_store::{DeleteOp, Store};
 
-use crate::node::{call, submit, Node, Refusal};
+use crate::node::{call, submit, Node};
 use crate::Args;
 
 /// Sequenced batches carved from a real update stream: chunks of
@@ -144,7 +144,7 @@ pub fn verify_bi(
 pub fn run(args: &Args) {
     let wal_dir = std::env::temp_dir().join(format!("snb_chaos_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let spawn = |faults: Option<&str>| Node::spawn(args, "server", &wal_dir, &[], faults);
+    let spawn = |faults: Option<&str>| Node::spawn(args, "server", &wal_dir, faults);
 
     eprintln!("# chaos: carving write batches (scale {}, seed {})", args.scale, args.config.seed);
     let (base_store, stream) = snb_store::bulk_store_and_stream(&args.config);
@@ -212,8 +212,9 @@ pub fn run(args: &Args) {
     acked[3] = true;
     dedupes += 1;
     faults += 1;
-    match submit(&mut conn, 5, seq_ops(5)) {
-        Err(Refusal::Typed(ErrorKind::StorePoisoned, _)) => {}
+    let write = ServiceParams::Write(WriteBatch { seq: 5, ops: seq_ops(5).clone() });
+    match call(&mut conn, 5, 0, write).expect("seq 5 answers").body {
+        Err(e) if e.kind == ErrorKind::StorePoisoned => {}
         other => panic!("seq 5 must be refused store_poisoned, got {other:?}"),
     }
     // The degraded store refuses reads too — with a typed error, not a

@@ -1,9 +1,8 @@
-//! The service's pass/fail gates (experiments E13, E16–E18).
+//! The service's pass/fail gates (experiments E13 and E16).
 //!
 //! ```text
-//! service_load [SF] [SEED] (--chaos | --replication | --split-brain | --sweep)
-//!              [--followers N] [--sweep-levels 1,2,...,1024] [--sweep-duration 2s]
-//!              [--server-bin PATH]
+//! service_load [SF] [SEED] (--chaos | --sweep)
+//!              [--sweep-levels 1,2,...,1024] [--sweep-duration 2s] [--server-bin PATH]
 //! ```
 //!
 //! Each mode runs one experiment, prints its table, and exits non-zero
@@ -13,20 +12,12 @@
 //!   points, restarts it, resubmits every unacked batch, and proves the
 //!   recovered store answers all 25 BI queries like an oracle that
 //!   applied the acknowledged batches once each (see `chaos.rs`).
-//! - `--replication` runs a primary plus `--followers N` follower
-//!   processes through cold catch-up, live log shipping, a read ladder
-//!   and a SIGKILL failover, then checks the promoted node against the
-//!   every-batch oracle (see `replication.rs`).
-//! - `--split-brain` partitions the primary, promotes a follower at a
-//!   higher fencing epoch, and proves the zombie acks nothing, no acked
-//!   write is lost, and both survivors answer like the oracle (see
-//!   `split_brain.rs`).
 //! - `--sweep` ladders 1 → 1024 concurrent TCP connections against the
 //!   reactor, then floods the heavy lane and probes the short one (see
 //!   `sweep.rs`).
 //!
-//! The three multi-process modes spawn `snb-server` (`--server-bin`,
-//! default: next to this binary) through `node.rs`. Throughput and
+//! `--chaos` spawns `snb-server` (`--server-bin`, default: next to this
+//! binary) through `node.rs`. Throughput and
 //! latency of the service are measured by the repo benchmark
 //! (`benchmark/`), not here.
 
@@ -36,15 +27,11 @@ use snb_datagen::GeneratorConfig;
 
 mod chaos;
 mod node;
-mod replication;
-mod split_brain;
 mod sweep;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Chaos,
-    Replication,
-    SplitBrain,
     Sweep,
 }
 
@@ -52,7 +39,6 @@ struct Args {
     config: GeneratorConfig,
     scale: String,
     mode: Mode,
-    followers: usize,
     sweep_levels: Vec<usize>,
     sweep_duration: Duration,
     server_bin: String,
@@ -70,7 +56,6 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
 fn parse_args() -> Result<Args, String> {
     let mut positionals: Vec<String> = Vec::new();
     let mut mode = None;
-    let mut followers = 2;
     let mut sweep_levels = vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
     let mut sweep_duration = Duration::from_secs(2);
     let mut server_bin = None;
@@ -79,17 +64,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         let picked = match arg.as_str() {
             "--chaos" => Some(Mode::Chaos),
-            "--replication" => Some(Mode::Replication),
-            "--split-brain" => Some(Mode::SplitBrain),
             "--sweep" => Some(Mode::Sweep),
-            "--followers" => {
-                followers =
-                    need("--followers", argv.next())?.parse().map_err(|e| format!("{e}"))?;
-                if followers == 0 {
-                    return Err("--followers needs at least one follower".into());
-                }
-                None
-            }
             "--sweep-levels" => {
                 sweep_levels = need("--sweep-levels", argv.next())?
                     .split(',')
@@ -120,7 +95,7 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    let mode = mode.ok_or("pick a mode: --chaos, --replication, --split-brain or --sweep")?;
+    let mode = mode.ok_or("pick a mode: --chaos or --sweep")?;
     let scale = positionals.first().cloned().unwrap_or_else(|| "0.01".into());
     let mut config = GeneratorConfig::for_scale_name(&scale)
         .ok_or_else(|| format!("unknown scale factor {scale:?}"))?;
@@ -131,7 +106,7 @@ fn parse_args() -> Result<Args, String> {
         let exe = std::env::current_exe().expect("current_exe");
         exe.parent().expect("target dir").join("snb-server").display().to_string()
     });
-    Ok(Args { config, scale, mode, followers, sweep_levels, sweep_duration, server_bin })
+    Ok(Args { config, scale, mode, sweep_levels, sweep_duration, server_bin })
 }
 
 fn main() {
@@ -141,8 +116,6 @@ fn main() {
     });
     match args.mode {
         Mode::Chaos => chaos::run(&args),
-        Mode::Replication => replication::run(&args),
-        Mode::SplitBrain => split_brain::run(&args),
         Mode::Sweep => sweep::run(&args),
     }
 }

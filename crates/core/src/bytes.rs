@@ -1,12 +1,13 @@
 //! The one byte codec: every wire and durable format of the workspace —
-//! client and replication frames, update events, WAL records, the
-//! store-image header and the store image — writes and reads its
-//! integers, lengths and checksums here, and nowhere else.
+//! client frames, update events, WAL records, the store-image header
+//! and the store image — writes and reads its integers, lengths and
+//! checksums here, and nowhere else.
 //!
 //! Fixed-width integers are little-endian. A string is UTF-8 behind a
-//! `u16` byte length ([`put_str`]) or a LEB128 varint length
-//! ([`put_varint_str`]); a string list is a `u16` count and the strings
-//! ([`put_strs`]). A delta run stores each value as the zigzag varint
+//! short length ([`put_str`]: a `u16`, or `0xFFFF` and a `u32` from
+//! 65 535 bytes on) or a LEB128 varint length ([`put_varint_str`]); a
+//! string list is a short count and the strings ([`put_strs`]). Nothing
+//! is ever cut to fit a length field. A delta run stores each value as the zigzag varint
 //! of its difference from the previous one ([`put_deltas`]). A checked
 //! frame is `[u32 len][u64 fnv64(body)][body]` ([`put_checked`]).
 //!
@@ -31,8 +32,8 @@ impl Malformed {
     }
 }
 
-/// FNV-1a 64: the checksum of WAL records, store-image sections and
-/// headers, and shipped images.
+/// FNV-1a 64: the checksum of WAL records and of store-image sections
+/// and headers.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -79,18 +80,28 @@ fixed_width! {
     put_i64, i64: i64;
 }
 
-/// Appends a `u16` byte length + the UTF-8 bytes, cut at `u16::MAX`.
+/// Appends a short length: a `u16` below `0xFFFF`, else `0xFFFF` and a
+/// `u32`. Panics at 4 Gi or more.
 #[inline]
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
-    put_u16(buf, bytes.len() as u16);
-    buf.extend_from_slice(bytes);
+fn put_short_len(buf: &mut Vec<u8>, n: usize) {
+    if n < usize::from(u16::MAX) {
+        put_u16(buf, n as u16);
+    } else {
+        put_u16(buf, u16::MAX);
+        put_u32(buf, u32::try_from(n).expect("a short length is under 4 Gi"));
+    }
 }
 
-/// Appends a `u16` count (cut at `u16::MAX`) + that many [`put_str`]s.
+/// Appends a short byte length + the UTF-8 bytes.
+#[inline]
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_short_len(buf, s.len());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Appends a short count + that many [`put_str`]s.
 pub fn put_strs(buf: &mut Vec<u8>, ss: &[String]) {
-    let ss = &ss[..ss.len().min(u16::MAX as usize)];
-    put_u16(buf, ss.len() as u16);
+    put_short_len(buf, ss.len());
     for s in ss {
         put_str(buf, s);
     }
@@ -212,11 +223,22 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(bytes).map_err(|_| Malformed("invalid UTF-8 in string".into()))
     }
 
+    /// A short length or count ([`put_str`], [`put_strs`]) that passes
+    /// the count rule for elements of at least `each` bytes.
+    #[inline]
+    fn short_len(&mut self, each: usize) -> Result<usize, Malformed> {
+        let n = match self.u16()? {
+            u16::MAX => u64::from(self.u32()?),
+            n => u64::from(n),
+        };
+        self.count(n, each)
+    }
+
     /// A [`put_str`] string.
     #[inline]
     pub fn str(&mut self) -> Result<&'a str, Malformed> {
-        let n = self.u16()?;
-        Self::utf8(self.take(n.into())?)
+        let n = self.short_len(1)?;
+        Self::utf8(self.take(n)?)
     }
 
     /// A [`put_str`] string, owned.
@@ -227,8 +249,8 @@ impl<'a> Reader<'a> {
 
     /// A [`put_strs`] list.
     pub fn strings(&mut self) -> Result<Vec<String>, Malformed> {
-        let n = self.u16()?;
-        self.many(n.into(), 2, Reader::string)
+        let n = self.short_len(2)?;
+        self.many(n, 2, Reader::string)
     }
 
     /// A [`put_varint_str`] string.
@@ -403,6 +425,38 @@ mod tests {
             })();
             assert!(all.is_err(), "cut at {cut} must not decode");
         }
+    }
+
+    #[test]
+    fn long_strings_and_lists_are_never_cut() {
+        let wide = "é".repeat(40_000);
+        let strs: Vec<String> = (0..70_000).map(|i| (i % 10).to_string()).collect();
+        for n in [0xFFFE, 0xFFFF, 0x1_0000, 70_000] {
+            let ascii = "x".repeat(n);
+            let mut buf = Vec::new();
+            put_str(&mut buf, &ascii);
+            put_str(&mut buf, &wide);
+            put_strs(&mut buf, &strs[..n]);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.str(), Ok(ascii.as_str()));
+            assert_eq!(r.str(), Ok(wide.as_str()));
+            assert_eq!(r.strings().unwrap(), strs[..n]);
+            r.finish().unwrap();
+        }
+        // Below 0xFFFF the layout is the `u16` form alone; from 0xFFFF
+        // on, the `u32` follows.
+        let mut buf = Vec::new();
+        put_str(&mut buf, &"x".repeat(0xFFFE));
+        assert_eq!(buf[..2], [0xFE, 0xFF]);
+        buf.clear();
+        put_str(&mut buf, &"x".repeat(0xFFFF));
+        assert_eq!(buf[..6], [0xFF, 0xFF, 0xFF, 0xFF, 0, 0]);
+        // A long form whose length cannot fit is refused by the count
+        // rule.
+        let mut hostile = vec![0xFF, 0xFF];
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Reader::new(&hostile).str().unwrap_err().0.contains("exceeds"));
+        assert!(Reader::new(&hostile).strings().unwrap_err().0.contains("exceeds"));
     }
 
     #[test]

@@ -16,21 +16,12 @@
 //!
 //! What a firing fault *does* is described by [`Fault`]: tear a write
 //! short, panic, stall, abort the process (the in-process equivalent of
-//! a SIGKILL — no destructors, no flushes), surface an injected I/O
-//! error, or open a **network partition window** (`partition[:MS]`) —
-//! a process-wide flag ([`partition_active`]) the transport layer
-//! consults to black-hole traffic *without closing any socket*: reads
-//! see no data, writes pretend to succeed, peers observe pure silence.
-//! The window heals itself after `MS` milliseconds (default 60 000),
-//! which makes split-brain scenarios deterministic: the fault fires at
-//! an exact hit count, the partition lasts an exact wall-clock span,
-//! and the harness promotes / drives / heals on the same schedule every
-//! run. Effects compose (`short:12,stall` = write 12 bytes then hang
+//! a SIGKILL — no destructors, no flushes), or surface an injected I/O
+//! error. Effects compose (`short:12,stall` = write 12 bytes then hang
 //! until the harness delivers the real SIGKILL).
 //!
 //! ```text
 //! SNB_FAULTS="wal.append.short_write=short:12,stall@h3;writer.apply.panic=panic@h5"
-//! SNB_FAULTS="net.partition=partition:4000@h40"
 //! ```
 
 #![warn(missing_docs)]
@@ -55,9 +46,6 @@ pub struct Fault {
     pub panic: bool,
     /// Surface an injected error from the fault point.
     pub error: bool,
-    /// Open a process-wide network-partition window lasting this many
-    /// milliseconds (see [`partition_active`]). `0` = no partition.
-    pub partition_ms: u64,
 }
 
 impl Fault {
@@ -82,7 +70,6 @@ impl Fault {
                 "kill" => f.kill = true,
                 "panic" => f.panic = true,
                 "err" => f.error = true,
-                "partition" => f.partition_ms = num(value, 60_000)?,
                 other => return Err(format!("unknown fault effect {other:?}")),
             }
         }
@@ -93,9 +80,6 @@ impl Fault {
     /// whether the caller should surface an injected error. The
     /// short-write leg is the caller's job (only it holds the buffer).
     pub fn trip(&self, point: &str) -> bool {
-        if self.partition_ms > 0 {
-            start_partition(self.partition_ms);
-        }
         if self.stall_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(self.stall_ms));
         }
@@ -133,48 +117,6 @@ struct Registry {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Millisecond deadline (relative to [`partition_anchor`]) until which
-/// the partition window is open; `0` = no partition.
-static PARTITION_UNTIL_MS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Fixed time origin for the partition deadline arithmetic.
-fn partition_anchor() -> std::time::Instant {
-    static ANCHOR: OnceLock<std::time::Instant> = OnceLock::new();
-    *ANCHOR.get_or_init(std::time::Instant::now)
-}
-
-/// Opens (or extends) the process-wide partition window for `ms`
-/// milliseconds from now.
-pub fn start_partition(ms: u64) {
-    let now = partition_anchor().elapsed().as_millis() as u64;
-    PARTITION_UNTIL_MS.fetch_max(now.saturating_add(ms.max(1)), Ordering::SeqCst);
-}
-
-/// Closes the partition window immediately (tests and shutdown paths).
-pub fn heal_partition() {
-    PARTITION_UNTIL_MS.store(0, Ordering::SeqCst);
-}
-
-/// Whether the process is inside an injected network-partition window.
-/// Transport layers consult this to black-hole traffic without closing
-/// sockets: reads report no data, writes pretend to succeed, and the
-/// peer sees pure silence until the window expires on its own. One
-/// relaxed-ish atomic load when no partition was ever armed.
-#[inline]
-pub fn partition_active() -> bool {
-    let until = PARTITION_UNTIL_MS.load(Ordering::Acquire);
-    if until == 0 {
-        return false;
-    }
-    let now = partition_anchor().elapsed().as_millis() as u64;
-    if now >= until {
-        // Expired: heal, racing stores only re-extend a live window.
-        let _ = PARTITION_UNTIL_MS.compare_exchange(until, 0, Ordering::SeqCst, Ordering::SeqCst);
-        return false;
-    }
-    true
-}
 
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
@@ -370,33 +312,8 @@ mod tests {
         assert!(arm_from_spec("nope", 0).is_err(), "missing '='");
         assert!(arm_from_spec("a=warp@h1", 0).is_err(), "unknown effect");
         assert!(arm_from_spec("a=err@x1", 0).is_err(), "unknown trigger");
-
-        let n = arm_from_spec("net.partition=partition:4000@h40", 2).unwrap();
-        assert_eq!(n, 1);
-        let (point, fault, _) = parse_clause("net.partition=partition:4000@h40").unwrap();
-        assert_eq!(point, "net.partition");
-        assert_eq!(fault.partition_ms, 4000);
-        let (_, fault, _) = parse_clause("net.partition=partition@h1").unwrap();
-        assert_eq!(fault.partition_ms, 60_000, "bare 'partition' defaults to 60s");
+        assert!(arm_from_spec("net.partition=partition:4000@h40", 0).is_err(), "removed effect");
         disarm_all();
-    }
-
-    #[test]
-    fn partition_window_opens_and_heals() {
-        let _g = lock();
-        heal_partition();
-        assert!(!partition_active(), "no window armed");
-        // Tripping a partition fault opens the window for its span.
-        let f = Fault { partition_ms: 60, ..Fault::default() };
-        assert!(!f.trip("net.partition"), "partition is not an error leg");
-        assert!(partition_active(), "window open right after the trip");
-        std::thread::sleep(std::time::Duration::from_millis(80));
-        assert!(!partition_active(), "window heals itself after the span");
-        // Manual heal closes an open window immediately.
-        start_partition(60_000);
-        assert!(partition_active());
-        heal_partition();
-        assert!(!partition_active());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Store images: the compaction artifact, the recovery starting point
-//! and the follower bootstrap payload.
+//! Store images: the compaction artifact and the recovery starting
+//! point.
 //!
 //! A **store image** (`store.img`) is the full [`Store`] serialised
 //! through [`snb_store::image`]'s checksummed codec at a known write
@@ -8,25 +8,23 @@
 //! log behind it), so a WAL directory holds the log and at most one
 //! image. Recovery that finds an image decodes it and replays only the
 //! log records written after `seq` — cost bounded
-//! by live-data size plus tail length, flat in history. The same file
-//! is what a follower whose cursor is at or below `seq` is offered over
-//! the replication socket ([`crate::proto::ReplFrame::ImageOffer`]):
-//! the log no longer holds those records, so the image is the only
-//! way to catch such a follower up.
+//! by live-data size plus tail length, flat in history.
 //!
 //! ## File format
 //!
 //! Every field goes through [`snb_core::bytes`]:
 //!
 //! ```text
-//! [8B magic "SNBIMG1\n"][u16 scale_len][scale][u64 seed][u64 epoch]
-//! [u64 seq][u32 shards = 1][u64 body_len][u64 fnv64(body)]
+//! [8B magic "SNBIMG2\n"][scale (put_str)][u64 seed][u64 seq]
+//! [u32 shards = 1][u64 body_len][u64 fnv64(body)]
 //! [u64 fnv64(header bytes above)][body = snb_store::image payload]
 //! ```
 //!
 //! Scale and seed bind the image to its dataset exactly like the WAL
-//! header does; `seq` is the write sequence the image captures; `epoch`
-//! the fencing term it was written under. The `u32` is always 1: older
+//! header does; `seq` is the write sequence the image captures. An
+//! image in format version 1 (`SNBIMG1\n`, which also carried a `u64`
+//! fencing epoch before `seq`) is refused with an error naming the
+//! version. The `u32` is always 1: older
 //! builds recorded how many shards their log was split across there,
 //! and an image with any other value is refused with an error naming
 //! the file, since the log it belongs beside is one this build cannot
@@ -55,17 +53,15 @@ use snb_core::{SnbError, SnbResult};
 use snb_store::{decode_store, encode_store, Store};
 
 /// Magic prefix of `store.img`.
-pub const IMAGE_MAGIC: &[u8; 8] = b"SNBIMG1\n";
+pub const IMAGE_MAGIC: &[u8; 8] = b"SNBIMG2\n";
 /// The store-image file name inside a WAL directory.
 pub const IMAGE_FILE: &str = "store.img";
 const IMAGE_TMP: &str = "store.img.tmp";
 
-/// The image header: everything recovery and the replication offer need
-/// without decoding the body.
+/// The image header: everything recovery needs without decoding the
+/// body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImageHeader {
-    /// Fencing epoch the image was written under.
-    pub epoch: u64,
     /// Write sequence number the image captures (recovery replays the
     /// WAL strictly after this).
     pub seq: u64,
@@ -80,7 +76,6 @@ fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
     out.extend_from_slice(IMAGE_MAGIC);
     put_str(&mut out, scale);
     put_u64(&mut out, seed);
-    put_u64(&mut out, h.epoch);
     put_u64(&mut out, h.seq);
     put_u32(&mut out, 1);
     put_u64(&mut out, h.body_len);
@@ -90,24 +85,40 @@ fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
     out
 }
 
+/// Reads the 8-byte magic of a format whose version is its seventh byte
+/// (`SNBWAL2\n`, `SNBIMG2\n`). The same magic at another version is
+/// refused with an error naming that version, anything else as not a
+/// `what` at all.
+pub(crate) fn read_magic(r: &mut Reader<'_>, want: &[u8; 8], what: &str) -> Result<(), Malformed> {
+    let got = r.take(want.len()).unwrap_or_default();
+    if got == want {
+        return Ok(());
+    }
+    if got.len() == want.len() && got[..6] == want[..6] && got[7] == want[7] {
+        let (got, want) = (char::from(got[6]), char::from(want[6]));
+        return Err(Malformed(format!(
+            "{what} format version {got}; this build reads version {want} only, \
+             so recover the directory with the build that wrote it"
+        )));
+    }
+    Err(Malformed(format!("bad or missing magic (not a {what})")))
+}
+
 /// Parses and verifies the header, returning it and the bytes after it
-/// (the body). Every mismatch — magic, scale, seed, checksum,
-/// truncation, a shard count other than 1 — is a hard error.
+/// (the body). Every mismatch — magic and format version, scale, seed,
+/// checksum, truncation, a shard count other than 1 — is a hard error.
 fn decode_header<'a>(
     bytes: &'a [u8],
     scale: &str,
     seed: u64,
 ) -> Result<(ImageHeader, &'a [u8]), Malformed> {
     let mut r = Reader::new(bytes);
-    if r.take(IMAGE_MAGIC.len()).ok() != Some(IMAGE_MAGIC) {
-        return Err(Malformed("bad magic (not a store image)".into()));
-    }
+    read_magic(&mut r, IMAGE_MAGIC, "store image")?;
     let got_scale = r.str()?;
     if got_scale != scale {
         return Err(Malformed(format!("scale mismatch: image {got_scale:?}, store {scale:?}")));
     }
     let got_seed = r.u64()?;
-    let epoch = r.u64()?;
     let seq = r.u64()?;
     let shards = r.u32()?;
     let body_len = r.u64()?;
@@ -124,36 +135,37 @@ fn decode_header<'a>(
             "image belongs beside a log split across {shards} shards by an older build"
         )));
     }
-    Ok((ImageHeader { epoch, seq, body_len, body_fnv }, &bytes[r.pos()..]))
+    Ok((ImageHeader { seq, body_len, body_fnv }, &bytes[r.pos()..]))
 }
 
 /// Atomically writes `store.img` under `dir` capturing `store` at
-/// (`seq`, `epoch`). Returns the file size in bytes. Crash-safe: the
-/// image lands via temp + fsync + rename, so a SIGKILL at any point
-/// leaves either the previous image or the new one, never a torn file.
-/// Call `sync_dir` before relying on the new image over the old one.
-/// `partitions` must be 1; anything else is refused before a byte is
-/// written.
+/// `seq`. Returns the file size in bytes. Crash-safe: the image lands
+/// via temp + fsync + rename, so a SIGKILL at any point leaves either
+/// the previous image or the new one, never a torn file. Call
+/// `sync_dir` before relying on the new image over the old one.
+/// `epoch` must be 0 and `partitions` 1; anything else is refused
+/// before a byte is written.
 pub fn write_image(
     dir: &Path,
     scale: &str,
     seed: u64,
+    // `epoch` and `partitions` are kept only because the frozen
+    // `benchmark/` package passes them.
     epoch: u64,
     seq: u64,
-    // Kept only because the frozen `benchmark/` package passes it.
     partitions: usize,
     store: &Store,
 ) -> SnbResult<u64> {
-    if partitions != 1 {
+    if epoch != 0 || partitions != 1 {
         return Err(SnbError::Config(format!(
-            "write_image takes a shard count of 1, got {partitions}"
+            "write_image takes epoch 0 and shard count 1, got {epoch} and {partitions}"
         )));
     }
     let body = encode_store(store);
     let header = encode_header(
         scale,
         seed,
-        &ImageHeader { epoch, seq, body_len: body.len() as u64, body_fnv: fnv64(&body) },
+        &ImageHeader { seq, body_len: body.len() as u64, body_fnv: fnv64(&body) },
     );
     let tmp_path = dir.join(IMAGE_TMP);
     let final_path = dir.join(IMAGE_FILE);
@@ -207,23 +219,9 @@ pub fn image_info(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<ImageH
     decode_header(&buf, scale, seed).map(|(h, _)| Some(h)).map_err(|e| e.at(path.display()))
 }
 
-/// Reads the raw bytes of `dir`'s image file (the replication shipping
-/// path sends these verbatim). Hard error if absent.
-pub fn read_image_bytes(dir: &Path) -> SnbResult<Vec<u8>> {
-    Ok(std::fs::read(dir.join(IMAGE_FILE))?)
-}
-
-/// Parses and world-checks just the header of an in-memory image blob.
-/// The shipping path uses this to stamp the offer from the very bytes
-/// it is about to send — the on-disk file can be superseded (atomic
-/// rename) between a stat and a read, so the bytes are the truth.
-pub fn peek_header(bytes: &[u8], scale: &str, seed: u64) -> SnbResult<ImageHeader> {
-    decode_header(bytes, scale, seed).map(|(h, _)| h).map_err(|e| e.at("<shipped image>"))
-}
-
-/// Verifies and decodes a complete image byte buffer (a local file or a
-/// shipped bootstrap blob) into a store plus its header.
-pub fn decode_image(
+/// Verifies and decodes a complete image file's bytes into a store
+/// plus its header.
+pub(crate) fn decode_image(
     bytes: &[u8],
     scale: &str,
     seed: u64,
@@ -255,31 +253,6 @@ pub fn load_image(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<(Store
     decode_image(&bytes, scale, seed, &path).map(Some)
 }
 
-/// Persists a shipped image blob into `dir` (atomic, like
-/// [`write_image`], and like it not durable until `sync_dir`) after
-/// verifying it decodes to a store that passes
-/// [`Store::validate_invariants`] — the follower bootstrap landing step,
-/// so a checksummed but inconsistent store is neither landed nor
-/// published. Returns the decoded store and header.
-pub fn install_image_bytes(
-    dir: &Path,
-    scale: &str,
-    seed: u64,
-    bytes: &[u8],
-) -> SnbResult<(Store, ImageHeader)> {
-    let final_path = dir.join(IMAGE_FILE);
-    let (store, header) = decode_image(bytes, scale, seed, &final_path)?;
-    store.validate_invariants()?;
-    std::fs::create_dir_all(dir)?;
-    let tmp_path = dir.join(IMAGE_TMP);
-    let mut tmp = File::create(&tmp_path)?;
-    tmp.write_all(bytes)?;
-    tmp.sync_data()?;
-    drop(tmp);
-    std::fs::rename(&tmp_path, &final_path)?;
-    Ok((store, header))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,11 +275,10 @@ mod tests {
     fn write_then_load_round_trips() {
         let dir = tmp_dir("roundtrip");
         let store = small_store();
-        let bytes = write_image(&dir, "0.001", 7, 3, 42, 1, &store).unwrap();
+        let bytes = write_image(&dir, "0.001", 7, 0, 42, 1, &store).unwrap();
         assert!(bytes > 0);
         let info = image_info(&dir, "0.001", 7).unwrap().expect("image present");
         assert_eq!(info.seq, 42);
-        assert_eq!(info.epoch, 3);
         let (loaded, header) = load_image(&dir, "0.001", 7).unwrap().expect("image present");
         assert_eq!(header, info);
         assert_eq!(encode_store(&loaded), encode_store(&store));
@@ -316,8 +288,11 @@ mod tests {
     #[test]
     fn write_image_refuses_a_shard_count_other_than_one() {
         let dir = tmp_dir("shards");
-        let refused = write_image(&dir, "0.001", 7, 0, 1, 2, &small_store());
-        assert!(matches!(refused, Err(SnbError::Config(_))), "{refused:?}");
+        // A non-zero epoch is refused the same way.
+        for (epoch, shards) in [(0, 2), (3, 1)] {
+            let refused = write_image(&dir, "0.001", 7, epoch, 1, shards, &small_store());
+            assert!(matches!(refused, Err(SnbError::Config(_))), "{refused:?}");
+        }
         assert!(std::fs::read_dir(&dir).unwrap().next().is_none(), "nothing may be written");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -363,31 +338,5 @@ mod tests {
             assert!(load_image(&dir, "0.001", 7).is_err(), "truncation at {cut} must be refused");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn install_bytes_verifies_before_landing() {
-        let dir = tmp_dir("install-src");
-        let dst = tmp_dir("install-dst");
-        let store = small_store();
-        write_image(&dir, "0.001", 7, 2, 11, 1, &store).unwrap();
-        let bytes = read_image_bytes(&dir).unwrap();
-        let (installed, header) = install_image_bytes(&dst, "0.001", 7, &bytes).unwrap();
-        assert_eq!(header.seq, 11);
-        assert_eq!(encode_store(&installed), encode_store(&store));
-        assert!(dst.join(IMAGE_FILE).exists(), "blob must be persisted");
-        // A corrupted blob never lands on disk.
-        let mut bad = bytes.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xff;
-        let before = std::fs::read(dst.join(IMAGE_FILE)).unwrap();
-        assert!(install_image_bytes(&dst, "0.001", 7, &bad).is_err());
-        assert_eq!(
-            std::fs::read(dst.join(IMAGE_FILE)).unwrap(),
-            before,
-            "corrupt blob must not land"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dst);
     }
 }

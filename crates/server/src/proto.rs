@@ -12,8 +12,9 @@
 //! error from the service taxonomy ([`ErrorKind`]).
 //!
 //! Every integer, string and length goes through [`snb_core::bytes`]:
-//! integers are little-endian, strings are `u16` length + UTF-8 bytes,
-//! string lists are `u16` count + strings. A BI or IC binding's fields
+//! integers are little-endian, strings are a short length (`u16`, or
+//! `0xFFFF` + `u32` from 65 535 bytes on) + UTF-8 bytes, string lists
+//! are a short count + strings; nothing is cut. A BI or IC binding's fields
 //! follow in the order its module's `query_params!` declaration lists
 //! them (`BiParams::put` / `BiParams::get`, the same for `IcParams`).
 //! [`encode_params`] and the binding half of [`decode_request`] are
@@ -175,9 +176,8 @@ pub struct Request {
     pub deadline_us: u64,
     /// Bounded-staleness floor: the server must have applied at least
     /// this write sequence number before serving the read, else it
-    /// answers [`ErrorKind::StaleRead`]. `0` means "any version" —
-    /// every request before replication existed, and every client that
-    /// doesn't care about freshness.
+    /// answers [`ErrorKind::StaleRead`]. `0` means "any version" — every
+    /// client that does not wait on its own writes.
     pub min_seq: u64,
     /// The query binding to execute.
     pub params: ServiceParams,
@@ -226,25 +226,15 @@ pub enum ErrorKind {
     /// retrying a spent deadline only burns more of the caller's
     /// budget.
     DeadlineOverrun,
-    /// A write was sent to a read-only replica. Terminal with redirect:
-    /// re-sending the same write here can never succeed — the client
-    /// must route it to the primary instead. The detail names the
-    /// node's role so operators can see misrouted traffic in logs.
-    NotPrimary,
-    /// A read demanded `min_seq` freshness the node hasn't replayed
-    /// yet. Retryable — replication lag drains, so the same request
-    /// sent a moment later (or to a fresher node) succeeds.
+    /// A read demanded `min_seq` freshness the server has not applied
+    /// yet. Retryable: the same request sent once the write at
+    /// `min_seq` is acknowledged succeeds.
     StaleRead,
-    /// The node observed a higher fencing epoch: it *was* a primary,
-    /// but a follower has since been promoted, and acking writes here
-    /// would fork history. Terminal with redirect — like
-    /// [`ErrorKind::NotPrimary`], the detail carries the current
-    /// primary's address when known.
-    Fenced,
 }
 
 impl ErrorKind {
-    /// The wire code, 1–10.
+    /// The wire code: 1–7 and 9. Codes 8 and 10 are unassigned (older
+    /// builds' replica refusals) and decode as a typed error.
     pub(crate) fn code(self) -> u8 {
         match self {
             ErrorKind::Overloaded => 1,
@@ -254,9 +244,7 @@ impl ErrorKind {
             ErrorKind::Internal => 5,
             ErrorKind::StorePoisoned => 6,
             ErrorKind::DeadlineOverrun => 7,
-            ErrorKind::NotPrimary => 8,
             ErrorKind::StaleRead => 9,
-            ErrorKind::Fenced => 10,
         }
     }
 
@@ -269,9 +257,7 @@ impl ErrorKind {
             5 => Some(ErrorKind::Internal),
             6 => Some(ErrorKind::StorePoisoned),
             7 => Some(ErrorKind::DeadlineOverrun),
-            8 => Some(ErrorKind::NotPrimary),
             9 => Some(ErrorKind::StaleRead),
-            10 => Some(ErrorKind::Fenced),
             _ => None,
         }
     }
@@ -286,9 +272,7 @@ impl ErrorKind {
             ErrorKind::Internal => "internal",
             ErrorKind::StorePoisoned => "store_poisoned",
             ErrorKind::DeadlineOverrun => "deadline_overrun",
-            ErrorKind::NotPrimary => "not_primary",
             ErrorKind::StaleRead => "stale_read",
-            ErrorKind::Fenced => "fenced",
         }
     }
 }
@@ -307,8 +291,7 @@ pub struct OkBody {
     pub exec_us: u64,
     /// The highest write sequence number applied to the store version
     /// this request observed — the bounded-staleness stamp. A client
-    /// computes its lag as `primary_seq - applied_seq`, and can demand
-    /// freshness with [`Request::min_seq`].
+    /// can demand freshness with [`Request::min_seq`].
     pub applied_seq: u64,
     /// Operator counters for this request (present when the server runs
     /// with per-request profiling enabled; boxed, since most responses
@@ -699,325 +682,6 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-// ---------------------------------------------------------------------
-// Replication frames.
-// ---------------------------------------------------------------------
-
-/// Version byte leading every replication frame payload. Separate from
-/// [`PROTO_VERSION`] so the shipping protocol can evolve without
-/// breaking query clients. Version 2 dropped the shard count from
-/// `Hello` and the segment number from `Record`; a version-1 peer gets
-/// the version refusal.
-pub const REPL_VERSION: u8 = 2;
-
-const REPL_HELLO: u8 = 1;
-const REPL_RECORD: u8 = 2;
-const REPL_CAUGHT_UP: u8 = 3;
-const REPL_HEARTBEAT: u8 = 4;
-const REPL_PROMOTE: u8 = 5;
-const REPL_PROMOTED: u8 = 6;
-const REPL_DENY: u8 = 7;
-const REPL_ANNOUNCE: u8 = 8;
-const REPL_IMAGE_OFFER: u8 = 9;
-const REPL_IMAGE_CHUNK: u8 = 10;
-
-/// Largest `data` run carried by a single [`ReplFrame::ImageChunk`].
-/// Comfortably under [`MAX_FRAME`] (1 MiB) with headroom for the frame
-/// envelope, version byte, tag, and offset.
-pub const IMAGE_CHUNK_BYTES: usize = 256 * 1024;
-
-/// One frame of the log-shipping protocol, spoken on the replication
-/// listener (a separate port from query traffic). A follower opens the
-/// stream with `Hello`; the primary replays the acked WAL tail as
-/// `Record`s, marks the live edge with `CaughtUp`, then keeps shipping
-/// new records interleaved with `Heartbeat`s. `Promote`/`Promoted` ride
-/// the same codec because the operator (or failover harness) speaks to
-/// the follower's own replication listener to flip it writable.
-///
-/// Every primary-originated frame is stamped with the sender's
-/// **fencing epoch**: a receiver that knows a higher term drops the
-/// connection (the sender is a zombie), and a receiver that sees a
-/// higher term adopts it. The epoch is durable (WAL header) and bumped
-/// on promotion *before* the node goes writable, so two nodes can
-/// never ack writes under the same term.
-#[derive(Clone, Debug)]
-pub enum ReplFrame {
-    /// Follower → primary: subscribe to the log from `from_seq`
-    /// (exclusive — the follower already has everything at or below
-    /// it). Scale and seed must match the primary's or it
-    /// answers `Deny`: shipping records into a store built from a
-    /// different deterministic world would corrupt it silently.
-    Hello {
-        /// The follower's configured scale label.
-        scale: String,
-        /// The follower's datagen seed.
-        seed: u64,
-        /// Ship records with `seq > from_seq`.
-        from_seq: u64,
-        /// The highest fencing epoch the follower has observed. A
-        /// primary whose own epoch is lower has been fenced and must
-        /// refuse the subscription (and stop acking writes).
-        epoch: u64,
-    },
-    /// Primary → follower: one acked WAL record. Followers append it
-    /// to their own log, so a promoted follower's log is
-    /// indistinguishable from a primary's.
-    Record {
-        /// Global write sequence number.
-        seq: u64,
-        /// The batch payload.
-        ops: WriteOps,
-        /// The shipping primary's fencing epoch.
-        epoch: u64,
-    },
-    /// Primary → follower: the backlog through `through_seq` has been
-    /// shipped; everything after this frame is live tail. The follower
-    /// uses it to mark catch-up complete (and stamp catch-up duration).
-    CaughtUp {
-        /// Highest sequence shipped before this marker.
-        through_seq: u64,
-    },
-    /// Primary → follower: periodic liveness + lag beacon carrying the
-    /// primary's current acked high-water mark.
-    Heartbeat {
-        /// The primary's applied (and so durable) sequence high-water mark.
-        last_seq: u64,
-        /// The sender's fencing epoch — a follower that knows a higher
-        /// term treats the sender as a zombie and drops the stream.
-        epoch: u64,
-    },
-    /// Operator → follower: stop following, become a writable primary
-    /// at (at least) `epoch`. Idempotent — promoting an
-    /// already-promoted node re-acks. The addresses let the promoted
-    /// node announce itself: `repl_addr`/`client_addr` are *its own*
-    /// advertised endpoints (carried back to siblings and clients),
-    /// `siblings` lists the replication listeners of the other nodes —
-    /// including, ideally, the old primary's, so a partitioned zombie
-    /// gets fenced the moment the partition heals.
-    Promote {
-        /// Minimum term to promote into; the node takes
-        /// `max(own + 1, epoch)`. `0` lets the node pick.
-        epoch: u64,
-        /// The promoted node's own replication listener address, as
-        /// siblings should dial it. Empty = don't announce.
-        repl_addr: String,
-        /// The promoted node's query listener address, for client
-        /// redirect hints. Empty = unknown.
-        client_addr: String,
-        /// Replication listeners of surviving siblings (and the old
-        /// primary) to notify with [`ReplFrame::Announce`].
-        siblings: Vec<String>,
-    },
-    /// Follower → operator: promotion done; writes are accepted from
-    /// `seq + 1` onward under term `epoch`.
-    Promoted {
-        /// The node's last applied sequence at promotion.
-        seq: u64,
-        /// The durably bumped fencing epoch the node now serves at.
-        epoch: u64,
-    },
-    /// Either side: the request was refused (mismatched world, Hello to
-    /// a non-primary, promote of a node that can't promote). Carries
-    /// the denier's epoch so a zombie that subscribes somewhere learns
-    /// it was fenced.
-    Deny {
-        /// Why.
-        detail: String,
-        /// The denier's fencing epoch (0 when irrelevant).
-        epoch: u64,
-    },
-    /// New primary → any node's replication listener: "I am the
-    /// primary at `epoch`; re-subscribe to `repl_addr`". A read-only
-    /// node adopts the target and its follower loop reconnects there; a
-    /// writable node with a lower term fences itself (it is the
-    /// zombie). Acked with a [`ReplFrame::Heartbeat`]; denied (with the
-    /// higher term) if the receiver's epoch is newer.
-    Announce {
-        /// The announcing primary's fencing epoch.
-        epoch: u64,
-        /// The announcing primary's replication listener address.
-        repl_addr: String,
-        /// The announcing primary's query listener address (redirect
-        /// hint for clients).
-        client_addr: String,
-    },
-    /// Primary → follower: "instead of replaying the whole history,
-    /// here comes a store image covering everything through `seq`".
-    /// Sent before any `Record` when the subscriber's `from_seq` is so
-    /// far behind the primary's image that log replay would be slower
-    /// (or the shipped tail no longer reaches back that far). The raw
-    /// image file follows as [`ReplFrame::ImageChunk`]s; after `len`
-    /// bytes have been shipped the primary resumes normal `Record`
-    /// shipping from `seq`. The follower assembles the blob, verifies
-    /// `checksum` (FNV-1a 64 over the whole file), installs it
-    /// atomically, and only then applies the tail.
-    ImageOffer {
-        /// The image covers every write with sequence ≤ this.
-        seq: u64,
-        /// The fencing epoch the image was written under.
-        epoch: u64,
-        /// Total image file length in bytes (header + body).
-        len: u64,
-        /// FNV-1a 64 of the whole file, checked after reassembly.
-        checksum: u64,
-        /// The shipping primary's current fencing epoch.
-        primary_epoch: u64,
-    },
-    /// Primary → follower: one run of image bytes at `offset` within
-    /// the blob promised by the preceding [`ReplFrame::ImageOffer`].
-    /// Runs are shipped in order and are at most
-    /// [`IMAGE_CHUNK_BYTES`] long, so every frame stays well under
-    /// [`MAX_FRAME`].
-    ImageChunk {
-        /// Byte offset of `data` within the image file.
-        offset: u64,
-        /// The raw bytes.
-        data: Vec<u8>,
-    },
-}
-
-/// Serialises a replication frame into a frame payload (no length
-/// prefix — transport framing is the same [`write_frame`] as queries).
-pub fn encode_repl(frame: &ReplFrame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    put_u8(&mut buf, REPL_VERSION);
-    match frame {
-        ReplFrame::Hello { scale, seed, from_seq, epoch } => {
-            put_u8(&mut buf, REPL_HELLO);
-            put_str(&mut buf, scale);
-            put_u64(&mut buf, *seed);
-            put_u64(&mut buf, *from_seq);
-            put_u64(&mut buf, *epoch);
-        }
-        ReplFrame::Record { seq, ops, epoch } => {
-            put_u8(&mut buf, REPL_RECORD);
-            put_u64(&mut buf, *seq);
-            put_u64(&mut buf, *epoch);
-            put_u8(&mut buf, ops.query_tag());
-            crate::events::encode_write_ops(&mut buf, ops);
-        }
-        ReplFrame::CaughtUp { through_seq } => {
-            put_u8(&mut buf, REPL_CAUGHT_UP);
-            put_u64(&mut buf, *through_seq);
-        }
-        ReplFrame::Heartbeat { last_seq, epoch } => {
-            put_u8(&mut buf, REPL_HEARTBEAT);
-            put_u64(&mut buf, *last_seq);
-            put_u64(&mut buf, *epoch);
-        }
-        ReplFrame::Promote { epoch, repl_addr, client_addr, siblings } => {
-            put_u8(&mut buf, REPL_PROMOTE);
-            put_u64(&mut buf, *epoch);
-            put_str(&mut buf, repl_addr);
-            put_str(&mut buf, client_addr);
-            put_u32(&mut buf, siblings.len() as u32);
-            for s in siblings {
-                put_str(&mut buf, s);
-            }
-        }
-        ReplFrame::Promoted { seq, epoch } => {
-            put_u8(&mut buf, REPL_PROMOTED);
-            put_u64(&mut buf, *seq);
-            put_u64(&mut buf, *epoch);
-        }
-        ReplFrame::Deny { detail, epoch } => {
-            put_u8(&mut buf, REPL_DENY);
-            put_str(&mut buf, detail);
-            put_u64(&mut buf, *epoch);
-        }
-        ReplFrame::Announce { epoch, repl_addr, client_addr } => {
-            put_u8(&mut buf, REPL_ANNOUNCE);
-            put_u64(&mut buf, *epoch);
-            put_str(&mut buf, repl_addr);
-            put_str(&mut buf, client_addr);
-        }
-        ReplFrame::ImageOffer { seq, epoch, len, checksum, primary_epoch } => {
-            put_u8(&mut buf, REPL_IMAGE_OFFER);
-            put_u64(&mut buf, *seq);
-            put_u64(&mut buf, *epoch);
-            put_u64(&mut buf, *len);
-            put_u64(&mut buf, *checksum);
-            put_u64(&mut buf, *primary_epoch);
-        }
-        ReplFrame::ImageChunk { offset, data } => {
-            put_u8(&mut buf, REPL_IMAGE_CHUNK);
-            put_u64(&mut buf, *offset);
-            put_u32(&mut buf, data.len() as u32);
-            buf.extend_from_slice(data);
-        }
-    }
-    buf
-}
-
-/// Parses a replication frame payload.
-pub fn decode_repl(payload: &[u8]) -> Result<ReplFrame, DecodeError> {
-    read_repl(payload).map_err(DecodeError::from)
-}
-
-fn read_repl(payload: &[u8]) -> Result<ReplFrame, Malformed> {
-    let mut r = Reader::new(payload);
-    let version = r.u8()?;
-    if version != REPL_VERSION {
-        return Err(Malformed(format!("unsupported replication version {version}")));
-    }
-    let frame = match r.u8()? {
-        REPL_HELLO => ReplFrame::Hello {
-            scale: r.string()?,
-            seed: r.u64()?,
-            from_seq: r.u64()?,
-            epoch: r.u64()?,
-        },
-        REPL_RECORD => {
-            let seq = r.u64()?;
-            let epoch = r.u64()?;
-            let family = r.u8()?;
-            let ops = crate::events::decode_write_ops(&mut r, family)?;
-            ReplFrame::Record { seq, ops, epoch }
-        }
-        REPL_CAUGHT_UP => ReplFrame::CaughtUp { through_seq: r.u64()? },
-        REPL_HEARTBEAT => ReplFrame::Heartbeat { last_seq: r.u64()?, epoch: r.u64()? },
-        REPL_PROMOTE => {
-            let epoch = r.u64()?;
-            let repl_addr = r.string()?;
-            let client_addr = r.string()?;
-            let n = r.u32()? as usize;
-            if n > 1024 {
-                return Err(Malformed(format!("implausible sibling count {n}")));
-            }
-            let siblings = r.many(n, 2, Reader::string)?;
-            ReplFrame::Promote { epoch, repl_addr, client_addr, siblings }
-        }
-        REPL_PROMOTED => ReplFrame::Promoted { seq: r.u64()?, epoch: r.u64()? },
-        REPL_DENY => ReplFrame::Deny { detail: r.string()?, epoch: r.u64()? },
-        REPL_ANNOUNCE => ReplFrame::Announce {
-            epoch: r.u64()?,
-            repl_addr: r.string()?,
-            client_addr: r.string()?,
-        },
-        REPL_IMAGE_OFFER => ReplFrame::ImageOffer {
-            seq: r.u64()?,
-            epoch: r.u64()?,
-            len: r.u64()?,
-            checksum: r.u64()?,
-            primary_epoch: r.u64()?,
-        },
-        REPL_IMAGE_CHUNK => {
-            let offset = r.u64()?;
-            let n = r.u32()? as usize;
-            if n > IMAGE_CHUNK_BYTES {
-                return Err(Malformed(format!(
-                    "image chunk of {n} bytes exceeds maximum {IMAGE_CHUNK_BYTES}"
-                )));
-            }
-            let data = r.take(n)?.to_vec();
-            ReplFrame::ImageChunk { offset, data }
-        }
-        other => return Err(Malformed(format!("unknown replication frame tag {other}"))),
-    };
-    r.finish()?;
-    Ok(frame)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1161,25 +825,9 @@ mod tests {
             Response {
                 id: 6,
                 body: Err(ErrorBody {
-                    kind: ErrorKind::NotPrimary,
-                    queue_us: 0,
-                    detail: "read-only follower; route writes to the primary".into(),
-                }),
-            },
-            Response {
-                id: 7,
-                body: Err(ErrorBody {
                     kind: ErrorKind::StaleRead,
                     queue_us: 0,
                     detail: "min_seq 40, applied 37 (lag 3)".into(),
-                }),
-            },
-            Response {
-                id: 8,
-                body: Err(ErrorBody {
-                    kind: ErrorKind::Fenced,
-                    queue_us: 0,
-                    detail: "fenced at epoch 2 by epoch 3 (primary=127.0.0.1:9999)".into(),
                 }),
             },
         ];
@@ -1270,19 +918,37 @@ mod tests {
         let err = read_frame(&mut std::io::Cursor::new(&torn)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
 
-        // A `Record` whose op count cannot fit in the frame is refused
-        // by the count rule before any op is decoded.
-        let mut record = Vec::new();
-        put_u8(&mut record, REPL_VERSION);
-        put_u8(&mut record, REPL_RECORD);
-        put_u64(&mut record, 18); // seq
-        put_u64(&mut record, 3); // epoch
-        put_u8(&mut record, 2); // deletes
-        put_u32(&mut record, u32::MAX);
-        put_u8(&mut record, 5); // one message delete
-        put_u64(&mut record, 9);
-        let err = decode_repl(&record).unwrap_err();
+        // A write batch whose op count cannot fit in the frame is
+        // refused by the count rule before any op is decoded.
+        let mut batch = Vec::new();
+        put_u8(&mut batch, PROTO_VERSION);
+        put_u64(&mut batch, 18); // id
+        put_u64(&mut batch, 0); // deadline
+        put_u64(&mut batch, 0); // min_seq
+        put_u8(&mut batch, WORKLOAD_WR);
+        put_u8(&mut batch, 2); // deletes
+        put_u64(&mut batch, 4); // batch seq
+        put_u32(&mut batch, u32::MAX);
+        put_u8(&mut batch, 5); // one message delete
+        put_u64(&mut batch, 9);
+        let err = decode_request(&batch).unwrap_err();
         assert!(err.detail.contains("count 4294967295"), "{err:?}");
+        assert_eq!(err.id, Some(18));
+
+        // Response codes 8 and 10 (an older build's replica refusals)
+        // and every code past the taxonomy are typed errors that keep
+        // the correlation id.
+        for code in [8u8, 10, 11, 0xFF] {
+            let mut resp = Vec::new();
+            put_u8(&mut resp, PROTO_VERSION);
+            put_u64(&mut resp, 21);
+            put_u8(&mut resp, code);
+            put_u64(&mut resp, 0);
+            put_str(&mut resp, "read-only follower");
+            let err = decode_response(&resp).unwrap_err();
+            assert_eq!(err.id, Some(21));
+            assert!(err.detail.contains(&format!("unknown status code {code}")), "{err:?}");
+        }
     }
 
     #[test]
@@ -1369,132 +1035,5 @@ mod tests {
         for (i, lane) in Lane::ALL.iter().enumerate() {
             assert_eq!(lane.index(), i);
         }
-    }
-
-    fn sample_repl_frames() -> Vec<ReplFrame> {
-        let config = snb_datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
-        let (_, stream) = snb_store::bulk_store_and_stream(&config);
-        assert!(stream.len() >= 3, "stream too short for repl samples");
-        vec![
-            ReplFrame::Hello { scale: "0.001".into(), seed: 42, from_seq: 17, epoch: 3 },
-            ReplFrame::Record { seq: 18, ops: WriteOps::Updates(stream[..3].to_vec()), epoch: 3 },
-            ReplFrame::Record {
-                seq: 19,
-                ops: WriteOps::Deletes(vec![
-                    snb_store::DeleteOp::Like(7, 9),
-                    snb_store::DeleteOp::Forum(3),
-                ]),
-                epoch: 3,
-            },
-            ReplFrame::CaughtUp { through_seq: 19 },
-            ReplFrame::Heartbeat { last_seq: 25, epoch: 3 },
-            ReplFrame::Promote {
-                epoch: 4,
-                repl_addr: "127.0.0.1:7001".into(),
-                client_addr: "127.0.0.1:7000".into(),
-                siblings: vec!["127.0.0.1:7003".into(), "127.0.0.1:7005".into()],
-            },
-            ReplFrame::Promote {
-                epoch: 0,
-                repl_addr: String::new(),
-                client_addr: String::new(),
-                siblings: Vec::new(),
-            },
-            ReplFrame::Promoted { seq: 25, epoch: 4 },
-            ReplFrame::Deny { detail: "scale mismatch".into(), epoch: 4 },
-            ReplFrame::Announce {
-                epoch: 4,
-                repl_addr: "127.0.0.1:7001".into(),
-                client_addr: "127.0.0.1:7000".into(),
-            },
-            ReplFrame::ImageOffer {
-                seq: 640,
-                epoch: 3,
-                len: 1 << 22,
-                checksum: 0xdead_beef_cafe_f00d,
-                primary_epoch: 4,
-            },
-            ReplFrame::ImageChunk { offset: 262_144, data: vec![0xab; 97] },
-            ReplFrame::ImageChunk { offset: 0, data: Vec::new() },
-        ]
-    }
-
-    #[test]
-    fn repl_frames_roundtrip_exactly() {
-        for frame in sample_repl_frames() {
-            let bytes = encode_repl(&frame);
-            let back = decode_repl(&bytes).expect("repl frame decodes");
-            // WriteOps payloads don't implement PartialEq; Debug form is
-            // the repo-wide stand-in (same as the event codec tests).
-            assert_eq!(format!("{back:?}"), format!("{frame:?}"));
-        }
-    }
-
-    #[test]
-    fn bad_repl_frames_are_typed_errors_not_panics() {
-        // Every frame flavour truncated at every byte boundary: typed
-        // error each time, never a panic or an over-read.
-        for frame in sample_repl_frames() {
-            let bytes = encode_repl(&frame);
-            for cut in 0..bytes.len() {
-                assert!(
-                    decode_repl(&bytes[..cut]).is_err(),
-                    "cut at {cut} of {:?} must not decode",
-                    bytes[..cut.min(2)].first()
-                );
-            }
-            // Trailing garbage is refused too.
-            let mut padded = bytes.clone();
-            padded.push(0);
-            assert!(decode_repl(&padded).is_err());
-        }
-
-        // Bad version byte.
-        let mut bytes = encode_repl(&ReplFrame::CaughtUp { through_seq: 1 });
-        bytes[0] = 9;
-        assert!(decode_repl(&bytes).is_err());
-
-        // A version-1 peer's `Hello` (it still carried a shard count)
-        // gets the typed version refusal, not a misparse.
-        let mut v1 = Vec::new();
-        put_u8(&mut v1, 1);
-        put_u8(&mut v1, REPL_HELLO);
-        put_str(&mut v1, "0.001");
-        put_u64(&mut v1, 42);
-        put_u32(&mut v1, 1);
-        put_u64(&mut v1, 17);
-        put_u64(&mut v1, 3);
-        let refused = decode_repl(&v1).expect_err("a version-1 frame must be refused");
-        assert!(refused.detail.contains("unsupported replication version 1"), "{refused:?}");
-
-        // Unknown frame tag.
-        let mut buf = Vec::new();
-        put_u8(&mut buf, REPL_VERSION);
-        put_u8(&mut buf, 99);
-        assert!(decode_repl(&buf).is_err());
-
-        // An image chunk claiming more than the chunk ceiling is
-        // refused before allocation, even if the bytes were present.
-        let mut big = Vec::new();
-        put_u8(&mut big, REPL_VERSION);
-        put_u8(&mut big, REPL_IMAGE_CHUNK);
-        put_u64(&mut big, 0);
-        put_u32(&mut big, IMAGE_CHUNK_BYTES as u32 + 1);
-        big.resize(big.len() + IMAGE_CHUNK_BYTES + 1, 0);
-        assert!(decode_repl(&big).is_err());
-
-        // Transport layer is shared with queries, so the oversized /
-        // mid-frame-disconnect behaviour pinned there applies here: an
-        // oversized prefix is refused before allocation, a torn frame
-        // is an I/O error, not a hang.
-        let mut oversized = Vec::new();
-        put_u32(&mut oversized, MAX_FRAME + 1);
-        let err = read_frame(&mut std::io::Cursor::new(&oversized)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let mut torn = Vec::new();
-        put_u32(&mut torn, 64);
-        torn.extend_from_slice(&encode_repl(&ReplFrame::Heartbeat { last_seq: 1, epoch: 0 }));
-        let err = read_frame(&mut std::io::Cursor::new(&torn)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

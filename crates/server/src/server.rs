@@ -7,10 +7,9 @@
 //!    hands the request to the **one admission gate** (`admit`), which
 //!    classifies it into a [`Lane`] (IS/IC short reads, heavy BI,
 //!    writes), refuses it (`ShuttingDown` during drain,
-//!    `StorePoisoned`, `StaleRead`, `NotPrimary`/`Fenced` for writes;
-//!    `BadRequest` for undecodable frames and, later, for a write batch
-//!    the store refuses) or admits it with its
-//!    deadline and the **store snapshot pinned at admission**;
+//!    `StorePoisoned`, `StaleRead`; `BadRequest` for undecodable frames
+//!    and, later, for a write batch the store refuses) or admits it
+//!    with its deadline and the **store snapshot pinned at admission**;
 //! 2. placement (`dispatch`): an IS read — microseconds of work — runs
 //!    right away on the thread that admitted it (the reactor, or the
 //!    in-process caller), as in-process write batches already did;
@@ -44,10 +43,10 @@
 //! **Concurrency model** — there is no lock anywhere on the read path.
 //! The store lives behind a [`StoreHandle`]. After the bulk load every
 //! write is a sequenced batch on the durable path (`submit_batch`:
-//! apply, WAL append + fsync, publish, ack) or, on a bootstrapping
-//! follower, a shipped image. Either builds the next immutable store version on a
-//! private copy-on-write clone and publishes it with one atomic swap
-//! ([`StoreHandle::publish_with`]); reads pin the current version at
+//! apply, WAL append + fsync, publish, ack), which builds the next
+//! immutable store version on a private copy-on-write clone and
+//! publishes it with one atomic swap ([`StoreHandle::publish_with`]);
+//! reads pin the current version at
 //! admission and run the whole query against it, unaffected by — and
 //! never blocking — concurrent publishes. A batch the store refuses
 //! discards the private clone before the append, so it is never logged
@@ -61,7 +60,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use snb_core::{SnbError, SnbResult};
 use snb_datagen::dictionaries::StaticWorld;
 use snb_engine::QueryContext;
 use snb_store::{SnapshotStats, Store, StoreHandle, StoreSnapshot};
@@ -104,11 +102,6 @@ pub struct ServerConfig {
     /// batches apply in arrival order. A shim kept only because the
     /// frozen `benchmark/` package sets it.
     pub write_workers: usize,
-    /// Start in read-only (follower) mode: client write batches are
-    /// refused with `not_primary` (terminal-with-redirect) while the
-    /// replication applier keeps the store moving. Flipped off by
-    /// [`Server::promote`].
-    pub read_only: bool,
 }
 
 impl Default for ServerConfig {
@@ -120,7 +113,6 @@ impl Default for ServerConfig {
             threads_per_worker: 1,
             conn_read_timeout: Some(Duration::from_secs(30)),
             write_workers: 1,
-            read_only: false,
         }
     }
 }
@@ -197,22 +189,15 @@ pub struct ServiceReport {
     /// that bound plus one event's last response and the replies of
     /// work already queued.
     pub outbox_peak: u64,
-    /// Write batches refused because the node was a read-only follower
-    /// (`not_primary` — the client must redirect to the primary).
-    pub not_primary_rejects: u64,
-    /// Reads refused because the node had not yet applied the
-    /// requested `min_seq` (`stale_read` — retryable, lag drains).
+    /// Reads refused because the server had not yet applied the
+    /// requested `min_seq` (`stale_read` — retryable).
     pub stale_read_rejects: u64,
-    /// Write batches refused because the node was fenced — a higher
-    /// fencing epoch was observed, so a newer primary exists and acking
-    /// here would fork history (`fenced` — terminal with redirect).
-    pub fenced_rejects: u64,
 }
 
 /// How a request ended: an outcome slot of the tally, and the
 /// `outcome` of its access-log record.
 #[derive(Clone, Copy)]
-pub(crate) enum Outcome {
+enum Outcome {
     Ok,
     /// A write batch at or below the applied sequence, re-acknowledged
     /// without applying it again.
@@ -223,8 +208,9 @@ pub(crate) enum Outcome {
 }
 
 impl Outcome {
-    /// `ok`, `deduped`, `conn_stalled`, then one slot per error code.
-    const SLOTS: usize = 13;
+    /// `ok`, `deduped`, `conn_stalled`, then one slot per error code
+    /// up to the highest, 9.
+    const SLOTS: usize = 12;
 
     fn slot(self) -> usize {
         match self {
@@ -374,9 +360,6 @@ pub struct Durability {
     /// Highest batch sequence number already applied (recovered);
     /// deduplication resumes from here.
     pub last_seq: u64,
-    /// Fencing epoch recovered from the WAL headers — the replication
-    /// term the node serves at until promotion bumps it.
-    pub epoch: u64,
 }
 
 /// Serialized under one mutex so WAL append, store apply, and sequence
@@ -405,131 +388,9 @@ pub(crate) struct ServerInner {
     /// with `store_poisoned` until restart-and-recovery re-converges
     /// them.
     degraded: AtomicBool,
-    /// Follower mode: client writes are refused with `not_primary`.
-    /// The replication applier bypasses admission (it calls
-    /// [`ServerInner::submit_batch`] directly), so shipped records
-    /// apply regardless. Cleared by promotion.
-    read_only: AtomicBool,
-    /// The node's fencing epoch — the replication term it serves under.
-    /// Durable in the WAL header; bumped (and fsynced) by promotion
-    /// *before* `read_only` clears.
-    epoch: AtomicU64,
-    /// Set when the node observes a higher fencing epoch than its own
-    /// while writable: a newer primary exists, so every client write is
-    /// refused with `fenced` instead of acking into a forked history.
-    /// Never cleared except by promotion (which bumps past the fencing
-    /// term).
-    fenced: AtomicBool,
-    /// Client-facing address of the current primary, when known —
-    /// carried in `not_primary`/`fenced` details as a redirect hint.
-    primary_hint: Mutex<String>,
-    /// Replication-listener address the follower loop should subscribe
-    /// to. Updated by `Announce`/`Deny` handling; the follower loop
-    /// re-reads it each reconnect, which is what makes re-subscription
-    /// to a new primary automatic.
-    repl_target: Mutex<String>,
 }
 
 impl ServerInner {
-    /// Whether the server is still accepting work (replication ship
-    /// loops exit when this clears).
-    pub(crate) fn is_accepting(&self) -> bool {
-        self.accepting.load(Ordering::Acquire)
-    }
-
-    /// Highest applied write sequence: the follower's Hello cursor and
-    /// the replication ship bound. A batch is applied only after its
-    /// fsync, so followers never see a record the primary could still
-    /// disavow.
-    pub(crate) fn applied_seq(&self) -> u64 {
-        self.last_applied_seq.load(Ordering::Acquire)
-    }
-
-    /// Whether the server owns a write-ahead log (and so has records to
-    /// ship).
-    pub(crate) fn has_wal(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// Whether client writes are refused (follower mode).
-    pub(crate) fn read_only_flag(&self) -> bool {
-        self.read_only.load(Ordering::Acquire)
-    }
-
-    /// The node's current fencing epoch.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Whether the node has been fenced by a higher epoch.
-    pub(crate) fn is_fenced(&self) -> bool {
-        self.fenced.load(Ordering::Acquire)
-    }
-
-    /// Fences the node at `epoch`: a newer primary exists, so client
-    /// writes are refused with `fenced` from here on. `primary` (when
-    /// non-empty) becomes the redirect hint. Raises the stored epoch so
-    /// later frames at the same term aren't "higher" again.
-    pub(crate) fn fence(&self, epoch: u64, primary: &str) {
-        self.epoch.fetch_max(epoch, Ordering::AcqRel);
-        self.fenced.store(true, Ordering::Release);
-        if !primary.is_empty() {
-            self.set_primary_hint(primary);
-        }
-    }
-
-    /// Adopts a newer epoch observed on the wire *without* fencing —
-    /// the follower path: a read-only node tracking its primary's term
-    /// is not a zombie, it just learned the term changed.
-    pub(crate) fn observe_epoch(&self, epoch: u64) {
-        self.epoch.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// The current redirect hint (client-facing primary address), empty
-    /// when unknown.
-    pub(crate) fn primary_hint(&self) -> String {
-        self.primary_hint.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-    }
-
-    pub(crate) fn set_primary_hint(&self, addr: &str) {
-        let mut hint = self.primary_hint.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *hint = addr.to_string();
-    }
-
-    /// The replication listener the follower loop should subscribe to
-    /// (empty = stick with the address it was started with).
-    pub(crate) fn repl_target(&self) -> String {
-        self.repl_target.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-    }
-
-    pub(crate) fn set_repl_target(&self, addr: &str) {
-        let mut t = self.repl_target.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *t = addr.to_string();
-    }
-
-    /// Promotion: durably bumps the fencing epoch to at least
-    /// `min_epoch` (and at least one past the node's own term), *then*
-    /// clears follower mode — the order matters, because a crash
-    /// between the two must leave a node that recovers fenced-forward,
-    /// never a writable node at the old term. Returns the writable-from
-    /// seq and the new epoch. Idempotent: re-promoting an
-    /// already-writable node only reports its state.
-    pub(crate) fn promote_inner(&self, min_epoch: u64) -> SnbResult<(u64, u64)> {
-        if self.read_only.load(Ordering::Acquire) || self.is_fenced() {
-            let new_epoch = min_epoch.max(self.epoch().saturating_add(1));
-            if let Some(durable) = self.durable.as_ref() {
-                let mut state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                state.wal.bump_epoch(new_epoch)?;
-            }
-            self.epoch.fetch_max(new_epoch, Ordering::AcqRel);
-            // A fenced ex-primary re-promoted into a newer term is a
-            // primary again; its writes carry the new epoch.
-            self.fenced.store(false, Ordering::Release);
-            self.read_only.store(false, Ordering::Release);
-        }
-        Ok((self.last_applied_seq.load(Ordering::Acquire), self.epoch()))
-    }
-
     /// Renders the consistent per-lane depth snapshot that admission
     /// refusals carry, so clients and the chaos harness can distinguish
     /// lane-full from global overload.
@@ -565,9 +426,8 @@ impl ServerInner {
     }
 
     /// The detail text of a refusal: the refusing lane and the live
-    /// depths for `overloaded` and `shutting_down`, the redirect hint
-    /// for `not_primary` and `fenced`, the lag against `min_seq` for
-    /// `stale_read`.
+    /// depths for `overloaded` and `shutting_down`, the lag against
+    /// `min_seq` for `stale_read`.
     fn refusal_detail(&self, kind: ErrorKind, lane: Lane, min_seq: u64) -> String {
         match kind {
             ErrorKind::Overloaded => format!(
@@ -580,20 +440,6 @@ impl ServerInner {
                 format!("server is draining for shutdown ({})", self.depths_detail())
             }
             ErrorKind::StorePoisoned => POISONED_DETAIL.to_string(),
-            ErrorKind::NotPrimary | ErrorKind::Fenced => {
-                let role = match kind {
-                    ErrorKind::Fenced => {
-                        format!("fenced: a newer primary exists at epoch {}", self.epoch())
-                    }
-                    _ => "read-only follower; route writes to the primary".to_string(),
-                };
-                let hint = self.primary_hint();
-                if hint.is_empty() {
-                    role
-                } else {
-                    format!("{role} (primary={hint})")
-                }
-            }
             ErrorKind::StaleRead => {
                 let applied = self.last_applied_seq.load(Ordering::Acquire);
                 format!(
@@ -629,8 +475,8 @@ impl ServerInner {
     }
 
     /// The one admission gate, for both transports and for queued and
-    /// inline execution alike: follower and fencing refusals for writes,
-    /// `shutting_down`, `store_poisoned`, the `stale_read` floor, then
+    /// inline execution alike: `shutting_down`, `store_poisoned`, the
+    /// `stale_read` floor, then
     /// the deadline and — for reads — the store version pinned at
     /// admission. Exactly one access-log sequence number is claimed; a
     /// refusal is logged and answered here.
@@ -639,17 +485,6 @@ impl ServerInner {
         let lane = header.lane;
         let seq = self.log.next_seq();
         let refuse = |kind| Err(self.refuse(seq, &header, payload.labels(), kind));
-        if lane == Lane::Write && self.read_only.load(Ordering::Acquire) {
-            // Follower: client writes can never succeed here (the
-            // replication applier is the only writer) — terminal with
-            // redirect.
-            return refuse(ErrorKind::NotPrimary);
-        }
-        if lane == Lane::Write && self.is_fenced() {
-            // Zombie ex-primary: a newer term exists, so acking this
-            // write would fork history — terminal with redirect.
-            return refuse(ErrorKind::Fenced);
-        }
         if !self.accepting.load(Ordering::Acquire) {
             return refuse(ErrorKind::ShuttingDown);
         }
@@ -839,27 +674,16 @@ impl ServerInner {
     /// The durable write path: dedupe check → build the next store
     /// version → WAL append + fsync → publish it → bump the applied
     /// sequence → maybe compact → ack. Returns the outcome (`Ok`
-    /// or `Deduped`) with the ack body. It counts no outcome itself: the
-    /// client path's `execute_write` ends the request, and the
-    /// replication applier counts its own in `FollowerStatus`.
+    /// or `Deduped`) with the ack body. It counts no outcome itself:
+    /// `execute_write` ends the request.
     ///
     /// The ack body encodes the contract: `fingerprint` is the highest
     /// applied sequence number after this call, and `rows` is the
     /// number of operations applied *by this call* — `0` for a dedupe
     /// re-ack, so a client can tell first-apply from replay.
-    pub(crate) fn submit_batch(&self, batch: &WriteBatch) -> Result<(Outcome, OkBody), ErrorBody> {
+    fn submit_batch(&self, batch: &WriteBatch) -> Result<(Outcome, OkBody), ErrorBody> {
         let err = |kind: ErrorKind, detail: String| ErrorBody { kind, queue_us: 0, detail };
-        // The split-brain chaos point: firing it opens the process-wide
-        // partition window (`partition:MS@hN` = at the N-th submitted
-        // batch), under which the transport black-holes traffic without
-        // closing sockets. Hit-counted here so the window opens at a
-        // deterministic point in the write stream.
-        if let Some(fault) = snb_fault::check("net.partition") {
-            fault.trip("net.partition");
-        }
-        let refused = if self.is_fenced() {
-            Some(ErrorKind::Fenced)
-        } else if self.degraded.load(Ordering::Acquire) {
+        let refused = if self.degraded.load(Ordering::Acquire) {
             Some(ErrorKind::StorePoisoned)
         } else if !self.accepting.load(Ordering::Acquire) {
             Some(ErrorKind::ShuttingDown)
@@ -968,28 +792,6 @@ impl ServerInner {
                 ))
             }
         }
-    }
-
-    /// Installs a shipped store image (follower bootstrap): lands the
-    /// blob as the WAL directory's image, truncates the log behind it
-    /// (every held record is at or below the image's sequence), and
-    /// publishes the decoded store wholesale. After this the node
-    /// resumes applying shipped records from `header.seq + 1`.
-    pub(crate) fn install_image(&self, bytes: &[u8]) -> SnbResult<crate::image::ImageHeader> {
-        let Some(durable) = &self.durable else {
-            return Err(SnbError::Config(
-                "image bootstrap requires a WAL directory (start with --wal-dir)".into(),
-            ));
-        };
-        let mut state = durable.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (store, header) = state.wal.install_image(bytes)?;
-        self.store.publish_with(|next| {
-            *next = store;
-            Ok(())
-        })?;
-        self.last_applied_seq.store(header.seq, Ordering::Release);
-        self.observe_epoch(header.epoch);
-        Ok(header)
     }
 
     /// Executes one admitted read job on `ctx` — on a lane worker, or
@@ -1143,9 +945,7 @@ impl ServerInner {
             internal_errors: refused(ErrorKind::Internal) + load(&counters.compactions_failed),
             poisoned_rejects: refused(ErrorKind::StorePoisoned),
             conn_stalled: tally.total(Outcome::ConnStalled),
-            not_primary_rejects: refused(ErrorKind::NotPrimary),
             stale_read_rejects: refused(ErrorKind::StaleRead),
-            fenced_rejects: refused(ErrorKind::Fenced),
             log_records: tally.all(),
             updates_applied: load(&counters.updates_applied),
             deletes_applied: load(&counters.deletes_applied),
@@ -1192,14 +992,11 @@ impl Server {
     /// [`Server::start_durable`].
     fn start_with(store: Store, config: ServerConfig, durability: Option<Durability>) -> Server {
         let store = Arc::new(StoreHandle::new(store));
-        let (durable, last_seq, epoch) = match durability {
-            None => (None, 0, 0),
-            Some(d) => {
-                (Some(Mutex::new(DurableState { wal: d.wal, world: d.world })), d.last_seq, d.epoch)
-            }
+        let (durable, last_seq) = match durability {
+            None => (None, 0),
+            Some(d) => (Some(Mutex::new(DurableState { wal: d.wal, world: d.world })), d.last_seq),
         };
         let queue = LaneQueues::new(config.queue_capacity);
-        let read_only = config.read_only;
         let inner = Arc::new(ServerInner {
             store,
             queue,
@@ -1212,11 +1009,6 @@ impl Server {
             durable,
             last_applied_seq: AtomicU64::new(last_seq),
             degraded: AtomicBool::new(false),
-            read_only: AtomicBool::new(read_only),
-            epoch: AtomicU64::new(epoch),
-            fenced: AtomicBool::new(false),
-            primary_hint: Mutex::new(String::new()),
-            repl_target: Mutex::new(String::new()),
         });
         let workers: Vec<_> = (0..inner.config.workers)
             .map(|_| {
@@ -1348,40 +1140,6 @@ impl Server {
         self.inner.degraded.load(Ordering::Acquire)
     }
 
-    /// Whether this node refuses client writes (follower mode).
-    pub fn is_read_only(&self) -> bool {
-        self.inner.read_only.load(Ordering::Acquire)
-    }
-
-    /// Whether this node has been fenced by a higher epoch (client
-    /// writes answer `fenced` until re-promotion).
-    pub fn is_fenced(&self) -> bool {
-        self.inner.is_fenced()
-    }
-
-    /// The node's current fencing epoch.
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-
-    /// Promotes a read-only follower to a writable primary and returns
-    /// the sequence it is writable from (its applied high-water mark).
-    /// The fencing epoch is durably bumped *before* the node goes
-    /// writable. Idempotent: promoting a primary just reports its
-    /// current seq.
-    pub fn promote(&self) -> u64 {
-        match self.inner.promote_inner(0) {
-            Ok((seq, _)) => seq,
-            Err(e) => panic!("promotion failed to bump the fencing epoch: {e:?}"),
-        }
-    }
-
-    /// The shared server core, for the replication module's accept
-    /// loop and follower applier.
-    pub(crate) fn inner(&self) -> &Arc<ServerInner> {
-        &self.inner
-    }
-
     /// Graceful drain-then-shutdown: stop accepting, finish every
     /// admitted job, join all threads, return the final report.
     pub fn shutdown(mut self) -> ServiceReport {
@@ -1475,9 +1233,4 @@ impl std::fmt::Debug for Server {
             .field("local_addr", &self.local_addr)
             .finish()
     }
-}
-
-/// Convenience constructor for errors the binary reports.
-pub fn config_error(detail: impl Into<String>) -> SnbError {
-    SnbError::Config(detail.into())
 }

@@ -110,13 +110,6 @@ fn write_pending(mut stream: &TcpStream, pending: &mut Vec<u8>) -> io::Result<bo
     if pending.is_empty() {
         return Ok(false);
     }
-    if snb_fault::partition_active() {
-        // `net.partition` black-holes the wire: the write "succeeds"
-        // locally but the peer never sees the bytes, and the socket
-        // stays open — exactly a mid-network drop, not a close.
-        pending.clear();
-        return Ok(false);
-    }
     let mut written = 0;
     let result = loop {
         match stream.write(&pending[written..]) {
@@ -185,19 +178,7 @@ mod reactor_loop {
             if ev.closed && !ev.readable {
                 return false;
             }
-            if ev.readable && snb_fault::partition_active() {
-                // Black-holed: drain and discard so the peer's bytes
-                // vanish in transit (no decode, no response, no close).
-                // `last_progress` advances so the idle sweep does not
-                // turn a partition into a connection close.
-                while let Ok(n) = (&self.out.stream).read(chunk) {
-                    if n == 0 {
-                        return false;
-                    }
-                }
-                self.buf.clear();
-                self.last_progress = Instant::now();
-            } else if ev.readable {
+            if ev.readable {
                 for _ in 0..READS_PER_WAKE {
                     match (&self.out.stream).read(chunk) {
                         Ok(0) => {

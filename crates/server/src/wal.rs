@@ -18,13 +18,10 @@
 //!
 //! ## File format
 //!
-//! The log starts with an 8-byte magic, the scale name (`u16`-length
-//! string), the generator seed (`u64`) and the **fencing epoch** (`u64`)
-//! — scale and seed name the deterministic bulk store the log is
-//! relative to, and the epoch is the replication term the node last
-//! served under ([`SegmentedWal::bump_epoch`] is called on promotion,
-//! before the node goes writable, so a restarted ex-primary recovers the
-//! term it was fenced at). Each record is:
+//! The log starts with an 8-byte magic (`SNBWAL2\n`), the scale name
+//! (a `put_str` string) and the generator seed (`u64`): scale and seed
+//! name the deterministic bulk store the log is relative to. Each record
+//! is:
 //!
 //! ```text
 //! [u32 payload_len][u64 fnv64(payload)][payload]   (a snb_core::bytes checked frame)
@@ -37,6 +34,12 @@
 //! acknowledged, so dropping it is correct, and the retrying client will
 //! re-submit it. Replay also stops at the first sequence gap, and the
 //! records past it are cut with the torn tail in one truncation.
+//!
+//! A log in an older format version (`SNBWAL1\n`, whose header also
+//! carried a `u64` fencing epoch) is refused with an error naming the
+//! version before anything is truncated: read as version 2, its epoch
+//! bytes would fail the first record's checksum and the whole log would
+//! be cut as a torn tail.
 //!
 //! ## Compaction
 //!
@@ -77,10 +80,10 @@ use snb_datagen::GeneratorConfig;
 use snb_store::Store;
 
 use crate::events::{decode_write_ops, encode_write_ops};
-use crate::image::ImageHeader;
+use crate::image::read_magic;
 use crate::proto::WriteOps;
 
-const WAL_MAGIC: &[u8; 8] = b"SNBWAL1\n";
+const WAL_MAGIC: &[u8; 8] = b"SNBWAL2\n";
 const WAL_FILE: &str = "wal.log";
 
 /// Tuning knobs for the log.
@@ -121,12 +124,8 @@ pub struct RecoveryReport {
     /// deduplication from here.
     pub last_seq: u64,
     /// Recovery wall-clock, microseconds (image load or bulk rebuild,
-    /// plus replay) — the baseline a replication catch-up is measured
-    /// against.
+    /// plus replay).
     pub recovery_us: u64,
-    /// Fencing epoch recovered: the maximum of the image's and the log
-    /// header's.
-    pub epoch: u64,
     /// Sequence number of the store image recovery started from (0 when
     /// no image was found and the bulk store was rebuilt from scratch).
     pub image_seq: u64,
@@ -138,40 +137,28 @@ pub struct RecoveryReport {
     pub tail_replayed: u64,
 }
 
-fn log_header(scale: &str, seed: u64, epoch: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + 2 + scale.len() + 16);
+fn log_header(scale: &str, seed: u64) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + 2 + scale.len() + 8);
     buf.extend_from_slice(WAL_MAGIC);
     put_str(&mut buf, scale);
     put_u64(&mut buf, seed);
-    put_u64(&mut buf, epoch);
     buf
 }
 
-/// Byte offset of the `u64` epoch field inside the log header — fixed
-/// once the scale name is known, so [`SegmentedWal::bump_epoch`] can
-/// overwrite it in place without rewriting the log.
-fn header_epoch_offset(scale: &str) -> u64 {
-    (8 + 2 + scale.len() + 8) as u64
-}
-
-/// Reads and validates the log header, leaving `r` at the first record;
-/// returns the fencing epoch the header carries. Scale and seed are
-/// match requirements (a log for a different world must not replay);
-/// the epoch is data — recovery takes the maximum it sees.
-fn read_header(r: &mut Reader<'_>, scale: &str, seed: u64) -> Result<u64, Malformed> {
-    if r.take(WAL_MAGIC.len()).ok() != Some(WAL_MAGIC) {
-        return Err(Malformed("bad or missing log magic".into()));
-    }
+/// Reads and validates the log header, leaving `r` at the first record.
+/// The format version and the (scale, seed) pair are match requirements:
+/// a log for a different world must not replay.
+fn read_header(r: &mut Reader<'_>, scale: &str, seed: u64) -> Result<(), Malformed> {
+    read_magic(r, WAL_MAGIC, "log")?;
     let got_scale = r.str()?;
     let got_seed = r.u64()?;
-    let epoch = r.u64()?;
     if got_scale != scale || got_seed != seed {
         return Err(Malformed(format!(
             "log is for scale {got_scale:?} seed {got_seed}, \
              server configured for scale {scale:?} seed {seed}"
         )));
     }
-    Ok(epoch)
+    Ok(())
 }
 
 /// Scans records from the cursor. Returns each parsed entry with the
@@ -231,7 +218,6 @@ fn refuse_sharded_log(dir: &Path) -> SnbResult<()> {
 
 /// The log file, open for appending.
 struct LogFile {
-    path: PathBuf,
     file: File,
     /// Set after a failed (torn) append: the file tail is garbage, so
     /// further appends must be refused until restart-and-recover.
@@ -239,27 +225,23 @@ struct LogFile {
 }
 
 impl LogFile {
-    /// Opens (or creates) the log file. A fresh file is created at
-    /// `epoch`; an existing file keeps the epoch its header carries,
-    /// which is returned (the param is a creation default, not a match
-    /// requirement). Creating the file also fsyncs its directory, so the
-    /// new name survives a power cut along with the records acked in it.
-    fn open(path: PathBuf, scale: &str, seed: u64, epoch: u64) -> SnbResult<(LogFile, u64)> {
+    /// Opens (or creates) the log file; an existing file's header must
+    /// match. Creating the file also fsyncs its directory, so the new
+    /// name survives a power cut along with the records acked in it.
+    fn open(path: PathBuf, scale: &str, seed: u64) -> SnbResult<LogFile> {
         let fresh = !path.exists();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
-        let mut epoch = epoch;
         if fresh {
-            file.write_all(&log_header(scale, seed, epoch))?;
+            file.write_all(&log_header(scale, seed))?;
             file.sync_data()?;
             crate::image::sync_dir(path.parent().unwrap_or(Path::new(".")))?;
         } else {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
-            epoch = read_header(&mut Reader::new(&bytes), scale, seed)
-                .map_err(|e| e.at(path.display()))?;
+            read_header(&mut Reader::new(&bytes), scale, seed).map_err(|e| e.at(path.display()))?;
             file.seek(SeekFrom::End(0))?;
         }
-        Ok((LogFile { path, file, broken: false }, epoch))
+        Ok(LogFile { file, broken: false })
     }
 
     /// Writes one encoded record to the file, honouring the short-write
@@ -308,7 +290,8 @@ impl LogFile {
 
 /// The write-ahead log (`wal.log`) — the server's append handle: one
 /// fsync per append, and compaction.
-// This name and `open`'s `seg_live` slice are kept only for the frozen `benchmark/` package.
+// This name and `open`'s `seg_live` and `epoch` parameters are kept only for the frozen
+// `benchmark/` package.
 pub struct SegmentedWal {
     dir: PathBuf,
     scale: String,
@@ -319,18 +302,16 @@ pub struct SegmentedWal {
     /// Records the log holds (the compaction trigger).
     live_entries: u64,
     syncs: u64,
-    /// Fencing epoch the log is at (max of the header and the open-time
-    /// floor; see [`SegmentedWal::bump_epoch`]).
-    epoch: u64,
 }
 
 impl SegmentedWal {
     /// Opens (or creates) `dir`'s log for appending. `seg_live` carries
     /// the live-record count recovery found in the log (empty for a
-    /// fresh log); its sum seeds the compaction trigger. `epoch` is a
-    /// floor: a fresh log is created at it, and the log's effective
-    /// epoch is the max of the floor and the stored header. Refuses a
-    /// directory holding `wal-*.log` files.
+    /// fresh log); its sum seeds the compaction trigger. `epoch` must
+    /// be 0: anything else is refused before the directory is touched.
+    /// Refuses a directory holding `wal-*.log` files, or a log or an
+    /// image this build cannot read (another format version, another
+    /// world), before it creates anything.
     #[allow(clippy::too_many_arguments)]
     pub fn open(
         dir: &Path,
@@ -341,9 +322,13 @@ impl SegmentedWal {
         seg_live: &[u64],
         epoch: u64,
     ) -> SnbResult<SegmentedWal> {
+        if epoch != 0 {
+            return Err(SnbError::Config(format!("SegmentedWal::open takes epoch 0, got {epoch}")));
+        }
         std::fs::create_dir_all(dir)?;
         refuse_sharded_log(dir)?;
-        let (log, stored) = LogFile::open(dir.join(WAL_FILE), scale, seed, epoch)?;
+        crate::image::image_info(dir, scale, seed)?;
+        let log = LogFile::open(dir.join(WAL_FILE), scale, seed)?;
         Ok(SegmentedWal {
             dir: dir.to_path_buf(),
             scale: scale.to_string(),
@@ -353,39 +338,12 @@ impl SegmentedWal {
             last_seq,
             live_entries: seg_live.iter().sum(),
             syncs: 0,
-            epoch: epoch.max(stored),
         })
     }
 
     /// Highest sequence number durably appended.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
-    }
-
-    /// The fencing epoch the log is at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Durably raises the fencing epoch to `new_epoch`, overwriting the
-    /// 8-byte epoch field in the log header in place and fsyncing the
-    /// file. Called on promotion *before* the node goes writable, so a
-    /// crash at any point either leaves the old term (promotion never
-    /// happened) or the bumped one. Compaction keeps the header and
-    /// stamps the epoch into the image, so the term survives it. A
-    /// no-op if the log is already at or past `new_epoch`.
-    pub fn bump_epoch(&mut self, new_epoch: u64) -> SnbResult<()> {
-        if new_epoch <= self.epoch {
-            return Ok(());
-        }
-        // The append handle ignores seeks, so patch the header through
-        // a separate write-mode handle.
-        let mut f = OpenOptions::new().write(true).open(&self.log.path)?;
-        f.seek(SeekFrom::Start(header_epoch_offset(&self.scale)))?;
-        f.write_all(&new_epoch.to_le_bytes())?;
-        f.sync_data()?;
-        self.epoch = new_epoch;
-        Ok(())
     }
 
     /// Total `fsync(2)` calls issued for appended records: one per
@@ -444,47 +402,9 @@ impl SegmentedWal {
     /// "Compaction"). On error the log is untouched and still holds
     /// every record.
     pub fn compact(&mut self, store: &Store) -> SnbResult<()> {
-        crate::image::write_image(
-            &self.dir,
-            &self.scale,
-            self.seed,
-            self.epoch,
-            self.last_seq,
-            1,
-            store,
-        )?;
+        crate::image::write_image(&self.dir, &self.scale, self.seed, 0, self.last_seq, 1, store)?;
         crate::image::sync_dir(&self.dir)?;
-        self.truncate_behind_image(self.last_seq, self.epoch)
-    }
-
-    /// Installs a shipped store image (follower bootstrap): verifies and
-    /// lands the blob as this directory's `store.img`, then truncates
-    /// the log behind it in the same order [`SegmentedWal::compact`]
-    /// uses. An image older than the log is refused. Appends resume
-    /// from the image's sequence.
-    pub fn install_image(&mut self, bytes: &[u8]) -> SnbResult<(Store, ImageHeader)> {
-        // Refuse before anything lands: behind an older image the
-        // records the log holds would sit past a sequence gap.
-        let offered = crate::image::peek_header(bytes, &self.scale, self.seed)?;
-        if offered.seq < self.last_seq {
-            return Err(SnbError::Config(format!(
-                "refusing image at seq {} older than the log's seq {}",
-                offered.seq, self.last_seq
-            )));
-        }
-        let (store, header) =
-            crate::image::install_image_bytes(&self.dir, &self.scale, self.seed, bytes)?;
-        crate::image::sync_dir(&self.dir)?;
-        self.truncate_behind_image(header.seq, header.epoch)?;
-        Ok((store, header))
-    }
-
-    /// Truncates the log to its header behind a durable image at
-    /// (`image_seq`, `epoch`) and resumes appends from `image_seq`.
-    fn truncate_behind_image(&mut self, image_seq: u64, epoch: u64) -> SnbResult<()> {
-        self.bump_epoch(epoch)?;
-        self.log.truncate_to_header(header_epoch_offset(&self.scale) + 8)?;
-        self.last_seq = image_seq;
+        self.log.truncate_to_header(log_header(&self.scale, self.seed).len() as u64)?;
         self.live_entries = 0;
         Ok(())
     }
@@ -510,7 +430,6 @@ impl Recovered {
     /// bundle [`crate::Server::start_durable`] wants, plus the report.
     pub fn into_durability(self) -> (Store, crate::server::Durability, RecoveryReport) {
         let durability = crate::server::Durability {
-            epoch: self.wal.epoch(),
             wal: self.wal,
             world: self.world,
             last_seq: self.report.last_seq,
@@ -528,8 +447,8 @@ impl Recovered {
 /// never acknowledged and dropping them is correct). Repairs the date
 /// index and validates store invariants. Works on an empty or absent
 /// directory (fresh start, zero entries). Refuses a directory holding
-/// `wal-*.log` files, or an image written for a sharded log, before it
-/// reads or truncates anything.
+/// `wal-*.log` files, an image written for a sharded log, and a log or
+/// image in another format version, before it truncates anything.
 pub fn recover(
     dir: &Path,
     config: &GeneratorConfig,
@@ -551,7 +470,6 @@ pub fn recover(
         Some((store, header)) => {
             report.image_seq = header.seq;
             report.last_seq = header.seq;
-            report.epoch = header.epoch;
             report.image_us = recovery_started.elapsed().as_micros() as u64;
             store
         }
@@ -563,11 +481,10 @@ pub fn recover(
     if path.exists() {
         let bytes = std::fs::read(&path)?;
         let mut r = Reader::new(&bytes);
-        let (epoch, scanned) = read_header(&mut r, scale, config.seed)
-            .and_then(|epoch| Ok((epoch, scan_records(&mut r)?)))
+        let scanned = read_header(&mut r, scale, config.seed)
+            .and_then(|()| scan_records(&mut r))
             .map_err(|e| e.at(path.display()))?;
         let valid_end = r.pos();
-        report.epoch = report.epoch.max(epoch);
         // Replay stops at the first sequence gap. A record at or below
         // the high-water mark (covered by the image, or an
         // appended-but-unacked batch whose retry landed later) is not a
@@ -631,171 +548,16 @@ pub fn recover(
         options,
         report.last_seq,
         &[report.wal_entries],
-        report.epoch,
+        0,
     )?;
-    report.epoch = wal.epoch();
     report.recovery_us = recovery_started.elapsed().as_micros() as u64;
     Ok(Recovered { store, world, wal, report })
-}
-
-/// The log-shipping cursor: reads acked records out of a WAL directory
-/// in sequence order, for streaming to followers.
-///
-/// Each [`WalTailer::poll`] scans the log from a byte offset and returns
-/// the contiguous run `(next_seq, upto]`, so an idle poll is one
-/// `stat(2)` and an active poll reads only bytes appended since the
-/// last one. Compaction truncates the log, which the cursor detects via
-/// the length and answers with a rescan from 0; records re-read during a
-/// rescan are dropped by the seq filter, mirroring replay's dedupe. The
-/// log does not reach back past the store image: records compaction
-/// truncated before the cursor read them never surface, `next_seq`
-/// stays at or below the image's sequence number, and the caller offers
-/// the image instead (see [`crate::replication`]). The caller bounds
-/// `upto` by the server's applied high-water mark, and a batch is
-/// applied only after its fsync, so only durable records ever ship; records past a gap are
-/// buffered until the gap fills. Torn tails are skipped (never
-/// truncated — recovery owns repair).
-pub struct WalTailer {
-    path: PathBuf,
-    scale: String,
-    seed: u64,
-    next_seq: u64,
-    /// Offset one past the last valid record already scanned (0 = the
-    /// log has not been scanned yet, or was truncated).
-    offset: u64,
-    /// File length at the last poll — a shrink means compaction
-    /// truncated the log and the cursor must rescan from 0.
-    last_len: u64,
-    /// Consecutive polls that saw the log grow past `offset` without
-    /// yielding a single new valid record — a persistent misalignment
-    /// (truncate-then-regrow to a larger size between polls) that a full
-    /// rescan repairs.
-    stuck: u32,
-    /// Scanned-but-not-yet-shipped records (beyond a gap, or past a
-    /// bounded `upto`), keyed by seq; first copy wins.
-    pending: std::collections::BTreeMap<u64, WriteOps>,
-    /// Total bytes read off disk across all polls — the O(new bytes)
-    /// pin the cursor test counts.
-    bytes_scanned: u64,
-}
-
-impl WalTailer {
-    /// A cursor over the WAL directory `dir`, positioned to ship
-    /// records with `seq > from_seq`. The `(scale, seed)` pair must
-    /// match the log (its header is verified whenever the file is
-    /// scanned from its start).
-    pub fn new(dir: &Path, scale: &str, seed: u64, from_seq: u64) -> WalTailer {
-        WalTailer {
-            path: dir.join(WAL_FILE),
-            scale: scale.to_string(),
-            seed,
-            next_seq: from_seq + 1,
-            offset: 0,
-            last_len: 0,
-            stuck: 0,
-            pending: std::collections::BTreeMap::new(),
-            bytes_scanned: 0,
-        }
-    }
-
-    /// The next sequence number the cursor will ship.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Total bytes read off disk across all polls (the idle-cost pin:
-    /// polls with no new appends add zero).
-    pub fn bytes_scanned(&self) -> u64 {
-        self.bytes_scanned
-    }
-
-    /// Scans the log from the cursor, buffering new entries into
-    /// `pending`.
-    fn scan(&mut self) -> SnbResult<()> {
-        if !self.path.exists() {
-            return Ok(());
-        }
-        let len = std::fs::metadata(&self.path)?.len();
-        if len < self.last_len || len < self.offset {
-            // Compaction truncated the file: rescan from the top.
-            self.offset = 0;
-            self.stuck = 0;
-        }
-        self.last_len = len;
-        if len <= self.offset {
-            return Ok(()); // idle: nothing appended since last poll
-        }
-        let start = self.offset;
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(start))?;
-        let mut bytes = Vec::with_capacity((len - start) as usize);
-        file.read_to_end(&mut bytes)?;
-        self.bytes_scanned += bytes.len() as u64;
-
-        let mut r = Reader::new(&bytes);
-        let scanned = match start {
-            // Only a scan from the top of the file starts at the header.
-            0 => read_header(&mut r, &self.scale, self.seed).and_then(|_| scan_records(&mut r)),
-            _ => scan_records(&mut r),
-        };
-        let entries = scanned.map_err(|e| e.at(self.path.display()))?;
-        let valid_end = r.pos();
-        if entries.is_empty() && valid_end == 0 && start > 0 {
-            // The file grew but nothing at our offset parses — the file
-            // was truncated and regrew past our cursor between polls, so
-            // the offset no longer sits on a record boundary. A boundary
-            // mid-flush looks the same for a poll or two (torn tail), so
-            // only a *persistent* stall triggers the full rescan.
-            self.stuck += 1;
-            if self.stuck >= 4 {
-                self.offset = 0;
-                self.stuck = 0;
-            }
-            return Ok(());
-        }
-        self.stuck = 0;
-        self.offset = start + valid_end as u64;
-        for (_, entry) in entries {
-            if entry.seq >= self.next_seq {
-                self.pending.entry(entry.seq).or_insert(entry.ops);
-            }
-        }
-        Ok(())
-    }
-
-    /// Returns every not-yet-shipped record with `seq <= upto`, in
-    /// sequence order, and advances the cursor past them. Stops at a
-    /// sequence gap (ships only the contiguous prefix): a cursor must
-    /// never invent order it didn't observe, and a gap below `upto` is
-    /// how records truncated behind an image show up.
-    pub fn poll(&mut self, upto: u64) -> SnbResult<Vec<WalEntry>> {
-        self.scan()?;
-        // Anything below the ship frontier is already delivered (a
-        // rescan re-read it); drop it so `pending` stays bounded by the
-        // unshipped window.
-        while let Some((&seq, _)) = self.pending.first_key_value() {
-            if seq >= self.next_seq {
-                break;
-            }
-            self.pending.remove(&seq);
-        }
-
-        let mut out = Vec::new();
-        while self.next_seq <= upto {
-            let Some(ops) = self.pending.remove(&self.next_seq) else {
-                break; // gap (or not yet written): ship the prefix only
-            };
-            out.push(WalEntry { seq: self.next_seq, ops });
-            self.next_seq += 1;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::{image_info, write_image, IMAGE_FILE};
+    use crate::image::{write_image, IMAGE_FILE};
     use snb_core::bytes::{fnv64, put_u32};
     use snb_datagen::stream::UpdateEvent;
     use snb_store::DeleteOp;
@@ -1048,42 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn install_image_refuses_an_image_older_than_the_log() {
-        let cfg = config();
-        let all: Vec<WriteOps> = batches(2).into_iter().take(2).collect();
-        let src = tmp_dir("stale_src");
-        std::fs::create_dir_all(&src).unwrap();
-        let mut oracle = Oracle::new();
-        oracle.apply(&all[0]);
-        write_image(&src, SCALE, cfg.seed, 0, 1, 1, &oracle.store).unwrap();
-        let image_at_1 = crate::image::read_image_bytes(&src).unwrap();
-
-        let dir = tmp_dir("stale_dst");
-        let mut wal = open(&dir, WalOptions::default());
-        for (i, ops) in all.iter().enumerate() {
-            wal.append(i as u64 + 1, ops).unwrap();
-        }
-        assert!(wal.install_image(&image_at_1).is_err(), "seq 1 image behind a log at seq 2");
-        assert!(!dir.join(IMAGE_FILE).exists(), "a refused image must not land");
-        drop(wal);
-        let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
-        assert_eq!((rec.report.image_seq, rec.report.last_seq), (0, 2), "the log is intact");
-
-        // At or past the log's sequence the same call installs.
-        let mut wal = rec.wal;
-        oracle.apply(&all[1]);
-        write_image(&src, SCALE, cfg.seed, 0, 2, 1, &oracle.store).unwrap();
-        let (_, header) =
-            wal.install_image(&crate::image::read_image_bytes(&src).unwrap()).unwrap();
-        assert_eq!((header.seq, wal.last_seq()), (2, 2));
-        drop(wal);
-        let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
-        assert_eq!((rec.report.image_seq, rec.report.wal_entries), (2, 0));
-        let _ = std::fs::remove_dir_all(&src);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn header_mismatch_is_refused() {
         let dir = tmp_dir("header");
         let cfg = config();
@@ -1171,7 +897,7 @@ mod tests {
         let dir = tmp_dir("sharded_log");
         std::fs::create_dir_all(&dir).unwrap();
         for (p, ops) in all.iter().take(2).enumerate() {
-            let mut bytes = log_header(SCALE, cfg.seed, 0);
+            let mut bytes = log_header(SCALE, cfg.seed);
             bytes.extend_from_slice(&encode_record(p as u64 + 1, ops));
             std::fs::write(dir.join(format!("wal-{p}.log")), bytes).unwrap();
         }
@@ -1187,8 +913,8 @@ mod tests {
             let body = snb_store::encode_store(&Oracle::new().store);
             let mut img = crate::image::IMAGE_MAGIC.to_vec();
             put_str(&mut img, SCALE);
-            for v in [cfg.seed, 0, 1] {
-                put_u64(&mut img, v); // seed, epoch, seq
+            for v in [cfg.seed, 1] {
+                put_u64(&mut img, v); // seed, seq
             }
             put_u32(&mut img, shards);
             put_u64(&mut img, body.len() as u64);
@@ -1198,26 +924,24 @@ mod tests {
             img.extend_from_slice(&body);
             img
         };
-        assert!(crate::image::peek_header(&image(1), SCALE, cfg.seed).is_ok(), "well-formed bytes");
+        let path = dir.join(IMAGE_FILE);
+        let decode = |bytes: &[u8]| crate::image::decode_image(bytes, SCALE, cfg.seed, &path);
+        assert!(decode(&image(1)).is_ok(), "well-formed bytes");
         let dir2 = tmp_dir("sharded_image");
         std::fs::create_dir_all(&dir2).unwrap();
         std::fs::write(dir2.join(IMAGE_FILE), image(2)).unwrap();
-        let mut log = log_header(SCALE, cfg.seed, 0);
+        let mut log = log_header(SCALE, cfg.seed);
         log.extend_from_slice(&encode_record(2, &all[1]));
         log.extend_from_slice(&[9, 9, 9]);
         std::fs::write(dir2.join(WAL_FILE), log).unwrap();
         let before = dir_bytes(&dir2);
         named(recover(&dir2, &cfg, SCALE, WalOptions::default()).err().unwrap(), IMAGE_FILE);
         named(crate::image::load_image(&dir2, SCALE, cfg.seed).err().unwrap(), IMAGE_FILE);
-        named(crate::image::peek_header(&image(2), SCALE, cfg.seed).unwrap_err(), "image");
+        named(decode(&image(2)).err().unwrap(), IMAGE_FILE);
+        let reopen = SegmentedWal::open(&dir2, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
+        named(reopen.err().unwrap(), IMAGE_FILE);
         assert_eq!(dir_bytes(&dir2), before, "nothing may be truncated or replaced");
-
-        // A follower offered that image refuses it before anything lands.
-        let dst = tmp_dir("sharded_install");
-        let mut wal = open(&dst, WalOptions::default());
-        assert!(wal.install_image(&image(2)).is_err());
-        assert!(!dst.join(IMAGE_FILE).exists(), "a refused image must not land");
-        for d in [&dir, &dir2, &dst] {
+        for d in [&dir, &dir2] {
             let _ = std::fs::remove_dir_all(d);
         }
     }
@@ -1241,142 +965,66 @@ mod tests {
     }
 
     #[test]
-    fn tailer_ships_contiguously_across_compaction() {
+    fn older_format_versions_are_refused_untouched() {
         let cfg = config();
-        let dir = tmp_dir("tailer");
-        let all = batches(6);
-        let n = all.len() as u64;
-        let compact_at = 3u64;
-        let mut wal = open(&dir, WalOptions::default());
-        let mut live = Oracle::new();
-        let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, 0);
+        let all = batches(2);
+        let version_1 = |e: SnbError, file: &str| match e {
+            SnbError::Parse { context, detail } => {
+                assert!(context.contains(file), "{context}");
+                assert!(detail.contains("format version 1"), "{detail}");
+            }
+            other => panic!("expected a parse error naming version 1, got {other:?}"),
+        };
 
-        // Nothing acked yet: nothing ships.
-        assert!(tailer.poll(0).unwrap().is_empty());
-
-        // A cursor that has read a record before compaction truncates
-        // it keeps shipping in order across the truncation.
-        let mut shipped: Vec<u64> = Vec::new();
+        // A version-1 log: its header also carried a fencing epoch.
+        let dir = tmp_dir("v1_log");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut log = b"SNBWAL1\n".to_vec();
+        put_str(&mut log, SCALE);
+        put_u64(&mut log, cfg.seed);
+        put_u64(&mut log, 3); // epoch
         for (i, ops) in all.iter().enumerate() {
-            let seq = i as u64 + 1;
-            wal.append(seq, ops).unwrap();
-            live.apply(ops);
-            shipped.extend(tailer.poll(wal.last_seq()).unwrap().iter().map(|r| r.seq));
-            if seq == compact_at {
-                wal.compact(&live.store).unwrap();
-            }
+            log.extend_from_slice(&encode_record(i as u64 + 1, ops));
         }
-        assert_eq!(shipped, (1..=n).collect::<Vec<_>>());
+        std::fs::write(dir.join(WAL_FILE), log).unwrap();
+        let before = dir_bytes(&dir);
+        version_1(recover(&dir, &cfg, SCALE, WalOptions::default()).err().unwrap(), WAL_FILE);
+        let reopen = SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
+        version_1(reopen.err().unwrap(), WAL_FILE);
+        assert_eq!(dir_bytes(&dir), before, "nothing may be cut as a torn tail");
 
-        // A cursor behind the compaction point gets nothing: the log no
-        // longer reaches back past the image, and `next_seq` at or
-        // below the image's sequence is the caller's cue to offer it.
-        let image_seq = image_info(&dir, SCALE, cfg.seed).unwrap().expect("image").seq;
-        assert_eq!(image_seq, compact_at);
-        let mut lapped = WalTailer::new(&dir, SCALE, cfg.seed, 0);
-        assert!(lapped.poll(wal.last_seq()).unwrap().is_empty());
-        assert!(lapped.next_seq() <= image_seq);
-
-        // From the image's sequence the tail ships, and `upto` bounds
-        // it: a cursor asked for less ships less, then resumes exactly
-        // where it stopped.
-        let mut bounded = WalTailer::new(&dir, SCALE, cfg.seed, image_seq);
-        let first: Vec<u64> = bounded.poll(image_seq + 2).unwrap().iter().map(|r| r.seq).collect();
-        assert_eq!(first, vec![image_seq + 1, image_seq + 2]);
-        assert_eq!(bounded.next_seq(), image_seq + 3);
-        let rest: Vec<u64> = bounded.poll(wal.last_seq()).unwrap().iter().map(|r| r.seq).collect();
-        assert_eq!(rest, (image_seq + 3..=n).collect::<Vec<_>>());
-        let _ = std::fs::remove_dir_all(&dir);
+        // A version-1 image: an epoch between the seed and the sequence.
+        let dir2 = tmp_dir("v1_image");
+        std::fs::create_dir_all(&dir2).unwrap();
+        let body = snb_store::encode_store(&Oracle::new().store);
+        let mut img = b"SNBIMG1\n".to_vec();
+        put_str(&mut img, SCALE);
+        for v in [cfg.seed, 3, 1] {
+            put_u64(&mut img, v); // seed, epoch, seq
+        }
+        put_u32(&mut img, 1);
+        put_u64(&mut img, body.len() as u64);
+        put_u64(&mut img, fnv64(&body));
+        let sum = fnv64(&img);
+        put_u64(&mut img, sum);
+        img.extend_from_slice(&body);
+        std::fs::write(dir2.join(IMAGE_FILE), img).unwrap();
+        let before = dir_bytes(&dir2);
+        version_1(recover(&dir2, &cfg, SCALE, WalOptions::default()).err().unwrap(), IMAGE_FILE);
+        let reopen = SegmentedWal::open(&dir2, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
+        version_1(reopen.err().unwrap(), IMAGE_FILE);
+        assert_eq!(dir_bytes(&dir2), before, "no log may be created beside the image");
+        for d in [&dir, &dir2] {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 
     #[test]
-    fn tailer_idle_polls_read_zero_bytes() {
-        let cfg = config();
-        let dir = tmp_dir("tailcost");
-        let all = batches(6);
-        let mut wal = open(&dir, WalOptions::default());
-        let mut tailer = WalTailer::new(&dir, SCALE, cfg.seed, 0);
-
-        for (i, ops) in all.iter().take(5).enumerate() {
-            wal.append(i as u64 + 1, ops).unwrap();
-        }
-        let shipped = tailer.poll(wal.last_seq()).unwrap();
-        assert_eq!(shipped.len(), 5);
-        let after_catchup = tailer.bytes_scanned();
-        assert!(after_catchup > 0);
-
-        // Idle polls re-stat the files but must not re-read history.
-        for _ in 0..100 {
-            assert!(tailer.poll(wal.last_seq()).unwrap().is_empty());
-        }
-        assert_eq!(
-            tailer.bytes_scanned(),
-            after_catchup,
-            "idle polls must be O(stat), not O(history)"
-        );
-
-        // One more append: the poll reads exactly the file growth.
-        let size = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-        let before = size();
-        wal.append(6, &all[5]).unwrap();
-        let grew = size() - before;
-        assert_eq!(tailer.poll(wal.last_seq()).unwrap().len(), 1);
-        assert_eq!(
-            tailer.bytes_scanned() - after_catchup,
-            grew,
-            "an active poll reads only the appended bytes"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bumped_epoch_survives_recovery_and_compaction() {
-        let cfg = config();
-        let dir = tmp_dir("epoch");
-        let all = batches(6);
-        let opts = WalOptions { snapshot_every: 3 };
-        let mut wal = open(&dir, opts);
-        let mut live = Oracle::new();
-        assert_eq!(wal.epoch(), 0);
-        for (i, ops) in all.iter().take(2).enumerate() {
-            wal.append(i as u64 + 1, ops).unwrap();
-            live.apply(ops);
-        }
-        // Promotion: bump in place, with records already in the log.
-        wal.bump_epoch(3).unwrap();
-        assert_eq!(wal.epoch(), 3);
-        wal.bump_epoch(1).unwrap(); // stale bump is a no-op
-        assert_eq!(wal.epoch(), 3);
-        drop(wal); // crash, no graceful shutdown
-
-        let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
-        assert_eq!(rec.report.epoch, 3, "bumped epoch survives restart");
-        assert_eq!(rec.report.last_seq, 2, "records survive the bump");
-        let mut wal = rec.wal;
-        assert_eq!(wal.epoch(), 3);
-
-        // Compaction truncates the log; the term rides both the image
-        // and the log header across it.
-        let mut compactions = 0;
-        for (i, ops) in all.iter().enumerate().skip(2) {
-            wal.append(i as u64 + 1, ops).unwrap();
-            live.apply(ops);
-            if wal.compaction_due() {
-                wal.compact(&live.store).unwrap();
-                compactions += 1;
-            }
-        }
-        assert!(compactions >= 1, "snapshot_every=3 never compacted");
-        drop(wal);
-        assert_eq!(image_info(&dir, SCALE, cfg.seed).unwrap().expect("image").epoch, 3);
-        let header = std::fs::read(dir.join(WAL_FILE)).unwrap();
-        assert_eq!(read_header(&mut Reader::new(&header), SCALE, cfg.seed), Ok(3));
-
-        let rec = recover(&dir, &cfg, SCALE, opts).unwrap();
-        assert_eq!(rec.report.last_seq, all.len() as u64);
-        let (_, durability, report) = rec.into_durability();
-        assert_eq!(durability.epoch, 3);
-        assert_eq!(report.epoch, 3);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn open_refuses_a_nonzero_epoch_before_touching_the_directory() {
+        let dir = tmp_dir("epoch_arg");
+        let refused =
+            SegmentedWal::open(&dir, SCALE, config().seed, WalOptions::default(), 0, &[], 1);
+        assert!(matches!(refused, Err(SnbError::Config(_))), "{:?}", refused.err());
+        assert!(!dir.exists(), "nothing may be created");
     }
 }

@@ -1,6 +1,6 @@
 //! Byte-format pins and hostile-input refusals for what the server
-//! reads: client and replication frames, the WAL, `store.img` and the
-//! store-image codec inside it.
+//! reads: client frames, the WAL, `store.img` and the store-image codec
+//! inside it.
 //!
 //! The hex strings and checksums are the bytes the encoders wrote
 //! before every format moved onto `snb_core::bytes`; a layout that
@@ -10,14 +10,15 @@
 mod common;
 
 use common::{tmp_dir, SCALE};
-use snb_bi::{bi18, BiParams};
+use snb_bi::{bi05, bi18, BiParams};
 use snb_core::{Date, SnbError};
+use snb_datagen::stream::UpdateEvent;
 use snb_engine::QueryProfile;
 use snb_interactive::IsParams;
 use snb_server::image::IMAGE_MAGIC;
-use snb_server::proto::{encode_repl, encode_request, encode_response};
+use snb_server::proto::{decode_request, encode_request, encode_response};
 use snb_server::{
-    write_image, ErrorBody, ErrorKind, OkBody, ReplFrame, Request, Response, SegmentedWal,
+    recover, write_image, ErrorBody, ErrorKind, OkBody, Request, Response, SegmentedWal,
     ServiceParams, WalOptions, WriteBatch, WriteOps, IMAGE_FILE,
 };
 use snb_store::{DeleteOp, Store};
@@ -112,22 +113,12 @@ fn wire_frames_keep_their_bytes() {
             detail: "min_seq 40, applied 37 (lag 3)".into(),
         }),
     };
-    let record = ReplFrame::Record { seq: 18, ops: deletes(), epoch: 3 };
-    let offer = ReplFrame::ImageOffer {
-        seq: 640,
-        epoch: 3,
-        len: 1 << 22,
-        checksum: 0xdead_beef_cafe_f00d,
-        primary_epoch: 4,
-    };
     let pins = [
         ("BI request", hex(&encode_request(&bi)), PIN_BI_REQUEST),
         ("IS request", hex(&encode_request(&is)), PIN_IS_REQUEST),
         ("write request", hex(&encode_request(&write)), PIN_WRITE_REQUEST),
         ("ok response", hex(&encode_response(&ok)), PIN_OK_RESPONSE),
         ("error response", hex(&encode_response(&err)), PIN_ERROR_RESPONSE),
-        ("Record", hex(&encode_repl(&record)), PIN_RECORD),
-        ("ImageOffer", hex(&encode_repl(&offer)), PIN_IMAGE_OFFER),
     ];
     for (what, got, want) in pins {
         assert_eq!(got, want, "{what} bytes moved");
@@ -143,7 +134,7 @@ fn wire_frames_keep_their_bytes() {
 #[test]
 fn wal_and_image_keep_their_bytes() {
     let dir = tmp_dir("pin_wal");
-    let mut wal = SegmentedWal::open(&dir, SCALE, SEED, WalOptions::default(), 0, &[], 5).unwrap();
+    let mut wal = SegmentedWal::open(&dir, SCALE, SEED, WalOptions::default(), 0, &[], 0).unwrap();
     wal.append(1, &deletes()).unwrap();
     drop(wal);
     let log = std::fs::read(dir.join("wal.log")).unwrap();
@@ -152,7 +143,7 @@ fn wal_and_image_keep_their_bytes() {
     let store = store60();
     let body = snb_store::encode_store(&store);
     assert_eq!(fnv64(&body), PIN_STORE60_FNV, "store image codec bytes moved");
-    write_image(&dir, SCALE, SEED, 2, 11, 1, &store).unwrap();
+    write_image(&dir, SCALE, SEED, 0, 11, 1, &store).unwrap();
     let image = std::fs::read(dir.join(IMAGE_FILE)).unwrap();
     let header_len = image.len() - body.len();
     assert_eq!(hex(&image[..header_len]), PIN_IMAGE_HEADER, "image header bytes moved");
@@ -182,8 +173,8 @@ fn store_img(body: &[u8]) -> Vec<u8> {
     let mut img = IMAGE_MAGIC.to_vec();
     img.extend_from_slice(&(SCALE.len() as u16).to_le_bytes());
     img.extend_from_slice(SCALE.as_bytes());
-    for v in [SEED, 0, 1] {
-        img.extend_from_slice(&v.to_le_bytes()); // seed, epoch, seq
+    for v in [SEED, 1] {
+        img.extend_from_slice(&v.to_le_bytes()); // seed, seq
     }
     img.extend_from_slice(&1u32.to_le_bytes());
     img.extend_from_slice(&(body.len() as u64).to_le_bytes());
@@ -226,16 +217,63 @@ fn image_adjacency_source_count_past_the_buffer_is_refused() {
 }
 
 #[test]
-fn shipped_image_with_hostile_counts_is_refused_before_it_lands() {
+fn image_file_with_hostile_counts_is_refused_by_recovery() {
     for (what, body) in [("row count 2^61", rows_2_61()), ("source count 2^40", sources_2_40())] {
-        let dir = tmp_dir("hostile_install");
-        let mut wal =
-            SegmentedWal::open(&dir, SCALE, SEED, WalOptions::default(), 0, &[], 0).unwrap();
-        assert_parse_error(what, wal.install_image(&store_img(&body)));
-        assert!(!dir.join(IMAGE_FILE).exists(), "{what}: a refused image must not land");
-        drop(wal);
+        let dir = tmp_dir("hostile_image");
+        std::fs::create_dir_all(&dir).unwrap();
+        let image = store_img(&body);
+        std::fs::write(dir.join(IMAGE_FILE), &image).unwrap();
+        assert_parse_error(what, recover(&dir, &common::config(), SCALE, WalOptions::default()));
+        assert_eq!(std::fs::read(dir.join(IMAGE_FILE)).unwrap(), image, "{what}: image untouched");
+        assert!(!dir.join("wal.log").exists(), "{what}: no log beside a refused image");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// One text post of the stream with its content replaced by `content`,
+/// and the events before it (the post's forum and creator).
+fn events_up_to_a_post_with(content: &str) -> WriteOps {
+    let (_, mut stream) = snb_store::bulk_store_and_stream(&common::config());
+    let at = stream
+        .iter()
+        .position(|ev| matches!(&ev.event, UpdateEvent::AddPost(m) if !m.content.is_empty()))
+        .expect("the stream inserts a text post");
+    stream.truncate(at + 1);
+    let UpdateEvent::AddPost(post) = &mut stream[at].event else { unreachable!() };
+    post.content = content.to_string();
+    post.length = content.chars().count() as u32;
+    WriteOps::Updates(stream)
+}
+
+#[test]
+fn strings_past_64_kib_survive_the_wire_and_the_log() {
+    // A BI 5 binding's country, ASCII and two-byte UTF-8, past the
+    // `u16` length a string once had: no byte may be cut.
+    for country in ["x".repeat(70_000), "é".repeat(40_000)] {
+        let request = Request {
+            id: 1,
+            deadline_us: 0,
+            min_seq: 0,
+            params: ServiceParams::Bi(BiParams::Q5(bi05::Params { country: country.clone() })),
+        };
+        let back = decode_request(&encode_request(&request)).expect("decodes");
+        let ServiceParams::Bi(BiParams::Q5(p)) = back.params else { panic!("{back:?}") };
+        assert!(p.country == country, "a {}-byte country came back cut", country.len());
+    }
+
+    // A post whose content is 80 000 bytes is acknowledged, logged
+    // whole, and recovers to the store that acknowledged it.
+    let dir = tmp_dir("long_post");
+    let server = common::start(&dir, WalOptions::default());
+    let ops = events_up_to_a_post_with(&"é".repeat(40_000));
+    assert_eq!(common::submit(&server, 1, &ops).expect("acked").applied_seq, 1);
+    let live = snb_store::encode_store(server.snapshot().store());
+    server.shutdown();
+    let recovered =
+        recover(&dir, &common::config(), SCALE, WalOptions::default()).expect("recover");
+    assert_eq!(recovered.report.last_seq, 1);
+    assert!(snb_store::encode_store(&recovered.store) == live, "recovered store differs");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 const PIN_BI_REQUEST: &str =
@@ -245,10 +283,7 @@ const PIN_IS_REQUEST: &str =
 const PIN_WRITE_REQUEST: &str = "010a0000000000000088130000000000000300000000000000020206000000000000000300000002070000000000000009000000000000000303000000000000000601000000000000000200000000000000";
 const PIN_OK_RESPONSE: &str = "010b000000000000000014000000000000000df0edfe000000000c0000000000000059010000000000000900000000000000010100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a00000000000000";
 const PIN_ERROR_RESPONSE: &str = "010c000000000000000907000000000000001e006d696e5f7365712034302c206170706c69656420333720286c6167203329";
-const PIN_RECORD: &str = "020212000000000000000300000000000000020300000002070000000000000009000000000000000303000000000000000601000000000000000200000000000000";
-const PIN_IMAGE_OFFER: &str =
-    "02098002000000000000030000000000000000004000000000000df0fecaefbeadde0400000000000000";
 const PIN_UPDATES_REQUEST_FNV: u64 = 0x3f2a_f21c_2ee7_f57a;
-const PIN_WAL: &str = "534e4257414c310a0500302e3030312a0000000000000005000000000000003800000078fd48b9929af1aa0100000000000000020300000002070000000000000009000000000000000303000000000000000601000000000000000200000000000000";
+const PIN_WAL: &str = "534e4257414c320a0500302e3030312a000000000000003800000078fd48b9929af1aa0100000000000000020300000002070000000000000009000000000000000303000000000000000601000000000000000200000000000000";
 const PIN_STORE60_FNV: u64 = 0x2368_5693_71c1_e2a7;
-const PIN_IMAGE_HEADER: &str = "534e42494d47310a0500302e3030312a0000000000000002000000000000000b00000000000000010000003c8c090000000000a7e2c17193566823d0c578873a828efe";
+const PIN_IMAGE_HEADER: &str = "534e42494d47320a0500302e3030312a000000000000000b00000000000000010000003c8c090000000000a7e2c17193566823bfe5d8f8b0281cab";

@@ -4,7 +4,7 @@
 //! This is the payload format of the on-disk store-image snapshot (the
 //! file framing — magic, header, fsync/rename discipline — lives in the
 //! server crate next to the WAL). The codec's job is to make recovery
-//! and follower bootstrap cost proportional to *live data*, not to
+//! cost proportional to *live data*, not to
 //! history length: a recovered process decodes this image and replays
 //! only the WAL tail written after it.
 //!

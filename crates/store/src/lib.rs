@@ -31,7 +31,7 @@
 //!   update-stream event (IU 1–8, the generator's `Raw*` records)
 //!   through the per-entity row writers [`StreamBuilder`] also uses;
 //! * [`image`] — the checksummed store-image codec (full store ⇄ packed
-//!   bytes) backing the server's snapshot files and follower bootstrap;
+//!   bytes) backing the server's store-image files;
 //! * [`delete`] — the cascading deletes (DEL 1–8);
 //! * [`snapshot`] — immutable published store versions for lock-free
 //!   readers beside one writer.
