@@ -90,6 +90,15 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile }
   exit 1
 fi
 
+echo "==> each string column owns its dictionary (no process-global interner, no leaked strings)"
+# A dictionary-coded column holds exactly the strings its rows use, so a
+# delete gives them back; a process-wide dictionary or a leaked string
+# would grow for the life of the process under sustained writes.
+if grep -rnE 'StrInterner|interner\(\)|intern_static|Box::leak' crates/*/src src tests examples; then
+  echo "a process-global string dictionary or a leaked string is back: push into the column" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -103,6 +112,11 @@ cargo test --release --test kernel_oracles -- --ignored
 
 echo "==> refresh microbatch image equality at SF 0.03 (a like delete against never inserting)"
 cargo test --release --test refresh_deletes -- --ignored
+
+echo "==> deleted persons give their names back at 100 000 persons (live and after image recovery)"
+# Tier-1 writes and deletes 2 000 uniquely named persons; this one
+# writes 100 000 through the wire codec and a durable server.
+cargo test --release --test string_dictionary -- --ignored
 
 echo "==> CsvBasic load equals the built store at SF 0.01 (encode_store bytes)"
 # Tier-1 checks two SF 0.003 seeds; this one has a deeper reply forest

@@ -60,7 +60,7 @@ pub struct Row {
 
 type Key = (Ix, u32, Gender, i32, Ix); // (country, month, gender, ageGroup, tag)
 
-fn sort_key(store: &Store, key: &Key, count: u64) -> impl Ord + Clone {
+fn sort_key<'s>(store: &'s Store, key: &Key, count: u64) -> impl Ord + Clone + 's {
     (
         std::cmp::Reverse(count),
         store.tags.name.get(key.4 as usize),

@@ -37,7 +37,7 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(store: &Store, tag: Ix, c1: u64, c2: u64) -> (std::cmp::Reverse<u64>, &'static str) {
+fn sort_key(store: &Store, tag: Ix, c1: u64, c2: u64) -> (std::cmp::Reverse<u64>, &str) {
     (std::cmp::Reverse(c1.abs_diff(c2)), store.tags.name.get(tag as usize))
 }
 

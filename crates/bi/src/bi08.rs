@@ -31,7 +31,7 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-fn sort_key(store: &Store, t: Ix, count: u64) -> (std::cmp::Reverse<u64>, &'static str) {
+fn sort_key(store: &Store, t: Ix, count: u64) -> (std::cmp::Reverse<u64>, &str) {
     (std::cmp::Reverse(count), store.tags.name.get(t as usize))
 }
 

@@ -41,12 +41,12 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (std::cmp::Reverse<u64>, u64, &'static str);
+type Key<'s> = (std::cmp::Reverse<u64>, u64, &'s str);
 
 /// One aggregated group: `((person, tag), (likes, replies))`.
 type Group = ((Ix, Ix), (u64, u64));
 
-fn sort_key(store: &Store, &((p, t), (likes, _)): &Group) -> Key {
+fn sort_key<'s>(store: &'s Store, &((p, t), (likes, _)): &Group) -> Key<'s> {
     (std::cmp::Reverse(likes), store.persons.id[p as usize], store.tags.name.get(t as usize))
 }
 

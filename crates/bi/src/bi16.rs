@@ -49,9 +49,9 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (std::cmp::Reverse<u64>, &'static str, u64);
+type Key<'s> = (std::cmp::Reverse<u64>, &'s str, u64);
 
-fn sort_key(store: &Store, p: Ix, t: Ix, count: u64) -> Key {
+fn sort_key(store: &Store, p: Ix, t: Ix, count: u64) -> Key<'_> {
     (std::cmp::Reverse(count), store.tags.name.get(t as usize), store.persons.id[p as usize])
 }
 

@@ -18,7 +18,7 @@ use rustc_hash::FxHashMap;
 use snb_core::Date;
 use snb_engine::topk::sort_truncate;
 use snb_engine::{QueryContext, TopK};
-use snb_store::{interner, Ix, Store, Sym};
+use snb_store::{Ix, Store, Sym};
 
 use crate::common::thread_language;
 
@@ -58,11 +58,12 @@ fn qualifies(store: &Store, m: Ix, cutoff: snb_core::DateTime, p: &Params) -> bo
         && p.languages.iter().any(|l| l == thread_language(store, m))
 }
 
-/// The requested languages as dictionary symbols, resolved once per
-/// query. A language absent from the dictionary occurs in no row, so it
-/// is dropped — and never interned: the parameter is client-supplied.
-fn language_syms(p: &Params) -> Vec<Sym> {
-    p.languages.iter().filter_map(|l| interner().lookup(l)).collect()
+/// The requested languages as symbols of the message language column,
+/// resolved once per query. A language absent from its dictionary
+/// occurs in no row, so it is dropped — and never added: the parameter
+/// is client-supplied.
+fn language_syms(store: &Store, p: &Params) -> Vec<Sym> {
+    p.languages.iter().filter_map(|l| store.messages.language.lookup(l)).collect()
 }
 
 /// The scan form of [`qualifies`]: the date compare, then an integer
@@ -105,7 +106,7 @@ pub fn run(store: &Store, params: &Params) -> Vec<Row> {
 /// per-person counters merged element-wise.
 pub fn run_ctx(store: &Store, ctx: &QueryContext, params: &Params) -> Vec<Row> {
     let cutoff = params.date.at_midnight();
-    let langs = language_syms(params);
+    let langs = language_syms(store, params);
     let per_person = ctx.par_map_reduce(
         store.messages.len(),
         || vec![0u64; store.persons.len()],
@@ -197,8 +198,8 @@ mod tests {
         assert_eq!(rows[0].message_count, 0);
         assert_eq!(rows[0].person_count as usize, s.persons.len());
         assert_eq!(rows, run_naive(s, &p));
-        // The parameter was looked up, not interned.
-        assert_eq!(interner().lookup("xx-unknown"), None);
+        // The parameter was looked up, not added to the dictionary.
+        assert_eq!(s.messages.language.lookup("xx-unknown"), None);
     }
 
     proptest! {
@@ -228,7 +229,7 @@ mod tests {
                     .collect(),
             };
             let cutoff = p.date.at_midnight();
-            let langs = language_syms(&p);
+            let langs = language_syms(s, &p);
             for m in 0..s.messages.len() as Ix {
                 prop_assert_eq!(
                     qualifies_sym(s, m, cutoff, &p, &langs),
@@ -236,7 +237,7 @@ mod tests {
                     "message {} under {:?}", m, p
                 );
             }
-            prop_assert_eq!(interner().lookup("xx-absent"), None);
+            prop_assert_eq!(s.messages.language.lookup("xx-absent"), None);
         }
     }
 

@@ -29,9 +29,9 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (std::cmp::Reverse<u64>, &'static str, u32);
+type Key<'s> = (std::cmp::Reverse<u64>, &'s str, u32);
 
-fn sort_key(store: &Store, dest: Ix, month: u32, count: u64) -> Key {
+fn sort_key(store: &Store, dest: Ix, month: u32, count: u64) -> Key<'_> {
     (std::cmp::Reverse(count), store.places.name.get(dest as usize), month)
 }
 

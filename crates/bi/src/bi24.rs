@@ -37,12 +37,12 @@ pub struct Row {
 
 const LIMIT: usize = 100;
 
-type Key = (i32, u32, &'static str);
+type Key<'s> = (i32, u32, &'s str);
 
 /// One aggregated group: `((year, month, continent), (messages, likes))`.
 type Group = ((i32, u32, Ix), (u64, u64));
 
-fn sort_key(store: &Store, &((year, month, continent), _): &Group) -> Key {
+fn sort_key<'s>(store: &'s Store, &((year, month, continent), _): &Group) -> Key<'s> {
     (year, month, store.places.name.get(continent as usize))
 }
 

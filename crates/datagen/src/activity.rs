@@ -318,7 +318,7 @@ fn generate_albums<S: ActivitySink>(
     for pi in 0..persons.len() {
         let person = &persons[pi];
         let (person_id, person_created, first, last) =
-            (person.id, person.creation_date, person.first_name, person.last_name);
+            (person.id, person.creation_date, &person.first_name, &person.last_name);
         let mut rng = Rng::derive(state.config.seed, person_id.0, TAG_FORUM + 100);
         let albums = rng.geometric(0.5).min(2) as usize;
         for ai in 0..albums {

@@ -14,10 +14,12 @@ use snb_core::model::{
 pub struct RawPerson {
     /// Person id.
     pub id: PersonId,
-    /// First name (country- and gender-correlated).
-    pub first_name: &'static str,
+    /// First name (country- and gender-correlated). A `Box<str>`, not a
+    /// `String`: every update event is as large as this record, so a
+    /// capacity field here would cost 8 bytes per event in every stream.
+    pub first_name: Box<str>,
     /// Surname (country-correlated).
-    pub last_name: &'static str,
+    pub last_name: Box<str>,
     /// Gender.
     pub gender: Gender,
     /// Birthday (day precision).

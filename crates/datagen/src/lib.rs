@@ -159,8 +159,8 @@ mod tests {
         let c2 = tiny_config().with_seed(999);
         let g1 = generate(&c1);
         let g2 = generate(&c2);
-        let names1: Vec<_> = g1.persons.iter().map(|p| p.first_name).collect();
-        let names2: Vec<_> = g2.persons.iter().map(|p| p.first_name).collect();
+        let names1: Vec<_> = g1.persons.iter().map(|p| &p.first_name).collect();
+        let names2: Vec<_> = g2.persons.iter().map(|p| &p.first_name).collect();
         assert_ne!(names1, names2);
     }
 

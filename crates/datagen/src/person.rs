@@ -148,8 +148,8 @@ pub fn generate_person(config: &GeneratorConfig, world: &StaticWorld, i: u64) ->
 
     RawPerson {
         id,
-        first_name,
-        last_name,
+        first_name: first_name.into(),
+        last_name: last_name.into(),
         gender,
         birthday,
         creation_date,
@@ -249,7 +249,7 @@ mod tests {
             use std::collections::HashMap;
             let mut freq: HashMap<&str, usize> = HashMap::new();
             for p in ps.iter().filter(|p| p.country == country) {
-                *freq.entry(p.first_name).or_default() += 1;
+                *freq.entry(&*p.first_name).or_default() += 1;
             }
             freq.into_iter().max_by_key(|&(_, c)| c).map(|(n, _)| n.to_string()).unwrap_or_default()
         };

@@ -704,13 +704,16 @@ fn language(world: &StaticWorld, s: &str) -> Result<u8, String> {
     index_of(world.languages.iter().copied(), s, "language")
 }
 
-/// The dictionary's own copy of the name `s`.
+/// The name `s`, refused unless the generator's pool `names` holds it.
 fn name_in(
     names: impl IntoIterator<Item = &'static &'static str>,
     s: &str,
     what: &str,
-) -> Result<&'static str, String> {
-    names.into_iter().copied().find(|&n| n == s).ok_or_else(|| format!("unknown {what} `{s}`"))
+) -> Result<Box<str>, String> {
+    match names.into_iter().any(|&n| n == s) {
+        true => Ok(s.into()),
+        false => Err(format!("unknown {what} `{s}`")),
+    }
 }
 
 /// A forum's kind from its title: the generator titles walls, albums

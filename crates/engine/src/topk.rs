@@ -13,7 +13,7 @@
 //!
 //! Late projection (choke point CP-2.2): a query offers each group as
 //! a compact value — dense indices and counts, with any string in the
-//! sort key borrowed from the dictionary as `&'static str` — through
+//! sort key a `&str` borrowed from the store the query runs on — through
 //! [`TopK::offer`], which prunes before anything is stored, and builds
 //! its output rows (the `String`s) only for the ≤ `k` survivors in
 //! [`TopK::into_rows`].

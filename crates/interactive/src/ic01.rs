@@ -6,7 +6,7 @@
 
 use snb_engine::traverse::khop_neighborhood;
 use snb_engine::TopK;
-use snb_store::{interner, Ix, Store};
+use snb_store::{Ix, Store};
 
 snb_core::query_params! {
     /// Parameters of IC 1.
@@ -97,9 +97,11 @@ fn to_row(store: &Store, p: Ix, distance: u32) -> Row {
 /// Runs IC 1.
 pub fn run(store: &Store, params: &Params) -> Vec<Row> {
     let Ok(start) = store.person(params.person_id) else { return Vec::new() };
-    // The name is client-supplied: looked up, never interned. A name
-    // absent from the dictionary belongs to no person.
-    let Some(name) = interner().lookup(&params.first_name) else { return Vec::new() };
+    // The name is client-supplied: looked up, never added. A name
+    // absent from the first-name dictionary belongs to no person.
+    let Some(name) = store.persons.first_name.lookup(&params.first_name) else {
+        return Vec::new();
+    };
     let mut tk = TopK::new(LIMIT);
     for (p, d) in khop_neighborhood(store, snb_engine::QueryMetrics::sink(), start, 3) {
         if store.persons.first_name.sym(p as usize) != name {

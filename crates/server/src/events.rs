@@ -26,14 +26,6 @@ use crate::proto::WriteOps;
 // Small composite helpers.
 // ---------------------------------------------------------------------
 
-/// Interns `s` in the global store dictionary and returns the leaked
-/// `&'static str` — decoded wire values whose domain is a bounded
-/// dictionary (person names) borrow the interner's copy.
-fn intern_static(s: &str) -> &'static str {
-    let it = snb_store::interner();
-    it.resolve(it.intern(s))
-}
-
 fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     match v {
         None => put_u8(buf, 0),
@@ -86,8 +78,8 @@ fn tag_ids(r: &mut Reader<'_>) -> Result<Vec<TagId>, Malformed> {
 
 fn encode_person(buf: &mut Vec<u8>, p: &RawPerson) {
     put_u64(buf, p.id.0);
-    put_str(buf, p.first_name);
-    put_str(buf, p.last_name);
+    put_str(buf, &p.first_name);
+    put_str(buf, &p.last_name);
     put_u8(
         buf,
         match p.gender {
@@ -123,11 +115,8 @@ fn encode_person(buf: &mut Vec<u8>, p: &RawPerson) {
 fn decode_person(r: &mut Reader<'_>) -> Result<RawPerson, Malformed> {
     Ok(RawPerson {
         id: PersonId(r.u64()?),
-        // Names come from the generator's static pools, so routing the
-        // decode through the interner (whose dictionary they already
-        // populate) hands back `&'static str` without a per-event leak.
-        first_name: intern_static(&r.string()?),
-        last_name: intern_static(&r.string()?),
+        first_name: r.str()?.into(),
+        last_name: r.str()?.into(),
         gender: match r.u8()? {
             0 => Gender::Male,
             1 => Gender::Female,

@@ -168,12 +168,13 @@ fn image_with_section(tag: u8, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// `body` behind a valid `store.img` header for (`SCALE`, `SEED`).
+/// `body` behind a valid `store.img` header for `common::config()`, so
+/// that recovery gets past the header and decodes `body`.
 fn store_img(body: &[u8]) -> Vec<u8> {
     let mut img = IMAGE_MAGIC.to_vec();
     img.extend_from_slice(&(SCALE.len() as u16).to_le_bytes());
     img.extend_from_slice(SCALE.as_bytes());
-    for v in [SEED, 1] {
+    for v in [common::config().seed, 1] {
         img.extend_from_slice(&v.to_le_bytes()); // seed, seq
     }
     img.extend_from_slice(&1u32.to_le_bytes());
@@ -204,6 +205,71 @@ fn sources_2_40() -> Vec<u8> {
     image_with_section(10, &varint(1 << 40))
 }
 
+/// The varint at `at` in `bytes`, and where the next value starts.
+fn read_varint(bytes: &[u8], mut at: usize) -> (u64, usize) {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let byte = bytes[at];
+        at += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return (v, at);
+        }
+        shift += 7;
+    }
+}
+
+/// `image` (a whole store image payload) with the dictionary and the
+/// per-row indices of the tag-class name column passed through `edit`.
+/// Section 6 holds the tag classes: the id
+/// column (count, deltas), the name column (rows, dictionary length,
+/// strings, one index per row), then the parent column.
+fn with_tag_class_names(image: &[u8], edit: impl FnOnce(&mut Vec<Vec<u8>>, &mut [u64])) -> Vec<u8> {
+    let frame_len =
+        |at: usize| u32::from_le_bytes(image[at + 1..at + 5].try_into().unwrap()) as usize;
+    let mut at = 0;
+    while image[at] != 6 {
+        at += 13 + frame_len(at);
+    }
+    let body = &image[at + 13..at + 13 + frame_len(at)];
+    let (ids, mut p) = read_varint(body, 0);
+    for _ in 0..ids {
+        p = read_varint(body, p).1;
+    }
+    let names_at = p;
+    let (rows, p1) = read_varint(body, p);
+    let (entries, mut p) = read_varint(body, p1);
+    let mut dict = Vec::new();
+    for _ in 0..entries {
+        let (len, start) = read_varint(body, p);
+        p = start + len as usize;
+        dict.push(body[start..p].to_vec());
+    }
+    let mut indices = Vec::new();
+    for _ in 0..rows {
+        let (index, next) = read_varint(body, p);
+        indices.push(index);
+        p = next;
+    }
+    edit(&mut dict, &mut indices);
+    let mut edited = body[..names_at].to_vec();
+    edited.extend(varint(rows));
+    edited.extend(varint(dict.len() as u64));
+    for s in &dict {
+        edited.extend(varint(s.len() as u64));
+        edited.extend_from_slice(s);
+    }
+    edited.extend(indices.iter().flat_map(|&i| varint(i)));
+    edited.extend_from_slice(&body[p..]);
+    let mut out = image[..at].to_vec();
+    out.push(6);
+    out.extend_from_slice(&(edited.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv64(&edited).to_le_bytes());
+    out.extend_from_slice(&edited);
+    out.extend_from_slice(&image[at + 13 + body.len()..]);
+    out
+}
+
 #[test]
 fn image_row_count_past_the_buffer_is_refused() {
     let image = rows_2_61();
@@ -218,7 +284,24 @@ fn image_adjacency_source_count_past_the_buffer_is_refused() {
 
 #[test]
 fn image_file_with_hostile_counts_is_refused_by_recovery() {
-    for (what, body) in [("row count 2^61", rows_2_61()), ("source count 2^40", sources_2_40())] {
+    // The tag-class name dictionaries below are refused only for their
+    // form: the bulk store's image passed through the same edit recovers.
+    let bulk = snb_store::encode_store(&snb_store::bulk_store_and_stream(&common::config()).0);
+    let dir = tmp_dir("canonical_image");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(IMAGE_FILE), store_img(&with_tag_class_names(&bulk, |_, _| {})))
+        .unwrap();
+    recover(&dir, &common::config(), SCALE, WalOptions::default())
+        .expect("the bulk image recovers");
+    let _ = std::fs::remove_dir_all(&dir);
+    for (what, body) in [
+        ("row count 2^61", rows_2_61()),
+        ("source count 2^40", sources_2_40()),
+        ("a repeated string", with_tag_class_names(&bulk, |d, _| d[1] = d[0].clone())),
+        ("an unused entry", with_tag_class_names(&bulk, |d, _| d.push(b"unused".to_vec()))),
+        ("an index out of first-use order", with_tag_class_names(&bulk, |_, i| i.swap(0, 1))),
+        ("an index out of range", with_tag_class_names(&bulk, |d, i| i[1] = d.len() as u64)),
+    ] {
         let dir = tmp_dir("hostile_image");
         std::fs::create_dir_all(&dir).unwrap();
         let image = store_img(&body);

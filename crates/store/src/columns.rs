@@ -29,9 +29,9 @@
 //!
 //! String-valued attributes no longer store `Vec<String>`: dictionary
 //! values (names, browsers, languages) live in [`SymCol`] columns of
-//! 4-byte symbols into the global [`interner`](crate::intern::interner),
-//! and high-cardinality values (content, IPs, emails) live in
-//! [`PackCol`]/[`PackListCol`] byte arenas. Both index as `&str`, so
+//! 4-byte symbols into the column's own dictionary, and high-cardinality
+//! values (content, IPs, emails) live in [`PackCol`]/[`PackListCol`]
+//! byte arenas. Both index as `&str`, so
 //! `cols.first_name[i]` reads exactly as it did — only `.clone()`
 //! became `.to_string()` at the call sites that need ownership.
 
@@ -167,6 +167,12 @@ pub(crate) trait Column: Default {
     /// Reads what `Column::put` wrote.
     fn get(r: &mut Reader<'_>) -> Result<Self, Malformed>;
 
+    /// Checks the column's own form (a dictionary-coded column's
+    /// dictionary); nothing to check for any other.
+    fn check(&self) -> Result<(), String> {
+        Ok(())
+    }
+
     /// Whether two columns share their buffers.
     #[cfg(test)]
     fn shares_buffers(&self, other: &Self) -> bool;
@@ -202,9 +208,10 @@ impl<T: Scalar> Column for AppendVec<T> {
 }
 
 /// The string columns keep their own methods; their image forms are
-/// `image.rs`'s `put_*` / `get_*` pairs.
+/// `image.rs`'s `put_*` / `get_*` pairs, and a dictionary-coded column
+/// names its form check.
 macro_rules! string_column {
-    ($($ty:ident: $put:ident, $get:ident;)*) => {$(
+    ($($ty:ident: $put:ident, $get:ident $(, $check:ident)?;)*) => {$(
         impl Column for $ty {
             fn len(&self) -> usize {
                 $ty::len(self)
@@ -230,6 +237,12 @@ macro_rules! string_column {
                 crate::image::$get(r)
             }
 
+            $(
+                fn check(&self) -> Result<(), String> {
+                    $ty::$check(self)
+                }
+            )?
+
             #[cfg(test)]
             fn shares_buffers(&self, other: &Self) -> bool {
                 $ty::shares_buffers(self, other)
@@ -239,9 +252,9 @@ macro_rules! string_column {
 }
 
 string_column! {
-    SymCol: put_symcol, get_symcol;
+    SymCol: put_symcol, get_symcol, check;
     PackCol: put_packcol, get_packcol;
-    SymListCol: put_symlist, get_symlist;
+    SymListCol: put_symlist, get_symlist, check;
     PackListCol: put_packlist, get_packlist;
 }
 
@@ -270,10 +283,11 @@ pub(crate) trait Group: Clone + Default {
     /// Reads what `Group::encode` wrote.
     fn decode(r: &mut Reader<'_>) -> Result<Self, Malformed>;
 
-    /// Every column has one row per id, then no reference dangles:
-    /// each points below `rows` of its class, or is `NONE` where the
-    /// declaration allows it. The lengths come first so that the
-    /// reference check never indexes past a short column.
+    /// Every column has one row per id and passes its own form check,
+    /// then no reference dangles: each points below `rows` of its class,
+    /// or is `NONE` where the declaration allows it. The lengths come
+    /// first so that the reference check never indexes past a short
+    /// column.
     fn check(&self, rows: impl Fn(Entity) -> usize) -> Result<(), String>;
 
     /// The columns whose buffers `other`'s do not share.
@@ -364,6 +378,8 @@ macro_rules! column_group {
                     if len != n {
                         return Err(format!("{} has {len} rows for {n} ids", stringify!($field)));
                     }
+                    Column::check(&self.$field)
+                        .map_err(|e| format!("{}: {e}", stringify!($field)))?;
                 )*
                 $($(
                     let none: Option<Ix> = None $(.or(Some($none)))?;
@@ -391,9 +407,9 @@ column_group! {
     PersonCols {
         /// Raw ids.
         id: AppendVec<u64>,
-        /// First names (interned — drawn from the name dictionaries).
+        /// First names (dictionary-coded — drawn from the name pools).
         first_name: SymCol,
-        /// Surnames (interned).
+        /// Surnames (dictionary-coded).
         last_name: SymCol,
         /// Genders.
         gender: AppendVec<Gender>,
@@ -403,13 +419,13 @@ column_group! {
         creation_date: AppendVec<DateTime>,
         /// Registration IPs (packed — high cardinality).
         location_ip: PackCol,
-        /// Browser names (interned — tiny dictionary).
+        /// Browser names (dictionary-coded — tiny dictionary).
         browser: SymCol,
         /// Home city (place index).
         city: AppendVec<Ix> => Place,
         /// Email addresses (multi-valued, packed — unique per person).
         emails: PackListCol,
-        /// Spoken languages (multi-valued, interned).
+        /// Spoken languages (multi-valued, dictionary-coded).
         speaks: SymListCol,
     }
 }
@@ -443,7 +459,7 @@ column_group! {
         creator: AppendVec<Ix> => Person,
         /// Country the message was issued from (place index).
         country: AppendVec<Ix> => Place,
-        /// Browser names (interned).
+        /// Browser names (dictionary-coded).
         browser: SymCol,
         /// Origin IPs (packed).
         location_ip: PackCol,
@@ -453,7 +469,7 @@ column_group! {
         length: AppendVec<u32>,
         /// Image file name (empty string when absent) — packed.
         image_file: PackCol,
-        /// Language (Posts; empty string when absent) — interned.
+        /// Language (Posts; empty string when absent) — dictionary-coded.
         language: SymCol,
         /// Containing forum (Posts; `NONE` for comments).
         forum: AppendVec<Ix> => Forum | NONE,
@@ -476,7 +492,7 @@ column_group! {
     PlaceCols {
         /// Raw ids.
         id: AppendVec<u64>,
-        /// Names (interned).
+        /// Names (dictionary-coded).
         name: SymCol,
         /// City / country / continent.
         kind: AppendVec<PlaceKind>,
@@ -490,7 +506,7 @@ column_group! {
     TagCols {
         /// Raw ids.
         id: AppendVec<u64>,
-        /// Names (interned).
+        /// Names (dictionary-coded).
         name: SymCol,
         /// `hasType` tag class (index).
         class: AppendVec<Ix> => TagClass,
@@ -502,7 +518,7 @@ column_group! {
     TagClassCols {
         /// Raw ids.
         id: AppendVec<u64>,
-        /// Names (interned).
+        /// Names (dictionary-coded).
         name: SymCol,
         /// `isSubclassOf` parent (`NONE` for the root).
         parent: AppendVec<Ix> => TagClass | NONE,
@@ -514,7 +530,7 @@ column_group! {
     OrganisationCols {
         /// Raw ids.
         id: AppendVec<u64>,
-        /// Names (interned).
+        /// Names (dictionary-coded).
         name: SymCol,
         /// University or company.
         kind: AppendVec<OrganisationKind>,

@@ -568,8 +568,8 @@ mod tests {
         let world = snb_datagen::dictionaries::StaticWorld::build(seed);
         let reborn = snb_datagen::graph::RawPerson {
             id: snb_core::model::PersonId(victim),
-            first_name: "Reborn",
-            last_name: "User",
+            first_name: "Reborn".into(),
+            last_name: "User".into(),
             gender: snb_core::model::Gender::Female,
             birthday: snb_core::Date::from_ymd(1991, 2, 3),
             creation_date: snb_core::DateTime(1_000_000),

@@ -23,13 +23,13 @@
 //! Within sections everything is varints, and a value column's element
 //! type picks its encoding (`Scalar`): sorted id and timestamp columns
 //! are zigzag-delta packed (~1–2 bytes/row), `Ix` references and other
-//! `u32`s are plain varints, enums are one byte each, interned string
-//! columns are written as a per-column local dictionary plus per-row
-//! dictionary indices and re-interned into the process-global
-//! dictionary at load (symbols are process-local and must never cross a
-//! process boundary). Any length/checksum mismatch, unknown tag, count
-//! too large for its section, or trailing bytes decodes to a hard
-//! [`SnbError::Parse`] — a corrupt image is refused, never half-loaded.
+//! `u32`s are plain varints, enums are one byte each, and a
+//! dictionary-coded string column is written as it is held: its own
+//! dictionary, then one symbol per row. Any length/checksum mismatch,
+//! unknown tag, count too large for its section, dictionary out of its
+//! canonical form (see [`crate::intern`]), or trailing bytes decodes to
+//! a hard [`SnbError::Parse`] — a corrupt image is refused, never
+//! half-loaded.
 //!
 //! [`SnbError::Parse`]: snb_core::SnbError::Parse
 
@@ -44,7 +44,7 @@ use snb_core::SnbResult;
 use crate::adj::Adj;
 use crate::append_vec::AppendVec;
 use crate::columns::{Group, Ix};
-use crate::intern::{interner, PackCol, PackListCol, SymCol, SymListCol};
+use crate::intern::{PackCol, PackListCol, SymCol, SymListCol};
 use crate::store::{Entity, Store};
 
 /// The tag of the first adjacency section; the others follow in `Store`
@@ -206,52 +206,26 @@ pub(crate) fn get_scalars<T: Scalar>(r: &mut Reader<'_>) -> Result<AppendVec<T>,
 
 // ---- string column helpers -------------------------------------------------
 
-/// Builds a local dictionary over an iterator of symbols and writes
-/// `dict_len, dict strings..., rows..., per-row local index`.
+/// Writes a dictionary-coded column as it is held: `rows, dict_len,
+/// dict strings..., per-row symbol`.
 pub(crate) fn put_symcol(out: &mut Vec<u8>, col: &SymCol) {
-    let (dict, locals) = localize(col.syms().iter().copied());
     put_varint(out, col.len() as u64);
-    put_dict(out, &dict);
-    for local in locals {
-        put_varint(out, u64::from(local));
-    }
-}
-
-fn localize(syms: impl Iterator<Item = u32>) -> (Vec<&'static str>, Vec<u32>) {
-    let mut map: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut dict = Vec::new();
-    let mut locals = Vec::new();
-    for sym in syms {
-        let local = *map.entry(sym).or_insert_with(|| {
-            dict.push(interner().resolve(sym));
-            (dict.len() - 1) as u32
-        });
-        locals.push(local);
-    }
-    (dict, locals)
-}
-
-fn put_dict(out: &mut Vec<u8>, dict: &[&str]) {
-    put_varint(out, dict.len() as u64);
-    for s in dict {
+    put_varint(out, col.dictionary().len() as u64);
+    for s in col.dictionary() {
         put_varint_str(out, s);
     }
+    u32::put_run(out, col.syms());
 }
 
-fn get_dict(r: &mut Reader<'_>) -> Result<Vec<u32>, Malformed> {
-    let n = r.varint_count(1)?;
-    r.many(n, 1, |r| r.varint_str().map(|s| interner().intern(s)))
-}
-
+/// Reads a [`put_symcol`] column, refusing a dictionary that is not in
+/// the column's canonical form (a repeated or unused string, a symbol
+/// out of range or out of first-use order).
 pub(crate) fn get_symcol(r: &mut Reader<'_>) -> Result<SymCol, Malformed> {
     let rows = r.varint_count(1)?;
-    let dict = get_dict(r)?;
-    let mut col = SymCol::default();
-    for _ in 0..rows {
-        let local = usize::try_from(r.varint()?).ok().and_then(|i| dict.get(i));
-        col.push_sym(*local.ok_or_else(|| Malformed("dictionary index out of range".into()))?);
-    }
-    Ok(col)
+    let n = r.varint_count(1)?;
+    let dict = r.many(n, 1, |r| r.varint_str())?;
+    let syms = u32::get_run(r, rows)?;
+    SymCol::from_parts(dict, syms).map_err(Malformed)
 }
 
 pub(crate) fn put_packcol(out: &mut Vec<u8>, col: &PackCol) {

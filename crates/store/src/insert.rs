@@ -110,8 +110,8 @@ impl Store {
         self.person_ix.insert(p.id.0, ix);
         let cols = &mut *self.persons;
         cols.id.push(p.id.0);
-        cols.first_name.push(p.first_name);
-        cols.last_name.push(p.last_name);
+        cols.first_name.push(&p.first_name);
+        cols.last_name.push(&p.last_name);
         cols.gender.push(p.gender);
         cols.birthday.push(p.birthday);
         cols.creation_date.push(p.creation_date);
@@ -343,8 +343,8 @@ mod tests {
     fn person(id: u64, city_id: u64, world: &StaticWorld) -> RawPerson {
         RawPerson {
             id: PersonId(id),
-            first_name: "Ada",
-            last_name: "Lovelace",
+            first_name: "Ada".into(),
+            last_name: "Lovelace".into(),
             gender: Gender::Female,
             birthday: Date::from_ymd(1990, 5, 5),
             creation_date: DateTime::from_parts(2013, 6, 1, 12, 0, 0, 0),
@@ -727,7 +727,7 @@ mod tests {
         let city = base.places.id[base.persons.city[0] as usize];
         let grow = |s: &mut Store, id: u64| {
             let mut p = person(id, city, &world);
-            p.first_name = Box::leak(format!("clone-{id}").into_boxed_str());
+            p.first_name = format!("clone-{id}").into();
             add_person(s, p, &world).unwrap();
             add_message(s, post(id, id, forum, country, &world), &world).unwrap();
         };

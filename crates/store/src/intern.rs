@@ -1,4 +1,4 @@
-//! String interning and packed string columns.
+//! Dictionary-coded and packed string columns.
 //!
 //! At the scale factors the SNB spec targets (arXiv 2001.02299: SF1 is
 //! ~10k persons and ~3.5M messages, the ladder goes up from there) the
@@ -8,162 +8,136 @@
 //! or are immutable once loaded (IPs, content). This module replaces
 //! them with two representations:
 //!
-//! * [`SymCol`] — a `Vec<u32>` of symbols into the process-global
-//!   [`StrInterner`]. Identical strings share one symbol across every
-//!   column and every store version, so a dictionary value costs 4 bytes
-//!   per row no matter how often it repeats.
+//! * [`SymCol`] — a `u32` symbol per row plus the column's own
+//!   dictionary, so a dictionary value costs 4 bytes per row no matter
+//!   how often it repeats.
 //! * [`PackCol`] — a byte arena plus `u32` offsets for high-cardinality
-//!   columns (message content, IPs) where interning would only bloat
-//!   the dictionary: 4 bytes per row of overhead instead of 24+.
+//!   columns (message content, IPs) where a dictionary would only grow:
+//!   4 bytes per row of overhead instead of 24+.
 //!
 //! Both index as `&str` (`col[i]`), so cold callers compile against
 //! them exactly as they did against `Vec<String>`. Multi-valued columns
-//! get the same treatment via [`SymListCol`] / [`PackListCol`]. Their
-//! buffers are [`AppendVec`]s, so a store version and the writer's next
-//! version share them and an insert batch appends in place.
+//! keep all their values in one such column plus row offsets
+//! ([`SymListCol`] / [`PackListCol`]). The buffers are [`AppendVec`]s,
+//! so a store version and the writer's next version share them and an
+//! insert batch appends in place.
+//!
+//! A dictionary lists exactly the strings its column's rows use, each
+//! once, in the order of first use, which is also the store image's
+//! form. `push` appends a string at its first use; `filter_in_place`,
+//! the only path that removes rows, renumbers the survivors and drops
+//! the strings no surviving row uses, so a delete gives its strings
+//! back. Equal columns are therefore equal values. A store version and
+//! the writer's clone share each dictionary, and a write batch copies it
+//! only when it brings a string the column has not seen.
 //!
 //! Scans do not go through `&str` at all: a string predicate resolves
-//! its parameter to a [`Sym`] once per query with
-//! [`StrInterner::lookup`] (which never inserts — an unknown string
-//! matches nothing) and compares [`SymCol::sym`] values; emptiness and
-//! length of a packed row come from the offsets
-//! ([`PackCol::row_is_empty`] / [`PackCol::row_len`]) without touching
-//! the bytes. When a string is needed, [`StrInterner::resolve`] is two
-//! acquire loads on an append-only table — no lock, so a write batch
-//! interning new strings never stalls a reader.
+//! its parameter to a [`Sym`] once per query with [`SymCol::lookup`]
+//! (which never inserts — an unknown string matches nothing) and
+//! compares [`SymCol::sym`] values; emptiness and length of a packed row
+//! come from the offsets ([`PackCol::row_is_empty`] /
+//! [`PackCol::row_len`]) without touching the bytes. When a string is
+//! needed, [`SymCol::get`] slices the dictionary: no lock, no UTF-8
+//! check.
 //!
-//! Trade-offs, stated honestly: the interner is append-only and leaks
-//! its dictionary for the process lifetime (symbols must stay valid in
-//! every published copy-on-write store version, and the SNB dictionary
-//! space is bounded — only the build, insert and image-decode paths
-//! intern; query parameters use `lookup`); a `PackCol` arena is capped
-//! at 4 GiB per column by its `u32` offsets (one column of one entity
-//! type — far beyond what a single in-memory store holds).
+//! A `PackCol` arena is capped at 4 GiB per column by its `u32` offsets
+//! (one column of one entity type — far beyond what a single in-memory
+//! store holds).
 
-use std::ops::Index;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-use rustc_hash::FxHashMap;
+use std::ops::{Index, Range};
+use std::sync::Arc;
 
 use crate::append_vec::AppendVec;
 
-/// A symbol: an index into the global interner's dictionary.
+/// A symbol: an index into its column's dictionary.
 pub type Sym = u32;
 
-/// Symbols `[0, 2^FIRST_BUCKET_BITS)` live in bucket 0; every later
-/// bucket doubles the table, so 23 buckets cover the whole `u32` range
-/// and at most half of the allocated slots are ever unused.
-const FIRST_BUCKET_BITS: u32 = 10;
-const BUCKETS: usize = (32 - FIRST_BUCKET_BITS) as usize + 1;
-
-/// One slot of the resolve table: written once by the interning
-/// thread, read by anyone with an acquire load.
-type Slot = OnceLock<&'static str>;
-
-/// `(bucket, offset)` of a symbol in the resolve table.
-fn locate(sym: Sym) -> (usize, usize) {
-    let n = u64::from(sym) + (1 << FIRST_BUCKET_BITS);
-    let top = 63 - n.leading_zeros();
-    ((top - FIRST_BUCKET_BITS) as usize, (n - (1 << top)) as usize)
+/// The strings of one column, each once, in the order the rows first
+/// use them: their bytes back to back in `text`, symbol `s` ending at
+/// `ends[s]`, and `sorted` listing the symbols in string order for
+/// lookups to binary-search.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Dict {
+    text: String,
+    ends: Vec<u32>,
+    sorted: Vec<Sym>,
 }
 
-/// The process-global append-only string dictionary.
-///
-/// `intern` and `lookup` take the `map` mutex (write path and once per
-/// query respectively). `resolve` takes no lock: the symbol → string
-/// table is a fixed array of lazily allocated buckets whose slots are
-/// each set exactly once, by the thread holding `map`, before the
-/// symbol is handed out. A slot never moves, so a reader needs only the
-/// two acquire loads `OnceLock::get` performs (bucket, then slot), and
-/// the returned `&'static str` outlives every store version.
-pub struct StrInterner {
-    map: Mutex<FxHashMap<&'static str, Sym>>,
-    table: [OnceLock<Box<[Slot]>>; BUCKETS],
-    /// Symbols handed out so far; stored with `Release` after the slot
-    /// is set, so `len()` never runs ahead of `resolve`.
-    len: AtomicUsize,
+/// What to reserve for `extra` more elements in a buffer holding `len`
+/// of `cap`: exact at first, then doubling, so a dictionary of a few
+/// short strings costs about what it holds.
+fn room(len: usize, cap: usize, extra: usize) -> usize {
+    if cap - len >= extra {
+        0
+    } else {
+        len.max(extra)
+    }
 }
 
-impl StrInterner {
-    fn new() -> StrInterner {
-        let interner = StrInterner {
-            map: Mutex::new(FxHashMap::default()),
-            table: [const { OnceLock::new() }; BUCKETS],
-            len: AtomicUsize::new(0),
-        };
-        // Symbol 0 is always the empty string: `Default`-constructed
-        // rows and "absent" optional attributes resolve without ever
-        // touching the map.
-        assert_eq!(interner.intern(""), 0);
-        interner
+impl Dict {
+    /// The string of `sym`.
+    fn get(&self, sym: Sym) -> &str {
+        let s = sym as usize;
+        let start = if s == 0 { 0 } else { self.ends[s - 1] as usize };
+        &self.text[start..self.ends[s] as usize]
     }
 
-    /// Interns `s`, returning its symbol. Identical strings — from any
-    /// column, store version, or thread — always yield the same symbol.
-    pub fn intern(&self, s: &str) -> Sym {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&sym) = map.get(s) {
-            return sym;
-        }
-        // Only the holder of `map` appends, so `len` cannot change
-        // under us and the slot below is still unset.
-        let next = self.len.load(Ordering::Relaxed);
-        let sym = u32::try_from(next).expect("interner dictionary overflow");
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let (bucket, offset) = locate(sym);
-        let slots = self.table[bucket].get_or_init(|| {
-            (0..1usize << (bucket as u32 + FIRST_BUCKET_BITS)).map(|_| Slot::new()).collect()
-        });
-        slots[offset].set(leaked).expect("resolve-table slot written twice");
-        self.len.store(next + 1, Ordering::Release);
-        map.insert(leaked, sym);
+    /// `s`'s position in `sorted`, or where it would go.
+    fn find(&self, s: &str) -> Result<usize, usize> {
+        self.sorted.binary_search_by(|&sym| self.get(sym).cmp(s))
+    }
+
+    /// Appends `s` as the next symbol, leaving `sorted` to the caller.
+    fn append(&mut self, s: &str) -> Sym {
+        self.text.reserve_exact(room(self.text.len(), self.text.capacity(), s.len()));
+        self.text.push_str(s);
+        self.ends.reserve_exact(room(self.ends.len(), self.ends.capacity(), 1));
+        self.ends.push(u32::try_from(self.text.len()).expect("dictionary overflow (4 GiB)"));
+        (self.ends.len() - 1) as Sym
+    }
+
+    /// Appends `s`, whose place in `sorted` is `at`.
+    fn insert(&mut self, s: &str, at: usize) -> Sym {
+        let sym = self.append(s);
+        self.sorted.reserve_exact(room(self.sorted.len(), self.sorted.capacity(), 1));
+        self.sorted.insert(at, sym);
         sym
     }
 
-    /// The symbol of `s` if it was ever interned; never inserts. This
-    /// is the entry point for client-supplied strings (query
-    /// parameters): a string absent from the dictionary occurs in no
-    /// column, and looking it up must not grow the dictionary.
-    pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).get(s).copied()
+    /// A dictionary of `strings` in the order given (a repeated string
+    /// fails [`Dict::check`]).
+    fn of_strings<'a>(strings: impl IntoIterator<Item = &'a str>) -> Dict {
+        let mut dict = Dict::default();
+        for s in strings {
+            dict.append(s);
+        }
+        let mut sorted: Vec<Sym> = (0..dict.ends.len() as Sym).collect();
+        sorted.sort_unstable_by(|&a, &b| dict.get(a).cmp(dict.get(b)));
+        Dict { sorted, ..dict }
     }
 
-    /// Resolves a symbol back to its string without taking a lock.
-    /// Panics on a symbol that was never handed out (a corrupted
-    /// column, not a user error).
-    pub fn resolve(&self, sym: Sym) -> &'static str {
-        let (bucket, offset) = locate(sym);
-        self.table[bucket]
-            .get()
-            .and_then(|slots| slots[offset].get())
-            .expect("symbol was never handed out by this interner")
+    /// Checks the canonical form of a dictionary and the symbols `syms`
+    /// using it: the strings are distinct, every symbol is in range,
+    /// symbols appear in first-use order, and every string is used.
+    fn check(&self, syms: &[Sym]) -> Result<(), String> {
+        if let Some(w) = self.sorted.windows(2).find(|w| self.get(w[0]) >= self.get(w[1])) {
+            return Err(format!("the dictionary repeats {:?}", self.get(w[1])));
+        }
+        let (len, mut used) = (self.ends.len(), 0);
+        for &sym in syms {
+            let sym = sym as usize;
+            if sym >= len {
+                return Err(format!("symbol {sym} is out of range ({len} strings)"));
+            } else if sym > used {
+                return Err(format!("symbol {sym} is out of first-use order ({used} used)"));
+            }
+            used += usize::from(sym == used);
+        }
+        match used < len {
+            true => Err(format!("dictionary entry {used} of {len} is used by no row")),
+            false => Ok(()),
+        }
     }
-
-    /// Number of distinct strings interned so far.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// True when only the empty string is interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() <= 1
-    }
-
-    /// Bytes held by the dictionary itself (leaked strings + resolve
-    /// table; the lookup map is not counted).
-    pub fn dictionary_bytes(&self) -> usize {
-        let strings: usize = (0..self.len() as Sym).map(|sym| self.resolve(sym).len()).sum();
-        let slots: usize = self.table.iter().filter_map(|b| b.get()).map(|b| b.len()).sum();
-        strings + slots * std::mem::size_of::<Slot>()
-    }
-}
-
-/// The global interner (one dictionary per process, shared by every
-/// store version).
-pub fn interner() -> &'static StrInterner {
-    static INTERNER: OnceLock<StrInterner> = OnceLock::new();
-    INTERNER.get_or_init(StrInterner::new)
 }
 
 /// Estimated heap footprint of a `Vec<String>` holding the same rows —
@@ -174,22 +148,34 @@ fn string_baseline(rows: usize, content_bytes: usize) -> usize {
     rows * std::mem::size_of::<String>() + content_bytes
 }
 
-/// An interned string column: one `u32` symbol per row.
+/// A dictionary-coded string column: one `u32` symbol per row into the
+/// column's own dictionary, which a version shares with its clones.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SymCol {
     syms: AppendVec<Sym>,
+    dict: Arc<Dict>,
 }
 
 impl SymCol {
-    /// Appends a row, interning the value.
+    /// Appends a row, adding the value to the dictionary at its first
+    /// use (copying a dictionary another version shares).
     pub fn push(&mut self, s: impl AsRef<str>) {
-        self.syms.push(interner().intern(s.as_ref()));
+        let s = s.as_ref();
+        let sym = match self.dict.find(s) {
+            Ok(at) => self.dict.sorted[at],
+            Err(at) => Arc::make_mut(&mut self.dict).insert(s, at),
+        };
+        self.syms.push(sym);
     }
 
-    /// Appends an already-interned symbol (datagen hands these out so
-    /// the hot path skips the dictionary lookup entirely).
-    pub fn push_sym(&mut self, sym: Sym) {
-        self.syms.push(sym);
+    /// The column of an image: its dictionary and one symbol per row,
+    /// refused unless they are in the canonical form.
+    pub(crate) fn from_parts<'a>(
+        strings: impl IntoIterator<Item = &'a str>,
+        syms: AppendVec<Sym>,
+    ) -> Result<SymCol, String> {
+        let col = SymCol { syms, dict: Arc::new(Dict::of_strings(strings)) };
+        col.check().map(|()| col)
     }
 
     /// The symbol at row `i` — what scan predicates compare.
@@ -197,11 +183,17 @@ impl SymCol {
         self.syms[i]
     }
 
-    /// The value at row `i`, borrowed from the dictionary rather than
-    /// from the column: sort keys and group keys can hold it without
-    /// allocating or pinning the store version.
-    pub fn get(&self, i: usize) -> &'static str {
-        interner().resolve(self.syms[i])
+    /// The symbol of `s` in this column if some row holds it; never
+    /// inserts. This is the entry point for client-supplied strings
+    /// (query parameters): a string absent from the dictionary occurs in
+    /// no row, and looking it up must not grow the dictionary.
+    pub fn lookup(&self, s: &str) -> Option<Sym> {
+        self.dict.find(s).ok().map(|at| self.dict.sorted[at])
+    }
+
+    /// The value at row `i`, borrowed from the column's dictionary.
+    pub fn get(&self, i: usize) -> &str {
+        self.dict.get(self.syms[i])
     }
 
     /// Number of rows.
@@ -214,10 +206,15 @@ impl SymCol {
         self.syms.is_empty()
     }
 
-    /// Iterates the resolved values in row order.
-    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
-        let dict = interner();
-        self.syms.iter().map(move |&s| dict.resolve(s))
+    /// Iterates the values in row order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        self.syms.iter().map(|&s| self.dict.get(s))
+    }
+
+    /// The dictionary: each string the rows use, once, in first-use
+    /// order.
+    pub fn dictionary(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.dict.ends.len() as Sym).map(|s| self.dict.get(s))
     }
 
     /// The raw symbol slice (image serialization).
@@ -225,27 +222,52 @@ impl SymCol {
         &self.syms
     }
 
-    /// Keeps only rows whose index passes `keep` (delete rebuilds).
+    /// Keeps only rows whose index passes `keep` (delete rebuilds), then
+    /// renumbers the survivors in first-use order and drops the strings
+    /// none of them uses.
     pub fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool) {
         self.syms.filter_in_place(keep);
+        let (old, mut dict) = (&self.dict, Dict::default());
+        let mut renumber = vec![Sym::MAX; old.ends.len()];
+        for sym in self.syms.iter_mut() {
+            if renumber[*sym as usize] == Sym::MAX {
+                renumber[*sym as usize] = dict.append(old.get(*sym));
+            }
+            *sym = renumber[*sym as usize];
+        }
+        let sorted = old.sorted.iter().map(|&s| renumber[s as usize]);
+        dict.sorted = sorted.filter(|&s| s != Sym::MAX).collect();
+        self.dict = Arc::new(dict);
     }
 
-    /// Whether two columns share their buffer (see
+    /// Checks the dictionary's canonical form (see [`Dict::check`]).
+    pub(crate) fn check(&self) -> Result<(), String> {
+        self.dict.check(&self.syms)
+    }
+
+    /// Whether two columns share their symbol buffer and dictionary (see
     /// [`AppendVec::ptr_eq`]).
     #[cfg(test)]
     pub(crate) fn shares_buffers(&self, other: &SymCol) -> bool {
-        AppendVec::ptr_eq(&self.syms, &other.syms)
+        AppendVec::ptr_eq(&self.syms, &other.syms) && Arc::ptr_eq(&self.dict, &other.dict)
     }
 
     /// Releases push-growth slack after an append-once bulk build.
     pub fn shrink_to_fit(&mut self) {
         self.syms.shrink_to_fit();
+        if let Some(dict) = Arc::get_mut(&mut self.dict) {
+            dict.text.shrink_to_fit();
+            dict.ends.shrink_to_fit();
+            dict.sorted.shrink_to_fit();
+        }
     }
 
-    /// Heap bytes held by this column (the shared dictionary is global
-    /// and counted once, not per column).
+    /// Heap bytes held by this column, its dictionary's three buffers
+    /// included (as for every column, capacities; no header).
     pub fn heap_bytes(&self) -> usize {
-        self.syms.capacity() * std::mem::size_of::<Sym>()
+        let (syms, dict) = (self.syms.capacity(), &self.dict);
+        (syms + dict.ends.capacity() + dict.sorted.capacity()) * std::mem::size_of::<u32>()
+            + dict.text.capacity()
     }
 
     /// Estimated heap bytes of the `Vec<String>` this column replaced.
@@ -381,225 +403,124 @@ impl<S: AsRef<str>> FromIterator<S> for PackCol {
     }
 }
 
-/// A multi-valued interned column (e.g. spoken languages) in CSR
-/// layout: one flat symbol vector plus a `u32` end offset per row.
-/// Costs 4 bytes per value and 4 per row — no per-row `Vec` headers
-/// (24 bytes each) and no per-row growth slack, which at SNB row
-/// counts is the difference between beating the `String` baseline and
-/// losing to it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SymListCol {
-    syms: AppendVec<Sym>,
-    /// `row_ends[i]` is the exclusive end of row `i` in `syms`.
-    row_ends: AppendVec<u32>,
+/// Declares a multi-valued column in CSR layout: every row's values, in
+/// row order, in one `$values` column, plus a `u32` end offset per row.
+/// That costs 4 bytes per row — no per-row `Vec` header (24 bytes) and
+/// no per-row growth slack, which at SNB row counts is the difference
+/// between beating the `String` baseline and losing to it.
+macro_rules! list_column {
+    ($(#[$doc:meta])* $name:ident($values:ident)) => {
+        $(#[$doc])*
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            values: $values,
+            /// `row_ends[i]` is the exclusive end of row `i` in `values`.
+            row_ends: AppendVec<u32>,
+        }
+
+        impl $name {
+            /// Appends a row with the given values.
+            pub fn push_row<S: AsRef<str>>(&mut self, values: impl IntoIterator<Item = S>) {
+                values.into_iter().for_each(|s| self.values.push(s));
+                let end = u32::try_from(self.values.len()).expect("list column overflow (4 G)");
+                self.row_ends.push(end);
+            }
+
+            fn range(&self, i: usize) -> Range<usize> {
+                (if i == 0 { 0 } else { self.row_ends[i - 1] as usize })..self.row_ends[i] as usize
+            }
+
+            /// The values of row `i`.
+            pub fn row(&self, i: usize) -> impl Iterator<Item = &str> + '_ {
+                self.range(i).map(|v| &self.values[v])
+            }
+
+            /// The values of row `i` as owned strings (query results).
+            pub fn row_vec(&self, i: usize) -> Vec<String> {
+                self.row(i).map(str::to_string).collect()
+            }
+
+            /// Number of values in row `i`, from the offsets alone.
+            pub fn row_len(&self, i: usize) -> usize {
+                self.range(i).len()
+            }
+
+            /// Whether row `i` holds no values, from the offsets alone.
+            pub fn row_is_empty(&self, i: usize) -> bool {
+                self.row_len(i) == 0
+            }
+
+            /// Number of rows.
+            pub fn len(&self) -> usize {
+                self.row_ends.len()
+            }
+
+            /// True when the column has no rows.
+            pub fn is_empty(&self) -> bool {
+                self.row_ends.is_empty()
+            }
+
+            /// Keeps only rows whose index passes `keep`, and their values.
+            pub fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool) {
+                let (mut kept, mut row_ends) = (vec![false; self.values.len()], AppendVec::default());
+                for i in (0..self.len()).filter(|&i| keep(i)) {
+                    let values = self.range(i);
+                    kept[values.clone()].fill(true);
+                    row_ends.push(row_ends.last().copied().unwrap_or(0) + values.len() as u32);
+                }
+                self.values.filter_in_place(|v| kept[v]);
+                self.row_ends = row_ends;
+            }
+
+            /// Whether two columns share their buffers (see
+            /// [`AppendVec::ptr_eq`]).
+            #[cfg(test)]
+            pub(crate) fn shares_buffers(&self, other: &$name) -> bool {
+                self.values.shares_buffers(&other.values)
+                    && AppendVec::ptr_eq(&self.row_ends, &other.row_ends)
+            }
+
+            /// Releases push-growth slack after an append-once bulk build.
+            pub fn shrink_to_fit(&mut self) {
+                self.values.shrink_to_fit();
+                self.row_ends.shrink_to_fit();
+            }
+
+            /// Heap bytes held by this column.
+            pub fn heap_bytes(&self) -> usize {
+                self.values.heap_bytes() + self.row_ends.capacity() * std::mem::size_of::<u32>()
+            }
+
+            /// Estimated heap bytes of the `Vec<Vec<String>>` this replaced.
+            pub fn string_baseline_bytes(&self) -> usize {
+                self.len() * std::mem::size_of::<Vec<String>>() + self.values.string_baseline_bytes()
+            }
+        }
+    };
+}
+
+list_column! {
+    /// A multi-valued dictionary-coded column (e.g. spoken languages):
+    /// one dictionary for all its values.
+    SymListCol(SymCol)
+}
+
+list_column! {
+    /// A multi-valued packed column (e.g. emails), for unique-per-row
+    /// values where a dictionary would only grow.
+    PackListCol(PackCol)
 }
 
 impl SymListCol {
-    /// Appends a row with the given values.
-    pub fn push_row<S: AsRef<str>>(&mut self, values: impl IntoIterator<Item = S>) {
-        for s in values {
-            self.syms.push(interner().intern(s.as_ref()));
-        }
-        self.row_ends
-            .push(u32::try_from(self.syms.len()).expect("SymListCol overflow (4 G values)"));
+    /// The dictionary: each value the rows use, once, in first-use
+    /// order.
+    pub fn dictionary(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.values.dictionary()
     }
 
-    fn range(&self, i: usize) -> (usize, usize) {
-        let start = if i == 0 { 0 } else { self.row_ends[i - 1] as usize };
-        (start, self.row_ends[i] as usize)
-    }
-
-    /// The values of row `i`, resolved.
-    pub fn row(&self, i: usize) -> impl Iterator<Item = &'static str> + '_ {
-        let (start, end) = self.range(i);
-        let dict = interner();
-        self.syms[start..end].iter().map(move |&s| dict.resolve(s))
-    }
-
-    /// The values of row `i` as owned strings (query results).
-    pub fn row_vec(&self, i: usize) -> Vec<String> {
-        self.row(i).map(str::to_string).collect()
-    }
-
-    /// Number of values in row `i`.
-    pub fn row_len(&self, i: usize) -> usize {
-        let (start, end) = self.range(i);
-        end - start
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.row_ends.len()
-    }
-
-    /// True when the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.row_ends.is_empty()
-    }
-
-    /// Keeps only rows whose index passes `keep`, rebuilding the flat
-    /// vectors so deleted rows free their values.
-    pub fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool) {
-        let mut next = SymListCol::default();
-        for i in 0..self.len() {
-            if keep(i) {
-                let (start, end) = self.range(i);
-                next.syms.extend_from_slice(&self.syms[start..end]);
-                next.row_ends.push(next.syms.len() as u32);
-            }
-        }
-        *self = next;
-    }
-
-    /// Whether two columns share their buffers (see
-    /// [`AppendVec::ptr_eq`]).
-    #[cfg(test)]
-    pub(crate) fn shares_buffers(&self, other: &SymListCol) -> bool {
-        AppendVec::ptr_eq(&self.syms, &other.syms)
-            && AppendVec::ptr_eq(&self.row_ends, &other.row_ends)
-    }
-
-    /// Releases push-growth slack (bulk builds are append-once, so
-    /// capacity beyond `len` is pure waste after load).
-    pub fn shrink_to_fit(&mut self) {
-        self.syms.shrink_to_fit();
-        self.row_ends.shrink_to_fit();
-    }
-
-    /// Heap bytes held by this column.
-    pub fn heap_bytes(&self) -> usize {
-        self.syms.capacity() * std::mem::size_of::<Sym>()
-            + self.row_ends.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Estimated heap bytes of the `Vec<Vec<String>>` this replaced.
-    pub fn string_baseline_bytes(&self) -> usize {
-        let dict = interner();
-        let content_bytes = self.syms.iter().map(|&s| dict.resolve(s).len()).sum();
-        self.row_ends.len() * std::mem::size_of::<Vec<String>>()
-            + string_baseline(self.syms.len(), content_bytes)
-    }
-}
-
-/// A multi-valued packed column (e.g. emails) in CSR layout: all value
-/// bytes in one shared arena, a `u32` end offset per value, and a
-/// `u32` end offset per row — for unique-per-row values where
-/// interning would only grow the global dictionary.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PackListCol {
-    bytes: AppendVec<u8>,
-    /// `val_ends[v]` is the exclusive byte end of value `v` in `bytes`.
-    val_ends: AppendVec<u32>,
-    /// `row_ends[i]` is the exclusive end of row `i` in `val_ends`.
-    row_ends: AppendVec<u32>,
-}
-
-impl PackListCol {
-    /// Appends a row with the given values.
-    pub fn push_row<S: AsRef<str>>(&mut self, values: impl IntoIterator<Item = S>) {
-        for v in values {
-            self.bytes.extend_from_slice(v.as_ref().as_bytes());
-            self.val_ends
-                .push(u32::try_from(self.bytes.len()).expect("PackListCol arena overflow (4 GiB)"));
-        }
-        self.row_ends
-            .push(u32::try_from(self.val_ends.len()).expect("PackListCol overflow (4 G values)"));
-    }
-
-    fn row_range(&self, i: usize) -> (usize, usize) {
-        let start = if i == 0 { 0 } else { self.row_ends[i - 1] as usize };
-        (start, self.row_ends[i] as usize)
-    }
-
-    /// Byte offset where value `v` starts — the end of value `v - 1`,
-    /// so `val_start(len)` is the end of the arena.
-    fn val_start(&self, v: usize) -> usize {
-        if v == 0 {
-            0
-        } else {
-            self.val_ends[v - 1] as usize
-        }
-    }
-
-    /// The values of row `i`.
-    pub fn row(&self, i: usize) -> impl Iterator<Item = &str> + '_ {
-        let (start, end) = self.row_range(i);
-        (start..end).map(move |v| {
-            std::str::from_utf8(&self.bytes[self.val_start(v)..self.val_start(v + 1)])
-                .expect("PackListCol arena holds valid UTF-8")
-        })
-    }
-
-    /// The values of row `i` as owned strings (query results).
-    pub fn row_vec(&self, i: usize) -> Vec<String> {
-        self.row(i).map(str::to_string).collect()
-    }
-
-    /// Number of values in row `i`, from the offsets alone.
-    pub fn row_len(&self, i: usize) -> usize {
-        let (start, end) = self.row_range(i);
-        end - start
-    }
-
-    /// Whether row `i` holds no values, from the offsets alone.
-    pub fn row_is_empty(&self, i: usize) -> bool {
-        self.row_len(i) == 0
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.row_ends.len()
-    }
-
-    /// True when the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.row_ends.is_empty()
-    }
-
-    /// Keeps only rows whose index passes `keep`, rebuilding the arena.
-    /// A surviving row's values are contiguous, so it moves as one byte
-    /// range with its value offsets rebased.
-    pub fn filter_in_place(&mut self, keep: impl Fn(usize) -> bool) {
-        let mut next = PackListCol::default();
-        for i in (0..self.len()).filter(|&i| keep(i)) {
-            let (v0, v1) = self.row_range(i);
-            let (b0, b1) = (self.val_start(v0), self.val_start(v1));
-            let moved_to = next.bytes.len();
-            next.bytes.extend_from_slice(&self.bytes[b0..b1]);
-            next.val_ends
-                .extend(self.val_ends[v0..v1].iter().map(|&e| (e as usize - b0 + moved_to) as u32));
-            next.row_ends.push(next.val_ends.len() as u32);
-        }
-        *self = next;
-    }
-
-    /// Whether two columns share their buffers (see
-    /// [`AppendVec::ptr_eq`]).
-    #[cfg(test)]
-    pub(crate) fn shares_buffers(&self, other: &PackListCol) -> bool {
-        AppendVec::ptr_eq(&self.bytes, &other.bytes)
-            && AppendVec::ptr_eq(&self.val_ends, &other.val_ends)
-            && AppendVec::ptr_eq(&self.row_ends, &other.row_ends)
-    }
-
-    /// Releases push-growth slack after an append-once bulk build.
-    pub fn shrink_to_fit(&mut self) {
-        self.bytes.shrink_to_fit();
-        self.val_ends.shrink_to_fit();
-        self.row_ends.shrink_to_fit();
-    }
-
-    /// Heap bytes held by this column.
-    pub fn heap_bytes(&self) -> usize {
-        self.bytes.capacity()
-            + self.val_ends.capacity() * std::mem::size_of::<u32>()
-            + self.row_ends.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Estimated heap bytes of the `Vec<Vec<String>>` this replaced.
-    pub fn string_baseline_bytes(&self) -> usize {
-        self.row_ends.len() * std::mem::size_of::<Vec<String>>()
-            + string_baseline(self.val_ends.len(), self.bytes.len())
+    /// Checks the dictionary's canonical form (see [`SymCol::check`]).
+    pub(crate) fn check(&self) -> Result<(), String> {
+        self.values.check()
     }
 }
 
@@ -609,22 +530,23 @@ mod tests {
 
     #[test]
     fn intern_resolve_is_identity_and_dedupes() {
-        let it = interner();
-        let a = it.intern("Hermione");
-        let b = it.intern("Hermione");
-        assert_eq!(a, b, "identical strings must share one symbol");
-        assert_eq!(it.resolve(a), "Hermione");
-        assert_ne!(it.intern("Harry"), a);
-        assert_eq!(it.intern(""), 0, "symbol 0 is the empty string");
+        let mut col = SymCol::default();
+        for s in ["Hermione", "Hermione", "Harry", ""] {
+            col.push(s);
+        }
+        assert_eq!(col.sym(0), col.sym(1), "identical strings must share one symbol");
+        assert_eq!(&col[1], "Hermione");
+        assert_ne!(col.sym(2), col.sym(0));
+        assert_eq!(col.dictionary().collect::<Vec<_>>(), ["Hermione", "Harry", ""]);
+        assert_eq!(col.syms(), [0, 0, 1, 2], "symbols number the strings in first-use order");
     }
 
     #[test]
-    fn interner_proptest_round_trip_and_cross_column_dedupe() {
+    fn sym_col_proptest_round_trip_and_canonical_filter() {
         // A minimal property test (the workspace's proptest stub has no
         // shrinking, so the loop is explicit): random strings from a
-        // pseudo-random generator must round-trip intern→resolve, and
-        // the same string interned via two independent columns must
-        // share one symbol.
+        // pseudo-random generator must round-trip push→get, and filtering
+        // rows must leave exactly the column the survivors would build.
         let mut seed = 0x243f_6a88_85a3_08d3u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -632,119 +554,87 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        let mut cols = (SymCol::default(), SymCol::default());
-        for i in 0..500 {
-            let s = format!("w{}-{}", next() % 97, i % 13);
-            let sym = interner().intern(&s);
-            assert_eq!(interner().resolve(sym), s, "round-trip failed for {s:?}");
-            cols.0.push(&s);
-            cols.1.push(&s);
-        }
-        for i in 0..cols.0.len() {
-            assert_eq!(
-                cols.0.sym(i),
-                cols.1.sym(i),
-                "identical strings must share a symbol across columns"
-            );
-            assert_eq!(&cols.0[i], &cols.1[i]);
+        for round in 0..20 {
+            let values: Vec<String> =
+                (0..200).map(|i| format!("w{}-{}", next() % 31, i % (round + 2))).collect();
+            let mut col: SymCol = values.iter().collect();
+            for (i, s) in values.iter().enumerate() {
+                assert_eq!(&col[i], s, "round-trip failed for {s:?}");
+            }
+            col.check().expect("a pushed column is canonical");
+            let drop = next();
+            let keep = |i: usize| (drop >> (i % 64)) & 1 == 1;
+            let survivors: SymCol =
+                values.iter().enumerate().filter(|&(i, _)| keep(i)).map(|(_, s)| s).collect();
+            col.filter_in_place(keep);
+            col.check().expect("a filtered column is canonical");
+            assert_eq!(col, survivors, "round {round}");
         }
     }
 
     #[test]
     fn lookup_finds_interned_strings_and_never_inserts() {
-        let it = interner();
-        let sym = it.intern("lookup-present");
-        assert_eq!(it.lookup("lookup-present"), Some(sym));
-        assert_eq!(it.lookup(""), Some(0));
-        assert_eq!(it.lookup("lookup-absent"), None);
-        assert_eq!(it.lookup("lookup-absent"), None, "a miss must not insert");
+        let col: SymCol = ["lookup-present", ""].into_iter().collect();
+        assert_eq!(col.lookup("lookup-present"), Some(0));
+        assert_eq!(col.lookup(""), Some(1));
+        assert_eq!(col.lookup("lookup-absent"), None);
+        assert_eq!(col.lookup("lookup-absent"), None, "a miss must not insert");
+        assert_eq!(col.dictionary().len(), 2);
+        let other: SymCol = ["elsewhere"].into_iter().collect();
+        assert_eq!(other.lookup("lookup-present"), None, "each column has its own dictionary");
     }
 
     #[test]
-    fn locate_tiles_the_symbol_space_without_gaps() {
-        assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(1023), (0, 1023));
-        assert_eq!(locate(1024), (1, 0));
-        assert_eq!(locate(3071), (1, 2047));
-        assert_eq!(locate(3072), (2, 0));
-        assert_eq!(locate(u32::MAX), (BUCKETS - 1, 1023));
-        let mut expect = (0usize, 0usize);
-        for sym in 0..20_000u32 {
-            assert_eq!(locate(sym), expect, "sym {sym}");
-            expect.1 += 1;
-            if expect.1 == 1 << (expect.0 as u32 + FIRST_BUCKET_BITS) {
-                expect = (expect.0 + 1, 0);
-            }
-        }
+    fn deleting_the_last_user_of_a_string_drops_it() {
+        let mut col: SymCol = ["a", "b", "a", "c", "b"].into_iter().collect();
+        col.filter_in_place(|i| i != 0 && i != 2);
+        assert_eq!(col.dictionary().collect::<Vec<_>>(), ["b", "c"], "`a` has no row left");
+        assert_eq!(col.syms(), [0, 1, 0]);
+        let mut list = SymListCol::default();
+        list.push_row(["en", "de"]);
+        list.push_row(["fr", "en"]);
+        list.filter_in_place(|i| i == 1);
+        assert_eq!(list.dictionary().collect::<Vec<_>>(), ["fr", "en"]);
+        list.check().expect("canonical after the filter");
     }
 
     #[test]
-    fn readers_resolve_every_issued_symbol_while_a_writer_interns() {
-        use std::sync::atomic::{AtomicBool, AtomicU32};
-        use std::sync::Barrier;
+    fn clones_share_the_dictionary_until_a_new_string() {
+        let base: SymCol = ["x", "y"].into_iter().collect();
+        let mut next = base.clone();
+        next.push("y");
+        assert!(Arc::ptr_eq(&base.dict, &next.dict), "a known string copies no dictionary");
+        next.push("z");
+        assert!(!Arc::ptr_eq(&base.dict, &next.dict));
+        assert_eq!(base.dictionary().len(), 2, "the shared version keeps its dictionary");
+    }
 
-        const FRESH: usize = 100_000;
-        const READERS: usize = 3;
-        const UNSET: u32 = u32::MAX;
-        let it = interner();
-        // issued[i] is the symbol the writer got for "conc-{i}".
-        let issued: Vec<AtomicU32> = (0..FRESH).map(|_| AtomicU32::new(UNSET)).collect();
-        let done = AtomicBool::new(false);
-        // Two rendezvous force the interleaving: every reader completes
-        // a sweep while the writer is in its first half, and all of them
-        // keep sweeping while the second half grows the table through
-        // further bucket allocations.
-        let start = Barrier::new(READERS + 1);
-        let halfway = Barrier::new(READERS + 1);
-        let sweep = |last_len: &mut usize| {
-            let len = it.len();
-            assert!(len >= *last_len, "len() went back: {last_len} -> {len}");
-            *last_len = len;
-            assert_eq!(it.resolve(0), "", "symbol 0 must stay the empty string");
-            // Every symbol below len() was handed out, so it resolves.
-            for sym in 0..len as Sym {
-                let s = it.resolve(sym);
-                let Some(i) = s.strip_prefix("conc-").and_then(|i| i.parse::<usize>().ok()) else {
-                    continue; // another test's string
-                };
-                let want = issued[i].load(Ordering::Acquire);
-                assert!(want == UNSET || want == sym, "sym {sym} resolved to {s:?}, issued {want}");
-            }
+    #[test]
+    fn image_parts_out_of_form_are_refused() {
+        let parts = |dict: &[&str], syms: &[Sym]| {
+            SymCol::from_parts(dict.iter().copied(), syms.iter().copied().collect())
         };
-        // The scope joins the readers and re-raises a reader's panic.
-        std::thread::scope(|scope| {
-            for _ in 0..READERS {
-                scope.spawn(|| {
-                    start.wait();
-                    let mut last_len = 0usize;
-                    sweep(&mut last_len);
-                    halfway.wait();
-                    while !done.load(Ordering::Acquire) {
-                        sweep(&mut last_len);
-                    }
-                    sweep(&mut last_len);
-                });
-            }
-            start.wait();
-            for (i, slot) in issued.iter().enumerate() {
-                if i == FRESH / 2 {
-                    halfway.wait();
-                }
-                slot.store(it.intern(&format!("conc-{i}")), Ordering::Release);
-            }
-            done.store(true, Ordering::Release);
-        });
-        // After the fact: every fresh string has its own symbol, and
-        // both directions agree.
-        let mut syms: Vec<Sym> = issued.iter().map(|s| s.load(Ordering::Relaxed)).collect();
-        for (i, &sym) in syms.iter().enumerate() {
-            assert_eq!(it.resolve(sym), format!("conc-{i}"));
-            assert_eq!(it.lookup(&format!("conc-{i}")), Some(sym));
+        assert!(parts(&["a", "b"], &[0, 1, 0]).is_ok());
+        for (what, dict, syms) in [
+            ("a repeated string", &["a", "a"][..], &[0, 1][..]),
+            ("an unused entry", &["a", "b"], &[0, 0]),
+            ("out of first-use order", &["a", "b"], &[1, 0]),
+            ("out of range", &["a"], &[0, 1]),
+        ] {
+            assert!(parts(dict, syms).is_err(), "{what} must be refused");
         }
-        syms.sort_unstable();
-        syms.dedup();
-        assert_eq!(syms.len(), FRESH);
-        assert!(it.len() > FRESH);
+    }
+
+    #[test]
+    fn heap_bytes_count_the_dictionary() {
+        let big = "x".repeat(4096);
+        let col: SymCol = std::iter::repeat_n(&big, 10).collect();
+        assert!(col.heap_bytes() >= 4096, "{} B for a 4 KiB string", col.heap_bytes());
+        let mut list = SymListCol::default();
+        for _ in 0..10 {
+            list.push_row([&big]);
+        }
+        assert!(list.heap_bytes() >= 4096, "{} B for a 4 KiB string", list.heap_bytes());
     }
 
     #[test]
@@ -851,7 +741,7 @@ mod tests {
         );
         assert!(
             sl.heap_bytes() * 2 <= sl.string_baseline_bytes(),
-            "interned lists {} vs baseline {}",
+            "dictionary-coded lists {} vs baseline {}",
             sl.heap_bytes(),
             sl.string_baseline_bytes()
         );
@@ -869,7 +759,7 @@ mod tests {
         }
         assert!(
             col.heap_bytes() * 2 <= col.string_baseline_bytes(),
-            "interned {} vs baseline {}",
+            "dictionary-coded {} vs baseline {}",
             col.heap_bytes(),
             col.string_baseline_bytes()
         );

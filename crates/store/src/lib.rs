@@ -18,8 +18,9 @@
 //! * [`append_vec`] — the buffer behind every column and adjacency
 //!   array: store versions share it, and inserts append into it in
 //!   place;
-//! * [`intern`] — the global string interner plus packed string
-//!   columns (`u32` symbols / byte arenas instead of `Vec<String>`);
+//! * [`intern`] — string columns: dictionary-coded (`u32` symbols into
+//!   the column's own dictionary) and packed (byte arenas) instead of
+//!   `Vec<String>`;
 //! * [`adj`] — CSR adjacency (forward + reverse) for every relation,
 //!   with an insert overflow so inserts don't rebuild anything on the
 //!   write path;
@@ -56,7 +57,7 @@ pub use columns::{Ix, NONE};
 pub use cow::CowBox;
 pub use delete::{DeleteOp, DeleteStats};
 pub use image::{decode_store, encode_store};
-pub use intern::{interner, PackCol, PackListCol, StrInterner, Sym, SymCol, SymListCol};
+pub use intern::{PackCol, PackListCol, Sym, SymCol, SymListCol};
 pub use snapshot::{SnapshotCell, SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
 pub use store::Store;
 

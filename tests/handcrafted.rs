@@ -51,16 +51,16 @@ fn china(s: &Store) -> PlaceId {
     PlaceId(s.places.id[s.country_by_name("China").unwrap() as usize])
 }
 
-fn add_person(s: &mut Store, id: u64, name: &'static str, t: i64) {
+fn add_person(s: &mut Store, id: u64, name: &str, t: i64) {
     add_person_in(s, id, name, "Beijing", t);
 }
 
-fn add_person_in(s: &mut Store, id: u64, name: &'static str, city: &str, t: i64) {
+fn add_person_in(s: &mut Store, id: u64, name: &str, city: &str, t: i64) {
     let city = s.places.id[s.place_by_name.get(city).map(|&c| c as usize).expect("city exists")];
     let person = RawPerson {
         id: PersonId(id),
-        first_name: name,
-        last_name: "Fixture",
+        first_name: name.into(),
+        last_name: "Fixture".into(),
         gender: Gender::Female,
         birthday: Date::from_ymd(1990, 3, 15),
         creation_date: DateTime(t),

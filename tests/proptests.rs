@@ -259,8 +259,8 @@ fn bfs_agrees_with_floyd_warshall_on_random_graphs() {
     for i in 0..n {
         let person = RawPerson {
             id: PersonId(1_000_000 + i as u64),
-            first_name: "P",
-            last_name: "Prop",
+            first_name: "P".into(),
+            last_name: "Prop".into(),
             gender: ldbc_snb::core::model::Gender::Male,
             birthday: CDate::from_ymd(1990, 1, 1),
             creation_date: DateTime(0),
