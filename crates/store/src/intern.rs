@@ -75,16 +75,23 @@ fn room(len: usize, cap: usize, extra: usize) -> usize {
 }
 
 impl Dict {
-    /// The string of `sym`.
-    fn get(&self, sym: Sym) -> &str {
+    /// The byte range of `sym` in `text`.
+    fn range(&self, sym: Sym) -> Range<usize> {
         let s = sym as usize;
-        let start = if s == 0 { 0 } else { self.ends[s - 1] as usize };
-        &self.text[start..self.ends[s] as usize]
+        (if s == 0 { 0 } else { self.ends[s - 1] as usize })..self.ends[s] as usize
     }
 
-    /// `s`'s position in `sorted`, or where it would go.
+    /// The string of `sym`.
+    fn get(&self, sym: Sym) -> &str {
+        &self.text[self.range(sym)]
+    }
+
+    /// `s`'s position in `sorted`, or where it would go. Strings order
+    /// as their bytes do, so the search compares bytes and skips the
+    /// char-boundary checks of slicing a `str`.
     fn find(&self, s: &str) -> Result<usize, usize> {
-        self.sorted.binary_search_by(|&sym| self.get(sym).cmp(s))
+        let text = self.text.as_bytes();
+        self.sorted.binary_search_by(|&sym| text[self.range(sym)].cmp(s.as_bytes()))
     }
 
     /// Appends `s` as the next symbol, leaving `sorted` to the caller.
@@ -623,6 +630,18 @@ mod tests {
         ] {
             assert!(parts(dict, syms).is_err(), "{what} must be refused");
         }
+    }
+
+    #[test]
+    fn store_validation_checks_each_dictionary() {
+        let mut s = crate::Store::default();
+        let classes = &mut *s.tag_classes;
+        classes.id.push(1);
+        classes.parent.push(crate::NONE);
+        let dict = Arc::new(Dict::of_strings(["Thing"]));
+        classes.name = SymCol { syms: [1].into_iter().collect(), dict };
+        let err = s.validate_invariants().unwrap_err().to_string();
+        assert!(err.contains("tag_classes.name: symbol 1 is out of range"), "{err}");
     }
 
     #[test]
