@@ -99,6 +99,23 @@ if grep -rnE 'StrInterner|interner\(\)|intern_static|Box::leak' crates/*/src src
   exit 1
 fi
 
+echo "==> the date index is never stale, names resolve through the dictionaries"
+# Every store the API hands out keeps message_by_date sorted and complete:
+# an insert goes in at its place, a delete keeps the survivors' order, and
+# only the bulk builder and image decode sort. Country, tag and tag-class
+# names resolve through the name columns' own dictionaries. A freshness
+# check, a scan fallback or a second name map would bring back a store
+# state that exists only to be repaired. Store::date_index_fresh (always
+# true) stays defined in store.rs for the benchmark package alone.
+if grep -rnE 'date_index_fresh|note_index_fallback|place_by_name|tag_by_name|tag_class_by_name' \
+  crates/*/src src tests examples \
+  | grep -vE '^crates/store/src/store\.rs:[0-9]+:    pub fn date_index_fresh\(' \
+  || grep -rn 'rebuild_date_index' crates/*/src src tests examples \
+    | grep -vE '^crates/store/src/(store|build|image)\.rs:'; then
+  echo "a stale-index repair or a second name map is back: keep the index sorted on write, look names up in the column" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

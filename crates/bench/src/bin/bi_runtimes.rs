@@ -132,7 +132,7 @@ fn print_profile_breakdown(base: &[QueryStats], peak: &[QueryStats], peak_thread
                 p.par_calls.to_string(),
                 p.morsels.to_string(),
                 p.rows_scanned.to_string(),
-                format!("{}/{}", p.index_hits, p.index_fallbacks),
+                p.index_hits.to_string(),
                 p.index_rows.to_string(),
                 p.topk_offered.to_string(),
                 format!("{:.1}%", p.prune_rate() * 100.0),
@@ -148,7 +148,7 @@ fn print_profile_breakdown(base: &[QueryStats], peak: &[QueryStats], peak_thread
             "par calls",
             "morsels",
             "rows scanned",
-            "idx hit/fb",
+            "idx hits",
             "idx rows",
             "topk offers",
             "pruned",

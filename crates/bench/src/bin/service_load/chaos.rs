@@ -87,9 +87,6 @@ pub fn every_batch_oracle(mut base: Store, batches: &[WriteOps], seed: u64) -> S
             }
         }
     }
-    if !base.date_index_fresh() {
-        base.rebuild_date_index();
-    }
     base.validate_invariants().expect("oracle invariants");
     base
 }

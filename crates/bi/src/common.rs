@@ -1,7 +1,5 @@
 //! Helpers shared across the BI query implementations.
 
-use std::borrow::Cow;
-
 use snb_core::datetime::DateTime;
 use snb_core::Date;
 use snb_engine::QueryMetrics;
@@ -32,57 +30,27 @@ pub fn has_tag_in_class_subtree(store: &Store, m: Ix, class: Ix) -> bool {
     store.message_tag.targets_of(m).any(|t| store.tag_in_class_subtree(t, class))
 }
 
-/// All message indices created strictly before `t` — a binary-searched
-/// prefix of the store's date permutation index when it is fresh, or a
-/// linear-scan fallback after streamed inserts. The slice form is what
-/// the parallel primitives chunk over.
-///
-/// The chosen access path is recorded on `metrics`: an index hit with
-/// the window size, or a fallback with the full message count scanned.
-/// Callers without a query context pass [`QueryMetrics::sink`].
-pub fn messages_before<'s>(store: &'s Store, metrics: &QueryMetrics, t: DateTime) -> Cow<'s, [Ix]> {
-    match store.messages_created_before(t) {
-        Some(window) => {
-            metrics.note_index_hit(window.len() as u64);
-            Cow::Borrowed(window)
-        }
-        None => {
-            metrics.note_index_fallback(store.messages.len() as u64);
-            Cow::Owned(
-                (0..store.messages.len() as Ix)
-                    .filter(|&m| store.messages.creation_date[m as usize] < t)
-                    .collect(),
-            )
-        }
-    }
+/// All message indices created strictly before `t`: a binary-searched
+/// prefix of the store's date index, the slice the parallel primitives
+/// chunk over. Records an index hit with the window size on `metrics`;
+/// callers without a query context pass [`QueryMetrics::sink`].
+pub fn messages_before<'s>(store: &'s Store, metrics: &QueryMetrics, t: DateTime) -> &'s [Ix] {
+    let window = store.messages_created_before(t);
+    metrics.note_index_hit(window.len() as u64);
+    window
 }
 
-/// All message indices created in the half-open window `[lo, hi)`
-/// (same index-or-scan contract and metrics recording as
-/// [`messages_before`]).
+/// All message indices created in the half-open window `[lo, hi)`, as
+/// [`messages_before`] takes them.
 pub fn messages_in<'s>(
     store: &'s Store,
     metrics: &QueryMetrics,
     lo: DateTime,
     hi: DateTime,
-) -> Cow<'s, [Ix]> {
-    match store.messages_created_in(lo, hi) {
-        Some(window) => {
-            metrics.note_index_hit(window.len() as u64);
-            Cow::Borrowed(window)
-        }
-        None => {
-            metrics.note_index_fallback(store.messages.len() as u64);
-            Cow::Owned(
-                (0..store.messages.len() as Ix)
-                    .filter(|&m| {
-                        let t = store.messages.creation_date[m as usize];
-                        t >= lo && t < hi
-                    })
-                    .collect(),
-            )
-        }
-    }
+) -> &'s [Ix] {
+    let window = store.messages_created_in(lo, hi);
+    metrics.note_index_hit(window.len() as u64);
+    window
 }
 
 /// Half-open `[lo, hi)` timestamp window covering the *inclusive* day

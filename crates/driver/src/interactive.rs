@@ -133,13 +133,6 @@ pub fn run_interactive(
             OpKind::Update(i) => {
                 let started = Instant::now();
                 store.apply_event(&events[i], world)?;
-                // Batch-boundary index repair: the in-order insert path
-                // keeps the date index fresh for free, so this only
-                // fires on out-of-order arrivals — reads that follow
-                // must never pay the linear-scan fallback.
-                if !store.date_index_fresh() {
-                    store.rebuild_date_index();
-                }
                 updates_applied += 1;
                 log.push(LogRecord {
                     operation: format!("IU {}", events[i].event.operation_id()),

@@ -2,11 +2,11 @@
 //!
 //! The BI paper's evaluation is a per-query runtime table; a credible
 //! reproduction must also report *what the engine actually did* per
-//! query: rows scanned, index hits vs. linear-scan fallbacks, top-k
-//! pruning effectiveness, traversal work, and worker balance. Two
-//! latent bugs (BI 2's day-delta age bucketing and the stale-date-index
-//! full-scan fallback) went unnoticed exactly because none of this was
-//! visible; [`QueryMetrics`] closes that gap.
+//! query: rows scanned, date-index hits, top-k pruning effectiveness,
+//! traversal work, and worker balance. Two latent bugs (BI 2's
+//! day-delta age bucketing and a stale date index that sent window
+//! reads to a full scan) went unnoticed exactly because none of this
+//! was visible; [`QueryMetrics`] closes that gap.
 //!
 //! Design constraints (and how they are met):
 //!
@@ -61,11 +61,6 @@ pub struct QueryMetrics {
     index_hits: AtomicU64,
     /// Rows served from binary-searched index windows.
     index_rows: AtomicU64,
-    /// Date-window probes that fell back to a full linear scan because
-    /// the index was stale.
-    index_fallbacks: AtomicU64,
-    /// Rows scanned (and filtered) by those linear fallbacks.
-    fallback_rows: AtomicU64,
     /// Candidates offered to top-k collectors.
     topk_offered: AtomicU64,
     /// Candidates rejected by the CP-1.3 `would_accept` pruning hook
@@ -112,13 +107,6 @@ impl QueryMetrics {
         self.index_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Records a date-window probe that linearly scanned `rows`
-    /// messages because the index was stale.
-    pub fn note_index_fallback(&self, rows: u64) {
-        self.index_fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.fallback_rows.fetch_add(rows, Ordering::Relaxed);
-    }
-
     /// Folds a finished top-k collector's offer/prune counters in.
     /// Queries call this once on their final collector, after partials
     /// have been merged (merging carries partial counters along).
@@ -147,8 +135,6 @@ impl QueryMetrics {
             &self.rows_scanned,
             &self.index_hits,
             &self.index_rows,
-            &self.index_fallbacks,
-            &self.fallback_rows,
             &self.topk_offered,
             &self.topk_pruned,
             &self.edges_traversed,
@@ -168,8 +154,8 @@ impl QueryMetrics {
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             index_hits: self.index_hits.load(Ordering::Relaxed),
             index_rows: self.index_rows.load(Ordering::Relaxed),
-            index_fallbacks: self.index_fallbacks.load(Ordering::Relaxed),
-            fallback_rows: self.fallback_rows.load(Ordering::Relaxed),
+            index_fallbacks: 0,
+            fallback_rows: 0,
             topk_offered: self.topk_offered.load(Ordering::Relaxed),
             topk_pruned: self.topk_pruned.load(Ordering::Relaxed),
             edges_traversed: self.edges_traversed.load(Ordering::Relaxed),
@@ -192,9 +178,11 @@ pub struct QueryProfile {
     pub index_hits: u64,
     /// Rows served from index windows.
     pub index_rows: u64,
-    /// Date-index probes that fell back to a linear scan.
+    /// Always 0: the date index is never stale, so no window read falls
+    /// back to a scan. Kept because the response wire format carries it
+    /// and the benchmark package reports it.
     pub index_fallbacks: u64,
-    /// Rows scanned by those fallbacks.
+    /// Always 0, like `index_fallbacks`, and kept for the wire format.
     pub fallback_rows: u64,
     /// Candidates offered to top-k collectors.
     pub topk_offered: u64,
@@ -269,7 +257,6 @@ mod tests {
         m.note_par_call(3, 100);
         m.note_par_call(1, 28);
         m.note_index_hit(100);
-        m.note_index_fallback(500);
         m.note_edges(7);
         m.add_worker_busy(1, Duration::from_nanos(250));
         let p = m.snapshot();
@@ -278,8 +265,7 @@ mod tests {
         assert_eq!(p.rows_scanned, 128);
         assert_eq!(p.index_hits, 1);
         assert_eq!(p.index_rows, 100);
-        assert_eq!(p.index_fallbacks, 1);
-        assert_eq!(p.fallback_rows, 500);
+        assert_eq!((p.index_fallbacks, p.fallback_rows), (0, 0));
         assert_eq!(p.edges_traversed, 7);
         assert_eq!(p.worker_busy_ns, vec![0, 250]);
         m.reset();

@@ -83,14 +83,9 @@ impl AccessRecord {
         );
         if let Some(p) = &self.profile {
             s.push_str(&format!(
-                ", \"rows_scanned\": {}, \"index_hits\": {}, \"index_fallbacks\": {}, \
-                 \"topk_offered\": {}, \"topk_pruned\": {}, \"edges_traversed\": {}",
-                p.rows_scanned,
-                p.index_hits,
-                p.index_fallbacks,
-                p.topk_offered,
-                p.topk_pruned,
-                p.edges_traversed,
+                ", \"rows_scanned\": {}, \"index_hits\": {}, \"topk_offered\": {}, \
+                 \"topk_pruned\": {}, \"edges_traversed\": {}",
+                p.rows_scanned, p.index_hits, p.topk_offered, p.topk_pruned, p.edges_traversed,
             ));
         }
         s.push('}');

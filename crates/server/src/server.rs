@@ -736,9 +736,6 @@ impl ServerInner {
                         (0, dels.len() as u64)
                     }
                 };
-                if !next.date_index_fresh() {
-                    next.rebuild_date_index();
-                }
                 logging = true;
                 state.wal.append(batch.seq, &batch.ops)?;
                 // The window a crash between the append and the publish

@@ -535,10 +535,6 @@ pub fn recover(
         report.tail_replayed += 1;
     }
     report.wal_entries = entries.len() as u64;
-
-    if !store.date_index_fresh() {
-        store.rebuild_date_index();
-    }
     store.validate_invariants()?;
 
     let wal = SegmentedWal::open(
@@ -632,10 +628,7 @@ mod tests {
             }
         }
 
-        fn fingerprint(mut self) -> String {
-            if !self.store.date_index_fresh() {
-                self.store.rebuild_date_index();
-            }
+        fn fingerprint(self) -> String {
             store_fingerprint(&self.store)
         }
     }

@@ -69,7 +69,7 @@ pub fn batches(chunk: usize, chunks: usize) -> Vec<WriteOps> {
 }
 
 /// Applies one batch straight to `store` the way the durable path
-/// does: the whole batch, then the date index repaired.
+/// does.
 pub fn apply(store: &mut Store, ops: &WriteOps, world: &StaticWorld) {
     match ops {
         WriteOps::Updates(events) => {
@@ -80,8 +80,5 @@ pub fn apply(store: &mut Store, ops: &WriteOps, world: &StaticWorld) {
         WriteOps::Deletes(dels) => {
             store.apply_deletes(dels).expect("direct delete");
         }
-    }
-    if !store.date_index_fresh() {
-        store.rebuild_date_index();
     }
 }

@@ -3,7 +3,7 @@
 //! server's one write path — WAL append, then one published store
 //! version per batch — while client threads send BI 1, 2, 12 and 18,
 //! the date-window queries most sensitive to a half-applied batch or a
-//! stale date index.
+//! date index out of step with the messages.
 //!
 //! `every_read_beside_the_writer_equals_a_serial_prefix` is E11, the
 //! spec's §6.4 serializability audit: every answer the server gives

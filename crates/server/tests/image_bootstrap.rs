@@ -57,9 +57,6 @@ fn oracle(all: &[WriteOps]) -> snb_store::Store {
             store.apply_event(ev, &world).unwrap();
         }
     }
-    if !store.date_index_fresh() {
-        store.rebuild_date_index();
-    }
     store
 }
 

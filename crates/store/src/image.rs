@@ -14,11 +14,11 @@
 //! the seven entity column groups at tags `1 + class` (1 = persons …
 //! 7 = organisations), then the 21 adjacencies at `10 + position`. A
 //! group section holds its columns in the order the group's declaration
-//! (`columns.rs`) lists them, each written by its column type. Hash
-//! indexes, the name→index maps, and the date permutation index are
-//! *not* stored — they are deterministic functions of the columns and
-//! are rebuilt at decode time (same insert order as the bulk loader, so
-//! lookups behave identically).
+//! (`columns.rs`) lists them, each written by its column type. The id
+//! maps and the date index are *not* stored — they are deterministic
+//! functions of the columns and are rebuilt at decode time. Names
+//! resolve through the name columns' own dictionaries, so nothing else
+//! is derived.
 //!
 //! Within sections everything is varints, and a value column's element
 //! type picks its encoding (`Scalar`): sorted id and timestamp columns
@@ -33,7 +33,6 @@
 //!
 //! [`SnbError::Parse`]: snb_core::SnbError::Parse
 
-use rustc_hash::FxHashMap;
 use snb_core::bytes::{
     put_checked, put_deltas, put_u8, put_varint, put_varint_str, Malformed, Reader,
 };
@@ -43,7 +42,7 @@ use snb_core::SnbResult;
 
 use crate::adj::Adj;
 use crate::append_vec::AppendVec;
-use crate::columns::{Group, Ix};
+use crate::columns::Group;
 use crate::intern::{PackCol, PackListCol, SymCol, SymListCol};
 use crate::store::{Entity, Store};
 
@@ -398,8 +397,8 @@ pub fn encode_store(s: &Store) -> Vec<u8> {
 }
 
 /// Decodes an image payload back into a full store, rebuilding the
-/// derived structures (id hash indexes, name→index maps, date
-/// permutation index) the image deliberately omits. Refuses — with a
+/// derived structures (id maps, date index) the image deliberately
+/// omits. Refuses — with a
 /// hard error, never a partial store — any checksum mismatch,
 /// truncation, count too large for its section, or layout violation.
 pub fn decode_store(buf: &[u8]) -> SnbResult<Store> {
@@ -414,18 +413,9 @@ fn read_store(buf: &[u8]) -> Result<Store, Malformed> {
     Ok(s)
 }
 
-/// Rebuilds everything the image omits, in the same insert order as the
-/// bulk loader so id/name lookups behave identically.
+/// Rebuilds everything the image omits: the id maps and the date index.
 fn rebuild_derived(s: &mut Store) {
     s.rebuild_id_maps();
-
-    fn by_name(names: &SymCol) -> FxHashMap<String, Ix> {
-        names.iter().enumerate().map(|(i, n)| (n.to_string(), i as Ix)).collect()
-    }
-    s.place_by_name.set(by_name(&s.places.name));
-    s.tag_by_name.set(by_name(&s.tags.name));
-    s.tag_class_by_name.set(by_name(&s.tag_classes.name));
-
     s.rebuild_date_index();
     s.shrink_columns();
 }
@@ -434,6 +424,7 @@ fn rebuild_derived(s: &mut Store) {
 mod tests {
     use super::*;
     use crate::build::store_for_config;
+    use crate::columns::Ix;
     use snb_datagen::GeneratorConfig;
 
     fn small_store() -> Store {
@@ -473,15 +464,12 @@ mod tests {
             // and adjacency, so any drift shows up here).
             assert_eq!(encode_store(&decoded), image, "decode→encode must be the identity");
             decoded.validate_invariants().expect("decoded store invariants");
-            assert!(decoded.date_index_fresh(), "date index must be rebuilt");
-            // Derived indexes answer like the originals.
+            assert_eq!(*decoded.message_by_date, *store.message_by_date);
+            // Lookups answer like the originals.
             let id = store.persons.id[3];
             assert_eq!(decoded.person(id).unwrap(), store.person(id).unwrap());
-            let place = store.places.name.iter().next().unwrap();
-            assert_eq!(
-                decoded.place_by_name.get(place).copied(),
-                store.place_by_name.get(place).copied()
-            );
+            let tag = &store.tags.name[5];
+            assert_eq!(decoded.tag_named(tag).unwrap(), store.tag_named(tag).unwrap());
         }
     }
 

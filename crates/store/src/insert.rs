@@ -11,8 +11,8 @@
 //! in a [`ListEdges`]. The builder keeps those for its CSR sort;
 //! `apply_event` appends them to the adjacency overflow (see
 //! [`crate::adj::Adj::insert`]), so no CSR rebuild happens on the write
-//! path, which keeps update latency flat — [`Store::compact`] can fold
-//! the overflow back in between benchmark phases.
+//! path, which keeps update latency flat — [`Store::fold_overflow`] can
+//! fold the overflow back in between benchmark phases.
 //!
 //! No insert writes a row that already exists: every column change is
 //! an append. The columns are [`AppendVec`](crate::append_vec::AppendVec)s,
@@ -267,20 +267,15 @@ impl Store {
         self.grow_sources(Entity::Message);
         let m = ix as usize;
         self.person_messages.insert(self.messages.creator[m], ix, ());
-        // Keep the date permutation index fresh when the insert arrives
-        // in `(creation_date, ix)` order — true for the time-ordered
-        // update stream — so steady-state reads never hit the O(n)
-        // linear-scan fallback. Out-of-order inserts leave the index
-        // stale for the driver's batch-boundary rebuild to repair.
-        if self.message_by_date.len() == m {
-            let date = self.messages.creation_date[m];
-            let in_order = match self.message_by_date.last() {
-                None => true,
-                Some(&prev) => (self.messages.creation_date[prev as usize], prev) < (date, ix),
-            };
-            if in_order {
-                self.message_by_date.push(ix);
-            }
+        // The date index stays sorted: `ix` is the largest index, so it
+        // goes after every message dated at or before it. The update
+        // stream is in date order, so that is the end (an append); an
+        // out-of-order insert shifts the later entries up by one.
+        let dates = &self.messages.creation_date;
+        let at = self.message_by_date.partition_point(|&p| dates[p as usize] <= dates[m]);
+        self.message_by_date.push(ix);
+        if at < m {
+            self.message_by_date[at..].rotate_right(1);
         }
         match self.messages.reply_of[m] {
             NONE => self.forum_posts.insert(self.messages.forum[m], ix, ()),
@@ -299,7 +294,7 @@ mod tests {
     use super::*;
     use crate::build::{bulk_store_and_stream, store_for_config};
     use crate::Adj;
-    use snb_core::datetime::{Date, DateTime};
+    use snb_core::datetime::{Date, DateTime, MILLIS_PER_DAY};
     use snb_core::model::{ForumId, Gender, MessageId, OrganisationId, PersonId, PlaceId, TagId};
     use snb_core::scale::ScaleFactor;
     use snb_datagen::graph::RawKnows;
@@ -556,8 +551,8 @@ mod tests {
         assert_eq!(bulk.person_likes.edge_count(), full.person_likes.edge_count());
         assert_eq!(bulk.forum_member.edge_count(), full.forum_member.edge_count());
         bulk.validate_invariants().unwrap();
-        // Compaction must not change any counts.
-        bulk.compact();
+        // Folding the overflow must not change any counts.
+        bulk.fold_overflow();
         assert_eq!(bulk.knows.edge_count(), full.knows.edge_count());
         bulk.validate_invariants().unwrap();
     }
@@ -674,19 +669,19 @@ mod tests {
     }
 
     #[test]
-    fn time_ordered_stream_keeps_date_index_fresh() {
-        // The update stream arrives in timestamp order, so the O(1)
-        // incremental append in `index_message` (plus the rebuild in
-        // the delete path) must keep the date permutation index fresh
-        // after every single event — no read may ever pay the O(n)
-        // linear-scan fallback during steady-state streaming.
+    fn time_ordered_stream_appends_to_the_date_index() {
+        // The update stream arrives in date order, so every message it
+        // inserts goes at the end of the date index: an append, never a
+        // shift of the entries before it.
         let c = config(100);
         let (mut bulk, events) = bulk_store_and_stream(&c);
         let world = snb_datagen::dictionaries::StaticWorld::build(c.seed);
-        assert!(bulk.date_index_fresh());
         for (i, e) in events.iter().enumerate() {
             bulk.apply_event(e, &world).unwrap();
-            assert!(bulk.date_index_fresh(), "index went stale after event {i}");
+            if let UpdateEvent::AddPost(m) | UpdateEvent::AddComment(m) = &e.event {
+                let last = bulk.message_by_date.last().copied();
+                assert_eq!(last, Some(bulk.message(m.id.0).unwrap()), "event {i} not appended");
+            }
         }
         bulk.validate_invariants().unwrap();
     }
@@ -843,22 +838,39 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_insert_leaves_index_stale() {
-        // An insert dated before the newest stored message cannot be
-        // appended to the permutation in place; the index goes stale
-        // and the driver's batch-boundary rebuild repairs it.
+    fn out_of_order_inserts_keep_the_date_index_sorted() {
+        // A post dated a day before the oldest message goes in at the
+        // front of the index, and a comment dated like a message in the
+        // middle goes in after every message of its date; every window
+        // answers both at once, as a scan does.
         let mut s = store_for_config(&config(40));
-        let post = (0..s.messages.len() as Ix).find(|&m| s.messages.is_post(m)).unwrap();
-        let post_id = s.messages.id[post as usize];
-        let country = s.places.id[s.messages.country[post as usize] as usize];
-        assert!(s.date_index_fresh());
-        let mut late = comment(6_000_000, s.persons.id[0], post_id, country, DateTime(0));
-        late.content = "late arrival".into();
-        late.tags.clear();
-        add_message(&mut s, late, &world()).unwrap();
-        assert!(!s.date_index_fresh());
-        s.rebuild_date_index();
-        assert!(s.date_index_fresh());
+        let world = world();
+        let country = s.places.id[s.person_country(0) as usize];
+        let oldest = s.messages.creation_date[s.message_by_date[0] as usize];
+        let mut early = post(6_000_000, s.persons.id[0], s.forums.id[0], country, &world);
+        early.creation_date = oldest.plus_millis(-MILLIS_PER_DAY);
+        let early = add_message(&mut s, early, &world).unwrap();
         s.validate_invariants().unwrap();
+        assert_eq!(s.message_by_date[0], early);
+
+        let middle = s.message_by_date[s.messages.len() / 2] as usize;
+        let date = s.messages.creation_date[middle];
+        let reply = comment(6_000_001, s.persons.id[1], s.messages.id[middle], country, date);
+        let reply = add_message(&mut s, reply, &world).unwrap();
+        s.validate_invariants().unwrap();
+
+        let dates = &s.messages.creation_date;
+        for m in [early, reply] {
+            let t = dates[m as usize];
+            let (lo, hi) = (t.date().at_midnight(), t.date().plus_days(1).at_midnight());
+            let window = s.messages_created_in(lo, hi);
+            assert!(window.contains(&m), "message {m} missing from its day");
+            let mut sorted = window.to_vec();
+            sorted.sort_unstable();
+            let scan: Vec<Ix> = (0..s.messages.len() as Ix)
+                .filter(|&m| (lo..hi).contains(&dates[m as usize]))
+                .collect();
+            assert_eq!(sorted, scan);
+        }
     }
 }

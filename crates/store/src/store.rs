@@ -1,4 +1,4 @@
-//! The columnar graph store: columns + CSR adjacency + id/name indexes.
+//! The columnar graph store: columns + CSR adjacency + id indexes.
 //!
 //! The store's schema is declared once, in the `schema!` invocation
 //! below: the seven column groups (each group's fields are declared in
@@ -15,9 +15,8 @@
 //! stay hand-written below.
 
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 
-use rustc_hash::{FxHashMap, FxHasher};
+use rustc_hash::FxHasher;
 use snb_core::bytes::{Malformed, Reader};
 use snb_core::datetime::DateTime;
 use snb_core::model::PlaceKind;
@@ -32,6 +31,7 @@ use crate::columns::{
 use crate::cow::CowBox;
 use crate::delete::{self, Remap};
 use crate::image;
+use crate::intern::SymCol;
 
 /// Declares the store: its column groups (`field: Cols, Entity, id_map;`)
 /// and adjacencies (`field: Payload, Source -> Target;`), followed by
@@ -117,8 +117,8 @@ macro_rules! schema {
             /// into a fresh CSR stored with [`CowBox::set`]: the old
             /// version keeps its arrays, and adjacencies without
             /// overflow stay shared. Returns the names of the
-            /// adjacencies it folded — none after [`Store::compact`] or
-            /// a delete batch.
+            /// adjacencies it folded — none after a delete batch.
+            /// Optional: queries read the overflow form too.
             pub fn fold_overflow(&mut self) -> Vec<&'static str> {
                 let mut folded = Vec::new();
                 $( if fold(&mut self.$adj) { folded.push(stringify!($adj)); } )*
@@ -281,19 +281,12 @@ schema! {
             person_moderates: (), Person -> Forum;
         }
 
-        /// Message indices permuted into ascending `(creation_date, ix)`
-        /// order. Built by the bulk loader, rebuilt by [`Store::compact`]
-        /// and left fresh by deletes; out-of-order inserts leave it stale
-        /// (shorter than `messages`), in which case the windowed accessors
-        /// return `None` and callers fall back to a full scan.
+        /// Every message index, in ascending `(creation_date, ix)`
+        /// order, always: the bulk builder and image decode sort it
+        /// once, an insert appends (the update stream is in date
+        /// order) or, out of order, goes in at its place, and a delete
+        /// keeps the survivors' order.
         message_by_date: CowBox<AppendVec<Ix>>,
-
-        /// Place name → index.
-        place_by_name: CowBox<FxHashMap<String, Ix>>,
-        /// Tag name → index.
-        tag_by_name: CowBox<FxHashMap<String, Ix>>,
-        /// TagClass name → index.
-        tag_class_by_name: CowBox<FxHashMap<String, Ix>>,
     }
 }
 
@@ -325,26 +318,20 @@ impl Store {
 
     /// Resolves a country by name.
     pub fn country_by_name(&self, name: &str) -> SnbResult<Ix> {
-        self.place_by_name
-            .get(name)
-            .copied()
+        row_named(&self.places.name, name)
             .filter(|&p| self.places.kind[p as usize] == PlaceKind::Country)
             .ok_or_else(|| SnbError::Config(format!("unknown country {name:?}")))
     }
 
     /// Resolves a tag by name.
     pub fn tag_named(&self, name: &str) -> SnbResult<Ix> {
-        self.tag_by_name
-            .get(name)
-            .copied()
+        row_named(&self.tags.name, name)
             .ok_or_else(|| SnbError::Config(format!("unknown tag {name:?}")))
     }
 
     /// Resolves a tag class by name.
     pub fn tag_class_named(&self, name: &str) -> SnbResult<Ix> {
-        self.tag_class_by_name
-            .get(name)
-            .copied()
+        row_named(&self.tag_classes.name, name)
             .ok_or_else(|| SnbError::Config(format!("unknown tag class {name:?}")))
     }
 
@@ -401,7 +388,8 @@ impl Store {
         self.messages.forum[root as usize]
     }
 
-    /// Rebuilds the `(creation_date, ix)` message permutation index.
+    /// Sorts every message into the `(creation_date, ix)` index: the
+    /// bulk builder's and image decode's one pass.
     pub fn rebuild_date_index(&mut self) {
         let dates = &self.messages.creation_date;
         let mut perm: AppendVec<Ix> = (0..self.messages.len() as Ix).collect();
@@ -409,58 +397,29 @@ impl Store {
         self.message_by_date.set(perm);
     }
 
-    /// Whether the date permutation index covers every message (it goes
-    /// stale when streamed inserts append messages without a rebuild).
+    /// Always true: no store the API hands out has a date index short
+    /// of its messages. Kept for the benchmark package, which still
+    /// asks.
     pub fn date_index_fresh(&self) -> bool {
         self.message_by_date.len() == self.messages.len()
     }
 
-    /// Message indices created strictly before `t`, as a binary-searched
-    /// prefix of the date permutation index (ascending `(creation_date,
-    /// ix)` order). `None` when the index is stale.
-    pub fn messages_created_before(&self, t: DateTime) -> Option<&[Ix]> {
-        if !self.date_index_fresh() {
-            return None;
-        }
-        let cut =
-            self.message_by_date.partition_point(|&m| self.messages.creation_date[m as usize] < t);
-        Some(&self.message_by_date[..cut])
+    /// Message indices created strictly before `t`: a binary-searched
+    /// prefix of the date index, in `(creation_date, ix)` order.
+    pub fn messages_created_before(&self, t: DateTime) -> &[Ix] {
+        &self.message_by_date[..self.messages_dated_before(t)]
     }
 
     /// Message indices created in the half-open timestamp window
-    /// `[lo, hi)`, as a binary-searched contiguous run of the date
-    /// permutation index. `None` when the index is stale.
-    pub fn messages_created_in(&self, lo: DateTime, hi: DateTime) -> Option<&[Ix]> {
-        if !self.date_index_fresh() {
-            return None;
-        }
-        if hi <= lo {
-            return Some(&self.message_by_date[0..0]);
-        }
-        let a =
-            self.message_by_date.partition_point(|&m| self.messages.creation_date[m as usize] < lo);
-        let b =
-            self.message_by_date.partition_point(|&m| self.messages.creation_date[m as usize] < hi);
-        Some(&self.message_by_date[a..b])
+    /// `[lo, hi)`: a binary-searched run of the date index.
+    pub fn messages_created_in(&self, lo: DateTime, hi: DateTime) -> &[Ix] {
+        let a = self.messages_dated_before(lo);
+        &self.message_by_date[a..self.messages_dated_before(hi).max(a)]
     }
 
-    /// Morsel ranges covering the message column block — the scan
-    /// surface the parallel execution primitives consume.
-    pub fn message_chunks(&self, morsel: usize) -> impl Iterator<Item = Range<usize>> {
-        chunks(self.messages.len(), morsel)
-    }
-
-    /// Morsel ranges covering the person column block.
-    pub fn vertex_chunks(&self, morsel: usize) -> impl Iterator<Item = Range<usize>> {
-        chunks(self.persons.len(), morsel)
-    }
-
-    /// Folds every adjacency's insert overflow back into CSR form and
-    /// rebuilds the date index (optional; queries work on the overflow
-    /// form too).
-    pub fn compact(&mut self) {
-        self.rebuild_date_index();
-        self.fold_overflow();
+    /// How many messages were created strictly before `t`.
+    fn messages_dated_before(&self, t: DateTime) -> usize {
+        self.message_by_date.partition_point(|&m| self.messages.creation_date[m as usize] < t)
     }
 
     /// Consistency check used by tests after every write: column
@@ -469,7 +428,8 @@ impl Store {
     /// root, a comment shares its parent's), every forward/reverse
     /// adjacency pair holds the same edge
     /// multiset, every adjacency derived from a column agrees with it,
-    /// and a fresh date index is the `(creation_date, ix)` permutation.
+    /// and the date index holds every message once, in `(creation_date,
+    /// ix)` order.
     pub fn validate_invariants(&self) -> SnbResult<()> {
         let bad = |what: String| Err(SnbError::Config(what));
         self.check_groups()?;
@@ -539,24 +499,15 @@ impl Store {
             return bad(format!("{what} disagrees with the columns it derives from"));
         }
 
-        // Date permutation index: when fresh it must be a permutation in
-        // ascending (creation_date, ix) order.
-        if self.date_index_fresh() {
-            for w in self.message_by_date.windows(2) {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                let ka = (self.messages.creation_date[a], w[0]);
-                let kb = (self.messages.creation_date[b], w[1]);
-                if ka >= kb {
-                    return bad("date index out of order".into());
-                }
-            }
-            let mut seen = vec![false; nm];
-            for &ix in &self.message_by_date {
-                seen[ix as usize] = true;
-            }
-            if seen.iter().any(|&s| !s) {
-                return bad("date index is not a permutation".into());
-            }
+        // The date index: `nm` entries in range, strictly ascending by
+        // (creation_date, ix), so each message exactly once.
+        let by_date = &self.message_by_date;
+        if by_date.len() != nm || by_date.iter().any(|&ix| ix as usize >= nm) {
+            return bad(format!("date index has {} entries for {nm} messages", by_date.len()));
+        }
+        let key = |ix: Ix| (m.creation_date[ix as usize], ix);
+        if by_date.windows(2).any(|w| key(w[0]) >= key(w[1])) {
+            return bad("date index out of order".into());
         }
         Ok(())
     }
@@ -634,10 +585,10 @@ fn mix(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Morsel ranges `[0, n)` split into `size`-sized pieces (last one
-/// short). Mirrors `snb_engine::exec::chunk_ranges`, re-implemented
-/// here because the store sits below the engine in the crate graph.
-fn chunks(n: usize, size: usize) -> impl Iterator<Item = Range<usize>> {
-    let size = size.max(1);
-    (0..n).step_by(size).map(move |lo| lo..(lo + size).min(n))
+/// The first row of `names` that holds `name`, found by symbol: one
+/// dictionary search, then a scan of the (static, at most a few hundred
+/// rows) column.
+fn row_named(names: &SymCol, name: &str) -> Option<Ix> {
+    let sym = names.lookup(name)?;
+    names.syms().iter().position(|&s| s == sym).map(|row| row as Ix)
 }

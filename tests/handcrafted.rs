@@ -56,7 +56,7 @@ fn add_person(s: &mut Store, id: u64, name: &str, t: i64) {
 }
 
 fn add_person_in(s: &mut Store, id: u64, name: &str, city: &str, t: i64) {
-    let city = s.places.id[s.place_by_name.get(city).map(|&c| c as usize).expect("city exists")];
+    let city = s.places.id[s.places.name.iter().position(|n| n == city).expect("city exists")];
     let person = RawPerson {
         id: PersonId(id),
         first_name: name.into(),

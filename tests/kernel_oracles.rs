@@ -8,8 +8,8 @@
 //! contexts, so morsel boundaries fall inside person, forum, tag and
 //! message lists; on three store states: the bulk store, the store
 //! after one stream insert batch and an out-of-order post with no fold
-//! (insert overflow live, date index stale), and the store after a
-//! delete batch.
+//! (insert overflow live, the post inserted into the date index ahead
+//! of the batch), and the store after a delete batch.
 //!
 //! The `#[ignore]`d variant runs the same sweep at SF 0.03, where
 //! person and message lists are close to the benchmark's sizes:
@@ -55,15 +55,15 @@ fn store_states(c: &GeneratorConfig) -> Vec<(&'static str, Store)> {
     let world = StaticWorld::build(c.seed);
     let (mut bulk, stream) = bulk_store_and_stream(c);
     add_bi11_replies(&mut bulk, &world);
-    bulk.compact();
+    bulk.fold_overflow();
 
     let mut inserted = bulk.clone();
     for e in &stream[..INSERT_BATCH.min(stream.len())] {
         inserted.apply_event(e, &world).unwrap();
     }
-    // The stream arrives in date order, which keeps the date index
-    // fresh; one post dated before the newest message (an out-of-order
-    // insert) leaves it stale until a rebuild.
+    // The stream arrives in date order, so its messages append to the
+    // date index; one post dated like the oldest message (an
+    // out-of-order insert) goes in near its front.
     let first = bulk.message_by_date[0];
     let author = bulk.messages.creator[first as usize];
     let early = RawMessage {
@@ -86,7 +86,7 @@ fn store_states(c: &GeneratorConfig) -> Vec<(&'static str, Store)> {
     let at = early.creation_date;
     let event = TimedEvent { timestamp: at, dependent: at, event: UpdateEvent::AddPost(early) };
     inserted.apply_event(&event, &world).unwrap();
-    assert!(!inserted.date_index_fresh(), "the insert batch must leave the date index stale");
+    inserted.validate_invariants().unwrap();
     assert!(
         !inserted.clone().fold_overflow().is_empty(),
         "the insert batch must leave overflow live"

@@ -135,13 +135,13 @@ proptest! {
         prop_assert_eq!(scanned, expect);
     }
 
-    /// The stale-index linear-scan fallback and the fresh date index
-    /// select the same message sets for arbitrary windows (the fallback
-    /// returns ascending message order, the index date order — compare
-    /// as sorted sets). Also pins that the access-path counters tell
-    /// the two paths apart.
+    /// The date-window reads select what a scan of the creation dates
+    /// selects, for arbitrary windows, on the bulk store and on the same
+    /// store after seeded out-of-order inserts (the reads return date
+    /// order, the scan row order — compare as sorted sets). Each read
+    /// counts one index hit.
     #[test]
-    fn stale_fallback_agrees_with_fresh_index(
+    fn windows_after_out_of_order_inserts_equal_scans(
         lo_day in 0u32..2000,
         len_days in 0u32..400
     ) {
@@ -149,27 +149,23 @@ proptest! {
         use ldbc_snb::core::Date as CDate;
         use ldbc_snb::engine::QueryMetrics;
 
-        let fresh = window_test_store(false);
-        let stale = window_test_store(true);
         let lo = CDate::from_ymd(2010, 1, 1).plus_days(lo_day as i32).at_midnight();
         let hi = CDate::from_ymd(2010, 1, 1).plus_days((lo_day + len_days) as i32).at_midnight();
-
-        let fresh_metrics = QueryMetrics::new(1);
-        let stale_metrics = QueryMetrics::new(1);
         let sort = |mut v: Vec<u32>| { v.sort_unstable(); v };
-        let via_index = sort(messages_in(fresh, &fresh_metrics, lo, hi).to_vec());
-        let via_scan = sort(messages_in(stale, &stale_metrics, lo, hi).to_vec());
-        prop_assert_eq!(&via_index, &via_scan);
-        prop_assert_eq!(
-            sort(messages_before(fresh, &fresh_metrics, lo).to_vec()),
-            sort(messages_before(stale, &stale_metrics, lo).to_vec())
-        );
-        let fresh_profile = fresh_metrics.snapshot();
-        let stale_profile = stale_metrics.snapshot();
-        prop_assert_eq!(fresh_profile.index_hits, 2);
-        prop_assert_eq!(fresh_profile.index_fallbacks, 0);
-        prop_assert_eq!(stale_profile.index_hits, 0);
-        prop_assert_eq!(stale_profile.index_fallbacks, 2);
+        for store in [window_test_store(), out_of_order_store()] {
+            let metrics = QueryMetrics::new(1);
+            let scan = |keep: &dyn Fn(ldbc_snb::core::DateTime) -> bool| -> Vec<u32> {
+                (0..store.messages.len() as u32)
+                    .filter(|&m| keep(store.messages.creation_date[m as usize]))
+                    .collect()
+            };
+            prop_assert_eq!(
+                sort(messages_in(store, &metrics, lo, hi).to_vec()),
+                scan(&|t| lo <= t && t < hi)
+            );
+            prop_assert_eq!(sort(messages_before(store, &metrics, lo).to_vec()), scan(&|t| t < lo));
+            prop_assert_eq!(metrics.snapshot().index_hits, 2);
+        }
     }
 
     /// Thread-count determinism: for any thread count in {1, 2, 4} and
@@ -184,7 +180,7 @@ proptest! {
         use ldbc_snb::engine::QueryContext;
         use ldbc_snb::params::ParamGen;
         const SWEEP: [usize; 3] = [1, 2, 4];
-        let store = window_test_store(false);
+        let store = window_test_store();
         let query = (q_idx + 1) as u8;
         let gen = ParamGen::new(store, 7);
         let ctx = QueryContext::new(SWEEP[t_idx]);
@@ -200,31 +196,74 @@ proptest! {
     }
 }
 
-/// Shared stores for the window proptest: built once per process (the
-/// generator is deterministic). The stale variant has the tail of its
-/// date permutation index popped, forcing every window read down the
-/// linear-scan fallback path.
-fn window_test_store(stale: bool) -> &'static ldbc_snb::store::Store {
-    use ldbc_snb::datagen::GeneratorConfig;
+/// The generator configuration of the window proptest's stores.
+fn window_test_config() -> ldbc_snb::datagen::GeneratorConfig {
+    let mut c = ldbc_snb::datagen::GeneratorConfig::for_scale_name("0.001").unwrap();
+    c.persons = 100;
+    c
+}
+
+/// The shared bulk store for the window and parallel-execution
+/// proptests: built once per process (the generator is deterministic).
+fn window_test_store() -> &'static ldbc_snb::store::Store {
     use ldbc_snb::store::{store_for_config, Store};
     use std::sync::OnceLock;
-    static FRESH: OnceLock<Store> = OnceLock::new();
-    static STALE: OnceLock<Store> = OnceLock::new();
-    let build = || {
-        let mut c = GeneratorConfig::for_scale_name("0.001").unwrap();
-        c.persons = 100;
-        store_for_config(&c)
-    };
-    if stale {
-        STALE.get_or_init(|| {
-            let mut s = build();
-            s.message_by_date.pop();
-            assert!(!s.date_index_fresh());
-            s
-        })
-    } else {
-        FRESH.get_or_init(build)
-    }
+    static STORE: OnceLock<Store> = OnceLock::new();
+    STORE.get_or_init(|| store_for_config(&window_test_config()))
+}
+
+/// [`window_test_store`] plus 64 posts inserted through the update path
+/// at seeded dates across its messages' span, in no date order: half at
+/// a random instant, half at the date of a random stored message (a tie
+/// the index must order by row).
+fn out_of_order_store() -> &'static ldbc_snb::store::Store {
+    use ldbc_snb::core::model::{ForumId, MessageId, MessageKind, PersonId, PlaceId};
+    use ldbc_snb::core::rng::Rng;
+    use ldbc_snb::core::DateTime;
+    use ldbc_snb::datagen::dictionaries::StaticWorld;
+    use ldbc_snb::datagen::graph::RawMessage;
+    use ldbc_snb::datagen::stream::{TimedEvent, UpdateEvent};
+    use ldbc_snb::store::Store;
+    use std::sync::OnceLock;
+    static STORE: OnceLock<Store> = OnceLock::new();
+    STORE.get_or_init(|| {
+        let mut s = window_test_store().clone();
+        let world = StaticWorld::build(window_test_config().seed);
+        let dates = s.messages.creation_date.to_vec();
+        let (first, last) = (dates.iter().min().unwrap().0, dates.iter().max().unwrap().0);
+        let mut rng = Rng::new(20_261_019);
+        for i in 0..64u64 {
+            let date = if i % 2 == 0 {
+                DateTime(rng.range_i64(first, last))
+            } else {
+                dates[rng.index(dates.len())]
+            };
+            let author = rng.index(s.persons.len()) as u32;
+            let id = MessageId(u64::MAX / 4 + i);
+            let post = RawMessage {
+                id,
+                kind: MessageKind::Post,
+                creation_date: date,
+                creator: PersonId(s.persons.id[author as usize]),
+                country: PlaceId(s.places.id[s.person_country(author) as usize]),
+                location_ip: "10.0.0.1".into(),
+                browser: 0,
+                content: format!("post {i}"),
+                length: 6,
+                image_file: None,
+                language: None,
+                forum: Some(ForumId(s.forums.id[rng.index(s.forums.len())])),
+                reply_of: None,
+                root_post: id,
+                tags: Vec::new(),
+            };
+            let event =
+                TimedEvent { timestamp: date, dependent: date, event: UpdateEvent::AddPost(post) };
+            s.apply_event(&event, &world).unwrap();
+        }
+        s.validate_invariants().unwrap();
+        s
+    })
 }
 
 /// Shortest-path lengths from the engine's bidirectional BFS agree with

@@ -56,9 +56,6 @@ proptest! {
             for event in events {
                 next.apply_event(event, &world)?;
             }
-            if !next.date_index_fresh() {
-                next.rebuild_date_index();
-            }
             Ok(())
         };
 
