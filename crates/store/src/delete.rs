@@ -41,7 +41,7 @@
 //! A like-only batch therefore writes `person_likes` + `message_likes`
 //! and shares everything else with the previous version. The one extra:
 //! a batch leaves no insert overflow behind — adjacencies still holding
-//! some are folded ([`Store::compact`]'s merge, the same walk listing no
+//! some are folded ([`Store::fold_overflow`], the same walk listing no
 //! source), because the BI scans run measurably slower on the overflow
 //! form. The CSR hot loops never test tombstones, which suits the BI
 //! usage pattern (bulk refresh between analytical sessions); the insert
