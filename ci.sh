@@ -116,6 +116,23 @@ if grep -rnE 'date_index_fresh|note_index_fallback|place_by_name|tag_by_name|tag
   exit 1
 fi
 
+echo "==> durable bytes are hashed once (no fnv64 in the WAL or the image, no unsafe in crates/core/src, the image path streams)"
+# Every checked frame and the image header are summed once, by xxh64 in
+# snb_core::bytes, which is safe code; FNV-1a is byte-serial and stays
+# only for the answer, binding and wire pins. The image is written and
+# read a section at a time: an encode_store call in the server would hold
+# the whole payload beside the store again. Only the code above each
+# file's test module is searched for it: the tests compare stores by
+# their encoded bytes.
+if grep -n 'fnv64' crates/server/src/wal.rs crates/server/src/image.rs crates/store/src/image.rs \
+  || grep -rnE --include='*.rs' '\bunsafe\b' crates/core/src \
+  || awk '/^#\[cfg\(test\)\]/ { nextfile }
+    /encode_store\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }' crates/server/src/*.rs crates/server/src/bin/*.rs; then
+  echo "a second hash pass or a whole-image buffer is back: frame through snb_core::bytes, stream the image" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -9,7 +9,7 @@
 //! string list is a short count and the strings ([`put_strs`]). Nothing
 //! is ever cut to fit a length field. A delta run stores each value as the zigzag varint
 //! of its difference from the previous one ([`put_deltas`]). A checked
-//! frame is `[u32 len][u64 fnv64(body)][body]` ([`put_checked`]).
+//! frame is `[u32 len][u64 xxh64(body)][body]` ([`put_checked`]).
 //!
 //! **The count rule** ([`Reader::count`]): a count read from a buffer
 //! is refused unless that many elements fit in the bytes left, so a
@@ -32,8 +32,8 @@ impl Malformed {
     }
 }
 
-/// FNV-1a 64: the checksum of WAL records and of store-image sections
-/// and headers.
+/// FNV-1a 64, byte at a time. It pins answers, bindings and wire bytes
+/// in tests; no durable format uses it.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -41,6 +41,72 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+#[inline(always)]
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+#[inline(always)]
+fn xxh_merge(h: u64, lane: u64) -> u64 {
+    (h ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+#[inline(always)]
+fn le64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 with seed 0: the checksum of every checked frame (WAL records,
+/// store-image sections) and of the store-image header. Four lanes of
+/// 64-bit multiply-rotate over 32-byte stripes, then the length and the
+/// last bytes mixed in and a final avalanche: word at a time, near
+/// memory speed.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le64(word));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut rest = stripes.remainder();
+    while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+        h = (h ^ xxh_round(0, u64::from_le_bytes(*word))).rotate_left(27);
+        h = h.wrapping_mul(P1).wrapping_add(P4);
+        rest = tail;
+    }
+    if let Some((word, tail)) = rest.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1)).rotate_left(23);
+        h = h.wrapping_mul(P2).wrapping_add(P3);
+        rest = tail;
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Appends one byte.
@@ -134,11 +200,21 @@ pub fn put_deltas(buf: &mut Vec<u8>, values: impl IntoIterator<Item = i64>) {
     }
 }
 
-/// Appends a checked frame: `[u32 len][u64 fnv64(body)][body]`. Panics
+/// The `[u32 len][u64 xxh64(body)]` head of a checked frame holding
+/// `body`, for a writer that sends the body on its own. Panics if `body`
+/// is 4 GiB or longer.
+pub fn checked_head(body: &[u8]) -> [u8; 12] {
+    let len = u32::try_from(body.len()).expect("a checked frame body is under 4 GiB");
+    let mut head = [0; 12];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&xxh64(body).to_le_bytes());
+    head
+}
+
+/// Appends a checked frame: `[u32 len][u64 xxh64(body)][body]`. Panics
 /// if `body` is 4 GiB or longer.
 pub fn put_checked(buf: &mut Vec<u8>, body: &[u8]) {
-    put_u32(buf, u32::try_from(body.len()).expect("a checked frame body is under 4 GiB"));
-    put_u64(buf, fnv64(body));
+    buf.extend_from_slice(&checked_head(body));
     buf.extend_from_slice(body);
 }
 
@@ -331,7 +407,7 @@ impl<'a> Reader<'a> {
         let len = r.u32()?;
         let sum = r.u64()?;
         let body = r.take(len as usize)?;
-        if fnv64(body) != sum {
+        if xxh64(body) != sum {
             return Err(Malformed("checksum mismatch".into()));
         }
         *self = r;
@@ -496,6 +572,28 @@ mod tests {
         assert_eq!(r.checked().unwrap_err().0, "checksum mismatch");
         assert_eq!(r.pos(), at);
         assert_eq!(r.remaining(), buf.len() - at);
+    }
+
+    #[test]
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_changes_the_sum() {
+        let buf: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        let sum = xxh64(&buf);
+        let mut flipped = buf.clone();
+        for bit in 0..buf.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(xxh64(&flipped), sum, "flipping bit {bit} must change the sum");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..buf.len() {
+            assert_ne!(xxh64(&buf[..cut]), sum, "cutting at {cut} must change the sum");
+        }
     }
 
     #[test]

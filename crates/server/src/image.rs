@@ -15,20 +15,30 @@
 //! Every field goes through [`snb_core::bytes`]:
 //!
 //! ```text
-//! [8B magic "SNBIMG2\n"][scale (put_str)][u64 seed][u64 seq]
-//! [u32 shards = 1][u64 body_len][u64 fnv64(body)]
-//! [u64 fnv64(header bytes above)][body = snb_store::image payload]
+//! [8B magic "SNBIMG3\n"][scale (put_str)][u64 seed][u64 seq][u32 shards = 1]
+//! [u64 xxh64(header bytes above)]
+//! [sections = snb_store::image payload: [u8 tag][u32 len][u64 xxh64(body)][body] × 28]
 //! ```
 //!
 //! Scale and seed bind the image to its dataset exactly like the WAL
-//! header does; `seq` is the write sequence the image captures. An
-//! image in format version 1 (`SNBIMG1\n`, which also carried a `u64`
-//! fencing epoch before `seq`) is refused with an error naming the
-//! version. The `u32` is always 1: older
-//! builds recorded how many shards their log was split across there,
-//! and an image with any other value is refused with an error naming
-//! the file, since the log it belongs beside is one this build cannot
-//! read.
+//! header does; `seq` is the write sequence the image captures. Each
+//! byte is hashed once: the header by its own checksum, each section by
+//! its frame. Nothing sums the payload as a whole; the fixed section
+//! order, each frame's length checked against the bytes left in the
+//! file, and the refusal of bytes past the last section stand in for a
+//! payload length. An image in an older format version (`SNBIMG1\n`,
+//! which also carried a `u64` fencing epoch before `seq`, or
+//! `SNBIMG2\n`, whose header also carried the payload's length and FNV-1a
+//! sum, and whose frames were summed with FNV-1a) is refused with an
+//! error naming the version. The `u32` is always 1: older builds
+//! recorded how many shards their log was split across there, and an
+//! image with any other value is refused with an error naming the file,
+//! since the log it belongs beside is one this build cannot read.
+//!
+//! Both directions stream: [`write_image`] writes the header and then
+//! each section through a buffered writer, and [`load_image`] reads the
+//! header and then each section through a buffered reader, so neither
+//! holds the whole file beside the store.
 //!
 //! ## Crash safety
 //!
@@ -36,27 +46,31 @@
 //! either the previous complete image or the new complete image. The
 //! rename is durable only once the directory is fsynced (`sync_dir`);
 //! whoever truncates log records behind a new image does that first.
-//! Any header/body checksum mismatch or truncation is a **hard error**:
-//! the log behind an image no longer holds the history it covers,
-//! so a directory with a corrupt image refuses to recover rather than
-//! silently starting from the bulk store. A leftover `store.img.tmp`
-//! (crash mid-write) is ignored and overwritten by the next write.
+//! Any header or section checksum mismatch or truncation is a **hard
+//! error**: the log behind an image no longer holds the history it
+//! covers, so a directory with a corrupt image refuses to recover rather
+//! than silently starting from the bulk store. A leftover
+//! `store.img.tmp` (crash mid-write) is ignored and overwritten by the
+//! next write.
 //!
 //! Fault point: `image.write.torn` (partial temp write, no rename).
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use snb_core::bytes::{fnv64, put_str, put_u32, put_u64, Malformed, Reader};
+use snb_core::bytes::{put_str, put_u32, put_u64, xxh64, Malformed, Reader};
 use snb_core::{SnbError, SnbResult};
-use snb_store::{decode_store, encode_store, Store};
+use snb_store::{read_store, write_store, Store};
 
 /// Magic prefix of `store.img`.
-pub const IMAGE_MAGIC: &[u8; 8] = b"SNBIMG2\n";
+pub const IMAGE_MAGIC: &[u8; 8] = b"SNBIMG3\n";
 /// The store-image file name inside a WAL directory.
 pub const IMAGE_FILE: &str = "store.img";
 const IMAGE_TMP: &str = "store.img.tmp";
+/// The buffer of the image file's reader and writer. A section larger
+/// than this moves between the file and the section buffer directly.
+const IO_BUFFER: usize = 1 << 16;
 
 /// The image header: everything recovery needs without decoding the
 /// body.
@@ -65,28 +79,22 @@ pub struct ImageHeader {
     /// Write sequence number the image captures (recovery replays the
     /// WAL strictly after this).
     pub seq: u64,
-    /// Body (codec payload) length in bytes.
-    pub body_len: u64,
-    /// FNV-1a of the body.
-    pub body_fnv: u64,
 }
 
 fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + scale.len());
+    let mut out = Vec::with_capacity(48 + scale.len());
     out.extend_from_slice(IMAGE_MAGIC);
     put_str(&mut out, scale);
     put_u64(&mut out, seed);
     put_u64(&mut out, h.seq);
     put_u32(&mut out, 1);
-    put_u64(&mut out, h.body_len);
-    put_u64(&mut out, h.body_fnv);
-    let sum = fnv64(&out);
+    let sum = xxh64(&out);
     put_u64(&mut out, sum);
     out
 }
 
 /// Reads the 8-byte magic of a format whose version is its seventh byte
-/// (`SNBWAL2\n`, `SNBIMG2\n`). The same magic at another version is
+/// (`SNBWAL3\n`, `SNBIMG3\n`). The same magic at another version is
 /// refused with an error naming that version, anything else as not a
 /// `what` at all.
 pub(crate) fn read_magic(r: &mut Reader<'_>, want: &[u8; 8], what: &str) -> Result<(), Malformed> {
@@ -104,14 +112,11 @@ pub(crate) fn read_magic(r: &mut Reader<'_>, want: &[u8; 8], what: &str) -> Resu
     Err(Malformed(format!("bad or missing magic (not a {what})")))
 }
 
-/// Parses and verifies the header, returning it and the bytes after it
-/// (the body). Every mismatch — magic and format version, scale, seed,
-/// checksum, truncation, a shard count other than 1 — is a hard error.
-fn decode_header<'a>(
-    bytes: &'a [u8],
-    scale: &str,
-    seed: u64,
-) -> Result<(ImageHeader, &'a [u8]), Malformed> {
+/// Parses and verifies the header at the start of `bytes`, returning it
+/// and its length. Every mismatch — magic and format version, scale,
+/// seed, checksum, truncation, a shard count other than 1 — is a hard
+/// error.
+fn decode_header(bytes: &[u8], scale: &str, seed: u64) -> Result<(ImageHeader, usize), Malformed> {
     let mut r = Reader::new(bytes);
     read_magic(&mut r, IMAGE_MAGIC, "store image")?;
     let got_scale = r.str()?;
@@ -121,9 +126,7 @@ fn decode_header<'a>(
     let got_seed = r.u64()?;
     let seq = r.u64()?;
     let shards = r.u32()?;
-    let body_len = r.u64()?;
-    let body_fnv = r.u64()?;
-    let summed = fnv64(&bytes[..r.pos()]);
+    let summed = xxh64(&bytes[..r.pos()]);
     if r.u64()? != summed {
         return Err(Malformed("header checksum mismatch".into()));
     }
@@ -135,7 +138,15 @@ fn decode_header<'a>(
             "image belongs beside a log split across {shards} shards by an older build"
         )));
     }
-    Ok((ImageHeader { seq, body_len, body_fnv }, &bytes[r.pos()..]))
+    Ok((ImageHeader { seq }, r.pos()))
+}
+
+/// The first bytes of an image for `scale`: enough for any header this
+/// build accepts, so the header is read without the body.
+fn header_prefix(input: &mut impl Read, scale: &str) -> std::io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    input.take(128 + scale.len() as u64).read_to_end(&mut buf)?;
+    Ok(buf)
 }
 
 /// Atomically writes `store.img` under `dir` capturing `store` at
@@ -161,36 +172,29 @@ pub fn write_image(
             "write_image takes epoch 0 and shard count 1, got {epoch} and {partitions}"
         )));
     }
-    let body = encode_store(store);
-    let header = encode_header(
-        scale,
-        seed,
-        &ImageHeader { seq, body_len: body.len() as u64, body_fnv: fnv64(&body) },
-    );
+    let header = encode_header(scale, seed, &ImageHeader { seq });
     let tmp_path = dir.join(IMAGE_TMP);
     let final_path = dir.join(IMAGE_FILE);
-    let mut tmp = File::create(&tmp_path)?;
+    let mut out = BufWriter::with_capacity(IO_BUFFER, File::create(&tmp_path)?);
+    out.write_all(&header)?;
+    let written = header.len() as u64 + write_store(store, &mut out)?;
+    let tmp = out.into_inner().map_err(|e| e.into_error())?;
     if let Some(fault) = snb_fault::check("image.write.torn") {
         // Simulate a crash mid-write: part of the temp file hits disk,
         // the rename never runs. `store.img` (previous image or absent)
         // is untouched — recovery must fall back to it plus the WAL.
-        let n = fault.short_write.unwrap_or(header.len() + body.len() / 2);
-        let mut torn = header.clone();
-        torn.extend_from_slice(&body);
-        torn.truncate(n.min(torn.len()));
-        tmp.write_all(&torn)?;
+        let torn = fault.short_write.map_or(written / 2, |n| n as u64);
+        tmp.set_len(torn.min(written))?;
         let _ = tmp.sync_data();
         fault.trip("image.write.torn");
         return Err(SnbError::Io(std::io::Error::other(
             "injected torn image write (temp file abandoned, previous image intact)",
         )));
     }
-    tmp.write_all(&header)?;
-    tmp.write_all(&body)?;
     tmp.sync_data()?;
     drop(tmp);
     std::fs::rename(&tmp_path, &final_path)?;
-    Ok((header.len() + body.len()) as u64)
+    Ok(written)
 }
 
 /// Fsyncs the directory itself, making a rename inside it durable: until
@@ -212,34 +216,25 @@ pub fn image_info(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<ImageH
     if !path.exists() {
         return Ok(None);
     }
-    // Headers are tiny; reading the whole file header-first would cost
-    // the body too, so read a bounded prefix.
-    let mut buf = Vec::new();
-    File::open(&path)?.take(128 + scale.len() as u64).read_to_end(&mut buf)?;
-    decode_header(&buf, scale, seed).map(|(h, _)| Some(h)).map_err(|e| e.at(path.display()))
+    let prefix = header_prefix(&mut File::open(&path)?, scale)?;
+    decode_header(&prefix, scale, seed).map(|(h, _)| Some(h)).map_err(|e| e.at(path.display()))
 }
 
-/// Verifies and decodes a complete image file's bytes into a store
-/// plus its header.
-pub(crate) fn decode_image(
-    bytes: &[u8],
+/// Verifies and decodes the `len`-byte image read from `input` into a
+/// store plus its header, a section at a time. `path` names the image
+/// in a header error.
+pub(crate) fn read_image(
+    mut input: impl Read,
+    len: u64,
     scale: &str,
     seed: u64,
     path: &Path,
 ) -> SnbResult<(Store, ImageHeader)> {
-    let (header, body) = decode_header(bytes, scale, seed)
-        .and_then(|(header, body)| {
-            let (got, want) = (body.len(), header.body_len);
-            if got as u64 != want {
-                return Err(Malformed(format!("body length {got} != header {want}")));
-            }
-            if fnv64(body) != header.body_fnv {
-                return Err(Malformed("body checksum mismatch".into()));
-            }
-            Ok((header, body))
-        })
-        .map_err(|e| e.at(path.display()))?;
-    Ok((decode_store(body)?, header))
+    let prefix = header_prefix(&mut input, scale)?;
+    let (header, header_len) =
+        decode_header(&prefix, scale, seed).map_err(|e| e.at(path.display()))?;
+    let payload = (&prefix[header_len..]).chain(input);
+    Ok((read_store(payload, len.saturating_sub(header_len as u64))?, header))
 }
 
 /// Loads and decodes `dir`'s image. `Ok(None)` when absent; any
@@ -249,14 +244,16 @@ pub fn load_image(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<(Store
     if !path.exists() {
         return Ok(None);
     }
-    let bytes = std::fs::read(&path)?;
-    decode_image(&bytes, scale, seed, &path).map(Some)
+    let file = File::open(&path)?;
+    let len = file.metadata()?.len();
+    read_image(BufReader::with_capacity(IO_BUFFER, file), len, scale, seed, &path).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use snb_datagen::GeneratorConfig;
+    use snb_store::encode_store;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("snb-image-{tag}-{}", std::process::id()));
@@ -320,23 +317,43 @@ mod tests {
         // file (header, checksums, body) must refuse to load, and
         // truncation at any boundary must refuse to load.
         let dir = tmp_dir("corrupt");
-        write_image(&dir, "0.001", 7, 0, 9, 1, &small_store()).unwrap();
+        let store = small_store();
+        write_image(&dir, "0.001", 7, 0, 9, 1, &store).unwrap();
         let path = dir.join(IMAGE_FILE);
         let good = std::fs::read(&path).unwrap();
-        for pos in (0..good.len()).step_by(good.len() / 61 + 1) {
+        let refused = |bad: &[u8], what: String| {
+            std::fs::write(&path, bad).unwrap();
+            match load_image(&dir, "0.001", 7) {
+                Err(SnbError::Parse { .. }) => {}
+                Err(other) => panic!("{what}: want a parse error, got {other:?}"),
+                Ok(_) => panic!("{what}: want a parse error, got a store"),
+            }
+        };
+        let mut flips: Vec<usize> = (0..good.len()).step_by(good.len() / 61 + 1).collect();
+        // No payload-wide sum covers a frame's tag, length and sum
+        // fields: flip every byte of every frame's head.
+        let mut at = good.len() - encode_store(&store).len();
+        let mut frames = 0;
+        while at < good.len() {
+            flips.extend(at..at + 13);
+            let len = Reader::new(&good[at + 1..]).u32().unwrap();
+            at += 13 + len as usize;
+            frames += 1;
+        }
+        assert_eq!(at, good.len(), "the walk ends at the last frame");
+        assert!(frames > 28, "every section has a frame, a group one per column: {frames}");
+        for pos in flips {
             let mut bad = good.clone();
-            bad[pos] ^= 0x10;
-            std::fs::write(&path, &bad).unwrap();
-            assert!(
-                load_image(&dir, "0.001", 7).is_err(),
-                "flipped byte at {pos}/{} must be refused",
-                good.len()
-            );
+            let bit = 1 << (pos % 8);
+            bad[pos] ^= bit;
+            refused(&bad, format!("flipping {bit:#x} at {pos}/{}", good.len()));
         }
         for cut in [0, 7, 40, good.len() / 2, good.len() - 1] {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            assert!(load_image(&dir, "0.001", 7).is_err(), "truncation at {cut} must be refused");
+            refused(&good[..cut], format!("truncation at {cut}"));
         }
+        let mut long = good.clone();
+        long.push(0);
+        refused(&long, "a trailing byte".into());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,13 +18,13 @@
 //!
 //! ## File format
 //!
-//! The log starts with an 8-byte magic (`SNBWAL2\n`), the scale name
+//! The log starts with an 8-byte magic (`SNBWAL3\n`), the scale name
 //! (a `put_str` string) and the generator seed (`u64`): scale and seed
 //! name the deterministic bulk store the log is relative to. Each record
 //! is:
 //!
 //! ```text
-//! [u32 payload_len][u64 fnv64(payload)][payload]   (a snb_core::bytes checked frame)
+//! [u32 payload_len][u64 xxh64(payload)][payload]   (a snb_core::bytes checked frame)
 //! payload = [u64 seq][u8 family][count + ops]     (events codec)
 //! ```
 //!
@@ -36,10 +36,10 @@
 //! records past it are cut with the torn tail in one truncation.
 //!
 //! A log in an older format version (`SNBWAL1\n`, whose header also
-//! carried a `u64` fencing epoch) is refused with an error naming the
-//! version before anything is truncated: read as version 2, its epoch
-//! bytes would fail the first record's checksum and the whole log would
-//! be cut as a torn tail.
+//! carried a `u64` fencing epoch, or `SNBWAL2\n`, whose records were
+//! summed with FNV-1a) is refused with an error naming the version
+//! before anything is truncated: read as version 3, its records would
+//! fail their checksums and the whole log would be cut as a torn tail.
 //!
 //! ## Compaction
 //!
@@ -62,7 +62,8 @@
 //! retries.
 //!
 //! Recovery is one pass: start from the image if there is one, else from
-//! the deterministic bulk store for (scale, seed); then replay the log
+//! the deterministic bulk store for (scale, seed), built without the
+//! update stream; then replay the log
 //! records past the starting sequence through the *same*
 //! `apply_event`/`apply_deletes` path the original writes took.
 //!
@@ -83,7 +84,7 @@ use crate::events::{decode_write_ops, encode_write_ops};
 use crate::image::read_magic;
 use crate::proto::WriteOps;
 
-const WAL_MAGIC: &[u8; 8] = b"SNBWAL2\n";
+const WAL_MAGIC: &[u8; 8] = b"SNBWAL3\n";
 const WAL_FILE: &str = "wal.log";
 
 /// Tuning knobs for the log.
@@ -414,8 +415,7 @@ impl SegmentedWal {
 /// needed to apply further updates, an open append handle positioned
 /// after the recovered tail, and the numbers.
 pub struct Recovered {
-    /// The store with the log tail replayed, date index repaired and
-    /// invariants validated.
+    /// The store with the log tail replayed and invariants validated.
     pub store: Store,
     /// Seeded dictionaries for applying further update events.
     pub world: StaticWorld,
@@ -444,8 +444,8 @@ impl Recovered {
 /// sequence — verifying per-record checksums and cutting the torn tail
 /// and any suffix past a sequence gap in one truncation (every append
 /// is fsynced before the next is written, so entries past a gap were
-/// never acknowledged and dropping them is correct). Repairs the date
-/// index and validates store invariants. Works on an empty or absent
+/// never acknowledged and dropping them is correct). Validates store
+/// invariants. Works on an empty or absent
 /// directory (fresh start, zero entries). Refuses a directory holding
 /// `wal-*.log` files, an image written for a sharded log, and a log or
 /// image in another format version, before it truncates anything.
@@ -473,7 +473,7 @@ pub fn recover(
             report.image_us = recovery_started.elapsed().as_micros() as u64;
             store
         }
-        None => snb_store::bulk_store_and_stream(config).0,
+        None => snb_store::bulk_store(config),
     };
 
     let path = dir.join(WAL_FILE);
@@ -554,7 +554,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::image::{write_image, IMAGE_FILE};
-    use snb_core::bytes::{fnv64, put_u32};
+    use snb_core::bytes::{put_u32, xxh64};
     use snb_datagen::stream::UpdateEvent;
     use snb_store::DeleteOp;
 
@@ -609,10 +609,7 @@ mod tests {
     impl Oracle {
         fn new() -> Oracle {
             let cfg = config();
-            Oracle {
-                store: snb_store::bulk_store_and_stream(&cfg).0,
-                world: StaticWorld::build(cfg.seed),
-            }
+            Oracle { store: snb_store::bulk_store(&cfg), world: StaticWorld::build(cfg.seed) }
         }
 
         fn apply(&mut self, ops: &WriteOps) {
@@ -824,8 +821,7 @@ mod tests {
         let rec = recover(&dir, &cfg, SCALE, WalOptions::default()).unwrap();
         // Everything but the wall-clock stamp is zero on a fresh start.
         assert_eq!(RecoveryReport { recovery_us: 0, ..rec.report }, RecoveryReport::default());
-        let (bulk, _) = snb_store::bulk_store_and_stream(&cfg);
-        assert_eq!(store_fingerprint(&rec.store), store_fingerprint(&bulk));
+        assert_eq!(store_fingerprint(&rec.store), store_fingerprint(&snb_store::bulk_store(&cfg)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -903,22 +899,21 @@ mod tests {
         // An image stamped for a two-shard log, built from raw header
         // bytes, beside a one-file log with a torn tail.
         let image = |shards: u32| {
-            let body = snb_store::encode_store(&Oracle::new().store);
             let mut img = crate::image::IMAGE_MAGIC.to_vec();
             put_str(&mut img, SCALE);
             for v in [cfg.seed, 1] {
                 put_u64(&mut img, v); // seed, seq
             }
             put_u32(&mut img, shards);
-            put_u64(&mut img, body.len() as u64);
-            put_u64(&mut img, fnv64(&body));
-            let sum = fnv64(&img);
+            let sum = xxh64(&img);
             put_u64(&mut img, sum);
-            img.extend_from_slice(&body);
+            img.extend_from_slice(&snb_store::encode_store(&Oracle::new().store));
             img
         };
         let path = dir.join(IMAGE_FILE);
-        let decode = |bytes: &[u8]| crate::image::decode_image(bytes, SCALE, cfg.seed, &path);
+        let decode = |bytes: &[u8]| {
+            crate::image::read_image(bytes, bytes.len() as u64, SCALE, cfg.seed, &path)
+        };
         assert!(decode(&image(1)).is_ok(), "well-formed bytes");
         let dir2 = tmp_dir("sharded_image");
         std::fs::create_dir_all(&dir2).unwrap();
@@ -961,54 +956,71 @@ mod tests {
     fn older_format_versions_are_refused_untouched() {
         let cfg = config();
         let all = batches(2);
-        let version_1 = |e: SnbError, file: &str| match e {
+        let named = |e: SnbError, file: &str, version: u8| match e {
             SnbError::Parse { context, detail } => {
                 assert!(context.contains(file), "{context}");
-                assert!(detail.contains("format version 1"), "{detail}");
+                assert!(detail.contains(&format!("format version {version}")), "{detail}");
             }
-            other => panic!("expected a parse error naming version 1, got {other:?}"),
+            other => panic!("expected a parse error naming version {version}, got {other:?}"),
         };
-
-        // A version-1 log: its header also carried a fencing epoch.
-        let dir = tmp_dir("v1_log");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut log = b"SNBWAL1\n".to_vec();
-        put_str(&mut log, SCALE);
-        put_u64(&mut log, cfg.seed);
-        put_u64(&mut log, 3); // epoch
-        for (i, ops) in all.iter().enumerate() {
-            log.extend_from_slice(&encode_record(i as u64 + 1, ops));
-        }
-        std::fs::write(dir.join(WAL_FILE), log).unwrap();
-        let before = dir_bytes(&dir);
-        version_1(recover(&dir, &cfg, SCALE, WalOptions::default()).err().unwrap(), WAL_FILE);
-        let reopen = SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
-        version_1(reopen.err().unwrap(), WAL_FILE);
-        assert_eq!(dir_bytes(&dir), before, "nothing may be cut as a torn tail");
-
-        // A version-1 image: an epoch between the seed and the sequence.
-        let dir2 = tmp_dir("v1_image");
-        std::fs::create_dir_all(&dir2).unwrap();
+        // Each file is laid out as its version wrote it. The sums are
+        // left zero: the version is refused before any sum is read.
         let body = snb_store::encode_store(&Oracle::new().store);
-        let mut img = b"SNBIMG1\n".to_vec();
-        put_str(&mut img, SCALE);
-        for v in [cfg.seed, 3, 1] {
-            put_u64(&mut img, v); // seed, epoch, seq
-        }
-        put_u32(&mut img, 1);
-        put_u64(&mut img, body.len() as u64);
-        put_u64(&mut img, fnv64(&body));
-        let sum = fnv64(&img);
-        put_u64(&mut img, sum);
-        img.extend_from_slice(&body);
-        std::fs::write(dir2.join(IMAGE_FILE), img).unwrap();
-        let before = dir_bytes(&dir2);
-        version_1(recover(&dir2, &cfg, SCALE, WalOptions::default()).err().unwrap(), IMAGE_FILE);
-        let reopen = SegmentedWal::open(&dir2, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
-        version_1(reopen.err().unwrap(), IMAGE_FILE);
-        assert_eq!(dir_bytes(&dir2), before, "no log may be created beside the image");
-        for d in [&dir, &dir2] {
-            let _ = std::fs::remove_dir_all(d);
+        for version in [1u8, 2] {
+            // The log: version 1's header also carried a fencing epoch.
+            let dir = tmp_dir(&format!("v{version}_log"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut log = format!("SNBWAL{version}\n").into_bytes();
+            put_str(&mut log, SCALE);
+            put_u64(&mut log, cfg.seed);
+            if version == 1 {
+                put_u64(&mut log, 3); // epoch
+            }
+            for (i, ops) in all.iter().enumerate() {
+                let record = encode_record(i as u64 + 1, ops);
+                log.extend_from_slice(&record[..4]);
+                log.extend_from_slice(&[0; 8]);
+                log.extend_from_slice(&record[12..]);
+            }
+            std::fs::write(dir.join(WAL_FILE), log).unwrap();
+            let before = dir_bytes(&dir);
+            let refused = recover(&dir, &cfg, SCALE, WalOptions::default()).err().unwrap();
+            named(refused, WAL_FILE, version);
+            let reopen =
+                SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
+            named(reopen.err().unwrap(), WAL_FILE, version);
+            assert_eq!(dir_bytes(&dir), before, "v{version}: nothing may be cut as a torn tail");
+
+            // The image: version 1 had an epoch between the seed and the
+            // sequence; both had the payload's length and sum after the
+            // shard count.
+            let dir2 = tmp_dir(&format!("v{version}_image"));
+            std::fs::create_dir_all(&dir2).unwrap();
+            let mut img = format!("SNBIMG{version}\n").into_bytes();
+            put_str(&mut img, SCALE);
+            put_u64(&mut img, cfg.seed);
+            if version == 1 {
+                put_u64(&mut img, 3); // epoch
+            }
+            put_u64(&mut img, 1); // seq
+            put_u32(&mut img, 1);
+            put_u64(&mut img, body.len() as u64);
+            put_u64(&mut img, 0); // the payload's sum
+            put_u64(&mut img, 0); // the header's sum
+            img.extend_from_slice(&body);
+            std::fs::write(dir2.join(IMAGE_FILE), img).unwrap();
+            let before = dir_bytes(&dir2);
+            let refused = recover(&dir2, &cfg, SCALE, WalOptions::default()).err().unwrap();
+            named(refused, IMAGE_FILE, version);
+            let reopen =
+                SegmentedWal::open(&dir2, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0);
+            named(reopen.err().unwrap(), IMAGE_FILE, version);
+            let loaded = crate::image::load_image(&dir2, SCALE, cfg.seed).err().unwrap();
+            named(loaded, IMAGE_FILE, version);
+            assert_eq!(dir_bytes(&dir2), before, "v{version}: no log may be created");
+            for d in [&dir, &dir2] {
+                let _ = std::fs::remove_dir_all(d);
+            }
         }
     }
 

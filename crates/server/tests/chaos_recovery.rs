@@ -40,7 +40,7 @@ fn start(dir: &std::path::Path) -> Server {
 fn oracle(batches: &[WriteOps]) -> snb_store::Store {
     let cfg = config();
     let world = snb_datagen::dictionaries::StaticWorld::build(cfg.seed);
-    let (mut store, _) = snb_store::bulk_store_and_stream(&cfg);
+    let mut store = snb_store::bulk_store(&cfg);
     for ops in batches {
         common::apply(&mut store, ops, &world);
     }

@@ -3,14 +3,18 @@
 //! inside it.
 //!
 //! The hex strings and checksums are the bytes the encoders wrote
-//! before every format moved onto `snb_core::bytes`; a layout that
-//! drifts fails here. The FNV-1a and varint helpers are written out
-//! again below so the pins do not trust the code they pin.
+//! before every format moved onto `snb_core::bytes`, moved only by the
+//! format bumps since; a layout that drifts fails here. The FNV-1a and
+//! varint helpers are written out again below, and the frame checksum
+//! (`xxh64`) is held to known answers computed by an implementation
+//! written apart from the crate, so the pins do not trust the code they
+//! pin.
 
 mod common;
 
 use common::{tmp_dir, SCALE};
 use snb_bi::{bi05, bi18, BiParams};
+use snb_core::bytes::xxh64;
 use snb_core::{Date, SnbError};
 use snb_datagen::stream::UpdateEvent;
 use snb_engine::QueryProfile;
@@ -151,8 +155,19 @@ fn wal_and_image_keep_their_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The empty store's image sections before section `tag`, then section
-/// `tag` holding `body` under a valid checksum.
+#[test]
+fn frame_checksum_keeps_its_values() {
+    // Byte `i` of each input is `(31 i + 7) mod 256`; the lengths cover
+    // the empty input, a tail alone, one byte either side of a 32-byte
+    // stripe, and many stripes.
+    for (n, want) in PIN_XXH64 {
+        let bytes: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(xxh64(&bytes), want, "xxh64 of {n} bytes moved");
+    }
+}
+
+/// The empty store's image frames before section `tag`, then a frame of
+/// section `tag` holding `body` under a valid checksum.
 fn image_with_section(tag: u8, body: &[u8]) -> Vec<u8> {
     let empty = snb_store::encode_store(&Store::default());
     let mut at = 0;
@@ -163,7 +178,7 @@ fn image_with_section(tag: u8, body: &[u8]) -> Vec<u8> {
     let mut out = empty[..at].to_vec();
     out.push(tag);
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv64(body).to_le_bytes());
+    out.extend_from_slice(&xxh64(body).to_le_bytes());
     out.extend_from_slice(body);
     out
 }
@@ -178,9 +193,7 @@ fn store_img(body: &[u8]) -> Vec<u8> {
         img.extend_from_slice(&v.to_le_bytes()); // seed, seq
     }
     img.extend_from_slice(&1u32.to_le_bytes());
-    img.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    img.extend_from_slice(&fnv64(body).to_le_bytes());
-    let sum = fnv64(&img);
+    let sum = xxh64(&img);
     img.extend_from_slice(&sum.to_le_bytes());
     img.extend_from_slice(body);
     img
@@ -194,7 +207,8 @@ fn assert_parse_error<T>(what: &str, got: Result<T, SnbError>) {
     }
 }
 
-/// Section 1's first column is the person id count.
+/// Section 1's first frame is the person id column; its first varint is
+/// the row count.
 fn rows_2_61() -> Vec<u8> {
     image_with_section(1, &varint(1 << 61))
 }
@@ -221,9 +235,9 @@ fn read_varint(bytes: &[u8], mut at: usize) -> (u64, usize) {
 
 /// `image` (a whole store image payload) with the dictionary and the
 /// per-row indices of the tag-class name column passed through `edit`.
-/// Section 6 holds the tag classes: the id
-/// column (count, deltas), the name column (rows, dictionary length,
-/// strings, one index per row), then the parent column.
+/// Section 6 holds the tag classes, one frame per column: the id
+/// column, the name column (rows, dictionary length, strings, one index
+/// per row), then the parent column.
 fn with_tag_class_names(image: &[u8], edit: impl FnOnce(&mut Vec<Vec<u8>>, &mut [u64])) -> Vec<u8> {
     let frame_len =
         |at: usize| u32::from_le_bytes(image[at + 1..at + 5].try_into().unwrap()) as usize;
@@ -231,13 +245,9 @@ fn with_tag_class_names(image: &[u8], edit: impl FnOnce(&mut Vec<Vec<u8>>, &mut 
     while image[at] != 6 {
         at += 13 + frame_len(at);
     }
+    at += 13 + frame_len(at);
     let body = &image[at + 13..at + 13 + frame_len(at)];
-    let (ids, mut p) = read_varint(body, 0);
-    for _ in 0..ids {
-        p = read_varint(body, p).1;
-    }
-    let names_at = p;
-    let (rows, p1) = read_varint(body, p);
+    let (rows, p1) = read_varint(body, 0);
     let (entries, mut p) = read_varint(body, p1);
     let mut dict = Vec::new();
     for _ in 0..entries {
@@ -251,20 +261,19 @@ fn with_tag_class_names(image: &[u8], edit: impl FnOnce(&mut Vec<Vec<u8>>, &mut 
         indices.push(index);
         p = next;
     }
+    assert_eq!(p, body.len(), "the name column's frame holds nothing else");
     edit(&mut dict, &mut indices);
-    let mut edited = body[..names_at].to_vec();
-    edited.extend(varint(rows));
+    let mut edited = varint(rows);
     edited.extend(varint(dict.len() as u64));
     for s in &dict {
         edited.extend(varint(s.len() as u64));
         edited.extend_from_slice(s);
     }
     edited.extend(indices.iter().flat_map(|&i| varint(i)));
-    edited.extend_from_slice(&body[p..]);
     let mut out = image[..at].to_vec();
     out.push(6);
     out.extend_from_slice(&(edited.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv64(&edited).to_le_bytes());
+    out.extend_from_slice(&xxh64(&edited).to_le_bytes());
     out.extend_from_slice(&edited);
     out.extend_from_slice(&image[at + 13 + body.len()..]);
     out
@@ -286,7 +295,7 @@ fn image_adjacency_source_count_past_the_buffer_is_refused() {
 fn image_file_with_hostile_counts_is_refused_by_recovery() {
     // The tag-class name dictionaries below are refused only for their
     // form: the bulk store's image passed through the same edit recovers.
-    let bulk = snb_store::encode_store(&snb_store::bulk_store_and_stream(&common::config()).0);
+    let bulk = snb_store::encode_store(&snb_store::bulk_store(&common::config()));
     let dir = tmp_dir("canonical_image");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join(IMAGE_FILE), store_img(&with_tag_class_names(&bulk, |_, _| {})))
@@ -367,6 +376,15 @@ const PIN_WRITE_REQUEST: &str = "010a0000000000000088130000000000000300000000000
 const PIN_OK_RESPONSE: &str = "010b000000000000000014000000000000000df0edfe000000000c0000000000000059010000000000000900000000000000010100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a00000000000000";
 const PIN_ERROR_RESPONSE: &str = "010c000000000000000907000000000000001e006d696e5f7365712034302c206170706c69656420333720286c6167203329";
 const PIN_UPDATES_REQUEST_FNV: u64 = 0x3f2a_f21c_2ee7_f57a;
-const PIN_WAL: &str = "534e4257414c320a0500302e3030312a000000000000003800000078fd48b9929af1aa0100000000000000020300000002070000000000000009000000000000000303000000000000000601000000000000000200000000000000";
-const PIN_STORE60_FNV: u64 = 0x2368_5693_71c1_e2a7;
-const PIN_IMAGE_HEADER: &str = "534e42494d47320a0500302e3030312a000000000000000b00000000000000010000003c8c090000000000a7e2c17193566823bfe5d8f8b0281cab";
+const PIN_WAL: &str = "534e4257414c330a0500302e3030312a00000000000000380000007b7d69bc9d767e9a0100000000000000020300000002070000000000000009000000000000000303000000000000000601000000000000000200000000000000";
+const PIN_STORE60_FNV: u64 = 0x7598_39d7_73c6_754f;
+const PIN_IMAGE_HEADER: &str =
+    "534e42494d47330a0500302e3030312a000000000000000b00000000000000010000003c1da7e73a57791f";
+const PIN_XXH64: [(usize, u64); 6] = [
+    (0, 0xef46_db37_51d8_e999),
+    (1, 0xa96c_7f0c_e858_bbb7),
+    (31, 0x4a74_f3a1_a39a_d4a1),
+    (32, 0x8d57_d6a4_671c_c43d),
+    (33, 0x62c9_fd21_ed85_7664),
+    (1024, 0x149a_a449_72cd_ae00),
+];

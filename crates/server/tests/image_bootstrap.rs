@@ -50,7 +50,7 @@ fn submit(server: &Server, seq: u64, ops: &WriteOps) {
 fn oracle(all: &[WriteOps]) -> snb_store::Store {
     let cfg = config();
     let world = snb_datagen::dictionaries::StaticWorld::build(cfg.seed);
-    let (mut store, _) = snb_store::bulk_store_and_stream(&cfg);
+    let mut store = snb_store::bulk_store(&cfg);
     for ops in all {
         let WriteOps::Updates(events) = ops else { unreachable!() };
         for ev in events {

@@ -1,7 +1,8 @@
 //! Bulk-loading a [`Store`]: one builder, [`StreamBuilder`], with three
 //! feeders — the generator's two shapes and the CsvBasic files.
 //!
-//! * **Streamed** ([`store_for_config`], [`bulk_store_and_stream`]): the
+//! * **Streamed** ([`store_for_config`], [`bulk_store`],
+//!   [`bulk_store_and_stream`]): the
 //!   generator runs chunk-at-a-time and every record goes straight into
 //!   columnar form. Only persons and `knows` edges stay resident — both
 //!   O(persons), a sliver of the data — because the activity pass draws
@@ -9,9 +10,10 @@
 //!   membership, message and like flows from the [`ActivitySink`] into
 //!   the columns and is dropped, so peak RSS is the store plus one chunk,
 //!   not the store plus the raw graph (which message content dominates).
-//!   With a stream cut, the driver also keeps what the update stream
-//!   needs: the tail records (about a tenth of the data) and three dense
-//!   creation-date ledgers (a few bytes per entity).
+//!   With a stream cut, [`bulk_store_and_stream`] also keeps what the
+//!   update stream needs: the tail records (about a tenth of the data)
+//!   and three dense creation-date ledgers (a few bytes per entity);
+//!   [`bulk_store`] keeps none of it.
 //! * **From vectors** ([`build_store`]): a materialised [`RawGraph`] —
 //!   the serializers' input — fed through the same builder in vector
 //!   order.
@@ -420,16 +422,18 @@ impl ActivitySink for Sink<'_> {
 }
 
 /// Runs the generation pipeline `chunk` persons at a time, ingesting
-/// records as they appear. Returns the store plus, when `cut` is set,
-/// the update-event tail.
+/// records as they appear. Records at/after `cut` stay out of the store;
+/// with `tail` set they are also kept and returned as the update-event
+/// tail.
 fn streaming_build(
     config: &GeneratorConfig,
     cut: Option<DateTime>,
+    tail: bool,
     chunk: usize,
 ) -> (Store, Vec<TimedEvent>) {
     let world = StaticWorld::build(config.seed);
-    let mut sink =
-        Sink { builder: StreamBuilder::new(&world, cut), tail: cut.map(Tail::new), fed: Ok(()) };
+    let tail = cut.filter(|_| tail).map(Tail::new);
+    let mut sink = Sink { builder: StreamBuilder::new(&world, cut), tail, fed: Ok(()) };
 
     let mut persons: Vec<RawPerson> = Vec::with_capacity(config.persons as usize);
     for chunk in snb_datagen::person_chunks(config, &world, chunk) {
@@ -456,14 +460,19 @@ fn streaming_build(
 /// streaming. The workhorse constructor for tests, examples and
 /// benchmarks.
 pub fn store_for_config(config: &GeneratorConfig) -> Store {
-    streaming_build(config, None, PERSON_CHUNK).0
+    streaming_build(config, None, false, PERSON_CHUNK).0
 }
 
-/// Like [`store_for_config`] but split at the stream cut, returning the
-/// bulk store together with the sorted update events for replay. Only
-/// the tail records are ever materialised in raw form.
+/// The bulk store alone: [`store_for_config`] without the records
+/// at/after the stream cut, none of which is kept.
+pub fn bulk_store(config: &GeneratorConfig) -> Store {
+    streaming_build(config, Some(config.stream_cut()), false, PERSON_CHUNK).0
+}
+
+/// [`bulk_store`] together with the sorted update events for replay.
+/// Only the tail records are ever materialised in raw form.
 pub fn bulk_store_and_stream(config: &GeneratorConfig) -> (Store, Vec<TimedEvent>) {
-    streaming_build(config, Some(config.stream_cut()), PERSON_CHUNK)
+    streaming_build(config, Some(config.stream_cut()), true, PERSON_CHUNK)
 }
 
 /// Summary counts used by experiment E1 (scale statistics).
@@ -583,13 +592,22 @@ mod tests {
     }
 
     #[test]
+    fn bulk_store_is_the_bulk_half_of_the_split() {
+        for scale in ["0.003", "0.01"] {
+            let c = GeneratorConfig::for_scale(ScaleFactor::by_name(scale).unwrap());
+            let image = crate::encode_store(&bulk_store(&c));
+            assert!(image == crate::encode_store(&bulk_store_and_stream(&c).0), "SF {scale}");
+        }
+    }
+
+    #[test]
     fn streaming_chunk_boundary_has_no_effect() {
         // Chunked person generation is index-derived, so chunk size is
         // invisible; drive the pipeline with a tiny chunk.
         let c = config(90);
         let cut = Some(c.stream_cut());
         let (bulk, bulk_events) = materialised(&c, cut);
-        let (streamed, stream_events) = streaming_build(&c, cut, 7);
+        let (streamed, stream_events) = streaming_build(&c, cut, true, 7);
         assert_same_store(&bulk, &streamed);
         assert_same_events(&bulk_events, &stream_events);
     }

@@ -38,13 +38,15 @@
 use std::ops::Index;
 use std::sync::Arc;
 
+use std::io::{self, Read, Write};
+
 use rustc_hash::FxHashMap;
-use snb_core::bytes::{Malformed, Reader};
 use snb_core::datetime::{Date, DateTime};
 use snb_core::model::{Gender, MessageKind, OrganisationKind, PlaceKind};
+use snb_core::SnbResult;
 
 use crate::append_vec::AppendVec;
-use crate::image::Scalar;
+use crate::image::{Scalar, SectionReader, SectionWriter};
 use crate::intern::{PackCol, PackListCol, SymCol, SymListCol};
 use crate::store::Entity;
 
@@ -161,11 +163,11 @@ pub(crate) trait Column: Default {
         (0, 0)
     }
 
-    /// Writes the column's image form (see [`crate::image`]).
-    fn put(&self, out: &mut Vec<u8>);
+    /// Writes the column's image frames (see [`crate::image`]).
+    fn put(&self, w: &mut SectionWriter<'_, impl Write>) -> io::Result<()>;
 
     /// Reads what `Column::put` wrote.
-    fn get(r: &mut Reader<'_>) -> Result<Self, Malformed>;
+    fn get(r: &mut SectionReader<impl Read>) -> SnbResult<Self>;
 
     /// Checks the column's own form (a dictionary-coded column's
     /// dictionary); nothing to check for any other.
@@ -193,12 +195,12 @@ impl<T: Scalar> Column for AppendVec<T> {
         AppendVec::shrink_to_fit(self);
     }
 
-    fn put(&self, out: &mut Vec<u8>) {
-        crate::image::put_scalars(out, self);
+    fn put(&self, w: &mut SectionWriter<'_, impl Write>) -> io::Result<()> {
+        w.frame(|out| crate::image::put_scalars(out, self))
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, Malformed> {
-        crate::image::get_scalars(r)
+    fn get(r: &mut SectionReader<impl Read>) -> SnbResult<Self> {
+        r.frame(crate::image::get_scalars)
     }
 
     #[cfg(test)]
@@ -229,11 +231,11 @@ macro_rules! string_column {
                 (self.heap_bytes(), self.string_baseline_bytes())
             }
 
-            fn put(&self, out: &mut Vec<u8>) {
-                crate::image::$put(out, self);
+            fn put(&self, w: &mut SectionWriter<'_, impl Write>) -> io::Result<()> {
+                crate::image::$put(w, self)
             }
 
-            fn get(r: &mut Reader<'_>) -> Result<Self, Malformed> {
+            fn get(r: &mut SectionReader<impl Read>) -> SnbResult<Self> {
                 crate::image::$get(r)
             }
 
@@ -277,11 +279,11 @@ pub(crate) trait Group: Clone + Default {
     /// into.
     fn remap_refs(&mut self, remap: impl FnMut(Entity, &mut AppendVec<Ix>));
 
-    /// Writes every column's image form, in declaration order.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// Writes every column's image frames, in declaration order.
+    fn encode(&self, w: &mut SectionWriter<'_, impl Write>) -> io::Result<()>;
 
     /// Reads what `Group::encode` wrote.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Malformed>;
+    fn decode(r: &mut SectionReader<impl Read>) -> SnbResult<Self>;
 
     /// Every column has one row per id and passes its own form check,
     /// then no reference dangles: each points below `rows` of its class,
@@ -363,11 +365,12 @@ macro_rules! column_group {
                 $($( remap(Entity::$target, &mut self.$field); )?)*
             }
 
-            fn encode(&self, out: &mut Vec<u8>) {
-                $( Column::put(&self.$field, out); )*
+            fn encode(&self, w: &mut SectionWriter<'_, impl Write>) -> io::Result<()> {
+                $( Column::put(&self.$field, w)?; )*
+                Ok(())
             }
 
-            fn decode(r: &mut Reader<'_>) -> Result<Self, Malformed> {
+            fn decode(r: &mut SectionReader<impl Read>) -> SnbResult<Self> {
                 Ok($name { $( $field: Column::get(r)?, )* })
             }
 

@@ -9,7 +9,12 @@
 //! only the WAL tail written after it.
 //!
 //! Layout: a fixed sequence of tagged sections, each a tag byte and a
-//! [`snb_core::bytes`] checked frame (`[u32 len][u64 fnv64(body)][body]`).
+//! [`snb_core::bytes`] checked frame:
+//!
+//! ```text
+//! [u8 tag][u32 len][u64 xxh64(body)][body]   × 28, in tag order
+//! ```
+//!
 //! The sections follow the store's one schema declaration (`store.rs`):
 //! the seven entity column groups at tags `1 + class` (1 = persons …
 //! 7 = organisations), then the 21 adjacencies at `10 + position`. A
@@ -18,7 +23,14 @@
 //! maps and the date index are *not* stored — they are deterministic
 //! functions of the columns and are rebuilt at decode time. Names
 //! resolve through the name columns' own dictionaries, so nothing else
-//! is derived.
+//! is derived. Each section is hashed once, by its frame; nothing sums
+//! the payload as a whole.
+//!
+//! Both directions stream ([`write_store`], [`read_store`]): a section
+//! is encoded into one reused buffer and written out, and read into one
+//! reused buffer, verified and decoded, so neither holds the whole
+//! payload. [`encode_store`] and [`decode_store`] are the same sink and
+//! source over a buffer.
 //!
 //! Within sections everything is varints, and a value column's element
 //! type picks its encoding (`Scalar`): sorted id and timestamp columns
@@ -27,18 +39,16 @@
 //! dictionary-coded string column is written as it is held: its own
 //! dictionary, then one symbol per row. Any length/checksum mismatch,
 //! unknown tag, count too large for its section, dictionary out of its
-//! canonical form (see [`crate::intern`]), or trailing bytes decodes to
-//! a hard [`SnbError::Parse`] — a corrupt image is refused, never
-//! half-loaded.
-//!
-//! [`SnbError::Parse`]: snb_core::SnbError::Parse
+//! canonical form (see [`crate::intern`]), section length past the
+//! payload's end, or trailing bytes decodes to a hard
+//! [`SnbError::Parse`] — a corrupt image is refused, never half-loaded.
 
-use snb_core::bytes::{
-    put_checked, put_deltas, put_u8, put_varint, put_varint_str, Malformed, Reader,
-};
+use std::io::{self, Read, Write};
+
+use snb_core::bytes::{checked_head, put_deltas, put_varint, put_varint_str, Malformed, Reader};
 use snb_core::datetime::{Date, DateTime};
 use snb_core::model::{Gender, MessageKind, OrganisationKind, PlaceKind};
-use snb_core::SnbResult;
+use snb_core::{SnbError, SnbResult};
 
 use crate::adj::Adj;
 use crate::append_vec::AppendVec;
@@ -205,42 +215,74 @@ pub(crate) fn get_scalars<T: Scalar>(r: &mut Reader<'_>) -> Result<AppendVec<T>,
 
 // ---- string column helpers -------------------------------------------------
 
-/// Writes a dictionary-coded column as it is held: `rows, dict_len,
-/// dict strings..., per-row symbol`.
-pub(crate) fn put_symcol(out: &mut Vec<u8>, col: &SymCol) {
-    put_varint(out, col.len() as u64);
-    put_varint(out, col.dictionary().len() as u64);
-    for s in col.dictionary() {
-        put_varint_str(out, s);
-    }
-    u32::put_run(out, col.syms());
+/// Writes a dictionary-coded column as it is held, in one frame: `rows,
+/// dict_len, dict strings..., per-row symbol`.
+pub(crate) fn put_symcol(w: &mut SectionWriter<'_, impl Write>, col: &SymCol) -> io::Result<()> {
+    w.frame(|out| {
+        put_varint(out, col.len() as u64);
+        put_varint(out, col.dictionary().len() as u64);
+        for s in col.dictionary() {
+            put_varint_str(out, s);
+        }
+        u32::put_run(out, col.syms());
+    })
 }
 
 /// Reads a [`put_symcol`] column, refusing a dictionary that is not in
 /// the column's canonical form (a repeated or unused string, a symbol
 /// out of range or out of first-use order).
-pub(crate) fn get_symcol(r: &mut Reader<'_>) -> Result<SymCol, Malformed> {
-    let rows = r.varint_count(1)?;
-    let n = r.varint_count(1)?;
-    let dict = r.many(n, 1, |r| r.varint_str())?;
-    let syms = u32::get_run(r, rows)?;
-    SymCol::from_parts(dict, syms).map_err(Malformed)
+pub(crate) fn get_symcol(r: &mut SectionReader<impl Read>) -> SnbResult<SymCol> {
+    r.frame(|r| {
+        let rows = r.varint_count(1)?;
+        let n = r.varint_count(1)?;
+        let dict = r.many(n, 1, |r| r.varint_str())?;
+        let syms = u32::get_run(r, rows)?;
+        SymCol::from_parts(dict, syms).map_err(Malformed)
+    })
 }
 
-pub(crate) fn put_packcol(out: &mut Vec<u8>, col: &PackCol) {
-    put_varint(out, col.len() as u64);
+/// Writes a packed column: the row count, then each row's string, in
+/// as many frames as it takes to keep each near [`FRAME_BYTES`]. A frame
+/// ends only between rows, so each holds whole strings.
+pub(crate) fn put_packcol(w: &mut SectionWriter<'_, impl Write>, col: &PackCol) -> io::Result<()> {
+    put_varint(&mut w.body, col.len() as u64);
     for s in col.iter() {
-        put_varint_str(out, s);
+        if w.body.len() >= FRAME_BYTES {
+            w.end_frame()?;
+        }
+        put_varint_str(&mut w.body, s);
     }
+    w.end_frame()
 }
 
-pub(crate) fn get_packcol(r: &mut Reader<'_>) -> Result<PackCol, Malformed> {
-    let rows = r.varint_count(1)?;
+/// Reads a [`put_packcol`] column, frame by frame until it holds the
+/// rows counted; no frame may be empty or hold rows past the count.
+pub(crate) fn get_packcol(r: &mut SectionReader<impl Read>) -> SnbResult<PackCol> {
     let mut col = PackCol::default();
-    for _ in 0..rows {
-        col.push(r.varint_str()?);
+    let mut rows = 0;
+    r.frame(|body| {
+        rows = body.varint()?;
+        push_strings(body, &mut col, rows)
+    })?;
+    while (col.len() as u64) < rows {
+        r.frame(|body| match body.remaining() {
+            0 => Err(Malformed("empty frame inside a packed column".into())),
+            _ => push_strings(body, &mut col, rows),
+        })?;
     }
     Ok(col)
+}
+
+/// Pushes the rest of a frame's strings onto `col`, which may not grow
+/// past `rows` rows.
+fn push_strings(body: &mut Reader<'_>, col: &mut PackCol, rows: u64) -> Result<(), Malformed> {
+    while body.remaining() > 0 {
+        if col.len() as u64 == rows {
+            return Err(Malformed(format!("packed column holds more than its {rows} rows")));
+        }
+        col.push(body.varint_str()?);
+    }
+    Ok(())
 }
 
 /// Writes a list column of `rows` rows: the row count, then each row's
@@ -275,23 +317,29 @@ fn get_rows<'a>(r: &mut Reader<'a>, mut push_row: impl FnMut(&[&'a str])) -> Res
     Ok(())
 }
 
-pub(crate) fn put_symlist(out: &mut Vec<u8>, col: &SymListCol) {
-    put_rows(out, col.len(), |i| (col.row_len(i), col.row(i)));
+pub(crate) fn put_symlist(
+    w: &mut SectionWriter<'_, impl Write>,
+    col: &SymListCol,
+) -> io::Result<()> {
+    w.frame(|out| put_rows(out, col.len(), |i| (col.row_len(i), col.row(i))))
 }
 
-pub(crate) fn get_symlist(r: &mut Reader<'_>) -> Result<SymListCol, Malformed> {
+pub(crate) fn get_symlist(r: &mut SectionReader<impl Read>) -> SnbResult<SymListCol> {
     let mut col = SymListCol::default();
-    get_rows(r, |row| col.push_row(row))?;
+    r.frame(|r| get_rows(r, |row| col.push_row(row)))?;
     Ok(col)
 }
 
-pub(crate) fn put_packlist(out: &mut Vec<u8>, col: &PackListCol) {
-    put_rows(out, col.len(), |i| (col.row_len(i), col.row(i)));
+pub(crate) fn put_packlist(
+    w: &mut SectionWriter<'_, impl Write>,
+    col: &PackListCol,
+) -> io::Result<()> {
+    w.frame(|out| put_rows(out, col.len(), |i| (col.row_len(i), col.row(i))))
 }
 
-pub(crate) fn get_packlist(r: &mut Reader<'_>) -> Result<PackListCol, Malformed> {
+pub(crate) fn get_packlist(r: &mut SectionReader<impl Read>) -> SnbResult<PackListCol> {
     let mut col = PackListCol::default();
-    get_rows(r, |row| col.push_row(row))?;
+    r.frame(|r| get_rows(r, |row| col.push_row(row)))?;
     Ok(col)
 }
 
@@ -340,77 +388,179 @@ fn get_adj<P: Scalar>(r: &mut Reader<'_>) -> Result<Adj<P>, Malformed> {
 
 // ---- sections --------------------------------------------------------------
 
-/// Writes section `tag`, its body written by `write` into a buffer of
-/// its own (freed before the next section, so a large section's buffer
-/// does not outlive it).
-fn put_section(out: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
-    let mut body = Vec::new();
-    write(&mut body);
-    put_u8(out, tag);
-    put_checked(out, &body);
-}
+/// The body size past which a packed column starts a new frame, so that
+/// no frame of a large store holds a whole text column.
+const FRAME_BYTES: usize = 1 << 20;
 
-/// Writes `entity`'s column group section.
-pub(crate) fn put_group<G: Group>(out: &mut Vec<u8>, entity: Entity, group: &G) {
-    put_section(out, 1 + entity as u8, |b| group.encode(b));
-}
-
-/// Writes adjacency section `tag`.
-pub(crate) fn put_adj_section<P: Scalar>(out: &mut Vec<u8>, tag: u8, adj: &Adj<P>) {
-    put_section(out, tag, |b| put_adj(b, adj));
-}
-
-/// Reads the next section, which must carry `tag`, with `read`, which
-/// must consume its body.
-fn read_section<T>(
-    r: &mut Reader<'_>,
+/// The section sink: each frame's body is written into one reused
+/// buffer, then goes behind its section's tag and its checked-frame head
+/// into `out`, so the encoder never holds more than one frame.
+pub(crate) struct SectionWriter<'w, W: Write> {
+    out: &'w mut W,
+    /// The tag of the section being written.
     tag: u8,
-    read: impl FnOnce(&mut Reader<'_>) -> Result<T, Malformed>,
-) -> Result<T, Malformed> {
-    let found = r.u8()?;
-    if found != tag {
-        return Err(Malformed(format!("expected section {tag}, found {found}")));
+    body: Vec<u8>,
+    written: u64,
+}
+
+impl<W: Write> SectionWriter<'_, W> {
+    /// Writes one frame of the current section, its body written by
+    /// `write`.
+    pub(crate) fn frame(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        write(&mut self.body);
+        self.end_frame()
     }
-    let mut body = r.checked().map_err(|e| Malformed(format!("section {tag}: {}", e.0)))?;
-    let value = read(&mut body)?;
-    body.finish()?;
-    Ok(value)
+
+    /// Sends the frame whose body is in the buffer, and empties it.
+    fn end_frame(&mut self) -> io::Result<()> {
+        self.out.write_all(&[self.tag])?;
+        self.out.write_all(&checked_head(&self.body))?;
+        self.out.write_all(&self.body)?;
+        self.written += 13 + self.body.len() as u64;
+        self.body.clear();
+        Ok(())
+    }
+}
+
+/// Writes `entity`'s column group section: one frame per column (a
+/// packed column may take several).
+pub(crate) fn put_group<G: Group>(
+    w: &mut SectionWriter<'_, impl Write>,
+    entity: Entity,
+    group: &G,
+) -> io::Result<()> {
+    w.tag = 1 + entity as u8;
+    group.encode(w)
+}
+
+/// Writes adjacency section `tag`, in one frame.
+pub(crate) fn put_adj_section<P: Scalar>(
+    w: &mut SectionWriter<'_, impl Write>,
+    tag: u8,
+    adj: &Adj<P>,
+) -> io::Result<()> {
+    w.tag = tag;
+    w.frame(|b| put_adj(b, adj))
+}
+
+/// The section source: reads each frame into one reused buffer, refusing
+/// a length past the payload bytes left before it sizes the buffer, and
+/// verifies the frame before decoding it.
+pub(crate) struct SectionReader<R: Read> {
+    input: R,
+    /// The tag the next frame must carry.
+    tag: u8,
+    /// Payload bytes not yet read.
+    left: u64,
+    /// The current frame: `[u32 len][u64 sum][body]`.
+    frame: Vec<u8>,
+}
+
+impl<R: Read> SectionReader<R> {
+    /// Reads the next frame, which must belong to the current section,
+    /// with `read`, which must consume its body.
+    pub(crate) fn frame<T>(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, Malformed>,
+    ) -> SnbResult<T> {
+        let tag = self.tag;
+        let mut head = [0u8; 13];
+        self.fill(&mut head)?;
+        let mut r = Reader::new(&head);
+        let found = r.u8().map_err(refused)?;
+        let len = r.u32().map_err(refused)?;
+        if found != tag {
+            return Err(refused(Malformed(format!("expected section {tag}, found {found}"))));
+        }
+        if u64::from(len) > self.left {
+            let left = self.left;
+            let e = format!("section {tag}: frame length {len} exceeds the {left} bytes left");
+            return Err(refused(Malformed(e)));
+        }
+        // The buffer is taken while `fill` borrows `self`; an error drops
+        // it with the reader.
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.resize(12 + len as usize, 0);
+        frame[..12].copy_from_slice(&head[1..]);
+        self.fill(&mut frame[12..])?;
+        let mut body = Reader::new(&frame)
+            .checked()
+            .map_err(|e| refused(Malformed(format!("section {tag}: {}", e.0))))?;
+        let value = read(&mut body).and_then(|v| body.finish().map(|()| v)).map_err(refused)?;
+        self.frame = frame;
+        Ok(value)
+    }
+
+    /// Fills `buf` from the input, refusing to read past the payload.
+    fn fill(&mut self, buf: &mut [u8]) -> SnbResult<()> {
+        let (need, left) = (buf.len() as u64, self.left);
+        if need > left {
+            return Err(refused(Malformed(format!("truncated: need {need} bytes, have {left}"))));
+        }
+        self.input.read_exact(buf)?;
+        self.left -= need;
+        Ok(())
+    }
+}
+
+fn refused(e: Malformed) -> SnbError {
+    e.at("store image")
 }
 
 /// Reads `entity`'s column group section.
-pub(crate) fn get_group<G: Group>(r: &mut Reader<'_>, entity: Entity) -> Result<G, Malformed> {
-    read_section(r, 1 + entity as u8, G::decode)
+pub(crate) fn get_group<G: Group>(
+    r: &mut SectionReader<impl Read>,
+    entity: Entity,
+) -> SnbResult<G> {
+    r.tag = 1 + entity as u8;
+    G::decode(r)
 }
 
 /// Reads adjacency section `tag`.
-pub(crate) fn get_adj_section<P: Scalar>(r: &mut Reader<'_>, tag: u8) -> Result<Adj<P>, Malformed> {
-    read_section(r, tag, get_adj)
+pub(crate) fn get_adj_section<P: Scalar>(
+    r: &mut SectionReader<impl Read>,
+    tag: u8,
+) -> SnbResult<Adj<P>> {
+    r.tag = tag;
+    r.frame(get_adj)
 }
 
 // ---- top level -------------------------------------------------------------
 
-/// Serialises the full store into the tagged-section image payload.
+/// Serialises the full store into the tagged-section image payload, a
+/// section at a time, into `out`. Returns the bytes written.
+pub fn write_store<W: Write>(s: &Store, out: &mut W) -> io::Result<u64> {
+    let mut w = SectionWriter { out, tag: 0, body: Vec::new(), written: 0 };
+    s.put_sections(&mut w)?;
+    Ok(w.written)
+}
+
+/// Decodes the `len`-byte image payload read from `input` into a full
+/// store, a section at a time, rebuilding the derived structures (id
+/// maps, date index) the image deliberately omits. Refuses — with a
+/// hard error, never a partial store — any checksum mismatch,
+/// truncation, count too large for its section, layout violation, or
+/// byte past the last section.
+pub fn read_store<R: Read>(input: R, len: u64) -> SnbResult<Store> {
+    let mut r = SectionReader { input, tag: 0, left: len, frame: Vec::new() };
+    let mut s = Store::get_sections(&mut r)?;
+    if r.left != 0 {
+        return Err(refused(Malformed(format!("{} trailing bytes", r.left))));
+    }
+    rebuild_derived(&mut s);
+    Ok(s)
+}
+
+/// [`write_store`] into a buffer.
 pub fn encode_store(s: &Store) -> Vec<u8> {
     let mut out = Vec::new();
-    s.put_sections(&mut out);
+    write_store(s, &mut out).expect("writing to a Vec cannot fail");
     out
 }
 
-/// Decodes an image payload back into a full store, rebuilding the
-/// derived structures (id maps, date index) the image deliberately
-/// omits. Refuses — with a
-/// hard error, never a partial store — any checksum mismatch,
-/// truncation, count too large for its section, or layout violation.
+/// [`read_store`] over a buffer holding exactly one image payload.
 pub fn decode_store(buf: &[u8]) -> SnbResult<Store> {
-    read_store(buf).map_err(|e| e.at("store image"))
-}
-
-fn read_store(buf: &[u8]) -> Result<Store, Malformed> {
-    let mut r = Reader::new(buf);
-    let mut s = Store::get_sections(&mut r)?;
-    r.finish()?;
-    rebuild_derived(&mut s);
-    Ok(s)
+    read_store(buf, buf.len() as u64)
 }
 
 /// Rebuilds everything the image omits: the id maps and the date index.
@@ -510,6 +660,58 @@ mod tests {
         for cut in [0, 1, 12, 13, image.len() / 2, image.len() - 1] {
             assert!(decode_store(&image[..cut]).is_err(), "truncation at {cut} must be refused");
         }
+    }
+
+    /// The packed column of section 3 that `bytes` holds, read to the
+    /// end of its frames.
+    fn packed_round_trip(bytes: &[u8]) -> SnbResult<PackCol> {
+        let mut r =
+            SectionReader { input: bytes, tag: 3, left: bytes.len() as u64, frame: Vec::new() };
+        let col = get_packcol(&mut r)?;
+        assert_eq!(r.left, 0, "the column's frames are read to their end");
+        Ok(col)
+    }
+
+    #[test]
+    fn a_packed_column_past_one_frame_splits_between_rows() {
+        let mut col = PackCol::default();
+        let text = "x".repeat(1000);
+        for i in 0..3000 {
+            col.push(format!("{i} {text}"));
+        }
+        let mut out = Vec::new();
+        let mut w = SectionWriter { out: &mut out, tag: 3, body: Vec::new(), written: 0 };
+        put_packcol(&mut w, &col).unwrap();
+        assert_eq!(w.written, out.len() as u64);
+        let mut at = 0;
+        let mut frames = 0;
+        while at < out.len() {
+            let len = Reader::new(&out[at + 1..]).u32().unwrap() as usize;
+            assert!(len < FRAME_BYTES + 1100, "a frame ends at the first row past the bound");
+            at += 13 + len;
+            frames += 1;
+        }
+        assert_eq!(frames, 3);
+        assert!(packed_round_trip(&out).unwrap().iter().eq(col.iter()));
+
+        // A frame of section 3 holding `body`.
+        let frame = |body: &[u8]| {
+            let mut f = vec![3];
+            f.extend_from_slice(&checked_head(body));
+            f.extend_from_slice(body);
+            f
+        };
+        let mut counted = Vec::new();
+        put_varint(&mut counted, 2);
+        put_varint_str(&mut counted, "a");
+        let mut empty_next = frame(&counted);
+        empty_next.extend(frame(&[]));
+        let err = packed_round_trip(&empty_next).err().unwrap().to_string();
+        assert!(err.contains("empty frame"), "{err}");
+        put_varint_str(&mut counted, "b");
+        put_varint_str(&mut counted, "c");
+        let err = packed_round_trip(&frame(&counted)).err().unwrap().to_string();
+        assert!(err.contains("more than its 2 rows"), "{err}");
     }
 
     #[test]

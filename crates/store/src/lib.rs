@@ -32,7 +32,8 @@
 //!   update-stream event (IU 1–8, the generator's `Raw*` records)
 //!   through the per-entity row writers [`StreamBuilder`] also uses;
 //! * [`image`] — the checksummed store-image codec (full store ⇄ packed
-//!   bytes) backing the server's store-image files;
+//!   bytes, streamed a section at a time) backing the server's
+//!   store-image files;
 //! * [`delete`] — the cascading deletes (DEL 1–8);
 //! * [`snapshot`] — immutable published store versions for lock-free
 //!   readers beside one writer.
@@ -51,12 +52,13 @@ mod store;
 
 pub use adj::Adj;
 pub use build::{
-    build_store, bulk_store_and_stream, load_csv_basic, store_for_config, StoreStats, StreamBuilder,
+    build_store, bulk_store, bulk_store_and_stream, load_csv_basic, store_for_config, StoreStats,
+    StreamBuilder,
 };
 pub use columns::{Ix, NONE};
 pub use cow::CowBox;
 pub use delete::{DeleteOp, DeleteStats};
-pub use image::{decode_store, encode_store};
+pub use image::{decode_store, encode_store, read_store, write_store};
 pub use intern::{PackCol, PackListCol, Sym, SymCol, SymListCol};
 pub use snapshot::{SnapshotCell, SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
 pub use store::Store;

@@ -17,7 +17,6 @@
 use std::hash::{Hash, Hasher};
 
 use rustc_hash::FxHasher;
-use snb_core::bytes::{Malformed, Reader};
 use snb_core::datetime::DateTime;
 use snb_core::model::PlaceKind;
 use snb_core::{SnbError, SnbResult};
@@ -127,15 +126,21 @@ macro_rules! schema {
 
             /// Writes every group's and adjacency's image section, in
             /// image order.
-            pub(crate) fn put_sections(&self, out: &mut Vec<u8>) {
-                $( image::put_group(out, Entity::$class, &*self.$group); )*
+            pub(crate) fn put_sections(
+                &self,
+                w: &mut image::SectionWriter<'_, impl std::io::Write>,
+            ) -> std::io::Result<()> {
+                $( image::put_group(w, Entity::$class, &*self.$group)?; )*
                 let mut tag = image::SECT_ADJ_BASE - 1;
-                $( tag += 1; image::put_adj_section(out, tag, &self.$adj); )*
+                $( tag += 1; image::put_adj_section(w, tag, &self.$adj)?; )*
+                Ok(())
             }
 
             /// Reads what [`Store::put_sections`] wrote into a store
             /// without id maps or derived indexes.
-            pub(crate) fn get_sections(r: &mut Reader<'_>) -> Result<Store, Malformed> {
+            pub(crate) fn get_sections(
+                r: &mut image::SectionReader<impl std::io::Read>,
+            ) -> SnbResult<Store> {
                 let mut s = Store::default();
                 $( s.$group.set(image::get_group(r, Entity::$class)?); )*
                 let mut tag = image::SECT_ADJ_BASE - 1;

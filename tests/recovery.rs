@@ -10,7 +10,7 @@
 use ldbc_snb::datagen::dictionaries::StaticWorld;
 use ldbc_snb::datagen::stream::UpdateEvent;
 use ldbc_snb::datagen::GeneratorConfig;
-use ldbc_snb::store::bulk_store_and_stream;
+use ldbc_snb::store::{bulk_store, bulk_store_and_stream};
 
 fn config() -> GeneratorConfig {
     let mut c = GeneratorConfig::for_scale_name("0.001").unwrap();
@@ -97,7 +97,7 @@ fn recovery_through_csv_reload_matches_in_memory_path() {
     let mut from_disk = load_csv_basic(&dir, &world).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (mut in_memory, _) = bulk_store_and_stream(&c);
+    let mut in_memory = bulk_store(&c);
     for e in &events {
         from_disk.apply_event(e, &world).unwrap();
         in_memory.apply_event(e, &world).unwrap();
