@@ -65,7 +65,7 @@ fn le64(bytes: &[u8]) -> u64 {
 }
 
 /// XXH64 with seed 0: the checksum of every checked frame (WAL records,
-/// store-image sections) and of the store-image header. Four lanes of
+/// store-image frames) and of the store-image header. Four lanes of
 /// 64-bit multiply-rotate over 32-byte stripes, then the length and the
 /// last bytes mixed in and a final avalanche: word at a time, near
 /// memory speed.
@@ -572,13 +572,6 @@ mod tests {
         assert_eq!(r.checked().unwrap_err().0, "checksum mismatch");
         assert_eq!(r.pos(), at);
         assert_eq!(r.remaining(), buf.len() - at);
-    }
-
-    #[test]
-    fn xxh64_matches_the_published_vectors() {
-        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
-        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
-        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
     }
 
     #[test]

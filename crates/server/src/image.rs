@@ -17,28 +17,30 @@
 //! ```text
 //! [8B magic "SNBIMG3\n"][scale (put_str)][u64 seed][u64 seq][u32 shards = 1]
 //! [u64 xxh64(header bytes above)]
-//! [sections = snb_store::image payload: [u8 tag][u32 len][u64 xxh64(body)][body] × 28]
+//! [payload = snb_store::image frames: [u8 tag][u32 len][u64 xxh64(body)][body] ...]
 //! ```
 //!
 //! Scale and seed bind the image to its dataset exactly like the WAL
 //! header does; `seq` is the write sequence the image captures. Each
-//! byte is hashed once: the header by its own checksum, each section by
-//! its frame. Nothing sums the payload as a whole; the fixed section
-//! order, each frame's length checked against the bytes left in the
-//! file, and the refusal of bytes past the last section stand in for a
-//! payload length. An image in an older format version (`SNBIMG1\n`,
-//! which also carried a `u64` fencing epoch before `seq`, or
-//! `SNBIMG2\n`, whose header also carried the payload's length and FNV-1a
-//! sum, and whose frames were summed with FNV-1a) is refused with an
-//! error naming the version. The `u32` is always 1: older builds
-//! recorded how many shards their log was split across there, and an
-//! image with any other value is refused with an error naming the file,
-//! since the log it belongs beside is one this build cannot read.
+//! byte is hashed once: the header by its own checksum, the payload by
+//! its frames' (one per column or adjacency, a packed text column cut
+//! into frames of about 1 MiB). Nothing sums the payload as a whole;
+//! the fixed section order, each frame's length checked against the
+//! bytes left in the file, and the refusal of bytes past the last frame
+//! stand in for a payload length. An image in an older format version
+//! (`SNBIMG1\n`, which also carried a `u64` fencing epoch before `seq`,
+//! or `SNBIMG2\n`, whose header also carried the payload's length and
+//! FNV-1a sum, and whose frames, one per section, were summed with
+//! FNV-1a) is refused with an error naming the version. The `u32` is
+//! always 1: older builds recorded how many shards their log was split
+//! across there, and an image with any other value is refused with an
+//! error naming the file, since the log it belongs beside is one this
+//! build cannot read.
 //!
 //! Both directions stream: [`write_image`] writes the header and then
-//! each section through a buffered writer, and [`load_image`] reads the
-//! header and then each section through a buffered reader, so neither
-//! holds the whole file beside the store.
+//! each frame through a buffered writer, and [`load_image`] reads the
+//! header and then each frame through a buffered reader, so neither
+//! holds more than one frame beside the store.
 //!
 //! ## Crash safety
 //!
@@ -46,7 +48,7 @@
 //! either the previous complete image or the new complete image. The
 //! rename is durable only once the directory is fsynced (`sync_dir`);
 //! whoever truncates log records behind a new image does that first.
-//! Any header or section checksum mismatch or truncation is a **hard
+//! Any header or frame checksum mismatch or truncation is a **hard
 //! error**: the log behind an image no longer holds the history it
 //! covers, so a directory with a corrupt image refuses to recover rather
 //! than silently starting from the bulk store. A leftover
@@ -68,8 +70,8 @@ pub const IMAGE_MAGIC: &[u8; 8] = b"SNBIMG3\n";
 /// The store-image file name inside a WAL directory.
 pub const IMAGE_FILE: &str = "store.img";
 const IMAGE_TMP: &str = "store.img.tmp";
-/// The buffer of the image file's reader and writer. A section larger
-/// than this moves between the file and the section buffer directly.
+/// The buffer of the image file's reader and writer. A frame larger
+/// than this moves between the file and the frame buffer directly.
 const IO_BUFFER: usize = 1 << 16;
 
 /// The image header: everything recovery needs without decoding the
@@ -141,9 +143,10 @@ fn decode_header(bytes: &[u8], scale: &str, seed: u64) -> Result<(ImageHeader, u
     Ok((ImageHeader { seq }, r.pos()))
 }
 
-/// The first bytes of an image for `scale`: enough for any header this
-/// build accepts, so the header is read without the body.
-fn header_prefix(input: &mut impl Read, scale: &str) -> std::io::Result<Vec<u8>> {
+/// The first bytes of a log or an image for `scale`: enough for any
+/// header this build accepts, so the header is read without what
+/// follows it.
+pub(crate) fn header_prefix(input: &mut impl Read, scale: &str) -> std::io::Result<Vec<u8>> {
     let mut buf = Vec::new();
     input.take(128 + scale.len() as u64).read_to_end(&mut buf)?;
     Ok(buf)
@@ -221,7 +224,7 @@ pub fn image_info(dir: &Path, scale: &str, seed: u64) -> SnbResult<Option<ImageH
 }
 
 /// Verifies and decodes the `len`-byte image read from `input` into a
-/// store plus its header, a section at a time. `path` names the image
+/// store plus its header, a frame at a time. `path` names the image
 /// in a header error.
 pub(crate) fn read_image(
     mut input: impl Read,

@@ -63,15 +63,15 @@
 //!
 //! Recovery is one pass: start from the image if there is one, else from
 //! the deterministic bulk store for (scale, seed), built without the
-//! update stream; then replay the log
-//! records past the starting sequence through the *same*
-//! `apply_event`/`apply_deletes` path the original writes took.
+//! update stream; then replay the log records past the starting
+//! sequence through the *same* `apply_event`/`apply_deletes` path the
+//! original writes took.
 //!
 //! Fault points: `wal.append.short_write` (torn write at append),
 //! `wal.append.post_append` (crash window between durability and apply).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use snb_core::bytes::{put_checked, put_str, put_u64, put_u8, Malformed, Reader};
@@ -237,9 +237,10 @@ impl LogFile {
             file.sync_data()?;
             crate::image::sync_dir(path.parent().unwrap_or(Path::new(".")))?;
         } else {
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)?;
-            read_header(&mut Reader::new(&bytes), scale, seed).map_err(|e| e.at(path.display()))?;
+            // Only the header is checked here: recovery has read the
+            // records already.
+            let head = crate::image::header_prefix(&mut file, scale)?;
+            read_header(&mut Reader::new(&head), scale, seed).map_err(|e| e.at(path.display()))?;
             file.seek(SeekFrom::End(0))?;
         }
         Ok(LogFile { file, broken: false })
@@ -439,13 +440,13 @@ impl Recovered {
 }
 
 /// Recovers the durable state under `dir` in one pass: start from
-/// `store.img` if present (else rebuild the deterministic bulk store
-/// for `config`), then replay the log's entries past the starting
-/// sequence — verifying per-record checksums and cutting the torn tail
-/// and any suffix past a sequence gap in one truncation (every append
-/// is fsynced before the next is written, so entries past a gap were
-/// never acknowledged and dropping them is correct). Validates store
-/// invariants. Works on an empty or absent
+/// `store.img` if present (else build the deterministic bulk store for
+/// `config`, without the update stream), then replay the log's entries
+/// past the starting sequence — verifying per-record checksums and
+/// cutting the torn tail and any suffix past a sequence gap in one
+/// truncation (every append is fsynced before the next is written, so
+/// entries past a gap were never acknowledged and dropping them is
+/// correct). Validates store invariants. Works on an empty or absent
 /// directory (fresh start, zero entries). Refuses a directory holding
 /// `wal-*.log` files, an image written for a sharded log, and a log or
 /// image in another format version, before it truncates anything.

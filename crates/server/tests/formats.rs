@@ -164,6 +164,11 @@ fn frame_checksum_keeps_its_values() {
         let bytes: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
         assert_eq!(xxh64(&bytes), want, "xxh64 of {n} bytes moved");
     }
+    // XXH64's published answers, which the outside implementation the
+    // pins came from reproduces too.
+    assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+    assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+    assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
 }
 
 /// The empty store's image frames before section `tag`, then a frame of

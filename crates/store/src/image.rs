@@ -8,29 +8,32 @@
 //! history length: a recovered process decodes this image and replays
 //! only the WAL tail written after it.
 //!
-//! Layout: a fixed sequence of tagged sections, each a tag byte and a
-//! [`snb_core::bytes`] checked frame:
+//! Layout: a fixed sequence of tagged sections, each a run of frames
+//! that carry its tag, each frame a tag byte and a [`snb_core::bytes`]
+//! checked frame:
 //!
 //! ```text
-//! [u8 tag][u32 len][u64 xxh64(body)][body]   × 28, in tag order
+//! [u8 tag][u32 len][u64 xxh64(body)][body]   one or more per section, in tag order
 //! ```
 //!
 //! The sections follow the store's one schema declaration (`store.rs`):
 //! the seven entity column groups at tags `1 + class` (1 = persons …
 //! 7 = organisations), then the 21 adjacencies at `10 + position`. A
-//! group section holds its columns in the order the group's declaration
-//! (`columns.rs`) lists them, each written by its column type. The id
-//! maps and the date index are *not* stored — they are deterministic
-//! functions of the columns and are rebuilt at decode time. Names
-//! resolve through the name columns' own dictionaries, so nothing else
-//! is derived. Each section is hashed once, by its frame; nothing sums
-//! the payload as a whole.
+//! group section holds one frame per column, in the order the group's
+//! declaration (`columns.rs`) lists them, each written by its column
+//! type; a packed string column (content, IPs) is cut between rows into
+//! frames of about 1 MiB, so no frame holds a whole text column. An
+//! adjacency section is one frame. The id maps and the date index are
+//! *not* stored — they are deterministic functions of the columns and
+//! are rebuilt at decode time. Names resolve through the name columns'
+//! own dictionaries, so nothing else is derived. Each byte is hashed
+//! once, by its frame; nothing sums the payload as a whole.
 //!
-//! Both directions stream ([`write_store`], [`read_store`]): a section
-//! is encoded into one reused buffer and written out, and read into one
-//! reused buffer, verified and decoded, so neither holds the whole
-//! payload. [`encode_store`] and [`decode_store`] are the same sink and
-//! source over a buffer.
+//! Both directions stream ([`write_store`], [`read_store`]): a frame is
+//! encoded into one reused buffer and written out, and read into one
+//! reused buffer, verified and decoded, so neither direction holds more
+//! than one frame beside the store. [`encode_store`] and
+//! [`decode_store`] are the same sink and source over a buffer.
 //!
 //! Within sections everything is varints, and a value column's element
 //! type picks its encoding (`Scalar`): sorted id and timestamp columns
@@ -39,7 +42,7 @@
 //! dictionary-coded string column is written as it is held: its own
 //! dictionary, then one symbol per row. Any length/checksum mismatch,
 //! unknown tag, count too large for its section, dictionary out of its
-//! canonical form (see [`crate::intern`]), section length past the
+//! canonical form (see [`crate::intern`]), frame length past the
 //! payload's end, or trailing bytes decodes to a hard
 //! [`SnbError::Parse`] — a corrupt image is refused, never half-loaded.
 
@@ -528,7 +531,7 @@ pub(crate) fn get_adj_section<P: Scalar>(
 // ---- top level -------------------------------------------------------------
 
 /// Serialises the full store into the tagged-section image payload, a
-/// section at a time, into `out`. Returns the bytes written.
+/// frame at a time, into `out`. Returns the bytes written.
 pub fn write_store<W: Write>(s: &Store, out: &mut W) -> io::Result<u64> {
     let mut w = SectionWriter { out, tag: 0, body: Vec::new(), written: 0 };
     s.put_sections(&mut w)?;
@@ -536,11 +539,11 @@ pub fn write_store<W: Write>(s: &Store, out: &mut W) -> io::Result<u64> {
 }
 
 /// Decodes the `len`-byte image payload read from `input` into a full
-/// store, a section at a time, rebuilding the derived structures (id
+/// store, a frame at a time, rebuilding the derived structures (id
 /// maps, date index) the image deliberately omits. Refuses — with a
 /// hard error, never a partial store — any checksum mismatch,
 /// truncation, count too large for its section, layout violation, or
-/// byte past the last section.
+/// byte past the last frame.
 pub fn read_store<R: Read>(input: R, len: u64) -> SnbResult<Store> {
     let mut r = SectionReader { input, tag: 0, left: len, frame: Vec::new() };
     let mut s = Store::get_sections(&mut r)?;

@@ -32,7 +32,7 @@
 //!   update-stream event (IU 1–8, the generator's `Raw*` records)
 //!   through the per-entity row writers [`StreamBuilder`] also uses;
 //! * [`image`] — the checksummed store-image codec (full store ⇄ packed
-//!   bytes, streamed a section at a time) backing the server's
+//!   bytes, streamed a frame at a time) backing the server's
 //!   store-image files;
 //! * [`delete`] — the cascading deletes (DEL 1–8);
 //! * [`snapshot`] — immutable published store versions for lock-free
