@@ -14,13 +14,48 @@ if grep -rn --include='*.rs' 'from_le_bytes' crates/*/src | grep -v '^crates/cor
   exit 1
 fi
 
-echo "==> unsafe code in crates/store/src only in snapshot.rs and append_vec.rs"
-# The publication cell and the append-shared buffer carry the store's
-# only memory-ordering arguments; an `unsafe` block, impl or fn anywhere
-# else in the store needs its own argument, so it fails here first.
+echo "==> unsafe code in crates/store/src only in append_vec.rs"
+# The append-shared buffer carries the store's only memory-ordering
+# argument; an `unsafe` block, impl or fn anywhere else in the store
+# needs its own argument, so it fails here first. Versions are published
+# through a std RwLock<Arc<_>>, which needs none.
 if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|impl\b|fn\b)' crates/store/src \
-  | grep -vE '^crates/store/src/(snapshot|append_vec)\.rs:'; then
-  echo "unsafe code outside crates/store/src/{snapshot,append_vec}.rs" >&2
+  | grep -vE '^crates/store/src/append_vec\.rs:'; then
+  echo "unsafe code outside crates/store/src/append_vec.rs" >&2
+  exit 1
+fi
+
+echo "==> unsafe code in crates/*/src only in five files, each block and impl under a SAFETY: comment"
+# The files that need unsafe: the append-shared buffer, the worker
+# pool's borrowed-closure pointer, the epoll reactor, the server's
+# signal handlers and the bench harness's SIGTERM. Every `unsafe` block
+# or impl states its argument in a `// SAFETY:` comment just above it
+# (consecutive impls share one); a bare block fails here.
+UNSAFE_FILES='^crates/(store/src/append_vec|engine/src/exec|server/src/reactor|server/src/bin/snb_server|bench/src/bin/service_load/node)\.rs:'
+if grep -rnE --include='*.rs' '\bunsafe\b' crates/*/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | grep -vE "$UNSAFE_FILES"; then
+  echo "unsafe code outside the five allowed files in crates/*/src" >&2
+  exit 1
+fi
+if grep -rlE --include='*.rs' '\bunsafe\b' crates/*/src | xargs awk '
+  FNR == 1 { covered = 0; in_comment = 0 }
+  /^[[:space:]]*\/\// {
+    if (!in_comment) covered = 0
+    in_comment = 1
+    if ($0 ~ /SAFETY:/) covered = 1
+    next
+  }
+  {
+    in_comment = 0
+    if ($0 ~ /(^|[^[:alnum:]_])unsafe[[:space:]]*(\{|impl[[:space:]<])/) {
+      if (!covered) { print FILENAME ":" FNR ": " $0; found = 1 }
+      if ($0 !~ /(^|[^[:alnum:]_])unsafe[[:space:]]+impl[[:space:]<]/) covered = 0
+    } else {
+      covered = 0
+    }
+  }
+  END { exit !found }'; then
+  echo "an unsafe block or impl without a // SAFETY: comment just above it" >&2
   exit 1
 fi
 
@@ -250,7 +285,7 @@ grep -q '"outcome": "conn_stalled"' "$STALL_LOG" || {
 echo "==> connection sweep (reactor ladder + starvation gate)"
 # E16 on a small ladder: every level answers every request without an
 # error, the reactor holds every level's connections at once, the
-# BI-flood phase sheds no short read, and no snapshot reader blocks.
+# BI-flood phase sheds no short read.
 target/release/service_load 0.001 --sweep --sweep-levels 1,8,64 --sweep-duration 500ms
 
 echo "CI OK"

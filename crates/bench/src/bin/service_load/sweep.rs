@@ -14,15 +14,14 @@
 //! run write-all / read-all rounds, so the number of in-flight
 //! requests equals the connection count. Each ladder level reports
 //! achieved QPS, p50/p99 (overall, and p99 of the short reads), the
-//! server's per-lane shed deltas, errors and blocked readers.
+//! server's per-lane shed deltas and errors.
 //!
 //! After the ladder, a BI-flood phase pipelines a deep heavy backlog
 //! on dedicated connections and probes with short reads: the weighted
 //! lane scheduler must answer every probe and shed none of them.
 //!
-//! The run fails (exit 1) when any ladder level answers an error or
-//! sees a snapshot reader hit the blocked safety valve, when the
-//! reactor never held the widest level's connections at once, on any
+//! The run fails (exit 1) when any ladder level answers an error, when
+//! the reactor never held the widest level's connections at once, on any
 //! protocol error, or when the flood gate is violated.
 
 use std::net::TcpStream;
@@ -265,7 +264,6 @@ pub fn run(args: &Args) {
         let wall = t0.elapsed();
         let after = server.report_now();
         protocol_errors += stats.protocol_errors;
-        let blocked = after.reader_blocked - before.reader_blocked;
         if stats.errors > 0 {
             failures.push(format!("{level} connections: {} errors", stats.errors));
         }
@@ -282,7 +280,6 @@ pub fn run(args: &Args) {
             (after.shed_by_lane[0] - before.shed_by_lane[0]).to_string(),
             (after.shed_by_lane[1] - before.shed_by_lane[1]).to_string(),
             stats.errors.to_string(),
-            blocked.to_string(),
         ]);
     }
     snb_bench::print_table(
@@ -297,7 +294,6 @@ pub fn run(args: &Args) {
             "short shed",
             "heavy shed",
             "errors",
-            "blocked",
         ],
         &rows,
     );
@@ -323,16 +319,9 @@ pub fn run(args: &Args) {
     }
 
     let report = server.shutdown();
-    println!(
-        "conn_peak {}, reader_blocked {}, protocol errors {protocol_errors}",
-        report.conn_peak, report.reader_blocked
-    );
+    println!("conn_peak {}, protocol errors {protocol_errors}", report.conn_peak);
     if report.conn_peak < max_level as u64 {
         failures.push(format!("peak {} connections, ladder reached {max_level}", report.conn_peak));
-    }
-    if report.reader_blocked > 0 {
-        failures
-            .push(format!("{} snapshot reads hit the blocked safety valve", report.reader_blocked));
     }
     if protocol_errors > 0 {
         failures.push(format!("{protocol_errors} protocol errors"));

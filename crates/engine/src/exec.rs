@@ -335,6 +335,9 @@ impl QueryContext {
 #[derive(Clone, Copy)]
 struct TaskPtr(*const (dyn Fn(usize) + Sync));
 
+// SAFETY: the pointee is `Sync`, so calling it from another thread is
+// sound, and `Pool::dispatch` keeps it alive until every worker that
+// received the pointer has finished with it.
 unsafe impl Send for TaskPtr {}
 
 struct Job {
@@ -482,8 +485,8 @@ impl Pool {
         {
             let mut st =
                 self.shared.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            // SAFETY of the transmute: only the lifetime is erased; the
-            // wait below keeps the referent alive past every use.
+            // SAFETY: the transmute erases only the lifetime; the wait
+            // below keeps the referent alive past every use.
             let erased: &'static (dyn Fn(usize) + Sync) = unsafe {
                 std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(
                     task,

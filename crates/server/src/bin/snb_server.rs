@@ -54,6 +54,9 @@ fn install_signal_handlers() {
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal` installs a handler that only stores to an atomic,
+    // which is async-signal-safe; the handler is a plain `extern "C"` fn
+    // that lives for the whole process.
     unsafe {
         signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
         signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);

@@ -98,6 +98,8 @@ pub(crate) struct Poller {
 impl Poller {
     /// Creates the epoll instance (close-on-exec).
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointers; a failure is a
+        // negative return, checked below.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -109,6 +111,9 @@ impl Poller {
     /// `token`.
     pub fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
         let mut ev = EpollEvent { events: Interest::READ.mask(), data: token };
+        // SAFETY: `epfd` is this poller's open epoll fd and `ev` is a
+        // live, correctly laid out `epoll_event` the kernel only reads
+        // during the call; a bad `fd` is reported as an error, not UB.
         let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -134,6 +139,8 @@ impl Poller {
     /// closed, which deregisters implicitly.
     pub fn delete(&self, fd: RawFd) {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `modify`; the kernel ignores `ev` for a delete
+        // but older kernels require it to be a valid pointer.
         unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
     }
 
@@ -144,6 +151,9 @@ impl Poller {
     pub fn wait(&mut self, timeout: Duration, out: &mut Vec<Event>) -> io::Result<()> {
         out.clear();
         let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        // SAFETY: the kernel writes at most `scratch.len()` events into
+        // `scratch`, a live buffer of `epoll_event`s this poller owns
+        // mutably for the call.
         let n = unsafe {
             epoll_wait(self.epfd, self.scratch.as_mut_ptr(), self.scratch.len() as i32, ms)
         };
@@ -169,6 +179,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` is this poller's own fd, closed exactly once,
+        // here; nothing uses it after the drop.
         unsafe { close(self.epfd) };
     }
 }

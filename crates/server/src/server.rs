@@ -40,15 +40,14 @@
 //! the reactor, join every thread, and hand back the final
 //! [`ServiceReport`] with the access log intact.
 //!
-//! **Concurrency model** — there is no lock anywhere on the read path.
-//! The store lives behind a [`StoreHandle`]. After the bulk load every
-//! write is a sequenced batch on the durable path (`submit_batch`:
-//! apply, WAL append + fsync, publish, ack), which builds the next
-//! immutable store version on a private copy-on-write clone and
-//! publishes it with one atomic swap ([`StoreHandle::publish_with`]);
-//! reads pin the current version at
-//! admission and run the whole query against it, unaffected by — and
-//! never blocking — concurrent publishes. A batch the store refuses
+//! **Concurrency model** — no read waits for a write batch. The store
+//! lives behind a [`StoreHandle`]. After the bulk load every write is a
+//! sequenced batch on the durable path (`submit_batch`: apply, WAL
+//! append + fsync, publish, ack), which builds the next immutable store
+//! version on a private copy-on-write clone and publishes it with one
+//! pointer swap ([`StoreHandle::publish_with`]); reads pin the current
+//! version at admission and run the whole query against it, unaffected
+//! by concurrent publishes and holding none of them up. A batch the store refuses
 //! discards the private clone before the append, so it is never logged
 //! and is answered `bad_request`. A panic discards the clone too, so
 //! mid-batch state is unpublishable; the server still degrades to
@@ -164,14 +163,14 @@ pub struct ServiceReport {
     /// Store versions published over the server's lifetime (0 = the
     /// bulk-loaded base version was never superseded).
     pub versions_published: u64,
-    /// High-water mark of store versions simultaneously alive
-    /// (publication ring + reader-pinned snapshots).
+    /// High-water mark of store versions simultaneously alive (the
+    /// current one, the one being published and reader-pinned ones).
     pub peak_live_snapshots: u64,
-    /// Snapshot-reader pin attempts that raced a publish and retried.
+    /// Always 0: a snapshot pin does not retry. Kept only because the
+    /// frozen `benchmark/` package still reads it.
     pub reader_retries: u64,
-    /// Snapshot-reader retry loops that hit the safety valve and
-    /// yielded — must be zero under any sane publish rate (asserted by
-    /// `crates/server/tests/concurrent_stress.rs`).
+    /// Always 0: a snapshot pin does not retry. Kept only because the
+    /// frozen `benchmark/` package still reads it.
     pub reader_blocked: u64,
     /// Requests served per lane, indexed by [`Lane::index`]
     /// (`[short, heavy, write]`; the write slot counts applied +
@@ -953,8 +952,8 @@ impl ServerInner {
             outbox_peak: load(&counters.outbox_peak),
             versions_published: snap.version,
             peak_live_snapshots: snap.peak_live_versions,
-            reader_retries: snap.reader_retries,
-            reader_blocked: snap.reader_blocked,
+            reader_retries: 0,
+            reader_blocked: 0,
         }
     }
 }
@@ -1083,13 +1082,13 @@ impl Server {
         Arc::clone(&self.inner.store)
     }
 
-    /// The latest published store version — a lock-free pin.
+    /// Pins the latest published store version.
     pub fn snapshot(&self) -> StoreSnapshot {
         self.inner.store.snapshot()
     }
 
     /// Snapshot-publication counters (versions published, live/peak
-    /// snapshot gauges, reader retry/blocked counts).
+    /// snapshot gauges).
     pub fn snapshot_stats(&self) -> SnapshotStats {
         self.inner.store.stats()
     }

@@ -35,8 +35,8 @@
 //!   bytes, streamed a frame at a time) backing the server's
 //!   store-image files;
 //! * [`delete`] — the cascading deletes (DEL 1–8);
-//! * [`snapshot`] — immutable published store versions for lock-free
-//!   readers beside one writer.
+//! * [`snapshot`] — immutable published store versions that readers
+//!   pin beside one writer.
 
 pub mod adj;
 pub mod append_vec;
@@ -60,7 +60,7 @@ pub use cow::CowBox;
 pub use delete::{DeleteOp, DeleteStats};
 pub use image::{decode_store, encode_store, read_store, write_store};
 pub use intern::{PackCol, PackListCol, Sym, SymCol, SymListCol};
-pub use snapshot::{SnapshotCell, SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
+pub use snapshot::{SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
 pub use store::Store;
 
 /// Kept only because the frozen `benchmark/` package still names it.

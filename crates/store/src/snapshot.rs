@@ -1,203 +1,35 @@
-//! Epoch/snapshot concurrency: immutable published store versions.
+//! Published store versions: immutable snapshots for readers, one
+//! writer building the next version beside them.
 //!
-//! The service tier used to funnel every request — including pure
-//! reads — through one `RwLock<Store>`, the exact
-//! anti-pattern the LDBC benchmarking literature flags as the reason
-//! "parallel" engines show negative scaling under mixed load. This
-//! module replaces the lock with version publication:
-//!
-//! * a **writer** clones the latest [`Store`] (near-free:
-//!   every component is a [`CowBox`](crate::cow::CowBox), so the clone
-//!   is one `Arc` bump per component), mutates the private clone, and
-//!   publishes it as the next [`StoreVersion`] with an atomic swap. The
-//!   first write to a component clones it, and that clone shares the
+//! * A **writer** clones the latest [`Store`] (near-free: every
+//!   component is a [`CowBox`](crate::cow::CowBox), so the clone is one
+//!   `Arc` bump per component), mutates the private clone, and publishes
+//!   it as the next [`StoreVersion`] by swapping one pointer. The first
+//!   write to a component clones it, and that clone shares the
 //!   component's buffers ([`AppendVec`](crate::append_vec::AppendVec),
 //!   [`IdMap`](crate::columns::IdMap)): an insert appends into them in
 //!   place past every published version's `len`, and only an in-place
-//!   edit (a delete) copies a buffer;
-//! * a **reader** grabs a [`StoreSnapshot`] pointer at admission —
-//!   wait-free in the common case, never taking a lock — and runs its
+//!   edit (a delete) copies a buffer.
+//! * A **reader** takes a [`StoreSnapshot`] at admission and runs its
 //!   whole query against that immutable version, unaffected by any
-//!   concurrent publish.
+//!   concurrent publish. Taking it holds a read guard only across one
+//!   `Arc` clone, so a reader never waits for a batch to be applied,
+//!   only (at worst) for the pointer swap that publishes it.
 //!
-//! The invalidation point is the publish itself: a version is visible
-//! to new readers exactly from the moment [`SnapshotCell::publish`]
-//! stores the new version counter, and a reader admitted before that
-//! instant keeps its old version alive (and byte-identical) for as long
-//! as it holds the snapshot. Mid-batch state is unpublishable by
-//! construction: if the mutation closure fails or panics, the private
-//! clone is discarded and the current version stays current.
+//! A version is visible to new readers exactly from the swap in
+//! [`StoreHandle::publish_with`], and a reader admitted before it keeps
+//! its old version alive (and byte-identical) for as long as it holds
+//! the snapshot. Mid-batch state is unpublishable by construction: if
+//! the mutation closure fails or panics, the private clone is discarded
+//! and the current version stays current.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use snb_core::SnbResult;
 
 use crate::store::Store;
-
-/// Slot-ring size of the [`SnapshotCell`]: the current version and the
-/// one being published. A publish releases the slot it superseded, so
-/// the ring itself keeps only the current version alive (readers keep
-/// older ones alive through their snapshots).
-const SLOTS: usize = 2;
-
-/// Reader attempts before a retry loop is counted as *blocked* (the
-/// safety valve `crates/server/tests/concurrent_stress.rs` asserts never
-/// fires).
-const BLOCKED_AFTER: u32 = 64;
-
-struct Slot<T> {
-    /// Readers currently dereferencing this slot's value.
-    pins: AtomicU64,
-    value: UnsafeCell<Option<Arc<T>>>,
-}
-
-/// A lock-free single-writer / multi-reader publication cell.
-///
-/// Readers never block: [`load`](SnapshotCell::load) is a pin → recheck
-/// → clone → unpin sequence that retries only if a publish raced it
-/// (bounded in practice by the publish rate, and counted honestly in
-/// [`reader_retries`](SnapshotCell::reader_retries)). The writer waits
-/// only for stragglers pinning the slot it is about to write or release
-/// — a reader mid-clone, a window of a few instructions.
-///
-/// Publishes must be serialized by the caller ([`StoreHandle`] holds a
-/// mutex); a concurrent publish is a programming error and panics.
-pub struct SnapshotCell<T> {
-    slots: Box<[Slot<T>]>,
-    /// Monotone version counter of the latest published value; the
-    /// value for version `v` lives in slot `v % SLOTS`.
-    current: AtomicU64,
-    publishing: AtomicBool,
-    reader_retries: AtomicU64,
-    reader_blocked: AtomicU64,
-}
-
-// Safety: the cell hands out `Arc<T>` clones across threads (needs
-// `T: Send + Sync`) and guards every `UnsafeCell` access with the
-// pin/recheck protocol proven in `load`/`publish`.
-unsafe impl<T: Send + Sync> Send for SnapshotCell<T> {}
-unsafe impl<T: Send + Sync> Sync for SnapshotCell<T> {}
-
-impl<T> SnapshotCell<T> {
-    /// A cell whose version 0 is `initial`.
-    pub fn new(initial: Arc<T>) -> SnapshotCell<T> {
-        let slots: Box<[Slot<T>]> = (0..SLOTS)
-            .map(|i| Slot {
-                pins: AtomicU64::new(0),
-                value: UnsafeCell::new((i == 0).then_some(Arc::clone(&initial))),
-            })
-            .collect();
-        SnapshotCell {
-            slots,
-            current: AtomicU64::new(0),
-            publishing: AtomicBool::new(false),
-            reader_retries: AtomicU64::new(0),
-            reader_blocked: AtomicU64::new(0),
-        }
-    }
-
-    /// The latest published version counter.
-    pub fn version(&self) -> u64 {
-        self.current.load(Ordering::SeqCst)
-    }
-
-    /// Loads the latest published value without ever taking a lock.
-    pub fn load(&self) -> Arc<T> {
-        let mut attempts = 0u32;
-        loop {
-            let cur = self.current.load(Ordering::SeqCst);
-            let slot = &self.slots[(cur as usize) % SLOTS];
-            slot.pins.fetch_add(1, Ordering::SeqCst);
-            if self.current.load(Ordering::SeqCst) == cur {
-                // SAFETY: the pin is visible (SeqCst RMW) and the
-                // version did not move. The writer touches this slot
-                // again only after advancing `current` past `cur` (to
-                // release it, later to reuse it) and drains pins first
-                // each time — so it will observe ours and wait. Reading
-                // the cell here cannot race a write.
-                let value =
-                    unsafe { (*slot.value.get()).as_ref().expect("published slot").clone() };
-                slot.pins.fetch_sub(1, Ordering::SeqCst);
-                return value;
-            }
-            // A publish raced us between the version read and the pin;
-            // the slot may be mid-overwrite. Back off and retry.
-            slot.pins.fetch_sub(1, Ordering::SeqCst);
-            self.reader_retries.fetch_add(1, Ordering::Relaxed);
-            attempts += 1;
-            if attempts >= BLOCKED_AFTER {
-                // Safety valve: only reachable if a publish lands between
-                // the version read and the recheck 64 times in a row.
-                // Counted so `crates/server/tests/concurrent_stress.rs`
-                // can assert it stays at zero.
-                self.reader_blocked.fetch_add(1, Ordering::Relaxed);
-                attempts = 0;
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Publishes `value` as the next version and returns its counter,
-    /// then releases the version it superseded — a version outlives its
-    /// publish only while some reader's clone holds it. Caller must
-    /// serialize publishes.
-    pub fn publish(&self, value: Arc<T>) -> u64 {
-        assert!(
-            !self.publishing.swap(true, Ordering::SeqCst),
-            "concurrent SnapshotCell::publish — publishes must be serialized"
-        );
-        let prev = self.current.load(Ordering::SeqCst);
-        let next = prev + 1;
-        let slot = &self.slots[(next as usize) % SLOTS];
-        self.drain(slot);
-        // SAFETY: pins are zero, and any reader that pins from here on
-        // rechecks `current`, which names `prev`, not a version stored
-        // in this slot, so it unpins without touching the cell.
-        unsafe { *slot.value.get() = Some(value) };
-        self.current.store(next, Ordering::SeqCst);
-        let old = &self.slots[(prev as usize) % SLOTS];
-        self.drain(old);
-        // SAFETY: the same argument one version later — a reader still
-        // cloning `prev` pinned before `current` moved, so the drain
-        // waited for it, and any later pin rechecks and sees `next`.
-        let released = unsafe { (*old.value.get()).take() };
-        self.publishing.store(false, Ordering::SeqCst);
-        drop(released);
-        next
-    }
-
-    /// Waits out readers pinning `slot`. Readers hold pins only across
-    /// an `Arc` clone, so this wait is a few instructions long.
-    fn drain(&self, slot: &Slot<T>) {
-        let mut spins = 0u32;
-        while slot.pins.load(Ordering::SeqCst) != 0 {
-            spins += 1;
-            if spins >= BLOCKED_AFTER {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Reader retry count (pin attempts that lost a race to a publish).
-    pub fn reader_retries(&self) -> u64 {
-        self.reader_retries.load(Ordering::Relaxed)
-    }
-
-    /// Reader safety-valve count — loops that exceeded `BLOCKED_AFTER`
-    /// attempts and yielded. Zero under any sane
-    /// publish rate; `crates/server/tests/concurrent_stress.rs` asserts
-    /// exactly that.
-    pub fn reader_blocked(&self) -> u64 {
-        self.reader_blocked.load(Ordering::Relaxed)
-    }
-}
 
 /// Live/peak gauge for published versions, shared by every
 /// [`StoreVersion`] a handle creates.
@@ -291,9 +123,8 @@ impl std::fmt::Debug for StoreSnapshot {
     }
 }
 
-/// Counters describing a handle's publication history, recorded in
-/// benchmark metadata so result-cache work can key off the publish
-/// point.
+/// Counters describing a handle's publication history, recorded in run
+/// metadata.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SnapshotStats {
     /// Latest published version (equals versions published; 0 = base).
@@ -303,24 +134,22 @@ pub struct SnapshotStats {
     pub live_versions: u64,
     /// High-water mark of `live_versions`.
     pub peak_live_versions: u64,
-    /// Reader pin attempts that lost a race to a publish and retried.
-    pub reader_retries: u64,
-    /// Reader retry loops that hit the safety valve and yielded —
-    /// the "reader blocked" events CI asserts are zero.
-    pub reader_blocked: u64,
 }
 
 /// The publication handle: the *only* way to mutate a served store.
 ///
-/// Readers call [`snapshot`](StoreHandle::snapshot) (lock-free);
-/// writers call [`publish_with`](StoreHandle::publish_with), which
-/// builds the next version privately and publishes it atomically on
-/// success. There is no way to reach a `&mut` of the published store,
-/// so callers cannot bypass the writer or expose mid-batch state.
+/// Readers call [`snapshot`](StoreHandle::snapshot); writers call
+/// [`publish_with`](StoreHandle::publish_with), which builds the next
+/// version privately and publishes it on success. There is no way to
+/// reach a `&mut` of the published store, so callers cannot bypass the
+/// writer or expose mid-batch state.
 pub struct StoreHandle {
-    cell: SnapshotCell<StoreVersion>,
-    /// Serializes writers; held only across clone + mutate + publish,
-    /// never touched by readers.
+    /// The current version. Readers hold the read guard only while they
+    /// clone the `Arc`, the writer holds the write guard only while it
+    /// swaps the pointer; nothing is ever built or freed under a guard.
+    current: RwLock<Arc<StoreVersion>>,
+    /// Serializes writers; held across clone + mutate + publish, never
+    /// touched by readers.
     publish: Mutex<()>,
     gauge: Arc<LiveGauge>,
 }
@@ -336,17 +165,24 @@ impl StoreHandle {
             published_at: Instant::now(),
             gauge: Arc::clone(&gauge),
         };
-        StoreHandle { cell: SnapshotCell::new(Arc::new(base)), publish: Mutex::new(()), gauge }
+        StoreHandle { current: RwLock::new(Arc::new(base)), publish: Mutex::new(()), gauge }
     }
 
-    /// The latest published version — lock-free.
+    /// The latest published version.
+    fn current(&self) -> Arc<StoreVersion> {
+        // No code under either guard can panic, so the lock is never
+        // poisoned; `into_inner` only keeps the read path panic-free.
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Pins the latest published version.
     pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot(self.cell.load())
+        StoreSnapshot(self.current())
     }
 
     /// The latest published version counter.
     pub fn version(&self) -> u64 {
-        self.cell.version()
+        self.current.read().unwrap_or_else(PoisonError::into_inner).version
     }
 
     /// Builds and publishes the next version: clones the latest store
@@ -359,28 +195,36 @@ impl StoreHandle {
         // be torn (the clone died with the panic), so later writers may
         // keep going — the service layer decides separately whether to
         // degrade.
-        let _writer = self.publish.lock().unwrap_or_else(|e| e.into_inner());
-        let mut next = self.cell.load().store.clone();
+        let _writer = self.publish.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut next, version) = {
+            let current = self.current();
+            (current.store.clone(), current.version + 1)
+        };
         let out = f(&mut next)?;
         self.gauge.inc();
-        let version = StoreVersion {
+        let next = Arc::new(StoreVersion {
             store: next,
-            version: self.cell.version() + 1,
+            version,
             published_at: Instant::now(),
             gauge: Arc::clone(&self.gauge),
+        });
+        let superseded = {
+            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *current, next)
         };
-        self.cell.publish(Arc::new(version));
+        // The write guard is gone: freeing the buffers a delete batch
+        // copied (milliseconds at scale) happens here, outside it, and
+        // only if no reader still pins the superseded version.
+        drop(superseded);
         Ok(out)
     }
 
     /// Publication counters for run metadata.
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
-            version: self.cell.version(),
+            version: self.version(),
             live_versions: self.gauge.live.load(Ordering::SeqCst),
             peak_live_versions: self.gauge.peak.load(Ordering::SeqCst),
-            reader_retries: self.cell.reader_retries(),
-            reader_blocked: self.cell.reader_blocked(),
         }
     }
 }
@@ -395,6 +239,8 @@ impl std::fmt::Debug for StoreHandle {
 mod tests {
     use super::*;
     use snb_core::SnbError;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
 
     fn handle() -> StoreHandle {
         StoreHandle::new(Store::default())
@@ -437,6 +283,34 @@ mod tests {
         // The handle must still accept publishes afterwards.
         h.publish_with(|_s| Ok(())).unwrap();
         assert_eq!(h.version(), 1);
+    }
+
+    #[test]
+    fn a_reader_pins_while_a_batch_is_being_applied() {
+        // The batch waits inside its closure until this thread has
+        // pinned a version: a guard held across the closure would stall
+        // the pin until the wait times out, and the pin would then see
+        // the batch's version.
+        let h = Arc::new(handle());
+        let (started_tx, started_rx) = mpsc::channel();
+        let (pinned_tx, pinned_rx) = mpsc::channel::<()>();
+        let writer = {
+            let h = Arc::clone(&h);
+            std::thread::spawn(move || {
+                h.publish_with(|_s| {
+                    started_tx.send(()).unwrap();
+                    Ok(pinned_rx.recv_timeout(Duration::from_secs(5)).is_ok())
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        let pinned = h.snapshot();
+        let version = h.version();
+        pinned_tx.send(()).ok();
+        assert_eq!((pinned.version(), version), (0, 0), "the batch is not published yet");
+        assert!(writer.join().unwrap().unwrap(), "the pin waited for the batch");
+        assert_eq!(h.version(), 1);
+        assert_eq!(pinned.version(), 0);
     }
 
     #[test]
@@ -484,7 +358,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_observe_torn_versions() {
-        // Hammer load() from several threads while the writer publishes
+        // Hammer snapshot() from several threads while the writer publishes
         // as fast as it can; every loaded version must be valid and
         // monotone non-decreasing per reader.
         let h = Arc::new(handle());
@@ -520,6 +394,5 @@ mod tests {
         let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
         assert!(total > 0);
         assert_eq!(h.version(), 500);
-        assert_eq!(h.stats().reader_blocked, 0, "readers must never block");
     }
 }

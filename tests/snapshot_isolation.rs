@@ -3,7 +3,7 @@
 //! results over all 25 BI queries and a byte-identical store image — no
 //! matter how hard a concurrent writer churns inserts and deletes, and
 //! no matter how many other readers race it. The property is the
-//! contract the whole lock-free read path rests on: versions are
+//! contract the whole snapshot read path rests on: versions are
 //! immutable once published, and pinning one keeps it alive unchanged.
 //!
 //! Two versions are pinned. The base version's columns are shrunk to
@@ -159,7 +159,5 @@ proptest! {
         }
         prop_assert!(encode_store(&pinned) == base_image, "the base version's image changed");
         prop_assert!(encode_store(&appended) == appended_image, "the appended version's image changed");
-        // Lock-free means lock-free: nobody ever hit the safety valve.
-        prop_assert_eq!(handle.stats().reader_blocked, 0);
     }
 }
